@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-escape test race cover fmt-check bench bench-json bench-robustness bench-alloc bench-partition bench-scale bench-mobility alloc-gate results results-csv examples clean
+.PHONY: all build vet vet-escape test race cover fmt-check bench benchmark bench-json bench-robustness bench-alloc bench-partition bench-scale bench-mobility alloc-gate results results-csv examples clean
 
 all: build vet test
 
@@ -55,6 +55,12 @@ results-csv:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's end-to-end benchmark (BENCHMARK.json): four named workloads,
+# seven end-to-end metrics each, per-layer attribution. See
+# benchmark/README.md for the modes (-only, -traced, -record, -selfcheck).
+benchmark:
+	$(GO) run ./benchmark
 
 # bench_to_json runs `go test -bench=$(1)` and records every Benchmark*
 # line as a JSON array in $(2) (name, iterations, ns/op, B/op, allocs/op).

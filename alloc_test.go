@@ -15,6 +15,7 @@ import (
 	"acacia/internal/epc"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
+	"acacia/internal/sdn"
 	"acacia/internal/sim"
 	"acacia/internal/telemetry"
 )
@@ -119,6 +120,74 @@ func BenchmarkAllocEngineAfter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.After(1, nop)
 		eng.Run()
+	}
+}
+
+// BenchmarkAllocTicker measures a steady-state ticker period: the ticker
+// re-queues its own event, so a tick costs no allocation.
+func BenchmarkAllocTicker(b *testing.B) {
+	eng := sim.NewEngine(1)
+	tk := sim.NewTicker(eng, time.Millisecond, func() {})
+	defer tk.Stop()
+	eng.RunFor(time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(time.Millisecond)
+	}
+}
+
+// switchPath builds host a -> SDN switch -> CPU-modelled host b with a
+// forwarding flow installed and every pool warm, and returns a function
+// that sends one packet from a to b and runs it to delivery. Both hops
+// past a queue the packet for a single-server CPU (the switch's and the
+// node's), which is where a pop that shrinks the queue's capacity used to
+// cost an allocation per packet.
+func switchPath(tb testing.TB) func() {
+	eng := sim.NewEngine(1)
+	nw := netsim.New(eng)
+	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
+	ns := nw.AddNode("s", pkt.AddrFrom(10, 0, 0, 2))
+	nb := nw.AddNode("b", pkt.AddrFrom(10, 0, 0, 3))
+	cfg := netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: 100 * time.Microsecond}
+	nw.ConnectSymmetric(na, ns, cfg) // s port 0
+	nw.ConnectSymmetric(ns, nb, cfg) // s port 1
+	nb.SetCPU(&netsim.CPUModel{PerPacket: 10 * time.Microsecond})
+	ha := netsim.NewHost(na)
+	sink := netsim.NewSink(netsim.NewHost(nb), 9000)
+
+	sw := sdn.NewSwitch(1, ns, sdn.ACACIAGWCosts)
+	ctl := sdn.NewController(eng)
+	ctl.AddSwitch(sw)
+	ctl.InstallFlow(sw, sdn.FlowEntry{
+		Priority: 100, Cookie: 1,
+		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(nb.Addr())},
+		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
+	})
+	eng.RunFor(time.Millisecond) // let the FlowMod land
+
+	send := func() {
+		ha.Send(nb.Addr(), 30000, 9000, pkt.ProtoUDP, 1200, nil)
+		eng.Run()
+	}
+	// The first packet takes the slow path and fills the megaflow cache and
+	// the pools; the second runs the steady-state path once.
+	send()
+	send()
+	if sink.Packets != 2 {
+		tb.Fatalf("warm-up delivered %d packets through the switch, want 2", sink.Packets)
+	}
+	return send
+}
+
+// BenchmarkAllocSwitchPath measures a packet crossing a switch CPU queue and
+// a node CPU queue in steady state.
+func BenchmarkAllocSwitchPath(b *testing.B) {
+	send := switchPath(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
 	}
 }
 
@@ -257,5 +326,15 @@ func TestZeroAllocInternedScope(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("interned scope lookup allocates %.1f times, want 0", n)
+	}
+}
+
+// TestZeroAllocSwitchPath pins zero allocations for a packet crossing a
+// Switch and a CPU-modelled Node: both serve a 0–1-deep CPU queue, and
+// popping it must not cost the next append its backing array.
+func TestZeroAllocSwitchPath(t *testing.T) {
+	send := switchPath(t)
+	if n := testing.AllocsPerRun(1000, send); n != 0 {
+		t.Fatalf("switch + CPU node path allocates %.1f times per packet, want 0", n)
 	}
 }

@@ -219,6 +219,40 @@ func BenchmarkSimEngineScheduling(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkSimEngineHold is the classic hold model: the queue is pre-filled
+// to a fixed depth and every handler re-arms itself at a pseudo-random
+// delay, so one op is one pop plus one push at that depth. q64k is the
+// metro-frames regime (a frame timer per UE plus packets in flight).
+func BenchmarkSimEngineHold(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		depth int
+	}{{"q1k", 1 << 10}, {"q64k", 1 << 16}} {
+		b.Run(c.name, func(b *testing.B) {
+			eng := sim.NewEngine(1)
+			rng := sim.NewRNG(1)
+			left := 0
+			var fn func()
+			fn = func() {
+				if left > 0 {
+					left--
+					eng.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
+				}
+			}
+			for i := 0; i < c.depth; i++ {
+				eng.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
+			}
+			// Each of the depth pre-filled events re-arms until left runs
+			// out, then the queue drains without re-arming: b.N pops and
+			// pushes at full depth, plus the drain.
+			left = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run()
+		})
+	}
+}
+
 func BenchmarkTestbedAttach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb := NewTestbed(TestbedConfig{Seed: uint64(i) + 1})

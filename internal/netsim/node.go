@@ -50,8 +50,13 @@ type Node struct {
 	ports   []*Port
 	handler Handler
 
-	cpu      *CPUModel
+	cpu *CPUModel
+	// cpuQueue[cpuHead:] are the packets waiting for the processor. Popping
+	// advances cpuHead instead of re-slicing from the front, which would
+	// walk the slice's capacity down to zero and make the next append
+	// allocate — once per packet with the usual 0–1-deep queue.
 	cpuQueue []cpuItem
+	cpuHead  int
 	cpuBusy  bool
 	// cpuCur stages the item being served; cpuDoneF is the method value
 	// bound once in SetCPU so per-packet service scheduling allocates no
@@ -151,7 +156,7 @@ func (n *Node) dispatch(ingress *Port, p *Packet) {
 	if limit == 0 {
 		limit = DefaultCPUQueuePackets
 	}
-	if len(n.cpuQueue) >= limit {
+	if len(n.cpuQueue)-n.cpuHead >= limit {
 		n.stats.CPUDrops++
 		n.net.Release(p)
 		return
@@ -169,8 +174,19 @@ func (n *Node) serveCPU() {
 		return
 	}
 	n.cpuBusy = true
-	n.cpuCur = n.cpuQueue[0]
-	n.cpuQueue = n.cpuQueue[1:]
+	n.cpuCur = n.cpuQueue[n.cpuHead]
+	n.cpuHead++
+	// Once the served prefix is a quarter of the slice, move the waiting
+	// tail to the front: a drained queue resets to [:0] (so empty is still
+	// len 0), and a queue that never drains under sustained overload holds
+	// at most a third more slots than it has packets waiting, for an
+	// amortized three slot copies per pop.
+	if 4*n.cpuHead >= len(n.cpuQueue) {
+		live := copy(n.cpuQueue, n.cpuQueue[n.cpuHead:])
+		clear(n.cpuQueue[live:])
+		n.cpuQueue = n.cpuQueue[:live]
+		n.cpuHead = 0
+	}
 	cost := n.cpu.PerPacket + time.Duration(n.cpuCur.p.Size)*n.cpu.PerByte
 	n.dom.eng.After(cost, n.cpuDoneF)
 }

@@ -1,6 +1,9 @@
 package pkt
 
-import "fmt"
+import (
+	"fmt"
+	"hash/crc32"
+)
 
 // S1AP-style control messages between eNodeB and MME, carried over an
 // SCTP-like transport. Real S1AP is ASN.1 PER-encoded; the testbed uses an
@@ -371,18 +374,9 @@ func u32bytes(v uint32) []byte {
 	return []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }
 
+// castagnoliTable is built once at package init; crc32.MakeTable returns the
+// shared hardware-accelerated table for this polynomial.
+var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
+
 // crc32c computes the CRC-32C (Castagnoli) checksum SCTP uses.
-func crc32c(b []byte) uint32 {
-	crc := ^uint32(0)
-	for _, x := range b {
-		crc ^= uint32(x)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0x82f63b78
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return ^crc
-}
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, castagnoliTable) }

@@ -197,6 +197,42 @@ func TestPacketInOnTableMiss(t *testing.T) {
 	}
 }
 
+// TestSwitchCPUQueueOverloadStaysCompact checks the switch's CPU queue under
+// sustained overload (the Fig. 8 OpenEPC regime: arrivals at several times
+// the slow-path service rate): the served prefix is compacted away as the
+// backlog grows, and packets still leave in arrival order.
+func TestSwitchCPUQueueOverloadStaysCompact(t *testing.T) {
+	g := buildGWTopo(t, OpenEPCGWCosts)
+	next := 0
+	g.dst.Listen(2000, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) {
+		// Sizes cycle so every packet serializes within the send interval
+		// and the link never queues: the switch CPU is the only backlog.
+		if p.Size != 100+next%1000 {
+			t.Fatalf("delivered size %d, want %d (FIFO broken)", p.Size, 100+next%1000)
+		}
+		next++
+	}))
+	sent := 0
+	tk := sim.NewTicker(g.eng, 10*time.Microsecond, func() {
+		g.sendTunneled(100 + sent%1000)
+		sent++
+	})
+	g.eng.RunFor(100 * time.Millisecond)
+	tk.Stop()
+	sw := g.sgwU
+	waiting := len(sw.cpuQueue) - sw.cpuHead
+	if waiting < 5000 {
+		t.Fatalf("waiting = %d, want a deep backlog", waiting)
+	}
+	if len(sw.cpuQueue) > waiting+waiting/3+1 {
+		t.Errorf("slice holds %d slots for %d waiting packets, want at most a third more", len(sw.cpuQueue), waiting)
+	}
+	g.eng.Run()
+	if next != sent || len(sw.cpuQueue) != 0 || sw.cpuHead != 0 {
+		t.Errorf("after drain: delivered %d of %d, len %d, head %d; want all delivered and an empty reset queue", next, sent, len(sw.cpuQueue), sw.cpuHead)
+	}
+}
+
 func TestTableMissWithoutControllerDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)

@@ -247,8 +247,11 @@ type Switch struct {
 	// Single-server CPU for per-packet processing costs. cpuCur stages the
 	// packet being served; cpuDoneF is the method value bound once in
 	// NewSwitch so per-packet service scheduling allocates no closure.
+	// cpuQueue[cpuHead:] are the waiting packets; see netsim.Node.cpuQueue
+	// for why popping advances a head index.
 	busy     bool
 	cpuQueue []pendingPacket
+	cpuHead  int
 	cpuCur   pendingPacket
 	cpuDoneF func()
 
@@ -353,8 +356,15 @@ func (sw *Switch) serveNext() {
 		return
 	}
 	sw.busy = true
-	sw.cpuCur = sw.cpuQueue[0]
-	sw.cpuQueue = sw.cpuQueue[1:]
+	sw.cpuCur = sw.cpuQueue[sw.cpuHead]
+	sw.cpuHead++
+	// Same compaction rule as netsim.Node.serveCPU.
+	if 4*sw.cpuHead >= len(sw.cpuQueue) {
+		live := copy(sw.cpuQueue, sw.cpuQueue[sw.cpuHead:])
+		clear(sw.cpuQueue[live:])
+		sw.cpuQueue = sw.cpuQueue[:live]
+		sw.cpuHead = 0
+	}
 	cost := sw.classifyCost(sw.cpuCur)
 	sw.eng.After(cost, sw.cpuDoneF)
 }

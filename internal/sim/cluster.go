@@ -23,7 +23,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -324,14 +323,7 @@ func (e *Engine) inject(at Time, fn func(), afn func(any), arg any) {
 	if at < e.now {
 		badTime(at, e.now)
 	}
-	ev := e.takeEvent()
-	ev.at = at
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.afn = afn
-	ev.arg = arg
-	e.seq++
-	heap.Push(&e.queue, ev)
+	e.enqueuePooled(at, fn, afn, arg)
 }
 
 // SendTo schedules fn(arg) on dst after delay d of virtual time. When dst is

@@ -52,9 +52,9 @@ func TestNextEventAtDrainsCancelledPooled(t *testing.T) {
 	live := eng.Schedule(2*time.Millisecond, func() {})
 
 	cancelled := 0
-	for _, ev := range eng.queue {
-		if ev.pooled {
-			ev.cancel = true
+	for _, s := range eng.queue {
+		if s.ev.pooled {
+			s.ev.cancel = true
 			cancelled++
 		}
 	}
@@ -70,8 +70,8 @@ func TestNextEventAtDrainsCancelledPooled(t *testing.T) {
 	if len(eng.free) != free0+2 {
 		t.Errorf("free-list grew by %d, want 2 (cancelled pooled events recycled)", len(eng.free)-free0)
 	}
-	if eng.Pending() != 1 || eng.queue[0] != live {
-		t.Errorf("queue after sweep: pending=%d head=%p, want only the live event", eng.Pending(), eng.queue[0])
+	if eng.Pending() != 1 || eng.queue[0].ev != live {
+		t.Errorf("queue after sweep: pending=%d head=%p, want only the live event", eng.Pending(), eng.queue[0].ev)
 	}
 
 	// The recycled slots must be reusable: the next After must not allocate.

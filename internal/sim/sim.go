@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -55,17 +54,20 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // Event is a scheduled callback. Events are one-shot; recurring behaviour is
 // built by re-scheduling from within the handler.
+//
+// An Event carries no queue position. Cancel is lazy — it only sets a flag
+// the engine checks when the event reaches the head of the queue — so
+// nothing ever needs to find or move an event inside the heap, and the
+// ordering key (at, seq) lives in the queue slot instead.
 type Event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func()
+	at Time
+	fn func()
 	// afn/arg are the pre-bound form used by the pooled hot-path APIs
 	// (After/AfterArg): a method value captured once at construction plus a
 	// per-call argument, so scheduling allocates no closure. When afn is
 	// non-nil it takes precedence over fn.
 	afn    func(any)
 	arg    any
-	index  int // heap index; -1 once popped or cancelled
 	cancel bool
 	// pooled marks events owned by the engine's free-list. They have no
 	// outside handle (After returns nothing), so after firing they are
@@ -88,33 +90,81 @@ func (e *Event) Cancelled() bool { return e != nil && e.cancel }
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-type eventQueue []*Event
+// slot is one queue entry. The ordering key is held by value so sifting
+// compares and moves slots without dereferencing an Event.
+type slot struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a slot) before(b slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// eventQueue is a 4-ary min-heap of slots ordered by (at, seq). Four children
+// per node halve the depth of a binary heap, and a node's children share one
+// or two cache lines, which is what pop's sift-down walks. seq is unique, so
+// the order is total and the pop sequence does not depend on the heap shape.
+type eventQueue []slot
+
+//acacia:hotpath
+func (q *eventQueue) push(s slot) {
+	h := append(*q, s)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !s.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = s
+	*q = h
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the minimum slot. The queue must be non-empty.
+//
+//acacia:hotpath
+func (q *eventQueue) pop() slot {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		small := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[small]) {
+				small = j
+			}
+		}
+		if !h[small].before(last) {
+			break
+		}
+		h[i] = h[small]
+		i = small
+	}
+	h[i] = last
+	return top
 }
 
 // Engine is a discrete-event scheduler with a virtual clock.
@@ -181,9 +231,8 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 	if t < e.now {
 		badTime(t, e.now)
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
+	ev := &Event{fn: fn}
+	e.enqueue(t, ev)
 	return ev
 }
 
@@ -203,9 +252,8 @@ func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) *Event {
 		badDelay(d)
 	}
 	//acacia:allow hotpath-escape handle-bearing event: callers may retain the returned *Event to cancel it, so it cannot come from the free-list (see doc comment)
-	ev := &Event{at: e.now.Add(d), seq: e.seq, afn: fn, arg: arg}
-	e.seq++
-	heap.Push(&e.queue, ev)
+	ev := &Event{afn: fn, arg: arg}
+	e.enqueue(e.now.Add(d), ev)
 	return ev
 }
 
@@ -223,12 +271,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		badDelay(d)
 	}
-	ev := e.takeEvent()
-	ev.at = e.now.Add(d)
-	ev.seq = e.seq
-	ev.fn = fn
-	e.seq++
-	heap.Push(&e.queue, ev)
+	e.enqueuePooled(e.now.Add(d), fn, nil, nil)
 }
 
 // AfterArg runs fn(arg) after delay d of virtual time through the event
@@ -242,13 +285,31 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		badDelay(d)
 	}
+	e.enqueuePooled(e.now.Add(d), nil, fn, arg)
+}
+
+// enqueuePooled queues a free-list event for time at. It backs the
+// handle-less APIs: After, AfterArg and the cluster's barrier delivery.
+//
+//acacia:hotpath
+func (e *Engine) enqueuePooled(at Time, fn func(), afn func(any), arg any) {
 	ev := e.takeEvent()
-	ev.at = e.now.Add(d)
-	ev.seq = e.seq
-	ev.afn = fn
+	ev.fn = fn
+	ev.afn = afn
 	ev.arg = arg
+	e.enqueue(at, ev)
+}
+
+// enqueue is the one way into the queue: it stamps ev with its firing time,
+// draws the next sequence number and pushes the slot. Every scheduling API
+// ends here, which is what makes them share one FIFO tie-break order. ev
+// must not already be queued.
+//
+//acacia:hotpath
+func (e *Engine) enqueue(at Time, ev *Event) {
+	ev.at = at
+	e.queue.push(slot{at: at, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 }
 
 // takeEvent pops a recycled event from the free-list, or allocates one.
@@ -281,12 +342,9 @@ func (e *Engine) recycle(ev *Event) {
 	if !ev.pooled {
 		return
 	}
-	ev.at = 0
-	ev.seq = 0
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
-	ev.index = -1
 	ev.cancel = false
 	e.free = append(e.free, ev)
 }
@@ -336,12 +394,13 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 //acacia:hotpath
 func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(*Event)
+	s := e.queue.pop()
+	ev := s.ev
 	if ev.cancel {
 		e.recycle(ev)
 		return
 	}
-	e.now = ev.at
+	e.now = s.at
 	e.processed++
 	if e.Limit != 0 && e.processed > e.Limit {
 		e.limitExceeded()
@@ -368,8 +427,8 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // NextEventAt returns the timestamp of the earliest pending event and whether
 // one exists.
 func (e *Engine) NextEventAt() (Time, bool) {
-	for len(e.queue) > 0 && e.queue[0].cancel {
-		e.recycle(heap.Pop(&e.queue).(*Event))
+	for len(e.queue) > 0 && e.queue[0].ev.cancel {
+		e.recycle(e.queue.pop().ev)
 	}
 	if len(e.queue) == 0 {
 		return 0, false
@@ -383,11 +442,11 @@ type Ticker struct {
 	eng    *Engine
 	period time.Duration
 	fn     func()
-	ev     *Event
-	done   bool
-	// tickF is the method value bound once at construction so re-arming
-	// each period allocates no closure.
-	tickF func()
+	// ev is the ticker's one event, bound to tick at construction. A fired
+	// event is out of the queue, so every period re-stamps and re-queues
+	// this same event: re-arming allocates nothing.
+	ev   *Event
+	done bool
 }
 
 // NewTicker schedules fn every period, with the first firing after one full
@@ -397,14 +456,14 @@ func NewTicker(eng *Engine, period time.Duration, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{eng: eng, period: period, fn: fn}
-	t.tickF = t.tick
+	t.ev = &Event{fn: t.tick}
 	t.arm()
 	return t
 }
 
 //acacia:hotpath
 func (t *Ticker) arm() {
-	t.ev = t.eng.Schedule(t.period, t.tickF)
+	t.eng.enqueue(t.eng.now.Add(t.period), t.ev)
 }
 
 func (t *Ticker) tick() {
