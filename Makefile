@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-escape test race cover fmt-check bench benchmark bench-json bench-robustness bench-alloc bench-partition bench-scale bench-mobility alloc-gate results results-csv examples clean
+.PHONY: all build vet vet-escape test race cover fmt-check bench benchmark bench-alloc alloc-gate loc results results-csv examples clean
 
 all: build vet test
 
@@ -64,13 +64,10 @@ benchmark:
 
 # bench_to_json runs `go test -bench=$(1)` and records every Benchmark*
 # line as a JSON array in $(2) (name, iterations, ns/op, B/op, allocs/op).
-# $(3) optionally narrows the package pattern (default ./..., which compiles
-# every package's benchmarks — subset targets that live in one package pass
-# it to skip the rest). A failed or benchmark-free run still writes valid
-# JSON ([]) but exits nonzero, so downstream tooling never parses a
-# half-written file.
+# A failed or benchmark-free run still writes valid JSON ([]) but exits
+# nonzero, so downstream tooling never parses a half-written file.
 define bench_to_json
-	@if ! $(GO) test -bench='$(1)' -benchmem $(if $(3),$(3),./...) > bench_raw.tmp 2>&1; then \
+	@if ! $(GO) test -bench='$(1)' -benchmem ./... > bench_raw.tmp 2>&1; then \
 		echo "[]" > $(2); \
 		echo "bench-json: go test -bench failed; $(2) reset to []" >&2; \
 		cat bench_raw.tmp >&2; rm -f bench_raw.tmp; exit 1; fi
@@ -93,41 +90,20 @@ define bench_to_json
 	echo "wrote $(2) ($$count benchmarks)"
 endef
 
-bench-json:
-	$(call bench_to_json,.,BENCH_control.json)
-
-# Robustness subset: the fault-injection and failover-recovery benchmarks.
-bench-robustness:
-	$(call bench_to_json,Failover|Fault,BENCH_robustness.json)
-
 # Allocation subset: the BenchmarkAlloc* hot-path family (DESIGN.md §3f).
 bench-alloc:
 	$(call bench_to_json,^BenchmarkAlloc,BENCH_alloc.json)
-
-# Partition subset: sequential vs windowed vs gang wall-time on the
-# many-site scenario (DESIGN.md §3g). Single-core hosts see only the cache-
-# locality share of the gain; the gang/sequential ratio reflects real
-# speedup only when GOMAXPROCS spans the partitions.
-bench-partition:
-	$(call bench_to_json,^BenchmarkPartition,BENCH_partition.json,./internal/experiments)
-
-# Metro-scale subset: the generated 12-site/1200-UE scenario under the
-# three execution modes (cohort attach, capacity admission, per-site frame
-# loops). Same single-core caveat as bench-partition.
-bench-scale:
-	$(call bench_to_json,^BenchmarkScale,BENCH_scale.json,./internal/experiments)
-
-# Mobility subset: the cross-site walk trial (handover + MRS relocation +
-# freeze/copy/resume state transfer) under the three execution modes.
-# Same single-core caveat as bench-partition.
-bench-mobility:
-	$(call bench_to_json,^BenchmarkMobility,BENCH_mobility.json,./internal/experiments)
 
 # Allocation-budget gate: re-measure and hold every BenchmarkAlloc* result
 # against the committed ceilings in ALLOC_BUDGET.json. Fails CI when a hot
 # path regresses past its budget.
 alloc-gate: bench-alloc
 	$(GO) run ./cmd/acacia-allocgate -bench BENCH_alloc.json -budget ALLOC_BUDGET.json
+
+# Non-test Go lines, the figure ROADMAP.md tracks: every *.go outside
+# _test.go files, testdata/ and benchmark/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' | xargs cat | wc -l
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -144,4 +120,4 @@ bench_output.txt:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
-	rm -f test_output.txt bench_output.txt coverage.out BENCH_control.json BENCH_robustness.json BENCH_alloc.json BENCH_partition.json BENCH_scale.json BENCH_mobility.json bench_raw.tmp
+	rm -f test_output.txt bench_output.txt coverage.out BENCH_alloc.json bench_raw.tmp

@@ -96,7 +96,7 @@ func BenchmarkGTPUEncapDecap(b *testing.B) {
 	inner := make([]byte, 1400)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		outer := pkt.EncapsulateGPDU(src, dst, 0xbeef, len(inner))
+		outer := pkt.AppendGPDU(nil, src, dst, 0xbeef, len(inner))
 		full := append(outer, inner...)
 		if _, _, err := pkt.DecapsulateGPDU(full); err != nil {
 			b.Fatal(err)

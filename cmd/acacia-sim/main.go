@@ -8,13 +8,14 @@
 //	acacia-sim -fig 3a,3b,overhead
 //	acacia-sim -all [-full] [-seed N] [-parallel N] [-progress]
 //	acacia-sim -fig overhead -metrics -timeline overhead.json
-//	acacia-sim -fig 13 -intra-parallel 2 -cpuprofile cpu.pprof
-//	acacia-sim -scale -scale-ues 5000 -scale-sites 8 -intra-parallel 8
+//	acacia-sim -fig 13 -intra-parallel 1 -cpuprofile cpu.pprof
+//	acacia-sim -scale -scale-ues 5000 -scale-sites 8 -intra-parallel 1
 //
-// Trials run concurrently on up to -parallel workers; -intra-parallel
-// additionally partitions the event loop inside each testbed-backed trial
-// (DESIGN.md §3g). Output on stdout is byte-identical for every -parallel
-// and -intra-parallel setting (and to the sequential defaults).
+// Trials run concurrently on up to -parallel workers; -intra-parallel is
+// on/off (0, or any positive value) and partitions the event loop inside
+// each testbed-backed trial into serial conservative windows (DESIGN.md
+// §3g). Output on stdout is byte-identical for every -parallel and
+// -intra-parallel setting (and to the sequential defaults).
 //
 // -scale runs the generated metro scenario standalone (the "scale"
 // experiment's scenario, one execution mode): -scale-ues, -scale-sites,
@@ -53,7 +54,7 @@ func run() int {
 		full       = flag.Bool("full", false, "publication-length runs (slower, tighter statistics)")
 		seed       = flag.Uint64("seed", 2016, "simulation seed")
 		parallel   = flag.Int("parallel", 0, "max concurrent trials (0 = GOMAXPROCS)")
-		intraPar   = flag.Int("intra-parallel", 0, "partition the event loop inside each trial: 0 = single queue, 1 = windowed, N>1 = N gang workers")
+		intraPar   = flag.Int("intra-parallel", 0, "partition the event loop inside each trial: 0 = single queue, any positive value = per-site partitions in serial windows")
 		progress   = flag.Bool("progress", false, "report per-trial completion on stderr")
 		csv        = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		metrics    = flag.Bool("metrics", false, "print each experiment's merged telemetry snapshot")
@@ -74,6 +75,9 @@ func run() int {
 		return 1
 	}
 
+	if *intraPar < 0 {
+		return fail(fmt.Errorf("-intra-parallel %d: want 0 (single queue) or a positive value (partitioned)", *intraPar))
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

@@ -1,0 +1,30 @@
+package main
+
+import (
+	"flag"
+	"os"
+	"testing"
+)
+
+// TestRunExitStatus drives run() through os.Args: a negative
+// -intra-parallel is rejected with status 1 instead of silently selecting
+// the single queue.
+func TestRunExitStatus(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-list"}, 0},
+		{[]string{"-intra-parallel", "1", "-list"}, 0},
+		{[]string{"-intra-parallel", "-3", "-list"}, 1},
+		{[]string{"-fig", "no-such-figure"}, 1},
+		{nil, 2},
+	} {
+		os.Args = append([]string{"acacia-sim"}, tc.args...)
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+		if got := run(); got != tc.want {
+			t.Errorf("acacia-sim %v: exit status %d, want %d", tc.args, got, tc.want)
+		}
+	}
+}

@@ -9,21 +9,17 @@ import (
 )
 
 // PartitionConfineRule turns the cluster's runtime confinement panics
-// (DESIGN.md §3g: SendTo/CrossSchedule window checks, single-writer
-// outboxes) into compile-time findings. In partitioned runs every handler
-// executes on one partition's engine, and the only sanctioned ways to
-// affect another partition are Engine.SendTo, Engine.CrossSchedule and the
-// netsim links built on them. The rule therefore inspects every function
+// (DESIGN.md §3g: SendTo/CrossSchedule window checks) into compile-time
+// findings. In partitioned runs every handler executes on one partition's
+// engine, and the only sanctioned ways to affect another partition are
+// Engine.SendTo, Engine.CrossSchedule and the netsim links built on them. The rule therefore inspects every function
 // reachable from an event handler (per the whole-program call graph) and
 // flags:
 //
 //   - cluster control from handler context: calls to sim.Cluster methods
-//     (Engines, AddPartition, RunUntil, RunFor, Run, SetRunner,
-//     SetLookahead) or NewCluster — a handler enumerating or advancing
-//     partitions is either re-entrant or about to touch foreign state;
-//   - local-effect engine calls (Schedule/After/Now/RNG/Metrics/...) on an
-//     engine reached through Cluster.Engines() — that is, an arbitrary
-//     partition's engine rather than the handler's own;
+//     (AddPartition, RunUntil, RunFor, SetLookahead) or NewCluster — a
+//     handler adding or advancing partitions is either re-entrant or about
+//     to touch foreign state;
 //   - one handler body making local-effect calls on engines rooted at two
 //     different access paths: scheduling on both m.eng and peer.eng in one
 //     handler is exactly the cross-partition write the outbox APIs exist
@@ -32,8 +28,7 @@ import (
 // The check is an over-approximation: two roots may alias the same engine
 // at runtime (same-partition collaborators), in which case the site is
 // suppressed with //acacia:allow partition-confine <why both engines are
-// one partition>. internal/sim (the engine itself) and internal/exec (the
-// gang that drives windows) are exempt.
+// one partition>. internal/sim (the engine itself) is exempt.
 func PartitionConfineRule() *Rule {
 	return &Rule{
 		Name:       "partition-confine",
@@ -64,14 +59,10 @@ var localEffectMethods = map[string]bool{
 // clusterControlFuncs are the sim.Cluster entry points (plus NewCluster)
 // that make sense only from the driver, never from inside a handler.
 var clusterControlFuncs = map[string]bool{
-	"Engines":      true,
 	"AddPartition": true,
 	"RunUntil":     true,
 	"RunFor":       true,
-	"Run":          true,
-	"SetRunner":    true,
 	"SetLookahead": true,
-	"Processed":    true,
 }
 
 func runPartitionConfine(p *ProgramPass) {
@@ -80,18 +71,18 @@ func runPartitionConfine(p *ProgramPass) {
 
 	// Only the handler-reachable bodies themselves are handler context. The
 	// enclosing declaration is often a driver that merely defines handler
-	// literals inline — its own statements (building the cluster, ranging
-	// over Engines() to merge metrics after the run) are exactly what
-	// drivers are for and must not be judged by handler rules. Aliases are
-	// still resolved over the whole enclosing declaration, because handler
-	// closures capture locals like `ueEng := ueN.Engine()` bound outside.
+	// literals inline — its own statements (building the cluster, advancing
+	// it) are exactly what drivers are for and must not be judged by handler
+	// rules. Aliases are still resolved over the whole enclosing
+	// declaration, because handler closures capture locals like
+	// `ueEng := ueN.Engine()` bound outside.
 	var nodes []*CGNode
 	for _, n := range order {
 		if n.Body == nil || n.Pkg == nil {
 			continue
 		}
 		base := strings.TrimSuffix(n.Pkg.Path, "_test")
-		if isSimPkg(base) || isExecPkg(base) {
+		if isSimPkg(base) {
 			continue
 		}
 		nodes = append(nodes, n)
@@ -119,14 +110,13 @@ func runPartitionConfine(p *ProgramPass) {
 }
 
 // baseKey renders the rooted access path an engine expression is reached
-// through — "tb@1234.eng", "cluster@88.Engines()[i]" — with field selection
+// through — "tb@1234.eng", "a@88.nodes[i].Engine()" — with field selection
 // kept in the key, so a.eng and a.peer count as different engines even
 // though both chains root at a. Local aliases are resolved at record time:
-// after `eng := a.eng`, uses of eng and of a.eng compare equal. The bool
-// reports whether the chain passes through Cluster.Engines() (an arbitrary
-// partition's engine). An empty key means the expression is not a trackable
-// path (e.g. an engine returned by an arbitrary call).
-func baseKey(info *types.Info, aliases map[types.Object]string, derived map[types.Object]bool, expr ast.Expr) (string, bool) {
+// after `eng := a.eng`, uses of eng and of a.eng compare equal. An empty
+// key means the expression is not a trackable path (e.g. an engine returned
+// by an arbitrary call).
+func baseKey(info *types.Info, aliases map[types.Object]string, expr ast.Expr) string {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
 		obj := info.Uses[e]
@@ -134,44 +124,40 @@ func baseKey(info *types.Info, aliases map[types.Object]string, derived map[type
 			obj = info.Defs[e]
 		}
 		if obj == nil {
-			return "", false
+			return ""
 		}
 		if k, ok := aliases[obj]; ok {
-			return k, derived[obj]
+			return k
 		}
-		return fmt.Sprintf("%s@%d", obj.Name(), obj.Pos()), derived[obj]
+		return fmt.Sprintf("%s@%d", obj.Name(), obj.Pos())
 	case *ast.SelectorExpr:
-		k, via := baseKey(info, aliases, derived, e.X)
+		k := baseKey(info, aliases, e.X)
 		if k == "" {
-			return "", via
+			return ""
 		}
-		return k + "." + e.Sel.Name, via
+		return k + "." + e.Sel.Name
 	case *ast.IndexExpr:
 		// Distinct indices collapse to one key: engines[0] and engines[1]
 		// compare equal. That direction of imprecision suppresses rather
 		// than invents findings, which multi-base can afford.
-		k, via := baseKey(info, aliases, derived, e.X)
+		k := baseKey(info, aliases, e.X)
 		if k == "" {
-			return "", via
+			return ""
 		}
-		return k + "[i]", via
+		return k + "[i]"
 	case *ast.StarExpr:
-		return baseKey(info, aliases, derived, e.X)
+		return baseKey(info, aliases, e.X)
 	case *ast.CallExpr:
-		via := false
-		if fn := calleeFunc(info, e); fn != nil && isClusterMethod(fn) && fn.Name() == "Engines" {
-			via = true
-		}
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			k, v2 := baseKey(info, aliases, derived, sel.X)
+			k := baseKey(info, aliases, sel.X)
 			if k == "" {
-				return "", via || v2
+				return ""
 			}
-			return k + "." + sel.Sel.Name + "()", via || v2
+			return k + "." + sel.Sel.Name + "()"
 		}
-		return "", via
+		return ""
 	default:
-		return "", false
+		return ""
 	}
 }
 
@@ -217,44 +203,25 @@ func checkConfinement(p *ProgramPass, node *CGNode) {
 		aliasScope = node.Body
 	}
 
-	// Pass 1: local engine aliases (eng := x.eng, also range vars over
-	// engine slices), so base comparison survives the common
-	// pull-the-field-into-a-local idiom. Runs over the whole enclosing
-	// declaration — captures bind outside the handler body.
+	// Pass 1: local engine aliases (eng := x.eng), so base comparison
+	// survives the common pull-the-field-into-a-local idiom. Runs over the
+	// whole enclosing declaration — captures bind outside the handler body.
 	aliases := map[types.Object]string{}
-	derived := map[types.Object]bool{}
 	ast.Inspect(aliasScope, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i := range as.Lhs {
+			if !isEngineExpr(info, as.Rhs[i]) {
+				continue
 			}
-			for i := range n.Lhs {
-				if !isEngineExpr(info, n.Rhs[i]) {
-					continue
-				}
-				lhs := objectOf(info, n.Lhs[i])
-				if lhs == nil {
-					continue
-				}
-				k, viaEngines := baseKey(info, aliases, derived, n.Rhs[i])
-				if k != "" {
-					aliases[lhs] = k
-				}
-				if viaEngines {
-					derived[lhs] = true
-				}
+			lhs := objectOf(info, as.Lhs[i])
+			if lhs == nil {
+				continue
 			}
-		case *ast.RangeStmt:
-			// for _, e := range cluster.Engines() { ... }
-			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-				if fn := calleeFunc(info, call); fn != nil && isClusterMethod(fn) && fn.Name() == "Engines" {
-					if n.Value != nil {
-						if obj := objectOf(info, n.Value); obj != nil {
-							derived[obj] = true
-						}
-					}
-				}
+			if k := baseKey(info, aliases, as.Rhs[i]); k != "" {
+				aliases[lhs] = k
 			}
 		}
 		return true
@@ -296,13 +263,7 @@ func checkConfinement(p *ProgramPass, node *CGNode) {
 		if !ok {
 			return true
 		}
-		base, viaEngines := baseKey(info, aliases, derived, sel.X)
-		if viaEngines {
-			p.Reportf(call.Pos(),
-				"Engine.%s on an engine obtained from Cluster.Engines() in event-handler context; another partition's engine may only be reached through SendTo/CrossSchedule",
-				fn.Name())
-			return true
-		}
+		base := baseKey(info, aliases, sel.X)
 		if base == "" {
 			return true
 		}

@@ -6,15 +6,14 @@ import (
 )
 
 // GoroutineRule enforces the concurrency contract: the sim engine and
-// every layer on it are single-threaded by design, and the only sanctioned
-// parallelism is the bounded worker pool and partition-window gang in
-// internal/exec (which schedule whole trials or partition windows and
-// reassemble outcomes deterministically). A stray go statement anywhere
-// else introduces scheduling nondeterminism the byte-identical-output
-// contract cannot survive — and channels are how such stray concurrency
+// every layer on it are single-threaded by design — nothing inside one run
+// is concurrent — and the only sanctioned parallelism is the bounded worker
+// pool in internal/exec (which schedules whole trials and reassembles
+// outcomes deterministically). A stray go statement anywhere else
+// introduces scheduling nondeterminism the byte-identical-output contract
+// cannot survive — and channels are how such stray concurrency
 // communicates, so channel types, sends, receives, and selects are confined
-// to the same package. Partition-scheduler goroutines in particular must
-// live in internal/exec, never beside the engine code they drive.
+// to the same package.
 func GoroutineRule() *Rule {
 	return &Rule{
 		Name: "goroutine",

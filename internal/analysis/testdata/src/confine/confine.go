@@ -48,13 +48,12 @@ func (a *app) StartSuppressed() {
 
 func (a *app) tick() {}
 
-// Control reaches for the cluster from inside a handler: enumeration and
-// run control belong to the driver.
+// Control reaches for the cluster from inside a handler: growing and
+// advancing it belong to the driver.
 func Control(c *sim.Cluster, eng *sim.Engine) {
 	eng.Schedule(time.Millisecond, func() {
-		for _, e := range c.Engines() { // want "sim.Cluster.Engines called from event-handler context"
-			_ = e.Now() // want "engine obtained from Cluster.Engines"
-		}
+		c.AddPartition("late") // want "sim.Cluster.AddPartition called from event-handler context"
+		c.RunFor(time.Second)  // want "sim.Cluster.RunFor called from event-handler context"
 	})
 }
 
@@ -67,8 +66,6 @@ func Driver(master *sim.Engine) {
 	p1 := c.AddPartition("p1")
 	p0.Schedule(time.Millisecond, func() { _ = p0.Now() })
 	p1.Schedule(time.Millisecond, func() { _ = p1.Now() })
-	for _, e := range c.Engines() {
-		_ = e.Metrics()
-	}
+	c.SetLookahead(time.Millisecond)
 	c.RunFor(time.Second)
 }

@@ -1,7 +1,7 @@
 // Fixture for the goroutine rule, loaded under the import path
 // acacia/internal/goroutine (anything but internal/exec). The rule bans
 // both stray go statements and the channel plumbing they would need:
-// partition-scheduler concurrency lives in internal/exec only.
+// concurrency lives in internal/exec only.
 package goroutine
 
 func fanOut(work []func()) {
@@ -16,8 +16,8 @@ func fanOut(work []func()) {
 }
 
 // homegrownScheduler is the violation the partition engine must never
-// grow: a private barrier built from channel sends and selects instead of
-// the sanctioned gang in internal/exec.
+// grow: a private barrier built from channel sends and selects. Partition
+// windows run serially; only whole trials run in parallel (exec.Run).
 func homegrownScheduler(windows []func(), ready chan int) { // want "channel type outside internal/exec"
 	for i, w := range windows {
 		w()

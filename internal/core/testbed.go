@@ -7,7 +7,6 @@ import (
 	"acacia/internal/compute"
 	"acacia/internal/d2d"
 	"acacia/internal/epc"
-	"acacia/internal/exec"
 	"acacia/internal/fault"
 	"acacia/internal/geo"
 	"acacia/internal/localization"
@@ -77,12 +76,12 @@ type TestbedConfig struct {
 	DiscoveryPeriod time.Duration
 
 	// IntraParallel partitions the event loop inside one run (DESIGN.md
-	// §3g): 0 (the default) keeps the single global event queue, bit-for-bit
-	// identical to every previous release. Any positive value moves the
-	// edge-1 site (edge SGW-U/PGW-U and the CI server) onto its own
-	// partition engine advanced in conservative windows against the core;
-	// values above 1 execute the windows on that many gang workers.
-	// Simulation output is identical for every IntraParallel value as long
+	// §3g). It is on/off: 0 (the default) keeps the single global event
+	// queue; any positive value — all mean the same — moves the edge-1
+	// site (edge SGW-U/PGW-U and the CI server), and every site added
+	// later, onto its own partition engine advanced in conservative
+	// windows against the core.
+	// Simulation output is identical for both settings as long
 	// as the scenario keeps RNG draws out of site partitions — the standard
 	// testbed does (radio jitter and D2D run core-side).
 	IntraParallel int
@@ -176,15 +175,14 @@ type UEBundle struct {
 type Testbed struct {
 	Cfg TestbedConfig
 	Eng *sim.Engine
-	// Cluster is non-nil when Cfg.IntraParallel > 0: the conservative
-	// windowed partition group (core = partition 0, edge-1 = partition 1)
-	// that Run/Attach/Handover advance instead of Eng directly.
-	Cluster *sim.Cluster
-	Net     *netsim.Network
-	Ctl     *sdn.Controller
-	EPC     *epc.Core
-	MRS     *MRS
-	ENB     *epc.ENB
+	// Net owns the partition domains (core = the root domain on Eng,
+	// edge-1 and every added site one domain each when Cfg.IntraParallel
+	// > 0) and is what Run/Attach/Handover advance.
+	Net *netsim.Network
+	Ctl *sdn.Controller
+	EPC *epc.Core
+	MRS *MRS
+	ENB *epc.ENB
 	// ENBs lists every base station (ENB plus any neighbours added with
 	// AddNeighborENB).
 	ENBs      []*epc.ENB
@@ -272,12 +270,12 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	// runs off the core queue. The rtr↔edge-sgw-u link is the only inbound
 	// cross edge; its propagation delay becomes the conservative lookahead.
 	if cfg.IntraParallel > 0 {
-		tb.Cluster = sim.NewCluster(eng, cfg.Seed)
-		dom := nw.AddDomain(tb.Cluster.AddPartition("site/edge-1"))
-		nw.SetDomain(edgeSGWN, dom)
-		nw.SetDomain(edgePGWN, dom)
-		nw.SetDomain(ciN, dom)
+		nw.Partition(cfg.Seed)
 	}
+	dom := nw.AddDomain("site/edge-1")
+	nw.SetDomain(edgeSGWN, dom)
+	nw.SetDomain(edgePGWN, dom)
+	nw.SetDomain(ciN, dom)
 
 	// eNB port 0 = backhaul (must exist before UEs connect).
 	nw.ConnectSymmetric(enbN, rtrN, gbit(cfg.BackhaulDelay))
@@ -462,12 +460,10 @@ func (tb *Testbed) AddEdgeSite(name string) *SiteBundle {
 	pgwN := tb.Net.AddNode(name+"-pgw-u", pkt.AddrFrom(10, base, 0, 2))
 	ciN := tb.Net.AddNode(name+"-ci", pkt.AddrFrom(10, base, 0, 10))
 
-	if tb.Cluster != nil {
-		dom := tb.Net.AddDomain(tb.Cluster.AddPartition("site/" + name))
-		tb.Net.SetDomain(sgwN, dom)
-		tb.Net.SetDomain(pgwN, dom)
-		tb.Net.SetDomain(ciN, dom)
-	}
+	dom := tb.Net.AddDomain("site/" + name)
+	tb.Net.SetDomain(sgwN, dom)
+	tb.Net.SetDomain(pgwN, dom)
+	tb.Net.SetDomain(ciN, dom)
 
 	rtrLink := tb.Net.ConnectSymmetric(rtrN, sgwN, gbit)
 	tb.aggRouter.AddHostRoute(sgwN.Addr(), rtrN.Port(len(rtrN.Ports())-1))
@@ -597,7 +593,7 @@ func (tb *Testbed) Attach(b *UEBundle) error {
 		result = err
 		done = true
 	})
-	tb.runFor(2 * time.Second)
+	tb.Run(2 * time.Second)
 	if !done {
 		return fmt.Errorf("core: attach timed out for %s", b.Name)
 	}
@@ -729,56 +725,16 @@ func (tb *Testbed) Handover(b *UEBundle, target *epc.ENB) error {
 	var result error
 	done := false
 	tb.EPC.MME.Handover(sess, target, func(err error) { result, done = err, true })
-	tb.runFor(time.Second)
+	tb.Run(time.Second)
 	if !done {
 		return fmt.Errorf("core: handover for %s timed out", b.Name)
 	}
 	return result
 }
 
-// Run advances virtual time.
-func (tb *Testbed) Run(d time.Duration) { tb.runFor(d) }
+// Run advances virtual time by d, in whichever execution mode the network
+// was built for.
+func (tb *Testbed) Run(d time.Duration) { tb.Net.RunFor(d) }
 
-// runFor advances the simulation by d: directly on the single engine in
-// legacy mode, otherwise through the partition cluster in conservative
-// windows. The lookahead is refreshed from the live topology on every call
-// (AddEdgeSite and radio attachment add links after construction), and a
-// worker gang exists only for the duration of the call so runs never leak
-// goroutines.
-func (tb *Testbed) runFor(d time.Duration) {
-	if tb.Cluster == nil {
-		tb.Eng.RunFor(d)
-		return
-	}
-	if la, ok := tb.Net.MinCrossLatency(); ok {
-		tb.Cluster.SetLookahead(la)
-	}
-	if n := tb.Cfg.IntraParallel; n > 1 {
-		if m := len(tb.Cluster.Engines()); n > m {
-			n = m
-		}
-		g := exec.NewGang(n)
-		tb.Cluster.SetRunner(g)
-		defer func() {
-			tb.Cluster.SetRunner(nil)
-			g.Stop()
-		}()
-	}
-	tb.Cluster.RunFor(d)
-}
-
-// MetricsSnapshot captures the testbed's telemetry: the single engine
-// registry in legacy mode, or every partition registry merged in partition
-// order (counters add, gauges keep the last write, which is unique per
-// metric because each metric lives in exactly one partition registry).
-func (tb *Testbed) MetricsSnapshot() *telemetry.Snapshot {
-	if tb.Cluster == nil {
-		return tb.Eng.Metrics().Snapshot()
-	}
-	engines := tb.Cluster.Engines()
-	snaps := make([]*telemetry.Snapshot, len(engines))
-	for i, e := range engines {
-		snaps[i] = e.Metrics().Snapshot()
-	}
-	return telemetry.MergeSnapshots(snaps...)
-}
+// MetricsSnapshot captures the testbed's telemetry across every partition.
+func (tb *Testbed) MetricsSnapshot() *telemetry.Snapshot { return tb.Net.MetricsSnapshot() }

@@ -387,7 +387,7 @@ func fig13() Experiment {
 						st := &b.Frontend.Stats
 						// Snapshot via the testbed so partitioned runs merge
 						// their per-partition registries (identical to the
-						// single-registry snapshot in legacy mode).
+						// single-registry snapshot on the single queue).
 						return Metered{Part: fig13Means{
 							match:   st.Match.Mean(),
 							compute: st.Compute.Mean(),

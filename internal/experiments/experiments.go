@@ -91,10 +91,10 @@ type Options struct {
 	// results are reassembled in declaration order.
 	Parallel int
 	// IntraParallel partitions the event loop inside each testbed-backed
-	// trial (DESIGN.md §3g): 0 keeps the single global event queue, 1 runs
-	// the edge site on its own partition in conservative windows, and
-	// higher values execute windows on that many gang workers. Output is
-	// byte-identical at every setting — that is the partitioned engine's
+	// trial (DESIGN.md §3g). It is on/off: 0 keeps the single global event
+	// queue; any positive value — all mean the same — runs each edge site
+	// on its own partition in serial conservative windows. Output is
+	// byte-identical at both settings — that is the partitioned engine's
 	// core contract, enforced by the identity tests.
 	IntraParallel int
 	// Progress, when non-nil, is called serially after each trial

@@ -21,21 +21,21 @@ func renderWithMetrics(t *testing.T, id string, opts Options) string {
 	return b.String()
 }
 
-// TestManySiteModesIdentical asserts the many-site experiment's own verdicts:
-// the windowed and gang executions must reproduce the sequential run exactly
+// TestManySiteModesIdentical asserts the many-site experiment's own verdict:
+// the windowed execution must reproduce the sequential run exactly
 // (counters, state checksums, merged telemetry).
 func TestManySiteModesIdentical(t *testing.T) {
 	out := renderWithMetrics(t, "many-site", Options{})
 	if strings.Contains(out, "DIVERGED") {
 		t.Fatalf("partitioned modes diverged from sequential:\n%s", out)
 	}
-	if strings.Count(out, "IDENTICAL") != 2 {
-		t.Fatalf("expected two IDENTICAL verdicts:\n%s", out)
+	if strings.Count(out, "IDENTICAL") != 1 {
+		t.Fatalf("expected exactly one IDENTICAL verdict:\n%s", out)
 	}
 }
 
 // TestIntraParallelExperimentOutputIdentical is the ISSUE's regression gate
-// for an existing experiment: figure 13 rendered with the partitioned gang
+// for an existing experiment: figure 13 rendered with the partitioned
 // engine must be byte-identical to the single-queue rendering, including the
 // merged telemetry table.
 func TestIntraParallelExperimentOutputIdentical(t *testing.T) {
@@ -53,7 +53,9 @@ func TestIntraParallelExperimentOutputIdentical(t *testing.T) {
 // live session migrates between partitions: the mobility-continuity
 // experiment — cross-site handover, MRS relocation and the CI-to-CI state
 // transfer all crossing the partition boundary — must render byte-identical
-// under the single queue, the windowed engine and the worker gang.
+// under the single queue and the windowed engine. Any positive IntraParallel
+// is the one partitioned mode; 1 and 2 are both run because the benchmark's
+// cluster.* probe sets 0/1/2 and requires equal fingerprints.
 func TestMobilityContinuityOutputIdentical(t *testing.T) {
 	seq := renderWithMetrics(t, "mobility-continuity", Options{})
 	for _, n := range []int{1, 2} {

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"acacia/internal/exec"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sim"
 	"acacia/internal/stats"
-	"acacia/internal/telemetry"
 )
 
 func init() { register(manySite()) }
@@ -17,10 +15,10 @@ func init() { register(manySite()) }
 // The many-site experiment is the partitioned engine's scale-out witness
 // (DESIGN.md §3g): K edge sites, each with its own server and S user
 // devices, exchange site-local request/response traffic plus periodic
-// cross-partition reports with a central hub. The same scenario runs three
-// ways — one global event queue, conservative windows on one worker, and
-// windows on a gang — and the assembly proves the three produce identical
-// per-site statistics, state checksums and merged telemetry.
+// cross-partition reports with a central hub. The same scenario runs both
+// ways — one global event queue and per-site partitions in conservative
+// windows — and the assembly proves the two produce identical per-site
+// statistics, state checksums and merged telemetry.
 //
 // The scenario is built so zero timestamp ties exist across event owners:
 // every timer period and link delay is a whole number of microseconds,
@@ -76,14 +74,13 @@ func hashString(s string) uint64 {
 }
 
 // runManySite executes the scenario with the given shape. workers selects
-// the mode: 0 = one global event queue (no cluster), 1 = partitioned with
-// serial windows, >= 2 = partitioned with a gang of that many workers.
+// the mode: 0 = one global event queue, any positive value = per-site
+// partitions in serial windows.
 func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.Duration) manySiteRun {
 	eng := sim.NewEngine(seed)
 	nw := netsim.New(eng)
-	var cluster *sim.Cluster
 	if workers > 0 {
-		cluster = sim.NewCluster(eng, seed)
+		nw.Partition(seed)
 	}
 
 	// Unique per-owner sub-microsecond start offsets: the no-ties scheme
@@ -115,14 +112,9 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 	for i := 0; i < sites; i++ {
 		i := i
 		name := fmt.Sprintf("site-%d", i+1)
-		var dom *netsim.Domain
-		if cluster != nil {
-			dom = nw.AddDomain(cluster.AddPartition("site/" + name))
-		}
+		dom := nw.AddDomain("site/" + name)
 		srvN := nw.AddNode(name+"-srv", pkt.AddrFrom(10, byte(10+i), 0, 1))
-		if dom != nil {
-			nw.SetDomain(srvN, dom)
-		}
+		nw.SetDomain(srvN, dom)
 		// Hub <-> server: the only cross-partition edge; its 5 ms delay is
 		// the conservative lookahead.
 		hubLink := nw.ConnectSymmetric(hubN, srvN, netsim.LinkConfig{Propagation: 5 * time.Millisecond})
@@ -177,9 +169,7 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 		for j := 0; j < uesPerSite; j++ {
 			j := j
 			ueN := nw.AddNode(fmt.Sprintf("%s-ue-%d", name, j+1), pkt.AddrFrom(10, byte(10+i), 1, byte(1+j)))
-			if dom != nil {
-				nw.SetDomain(ueN, dom)
-			}
+			nw.SetDomain(ueN, dom)
 			ueLink := nw.ConnectSymmetric(srvN, ueN, netsim.LinkConfig{Propagation: 200 * time.Microsecond})
 			srvPorts[ueN.Addr()] = ueLink.A
 			ue := netsim.NewHost(ueN)
@@ -208,33 +198,8 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 		}
 	}
 
-	if cluster == nil {
-		eng.RunFor(dur)
-		out.metricsHash = hashString(eng.Metrics().Snapshot().String())
-		return out
-	}
-	if la, ok := nw.MinCrossLatency(); ok {
-		cluster.SetLookahead(la)
-	}
-	if workers > 1 {
-		n := workers
-		if m := len(cluster.Engines()); n > m {
-			n = m
-		}
-		g := exec.NewGang(n)
-		cluster.SetRunner(g)
-		cluster.RunFor(dur)
-		cluster.SetRunner(nil)
-		g.Stop()
-	} else {
-		cluster.RunFor(dur)
-	}
-	engines := cluster.Engines()
-	snaps := make([]*telemetry.Snapshot, len(engines))
-	for i, e := range engines {
-		snaps[i] = e.Metrics().Snapshot()
-	}
-	out.metricsHash = hashString(telemetry.MergeSnapshots(snaps...).String())
+	nw.RunFor(dur)
+	out.metricsHash = hashString(nw.MetricsSnapshot().String())
 	return out
 }
 
@@ -250,11 +215,21 @@ func (r manySiteRun) equal(o manySiteRun) bool {
 	return true
 }
 
-// manySite declares the experiment: the same scenario under the three
-// execution modes, assembled into per-site statistics plus identity
-// verdicts. All three trials deliberately run from one shared seed (forked
-// from the base seed by the experiment name, not the trial key) — the whole
-// point is comparing modes on an identical workload.
+// windowedVerdict renders the identity note the partition experiments
+// (many-site, scale) print: whether the windowed run reproduced the
+// sequential one.
+func windowedVerdict(identical bool) string {
+	if identical {
+		return "windowed (1 partition worker) vs sequential: IDENTICAL"
+	}
+	return "windowed (1 partition worker) vs sequential: DIVERGED"
+}
+
+// manySite declares the experiment: the same scenario under both execution
+// modes, assembled into per-site statistics plus the identity verdict. Both
+// trials deliberately run from one shared seed (forked from the base seed by
+// the experiment name, not the trial key) — the whole point is comparing
+// modes on an identical workload.
 func manySite() Experiment {
 	const id = "many-site"
 	shape := func(opts Options) (sites, ues, vecLen int, dur time.Duration) {
@@ -263,36 +238,24 @@ func manySite() Experiment {
 		}
 		return 4, 3, 2048, 2 * time.Second
 	}
-	modes := []struct {
-		key     string
-		workers func(sites int) int
-	}{
-		{"sequential", func(int) int { return 0 }},
-		{"windowed", func(int) int { return 1 }},
-		{"gang", func(sites int) int { return sites }},
-	}
 	return Experiment{
 		ID:    id,
 		Title: "Partitioned engine identity and scale-out (many-site, §3g)",
 		Trials: func(opts Options) []Trial {
 			sites, ues, vecLen, dur := shape(opts)
-			trials := make([]Trial, 0, len(modes))
-			for _, m := range modes {
-				m := m
-				trials = append(trials, Trial{
-					Key: "mode=" + m.key,
+			trial := func(key string, workers int) Trial {
+				return Trial{
+					Key: "mode=" + key,
 					Run: func(_ uint64) any {
-						return runManySite(subSeed(opts.BaseSeed(), id), sites, ues, vecLen, m.workers(sites), dur)
+						return runManySite(subSeed(opts.BaseSeed(), id), sites, ues, vecLen, workers, dur)
 					},
-				})
+				}
 			}
-			return trials
+			return []Trial{trial("sequential", 0), trial("windowed", 1)}
 		},
 		Assemble: func(opts Options, parts []any) *Result {
 			sites, ues, _, dur := shape(opts)
 			seq := parts[0].(manySiteRun)
-			win := parts[1].(manySiteRun)
-			gang := parts[2].(manySiteRun)
 			tbl := stats.NewTable(
 				fmt.Sprintf("Per-site outcome: %d sites x %d UEs, %v (sequential mode)", sites, ues, dur),
 				"site", "served", "responses", "reports", "acks", "mean-rtt-us", "checksum")
@@ -307,19 +270,12 @@ func manySite() Experiment {
 				served += s.served
 				responses += s.responses
 			}
-			verdict := func(r manySiteRun) string {
-				if r.equal(seq) {
-					return "IDENTICAL"
-				}
-				return "DIVERGED"
-			}
 			return &Result{
 				ID: id, Title: Title(id),
 				Tables: []*stats.Table{tbl},
 				Notes: []string{
 					fmt.Sprintf("total served %d, hub reports %d", served, seq.hubSeen),
-					"windowed (1 partition worker) vs sequential: " + verdict(win),
-					fmt.Sprintf("gang (%d workers, %d partitions) vs sequential: %s", sites, sites+1, verdict(gang)),
+					windowedVerdict(parts[1].(manySiteRun).equal(seq)),
 					"identity covers per-site counters, state checksums and merged telemetry",
 				},
 			}

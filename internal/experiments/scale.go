@@ -8,13 +8,11 @@ import (
 
 	"acacia/internal/core"
 	"acacia/internal/epc"
-	"acacia/internal/exec"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sdn"
 	"acacia/internal/sim"
 	"acacia/internal/stats"
-	"acacia/internal/telemetry"
 )
 
 func init() { register(scaleMetro()) }
@@ -29,8 +27,8 @@ func init() { register(scaleMetro()) }
 // full), and then run a periodic AR-style frame loop against their assigned
 // CI server. The output is the UEs-vs-latency curve — attach and frame
 // percentiles bucketed by the attached population at the time of the
-// measurement — plus the §3g identity verdicts across sequential, windowed
-// and gang execution.
+// measurement — plus the §3g identity verdict between single-queue and
+// windowed execution.
 //
 // Determinism: no RNG is drawn anywhere. Placement uses a golden-ratio
 // low-discrepancy sequence over deterministic site weights, arrivals invert
@@ -69,9 +67,9 @@ type ScaleConfig struct {
 	// FlashFraction the fraction of the population arriving in the flash.
 	FlashSite     int
 	FlashFraction float64
-	// Workers selects the execution mode: 0 = one global event queue, 1 =
-	// per-site partitions in serial windows, >= 2 = windows on a gang of
-	// that many workers.
+	// Workers selects the execution mode, on/off like -intra-parallel: 0 =
+	// one global event queue, any positive value = per-site partitions in
+	// serial windows.
 	Workers int
 }
 
@@ -241,10 +239,9 @@ func invertDiurnal(p float64) float64 {
 
 // runScale builds the generated metro and executes it in the mode selected
 // by cfg.Workers. All randomness-free: the same cfg and seed produce the
-// same run in every mode — that is the identity contract the experiment
-// verifies.
+// same run in both modes — that is the identity contract the experiment
+// verifies. cfg must already have its defaults applied.
 func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
-	cfg = cfg.withDefaults()
 	const (
 		radioDelay    = 5 * time.Millisecond
 		backhaulDelay = 500 * time.Microsecond
@@ -257,9 +254,8 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	nw := netsim.New(eng)
 	ctl := sdn.NewController(eng)
 	ctl.RTT = 200 * time.Microsecond
-	var cluster *sim.Cluster
 	if cfg.Workers > 0 {
-		cluster = sim.NewCluster(eng, seed)
+		nw.Partition(seed)
 	}
 
 	out := &scaleRun{sites: make([]scaleSiteOutcome, cfg.Sites)}
@@ -316,12 +312,10 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 			sgwPl: name + "-sgw",
 			pgwPl: name + "-pgw",
 		}
-		if cluster != nil {
-			dom := nw.AddDomain(cluster.AddPartition("site/" + name))
-			nw.SetDomain(sn.sgw, dom)
-			nw.SetDomain(sn.pgw, dom)
-			nw.SetDomain(sn.ci, dom)
-		}
+		dom := nw.AddDomain("site/" + name)
+		nw.SetDomain(sn.sgw, dom)
+		nw.SetDomain(sn.pgw, dom)
+		nw.SetDomain(sn.ci, dom)
 		nw.ConnectSymmetric(rtrN, sn.sgw, link(siteDelay)) // rtr port numENBs+1+s
 		nw.ConnectSymmetric(sn.sgw, sn.pgw, link(fabricDelay))
 		nw.ConnectSymmetric(sn.pgw, sn.ci, link(fabricDelay))
@@ -585,34 +579,8 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		sim.NewTicker(eng, cfg.CohortWindow, flush)
 	})
 
-	dur := cfg.Ramp + cfg.Hold
-	if cluster == nil {
-		eng.RunFor(dur)
-		out.metricsHash = hashString(eng.Metrics().Snapshot().String())
-	} else {
-		if la, ok := nw.MinCrossLatency(); ok {
-			cluster.SetLookahead(la)
-		}
-		if cfg.Workers > 1 {
-			n := cfg.Workers
-			if m := len(cluster.Engines()); n > m {
-				n = m
-			}
-			g := exec.NewGang(n)
-			cluster.SetRunner(g)
-			cluster.RunFor(dur)
-			cluster.SetRunner(nil)
-			g.Stop()
-		} else {
-			cluster.RunFor(dur)
-		}
-		engines := cluster.Engines()
-		snaps := make([]*telemetry.Snapshot, len(engines))
-		for i, e := range engines {
-			snaps[i] = e.Metrics().Snapshot()
-		}
-		out.metricsHash = hashString(telemetry.MergeSnapshots(snaps...).String())
-	}
+	nw.RunFor(cfg.Ramp + cfg.Hold)
+	out.metricsHash = hashString(nw.MetricsSnapshot().String())
 
 	for s, sn := range siteList {
 		out.sites[s].Bound = mrs.SiteLoad(sn.name)
@@ -675,58 +643,35 @@ func assembleScale(id string, cfg ScaleConfig, seq *scaleRun, extraNotes []strin
 // exactly like -intra-parallel.
 func RunScaleScenario(seed uint64, cfg ScaleConfig) *Result {
 	cfg = cfg.withDefaults()
-	r := runScale(seed, cfg)
-	res := assembleScale("scale", cfg, r, nil)
-	return res
+	return assembleScale("scale", cfg, runScale(seed, cfg), nil)
 }
 
-// scaleMetro declares the experiment: the same generated metro under the
-// three execution modes (one shared seed, forked from the experiment name),
-// assembled into the latency curve plus identity verdicts.
+// scaleMetro declares the experiment: the same generated metro under both
+// execution modes (one shared seed, forked from the experiment name),
+// assembled into the latency curve plus the identity verdict.
 func scaleMetro() Experiment {
 	const id = "scale"
 	shape := func(opts Options) ScaleConfig { return DefaultScaleConfig(opts.Full) }
-	modes := []struct {
-		key     string
-		workers func(cfg ScaleConfig) int
-	}{
-		{"sequential", func(ScaleConfig) int { return 0 }},
-		{"windowed", func(ScaleConfig) int { return 1 }},
-		{"gang", func(cfg ScaleConfig) int { return cfg.Sites }},
-	}
 	return Experiment{
 		ID:    id,
 		Title: "Metro-scale scenario: batched attach, admission and partitioned scale-out",
 		Trials: func(opts Options) []Trial {
-			cfg := shape(opts)
-			trials := make([]Trial, 0, len(modes))
-			for _, m := range modes {
-				m := m
-				trials = append(trials, Trial{
-					Key: "mode=" + m.key,
+			trial := func(key string, workers int) Trial {
+				return Trial{
+					Key: "mode=" + key,
 					Run: func(_ uint64) any {
-						c := cfg
-						c.Workers = m.workers(cfg)
+						c := shape(opts)
+						c.Workers = workers
 						return runScale(subSeed(opts.BaseSeed(), id), c)
 					},
-				})
+				}
 			}
-			return trials
+			return []Trial{trial("sequential", 0), trial("windowed", 1)}
 		},
 		Assemble: func(opts Options, parts []any) *Result {
-			cfg := shape(opts)
 			seq := parts[0].(*scaleRun)
-			win := parts[1].(*scaleRun)
-			gang := parts[2].(*scaleRun)
-			verdict := func(r *scaleRun) string {
-				if r.equal(seq) {
-					return "IDENTICAL"
-				}
-				return "DIVERGED"
-			}
-			return assembleScale(id, cfg, seq, []string{
-				"windowed (1 partition worker) vs sequential: " + verdict(win),
-				fmt.Sprintf("gang (%d workers, %d partitions) vs sequential: %s", cfg.Sites, cfg.Sites+1, verdict(gang)),
+			return assembleScale(id, shape(opts), seq, []string{
+				windowedVerdict(parts[1].(*scaleRun).equal(seq)),
 				"identity covers attach/frame checksums, admission counters, per-site placement and merged telemetry",
 			})
 		},

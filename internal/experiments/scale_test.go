@@ -7,8 +7,8 @@ import (
 
 // TestScaleIdentityAcrossModes is the §3g identity contract for the
 // generated metro: the same seed and shape must replay byte-identically
-// whether the run uses one global event queue, per-site partitions in
-// serial windows, or windows on a worker gang.
+// whether the run uses one global event queue or per-site partitions in
+// serial windows.
 func TestScaleIdentityAcrossModes(t *testing.T) {
 	cfg := DefaultScaleConfig(false)
 	run := func(workers int) *scaleRun {
@@ -33,6 +33,9 @@ func TestScaleIdentityAcrossModes(t *testing.T) {
 			t.Errorf("site-%d bound %d exceeds capacity %d", s+1, st.Bound, cfg.SiteCapacity)
 		}
 	}
+	// Any positive Workers is the one partitioned mode; two values are run
+	// because the benchmark's cluster.* probe sets Workers 0/1/2 and requires
+	// equal fingerprints.
 	for _, workers := range []int{1, cfg.Sites} {
 		got := run(workers)
 		if !got.equal(seq) {
@@ -89,7 +92,7 @@ func TestScaleUniformArrivalNoRejections(t *testing.T) {
 }
 
 // TestScaleExperimentQuick runs the registered experiment end to end and
-// checks the assembled curve and identity verdicts.
+// checks the assembled curve and identity verdict.
 func TestScaleExperimentQuick(t *testing.T) {
 	r, err := Run("scale", Options{})
 	if err != nil {

@@ -4,15 +4,17 @@ import (
 	"time"
 
 	"acacia/internal/sim"
+	"acacia/internal/telemetry"
 )
 
 // Domain is the partition-affinity unit of a network: a group of nodes driven
 // by one sim engine. A plain network has a single root domain on the engine
-// it was created with — exactly the historical behavior. Under intra-run
-// parallelism (sim.Cluster) each edge site gets its own domain on its
-// partition engine; links whose endpoints sit in different domains become the
-// cross-partition boundary, delivering through Engine.SendTo instead of a
-// local timer.
+// it was created with. After Partition, AddDomain gives each edge site its
+// own domain on its own partition engine; links whose endpoints sit in
+// different domains become the cross-partition boundary, delivering through
+// Engine.SendTo instead of a local timer. The network owns the sim.Cluster
+// that advances those engines: callers drive any network, partitioned or
+// not, through RunFor and read it through MetricsSnapshot.
 //
 // Each domain owns a packet free-list and packet-ID sequence, so partitions
 // recycle packet memory without sharing: a packet crossing a domain link is
@@ -40,23 +42,30 @@ func (d *Domain) nextPacketID() uint64 {
 	return d.pktSeq | uint64(d.id)<<56
 }
 
-// AddDomain registers eng as a new partition domain of the network. Nodes
-// are placed into it with SetDomain before any links are connected.
-func (nw *Network) AddDomain(eng *sim.Engine) *Domain {
+// Partition switches the network to partitioned execution: the network's
+// engine becomes partition 0 of a sim.Cluster, and every later AddDomain
+// creates a further partition. seed is the configuration seed the engine was
+// built from; partition RNG streams derive from it by label. Call it before
+// AddDomain, at most once.
+func (nw *Network) Partition(seed uint64) {
+	nw.cluster = sim.NewCluster(nw.eng, seed)
+}
+
+// AddDomain returns the domain a site's nodes should join (SetDomain, before
+// any link is connected): on a partitioned network a fresh domain on its own
+// partition engine named by label, otherwise the root domain — so topology
+// builders place site nodes the same way in both execution modes.
+func (nw *Network) AddDomain(label string) *Domain {
+	if nw.cluster == nil {
+		return nw.domains[0]
+	}
 	if len(nw.domains) >= 256 {
 		panic("netsim: too many domains (packet IDs carry the domain in one byte)")
 	}
-	d := &Domain{net: nw, eng: eng, id: len(nw.domains)}
+	d := &Domain{net: nw, eng: nw.cluster.AddPartition(label), id: len(nw.domains)}
 	nw.domains = append(nw.domains, d)
 	return d
 }
-
-// RootDomain returns the domain of the network's own engine, which every
-// node belongs to until SetDomain moves it.
-func (nw *Network) RootDomain() *Domain { return nw.domains[0] }
-
-// Domains returns all domains in creation order (root first).
-func (nw *Network) Domains() []*Domain { return nw.domains }
 
 // SetDomain moves n into domain d. It must be called before the node is
 // connected to anything: link directions bind their endpoint engines at
@@ -80,11 +89,44 @@ func (nw *Network) SetDomain(n *Node, d *Domain) {
 func (nw *Network) MinCrossLatency() (time.Duration, bool) {
 	best, ok := time.Duration(0), false
 	for _, l := range nw.links {
-		for _, d := range []*linkDir{l.ab, l.ba} {
+		for _, d := range [2]*linkDir{l.ab, l.ba} {
 			if d.cross && (!ok || d.cfg.Propagation < best) {
 				best, ok = d.cfg.Propagation, true
 			}
 		}
 	}
 	return best, ok
+}
+
+// RunFor advances the simulation by d of virtual time: directly on the
+// network's engine, or — when partitioned — through the cluster in
+// conservative windows. The lookahead is recomputed from the live topology
+// on every call, because links (radio attachment, added sites) appear
+// between runs and a shorter cross link shrinks the safe horizon.
+func (nw *Network) RunFor(d time.Duration) {
+	if nw.cluster == nil {
+		nw.eng.RunFor(d)
+		return
+	}
+	if la, ok := nw.MinCrossLatency(); ok {
+		nw.cluster.SetLookahead(la)
+	}
+	nw.cluster.RunFor(d)
+}
+
+// MetricsSnapshot captures the network's telemetry: every domain engine's
+// registry merged in domain order (counters add; each metric lives in
+// exactly one registry, so gauges keep their single value). An unpartitioned
+// network's one registry is snapshotted directly — merging one snapshot is
+// the identity, but rebuilds and re-sorts a metro-sized metric table to get
+// there.
+func (nw *Network) MetricsSnapshot() *telemetry.Snapshot {
+	if nw.cluster == nil {
+		return nw.eng.Metrics().Snapshot()
+	}
+	snaps := make([]*telemetry.Snapshot, len(nw.domains))
+	for i, d := range nw.domains {
+		snaps[i] = d.eng.Metrics().Snapshot()
+	}
+	return telemetry.MergeSnapshots(snaps...)
 }

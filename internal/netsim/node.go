@@ -217,7 +217,7 @@ func noHandler(name string) {
 }
 
 // Network is a collection of nodes and links. A plain network is driven by
-// one sim engine; under intra-run parallelism its nodes are spread across
+// one sim engine; after Partition its nodes are spread across
 // partition domains, each driven by its own engine (see domain.go).
 type Network struct {
 	eng    *sim.Engine
@@ -228,6 +228,9 @@ type Network struct {
 	// eng, which owns every node not explicitly moved by SetDomain. Packet
 	// free-lists and ID sequences live per domain (see pool.go).
 	domains []*Domain
+	// cluster advances the domain engines in conservative windows. It is
+	// nil unless Partition was called, and eng alone drives the network.
+	cluster *sim.Cluster
 }
 
 // New creates an empty network on eng.

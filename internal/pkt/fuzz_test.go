@@ -64,7 +64,7 @@ func TestDecodersNeverPanicOnCorruptedValidMessages(t *testing.T) {
 				{Type: ActionOutput, Port: 1},
 			},
 		}).Encode(nil),
-		EncapsulateGPDU(AddrFrom(1, 0, 0, 1), AddrFrom(1, 0, 0, 2), 42, 0),
+		AppendGPDU(nil, AddrFrom(1, 0, 0, 1), AddrFrom(1, 0, 0, 2), 42, 0),
 	}
 	f := func(seedIdx uint8, flipPos uint16, flipBits byte, truncate uint16) bool {
 		seed := seeds[int(seedIdx)%len(seeds)]

@@ -63,18 +63,10 @@ func (g *GTPU) Decode(b []byte) (int, error) {
 	return r.off, nil
 }
 
-// EncapsulateGPDU builds the full outer encapsulation for a user packet of
-// innerLen bytes tunneled between two gateway addresses: outer IPv4 + UDP +
-// GTP-U. It returns the encoded outer headers; the caller accounts for
-// innerLen separately. Hot paths should use AppendGPDU with a reused scratch
-// buffer instead.
-func EncapsulateGPDU(src, dst Addr, teid uint32, innerLen int) []byte {
-	return AppendGPDU(nil, src, dst, teid, innerLen)
-}
-
 // AppendGPDU appends the outer G-PDU encapsulation headers (IPv4 + UDP +
-// GTP-U, GTPUOverhead bytes) for a user packet of innerLen bytes to b and
-// returns the extended slice. With a caller-owned scratch buffer of
+// GTP-U, GTPUOverhead bytes) for a user packet of innerLen bytes tunneled
+// between two gateway addresses to b and returns the extended slice; the
+// caller accounts for innerLen separately. With a caller-owned scratch buffer of
 // sufficient capacity (b[:0] reuse), the encap path performs zero
 // allocations.
 //

@@ -146,7 +146,7 @@ func TestEncapsulateDecapsulateGPDU(t *testing.T) {
 	src, dst := AddrFrom(10, 0, 0, 1), AddrFrom(10, 0, 0, 2)
 	const teid = 0xdeadbeef
 	inner := []byte("user packet payload, 28 bytes!!!")
-	outer := EncapsulateGPDU(src, dst, teid, len(inner))
+	outer := AppendGPDU(nil, src, dst, teid, len(inner))
 	if len(outer) != GTPUOverhead {
 		t.Fatalf("outer headers %d bytes, want %d", len(outer), GTPUOverhead)
 	}
@@ -174,7 +174,7 @@ func TestDecapsulateRejectsNonGTP(t *testing.T) {
 }
 
 func TestDecapsulateTruncatedPayload(t *testing.T) {
-	outer := EncapsulateGPDU(AddrFrom(1, 0, 0, 1), AddrFrom(1, 0, 0, 2), 7, 100)
+	outer := AppendGPDU(nil, AddrFrom(1, 0, 0, 1), AddrFrom(1, 0, 0, 2), 7, 100)
 	// Claimed 100 payload bytes but none present.
 	if _, _, err := DecapsulateGPDU(outer); err == nil {
 		t.Error("accepted truncated G-PDU")

@@ -12,42 +12,22 @@
 // enforces it at runtime: a cross send below the current limit panics instead
 // of silently reordering.
 //
-// Cross-partition sends are buffered in single-writer outboxes (partition i
-// writes only row i) and delivered at the window barrier, sorted by
-// (timestamp, source partition, send order) and sequenced into the receiver's
-// queue in that order. Because the outbox order is a pure function of each
-// partition's deterministic event order, the injected sequence — and hence
-// the full simulation — is identical whether windows execute serially or on
-// a parallel Runner. Partitions never share mutable state: each Engine owns
-// its queue, clock, RNG, free-lists and telemetry registry.
+// Cross-partition sends are buffered in per-(source, destination) outboxes
+// and delivered at the window barrier, sorted by (timestamp, source
+// partition, send order) and sequenced into the receiver's queue in that
+// order. Because the outbox order is a pure function of each partition's
+// deterministic event order, the injected sequence — and hence the full
+// simulation — does not depend on the order partitions execute a window in.
+// A window runs its partitions one after another on the calling goroutine.
+// Partitions never share mutable state: each Engine owns its queue, clock,
+// RNG, free-lists and telemetry registry.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
-
-// Runner executes one batch of window closures, one per partition, and
-// returns only when all of them have completed. Implementations may run them
-// concurrently (see exec.Gang); the zero-dependency default runs them
-// serially in partition order. Either way the simulation output is
-// byte-identical, because partitions only interact through outboxes that are
-// drained between windows.
-type Runner interface {
-	Do(fns []func())
-}
-
-// serialRunner is the default Runner: windows execute in partition order on
-// the calling goroutine.
-type serialRunner struct{}
-
-func (serialRunner) Do(fns []func()) {
-	for _, fn := range fns {
-		fn()
-	}
-}
 
 // xev is one buffered cross-partition event: a timestamped callback waiting
 // in an outbox for the next window barrier.
@@ -72,22 +52,18 @@ type Cluster struct {
 	seed  uint64
 	parts []*Engine
 	// out[src][dst] buffers cross-partition events sent by partition src to
-	// partition dst during the current window. Only partition src appends to
-	// row src (single writer), and the barrier alone reads and clears it, so
-	// outboxes need no locks even under a concurrent Runner.
+	// partition dst during the current window; the barrier reads and clears
+	// it.
 	out [][][]xev
 	// lookahead is the safe horizon: no cross-partition interaction can take
 	// effect sooner than this after the event that caused it. It must be a
 	// lower bound on the latency of every cross-partition link.
 	lookahead Time
 	// limit is the current window's exclusive upper bound, read by SendTo's
-	// safety check. It is written only between windows (or before the run),
-	// and the Runner barrier orders those writes against worker reads.
-	limit  Time
-	now    Time
-	runner Runner
-	winFns []func()
-	inbox  []xev // delivery scratch, reused between barriers
+	// safety check. It is written only between windows (or before the run).
+	limit Time
+	now   Time
+	inbox []xev // delivery scratch, reused between barriers
 }
 
 // NewCluster makes master partition 0 of a new cluster. seed should be the
@@ -98,7 +74,7 @@ func NewCluster(master *Engine, seed uint64) *Cluster {
 	if master.part != nil {
 		panic("sim: engine already belongs to a cluster")
 	}
-	c := &Cluster{seed: seed, runner: serialRunner{}}
+	c := &Cluster{seed: seed}
 	c.attach(master)
 	return c
 }
@@ -121,7 +97,6 @@ func (c *Cluster) attach(e *Engine) {
 		c.out[i] = append(c.out[i], nil)
 	}
 	c.out = append(c.out, make([][]xev, len(c.parts)))
-	c.winFns = append(c.winFns, nil) // rebuilt lazily; see ensureWinFns
 }
 
 // labelSeed derives a partition seed from the configuration seed and a label
@@ -135,52 +110,15 @@ func labelSeed(seed uint64, label string) uint64 {
 	return seed ^ h
 }
 
-// Engines returns the partition engines in partition-id order (master first).
-func (c *Cluster) Engines() []*Engine { return c.parts }
-
 // SetLookahead declares the safe horizon: a lower bound on the delay of any
 // cross-partition interaction. Extract it from the network's minimum
 // cross-partition link latency (netsim.MinCrossLatency). A cluster with more
 // than one partition must set a positive lookahead before running.
 func (c *Cluster) SetLookahead(d time.Duration) { c.lookahead = Time(d) }
 
-// Lookahead reports the configured safe horizon.
-func (c *Cluster) Lookahead() time.Duration { return time.Duration(c.lookahead) }
-
-// SetRunner installs the window executor. Passing nil restores the serial
-// default. A concurrent Runner (exec.Gang) changes wall-clock time only;
-// simulation output stays byte-identical.
-func (c *Cluster) SetRunner(r Runner) {
-	if r == nil {
-		r = serialRunner{}
-	}
-	c.runner = r
-}
-
 // Now reports the cluster's virtual clock: the target of the last completed
 // RunUntil/RunFor.
 func (c *Cluster) Now() Time { return c.now }
-
-// Processed sums executed events across all partitions.
-func (c *Cluster) Processed() uint64 {
-	var n uint64
-	for _, e := range c.parts {
-		n += e.processed
-	}
-	return n
-}
-
-// ensureWinFns (re)builds the per-partition window closures. Each closure
-// runs its partition's local events strictly below the current window limit.
-func (c *Cluster) ensureWinFns() {
-	if c.winFns[len(c.winFns)-1] != nil {
-		return
-	}
-	for i := range c.winFns {
-		e := c.parts[i]
-		c.winFns[i] = func() { e.runBefore(c.limit) }
-	}
-}
 
 // deliver drains every outbox into its destination partition's queue. Per
 // destination, buffered events are ordered by (timestamp, source partition,
@@ -235,7 +173,6 @@ func (c *Cluster) RunUntil(target Time) {
 	if len(c.parts) > 1 && c.lookahead <= 0 {
 		panic("sim: cluster with multiple partitions needs a positive lookahead")
 	}
-	c.ensureWinFns()
 	for _, e := range c.parts {
 		e.stopped = false
 	}
@@ -254,7 +191,9 @@ func (c *Cluster) RunUntil(target Time) {
 			limit = target + 1
 		}
 		c.limit = limit
-		c.runner.Do(c.winFns)
+		for _, e := range c.parts {
+			e.runBefore(limit)
+		}
 		for _, e := range c.parts {
 			if e.stopped {
 				return
@@ -273,41 +212,10 @@ func (c *Cluster) RunUntil(target Time) {
 // RunFor advances the cluster by d of virtual time from the cluster clock.
 func (c *Cluster) RunFor(d time.Duration) { c.RunUntil(c.now.Add(d)) }
 
-// Run executes windows until every partition's queue drains (or Stop is
-// called). The final clock is the last executed event's time per partition.
-func (c *Cluster) Run() {
-	if len(c.parts) > 1 && c.lookahead <= 0 {
-		panic("sim: cluster with multiple partitions needs a positive lookahead")
-	}
-	c.ensureWinFns()
-	for _, e := range c.parts {
-		e.stopped = false
-	}
-	for {
-		c.deliver()
-		tmin, ok := c.minNext()
-		if !ok {
-			break
-		}
-		limit := tmin + c.lookahead
-		if len(c.parts) == 1 || limit < tmin {
-			limit = Time(math.MaxInt64)
-		}
-		c.limit = limit
-		c.runner.Do(c.winFns)
-		for _, e := range c.parts {
-			if e.stopped {
-				return
-			}
-		}
-	}
-}
-
 // --- Engine-side partition hooks ---
 
-// runBefore executes local events with timestamps strictly below limit. It is
-// the per-window work of one partition; only the partition's own goroutine
-// (under the cluster Runner) calls it.
+// runBefore executes local events with timestamps strictly below limit: the
+// per-window work of one partition.
 //
 //acacia:hotpath
 func (e *Engine) runBefore(limit Time) {

@@ -99,8 +99,9 @@ func TestClusterTieBreakBySourcePartition(t *testing.T) {
 // run without a declared safe horizon, while a single-partition cluster
 // (nothing to synchronize against) runs fine without one.
 func TestClusterLookaheadRequired(t *testing.T) {
-	solo := NewCluster(NewEngine(1), 1)
-	solo.Engines()[0].Schedule(time.Millisecond, func() {})
+	lone := NewEngine(1)
+	solo := NewCluster(lone, 1)
+	lone.Schedule(time.Millisecond, func() {})
 	solo.RunFor(10 * time.Millisecond) // must not panic
 
 	c := NewCluster(NewEngine(1), 1)
@@ -197,7 +198,7 @@ func TestLabelSeedDerivation(t *testing.T) {
 	ref := NewEngine(42).RNG().Uint64()
 	m := NewEngine(42)
 	c := NewCluster(m, 42)
-	c.AddPartition("site/a")
+	a := c.AddPartition("site/a")
 	c.AddPartition("site/b")
 	if got := m.RNG().Uint64(); got != ref {
 		t.Errorf("AddPartition perturbed the master RNG stream: %d != %d", got, ref)
@@ -205,7 +206,7 @@ func TestLabelSeedDerivation(t *testing.T) {
 
 	// Partition streams reproduce across cluster constructions.
 	p1 := NewCluster(NewEngine(42), 42).AddPartition("site/a").RNG().Uint64()
-	p2 := c.Engines()[1].RNG().Uint64()
+	p2 := a.RNG().Uint64()
 	if p1 != p2 {
 		t.Error("partition RNG stream not reproducible from (seed, label)")
 	}
@@ -237,32 +238,5 @@ func TestClusterStopEndsAtBarrier(t *testing.T) {
 	c.RunFor(100 * time.Millisecond)
 	if ran != 2 {
 		t.Errorf("ran = %d after resume, want 2", ran)
-	}
-}
-
-// TestClusterRunDrains checks Run executes every pending event across all
-// partitions, including cross sends buffered mid-run, and Processed sums
-// partition counters.
-func TestClusterRunDrains(t *testing.T) {
-	master := NewEngine(1)
-	c := NewCluster(master, 1)
-	edge := c.AddPartition("site/edge-1")
-	c.SetLookahead(time.Millisecond)
-
-	ran := 0
-	master.Schedule(time.Millisecond, func() {
-		ran++
-		master.SendTo(edge, 2*time.Millisecond, func(any) { ran++ }, nil)
-	})
-	edge.Schedule(5*time.Millisecond, func() { ran++ })
-	c.Run()
-	if ran != 3 {
-		t.Errorf("ran = %d, want 3 (Run must drain cross sends too)", ran)
-	}
-	if got := c.Processed(); got != 3 {
-		t.Errorf("Processed() = %d, want 3", got)
-	}
-	if master.Pending()+edge.Pending() != 0 {
-		t.Error("queues not drained")
 	}
 }
