@@ -191,6 +191,51 @@ func BenchmarkAllocSwitchPath(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocTFTMatch measures the modem's per-packet uplink
+// classification against a dedicated-bearer TFT: the template is shared by
+// every session bound to the site, so matching must only read it.
+func BenchmarkAllocTFTMatch(b *testing.B) {
+	ci := pkt.AddrFrom(10, 3, 0, 10)
+	tft := pkt.DedicatedBearerTFT(ci)
+	ft := pkt.FiveTuple{Src: pkt.AddrFrom(172, 16, 0, 2), Dst: ci, SrcPort: 40000, DstPort: 7000, Proto: pkt.ProtoTCP}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !tft.MatchUplink(ft, 0) || tft.MatchDownlink(ft, 0) {
+			b.Fatal("uplink packet toward the CI server misclassified")
+		}
+	}
+}
+
+// BenchmarkAllocFlowInstall measures one FlowMod add and one delete by
+// cookie, controller call to switch table, against a warm 10,000-entry
+// table: the encoded message goes into the controller's scratch, the entry
+// into a slot the previous round vacated, and what is left is the two
+// delivery closures and their events.
+func BenchmarkAllocFlowInstall(b *testing.B) {
+	eng := sim.NewEngine(1)
+	sw := sdn.NewSwitch(1, netsim.New(eng).AddNode("s", pkt.AddrFrom(10, 0, 0, 2)), sdn.ACACIAGWCosts)
+	ctl := sdn.NewController(eng)
+	ctl.AddSwitch(sw)
+	e := sdn.FlowEntry{Priority: 100, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}}}
+	round := func(i int) {
+		e.Cookie, e.Match = uint64(i), pkt.Match{TunnelID: pkt.U64(uint64(i))}
+		ctl.InstallFlow(sw, e)
+		eng.Run()
+	}
+	for i := 1; i <= 10001; i++ {
+		round(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl.RemoveFlows(sw, uint64(1+i%10001))
+		round(1 + i%10001)
+	}
+	if sw.FlowCount() != 10001 {
+		b.Fatalf("%d flows at the end, want 10001", sw.FlowCount())
+	}
+}
+
 // BenchmarkAllocAttachCycle measures a full control-plane attach/detach
 // cycle on a live testbed: NAS + S1AP + GTPv2 signaling, bearer setup and
 // teardown, all encoding into core-owned scratch buffers.

@@ -10,6 +10,7 @@
 //	acacia-sim -fig overhead -metrics -timeline overhead.json
 //	acacia-sim -fig 13 -intra-parallel 1 -cpuprofile cpu.pprof
 //	acacia-sim -scale -scale-ues 5000 -scale-sites 8 -intra-parallel 1
+//	acacia-sim -scale -scale-ues 100000 -scale-sites 48 -scale-enbs 2 -scale-capacity -1
 //
 // Trials run concurrently on up to -parallel workers; -intra-parallel is
 // on/off (0, or any positive value) and partitions the event loop inside
@@ -20,7 +21,9 @@
 // -scale runs the generated metro scenario standalone (the "scale"
 // experiment's scenario, one execution mode): -scale-ues, -scale-sites,
 // -scale-enbs, -scale-capacity and -scale-arrival override the preset shape
-// (-full selects the 10,000-UE preset), -seed picks the seed and
+// (-full selects the 10,000-UE preset; the 100,000-UE line above is the
+// largest recorded shape, about half a minute and 1.6 GB, and a shape the
+// address plan cannot build is refused), -seed picks the seed and
 // -intra-parallel the execution mode. Unset knobs keep their preset values.
 // The generated scenario draws no randomness (its determinism scheme is
 // tie-free by construction), so -scale output depends only on the shape,
@@ -178,6 +181,9 @@ func run() int {
 			cfg.Arrival = *scaleArr
 		}
 		cfg.Workers = *intraPar
+		if err := cfg.Validate(); err != nil {
+			return fail(err)
+		}
 		print(acacia.RunScaleScenario(*seed, cfg))
 		if err := writeTimeline(); err != nil {
 			return fail(err)

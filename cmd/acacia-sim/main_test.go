@@ -8,7 +8,8 @@ import (
 
 // TestRunExitStatus drives run() through os.Args: a negative
 // -intra-parallel is rejected with status 1 instead of silently selecting
-// the single queue.
+// the single queue, and a -scale shape the generator's address plan cannot
+// build is refused up front instead of panicking on a duplicate address.
 func TestRunExitStatus(t *testing.T) {
 	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
 	for _, tc := range []struct {
@@ -19,6 +20,8 @@ func TestRunExitStatus(t *testing.T) {
 		{[]string{"-intra-parallel", "1", "-list"}, 0},
 		{[]string{"-intra-parallel", "-3", "-list"}, 1},
 		{[]string{"-fig", "no-such-figure"}, 1},
+		{[]string{"-scale", "-scale-ues", "1000001"}, 1},
+		{[]string{"-scale", "-scale-ues", "10", "-scale-sites", "226"}, 1},
 		{nil, 2},
 	} {
 		os.Args = append([]string{"acacia-sim"}, tc.args...)

@@ -356,17 +356,13 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 
 	// Static flow chain for background traffic through the shared core
 	// (another tenant's load, present regardless of our UEs).
-	bgCookie := uint64(0xb6b6b6)
-	ctl.InstallFlow(tb.CoreSGW, sdn.FlowEntry{
-		Priority: 50, Cookie: bgCookie,
+	bg := sdn.FlowEntry{
+		Priority: 50, Cookie: 0xb6b6b6,
 		Match:   pkt.Match{IPv4Src: pkt.AddrPtr(bgSrcN.Addr())},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
-	})
-	ctl.InstallFlow(tb.CorePGW, sdn.FlowEntry{
-		Priority: 50, Cookie: bgCookie,
-		Match:   pkt.Match{IPv4Src: pkt.AddrPtr(bgSrcN.Addr())},
-		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
-	})
+	}
+	ctl.InstallFlow(tb.CoreSGW, bg)
+	ctl.InstallFlow(tb.CorePGW, bg)
 	tb.BGSource = netsim.NewHost(bgSrcN)
 	tb.BGSink = netsim.NewHost(bgSinkN)
 

@@ -133,6 +133,29 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
+// scaleUEAddr is UE k's address: 250 hosts per /24 and 250 /24s per second
+// octet, walking 172.16–172.31 (the private /12), so the first 62,500 UEs
+// keep the 172.16.x.y addresses they always had.
+func scaleUEAddr(k int) pkt.Addr {
+	return pkt.AddrFrom(172, byte(16+k/62500), byte(1+k/250%250), byte(1+k%250))
+}
+
+// Validate reports a shape the generator's addressing cannot build: UEs
+// beyond the 172.16/12 plan above, sites beyond 10.30–10.254 (and the eNB
+// grid's 10.1.1–10.1.255), or eNBs per site beyond one octet.
+func (c ScaleConfig) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case c.UEs > 16*62500:
+		return fmt.Errorf("scale: %d UEs exceed the %d the 172.16/12 address plan holds", c.UEs, 16*62500)
+	case c.Sites > 225:
+		return fmt.Errorf("scale: %d sites exceed the 225 the 10.30-10.254 address plan holds", c.Sites)
+	case c.ENBsPerSite > 254:
+		return fmt.Errorf("scale: %d eNBs per site exceed the 254 one address octet holds", c.ENBsPerSite)
+	}
+	return nil
+}
+
 const (
 	scaleFramePort = 7101
 	scaleRespPort  = 7102
@@ -439,7 +462,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	ueIndex := make(map[*epc.UE]int, cfg.UEs)
 	for k := 0; k < cfg.UEs; k++ {
 		imsi := fmt.Sprintf("001017%09d", k+1)
-		ueN := nw.AddNode(fmt.Sprintf("ue-%d", k+1), pkt.AddrFrom(172, 16, byte(1+k/250), byte(1+k%250)))
+		ueN := nw.AddNode(fmt.Sprintf("ue-%d", k+1), scaleUEAddr(k))
 		ue := epc.NewUE(ueN, imsi)
 		site := homeSite(k)
 		if k >= background {
@@ -640,8 +663,12 @@ func assembleScale(id string, cfg ScaleConfig, seq *scaleRun, extraNotes []strin
 
 // RunScaleScenario runs the metro scenario once with the given shape — the
 // acacia-sim -scale entry point. cfg.Workers selects the execution mode
-// exactly like -intra-parallel.
+// exactly like -intra-parallel. The shape must pass Validate; a caller that
+// takes it from outside the program checks that first.
 func RunScaleScenario(seed uint64, cfg ScaleConfig) *Result {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	return assembleScale("scale", cfg, runScale(seed, cfg), nil)
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"acacia/internal/pkt"
 )
 
 // TestScaleIdentityAcrossModes is the §3g identity contract for the
@@ -132,5 +134,41 @@ func TestRunScaleScenarioStandalone(t *testing.T) {
 	}
 	if len(r.Tables[1].Rows) != 3 {
 		t.Errorf("placement rows = %d, want 3", len(r.Tables[1].Rows))
+	}
+}
+
+// TestScaleUEAddrInjective: the third octet used to wrap at k = 63,750 and
+// hand ue-63751 the address of ue-1. Every population Validate admits must
+// get distinct addresses, and the first 62,500 keep the ones they had.
+func TestScaleUEAddrInjective(t *testing.T) {
+	seen := make(map[pkt.Addr]int, 200001)
+	for k := 0; k <= 200000; k++ {
+		a := scaleUEAddr(k)
+		if prev, dup := seen[a]; dup {
+			t.Fatalf("UE %d and UE %d share %v", prev, k, a)
+		}
+		seen[a] = k
+		if k < 62500 && a != pkt.AddrFrom(172, 16, byte(1+k/250), byte(1+k%250)) {
+			t.Fatalf("UE %d moved to %v", k, a)
+		}
+	}
+	last := 16*62500 - 1
+	if a := scaleUEAddr(last); a != pkt.AddrFrom(172, 31, 250, 250) {
+		t.Errorf("last addressable UE is at %v, want 172.31.250.250", a)
+	}
+	for _, tc := range []struct {
+		cfg ScaleConfig
+		ok  bool
+	}{
+		{ScaleConfig{UEs: 100000, Sites: 48, ENBsPerSite: 2}, true},
+		{ScaleConfig{UEs: last + 1}, true},
+		{ScaleConfig{UEs: last + 2}, false},
+		{ScaleConfig{Sites: 226}, false},
+		{ScaleConfig{ENBsPerSite: 255}, false},
+		{ScaleConfig{}, true},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Validate(%+v) = %v, want ok=%v", tc.cfg, err, tc.ok)
+		}
 	}
 }

@@ -21,7 +21,6 @@ const (
 	OFPacketIn    OFMsgType = 10
 	OFFlowRemoved OFMsgType = 11
 	OFPortStatus  OFMsgType = 12
-	OFPacketOut   OFMsgType = 13
 	OFFlowMod     OFMsgType = 14
 	OFBarrier     OFMsgType = 20
 )
@@ -41,8 +40,6 @@ func (t OFMsgType) String() string {
 		return "FlowRemoved"
 	case OFPortStatus:
 		return "PortStatus"
-	case OFPacketOut:
-		return "PacketOut"
 	case OFFlowMod:
 		return "FlowMod"
 	case OFBarrier:
@@ -72,66 +69,71 @@ const (
 	OXMTunnelID = 38
 )
 
-// Match is the set of OXM fields a flow entry matches on. Nil-valued
-// (unset) fields are wildcards.
-type Match struct {
-	InPort   *uint32
-	EthType  *uint16
-	IPProto  *uint8
-	IPv4Src  *Addr
-	IPv4Dst  *Addr
-	UDPSrc   *uint16
-	UDPDst   *uint16
-	TunnelID *uint64 // GTP TEID carried in tunnel metadata
+// oxmWidth is each known OXM field's value length in bytes; zero marks an
+// identifier the testbed does not use.
+var oxmWidth = [...]uint8{OXMInPort: 4, OXMEthType: 2, OXMIPProto: 1, OXMIPv4Src: 4,
+	OXMIPv4Dst: 4, OXMUDPSrc: 2, OXMUDPDst: 2, OXMTunnelID: 8}
+
+// Opt is one optional match field: a value and whether it is set. The zero
+// Opt is the wildcard, and only the constructors below build a set one, so
+// an unset field always holds the zero value and two fields are equal
+// exactly when == says so.
+type Opt[T comparable] struct {
+	v   T
+	set bool
 }
 
-// U32 returns a pointer to v, a convenience for building matches.
-func U32(v uint32) *uint32 { return &v }
+// Get returns the field's value and whether it is set.
+func (o Opt[T]) Get() (T, bool) { return o.v, o.set }
 
-// U16 returns a pointer to v.
-func U16(v uint16) *uint16 { return &v }
+// Match is the set of OXM fields a flow entry matches on; unset fields are
+// wildcards. It is a comparable value (no pointers): == is field-for-field
+// equality and a Match can key a map. Fields are ordered by size to keep it
+// at 48 bytes.
+type Match struct {
+	TunnelID Opt[uint64] // GTP TEID carried in tunnel metadata
+	InPort   Opt[uint32]
+	EthType  Opt[uint16]
+	UDPSrc   Opt[uint16]
+	UDPDst   Opt[uint16]
+	IPProto  Opt[uint8]
+	IPv4Src  Opt[Addr]
+	IPv4Dst  Opt[Addr]
+}
 
-// U8 returns a pointer to v.
-func U8(v uint8) *uint8 { return &v }
+// U32 returns a set 32-bit match field, a convenience for building matches.
+func U32(v uint32) Opt[uint32] { return Opt[uint32]{v, true} }
 
-// U64 returns a pointer to v.
-func U64(v uint64) *uint64 { return &v }
+// U16 returns a set 16-bit match field.
+func U16(v uint16) Opt[uint16] { return Opt[uint16]{v, true} }
 
-// AddrPtr returns a pointer to a.
-func AddrPtr(a Addr) *Addr { return &a }
+// U8 returns a set 8-bit match field.
+func U8(v uint8) Opt[uint8] { return Opt[uint8]{v, true} }
 
-// Matches reports whether a packet view satisfies every set field.
+// U64 returns a set 64-bit match field.
+func U64(v uint64) Opt[uint64] { return Opt[uint64]{v, true} }
+
+// AddrPtr returns a set address match field.
+func AddrPtr(a Addr) Opt[Addr] { return Opt[Addr]{a, true} }
+
+// Matches reports whether a packet view satisfies every set field. The view
+// carries no EthType, so that field never rejects a packet.
 func (m *Match) Matches(inPort uint32, ft FiveTuple, tunnelID uint64) bool {
-	if m.InPort != nil && *m.InPort != inPort {
-		return false
-	}
-	if m.IPProto != nil && *m.IPProto != ft.Proto {
-		return false
-	}
-	if m.IPv4Src != nil && *m.IPv4Src != ft.Src {
-		return false
-	}
-	if m.IPv4Dst != nil && *m.IPv4Dst != ft.Dst {
-		return false
-	}
-	if m.UDPSrc != nil && *m.UDPSrc != ft.SrcPort {
-		return false
-	}
-	if m.UDPDst != nil && *m.UDPDst != ft.DstPort {
-		return false
-	}
-	if m.TunnelID != nil && *m.TunnelID != tunnelID {
-		return false
-	}
-	return true
+	return (!m.InPort.set || m.InPort.v == inPort) &&
+		(!m.IPProto.set || m.IPProto.v == ft.Proto) &&
+		(!m.IPv4Src.set || m.IPv4Src.v == ft.Src) &&
+		(!m.IPv4Dst.set || m.IPv4Dst.v == ft.Dst) &&
+		(!m.UDPSrc.set || m.UDPSrc.v == ft.SrcPort) &&
+		(!m.UDPDst.set || m.UDPDst.v == ft.DstPort) &&
+		(!m.TunnelID.set || m.TunnelID.v == tunnelID)
 }
 
 // SpecificityScore counts set fields; used to order overlapping entries of
 // equal priority deterministically.
 func (m *Match) SpecificityScore() int {
 	n := 0
-	for _, set := range []bool{m.InPort != nil, m.EthType != nil, m.IPProto != nil,
-		m.IPv4Src != nil, m.IPv4Dst != nil, m.UDPSrc != nil, m.UDPDst != nil, m.TunnelID != nil} {
+	for _, set := range [...]bool{m.InPort.set, m.EthType.set, m.IPProto.set,
+		m.IPv4Src.set, m.IPv4Dst.set, m.UDPSrc.set, m.UDPDst.set, m.TunnelID.set} {
 		if set {
 			n++
 		}
@@ -143,37 +145,24 @@ func (m *Match) encode(b []byte) []byte {
 	start := len(b)
 	b = putU16(b, 1) // OFPMT_OXM
 	b = putU16(b, 0) // length placeholder
-	oxm := func(field uint8, val []byte) {
+	oxm := func(field uint8, v uint64, set bool) {
+		if !set {
+			return
+		}
 		b = putU16(b, 0x8000) // OFPXMC_OPENFLOW_BASIC
-		b = append(b, field<<1, byte(len(val)))
-		b = append(b, val...)
+		b = append(b, field<<1, oxmWidth[field])
+		for shift := 8 * int(oxmWidth[field]); shift > 0; shift -= 8 {
+			b = append(b, byte(v>>(shift-8)))
+		}
 	}
-	if m.InPort != nil {
-		oxm(OXMInPort, u32bytes(*m.InPort))
-	}
-	if m.EthType != nil {
-		oxm(OXMEthType, []byte{byte(*m.EthType >> 8), byte(*m.EthType)})
-	}
-	if m.IPProto != nil {
-		oxm(OXMIPProto, []byte{*m.IPProto})
-	}
-	if m.IPv4Src != nil {
-		oxm(OXMIPv4Src, m.IPv4Src[:])
-	}
-	if m.IPv4Dst != nil {
-		oxm(OXMIPv4Dst, m.IPv4Dst[:])
-	}
-	if m.UDPSrc != nil {
-		oxm(OXMUDPSrc, []byte{byte(*m.UDPSrc >> 8), byte(*m.UDPSrc)})
-	}
-	if m.UDPDst != nil {
-		oxm(OXMUDPDst, []byte{byte(*m.UDPDst >> 8), byte(*m.UDPDst)})
-	}
-	if m.TunnelID != nil {
-		v := *m.TunnelID
-		oxm(OXMTunnelID, []byte{byte(v >> 56), byte(v >> 48), byte(v >> 40), byte(v >> 32),
-			byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-	}
+	oxm(OXMInPort, uint64(m.InPort.v), m.InPort.set)
+	oxm(OXMEthType, uint64(m.EthType.v), m.EthType.set)
+	oxm(OXMIPProto, uint64(m.IPProto.v), m.IPProto.set)
+	oxm(OXMIPv4Src, uint64(m.IPv4Src.v.Uint32()), m.IPv4Src.set)
+	oxm(OXMIPv4Dst, uint64(m.IPv4Dst.v.Uint32()), m.IPv4Dst.set)
+	oxm(OXMUDPSrc, uint64(m.UDPSrc.v), m.UDPSrc.set)
+	oxm(OXMUDPDst, uint64(m.UDPDst.v), m.UDPDst.set)
+	oxm(OXMTunnelID, m.TunnelID.v, m.TunnelID.set)
 	mlen := len(b) - start
 	b[start+2] = byte(mlen >> 8)
 	b[start+3] = byte(mlen)
@@ -210,33 +199,38 @@ func (m *Match) decode(r *reader) error {
 		if err != nil {
 			return err
 		}
+		field := fieldHM >> 1
+		if int(field) >= len(oxmWidth) || oxmWidth[field] == 0 {
+			return fmt.Errorf("pkt: unknown OXM field %d", field)
+		}
+		if vlen != oxmWidth[field] {
+			return fmt.Errorf("pkt: OXM field %d carries %d bytes, want %d", field, vlen, oxmWidth[field])
+		}
 		val, err := r.bytes(int(vlen))
 		if err != nil {
 			return err
 		}
-		switch fieldHM >> 1 {
+		var v uint64
+		for _, c := range val {
+			v = v<<8 | uint64(c)
+		}
+		switch field {
 		case OXMInPort:
-			m.InPort = U32(be.Uint32(val))
+			m.InPort = U32(uint32(v))
 		case OXMEthType:
-			m.EthType = U16(be.Uint16(val))
+			m.EthType = U16(uint16(v))
 		case OXMIPProto:
-			m.IPProto = U8(val[0])
+			m.IPProto = U8(uint8(v))
 		case OXMIPv4Src:
-			var a Addr
-			copy(a[:], val)
-			m.IPv4Src = &a
+			m.IPv4Src = AddrPtr(AddrFromUint32(uint32(v)))
 		case OXMIPv4Dst:
-			var a Addr
-			copy(a[:], val)
-			m.IPv4Dst = &a
+			m.IPv4Dst = AddrPtr(AddrFromUint32(uint32(v)))
 		case OXMUDPSrc:
-			m.UDPSrc = U16(be.Uint16(val))
+			m.UDPSrc = U16(uint16(v))
 		case OXMUDPDst:
-			m.UDPDst = U16(be.Uint16(val))
+			m.UDPDst = U16(uint16(v))
 		case OXMTunnelID:
-			m.TunnelID = U64(be.Uint64(val))
-		default:
-			return fmt.Errorf("pkt: unknown OXM field %d", fieldHM>>1)
+			m.TunnelID = U64(v)
 		}
 	}
 	// Consume padding to the 8-byte boundary.
@@ -363,9 +357,8 @@ type OFMsg struct {
 	Match       Match
 	Actions     []Action
 
-	// PacketIn / PacketOut fields.
+	// PacketIn fields.
 	BufferID uint32
-	InPort   uint32
 	DataLen  uint16 // bytes of packet data carried
 	Reason   uint8
 }
@@ -382,8 +375,7 @@ func (m *OFMsg) Encode(b []byte) []byte {
 	case OFFlowMod:
 		// cookie(8) cookie_mask(8) table(1) cmd(1) idle(2) hard(2) prio(2)
 		// buffer(4) out_port(4) out_group(4) flags(2) pad(2) = 40.
-		b = putU32(b, uint32(m.Cookie>>32))
-		b = putU32(b, uint32(m.Cookie))
+		b = be.AppendUint64(b, m.Cookie)
 		b = putU32(b, 0xffffffff)
 		b = putU32(b, 0xffffffff)
 		b = append(b, m.TableID, m.Command)
@@ -411,24 +403,9 @@ func (m *OFMsg) Encode(b []byte) []byte {
 		b = putU32(b, m.BufferID)
 		b = putU16(b, m.DataLen)
 		b = append(b, m.Reason, m.TableID)
-		b = putU32(b, uint32(m.Cookie>>32))
-		b = putU32(b, uint32(m.Cookie))
+		b = be.AppendUint64(b, m.Cookie)
 		b = m.Match.encode(b)
 		b = putU16(b, 0) // pad
-		b = append(b, make([]byte, m.DataLen)...)
-	case OFPacketOut:
-		b = putU32(b, m.BufferID)
-		b = putU32(b, m.InPort)
-		astart := len(b)
-		b = putU16(b, 0)                // actions length placeholder
-		b = append(b, 0, 0, 0, 0, 0, 0) // pad
-		alen0 := len(b)
-		for i := range m.Actions {
-			b = m.Actions[i].encode(b)
-		}
-		alen := len(b) - alen0
-		b[astart] = byte(alen >> 8)
-		b[astart+1] = byte(alen)
 		b = append(b, make([]byte, m.DataLen)...)
 	case OFHello, OFEchoRequest, OFEchoReply, OFBarrier:
 		// Header only.
@@ -439,8 +416,7 @@ func (m *OFMsg) Encode(b []byte) []byte {
 		b = append(b, make([]byte, 7)...)
 		b = m.Match.encode(b)
 	case OFFlowRemoved:
-		b = putU32(b, uint32(m.Cookie>>32))
-		b = putU32(b, uint32(m.Cookie))
+		b = be.AppendUint64(b, m.Cookie)
 		b = putU16(b, m.Priority)
 		b = append(b, m.Reason, m.TableID)
 		b = append(b, make([]byte, 24)...) // duration/timeouts/counters
@@ -481,15 +457,11 @@ func (m *OFMsg) Decode(b []byte) (int, error) {
 	}
 	switch m.Type {
 	case OFFlowMod:
-		hi, err := r.u32()
+		cookie, err := r.bytes(8)
 		if err != nil {
 			return 0, err
 		}
-		lo, err := r.u32()
-		if err != nil {
-			return 0, err
-		}
-		m.Cookie = uint64(hi)<<32 | uint64(lo)
+		m.Cookie = be.Uint64(cookie)
 		if _, err := r.bytes(8); err != nil { // cookie mask
 			return 0, err
 		}
@@ -549,15 +521,11 @@ func (m *OFMsg) Decode(b []byte) (int, error) {
 		if m.TableID, err = r.u8(); err != nil {
 			return 0, err
 		}
-		hi, err := r.u32()
+		cookie, err := r.bytes(8)
 		if err != nil {
 			return 0, err
 		}
-		lo, err := r.u32()
-		if err != nil {
-			return 0, err
-		}
-		m.Cookie = uint64(hi)<<32 | uint64(lo)
+		m.Cookie = be.Uint64(cookie)
 		m.Match = Match{}
 		if err := m.Match.decode(r); err != nil {
 			return 0, err
@@ -565,33 +533,6 @@ func (m *OFMsg) Decode(b []byte) (int, error) {
 		if _, err := r.u16(); err != nil {
 			return 0, err
 		}
-		if _, err := r.bytes(int(m.DataLen)); err != nil {
-			return 0, err
-		}
-	case OFPacketOut:
-		if m.BufferID, err = r.u32(); err != nil {
-			return 0, err
-		}
-		if m.InPort, err = r.u32(); err != nil {
-			return 0, err
-		}
-		alen, err := r.u16()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := r.bytes(6); err != nil {
-			return 0, err
-		}
-		aend := r.off + int(alen)
-		m.Actions = nil
-		for r.off < aend {
-			a, err := decodeAction(r)
-			if err != nil {
-				return 0, err
-			}
-			m.Actions = append(m.Actions, a)
-		}
-		m.DataLen = uint16(int(total) - r.off)
 		if _, err := r.bytes(int(m.DataLen)); err != nil {
 			return 0, err
 		}
@@ -609,15 +550,11 @@ func (m *OFMsg) Decode(b []byte) (int, error) {
 			return 0, err
 		}
 	case OFFlowRemoved:
-		hi, err := r.u32()
+		cookie, err := r.bytes(8)
 		if err != nil {
 			return 0, err
 		}
-		lo, err := r.u32()
-		if err != nil {
-			return 0, err
-		}
-		m.Cookie = uint64(hi)<<32 | uint64(lo)
+		m.Cookie = be.Uint64(cookie)
 		if m.Priority, err = r.u16(); err != nil {
 			return 0, err
 		}

@@ -370,10 +370,6 @@ func readTLV8(r *reader) (tag uint8, val []byte, err error) {
 	return tag, val, nil
 }
 
-func u32bytes(v uint32) []byte {
-	return []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-}
-
 // castagnoliTable is built once at package init; crc32.MakeTable returns the
 // shared hardware-accelerated table for this polynomial.
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)

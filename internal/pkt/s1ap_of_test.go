@@ -188,22 +188,7 @@ func TestOpenFlowPacketInRoundTrip(t *testing.T) {
 	if _, err := got.Decode(b); err != nil {
 		t.Fatal(err)
 	}
-	if got.DataLen != 128 || *got.Match.InPort != 4 || *got.Match.TunnelID != 9 {
-		t.Errorf("got %+v", got)
-	}
-}
-
-func TestOpenFlowPacketOutRoundTrip(t *testing.T) {
-	orig := OFMsg{
-		Type: OFPacketOut, XID: 4, BufferID: 0xffffffff, InPort: 7, DataLen: 64,
-		Actions: []Action{{Type: ActionOutput, Port: 1}},
-	}
-	b := orig.Encode(nil)
-	var got OFMsg
-	if _, err := got.Decode(b); err != nil {
-		t.Fatal(err)
-	}
-	if got.InPort != 7 || got.DataLen != 64 || len(got.Actions) != 1 {
+	if got.DataLen != 128 || got.Match != orig.Match {
 		t.Errorf("got %+v", got)
 	}
 }
@@ -271,6 +256,69 @@ func TestOpenFlowDecodeTruncated(t *testing.T) {
 		var got OFMsg
 		if _, err := got.Decode(b[:n]); err == nil {
 			t.Errorf("decode of %d-byte prefix succeeded", n)
+		}
+	}
+}
+
+// TestOpenFlowMatchIsComparableValue pins what the switch's index relies on:
+// equal field sets compare equal with ==, any differing field or presence
+// (EthType included) does not, a decoded match equals the one encoded, and
+// building or decoding a match allocates nothing.
+func TestOpenFlowMatchIsComparableValue(t *testing.T) {
+	a := Match{TunnelID: U64(7), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4))}
+	b := Match{IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4)), TunnelID: U64(7)}
+	if a != b {
+		t.Error("equal matches compare unequal")
+	}
+	for _, other := range []Match{
+		{TunnelID: U64(8), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4))}, // value
+		{TunnelID: U64(7)}, // presence
+		{TunnelID: U64(7), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4)), InPort: U32(0)},       // set to zero
+		{TunnelID: U64(7), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4)), EthType: U16(0x0800)}, // EthType
+	} {
+		if a == other {
+			t.Errorf("differing matches compare equal: %+v", other)
+		}
+	}
+	if v, ok := a.TunnelID.Get(); !ok || v != 7 {
+		t.Errorf("TunnelID.Get() = %d, %v", v, ok)
+	}
+	if v, ok := a.InPort.Get(); ok || v != 0 {
+		t.Errorf("unset InPort.Get() = %d, %v", v, ok)
+	}
+	msg := OFMsg{Type: OFPortStatus, Match: a}
+	wire := msg.Encode(nil)
+	var got OFMsg
+	allocs := testing.AllocsPerRun(100, func() {
+		got = OFMsg{}
+		if _, err := got.Decode(wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Match != a {
+		t.Errorf("decoded %+v, want %+v", got.Match, a)
+	}
+	if allocs > 1 { // the reader
+		t.Errorf("decoding a match allocates %.0f objects", allocs)
+	}
+}
+
+// TestOpenFlowMatchRejectsWrongWidth: an OXM TLV whose length octet
+// disagrees with its field's width is an error, never a short read.
+func TestOpenFlowMatchRejectsWrongWidth(t *testing.T) {
+	msg := OFMsg{Type: OFPortStatus, Match: Match{TunnelID: U64(7)}}
+	wire := msg.Encode(nil)
+	// header(8) reason+pad(8) match type/len(4) oxm class(2) field(1) -> length octet
+	const lenOff = 8 + 8 + 4 + 2 + 1
+	if wire[lenOff] != 8 {
+		t.Fatalf("length octet = %d, layout assumption broken", wire[lenOff])
+	}
+	for _, vlen := range []byte{0, 1, 4, 7} {
+		bad := append([]byte{}, wire...)
+		bad[lenOff] = vlen
+		var got OFMsg
+		if _, err := got.Decode(bad); err == nil {
+			t.Errorf("TunnelID with a %d-byte value decoded", vlen)
 		}
 	}
 }

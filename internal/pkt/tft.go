@@ -1,9 +1,6 @@
 package pkt
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // TFT is a 3GPP TS 24.008 Traffic Flow Template: an ordered set of packet
 // filters that binds traffic to a bearer. The UE's modem evaluates uplink
@@ -13,8 +10,10 @@ import (
 type TFT struct {
 	// Op is the TFT operation code.
 	Op TFTOp
-	// Filters are evaluated in increasing precedence value order
-	// (lower value = higher precedence).
+	// Filters are held in evaluation order: increasing precedence value
+	// (lower value = higher precedence). Decode establishes it once; a TFT
+	// built in code lists its filters that way. Matching never reorders
+	// them, so one TFT can be shared by many sessions.
 	Filters []PacketFilter
 }
 
@@ -111,10 +110,10 @@ func (p *PacketFilter) match(remote Addr, localPort, remotePort uint16, proto, t
 	return true
 }
 
-// MatchUplink evaluates the TFT's filters in precedence order against an
-// uplink packet and reports whether any filter matched.
+// MatchUplink evaluates the TFT's filters in order against an uplink packet
+// and reports whether any filter matched.
 func (t *TFT) MatchUplink(ft FiveTuple, tos uint8) bool {
-	for i := range t.byPrecedence() {
+	for i := range t.Filters {
 		if t.Filters[i].MatchUplink(ft, tos) {
 			return true
 		}
@@ -124,21 +123,12 @@ func (t *TFT) MatchUplink(ft FiveTuple, tos uint8) bool {
 
 // MatchDownlink evaluates the TFT against a downlink packet.
 func (t *TFT) MatchDownlink(ft FiveTuple, tos uint8) bool {
-	for i := range t.byPrecedence() {
+	for i := range t.Filters {
 		if t.Filters[i].MatchDownlink(ft, tos) {
 			return true
 		}
 	}
 	return false
-}
-
-// byPrecedence returns filter indices sorted so precedence order holds; the
-// common small-N case avoids allocation by sorting in place once.
-func (t *TFT) byPrecedence() []PacketFilter {
-	sort.SliceStable(t.Filters, func(i, j int) bool {
-		return t.Filters[i].Precedence < t.Filters[j].Precedence
-	})
-	return t.Filters
 }
 
 // Encode appends the TS 24.008-style TFT encoding to b: one octet of
@@ -232,7 +222,14 @@ func (t *TFT) Decode(b []byte) (int, error) {
 		if err := f.decodeComponents(comps); err != nil {
 			return 0, fmt.Errorf("pkt: TFT filter %d: %w", i, err)
 		}
+		// Stable insertion by precedence: the wire lists filters in any
+		// order, the decoded TFT holds them in evaluation order.
+		j := len(t.Filters)
 		t.Filters = append(t.Filters, f)
+		for ; j > 0 && t.Filters[j-1].Precedence > f.Precedence; j-- {
+			t.Filters[j] = t.Filters[j-1]
+		}
+		t.Filters[j] = f
 	}
 	return r.off, nil
 }

@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -144,16 +145,46 @@ func TestTFTTOSMatching(t *testing.T) {
 }
 
 func TestTFTPrecedenceOrdering(t *testing.T) {
-	// Two overlapping filters; matching consults them in precedence order.
-	// Since TFT matching is existential the result is identical, but the
-	// byPrecedence order must be stable and sorted.
+	// The wire lists filters in any order; Decode establishes evaluation
+	// (precedence) order once, stably, and matching never touches it again.
+	wire := (&TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{
+		{ID: 3, Direction: DirBidirectional, Precedence: 20},
+		{ID: 2, Direction: DirBidirectional, Precedence: 10},
+		{ID: 1, Direction: DirBidirectional, Precedence: 20},
+	}}).Encode(nil)
+	var tft TFT
+	if _, err := tft.Decode(wire); err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint8
+	for _, f := range tft.Filters {
+		ids = append(ids, f.ID)
+	}
+	if !reflect.DeepEqual(ids, []uint8{2, 3, 1}) {
+		t.Errorf("decoded filter order %v, want [2 3 1]", ids)
+	}
+}
+
+// TestTFTMatchIsReadOnly: a TFT is a shared template, so matching must
+// neither reorder its filters (which would change what Encode emits) nor
+// allocate.
+func TestTFTMatchIsReadOnly(t *testing.T) {
 	tft := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{
-		{ID: 2, Direction: DirBidirectional, Precedence: 20},
-		{ID: 1, Direction: DirBidirectional, Precedence: 10},
+		{ID: 2, Direction: DirBidirectional, Precedence: 20, Proto: ProtoUDP},
+		{ID: 1, Direction: DirBidirectional, Precedence: 10, Proto: ProtoTCP},
 	}}
-	fs := tft.byPrecedence()
-	if fs[0].Precedence != 10 || fs[1].Precedence != 20 {
-		t.Errorf("byPrecedence order: %v, %v", fs[0].Precedence, fs[1].Precedence)
+	before := tft.Encode(nil)
+	ft := FiveTuple{Src: AddrFrom(1, 1, 1, 1), Dst: AddrFrom(2, 2, 2, 2), Proto: ProtoUDP}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !tft.MatchUplink(ft, 0) || !tft.MatchDownlink(ft, 0) {
+			t.Fatal("UDP filter did not match")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Match* allocates %.0f objects per call", allocs)
+	}
+	if after := tft.Encode(nil); !bytes.Equal(before, after) {
+		t.Errorf("matching changed the encoding:\n before %x\n after  %x", before, after)
 	}
 }
 

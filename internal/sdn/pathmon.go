@@ -167,10 +167,9 @@ func (m *PathMonitor) notify(peer pkt.Addr, down bool) {
 // port that follows them.
 func (m *PathMonitor) refreshPeers() {
 	seen := map[pkt.Addr]int{}
-	for i := range m.sw.table {
-		e := &m.sw.table[i]
+	for i := int32(1); i <= m.sw.nslots; i++ {
 		var dst pkt.Addr
-		for _, a := range e.Actions {
+		for _, a := range m.sw.slot(i).Actions { // none in a vacant slot
 			switch a.Type {
 			case pkt.ActionSetTunnel:
 				dst = a.TunnelDst

@@ -3,11 +3,32 @@ package sdn
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sim"
 )
+
+// lookupScan is the historical O(#flows) linear scan over the table in
+// table order, kept as the semantic reference: the tests below hold
+// lookup() to it winner for winner, and the BenchmarkScaleLookup* pair
+// quantifies the gap at 10k entries.
+func (sw *Switch) lookupScan(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) int32 {
+	best := int32(0)
+	for _, i := range sw.tableOrder() {
+		e := sw.slot(i)
+		if !e.Match.Matches(inPort, flow, tunnelID) {
+			continue
+		}
+		if best == 0 || e.Priority > sw.slot(best).Priority ||
+			(e.Priority == sw.slot(best).Priority &&
+				e.Match.SpecificityScore() > sw.slot(best).Match.SpecificityScore()) {
+			best = i
+		}
+	}
+	return best
+}
 
 // benchSwitch builds a bare switch (no links, no controller) to exercise
 // table lookup in isolation.
@@ -105,8 +126,8 @@ func TestLookupMatchesScan(t *testing.T) {
 	}
 }
 
-// TestLookupTracksMutations verifies the dirty-rebuild discipline across
-// install, cookie removal and idle expiry.
+// TestLookupTracksMutations verifies the index follows install, cookie
+// removal and idle expiry.
 func TestLookupTracksMutations(t *testing.T) {
 	sw := benchSwitch()
 	fillScaleTable(sw, 64)
@@ -130,6 +151,382 @@ func TestLookupTracksMutations(t *testing.T) {
 	sw.ExpireIdleFlows()
 	check("after expiry pass")
 }
+
+// refTable is the table as it was before the index: a slice kept in
+// (priority desc, arrival) order by insertion-shift, a linear duplicate scan
+// on install, full scans for cookie removal and expiry, and the linear
+// lookup. TestTableMatchesReferenceModel holds the switch to it operation by
+// operation.
+type refTable struct{ entries []refEntry }
+
+type refEntry struct {
+	FlowEntry
+	lastUsed sim.Time
+}
+
+func (r *refTable) install(e FlowEntry, now sim.Time) {
+	ne := refEntry{FlowEntry: e, lastUsed: now}
+	for i := range r.entries {
+		if r.entries[i].Priority == e.Priority && r.entries[i].Match == e.Match {
+			r.entries[i] = ne
+			return
+		}
+	}
+	r.entries = append(r.entries, ne)
+	i := len(r.entries) - 1
+	for i > 0 && r.entries[i-1].Priority < e.Priority {
+		r.entries[i] = r.entries[i-1]
+		i--
+	}
+	r.entries[i] = ne
+}
+
+func (r *refTable) filter(drop func(*refEntry) bool) int {
+	kept := r.entries[:0]
+	for _, e := range r.entries {
+		if !drop(&e) {
+			kept = append(kept, e)
+		}
+	}
+	removed := len(r.entries) - len(kept)
+	r.entries = kept
+	return removed
+}
+
+func (r *refTable) remove(cookie uint64) int {
+	return r.filter(func(e *refEntry) bool { return e.Cookie == cookie })
+}
+
+func (r *refTable) expire(now sim.Time) int {
+	return r.filter(func(e *refEntry) bool {
+		return e.IdleTimeout > 0 && now.Sub(e.lastUsed) >= e.IdleTimeout
+	})
+}
+
+func (r *refTable) scan(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) *refEntry {
+	var best *refEntry
+	for i := range r.entries {
+		e := &r.entries[i]
+		if !e.Match.Matches(inPort, flow, tunnelID) {
+			continue
+		}
+		if best == nil || e.Priority > best.Priority ||
+			(e.Priority == best.Priority && e.Match.SpecificityScore() > best.Match.SpecificityScore()) {
+			best = e
+		}
+	}
+	return best
+}
+
+// tag reads the install number the model test stores in an entry's output
+// port, so entries can be told apart across the two tables.
+func tag(e *FlowEntry) uint32 { return e.Actions[0].Port }
+
+// modelMatch draws from a universe small enough that re-installs, one key
+// at several priorities and EthType-only differences all happen often.
+func modelMatch(rng *rand.Rand) pkt.Match {
+	dst := pkt.AddrPtr(pkt.AddrFrom(172, 16, 0, byte(rng.Intn(6))))
+	switch rng.Intn(8) {
+	case 0:
+		return pkt.Match{TunnelID: pkt.U64(uint64(rng.Intn(8)))}
+	case 1:
+		return pkt.Match{TunnelID: pkt.U64(uint64(rng.Intn(8))), InPort: pkt.U32(uint32(rng.Intn(2)))}
+	case 2:
+		return pkt.Match{IPv4Dst: dst}
+	case 3:
+		return pkt.Match{IPv4Dst: dst, EthType: pkt.U16(0x0800)}
+	case 4:
+		return pkt.Match{IPv4Dst: dst, EthType: pkt.U16(0x86dd)}
+	case 5:
+		return pkt.Match{IPv4Dst: dst, IPv4Src: pkt.AddrPtr(pkt.AddrFrom(10, 3, 0, byte(rng.Intn(2))))}
+	case 6:
+		return pkt.Match{IPv4Dst: dst, IPProto: pkt.U8(pkt.ProtoTCP)}
+	default:
+		return pkt.Match{}
+	}
+}
+
+func modelProbe(rng *rand.Rand) (uint32, pkt.FiveTuple, uint64) {
+	return uint32(rng.Intn(2)), pkt.FiveTuple{
+		Src:   pkt.AddrFrom(10, 3, 0, byte(rng.Intn(3))),
+		Dst:   pkt.AddrFrom(172, 16, 0, byte(rng.Intn(7))),
+		Proto: []uint8{pkt.ProtoTCP, pkt.ProtoUDP}[rng.Intn(2)],
+	}, uint64(rng.Intn(9))
+}
+
+// TestTableMatchesReferenceModel drives a seeded stream of install,
+// re-install, remove-by-cookie and expire at the switch and at the
+// reference table, and after every operation requires the same flow count,
+// the same (priority, arrival) dump order and the same winner for random
+// probes — from lookup, from the scan over the switch's own table, and from
+// the reference.
+func TestTableMatchesReferenceModel(t *testing.T) {
+	for _, seed := range []int64{1, 2016, 77} {
+		sw := benchSwitch()
+		ref := &refTable{}
+		rng := rand.New(rand.NewSource(seed))
+		peakSlots := 0
+		for op := 0; op < 3000; op++ {
+			what := "install"
+			switch r := rng.Intn(10); {
+			case r < 6:
+				e := FlowEntry{
+					Priority: []uint16{50, 100, 110}[rng.Intn(3)],
+					Cookie:   uint64(rng.Intn(12)),
+					Match:    modelMatch(rng),
+					Actions:  []pkt.Action{{Type: pkt.ActionOutput, Port: uint32(op)}},
+				}
+				if rng.Intn(4) == 0 {
+					e.IdleTimeout = time.Duration(1+rng.Intn(3)) * time.Second
+				}
+				sw.installFlow(e)
+				ref.install(e, sw.eng.Now())
+			case r < 9:
+				what = "remove"
+				cookie := uint64(rng.Intn(12))
+				if got, want := sw.removeFlows(cookie), ref.remove(cookie); got != want {
+					t.Fatalf("seed %d op %d: removeFlows(%d) = %d, reference %d", seed, op, cookie, got, want)
+				}
+			default:
+				what = "expire"
+				sw.eng.RunFor(time.Duration(rng.Intn(1500)) * time.Millisecond)
+				if got, want := sw.ExpireIdleFlows(), ref.expire(sw.eng.Now()); got != want {
+					t.Fatalf("seed %d op %d: ExpireIdleFlows = %d, reference %d", seed, op, got, want)
+				}
+			}
+			if sw.FlowCount() != len(ref.entries) {
+				t.Fatalf("seed %d op %d (%s): FlowCount %d, reference %d", seed, op, what, sw.FlowCount(), len(ref.entries))
+			}
+			for n, i := range sw.tableOrder() {
+				if got, want := tag(&sw.slot(i).FlowEntry), tag(&ref.entries[n].FlowEntry); got != want {
+					t.Fatalf("seed %d op %d (%s): dump position %d holds install #%d, reference #%d", seed, op, what, n, got, want)
+				}
+			}
+			for probe := 0; probe < 20; probe++ {
+				inPort, ft, teid := modelProbe(rng)
+				got, scan, want := sw.lookup(inPort, ft, teid), sw.lookupScan(inPort, ft, teid), ref.scan(inPort, ft, teid)
+				if got != scan || (got == 0) != (want == nil) || (got != 0 && tag(&sw.slot(got).FlowEntry) != tag(&want.FlowEntry)) {
+					t.Fatalf("seed %d op %d (%s): lookup=%d scan=%d reference=%+v (inPort=%d ft=%+v teid=%d)",
+						seed, op, what, got, scan, want, inPort, ft, teid)
+				}
+			}
+			slots := int(sw.nslots)
+			peakSlots = max(peakSlots, sw.FlowCount())
+			if slots > peakSlots {
+				t.Fatalf("seed %d op %d (%s): %d slots allocated for a table that never exceeded %d entries (freed slots not reused)",
+					seed, op, what, slots, peakSlots)
+			}
+		}
+		if len(sw.index) == 0 || sw.FlowCount() == 0 {
+			t.Fatalf("seed %d: stream ended on an empty table; it proves nothing", seed)
+		}
+	}
+}
+
+// TestIndexChainsAndSlots pins the index's corner cases one by one.
+func TestIndexChainsAndSlots(t *testing.T) {
+	dst := pkt.AddrFrom(172, 16, 0, 7)
+	ft := pkt.FiveTuple{Dst: dst, Proto: pkt.ProtoTCP}
+	out := func(port uint32) []pkt.Action { return []pkt.Action{{Type: pkt.ActionOutput, Port: port}} }
+	winner := func(sw *Switch) uint32 {
+		t.Helper()
+		i := sw.lookup(0, ft, 0)
+		if i != sw.lookupScan(0, ft, 0) {
+			t.Fatalf("lookup=%d scan=%d", i, sw.lookupScan(0, ft, 0))
+		}
+		if i == 0 {
+			return 0
+		}
+		return tag(&sw.slot(i).FlowEntry)
+	}
+
+	t.Run("same key at two priorities", func(t *testing.T) {
+		sw := benchSwitch()
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 1, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(1)})
+		sw.installFlow(FlowEntry{Priority: 110, Cookie: 2, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(2)})
+		sw.installFlow(FlowEntry{Priority: 50, Cookie: 3, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(3)})
+		if sw.FlowCount() != 3 || winner(sw) != 2 {
+			t.Fatalf("%d flows, winner #%d; want 3 flows, #2", sw.FlowCount(), winner(sw))
+		}
+		// Removing the key's current winner promotes the next in the chain.
+		sw.removeFlows(2)
+		if winner(sw) != 1 {
+			t.Errorf("after removing the winner: #%d, want #1", winner(sw))
+		}
+		sw.removeFlows(1)
+		if winner(sw) != 3 {
+			t.Errorf("after removing the middle: #%d, want #3", winner(sw))
+		}
+		sw.removeFlows(3)
+		if winner(sw) != 0 || len(sw.index) != 0 || len(sw.shapes) != 0 {
+			t.Errorf("empty table: winner #%d, %d index keys, shapes %v", winner(sw), len(sw.index), sw.shapes)
+		}
+	})
+
+	t.Run("matches differing only in EthType", func(t *testing.T) {
+		sw := benchSwitch()
+		plain := pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}
+		v4 := pkt.Match{IPv4Dst: pkt.AddrPtr(dst), EthType: pkt.U16(0x0800)}
+		v6 := pkt.Match{IPv4Dst: pkt.AddrPtr(dst), EthType: pkt.U16(0x86dd)}
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 1, Match: plain, Actions: out(1)})
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 2, Match: v4, Actions: out(2)})
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(3)})
+		// Three distinct entries under one key; the more specific, earlier
+		// one wins, as in the scan.
+		if sw.FlowCount() != 3 || winner(sw) != 2 {
+			t.Fatalf("%d flows, winner #%d; want 3 flows, #2", sw.FlowCount(), winner(sw))
+		}
+		// Re-installing one replaces that one only.
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(4)})
+		if sw.FlowCount() != 3 || winner(sw) != 2 {
+			t.Errorf("after re-install: %d flows, winner #%d", sw.FlowCount(), winner(sw))
+		}
+		sw.removeFlows(2)
+		if winner(sw) != 4 {
+			t.Errorf("after removing v4: winner #%d, want the replaced v6 (#4)", winner(sw))
+		}
+	})
+
+	t.Run("replace in place", func(t *testing.T) {
+		// epc's handover path switch re-points the SGW-U downlink rule by
+		// installing the same match and priority with new actions, and its
+		// compensation installs the old ones back: each must replace, not
+		// add, and keep the entry's place in the table.
+		sw := benchSwitch()
+		dl := pkt.Match{TunnelID: pkt.U64(0x5001)}
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xa, Match: pkt.Match{TunnelID: pkt.U64(1)}, Actions: out(1)})
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xd1, Match: dl, Actions: out(2)})
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xb, Match: pkt.Match{TunnelID: pkt.U64(2)}, Actions: out(3)})
+		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xd2, Match: dl, Actions: out(4)}) // path switch, new cookie
+		order := sw.tableOrder()
+		if sw.FlowCount() != 3 || tag(&sw.slot(order[1]).FlowEntry) != 4 {
+			t.Fatalf("after replace: %d flows, table %s", sw.FlowCount(), sw.DumpFlows())
+		}
+		if i := sw.lookup(0, pkt.FiveTuple{}, 0x5001); tag(&sw.slot(i).FlowEntry) != 4 {
+			t.Errorf("lookup still returns install #%d", tag(&sw.slot(i).FlowEntry))
+		}
+		// The replaced entry left its old cookie's chain and joined the new.
+		if n := sw.removeFlows(0xd1); n != 0 {
+			t.Errorf("old cookie still removes %d entries", n)
+		}
+		if n := sw.removeFlows(0xd2); n != 1 || sw.FlowCount() != 2 {
+			t.Errorf("new cookie removed %d entries, %d flows left", n, sw.FlowCount())
+		}
+	})
+
+	t.Run("slot reuse", func(t *testing.T) {
+		sw := benchSwitch()
+		for round := 0; round < 5; round++ {
+			for i := 0; i < 600; i++ { // spans chunk boundaries
+				sw.installFlow(FlowEntry{Priority: 100, Cookie: uint64(i % 7),
+					Match: pkt.Match{TunnelID: pkt.U64(uint64(round*1000 + i))}, Actions: out(uint32(i))})
+			}
+			for c := uint64(0); c < 7; c++ {
+				sw.removeFlows(c)
+			}
+			if sw.FlowCount() != 0 || len(sw.index) != 0 {
+				t.Fatalf("round %d: %d flows, %d keys left", round, sw.FlowCount(), len(sw.index))
+			}
+		}
+		if sw.nslots != 600 {
+			t.Errorf("%d slots after five fill/clear rounds of 600, want 600", sw.nslots)
+		}
+	})
+}
+
+// TestCacheFlushSequence sends one flow through hit -> install -> miss ->
+// hit and holds the three megaflow numbers every fingerprint contains to
+// the flush-on-any-write reference: a write (even one that changes nothing
+// for this flow, even a removal that removes nothing) empties the cache,
+// the next packet takes the slow path and re-learns, the one after hits.
+func TestCacheFlushSequence(t *testing.T) {
+	g := buildGWTopo(t, ACACIAGWCosts)
+	sw := g.sgwU
+	occupancy := func() float64 {
+		for _, m := range g.eng.Metrics().Snapshot().Metrics {
+			if m.Name == "sdn/sgw-u/megaflow/occupancy" {
+				return m.Value
+			}
+		}
+		t.Fatal("no occupancy gauge")
+		return 0
+	}
+	steps := []struct {
+		name            string
+		do              func()
+		fast, slow, occ uint64
+	}{
+		{"first packet learns", func() { g.sendTunneled(1000) }, 0, 1, 1},
+		{"second packet hits", func() { g.sendTunneled(1000) }, 1, 1, 1},
+		{"unrelated install flushes", func() {
+			sw.installFlow(FlowEntry{Priority: 100, Cookie: 9, Match: pkt.Match{TunnelID: pkt.U64(999)},
+				Actions: []pkt.Action{{Type: pkt.ActionDrop}}})
+		}, 1, 1, 0},
+		{"next packet misses the cache", func() { g.sendTunneled(1000) }, 1, 2, 1},
+		{"then hits", func() { g.sendTunneled(1000) }, 2, 2, 1},
+		{"removing nothing still flushes", func() { sw.removeFlows(0xdead) }, 2, 2, 0},
+		{"miss again", func() { g.sendTunneled(1000) }, 2, 3, 1},
+		{"re-install of the live entry flushes", func() {
+			sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xbea4e401, Match: pkt.Match{TunnelID: pkt.U64(101)},
+				Actions: []pkt.Action{
+					{Type: pkt.ActionSetTunnel, TunnelID: 201, TunnelDst: g.pgwU.Node().Addr()},
+					{Type: pkt.ActionOutput, Port: 1}}})
+		}, 2, 3, 0},
+		{"miss, hit", func() { g.sendTunneled(1000); g.eng.RunFor(time.Millisecond); g.sendTunneled(1000) }, 3, 4, 1},
+	}
+	for _, st := range steps {
+		st.do()
+		g.eng.RunFor(time.Millisecond)
+		s := sw.Stats()
+		if s.FastPathHits != st.fast || s.SlowPathHits != st.slow || occupancy() != float64(st.occ) {
+			t.Fatalf("%s: fast=%d slow=%d occupancy=%v, reference fast=%d slow=%d occupancy=%d",
+				st.name, s.FastPathHits, s.SlowPathHits, occupancy(), st.fast, st.slow, st.occ)
+		}
+	}
+	if g.dst.Node == nil || sw.Stats().TableMisses != 0 {
+		t.Errorf("table misses: %d", sw.Stats().TableMisses)
+	}
+}
+
+// benchWrite times table writes on a table of n entries: rounds of n/8
+// fresh installs and their n/8 removals by cookie, one half of each round
+// timed, so the table stays between n and 9n/8 (b.N is rounded up to whole
+// rounds).
+func benchWrite(b *testing.B, n int, timeInstall bool) {
+	sw := benchSwitch()
+	fillScaleTable(sw, n)
+	round := n / 8
+	e := FlowEntry{Priority: 100, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}}
+	install := func() {
+		for j := 0; j < round; j++ {
+			e.Cookie, e.Match = uint64(1<<40+j), pkt.Match{TunnelID: pkt.U64(uint64(1<<32 + j))}
+			sw.installFlow(e)
+		}
+	}
+	remove := func() {
+		for j := 0; j < round; j++ {
+			sw.removeFlows(uint64(1<<40 + j))
+		}
+	}
+	timed, untimed := install, remove
+	if !timeInstall {
+		install()
+		timed, untimed = remove, install
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += round {
+		timed()
+		b.StopTimer()
+		untimed()
+		b.StartTimer()
+	}
+}
+
+// The write-side witness: install cost must not depend on table size.
+func BenchmarkScaleInstall1k(b *testing.B)  { benchWrite(b, 1000, true) }
+func BenchmarkScaleInstall10k(b *testing.B) { benchWrite(b, 10000, true) }
+func BenchmarkScaleRemove10k(b *testing.B)  { benchWrite(b, 10000, false) }
 
 // The acceptance witness: indexed lookup vs the historical scan at 10k
 // installed entries.

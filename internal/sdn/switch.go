@@ -14,6 +14,9 @@ package sdn
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 	"time"
 
 	"acacia/internal/ctl"
@@ -23,7 +26,9 @@ import (
 	"acacia/internal/telemetry"
 )
 
-// FlowEntry is one OpenFlow table entry.
+// FlowEntry is one OpenFlow table entry as the controller specifies it. At
+// 112 bytes it is under the 128 a closure captures by value, which keeps a
+// FlowMod's delivery closure to one allocation.
 type FlowEntry struct {
 	Priority    uint16
 	Match       pkt.Match
@@ -36,18 +41,41 @@ type FlowEntry struct {
 	MeterBps float64
 	// MeterBurstBytes bounds the bucket; zero selects 1/10 s of MeterBps.
 	MeterBurstBytes int
-
-	lastUsed sim.Time
-	// Packets and Bytes count traffic handled by this entry (slow and fast
-	// path combined); MeterDrops counts packets the meter policed away.
-	Packets    uint64
-	Bytes      uint64
-	MeterDrops uint64
-
-	// Token bucket state.
-	tokens     float64
-	lastRefill sim.Time
 }
+
+func (e *FlowEntry) burst() float64 {
+	if e.MeterBurstBytes != 0 {
+		return float64(e.MeterBurstBytes)
+	}
+	return e.MeterBps / 8 / 10 // 100 ms of rate
+}
+
+// flowSlot is an installed entry: the specification, its links in the
+// switch's index (DESIGN.md §3h) and its run-time state. Slots are numbered
+// from 1 (0 is "none") and an entry keeps its number from install to
+// removal; a vacant slot has rank 0 and threads the free list through next.
+type flowSlot struct {
+	FlowEntry
+	// rank orders entries the way the table scan resolved overlaps, lowest
+	// first: bits 63..48 hold ^Priority, 47..44 hold 15-specificity, 43..0
+	// the arrival sequence (a replace keeps the one it replaces). Without
+	// the specificity bits it is table order: priority, then arrival.
+	rank uint64
+	// next chains the entries that share a match key, by ascending rank;
+	// cookieNext those that share a cookie bucket.
+	next, cookieNext int32
+
+	lastUsed   sim.Time
+	packets    uint64   // traffic handled by this entry, slow and fast path
+	tokens     float64  // token bucket
+	lastRefill sim.Time // token bucket
+}
+
+const (
+	rankSeqBits  = 44
+	rankSpecMask = uint64(0xf) << rankSeqBits
+	slotChunk    = 32 // slots per storage chunk: 5 KiB, what a table of ten cost as a slice
+)
 
 // PathCosts models per-packet processing cost on each path.
 type PathCosts struct {
@@ -89,13 +117,12 @@ type cacheKey struct {
 	inPort uint32
 	flow   pkt.FiveTuple
 	tos    uint8
-	teid   uint64
+	teid   uint32
 }
 
-// Shape bits for the tuple-space slow-path index: one bit per packet-visible
-// match field. EthType has no bit — the packet view carries no EthType, so
-// Match.Matches ignores it and entries fold into the shape of their
-// remaining fields.
+// Shape bits for the exact-match index: one bit per packet-visible match
+// field. EthType has no bit — the packet view carries no EthType, so entries
+// that differ only there share a key and are told apart on its chain.
 const (
 	shpInPort uint8 = 1 << iota
 	shpIPProto
@@ -104,71 +131,37 @@ const (
 	shpUDPSrc
 	shpUDPDst
 	shpTunnelID
+	numShapes
 )
 
-// idxKey is one tuple-space hash key: the shape plus the exact values of the
-// fields the shape selects (unselected fields stay zero). Every Match in
-// this model is exact-per-field (set pointer = exact value, nil = wildcard),
-// so every table entry hashes into exactly one (shape, values) bucket.
+// idxKey is one index key: the shape plus the exact values of the fields
+// the shape selects (unselected fields stay zero). Every Match in this model
+// is exact-per-field (set = exact value, unset = wildcard), so every table
+// entry hashes to exactly one (shape, values) key. The fields are ordered to
+// pack without holes, so the map hashes and compares them as one run.
 type idxKey struct {
-	shape        uint8
+	teid         uint64
 	inPort       uint32
-	proto        uint8
 	src, dst     pkt.Addr
 	sport, dport uint16
-	teid         uint64
+	shape, proto uint8
 }
 
-// matchShape computes the shape bitmap of a match.
-func matchShape(m *pkt.Match) uint8 {
-	var s uint8
-	if m.InPort != nil {
-		s |= shpInPort
-	}
-	if m.IPProto != nil {
-		s |= shpIPProto
-	}
-	if m.IPv4Src != nil {
-		s |= shpIPv4Src
-	}
-	if m.IPv4Dst != nil {
-		s |= shpIPv4Dst
-	}
-	if m.UDPSrc != nil {
-		s |= shpUDPSrc
-	}
-	if m.UDPDst != nil {
-		s |= shpUDPDst
-	}
-	if m.TunnelID != nil {
-		s |= shpTunnelID
-	}
-	return s
-}
-
-// entryKey hashes a table entry into its tuple-space bucket.
+// entryKey projects a match onto its index key.
 func entryKey(m *pkt.Match) idxKey {
-	k := idxKey{shape: matchShape(m)}
-	if m.InPort != nil {
-		k.inPort = *m.InPort
-	}
-	if m.IPProto != nil {
-		k.proto = *m.IPProto
-	}
-	if m.IPv4Src != nil {
-		k.src = *m.IPv4Src
-	}
-	if m.IPv4Dst != nil {
-		k.dst = *m.IPv4Dst
-	}
-	if m.UDPSrc != nil {
-		k.sport = *m.UDPSrc
-	}
-	if m.UDPDst != nil {
-		k.dport = *m.UDPDst
-	}
-	if m.TunnelID != nil {
-		k.teid = *m.TunnelID
+	var k idxKey
+	var set [7]bool
+	k.inPort, set[0] = m.InPort.Get()
+	k.proto, set[1] = m.IPProto.Get()
+	k.src, set[2] = m.IPv4Src.Get()
+	k.dst, set[3] = m.IPv4Dst.Get()
+	k.sport, set[4] = m.UDPSrc.Get()
+	k.dport, set[5] = m.UDPDst.Get()
+	k.teid, set[6] = m.TunnelID.Get()
+	for i, on := range set {
+		if on {
+			k.shape |= 1 << i
+		}
 	}
 	return k
 }
@@ -221,22 +214,29 @@ type Switch struct {
 	node *netsim.Node
 	eng  *sim.Engine
 
-	table   []FlowEntry
-	cache   map[cacheKey]int // megaflow cache: key -> table index
+	// The flow table is one exact-match index over slot-stable storage
+	// (DESIGN.md §3h), kept current by every table write. slots holds the
+	// entries in chunks of slotChunk, so growth never copies the table;
+	// nslots have been handed out, flows of them are live and free heads the
+	// vacant ones. index maps a match key to the best-ranked entry carrying
+	// that (shape, values) pair, cookieHeads a cookie's hash to a bucket of
+	// entries; both chains run through the slots. shapes lists the match
+	// shapes present (shapeKeys counts their keys): slow-path classify
+	// probes one key per listed shape.
+	slots       []*[slotChunk]flowSlot
+	nslots      int32
+	flows       int
+	free        int32
+	seq         uint64 // last arrival sequence handed out
+	index       map[idxKey]int32
+	cookieHeads []int32
+	cookieShift uint8
+	shapes      []uint8
+	shapeKeys   [numShapes]int32
+
+	cache   map[cacheKey]int32 // megaflow cache: key -> slot
 	costs   PathCosts
 	gtpPort map[int]bool // ports with GTP logical-port semantics
-
-	// Tuple-space slow-path index (DESIGN.md §3h): for every shape present
-	// in the table, the exact-value bucket maps to the lowest table index
-	// carrying that (shape, values) pair — which, with the table sorted by
-	// descending priority and insertion-stable, is the scan winner within
-	// the bucket. Lookup probes one bucket per active shape instead of
-	// walking the table. Any table mutation marks the index dirty; the next
-	// slow-path lookup rebuilds it (the same invalidation discipline the
-	// megaflow cache already uses).
-	index      map[idxKey]int
-	shapes     []uint8
-	indexDirty bool
 
 	controller *Controller
 	// ctlEP is the switch's OpenFlow control endpoint, set when the
@@ -284,12 +284,13 @@ func NewSwitch(dpid uint64, node *netsim.Node, costs PathCosts) *Switch {
 		DPID:    dpid,
 		node:    node,
 		eng:     node.Engine(),
-		cache:   make(map[cacheKey]int),
-		index:   make(map[idxKey]int),
+		cache:   make(map[cacheKey]int32),
+		index:   make(map[idxKey]int32),
 		costs:   costs,
 		gtpPort: make(map[int]bool),
 	}
 	sw.cpuDoneF = sw.cpuDone
+	sw.growCookieHeads()
 	scope := node.Engine().Metrics().Scope("sdn").Scope(node.Name())
 	sw.fastHits = scope.Counter("fastpath/hits")
 	sw.slowHits = scope.Counter("slowpath/hits")
@@ -323,7 +324,7 @@ func (sw *Switch) Stats() SwitchStats {
 }
 
 // FlowCount reports installed flow entries.
-func (sw *Switch) FlowCount() int { return len(sw.table) }
+func (sw *Switch) FlowCount() int { return sw.flows }
 
 // MarkGTPPort gives a port GTP logical-port semantics: packets output
 // through it are encapsulated with the staged tunnel metadata, and tunneled
@@ -385,7 +386,7 @@ func (sw *Switch) classifyCost(item pendingPacket) time.Duration {
 		return sw.costs.SlowPath
 	}
 	key := sw.keyFor(item.ingress, item.p)
-	if idx, ok := sw.cache[key]; ok && idx < len(sw.table) {
+	if _, ok := sw.cache[key]; ok {
 		return sw.costs.FastPath
 	}
 	return sw.costs.SlowPath
@@ -394,9 +395,9 @@ func (sw *Switch) classifyCost(item pendingPacket) time.Duration {
 // keyFor computes the megaflow key as the packet will look at table-lookup
 // time (after logical-port decapsulation).
 func (sw *Switch) keyFor(ingress *netsim.Port, p *netsim.Packet) cacheKey {
-	teid := uint64(0)
+	teid := uint32(0)
 	if p.Tunneled() && p.TunnelDst == sw.node.Addr() {
-		teid = uint64(p.TEID)
+		teid = p.TEID
 	}
 	inPort := uint32(0)
 	if ingress != nil {
@@ -423,24 +424,19 @@ func (sw *Switch) process(ingress *netsim.Port, p *netsim.Packet) {
 	}
 
 	inPort := key.inPort
-	// Fast path.
+	// Fast path. Every table write flushes the cache, so a cached slot still
+	// holds the entry that won this key's slow-path lookup.
 	if sw.costs.FastPathEnabled {
-		if idx, ok := sw.cache[key]; ok && idx < len(sw.table) {
-			e := &sw.table[idx]
-			if e.Match.Matches(inPort, p.Flow, tunnelMeta) {
-				sw.fastHits.Inc()
-				sw.apply(e, p)
-				return
-			}
-			// Stale cache entry (table changed): fall through to slow path.
-			delete(sw.cache, key)
-			sw.occupancy.Set(float64(len(sw.cache)))
+		if idx, ok := sw.cache[key]; ok {
+			sw.fastHits.Inc()
+			sw.apply(sw.slot(idx), p)
+			return
 		}
 	}
 
-	// Slow path: linear table scan in priority order.
+	// Slow path: user-space table lookup.
 	idx := sw.lookup(inPort, p.Flow, tunnelMeta)
-	if idx < 0 {
+	if idx == 0 {
 		sw.tableMisses.Inc()
 		if sw.controller != nil {
 			// The controller keeps the packet (buffer-and-page re-injects
@@ -457,108 +453,40 @@ func (sw *Switch) process(ingress *netsim.Port, p *netsim.Packet) {
 		sw.cache[key] = idx
 		sw.occupancy.Set(float64(len(sw.cache)))
 	}
-	sw.apply(&sw.table[idx], p)
+	sw.apply(sw.slot(idx), p)
 }
 
-// lookup returns the index of the highest-priority matching entry, or -1,
-// by probing one tuple-space bucket per shape present in the table. Ties
-// replicate the linear scan exactly: higher priority wins, then higher
-// specificity, then the lower table index (first installed).
-func (sw *Switch) lookup(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) int {
-	if sw.indexDirty {
-		sw.rebuildIndex()
-	}
-	best := -1
+// slot returns the entry in slot i.
+func (sw *Switch) slot(i int32) *flowSlot { return &sw.slots[(i-1)/slotChunk][(i-1)%slotChunk] }
+
+// lookup returns the slot of the winning entry for a packet view, or 0, by
+// probing one index key per shape present in the table. The winner is the
+// table scan's: higher priority, then higher specificity, then first
+// installed — the lowest rank.
+//
+//acacia:hotpath
+func (sw *Switch) lookup(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) int32 {
+	best, bestRank := int32(0), ^uint64(0)
 	for _, shape := range sw.shapes {
-		c, ok := sw.index[probeKey(shape, inPort, flow, tunnelID)]
-		if !ok {
-			continue
-		}
-		e := &sw.table[c]
-		if !e.Match.Matches(inPort, flow, tunnelID) {
-			// Guards the EthType fold: an entry keyed under this shape may
-			// still carry constraints the packet view cannot satisfy.
-			continue
-		}
-		if best < 0 {
-			best = c
-			continue
-		}
-		b := &sw.table[best]
-		if e.Priority > b.Priority ||
-			(e.Priority == b.Priority && e.Match.SpecificityScore() > b.Match.SpecificityScore()) ||
-			(e.Priority == b.Priority && e.Match.SpecificityScore() == b.Match.SpecificityScore() && c < best) {
-			best = c
-		}
-	}
-	return best
-}
-
-// lookupScan is the historical O(#flows) linear scan, kept as the semantic
-// reference: TestLookupMatchesScan holds lookup() to it entry for entry, and
-// the BenchmarkScaleLookup* pair quantifies the gap at 10k entries.
-func (sw *Switch) lookupScan(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) int {
-	best := -1
-	for i := range sw.table {
-		e := &sw.table[i]
-		if !e.Match.Matches(inPort, flow, tunnelID) {
-			continue
-		}
-		if best < 0 || e.Priority > sw.table[best].Priority ||
-			(e.Priority == sw.table[best].Priority &&
-				e.Match.SpecificityScore() > sw.table[best].Match.SpecificityScore()) {
-			best = i
-		}
-	}
-	return best
-}
-
-// rebuildIndex rehashes the table into the tuple-space buckets. Ascending
-// order makes the first writer of each bucket the lowest index with that
-// exact (shape, values) pair — the bucket's scan winner, since entries in
-// one bucket share a specificity and the table is priority-sorted.
-func (sw *Switch) rebuildIndex() {
-	for k := range sw.index {
-		delete(sw.index, k)
-	}
-	sw.shapes = sw.shapes[:0]
-	for i := range sw.table {
-		k := entryKey(&sw.table[i].Match)
-		if _, ok := sw.index[k]; !ok {
-			sw.index[k] = i
-		}
-		seen := false
-		for _, s := range sw.shapes {
-			if s == k.shape {
-				seen = true
-				break
+		if c, ok := sw.index[probeKey(shape, inPort, flow, tunnelID)]; ok {
+			if r := sw.slot(c).rank; r < bestRank {
+				best, bestRank = c, r
 			}
 		}
-		if !seen {
-			sw.shapes = append(sw.shapes, k.shape)
-		}
 	}
-	sw.indexDirty = false
+	return best
 }
 
 // meterAllows refills and charges the entry's token bucket; a false return
 // polices the packet away.
-func (e *FlowEntry) meterAllows(now sim.Time, size int) bool {
+func (e *flowSlot) meterAllows(now sim.Time, size int) bool {
 	if e.MeterBps <= 0 {
 		return true
 	}
-	burst := float64(e.MeterBurstBytes)
-	if burst == 0 {
-		burst = e.MeterBps / 8 / 10 // 100 ms of rate
-	}
 	elapsed := now.Sub(e.lastRefill).Seconds()
 	e.lastRefill = now
-	e.tokens += elapsed * e.MeterBps / 8
-	if e.tokens > burst {
-		e.tokens = burst
-	}
+	e.tokens = min(e.tokens+elapsed*e.MeterBps/8, e.burst())
 	if e.tokens < float64(size) {
-		e.MeterDrops++
 		return false
 	}
 	e.tokens -= float64(size)
@@ -566,15 +494,14 @@ func (e *FlowEntry) meterAllows(now sim.Time, size int) bool {
 }
 
 // apply executes an entry's actions on the packet.
-func (sw *Switch) apply(e *FlowEntry, p *netsim.Packet) {
+func (sw *Switch) apply(e *flowSlot, p *netsim.Packet) {
 	e.lastUsed = sw.eng.Now()
 	if !e.meterAllows(sw.eng.Now(), p.Size) {
 		sw.meterDrops.Inc()
 		sw.node.Network().Release(p)
 		return
 	}
-	e.Packets++
-	e.Bytes += uint64(p.Size)
+	e.packets++
 	sw.stagedTEID, sw.stagedDst = 0, pkt.Addr{}
 	for _, a := range e.Actions {
 		switch a.Type {
@@ -584,8 +511,7 @@ func (sw *Switch) apply(e *FlowEntry, p *netsim.Packet) {
 		case pkt.ActionSetField:
 			p.TOS = a.FieldValue
 		case pkt.ActionOutput:
-			out := p
-			sw.output(int(a.Port), out)
+			sw.output(int(a.Port), p)
 		case pkt.ActionDrop:
 			sw.node.Network().Release(p)
 			return
@@ -607,108 +533,218 @@ func (sw *Switch) output(portID int, p *netsim.Packet) {
 	sw.node.Port(portID).Send(p)
 }
 
-// installFlow adds (or replaces, on identical match+priority) an entry.
+// installFlow adds an entry, or replaces in place the one with the same
+// priority and match (the replacement keeps its predecessor's slot, arrival
+// order and chain position; counters and meter start afresh). Like every
+// table write it flushes the megaflow cache.
+//
+//acacia:hotpath
 func (sw *Switch) installFlow(e FlowEntry) {
-	e.lastUsed = sw.eng.Now()
-	if e.MeterBps > 0 {
-		// Start with a full bucket so the meter polices steady-state rate,
-		// not the first burst after installation.
-		burst := float64(e.MeterBurstBytes)
-		if burst == 0 {
-			burst = e.MeterBps / 8 / 10
-		}
-		e.tokens = burst
-		e.lastRefill = sw.eng.Now()
-	}
-	for i := range sw.table {
-		if sw.table[i].Priority == e.Priority && matchEqual(&sw.table[i].Match, &e.Match) {
-			sw.table[i] = e
-			sw.invalidateCache()
+	sw.flushCache()
+	key := entryKey(&e.Match)
+	class := uint64(^e.Priority)<<4 | uint64(15-e.Match.SpecificityScore()) // rank without the sequence
+	// Walk the key's chain to the first entry ranked after this class.
+	prev, at := int32(0), sw.index[key]
+	isNewKey := at == 0
+	for at != 0 {
+		s := sw.slot(at)
+		if c := s.rank >> rankSeqBits; c > class {
+			break
+		} else if c == class && s.Match == e.Match {
+			if s.Cookie == e.Cookie {
+				sw.arm(s, e)
+				return
+			}
+			sw.unlinkCookie(at)
+			sw.arm(s, e)
+			sw.linkCookie(at)
 			return
 		}
+		prev, at = at, s.next
 	}
-	// Insert keeping the table ordered by descending priority for
-	// deterministic iteration in dumps. Shifting only strictly-lower
-	// priorities keeps insertion stable (equal priorities stay in arrival
-	// order, as sort.SliceStable did) without its per-call closure and
-	// swapper allocations on the flow-install path.
-	sw.table = append(sw.table, e)
-	i := len(sw.table) - 1
-	for i > 0 && sw.table[i-1].Priority < e.Priority {
-		sw.table[i] = sw.table[i-1]
-		i--
+	if sw.flows == len(sw.cookieHeads) {
+		sw.growCookieHeads()
 	}
-	sw.table[i] = e
-	sw.invalidateCache()
+	i := sw.allocSlot()
+	s := sw.slot(i)
+	sw.seq++
+	s.rank, s.next = class<<rankSeqBits|sw.seq, at
+	if prev != 0 {
+		sw.slot(prev).next = i
+	} else {
+		sw.index[key] = i
+		if isNewKey {
+			if sw.shapeKeys[key.shape] == 0 {
+				sw.shapes = append(sw.shapes, key.shape)
+			}
+			sw.shapeKeys[key.shape]++
+		}
+	}
+	sw.flows++
+	sw.arm(s, e)
+	sw.linkCookie(i)
 }
 
-// removeFlows deletes entries matching the cookie, returning the count.
+// arm loads a specification into a slot and starts its state afresh.
+func (sw *Switch) arm(s *flowSlot, e FlowEntry) {
+	// A metered entry starts with a full bucket, so the meter polices the
+	// steady-state rate, not the first burst after installation.
+	s.FlowEntry, s.lastUsed, s.packets = e, sw.eng.Now(), 0
+	s.tokens, s.lastRefill = e.burst(), sw.eng.Now()
+}
+
+// allocSlot returns a vacant slot: the most recently freed one, else the
+// next of the last chunk.
+func (sw *Switch) allocSlot() int32 {
+	if i := sw.free; i != 0 {
+		sw.free = sw.slot(i).next
+		return i
+	}
+	if sw.nslots%slotChunk == 0 {
+		sw.slots = sw.growSlots()
+	}
+	sw.nslots++
+	return sw.nslots
+}
+
+//go:noinline
+func (sw *Switch) growSlots() []*[slotChunk]flowSlot {
+	return append(sw.slots, new([slotChunk]flowSlot))
+}
+
+// cookieBucket returns the head link of the chain a cookie hashes to.
+func (sw *Switch) cookieBucket(cookie uint64) *int32 {
+	return &sw.cookieHeads[cookie*0x9e3779b97f4a7c15>>sw.cookieShift]
+}
+
+// growCookieHeads doubles the bucket array (to at least 8) and rehashes the
+// live entries, keeping chains about one entry long.
+//
+//go:noinline
+func (sw *Switch) growCookieHeads() {
+	sw.cookieHeads = make([]int32, max(8, 2*len(sw.cookieHeads)))
+	sw.cookieShift = uint8(64 - bits.TrailingZeros(uint(len(sw.cookieHeads))))
+	for i := int32(1); i <= sw.nslots; i++ {
+		if sw.slot(i).rank != 0 {
+			sw.linkCookie(i)
+		}
+	}
+}
+
+// linkCookie puts slot i at the head of its cookie's bucket chain.
+func (sw *Switch) linkCookie(i int32) {
+	s, b := sw.slot(i), sw.cookieBucket(sw.slot(i).Cookie)
+	s.cookieNext, *b = *b, i
+}
+
+// unlinkCookie takes slot i out of its cookie's bucket chain.
+func (sw *Switch) unlinkCookie(i int32) {
+	b := sw.cookieBucket(sw.slot(i).Cookie)
+	for *b != i {
+		b = &sw.slot(*b).cookieNext
+	}
+	*b = sw.slot(i).cookieNext
+}
+
+// release takes slot i out of its match key's chain (its cookie chain is the
+// caller's business) and returns it to the free list.
+func (sw *Switch) release(i int32) {
+	s := sw.slot(i)
+	key := entryKey(&s.Match)
+	switch h := sw.index[key]; {
+	case h != i:
+		p := sw.slot(h)
+		for p.next != i {
+			p = sw.slot(p.next)
+		}
+		p.next = s.next
+	case s.next != 0:
+		sw.index[key] = s.next
+	default:
+		delete(sw.index, key)
+		if sw.shapeKeys[key.shape]--; sw.shapeKeys[key.shape] == 0 {
+			j := slices.Index(sw.shapes, key.shape)
+			sw.shapes = slices.Delete(sw.shapes, j, j+1)
+		}
+	}
+	*s = flowSlot{next: sw.free}
+	sw.free = i
+	sw.flows--
+}
+
+// removeFlows deletes the entries carrying the cookie, returning the count.
+//
+//acacia:hotpath
 func (sw *Switch) removeFlows(cookie uint64) int {
-	kept := sw.table[:0]
+	sw.flushCache()
 	removed := 0
-	for _, e := range sw.table {
-		if e.Cookie == cookie {
-			removed++
+	for b := sw.cookieBucket(cookie); *b != 0; {
+		i := *b
+		if s := sw.slot(i); s.Cookie != cookie {
+			b = &s.cookieNext
 			continue
 		}
-		kept = append(kept, e)
+		*b = sw.slot(i).cookieNext
+		sw.release(i)
+		removed++
 	}
-	sw.table = kept
-	sw.invalidateCache()
 	return removed
 }
 
-// invalidateCache flushes the megaflow cache and marks the tuple-space
-// index dirty; indices into the table are no longer valid after any table
-// mutation.
-func (sw *Switch) invalidateCache() {
-	for k := range sw.cache {
-		delete(sw.cache, k)
+// flushCache empties the megaflow cache: any table write invalidates every
+// megaflow, as an OVS revalidation pass would (DESIGN.md §3h).
+func (sw *Switch) flushCache() {
+	if len(sw.cache) > 0 {
+		clear(sw.cache)
 	}
 	sw.occupancy.Set(0)
-	sw.indexDirty = true
+}
+
+// tableOrder lists the live slots in table order: descending priority, then
+// arrival. Dumps and expiry passes walk it; nothing per-packet does.
+func (sw *Switch) tableOrder() []int32 {
+	order := make([]int32, 0, sw.flows)
+	for i := int32(1); i <= sw.nslots; i++ {
+		if sw.slot(i).rank != 0 {
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return sw.slot(order[a]).rank&^rankSpecMask < sw.slot(order[b]).rank&^rankSpecMask
+	})
+	return order
 }
 
 // ExpireIdleFlows removes entries idle past their timeout, as the periodic
 // OVS revalidator does. Returns the number removed.
 func (sw *Switch) ExpireIdleFlows() int {
 	now := sw.eng.Now()
-	kept := sw.table[:0]
 	removed := 0
-	for _, e := range sw.table {
-		if e.IdleTimeout > 0 && now.Sub(e.lastUsed) >= e.IdleTimeout {
-			removed++
-			sw.flowsExpired.Inc()
-			if sw.controller != nil {
-				sw.controller.flowRemoved(sw, &e)
-			}
+	for _, i := range sw.tableOrder() {
+		e := sw.slot(i)
+		if e.IdleTimeout <= 0 || now.Sub(e.lastUsed) < e.IdleTimeout {
 			continue
 		}
-		kept = append(kept, e)
+		removed++
+		sw.flowsExpired.Inc()
+		if sw.controller != nil {
+			sw.controller.flowRemoved(sw, &e.FlowEntry)
+		}
+		sw.unlinkCookie(i)
+		sw.release(i)
 	}
-	sw.table = kept
 	if removed > 0 {
-		sw.invalidateCache()
+		sw.flushCache()
 	}
 	return removed
 }
 
 // DumpFlows returns a human-readable table dump for debugging.
 func (sw *Switch) DumpFlows() string {
-	s := fmt.Sprintf("switch dpid=%d (%s): %d flows\n", sw.DPID, sw.node.Name(), len(sw.table))
-	for _, e := range sw.table {
-		s += fmt.Sprintf("  prio=%d cookie=%#x pkts=%d actions=%d\n", e.Priority, e.Cookie, e.Packets, len(e.Actions))
+	s := fmt.Sprintf("switch dpid=%d (%s): %d flows\n", sw.DPID, sw.node.Name(), sw.flows)
+	for _, i := range sw.tableOrder() {
+		e := sw.slot(i)
+		s += fmt.Sprintf("  prio=%d cookie=%#x pkts=%d actions=%d\n", e.Priority, e.Cookie, e.packets, len(e.Actions))
 	}
 	return s
-}
-
-func matchEqual(a, b *pkt.Match) bool {
-	eqU32 := func(x, y *uint32) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqU16 := func(x, y *uint16) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqU8 := func(x, y *uint8) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqU64 := func(x, y *uint64) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	eqAddr := func(x, y *pkt.Addr) bool { return (x == nil) == (y == nil) && (x == nil || *x == *y) }
-	return eqU32(a.InPort, b.InPort) && eqU16(a.EthType, b.EthType) && eqU8(a.IPProto, b.IPProto) &&
-		eqAddr(a.IPv4Src, b.IPv4Src) && eqAddr(a.IPv4Dst, b.IPv4Dst) &&
-		eqU16(a.UDPSrc, b.UDPSrc) && eqU16(a.UDPDst, b.UDPDst) && eqU64(a.TunnelID, b.TunnelID)
 }
