@@ -108,6 +108,53 @@ func BenchmarkAllocPacketPath(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocQueuedLink measures the link transmit queue in steady state
+// under congestion: a FIFO direction (a -> b, one lane) and a QCI-prioritised
+// one (b -> a, nine lanes) each hold a 64-packet backlog, and every
+// iteration offers one packet to each and serialises one out of each, so
+// lanes compact, drain and refill with no allocation.
+func BenchmarkAllocQueuedLink(b *testing.B) {
+	eng := sim.NewEngine(1)
+	nw := netsim.New(eng)
+	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
+	nb := nw.AddNode("b", pkt.AddrFrom(10, 0, 0, 2))
+	netsim.NewSink(netsim.NewHost(na), 9000)
+	netsim.NewSink(netsim.NewHost(nb), 9000)
+	fifo := netsim.LinkConfig{BitsPerSecond: 10e6, Propagation: time.Millisecond}
+	radio := fifo
+	radio.Prioritized = true
+	nw.Connect(na, nb, fifo, radio)
+	const size = 1250 // 1 ms of serialisation at 10 Mbps
+	n := 0
+	offer := func() {
+		for _, end := range [2][2]*netsim.Node{{na, nb}, {nb, na}} {
+			p := end[0].NewPacket()
+			p.Flow = pkt.FiveTuple{Src: end[0].Addr(), Dst: end[1].Addr(), DstPort: 9000, Proto: pkt.ProtoUDP}
+			p.Size, p.Priority = size, 1+n%9
+			end[0].Inject(p)
+		}
+		n++
+	}
+	for i := 0; i < 64; i++ {
+		offer()
+	}
+	step := func() {
+		offer()
+		eng.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 256; i++ { // warm pools, lanes and the compaction cycle
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	if got := nw.Links()[0].BacklogAB(); got < 32*size {
+		b.Fatalf("a->b backlog %d bytes: the direction is not congested", got)
+	}
+}
+
 // BenchmarkAllocEngineAfter measures pooled event scheduling with a
 // pre-bound callback, the engine's per-event hot path.
 func BenchmarkAllocEngineAfter(b *testing.B) {

@@ -103,7 +103,7 @@ func (b *ARBackend) migrateStateBytes(snap TrackSnapshot) int {
 	}
 	for _, o := range b.db.InSubsections(ids) {
 		// Per feature: one descriptor (float32 x DescriptorDim) + keypoint.
-		n += len(o.Features.Descriptors) * (vision.DescriptorDim*4 + 16)
+		n += o.FeatureCount() * (vision.DescriptorDim*4 + 16)
 	}
 	return n
 }

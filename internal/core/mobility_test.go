@@ -1,12 +1,14 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"acacia/internal/epc"
 	"acacia/internal/geo"
 	"acacia/internal/sim"
+	"acacia/internal/vision"
 )
 
 // TestCrossSiteHandoverMigratesSession walks a user from the west half of
@@ -107,5 +109,64 @@ func TestCrossSiteHandoverMigratesSession(t *testing.T) {
 	}
 	if gap := firstAfter.Sub(lastBefore); gap > b.Frontend.FrameTimeout+time.Second {
 		t.Errorf("continuity gap %v exceeds a frame timeout", gap)
+	}
+}
+
+// TestNewTestbedBuildsNoDescriptors holds the testbed build to what a trial
+// reads: the retail database is lazy (vision.BuildRetailDB), so NewTestbed
+// allocates well under 1 MB — the eager build was ≈ 5.7 MB, 5.5 MB of it
+// SURF descriptors no back-end reads, and ≈ 60 ms per testbed.
+func TestNewTestbedBuildsNoDescriptors(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb := newRetailTestbed(t, TestbedConfig{})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("NewTestbed allocated %d bytes, want < 1 MiB", got)
+	}
+	if tb.DB.Len() != 105 {
+		t.Fatalf("DB has %d objects", tb.DB.Len())
+	}
+}
+
+// TestRetailSessionNeverMaterialisesDB runs what the testbed's back-ends do
+// with the database — four UEs' pruned frame matching, then a cross-site
+// migration whose state size counts the DB slice near the user — and checks
+// no object's descriptors were ever generated, while the migrated state is
+// still sized by them.
+func TestRetailSessionNeverMaterialisesDB(t *testing.T) {
+	tb := newRetailTestbed(t, TestbedConfig{NumUEs: 4})
+	tb.AddEdgeSite("edge-2")
+	east := tb.AddCellENB("enb-east")
+	tb.BindSiteToENB("edge-2", "enb-east")
+	start := geo.Point{X: 15, Y: 15}
+	for i, b := range tb.UEs {
+		tb.MoveUE(b, geo.Point{X: start.X, Y: start.Y + float64(i)})
+		if err := tb.Attach(b); err != nil {
+			t.Fatalf("UE %d attach: %v", i, err)
+		}
+		if err := tb.StartRetailApp(b, "electronics"); err != nil {
+			t.Fatalf("UE %d register: %v", i, err)
+		}
+	}
+	tb.Run(5 * time.Second)
+	b := tb.UEs[0]
+	walk := geo.Walker{Path: geo.Path{Waypoints: []geo.Point{start, {X: 27, Y: 15}}}, Speed: 1.4}
+	tb.StartWalk(b, walk, geo.MidlineCell(21), []*epc.ENB{tb.ENB, east}, 100*time.Millisecond, nil)
+	tb.Run(walk.Duration() + 5*time.Second)
+
+	if tb.EdgeBackend.Frames == 0 || b.Frontend.Migrations != 1 {
+		t.Fatalf("frames = %d, migrations = %d; want a live session and one migration",
+			tb.EdgeBackend.Frames, b.Frontend.Migrations)
+	}
+	// At least the session context plus one object's descriptors moved.
+	perObject := DBObjectFeatures * (vision.DescriptorDim*4 + 16)
+	if int(b.Frontend.MigratedBytes) < migrateSessionCtxBytes+perObject {
+		t.Errorf("migrated %d bytes, want the DB slice counted", b.Frontend.MigratedBytes)
+	}
+	for _, o := range tb.DB.Objects {
+		if o.Materialised() {
+			t.Fatalf("%s was materialised by a retail session", o.Name)
+		}
 	}
 }

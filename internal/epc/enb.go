@@ -53,8 +53,12 @@ type ueCtx struct {
 	radioPort int // eNB-side port of the radio link
 	uePort    int // UE-side port of the radio link
 	connected bool
-	lastSeen  sim.Time
-	ulBuffer  []*netsim.Packet
+	// dlTEID[ebi-EBIDefault] is the bearer's key in byDLTEID, 0 for none:
+	// the reverse index that drops one bearer's mapping without ranging
+	// over every UE's.
+	dlTEID   [16 - EBIDefault]uint32
+	lastSeen sim.Time
+	ulBuffer []*netsim.Packet
 }
 
 // maxULBuffer bounds uplink buffering during promotion.
@@ -229,19 +233,25 @@ func (e *ENB) handleDownlink(p *netsim.Packet) {
 // attachBearer installs the radio/S1 downlink mapping for a bearer and
 // returns the freshly allocated eNB-side downlink TEID.
 func (e *ENB) attachBearer(sess *Session, b *Bearer) uint32 {
-	ctx := e.byUEIP[sess.UE.Addr()]
+	teid := e.teids.alloc()
+	e.mapBearer(e.byUEIP[sess.UE.Addr()], sess, b.EBI, teid)
+	return teid
+}
+
+// mapBearer marks ctx connected for sess and points the bearer's downlink
+// at teid, dropping any stale mapping the bearer had.
+func (e *ENB) mapBearer(ctx *ueCtx, sess *Session, ebi uint8, teid uint32) {
 	ctx.sess = sess
 	ctx.connected = true
 	ctx.lastSeen = e.core.Eng.Now()
-	// Drop any stale mapping for this bearer.
-	for teid, key := range e.byDLTEID {
-		if key.ctx == ctx && key.ebi == b.EBI {
-			delete(e.byDLTEID, teid)
-		}
-	}
-	teid := e.teids.alloc()
-	e.byDLTEID[teid] = dlKey{ctx: ctx, ebi: b.EBI}
-	return teid
+	e.unmapBearer(ctx, ebi)
+	ctx.dlTEID[ebi-EBIDefault] = teid
+	e.byDLTEID[teid] = dlKey{ctx: ctx, ebi: ebi}
+}
+
+func (e *ENB) unmapBearer(ctx *ueCtx, ebi uint8) {
+	delete(e.byDLTEID, ctx.dlTEID[ebi-EBIDefault]) // TEIDs start at 1
+	ctx.dlTEID[ebi-EBIDefault] = 0
 }
 
 // restoreBearerMapping reinstates a previously held downlink mapping for a
@@ -251,27 +261,15 @@ func (e *ENB) attachBearer(sess *Session, b *Bearer) uint32 {
 // at) instead of allocating a fresh one, and tolerates the UE context being
 // gone entirely.
 func (e *ENB) restoreBearerMapping(sess *Session, ebi uint8, teid uint32) {
-	ctx := e.byUEIP[sess.UE.Addr()]
-	if ctx == nil {
-		return
+	if ctx := e.byUEIP[sess.UE.Addr()]; ctx != nil {
+		e.mapBearer(ctx, sess, ebi, teid)
 	}
-	ctx.sess = sess
-	ctx.connected = true
-	ctx.lastSeen = e.core.Eng.Now()
-	for old, key := range e.byDLTEID {
-		if key.ctx == ctx && key.ebi == ebi {
-			delete(e.byDLTEID, old)
-		}
-	}
-	e.byDLTEID[teid] = dlKey{ctx: ctx, ebi: ebi}
 }
 
 // detachBearer removes a dedicated bearer's radio mapping.
 func (e *ENB) detachBearer(sess *Session, ebi uint8) {
-	for teid, key := range e.byDLTEID {
-		if key.ctx.sess == sess && key.ebi == ebi {
-			delete(e.byDLTEID, teid)
-		}
+	if ctx := e.byUEIP[sess.UE.Addr()]; ctx != nil && ctx.sess == sess {
+		e.unmapBearer(ctx, ebi)
 	}
 }
 
@@ -283,10 +281,8 @@ func (e *ENB) releaseContext(sess *Session) {
 		return
 	}
 	ctx.connected = false
-	for teid, key := range e.byDLTEID {
-		if key.ctx == ctx {
-			delete(e.byDLTEID, teid)
-		}
+	for i := range ctx.dlTEID {
+		e.unmapBearer(ctx, uint8(i)+EBIDefault)
 	}
 }
 

@@ -136,7 +136,7 @@ func ablationStages() Experiment {
 						for i := 0; i < frames; i++ {
 							target := db.Objects[(i*11)%db.Len()]
 							frameRNG := sim.NewRNG(subSeed(base, "ablation-stages", "frame", fmt.Sprint(i)))
-							frame := vision.GenerateFrame(target.Features, vision.DefaultFrameParams(96), frameRNG)
+							frame := vision.GenerateFrame(target.Features(), vision.DefaultFrameParams(96), frameRNG)
 							res := db.Search(frame, []int{target.Subsection}, m)
 							macs.Add(res.MACs)
 							switch {
@@ -155,9 +155,7 @@ func ablationStages() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Matching pipeline stages on real synthetic frames",
 				"stages", "true positives", "false matches", "mean MACs/frame")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "ablation-stages", Title: Title("ablation-stages"), Tables: []*stats.Table{tbl},
 				Notes: []string{"the paper's back-end keeps all stages: they raise accuracy at extra runtime (§6.3)"}}
 		},
@@ -232,9 +230,7 @@ func ablationRadius() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Pruning radius vs search cost and coverage",
 				"radius (m)", "mean candidates", "coverage (%)", "mean match ms (i7x8, 720x480)")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "ablation-radius", Title: Title("ablation-radius"), Tables: []*stats.Table{tbl},
 				Notes: []string{"small radii miss the true cell under ~3 m localization error; ACACIA's 7.5 m default keeps coverage high at a fraction of the full-search cost"}}
 		},
@@ -282,9 +278,7 @@ func ablationSolver() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Trilateration solver accuracy (m) over 24 checkpoints, 7 landmarks",
 				"solver", "mean", "p95", "max")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "ablation-solver", Title: Title("ablation-solver"), Tables: []*stats.Table{tbl},
 				Notes: []string{"nonlinear least squares tolerates ranging noise better, at negligible cost for 7 landmarks"}}
 		},
@@ -319,9 +313,7 @@ func ablationQCI() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("CI-server RTT (ms) by dedicated-bearer QCI under 45 Mbps DL bulk load (40 Mbps radio)",
 				"QCI", "median", "p95")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "ablation-qci", Title: Title("ablation-qci"), Tables: []*stats.Table{tbl},
 				Notes: []string{"the MEC bearer's high-priority QCI keeps CI latency flat when lower-priority traffic saturates the radio"}}
 		},
@@ -385,7 +377,7 @@ func ablationIndex() Experiment {
 			return db.Search(q, nil, m)
 		}},
 		{"geo-pruned (ACACIA)", func(db *vision.DB, floor *geo.Floor, _ *vision.Index, m *vision.Matcher, q *vision.FeatureSet, target *vision.Object) vision.SearchResult {
-			cells := floor.SubsectionsNear(db.Objects[indexOf(db, target)].Pos, core.PruneRadius)
+			cells := floor.SubsectionsNear(target.Pos, core.PruneRadius)
 			return db.Search(q, cells, m)
 		}},
 		{"LSH top-5", func(db *vision.DB, _ *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
@@ -419,7 +411,7 @@ func ablationIndex() Experiment {
 						for i := 0; i < frames; i++ {
 							target := db.Objects[(i*17)%db.Len()]
 							frameRNG := sim.NewRNG(subSeed(base, "ablation-index", "frame", fmt.Sprint(i)))
-							q := vision.GenerateFrame(target.Features, vision.DefaultFrameParams(96), frameRNG)
+							q := vision.GenerateFrame(target.Features(), vision.DefaultFrameParams(96), frameRNG)
 							res := st.search(db, floor, ix, m, q, target)
 							macs.Add(res.MACs)
 							cands.Add(float64(res.Candidates))
@@ -436,22 +428,11 @@ func ablationIndex() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Search strategy vs work and recall (real matching pipeline)",
 				"strategy", "recall (%)", "mean MACs/frame", "mean candidates")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "ablation-index", Title: Title("ablation-index"), Tables: []*stats.Table{tbl},
 				Notes: []string{
 					"geo-pruning uses user context (free at query time); LSH trades a small hashing cost for content-based pruning that works without location",
 				}}
 		},
 	}
-}
-
-func indexOf(db *vision.DB, target *vision.Object) int {
-	for i, o := range db.Objects {
-		if o == target {
-			return i
-		}
-	}
-	return 0
 }

@@ -201,9 +201,7 @@ func fig11a() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Mean match time (ms) by scheme",
 				"machine (resolution)", "ACACIA", "rxPower", "Naive", "speedup vs Naive")
-			for _, p := range parts[:len(parts)-1] {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts[:len(parts)-1])
 			acc := stats.NewTable("Search accuracy across the 24 checkpoints",
 				"scheme", "covered", "false negatives")
 			for _, row := range parts[len(parts)-1].([][]any) {
@@ -249,9 +247,7 @@ func fig11b() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Match runtime (ms) distribution at 960x720",
 				"scheme (machine)", "p25", "median", "p75", "p95", "max")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "11b", Title: Title("11b"), Tables: []*stats.Table{tbl},
 				Notes: []string{"paper: without location pruning some frames exceed 1 s on the i7"}}
 		},

@@ -114,6 +114,13 @@ func (o Options) BaseSeed() uint64 {
 	return o.Seed
 }
 
+// addRows appends one table row per trial result (each a []any of cells).
+func addRows(tbl *stats.Table, parts []any) {
+	for _, p := range parts {
+		tbl.AddRow(p.([]any)...)
+	}
+}
+
 // subSeed derives a deterministic seed from base and labels without
 // consuming any RNG state, so two trials asking for the same labeled stream
 // (a shared calibration campaign, a per-frame generator) get identical

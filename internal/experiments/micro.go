@@ -375,9 +375,7 @@ func fig10a() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("UE to MEC server RTT (ms) by dedicated-bearer QCI",
 				"QCI", "median", "p95", "p99")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "10a", Title: Title("10a"), Tables: []*stats.Table{tbl},
 				Notes: []string{"paper: 95% of RTTs within 15 ms regardless of QCI on an unloaded edge; eNB-MEC leg ≈1.6 ms"}}
 		},
@@ -408,9 +406,7 @@ func fig10b() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Latency (ms) vs background traffic by architecture",
 				"bg (Mbps)", "Conventional EPC", "EPC with MEC", "ACACIA")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "10b", Title: Title("10b"), Tables: []*stats.Table{tbl},
 				Notes: []string{
 					"below saturation the MEC server's proximity dominates; past ≈90 Mbps the shared core's queue grows while ACACIA's isolated edge path stays flat",

@@ -44,9 +44,7 @@ func mobilityContinuity() Experiment {
 			tbl := stats.NewTable("Mid-session walk across a cell boundary (two sites, two cells)",
 				"DB features/obj", "state (KB)", "handovers", "relocations", "migrations",
 				"transfer (ms)", "continuity gap (ms)", "frames lost", "final site", "status")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "mobility-continuity", Title: Title("mobility-continuity"), Tables: []*stats.Table{tbl},
 				Notes: []string{
 					"the walk crosses the midline once at 1.4 m/s; the handover completion drives the MRS relocation and the freeze/copy/resume transfer",

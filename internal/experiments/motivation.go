@@ -116,9 +116,7 @@ func fig3c() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("RTT (ms) from UE to EC2 regions over LTE",
 				"region", "p10", "p25", "median", "p75", "p90", "p95")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "3c", Title: Title("3c"), Tables: []*stats.Table{tbl},
 				Notes: []string{"paper: California shortest at ≈70 ms median; ordering CA < OR < VA reproduced"}}
 		},

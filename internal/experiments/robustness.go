@@ -40,9 +40,7 @@ func controlLoss() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Attach + dedicated bearer over a lossy S11 control link",
 				"S11 loss", "attach", "bearer", "retrans", "timeouts", "dups", "mean txn RTT (ms)")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "control-loss", Title: Title("control-loss"), Tables: []*stats.Table{tbl},
 				Notes: []string{
 					"T3=100ms/N3=3 (GTPv2 retransmission analog): moderate loss costs retransmissions, not procedures",
@@ -100,9 +98,7 @@ func robustFailover() Experiment {
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Edge-site crash mid-session: detection and recovery",
 				"fail at", "probe period", "misses", "detect (ms)", "repair (ms)", "downtime (ms)", "frames lost", "recovered")
-			for _, p := range parts {
-				tbl.AddRow(p.([]any)...)
-			}
+			addRows(tbl, parts)
 			return &Result{ID: "robust-failover", Title: Title("robust-failover"), Tables: []*stats.Table{tbl},
 				Notes: []string{
 					"detect ≈ maxMisses×period (GTP-U echo supervision at the site SGW-U); repair is pure control-plane signalling",

@@ -413,7 +413,15 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		ci := netsim.NewHost(sn.ci)
 		ciEng := sn.ci.Engine()
 		var busyUntil sim.Time
-		ci.Listen(scaleFramePort, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
+		// reply answers a served request packet: bound once per site, the
+		// boxed payload passed through — no Event, closure or box per frame.
+		reply := func(req any) {
+			p := req.(*netsim.Packet)
+			src, fr := p.Flow.Src, p.Payload
+			ci.Node.Network().Release(p)
+			ci.Send(src, scaleFramePort, scaleRespPort, pkt.ProtoUDP, scaleFrameResp, fr)
+		}
+		ci.Listen(scaleFramePort, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) {
 			st.Served++
 			now := ciEng.Now()
 			start := now
@@ -421,12 +429,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 				start = busyUntil
 			}
 			busyUntil = start.Add(cfg.FrameService)
-			src := p.Flow.Src
-			fr := p.Payload.(scaleFrame)
-			ciEng.Schedule(busyUntil.Sub(now), func() {
-				h.Send(src, scaleFramePort, scaleRespPort, pkt.ProtoUDP, scaleFrameResp, fr)
-			})
-			h.Node.Network().Release(p)
+			ciEng.AfterArg(busyUntil.Sub(now), reply, p)
 		}))
 	}
 

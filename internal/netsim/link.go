@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/bits"
 	"time"
 
 	"acacia/internal/sim"
@@ -34,6 +35,13 @@ type LinkConfig struct {
 // DefaultQueueBytes is the transmit queue bound applied when a LinkConfig
 // leaves QueueBytes zero.
 const DefaultQueueBytes = 256 << 10
+
+func (cfg LinkConfig) withDefaults() LinkConfig {
+	if cfg.QueueBytes == 0 {
+		cfg.QueueBytes = DefaultQueueBytes
+	}
+	return cfg
+}
 
 // LinkStats counts per-direction link activity. It is a point-in-time view
 // assembled from the link's telemetry counters (the authoritative store in
@@ -71,11 +79,10 @@ type linkDir struct {
 	cross  bool
 	cfg    LinkConfig
 	dst    *Port
-	queue  pktHeap
+	queue  laneQueue
 	qBytes int
 	busy   bool
 	down   bool
-	seq    uint64 // FIFO tie-break within a priority level
 
 	// txDoneF/arriveF are method values bound once at construction and
 	// passed to Engine.AfterArg, so per-packet scheduling allocates no
@@ -91,13 +98,10 @@ type linkDir struct {
 }
 
 func newLinkDir(net *Network, srcDom, dstDom *Domain, cfg LinkConfig, dst *Port, srcScope, dstScope telemetry.Scope) *linkDir {
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = DefaultQueueBytes
-	}
 	d := &linkDir{
 		net: net, eng: srcDom.eng, dstEng: dstDom.eng, dstDom: dstDom,
 		cross: srcDom != dstDom,
-		cfg:   cfg, dst: dst,
+		cfg:   cfg.withDefaults(), dst: dst,
 		// Source-side events touch sent/dropped/bytes/queue-bytes; the
 		// arrival event — which runs in the destination partition — touches
 		// delivered, so it registers in the destination registry.
@@ -161,8 +165,7 @@ func (d *linkDir) send(p *Packet) {
 	if d.cfg.Prioritized {
 		prio = p.Priority
 	}
-	d.queue.push(queuedPacket{p: p, prio: prio, seq: d.seq, enq: d.eng.Now()})
-	d.seq++
+	d.queue.push(prio, queuedPacket{p: p, enq: d.eng.Now()})
 	if !d.busy {
 		d.transmitNext()
 	}
@@ -170,7 +173,7 @@ func (d *linkDir) send(p *Packet) {
 
 //acacia:hotpath
 func (d *linkDir) transmitNext() {
-	if d.queue.Len() == 0 {
+	if d.queue.nonEmpty == 0 {
 		d.busy = false
 		return
 	}
@@ -235,68 +238,73 @@ func (d *linkDir) arrive(v any) {
 func (d *linkDir) Backlog() int { return d.qBytes }
 
 type queuedPacket struct {
-	p    *Packet
-	prio int
-	seq  uint64
-	enq  sim.Time
+	p   *Packet
+	enq sim.Time
 }
 
-// pktHeap is a hand-rolled binary min-heap of queuedPacket values ordered by
-// (prio, seq). container/heap would box every value through its any-typed
-// Push/Pop, allocating per enqueue on the busiest path in the simulator;
-// storing values in a plain slice makes enqueue allocation-free (amortized).
-type pktHeap []queuedPacket
+// maxLanes bounds a link's scheduling priorities to 0 (FIFO links; most
+// urgent) through 15; QCI priorities are 1-10 (pkt.QCI.Priority).
+const maxLanes = 16
 
-func (h pktHeap) Len() int { return len(h) }
-
-func (h pktHeap) less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	return h[i].seq < h[j].seq
+// lane is one priority level's FIFO: items[head:] wait, popping advances
+// head (see Node.cpuQueue for why it does not re-slice from the front).
+type lane struct {
+	items []queuedPacket
+	head  int
 }
 
+// laneQueue is a direction's transmit queue: one FIFO lane per priority and
+// a bitmask of the non-empty ones. Pop takes the head of the lowest set
+// bit's lane, which is (priority, arrival) order in O(1) — also across a
+// mid-run SetConfigAB toggling Prioritized, since a packet's lane is fixed
+// at push. lanes grows to prio+1 on first use: most directions are delay
+// lines that never queue, and a wired FIFO only ever has lane 0.
+type laneQueue struct {
+	lanes    []lane
+	nonEmpty uint16
+}
+
+// push appends it to lane prio. A priority outside [0, maxLanes) is a
+// caller bug and panics rather than being clamped into another class's lane.
+//
 //acacia:hotpath
-func (h *pktHeap) push(it queuedPacket) {
-	q := append(*h, it)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+func (q *laneQueue) push(prio int, it queuedPacket) {
+	if uint(prio) >= uint(len(q.lanes)) {
+		q.grow(prio)
 	}
-	*h = q
+	l := &q.lanes[prio]
+	l.items = append(l.items, it)
+	q.nonEmpty |= 1 << prio
 }
 
-//acacia:hotpath
-func (h *pktHeap) pop() queuedPacket {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = queuedPacket{}
-	q = q[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && q.less(l, small) {
-			small = l
-		}
-		if r < n && q.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
+//go:noinline
+func (q *laneQueue) grow(prio int) {
+	if uint(prio) >= maxLanes {
+		panic("netsim: link queue priority outside [0, 16)")
 	}
-	*h = q
-	return top
+	q.lanes = append(q.lanes, make([]lane, prio+1-len(q.lanes))...)
+}
+
+// pop removes the first-arrived packet of the most urgent non-empty lane.
+//
+//acacia:hotpath
+func (q *laneQueue) pop() queuedPacket {
+	prio := bits.TrailingZeros16(q.nonEmpty)
+	l := &q.lanes[prio]
+	it := l.items[l.head]
+	l.head++
+	// Same compaction rule as Node.serveCPU: a drained lane resets to [:0],
+	// one that never drains holds at most a third more slots than packets.
+	if 4*l.head >= len(l.items) {
+		live := copy(l.items, l.items[l.head:])
+		clear(l.items[live:])
+		l.items = l.items[:live]
+		l.head = 0
+		if live == 0 {
+			q.nonEmpty &^= 1 << prio
+		}
+	}
+	return it
 }
 
 // Link is a bidirectional connection between two ports. Each direction has
@@ -322,20 +330,10 @@ func (l *Link) BacklogAB() int { return l.ab.Backlog() }
 // the transmitter; when the new rate is zero ("infinite"), they drain in
 // queue order with zero serialization time, and fresh arrivals bypass the
 // queue only once the drain has finished (arrival order is preserved).
-func (l *Link) SetConfigAB(cfg LinkConfig) {
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = DefaultQueueBytes
-	}
-	l.ab.cfg = cfg
-}
+func (l *Link) SetConfigAB(cfg LinkConfig) { l.ab.cfg = cfg.withDefaults() }
 
 // SetConfigBA replaces the B->A direction configuration.
-func (l *Link) SetConfigBA(cfg LinkConfig) {
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = DefaultQueueBytes
-	}
-	l.ba.cfg = cfg
-}
+func (l *Link) SetConfigBA(cfg LinkConfig) { l.ba.cfg = cfg.withDefaults() }
 
 // SetDown fails (true) or repairs (false) the link: while down, every
 // packet offered in either direction is dropped at the transmitter.

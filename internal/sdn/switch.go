@@ -234,9 +234,10 @@ type Switch struct {
 	shapes      []uint8
 	shapeKeys   [numShapes]int32
 
-	cache   map[cacheKey]int32 // megaflow cache: key -> slot
-	costs   PathCosts
-	gtpPort map[int]bool // ports with GTP logical-port semantics
+	cache    map[cacheKey]int32 // megaflow cache: key -> slot
+	cacheGen uint32             // bumped by every flush
+	costs    PathCosts
+	gtpPort  []bool // by port id: GTP logical-port semantics
 
 	controller *Controller
 	// ctlEP is the switch's OpenFlow control endpoint, set when the
@@ -249,10 +250,17 @@ type Switch struct {
 	// NewSwitch so per-packet service scheduling allocates no closure.
 	// cpuQueue[cpuHead:] are the waiting packets; see netsim.Node.cpuQueue
 	// for why popping advances a head index.
+	// cpuKey/cpuSlot/cpuGen stage classifyCost's one megaflow probe for
+	// process: the key, the slot found (0 = miss) and the cache generation
+	// it was read under (§3h). Here, not in pendingPacket: cpuQueue is
+	// unbounded and Fig 8 overloads it.
 	busy     bool
 	cpuQueue []pendingPacket
 	cpuHead  int
 	cpuCur   pendingPacket
+	cpuKey   cacheKey
+	cpuSlot  int32
+	cpuGen   uint32
 	cpuDoneF func()
 
 	// Activity counters, registered under sdn/<node>/ in the engine's
@@ -281,13 +289,12 @@ type pendingPacket struct {
 // NewSwitch wraps node as a GW-U with the given path costs.
 func NewSwitch(dpid uint64, node *netsim.Node, costs PathCosts) *Switch {
 	sw := &Switch{
-		DPID:    dpid,
-		node:    node,
-		eng:     node.Engine(),
-		cache:   make(map[cacheKey]int32),
-		index:   make(map[idxKey]int32),
-		costs:   costs,
-		gtpPort: make(map[int]bool),
+		DPID:  dpid,
+		node:  node,
+		eng:   node.Engine(),
+		cache: make(map[cacheKey]int32),
+		index: make(map[idxKey]int32),
+		costs: costs,
 	}
 	sw.cpuDoneF = sw.cpuDone
 	sw.growCookieHeads()
@@ -330,7 +337,12 @@ func (sw *Switch) FlowCount() int { return sw.flows }
 // through it are encapsulated with the staged tunnel metadata, and tunneled
 // packets arriving on it addressed to this switch are decapsulated before
 // table lookup.
-func (sw *Switch) MarkGTPPort(portID int) { sw.gtpPort[portID] = true }
+func (sw *Switch) MarkGTPPort(portID int) {
+	if portID >= len(sw.gtpPort) {
+		sw.gtpPort = append(sw.gtpPort, make([]bool, portID+1-len(sw.gtpPort))...)
+	}
+	sw.gtpPort[portID] = true
+}
 
 // receive is the netsim handler: queue the packet for the (serialized)
 // switch CPU. OpenFlow control frames bypass the data-plane CPU queue and
@@ -379,14 +391,13 @@ func (sw *Switch) cpuDone() {
 	sw.serveNext()
 }
 
-// classifyCost picks the per-packet CPU cost: fast path on cache hit, slow
-// path otherwise.
+// classifyCost picks the per-packet CPU cost — fast path on cache hit, slow
+// path otherwise — and stages the probe for process. With the fast path
+// disabled the cache stays empty, so the probe is the miss it should be.
 func (sw *Switch) classifyCost(item pendingPacket) time.Duration {
-	if !sw.costs.FastPathEnabled {
-		return sw.costs.SlowPath
-	}
-	key := sw.keyFor(item.ingress, item.p)
-	if _, ok := sw.cache[key]; ok {
+	sw.cpuKey = sw.keyFor(item.ingress, item.p)
+	sw.cpuSlot, sw.cpuGen = sw.cache[sw.cpuKey], sw.cacheGen
+	if sw.cpuSlot != 0 {
 		return sw.costs.FastPath
 	}
 	return sw.costs.SlowPath
@@ -413,7 +424,7 @@ func (sw *Switch) process(ingress *netsim.Port, p *netsim.Packet) {
 		sw.node.Network().Release(p)
 		return
 	}
-	key := sw.keyFor(ingress, p)
+	key := sw.cpuKey
 
 	// GTP logical-port ingress: decapsulate tunneled packets addressed to
 	// this switch; the TEID remains available as tunnel metadata (in key).
@@ -425,17 +436,21 @@ func (sw *Switch) process(ingress *netsim.Port, p *netsim.Packet) {
 
 	inPort := key.inPort
 	// Fast path. Every table write flushes the cache, so a cached slot still
-	// holds the entry that won this key's slow-path lookup.
-	if sw.costs.FastPathEnabled {
-		if idx, ok := sw.cache[key]; ok {
-			sw.fastHits.Inc()
-			sw.apply(sw.slot(idx), p)
-			return
-		}
+	// holds the entry that won this key's slow-path lookup. The staged probe
+	// stands unless a write flushed the cache since; inserts happen only
+	// below, one packet at a time, so a staged miss is still a miss.
+	idx := sw.cpuSlot
+	if sw.cpuGen != sw.cacheGen {
+		idx = sw.cache[key]
+	}
+	if idx != 0 {
+		sw.fastHits.Inc()
+		sw.apply(sw.slot(idx), p)
+		return
 	}
 
 	// Slow path: user-space table lookup.
-	idx := sw.lookup(inPort, p.Flow, tunnelMeta)
+	idx = sw.lookup(inPort, p.Flow, tunnelMeta)
 	if idx == 0 {
 		sw.tableMisses.Inc()
 		if sw.controller != nil {
@@ -526,7 +541,7 @@ func (sw *Switch) output(portID int, p *netsim.Packet) {
 		sw.node.Network().Release(p)
 		return
 	}
-	if sw.gtpPort[portID] && sw.stagedTEID != 0 {
+	if portID < len(sw.gtpPort) && sw.gtpPort[portID] && sw.stagedTEID != 0 {
 		p.Encapsulate(sw.node.Addr(), sw.stagedDst, uint32(sw.stagedTEID))
 		sw.encapsulated.Inc()
 	}
@@ -694,6 +709,7 @@ func (sw *Switch) removeFlows(cookie uint64) int {
 // flushCache empties the megaflow cache: any table write invalidates every
 // megaflow, as an OVS revalidation pass would (DESIGN.md §3h).
 func (sw *Switch) flushCache() {
+	sw.cacheGen++
 	if len(sw.cache) > 0 {
 		clear(sw.cache)
 	}

@@ -20,9 +20,29 @@ type Object struct {
 	// Pos is the object's position, used to generate evaluation frames at
 	// checkpoints.
 	Pos geo.Point
-	// Features is the canonical SURF feature set extracted at enrollment.
-	Features *FeatureSet
+	// A synthetic object records the (seed, n) of its canonical feature set
+	// and generates it on first read; an enrolled one holds it from the start.
+	seed     uint64
+	n        int
+	features *FeatureSet
 }
+
+// Features returns the canonical SURF feature set extracted at enrollment.
+// For a BuildRetailDB object the first call generates it — exactly
+// GenerateObjectFeatures(seed, n) — and later calls return the same set. A
+// DB is owned by one trial: the accessor is not safe for concurrent use.
+func (o *Object) Features() *FeatureSet {
+	if o.features == nil {
+		o.features = GenerateObjectFeatures(o.seed, o.n)
+	}
+	return o.features
+}
+
+// FeatureCount reports Features().Len() without generating anything.
+func (o *Object) FeatureCount() int { return o.n }
+
+// Materialised reports whether the feature set has been generated.
+func (o *Object) Materialised() bool { return o.features != nil }
 
 // DB is the geo-tagged object database of the AR back-end. Objects are
 // indexed by subsection so a location estimate prunes the search space.
@@ -64,27 +84,14 @@ const ObjectsPerRetailSubsection = 5
 
 // BuildRetailDB populates the 105-object retail database over the floor's
 // subsections, with featuresPerObject canonical features per object.
-// Object feature sets derive deterministically from stable per-object
-// seeds, so every run sees the same database.
+// Feature sets derive deterministically from stable per-object seeds, so
+// every run sees the same database, and are generated on first read
+// (Object.Features): a testbed's AR back-end reads only counts, and
+// 105 x 200 descriptors cost ~60 ms per build.
 func BuildRetailDB(floor *geo.Floor, featuresPerObject int) *DB {
-	db := NewDB()
-	for _, ss := range floor.Subsections {
-		for k := 0; k < ObjectsPerRetailSubsection; k++ {
-			seed := uint64(ss.ID)*1000 + uint64(k) + 0xACAC1A
-			// Spread object positions inside the subsection.
-			frac := (float64(k) + 0.5) / ObjectsPerRetailSubsection
-			pos := ss.Bounds.Min.Lerp(ss.Bounds.Max, frac)
-			db.Add(&Object{
-				Name:       fmt.Sprintf("obj-%02d-%d", ss.ID, k),
-				Tag:        fmt.Sprintf("%s item %d in cell %d", ss.Section, k, ss.ID),
-				Section:    ss.Section,
-				Subsection: ss.ID,
-				Pos:        pos,
-				Features:   GenerateObjectFeatures(seed, featuresPerObject),
-			})
-		}
-	}
-	return db
+	return buildRetail(floor, func(o *Object, seed uint64) {
+		o.seed, o.n = seed, featuresPerObject
+	})
 }
 
 // BuildRetailDBFromImages populates the retail database by *enrolling real
@@ -93,31 +100,40 @@ func BuildRetailDB(floor *geo.Floor, featuresPerObject int) *DB {
 // The pixel-level counterpart of BuildRetailDB, used to exercise the whole
 // AR pipeline on actual image data. imgW/imgH are the catalog photo size.
 func BuildRetailDBFromImages(floor *geo.Floor, imgW, imgH int, opts DetectOptions) *DB {
+	return buildRetail(floor, func(o *Object, seed uint64) {
+		o.features = EnrollFromImage(media.SyntheticFrame(imgW, imgH, seed), opts)
+		o.n = o.features.Len()
+	})
+}
+
+// buildRetail lays out the retail objects; features fills in each one's
+// feature source from its stable seed.
+func buildRetail(floor *geo.Floor, features func(o *Object, seed uint64)) *DB {
 	db := NewDB()
 	for _, ss := range floor.Subsections {
 		for k := 0; k < ObjectsPerRetailSubsection; k++ {
-			seed := uint64(ss.ID)*1000 + uint64(k) + 0xACAC1A
-			photo := media.SyntheticFrame(imgW, imgH, seed)
+			// Spread object positions inside the subsection.
 			frac := (float64(k) + 0.5) / ObjectsPerRetailSubsection
-			pos := ss.Bounds.Min.Lerp(ss.Bounds.Max, frac)
-			db.Add(&Object{
+			o := &Object{
 				Name:       fmt.Sprintf("obj-%02d-%d", ss.ID, k),
 				Tag:        fmt.Sprintf("%s item %d in cell %d", ss.Section, k, ss.ID),
 				Section:    ss.Section,
 				Subsection: ss.ID,
-				Pos:        pos,
-				Features:   EnrollFromImage(photo, opts),
-			})
+				Pos:        ss.Bounds.Min.Lerp(ss.Bounds.Max, frac),
+			}
+			features(o, retailSeed(ss.ID, k))
+			db.Add(o)
 		}
 	}
 	return db
 }
 
+func retailSeed(subsection, k int) uint64 { return uint64(subsection)*1000 + uint64(k) + 0xACAC1A }
+
 // ObjectPhoto renders the catalog image an object was enrolled from (same
 // deterministic seed as BuildRetailDBFromImages).
 func ObjectPhoto(subsection, k, imgW, imgH int) *media.Frame {
-	seed := uint64(subsection)*1000 + uint64(k) + 0xACAC1A
-	return media.SyntheticFrame(imgW, imgH, seed)
+	return media.SyntheticFrame(imgW, imgH, retailSeed(subsection, k))
 }
 
 // SearchResult is the outcome of a database search.
@@ -139,14 +155,20 @@ type SearchResult struct {
 // back-end's exhaustive scoring within its (pruned) search space.
 func (db *DB) Search(query *FeatureSet, subsections []int, m *Matcher) SearchResult {
 	var res SearchResult
-	for _, obj := range db.InSubsections(subsections) {
+	res.score(query, db.InSubsections(subsections), m)
+	return res
+}
+
+// score runs the full matching pipeline over cands, keeping the best
+// accepted match.
+func (res *SearchResult) score(query *FeatureSet, cands []*Object, m *Matcher) {
+	for _, obj := range cands {
 		res.Candidates++
-		r := m.Match(query, obj.Features)
+		r := m.Match(query, obj.Features())
 		res.MACs += r.MACs
 		if r.Matched && r.Inliers > res.BestInliers {
 			res.Best = obj
 			res.BestInliers = r.Inliers
 		}
 	}
-	return res
 }

@@ -58,8 +58,9 @@ func BuildIndex(db *DB, cfg IndexConfig, rng *sim.RNG) *Index {
 		ix.tables[t] = make(map[uint32][]int32)
 	}
 	for objIdx, obj := range db.Objects {
-		for d := range obj.Features.Descriptors {
-			desc := &obj.Features.Descriptors[d]
+		descs := obj.Features().Descriptors
+		for d := range descs {
+			desc := &descs[d]
 			for t := 0; t < cfg.Tables; t++ {
 				sig := ix.signature(t, desc)
 				bucket := ix.tables[t][sig]
@@ -134,17 +135,8 @@ func (ix *Index) CandidateObjects(query *FeatureSet, topM int) ([]*Object, float
 // SearchWithIndex prefilters the database with the LSH index, then runs the
 // full matching pipeline over only the topM voted objects.
 func (db *DB) SearchWithIndex(query *FeatureSet, ix *Index, topM int, m *Matcher) SearchResult {
-	var res SearchResult
 	cands, hashWork := ix.CandidateObjects(query, topM)
-	res.MACs += hashWork
-	for _, obj := range cands {
-		res.Candidates++
-		r := m.Match(query, obj.Features)
-		res.MACs += r.MACs
-		if r.Matched && r.Inliers > res.BestInliers {
-			res.Best = obj
-			res.BestInliers = r.Inliers
-		}
-	}
+	res := SearchResult{MACs: hashWork}
+	res.score(query, cands, m)
 	return res
 }

@@ -20,7 +20,7 @@ func TestLSHFindsTrueObjectInTopCandidates(t *testing.T) {
 	const trials = 15
 	for i := 0; i < trials; i++ {
 		target := db.Objects[(i*13)%db.Len()]
-		frame := GenerateFrame(target.Features, DefaultFrameParams(96), sim.NewRNG(uint64(100+i)))
+		frame := GenerateFrame(target.Features(), DefaultFrameParams(96), sim.NewRNG(uint64(100+i)))
 		cands, _ := ix.CandidateObjects(frame, 5)
 		for _, c := range cands {
 			if c == target {
@@ -38,7 +38,7 @@ func TestSearchWithIndexMatchesAndSavesWork(t *testing.T) {
 	db, ix := buildIndexedDB(t)
 	m := NewMatcher(MatcherConfig{}, sim.NewRNG(43))
 	target := db.Objects[37]
-	frame := GenerateFrame(target.Features, DefaultFrameParams(96), sim.NewRNG(200))
+	frame := GenerateFrame(target.Features(), DefaultFrameParams(96), sim.NewRNG(200))
 
 	full := db.Search(frame, nil, m)
 	indexed := db.SearchWithIndex(frame, ix, 5, m)
@@ -61,7 +61,7 @@ func TestLSHDeterministicForSeed(t *testing.T) {
 	db := BuildRetailDB(geo.RetailFloor(), 32)
 	a := BuildIndex(db, IndexConfig{}, sim.NewRNG(7))
 	b := BuildIndex(db, IndexConfig{}, sim.NewRNG(7))
-	frame := GenerateFrame(db.Objects[3].Features, DefaultFrameParams(64), sim.NewRNG(9))
+	frame := GenerateFrame(db.Objects[3].Features(), DefaultFrameParams(64), sim.NewRNG(9))
 	ca, _ := a.CandidateObjects(frame, 8)
 	cb, _ := b.CandidateObjects(frame, 8)
 	if len(ca) != len(cb) {
@@ -86,7 +86,7 @@ func TestLSHConfigBounds(t *testing.T) {
 
 func TestLSHTopMClampedToAvailable(t *testing.T) {
 	db, ix := buildIndexedDB(t)
-	frame := GenerateFrame(db.Objects[0].Features, DefaultFrameParams(64), sim.NewRNG(5))
+	frame := GenerateFrame(db.Objects[0].Features(), DefaultFrameParams(64), sim.NewRNG(5))
 	cands, _ := ix.CandidateObjects(frame, 10_000)
 	if len(cands) > db.Len() {
 		t.Errorf("candidates = %d beyond database size", len(cands))

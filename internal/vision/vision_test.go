@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -173,8 +174,8 @@ func TestBuildRetailDB(t *testing.T) {
 	perCell := map[int]int{}
 	for _, o := range db.Objects {
 		perCell[o.Subsection]++
-		if o.Features.Len() != 64 {
-			t.Fatalf("object %s has %d features", o.Name, o.Features.Len())
+		if o.Features().Len() != 64 {
+			t.Fatalf("object %s has %d features", o.Name, o.Features().Len())
 		}
 		if floor.SectionAt(o.Pos) != o.Section {
 			t.Errorf("object %s position/section mismatch", o.Name)
@@ -213,7 +214,7 @@ func TestSearchFindsCorrectObjectWithPruning(t *testing.T) {
 	floor := geo.RetailFloor()
 	db := BuildRetailDB(floor, 96)
 	target := db.Objects[17]
-	frame := GenerateFrame(target.Features, DefaultFrameParams(120), sim.NewRNG(10))
+	frame := GenerateFrame(target.Features(), DefaultFrameParams(120), sim.NewRNG(10))
 	m := NewMatcher(MatcherConfig{}, sim.NewRNG(11))
 
 	// Pruned search restricted to the target's cell.
@@ -244,7 +245,7 @@ func TestSearchNoMatchWhenObjectOutsidePrunedSet(t *testing.T) {
 	floor := geo.RetailFloor()
 	db := BuildRetailDB(floor, 96)
 	target := db.Objects[0] // subsection 0
-	frame := GenerateFrame(target.Features, DefaultFrameParams(120), sim.NewRNG(12))
+	frame := GenerateFrame(target.Features(), DefaultFrameParams(120), sim.NewRNG(12))
 	m := NewMatcher(MatcherConfig{}, sim.NewRNG(13))
 	res := db.Search(frame, []int{5, 6}, m)
 	if res.Best == target {
@@ -262,5 +263,45 @@ func TestSearchMACsScaleWithCandidates(t *testing.T) {
 	ratio := four.MACs / one.MACs
 	if ratio < 3.5 || ratio > 4.5 {
 		t.Errorf("MAC ratio = %.2f, want ≈4", ratio)
+	}
+}
+
+// TestRetailDBFeaturesLazy pins the lazy database: BuildRetailDB generates no
+// descriptors, the count is answerable without generating any, and the first
+// and second read of every object yield exactly the set the eager build
+// stored — GenerateObjectFeatures(seed, n) of the object's stable seed.
+func TestRetailDBFeaturesLazy(t *testing.T) {
+	floor := geo.RetailFloor()
+	const n = 48
+	db := BuildRetailDB(floor, n)
+	i := 0
+	for _, ss := range floor.Subsections {
+		for k := 0; k < ObjectsPerRetailSubsection; k++ {
+			o := db.Objects[i]
+			i++
+			if got := o.FeatureCount(); got != n {
+				t.Fatalf("%s: FeatureCount = %d, want %d", o.Name, got, n)
+			}
+			if o.Materialised() {
+				t.Fatalf("%s: materialised by the build or the count accessor", o.Name)
+			}
+			want := GenerateObjectFeatures(uint64(ss.ID)*1000+uint64(k)+0xACAC1A, n)
+			first := o.Features()
+			if !o.Materialised() || !reflect.DeepEqual(first, want) {
+				t.Fatalf("%s: first read differs from GenerateObjectFeatures(seed, n)", o.Name)
+			}
+			if second := o.Features(); second != first || !reflect.DeepEqual(second, want) {
+				t.Fatalf("%s: second read is not the first read's set", o.Name)
+			}
+		}
+	}
+	if i != db.Len() {
+		t.Fatalf("visited %d of %d objects", i, db.Len())
+	}
+	// An enrolled database is eager: enrolment is its work.
+	for _, o := range BuildRetailDBFromImages(floor, 64, 48, DetectOptions{MaxFeatures: 16}).Objects {
+		if !o.Materialised() || o.FeatureCount() != o.Features().Len() {
+			t.Fatalf("%s: enrolled object not eager (count %d)", o.Name, o.FeatureCount())
+		}
 	}
 }
