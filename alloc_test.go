@@ -9,9 +9,11 @@ package acacia
 // the benchmark gate.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"acacia/internal/ctl"
 	"acacia/internal/epc"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
@@ -167,6 +169,70 @@ func BenchmarkAllocEngineAfter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.After(1, nop)
 		eng.Run()
+	}
+}
+
+// BenchmarkAllocEngineHold is the hold model on the event queue: depth
+// pending events, each handler re-arming itself once, so one op is one pop
+// plus one add at that depth. The delays mix same-instant, microsecond,
+// millisecond and 100 ms distances, so slots enter the radix queue at every
+// height, and the clock keeps crossing power-of-two boundaries, so ever new
+// buckets fill — from the queue's spare arrays, not the allocator.
+func BenchmarkAllocEngineHold(b *testing.B) {
+	units := [...]time.Duration{0, time.Microsecond, time.Millisecond, 100 * time.Millisecond}
+	for _, depth := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("q%dk", depth>>10), func(b *testing.B) {
+			eng := sim.NewEngine(1)
+			rng := eng.RNG()
+			left := 0
+			var hold func()
+			hold = func() {
+				r := rng.Uint64()
+				eng.After(units[r&3]*time.Duration(1+r>>2&15), hold)
+				if left--; left == 0 {
+					eng.Stop()
+				}
+			}
+			left = 8 * depth // warm the event pool and the bucket arrays
+			for i := 0; i < depth; i++ {
+				hold()
+			}
+			eng.Run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			left = b.N
+			eng.Run()
+		})
+	}
+}
+
+// BenchmarkAllocCtlTxn measures one control transaction on a warmed endpoint
+// pair: the request frame, its T3 timer, the ack coming back and the
+// receiver's duplicate filter. What is left after pooling is the
+// handle-bearing timer event.
+func BenchmarkAllocCtlTxn(b *testing.B) {
+	eng := sim.NewEngine(1)
+	nw := netsim.New(eng)
+	tr := ctl.NewTransport(eng)
+	a := tr.Endpoint(nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1)), true)
+	z := tr.Endpoint(nw.AddNode("z", pkt.AddrFrom(10, 0, 0, 2)), true)
+	ctl.Connect(a, z, netsim.LinkConfig{Propagation: time.Millisecond})
+	delivered := 0
+	deliver := func() { delivered++ }
+	txn := func() {
+		a.Send(z.Addr(), a.NextSeq(z.Addr()), "Req", 120, deliver, nil, nil)
+		eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		txn()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn()
+	}
+	if delivered != b.N+64 {
+		b.Fatalf("delivered %d of %d transactions", delivered, b.N+64)
 	}
 }
 

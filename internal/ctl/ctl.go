@@ -266,6 +266,7 @@ type txnKey struct {
 // txn is one pending request awaiting its ack.
 type txn struct {
 	peer    pkt.Addr
+	route   *netsim.Port // toward peer
 	seq     uint32
 	name    string
 	tpl     *netsim.Packet // pristine template; each attempt sends a Clone
@@ -303,9 +304,40 @@ func FrameOf(p *netsim.Packet) *Frame {
 	return f
 }
 
+// peerState is what an endpoint keeps about one peer: the route toward it,
+// the sequence allocator for requests sent to it, and the duplicate filter
+// for requests received from it. The filter is a window, not a history: a
+// sender numbers its requests 1, 2, 3, … per peer, so while nothing is lost
+// the delivered set is one number, every seq <= floor. Only a request that
+// overtakes a lost one is remembered, in ahead, until the retransmission
+// closes the gap (never, after a terminal failure: ahead then grows).
+type peerState struct {
+	route   *netsim.Port
+	nextSeq uint32
+	floor   uint32
+	ahead   map[uint32]bool // delivered sequences above floor+1
+}
+
+// duplicate reports whether seq was delivered before, and records it.
+//
+//acacia:hotpath
+func (ps *peerState) duplicate(seq uint32) bool {
+	if seq == ps.floor+1 {
+		for ps.floor++; ps.ahead[ps.floor+1]; ps.floor++ {
+			delete(ps.ahead, ps.floor+1)
+		}
+		return false
+	}
+	dup := seq <= ps.floor || ps.ahead[seq]
+	if !dup {
+		ps.ahead[seq] = true
+	}
+	return dup
+}
+
 // Endpoint is one control-plane attachment: a node plus per-peer routing,
-// sequence allocation, the pending-transaction table and the duplicate
-// filter. Endpoints on dedicated control nodes own the node handler; on
+// sequence allocation and duplicate filter, and the pending-transaction
+// table. Endpoints on dedicated control nodes own the node handler; on
 // shared nodes the owning layer intercepts frames and forwards them.
 // An endpoint runs entirely in its node's partition: its timers arm on the
 // node's engine and its pools and counters live in that engine's transport
@@ -315,10 +347,8 @@ type Endpoint struct {
 	eng     *sim.Engine
 	st      *trState
 	node    *netsim.Node
-	routes  map[pkt.Addr]*netsim.Port
-	nextSeq map[pkt.Addr]uint32
+	peers   map[pkt.Addr]*peerState
 	pending map[txnKey]*txn
-	seen    map[txnKey]bool
 	// linkNames interns the "peer->self" label per ingress port so acks
 	// don't rebuild the string for every delivered frame.
 	linkNames map[*netsim.Port]string
@@ -338,10 +368,8 @@ func (t *Transport) Endpoint(node *netsim.Node, own bool) *Endpoint {
 		eng:       eng,
 		st:        t.state(eng),
 		node:      node,
-		routes:    make(map[pkt.Addr]*netsim.Port),
-		nextSeq:   make(map[pkt.Addr]uint32),
+		peers:     make(map[pkt.Addr]*peerState),
 		pending:   make(map[txnKey]*txn),
-		seen:      make(map[txnKey]bool),
 		linkNames: make(map[*netsim.Port]string),
 	}
 	ep.expireF = ep.expireArg
@@ -364,17 +392,31 @@ func (ep *Endpoint) Node() *netsim.Node { return ep.node }
 // both directions) and installs the mutual routes.
 func Connect(a, b *Endpoint, cfg netsim.LinkConfig) *netsim.Link {
 	l := a.node.Network().ConnectSymmetric(a.node, b.node, cfg)
-	a.routes[b.Addr()] = l.A
-	b.routes[a.Addr()] = l.B
+	a.peer(b.Addr()).route = l.A
+	b.peer(a.Addr()).route = l.B
 	return l
 }
 
+// peer returns the state kept for addr, created on first mention (normally
+// Connect's). Noinline keeps the allocation out of Receive's escape profile.
+//
+//go:noinline
+func (ep *Endpoint) peer(addr pkt.Addr) *peerState {
+	ps := ep.peers[addr]
+	if ps == nil {
+		ps = &peerState{ahead: make(map[uint32]bool)}
+		ep.peers[addr] = ps
+	}
+	return ps
+}
+
 // NextSeq allocates the next sequence number toward peer. Sequences are
-// strictly monotonic per (endpoint, peer) pair — the allocator that
-// replaces the old hardcoded Seq constants.
+// strictly monotonic per (endpoint, peer) pair, starting at 1 — the receiver's
+// duplicate filter counts on both.
 func (ep *Endpoint) NextSeq(peer pkt.Addr) uint32 {
-	ep.nextSeq[peer]++
-	return ep.nextSeq[peer]
+	ps := ep.peer(peer)
+	ps.nextSeq++
+	return ps.nextSeq
 }
 
 // Send opens a transaction toward peer: a data frame of the given wire
@@ -394,7 +436,8 @@ func (ep *Endpoint) NextSeq(peer pkt.Addr) uint32 {
 //
 //acacia:hotpath
 func (ep *Endpoint) Send(peer pkt.Addr, seq uint32, name string, size int, deliver func(), onFail func(error), onDone func(TxInfo)) {
-	if ep.routes[peer] == nil {
+	ps := ep.peers[peer]
+	if ps == nil || ps.route == nil {
 		noRoute(ep.Name(), peer)
 	}
 	f := ep.st.takeDataFrame()
@@ -404,7 +447,7 @@ func (ep *Endpoint) Send(peer pkt.Addr, seq uint32, name string, size int, deliv
 	tpl.Size = size
 	tpl.Payload = f
 	tx := ep.st.takeTxn()
-	tx.peer, tx.seq, tx.name, tx.tpl = peer, seq, name, tpl
+	tx.peer, tx.route, tx.seq, tx.name, tx.tpl = peer, ps.route, seq, name, tpl
 	tx.start = ep.eng.Now()
 	tx.onFail, tx.onDone = onFail, onDone
 	ep.pending[txnKey{peer, seq}] = tx
@@ -428,7 +471,7 @@ func noRoute(name string, peer pkt.Addr) {
 func (ep *Endpoint) transmit(tx *txn) {
 	p := ep.node.Network().ClonePacket(tx.tpl)
 	p.CreatedAt = ep.eng.Now()
-	ep.routes[tx.peer].Send(p)
+	tx.route.Send(p)
 	tx.timer = ep.eng.ScheduleArg(ep.tr.T3, ep.expireF, tx)
 }
 
@@ -518,7 +561,8 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 	}
 	// Data frame: ack unconditionally so a lost ack is repaired by the
 	// retransmitted request, echoing what this attempt experienced.
-	if back := ep.routes[peer]; back != nil {
+	ps := ep.peer(peer)
+	if back := ps.route; back != nil {
 		ack := ep.st.takeAckFrame()
 		ack.ack, ack.seq, ack.name = true, f.seq, f.name
 		ack.queueWait, ack.linkName = p.QueueWait, ep.linkNameFor(ingress)
@@ -529,13 +573,11 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 		ap.CreatedAt = ep.eng.Now()
 		back.Send(ap)
 	}
-	dup := ep.seen[key]
 	ep.node.Network().Release(p)
-	if dup {
+	if ps.duplicate(f.seq) {
 		ep.st.dups.Inc()
 		return
 	}
-	ep.seen[key] = true
 	if f.deliver != nil {
 		f.deliver()
 	}

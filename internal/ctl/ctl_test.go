@@ -190,3 +190,68 @@ func TestSendWithoutRoutePanics(t *testing.T) {
 	}()
 	a.Send(pkt.AddrFrom(192, 0, 2, 1), 1, "Req", 10, nil, nil, nil)
 }
+
+// TestDuplicateFilterWindow walks the receiver's per-peer window through a
+// gap: requests that overtake a missing one are delivered and remembered
+// individually, the late one is delivered once and closes the gap, and a
+// re-offered request counts one duplicate whether it sits below the floor or
+// inside the ahead-set.
+func TestDuplicateFilterWindow(t *testing.T) {
+	eng, tr, a, b, _ := pair(t, netsim.LinkConfig{Propagation: time.Millisecond})
+	s1, s2, s3 := a.NextSeq(b.Addr()), a.NextSeq(b.Addr()), a.NextSeq(b.Addr())
+	delivered := map[uint32]int{}
+	offer := func(seq uint32) {
+		a.Send(b.Addr(), seq, "Req", 100, func() { delivered[seq]++ }, func(err error) {
+			t.Errorf("seq %d failed: %v", seq, err)
+		}, nil)
+		eng.Run()
+	}
+	win := b.peers[a.Addr()]
+
+	offer(s2)
+	offer(s3)
+	if win.floor != 0 || len(win.ahead) != 2 {
+		t.Fatalf("after 2,3: floor = %d, ahead = %v; want 0 and {2,3}", win.floor, win.ahead)
+	}
+	offer(s3) // duplicate inside the ahead-set
+	if tr.Duplicates() != 1 {
+		t.Fatalf("duplicates = %d after re-offering seq 3 ahead of the gap, want 1", tr.Duplicates())
+	}
+	offer(s1) // the late one
+	if win.floor != 3 || len(win.ahead) != 0 {
+		t.Fatalf("after the gap closed: floor = %d, ahead = %v; want 3 and empty", win.floor, win.ahead)
+	}
+	offer(s1) // duplicates below the floor
+	offer(s2)
+	if tr.Duplicates() != 3 {
+		t.Errorf("duplicates = %d, want 3", tr.Duplicates())
+	}
+	for _, seq := range []uint32{s1, s2, s3} {
+		if delivered[seq] != 1 {
+			t.Errorf("seq %d delivered %d times, want 1", seq, delivered[seq])
+		}
+	}
+}
+
+// TestDuplicateFilterStaysEmptyInOrder is the leak the window replaced: the
+// old filter kept one map entry per delivered transaction for ever. In-order
+// traffic must leave nothing behind but the floor.
+func TestDuplicateFilterStaysEmptyInOrder(t *testing.T) {
+	eng, tr, a, b, _ := pair(t, netsim.LinkConfig{Propagation: time.Millisecond})
+	const n = 100_000
+	delivered := 0
+	deliver := func() { delivered++ }
+	for i := 0; i < n; i++ {
+		a.Send(b.Addr(), a.NextSeq(b.Addr()), "Req", 100, deliver, nil, nil)
+		if i%100 == 99 {
+			eng.Run()
+		}
+	}
+	win := b.peers[a.Addr()]
+	if delivered != n || win.floor != n || len(win.ahead) != 0 {
+		t.Errorf("delivered = %d, floor = %d, ahead = %v; want %d, %d and empty", delivered, win.floor, win.ahead, n, n)
+	}
+	if len(a.pending) != 0 || tr.Duplicates() != 0 {
+		t.Errorf("pending = %d, duplicates = %d; want 0, 0", len(a.pending), tr.Duplicates())
+	}
+}

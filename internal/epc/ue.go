@@ -2,7 +2,6 @@ package epc
 
 import (
 	"fmt"
-	"sort"
 
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
@@ -26,8 +25,8 @@ type UE struct {
 	attached bool
 	sess     *Session
 
-	// Modem UL TFT state: EBI -> (QCI, TFT).
-	tfts map[uint8]modemTFT
+	// Modem UL TFT state by EBI-EBIDefault (nil TFT: none), scanned per packet.
+	tfts [16 - EBIDefault]modemTFT
 }
 
 type modemTFT struct {
@@ -42,7 +41,6 @@ func NewUE(node *netsim.Node, imsi string) *UE {
 		Host: netsim.NewHost(node),
 		node: node,
 		IMSI: imsi,
-		tfts: make(map[uint8]modemTFT),
 	}
 	ue.Host.ClassifyEgress = ue.classify
 	return ue
@@ -115,21 +113,17 @@ func (u *UE) Detach(done func()) error {
 func (u *UE) completeDetach() {
 	u.attached = false
 	u.sess = nil
-	u.tfts = make(map[uint8]modemTFT)
-}
-
-// installTFT is the modem-side effect of the RRC Connection Reconfiguration
-// carrying a dedicated bearer's TFT.
-func (u *UE) installTFT(ebi uint8, qci pkt.QCI, tft *pkt.TFT) {
-	u.tfts[ebi] = modemTFT{qci: qci, tft: tft}
+	u.tfts = [len(u.tfts)]modemTFT{}
 }
 
 // removeTFT drops a dedicated bearer's classifier.
-func (u *UE) removeTFT(ebi uint8) { delete(u.tfts, ebi) }
+func (u *UE) removeTFT(ebi uint8) { u.tfts[ebi-EBIDefault] = modemTFT{} }
 
-// installTFTFromNAS decodes an Activate Dedicated EPS Bearer Context
-// Request from its wire form and installs the carried TFT and QoS — the
-// modem consumes exactly the bytes the network sent.
+// installTFTFromNAS is the modem-side effect of the RRC Connection
+// Reconfiguration carrying a dedicated bearer's TFT: it decodes an Activate
+// Dedicated EPS Bearer Context Request from its wire form and installs the
+// carried TFT and QoS — the modem consumes exactly the bytes the network
+// sent.
 func (u *UE) installTFTFromNAS(nas []byte) error {
 	var m pkt.NASMsg
 	if _, err := m.Decode(nas); err != nil {
@@ -141,33 +135,38 @@ func (u *UE) installTFTFromNAS(nas []byte) error {
 	if m.TFT == nil || m.QoS == nil {
 		return fmt.Errorf("epc: bearer activation without TFT/QoS")
 	}
-	u.installTFT(m.EBI, m.QoS.QCI, m.TFT)
+	if m.EBI < EBIDefault { // a nibble on the wire: 15 at most
+		return fmt.Errorf("epc: bearer activation for reserved EBI %d", m.EBI)
+	}
+	u.tfts[m.EBI-EBIDefault] = modemTFT{qci: m.QoS.QCI, tft: m.TFT}
 	return nil
 }
 
-// classify is the Host egress hook: stamp the packet's priority from the
-// matching bearer's QCI (UL TFT evaluation in the modem) and send it out
-// the radio port.
-func (u *UE) classify(p *netsim.Packet) *netsim.Port {
-	qci := pkt.QCIDefault
-	ebis := make([]int, 0, len(u.tfts))
-	for ebi := range u.tfts {
-		ebis = append(ebis, int(ebi))
-	}
-	sort.Ints(ebis)
+// match is the modem's UL TFT evaluation: the bearer whose TFT matches with
+// the lowest precedence value (lowest EBI on a tie), else the default bearer.
+//
+//acacia:hotpath
+func (u *UE) match(flow pkt.FiveTuple, tos uint8) (uint8, pkt.QCI) {
+	ebi, qci := uint8(EBIDefault), pkt.QCIDefault
 	bestPrec := 256
-	for _, ebi := range ebis {
-		mt := u.tfts[uint8(ebi)]
-		if mt.tft == nil {
-			continue
-		}
-		if mt.tft.MatchUplink(p.Flow, p.TOS) {
+	for i := range u.tfts {
+		mt := &u.tfts[i]
+		if mt.tft != nil && mt.tft.MatchUplink(flow, tos) {
 			if prec := tftPrecedence(mt.tft); prec < bestPrec {
 				bestPrec = prec
-				qci = mt.qci
+				ebi, qci = uint8(i)+EBIDefault, mt.qci
 			}
 		}
 	}
+	return ebi, qci
+}
+
+// classify is the Host egress hook: stamp the packet's priority from the
+// matching bearer's QCI and send it out the radio port.
+//
+//acacia:hotpath
+func (u *UE) classify(p *netsim.Packet) *netsim.Port {
+	_, qci := u.match(p.Flow, p.TOS)
 	p.Priority = qci.Priority()
 	if u.servingPort >= len(u.node.Ports()) {
 		return nil
@@ -185,18 +184,9 @@ func (u *UE) switchRadio(target *ENB, portID int) {
 	u.servingPort = portID
 }
 
-// BearerFor reports which EBI an uplink five-tuple would ride, mirroring
-// the modem's classification (for tests and observability).
+// BearerFor reports which EBI an uplink five-tuple would ride, by the
+// modem's own classification (for tests and observability).
 func (u *UE) BearerFor(flow pkt.FiveTuple, tos uint8) uint8 {
-	best := uint8(EBIDefault)
-	bestPrec := 256
-	for ebi, mt := range u.tfts {
-		if mt.tft != nil && mt.tft.MatchUplink(flow, tos) {
-			if prec := tftPrecedence(mt.tft); prec < bestPrec {
-				bestPrec = prec
-				best = ebi
-			}
-		}
-	}
-	return best
+	ebi, _ := u.match(flow, tos)
+	return ebi
 }

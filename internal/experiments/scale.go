@@ -167,8 +167,14 @@ const (
 	scaleFrameResp = 200      // downlink annotation bytes
 )
 
-// scaleFrame is one AR frame request/response payload.
-type scaleFrame struct{ ue, seq int }
+// scaleFrame is one AR frame in flight: the payload the CI server echoes,
+// and the sender's note of when it left and how many UEs were attached then.
+// A UE recycles its records: no allocation and no map entry per frame.
+type scaleFrame struct {
+	ue, seq int
+	sentAt  sim.Time
+	pop     uint64
+}
 
 // scaleSiteOutcome is one generated site's deterministic outcome.
 type scaleSiteOutcome struct {
@@ -514,22 +520,17 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	startFrames := func(k int, ue *epc.UE, ciAddr pkt.Addr) {
 		ueEng := ue.Host.Node.Engine()
 		seq := 0
-		sentAt := make(map[int]sim.Time)
-		popAt := make(map[int]uint64)
+		var free []*scaleFrame // one record unless the site queues past a period
 		ue.Host.Listen(scaleRespPort, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
-			fr := p.Payload.(scaleFrame)
-			if t0, ok := sentAt[fr.seq]; ok {
-				delete(sentAt, fr.seq)
-				rtt := ueEng.Now().Sub(t0)
-				pop := popAt[fr.seq]
-				delete(popAt, fr.seq)
-				out.framesDone++
-				out.frameMs[bucket(pop)].Add(float64(rtt) / 1e6)
-				out.checksum = fnv1a(out.checksum, 2)
-				out.checksum = fnv1a(out.checksum, uint64(fr.ue)<<32|uint64(uint32(fr.seq)))
-				out.checksum = fnv1a(out.checksum, uint64(rtt))
-				out.checksum = fnv1a(out.checksum, pop)
-			}
+			fr := p.Payload.(*scaleFrame)
+			rtt := ueEng.Now().Sub(fr.sentAt)
+			out.framesDone++
+			out.frameMs[bucket(fr.pop)].Add(float64(rtt) / 1e6)
+			out.checksum = fnv1a(out.checksum, 2)
+			out.checksum = fnv1a(out.checksum, uint64(fr.ue)<<32|uint64(uint32(fr.seq)))
+			out.checksum = fnv1a(out.checksum, uint64(rtt))
+			out.checksum = fnv1a(out.checksum, fr.pop)
+			free = append(free, fr)
 			h.Node.Network().Release(p)
 		}))
 		now := ueEng.Now()
@@ -537,11 +538,15 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		first := (now/ms+1)*ms + sim.Time(k+1)
 		ueEng.Schedule(first.Sub(now), func() {
 			send := func() {
+				if len(free) == 0 {
+					free = append(free, new(scaleFrame))
+				}
+				fr := free[len(free)-1]
+				free = free[:len(free)-1]
 				seq++
-				sentAt[seq] = ueEng.Now()
-				popAt[seq] = out.attached
+				*fr = scaleFrame{ue: k, seq: seq, sentAt: ueEng.Now(), pop: out.attached}
 				out.framesSent++
-				ue.Host.Send(ciAddr, scaleRespPort, scaleFramePort, pkt.ProtoUDP, scaleFrameReq, scaleFrame{ue: k, seq: seq})
+				ue.Host.Send(ciAddr, scaleRespPort, scaleFramePort, pkt.ProtoUDP, scaleFrameReq, fr)
 			}
 			send()
 			sim.NewTicker(ueEng, cfg.FramePeriod, send)

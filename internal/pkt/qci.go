@@ -39,14 +39,20 @@ func (q QCI) Class() (QCIClass, bool) {
 	return c, ok
 }
 
+// qciPriority is qciTable's Priority column, read once per uplink packet.
+var qciPriority = func() (t [256]uint8) {
+	for q := range t {
+		t[q] = 10
+		if c, ok := qciTable[QCI(q)]; ok {
+			t[q] = uint8(c.Priority)
+		}
+	}
+	return t
+}()
+
 // Priority returns the scheduling priority for q (lower = more urgent).
 // Unknown QCIs get the lowest priority.
-func (q QCI) Priority() int {
-	if c, ok := qciTable[q]; ok {
-		return c.Priority
-	}
-	return 10
-}
+func (q QCI) Priority() int { return int(qciPriority[q]) }
 
 // Valid reports whether q is a standardized QCI value.
 func (q QCI) Valid() bool {

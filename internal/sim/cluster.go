@@ -216,13 +216,7 @@ func (c *Cluster) RunFor(d time.Duration) { c.RunUntil(c.now.Add(d)) }
 
 // runBefore executes local events with timestamps strictly below limit: the
 // per-window work of one partition.
-//
-//acacia:hotpath
-func (e *Engine) runBefore(limit Time) {
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].at < limit {
-		e.step()
-	}
-}
+func (e *Engine) runBefore(limit Time) { e.run(limit - 1) }
 
 // inject enqueues a barrier-delivered cross-partition event with a
 // receiver-local sequence number. Injected events are pooled (they carry no

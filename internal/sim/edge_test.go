@@ -40,21 +40,24 @@ func TestRunUntilTargetAtOrBeforeClock(t *testing.T) {
 	}
 }
 
-// TestNextEventAtDrainsCancelledPooled checks the cancelled-event sweep in
-// NextEventAt recycles pooled events back to the free-list instead of
-// leaking them. No public API hands out a cancel handle for pooled events
-// (that is the point of the pool), so the test marks them cancelled
-// directly — the state a future API or an internal path could produce.
+// TestNextEventAtDrainsCancelledPooled checks what happens to cancelled
+// pooled events: NextEventAt reads past them without firing, popping or
+// recycling anything, and the run that passes them returns them to the
+// free-list instead of leaking them. No public API hands out a cancel handle
+// for pooled events (that is the point of the pool), so the test marks them
+// cancelled directly — the state a future API or an internal path could
+// produce.
 func TestNextEventAtDrainsCancelledPooled(t *testing.T) {
 	eng := NewEngine(1)
 	eng.After(time.Millisecond, func() {}) // pooled
 	eng.After(time.Millisecond, func() {}) // pooled
-	live := eng.Schedule(2*time.Millisecond, func() {})
+	ran := false
+	eng.Schedule(2*time.Millisecond, func() { ran = true })
 
 	cancelled := 0
-	for _, s := range eng.queue {
-		if s.ev.pooled {
-			s.ev.cancel = true
+	for _, ev := range queued(eng) {
+		if ev.pooled {
+			ev.cancel = true
 			cancelled++
 		}
 	}
@@ -67,19 +70,158 @@ func TestNextEventAtDrainsCancelledPooled(t *testing.T) {
 	if !ok || at != Time(2*time.Millisecond) {
 		t.Errorf("NextEventAt = %v, %v; want the live event at 2ms", at, ok)
 	}
-	if len(eng.free) != free0+2 {
-		t.Errorf("free-list grew by %d, want 2 (cancelled pooled events recycled)", len(eng.free)-free0)
-	}
-	if eng.Pending() != 1 || eng.queue[0].ev != live {
-		t.Errorf("queue after sweep: pending=%d head=%p, want only the live event", eng.Pending(), eng.queue[0].ev)
+	if eng.Pending() != 3 || len(eng.free) != free0 || eng.Processed() != 0 || ran {
+		t.Errorf("NextEventAt disturbed the queue: pending=%d free=%d processed=%d", eng.Pending(), len(eng.free), eng.Processed())
 	}
 
-	// The recycled slots must be reusable: the next After must not allocate.
+	// A run reaching 1 ms passes the cancelled pair and recycles it.
+	eng.RunUntil(Time(time.Millisecond))
+	if len(eng.free) != free0+2 || eng.Processed() != 0 {
+		t.Errorf("free-list grew by %d with %d processed, want 2, 0 (cancelled pooled events recycled unfired)", len(eng.free)-free0, eng.Processed())
+	}
+	if eng.Pending() != 1 {
+		t.Errorf("pending = %d after the run passed the cancelled pair, want only the live event", eng.Pending())
+	}
+
+	// The recycled events must be reusable: the next After must not allocate.
 	eng.After(3*time.Millisecond, func() {})
 	if len(eng.free) != free0+1 {
 		t.Errorf("After did not reuse a recycled event (free=%d, want %d)", len(eng.free), free0+1)
 	}
 	eng.Run()
+	if !ran {
+		t.Error("live event behind the cancelled pair never fired")
+	}
+}
+
+// TestRunEndingOnCancelledTimer is the case that leaves the queue's ref ahead
+// of the clock: Run drains to a cancelled timer, whose pop moves ref but not
+// Now, and the next schedules land between the two. They must fire, in
+// order, at the times asked for.
+func TestRunEndingOnCancelledTimer(t *testing.T) {
+	eng := NewEngine(1)
+	eng.Schedule(time.Millisecond, func() {})
+	timer := eng.ScheduleArg(3*time.Second, func(any) { t.Error("cancelled timer fired") }, nil)
+	timer.Cancel()
+	eng.Run()
+	if eng.Now() != Time(time.Millisecond) || eng.Pending() != 0 {
+		t.Fatalf("clock = %v, pending = %d; want 1ms, 0", eng.Now(), eng.Pending())
+	}
+
+	var order []string
+	var at []Time
+	note := func(s string) func() {
+		return func() { order = append(order, s); at = append(at, eng.Now()) }
+	}
+	eng.Schedule(time.Millisecond, note("1ms"))
+	eng.After(0, note("now"))
+	eng.Schedule(time.Millisecond, note("1ms-second"))
+	// Filed against the stale ref of 3 s, 2.9 s would sit in a lower bucket
+	// than 2.2 s and fire first.
+	eng.Schedule(2900*time.Millisecond, note("2.9s"))
+	eng.Schedule(2200*time.Millisecond, note("2.2s"))
+	eng.Run()
+	want := []string{"now", "1ms", "1ms-second", "2.2s", "2.9s"}
+	wantAt := []Time{Time(time.Millisecond), Time(2 * time.Millisecond), Time(2 * time.Millisecond), Time(2201 * time.Millisecond), Time(2901 * time.Millisecond)}
+	for i := range want {
+		if len(order) != len(want) || order[i] != want[i] || at[i] != wantAt[i] {
+			t.Fatalf("order = %v at %v, want %v at %v", order, at, want, wantAt)
+		}
+	}
+}
+
+// TestScheduleAfterBoundedRun checks the bounded loops leave the queue ready
+// for a schedule earlier than anything queued: RunUntil must not carry ref
+// to the next event's time, and runBefore's exclusive limit must leave an
+// event at exactly the limit pending.
+func TestScheduleAfterBoundedRun(t *testing.T) {
+	eng := NewEngine(1)
+	var order []string
+	eng.Schedule(10*time.Millisecond, func() { order = append(order, "10ms") })
+	eng.Schedule(11*time.Millisecond, func() { order = append(order, "11ms") }) // shares the 10ms event's bucket: a refill, not the lone-slot path
+	eng.Schedule(time.Second, func() { order = append(order, "1s") })
+	eng.RunUntil(Time(2 * time.Millisecond))
+	if eng.queue.ref > eng.Now() {
+		t.Fatalf("ref = %v ahead of the clock %v after RunUntil", eng.queue.ref, eng.Now())
+	}
+	eng.Schedule(time.Millisecond, func() { order = append(order, "3ms") })
+
+	eng.runBefore(Time(10 * time.Millisecond))
+	if len(order) != 1 || order[0] != "3ms" || eng.Pending() != 3 {
+		t.Fatalf("runBefore(10ms): ran %v, pending %d; want [3ms], 3 (the event at the limit stays)", order, eng.Pending())
+	}
+	eng.runBefore(Time(10*time.Millisecond) + 1)
+	if len(order) != 2 || order[1] != "10ms" {
+		t.Fatalf("runBefore(10ms+1): ran %v, want the 10ms event", order)
+	}
+	eng.Run()
+	if len(order) != 4 || order[2] != "11ms" || order[3] != "1s" {
+		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestZeroDelayFromHandlerRunsAfterQueuedTies checks FIFO among equal
+// timestamps holds for events added to the instant being drained: a
+// zero-delay event scheduled by a handler runs after the same-time events
+// that were queued before it, however they reached that instant.
+func TestZeroDelayFromHandlerRunsAfterQueuedTies(t *testing.T) {
+	eng := NewEngine(1)
+	var order []string
+	eng.Schedule(time.Millisecond, func() {
+		order = append(order, "a")
+		eng.After(0, func() {
+			order = append(order, "a0")
+			eng.After(0, func() { order = append(order, "a00") })
+		})
+	})
+	eng.Schedule(500*time.Microsecond, func() {
+		// Queued for 1 ms later than "a" and "b" were, from a different ref.
+		eng.Schedule(500*time.Microsecond, func() { order = append(order, "c") })
+	})
+	eng.Schedule(time.Millisecond, func() { order = append(order, "b") })
+	eng.Run()
+	want := []string{"a", "b", "c", "a0", "a00"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestStopMidBucketThenRunResumes checks Stop between two events of one
+// instant leaves the rest of that instant queued, and the next Run carries
+// on from exactly there.
+func TestStopMidBucketThenRunResumes(t *testing.T) {
+	eng := NewEngine(1)
+	var order []int
+	for i := 0; i < 5; i++ {
+		i := i
+		eng.Schedule(time.Millisecond, func() {
+			order = append(order, i)
+			if i == 1 {
+				eng.Stop()
+			}
+		})
+	}
+	eng.Schedule(2*time.Millisecond, func() { order = append(order, 5) })
+	eng.Run()
+	if len(order) != 2 || eng.Pending() != 4 {
+		t.Fatalf("after Stop: ran %v, pending %d; want [0 1], 4", order, eng.Pending())
+	}
+	eng.Schedule(0, func() { order = append(order, 99) }) // same instant, queued last
+	eng.Run()
+	want := []int{0, 1, 2, 3, 4, 99, 5}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
 }
 
 // TestTickerStopTwiceInsideTick checks Stop is idempotent even when invoked

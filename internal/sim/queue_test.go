@@ -1,57 +1,238 @@
 package sim
 
 import (
-	"sort"
+	"math"
+	"math/bits"
 	"testing"
 	"time"
 )
 
-// TestEventQueueMatchesStableSort is the queue's ordering property: under any
-// interleaving of pushes and pops, with timestamps drawn from a small range
-// so most of them collide, pop returns exactly what a stable sort by
-// timestamp of the still-queued slots (kept in push order, i.e. seq order)
-// puts first.
-func TestEventQueueMatchesStableSort(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		rng := NewRNG(seed)
-		var q eventQueue
-		var ref []slot
-		var seq uint64
-		pop := func() {
-			sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
-			want := ref[0]
-			ref = ref[1:]
-			if got := q.pop(); got != want {
-				t.Fatalf("seed %d: pop = (at %d, seq %d), want (at %d, seq %d)", seed, got.at, got.seq, want.at, want.seq)
+// queued lists the engine's pending events bucket by bucket (not in firing
+// order): the white-box view the tests below use to reach pooled events,
+// which no public API hands out.
+func queued(e *Engine) []*Event {
+	var evs []*Event
+	for i := range e.queue.bucket {
+		for _, s := range e.queue.live(i) {
+			evs = append(evs, s.ev)
+		}
+	}
+	return evs
+}
+
+// checkInvariant verifies the radix queue's structure: every slot at or after
+// ref and in the bucket its timestamp selects, bucket 0's head inside it, and
+// the occupancy mask and count telling the truth.
+func checkInvariant(t *testing.T, q *eventQueue) {
+	t.Helper()
+	for i, b := range q.bucket {
+		if i == 0 {
+			if q.head > len(b) || (q.head == len(b) && q.head != 0) {
+				t.Fatalf("head = %d with %d slots in bucket 0", q.head, len(b))
+			}
+			b = b[q.head:]
+		}
+		if occupied := q.mask&(1<<uint(i)) != 0; occupied != (len(b) > 0) {
+			t.Fatalf("bucket %d: mask says occupied=%v, holds %d slots", i, occupied, len(b))
+		}
+		if c := cap(q.bucket[i]); c != 0 && (c < minBucket || c&(c-1) != 0) {
+			t.Fatalf("bucket %d: capacity %d is not a power-of-two class", i, c)
+		}
+		for _, s := range b {
+			if s.at < q.ref {
+				t.Fatalf("bucket %d: slot at %d below ref %d", i, s.at, q.ref)
+			}
+			if want := bits.Len64(uint64(s.at ^ q.ref)); want != i {
+				t.Fatalf("slot at %d (ref %d) filed in bucket %d, want %d", s.at, q.ref, i, want)
 			}
 		}
-		for op := 0; op < 4000; op++ {
-			// Push-biased, so the heap grows several levels deep.
-			if len(ref) == 0 || rng.Intn(5) < 3 {
-				s := slot{at: Time(rng.Intn(8)), seq: seq, ev: &Event{}}
-				seq++
-				q.push(s)
-				ref = append(ref, s)
-			} else {
-				pop()
+	}
+	for c, sp := range q.spare {
+		for _, a := range sp {
+			if len(a) != 0 || cap(a) != 1<<uint(c) {
+				t.Fatalf("spare class %d holds an array of len %d cap %d", c, len(a), cap(a))
 			}
-			if len(q) != len(ref) {
-				t.Fatalf("seed %d: len = %d, want %d", seed, len(q), len(ref))
-			}
-		}
-		for len(ref) > 0 {
-			pop()
-		}
-		if len(q) != 0 {
-			t.Fatalf("seed %d: %d slots left after drain", seed, len(q))
 		}
 	}
 }
 
+// opDelays are the push distances the op stream draws from: exact ties, tens
+// of nanoseconds, microseconds, a link latency, a frame period, and a jump
+// past bit 40, so slots travel down through most of the bucket range.
+var opDelays = [...]Time{0, 0, 1, 10, Microsecond, Millisecond, 100 * Millisecond, 1 << 40}
+
+// driveQueue interprets ops as a stream of (opcode, argument) byte pairs
+// against an eventQueue and a model — the still-queued slots in push order —
+// and checks every pop against a stable sort of the model by timestamp: the
+// same slot (by event identity), nothing due at or before the limit
+// withheld, nothing past it released, ref never carried past the limit. The
+// model keeps a clock the way the engine does: a popped slot moves it unless
+// its event is cancelled, so a cancelled pop leaves the clock behind ref and
+// the pushes that follow land below ref.
+func driveQueue(t *testing.T, ops []byte) {
+	t.Helper()
+	eng := &Engine{} // only for Pending
+	q := &eng.queue
+	var model []slot
+	now := Time(0)
+	push := func(at Time) {
+		s := slot{at: at, ev: &Event{at: at}}
+		q.add(s)
+		model = append(model, s)
+	}
+	pop := func(limit Time) bool {
+		min := -1
+		for i, s := range model {
+			if min < 0 || s.at < model[min].at {
+				min = i
+			}
+		}
+		refBefore := q.ref
+		got, ok := q.popAtMost(limit)
+		if q.ref > limit && q.ref != refBefore {
+			t.Fatalf("popAtMost(%d) moved ref %d -> %d, past the limit", limit, refBefore, q.ref)
+		}
+		if min < 0 || model[min].at > limit {
+			if ok {
+				t.Fatalf("popAtMost(%d) released a slot at %d", limit, got.at)
+			}
+			return false
+		}
+		want := model[min]
+		if !ok {
+			t.Fatalf("popAtMost(%d) withheld the slot at %d", limit, want.at)
+		}
+		if got != want {
+			t.Fatalf("popAtMost(%d) = slot at %d, want the one at %d pushed %d-th of %d queued", limit, got.at, want.at, min, len(model))
+		}
+		model = append(model[:min], model[min+1:]...)
+		if !got.ev.cancel {
+			now = got.at
+		}
+		return true
+	}
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i], Time(ops[i+1])
+		switch op % 16 {
+		case 0, 1, 2, 3, 4, 5, 6, 7:
+			push(now + opDelays[op%8]*(arg%16+1))
+		case 8:
+			// A burst inside one bucket, past the minimum array size.
+			for k := Time(0); k < 17+arg%48; k++ {
+				push(now + Millisecond + k%5)
+			}
+		case 9:
+			for k := Time(0); k <= arg%32; k++ {
+				push(now + opDelays[arg%8])
+			}
+		case 10:
+			pop(now + arg)
+		case 11:
+			pop(now + arg*Microsecond)
+		case 12:
+			for pop(now + arg*Millisecond) {
+			}
+		case 13:
+			pop(math.MaxInt64)
+		case 14:
+			if len(model) > 0 {
+				model[int(arg)%len(model)].ev.cancel = true
+			}
+		case 15:
+			for k := Time(0); k <= arg && pop(math.MaxInt64); k++ {
+			}
+		}
+		checkInvariant(t, q)
+		if eng.Pending() != len(model) {
+			t.Fatalf("pending = %d, want %d", eng.Pending(), len(model))
+		}
+	}
+	for pop(math.MaxInt64) {
+	}
+	checkInvariant(t, q)
+	if eng.Pending() != 0 || q.mask != 0 {
+		t.Fatalf("%d slots (mask %x) left after drain", eng.Pending(), q.mask)
+	}
+}
+
+// genOps draws a seeded op stream for driveQueue, push-biased so the queue
+// grows a few thousand slots deep.
+func genOps(seed uint64, n int) []byte {
+	rng := NewRNG(seed)
+	ops := make([]byte, 0, 2*n)
+	for i := 0; i < n; i++ {
+		op := byte(rng.Intn(16))
+		if op >= 10 && rng.Intn(3) == 0 {
+			op = byte(rng.Intn(10))
+		}
+		ops = append(ops, op, byte(rng.Intn(256)))
+	}
+	return ops
+}
+
+// TestEventQueueMatchesStableSort is the queue's ordering property: under
+// any interleaving of pushes, bounded pops and cancels, with distances from
+// exact ties to 2^40 ns, popAtMost returns exactly what a stable sort by
+// timestamp of the still-queued slots (kept in push order, i.e. seq order)
+// puts first.
+func TestEventQueueMatchesStableSort(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		driveQueue(t, genOps(seed, 3000))
+	}
+}
+
+// FuzzEventQueue feeds arbitrary op streams to the same checker. Plain
+// `go test` runs the seed corpus: the generated streams below plus the
+// committed files under testdata/fuzz, which pin the shapes that once broke
+// a prototype (cancelled tail then a push below ref; a bounded pop that must
+// not drag ref along; a burst that outgrows the minimum array).
+func FuzzEventQueue(f *testing.F) {
+	for seed := uint64(100); seed < 104; seed++ {
+		f.Add(genOps(seed, 400))
+	}
+	f.Fuzz(driveQueue)
+}
+
+// TestQueueArraysAreExchanged checks the memory side of the design. Which
+// buckets a burst passes through depends on the bits of ref, so as the clock
+// crosses power-of-two boundaries ever new buckets fill; they must take over
+// the arrays the drained ones gave back rather than each growing and keeping
+// one of its own high-water size.
+func TestQueueArraysAreExchanged(t *testing.T) {
+	var q eventQueue
+	const n = 4096
+	ev := &Event{}
+	for k := uint(22); k <= 40; k++ {
+		base := q.ref + 1<<k
+		for i := 0; i < n; i++ {
+			q.add(slot{at: base + Time(i)*Microsecond, ev: ev})
+		}
+		for q.mask != 0 {
+			q.popAtMost(math.MaxInt64)
+		}
+		checkInvariant(t, &q)
+	}
+	held := 0
+	for _, b := range q.bucket {
+		held += cap(b)
+	}
+	for _, sp := range q.spare {
+		for _, a := range sp {
+			held += cap(a)
+		}
+	}
+	// The burst's own array, the arrays it doubled through, and the halves
+	// it splits into on the way down: about 4.5 n. Per-bucket high-water
+	// arrays would come to over 20 n here.
+	if held > 6*n {
+		t.Errorf("queue holds %d slots of capacity after bursts of %d, want at most %d", held, n, 6*n)
+	}
+}
+
 // TestCancelledHeadDrain checks lazy cancel at the head of the queue on both
-// paths that look at the head: NextEventAt sweeps cancelled events until a
-// live one leads, and RunUntil pops them without running them, counting them
-// or moving the clock to their timestamps.
+// paths that look at the head: NextEventAt reads past cancelled events to
+// the first live one, and RunUntil pops them without running them, counting
+// them or moving the clock to their timestamps.
 func TestCancelledHeadDrain(t *testing.T) {
 	eng := NewEngine(1)
 	fired := 0
@@ -68,10 +249,10 @@ func TestCancelledHeadDrain(t *testing.T) {
 	if at, ok := eng.NextEventAt(); !ok || at != Time(3*time.Millisecond) {
 		t.Fatalf("NextEventAt = %v, %v; want the live event at 3ms", at, ok)
 	}
-	// The 1 ms and 2 ms pairs led the queue and are gone; the 3 ms pair was
-	// scheduled before the live event, so it led too.
-	if eng.Pending() != 2 {
-		t.Errorf("pending = %d after sweep, want 2 (live + tail)", eng.Pending())
+	// NextEventAt only reads: the cancelled events stay queued until a run
+	// passes them.
+	if eng.Pending() != 8 {
+		t.Errorf("pending = %d after NextEventAt, want 8 (nothing swept)", eng.Pending())
 	}
 
 	tail.Cancel()
@@ -101,7 +282,7 @@ func TestCancelledHeadDrain(t *testing.T) {
 func TestPooledHandleReuse(t *testing.T) {
 	eng := NewEngine(1)
 	eng.AfterArg(time.Millisecond, func(any) {}, "stale")
-	first := eng.queue[0].ev
+	first := queued(eng)[0]
 	eng.Run()
 	if len(eng.free) != 1 || eng.free[0] != first {
 		t.Fatalf("fired pooled event not on the free-list (free=%d)", len(eng.free))
@@ -110,7 +291,7 @@ func TestPooledHandleReuse(t *testing.T) {
 	// Same event, now in closure form: the stale afn must not shadow fn.
 	ran := false
 	eng.After(time.Millisecond, func() { ran = true })
-	if eng.queue[0].ev != first {
+	if queued(eng)[0] != first {
 		t.Fatal("After did not reuse the recycled event")
 	}
 	eng.Run()
@@ -120,11 +301,11 @@ func TestPooledHandleReuse(t *testing.T) {
 
 	// Cancelled while queued, swept, reused: the flag must not survive.
 	eng.After(time.Millisecond, func() { t.Error("cancelled event fired") })
-	eng.queue[0].ev.cancel = true
+	queued(eng)[0].cancel = true
 	eng.Run()
 	ran = false
 	eng.After(time.Millisecond, func() { ran = true })
-	if eng.queue[0].ev != first {
+	if queued(eng)[0] != first {
 		t.Fatal("After did not reuse the swept event")
 	}
 	eng.Run()
@@ -143,7 +324,7 @@ func TestTickerReusesItsEvent(t *testing.T) {
 	ev := tk.ev
 	for i := 1; i <= 3; i++ {
 		eng.RunUntil(Time(time.Duration(i) * 10 * time.Millisecond))
-		if tk.ev != ev || eng.Pending() != 1 || eng.queue[0].ev != ev {
+		if tk.ev != ev || eng.Pending() != 1 || queued(eng)[0] != ev {
 			t.Fatalf("tick %d: ticker is not re-queueing its one event", i)
 		}
 		if want := Time(time.Duration(i+1) * 10 * time.Millisecond); ev.At() != want {

@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"acacia/internal/telemetry"
@@ -56,9 +57,9 @@ func (t Time) String() string { return time.Duration(t).String() }
 // built by re-scheduling from within the handler.
 //
 // An Event carries no queue position. Cancel is lazy — it only sets a flag
-// the engine checks when the event reaches the head of the queue — so
-// nothing ever needs to find or move an event inside the heap, and the
-// ordering key (at, seq) lives in the queue slot instead.
+// the engine checks when the event is popped — so nothing ever needs to find
+// or move an event inside the queue, and the ordering key lives in the queue
+// slot instead.
 type Event struct {
 	at Time
 	fn func()
@@ -90,81 +91,181 @@ func (e *Event) Cancelled() bool { return e != nil && e.cancel }
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// slot is one queue entry. The ordering key is held by value so sifting
-// compares and moves slots without dereferencing an Event.
+// slot is one queue entry; filing and refilling never dereference the Event.
 type slot struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	ev  *Event
+	at Time
+	ev *Event
 }
 
-func (a slot) before(b slot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+const minBucket = 16 // slots in the smallest bucket array; capacities double
+
+// eventQueue is a monotone radix queue popping slots in (timestamp, push
+// order) order — the (at, seq) order of a sequence number drawn per push.
+// Invariant: every queued slot has at >= ref and sits in bucket
+// bits.Len64(at ^ ref): bucket 0 holds the slots due exactly at ref, bucket
+// i > 0 those whose highest bit differing from ref is bit i-1. Those are
+// disjoint, ascending time ranges, so the earliest slot is in the lowest
+// occupied bucket. Equal timestamps always share a bucket, and whatever
+// moves slots (add appends; refill and rebase re-file a bucket front to
+// back) keeps them in push order, so bucket 0 read front to back is FIFO
+// with no sequence number stored or compared. DESIGN.md "The event queue".
+type eventQueue struct {
+	ref    Time
+	mask   uint64 // bit i set iff bucket[i] holds an unpopped slot
+	head   int    // bucket[0][:head] is already popped
+	bucket [64][]slot
+	// spare[c] holds idle bucket arrays of capacity 1<<c, so that buckets
+	// exchange arrays instead of each keeping one of its high-water size.
+	spare [32][][]slot
 }
 
-// eventQueue is a 4-ary min-heap of slots ordered by (at, seq). Four children
-// per node halve the depth of a binary heap, and a node's children share one
-// or two cache lines, which is what pop's sift-down walks. seq is unique, so
-// the order is total and the pop sequence does not depend on the heap shape.
-type eventQueue []slot
-
-//acacia:hotpath
-func (q *eventQueue) push(s slot) {
-	h := append(*q, s)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !s.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = s
-	*q = h
-}
-
-// pop removes and returns the minimum slot. The queue must be non-empty.
+// add files s in the bucket its timestamp selects, behind what is there.
 //
 //acacia:hotpath
-func (q *eventQueue) pop() slot {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = slot{}
-	h = h[:n]
-	*q = h
-	if n == 0 {
-		return top
+func (q *eventQueue) add(s slot) {
+	if s.at < q.ref {
+		q.rebase(s.at)
 	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
+	i := bits.Len64(uint64(s.at ^ q.ref))
+	b := q.bucket[i]
+	if len(b) == cap(b) {
+		b = q.grow(b)
+	}
+	b = b[:len(b)+1]
+	b[len(b)-1] = s
+	q.bucket[i] = b
+	q.mask |= 1 << uint(i)
+}
+
+// grow moves a full bucket into a spare or new array of twice the capacity.
+// Noinline keeps the allocation out of the hotpath callers' escape profiles.
+//
+//go:noinline
+func (q *eventQueue) grow(b []slot) []slot {
+	n := max(2*cap(b), minBucket)
+	sp := &q.spare[bits.Len(uint(n))-1]
+	var nb []slot
+	if k := len(*sp); k > 0 {
+		nb, *sp = (*sp)[k-1][:len(b)], (*sp)[:k-1]
+	} else {
+		nb = make([]slot, len(b), n)
+	}
+	copy(nb, b)
+	if cap(b) > 0 {
+		q.retire(b)
+	}
+	return nb
+}
+
+// retire parks an emptied bucket array on the spare list, cleared so that it
+// pins no fired event while it waits there.
+func (q *eventQueue) retire(b []slot) {
+	clear(b)
+	sp := &q.spare[bits.Len(uint(cap(b)))-1]
+	*sp = append(*sp, b[:0])
+}
+
+// empty marks bucket i drained. A minimum-size array stays with the bucket;
+// a larger one is retired for whichever bucket grows next.
+//
+//acacia:hotpath
+func (q *eventQueue) empty(i int, b []slot) {
+	if cap(b) > minBucket {
+		q.retire(b)
+		b = nil
+	}
+	q.bucket[i] = b[:0]
+	q.mask &^= 1 << uint(i)
+}
+
+// popAtMost removes and returns the earliest slot if it is due by limit. It
+// never moves ref past limit: what is scheduled next must find at >= ref.
+//
+//acacia:hotpath
+func (q *eventQueue) popAtMost(limit Time) (slot, bool) {
+	if q.mask&1 == 0 {
+		if q.mask == 0 {
+			return slot{}, false
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		small := c
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[small]) {
-				small = j
+		i := bits.TrailingZeros64(q.mask)
+		b := q.bucket[i]
+		if len(b) == 1 {
+			// A lone slot is the minimum; sparse queues (a link with one
+			// packet in flight) take this path for nearly every event.
+			s := b[0]
+			if s.at > limit {
+				return slot{}, false
 			}
+			q.ref = s.at
+			q.empty(i, b)
+			return s, true
 		}
-		if !h[small].before(last) {
-			break
+		if !q.refill(i, b, limit) {
+			return slot{}, false
 		}
-		h[i] = h[small]
-		i = small
 	}
-	h[i] = last
-	return top
+	if q.ref > limit {
+		return slot{}, false
+	}
+	b := q.bucket[0]
+	s := b[q.head]
+	q.head++
+	if q.head == len(b) {
+		q.head = 0
+		q.empty(0, b)
+	}
+	return s, true
+}
+
+// refill advances ref to the earliest timestamp in b — bucket i, the lowest
+// occupied one — unless that is past limit, and re-files b's slots. They
+// agree with the new ref from bit i-1 up, so each lands in a lower bucket
+// (all empty until now) in the order it had in b. Higher buckets stay
+// valid: the new ref differs from the old one only below bit i.
+//
+//acacia:hotpath
+func (q *eventQueue) refill(i int, b []slot, limit Time) bool {
+	min := b[0].at
+	for _, s := range b[1:] {
+		if s.at < min {
+			min = s.at
+		}
+	}
+	if min > limit {
+		return false
+	}
+	q.ref = min
+	for _, s := range b {
+		q.add(s)
+	}
+	q.empty(i, b)
+	return true
+}
+
+// live returns the unpopped slots of bucket i.
+func (q *eventQueue) live(i int) []slot {
+	if i == 0 {
+		return q.bucket[0][q.head:]
+	}
+	return q.bucket[i]
+}
+
+// rebase lowers ref to at, for an add below it: popping a cancelled event
+// moves ref but not the clock, so Run draining to a cancelled timer leaves a
+// gap. Re-filing every bucket front to back keeps ties in push order.
+//
+//go:noinline
+func (q *eventQueue) rebase(at Time) {
+	var queued []slot
+	for m := q.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		queued = append(queued, q.live(i)...)
+		q.bucket[i] = q.bucket[i][:0]
+	}
+	q.head, q.mask, q.ref = 0, 0, at
+	for _, s := range queued {
+		q.add(s)
+	}
 }
 
 // Engine is a discrete-event scheduler with a virtual clock.
@@ -172,7 +273,6 @@ func (q *eventQueue) pop() slot {
 type Engine struct {
 	now     Time
 	queue   eventQueue
-	seq     uint64
 	rng     *RNG
 	stopped bool
 	// free is the engine-owned event free-list backing After/AfterArg.
@@ -300,16 +400,14 @@ func (e *Engine) enqueuePooled(at Time, fn func(), afn func(any), arg any) {
 	e.enqueue(at, ev)
 }
 
-// enqueue is the one way into the queue: it stamps ev with its firing time,
-// draws the next sequence number and pushes the slot. Every scheduling API
-// ends here, which is what makes them share one FIFO tie-break order. ev
-// must not already be queued.
+// enqueue is the one way into the queue: it stamps ev with its firing time
+// and adds the slot. Every scheduling API ends here, which is what makes
+// them share one FIFO tie-break order. ev must not already be queued.
 //
 //acacia:hotpath
 func (e *Engine) enqueue(at Time, ev *Event) {
 	ev.at = at
-	e.queue.push(slot{at: at, seq: e.seq, ev: ev})
-	e.seq++
+	e.queue.add(slot{at: at, ev: ev})
 }
 
 // takeEvent pops a recycled event from the free-list, or allocates one.
@@ -372,18 +470,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // scheduling loop).
 func (e *Engine) Run() {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		e.step()
-	}
+	e.run(math.MaxInt64)
 }
 
 // RunUntil executes events with timestamps <= t and then sets the clock to t.
 // Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].at <= t {
-		e.step()
-	}
+	e.run(t)
 	if !e.stopped && e.now < t {
 		e.now = t
 	}
@@ -392,27 +486,34 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d of virtual time from the current clock.
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
+// run fires events with timestamps <= limit until none is left or Stop.
+//
 //acacia:hotpath
-func (e *Engine) step() {
-	s := e.queue.pop()
-	ev := s.ev
-	if ev.cancel {
+func (e *Engine) run(limit Time) {
+	for !e.stopped {
+		s, ok := e.queue.popAtMost(limit)
+		if !ok {
+			return
+		}
+		ev := s.ev
+		if ev.cancel {
+			e.recycle(ev)
+			continue
+		}
+		e.now = s.at
+		e.processed++
+		if e.Limit != 0 && e.processed > e.Limit {
+			e.limitExceeded()
+		}
+		// Copy the callback out before recycling so the handler may
+		// immediately reuse the event slot for its own scheduling.
+		fn, afn, arg := ev.fn, ev.afn, ev.arg
 		e.recycle(ev)
-		return
-	}
-	e.now = s.at
-	e.processed++
-	if e.Limit != 0 && e.processed > e.Limit {
-		e.limitExceeded()
-	}
-	// Copy the callback out before recycling so the handler may immediately
-	// reuse the event slot for its own scheduling.
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	e.recycle(ev)
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
+		if afn != nil {
+			afn(arg)
+		} else {
+			fn()
+		}
 	}
 }
 
@@ -422,18 +523,29 @@ func (e *Engine) limitExceeded() {
 }
 
 // Pending reports the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int {
+	n := -e.queue.head
+	for _, b := range e.queue.bucket {
+		n += len(b)
+	}
+	return n
+}
 
-// NextEventAt returns the timestamp of the earliest pending event and whether
-// one exists.
+// NextEventAt returns the timestamp of the earliest pending event that has
+// not been cancelled, if any. It only reads: ref moves inside runs only.
 func (e *Engine) NextEventAt() (Time, bool) {
-	for len(e.queue) > 0 && e.queue[0].ev.cancel {
-		e.recycle(e.queue.pop().ev)
+	for m := e.queue.mask; m != 0; m &= m - 1 {
+		best, ok := Time(0), false
+		for _, s := range e.queue.live(bits.TrailingZeros64(m)) {
+			if !s.ev.cancel && (!ok || s.at < best) {
+				best, ok = s.at, true
+			}
+		}
+		if ok {
+			return best, true
+		}
 	}
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
+	return 0, false
 }
 
 // Ticker repeatedly invokes a handler at a fixed virtual-time period until
