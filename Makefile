@@ -13,7 +13,7 @@ build:
 # per-file rules (virtual time, seeded randomness, sorted map output,
 # metric grammar, exec-only goroutines, hot-path allocation syntax) plus
 # the interprocedural rules over the whole-program call graph (dettaint,
-# hotpath-escape, partition-confine). See DESIGN.md §3d and §3i.
+# hotpath-escape). See DESIGN.md §3d and §3i.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/acacia-vet ./...
@@ -30,9 +30,11 @@ test:
 	$(GO) test ./...
 
 # Trials run concurrently; the race detector guards the scheduler and the
-# no-shared-mutable-state contract between trials.
+# no-shared-mutable-state contract between trials. ./benchmark is left out:
+# its profile-attribution test is sized in host seconds and starves under
+# race instrumentation (ROADMAP item 1(d)); `make test` still runs it.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '^acacia/benchmark$$')
 
 # Coverage in atomic mode (trials run on multiple goroutines), with a
 # per-package and total summary.

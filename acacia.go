@@ -134,10 +134,8 @@ func MergeMetrics(snaps ...*MetricsSnapshot) *MetricsSnapshot {
 
 // ExperimentOptions tunes experiment execution: Full selects
 // publication-length runs, Seed/SeedSet pick the base simulation seed, and
-// Parallel bounds how many trials run concurrently, and IntraParallel is
-// on/off — 0 keeps the single event queue, any positive value partitions
-// each testbed-backed run into serial per-site windows (output is
-// byte-identical at every setting of both).
+// Parallel bounds how many trials run concurrently (output is
+// byte-identical at every setting).
 type ExperimentOptions = experiments.Options
 
 // ExperimentIDs lists every reproducible figure/table id in presentation
@@ -162,8 +160,7 @@ func RunAllExperiments(opts ExperimentOptions) ([]*ExperimentResult, error) {
 
 // ScaleConfig shapes the generated metro-scale scenario: the site/eNB grid,
 // the UE population and its arrival profile, per-site admission capacity,
-// the frame-loop timing, and the execution mode (Workers, on/off like
-// -intra-parallel).
+// and the frame-loop timing (Workers is ignored).
 type ScaleConfig = experiments.ScaleConfig
 
 // DefaultScaleConfig returns the preset metro shapes: quick (test-sized)

@@ -8,23 +8,21 @@
 //	acacia-sim -fig 3a,3b,overhead
 //	acacia-sim -all [-full] [-seed N] [-parallel N] [-progress]
 //	acacia-sim -fig overhead -metrics -timeline overhead.json
-//	acacia-sim -fig 13 -intra-parallel 1 -cpuprofile cpu.pprof
-//	acacia-sim -scale -scale-ues 5000 -scale-sites 8 -intra-parallel 1
+//	acacia-sim -fig 13 -cpuprofile cpu.pprof
+//	acacia-sim -scale -scale-ues 5000 -scale-sites 8
 //	acacia-sim -scale -scale-ues 100000 -scale-sites 48 -scale-enbs 2 -scale-capacity -1
 //
-// Trials run concurrently on up to -parallel workers; -intra-parallel is
-// on/off (0, or any positive value) and partitions the event loop inside
-// each testbed-backed trial into serial conservative windows (DESIGN.md
-// §3g). Output on stdout is byte-identical for every -parallel and
-// -intra-parallel setting (and to the sequential defaults).
+// Trials run concurrently on up to -parallel workers, each on its own single
+// event queue. Output on stdout is byte-identical for every -parallel
+// setting.
 //
 // -scale runs the generated metro scenario standalone (the "scale"
-// experiment's scenario, one execution mode): -scale-ues, -scale-sites,
+// experiment's scenario): -scale-ues, -scale-sites,
 // -scale-enbs, -scale-capacity and -scale-arrival override the preset shape
 // (-full selects the 10,000-UE preset; the 100,000-UE line above is the
 // largest recorded shape, about half a minute and 1.6 GB, and a shape the
-// address plan cannot build is refused), -seed picks the seed and
-// -intra-parallel the execution mode. Unset knobs keep their preset values.
+// address plan cannot build is refused) and -seed picks the seed. Unset
+// knobs keep their preset values.
 // The generated scenario draws no randomness (its determinism scheme is
 // tie-free by construction), so -scale output depends only on the shape,
 // not the seed.
@@ -57,7 +55,6 @@ func run() int {
 		full       = flag.Bool("full", false, "publication-length runs (slower, tighter statistics)")
 		seed       = flag.Uint64("seed", 2016, "simulation seed")
 		parallel   = flag.Int("parallel", 0, "max concurrent trials (0 = GOMAXPROCS)")
-		intraPar   = flag.Int("intra-parallel", 0, "partition the event loop inside each trial: 0 = single queue, any positive value = per-site partitions in serial windows")
 		progress   = flag.Bool("progress", false, "report per-trial completion on stderr")
 		csv        = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 		metrics    = flag.Bool("metrics", false, "print each experiment's merged telemetry snapshot")
@@ -78,9 +75,6 @@ func run() int {
 		return 1
 	}
 
-	if *intraPar < 0 {
-		return fail(fmt.Errorf("-intra-parallel %d: want 0 (single queue) or a positive value (partitioned)", *intraPar))
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -112,7 +106,7 @@ func run() int {
 
 	opts := acacia.ExperimentOptions{
 		Full: *full, Seed: *seed, SeedSet: true,
-		Parallel: *parallel, IntraParallel: *intraPar,
+		Parallel: *parallel,
 	}
 	if *progress {
 		opts.Progress = func(done, total int, trial string, err error) {
@@ -180,7 +174,6 @@ func run() int {
 		if *scaleArr != "" {
 			cfg.Arrival = *scaleArr
 		}
-		cfg.Workers = *intraPar
 		if err := cfg.Validate(); err != nil {
 			return fail(err)
 		}

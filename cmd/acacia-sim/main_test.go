@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// TestRunExitStatus drives run() through os.Args: a negative
-// -intra-parallel is rejected with status 1 instead of silently selecting
-// the single queue, and a -scale shape the generator's address plan cannot
+// TestRunExitStatus drives run() through os.Args: an unknown figure fails
+// with status 1, and a -scale shape the generator's address plan cannot
 // build is refused up front instead of panicking on a duplicate address.
 func TestRunExitStatus(t *testing.T) {
 	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
@@ -17,8 +16,6 @@ func TestRunExitStatus(t *testing.T) {
 		want int
 	}{
 		{[]string{"-list"}, 0},
-		{[]string{"-intra-parallel", "1", "-list"}, 0},
-		{[]string{"-intra-parallel", "-3", "-list"}, 1},
 		{[]string{"-fig", "no-such-figure"}, 1},
 		{[]string{"-scale", "-scale-ues", "1000001"}, 1},
 		{[]string{"-scale", "-scale-ues", "10", "-scale-sites", "226"}, 1},

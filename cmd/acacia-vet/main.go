@@ -9,10 +9,8 @@
 //
 // Interprocedural rules, run over a static call graph of every loaded
 // package: wall-clock/env/global-rand sinks reachable from sim event
-// handlers (dettaint), compiler-verified escape-freedom of hotpath ranges
-// via `go build -gcflags='-m -m'` (hotpath-escape), and cross-partition
-// engine access from handler context outside SendTo/CrossSchedule
-// (partition-confine).
+// handlers (dettaint) and compiler-verified escape-freedom of hotpath ranges
+// via `go build -gcflags='-m -m'` (hotpath-escape).
 //
 // Usage:
 //

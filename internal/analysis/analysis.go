@@ -103,7 +103,6 @@ func AllRules() []*Rule {
 		HotpathEscapeRule(),
 		MapRangeRule(),
 		MetricNameRule(),
-		PartitionConfineRule(),
 		WallClockRule(),
 	}
 	sort.Slice(rules, func(i, j int) bool { return rules[i].Name < rules[j].Name })

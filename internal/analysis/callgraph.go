@@ -14,7 +14,7 @@ import (
 
 // This file is the whole-program layer of the framework: a static call
 // graph over every loaded package, shared by the interprocedural rules
-// (dettaint, partition-confine) and the hotpath-escape gate. The graph is
+// (dettaint) and the hotpath-escape gate. The graph is
 // deliberately an over-approximation — it must never miss a possible call,
 // and it tolerates edges that cannot happen at runtime:
 //
@@ -123,12 +123,12 @@ type CGNode struct {
 	Body *ast.BlockStmt
 	Pkg  *Package
 	// Decl is the enclosing top-level declaration — the node's own for
-	// named functions, the lexically enclosing one for literals. The
-	// confinement rule resolves engine aliases over the whole declaration,
-	// because handler closures capture locals bound outside their bodies.
+	// named functions, the lexically enclosing one for literals. Parameter
+	// keys resolve against it, because handler closures capture parameters
+	// bound outside their bodies.
 	Decl *ast.FuncDecl
 	// Root marks event-handler entry points: functions whose value flows
-	// into a sim.Engine scheduling API (Schedule, After, SendTo, ...).
+	// into a sim.Engine scheduling API (Schedule, After, AfterArg, ...).
 	Root bool
 
 	edges []cgEdge
@@ -254,16 +254,13 @@ func displayName(fn *types.Func) string {
 }
 
 // schedMethods are the sim.Engine methods whose function-typed arguments
-// become event handlers. SendTo and CrossSchedule are included: their
-// callbacks run on the destination partition's engine.
+// become event handlers.
 var schedMethods = map[string]bool{
-	"Schedule":      true,
-	"ScheduleAt":    true,
-	"ScheduleArg":   true,
-	"After":         true,
-	"AfterArg":      true,
-	"SendTo":        true,
-	"CrossSchedule": true,
+	"Schedule":    true,
+	"ScheduleAt":  true,
+	"ScheduleArg": true,
+	"After":       true,
+	"AfterArg":    true,
 }
 
 // isSimPkg reports whether path is the simulation-engine package (or a

@@ -176,3 +176,21 @@ func runHotpathEscape(p *ProgramPass) {
 			m[4], hit.name)
 	}
 }
+
+// exprString renders a (small) receiver chain for diagnostics.
+func exprString(expr ast.Expr) string {
+	switch e := ast.Unparen(expr).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(e.X) + "[...]"
+	case *ast.StarExpr:
+		return "*" + exprString(e.X)
+	case *ast.CallExpr:
+		return exprString(e.Fun) + "()"
+	default:
+		return "<expr>"
+	}
+}

@@ -15,9 +15,9 @@ func fanOut(work []func()) {
 	<-done // want "channel receive outside internal/exec"
 }
 
-// homegrownScheduler is the violation the partition engine must never
-// grow: a private barrier built from channel sends and selects. Partition
-// windows run serially; only whole trials run in parallel (exec.Run).
+// homegrownScheduler is the violation the event engine must never grow: a
+// private barrier built from channel sends and selects. One run is one
+// event queue; only whole trials run in parallel (exec.Run).
 func homegrownScheduler(windows []func(), ready chan int) { // want "channel type outside internal/exec"
 	for i, w := range windows {
 		w()

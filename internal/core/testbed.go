@@ -74,17 +74,6 @@ type TestbedConfig struct {
 	// the paper uses 5-10 s on air; a shorter period keeps experiment
 	// warm-up short without changing behaviour).
 	DiscoveryPeriod time.Duration
-
-	// IntraParallel partitions the event loop inside one run (DESIGN.md
-	// §3g). It is on/off: 0 (the default) keeps the single global event
-	// queue; any positive value — all mean the same — moves the edge-1
-	// site (edge SGW-U/PGW-U and the CI server), and every site added
-	// later, onto its own partition engine advanced in conservative
-	// windows against the core.
-	// Simulation output is identical for both settings as long
-	// as the scenario keeps RNG draws out of site partitions — the standard
-	// testbed does (radio jitter and D2D run core-side).
-	IntraParallel int
 }
 
 func (c TestbedConfig) withDefaults() TestbedConfig {
@@ -152,8 +141,7 @@ type SiteBundle struct {
 	CI       *netsim.Host
 	Backend  *ARBackend
 	// Loc is the site-local localization manager: each CI server tracks
-	// only the users bound to it, so site state never crosses partition
-	// boundaries under IntraParallel. After a failover the adopting site
+	// only the users bound to it. After a failover the adopting site
 	// starts cold and its backend falls back to full-database search until
 	// the user's landmark reports re-accumulate there.
 	Loc      *LocalizationManager
@@ -175,9 +163,6 @@ type UEBundle struct {
 type Testbed struct {
 	Cfg TestbedConfig
 	Eng *sim.Engine
-	// Net owns the partition domains (core = the root domain on Eng,
-	// edge-1 and every added site one domain each when Cfg.IntraParallel
-	// > 0) and is what Run/Attach/Handover advance.
 	Net *netsim.Network
 	Ctl *sdn.Controller
 	EPC *epc.Core
@@ -263,19 +248,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	ciN := nw.AddNode("ci-server", pkt.AddrFrom(10, 3, 0, 10))
 	bgSrcN := nw.AddNode("bg-src", pkt.AddrFrom(10, 1, 1, 1))
 	bgSinkN := nw.AddNode("bg-sink", pkt.AddrFrom(8, 8, 9, 9))
-
-	// Partitioning (DESIGN.md §3g): with IntraParallel > 0 the edge-1 site
-	// gets its own partition engine before any of its links exist, so every
-	// site-internal event (fabric hops, CI server compute, backend state)
-	// runs off the core queue. The rtr↔edge-sgw-u link is the only inbound
-	// cross edge; its propagation delay becomes the conservative lookahead.
-	if cfg.IntraParallel > 0 {
-		nw.Partition(cfg.Seed)
-	}
-	dom := nw.AddDomain("site/edge-1")
-	nw.SetDomain(edgeSGWN, dom)
-	nw.SetDomain(edgePGWN, dom)
-	nw.SetDomain(ciN, dom)
 
 	// eNB port 0 = backhaul (must exist before UEs connect).
 	nw.ConnectSymmetric(enbN, rtrN, gbit(cfg.BackhaulDelay))
@@ -440,13 +412,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 // manager, registered with the retail service as a failover candidate (no
 // eNB lists it, so the MRS only selects it when sites local to the UE's
 // eNB are down) and with the fault injector as a crash group.
-//
-// Every site's state — switches, compute server, backend, localization
-// tracks — is fully site-local, so under IntraParallel each added site
-// gets its own partition engine exactly like edge-1: its nodes join a
-// fresh domain before any link exists, and the rtr↔site-SGW-U link is the
-// site's only cross edge. Adding sites never changes simulation output;
-// only the partition a site's events run on.
 func (tb *Testbed) AddEdgeSite(name string) *SiteBundle {
 	idx := len(tb.Sites)
 	base := byte(3 + idx)
@@ -455,11 +420,6 @@ func (tb *Testbed) AddEdgeSite(name string) *SiteBundle {
 	sgwN := tb.Net.AddNode(name+"-sgw-u", pkt.AddrFrom(10, base, 0, 1))
 	pgwN := tb.Net.AddNode(name+"-pgw-u", pkt.AddrFrom(10, base, 0, 2))
 	ciN := tb.Net.AddNode(name+"-ci", pkt.AddrFrom(10, base, 0, 10))
-
-	dom := tb.Net.AddDomain("site/" + name)
-	tb.Net.SetDomain(sgwN, dom)
-	tb.Net.SetDomain(pgwN, dom)
-	tb.Net.SetDomain(ciN, dom)
 
 	rtrLink := tb.Net.ConnectSymmetric(rtrN, sgwN, gbit)
 	tb.aggRouter.AddHostRoute(sgwN.Addr(), rtrN.Port(len(rtrN.Ports())-1))
@@ -728,9 +688,8 @@ func (tb *Testbed) Handover(b *UEBundle, target *epc.ENB) error {
 	return result
 }
 
-// Run advances virtual time by d, in whichever execution mode the network
-// was built for.
-func (tb *Testbed) Run(d time.Duration) { tb.Net.RunFor(d) }
+// Run advances virtual time by d.
+func (tb *Testbed) Run(d time.Duration) { tb.Eng.RunFor(d) }
 
-// MetricsSnapshot captures the testbed's telemetry across every partition.
-func (tb *Testbed) MetricsSnapshot() *telemetry.Snapshot { return tb.Net.MetricsSnapshot() }
+// MetricsSnapshot captures the testbed's telemetry.
+func (tb *Testbed) MetricsSnapshot() *telemetry.Snapshot { return tb.Eng.Metrics().Snapshot() }

@@ -17,15 +17,6 @@
 // not channel effects), so retransmissions and the small transport-level
 // acks do not inflate the paper's message/byte tables. Ack frames still
 // occupy link bandwidth like any other packet.
-//
-// Partitioning note (DESIGN.md §3g): an endpoint belongs to its node's
-// partition engine — timers, counters and pools it touches are that
-// partition's, held in a per-engine transport state. Control frames between
-// endpoints in different partitions cross on the wire like any other
-// packet (netsim's cross-partition delivery), so sender-side machinery runs
-// in the sender's partition and the deliver continuation runs in the
-// receiver's. Frames that cross partitions are not recycled into a foreign
-// pool; they fall to the garbage collector instead.
 package ctl
 
 import (
@@ -62,13 +53,15 @@ type TxInfo struct {
 	RTT       time.Duration
 }
 
-// trState is the transport's per-partition slice: the epc/txn/* counters
-// and latency histogram registered in one engine's telemetry registry, plus
-// the frame and transaction pools endpoints on that engine draw from. With
-// a single global engine there is exactly one state and behaviour matches
-// the historical shared-state transport bit for bit.
-type trState struct {
+// Transport owns the transaction configuration shared by every control
+// endpoint (timers, retry budget), the epc/txn/* counters and latency
+// histogram, and the frame and transaction pools every endpoint draws from.
+type Transport struct {
 	eng *sim.Engine
+	// T3 is the per-attempt retransmission timeout; N3 bounds the number
+	// of retransmissions before the transaction fails terminally.
+	T3 time.Duration
+	N3 int
 
 	sent     *telemetry.Counter
 	retrans  *telemetry.Counter
@@ -92,43 +85,12 @@ type trState struct {
 	txnFree []*txn
 }
 
-// Transport owns the transaction configuration shared by every control
-// endpoint (timers, retry budget) and the per-engine states carrying
-// telemetry and pools.
-type Transport struct {
-	eng *sim.Engine
-	// T3 is the per-attempt retransmission timeout; N3 bounds the number
-	// of retransmissions before the transaction fails terminally.
-	T3 time.Duration
-	N3 int
-
-	// states holds one trState per partition engine hosting an endpoint,
-	// creation order — the transport's own engine first — so the aggregate
-	// accessors read deterministically.
-	states []*trState
-}
-
-// NewTransport creates the engine's control transport with default timers.
+// NewTransport creates the engine's control transport with default timers,
+// registering its metrics in the engine's registry.
 func NewTransport(eng *sim.Engine) *Transport {
-	t := &Transport{eng: eng, T3: DefaultT3, N3: DefaultN3}
-	t.state(eng)
-	return t
-}
-
-// Engine returns the driving simulation engine.
-func (t *Transport) Engine() *sim.Engine { return t.eng }
-
-// state returns the per-engine slice for eng, creating it (and registering
-// its metrics in eng's registry) on first use.
-func (t *Transport) state(eng *sim.Engine) *trState {
-	for _, st := range t.states {
-		if st.eng == eng {
-			return st
-		}
-	}
 	scope := eng.Metrics().Scope("epc").Scope("txn")
-	st := &trState{
-		eng:      eng,
+	return &Transport{
+		eng: eng, T3: DefaultT3, N3: DefaultN3,
 		sent:     scope.Counter("sent"),
 		retrans:  scope.Counter("retransmissions"),
 		timeouts: scope.Counter("timeouts"),
@@ -136,57 +98,52 @@ func (t *Transport) state(eng *sim.Engine) *trState {
 		dups:     scope.Counter("duplicates"),
 		latency:  scope.Histogram("latency-ms"),
 	}
-	t.states = append(t.states, st)
-	return st
 }
 
-// takeAckFrame pops a recycled ack frame, or allocates a fresh one homed in
-// this state.
+// Engine returns the driving simulation engine.
+func (t *Transport) Engine() *sim.Engine { return t.eng }
+
+// takeAckFrame pops a recycled ack frame, or allocates a fresh one.
 //
 //acacia:hotpath
-func (st *trState) takeAckFrame() *Frame {
-	if n := len(st.ackFree); n > 0 {
-		f := st.ackFree[n-1]
-		st.ackFree[n-1] = nil
-		st.ackFree = st.ackFree[:n-1]
+func (t *Transport) takeAckFrame() *Frame {
+	if n := len(t.ackFree); n > 0 {
+		f := t.ackFree[n-1]
+		t.ackFree[n-1] = nil
+		t.ackFree = t.ackFree[:n-1]
 		return f
 	}
-	return st.newFrame()
+	return newFrame()
 }
 
-// takeDataFrame pops a recycled data frame, or allocates a fresh one homed
-// in this state.
+// takeDataFrame pops a recycled data frame, or allocates a fresh one.
 //
 //acacia:hotpath
-func (st *trState) takeDataFrame() *Frame {
-	if n := len(st.dataFree); n > 0 {
-		f := st.dataFree[n-1]
-		st.dataFree[n-1] = nil
-		st.dataFree = st.dataFree[:n-1]
+func (t *Transport) takeDataFrame() *Frame {
+	if n := len(t.dataFree); n > 0 {
+		f := t.dataFree[n-1]
+		t.dataFree[n-1] = nil
+		t.dataFree = t.dataFree[:n-1]
 		return f
 	}
-	return st.newFrame()
+	return newFrame()
 }
 
 // newFrame is the frame pools' shared refill path. Noinline keeps the
 // pool-miss allocation out of hotpath callers' escape profiles.
 //
 //go:noinline
-func (st *trState) newFrame() *Frame {
-	return &Frame{home: st}
+func newFrame() *Frame {
+	return &Frame{}
 }
 
 // recycleDataFrame returns a data frame to its pool. Only the ack path may
-// call it, and only for transactions whose single attempt was acked. A
-// frame homed in another partition's state is left to the GC.
+// call it, and only for transactions whose single attempt was acked.
 //
 //acacia:hotpath
-func (st *trState) recycleDataFrame(f *Frame) {
-	if f.home != st {
-		return
-	}
-	*f = Frame{home: st}
-	st.dataFree = append(st.dataFree, f)
+func (t *Transport) recycleDataFrame(f *Frame) {
+	*f = Frame{}
+	t.dataFree = append(t.dataFree, f)
 }
 
 // recycleTxn zeroes a retired transaction and returns it to the pool. The
@@ -194,19 +151,19 @@ func (st *trState) recycleDataFrame(f *Frame) {
 // harmless — cancelled events never fire.
 //
 //acacia:hotpath
-func (st *trState) recycleTxn(tx *txn) {
+func (t *Transport) recycleTxn(tx *txn) {
 	*tx = txn{}
-	st.txnFree = append(st.txnFree, tx)
+	t.txnFree = append(t.txnFree, tx)
 }
 
 // takeTxn pops a recycled transaction record, or allocates one.
 //
 //acacia:hotpath
-func (st *trState) takeTxn() *txn {
-	if n := len(st.txnFree); n > 0 {
-		tx := st.txnFree[n-1]
-		st.txnFree[n-1] = nil
-		st.txnFree = st.txnFree[:n-1]
+func (t *Transport) takeTxn() *txn {
+	if n := len(t.txnFree); n > 0 {
+		tx := t.txnFree[n-1]
+		t.txnFree[n-1] = nil
+		t.txnFree = t.txnFree[:n-1]
 		return tx
 	}
 	return newTxn()
@@ -221,40 +178,22 @@ func newTxn() *txn {
 }
 
 // recycleAckFrame returns a consumed ack frame to its pool. Callers must
-// have copied out every field they need first. Cross-partition acks (homed
-// elsewhere) are left to the GC rather than pushed into a foreign pool.
+// have copied out every field they need first.
 //
 //acacia:hotpath
-func (st *trState) recycleAckFrame(f *Frame) {
-	if f.home != st {
-		return
-	}
-	*f = Frame{home: st}
-	st.ackFree = append(st.ackFree, f)
+func (t *Transport) recycleAckFrame(f *Frame) {
+	*f = Frame{}
+	t.ackFree = append(t.ackFree, f)
 }
 
-// Retransmissions reports the total retransmission count across partitions.
-func (t *Transport) Retransmissions() uint64 {
-	return t.sum(func(st *trState) uint64 { return st.retrans.Value() })
-}
+// Retransmissions reports the total retransmission count.
+func (t *Transport) Retransmissions() uint64 { return t.retrans.Value() }
 
 // Timeouts reports the number of transactions that exhausted their retries.
-func (t *Transport) Timeouts() uint64 {
-	return t.sum(func(st *trState) uint64 { return st.timeouts.Value() })
-}
+func (t *Transport) Timeouts() uint64 { return t.timeouts.Value() }
 
 // Duplicates reports how many re-delivered requests were suppressed.
-func (t *Transport) Duplicates() uint64 {
-	return t.sum(func(st *trState) uint64 { return st.dups.Value() })
-}
-
-func (t *Transport) sum(f func(*trState) uint64) uint64 {
-	var total uint64
-	for _, st := range t.states {
-		total += f(st)
-	}
-	return total
-}
+func (t *Transport) Duplicates() uint64 { return t.dups.Value() }
 
 // txnKey identifies a transaction: initiating peer address + sequence
 // number from that peer's allocator.
@@ -291,9 +230,6 @@ type Frame struct {
 	// Ack-side observations.
 	queueWait time.Duration
 	linkName  string
-	// home is the per-engine state whose pool the frame came from; recycling
-	// into any other state is refused (cross-partition frames go to the GC).
-	home *trState
 }
 
 // FrameOf returns the control frame carried by p, or nil for data-plane
@@ -339,13 +275,9 @@ func (ps *peerState) duplicate(seq uint32) bool {
 // sequence allocation and duplicate filter, and the pending-transaction
 // table. Endpoints on dedicated control nodes own the node handler; on
 // shared nodes the owning layer intercepts frames and forwards them.
-// An endpoint runs entirely in its node's partition: its timers arm on the
-// node's engine and its pools and counters live in that engine's transport
-// state.
 type Endpoint struct {
 	tr      *Transport
 	eng     *sim.Engine
-	st      *trState
 	node    *netsim.Node
 	peers   map[pkt.Addr]*peerState
 	pending map[txnKey]*txn
@@ -362,11 +294,9 @@ type Endpoint struct {
 // MME, gateway control planes, the SDN controller); shared nodes pass
 // false and forward frames explicitly.
 func (t *Transport) Endpoint(node *netsim.Node, own bool) *Endpoint {
-	eng := node.Engine()
 	ep := &Endpoint{
 		tr:        t,
-		eng:       eng,
-		st:        t.state(eng),
+		eng:       t.eng,
 		node:      node,
 		peers:     make(map[pkt.Addr]*peerState),
 		pending:   make(map[txnKey]*txn),
@@ -430,28 +360,24 @@ func (ep *Endpoint) NextSeq(peer pkt.Addr) uint32 {
 // allocating here) lets callers stamp the same value into the protocol
 // encoding (GTPv2 Seq, SCTP TSN) before computing the wire size.
 //
-// When the peer endpoint lives in another partition, deliver runs in that
-// partition (the frame crosses on the wire); everything sender-side stays
-// here.
-//
 //acacia:hotpath
 func (ep *Endpoint) Send(peer pkt.Addr, seq uint32, name string, size int, deliver func(), onFail func(error), onDone func(TxInfo)) {
 	ps := ep.peers[peer]
 	if ps == nil || ps.route == nil {
 		noRoute(ep.Name(), peer)
 	}
-	f := ep.st.takeDataFrame()
+	f := ep.tr.takeDataFrame()
 	f.seq, f.name, f.deliver = seq, name, deliver
 	tpl := ep.node.NewPacket()
 	tpl.Flow = pkt.FiveTuple{Src: ep.Addr(), Dst: peer}
 	tpl.Size = size
 	tpl.Payload = f
-	tx := ep.st.takeTxn()
+	tx := ep.tr.takeTxn()
 	tx.peer, tx.route, tx.seq, tx.name, tx.tpl = peer, ps.route, seq, name, tpl
 	tx.start = ep.eng.Now()
 	tx.onFail, tx.onDone = onFail, onDone
 	ep.pending[txnKey{peer, seq}] = tx
-	ep.st.sent.Inc()
+	ep.tr.sent.Inc()
 	ep.transmit(tx)
 }
 
@@ -487,7 +413,7 @@ func (ep *Endpoint) expire(tx *txn) {
 	}
 	if tx.retries >= ep.tr.N3 {
 		delete(ep.pending, key)
-		ep.st.timeouts.Inc()
+		ep.tr.timeouts.Inc()
 		ep.eng.Metrics().Scope("epc/txn").Emit("timeout",
 			fmt.Sprintf("%s seq=%d %s->%v", tx.name, tx.seq, ep.Name(), tx.peer))
 		if tx.onFail != nil {
@@ -497,7 +423,7 @@ func (ep *Endpoint) expire(tx *txn) {
 		return
 	}
 	tx.retries++
-	ep.st.retrans.Inc()
+	ep.tr.retrans.Inc()
 	ep.transmit(tx)
 }
 
@@ -525,7 +451,7 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 		tx := ep.pending[key]
 		if tx == nil {
 			// Duplicate ack; transaction already retired.
-			ep.st.recycleAckFrame(f)
+			ep.tr.recycleAckFrame(f)
 			ep.node.Network().Release(p)
 			return
 		}
@@ -533,12 +459,12 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 		if tx.timer != nil {
 			tx.timer.Cancel()
 		}
-		ep.st.acks.Inc()
+		ep.tr.acks.Inc()
 		rtt := ep.eng.Now().Sub(tx.start)
-		ep.st.latency.Observe(float64(rtt) / float64(time.Millisecond))
+		ep.tr.latency.Observe(float64(rtt) / float64(time.Millisecond))
 		info := TxInfo{Link: f.linkName, QueueWait: f.queueWait, Retrans: tx.retries, RTT: rtt}
 		onDone := tx.onDone
-		ep.st.recycleAckFrame(f)
+		ep.tr.recycleAckFrame(f)
 		ep.node.Network().Release(p)
 		// Retire the transaction's resources. The template never rides a
 		// link itself (attempts are clones), so it always returns to the
@@ -549,11 +475,11 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 		// recycled only when nothing was ever retransmitted.
 		if tx.retries == 0 {
 			if df := FrameOf(tx.tpl); df != nil {
-				ep.st.recycleDataFrame(df)
+				ep.tr.recycleDataFrame(df)
 			}
 		}
 		ep.node.Network().Release(tx.tpl)
-		ep.st.recycleTxn(tx)
+		ep.tr.recycleTxn(tx)
 		if onDone != nil {
 			onDone(info)
 		}
@@ -563,7 +489,7 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 	// retransmitted request, echoing what this attempt experienced.
 	ps := ep.peer(peer)
 	if back := ps.route; back != nil {
-		ack := ep.st.takeAckFrame()
+		ack := ep.tr.takeAckFrame()
 		ack.ack, ack.seq, ack.name = true, f.seq, f.name
 		ack.queueWait, ack.linkName = p.QueueWait, ep.linkNameFor(ingress)
 		ap := ep.node.NewPacket()
@@ -575,7 +501,7 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 	}
 	ep.node.Network().Release(p)
 	if ps.duplicate(f.seq) {
-		ep.st.dups.Inc()
+		ep.tr.dups.Inc()
 		return
 	}
 	if f.deliver != nil {

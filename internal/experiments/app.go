@@ -362,10 +362,9 @@ func fig13() Experiment {
 					Key: "deployment=" + c.name,
 					Run: func(seed uint64) any {
 						tb := core.NewTestbed(core.TestbedConfig{
-							Seed:          seed,
-							IdleTimeout:   time.Hour,
-							Scheme:        c.scheme,
-							IntraParallel: opts.IntraParallel,
+							Seed:        seed,
+							IdleTimeout: time.Hour,
+							Scheme:      c.scheme,
 						})
 						b := tb.UEs[0]
 						tb.MoveUE(b, retailSpot)
@@ -381,15 +380,12 @@ func fig13() Experiment {
 						}
 						tb.Run(dur)
 						st := &b.Frontend.Stats
-						// Snapshot via the testbed so partitioned runs merge
-						// their per-partition registries (identical to the
-						// single-registry snapshot on the single queue).
-						return Metered{Part: fig13Means{
+						return metered(fig13Means{
 							match:   st.Match.Mean(),
 							compute: st.Compute.Mean(),
 							network: st.Network.Mean(),
 							total:   st.Total.Mean(),
-						}, Snap: tb.MetricsSnapshot()}
+						}, tb.Eng)
 					},
 				})
 			}

@@ -90,13 +90,6 @@ type Options struct {
 	// trials are seeded from their keys, not from scheduling order, and
 	// results are reassembled in declaration order.
 	Parallel int
-	// IntraParallel partitions the event loop inside each testbed-backed
-	// trial (DESIGN.md §3g). It is on/off: 0 keeps the single global event
-	// queue; any positive value — all mean the same — runs each edge site
-	// on its own partition in serial conservative windows. Output is
-	// byte-identical at both settings — that is the partitioned engine's
-	// core contract, enforced by the identity tests.
-	IntraParallel int
 	// Progress, when non-nil, is called serially after each trial
 	// completes. done counts finished trials including the reported one;
 	// trial is "<experiment id>/<trial key>". err is nil unless the trial

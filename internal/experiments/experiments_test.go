@@ -467,3 +467,24 @@ func TestAblationIndexShape(t *testing.T) {
 		}
 	}
 }
+
+// TestMobilityContinuityStateColumn pins the migrated state size per
+// DB-feature setting to the values the eager database produced: the lazy
+// database (vision.BuildRetailDB) answers feature counts without generating
+// descriptors, and the state a migration ships must still be sized by them.
+func TestMobilityContinuityStateColumn(t *testing.T) {
+	r, err := Run("mobility-continuity", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]string{{"50", "199.6"}, {"200", "797.3"}, {"400", "1594.2"}}
+	rows := r.Tables[0].Rows
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		if rows[i][0] != w[0] || rows[i][1] != w[1] {
+			t.Errorf("row %d: features/obj, state (KB) = %s, %s; want %s, %s", i, rows[i][0], rows[i][1], w[0], w[1])
+		}
+	}
+}

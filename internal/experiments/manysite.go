@@ -12,13 +12,10 @@ import (
 
 func init() { register(manySite()) }
 
-// The many-site experiment is the partitioned engine's scale-out witness
-// (DESIGN.md §3g): K edge sites, each with its own server and S user
-// devices, exchange site-local request/response traffic plus periodic
-// cross-partition reports with a central hub. The same scenario runs both
-// ways — one global event queue and per-site partitions in conservative
-// windows — and the assembly proves the two produce identical per-site
-// statistics, state checksums and merged telemetry.
+// The many-site experiment is a hub-and-spoke workload: K edge sites, each
+// with its own server and S user devices, exchange site-local
+// request/response traffic plus periodic reports with a central hub. It
+// prints per-site statistics and a state checksum per site.
 //
 // The scenario is built so zero timestamp ties exist across event owners:
 // every timer period and link delay is a whole number of microseconds,
@@ -26,8 +23,7 @@ func init() { register(manySite()) }
 // are pure delay lines (no serialization, no queueing, no jitter — and no
 // RNG draws anywhere). Every event time is therefore congruent to its
 // owner's offset modulo 1 µs, so no two owners ever schedule at the same
-// instant and the interleaving freedom the partitioned engine exploits
-// cannot change any handler's view of the world.
+// instant.
 
 // manyReq is the request/response payload: which UE sent it and its
 // sequence number.
@@ -46,13 +42,10 @@ type manySiteStats struct {
 	rttSumNs  int64  // total request round-trip virtual time
 }
 
-// manySiteRun is the full outcome of one execution mode.
+// manySiteRun is the full outcome of one run.
 type manySiteRun struct {
 	sites   []manySiteStats
 	hubSeen uint64
-	// metricsHash fingerprints the merged telemetry snapshot; equal hashes
-	// mean byte-equal metric tables.
-	metricsHash uint64
 }
 
 func fnv1a(h uint64, v uint64) uint64 {
@@ -64,24 +57,10 @@ func fnv1a(h uint64, v uint64) uint64 {
 	return h
 }
 
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// runManySite executes the scenario with the given shape. workers selects
-// the mode: 0 = one global event queue, any positive value = per-site
-// partitions in serial windows.
-func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.Duration) manySiteRun {
+// runManySite executes the scenario with the given shape.
+func runManySite(seed uint64, sites, uesPerSite, vecLen int, dur time.Duration) manySiteRun {
 	eng := sim.NewEngine(seed)
 	nw := netsim.New(eng)
-	if workers > 0 {
-		nw.Partition(seed)
-	}
 
 	// Unique per-owner sub-microsecond start offsets: the no-ties scheme
 	// needs every timer owner below 1000 (one full microsecond of distinct
@@ -112,11 +91,7 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 	for i := 0; i < sites; i++ {
 		i := i
 		name := fmt.Sprintf("site-%d", i+1)
-		dom := nw.AddDomain("site/" + name)
 		srvN := nw.AddNode(name+"-srv", pkt.AddrFrom(10, byte(10+i), 0, 1))
-		nw.SetDomain(srvN, dom)
-		// Hub <-> server: the only cross-partition edge; its 5 ms delay is
-		// the conservative lookahead.
 		hubLink := nw.ConnectSymmetric(hubN, srvN, netsim.LinkConfig{Propagation: 5 * time.Millisecond})
 		hubPorts[srvN.Addr()] = hubLink.A
 		srv := netsim.NewHost(srvN)
@@ -129,8 +104,7 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 		// the wrong site's server changes two checksums, not zero.
 		st.checksum = fnv1a(14695981039346656037, uint64(i+1))
 		// Per-UE feature vectors are the site's working set: every request
-		// sweeps its owner's vector, so a window of site-local events reuses
-		// the same cache-resident state.
+		// sweeps its owner's vector.
 		vecs := make([][]float64, uesPerSite)
 		for j := range vecs {
 			vecs[j] = make([]float64, vecLen)
@@ -153,9 +127,8 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 		}))
 
 		// The server's periodic hub report.
-		srvEng := srvN.Engine()
 		hubAddr := hubN.Addr()
-		srvEng.Schedule(nextOff(), func() {
+		eng.Schedule(nextOff(), func() {
 			seq := 0
 			report := func() {
 				seq++
@@ -163,73 +136,45 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen, workers int, dur time.D
 				srv.Send(hubAddr, 7004, 7003, pkt.ProtoUDP, 200, manyRep{site: i, seq: seq})
 			}
 			report()
-			sim.NewTicker(srvEng, 25*time.Millisecond, report)
+			sim.NewTicker(eng, 25*time.Millisecond, report)
 		})
 
 		for j := 0; j < uesPerSite; j++ {
 			j := j
 			ueN := nw.AddNode(fmt.Sprintf("%s-ue-%d", name, j+1), pkt.AddrFrom(10, byte(10+i), 1, byte(1+j)))
-			nw.SetDomain(ueN, dom)
 			ueLink := nw.ConnectSymmetric(srvN, ueN, netsim.LinkConfig{Propagation: 200 * time.Microsecond})
 			srvPorts[ueN.Addr()] = ueLink.A
 			ue := netsim.NewHost(ueN)
-			ueEng := ueN.Engine()
 			sentAt := map[int]sim.Time{}
 			ue.Listen(7002, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
 				req := p.Payload.(manyReq)
 				if t0, ok := sentAt[req.seq]; ok {
 					delete(sentAt, req.seq)
 					st.responses++
-					st.rttSumNs += int64(ueEng.Now().Sub(t0))
+					st.rttSumNs += int64(eng.Now().Sub(t0))
 				}
 				h.Node.Network().Release(p)
 			}))
 			srvAddr := srvN.Addr()
-			ueEng.Schedule(nextOff(), func() {
+			eng.Schedule(nextOff(), func() {
 				seq := 0
 				request := func() {
 					seq++
-					sentAt[seq] = ueEng.Now()
+					sentAt[seq] = eng.Now()
 					ue.Send(srvAddr, 7002, 7001, pkt.ProtoUDP, 1000, manyReq{ue: j, seq: seq})
 				}
 				request()
-				sim.NewTicker(ueEng, 20*time.Millisecond, request)
+				sim.NewTicker(eng, 20*time.Millisecond, request)
 			})
 		}
 	}
 
-	nw.RunFor(dur)
-	out.metricsHash = hashString(nw.MetricsSnapshot().String())
+	eng.RunFor(dur)
 	return out
 }
 
-func (r manySiteRun) equal(o manySiteRun) bool {
-	if r.hubSeen != o.hubSeen || r.metricsHash != o.metricsHash || len(r.sites) != len(o.sites) {
-		return false
-	}
-	for i := range r.sites {
-		if r.sites[i] != o.sites[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// windowedVerdict renders the identity note the partition experiments
-// (many-site, scale) print: whether the windowed run reproduced the
-// sequential one.
-func windowedVerdict(identical bool) string {
-	if identical {
-		return "windowed (1 partition worker) vs sequential: IDENTICAL"
-	}
-	return "windowed (1 partition worker) vs sequential: DIVERGED"
-}
-
-// manySite declares the experiment: the same scenario under both execution
-// modes, assembled into per-site statistics plus the identity verdict. Both
-// trials deliberately run from one shared seed (forked from the base seed by
-// the experiment name, not the trial key) — the whole point is comparing
-// modes on an identical workload.
+// manySite declares the experiment: one run from a seed forked from the
+// base seed by the experiment name, assembled into per-site statistics.
 func manySite() Experiment {
 	const id = "many-site"
 	shape := func(opts Options) (sites, ues, vecLen int, dur time.Duration) {
@@ -240,27 +185,24 @@ func manySite() Experiment {
 	}
 	return Experiment{
 		ID:    id,
-		Title: "Partitioned engine identity and scale-out (many-site, §3g)",
+		Title: "Many-site hub-and-spoke workload",
 		Trials: func(opts Options) []Trial {
 			sites, ues, vecLen, dur := shape(opts)
-			trial := func(key string, workers int) Trial {
-				return Trial{
-					Key: "mode=" + key,
-					Run: func(_ uint64) any {
-						return runManySite(subSeed(opts.BaseSeed(), id), sites, ues, vecLen, workers, dur)
-					},
-				}
-			}
-			return []Trial{trial("sequential", 0), trial("windowed", 1)}
+			return []Trial{{
+				Key: "all",
+				Run: func(_ uint64) any {
+					return runManySite(subSeed(opts.BaseSeed(), id), sites, ues, vecLen, dur)
+				},
+			}}
 		},
 		Assemble: func(opts Options, parts []any) *Result {
 			sites, ues, _, dur := shape(opts)
-			seq := parts[0].(manySiteRun)
+			run := parts[0].(manySiteRun)
 			tbl := stats.NewTable(
-				fmt.Sprintf("Per-site outcome: %d sites x %d UEs, %v (sequential mode)", sites, ues, dur),
+				fmt.Sprintf("Per-site outcome: %d sites x %d UEs, %v", sites, ues, dur),
 				"site", "served", "responses", "reports", "acks", "mean-rtt-us", "checksum")
-			var served, responses uint64
-			for i, s := range seq.sites {
+			var served uint64
+			for i, s := range run.sites {
 				rtt := 0.0
 				if s.responses > 0 {
 					rtt = float64(s.rttSumNs) / float64(s.responses) / 1e3
@@ -268,15 +210,12 @@ func manySite() Experiment {
 				tbl.AddRow(fmt.Sprintf("site-%d", i+1), s.served, s.responses, s.reports, s.acks,
 					fmt.Sprintf("%.1f", rtt), fmt.Sprintf("%016x", s.checksum))
 				served += s.served
-				responses += s.responses
 			}
 			return &Result{
 				ID: id, Title: Title(id),
 				Tables: []*stats.Table{tbl},
 				Notes: []string{
-					fmt.Sprintf("total served %d, hub reports %d", served, seq.hubSeen),
-					windowedVerdict(parts[1].(manySiteRun).equal(seq)),
-					"identity covers per-site counters, state checksums and merged telemetry",
+					fmt.Sprintf("total served %d, hub reports %d", served, run.hubSeen),
 				},
 			}
 		},

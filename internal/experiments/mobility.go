@@ -35,7 +35,7 @@ func mobilityContinuity() Experiment {
 				f := f
 				trials = append(trials, Trial{
 					Key: fmt.Sprintf("features=%d", f),
-					Run: func(seed uint64) any { return runMobilityTrial(seed, f, opts.IntraParallel) },
+					Run: func(seed uint64) any { return runMobilityTrial(seed, f) },
 				})
 			}
 			return trials
@@ -58,12 +58,11 @@ func mobilityContinuity() Experiment {
 // runMobilityTrial walks one user west-to-east across the midline between
 // cell "enb" (edge-1) and cell "enb-east" (edge-2) and measures the
 // continuity of its AR session across the resulting relocation.
-func runMobilityTrial(seed uint64, features, intraParallel int) Metered {
+func runMobilityTrial(seed uint64, features int) Metered {
 	tb := core.NewTestbed(core.TestbedConfig{
-		Seed:          seed,
-		IdleTimeout:   time.Hour,
-		DBFeatures:    features,
-		IntraParallel: intraParallel,
+		Seed:        seed,
+		IdleTimeout: time.Hour,
+		DBFeatures:  features,
 	})
 	site2 := tb.AddEdgeSite("edge-2")
 	east := tb.AddCellENB("enb-east")

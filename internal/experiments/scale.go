@@ -18,24 +18,21 @@ import (
 func init() { register(scaleMetro()) }
 
 // The scale experiment is the metro-scale witness for the whole refactor
-// stack: a generated grid of edge sites (each on its own partition of the
-// conservative-parallel engine), a grid of eNBs on the aggregation router,
-// and a UE population that arrives on a diurnal curve with a flash crowd
-// around one site. Arriving UEs attach in batched cohorts (AttachBatch),
+// stack: a generated grid of edge sites, a grid of eNBs on the aggregation
+// router, and a UE population that arrives on a diurnal curve with a flash
+// crowd around one site. Arriving UEs attach in batched cohorts (AttachBatch),
 // request MEC connectivity through the capacity-admitting MRS (spilling to
 // other sites when their home site fills, backing off when everything is
 // full), and then run a periodic AR-style frame loop against their assigned
 // CI server. The output is the UEs-vs-latency curve — attach and frame
 // percentiles bucketed by the attached population at the time of the
-// measurement — plus the §3g identity verdict between single-queue and
-// windowed execution.
+// measurement.
 //
 // Determinism: no RNG is drawn anywhere. Placement uses a golden-ratio
 // low-discrepancy sequence over deterministic site weights, arrivals invert
 // the diurnal CDF at fixed quantiles, and every frame timer owns a unique
 // sub-millisecond phase (UE k sends at a whole millisecond plus k+1 ns, with
-// a whole-millisecond period), so no two UEs ever schedule a cross-partition
-// event at the same instant.
+// a whole-millisecond period), so no two UEs ever send at the same instant.
 
 // ScaleConfig shapes the generated metro scenario.
 type ScaleConfig struct {
@@ -67,9 +64,9 @@ type ScaleConfig struct {
 	// FlashFraction the fraction of the population arriving in the flash.
 	FlashSite     int
 	FlashFraction float64
-	// Workers selects the execution mode, on/off like -intra-parallel: 0 =
-	// one global event queue, any positive value = per-site partitions in
-	// serial windows.
+	// Workers is ignored: every run uses one event queue. It stays only
+	// because the benchmark still sets it; output is identical for any
+	// value.
 	Workers int
 }
 
@@ -182,7 +179,7 @@ type scaleSiteOutcome struct {
 	Served uint64 // frames processed by the site's CI server
 }
 
-// scaleRun is the full outcome of one execution mode.
+// scaleRun is the full outcome of one run.
 type scaleRun struct {
 	attached   uint64 // UEs through the batched attach
 	bound      uint64 // UEs with a MEC binding
@@ -199,34 +196,6 @@ type scaleRun struct {
 	// configured total) — the raw material of the UEs-vs-latency curve.
 	attachMs [scaleBuckets]*stats.Sample
 	frameMs  [scaleBuckets]*stats.Sample
-
-	// checksum folds every attach latency and frame round trip (with its
-	// owner and the population at send time) in master-engine event order;
-	// metricsHash fingerprints the merged telemetry snapshot.
-	checksum    uint64
-	metricsHash uint64
-}
-
-func (r *scaleRun) equal(o *scaleRun) bool {
-	if r.attached != o.attached || r.bound != o.bound ||
-		r.rejections != o.rejections || r.retries != o.retries ||
-		r.attachErrs != o.attachErrs ||
-		r.framesSent != o.framesSent || r.framesDone != o.framesDone ||
-		r.checksum != o.checksum || r.metricsHash != o.metricsHash ||
-		len(r.sites) != len(o.sites) {
-		return false
-	}
-	for i := range r.sites {
-		if r.sites[i] != o.sites[i] {
-			return false
-		}
-	}
-	for i := range r.attachMs {
-		if r.attachMs[i].N() != o.attachMs[i].N() || r.frameMs[i].N() != o.frameMs[i].N() {
-			return false
-		}
-	}
-	return true
 }
 
 // scaleSiteWeights is the deterministic "downtown gradient": site 0 is the
@@ -266,16 +235,15 @@ func invertDiurnal(p float64) float64 {
 	return (lo + hi) / 2
 }
 
-// runScale builds the generated metro and executes it in the mode selected
-// by cfg.Workers. All randomness-free: the same cfg and seed produce the
-// same run in both modes — that is the identity contract the experiment
-// verifies. cfg must already have its defaults applied.
+// runScale builds the generated metro and executes it. All randomness-free:
+// the same cfg and seed produce the same run. cfg must already have its
+// defaults applied.
 func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	const (
 		radioDelay    = 5 * time.Millisecond
 		backhaulDelay = 500 * time.Microsecond
 		coreDelay     = 10 * time.Millisecond
-		siteDelay     = 2 * time.Millisecond // rtr -> site SGW-U: the conservative lookahead
+		siteDelay     = 2 * time.Millisecond // rtr -> site SGW-U
 		fabricDelay   = 100 * time.Microsecond
 	)
 
@@ -283,24 +251,19 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	nw := netsim.New(eng)
 	ctl := sdn.NewController(eng)
 	ctl.RTT = 200 * time.Microsecond
-	if cfg.Workers > 0 {
-		nw.Partition(seed)
-	}
 
 	out := &scaleRun{sites: make([]scaleSiteOutcome, cfg.Sites)}
 	for i := range out.attachMs {
 		out.attachMs[i] = &stats.Sample{}
 		out.frameMs[i] = &stats.Sample{}
 	}
-	out.checksum = fnv1a(14695981039346656037, uint64(cfg.Sites))
 
 	link := func(d time.Duration) netsim.LinkConfig {
 		return netsim.LinkConfig{Propagation: d}
 	}
 
 	// Aggregation core: router, centralized default-bearer gateways, SGi
-	// sink. Everything here (plus the EPC control plane, the controller and
-	// every eNB/UE) lives on the master partition.
+	// sink.
 	rtrN := nw.AddNode("agg-router", pkt.AddrFrom(10, 1, 0, 254))
 	coreSGWN := nw.AddNode("metro-core-sgw-u", pkt.AddrFrom(10, 2, 0, 1))
 	corePGWN := nw.AddNode("metro-core-pgw-u", pkt.AddrFrom(10, 2, 0, 2))
@@ -321,9 +284,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	nw.ConnectSymmetric(coreSGWN, corePGWN, link(backhaulDelay))
 	nw.ConnectSymmetric(corePGWN, inetN, link(2*time.Millisecond))
 
-	// Generated sites: SGW-U/PGW-U pair plus CI server, each site one
-	// partition (domains are set before any link touches the nodes; the
-	// rtr<->site-SGW link is the only cross edge).
+	// Generated sites: SGW-U/PGW-U pair plus CI server.
 	type siteNodes struct {
 		name         string
 		sgw, pgw, ci *netsim.Node
@@ -341,10 +302,6 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 			sgwPl: name + "-sgw",
 			pgwPl: name + "-pgw",
 		}
-		dom := nw.AddDomain("site/" + name)
-		nw.SetDomain(sn.sgw, dom)
-		nw.SetDomain(sn.pgw, dom)
-		nw.SetDomain(sn.ci, dom)
 		nw.ConnectSymmetric(rtrN, sn.sgw, link(siteDelay)) // rtr port numENBs+1+s
 		nw.ConnectSymmetric(sn.sgw, sn.pgw, link(fabricDelay))
 		nw.ConnectSymmetric(sn.pgw, sn.ci, link(fabricDelay))
@@ -360,8 +317,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		rtr.AddHostRoute(sn.sgw.Addr(), rtrN.Port(numENBs+1+s))
 	}
 
-	// Switches (created after the domains so their telemetry and OpenFlow
-	// endpoints live on the owning partition's engine).
+	// Switches.
 	coreSGW := sdn.NewSwitch(1, coreSGWN, sdn.ACACIAGWCosts)
 	corePGW := sdn.NewSwitch(2, corePGWN, sdn.ACACIAGWCosts)
 	ctl.AddSwitch(coreSGW)
@@ -411,13 +367,11 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	}
 	mrs.RegisterService(svc)
 
-	// CI servers: a deterministic FIFO single-server queue per site, run
-	// entirely on the site's partition engine.
+	// CI servers: a deterministic FIFO single-server queue per site.
 	netsim.NewHost(inetN)
 	for s, sn := range siteList {
 		st := &out.sites[s]
 		ci := netsim.NewHost(sn.ci)
-		ciEng := sn.ci.Engine()
 		var busyUntil sim.Time
 		// reply answers a served request packet: bound once per site, the
 		// boxed payload passed through — no Event, closure or box per frame.
@@ -429,13 +383,13 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		}
 		ci.Listen(scaleFramePort, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) {
 			st.Served++
-			now := ciEng.Now()
+			now := eng.Now()
 			start := now
 			if busyUntil > start {
 				start = busyUntil
 			}
 			busyUntil = start.Add(cfg.FrameService)
-			ciEng.AfterArg(busyUntil.Sub(now), reply, p)
+			eng.AfterArg(busyUntil.Sub(now), reply, p)
 		}))
 	}
 
@@ -515,28 +469,22 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 
 	// Frame loop: started once the UE is bound to a CI server. UE k's sends
 	// land on whole milliseconds plus its unique k+1 ns phase; with a
-	// whole-millisecond period no two UEs ever emit a cross-partition event
-	// at the same instant.
+	// whole-millisecond period no two UEs ever send at the same instant.
 	startFrames := func(k int, ue *epc.UE, ciAddr pkt.Addr) {
-		ueEng := ue.Host.Node.Engine()
 		seq := 0
 		var free []*scaleFrame // one record unless the site queues past a period
 		ue.Host.Listen(scaleRespPort, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
 			fr := p.Payload.(*scaleFrame)
-			rtt := ueEng.Now().Sub(fr.sentAt)
+			rtt := eng.Now().Sub(fr.sentAt)
 			out.framesDone++
 			out.frameMs[bucket(fr.pop)].Add(float64(rtt) / 1e6)
-			out.checksum = fnv1a(out.checksum, 2)
-			out.checksum = fnv1a(out.checksum, uint64(fr.ue)<<32|uint64(uint32(fr.seq)))
-			out.checksum = fnv1a(out.checksum, uint64(rtt))
-			out.checksum = fnv1a(out.checksum, fr.pop)
 			free = append(free, fr)
 			h.Node.Network().Release(p)
 		}))
-		now := ueEng.Now()
+		now := eng.Now()
 		ms := sim.Time(time.Millisecond)
 		first := (now/ms+1)*ms + sim.Time(k+1)
-		ueEng.Schedule(first.Sub(now), func() {
+		eng.Schedule(first.Sub(now), func() {
 			send := func() {
 				if len(free) == 0 {
 					free = append(free, new(scaleFrame))
@@ -544,12 +492,12 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 				fr := free[len(free)-1]
 				free = free[:len(free)-1]
 				seq++
-				*fr = scaleFrame{ue: k, seq: seq, sentAt: ueEng.Now(), pop: out.attached}
+				*fr = scaleFrame{ue: k, seq: seq, sentAt: eng.Now(), pop: out.attached}
 				out.framesSent++
 				ue.Host.Send(ciAddr, scaleRespPort, scaleFramePort, pkt.ProtoUDP, scaleFrameReq, fr)
 			}
 			send()
-			sim.NewTicker(ueEng, cfg.FramePeriod, send)
+			sim.NewTicker(eng, cfg.FramePeriod, send)
 		})
 	}
 
@@ -591,9 +539,6 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 				lat := eng.Now().Sub(arrivalAt[k])
 				out.attached++
 				out.attachMs[bucket(out.attached)].Add(float64(lat) / 1e6)
-				out.checksum = fnv1a(out.checksum, 1)
-				out.checksum = fnv1a(out.checksum, uint64(k))
-				out.checksum = fnv1a(out.checksum, uint64(lat))
 				requestCI(k, u, 0)
 			})
 		}
@@ -610,8 +555,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		sim.NewTicker(eng, cfg.CohortWindow, flush)
 	})
 
-	nw.RunFor(cfg.Ramp + cfg.Hold)
-	out.metricsHash = hashString(nw.MetricsSnapshot().String())
+	eng.RunFor(cfg.Ramp + cfg.Hold)
 
 	for s, sn := range siteList {
 		out.sites[s].Bound = mrs.SiteLoad(sn.name)
@@ -620,10 +564,9 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	return out
 }
 
-// assembleScale renders one run (plus optional cross-mode verdicts) as a
-// Result: the UEs-vs-latency curve, the per-site placement table, and the
-// admission/identity notes.
-func assembleScale(id string, cfg ScaleConfig, seq *scaleRun, extraNotes []string) *Result {
+// assembleScale renders one run as a Result: the UEs-vs-latency curve, the
+// per-site placement table, and the admission notes.
+func assembleScale(id string, cfg ScaleConfig, seq *scaleRun) *Result {
 	curve := stats.NewTable(
 		fmt.Sprintf("UEs vs latency: %d UEs, %d sites x %d eNBs, %v ramp (%s arrivals)",
 			cfg.UEs, cfg.Sites, cfg.ENBsPerSite, cfg.Ramp, cfg.Arrival),
@@ -665,50 +608,39 @@ func assembleScale(id string, cfg ScaleConfig, seq *scaleRun, extraNotes []strin
 			seq.attached, cfg.UEs, seq.bound, seq.framesSent, seq.framesDone),
 		fmt.Sprintf("admission: %d rejections (every site full at request time), %d backoff retries", seq.rejections, seq.retries),
 	}
-	notes = append(notes, extraNotes...)
 	return &Result{ID: id, Title: Title(id), Tables: []*stats.Table{curve, sitesTbl}, Notes: notes}
 }
 
 // RunScaleScenario runs the metro scenario once with the given shape — the
-// acacia-sim -scale entry point. cfg.Workers selects the execution mode
-// exactly like -intra-parallel. The shape must pass Validate; a caller that
+// acacia-sim -scale entry point. The shape must pass Validate; a caller that
 // takes it from outside the program checks that first.
 func RunScaleScenario(seed uint64, cfg ScaleConfig) *Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
-	return assembleScale("scale", cfg, runScale(seed, cfg), nil)
+	return assembleScale("scale", cfg, runScale(seed, cfg))
 }
 
-// scaleMetro declares the experiment: the same generated metro under both
-// execution modes (one shared seed, forked from the experiment name),
-// assembled into the latency curve plus the identity verdict.
+// scaleMetro declares the experiment: the generated metro at the preset
+// shape, one run from a seed forked from the experiment name, assembled
+// into the latency curve.
 func scaleMetro() Experiment {
 	const id = "scale"
 	shape := func(opts Options) ScaleConfig { return DefaultScaleConfig(opts.Full) }
 	return Experiment{
-		ID:    id,
+		ID: id,
+		// The title is rendered into RunScaleScenario's output, which the
+		// benchmark's metro-* fingerprints hash: keep it byte-stable.
 		Title: "Metro-scale scenario: batched attach, admission and partitioned scale-out",
 		Trials: func(opts Options) []Trial {
-			trial := func(key string, workers int) Trial {
-				return Trial{
-					Key: "mode=" + key,
-					Run: func(_ uint64) any {
-						c := shape(opts)
-						c.Workers = workers
-						return runScale(subSeed(opts.BaseSeed(), id), c)
-					},
-				}
-			}
-			return []Trial{trial("sequential", 0), trial("windowed", 1)}
+			return []Trial{{
+				Key: "all",
+				Run: func(_ uint64) any { return runScale(subSeed(opts.BaseSeed(), id), shape(opts)) },
+			}}
 		},
 		Assemble: func(opts Options, parts []any) *Result {
-			seq := parts[0].(*scaleRun)
-			return assembleScale(id, shape(opts), seq, []string{
-				windowedVerdict(parts[1].(*scaleRun).equal(seq)),
-				"identity covers attach/frame checksums, admission counters, per-site placement and merged telemetry",
-			})
+			return assembleScale(id, shape(opts), parts[0].(*scaleRun))
 		},
 	}
 }

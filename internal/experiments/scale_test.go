@@ -1,57 +1,41 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"acacia/internal/pkt"
 )
 
-// TestScaleIdentityAcrossModes is the §3g identity contract for the
-// generated metro: the same seed and shape must replay byte-identically
-// whether the run uses one global event queue or per-site partitions in
-// serial windows.
+// TestScaleIdentityAcrossModes checks the quick shape exercises admission
+// and placement, and that ScaleConfig.Workers — which every run ignores —
+// leaves the rendered result unchanged: the benchmark still sets it and
+// fails if two settings print different output.
 func TestScaleIdentityAcrossModes(t *testing.T) {
 	cfg := DefaultScaleConfig(false)
-	run := func(workers int) *scaleRun {
-		c := cfg
-		c.Workers = workers
-		return runScale(777, c)
-	}
-	seq := run(0)
-	if seq.attached == 0 || seq.framesDone == 0 {
-		t.Fatalf("sequential run idle: attached=%d framesDone=%d", seq.attached, seq.framesDone)
+	r := runScale(777, cfg)
+	if r.attached == 0 || r.framesDone == 0 {
+		t.Fatalf("run idle: attached=%d framesDone=%d", r.attached, r.framesDone)
 	}
 	// The quick shape under-provisions capacity (4 x 26 < 120), so the
 	// admission path must reject and the backoff must retry.
-	if seq.rejections == 0 || seq.retries == 0 {
-		t.Errorf("admission not exercised: rejections=%d retries=%d", seq.rejections, seq.retries)
+	if r.rejections == 0 || r.retries == 0 {
+		t.Errorf("admission not exercised: rejections=%d retries=%d", r.rejections, r.retries)
 	}
-	if want := uint64(cfg.Sites * cfg.SiteCapacity); seq.bound != want {
-		t.Errorf("bound = %d, want %d (every capacity unit in use)", seq.bound, want)
+	if want := uint64(cfg.Sites * cfg.SiteCapacity); r.bound != want {
+		t.Errorf("bound = %d, want %d (every capacity unit in use)", r.bound, want)
 	}
-	for s, st := range seq.sites {
+	for s, st := range r.sites {
 		if st.Bound > cfg.SiteCapacity {
 			t.Errorf("site-%d bound %d exceeds capacity %d", s+1, st.Bound, cfg.SiteCapacity)
 		}
 	}
-	// Any positive Workers is the one partitioned mode; two values are run
-	// because the benchmark's cluster.* probe sets Workers 0/1/2 and requires
-	// equal fingerprints.
-	for _, workers := range []int{1, cfg.Sites} {
-		got := run(workers)
-		if !got.equal(seq) {
-			t.Errorf("workers=%d diverged from sequential:\nseq  = %+v\ngot  = %+v", workers, summary(seq), summary(got))
-		}
+	render := func(workers int) string {
+		c := cfg
+		c.Workers = workers
+		return RunScaleScenario(777, c).String()
 	}
-}
-
-func summary(r *scaleRun) map[string]uint64 {
-	return map[string]uint64{
-		"attached": r.attached, "bound": r.bound,
-		"rejections": r.rejections, "retries": r.retries,
-		"framesSent": r.framesSent, "framesDone": r.framesDone,
-		"checksum": r.checksum, "metricsHash": r.metricsHash,
+	if a, b := render(0), render(2); a != b {
+		t.Errorf("Workers 2 renders differently from Workers 0:\n--- 0 ---\n%s--- 2 ---\n%s", a, b)
 	}
 }
 
@@ -94,7 +78,7 @@ func TestScaleUniformArrivalNoRejections(t *testing.T) {
 }
 
 // TestScaleExperimentQuick runs the registered experiment end to end and
-// checks the assembled curve and identity verdict.
+// checks the assembled curve and placement table.
 func TestScaleExperimentQuick(t *testing.T) {
 	r, err := Run("scale", Options{})
 	if err != nil {
@@ -110,13 +94,6 @@ func TestScaleExperimentQuick(t *testing.T) {
 	if len(r.Tables[1].Rows) != cfg.Sites {
 		t.Errorf("placement rows = %d, want %d sites", len(r.Tables[1].Rows), cfg.Sites)
 	}
-	s := r.String()
-	if strings.Contains(s, "DIVERGED") {
-		t.Errorf("identity verdicts report divergence:\n%s", s)
-	}
-	if !strings.Contains(s, "IDENTICAL") {
-		t.Errorf("no identity verdicts in result:\n%s", s)
-	}
 }
 
 // TestRunScaleScenarioStandalone exercises the acacia-sim -scale entry
@@ -127,7 +104,6 @@ func TestRunScaleScenarioStandalone(t *testing.T) {
 	cfg.Sites = 3
 	cfg.SiteCapacity = 25
 	cfg.Arrival = "diurnal"
-	cfg.Workers = 1
 	r := RunScaleScenario(5, cfg)
 	if r == nil || len(r.Tables) != 2 {
 		t.Fatalf("standalone scenario result = %+v", r)

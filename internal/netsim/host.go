@@ -46,8 +46,8 @@ func NewHost(node *Node) *Host {
 func (h *Host) Listen(port uint16, app App) { h.apps[port] = app }
 
 // Send originates a packet from this host to dst with the given ports,
-// protocol, wire size and payload. The packet comes from the host's domain
-// pool and is recycled wherever its life ends (a drop, a terminal
+// protocol, wire size and payload. The packet comes from the network's pool
+// and is recycled wherever its life ends (a drop, a terminal
 // application).
 //
 //acacia:hotpath

@@ -68,15 +68,8 @@ func (s LinkStats) Offered() uint64 { return s.Sent + s.Dropped }
 // queue, followed by a propagation delay line. Its activity counters live in
 // the engine's telemetry registry under netsim/link/<n>/<src>-><dst>/.
 type linkDir struct {
-	net *Network
-	// eng drives the transmit side (queueing, serialization, loss/jitter
-	// draws): the source node's domain engine. dstEng/dstDom are the
-	// receiving end; cross marks directions whose ends live in different
-	// partition domains, making the propagation leg a cross-partition send.
+	net    *Network
 	eng    *sim.Engine
-	dstEng *sim.Engine
-	dstDom *Domain
-	cross  bool
 	cfg    LinkConfig
 	dst    *Port
 	queue  laneQueue
@@ -97,19 +90,15 @@ type linkDir struct {
 	queueLen  *telemetry.Gauge // queued bytes awaiting transmission
 }
 
-func newLinkDir(net *Network, srcDom, dstDom *Domain, cfg LinkConfig, dst *Port, srcScope, dstScope telemetry.Scope) *linkDir {
+func newLinkDir(net *Network, cfg LinkConfig, dst *Port, scope telemetry.Scope) *linkDir {
 	d := &linkDir{
-		net: net, eng: srcDom.eng, dstEng: dstDom.eng, dstDom: dstDom,
-		cross: srcDom != dstDom,
-		cfg:   cfg.withDefaults(), dst: dst,
-		// Source-side events touch sent/dropped/bytes/queue-bytes; the
-		// arrival event — which runs in the destination partition — touches
-		// delivered, so it registers in the destination registry.
-		sent:      srcScope.Counter("sent"),
-		delivered: dstScope.Counter("delivered"),
-		dropped:   srcScope.Counter("dropped"),
-		bytes:     srcScope.Counter("bytes"),
-		queueLen:  srcScope.Gauge("queue-bytes"),
+		net: net, eng: net.eng,
+		cfg: cfg.withDefaults(), dst: dst,
+		sent:      scope.Counter("sent"),
+		delivered: scope.Counter("delivered"),
+		dropped:   scope.Counter("dropped"),
+		bytes:     scope.Counter("bytes"),
+		queueLen:  scope.Gauge("queue-bytes"),
 	}
 	d.txDoneF = d.txDone
 	d.arriveF = d.arrive
@@ -211,25 +200,15 @@ func (d *linkDir) deliverAfter(p *Packet, delay time.Duration) {
 	if d.cfg.Jitter > 0 {
 		delay += time.Duration(d.eng.RNG().ExpFloat64() * float64(d.cfg.Jitter))
 	}
-	// SendTo degenerates to AfterArg when both ends share an engine; on a
-	// cross-partition direction it routes the arrival through the cluster
-	// outbox. The propagation delay must then be at least the cluster
-	// lookahead — guaranteed when the lookahead is extracted from
-	// MinCrossLatency — or SendTo panics.
-	d.eng.SendTo(d.dstEng, delay, d.arriveF, p)
+	d.eng.AfterArg(delay, d.arriveF, p)
 }
 
 // arrive completes the propagation delay and hands the packet to the
-// destination node. It executes in the destination partition; on a
-// cross-partition direction the packet is re-homed first, so releases and
-// clones downstream use the pool of the partition that now owns it.
+// destination node.
 //
 //acacia:hotpath
 func (d *linkDir) arrive(v any) {
 	p := v.(*Packet)
-	if d.cross {
-		p.dom = d.dstDom
-	}
 	d.delivered.Inc()
 	d.dst.deliver(p)
 }

@@ -44,7 +44,6 @@ type NodeStats struct {
 // counters.
 type Node struct {
 	net     *Network
-	dom     *Domain
 	name    string
 	addr    pkt.Addr
 	ports   []*Port
@@ -81,20 +80,14 @@ func (n *Node) Addr() pkt.Addr { return n.addr }
 // Network returns the owning network.
 func (n *Node) Network() *Network { return n.net }
 
-// Engine returns the simulation engine driving this node — its domain's
-// engine, which is the network engine unless the node was moved into a
-// partition domain. Handlers must schedule all node-local work on it.
-func (n *Node) Engine() *sim.Engine { return n.dom.eng }
+// Engine returns the simulation engine driving this node — the network's.
+// Handlers must schedule all node-local work on it.
+func (n *Node) Engine() *sim.Engine { return n.net.eng }
 
-// Domain returns the partition domain the node belongs to.
-func (n *Node) Domain() *Domain { return n.dom }
-
-// NewPacket returns a pool-managed packet from the node's domain pool. Hosts
-// and traffic sources originate packets through this so each partition
-// recycles only its own packet memory.
+// NewPacket returns a pool-managed packet from the network's pool.
 //
 //acacia:hotpath
-func (n *Node) NewPacket() *Packet { return n.dom.newPacket() }
+func (n *Node) NewPacket() *Packet { return n.net.NewPacket() }
 
 // Stats reports the node's packet counters.
 func (n *Node) Stats() NodeStats { return n.stats }
@@ -126,8 +119,9 @@ func (n *Node) Port(id int) *Port {
 // Inject hands a locally originated packet to the node's handler, stamping
 // its creation time. Use this to start traffic at a host.
 func (n *Node) Inject(p *Packet) {
-	p.ID = n.dom.nextPacketID()
-	p.CreatedAt = n.dom.eng.Now()
+	n.net.pktSeq++
+	p.ID = n.net.pktSeq
+	p.CreatedAt = n.net.eng.Now()
 	n.dispatch(nil, p)
 }
 
@@ -188,7 +182,7 @@ func (n *Node) serveCPU() {
 		n.cpuHead = 0
 	}
 	cost := n.cpu.PerPacket + time.Duration(n.cpuCur.p.Size)*n.cpu.PerByte
-	n.dom.eng.After(cost, n.cpuDoneF)
+	n.net.eng.After(cost, n.cpuDoneF)
 }
 
 // cpuDone finishes one CPU service period: run the handler on the staged
@@ -216,32 +210,25 @@ func noHandler(name string) {
 	panic(fmt.Sprintf("netsim: node %s has no handler", name))
 }
 
-// Network is a collection of nodes and links. A plain network is driven by
-// one sim engine; after Partition its nodes are spread across
-// partition domains, each driven by its own engine (see domain.go).
+// Network is a collection of nodes and links driven by one sim engine.
 type Network struct {
 	eng    *sim.Engine
 	nodes  map[string]*Node
 	byAddr map[pkt.Addr]*Node
 	links  []*Link
-	// domains holds the partition domains; domains[0] is the root domain on
-	// eng, which owns every node not explicitly moved by SetDomain. Packet
-	// free-lists and ID sequences live per domain (see pool.go).
-	domains []*Domain
-	// cluster advances the domain engines in conservative windows. It is
-	// nil unless Partition was called, and eng alone drives the network.
-	cluster *sim.Cluster
+	// pktSeq numbers injected packets; pktFree is the packet free-list
+	// (see pool.go).
+	pktSeq  uint64
+	pktFree []*Packet
 }
 
 // New creates an empty network on eng.
 func New(eng *sim.Engine) *Network {
-	nw := &Network{
+	return &Network{
 		eng:    eng,
 		nodes:  make(map[string]*Node),
 		byAddr: make(map[pkt.Addr]*Node),
 	}
-	nw.domains = []*Domain{{net: nw, eng: eng, id: 0}}
-	return nw
 }
 
 // Engine returns the driving simulation engine.
@@ -257,7 +244,7 @@ func (nw *Network) AddNode(name string, addr pkt.Addr) *Node {
 			panic(fmt.Sprintf("netsim: address %v already assigned to %s", addr, other.name))
 		}
 	}
-	n := &Node{net: nw, dom: nw.domains[0], name: name, addr: addr}
+	n := &Node{net: nw, name: name, addr: addr}
 	nw.nodes[name] = n
 	if !addr.IsZero() {
 		nw.byAddr[addr] = n
@@ -276,14 +263,6 @@ func (nw *Network) NodeByAddr(a pkt.Addr) *Node { return nw.byAddr[a] }
 // each node. Each direction registers its counters in the engine's
 // telemetry registry under netsim/link/<index>/<src>-><dst>/ (the creation
 // index disambiguates parallel links between the same node pair).
-//
-// When the endpoints sit in different partition domains the link becomes a
-// cross-partition boundary: transmission and queueing are simulated on the
-// source domain's engine, and the propagation leg is delivered through
-// sim.Engine.SendTo at the destination engine. Per direction, the source
-// side's counters (sent/dropped/bytes/queue-bytes) register in the source
-// engine's registry and the delivered counter in the destination's, so every
-// counter is only ever touched by the partition that owns the touching event.
 func (nw *Network) Connect(a, b *Node, ab, ba LinkConfig) *Link {
 	pa := &Port{Node: a, ID: len(a.ports)}
 	pb := &Port{Node: b, ID: len(b.ports)}
@@ -291,20 +270,17 @@ func (nw *Network) Connect(a, b *Node, ab, ba LinkConfig) *Link {
 	b.ports = append(b.ports, pb)
 	l := &Link{A: pa, B: pb}
 	idx := telemetry.Itoa(len(nw.links))
-	l.ab = newLinkDir(nw, a.dom, b.dom, ab, pb, linkScope(a.dom, idx, a, b), linkScope(b.dom, idx, a, b))
-	l.ba = newLinkDir(nw, b.dom, a.dom, ba, pa, linkScope(b.dom, idx, b, a), linkScope(a.dom, idx, b, a))
+	l.ab = newLinkDir(nw, ab, pb, nw.linkScope(idx, a, b))
+	l.ba = newLinkDir(nw, ba, pa, nw.linkScope(idx, b, a))
 	pa.link, pb.link = l, l
 	pa.out, pb.out = l.ab, l.ba
 	nw.links = append(nw.links, l)
 	return l
 }
 
-// linkScope builds the telemetry scope for one link direction src->dst in
-// the registry of domain d. Cross-domain directions build the same scope
-// name in two registries (source side and destination side); merged
-// snapshots add them back into one set of counters.
-func linkScope(d *Domain, idx string, src, dst *Node) telemetry.Scope {
-	return d.eng.Metrics().Scope("netsim").Scope("link").Scope(idx).Scope(src.name + "->" + dst.name)
+// linkScope builds the telemetry scope for one link direction src->dst.
+func (nw *Network) linkScope(idx string, src, dst *Node) telemetry.Scope {
+	return nw.eng.Metrics().Scope("netsim").Scope("link").Scope(idx).Scope(src.name + "->" + dst.name)
 }
 
 // ConnectSymmetric joins two nodes with identical per-direction configs.

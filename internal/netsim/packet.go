@@ -51,18 +51,13 @@ type Packet struct {
 	// Hops counts forwarding operations, a loop guard.
 	Hops int
 
-	// pooled marks packets drawn from a domain free-list
+	// pooled marks packets drawn from the network's free-list
 	// (Network.NewPacket/Node.NewPacket/ClonePacket); only those are
 	// recycled by Release. freed marks a pooled packet currently resting in
 	// the free-list, the double-release canary. retained marks a packet an
 	// application decided to keep past the delivery callback: Release then
 	// becomes a no-op and the packet leaves pool management for good.
 	pooled, freed, retained bool
-	// dom is the partition domain that currently owns the packet: the
-	// domain it was allocated in, updated each time it crosses a partition
-	// link (linkDir.arrive). Release recycles into this domain's pool. Nil
-	// for non-pooled packets (treated as the root domain).
-	dom *Domain
 }
 
 // Retain opts the packet out of pool recycling. Applications that keep a

@@ -1,39 +1,30 @@
 package netsim
 
-// Packet free-list. The pool hangs off the packet's domain — one per
-// partition, with the root domain playing the historical network-wide role —
-// so parallel trials never share packet memory, partitions of one run never
-// share packet memory either, and a seeded run recycles in exactly the same
-// order every time. Only packets created by NewPacket/ClonePacket are
-// recycled; packets built with &Packet{} (tests, one-shot setup traffic)
-// pass through Release untouched and fall to the garbage collector as
-// before.
+// Packet free-list. The pool hangs off the Network — never a package
+// global — so parallel trials never share packet memory and a seeded run
+// recycles in exactly the same order every time. Only packets created by
+// NewPacket/ClonePacket are recycled; packets built with &Packet{} (tests,
+// one-shot setup traffic) pass through Release untouched and fall to the
+// garbage collector as before.
 //
 // Ownership rule: a packet is owned by whichever queue, link or handler
 // currently holds it. The owner at the point where a packet's life ends — a
 // drop site, a terminal application callback — is responsible for calling
 // Release. Applications that keep a packet past their callback must call
-// Retain first. Crossing a partition link transfers ownership to the
-// receiving domain (linkDir.arrive re-homes the packet), so Release always
-// recycles into the pool of the partition whose event is releasing.
+// Retain first.
 
-// NewPacket returns a zeroed pool-managed packet owned by the caller, from
-// the root domain's pool. Partition-aware callers allocate through
-// Node.NewPacket instead, which draws from the node's own domain.
+// NewPacket returns a zeroed pool-managed packet owned by the caller.
 //
 //acacia:hotpath
-func (nw *Network) NewPacket() *Packet { return nw.domains[0].newPacket() }
-
-//acacia:hotpath
-func (d *Domain) newPacket() *Packet {
-	if n := len(d.pktFree); n > 0 {
-		p := d.pktFree[n-1]
-		d.pktFree[n-1] = nil
-		d.pktFree = d.pktFree[:n-1]
+func (nw *Network) NewPacket() *Packet {
+	if n := len(nw.pktFree); n > 0 {
+		p := nw.pktFree[n-1]
+		nw.pktFree[n-1] = nil
+		nw.pktFree = nw.pktFree[:n-1]
 		p.freed = false
 		return p
 	}
-	return d.newPacketSlow()
+	return newPacketSlow()
 }
 
 // newPacketSlow is the pool-miss refill path. Noinline keeps the
@@ -42,8 +33,8 @@ func (d *Domain) newPacket() *Packet {
 // the hotpath-escape gate.
 //
 //go:noinline
-func (d *Domain) newPacketSlow() *Packet {
-	return &Packet{pooled: true, dom: d}
+func newPacketSlow() *Packet {
+	return &Packet{pooled: true}
 }
 
 // panicDoubleRelease reports the mutate-after-release canary. Noinline so
@@ -55,26 +46,21 @@ func panicDoubleRelease() {
 }
 
 // ClonePacket returns a pool-managed copy of p sharing the Payload value.
-// The clone comes from the pool of the domain that currently owns p.
 //
 //acacia:hotpath
 func (nw *Network) ClonePacket(p *Packet) *Packet {
-	dom := p.dom
-	if dom == nil {
-		dom = nw.domains[0]
-	}
-	c := dom.newPacket()
+	c := nw.NewPacket()
 	c.ID, c.Flow, c.TOS, c.Size, c.Payload = p.ID, p.Flow, p.TOS, p.Size, p.Payload
 	c.TEID, c.TunnelSrc, c.TunnelDst = p.TEID, p.TunnelSrc, p.TunnelDst
 	c.Priority, c.CreatedAt, c.QueueWait, c.Hops = p.Priority, p.CreatedAt, p.QueueWait, p.Hops
 	return c
 }
 
-// Release returns a pool-managed packet to its owning domain's free-list.
-// Releasing a non-pooled or retained packet is a no-op; releasing the same
-// pooled packet twice panics (the mutate-after-release canary). The packet
-// is zeroed on release, so stale readers observe garbage immediately instead
-// of silently corrupting a recycled packet.
+// Release returns a pool-managed packet to the free-list. Releasing a
+// non-pooled or retained packet is a no-op; releasing the same pooled packet
+// twice panics (the mutate-after-release canary). The packet is zeroed on
+// release, so stale readers observe garbage immediately instead of silently
+// corrupting a recycled packet.
 //
 //acacia:hotpath
 func (nw *Network) Release(p *Packet) {
@@ -84,10 +70,6 @@ func (nw *Network) Release(p *Packet) {
 	if p.freed {
 		panicDoubleRelease()
 	}
-	dom := p.dom
-	if dom == nil {
-		dom = nw.domains[0]
-	}
-	*p = Packet{pooled: true, freed: true, dom: dom}
-	dom.pktFree = append(dom.pktFree, p)
+	*p = Packet{pooled: true, freed: true}
+	nw.pktFree = append(nw.pktFree, p)
 }

@@ -321,6 +321,20 @@ func decodeAction(r *reader) (Action, error) {
 	if err != nil {
 		return a, err
 	}
+	// The declared length must cover what the type's fields are read from;
+	// alen is wire data and may be shorter than the encoder ever writes.
+	need := 0
+	switch {
+	case typ == 0:
+		need = 4 // port
+	case typ == 25:
+		need = 5 // OXM header + value
+	case typ == 0xffff && alen != 8:
+		need = 20 // experimenter header + tunnel id + dst
+	}
+	if len(body) < need {
+		return a, fmt.Errorf("%w: action type %d has %d body bytes, needs %d", ErrTruncated, typ, len(body), need)
+	}
 	switch typ {
 	case 0:
 		a.Type = ActionOutput

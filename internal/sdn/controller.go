@@ -150,17 +150,14 @@ func (c *Controller) wireSwitch(sw *Switch) {
 
 // toSwitch delivers a controller-to-switch message: over the transactional
 // transport when the switch has a control link, otherwise after the legacy
-// fixed RTT. A switch living in another partition (intra-run parallelism)
-// receives the apply closure through the cluster outbox; the control RTT
-// must then be at least the cluster lookahead. Same-partition delivery is
-// byte-identical to the historical Schedule call.
+// fixed RTT.
 func (c *Controller) toSwitch(sw *Switch, name string, size int, fn func()) {
 	if c.ep != nil && sw.ctlEP != nil {
 		seq := c.ep.NextSeq(sw.ctlEP.Addr())
 		c.ep.Send(sw.ctlEP.Addr(), seq, name, size, fn, nil, nil)
 		return
 	}
-	c.eng.CrossSchedule(sw.eng, c.RTT, fn)
+	c.eng.Schedule(c.RTT, fn)
 }
 
 // toController delivers a switch-to-controller message symmetrically.
@@ -240,23 +237,8 @@ func (c *Controller) RemoveFlows(sw *Switch, cookie uint64) int {
 	return n
 }
 
-// assertSameEngine enforces the partitioned control-plane contract: the
-// packet-in and flow-expiry paths mutate controller state — xid, accounting,
-// the encode buffer — synchronously in the calling event, so they may only
-// fire from the controller's own partition. Partitioned scenarios must
-// pre-install covering permanent flows on remote-partition switches;
-// tripping this panic means the scenario violates that contract. (Path
-// status is exempt: pathStatus defers its controller-state mutation into the
-// delivery closure, so partitioned sites may supervise their own fabric.)
-func (c *Controller) assertSameEngine(sw *Switch) {
-	if sw.eng != c.eng {
-		panic("sdn: switch " + sw.node.Name() + " called into the controller from another partition (packet-in/path-status/flow-expiry must stay in the controller's partition)")
-	}
-}
-
 // packetIn is called by a switch on a table miss.
 func (c *Controller) packetIn(sw *Switch, inPort uint32, p *netsim.Packet, tunnelID uint64) {
-	c.assertSameEngine(sw)
 	msg := &pkt.OFMsg{
 		Type: pkt.OFPacketIn, XID: c.nextXID(),
 		BufferID: 0xffffffff,
@@ -274,56 +256,26 @@ func (c *Controller) packetIn(sw *Switch, inPort uint32, p *netsim.Packet, tunne
 // pathStatus carries a switch's GTP path-state transition to the
 // controller as a PortStatus message over the control channel (path
 // supervision is port liveness in the GTP-tunnelled fabric).
-//
-// Unlike packet-in, a switch on a remote partition may report path status:
-// the controller's xid, accounting counters and encode buffer are then
-// touched only inside the delivery closure, which the transport (or the
-// cluster outbox fallback) runs on the controller's own partition. The xid
-// is allocated at delivery rather than at the transition in that case — the
-// encoded length, and with it every counter, is xid-independent, so the
-// accounting totals are identical once the message lands.
 func (c *Controller) pathStatus(sw *Switch, peer pkt.Addr, down bool) {
 	reason := uint8(0) // up
 	if down {
 		reason = 1
 	}
-	if sw.eng == c.eng {
-		msg := &pkt.OFMsg{
-			Type: pkt.OFPortStatus, XID: c.nextXID(),
-			Reason: reason,
-			Match:  pkt.Match{IPv4Src: pkt.AddrPtr(peer)},
-		}
-		n := c.accountReceived(msg)
-		c.toController(sw, "PortStatus", n, func() {
-			if c.OnPathEvent != nil {
-				c.OnPathEvent(sw, peer, down)
-			}
-		})
-		return
+	msg := &pkt.OFMsg{
+		Type: pkt.OFPortStatus, XID: c.nextXID(),
+		Reason: reason,
+		Match:  pkt.Match{IPv4Src: pkt.AddrPtr(peer)},
 	}
-	msg := pkt.OFMsg{
-		Type: pkt.OFPortStatus, Reason: reason,
-		Match: pkt.Match{IPv4Src: pkt.AddrPtr(peer)},
-	}
-	n := len(msg.Encode(nil))
-	fn := func() {
-		msg.XID = c.nextXID()
-		c.accountReceived(&msg)
+	n := c.accountReceived(msg)
+	c.toController(sw, "PortStatus", n, func() {
 		if c.OnPathEvent != nil {
 			c.OnPathEvent(sw, peer, down)
 		}
-	}
-	if c.ep != nil && sw.ctlEP != nil {
-		seq := sw.ctlEP.NextSeq(c.ep.Addr())
-		sw.ctlEP.Send(c.ep.Addr(), seq, "PortStatus", n, fn, nil, nil)
-		return
-	}
-	sw.eng.CrossSchedule(c.eng, c.RTT, fn)
+	})
 }
 
 // flowRemoved is called by a switch when an idle entry expires.
 func (c *Controller) flowRemoved(sw *Switch, e *FlowEntry) {
-	c.assertSameEngine(sw)
 	msg := &pkt.OFMsg{
 		Type: pkt.OFFlowRemoved, XID: c.nextXID(),
 		Cookie: e.Cookie, Priority: e.Priority, Match: e.Match,

@@ -8,8 +8,7 @@ import (
 // TestRunUntilTargetAtOrBeforeClock checks RunUntil degenerates safely when
 // the target does not advance the clock: a target equal to the current clock
 // runs nothing new, and a target in the past neither regresses the clock nor
-// fires future events. Cluster.RunUntil leans on these semantics when a
-// window barrier lands exactly on the caller's target.
+// fires future events.
 func TestRunUntilTargetAtOrBeforeClock(t *testing.T) {
 	eng := NewEngine(1)
 	ran := 0
@@ -132,8 +131,8 @@ func TestRunEndingOnCancelledTimer(t *testing.T) {
 
 // TestScheduleAfterBoundedRun checks the bounded loops leave the queue ready
 // for a schedule earlier than anything queued: RunUntil must not carry ref
-// to the next event's time, and runBefore's exclusive limit must leave an
-// event at exactly the limit pending.
+// to the next event's time, and a bound one tick short of an event must
+// leave it pending.
 func TestScheduleAfterBoundedRun(t *testing.T) {
 	eng := NewEngine(1)
 	var order []string
@@ -146,13 +145,13 @@ func TestScheduleAfterBoundedRun(t *testing.T) {
 	}
 	eng.Schedule(time.Millisecond, func() { order = append(order, "3ms") })
 
-	eng.runBefore(Time(10 * time.Millisecond))
+	eng.RunUntil(Time(10*time.Millisecond) - 1)
 	if len(order) != 1 || order[0] != "3ms" || eng.Pending() != 3 {
-		t.Fatalf("runBefore(10ms): ran %v, pending %d; want [3ms], 3 (the event at the limit stays)", order, eng.Pending())
+		t.Fatalf("RunUntil(10ms-1): ran %v, pending %d; want [3ms], 3 (the event past the bound stays)", order, eng.Pending())
 	}
-	eng.runBefore(Time(10*time.Millisecond) + 1)
+	eng.RunUntil(Time(10 * time.Millisecond))
 	if len(order) != 2 || order[1] != "10ms" {
-		t.Fatalf("runBefore(10ms+1): ran %v, want the 10ms event", order)
+		t.Fatalf("RunUntil(10ms): ran %v, want the 10ms event", order)
 	}
 	eng.Run()
 	if len(order) != 4 || order[2] != "11ms" || order[3] != "1s" {

@@ -288,9 +288,6 @@ type Engine struct {
 	// metrics is the engine-scoped telemetry registry every layer built on
 	// this engine registers into.
 	metrics *telemetry.Registry
-	// part is non-nil when the engine belongs to a Cluster (see cluster.go):
-	// it identifies the partition for cross-partition sends.
-	part *partition
 }
 
 // NewEngine returns an engine with its clock at the epoch and a deterministic
@@ -389,7 +386,7 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
 }
 
 // enqueuePooled queues a free-list event for time at. It backs the
-// handle-less APIs: After, AfterArg and the cluster's barrier delivery.
+// handle-less APIs: After and AfterArg.
 //
 //acacia:hotpath
 func (e *Engine) enqueuePooled(at Time, fn func(), afn func(any), arg any) {
