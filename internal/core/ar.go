@@ -149,8 +149,9 @@ func NewARBackend(host *netsim.Host, dev compute.Device, scheme Scheme, floor *g
 // Scheme reports the backend's search scheme.
 func (b *ARBackend) Scheme() Scheme { return b.scheme }
 
-func (b *ARBackend) onLocReport(_ *netsim.Host, p *netsim.Packet) {
+func (b *ARBackend) onLocReport(h *netsim.Host, p *netsim.Packet) {
 	rep, ok := p.Payload.(locReport)
+	h.Node.Network().Release(p)
 	if !ok || b.lm == nil || b.migratedAway[rep.user] {
 		return
 	}
@@ -187,8 +188,10 @@ func (b *ARBackend) candidateSubsections(user string) []int {
 	}
 }
 
-func (b *ARBackend) onFrame(_ *netsim.Host, p *netsim.Packet) {
+func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 	req, ok := p.Payload.(arFrameReq)
+	reply := p.Flow.Reverse()
+	h.Node.Network().Release(p)
 	if !ok || b.migratedAway[req.user] {
 		return
 	}
@@ -235,7 +238,6 @@ func (b *ARBackend) onFrame(_ *netsim.Host, p *netsim.Packet) {
 		b.missesCtr.Inc()
 	}
 
-	reply := p.Flow.Reverse()
 	b.srv.Submit(&compute.Job{Work: prepWork, Done: func(prepElapsed time.Duration) {
 		b.srv.Submit(&compute.Job{Work: matchWork, Done: func(matchElapsed time.Duration) {
 			// The user may have migrated away while the frame was in
@@ -243,16 +245,15 @@ func (b *ARBackend) onFrame(_ *netsim.Host, p *netsim.Packet) {
 			if b.migratedAway[req.user] {
 				return
 			}
-			b.Host.Node.Inject(&netsim.Packet{
-				Flow: reply,
-				Size: 300,
-				Payload: ARFrameResult{
-					seq: req.seq, found: found, object: object,
-					matchMS:    float64(matchElapsed) / float64(time.Millisecond),
-					serverMS:   float64(prepElapsed) / float64(time.Millisecond),
-					candidates: nCand,
-				},
-			})
+			rp := b.Host.Node.NewPacket()
+			rp.Flow, rp.Size = reply, 300
+			rp.Payload = ARFrameResult{
+				seq: req.seq, found: found, object: object,
+				matchMS:    float64(matchElapsed) / float64(time.Millisecond),
+				serverMS:   float64(prepElapsed) / float64(time.Millisecond),
+				candidates: nCand,
+			}
+			b.Host.Node.Inject(rp)
 		}})
 	}})
 }
@@ -411,8 +412,9 @@ func (f *ARFrontend) captureAndSend() {
 	})
 }
 
-func (f *ARFrontend) onResponse(_ *netsim.Host, p *netsim.Packet) {
+func (f *ARFrontend) onResponse(h *netsim.Host, p *netsim.Packet) {
 	resp, ok := p.Payload.(ARFrameResult)
+	h.Node.Network().Release(p)
 	if !ok {
 		return
 	}

@@ -110,13 +110,15 @@ func (b *ARBackend) migrateStateBytes(snap TrackSnapshot) int {
 
 // onMigrate is the backend's MigratePort handler, covering both roles: the
 // new site (fetch in, state in) and the old site (pull in).
-func (b *ARBackend) onMigrate(_ *netsim.Host, p *netsim.Packet) {
-	switch msg := p.Payload.(type) {
+func (b *ARBackend) onMigrate(h *netsim.Host, p *netsim.Packet) {
+	from, payload := p.Flow.Src, p.Payload
+	h.Node.Network().Release(p)
+	switch msg := payload.(type) {
 	case migrateFetch:
 		// This site is the user's new anchor: un-quiesce it here whatever
 		// the transfer's outcome.
 		delete(b.migratedAway, msg.user)
-		ue := p.Flow.Src
+		ue := from
 		if msg.from.IsZero() || msg.from == b.Host.Node.Addr() {
 			// Nothing to pull: resume the frontend immediately.
 			b.Host.Send(ue, MigratePort, MigratePort, pkt.ProtoTCP, 64, migrateDone{user: msg.user})
@@ -143,7 +145,7 @@ func (b *ARBackend) onMigrate(_ *netsim.Host, p *netsim.Packet) {
 		}
 		b.sendNextChunk(msg.user)
 	case migrateChunk:
-		b.Host.Send(p.Flow.Src, MigratePort, MigratePort, pkt.ProtoTCP, 64, migrateChunkAck{
+		b.Host.Send(from, MigratePort, MigratePort, pkt.ProtoTCP, 64, migrateChunkAck{
 			user: msg.user, seq: msg.seq,
 		})
 	case migrateChunkAck:
@@ -234,8 +236,9 @@ func (f *ARFrontend) resumeFrames() {
 // onMigrateDone resumes the frame loop after a completed migration and
 // observes the continuity gap (time since the last frame response) against
 // the migrated state size.
-func (f *ARFrontend) onMigrateDone(_ *netsim.Host, p *netsim.Packet) {
+func (f *ARFrontend) onMigrateDone(h *netsim.Host, p *netsim.Packet) {
 	msg, ok := p.Payload.(migrateDone)
+	h.Node.Network().Release(p)
 	if !ok || msg.user != f.user || !f.migrating {
 		return
 	}

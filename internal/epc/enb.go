@@ -129,6 +129,7 @@ func (e *ENB) handle(ingress *netsim.Port, p *netsim.Packet) {
 		// The eNB is the SGW's GTP-U path-management peer on S1-U: answer
 		// echo supervision before downlink decapsulation would drop it.
 		if sdn.AnswerGTPEcho(e.node.Addr(), ingress, p) {
+			e.node.Network().Release(p)
 			return
 		}
 		e.handleDownlink(p)

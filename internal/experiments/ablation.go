@@ -365,25 +365,28 @@ func measureQCIUnderLoad(opts Options, seed uint64, qci pkt.QCI) (median, p95 fl
 // ablationIndex runs the *real* vision pipeline (no latency model) over the
 // retail database and compares search strategies by measured descriptor
 // work and recall — one trial per strategy. The LSH index seed and the
-// per-frame seeds are shared across trials, so every strategy searches the
-// same index for the same query frames.
+// per-frame seeds are shared across trials, so both LSH strategies search
+// the same index and every strategy sees the same query frames.
 func ablationIndex() Experiment {
 	type searchFn func(db *vision.DB, floor *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, target *vision.Object) vision.SearchResult
+	// usesIndex marks the strategies that read the LSH index; only their
+	// trials build it.
 	strategies := []struct {
-		name   string
-		search searchFn
+		name      string
+		usesIndex bool
+		search    searchFn
 	}{
-		{"brute force (Naive)", func(db *vision.DB, _ *geo.Floor, _ *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
+		{"brute force (Naive)", false, func(db *vision.DB, _ *geo.Floor, _ *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
 			return db.Search(q, nil, m)
 		}},
-		{"geo-pruned (ACACIA)", func(db *vision.DB, floor *geo.Floor, _ *vision.Index, m *vision.Matcher, q *vision.FeatureSet, target *vision.Object) vision.SearchResult {
+		{"geo-pruned (ACACIA)", false, func(db *vision.DB, floor *geo.Floor, _ *vision.Index, m *vision.Matcher, q *vision.FeatureSet, target *vision.Object) vision.SearchResult {
 			cells := floor.SubsectionsNear(target.Pos, core.PruneRadius)
 			return db.Search(q, cells, m)
 		}},
-		{"LSH top-5", func(db *vision.DB, _ *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
+		{"LSH top-5", true, func(db *vision.DB, _ *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
 			return db.SearchWithIndex(q, ix, 5, m)
 		}},
-		{"LSH top-1", func(db *vision.DB, _ *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
+		{"LSH top-1", true, func(db *vision.DB, _ *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
 			return db.SearchWithIndex(q, ix, 1, m)
 		}},
 	}
@@ -404,7 +407,10 @@ func ablationIndex() Experiment {
 					Run: func(seed uint64) any {
 						floor := geo.RetailFloor()
 						db := vision.BuildRetailDB(floor, 64)
-						ix := vision.BuildIndex(db, vision.IndexConfig{}, sim.NewRNG(subSeed(base, "ablation-index", "lsh")))
+						var ix *vision.Index
+						if st.usesIndex {
+							ix = vision.BuildIndex(db, vision.IndexConfig{}, sim.NewRNG(subSeed(base, "ablation-index", "lsh")))
+						}
 						m := vision.NewMatcher(vision.MatcherConfig{}, sim.NewRNG(seed))
 						found := 0
 						var macs, cands stats.Sample

@@ -141,10 +141,27 @@ func fig8() Experiment {
 	}
 }
 
-// measureGWThroughput saturates a 1 Gbps GTP chain and returns per-second
-// goodput plus a final snapshot of the chain's telemetry registry (link and
-// switch counters for the whole run).
-func measureGWThroughput(seed uint64, costs sdn.PathCosts, dur time.Duration) ([]float64, *telemetry.Snapshot) {
+// gwChain is the GW-U throughput harness of Fig. 8 and ablation-fastpath:
+// src -> SGW-U -> PGW-U -> dst over 1 Gbps links, one GTP tunnel per hop.
+// Segments come from the network's packet pool and the sink releases each
+// one after counting it, so a run at line rate recycles a small working set
+// of packets instead of allocating one per segment.
+type gwChain struct {
+	eng      *sim.Engine
+	nw       *netsim.Network
+	src, sgw *netsim.Node
+	flow     pkt.FiveTuple
+	// bytes counts payload bytes delivered to the sink; the drive loop
+	// resets it per bucket.
+	bytes uint64
+}
+
+// gwSegment is the harness's TCP segment size in bytes.
+const gwSegment = 1400
+
+// newGWChain builds the chain with the given switch costs, installs the
+// tunnel flows and runs until they have landed.
+func newGWChain(seed uint64, costs sdn.PathCosts) *gwChain {
 	eng := sim.NewEngine(seed)
 	nw := netsim.New(eng)
 	srcN := nw.AddNode("src", pkt.AddrFrom(10, 0, 0, 1))
@@ -179,33 +196,45 @@ func measureGWThroughput(seed uint64, costs sdn.PathCosts, dur time.Duration) ([
 	})
 	eng.RunFor(time.Millisecond)
 
+	c := &gwChain{
+		eng: eng, nw: nw, src: srcN, sgw: sgwN,
+		flow: pkt.FiveTuple{Src: srcN.Addr(), Dst: dstN.Addr(), SrcPort: 1, DstPort: 5000, Proto: pkt.ProtoTCP},
+	}
 	dst := netsim.NewHost(dstN)
 	netsim.NewHost(srcN)
-	var bucketBytes uint64
 	dst.Listen(5000, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) {
-		bucketBytes += uint64(p.Size)
+		c.bytes += uint64(p.Size)
+		nw.Release(p)
 	}))
+	return c
+}
 
-	const segment = 1400
-	interval := time.Duration(float64(segment*8) / 1e9 * float64(time.Second))
-	tick := sim.NewTicker(eng, interval, func() {
-		p := &netsim.Packet{
-			Flow: pkt.FiveTuple{Src: srcN.Addr(), Dst: dstN.Addr(), SrcPort: 1, DstPort: 5000, Proto: pkt.ProtoTCP},
-			Size: segment,
-		}
-		p.Encapsulate(srcN.Addr(), sgwN.Addr(), 101)
-		srcN.Inject(p)
-	})
+// send injects one tunneled segment at the source.
+func (c *gwChain) send() {
+	p := c.nw.NewPacket()
+	p.Flow = c.flow
+	p.Size = gwSegment
+	p.Encapsulate(c.src.Addr(), c.sgw.Addr(), 101)
+	c.src.Inject(p)
+}
+
+// measureGWThroughput saturates the GW-U chain for dur and returns
+// per-second goodput plus a final snapshot of the chain's telemetry
+// registry (link and switch counters for the whole run).
+func measureGWThroughput(seed uint64, costs sdn.PathCosts, dur time.Duration) ([]float64, *telemetry.Snapshot) {
+	c := newGWChain(seed, costs)
+	interval := time.Duration(float64(gwSegment*8) / 1e9 * float64(time.Second))
+	tick := sim.NewTicker(c.eng, interval, c.send)
 
 	seconds := int(dur / time.Second)
 	out := make([]float64, 0, seconds)
 	for s := 0; s < seconds; s++ {
-		bucketBytes = 0
-		eng.RunFor(time.Second)
-		out = append(out, float64(bucketBytes*8)/1e6)
+		c.bytes = 0
+		c.eng.RunFor(time.Second)
+		out = append(out, float64(c.bytes*8)/1e6)
 	}
 	tick.Stop()
-	return out, eng.Metrics().Snapshot()
+	return out, c.eng.Metrics().Snapshot()
 }
 
 // fig9 evaluates localization error across landmark-subset sizes. It

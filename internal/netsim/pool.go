@@ -2,16 +2,16 @@ package netsim
 
 // Packet free-list. The pool hangs off the Network — never a package
 // global — so parallel trials never share packet memory and a seeded run
-// recycles in exactly the same order every time. Only packets created by
-// NewPacket/ClonePacket are recycled; packets built with &Packet{} (tests,
-// one-shot setup traffic) pass through Release untouched and fall to the
-// garbage collector as before.
+// recycles in exactly the same order every time. Every packet a simulation
+// sends comes from NewPacket/ClonePacket; a &Packet{} literal is for tests
+// only (TestNoPacketLiterals holds non-test code to none), and Release passes
+// one through untouched.
 //
 // Ownership rule: a packet is owned by whichever queue, link or handler
-// currently holds it. The owner at the point where a packet's life ends — a
-// drop site, a terminal application callback — is responsible for calling
-// Release. Applications that keep a packet past their callback must call
-// Retain first.
+// currently holds it. The handler that ends a packet's life — a drop site, a
+// terminal application callback, an experiment harness's sink — releases
+// it. Applications that keep a packet past their callback must call Retain
+// first.
 
 // NewPacket returns a zeroed pool-managed packet owned by the caller.
 //
@@ -29,12 +29,14 @@ func (nw *Network) NewPacket() *Packet {
 
 // newPacketSlow is the pool-miss refill path. Noinline keeps the
 // unavoidable allocation out of hotpath callers' escape profiles: inlined,
-// the &Packet{} would be attributed to every caller's line range and trip
-// the hotpath-escape gate.
+// it would be attributed to every caller's line range and trip the
+// hotpath-escape gate.
 //
 //go:noinline
 func newPacketSlow() *Packet {
-	return &Packet{pooled: true}
+	p := new(Packet)
+	p.pooled = true
+	return p
 }
 
 // panicDoubleRelease reports the mutate-after-release canary. Noinline so

@@ -1,6 +1,12 @@
 package netsim
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"acacia/internal/pkt"
@@ -119,4 +125,57 @@ func TestClonePacketIndependent(t *testing.T) {
 	if p.Size != 1200 {
 		t.Error("releasing the clone corrupted the original")
 	}
+}
+
+// TestNoPacketLiterals holds the module's non-test code to zero &Packet{}
+// and &netsim.Packet{} literals: a packet a simulation sends comes from
+// NewPacket or ClonePacket, so whoever ends its life can return it to the
+// pool. Test files may still build literals.
+func TestNoPacketLiterals(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (name != "." && name != ".." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			u, ok := n.(*ast.UnaryExpr)
+			if !ok || u.Op != token.AND {
+				return true
+			}
+			if lit, ok := u.X.(*ast.CompositeLit); ok && isPacketType(lit.Type) {
+				t.Errorf("%s: packet literal; take it from NewPacket", fset.Position(u.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// isPacketType reports whether e names Packet or netsim.Packet.
+func isPacketType(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name == "Packet"
+	case *ast.SelectorExpr:
+		x, ok := e.X.(*ast.Ident)
+		return ok && x.Name == "netsim" && e.Sel.Name == "Packet"
+	}
+	return false
 }

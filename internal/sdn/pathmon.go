@@ -133,14 +133,14 @@ func (m *PathMonitor) tick() {
 		}
 		ps.lastSentSeq++
 		ps.Sent++
-		m.sw.node.Port(ps.Port).Send(&netsim.Packet{
-			Flow: pkt.FiveTuple{
-				Src: m.sw.node.Addr(), Dst: ps.Peer,
-				SrcPort: pkt.GTPUPort, DstPort: pkt.GTPUPort, Proto: pkt.ProtoUDP,
-			},
-			Size:    gtpEchoWireSize,
-			Payload: gtpEcho{req: true, seq: ps.lastSentSeq, from: m.sw.node.Addr()},
-		})
+		p := m.sw.node.NewPacket()
+		p.Flow = pkt.FiveTuple{
+			Src: m.sw.node.Addr(), Dst: ps.Peer,
+			SrcPort: pkt.GTPUPort, DstPort: pkt.GTPUPort, Proto: pkt.ProtoUDP,
+		}
+		p.Size = gtpEchoWireSize
+		p.Payload = gtpEcho{req: true, seq: ps.lastSentSeq, from: m.sw.node.Addr()}
+		m.sw.node.Port(ps.Port).Send(p)
 	}
 }
 
@@ -199,20 +199,25 @@ func (m *PathMonitor) refreshPeers() {
 // AnswerGTPEcho lets a non-switch GTP node (the eNB end of S1-U paths)
 // participate in path supervision: it answers Echo Requests addressed to
 // self and swallows stray echo traffic. Returns true when the packet was a
-// GTP echo and has been consumed.
+// GTP echo and has been consumed; the caller then releases it.
 func AnswerGTPEcho(self pkt.Addr, ingress *netsim.Port, p *netsim.Packet) bool {
 	echo, ok := p.Payload.(gtpEcho)
 	if !ok || p.Flow.Dst != self || p.Flow.DstPort != pkt.GTPUPort {
 		return false
 	}
 	if echo.req && ingress != nil {
-		ingress.Send(&netsim.Packet{
-			Flow:    p.Flow.Reverse(),
-			Size:    gtpEchoWireSize,
-			Payload: gtpEcho{req: false, seq: echo.seq, from: self},
-		})
+		sendEchoReply(ingress, p, echo.seq, self)
 	}
 	return true
+}
+
+// sendEchoReply answers the echo request p on the port it arrived on.
+func sendEchoReply(ingress *netsim.Port, p *netsim.Packet, seq uint32, self pkt.Addr) {
+	r := ingress.Node.NewPacket()
+	r.Flow = p.Flow.Reverse()
+	r.Size = gtpEchoWireSize
+	r.Payload = gtpEcho{req: false, seq: seq, from: self}
+	ingress.Send(r)
 }
 
 // handleEcho intercepts GTP echo messages before table lookup. Returns
@@ -226,11 +231,7 @@ func (sw *Switch) handleEcho(ingress *netsim.Port, p *netsim.Packet) bool {
 		if ingress == nil {
 			return true
 		}
-		ingress.Send(&netsim.Packet{
-			Flow:    p.Flow.Reverse(),
-			Size:    gtpEchoWireSize,
-			Payload: gtpEcho{req: false, seq: echo.seq, from: sw.node.Addr()},
-		})
+		sendEchoReply(ingress, p, echo.seq, sw.node.Addr())
 		return true
 	}
 	if sw.pathMon != nil {

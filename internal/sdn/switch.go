@@ -112,12 +112,12 @@ var OpenEPCGWCosts = PathCosts{
 var IdealGWCosts = PathCosts{FastPathEnabled: true}
 
 // cacheKey identifies a megaflow: the exact packet header view the fast
-// path hashes.
+// path hashes, packed into six 32-bit words (ports is srcPort<<16|dstPort,
+// protoTOS is proto<<8|tos). With no padding the map hashes the key as one
+// run of memory instead of field by field; 4-byte alignment keeps its map
+// slot at 28 bytes.
 type cacheKey struct {
-	inPort uint32
-	flow   pkt.FiveTuple
-	tos    uint8
-	teid   uint32
+	src, dst, ports, teid, inPort, protoTOS uint32
 }
 
 // Shape bits for the exact-match index: one bit per packet-visible match
@@ -414,7 +414,15 @@ func (sw *Switch) keyFor(ingress *netsim.Port, p *netsim.Packet) cacheKey {
 	if ingress != nil {
 		inPort = uint32(ingress.ID)
 	}
-	return cacheKey{inPort: inPort, flow: p.Flow, tos: p.TOS, teid: teid}
+	f := p.Flow
+	return cacheKey{
+		src:      f.Src.Uint32(),
+		dst:      f.Dst.Uint32(),
+		ports:    uint32(f.SrcPort)<<16 | uint32(f.DstPort),
+		teid:     teid,
+		inPort:   inPort,
+		protoTOS: uint32(f.Proto)<<8 | uint32(p.TOS),
+	}
 }
 
 func (sw *Switch) process(ingress *netsim.Port, p *netsim.Packet) {
