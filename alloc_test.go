@@ -157,6 +157,27 @@ func BenchmarkAllocQueuedLink(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocConnect measures building one link: the metro generator
+// builds one per UE. Links fan onto one hub, 10,000 to a network (a fresh
+// network per 10,000 keeps the heap flat); telemetry names nothing until a
+// snapshot reads it, so what is left is the link itself and the two
+// pre-bound method values per direction.
+func BenchmarkAllocConnect(b *testing.B) {
+	const fanout = 10000
+	cfg := netsim.LinkConfig{Propagation: time.Millisecond}
+	var nw *netsim.Network
+	var hub, leaf *netsim.Node
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%fanout == 0 {
+			nw = netsim.New(sim.NewEngine(1))
+			hub = nw.AddNode("hub", pkt.AddrFrom(10, 0, 0, 1))
+			leaf = nw.AddNode("leaf", pkt.AddrFrom(10, 0, 0, 2))
+		}
+		nw.Connect(hub, leaf, cfg, cfg)
+	}
+}
+
 // BenchmarkAllocEngineAfter measures pooled event scheduling with a
 // pre-bound callback, the engine's per-event hot path.
 func BenchmarkAllocEngineAfter(b *testing.B) {

@@ -71,6 +71,9 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 
+	// prog is the whole program the package was loaded with, for the
+	// per-package rules that ask the call graph about a callee.
+	prog  *Program
 	rule  *Rule
 	diags *[]Diagnostic
 }
@@ -196,6 +199,7 @@ func RunProgram(prog *Program, rules []*Rule) []Diagnostic {
 				Files: pkg.Files,
 				Pkg:   pkg.Pkg,
 				Info:  pkg.Info,
+				prog:  prog,
 				rule:  rule,
 				diags: &diags,
 			}

@@ -14,7 +14,8 @@ import (
 
 // This file is the whole-program layer of the framework: a static call
 // graph over every loaded package, shared by the interprocedural rules
-// (dettaint) and the hotpath-escape gate. The graph is
+// (dettaint), the hotpath-escape gate and maprange's look through calls
+// (OrderedEffectPath). The graph is
 // deliberately an over-approximation — it must never miss a possible call,
 // and it tolerates edges that cannot happen at runtime:
 //
@@ -144,6 +145,73 @@ type CallGraph struct {
 	Nodes map[string]*CGNode
 	// RootKeys lists handler-root node keys in sorted order.
 	RootKeys []string
+
+	// toEffect maps every node that can reach an ordered effect (see
+	// isOrderedEffect) to its next hop on a shortest path there, "" for an
+	// effect itself. Built by the first OrderedEffectPath query.
+	toEffect map[string]string
+}
+
+// isOrderedEffect reports whether a node key is a call whose order is
+// observable: sim.Engine scheduling (Schedule*, After*) — same-instant
+// events fire in enqueue order — or a netsim packet send (Send, Inject).
+func isOrderedEffect(key string) bool {
+	dot := strings.LastIndex(key, ".")
+	if dot < 0 {
+		return false
+	}
+	recv, name := key[:dot], key[dot+1:]
+	switch {
+	case strings.HasSuffix(recv, "internal/sim.(*Engine)"):
+		return strings.HasPrefix(name, "Schedule") || strings.HasPrefix(name, "After")
+	case strings.HasSuffix(recv, ")"):
+		i := strings.LastIndex(recv, ".(")
+		return i >= 0 && strings.HasSuffix(recv[:i], "internal/netsim") && netsimSendNames[name]
+	}
+	return false
+}
+
+// OrderedEffectPath reports whether the function keyed key can reach an
+// ordered effect and, if so, renders the shortest such call chain, e.g.
+// "(*ENB).requestRelease -> (*Core).sendS1AP -> (*Endpoint).Send". The
+// reachability is computed once per graph, by a breadth-first walk up the
+// reversed edges from every effect node.
+func (g *CallGraph) OrderedEffectPath(key string) (string, bool) {
+	if g.toEffect == nil {
+		g.toEffect = map[string]string{}
+		keys := make([]string, 0, len(g.Nodes))
+		for k := range g.Nodes {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		callers := map[string][]string{}
+		var queue []string
+		for _, k := range keys {
+			for _, e := range g.Nodes[k].edges {
+				callers[e.to] = append(callers[e.to], k)
+			}
+			if isOrderedEffect(k) {
+				g.toEffect[k] = ""
+				queue = append(queue, k)
+			}
+		}
+		for ; len(queue) > 0; queue = queue[1:] {
+			for _, c := range callers[queue[0]] {
+				if _, seen := g.toEffect[c]; !seen {
+					g.toEffect[c] = queue[0]
+					queue = append(queue, c)
+				}
+			}
+		}
+	}
+	if _, ok := g.toEffect[key]; !ok {
+		return "", false
+	}
+	var names []string
+	for k := key; k != ""; k = g.toEffect[k] {
+		names = append(names, g.Nodes[k].Name)
+	}
+	return strings.Join(names, " -> "), true
 }
 
 // Edges returns n's callee keys with the call positions, deterministically

@@ -12,7 +12,10 @@ import (
 // produces different bytes on every run. The fix is the collect-sort-index
 // idiom: gather the keys, sort them, then iterate the sorted slice. The
 // rule recognizes that idiom (a key-collecting append whose target is
-// sorted later in the same function) and stays quiet for it.
+// sorted later in the same function) and stays quiet for it. A call to a
+// module function is judged through the whole-program call graph: it is
+// flagged if any chain from it reaches a packet send or an engine
+// schedule.
 func MapRangeRule() *Rule {
 	return &Rule{
 		Name: "maprange",
@@ -118,6 +121,12 @@ func checkMapRangeCall(p *Pass, call *ast.CallExpr) {
 	case printMethodNames[name] && isMethod(fn):
 		p.Reportf(call.Pos(),
 			"%s inside range over map writes in nondeterministic key order; sort the keys first", name)
+	case isModulePath(p.prog, pkgPath):
+		// The send or schedule may sit any number of calls away.
+		if path, ok := p.prog.CallGraph().OrderedEffectPath(funcKey(fn)); ok {
+			p.Reportf(call.Pos(),
+				"call inside range over map reaches a packet send or event schedule in nondeterministic key order (path: %s); iterate in a fixed order", path)
+		}
 	}
 }
 

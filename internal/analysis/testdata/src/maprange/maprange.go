@@ -4,6 +4,7 @@ package maprange
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"acacia/internal/netsim"
 	"acacia/internal/sim"
@@ -98,3 +99,46 @@ func suppressed(m map[string]int) []string {
 	}
 	return out
 }
+
+// idleCheck has the shape of an eNB inactivity check: the map range calls
+// a module helper, and the packet send is one call further down.
+type idleCheck struct {
+	eng  *sim.Engine
+	byIP map[string]*netsim.Port
+	idle map[string]bool
+}
+
+func (c *idleCheck) requestRelease(pt *netsim.Port, p *netsim.Packet) { pt.Send(p) }
+
+func (c *idleCheck) check(p *netsim.Packet) {
+	for ip, pt := range c.byIP {
+		if c.idle[ip] {
+			c.requestRelease(pt, p) // want "path: \(\*idleCheck\)\.requestRelease -> \(\*Port\)\.Send"
+		}
+	}
+}
+
+// armTimer schedules through a helper two calls deep.
+func (c *idleCheck) armTimer() { c.armAfter(time.Second) }
+
+func (c *idleCheck) armAfter(d time.Duration) { c.eng.After(d, func() {}) }
+
+func (c *idleCheck) armAll() {
+	for range c.byIP {
+		c.armTimer() // want "reaches a packet send or event schedule.*armTimer -> .*armAfter -> \(\*Engine\)\.After"
+	}
+}
+
+// countIdle calls a module helper that reaches neither a send nor a
+// schedule, so the rule stays silent.
+func (c *idleCheck) countIdle() int {
+	n := 0
+	for ip := range c.byIP {
+		if c.isIdle(ip) {
+			n++
+		}
+	}
+	return n
+}
+
+func (c *idleCheck) isIdle(ip string) bool { return c.idle[ip] }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -589,5 +591,71 @@ func TestTestbedDeterministicAcrossRuns(t *testing.T) {
 	tb3.Run(15 * time.Second)
 	if b3.Frontend.Stats.Total.Mean() == m1 {
 		t.Error("different seeds produced identical latency means")
+	}
+}
+
+// TestSameTickIdleReleaseOrder: UEs whose inactivity timers expire on the
+// same eNB tick are released in one order on every run. Each release sends
+// S1AP and draws transport sequence numbers, so a check that visited UEs in
+// map order reordered same-seed runs.
+func TestSameTickIdleReleaseOrder(t *testing.T) {
+	idleOrder := func() string {
+		tb := NewTestbed(TestbedConfig{Seed: 5, NumUEs: 6, IdleTimeout: 2 * time.Second})
+		for _, b := range tb.UEs {
+			b.UE.Attach("core-sgw", "core-pgw", nil)
+		}
+		tb.Run(6 * time.Second)
+		var order []string
+		for _, e := range tb.Eng.Metrics().Events() {
+			if e.Name == "state" && e.Detail == "idle" {
+				order = append(order, e.At.String()+" "+e.Scope)
+			}
+		}
+		if len(order) != len(tb.UEs) {
+			t.Fatalf("%d of %d UEs went idle:\n%s", len(order), len(tb.UEs), strings.Join(order, "\n"))
+		}
+		return strings.Join(order, "\n")
+	}
+	want := idleOrder()
+	for run := 1; run < 20; run++ {
+		if got := idleOrder(); got != want {
+			t.Fatalf("run %d released idle UEs in another order:\n%s\nwant:\n%s", run, got, want)
+		}
+	}
+}
+
+// Runtime metric names follow the layer[/sub]/name grammar acacia-vet's
+// metricname rule holds constant names to: lowercase [a-z0-9-] segments.
+// A link direction's segment joins its two node names with "->".
+var (
+	metricNameRE = regexp.MustCompile(`^[a-z0-9-]+(/[a-z0-9-]+)+$`)
+	linkMetricRE = regexp.MustCompile(`^netsim/link/[0-9]+/[a-z0-9-]+->[a-z0-9-]+/[a-z-]+$`)
+)
+
+// TestSnapshotNamesFollowGrammar checks every name in a full testbed's
+// snapshot, including those built at run time — per-link and per-session
+// names, and the names telemetry sources build at snapshot — which the
+// static rule cannot see.
+func TestSnapshotNamesFollowGrammar(t *testing.T) {
+	tb := newRetailTestbed(t, TestbedConfig{})
+	startRetail(t, tb, "electronics", electronicsSpot)
+	tb.Run(3 * time.Second)
+	snap := tb.MetricsSnapshot()
+	links, epc := 0, 0
+	for _, m := range snap.Metrics {
+		switch {
+		case strings.HasPrefix(m.Name, "netsim/link/"):
+			links++
+			if !linkMetricRE.MatchString(m.Name) {
+				t.Errorf("link metric %q breaks netsim/link/<n>/<src>-><dst>/<metric>", m.Name)
+			}
+		case !metricNameRE.MatchString(m.Name):
+			t.Errorf("metric %q breaks the layer[/sub]/name grammar", m.Name)
+		case strings.HasPrefix(m.Name, "epc/s1ap/"):
+			epc++
+		}
+	}
+	if want := 10 * len(tb.Net.Links()); links != want || epc != 2 {
+		t.Errorf("snapshot has %d link metrics (want %d) and %d epc/s1ap metrics (want 2)", links, want, epc)
 	}
 }

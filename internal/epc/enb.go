@@ -30,8 +30,11 @@ type ENB struct {
 	// service-request ramp-up (RACH + RRC connection establishment).
 	RACHDelay time.Duration
 
-	byUEIP   map[pkt.Addr]*ueCtx
-	byRadio  map[int]*ueCtx // radio port id -> ctx
+	byUEIP map[pkt.Addr]*ueCtx
+	// byRadio[id] is the context on radio port id, nil for the backhaul and
+	// control ports. Contexts are never removed, so its order is connection
+	// order — the order checkIdle releases UEs in.
+	byRadio  []*ueCtx
 	byDLTEID map[uint32]dlKey
 	teids    teidAllocator
 	ticker   *sim.Ticker
@@ -72,7 +75,6 @@ func NewENB(core *Core, node *netsim.Node) *ENB {
 		node:      node,
 		RACHDelay: 50 * time.Millisecond,
 		byUEIP:    make(map[pkt.Addr]*ueCtx),
-		byRadio:   make(map[int]*ueCtx),
 		byDLTEID:  make(map[uint32]dlKey),
 	}
 	node.SetHandler(e.handle)
@@ -102,6 +104,9 @@ func (e *ENB) ConnectUE(ue *UE, radioCfg netsim.LinkConfig) *netsim.Link {
 	link := e.core.cfg.Net.ConnectSymmetric(ue.node, e.node, radioCfg)
 	ctx := &ueCtx{ue: ue, radioPort: link.B.ID, uePort: link.A.ID}
 	e.byUEIP[ue.Addr()] = ctx
+	if n := link.B.ID + 1; n > len(e.byRadio) {
+		e.byRadio = append(e.byRadio, make([]*ueCtx, n-len(e.byRadio))...)
+	}
 	e.byRadio[link.B.ID] = ctx
 	if ue.enb == nil {
 		ue.enb = e
@@ -135,7 +140,10 @@ func (e *ENB) handle(ingress *netsim.Port, p *netsim.Packet) {
 		e.handleDownlink(p)
 		return
 	}
-	ctx := e.byRadio[ingress.ID]
+	var ctx *ueCtx
+	if ingress.ID < len(e.byRadio) {
+		ctx = e.byRadio[ingress.ID]
+	}
 	if ctx == nil {
 		return
 	}
@@ -355,12 +363,14 @@ func (e *ENB) sendInitialAttach(ue *UE, sgwPlane, pgwPlane string, done func(err
 	})
 }
 
-// checkIdle fires the inactivity timer for connected UEs.
+// checkIdle fires the inactivity timer for connected UEs, in connection
+// order: each release sends S1AP and draws sequence numbers, so UEs that
+// time out on one tick must be released in the same order every run.
 func (e *ENB) checkIdle() {
 	now := e.core.Eng.Now()
 	timeout := e.core.cfg.IdleTimeout
-	for _, ctx := range e.byUEIP {
-		if !ctx.connected || ctx.sess == nil || ctx.sess.State != StateConnected {
+	for _, ctx := range e.byRadio {
+		if ctx == nil || !ctx.connected || ctx.sess == nil || ctx.sess.State != StateConnected {
 			continue
 		}
 		if now.Sub(ctx.lastSeen) >= timeout {

@@ -96,11 +96,10 @@ type MsgRecord struct {
 // Accounting tallies control-plane messages by protocol. The §4 experiment
 // snapshots it around a release/re-establish cycle.
 //
-// The arrays remain the canonical store (a zero-value Accounting works
-// standalone); when constructed with NewAccounting, every Record also
-// mirrors into per-protocol telemetry counters (epc/<proto>/msgs and
-// epc/<proto>/bytes) so the engine-wide registry snapshot carries the same
-// totals.
+// The arrays are the one store (a zero-value Accounting works standalone);
+// one built by NewAccounting is a telemetry source that reports them as
+// epc/<proto>/msgs and epc/<proto>/bytes, so the engine-wide registry
+// snapshot carries the same totals.
 type Accounting struct {
 	Msgs  [protoCount]uint64
 	Bytes [protoCount]uint64
@@ -108,25 +107,36 @@ type Accounting struct {
 	Trace bool
 	Log   []MsgRecord
 
-	// Registry mirrors, nil when the Accounting is unbound.
-	msgCtr  [protoCount]*telemetry.Counter
-	byteCtr [protoCount]*telemetry.Counter
 	// logLen is the Log length at the time this value was produced by
 	// Snapshot; DiffLog slices the live log from it.
 	logLen int
 }
 
-// NewAccounting returns an Accounting whose counters mirror into reg under
+// NewAccounting returns an Accounting registered with reg as the source of
 // epc/<proto>/msgs and epc/<proto>/bytes (proto in s1ap, gtpv2, openflow).
 func NewAccounting(reg *telemetry.Registry) *Accounting {
 	a := &Accounting{}
-	scope := reg.Scope("epc")
-	for p := Protocol(0); p < protoCount; p++ {
-		ps := scope.Scope(p.slug())
-		a.msgCtr[p] = ps.Counter("msgs")
-		a.byteCtr[p] = ps.Counter("bytes")
-	}
+	reg.Register(a)
 	return a
+}
+
+// acctNames[p] are protocol p's msgs and bytes metric names.
+var acctNames = func() (names [protoCount][2]string) {
+	for p := range names {
+		prefix := "epc/" + Protocol(p).slug() + "/"
+		names[p] = [2]string{prefix + "msgs", prefix + "bytes"}
+	}
+	return names
+}()
+
+// AppendMetrics reports the per-protocol totals (telemetry.Source).
+func (a *Accounting) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
+	for p, names := range acctNames {
+		dst = append(dst,
+			telemetry.Metric{Name: names[0], Kind: telemetry.KindCounter, Count: a.Msgs[p]},
+			telemetry.Metric{Name: names[1], Kind: telemetry.KindCounter, Count: a.Bytes[p]})
+	}
+	return dst
 }
 
 // Record adds one message.
@@ -141,10 +151,6 @@ func (a *Accounting) Record(at sim.Time, proto Protocol, name string, bytes int)
 func (a *Accounting) RecordTx(at sim.Time, proto Protocol, name string, bytes int, seq uint32, path string) int {
 	a.Msgs[proto]++
 	a.Bytes[proto] += uint64(bytes)
-	if a.msgCtr[proto] != nil {
-		a.msgCtr[proto].Inc()
-		a.byteCtr[proto].Add(uint64(bytes))
-	}
 	if a.Trace {
 		a.Log = append(a.Log, MsgRecord{At: at, Proto: proto, Name: name, Bytes: bytes, Seq: seq, Path: path})
 		return len(a.Log) - 1

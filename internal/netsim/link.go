@@ -43,9 +43,9 @@ func (cfg LinkConfig) withDefaults() LinkConfig {
 	return cfg
 }
 
-// LinkStats counts per-direction link activity. It is a point-in-time view
-// assembled from the link's telemetry counters (the authoritative store in
-// the engine's metrics registry).
+// LinkStats counts per-direction link activity. A direction keeps it as a
+// plain field; the link reports it to the engine's metrics registry when a
+// snapshot is taken.
 //
 // Counter semantics: Sent counts packets accepted for transmission (queued
 // behind the transmitter or put on the delay line); Dropped counts packets
@@ -65,54 +65,42 @@ type LinkStats struct {
 func (s LinkStats) Offered() uint64 { return s.Sent + s.Dropped }
 
 // linkDir is one direction of a link: a single transmitter serving a bounded
-// queue, followed by a propagation delay line. Its activity counters live in
-// the engine's telemetry registry under netsim/link/<n>/<src>-><dst>/.
+// queue, followed by a propagation delay line. Its activity counts are
+// plain fields; the link reports them under netsim/link/<n>/<src>-><dst>/.
 type linkDir struct {
 	net    *Network
 	eng    *sim.Engine
 	cfg    LinkConfig
 	dst    *Port
 	queue  laneQueue
-	qBytes int
+	qBytes int // queued bytes awaiting transmission (the queue-bytes gauge)
 	busy   bool
 	down   bool
+	stats  LinkStats
 
 	// txDoneF/arriveF are method values bound once at construction and
 	// passed to Engine.AfterArg, so per-packet scheduling allocates no
 	// closures.
 	txDoneF func(any)
 	arriveF func(any)
-
-	sent      *telemetry.Counter
-	delivered *telemetry.Counter
-	dropped   *telemetry.Counter
-	bytes     *telemetry.Counter
-	queueLen  *telemetry.Gauge // queued bytes awaiting transmission
 }
 
-func newLinkDir(net *Network, cfg LinkConfig, dst *Port, scope telemetry.Scope) *linkDir {
-	d := &linkDir{
-		net: net, eng: net.eng,
-		cfg: cfg.withDefaults(), dst: dst,
-		sent:      scope.Counter("sent"),
-		delivered: scope.Counter("delivered"),
-		dropped:   scope.Counter("dropped"),
-		bytes:     scope.Counter("bytes"),
-		queueLen:  scope.Gauge("queue-bytes"),
-	}
+func (d *linkDir) init(net *Network, cfg LinkConfig, dst *Port) {
+	d.net, d.eng = net, net.eng
+	d.cfg, d.dst = cfg.withDefaults(), dst
 	d.txDoneF = d.txDone
 	d.arriveF = d.arrive
-	return d
 }
 
-// stats assembles the compatibility counter view from the registry counters.
-func (d *linkDir) statsView() LinkStats {
-	return LinkStats{
-		Sent:      d.sent.Value(),
-		Delivered: d.delivered.Value(),
-		Dropped:   d.dropped.Value(),
-		Bytes:     d.bytes.Value(),
-	}
+// appendMetrics reports the direction under names, which are in
+// linkMetricNames order.
+func (d *linkDir) appendMetrics(dst []telemetry.Metric, names *[len(linkMetricNames)]string) []telemetry.Metric {
+	return append(dst,
+		telemetry.Metric{Name: names[0], Kind: telemetry.KindCounter, Count: d.stats.Bytes},
+		telemetry.Metric{Name: names[1], Kind: telemetry.KindCounter, Count: d.stats.Delivered},
+		telemetry.Metric{Name: names[2], Kind: telemetry.KindCounter, Count: d.stats.Dropped},
+		telemetry.Metric{Name: names[3], Kind: telemetry.KindGauge, Value: float64(d.qBytes)},
+		telemetry.Metric{Name: names[4], Kind: telemetry.KindCounter, Count: d.stats.Sent})
 }
 
 // send offers p to the transmitter. All drops (down direction, injected
@@ -123,12 +111,12 @@ func (d *linkDir) statsView() LinkStats {
 //acacia:hotpath
 func (d *linkDir) send(p *Packet) {
 	if d.down {
-		d.dropped.Inc()
+		d.stats.Dropped++
 		d.net.Release(p)
 		return
 	}
 	if d.cfg.LossProb > 0 && d.eng.RNG().Float64() < d.cfg.LossProb {
-		d.dropped.Inc()
+		d.stats.Dropped++
 		d.net.Release(p)
 		return
 	}
@@ -137,19 +125,18 @@ func (d *linkDir) send(p *Packet) {
 		// keeps delivery in arrival order while packets queued under a
 		// previous finite-rate config are still draining (SetConfigAB
 		// mid-run); until the drain completes, new arrivals queue behind.
-		d.sent.Inc()
-		d.bytes.Add(uint64(p.Size))
+		d.stats.Sent++
+		d.stats.Bytes += uint64(p.Size)
 		d.deliverAfter(p, d.cfg.Propagation)
 		return
 	}
 	if d.qBytes+p.Size > d.cfg.QueueBytes {
-		d.dropped.Inc()
+		d.stats.Dropped++
 		d.net.Release(p)
 		return
 	}
-	d.sent.Inc()
+	d.stats.Sent++
 	d.qBytes += p.Size
-	d.queueLen.Set(float64(d.qBytes))
 	prio := 0
 	if d.cfg.Prioritized {
 		prio = p.Priority
@@ -171,7 +158,6 @@ func (d *linkDir) transmitNext() {
 	p := item.p
 	p.QueueWait += d.eng.Now().Sub(item.enq)
 	d.qBytes -= p.Size
-	d.queueLen.Set(float64(d.qBytes))
 	// Zero BitsPerSecond means infinite bandwidth. A direction can be
 	// reconfigured to it mid-run while packets queued under the previous
 	// finite rate still wait: those drain here in queue order with zero
@@ -190,7 +176,7 @@ func (d *linkDir) transmitNext() {
 //acacia:hotpath
 func (d *linkDir) txDone(v any) {
 	p := v.(*Packet)
-	d.bytes.Add(uint64(p.Size))
+	d.stats.Bytes += uint64(p.Size)
 	d.deliverAfter(p, d.cfg.Propagation)
 	d.transmitNext()
 }
@@ -209,7 +195,7 @@ func (d *linkDir) deliverAfter(p *Packet, delay time.Duration) {
 //acacia:hotpath
 func (d *linkDir) arrive(v any) {
 	p := v.(*Packet)
-	d.delivered.Inc()
+	d.stats.Delivered++
 	d.dst.deliver(p)
 }
 
@@ -287,18 +273,47 @@ func (q *laneQueue) pop() queuedPacket {
 }
 
 // Link is a bidirectional connection between two ports. Each direction has
-// independent bandwidth, delay and queueing.
+// independent bandwidth, delay and queueing. The ports and directions live
+// inside the link (A and B point at pa and pb), so Connect builds it with
+// one allocation.
 type Link struct {
 	A, B   *Port
-	ab, ba *linkDir
+	ab, ba linkDir
+	pa, pb Port
+
+	// idx is the creation index, which tells parallel links between one
+	// node pair apart in metric names; names are those names, built by the
+	// first snapshot that reads the link.
+	idx   int
+	names *[2][len(linkMetricNames)]string
 }
 
-// StatsAB reports counters for the A->B direction, read from the telemetry
-// registry the direction registers into.
-func (l *Link) StatsAB() LinkStats { return l.ab.statsView() }
+// linkMetricNames are a direction's metrics under
+// netsim/link/<n>/<src>-><dst>/, in linkDir.appendMetrics order.
+var linkMetricNames = [...]string{"bytes", "delivered", "dropped", "queue-bytes", "sent"}
+
+// AppendMetrics reports both directions' counters and queue gauges: the
+// link is the telemetry.Source Connect registers.
+func (l *Link) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
+	if l.names == nil {
+		l.names = new([2][len(linkMetricNames)]string)
+		idx := "netsim/link/" + telemetry.Itoa(l.idx) + "/"
+		a, b := l.A.Node.name, l.B.Node.name
+		for i, prefix := range [2]string{idx + a + "->" + b + "/", idx + b + "->" + a + "/"} {
+			for j, m := range linkMetricNames {
+				l.names[i][j] = prefix + m
+			}
+		}
+	}
+	dst = l.ab.appendMetrics(dst, &l.names[0])
+	return l.ba.appendMetrics(dst, &l.names[1])
+}
+
+// StatsAB reports counters for the A->B direction.
+func (l *Link) StatsAB() LinkStats { return l.ab.stats }
 
 // StatsBA reports counters for the B->A direction.
-func (l *Link) StatsBA() LinkStats { return l.ba.statsView() }
+func (l *Link) StatsBA() LinkStats { return l.ba.stats }
 
 // BacklogAB reports queued bytes in the A->B direction.
 func (l *Link) BacklogAB() int { return l.ab.Backlog() }

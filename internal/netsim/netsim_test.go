@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -692,5 +693,35 @@ func TestSetDownDropAccounting(t *testing.T) {
 	st = l.StatsAB()
 	if got != 2 || st.Sent != 2 || st.Delivered != 2 || st.Dropped != 2 {
 		t.Errorf("after repair: got=%d stats=%+v, want Sent=2 Delivered=2 Dropped=2", got, st)
+	}
+}
+
+// TestConnectNamesNothing: a link reports its counters as a telemetry
+// source, so building links names nothing — a run that never snapshots
+// (the metro generator builds one link per UE) pays for no metric names —
+// and the first snapshot lists every direction's five metrics.
+func TestConnectNamesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := New(eng)
+	hub := nw.AddNode("hub", pkt.AddrFrom(10, 0, 0, 1))
+	for i := 0; i < 1000; i++ {
+		nw.Connect(hub, nw.AddNode("leaf-"+strconv.Itoa(i), pkt.AddrFrom(10, 1, byte(i>>8), byte(i))), LinkConfig{}, LinkConfig{})
+	}
+	for _, l := range nw.Links() {
+		if l.names != nil {
+			t.Fatalf("link %d named its metrics before any snapshot", l.idx)
+		}
+	}
+	snap := eng.Metrics().Snapshot()
+	if got := len(snap.Metrics); got != 10000 {
+		t.Fatalf("first snapshot lists %d metrics, want 10000 (1000 links x 2 directions x 5)", got)
+	}
+	for _, name := range []string{"netsim/link/0/hub->leaf-0/sent", "netsim/link/999/leaf-999->hub/queue-bytes"} {
+		if _, ok := snap.Get(name); !ok {
+			t.Errorf("snapshot lacks %s", name)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { eng.Metrics().Snapshot() }); n > 3 {
+		t.Errorf("a repeated snapshot of 1000 links allocates %.0f times, want <= 3 (the snapshot, its metric slice, the sorted named-metric list)", n)
 	}
 }

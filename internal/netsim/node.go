@@ -6,7 +6,6 @@ import (
 
 	"acacia/internal/pkt"
 	"acacia/internal/sim"
-	"acacia/internal/telemetry"
 )
 
 // Handler processes a packet arriving at a node. ingress is nil for packets
@@ -260,27 +259,22 @@ func (nw *Network) NodeByAddr(a pkt.Addr) *Node { return nw.byAddr[a] }
 
 // Connect joins two nodes with a link configured independently per
 // direction (ab: a->b, ba: b->a) and returns it. New ports are appended to
-// each node. Each direction registers its counters in the engine's
-// telemetry registry under netsim/link/<index>/<src>-><dst>/ (the creation
-// index disambiguates parallel links between the same node pair).
+// each node. The link registers with the engine's telemetry registry as a
+// source reporting each direction under netsim/link/<index>/<src>-><dst>/
+// (the creation index disambiguates parallel links between the same node
+// pair); the names are built only if a snapshot is taken.
 func (nw *Network) Connect(a, b *Node, ab, ba LinkConfig) *Link {
-	pa := &Port{Node: a, ID: len(a.ports)}
-	pb := &Port{Node: b, ID: len(b.ports)}
-	a.ports = append(a.ports, pa)
-	b.ports = append(b.ports, pb)
-	l := &Link{A: pa, B: pb}
-	idx := telemetry.Itoa(len(nw.links))
-	l.ab = newLinkDir(nw, ab, pb, nw.linkScope(idx, a, b))
-	l.ba = newLinkDir(nw, ba, pa, nw.linkScope(idx, b, a))
-	pa.link, pb.link = l, l
-	pa.out, pb.out = l.ab, l.ba
+	l := &Link{idx: len(nw.links)}
+	l.A, l.B = &l.pa, &l.pb
+	l.pa = Port{Node: a, ID: len(a.ports), link: l, out: &l.ab}
+	l.pb = Port{Node: b, ID: len(b.ports), link: l, out: &l.ba}
+	l.ab.init(nw, ab, l.B)
+	l.ba.init(nw, ba, l.A)
+	a.ports = append(a.ports, l.A)
+	b.ports = append(b.ports, l.B)
 	nw.links = append(nw.links, l)
+	nw.eng.Metrics().Register(l)
 	return l
-}
-
-// linkScope builds the telemetry scope for one link direction src->dst.
-func (nw *Network) linkScope(idx string, src, dst *Node) telemetry.Scope {
-	return nw.eng.Metrics().Scope("netsim").Scope("link").Scope(idx).Scope(src.name + "->" + dst.name)
 }
 
 // ConnectSymmetric joins two nodes with identical per-direction configs.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -33,18 +34,32 @@ type Snapshot struct {
 	Events  []Event
 }
 
-// Snapshot captures the registry's current state. Metrics are emitted in
-// sorted name order — the determinism contract that makes same-seed runs
-// render byte-identical tables.
+// Snapshot captures the registry's current state: the named metrics and
+// every registered Source's, merged. Metrics are emitted in sorted name
+// order — the determinism contract that makes same-seed runs render
+// byte-identical tables. A name reported twice (by two sources, or by a
+// source and a named metric) panics: sources name themselves only here, so
+// this is where a collision is first visible.
 func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{TakenAt: r.clock()}
 	names := make([]string, 0, len(r.kinds))
 	for name := range r.kinds {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	s.Metrics = make([]Metric, 0, len(names))
+	// Source metrics are sorted apart and merged in: sorting the named run
+	// as strings swaps 16-byte names, not 56-byte metrics.
+	src := r.srcScratch[:0]
+	for _, source := range r.sources {
+		src = source.AppendMetrics(src)
+	}
+	r.srcScratch = src
+	slices.SortFunc(src, func(a, b Metric) int { return strings.Compare(a.Name, b.Name) })
+	s := &Snapshot{TakenAt: r.clock(), Metrics: make([]Metric, 0, len(names)+len(src))}
 	for _, name := range names {
+		for len(src) > 0 && src[0].Name <= name {
+			s.Metrics = append(s.Metrics, src[0])
+			src = src[1:]
+		}
 		switch r.kinds[name] {
 		case KindCounter:
 			s.Metrics = append(s.Metrics, Metric{Name: name, Kind: KindCounter, Count: r.counters[name].Value()})
@@ -54,6 +69,12 @@ func (r *Registry) Snapshot() *Snapshot {
 			h := r.hists[name]
 			s.Metrics = append(s.Metrics, Metric{Name: name, Kind: KindHistogram,
 				Count: h.Count(), Value: h.Sum(), Min: h.Min(), Max: h.Max()})
+		}
+	}
+	s.Metrics = append(s.Metrics, src...)
+	for i := 1; i < len(s.Metrics); i++ {
+		if s.Metrics[i].Name == s.Metrics[i-1].Name {
+			panic(fmt.Sprintf("telemetry: %q reported twice (as %v and %v)", s.Metrics[i].Name, s.Metrics[i-1].Kind, s.Metrics[i].Kind))
 		}
 	}
 	s.Events = append(s.Events, r.events...)

@@ -18,8 +18,13 @@
 // Hot-path contract: Counter.Inc/Add, Gauge.Set and Histogram.Observe on
 // an already-registered metric perform no allocation and no map lookup —
 // layers resolve *Counter handles once at construction and increment
-// through the pointer. Registration (Registry.Counter etc.) is the only
-// allocating step and happens at topology-build time.
+// through the pointer. Named registration (Registry.Counter etc.) allocates
+// the name and a map entry, so it is for metrics shared across emitters
+// (every UE's frontend observing into one stage histogram, one switch's
+// hit counters). An entity that exists per UE or per link keeps its
+// metrics as plain fields instead and registers itself as a Source: that
+// costs one slice append, and its names are built on the first Snapshot —
+// a registry nobody snapshots names nothing.
 //
 // The registry is deliberately single-threaded, like the sim engine that
 // owns it: each trial builds its own engine and therefore its own registry,
@@ -182,8 +187,12 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	// kinds records every registered name for cross-kind collision checks.
-	kinds  map[string]Kind
-	events []Event
+	kinds   map[string]Kind
+	sources []Source
+	// srcScratch is the buffer Snapshot collects source metrics into; it is
+	// reused, so a repeated snapshot does not regrow it.
+	srcScratch []Metric
+	events     []Event
 	// prefixes interns joined scope prefixes: re-deriving the same child
 	// scope (Scope("epc/session").Scope(imsi), once per state transition)
 	// hits the table instead of re-concatenating the name.
@@ -262,6 +271,21 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	return h
 }
+
+// Source is an entity that keeps its own metrics as plain fields (a link
+// direction's packet counts, a protocol's message tally) and names them
+// only when a snapshot reads them.
+type Source interface {
+	// AppendMetrics appends the source's current values to dst, in any
+	// order, and returns the extended slice. A source whose names are built
+	// at run time builds them on the first call and reuses them after, so a
+	// repeated snapshot allocates no new names.
+	AppendMetrics(dst []Metric) []Metric
+}
+
+// Register adds src to every later Snapshot. It only appends src to a
+// slice: naming, sorting and the duplicate-name check happen at Snapshot.
+func (r *Registry) Register(src Source) { r.sources = append(r.sources, src) }
 
 // Emit appends a timeline event stamped with the current virtual time.
 func (r *Registry) Emit(scope, name, detail string) {

@@ -196,3 +196,129 @@ func BenchmarkTelemetryHistogramObserve(b *testing.B) {
 		h.Observe(float64(i & 1023))
 	}
 }
+
+// entity is a per-entity metric block in the shape a netsim link keeps:
+// plain fields, named on the first snapshot that reads them.
+type entity struct {
+	id     int
+	sent   uint64
+	depth  float64
+	names  *[2]string
+	builds int
+}
+
+func (e *entity) AppendMetrics(dst []Metric) []Metric {
+	if e.names == nil {
+		e.builds++
+		prefix := "ent/" + Itoa(e.id) + "/"
+		e.names = &[2]string{prefix + "sent", prefix + "depth"}
+	}
+	return append(dst,
+		Metric{Name: e.names[0], Kind: KindCounter, Count: e.sent},
+		Metric{Name: e.names[1], Kind: KindGauge, Value: e.depth})
+}
+
+func TestSourceMergesSortedWithRegistered(t *testing.T) {
+	r := New()
+	r.Counter("ent/1/bytes").Add(9)
+	r.Histogram("zz/lat").Observe(2)
+	e := &entity{id: 1, sent: 3, depth: 4}
+	r.Register(e)
+	r.Gauge("a/level").Set(1)
+	if e.builds != 0 {
+		t.Fatal("Register built the source's names")
+	}
+	s := r.Snapshot()
+	var names []string
+	for _, m := range s.Metrics {
+		names = append(names, m.Name)
+	}
+	want := "a/level ent/1/bytes ent/1/depth ent/1/sent zz/lat"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("snapshot order = %s, want %s", got, want)
+	}
+	if got := s.CounterValue("ent/1/sent"); got != 3 {
+		t.Errorf("source counter = %d, want 3", got)
+	}
+	if m, _ := s.Get("ent/1/depth"); m.Kind != KindGauge || m.Value != 4 {
+		t.Errorf("source gauge = %+v, want gauge 4", m)
+	}
+}
+
+func TestSourceDuplicateNamePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(r *Registry)
+	}{
+		{"source and registered", func(r *Registry) {
+			r.Counter("ent/1/sent")
+			r.Register(&entity{id: 1})
+		}},
+		{"two sources", func(r *Registry) {
+			r.Register(&entity{id: 1})
+			r.Register(&entity{id: 1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New()
+			tc.build(r)
+			defer func() {
+				if recover() == nil {
+					t.Error("a name reported twice did not panic at Snapshot")
+				}
+			}()
+			r.Snapshot()
+		})
+	}
+}
+
+func TestSourceDeltaAndMerge(t *testing.T) {
+	r := New()
+	e := &entity{id: 1, sent: 5, depth: 2}
+	r.Register(e)
+	before := r.Snapshot()
+	e.sent, e.depth = 12, 7
+	d := r.Snapshot().Delta(before)
+	if got := d.CounterValue("ent/1/sent"); got != 7 {
+		t.Errorf("delta of a source counter = %d, want 7", got)
+	}
+	if m, _ := d.Get("ent/1/depth"); m.Value != 7 {
+		t.Errorf("delta of a source gauge = %g, want 7 (last observed)", m.Value)
+	}
+
+	other := New()
+	other.Register(&entity{id: 1, sent: 1, depth: 1})
+	other.Register(&entity{id: 2, sent: 4})
+	m := MergeSnapshots(r.Snapshot(), other.Snapshot())
+	if got := m.CounterValue("ent/1/sent"); got != 13 {
+		t.Errorf("merged source counter = %d, want 13", got)
+	}
+	if g, _ := m.Get("ent/1/depth"); g.Value != 8 {
+		t.Errorf("merged source gauge = %g, want 8 (sum)", g.Value)
+	}
+	if got := m.CounterValue("ent/2/sent"); got != 4 {
+		t.Errorf("source present in one snapshot merged to %d, want 4", got)
+	}
+}
+
+// TestSourceNamesOnce: a source names itself on the first snapshot only, so
+// repeated snapshots of an unchanged registry allocate the snapshot, its
+// metric slice and the sorted named-metric list, and nothing per source.
+func TestSourceNamesOnce(t *testing.T) {
+	r := New()
+	r.Counter("shared/total").Inc()
+	ents := make([]*entity, 100)
+	for i := range ents {
+		ents[i] = &entity{id: i}
+		r.Register(ents[i])
+	}
+	r.Snapshot()
+	if n := testing.AllocsPerRun(20, func() { r.Snapshot() }); n > 3 {
+		t.Errorf("repeated snapshot of 100 sources allocates %.0f times, want <= 3", n)
+	}
+	for _, e := range ents {
+		if e.builds != 1 {
+			t.Fatalf("source %d built its names %d times, want 1", e.id, e.builds)
+		}
+	}
+}
