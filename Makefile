@@ -11,9 +11,9 @@ build:
 
 # go vet for generic mistakes, acacia-vet for the repo's own contracts:
 # per-file rules (virtual time, seeded randomness, sorted map output,
-# metric grammar, exec-only goroutines, hot-path allocation syntax) plus
-# the interprocedural rules over the whole-program call graph (dettaint,
-# hotpath-escape). See DESIGN.md §3d and §3i.
+# metric grammar, exec-only goroutines) plus the interprocedural rules over
+# the whole-program call graph (dettaint, hotpath-escape). See DESIGN.md §3d
+# and §3i.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/acacia-vet ./...

@@ -178,17 +178,17 @@ func BenchmarkAllocConnect(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocEngineAfter measures pooled event scheduling with a
+// BenchmarkAllocEngineSchedule measures pooled event scheduling with a
 // pre-bound callback, the engine's per-event hot path.
-func BenchmarkAllocEngineAfter(b *testing.B) {
+func BenchmarkAllocEngineSchedule(b *testing.B) {
 	eng := sim.NewEngine(1)
 	nop := func() {}
 	// Warm the event pool.
-	eng.After(1, nop)
+	eng.Schedule(1, nop)
 	eng.Run()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.After(1, nop)
+		eng.Schedule(1, nop)
 		eng.Run()
 	}
 }
@@ -209,7 +209,7 @@ func BenchmarkAllocEngineHold(b *testing.B) {
 			var hold func()
 			hold = func() {
 				r := rng.Uint64()
-				eng.After(units[r&3]*time.Duration(1+r>>2&15), hold)
+				eng.Schedule(units[r&3]*time.Duration(1+r>>2&15), hold)
 				if left--; left == 0 {
 					eng.Stop()
 				}
@@ -229,8 +229,7 @@ func BenchmarkAllocEngineHold(b *testing.B) {
 
 // BenchmarkAllocCtlTxn measures one control transaction on a warmed endpoint
 // pair: the request frame, its T3 timer, the ack coming back and the
-// receiver's duplicate filter. What is left after pooling is the
-// handle-bearing timer event.
+// receiver's duplicate filter, all drawn from pools.
 func BenchmarkAllocCtlTxn(b *testing.B) {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
@@ -257,8 +256,9 @@ func BenchmarkAllocCtlTxn(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocTicker measures a steady-state ticker period: the ticker
-// re-queues its own event, so a tick costs no allocation.
+// BenchmarkAllocTicker measures a steady-state ticker period: the tick's
+// event is recycled before the re-arm takes it back, so a tick costs no
+// allocation.
 func BenchmarkAllocTicker(b *testing.B) {
 	eng := sim.NewEngine(1)
 	tk := sim.NewTicker(eng, time.Millisecond, func() {})
@@ -344,7 +344,7 @@ func BenchmarkAllocTFTMatch(b *testing.B) {
 // cookie, controller call to switch table, against a warm 10,000-entry
 // table: the encoded message goes into the controller's scratch, the entry
 // into a slot the previous round vacated, and what is left is the two
-// delivery closures and their events.
+// delivery closures.
 func BenchmarkAllocFlowInstall(b *testing.B) {
 	eng := sim.NewEngine(1)
 	sw := sdn.NewSwitch(1, netsim.New(eng).AddNode("s", pkt.AddrFrom(10, 0, 0, 2)), sdn.ACACIAGWCosts)

@@ -236,11 +236,11 @@ func BenchmarkSimEngineHold(b *testing.B) {
 			fn = func() {
 				if left > 0 {
 					left--
-					eng.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
+					eng.Schedule(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
 				}
 			}
 			for i := 0; i < c.depth; i++ {
-				eng.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
+				eng.Schedule(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
 			}
 			// Each of the depth pre-filled events re-arms until left runs
 			// out, then the queue drains without re-arming: b.N pops and

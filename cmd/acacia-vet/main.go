@@ -3,14 +3,14 @@
 //
 // Per-file rules: virtual time only in sim code (wallclock), trial-seeded
 // randomness (globalrand), sorted keys before map iteration feeds output
-// (maprange), the layer[/sub]/name metric grammar (metricname),
-// worker-pool-only concurrency (goroutine), and allocation syntax inside
-// //acacia:hotpath functions (hotalloc).
+// (maprange), the layer[/sub]/name metric grammar (metricname) and
+// worker-pool-only concurrency (goroutine).
 //
 // Interprocedural rules, run over a static call graph of every loaded
 // package: wall-clock/env/global-rand sinks reachable from sim event
-// handlers (dettaint) and compiler-verified escape-freedom of hotpath ranges
-// via `go build -gcflags='-m -m'` (hotpath-escape).
+// handlers (dettaint) and compiler-verified escape-freedom of
+// //acacia:hotpath functions via `go build -gcflags='-m -m'`
+// (hotpath-escape).
 //
 // Usage:
 //

@@ -102,7 +102,6 @@ func AllRules() []*Rule {
 		DetTaintRule(),
 		GoroutineRule(),
 		GlobalRandRule(),
-		HotAllocRule(),
 		HotpathEscapeRule(),
 		MapRangeRule(),
 		MetricNameRule(),

@@ -119,7 +119,6 @@ func TestGoroutineGolden(t *testing.T)  { checkGolden(t, "goroutine", "acacia/in
 func TestGlobalRandGolden(t *testing.T) { checkGolden(t, "globalrand", "acacia/internal/globalrand") }
 func TestMapRangeGolden(t *testing.T)   { checkGolden(t, "maprange", "acacia/internal/maprange") }
 func TestMetricNameGolden(t *testing.T) { checkGolden(t, "metricname", "acacia/internal/metricname") }
-func TestHotAllocGolden(t *testing.T)   { checkGolden(t, "hotalloc", "acacia/internal/hotalloc") }
 func TestDirectivesGolden(t *testing.T) { checkGolden(t, "directives", "acacia/internal/directives") }
 
 // The interprocedural fixtures live outside internal/ on purpose: the
@@ -228,8 +227,8 @@ func TestRepoIsClean(t *testing.T) {
 
 func TestSelectRules(t *testing.T) {
 	all, err := SelectRules("")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("empty selection = %d rules, err %v; want all 8", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("empty selection = %d rules, err %v; want all 7", len(all), err)
 	}
 	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Name < all[j].Name }) {
 		t.Error("AllRules not in name order")

@@ -129,7 +129,8 @@ type CGNode struct {
 	// bound outside their bodies.
 	Decl *ast.FuncDecl
 	// Root marks event-handler entry points: functions whose value flows
-	// into a sim.Engine scheduling API (Schedule, After, AfterArg, ...).
+	// into a sim.Engine scheduling API (Schedule, ScheduleArg, After) or
+	// into sim.NewTicker.
 	Root bool
 
 	edges []cgEdge
@@ -153,8 +154,8 @@ type CallGraph struct {
 }
 
 // isOrderedEffect reports whether a node key is a call whose order is
-// observable: sim.Engine scheduling (Schedule*, After*) — same-instant
-// events fire in enqueue order — or a netsim packet send (Send, Inject).
+// observable: sim.Engine scheduling (schedMethods) — same-instant events
+// fire in enqueue order — or a netsim packet send (Send, Inject).
 func isOrderedEffect(key string) bool {
 	dot := strings.LastIndex(key, ".")
 	if dot < 0 {
@@ -163,7 +164,7 @@ func isOrderedEffect(key string) bool {
 	recv, name := key[:dot], key[dot+1:]
 	switch {
 	case strings.HasSuffix(recv, "internal/sim.(*Engine)"):
-		return strings.HasPrefix(name, "Schedule") || strings.HasPrefix(name, "After")
+		return schedMethods[name]
 	case strings.HasSuffix(recv, ")"):
 		i := strings.LastIndex(recv, ".(")
 		return i >= 0 && strings.HasSuffix(recv[:i], "internal/netsim") && netsimSendNames[name]
@@ -325,10 +326,8 @@ func displayName(fn *types.Func) string {
 // become event handlers.
 var schedMethods = map[string]bool{
 	"Schedule":    true,
-	"ScheduleAt":  true,
 	"ScheduleArg": true,
 	"After":       true,
-	"AfterArg":    true,
 }
 
 // isSimPkg reports whether path is the simulation-engine package (or a

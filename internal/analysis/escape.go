@@ -11,25 +11,26 @@ import (
 	"strings"
 )
 
-// HotpathEscapeRule is the compiler-verified side of the §3f memory
-// discipline. The syntactic hotalloc rule catches the allocation idioms a
-// human can see (fmt, make/new, closures, string concat); this rule asks
-// the compiler what actually allocates: it runs
+// HotpathEscapeRule enforces the §3f memory discipline: a function
+// annotated with a //acacia:hotpath doc directive runs per packet, per
+// event or per control message, and must not allocate on the steady-state
+// path. Rather than guess from syntax, the rule asks the compiler what
+// actually allocates: it runs
 //
 //	go build -gcflags='<module>/...=-m -m' ./...
 //
 // over the module and maps every "escapes to heap" / "moved to heap"
 // diagnostic onto the set of //acacia:hotpath-annotated functions. That
-// catches what syntax cannot: interface boxing at call sites, closures the
-// compiler fails to stack-allocate, variables moved to the heap by pointer
-// escape, and composite literals that outlive their frame.
+// covers fmt calls, make/new, string concatenation and escaping closures,
+// and also what syntax cannot see: interface boxing at call sites,
+// variables moved to the heap by pointer escape, and composite literals
+// that outlive their frame.
 //
 // Escape diagnostics are position-exact even under inlining (inlined
 // bodies keep their source positions), so findings land on the allocating
-// line, where they are fixed or suppressed with
-// //acacia:allow hotpath-escape <reason> — the sanctioned reasons being
-// pool-miss allocations on the refill path and handle-bearing APIs whose
-// contract documents the allocation.
+// line, where they are fixed (pool it, pre-bind a method value, or move the
+// allocation into a noinline cold helper) or suppressed with
+// //acacia:allow hotpath-escape <reason>.
 //
 // The diagnostic text differs slightly across compiler versions (Go 1.22
 // prints `x escapes to heap`, 1.24 may add a trailing colon before the
@@ -41,6 +42,20 @@ func HotpathEscapeRule() *Rule {
 		Doc:        "//acacia:hotpath functions must be allocation-free per the compiler's escape analysis (go build -gcflags=-m)",
 		RunProgram: runHotpathEscape,
 	}
+}
+
+// isHotPath reports whether the doc comment carries the //acacia:hotpath
+// directive on a line of its own.
+func isHotPath(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if c.Text == "//acacia:hotpath" {
+			return true
+		}
+	}
+	return false
 }
 
 // hotRange is one annotated function's extent in a source file.

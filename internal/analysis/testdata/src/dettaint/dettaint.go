@@ -33,7 +33,7 @@ func Run(eng *sim.Engine) {
 		_ = deep()
 		_ = guarded()
 	})
-	eng.After(time.Millisecond, func() { _ = env() })
+	eng.ScheduleArg(time.Millisecond, func(any) { _ = env() }, nil)
 }
 
 // cold also reads the wall clock, but nothing handler-reachable calls it:

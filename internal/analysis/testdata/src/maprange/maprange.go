@@ -119,13 +119,13 @@ func (c *idleCheck) check(p *netsim.Packet) {
 }
 
 // armTimer schedules through a helper two calls deep.
-func (c *idleCheck) armTimer() { c.armAfter(time.Second) }
+func (c *idleCheck) armTimer() { c.armIn(time.Second) }
 
-func (c *idleCheck) armAfter(d time.Duration) { c.eng.After(d, func() {}) }
+func (c *idleCheck) armIn(d time.Duration) { c.eng.Schedule(d, func() {}) }
 
 func (c *idleCheck) armAll() {
 	for range c.byIP {
-		c.armTimer() // want "reaches a packet send or event schedule.*armTimer -> .*armAfter -> \(\*Engine\)\.After"
+		c.armTimer() // want "reaches a packet send or event schedule.*armTimer -> .*armIn -> \(\*Engine\)\.Schedule"
 	}
 }
 

@@ -150,7 +150,7 @@ type Server struct {
 	active []*Job
 	// lastUpdate is when `remaining` values were last current.
 	lastUpdate sim.Time
-	completion *sim.Event
+	completion sim.Timer
 	// Completed counts finished jobs.
 	Completed uint64
 }
@@ -201,10 +201,7 @@ func (s *Server) advance() {
 // reschedule computes the next completion among active jobs and arms a
 // single event for it.
 func (s *Server) reschedule() {
-	if s.completion != nil {
-		s.completion.Cancel()
-		s.completion = nil
-	}
+	s.completion.Cancel()
 	if len(s.active) == 0 {
 		return
 	}

@@ -198,6 +198,30 @@ func TestServerStaggeredArrivals(t *testing.T) {
 	}
 }
 
+// TestServerStaleCompletionCancel covers the completion handler re-arming
+// through reschedule, which cancels the completion that just fired. A's Done
+// schedules an unrelated event, which takes that completion's recycled event
+// from the engine's free-list; the stale cancel must leave it alone, and B,
+// still queued, must finish on time.
+func TestServerStaleCompletionCancel(t *testing.T) {
+	eng := sim.NewEngine(1)
+	srv := NewServer(eng, I7x1)
+	rate := I7x1.MatchMACsPerSec
+	var ticked, bDone sim.Time
+	srv.Submit(&Job{Work: rate * 0.1, Done: func(time.Duration) {
+		eng.Schedule(50*time.Millisecond, func() { ticked = eng.Now() })
+	}})
+	srv.Submit(&Job{Work: rate * 0.2, Done: func(time.Duration) { bDone = eng.Now() }})
+	eng.Run()
+	// Shared until A is done at 200 ms; B then has 100 ms of work left alone.
+	if math.Abs(ticked.Seconds()-0.25) > 1e-6 {
+		t.Errorf("event scheduled from A's Done fired at %v, want 250ms (a stale completion cancel stopped it?)", ticked)
+	}
+	if math.Abs(bDone.Seconds()-0.3) > 1e-6 {
+		t.Errorf("B done at %v, want 300ms", bDone)
+	}
+}
+
 func TestServerZeroWorkJob(t *testing.T) {
 	eng := sim.NewEngine(1)
 	srv := NewServer(eng, I7x8)

@@ -289,7 +289,7 @@ type ARFrontend struct {
 	// relocation detection and migrateDone.
 	migrating    bool
 	migrateStart sim.Time
-	migrateWatch *sim.Event
+	migrateWatch sim.Timer
 	lastRespAt   sim.Time
 
 	// FrameTimeout bounds how long the closed loop waits for a response
@@ -323,7 +323,7 @@ type ARFrontend struct {
 type frameTiming struct {
 	sentAt     sim.Time
 	compressMS float64
-	timeout    *sim.Event
+	timeout    sim.Timer
 }
 
 // NewARFrontend creates a front-end for the UE host. pos is the user's

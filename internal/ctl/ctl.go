@@ -211,7 +211,7 @@ type txn struct {
 	tpl     *netsim.Packet // pristine template; each attempt sends a Clone
 	retries int
 	start   sim.Time
-	timer   *sim.Event
+	timer   sim.Timer
 	onFail  func(error)
 	onDone  func(TxInfo)
 }
@@ -456,9 +456,7 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 			return
 		}
 		delete(ep.pending, key)
-		if tx.timer != nil {
-			tx.timer.Cancel()
-		}
+		tx.timer.Cancel()
 		ep.tr.acks.Inc()
 		rtt := ep.eng.Now().Sub(tx.start)
 		ep.tr.latency.Observe(float64(rtt) / float64(time.Millisecond))

@@ -389,7 +389,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 				start = busyUntil
 			}
 			busyUntil = start.Add(cfg.FrameService)
-			eng.AfterArg(busyUntil.Sub(now), reply, p)
+			eng.ScheduleArg(busyUntil.Sub(now), reply, p)
 		}))
 	}
 

@@ -21,8 +21,8 @@ type GreedyFlow struct {
 	cwnd     float64 // congestion window in segments
 	ssthresh float64
 	nextSeq  int
-	inFlight map[int]*sim.Event // seq -> retransmit timer
-	sentAt   map[int]sim.Time   // seq -> first-transmission time
+	inFlight map[int]sim.Timer // seq -> retransmit timer
+	sentAt   map[int]sim.Time  // seq -> first-transmission time
 	rto      time.Duration
 	srtt     time.Duration // smoothed RTT (Jacobson/Karels)
 	rttvar   time.Duration
@@ -54,7 +54,7 @@ func NewGreedyFlow(h *Host, dst pkt.Addr, dstPort, srcPort uint16, segSize int) 
 	g := &GreedyFlow{
 		host: h, dst: dst, dstPort: dstPort, srcPort: srcPort, size: segSize,
 		cwnd: 2, ssthresh: 64, rto: 200 * time.Millisecond,
-		inFlight: make(map[int]*sim.Event),
+		inFlight: make(map[int]sim.Timer),
 		sentAt:   make(map[int]sim.Time),
 	}
 	h.Listen(srcPort, AppFunc(func(_ *Host, p *Packet) {
@@ -83,7 +83,7 @@ func (g *GreedyFlow) Stop() {
 	for _, ev := range g.inFlight {
 		ev.Cancel()
 	}
-	g.inFlight = make(map[int]*sim.Event)
+	g.inFlight = make(map[int]sim.Timer)
 }
 
 func (g *GreedyFlow) pump() {

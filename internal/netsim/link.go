@@ -79,7 +79,7 @@ type linkDir struct {
 	stats  LinkStats
 
 	// txDoneF/arriveF are method values bound once at construction and
-	// passed to Engine.AfterArg, so per-packet scheduling allocates no
+	// passed to Engine.ScheduleArg, so per-packet scheduling allocates no
 	// closures.
 	txDoneF func(any)
 	arriveF func(any)
@@ -167,7 +167,7 @@ func (d *linkDir) transmitNext() {
 	if d.cfg.BitsPerSecond > 0 {
 		txTime = time.Duration(float64(p.Size*8) / d.cfg.BitsPerSecond * float64(time.Second))
 	}
-	d.eng.AfterArg(txTime, d.txDoneF, p)
+	d.eng.ScheduleArg(txTime, d.txDoneF, p)
 }
 
 // txDone finishes one serialization: account the bytes, put the packet on
@@ -186,7 +186,7 @@ func (d *linkDir) deliverAfter(p *Packet, delay time.Duration) {
 	if d.cfg.Jitter > 0 {
 		delay += time.Duration(d.eng.RNG().ExpFloat64() * float64(d.cfg.Jitter))
 	}
-	d.eng.AfterArg(delay, d.arriveF, p)
+	d.eng.ScheduleArg(delay, d.arriveF, p)
 }
 
 // arrive completes the propagation delay and hands the packet to the

@@ -181,7 +181,7 @@ func (n *Node) serveCPU() {
 		n.cpuHead = 0
 	}
 	cost := n.cpu.PerPacket + time.Duration(n.cpuCur.p.Size)*n.cpu.PerByte
-	n.net.eng.After(cost, n.cpuDoneF)
+	n.net.eng.Schedule(cost, n.cpuDoneF)
 }
 
 // cpuDone finishes one CPU service period: run the handler on the staged

@@ -379,7 +379,7 @@ func (sw *Switch) serveNext() {
 		sw.cpuHead = 0
 	}
 	cost := sw.classifyCost(sw.cpuCur)
-	sw.eng.After(cost, sw.cpuDoneF)
+	sw.eng.Schedule(cost, sw.cpuDoneF)
 }
 
 // cpuDone finishes one CPU service period: process the staged packet, then

@@ -22,15 +22,15 @@ func TestRunUntilTargetAtOrBeforeClock(t *testing.T) {
 
 	// Target exactly at the clock: nothing fires, nothing moves.
 	eng.RunUntil(Time(5 * time.Millisecond))
-	if ran != 1 || eng.Now() != Time(5*time.Millisecond) || eng.Pending() != 1 {
-		t.Errorf("target at clock: ran=%d clock=%v pending=%d, want 1, 5ms, 1", ran, eng.Now(), eng.Pending())
+	if ran != 1 || eng.Now() != Time(5*time.Millisecond) || pending(eng) != 1 {
+		t.Errorf("target at clock: ran=%d clock=%v pending=%d, want 1, 5ms, 1", ran, eng.Now(), pending(eng))
 	}
 
 	// Target before the clock: the clock must not run backwards and the
 	// future event must stay pending.
 	eng.RunUntil(Time(3 * time.Millisecond))
-	if ran != 1 || eng.Now() != Time(5*time.Millisecond) || eng.Pending() != 1 {
-		t.Errorf("target before clock: ran=%d clock=%v pending=%d, want 1, 5ms, 1", ran, eng.Now(), eng.Pending())
+	if ran != 1 || eng.Now() != Time(5*time.Millisecond) || pending(eng) != 1 {
+		t.Errorf("target before clock: ran=%d clock=%v pending=%d, want 1, 5ms, 1", ran, eng.Now(), pending(eng))
 	}
 
 	eng.Run()
@@ -40,52 +40,41 @@ func TestRunUntilTargetAtOrBeforeClock(t *testing.T) {
 }
 
 // TestNextEventAtDrainsCancelledPooled checks what happens to cancelled
-// pooled events: NextEventAt reads past them without firing, popping or
-// recycling anything, and the run that passes them returns them to the
-// free-list instead of leaking them. No public API hands out a cancel handle
-// for pooled events (that is the point of the pool), so the test marks them
-// cancelled directly — the state a future API or an internal path could
-// produce.
+// events: NextEventAt reads past them without firing, popping or recycling
+// anything, and the run that passes them returns them to the free-list
+// instead of leaking them.
 func TestNextEventAtDrainsCancelledPooled(t *testing.T) {
 	eng := NewEngine(1)
-	eng.After(time.Millisecond, func() {}) // pooled
-	eng.After(time.Millisecond, func() {}) // pooled
+	a := eng.Schedule(time.Millisecond, func() { t.Error("cancelled event fired") })
+	b := eng.Schedule(time.Millisecond, func() { t.Error("cancelled event fired") })
 	ran := false
 	eng.Schedule(2*time.Millisecond, func() { ran = true })
-
-	cancelled := 0
-	for _, ev := range queued(eng) {
-		if ev.pooled {
-			ev.cancel = true
-			cancelled++
-		}
-	}
-	if cancelled != 2 {
-		t.Fatalf("marked %d pooled events cancelled, want 2", cancelled)
-	}
+	a.Cancel()
+	b.Cancel()
 
 	free0 := len(eng.free)
 	at, ok := eng.NextEventAt()
 	if !ok || at != Time(2*time.Millisecond) {
 		t.Errorf("NextEventAt = %v, %v; want the live event at 2ms", at, ok)
 	}
-	if eng.Pending() != 3 || len(eng.free) != free0 || eng.Processed() != 0 || ran {
-		t.Errorf("NextEventAt disturbed the queue: pending=%d free=%d processed=%d", eng.Pending(), len(eng.free), eng.Processed())
+	if pending(eng) != 3 || len(eng.free) != free0 || eng.Processed() != 0 || ran {
+		t.Errorf("NextEventAt disturbed the queue: pending=%d free=%d processed=%d", pending(eng), len(eng.free), eng.Processed())
 	}
 
 	// A run reaching 1 ms passes the cancelled pair and recycles it.
 	eng.RunUntil(Time(time.Millisecond))
 	if len(eng.free) != free0+2 || eng.Processed() != 0 {
-		t.Errorf("free-list grew by %d with %d processed, want 2, 0 (cancelled pooled events recycled unfired)", len(eng.free)-free0, eng.Processed())
+		t.Errorf("free-list grew by %d with %d processed, want 2, 0 (cancelled events recycled unfired)", len(eng.free)-free0, eng.Processed())
 	}
-	if eng.Pending() != 1 {
-		t.Errorf("pending = %d after the run passed the cancelled pair, want only the live event", eng.Pending())
+	if pending(eng) != 1 {
+		t.Errorf("pending = %d after the run passed the cancelled pair, want only the live event", pending(eng))
 	}
 
-	// The recycled events must be reusable: the next After must not allocate.
-	eng.After(3*time.Millisecond, func() {})
+	// The recycled events must be reusable: the next Schedule must not
+	// allocate.
+	eng.Schedule(3*time.Millisecond, func() {})
 	if len(eng.free) != free0+1 {
-		t.Errorf("After did not reuse a recycled event (free=%d, want %d)", len(eng.free), free0+1)
+		t.Errorf("Schedule did not reuse a recycled event (free=%d, want %d)", len(eng.free), free0+1)
 	}
 	eng.Run()
 	if !ran {
@@ -103,8 +92,8 @@ func TestRunEndingOnCancelledTimer(t *testing.T) {
 	timer := eng.ScheduleArg(3*time.Second, func(any) { t.Error("cancelled timer fired") }, nil)
 	timer.Cancel()
 	eng.Run()
-	if eng.Now() != Time(time.Millisecond) || eng.Pending() != 0 {
-		t.Fatalf("clock = %v, pending = %d; want 1ms, 0", eng.Now(), eng.Pending())
+	if eng.Now() != Time(time.Millisecond) || pending(eng) != 0 {
+		t.Fatalf("clock = %v, pending = %d; want 1ms, 0", eng.Now(), pending(eng))
 	}
 
 	var order []string
@@ -113,7 +102,7 @@ func TestRunEndingOnCancelledTimer(t *testing.T) {
 		return func() { order = append(order, s); at = append(at, eng.Now()) }
 	}
 	eng.Schedule(time.Millisecond, note("1ms"))
-	eng.After(0, note("now"))
+	eng.Schedule(0, note("now"))
 	eng.Schedule(time.Millisecond, note("1ms-second"))
 	// Filed against the stale ref of 3 s, 2.9 s would sit in a lower bucket
 	// than 2.2 s and fire first.
@@ -146,8 +135,8 @@ func TestScheduleAfterBoundedRun(t *testing.T) {
 	eng.Schedule(time.Millisecond, func() { order = append(order, "3ms") })
 
 	eng.RunUntil(Time(10*time.Millisecond) - 1)
-	if len(order) != 1 || order[0] != "3ms" || eng.Pending() != 3 {
-		t.Fatalf("RunUntil(10ms-1): ran %v, pending %d; want [3ms], 3 (the event past the bound stays)", order, eng.Pending())
+	if len(order) != 1 || order[0] != "3ms" || pending(eng) != 3 {
+		t.Fatalf("RunUntil(10ms-1): ran %v, pending %d; want [3ms], 3 (the event past the bound stays)", order, pending(eng))
 	}
 	eng.RunUntil(Time(10 * time.Millisecond))
 	if len(order) != 2 || order[1] != "10ms" {
@@ -168,9 +157,9 @@ func TestZeroDelayFromHandlerRunsAfterQueuedTies(t *testing.T) {
 	var order []string
 	eng.Schedule(time.Millisecond, func() {
 		order = append(order, "a")
-		eng.After(0, func() {
+		eng.Schedule(0, func() {
 			order = append(order, "a0")
-			eng.After(0, func() { order = append(order, "a00") })
+			eng.Schedule(0, func() { order = append(order, "a00") })
 		})
 	})
 	eng.Schedule(500*time.Microsecond, func() {
@@ -207,8 +196,8 @@ func TestStopMidBucketThenRunResumes(t *testing.T) {
 	}
 	eng.Schedule(2*time.Millisecond, func() { order = append(order, 5) })
 	eng.Run()
-	if len(order) != 2 || eng.Pending() != 4 {
-		t.Fatalf("after Stop: ran %v, pending %d; want [0 1], 4", order, eng.Pending())
+	if len(order) != 2 || pending(eng) != 4 {
+		t.Fatalf("after Stop: ran %v, pending %d; want [0 1], 4", order, pending(eng))
 	}
 	eng.Schedule(0, func() { order = append(order, 99) }) // same instant, queued last
 	eng.Run()
@@ -245,7 +234,7 @@ func TestTickerStopTwiceInsideTick(t *testing.T) {
 	if other != 1 {
 		t.Errorf("unrelated event ran %d times, want 1 (ticker stop must not disturb the queue)", other)
 	}
-	if eng.Pending() != 0 {
-		t.Errorf("pending = %d after drain, want 0 (stopped ticker re-armed?)", eng.Pending())
+	if pending(eng) != 0 {
+		t.Errorf("pending = %d after drain, want 0 (stopped ticker re-armed?)", pending(eng))
 	}
 }

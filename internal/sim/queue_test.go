@@ -8,16 +8,25 @@ import (
 )
 
 // queued lists the engine's pending events bucket by bucket (not in firing
-// order): the white-box view the tests below use to reach pooled events,
-// which no public API hands out.
-func queued(e *Engine) []*Event {
-	var evs []*Event
+// order): the white-box view the tests below use to follow events through
+// the free-list.
+func queued(e *Engine) []*event {
+	var evs []*event
 	for i := range e.queue.bucket {
 		for _, s := range e.queue.live(i) {
 			evs = append(evs, s.ev)
 		}
 	}
 	return evs
+}
+
+// pending reports the number of queued (possibly cancelled) events.
+func pending(e *Engine) int {
+	n := -e.queue.head
+	for _, b := range e.queue.bucket {
+		n += len(b)
+	}
+	return n
 }
 
 // checkInvariant verifies the radix queue's structure: every slot at or after
@@ -62,28 +71,37 @@ func checkInvariant(t *testing.T, q *eventQueue) {
 var opDelays = [...]Time{0, 0, 1, 10, Microsecond, Millisecond, 100 * Millisecond, 1 << 40}
 
 // driveQueue interprets ops as a stream of (opcode, argument) byte pairs
-// against an eventQueue and a model — the still-queued slots in push order —
-// and checks every pop against a stable sort of the model by timestamp: the
-// same slot (by event identity), nothing due at or before the limit
-// withheld, nothing past it released, ref never carried past the limit. The
-// model keeps a clock the way the engine does: a popped slot moves it unless
-// its event is cancelled, so a cancelled pop leaves the clock behind ref and
-// the pushes that follow land below ref.
+// against an engine's queue and free-list and a model — the still-queued
+// slots in push order — and checks every pop against a stable sort of the
+// model by timestamp: the same slot (by event identity), with the cancel
+// flag the model expects, nothing due at or before the limit withheld,
+// nothing past it released, ref never carried past the limit. Pushes take
+// events from the free-list and pops return them there, as Run does, so
+// events are reused under new generations; cancels go through Timers, some
+// of them stale, and a stale one must touch nothing. The model keeps a clock
+// the way the engine does: a popped slot moves it unless its event is
+// cancelled, so a cancelled pop leaves the clock behind ref and the pushes
+// that follow land below ref.
 func driveQueue(t *testing.T, ops []byte) {
 	t.Helper()
-	eng := &Engine{} // only for Pending
+	eng := &Engine{}
 	q := &eng.queue
-	var model []slot
+	type entry struct {
+		s         slot
+		tm        Timer
+		cancelled bool
+	}
+	var model []entry
+	var stale []Timer // Timers of popped events, whose use has ended
 	now := Time(0)
 	push := func(at Time) {
-		s := slot{at: at, ev: &Event{at: at}}
-		q.add(s)
-		model = append(model, s)
+		tm := eng.enqueue(at, nil, nil, nil)
+		model = append(model, entry{s: slot{at: at, ev: tm.ev}, tm: tm})
 	}
 	pop := func(limit Time) bool {
 		min := -1
-		for i, s := range model {
-			if min < 0 || s.at < model[min].at {
+		for i, e := range model {
+			if min < 0 || e.s.at < model[min].s.at {
 				min = i
 			}
 		}
@@ -92,7 +110,7 @@ func driveQueue(t *testing.T, ops []byte) {
 		if q.ref > limit && q.ref != refBefore {
 			t.Fatalf("popAtMost(%d) moved ref %d -> %d, past the limit", limit, refBefore, q.ref)
 		}
-		if min < 0 || model[min].at > limit {
+		if min < 0 || model[min].s.at > limit {
 			if ok {
 				t.Fatalf("popAtMost(%d) released a slot at %d", limit, got.at)
 			}
@@ -100,15 +118,20 @@ func driveQueue(t *testing.T, ops []byte) {
 		}
 		want := model[min]
 		if !ok {
-			t.Fatalf("popAtMost(%d) withheld the slot at %d", limit, want.at)
+			t.Fatalf("popAtMost(%d) withheld the slot at %d", limit, want.s.at)
 		}
-		if got != want {
-			t.Fatalf("popAtMost(%d) = slot at %d, want the one at %d pushed %d-th of %d queued", limit, got.at, want.at, min, len(model))
+		if got != want.s {
+			t.Fatalf("popAtMost(%d) = slot at %d, want the one at %d pushed %d-th of %d queued", limit, got.at, want.s.at, min, len(model))
+		}
+		if got.ev.cancel != want.cancelled {
+			t.Fatalf("slot at %d popped with cancel = %v, want %v", got.at, got.ev.cancel, want.cancelled)
 		}
 		model = append(model[:min], model[min+1:]...)
-		if !got.ev.cancel {
+		if !want.cancelled {
 			now = got.at
 		}
+		eng.recycle(got.ev)
+		stale = append(stale, want.tm)
 		return true
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
@@ -135,28 +158,36 @@ func driveQueue(t *testing.T, ops []byte) {
 		case 13:
 			pop(math.MaxInt64)
 		case 14:
-			if len(model) > 0 {
-				model[int(arg)%len(model)].ev.cancel = true
+			// Bit 4 picks a stale Timer: its event is free or queued again
+			// under a later generation, and must not notice.
+			if op&0x10 != 0 {
+				if len(stale) > 0 {
+					stale[int(arg)%len(stale)].Cancel()
+				}
+			} else if len(model) > 0 {
+				e := &model[int(arg)%len(model)]
+				e.tm.Cancel()
+				e.cancelled = true
 			}
 		case 15:
 			for k := Time(0); k <= arg && pop(math.MaxInt64); k++ {
 			}
 		}
 		checkInvariant(t, q)
-		if eng.Pending() != len(model) {
-			t.Fatalf("pending = %d, want %d", eng.Pending(), len(model))
+		if pending(eng) != len(model) {
+			t.Fatalf("pending = %d, want %d", pending(eng), len(model))
 		}
 	}
 	for pop(math.MaxInt64) {
 	}
 	checkInvariant(t, q)
-	if eng.Pending() != 0 || q.mask != 0 {
-		t.Fatalf("%d slots (mask %x) left after drain", eng.Pending(), q.mask)
+	if pending(eng) != 0 || q.mask != 0 {
+		t.Fatalf("%d slots (mask %x) left after drain", pending(eng), q.mask)
 	}
 }
 
 // genOps draws a seeded op stream for driveQueue, push-biased so the queue
-// grows a few thousand slots deep.
+// grows a few thousand slots deep. Half its cancels go through stale Timers.
 func genOps(seed uint64, n int) []byte {
 	rng := NewRNG(seed)
 	ops := make([]byte, 0, 2*n)
@@ -165,16 +196,20 @@ func genOps(seed uint64, n int) []byte {
 		if op >= 10 && rng.Intn(3) == 0 {
 			op = byte(rng.Intn(10))
 		}
+		if op == 14 && rng.Intn(2) == 0 {
+			op |= 0x10
+		}
 		ops = append(ops, op, byte(rng.Intn(256)))
 	}
 	return ops
 }
 
 // TestEventQueueMatchesStableSort is the queue's ordering property: under
-// any interleaving of pushes, bounded pops and cancels, with distances from
+// any interleaving of pushes, bounded pops and cancels (live or stale), with
+// distances from
 // exact ties to 2^40 ns, popAtMost returns exactly what a stable sort by
 // timestamp of the still-queued slots (kept in push order, i.e. seq order)
-// puts first.
+// puts first, cancelled exactly when a live Timer cancelled it.
 func TestEventQueueMatchesStableSort(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		driveQueue(t, genOps(seed, 3000))
@@ -182,10 +217,11 @@ func TestEventQueueMatchesStableSort(t *testing.T) {
 }
 
 // FuzzEventQueue feeds arbitrary op streams to the same checker. Plain
-// `go test` runs the seed corpus: the generated streams below plus the
-// committed files under testdata/fuzz, which pin the shapes that once broke
-// a prototype (cancelled tail then a push below ref; a bounded pop that must
-// not drag ref along; a burst that outgrows the minimum array).
+// `go test` runs the seed corpus: the generated streams below, whose cancels
+// include stale Timers of recycled events, plus the committed files under
+// testdata/fuzz, which pin the shapes that once broke a prototype (cancelled
+// tail then a push below ref; a bounded pop that must not drag ref along; a
+// burst that outgrows the minimum array).
 func FuzzEventQueue(f *testing.F) {
 	for seed := uint64(100); seed < 104; seed++ {
 		f.Add(genOps(seed, 400))
@@ -201,7 +237,7 @@ func FuzzEventQueue(f *testing.F) {
 func TestQueueArraysAreExchanged(t *testing.T) {
 	var q eventQueue
 	const n = 4096
-	ev := &Event{}
+	ev := &event{}
 	for k := uint(22); k <= 40; k++ {
 		base := q.ref + 1<<k
 		for i := 0; i < n; i++ {
@@ -236,14 +272,14 @@ func TestQueueArraysAreExchanged(t *testing.T) {
 func TestCancelledHeadDrain(t *testing.T) {
 	eng := NewEngine(1)
 	fired := 0
-	var dead []*Event
+	var dead []Timer
 	for i := 0; i < 6; i++ {
 		dead = append(dead, eng.Schedule(time.Duration(1+i/2)*time.Millisecond, func() { t.Error("cancelled event fired") }))
 	}
 	eng.Schedule(3*time.Millisecond, func() { fired++ }) // ties with the last cancelled pair
 	tail := eng.Schedule(9*time.Millisecond, func() { t.Error("cancelled tail fired") })
-	for _, ev := range dead {
-		ev.Cancel()
+	for _, tm := range dead {
+		tm.Cancel()
 	}
 
 	if at, ok := eng.NextEventAt(); !ok || at != Time(3*time.Millisecond) {
@@ -251,8 +287,8 @@ func TestCancelledHeadDrain(t *testing.T) {
 	}
 	// NextEventAt only reads: the cancelled events stay queued until a run
 	// passes them.
-	if eng.Pending() != 8 {
-		t.Errorf("pending = %d after NextEventAt, want 8 (nothing swept)", eng.Pending())
+	if pending(eng) != 8 {
+		t.Errorf("pending = %d after NextEventAt, want 8 (nothing swept)", pending(eng))
 	}
 
 	tail.Cancel()
@@ -260,8 +296,8 @@ func TestCancelledHeadDrain(t *testing.T) {
 	if fired != 1 || eng.Processed() != 1 {
 		t.Errorf("fired = %d, processed = %d; want 1, 1 (cancelled events are not processed)", fired, eng.Processed())
 	}
-	if eng.Pending() != 0 || eng.Now() != Time(20*time.Millisecond) {
-		t.Errorf("pending = %d, clock = %v; want 0, 20ms", eng.Pending(), eng.Now())
+	if pending(eng) != 0 || eng.Now() != Time(20*time.Millisecond) {
+		t.Errorf("pending = %d, clock = %v; want 0, 20ms", pending(eng), eng.Now())
 	}
 	if _, ok := eng.NextEventAt(); ok {
 		t.Error("NextEventAt reports an event on an empty queue")
@@ -271,28 +307,27 @@ func TestCancelledHeadDrain(t *testing.T) {
 	// alone, and the clock lands on the target, not on their timestamps.
 	eng.Schedule(time.Millisecond, func() { t.Error("cancelled event fired") }).Cancel()
 	eng.RunUntil(Time(30 * time.Millisecond))
-	if eng.Pending() != 0 || eng.Now() != Time(30*time.Millisecond) {
-		t.Errorf("pending = %d, clock = %v; want 0, 30ms", eng.Pending(), eng.Now())
+	if pending(eng) != 0 || eng.Now() != Time(30*time.Millisecond) {
+		t.Errorf("pending = %d, clock = %v; want 0, 30ms", pending(eng), eng.Now())
 	}
 }
 
 // TestPooledHandleReuse checks an event coming back from the free-list
 // carries nothing over from its last use: not the argument-style callback,
-// and not the cancel flag.
+// not the cancel flag, and not the generation its old Timer names.
 func TestPooledHandleReuse(t *testing.T) {
 	eng := NewEngine(1)
-	eng.AfterArg(time.Millisecond, func(any) {}, "stale")
-	first := queued(eng)[0]
+	old := eng.ScheduleArg(time.Millisecond, func(any) {}, "stale")
+	first := old.ev
 	eng.Run()
-	if len(eng.free) != 1 || eng.free[0] != first {
-		t.Fatalf("fired pooled event not on the free-list (free=%d)", len(eng.free))
+	if len(eng.free) != 1 || eng.free[0] != first || first.gen == old.gen {
+		t.Fatalf("fired event not on the free-list under a new generation (free=%d)", len(eng.free))
 	}
 
 	// Same event, now in closure form: the stale afn must not shadow fn.
 	ran := false
-	eng.After(time.Millisecond, func() { ran = true })
-	if queued(eng)[0] != first {
-		t.Fatal("After did not reuse the recycled event")
+	if eng.Schedule(time.Millisecond, func() { ran = true }).ev != first {
+		t.Fatal("Schedule did not reuse the recycled event")
 	}
 	eng.Run()
 	if !ran {
@@ -300,13 +335,11 @@ func TestPooledHandleReuse(t *testing.T) {
 	}
 
 	// Cancelled while queued, swept, reused: the flag must not survive.
-	eng.After(time.Millisecond, func() { t.Error("cancelled event fired") })
-	queued(eng)[0].cancel = true
+	eng.Schedule(time.Millisecond, func() { t.Error("cancelled event fired") }).Cancel()
 	eng.Run()
 	ran = false
-	eng.After(time.Millisecond, func() { ran = true })
-	if queued(eng)[0] != first {
-		t.Fatal("After did not reuse the swept event")
+	if eng.Schedule(time.Millisecond, func() { ran = true }).ev != first {
+		t.Fatal("Schedule did not reuse the swept event")
 	}
 	eng.Run()
 	if !ran {
@@ -314,28 +347,31 @@ func TestPooledHandleReuse(t *testing.T) {
 	}
 }
 
-// TestTickerReusesItsEvent checks the ticker re-queues one event for its
-// whole life, that the event's At tracks the next firing, and that stopping
-// between ticks leaves exactly that one cancelled event to drain.
+// TestTickerReusesItsEvent checks a lone ticker cycles one event for its
+// whole life: each tick's event is recycled before the handler runs and the
+// re-arm takes it straight back, so the queue holds that one event, due at
+// the next firing. Stopping between ticks leaves exactly it, cancelled, to
+// drain back to the free-list.
 func TestTickerReusesItsEvent(t *testing.T) {
 	eng := NewEngine(1)
 	ticks := 0
 	tk := NewTicker(eng, 10*time.Millisecond, func() { ticks++ })
-	ev := tk.ev
+	ev := tk.timer.ev
 	for i := 1; i <= 3; i++ {
 		eng.RunUntil(Time(time.Duration(i) * 10 * time.Millisecond))
-		if tk.ev != ev || eng.Pending() != 1 || queued(eng)[0] != ev {
+		if tk.timer.ev != ev || pending(eng) != 1 || queued(eng)[0] != ev {
 			t.Fatalf("tick %d: ticker is not re-queueing its one event", i)
 		}
-		if want := Time(time.Duration(i+1) * 10 * time.Millisecond); ev.At() != want {
-			t.Errorf("tick %d: next firing at %v, want %v", i, ev.At(), want)
+		want := Time(time.Duration(i+1) * 10 * time.Millisecond)
+		if at, ok := eng.NextEventAt(); !ok || at != want {
+			t.Errorf("tick %d: next firing at %v, want %v", i, at, want)
 		}
 	}
 	tk.Stop() // between ticks
 	tk.Stop()
 	eng.Run()
-	if ticks != 3 || eng.Pending() != 0 {
-		t.Errorf("ticks = %d, pending = %d; want 3, 0", ticks, eng.Pending())
+	if ticks != 3 || pending(eng) != 0 || len(eng.free) != 1 || eng.free[0] != ev {
+		t.Errorf("ticks = %d, pending = %d, free = %d; want 3, 0, the ticker's event", ticks, pending(eng), len(eng.free))
 	}
 }
 

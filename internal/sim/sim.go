@@ -53,48 +53,51 @@ func (t Time) Before(u Time) bool { return t < u }
 // String formats t as a duration since the epoch.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. Events are one-shot; recurring behaviour is
-// built by re-scheduling from within the handler.
+// event is a scheduled callback. Events are one-shot; recurring behaviour is
+// built by re-scheduling from within the handler. Every event comes from the
+// engine's free-list and goes back to it once it has fired or, cancelled, been
+// popped.
 //
-// An Event carries no queue position. Cancel is lazy — it only sets a flag
+// An event carries no queue position. Cancel is lazy — it only sets a flag
 // the engine checks when the event is popped — so nothing ever needs to find
 // or move an event inside the queue, and the ordering key lives in the queue
 // slot instead.
-type Event struct {
-	at Time
+type event struct {
 	fn func()
-	// afn/arg are the pre-bound form used by the pooled hot-path APIs
-	// (After/AfterArg): a method value captured once at construction plus a
-	// per-call argument, so scheduling allocates no closure. When afn is
-	// non-nil it takes precedence over fn.
-	afn    func(any)
-	arg    any
+	// afn/arg are the pre-bound form ScheduleArg uses: a method value
+	// captured once at construction plus a per-call argument, so scheduling
+	// allocates no closure. When afn is non-nil it takes precedence over fn.
+	afn func(any)
+	arg any
+	// gen counts the event's recycles, so a Timer from an earlier use no
+	// longer matches it.
+	gen    uint64
 	cancel bool
-	// pooled marks events owned by the engine's free-list. They have no
-	// outside handle (After returns nothing), so after firing they are
-	// reset and recycled.
-	pooled bool
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancel must be called from simulation
-// context (i.e. from within a handler or before Run).
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancel = true
+// Timer is the handle Schedule and ScheduleArg return. It names one use of a
+// pooled event: once that event has fired, or been cancelled and popped, it is
+// recycled under a new generation, and the Timer no longer reaches it. The
+// zero Timer names nothing.
+type Timer struct {
+	ev  *event
+	gen uint64
+}
+
+// Cancel prevents the event from firing. Cancelling a fired, cancelled or
+// zero Timer is a no-op, and never touches whatever event the pool has since
+// reused. Cancel must be called from simulation context (i.e. from within a
+// handler or before Run).
+func (t Timer) Cancel() {
+	if t.ev != nil && t.ev.gen == t.gen {
+		t.ev.cancel = true
 	}
 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e != nil && e.cancel }
-
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// slot is one queue entry; filing and refilling never dereference the Event.
+// slot is one queue entry; filing and refilling never dereference the event.
 type slot struct {
 	at Time
-	ev *Event
+	ev *event
 }
 
 const minBucket = 16 // slots in the smallest bucket array; capacities double
@@ -275,11 +278,11 @@ type Engine struct {
 	queue   eventQueue
 	rng     *RNG
 	stopped bool
-	// free is the engine-owned event free-list backing After/AfterArg.
-	// Hanging it off the engine (never a package global) keeps trials
+	// free is the engine-owned event free-list every scheduling call draws
+	// from. Hanging it off the engine (never a package global) keeps trials
 	// isolated: concurrent trials each recycle only their own events, so
 	// pooling cannot perturb the byte-identity of seeded runs.
-	free []*Event
+	free []*event
 	// Processed counts events whose handlers have run.
 	processed uint64
 	// Limit, when non-zero, aborts Run after this many events as a runaway
@@ -313,104 +316,51 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // Processed reports how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Schedule runs fn after delay d (>= 0) of virtual time and returns the
-// event handle, which may be used to cancel it.
-func (e *Engine) Schedule(d time.Duration, fn func()) *Event {
+// Schedule runs fn after delay d (>= 0) of virtual time and returns a Timer
+// that can cancel it. Callers that never cancel ignore the result.
+//
+//acacia:hotpath
+func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		badDelay(d)
 	}
-	return e.ScheduleAt(e.now.Add(d), fn)
+	return e.enqueue(e.now.Add(d), fn, nil, nil)
 }
 
-// ScheduleAt runs fn at absolute virtual time t, which must not be in the
-// past.
-func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
-	if t < e.now {
-		badTime(t, e.now)
-	}
-	ev := &Event{fn: fn}
-	e.enqueue(t, ev)
-	return ev
-}
-
-// ScheduleArg runs fn(arg) after delay d of virtual time and returns the
-// event handle, like Schedule. fn is typically a method value bound once at
-// construction time and arg the per-call datum, so a cancellable timer can
-// be armed without allocating a closure per call. The handle-bearing Event
-// itself is still allocated (callers may retain it); fully pooled
-// scheduling requires giving up the handle — see After/AfterArg.
-//
-// Firing order is identical to Schedule: all scheduling APIs share one
-// sequence counter.
+// ScheduleArg runs fn(arg) after delay d of virtual time, like Schedule. fn
+// is typically a method value bound once at construction time and arg the
+// per-call datum (a packet, a transaction), so the per-call cost is zero
+// allocations: no event (pooled), no closure (pre-bound fn), and no boxing
+// when arg is pointer-shaped.
 //
 //acacia:hotpath
-func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) *Event {
+func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		badDelay(d)
 	}
-	//acacia:allow hotpath-escape handle-bearing event: callers may retain the returned *Event to cancel it, so it cannot come from the free-list (see doc comment)
-	ev := &Event{afn: fn, arg: arg}
-	e.enqueue(e.now.Add(d), ev)
-	return ev
+	return e.enqueue(e.now.Add(d), nil, fn, arg)
 }
 
-// After runs fn after delay d of virtual time, like Schedule, but returns no
-// handle: the event cannot be cancelled, which lets the engine recycle it
-// through its free-list after it fires. Hot paths that never cancel (link
-// transmit completions, CPU service, packet delivery) use this to schedule
-// without allocating.
-//
-// Firing order is identical to Schedule: After and Schedule share one
-// sequence counter, so interleaving the two APIs cannot reorder events.
-//
-//acacia:hotpath
-func (e *Engine) After(d time.Duration, fn func()) {
-	if d < 0 {
-		badDelay(d)
-	}
-	e.enqueuePooled(e.now.Add(d), fn, nil, nil)
-}
+// After is Schedule without the Timer. It exists only because the
+// end-to-end benchmark's hold-model probe calls it.
+func (e *Engine) After(d time.Duration, fn func()) { e.Schedule(d, fn) }
 
-// AfterArg runs fn(arg) after delay d of virtual time through the event
-// free-list. fn is typically a method value bound once at construction time
-// and arg the per-call datum (a packet, a frame), so the per-call cost is
-// zero allocations: no Event (pooled), no closure (pre-bound fn), and no
-// boxing when arg is pointer-shaped.
+// enqueue is the one way into the queue: it fills a free-list event and adds
+// its slot for time at. Every scheduling API ends here, which is what makes
+// them share one FIFO tie-break order.
 //
 //acacia:hotpath
-func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) {
-	if d < 0 {
-		badDelay(d)
-	}
-	e.enqueuePooled(e.now.Add(d), nil, fn, arg)
-}
-
-// enqueuePooled queues a free-list event for time at. It backs the
-// handle-less APIs: After and AfterArg.
-//
-//acacia:hotpath
-func (e *Engine) enqueuePooled(at Time, fn func(), afn func(any), arg any) {
+func (e *Engine) enqueue(at Time, fn func(), afn func(any), arg any) Timer {
 	ev := e.takeEvent()
-	ev.fn = fn
-	ev.afn = afn
-	ev.arg = arg
-	e.enqueue(at, ev)
-}
-
-// enqueue is the one way into the queue: it stamps ev with its firing time
-// and adds the slot. Every scheduling API ends here, which is what makes
-// them share one FIFO tie-break order. ev must not already be queued.
-//
-//acacia:hotpath
-func (e *Engine) enqueue(at Time, ev *Event) {
-	ev.at = at
+	ev.fn, ev.afn, ev.arg = fn, afn, arg
 	e.queue.add(slot{at: at, ev: ev})
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // takeEvent pops a recycled event from the free-list, or allocates one.
 //
 //acacia:hotpath
-func (e *Engine) takeEvent() *Event {
+func (e *Engine) takeEvent() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
@@ -424,38 +374,27 @@ func (e *Engine) takeEvent() *Event {
 // unavoidable allocation out of the hotpath callers' escape profiles.
 //
 //go:noinline
-func newEvent() *Event {
-	return &Event{pooled: true}
+func newEvent() *event {
+	return &event{}
 }
 
-// recycle returns a pooled event to the free-list once it can no longer
-// fire. Handle-bearing events (Schedule/ScheduleAt) are never recycled:
-// their callers may still inspect them.
+// recycle returns an event to the free-list once it can no longer fire:
+// after it fired, or when it is popped cancelled. Bumping gen retires every
+// Timer issued for the use that just ended.
 //
 //acacia:hotpath
-func (e *Engine) recycle(ev *Event) {
-	if !ev.pooled {
-		return
-	}
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
-	ev.cancel = false
+func (e *Engine) recycle(ev *event) {
+	*ev = event{gen: ev.gen + 1}
 	e.free = append(e.free, ev)
 }
 
-// The panic helpers are marked noinline: inlined into a hotpath caller,
-// their Sprintf boxing would count as an allocation inside the caller's
-// line range and trip the hotpath-escape gate.
+// badDelay is noinline: inlined into a hotpath caller, its Sprintf boxing
+// would count as an allocation inside the caller's line range and trip the
+// hotpath-escape gate.
 //
 //go:noinline
 func badDelay(d time.Duration) {
 	panic(fmt.Sprintf("sim: negative delay %v", d))
-}
-
-//go:noinline
-func badTime(t, now Time) {
-	panic(fmt.Sprintf("sim: schedule at %v before now %v", t, now))
 }
 
 // Stop makes Run return after the currently executing handler completes.
@@ -519,15 +458,6 @@ func (e *Engine) limitExceeded() {
 	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v (scheduling loop?)", e.Limit, e.now))
 }
 
-// Pending reports the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int {
-	n := -e.queue.head
-	for _, b := range e.queue.bucket {
-		n += len(b)
-	}
-	return n
-}
-
 // NextEventAt returns the timestamp of the earliest pending event that has
 // not been cancelled, if any. It only reads: ref moves inside runs only.
 func (e *Engine) NextEventAt() (Time, bool) {
@@ -551,11 +481,11 @@ type Ticker struct {
 	eng    *Engine
 	period time.Duration
 	fn     func()
-	// ev is the ticker's one event, bound to tick at construction. A fired
-	// event is out of the queue, so every period re-stamps and re-queues
-	// this same event: re-arming allocates nothing.
-	ev   *Event
-	done bool
+	// tickF is tick bound once at construction, so re-arming through
+	// Schedule allocates nothing; timer is the pending tick.
+	tickF func()
+	timer Timer
+	done  bool
 }
 
 // NewTicker schedules fn every period, with the first firing after one full
@@ -565,14 +495,14 @@ func NewTicker(eng *Engine, period time.Duration, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{eng: eng, period: period, fn: fn}
-	t.ev = &Event{fn: t.tick}
+	t.tickF = t.tick
 	t.arm()
 	return t
 }
 
 //acacia:hotpath
 func (t *Ticker) arm() {
-	t.eng.enqueue(t.eng.now.Add(t.period), t.ev)
+	t.timer = t.eng.Schedule(t.period, t.tickF)
 }
 
 func (t *Ticker) tick() {
@@ -588,7 +518,7 @@ func (t *Ticker) tick() {
 // Stop halts future firings. It may be called from within the handler.
 func (t *Ticker) Stop() {
 	t.done = true
-	t.ev.Cancel()
+	t.timer.Cancel()
 }
 
 // RNG is a small, fast, deterministic random source (xoshiro256**). It is
