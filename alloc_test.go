@@ -271,12 +271,11 @@ func BenchmarkAllocTicker(b *testing.B) {
 	}
 }
 
-// switchPath builds host a -> SDN switch -> CPU-modelled host b with a
-// forwarding flow installed and every pool warm, and returns a function
-// that sends one packet from a to b and runs it to delivery. Both hops
-// past a queue the packet for a single-server CPU (the switch's and the
-// node's), which is where a pop that shrinks the queue's capacity used to
-// cost an allocation per packet.
+// switchPath builds host a -> SDN switch -> host b with a forwarding flow
+// installed and every pool warm, and returns a function that sends one
+// packet from a to b and runs it to delivery. The switch queues the packet
+// for its single-server CPU, which is where a pop that shrinks the queue's
+// capacity used to cost an allocation per packet.
 func switchPath(tb testing.TB) func() {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
@@ -286,14 +285,14 @@ func switchPath(tb testing.TB) func() {
 	cfg := netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: 100 * time.Microsecond}
 	nw.ConnectSymmetric(na, ns, cfg) // s port 0
 	nw.ConnectSymmetric(ns, nb, cfg) // s port 1
-	nb.SetCPU(&netsim.CPUModel{PerPacket: 10 * time.Microsecond})
 	ha := netsim.NewHost(na)
 	sink := netsim.NewSink(netsim.NewHost(nb), 9000)
 
 	sw := sdn.NewSwitch(1, ns, sdn.ACACIAGWCosts)
-	ctl := sdn.NewController(eng)
-	ctl.AddSwitch(sw)
-	ctl.InstallFlow(sw, sdn.FlowEntry{
+	controller := sdn.NewController(eng)
+	controller.AddSwitch(sw)
+	wireController(controller, nw)
+	controller.InstallFlow(sw, sdn.FlowEntry{
 		Priority: 100, Cookie: 1,
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(nb.Addr())},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
@@ -314,8 +313,13 @@ func switchPath(tb testing.TB) func() {
 	return send
 }
 
-// BenchmarkAllocSwitchPath measures a packet crossing a switch CPU queue and
-// a node CPU queue in steady state.
+// wireController connects c to its switches over a control node of its own.
+func wireController(c *sdn.Controller, nw *netsim.Network) {
+	c.EnableTransport(ctl.NewTransport(nw.Engine()), nw.AddNode("sdn-ctl", pkt.AddrFrom(10, 255, 0, 10)))
+}
+
+// BenchmarkAllocSwitchPath measures a packet crossing a switch CPU queue in
+// steady state.
 func BenchmarkAllocSwitchPath(b *testing.B) {
 	send := switchPath(b)
 	b.ReportAllocs()
@@ -343,17 +347,19 @@ func BenchmarkAllocTFTMatch(b *testing.B) {
 // BenchmarkAllocFlowInstall measures one FlowMod add and one delete by
 // cookie, controller call to switch table, against a warm 10,000-entry
 // table: the encoded message goes into the controller's scratch, the entry
-// into a slot the previous round vacated, and what is left is the two
-// delivery closures.
+// into a slot the previous round vacated, and both messages ride the
+// pooled control transport; what is left is the two delivery closures.
 func BenchmarkAllocFlowInstall(b *testing.B) {
 	eng := sim.NewEngine(1)
-	sw := sdn.NewSwitch(1, netsim.New(eng).AddNode("s", pkt.AddrFrom(10, 0, 0, 2)), sdn.ACACIAGWCosts)
-	ctl := sdn.NewController(eng)
-	ctl.AddSwitch(sw)
+	nw := netsim.New(eng)
+	sw := sdn.NewSwitch(1, nw.AddNode("s", pkt.AddrFrom(10, 0, 0, 2)), sdn.ACACIAGWCosts)
+	controller := sdn.NewController(eng)
+	controller.AddSwitch(sw)
+	wireController(controller, nw)
 	e := sdn.FlowEntry{Priority: 100, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}}}
 	round := func(i int) {
 		e.Cookie, e.Match = uint64(i), pkt.Match{TunnelID: pkt.U64(uint64(i))}
-		ctl.InstallFlow(sw, e)
+		controller.InstallFlow(sw, e)
 		eng.Run()
 	}
 	for i := 1; i <= 10001; i++ {
@@ -362,7 +368,7 @@ func BenchmarkAllocFlowInstall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctl.RemoveFlows(sw, uint64(1+i%10001))
+		controller.RemoveFlows(sw, uint64(1+i%10001))
 		round(1 + i%10001)
 	}
 	if sw.FlowCount() != 10001 {
@@ -509,11 +515,11 @@ func TestZeroAllocInternedScope(t *testing.T) {
 }
 
 // TestZeroAllocSwitchPath pins zero allocations for a packet crossing a
-// Switch and a CPU-modelled Node: both serve a 0–1-deep CPU queue, and
-// popping it must not cost the next append its backing array.
+// Switch: it serves a 0–1-deep CPU queue, and popping it must not cost the
+// next append its backing array.
 func TestZeroAllocSwitchPath(t *testing.T) {
 	send := switchPath(t)
 	if n := testing.AllocsPerRun(1000, send); n != 0 {
-		t.Fatalf("switch + CPU node path allocates %.1f times per packet, want 0", n)
+		t.Fatalf("switch path allocates %.1f times per packet, want 0", n)
 	}
 }

@@ -28,11 +28,12 @@ import (
 //   - function values stored in slices, maps or returned from functions
 //     are not tracked (best-effort, documented in DESIGN.md §3i).
 //
-// Because the loader type-checks a package once for analysis (test files
-// folded in) and once more when another package imports it, the same
-// function is represented by distinct *types.Func objects in different
-// type-checking universes. Nodes are therefore keyed by a stable printed
-// name (package path, receiver, function name), never by object identity.
+// The loader type-checks each package once, so a declaration is one
+// types.Object program-wide and the graph keys by identity: a declared
+// function by its *types.Func, a literal by its *ast.FuncLit, and a tracked
+// function value by the *types.Var (variable, field or parameter) holding
+// it. Objects are keyed through Origin(), so every instantiation of a
+// generic declaration shares one key.
 
 // Program is the whole-repo view that program-level rules (Rule.RunProgram)
 // operate on, in contrast to the per-package Pass.
@@ -113,87 +114,83 @@ func (prog *Program) CallGraph() *CallGraph {
 }
 
 // CGNode is one function in the call graph: a declared function or method
-// (Fn non-nil) or a function literal.
+// (Func non-nil) or a function literal.
 type CGNode struct {
-	Key  string
+	// Func is the declared function or method; nil for a literal.
+	Func *types.Func
 	Name string // human-readable, e.g. "(*epc.MME).handleAttach"
-	Pos  token.Pos
 	// Body and Pkg are set for functions whose source was analyzed;
 	// referenced-but-unanalyzed functions (standard library, mostly) are
 	// body-less leaves.
 	Body *ast.BlockStmt
 	Pkg  *Package
-	// Decl is the enclosing top-level declaration — the node's own for
-	// named functions, the lexically enclosing one for literals. Parameter
-	// keys resolve against it, because handler closures capture parameters
-	// bound outside their bodies.
-	Decl *ast.FuncDecl
 	// Root marks event-handler entry points: functions whose value flows
 	// into a sim.Engine scheduling API (Schedule, ScheduleArg, After) or
 	// into sim.NewTicker.
 	Root bool
+	// Edges are the node's calls, ordered by callee then call position.
+	Edges []CGEdge
 
-	edges []cgEdge
+	id int // creation order, the graph's deterministic tie-break
 }
 
-type cgEdge struct {
-	to  string
-	pos token.Pos
+// CGEdge is one call: the callee and the call's position.
+type CGEdge struct {
+	To  *CGNode
+	Pos token.Pos
 }
+
+// cgKey identifies a node (a *types.Func or an *ast.FuncLit) or a flow-map
+// entry, which may also be a *types.Var.
+type cgKey interface{ Pos() token.Pos }
 
 // CallGraph holds the program's nodes and the handler roots.
 type CallGraph struct {
-	Nodes map[string]*CGNode
-	// RootKeys lists handler-root node keys in sorted order.
-	RootKeys []string
+	// Roots lists the handler roots in creation order.
+	Roots []*CGNode
+
+	nodes map[cgKey]*CGNode
+	order []*CGNode // every node, in creation order
 
 	// toEffect maps every node that can reach an ordered effect (see
-	// isOrderedEffect) to its next hop on a shortest path there, "" for an
+	// isOrderedEffect) to its next hop on a shortest path there, nil for an
 	// effect itself. Built by the first OrderedEffectPath query.
-	toEffect map[string]string
+	toEffect map[*CGNode]*CGNode
 }
 
-// isOrderedEffect reports whether a node key is a call whose order is
-// observable: sim.Engine scheduling (schedMethods) — same-instant events
-// fire in enqueue order — or a netsim packet send (Send, Inject).
-func isOrderedEffect(key string) bool {
-	dot := strings.LastIndex(key, ".")
-	if dot < 0 {
+// Node returns fn's node, or nil when the graph never saw fn.
+func (g *CallGraph) Node(fn *types.Func) *CGNode { return g.nodes[fn.Origin()] }
+
+// isOrderedEffect reports whether a call to fn has observable order:
+// sim.Engine scheduling (schedMethods) — same-instant events fire in
+// enqueue order — or a netsim packet send (Send, Inject).
+func isOrderedEffect(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil || !isMethod(fn) {
 		return false
 	}
-	recv, name := key[:dot], key[dot+1:]
-	switch {
-	case strings.HasSuffix(recv, "internal/sim.(*Engine)"):
-		return schedMethods[name]
-	case strings.HasSuffix(recv, ")"):
-		i := strings.LastIndex(recv, ".(")
-		return i >= 0 && strings.HasSuffix(recv[:i], "internal/netsim") && netsimSendNames[name]
+	if strings.HasSuffix(fn.Pkg().Path(), "internal/netsim") {
+		return netsimSendNames[fn.Name()]
 	}
-	return false
+	return isSchedulingAPI(fn)
 }
 
-// OrderedEffectPath reports whether the function keyed key can reach an
-// ordered effect and, if so, renders the shortest such call chain, e.g.
+// OrderedEffectPath reports whether fn can reach an ordered effect and, if
+// so, renders the shortest such call chain, e.g.
 // "(*ENB).requestRelease -> (*Core).sendS1AP -> (*Endpoint).Send". The
 // reachability is computed once per graph, by a breadth-first walk up the
 // reversed edges from every effect node.
-func (g *CallGraph) OrderedEffectPath(key string) (string, bool) {
+func (g *CallGraph) OrderedEffectPath(fn *types.Func) (string, bool) {
 	if g.toEffect == nil {
-		g.toEffect = map[string]string{}
-		keys := make([]string, 0, len(g.Nodes))
-		for k := range g.Nodes {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		callers := map[string][]string{}
-		var queue []string
-		for _, k := range keys {
-			for _, e := range g.Nodes[k].edges {
-				callers[e.to] = append(callers[e.to], k)
+		g.toEffect = map[*CGNode]*CGNode{}
+		callers := map[*CGNode][]*CGNode{}
+		var queue []*CGNode
+		for _, n := range g.order {
+			for _, e := range n.Edges {
+				callers[e.To] = append(callers[e.To], n)
 			}
-			if isOrderedEffect(k) {
-				g.toEffect[k] = ""
-				queue = append(queue, k)
+			if isOrderedEffect(n.Func) {
+				g.toEffect[n] = nil
+				queue = append(queue, n)
 			}
 		}
 		for ; len(queue) > 0; queue = queue[1:] {
@@ -205,97 +202,49 @@ func (g *CallGraph) OrderedEffectPath(key string) (string, bool) {
 			}
 		}
 	}
-	if _, ok := g.toEffect[key]; !ok {
+	n := g.Node(fn)
+	if _, ok := g.toEffect[n]; !ok {
 		return "", false
 	}
 	var names []string
-	for k := key; k != ""; k = g.toEffect[k] {
-		names = append(names, g.Nodes[k].Name)
+	for ; n != nil; n = g.toEffect[n] {
+		names = append(names, n.Name)
 	}
 	return strings.Join(names, " -> "), true
 }
 
-// Edges returns n's callee keys with the call positions, deterministically
-// ordered.
-func (n *CGNode) Edges() []struct {
-	Key string
-	Pos token.Pos
-} {
-	out := make([]struct {
-		Key string
-		Pos token.Pos
-	}, len(n.edges))
-	for i, e := range n.edges {
-		out[i] = struct {
-			Key string
-			Pos token.Pos
-		}{e.to, e.pos}
-	}
-	return out
-}
-
 // HandlerReachable walks the graph from the handler roots and returns the
-// reachable nodes in BFS order plus, for every reached node, the key of the
-// node it was first reached from ("" for roots). The parent chain renders
-// the diagnostic paths.
-func (g *CallGraph) HandlerReachable() (order []*CGNode, parent map[string]string) {
-	parent = map[string]string{}
-	var queue []string
-	for _, k := range g.RootKeys {
-		parent[k] = ""
-		queue = append(queue, k)
+// reachable nodes in BFS order plus, for every reached node, the node it was
+// first reached from (nil for roots). The parent chain renders the
+// diagnostic paths.
+func (g *CallGraph) HandlerReachable() (order []*CGNode, parent map[*CGNode]*CGNode) {
+	parent = map[*CGNode]*CGNode{}
+	for _, r := range g.Roots {
+		parent[r] = nil
 	}
-	for len(queue) > 0 {
-		key := queue[0]
-		queue = queue[1:]
-		n := g.Nodes[key]
-		if n == nil {
-			continue
-		}
-		order = append(order, n)
-		for _, e := range n.edges {
-			if _, seen := parent[e.to]; seen {
-				continue
+	order = append(order, g.Roots...)
+	for i := 0; i < len(order); i++ {
+		for _, e := range order[i].Edges {
+			if _, seen := parent[e.To]; !seen {
+				parent[e.To] = order[i]
+				order = append(order, e.To)
 			}
-			parent[e.to] = key
-			queue = append(queue, e.to)
 		}
 	}
 	return order, parent
 }
 
-// PathTo renders the call chain from a handler root down to key, e.g.
+// PathTo renders the call chain from a handler root down to n, e.g.
 // "(*CIServer).onFrame -> (*Backend).match -> slowHash".
-func (g *CallGraph) PathTo(parent map[string]string, key string) string {
+func (g *CallGraph) PathTo(parent map[*CGNode]*CGNode, n *CGNode) string {
 	var names []string
-	for k := key; k != ""; k = parent[k] {
-		name := k
-		if n := g.Nodes[k]; n != nil {
-			name = n.Name
-		}
-		names = append(names, name)
-		if _, ok := parent[k]; !ok {
-			break
-		}
+	for ; n != nil; n = parent[n] {
+		names = append(names, n.Name)
 	}
 	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
 		names[i], names[j] = names[j], names[i]
 	}
 	return strings.Join(names, " -> ")
-}
-
-// funcKey returns a stable identifier for fn that is independent of which
-// type-checking universe resolved it: "pkgpath.(recv).Name" for methods,
-// "pkgpath.Name" otherwise.
-func funcKey(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Path()
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return pkg + "." + recvString(sig.Recv().Type()) + "." + fn.Name()
-	}
-	return pkg + "." + fn.Name()
 }
 
 // recvString prints a receiver type as "(T)" or "(*T)".
@@ -310,7 +259,7 @@ func recvString(t types.Type) string {
 	return "(" + ptr + t.String() + ")"
 }
 
-// displayName renders a node name for diagnostics: method keys keep the
+// displayName renders a node name for diagnostics: methods keep the
 // receiver, plain functions drop the package path's directory part.
 func displayName(fn *types.Func) string {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -348,9 +297,23 @@ func isSchedulingAPI(fn *types.Func) bool {
 	return fn.Name() == "NewTicker"
 }
 
+// isFuncTyped reports whether v holds a function value.
+func isFuncTyped(v *types.Var) bool {
+	_, ok := v.Type().Underlying().(*types.Signature)
+	return ok
+}
+
+// varKey returns obj's flow-map key when it is a variable, nil otherwise.
+func varKey(obj types.Object) cgKey {
+	if v, ok := obj.(*types.Var); ok {
+		return v.Origin()
+	}
+	return nil
+}
+
 type varCallSite struct {
 	from *CGNode
-	key  string
+	key  cgKey
 	pos  token.Pos
 }
 
@@ -363,28 +326,29 @@ type ifaceCallSite struct {
 
 type cgBuilder struct {
 	prog  *Program
-	nodes map[string]*CGNode
-	// flows records, per tracked object key, the set of function (or other
-	// object) keys whose values were assigned to it.
-	flows map[string]map[string]bool
+	nodes map[cgKey]*CGNode
+	order []*CGNode
+	// flows records, per tracked variable, the set of function (or other
+	// variable) keys whose values were assigned to it.
+	flows map[cgKey]map[cgKey]bool
 	// varCalls and ifaceCalls are invocation sites resolved after all flows
 	// are known.
 	varCalls   []varCallSite
 	ifaceCalls []ifaceCallSite
-	// methodIndex maps "name/arity" to the keys of every analyzed method
-	// with that shape — the interface-dispatch over-approximation.
-	methodIndex map[string][]string
-	// rootRefs are the function/object keys passed to scheduling APIs.
-	rootRefs map[string]bool
+	// methodIndex maps "name/arity" to every analyzed method with that
+	// shape — the interface-dispatch over-approximation.
+	methodIndex map[string][]*CGNode
+	// rootRefs are the function/variable keys passed to scheduling APIs.
+	rootRefs map[cgKey]bool
 }
 
 func buildCallGraph(prog *Program) *CallGraph {
 	b := &cgBuilder{
 		prog:        prog,
-		nodes:       map[string]*CGNode{},
-		flows:       map[string]map[string]bool{},
-		methodIndex: map[string][]string{},
-		rootRefs:    map[string]bool{},
+		nodes:       map[cgKey]*CGNode{},
+		flows:       map[cgKey]map[cgKey]bool{},
+		methodIndex: map[string][]*CGNode{},
+		rootRefs:    map[cgKey]bool{},
 	}
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
@@ -399,20 +363,27 @@ func buildCallGraph(prog *Program) *CallGraph {
 	}
 	b.resolve()
 
-	g := &CallGraph{Nodes: b.nodes}
-	for key, n := range b.nodes {
+	g := &CallGraph{nodes: b.nodes, order: b.order}
+	for _, n := range b.order {
 		if n.Root {
-			g.RootKeys = append(g.RootKeys, key)
+			g.Roots = append(g.Roots, n)
 		}
-		sort.Slice(n.edges, func(i, j int) bool {
-			if n.edges[i].to != n.edges[j].to {
-				return n.edges[i].to < n.edges[j].to
+		sort.Slice(n.Edges, func(i, j int) bool {
+			if n.Edges[i].To != n.Edges[j].To {
+				return n.Edges[i].To.id < n.Edges[j].To.id
 			}
-			return n.edges[i].pos < n.edges[j].pos
+			return n.Edges[i].Pos < n.Edges[j].Pos
 		})
 	}
-	sort.Strings(g.RootKeys)
 	return g
+}
+
+// newNode registers a node under key.
+func (b *cgBuilder) newNode(key cgKey, n *CGNode) *CGNode {
+	n.id = len(b.order)
+	b.nodes[key] = n
+	b.order = append(b.order, n)
+	return n
 }
 
 // declNode returns (creating if needed) the node for a declared function.
@@ -424,11 +395,9 @@ func (b *cgBuilder) declNode(pkg *Package, fd *ast.FuncDecl) *CGNode {
 	n := b.ensureFunc(fn)
 	n.Body = fd.Body
 	n.Pkg = pkg
-	n.Decl = fd
-	n.Pos = fd.Pos()
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		idx := fd.Name.Name + "/" + strconv.Itoa(sig.Params().Len())
-		b.methodIndex[idx] = append(b.methodIndex[idx], n.Key)
+		b.methodIndex[idx] = append(b.methodIndex[idx], n)
 	}
 	return n
 }
@@ -436,38 +405,25 @@ func (b *cgBuilder) declNode(pkg *Package, fd *ast.FuncDecl) *CGNode {
 // ensureFunc returns the node for fn, creating a body-less leaf if it has
 // not been seen.
 func (b *cgBuilder) ensureFunc(fn *types.Func) *CGNode {
-	key := funcKey(fn)
-	n := b.nodes[key]
-	if n == nil {
-		n = &CGNode{Key: key, Name: displayName(fn), Pos: fn.Pos()}
-		b.nodes[key] = n
+	fn = fn.Origin()
+	if n := b.nodes[fn]; n != nil {
+		return n
 	}
-	return n
+	return b.newNode(fn, &CGNode{Func: fn, Name: displayName(fn)})
 }
 
-// litKey keys a function literal by its source position, which is unique
-// and stable within the shared fileset.
-func (b *cgBuilder) litKey(lit *ast.FuncLit) string {
-	p := b.prog.Fset.Position(lit.Pos())
-	return "lit:" + p.Filename + ":" + strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Column)
-}
-
+// litNode returns (creating if needed) the node for a literal lexically
+// inside parent.
 func (b *cgBuilder) litNode(pkg *Package, parent *CGNode, lit *ast.FuncLit) *CGNode {
-	key := b.litKey(lit)
-	n := b.nodes[key]
-	if n == nil {
-		p := b.prog.Fset.Position(lit.Pos())
-		n = &CGNode{
-			Key:  key,
-			Name: parent.Name + ".func@" + strconv.Itoa(p.Line),
-			Pos:  lit.Pos(),
-			Body: lit.Body,
-			Pkg:  pkg,
-			Decl: parent.Decl,
-		}
-		b.nodes[key] = n
+	if n := b.nodes[lit]; n != nil {
+		return n
 	}
-	return n
+	line := b.prog.Fset.Position(lit.Pos()).Line
+	return b.newNode(lit, &CGNode{
+		Name: parent.Name + ".func@" + strconv.Itoa(line),
+		Body: lit.Body,
+		Pkg:  pkg,
+	})
 }
 
 // walkDecl builds nodes and edges for one top-level declaration, descending
@@ -482,21 +438,20 @@ func (b *cgBuilder) walkDecl(pkg *Package, fd *ast.FuncDecl) {
 		ast.Inspect(n, func(x ast.Node) bool {
 			switch x := x.(type) {
 			case *ast.FuncLit:
-				child := b.litNode(pkg, cur, x)
-				walk(child, x.Body)
+				walk(b.litNode(pkg, cur, x), x.Body)
 				return false
 			case *ast.CallExpr:
 				b.call(cur, pkg, x)
 			case *ast.AssignStmt:
-				b.assign(cur, pkg, x)
+				b.assign(pkg, x)
 			case *ast.ValueSpec:
 				for i, name := range x.Names {
 					if i < len(x.Values) {
-						b.flow(b.objKey(pkg, cur, pkg.Info.Defs[name]), b.funcValues(pkg, cur, x.Values[i]))
+						b.flow(varKey(pkg.Info.Defs[name]), b.funcValues(pkg, x.Values[i]))
 					}
 				}
 			case *ast.CompositeLit:
-				b.compositeFlows(cur, pkg, x)
+				b.compositeFlows(pkg, x)
 			}
 			return true
 		})
@@ -504,7 +459,7 @@ func (b *cgBuilder) walkDecl(pkg *Package, fd *ast.FuncDecl) {
 	walk(root, fd.Body)
 }
 
-func (b *cgBuilder) assign(cur *CGNode, pkg *Package, as *ast.AssignStmt) {
+func (b *cgBuilder) assign(pkg *Package, as *ast.AssignStmt) {
 	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
@@ -516,15 +471,13 @@ func (b *cgBuilder) assign(cur *CGNode, pkg *Package, as *ast.AssignStmt) {
 		case *ast.SelectorExpr:
 			obj = pkg.Info.Uses[lhs.Sel]
 		}
-		if v, ok := obj.(*types.Var); ok {
-			b.flow(b.objKey(pkg, cur, v), b.funcValues(pkg, cur, as.Rhs[i]))
-		}
+		b.flow(varKey(obj), b.funcValues(pkg, as.Rhs[i]))
 	}
 }
 
 // compositeFlows records function values stored into struct fields through
 // composite literals (keyed or positional).
-func (b *cgBuilder) compositeFlows(cur *CGNode, pkg *Package, lit *ast.CompositeLit) {
+func (b *cgBuilder) compositeFlows(pkg *Package, lit *ast.CompositeLit) {
 	tv, ok := pkg.Info.Types[lit]
 	if !ok {
 		return
@@ -536,14 +489,12 @@ func (b *cgBuilder) compositeFlows(cur *CGNode, pkg *Package, lit *ast.Composite
 	for i, elt := range lit.Elts {
 		if kv, ok := elt.(*ast.KeyValueExpr); ok {
 			if id, ok := kv.Key.(*ast.Ident); ok {
-				if f, ok := pkg.Info.Uses[id].(*types.Var); ok {
-					b.flow(b.objKey(pkg, cur, f), b.funcValues(pkg, cur, kv.Value))
-				}
+				b.flow(varKey(pkg.Info.Uses[id]), b.funcValues(pkg, kv.Value))
 			}
 			continue
 		}
 		if i < st.NumFields() {
-			b.flow(b.objKey(pkg, cur, st.Field(i)), b.funcValues(pkg, cur, elt))
+			b.flow(varKey(st.Field(i)), b.funcValues(pkg, elt))
 		}
 	}
 }
@@ -564,17 +515,16 @@ func (b *cgBuilder) call(cur *CGNode, pkg *Package, call *ast.CallExpr) {
 			}
 			return
 		}
-		b.ensureFunc(fn)
-		cur.edges = append(cur.edges, cgEdge{funcKey(fn), call.Pos()})
-		b.flowArgs(cur, pkg, fn, call)
+		cur.Edges = append(cur.Edges, CGEdge{b.ensureFunc(fn), call.Pos()})
+		b.flowArgs(pkg, fn, call)
 		if isSchedulingAPI(fn) {
-			b.markRoots(cur, pkg, fn, call)
+			b.markRoots(pkg, fn, call)
 		}
 		return
 	}
 	fun := ast.Unparen(call.Fun)
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		cur.edges = append(cur.edges, cgEdge{b.litKey(lit), call.Pos()})
+		cur.Edges = append(cur.Edges, CGEdge{b.litNode(pkg, cur, lit), call.Pos()})
 		return
 	}
 	// Invocation through a function-typed variable, field or parameter.
@@ -585,17 +535,15 @@ func (b *cgBuilder) call(cur *CGNode, pkg *Package, call *ast.CallExpr) {
 	case *ast.SelectorExpr:
 		obj = pkg.Info.Uses[fun.Sel]
 	}
-	if v, ok := obj.(*types.Var); ok {
-		if _, isSig := v.Type().Underlying().(*types.Signature); isSig {
-			b.varCalls = append(b.varCalls, varCallSite{cur, b.objKey(pkg, cur, v), call.Pos()})
-		}
+	if v, ok := obj.(*types.Var); ok && isFuncTyped(v) {
+		b.varCalls = append(b.varCalls, varCallSite{cur, v.Origin(), call.Pos()})
 	}
 }
 
 // flowArgs records function values passed as arguments into the callee's
-// parameter keys, so invocations of the parameter inside the callee resolve
+// parameters, so invocations of the parameter inside the callee resolve
 // back to these arguments.
-func (b *cgBuilder) flowArgs(cur *CGNode, pkg *Package, fn *types.Func, call *ast.CallExpr) {
+func (b *cgBuilder) flowArgs(pkg *Package, fn *types.Func, call *ast.CallExpr) {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return
@@ -604,115 +552,58 @@ func (b *cgBuilder) flowArgs(cur *CGNode, pkg *Package, fn *types.Func, call *as
 		if i >= sig.Params().Len() {
 			break
 		}
-		if _, isSig := sig.Params().At(i).Type().Underlying().(*types.Signature); !isSig {
-			continue
+		if param := sig.Params().At(i); isFuncTyped(param) {
+			b.flow(param.Origin(), b.funcValues(pkg, arg))
 		}
-		b.flow(paramKey(fn, i), b.funcValues(pkg, cur, arg))
 	}
 }
 
 // markRoots marks every function value passed to a scheduling API as an
 // event-handler root (directly, or via the flow map for indirect values).
-func (b *cgBuilder) markRoots(cur *CGNode, pkg *Package, fn *types.Func, call *ast.CallExpr) {
+func (b *cgBuilder) markRoots(pkg *Package, fn *types.Func, call *ast.CallExpr) {
 	sig, _ := fn.Type().(*types.Signature)
 	for i, arg := range call.Args {
-		if sig != nil && i < sig.Params().Len() {
-			if _, isSig := sig.Params().At(i).Type().Underlying().(*types.Signature); !isSig {
-				continue
-			}
+		if sig != nil && i < sig.Params().Len() && !isFuncTyped(sig.Params().At(i)) {
+			continue
 		}
-		for _, key := range b.funcValues(pkg, cur, arg) {
+		for _, key := range b.funcValues(pkg, arg) {
 			b.rootRefs[key] = true
 		}
 	}
 }
 
-// paramKey identifies the i'th parameter of fn across type-check universes.
-func paramKey(fn *types.Func, i int) string {
-	return funcKey(fn) + "#p" + strconv.Itoa(i)
-}
-
-// objKey returns the flow-map key for a variable-like object. Fields and
-// package-level variables get universe-independent keys; parameters of the
-// current declaration use the owning function's key; other locals are keyed
-// by position (they never cross universes).
-func (b *cgBuilder) objKey(pkg *Package, cur *CGNode, obj types.Object) string {
-	v, ok := obj.(*types.Var)
-	if !ok {
-		if obj == nil {
-			return ""
-		}
-		return "obj:" + b.posKey(obj.Pos())
-	}
-	if v.IsField() {
-		pkgPath := ""
-		if v.Pkg() != nil {
-			pkgPath = v.Pkg().Path()
-		}
-		return "field:" + pkgPath + "." + v.Name() + ":" + types.TypeString(v.Type(), nil)
-	}
-	// Parameter of the enclosing declaration?
-	if cur != nil && cur.Decl != nil && cur.Pkg == pkg {
-		if fn, ok := pkg.Info.Defs[cur.Decl.Name].(*types.Func); ok {
-			if sig, ok := fn.Type().(*types.Signature); ok {
-				for i := 0; i < sig.Params().Len(); i++ {
-					if sig.Params().At(i) == v {
-						return paramKey(fn, i)
-					}
-				}
-			}
-		}
-	}
-	if v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		return "pkgvar:" + v.Pkg().Path() + "." + v.Name()
-	}
-	return "local:" + b.posKey(v.Pos())
-}
-
-func (b *cgBuilder) posKey(pos token.Pos) string {
-	p := b.prog.Fset.Position(pos)
-	return p.Filename + ":" + strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Column)
-}
-
-// funcValues resolves an expression to the function keys its value may
+// funcValues resolves an expression to the keys its function value may
 // denote: a literal, a named function or method value, or (indirectly) a
-// tracked object's key.
-func (b *cgBuilder) funcValues(pkg *Package, cur *CGNode, expr ast.Expr) []string {
+// tracked variable.
+func (b *cgBuilder) funcValues(pkg *Package, expr ast.Expr) []cgKey {
+	var obj types.Object
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.FuncLit:
 		// The literal's node is created when walkDecl descends into it.
-		return []string{b.litKey(e)}
+		return []cgKey{e}
 	case *ast.Ident:
-		switch obj := objectOf(pkg.Info, e).(type) {
-		case *types.Func:
-			b.ensureFunc(obj)
-			return []string{funcKey(obj)}
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				return []string{b.objKey(pkg, cur, obj)}
-			}
-		}
+		obj = objectOf(pkg.Info, e)
 	case *ast.SelectorExpr:
-		switch obj := pkg.Info.Uses[e.Sel].(type) {
-		case *types.Func:
-			b.ensureFunc(obj)
-			return []string{funcKey(obj)}
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				return []string{b.objKey(pkg, cur, obj)}
-			}
+		obj = pkg.Info.Uses[e.Sel]
+	}
+	switch obj := obj.(type) {
+	case *types.Func:
+		return []cgKey{b.ensureFunc(obj).Func}
+	case *types.Var:
+		if isFuncTyped(obj) {
+			return []cgKey{obj.Origin()}
 		}
 	}
 	return nil
 }
 
-func (b *cgBuilder) flow(key string, values []string) {
-	if key == "" || len(values) == 0 {
+func (b *cgBuilder) flow(key cgKey, values []cgKey) {
+	if key == nil || len(values) == 0 {
 		return
 	}
 	set := b.flows[key]
 	if set == nil {
-		set = map[string]bool{}
+		set = map[cgKey]bool{}
 		b.flows[key] = set
 	}
 	for _, v := range values {
@@ -724,9 +615,9 @@ func (b *cgBuilder) flow(key string, values []string) {
 // root marks, chasing flow keys transitively (a parameter may hold a field
 // value that holds a method value).
 func (b *cgBuilder) resolve() {
-	memo := map[string][]string{}
-	var funcsOf func(key string, seen map[string]bool) []string
-	funcsOf = func(key string, seen map[string]bool) []string {
+	memo := map[cgKey][]*CGNode{}
+	var funcsOf func(key cgKey, seen map[cgKey]bool) []*CGNode
+	funcsOf = func(key cgKey, seen map[cgKey]bool) []*CGNode {
 		if got, ok := memo[key]; ok {
 			return got
 		}
@@ -734,43 +625,41 @@ func (b *cgBuilder) resolve() {
 			return nil
 		}
 		seen[key] = true
-		set := map[string]bool{}
-		if b.nodes[key] != nil {
-			set[key] = true
+		set := map[*CGNode]bool{}
+		if n := b.nodes[key]; n != nil {
+			set[n] = true
 		}
 		for v := range b.flows[key] {
-			if b.nodes[v] != nil {
-				set[v] = true
+			if n := b.nodes[v]; n != nil {
+				set[n] = true
 				continue
 			}
 			for _, f := range funcsOf(v, seen) {
 				set[f] = true
 			}
 		}
-		out := make([]string, 0, len(set))
-		for k := range set {
-			out = append(out, k)
+		out := make([]*CGNode, 0, len(set))
+		for n := range set {
+			out = append(out, n)
 		}
-		sort.Strings(out)
+		sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 		memo[key] = out
 		return out
 	}
 
 	for _, vc := range b.varCalls {
-		for _, key := range funcsOf(vc.key, map[string]bool{}) {
-			vc.from.edges = append(vc.from.edges, cgEdge{key, vc.pos})
+		for _, n := range funcsOf(vc.key, map[cgKey]bool{}) {
+			vc.from.Edges = append(vc.from.Edges, CGEdge{n, vc.pos})
 		}
 	}
 	for _, ic := range b.ifaceCalls {
-		for _, key := range b.methodIndex[ic.name+"/"+strconv.Itoa(ic.arity)] {
-			ic.from.edges = append(ic.from.edges, cgEdge{key, ic.pos})
+		for _, n := range b.methodIndex[ic.name+"/"+strconv.Itoa(ic.arity)] {
+			ic.from.Edges = append(ic.from.Edges, CGEdge{n, ic.pos})
 		}
 	}
 	for ref := range b.rootRefs {
-		for _, key := range funcsOf(ref, map[string]bool{}) {
-			if n := b.nodes[key]; n != nil {
-				n.Root = true
-			}
+		for _, n := range funcsOf(ref, map[cgKey]bool{}) {
+			n.Root = true
 		}
 	}
 }

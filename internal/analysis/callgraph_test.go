@@ -5,13 +5,10 @@ import (
 	"testing"
 )
 
-// edgeTo reports whether node n has an edge to key.
-func edgeTo(n *CGNode, key string) bool {
-	if n == nil {
-		return false
-	}
-	for _, e := range n.Edges() {
-		if e.Key == key {
+// edgeTo reports whether node n has an edge to target.
+func edgeTo(n, target *CGNode) bool {
+	for _, e := range n.Edges {
+		if e.To == target {
 			return true
 		}
 	}
@@ -28,38 +25,52 @@ func TestCallGraphStructure(t *testing.T) {
 	graph := NewProgram(pkgs).CallGraph()
 
 	const pkg = "acacia/x/callgraph"
-	dispatch := graph.Nodes[pkg+".dispatch"]
-	if dispatch == nil {
-		t.Fatal("no node for dispatch")
+	// node finds the fixture's declared function with the given display
+	// name.
+	node := func(name string) *CGNode {
+		t.Helper()
+		for _, n := range graph.order {
+			if n.Func != nil && n.Func.Pkg().Path() == pkg && n.Name == name {
+				return n
+			}
+		}
+		t.Fatalf("no node for %s", name)
+		return nil
 	}
+	dispatch := node("callgraph.dispatch")
 
 	// Interface dispatch over-approximates: d.Do() fans out to every
 	// module-declared zero-parameter Do, on either receiver form.
-	for _, callee := range []string{pkg + ".(A).Do", pkg + ".(*B).Do"} {
-		if !edgeTo(dispatch, callee) {
+	for _, callee := range []string{"(A).Do", "(*B).Do"} {
+		if !edgeTo(dispatch, node(callee)) {
 			t.Errorf("dispatch has no edge to %s; interface dispatch not over-approximated", callee)
 		}
 	}
 
 	// A method value bound to a local and invoked resolves through the flow
 	// map back to the method.
-	if !edgeTo(graph.Nodes[pkg+".methodValue"], pkg+".(*T).helper") {
+	if !edgeTo(node("callgraph.methodValue"), node("(*T).helper")) {
 		t.Error("methodValue: f := t.helper; f() did not resolve to (*T).helper")
 	}
 
 	// A function stored into a struct field at construction (in fieldFlow)
 	// and invoked through the field elsewhere (in runHook) resolves via the
-	// field's flow key.
-	if !edgeTo(graph.Nodes[pkg+".runHook"], pkg+".leaf") {
-		t.Error("runHook: t.hook() did not resolve to leaf stored in fieldFlow")
+	// field's flow key. U has a same-named, same-typed field: each call
+	// reaches only the value stored into its own struct's field.
+	runHook, runUHook := node("callgraph.runHook"), node("callgraph.runUHook")
+	leaf, otherLeaf := node("callgraph.leaf"), node("callgraph.otherLeaf")
+	if !edgeTo(runHook, leaf) || !edgeTo(runUHook, otherLeaf) {
+		t.Error("a call through a struct field did not resolve to the function stored in it")
+	}
+	if edgeTo(runHook, otherLeaf) || edgeTo(runUHook, leaf) {
+		t.Error("T.hook and U.hook share a flow key; a field call reached the other struct's value")
 	}
 
 	// The literal passed to Engine.Schedule in start is the fixture's only
 	// handler root.
 	var roots []*CGNode
-	for _, k := range graph.RootKeys {
-		n := graph.Nodes[k]
-		if n != nil && n.Pkg != nil && n.Pkg.Path == pkg {
+	for _, n := range graph.Roots {
+		if n.Pkg != nil && n.Pkg.Path == pkg {
 			roots = append(roots, n)
 		}
 	}
@@ -67,11 +78,11 @@ func TestCallGraphStructure(t *testing.T) {
 		t.Fatalf("fixture has %d handler roots, want exactly 1 (the Schedule literal)", len(roots))
 	}
 	root := roots[0]
-	if !strings.HasPrefix(root.Key, "lit:") || !root.Root {
-		t.Errorf("root is %q (Root=%v), want a lit: node with Root set", root.Key, root.Root)
+	if root.Func != nil || !root.Root {
+		t.Errorf("root is %q (Root=%v), want a literal node with Root set", root.Name, root.Root)
 	}
-	for _, callee := range []string{pkg + ".dispatch", pkg + ".methodValue", pkg + ".runHook"} {
-		if !edgeTo(root, callee) {
+	for _, callee := range []string{"callgraph.dispatch", "callgraph.methodValue", "callgraph.runHook"} {
+		if !edgeTo(root, node(callee)) {
 			t.Errorf("handler literal has no edge to %s", callee)
 		}
 	}
@@ -81,26 +92,30 @@ func TestCallGraphStructure(t *testing.T) {
 	// over-approximation keeps it in. unreached is never scheduled and must
 	// stay out.
 	order, parent := graph.HandlerReachable()
-	reached := map[string]bool{}
+	reached := map[*CGNode]bool{}
 	for _, n := range order {
-		reached[n.Key] = true
+		reached[n] = true
 	}
-	for _, k := range []string{
-		root.Key,
-		pkg + ".dispatch", pkg + ".(A).Do", pkg + ".(*B).Do",
-		pkg + ".methodValue", pkg + ".(*T).helper",
-		pkg + ".runHook", pkg + ".leaf",
+	if !reached[root] {
+		t.Error("the handler literal is not handler-reachable")
+	}
+	for _, name := range []string{
+		"callgraph.dispatch", "(A).Do", "(*B).Do",
+		"callgraph.methodValue", "(*T).helper",
+		"callgraph.runHook", "callgraph.leaf",
 	} {
-		if !reached[k] {
-			t.Errorf("%s not handler-reachable, want reachable", k)
+		if !reached[node(name)] {
+			t.Errorf("%s not handler-reachable, want reachable", name)
 		}
 	}
-	if reached[pkg+".unreached"] {
-		t.Error("unreached is handler-reachable, want unreachable")
+	for _, name := range []string{"callgraph.unreached", "callgraph.runUHook", "callgraph.otherLeaf"} {
+		if reached[node(name)] {
+			t.Errorf("%s is handler-reachable, want unreachable", name)
+		}
 	}
 
 	// The parent chain renders a root-to-leaf path for diagnostics.
-	path := graph.PathTo(parent, pkg+".leaf")
+	path := graph.PathTo(parent, leaf)
 	if !strings.Contains(path, " -> ") || !strings.HasSuffix(path, "leaf") {
 		t.Errorf("PathTo(leaf) = %q, want a chain ending in leaf", path)
 	}

@@ -1,9 +1,8 @@
 package analysis
 
 import (
-	"go/token"
+	"go/types"
 	"sort"
-	"strings"
 )
 
 // DetTaintRule is the interprocedural strengthening of wallclock and
@@ -28,22 +27,19 @@ func DetTaintRule() *Rule {
 	}
 }
 
-// sinkDescription classifies a call-graph node key as a nondeterminism
-// sink. Keys are "pkgpath.Name" for package-level functions.
-func sinkDescription(key string) (string, bool) {
-	dot := strings.LastIndex(key, ".")
-	if dot < 0 {
+// sinkDescription classifies a call-graph callee as a nondeterminism sink:
+// a package-level function of time, math/rand or os.
+func sinkDescription(fn *types.Func) (string, bool) {
+	if fn == nil || fn.Pkg() == nil || isMethod(fn) {
 		return "", false
 	}
-	pkg, name := key[:dot], key[dot+1:]
+	pkg, name := fn.Pkg().Path(), fn.Name()
 	switch pkg {
 	case "time":
 		if wallClockFuncs[name] {
 			return "time." + name + " reads or waits on the wall clock", true
 		}
 	case "math/rand", "math/rand/v2":
-		// Package-level draws only: methods on *Rand carry a "(...)"
-		// receiver segment and never match the package prefix exactly.
 		if !randConstructors[name] {
 			return pkg + "." + name + " draws from process-global random state", true
 		}
@@ -61,36 +57,31 @@ func runDetTaint(p *ProgramPass) {
 	order, parent := graph.HandlerReachable()
 
 	type finding struct {
-		pos  token.Pos
-		msg  string
-		key  string
-		from string
+		msg string
+		CGEdge
+		from *CGNode
 	}
 	var finds []finding
-	seen := map[string]bool{}
+	seen := map[CGEdge]bool{}
 	for _, n := range order {
-		for _, e := range n.Edges() {
-			desc, ok := sinkDescription(e.Key)
-			if !ok {
+		for _, e := range n.Edges {
+			desc, ok := sinkDescription(e.To.Func)
+			if !ok || seen[e] {
 				continue
 			}
-			id := p.Prog.Fset.Position(e.Pos).String() + "|" + e.Key
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			finds = append(finds, finding{pos: e.Pos, msg: desc, key: e.Key, from: n.Key})
+			seen[e] = true
+			finds = append(finds, finding{desc, e, n})
 		}
 	}
 	// Deterministic report order regardless of BFS tie-breaks.
 	sort.Slice(finds, func(i, j int) bool {
-		if finds[i].pos != finds[j].pos {
-			return finds[i].pos < finds[j].pos
+		if finds[i].Pos != finds[j].Pos {
+			return finds[i].Pos < finds[j].Pos
 		}
-		return finds[i].key < finds[j].key
+		return finds[i].To.id < finds[j].To.id
 	})
 	for _, f := range finds {
-		p.Reportf(f.pos,
+		p.Reportf(f.Pos,
 			"%s but is reachable from a sim event handler (path: %s); handlers run in virtual time — use the engine clock and trial-seeded RNGs",
 			f.msg, graph.PathTo(parent, f.from))
 	}

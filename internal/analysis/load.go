@@ -15,7 +15,9 @@ import (
 
 // Package is one loaded, type-checked package ready for rules. Test files
 // are folded into their package (the repo uses in-package tests), and an
-// external "_test" package, when present, loads as its own Package.
+// external "_test" package, when present, loads as its own Package. The
+// Package a rule sees is the one its importers were checked against, so a
+// declaration is one types.Object program-wide.
 type Package struct {
 	Path  string
 	Dir   string
@@ -37,10 +39,18 @@ type Loader struct {
 	ModulePath string
 
 	stdlib types.Importer
-	// cache holds type-checked base packages (no test files) by import
-	// path, shared by every import edge.
-	cache   map[string]*types.Package
+	// cache holds every module directory loaded so far by import path,
+	// shared by every import edge and by LoadDir.
+	cache   map[string]*unit
 	loading map[string]bool
+}
+
+// unit is one directory's parse and check: the package proper (pure files
+// plus in-package tests; nil when the directory holds only an external test
+// package) and the external "_test" files, checked when LoadDir asks.
+type unit struct {
+	pkg *Package
+	ext []*ast.File
 }
 
 // NewLoader locates the module enclosing startDir (walking up to go.mod)
@@ -71,7 +81,7 @@ func NewLoader(startDir string) (*Loader, error) {
 		ModuleRoot: root,
 		ModulePath: modPath,
 		stdlib:     importer.ForCompiler(fset, "source", nil),
-		cache:      map[string]*types.Package{},
+		cache:      map[string]*unit{},
 		loading:    map[string]bool{},
 	}, nil
 }
@@ -92,23 +102,36 @@ func modulePath(gomod string) (string, error) {
 }
 
 // Import implements types.Importer: module-internal paths resolve to
-// directories under the module root and type-check recursively (base files
-// only); everything else comes from the standard library source importer.
+// directories under the module root and load through the shared cache;
+// everything else comes from the standard library source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		return l.importModule(path)
+	if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
+		return l.stdlib.Import(path)
 	}
-	return l.stdlib.Import(path)
+	dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath)))
+	u, err := l.load(path, dir)
+	if err != nil {
+		return nil, err
+	}
+	if u.pkg == nil {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	if len(u.pkg.Errs) > 0 {
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, u.pkg.Errs[0])
+	}
+	return u.pkg.Pkg, nil
 }
 
-// importModule type-checks a module-internal package from source, caching
-// the result so every importer sees one types.Package per path.
-func (l *Loader) importModule(path string) (*types.Package, error) {
-	if pkg, ok := l.cache[path]; ok {
-		return pkg, nil
+// load parses dir and type-checks its package under path once — pure files
+// plus in-package test files, with a full types.Info — caching the result.
+// Folding the tests in cannot close an import cycle: Go already rejects an
+// in-package test that imports a package depending on its own.
+func (l *Loader) load(path, dir string) (*unit, error) {
+	if u, ok := l.cache[path]; ok {
+		return u, nil
 	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("analysis: import cycle through %q", path)
@@ -116,21 +139,19 @@ func (l *Loader) importModule(path string) (*types.Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath)))
-	pure, _, _, err := l.parseDir(dir)
+	pure, inTest, extTest, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(pure) == 0 {
+	if len(pure)+len(inTest)+len(extTest) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.Fset, pure, nil)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
+	u := &unit{ext: extTest}
+	if len(pure)+len(inTest) > 0 {
+		u.pkg = l.check(path, dir, append(pure, inTest...))
 	}
-	l.cache[path] = pkg
-	return pkg, nil
+	l.cache[path] = u
+	return u, nil
 }
 
 // parseDir parses every .go file in dir into three groups: pure package
@@ -212,29 +233,25 @@ func (l *Loader) importPathFor(dir string) string {
 
 // LoadDir type-checks the package in dir under the given import path,
 // including its test files. It returns one Package for the (possibly
-// test-augmented) package and, when external test files exist, a second
-// Package for them.
+// test-augmented) package — the cached one, if an importer already loaded
+// it — and, when external test files exist, a second Package for them.
 func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	pure, inTest, extTest, err := l.parseDir(abs)
+	u, err := l.load(path, abs)
 	if err != nil {
 		return nil, err
 	}
-	if len(pure)+len(inTest)+len(extTest) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", abs)
-	}
 	var pkgs []*Package
-	if len(pure)+len(inTest) > 0 {
-		pkgs = append(pkgs, l.check(path, abs, append(append([]*ast.File{}, pure...), inTest...)))
+	if u.pkg != nil {
+		pkgs = append(pkgs, u.pkg)
 	}
-	if len(extTest) > 0 {
+	if len(u.ext) > 0 {
 		// The external test package imports the base package; the import
-		// resolves through the cache like any other edge, and its errors
-		// (if any) surface on the external package's own check.
-		pkgs = append(pkgs, l.check(path+"_test", abs, extTest))
+		// resolves through the cache like any other edge.
+		pkgs = append(pkgs, l.check(path+"_test", abs, u.ext))
 	}
 	return pkgs, nil
 }

@@ -123,7 +123,7 @@ func checkMapRangeCall(p *Pass, call *ast.CallExpr) {
 			"%s inside range over map writes in nondeterministic key order; sort the keys first", name)
 	case isModulePath(p.prog, pkgPath):
 		// The send or schedule may sit any number of calls away.
-		if path, ok := p.prog.CallGraph().OrderedEffectPath(funcKey(fn)); ok {
+		if path, ok := p.prog.CallGraph().OrderedEffectPath(fn); ok {
 			p.Reportf(call.Pos(),
 				"call inside range over map reaches a packet send or event schedule in nondeterministic key order (path: %s); iterate in a fixed order", path)
 		}

@@ -1,5 +1,6 @@
 // Fixture for the call-graph builder itself: method values, interface
-// dispatch over-approximation, parameter flows and handler-root marking.
+// dispatch over-approximation, parameter and field flows and handler-root
+// marking.
 // The companion callgraph_test.go asserts on the graph structure directly;
 // no rule findings are expected here, so there are no want comments.
 package callgraph
@@ -47,6 +48,16 @@ func fieldFlow(eng *sim.Engine) *T {
 func runHook(t *T) { t.hook() }
 
 func leaf() {}
+
+// U has a field of the same name and type as T's: a call through U.hook
+// must reach only what was stored into U.hook.
+type U struct{ hook func() }
+
+func uFlow() *U { return &U{hook: otherLeaf} }
+
+func runUHook(u *U) { u.hook() }
+
+func otherLeaf() {}
 
 // start roots the walk: the literal passed to Schedule is a handler, and
 // everything it calls is handler-reachable.

@@ -280,6 +280,7 @@ func (c *Core) onPacketIn(sw *sdn.Switch, inPort uint32, p *netsim.Packet, tunne
 		c.unmatchedPktIn.Inc()
 		c.Eng.Metrics().Scope("epc/packet-in").Emit("unmatched",
 			fmt.Sprintf("%s port %d dst %v teid %d", sw.Node().Name(), inPort, p.Flow.Dst, tunnelID))
+		sw.Node().Network().Release(p)
 		return
 	}
 	c.SGWC.bufferAndPage(sess, sw, p, tunnelID)

@@ -425,6 +425,60 @@ func TestPagingOnDownlinkWhileIdle(t *testing.T) {
 	}
 }
 
+// TestDroppedPacketInsReturnToPool checks that the packet-in path releases
+// what it drops. A table miss hands the packet to the controller, so a miss
+// no session claims, a miss racing a connected session and a miss past the
+// paging buffer's bound must each return it to the pool. Release zeroes a
+// packet, so one still carrying the marker size was never returned.
+func TestDroppedPacketInsReturnToPool(t *testing.T) {
+	const marker = 4321
+	tb := buildTestbed(t, 3*time.Second)
+	tb.attach(t)
+	sess := tb.core.Session(tb.ue.IMSI)
+	s5dl := sess.Bearer(EBIDefault).S5DL
+	// miss injects a downlink packet at the core SGW-U, tunneled from the
+	// PGW-U with the given TEID.
+	miss := func(dst pkt.Addr, teid uint32) *netsim.Packet {
+		p := tb.nw.NewPacket()
+		p.Flow = pkt.FiveTuple{Src: tb.inetHost.Node.Addr(), Dst: dst, SrcPort: 9999, DstPort: 8888, Proto: pkt.ProtoUDP}
+		p.Size = marker
+		p.Encapsulate(tb.corePGW.Node().Addr(), tb.coreSGW.Node().Addr(), teid)
+		tb.coreSGW.Node().Inject(p)
+		return p
+	}
+	check := func(what string, p *netsim.Packet) {
+		t.Helper()
+		if p.Size == marker {
+			t.Errorf("%s: dropped packet never returned to the pool", what)
+		}
+	}
+
+	unmatched := miss(pkt.AddrFrom(203, 0, 113, 1), s5dl)
+	raced := miss(tb.ue.Addr(), 0xdead) // session connected: nothing to buffer
+	tb.eng.RunFor(100 * time.Millisecond)
+	check("unmatched packet-in", unmatched)
+	check("packet-in racing a connected session", raced)
+
+	tb.eng.RunFor(5 * time.Second)
+	if sess.State != StateIdle {
+		t.Fatalf("state = %v, want idle", sess.State)
+	}
+	var got int
+	tb.ue.Host.Listen(8888, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
+		got++
+		h.Node.Network().Release(p)
+	}))
+	var last *netsim.Packet
+	for i := 0; i <= maxDLBuffer; i++ {
+		last = miss(tb.ue.Addr(), s5dl)
+	}
+	tb.eng.RunFor(3 * time.Second)
+	if got != maxDLBuffer {
+		t.Errorf("replayed %d buffered packets, want %d", got, maxDLBuffer)
+	}
+	check("packet-in over the paging buffer bound", last)
+}
+
 func TestControlMessagesRoundTripDecode(t *testing.T) {
 	// Every control message the procedures emit must decode back; run a
 	// full lifecycle with tracing and re-parse per protocol. (Encoding

@@ -308,9 +308,12 @@ func (c *Core) removeSGWDownlink(sess *Session, b *Bearer) {
 // packet (bounded, as real SGW paging buffers are) and start paging. Once
 // the UE promotes back to connected, the buffered packets are replayed
 // through the SGW-U, whose freshly reinstalled downlink rules deliver them.
+// A packet it does not buffer is dropped and released.
 func (s *SGWC) bufferAndPage(sess *Session, sw *sdn.Switch, p *netsim.Packet, teid uint64) {
 	if sess.State != StateIdle && sess.State != StatePromoting {
-		return // race with an in-flight state change; nothing to do
+		// Race with an in-flight state change; nothing to do.
+		sw.Node().Network().Release(p)
+		return
 	}
 	if s.paged == nil {
 		s.paged = make(map[string][]bufferedDL)
@@ -318,6 +321,8 @@ func (s *SGWC) bufferAndPage(sess *Session, sw *sdn.Switch, p *netsim.Packet, te
 	first := len(s.paged[sess.IMSI]) == 0
 	if len(s.paged[sess.IMSI]) < maxDLBuffer {
 		s.paged[sess.IMSI] = append(s.paged[sess.IMSI], bufferedDL{sw: sw, p: p, teid: teid})
+	} else {
+		sw.Node().Network().Release(p)
 	}
 	if first {
 		if sess.State == StateIdle {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"acacia/internal/core"
+	"acacia/internal/ctl"
 	"acacia/internal/d2d"
 	"acacia/internal/epc"
 	"acacia/internal/geo"
@@ -178,10 +179,11 @@ func newGWChain(seed uint64, costs sdn.PathCosts) *gwChain {
 	sgw.MarkGTPPort(0)
 	sgw.MarkGTPPort(1)
 	pgw.MarkGTPPort(0)
-	ctl := sdn.NewController(eng)
-	ctl.AddSwitch(sgw)
-	ctl.AddSwitch(pgw)
-	ctl.InstallFlow(sgw, sdn.FlowEntry{
+	controller := sdn.NewController(eng)
+	controller.AddSwitch(sgw)
+	controller.AddSwitch(pgw)
+	controller.EnableTransport(ctl.NewTransport(eng), nw.AddNode("sdn-ctl", pkt.AddrFrom(10, 255, 0, 10)))
+	controller.InstallFlow(sgw, sdn.FlowEntry{
 		Priority: 100, Cookie: 1,
 		Match: pkt.Match{TunnelID: pkt.U64(101)},
 		Actions: []pkt.Action{
@@ -189,7 +191,7 @@ func newGWChain(seed uint64, costs sdn.PathCosts) *gwChain {
 			{Type: pkt.ActionOutput, Port: 1},
 		},
 	})
-	ctl.InstallFlow(pgw, sdn.FlowEntry{
+	controller.InstallFlow(pgw, sdn.FlowEntry{
 		Priority: 100, Cookie: 1,
 		Match:   pkt.Match{TunnelID: pkt.U64(201)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},

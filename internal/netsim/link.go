@@ -212,7 +212,8 @@ type queuedPacket struct {
 const maxLanes = 16
 
 // lane is one priority level's FIFO: items[head:] wait, popping advances
-// head (see Node.cpuQueue for why it does not re-slice from the front).
+// head (see sdn.Switch.serveNext for why it does not re-slice from the
+// front).
 type lane struct {
 	items []queuedPacket
 	head  int
@@ -258,8 +259,9 @@ func (q *laneQueue) pop() queuedPacket {
 	l := &q.lanes[prio]
 	it := l.items[l.head]
 	l.head++
-	// Same compaction rule as Node.serveCPU: a drained lane resets to [:0],
-	// one that never drains holds at most a third more slots than packets.
+	// Same compaction rule as sdn.Switch.serveNext: a drained lane resets to
+	// [:0], one that never drains holds at most a third more slots than
+	// packets.
 	if 4*l.head >= len(l.items) {
 		live := copy(l.items, l.items[l.head:])
 		clear(l.items[live:])

@@ -342,129 +342,6 @@ func TestGreedyFlowSharesWithLoss(t *testing.T) {
 	}
 }
 
-func TestCPUModelAddsLatency(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nw := New(eng)
-	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
-	mid := nw.AddNode("gw", pkt.AddrFrom(10, 0, 0, 254))
-	nb := nw.AddNode("b", pkt.AddrFrom(10, 0, 0, 2))
-	nw.ConnectSymmetric(na, mid, LinkConfig{})
-	nw.ConnectSymmetric(mid, nb, LinkConfig{})
-	router := NewRouter(mid)
-	router.AddHostRoute(na.Addr(), mid.Port(0))
-	router.AddHostRoute(nb.Addr(), mid.Port(1))
-	mid.SetCPU(&CPUModel{PerPacket: 3 * time.Millisecond})
-	ha, hb := NewHost(na), NewHost(nb)
-	var gotAt sim.Time
-	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) { gotAt = eng.Now() }))
-	ha.Send(nb.Addr(), 1, 80, pkt.ProtoUDP, 100, nil)
-	eng.Run()
-	if gotAt != sim.Time(3*time.Millisecond) {
-		t.Errorf("delivered at %v, want 3ms of CPU delay", gotAt)
-	}
-}
-
-func TestCPUQueueSaturation(t *testing.T) {
-	// CPU slower than arrival rate: queue drains at CPU rate, so the k-th
-	// packet sees k * service time.
-	eng := sim.NewEngine(1)
-	nw := New(eng)
-	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
-	mid := nw.AddNode("gw", pkt.AddrFrom(10, 0, 0, 254))
-	nb := nw.AddNode("b", pkt.AddrFrom(10, 0, 0, 2))
-	nw.ConnectSymmetric(na, mid, LinkConfig{})
-	nw.ConnectSymmetric(mid, nb, LinkConfig{})
-	router := NewRouter(mid)
-	router.AddHostRoute(nb.Addr(), mid.Port(1))
-	router.AddHostRoute(na.Addr(), mid.Port(0))
-	mid.SetCPU(&CPUModel{PerPacket: time.Millisecond})
-	ha, hb := NewHost(na), NewHost(nb)
-	var last sim.Time
-	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) { last = eng.Now() }))
-	for i := 0; i < 5; i++ {
-		ha.Send(nb.Addr(), 1, 80, pkt.ProtoUDP, 100, nil)
-	}
-	eng.Run()
-	if last != sim.Time(5*time.Millisecond) {
-		t.Errorf("last delivery at %v, want 5ms", last)
-	}
-}
-
-// cpuNode is a lone CPU-modelled node; the caller installs the handler.
-func cpuNode(m *CPUModel) (*sim.Engine, *Node) {
-	eng := sim.NewEngine(1)
-	n := New(eng).AddNode("gw", pkt.AddrFrom(10, 0, 0, 254))
-	n.SetCPU(m)
-	return eng, n
-}
-
-// TestCPUQueueLimitCountsWaitingOnly checks the QueuePackets bound against
-// the packets actually waiting: slots of the queue's served prefix that have
-// not been compacted away yet must not count toward the limit.
-func TestCPUQueueLimitCountsWaitingOnly(t *testing.T) {
-	eng, n := cpuNode(&CPUModel{PerPacket: 10 * time.Microsecond, QueuePackets: 8})
-	handled := 0
-	n.SetHandler(func(*Port, *Packet) { handled++ })
-	inject := func(k int) {
-		for i := 0; i < k; i++ {
-			n.Inject(&Packet{Size: 100})
-		}
-	}
-	inject(10) // 1 in service + 8 waiting; the 10th is over the bound
-	if got := n.Stats().CPUDrops; got != 1 {
-		t.Fatalf("drops = %d after filling the queue, want 1", got)
-	}
-	eng.RunFor(15 * time.Microsecond) // first packet done, second in service
-	if n.cpuHead == 0 {
-		t.Fatal("test needs a served prefix still in the slice")
-	}
-	inject(1) // 7 waiting: room for exactly one
-	if got := n.Stats().CPUDrops; got != 1 {
-		t.Errorf("drops = %d, want 1: a freed place was still counted as waiting", got)
-	}
-	inject(1)
-	if got := n.Stats().CPUDrops; got != 2 {
-		t.Errorf("drops = %d, want 2: the bound must hold again once full", got)
-	}
-	eng.Run()
-	if handled != 10 {
-		t.Errorf("handled %d packets, want 10 (12 injected, 2 dropped)", handled)
-	}
-}
-
-// TestCPUQueueOverloadStaysCompact checks a queue that never drains does not
-// accumulate its served prefix: arrivals at three times the service rate for
-// a long stretch leave the slice within a third of the waiting count, and
-// FIFO order survives the compactions.
-func TestCPUQueueOverloadStaysCompact(t *testing.T) {
-	eng, n := cpuNode(&CPUModel{PerPacket: 3 * time.Microsecond, QueuePackets: 1 << 20})
-	next := 0
-	n.SetHandler(func(_ *Port, p *Packet) {
-		if p.Size != next {
-			t.Fatalf("served packet %d, want %d (FIFO broken)", p.Size, next)
-		}
-		next++
-	})
-	sent := 0
-	tk := sim.NewTicker(eng, time.Microsecond, func() {
-		n.Inject(&Packet{Size: sent})
-		sent++
-	})
-	eng.RunFor(30 * time.Millisecond)
-	tk.Stop()
-	waiting := len(n.cpuQueue) - n.cpuHead
-	if waiting < 15000 {
-		t.Fatalf("waiting = %d, want a deep backlog", waiting)
-	}
-	if len(n.cpuQueue) > waiting+waiting/3+1 {
-		t.Errorf("slice holds %d slots for %d waiting packets, want at most a third more", len(n.cpuQueue), waiting)
-	}
-	eng.Run()
-	if next != sent || len(n.cpuQueue) != 0 || n.cpuHead != 0 {
-		t.Errorf("after drain: served %d of %d, len %d, head %d; want all served and an empty reset queue", next, sent, len(n.cpuQueue), n.cpuHead)
-	}
-}
-
 func TestHopLimitStopsLoops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := New(eng)

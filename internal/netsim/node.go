@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"time"
 
 	"acacia/internal/pkt"
 	"acacia/internal/sim"
@@ -12,62 +11,24 @@ import (
 // the node originates locally (injected via Node.Inject).
 type Handler func(ingress *Port, p *Packet)
 
-// CPUModel gives a node a per-packet processing cost served by a single
-// FIFO processor, modeling the difference between a user-space gateway
-// (OpenEPC, microseconds per packet) and a kernel fast path (OVS megaflow
-// cache, sub-microsecond). A nil model means zero-cost processing.
-type CPUModel struct {
-	// PerPacket is the fixed service time per packet.
-	PerPacket time.Duration
-	// PerByte is the additional service time per payload byte.
-	PerByte time.Duration
-	// QueuePackets bounds the processor input queue; 0 means 4096.
-	QueuePackets int
-}
-
-// DefaultCPUQueuePackets is the processor queue bound used when a CPUModel
-// leaves QueuePackets zero.
-const DefaultCPUQueuePackets = 4096
-
 // NodeStats counts node-level packet activity.
 type NodeStats struct {
 	Received  uint64
 	Forwarded uint64
-	CPUDrops  uint64
 	HopDrops  uint64
 }
 
 // Node is a network element: a host, gateway, switch or base station. Its
 // behaviour lives in the Handler installed by the owning layer (epc, sdn,
-// core). The node itself provides ports, addressing, optional CPU cost and
-// counters.
+// core). The node itself provides ports, addressing and counters; per-packet
+// processing cost belongs to the handler (sdn.Switch serves its own CPU).
 type Node struct {
 	net     *Network
 	name    string
 	addr    pkt.Addr
 	ports   []*Port
 	handler Handler
-
-	cpu *CPUModel
-	// cpuQueue[cpuHead:] are the packets waiting for the processor. Popping
-	// advances cpuHead instead of re-slicing from the front, which would
-	// walk the slice's capacity down to zero and make the next append
-	// allocate — once per packet with the usual 0–1-deep queue.
-	cpuQueue []cpuItem
-	cpuHead  int
-	cpuBusy  bool
-	// cpuCur stages the item being served; cpuDoneF is the method value
-	// bound once in SetCPU so per-packet service scheduling allocates no
-	// closure.
-	cpuCur   cpuItem
-	cpuDoneF func()
-
-	stats NodeStats
-}
-
-type cpuItem struct {
-	ingress *Port
-	p       *Packet
+	stats   NodeStats
 }
 
 // Name reports the node's unique name within its network.
@@ -95,15 +56,6 @@ func (n *Node) Stats() NodeStats { return n.stats }
 // reaches the node.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
 
-// SetCPU installs a processing-cost model; packets queue for a single
-// processor before the handler runs.
-func (n *Node) SetCPU(m *CPUModel) {
-	n.cpu = m
-	if n.cpuDoneF == nil {
-		n.cpuDoneF = n.cpuDone
-	}
-}
-
 // Ports returns the node's ports in creation order.
 func (n *Node) Ports() []*Port { return n.ports }
 
@@ -121,7 +73,7 @@ func (n *Node) Inject(p *Packet) {
 	n.net.pktSeq++
 	p.ID = n.net.pktSeq
 	p.CreatedAt = n.net.eng.Now()
-	n.dispatch(nil, p)
+	n.handle(nil, p)
 }
 
 // receive is called by a link when a packet arrives on one of the node's
@@ -136,63 +88,7 @@ func (n *Node) receive(ingress *Port, p *Packet) {
 		n.net.Release(p)
 		return
 	}
-	n.dispatch(ingress, p)
-}
-
-//acacia:hotpath
-func (n *Node) dispatch(ingress *Port, p *Packet) {
-	if n.cpu == nil {
-		n.handle(ingress, p)
-		return
-	}
-	limit := n.cpu.QueuePackets
-	if limit == 0 {
-		limit = DefaultCPUQueuePackets
-	}
-	if len(n.cpuQueue)-n.cpuHead >= limit {
-		n.stats.CPUDrops++
-		n.net.Release(p)
-		return
-	}
-	n.cpuQueue = append(n.cpuQueue, cpuItem{ingress, p})
-	if !n.cpuBusy {
-		n.serveCPU()
-	}
-}
-
-//acacia:hotpath
-func (n *Node) serveCPU() {
-	if len(n.cpuQueue) == 0 {
-		n.cpuBusy = false
-		return
-	}
-	n.cpuBusy = true
-	n.cpuCur = n.cpuQueue[n.cpuHead]
-	n.cpuHead++
-	// Once the served prefix is a quarter of the slice, move the waiting
-	// tail to the front: a drained queue resets to [:0] (so empty is still
-	// len 0), and a queue that never drains under sustained overload holds
-	// at most a third more slots than it has packets waiting, for an
-	// amortized three slot copies per pop.
-	if 4*n.cpuHead >= len(n.cpuQueue) {
-		live := copy(n.cpuQueue, n.cpuQueue[n.cpuHead:])
-		clear(n.cpuQueue[live:])
-		n.cpuQueue = n.cpuQueue[:live]
-		n.cpuHead = 0
-	}
-	cost := n.cpu.PerPacket + time.Duration(n.cpuCur.p.Size)*n.cpu.PerByte
-	n.net.eng.Schedule(cost, n.cpuDoneF)
-}
-
-// cpuDone finishes one CPU service period: run the handler on the staged
-// item and start serving the next.
-//
-//acacia:hotpath
-func (n *Node) cpuDone() {
-	item := n.cpuCur
-	n.cpuCur = cpuItem{}
-	n.handle(item.ingress, item.p)
-	n.serveCPU()
+	n.handle(ingress, p)
 }
 
 //acacia:hotpath

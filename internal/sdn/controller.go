@@ -25,8 +25,9 @@ type MsgStats struct {
 // PacketInHandler reacts to a table miss: it receives the switch, ingress
 // port, the (already decapsulated) packet and the tunnel metadata it
 // carried. The packet is the controller's to keep — buffer-and-page logic
-// re-injects it after installing state. Experiments without reactive setup
-// may leave the handler nil (misses are then dropped).
+// re-injects it after installing state, and a handler that keeps nothing
+// releases it. Experiments without reactive setup may leave the handler nil
+// (misses are then dropped and released).
 type PacketInHandler func(sw *Switch, inPort uint32, p *netsim.Packet, tunnelID uint64)
 
 // Controller is the OpenFlow controller (the testbed's Ryu analog extended
@@ -34,9 +35,9 @@ type PacketInHandler func(sw *Switch, inPort uint32, p *netsim.Packet, tunnelID 
 // its switches so the control-plane byte accounting reflects real
 // encodings.
 type Controller struct {
-	eng *sim.Engine
-	// RTT is the one-way control-channel latency applied to FlowMods and
-	// PacketIns (the controller usually sits next to the GW-Us).
+	// RTT is the propagation delay of each switch's control link, one way
+	// (the controller usually sits next to the GW-Us). Set it before
+	// EnableTransport wires the links.
 	RTT time.Duration
 
 	switches map[uint64]*Switch
@@ -49,9 +50,8 @@ type Controller struct {
 	order  []*Switch
 	xid    uint32
 
-	// Transactional control channel, enabled by EnableTransport. When nil,
-	// control messages fall back to fixed-RTT scheduling (standalone
-	// controllers without a network, e.g. microbenchmarks).
+	// Transactional control channel, set by EnableTransport; every
+	// controller-switch message rides it.
 	tr *ctl.Transport
 	ep *ctl.Endpoint
 
@@ -82,7 +82,6 @@ type Controller struct {
 func NewController(eng *sim.Engine) *Controller {
 	scope := eng.Metrics().Scope("sdn").Scope("controller")
 	return &Controller{
-		eng:       eng,
 		switches:  make(map[uint64]*Switch),
 		byName:    make(map[string]*Switch),
 		ByType:    make(map[pkt.OFMsgType]uint64),
@@ -123,11 +122,11 @@ func (c *Controller) AddSwitch(sw *Switch) {
 	c.accountReceived(hello) // symmetric hello from the switch
 }
 
-// EnableTransport moves the controller's OpenFlow channel onto the network:
+// EnableTransport puts the controller's OpenFlow channel on the network:
 // node becomes the controller's control endpoint and every registered (and
 // future) switch gets a dedicated control link with transactional delivery
-// (retransmission on loss, duplicate suppression). Without it the controller
-// keeps the legacy fixed-RTT model.
+// (retransmission on loss, duplicate suppression). A controller must be
+// wired before it sends its first message.
 func (c *Controller) EnableTransport(tr *ctl.Transport, node *netsim.Node) {
 	c.tr = tr
 	c.ep = tr.Endpoint(node, true)
@@ -137,8 +136,7 @@ func (c *Controller) EnableTransport(tr *ctl.Transport, node *netsim.Node) {
 }
 
 // wireSwitch creates the switch's control endpoint and its link to the
-// controller. The RTT config becomes the link's propagation delay, so the
-// old fixed latency is now an emergent property of the wire.
+// controller, with RTT as the link's propagation delay.
 func (c *Controller) wireSwitch(sw *Switch) {
 	if sw.ctlEP != nil {
 		return
@@ -148,26 +146,17 @@ func (c *Controller) wireSwitch(sw *Switch) {
 	sw.ctlEP = ep
 }
 
-// toSwitch delivers a controller-to-switch message: over the transactional
-// transport when the switch has a control link, otherwise after the legacy
-// fixed RTT.
+// toSwitch delivers a controller-to-switch message over the switch's
+// control link.
 func (c *Controller) toSwitch(sw *Switch, name string, size int, fn func()) {
-	if c.ep != nil && sw.ctlEP != nil {
-		seq := c.ep.NextSeq(sw.ctlEP.Addr())
-		c.ep.Send(sw.ctlEP.Addr(), seq, name, size, fn, nil, nil)
-		return
-	}
-	c.eng.Schedule(c.RTT, fn)
+	seq := c.ep.NextSeq(sw.ctlEP.Addr())
+	c.ep.Send(sw.ctlEP.Addr(), seq, name, size, fn, nil, nil)
 }
 
 // toController delivers a switch-to-controller message symmetrically.
 func (c *Controller) toController(sw *Switch, name string, size int, fn func()) {
-	if c.ep != nil && sw.ctlEP != nil {
-		seq := sw.ctlEP.NextSeq(c.ep.Addr())
-		sw.ctlEP.Send(c.ep.Addr(), seq, name, size, fn, nil, nil)
-		return
-	}
-	c.eng.Schedule(c.RTT, fn)
+	seq := sw.ctlEP.NextSeq(c.ep.Addr())
+	sw.ctlEP.Send(c.ep.Addr(), seq, name, size, fn, nil, nil)
 }
 
 // Switch returns the connected switch with the given datapath id, or nil.
@@ -207,8 +196,8 @@ func (c *Controller) accountReceived(m *pkt.OFMsg) int {
 }
 
 // InstallFlow sends a FlowMod(add) to the switch; the entry takes effect
-// after the control RTT. The returned byte count is the serialized FlowMod
-// size (used by overhead accounting).
+// when the message lands over the control link. The returned byte count is
+// the serialized FlowMod size (used by overhead accounting).
 func (c *Controller) InstallFlow(sw *Switch, e FlowEntry) int {
 	msg := &pkt.OFMsg{
 		Type: pkt.OFFlowMod, XID: c.nextXID(),
@@ -248,6 +237,7 @@ func (c *Controller) packetIn(sw *Switch, inPort uint32, p *netsim.Packet, tunne
 	n := c.accountReceived(msg)
 	if c.OnPacketIn == nil {
 		sw.dropped.Inc()
+		sw.node.Network().Release(p)
 		return
 	}
 	c.toController(sw, "PacketIn", n, func() { c.OnPacketIn(sw, inPort, p, tunnelID) })
@@ -280,12 +270,9 @@ func (c *Controller) flowRemoved(sw *Switch, e *FlowEntry) {
 		Type: pkt.OFFlowRemoved, XID: c.nextXID(),
 		Cookie: e.Cookie, Priority: e.Priority, Match: e.Match,
 	}
-	n := c.accountReceived(msg)
-	if c.ep != nil && sw.ctlEP != nil {
-		// The notification still rides the wire even though the controller
-		// has no handler beyond accounting.
-		c.toController(sw, "FlowRemoved", n, func() {})
-	}
+	// The notification rides the wire even though the controller has no
+	// handler beyond accounting.
+	c.toController(sw, "FlowRemoved", c.accountReceived(msg), func() {})
 }
 
 func clampLen(v, lim int) int {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"acacia/internal/ctl"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sim"
@@ -42,13 +43,14 @@ func buildGWTopo(t *testing.T, costs PathCosts) *gwTopo {
 	sgw.MarkGTPPort(1)
 	pgw.MarkGTPPort(0)
 
-	ctl := NewController(eng)
-	ctl.RTT = 200 * time.Microsecond
-	ctl.AddSwitch(sgw)
-	ctl.AddSwitch(pgw)
+	c := NewController(eng)
+	c.RTT = 200 * time.Microsecond
+	c.AddSwitch(sgw)
+	c.AddSwitch(pgw)
+	c.EnableTransport(ctl.NewTransport(eng), nw.AddNode("sdn-ctl", pkt.AddrFrom(10, 255, 0, 10)))
 
 	// Proactively install the uplink chain.
-	ctl.InstallFlow(sgw, FlowEntry{
+	c.InstallFlow(sgw, FlowEntry{
 		Priority: 100, Cookie: 0xbea4e401,
 		Match: pkt.Match{TunnelID: pkt.U64(101)},
 		Actions: []pkt.Action{
@@ -56,7 +58,7 @@ func buildGWTopo(t *testing.T, costs PathCosts) *gwTopo {
 			{Type: pkt.ActionOutput, Port: 1},
 		},
 	})
-	ctl.InstallFlow(pgw, FlowEntry{
+	c.InstallFlow(pgw, FlowEntry{
 		Priority: 100, Cookie: 0xbea4e401,
 		Match:   pkt.Match{TunnelID: pkt.U64(201)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
@@ -66,7 +68,7 @@ func buildGWTopo(t *testing.T, costs PathCosts) *gwTopo {
 	return &gwTopo{
 		eng: eng, nw: nw,
 		src: netsim.NewHost(srcN), dst: netsim.NewHost(dstN),
-		sgwU: sgw, pgwU: pgw, ctl: ctl,
+		sgwU: sgw, pgwU: pgw, ctl: c,
 	}
 }
 
@@ -233,6 +235,61 @@ func TestSwitchCPUQueueOverloadStaysCompact(t *testing.T) {
 	}
 }
 
+// TestSwitchCPUServesSlowPathFIFO checks the switch CPU law: k packets
+// arriving together with the fast path off leave one SlowPath apart, the
+// i-th at i × SlowPath, in arrival order.
+func TestSwitchCPUServesSlowPathFIFO(t *testing.T) {
+	const k = 6
+	costs := PathCosts{SlowPath: time.Millisecond}
+	eng := sim.NewEngine(1)
+	nw := netsim.New(eng)
+	swN := nw.AddNode("sw", pkt.AddrFrom(10, 0, 0, 9))
+	out := nw.AddNode("out", pkt.AddrFrom(10, 0, 0, 8))
+	nw.ConnectSymmetric(swN, out, netsim.LinkConfig{})
+	sw := NewSwitch(9, swN, costs)
+	sw.installFlow(FlowEntry{Priority: 1, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}})
+	var at []sim.Time
+	var sizes []int
+	out.SetHandler(func(_ *netsim.Port, p *netsim.Packet) {
+		at = append(at, eng.Now())
+		sizes = append(sizes, p.Size)
+	})
+	for i := 1; i <= k; i++ {
+		swN.Inject(&netsim.Packet{Flow: pkt.FiveTuple{Dst: out.Addr()}, Size: i})
+	}
+	eng.Run()
+	if len(at) != k {
+		t.Fatalf("%d packets left the switch, want %d", len(at), k)
+	}
+	for i := range at {
+		if want := sim.Time(time.Duration(i+1) * costs.SlowPath); at[i] != want || sizes[i] != i+1 {
+			t.Errorf("departure %d: packet %d at %v, want packet %d at %v", i, sizes[i], at[i], i+1, want)
+		}
+	}
+	if st := sw.Stats(); st.SlowPathHits != k || st.FastPathHits != 0 {
+		t.Errorf("slow/fast hits = %d/%d, want %d/0", st.SlowPathHits, st.FastPathHits, k)
+	}
+}
+
+// TestPacketInWithoutHandlerReleases checks that a table miss sent to a
+// controller with no OnPacketIn returns the packet to the pool: the
+// controller owns it once the miss is reported.
+func TestPacketInWithoutHandlerReleases(t *testing.T) {
+	g := buildGWTopo(t, ACACIAGWCosts)
+	p := g.nw.NewPacket()
+	p.Flow = pkt.FiveTuple{Src: g.src.Node.Addr(), Dst: g.dst.Node.Addr(), DstPort: 2000, Proto: pkt.ProtoUDP}
+	p.Size = 4321
+	p.Encapsulate(g.src.Node.Addr(), g.sgwU.Node().Addr(), 999) // no flow for TEID 999
+	g.src.Node.Inject(p)
+	g.eng.Run()
+	if st := g.sgwU.Stats(); st.TableMisses != 1 || st.Dropped != 1 {
+		t.Fatalf("misses/drops = %d/%d, want 1/1", st.TableMisses, st.Dropped)
+	}
+	if p.Size == 4321 {
+		t.Error("dropped packet-in was never released to the pool")
+	}
+}
+
 func TestTableMissWithoutControllerDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
@@ -331,14 +388,14 @@ func TestDuplicateDPIDPanics(t *testing.T) {
 	nw := netsim.New(eng)
 	a := nw.AddNode("a", pkt.AddrFrom(1, 0, 0, 1))
 	b := nw.AddNode("b", pkt.AddrFrom(1, 0, 0, 2))
-	ctl := NewController(eng)
-	ctl.AddSwitch(NewSwitch(1, a, ACACIAGWCosts))
+	c := NewController(eng)
+	c.AddSwitch(NewSwitch(1, a, ACACIAGWCosts))
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate dpid did not panic")
 		}
 	}()
-	ctl.AddSwitch(NewSwitch(1, b, ACACIAGWCosts))
+	c.AddSwitch(NewSwitch(1, b, ACACIAGWCosts))
 }
 
 func TestInstallFlowReplacesSameMatch(t *testing.T) {

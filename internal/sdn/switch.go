@@ -240,16 +240,15 @@ type Switch struct {
 	gtpPort  []bool // by port id: GTP logical-port semantics
 
 	controller *Controller
-	// ctlEP is the switch's OpenFlow control endpoint, set when the
-	// controller runs with a networked transport (EnableTransport).
+	// ctlEP is the switch's OpenFlow control endpoint, set when
+	// Controller.EnableTransport wires the switch.
 	ctlEP   *ctl.Endpoint
 	pathMon *PathMonitor
 
 	// Single-server CPU for per-packet processing costs. cpuCur stages the
 	// packet being served; cpuDoneF is the method value bound once in
 	// NewSwitch so per-packet service scheduling allocates no closure.
-	// cpuQueue[cpuHead:] are the waiting packets; see netsim.Node.cpuQueue
-	// for why popping advances a head index.
+	// cpuQueue[cpuHead:] are the waiting packets (serveNext pops them).
 	// cpuKey/cpuSlot/cpuGen stage classifyCost's one megaflow probe for
 	// process: the key, the slot found (0 = miss) and the cache generation
 	// it was read under (§3h). Here, not in pendingPacket: cpuQueue is
@@ -362,6 +361,11 @@ func (sw *Switch) receive(ingress *netsim.Port, p *netsim.Packet) {
 	}
 }
 
+// serveNext starts serving the next waiting packet, or idles the CPU.
+// Popping advances cpuHead instead of re-slicing from the front, which would
+// walk the slice's capacity down to zero and make the next append allocate —
+// once per packet with the usual 0–1-deep queue.
+//
 //acacia:hotpath
 func (sw *Switch) serveNext() {
 	if len(sw.cpuQueue) == 0 {
@@ -371,7 +375,11 @@ func (sw *Switch) serveNext() {
 	sw.busy = true
 	sw.cpuCur = sw.cpuQueue[sw.cpuHead]
 	sw.cpuHead++
-	// Same compaction rule as netsim.Node.serveCPU.
+	// Once the served prefix is a quarter of the slice, move the waiting
+	// tail to the front: a drained queue resets to [:0] (so empty is still
+	// len 0), and a queue that never drains under sustained overload holds
+	// at most a third more slots than it has packets waiting, for an
+	// amortized three slot copies per pop.
 	if 4*sw.cpuHead >= len(sw.cpuQueue) {
 		live := copy(sw.cpuQueue, sw.cpuQueue[sw.cpuHead:])
 		clear(sw.cpuQueue[live:])
