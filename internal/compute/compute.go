@@ -164,9 +164,6 @@ func NewServer(eng *sim.Engine, dev Device) *Server {
 // Device returns the server's underlying device model.
 func (s *Server) Device() Device { return s.dev }
 
-// ActiveJobs reports the number of jobs currently in service.
-func (s *Server) ActiveJobs() int { return len(s.active) }
-
 // Submit adds a job for processing. The job's Done callback fires when the
 // job's work has been served.
 func (s *Server) Submit(j *Job) {

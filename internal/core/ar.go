@@ -292,11 +292,6 @@ type ARFrontend struct {
 	migrateWatch sim.Timer
 	lastRespAt   sim.Time
 
-	// FrameTimeout bounds how long the closed loop waits for a response
-	// before abandoning the frame and capturing the next (losses during
-	// handover or congestion must not stall the session). Default 2 s.
-	FrameTimeout time.Duration
-
 	// Stats collects component latencies.
 	Stats FrameStats
 	// Responses counts results; Found counts successful matches; Timeouts
@@ -320,6 +315,12 @@ type ARFrontend struct {
 	migrateGapHist, migrateSizeHist                *telemetry.Histogram
 }
 
+// frameTimeout bounds how long the closed loop waits for a response before
+// abandoning the frame and capturing the next (losses during handover or
+// congestion must not stall the session); it also bounds a migration
+// before the watchdog resumes the loop.
+const frameTimeout = 2 * time.Second
+
 type frameTiming struct {
 	sentAt     sim.Time
 	compressMS float64
@@ -332,9 +333,8 @@ type frameTiming struct {
 func NewARFrontend(ue *netsim.Host, user string, res compute.Resolution, pos geo.Point) *ARFrontend {
 	f := &ARFrontend{
 		ue: ue, eng: ue.Engine(), user: user, res: res,
-		phone:        compute.OnePlusOne,
-		pending:      make(map[int]frameTiming),
-		FrameTimeout: 2 * time.Second,
+		phone:   compute.OnePlusOne,
+		pending: make(map[int]frameTiming),
 	}
 	stage := ue.Engine().Metrics().Scope("core/session/stage")
 	f.matchHist = stage.Histogram("match-ms")
@@ -395,7 +395,7 @@ func (f *ARFrontend) captureAndSend() {
 		f.pending[seq] = frameTiming{
 			sentAt:     f.eng.Now(),
 			compressMS: float64(compress) / float64(time.Millisecond),
-			timeout: f.eng.Schedule(f.FrameTimeout, func() {
+			timeout: f.eng.Schedule(frameTimeout, func() {
 				if _, still := f.pending[seq]; !still {
 					return
 				}

@@ -94,7 +94,7 @@ func TestFailoverToSurvivingSite(t *testing.T) {
 	if last == 0 || resumed == 0 {
 		t.Fatalf("no responses around the failure: last=%v resumed=%v", last, resumed)
 	}
-	bound := (repairAt - failAt) + 2*b.Frontend.FrameTimeout + time.Second
+	bound := (repairAt - failAt) + 2*frameTimeout + time.Second
 	if gap := resumed - last; gap > bound {
 		t.Errorf("session downtime %v exceeds bound %v", gap, bound)
 	}

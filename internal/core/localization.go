@@ -139,9 +139,6 @@ func (lm *LocalizationManager) StrongestLandmarks(user string, n int) []string {
 	return out
 }
 
-// Forget drops a user's tracking state (application exit).
-func (lm *LocalizationManager) Forget(user string) { delete(lm.users, user) }
-
 // TrackSnapshot is a user's portable localization state: the freeze/copy
 // payload shipped site-to-site when a session migrates. Landmarks are kept
 // as a sorted slice (not a map) so the snapshot's encoded size and its

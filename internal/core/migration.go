@@ -214,7 +214,7 @@ func (f *ARFrontend) relocateTo(old, server pkt.Addr) {
 	f.ue.Send(server, uint16(MigratePort), MigratePort, pkt.ProtoTCP, 64, migrateFetch{
 		user: f.user, from: old,
 	})
-	f.migrateWatch = f.eng.Schedule(f.FrameTimeout, func() {
+	f.migrateWatch = f.eng.Schedule(frameTimeout, func() {
 		if !f.migrating {
 			return
 		}

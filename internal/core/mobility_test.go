@@ -107,7 +107,7 @@ func TestCrossSiteHandoverMigratesSession(t *testing.T) {
 	if lastBefore == 0 || firstAfter == 0 {
 		t.Fatalf("no frame responses bracketing the crossing (total %d)", len(respTimes))
 	}
-	if gap := firstAfter.Sub(lastBefore); gap > b.Frontend.FrameTimeout+time.Second {
+	if gap := firstAfter.Sub(lastBefore); gap > frameTimeout+time.Second {
 		t.Errorf("continuity gap %v exceeds a frame timeout", gap)
 	}
 }

@@ -463,7 +463,7 @@ func (m *MRS) failoverBindings(siteName string) {
 	}
 	sort.Slice(ues, func(i, j int) bool { return ues[i].Uint32() < ues[j].Uint32() })
 	for _, ueIP := range ues {
-		m.failover(ueIP)
+		m.move(ueIP, "failover")
 	}
 }
 
@@ -497,63 +497,43 @@ func (m *MRS) HandleHandover(ueIP pkt.Addr, enbName string) {
 		m.scope.Emit("relocate-skip", fmt.Sprintf("%v at %s stays on %s", ueIP, enbName, b.site.Name))
 		return
 	}
-	m.relocate(ueIP)
+	m.move(ueIP, "relocate")
 }
 
-// relocate moves one binding to the edge site local to the UE's new cell:
-// terminate the old dedicated bearer, drop the binding, and replay the
-// connectivity request — SiteFor now prefers the eNB-local site. The stored
-// notify callback delivers the new CI server to the device manager, whose
-// application then runs its own state migration against the old backend.
-func (m *MRS) relocate(ueIP pkt.Addr) {
+// move re-anchors one binding: terminate the old dedicated bearer, drop the
+// binding, and replay the original connectivity request. The kind names the
+// cause and prefixes the emitted events:
+//   - "relocate": a handover put the UE in a cell with its own live site,
+//     which SiteFor now prefers;
+//   - "failover": the serving site went dark. The control plane is
+//     centralized, so teardown signaling works even while the site's user
+//     plane is down; a teardown that times out at its switches has had its
+//     control-plane state released by the coordinator's compensations, so
+//     the chain proceeds either way.
+//
+// The stored notify callback tells the device manager about the new CI
+// server — whose application then migrates its state from the old backend
+// — or about the failure, whose capped-backoff retry keeps the session from
+// hanging when no site survives or none has spare capacity.
+func (m *MRS) move(ueIP pkt.Addr, kind string) {
 	b := m.bindings[ueIP]
 	if b == nil || b.failing {
 		return
 	}
 	b.failing = true
-	m.Relocations++
-	m.scope.Emit("relocate-start", fmt.Sprintf("%v from %s", ueIP, b.site.Name))
-	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(err error) {
-		m.unbind(ueIP)
-		m.RequestConnectivity(b.service.Name, ueIP, b.enbName, func(server pkt.Addr, err error) {
-			if err != nil {
-				m.scope.Emit("relocate-failed", fmt.Sprintf("%v: %v", ueIP, err))
-			} else {
-				m.scope.Emit("relocate-done", fmt.Sprintf("%v to %v", ueIP, server))
-			}
-			if b.notify != nil {
-				b.notify(server, err)
-			}
-		})
-	})
-}
-
-// failover re-runs the dedicated-bearer procedure for one UE against a
-// surviving site: terminate the old bearer (the control plane is
-// centralized, so teardown signaling works even while the site's user
-// plane is dark), drop the binding, and replay the original connectivity
-// request. The stored notify callback tells the device manager about the
-// new CI server — or about the failure, whose capped-backoff retry then
-// keeps the session from hanging when no site survives or none has spare
-// capacity.
-func (m *MRS) failover(ueIP pkt.Addr) {
-	b := m.bindings[ueIP]
-	if b == nil || b.failing {
-		return
+	if kind == "failover" {
+		m.Failovers++
+	} else {
+		m.Relocations++
 	}
-	b.failing = true
-	m.Failovers++
-	m.scope.Emit("failover-start", fmt.Sprintf("%v from %s", ueIP, b.site.Name))
-	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(err error) {
-		// Teardown of a bearer toward a dark site may time out at the
-		// user-plane switches; the compensations in the coordinator have
-		// already released control-plane state, so proceed either way.
+	m.scope.Emit(kind+"-start", fmt.Sprintf("%v from %s", ueIP, b.site.Name))
+	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(error) {
 		m.unbind(ueIP)
 		m.RequestConnectivity(b.service.Name, ueIP, b.enbName, func(server pkt.Addr, err error) {
 			if err != nil {
-				m.scope.Emit("failover-failed", fmt.Sprintf("%v: %v", ueIP, err))
+				m.scope.Emit(kind+"-failed", fmt.Sprintf("%v: %v", ueIP, err))
 			} else {
-				m.scope.Emit("failover-done", fmt.Sprintf("%v to %v", ueIP, server))
+				m.scope.Emit(kind+"-done", fmt.Sprintf("%v to %v", ueIP, server))
 			}
 			if b.notify != nil {
 				b.notify(server, err)

@@ -13,7 +13,6 @@ import (
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sdn"
-	"acacia/internal/sim"
 	"acacia/internal/telemetry"
 	"acacia/internal/vision"
 )
@@ -23,42 +22,18 @@ import (
 type TestbedConfig struct {
 	Seed uint64
 
-	// Radio link (UE <-> eNB). Defaults: 24 Mbps up / 40 Mbps down,
+	// Radio link (UE <-> eNB). Defaults: 24 Mbps up (40 Mbps down, fixed),
 	// 4.5 ms one-way delay with 2 ms exponential scheduling jitter.
-	RadioULBps, RadioDLBps float64
-	RadioDelay             time.Duration
-	RadioJitter            time.Duration
+	RadioULBps  float64
+	RadioDelay  time.Duration
+	RadioJitter time.Duration
 
-	// BackhaulDelay is eNB <-> aggregation router (default 0.5 ms).
-	BackhaulDelay time.Duration
 	// CoreDelay is the one-way backhaul-to-centralized-gateways latency
 	// (default 15 ms: the hierarchical-routing penalty of §4).
 	CoreDelay time.Duration
-	// SharedCoreBps bounds the centralized SGW-U <-> PGW-U link that all
-	// default-bearer traffic shares (default 100 Mbps, the saturation
-	// point of Fig. 3(g)); SharedCoreQueue is its buffer (default 16 MiB —
-	// LTE-style deep buffers, producing the paper's second-scale delays at
-	// saturation).
-	SharedCoreBps   float64
-	SharedCoreQueue int
-	// CloudDelays place internet servers behind the core PGW: name ->
-	// one-way delay from the internet router. Default: the paper's three
-	// EC2 regions (CA 13 ms, OR 23 ms, VA 40 ms).
-	CloudDelays map[string]time.Duration
-	// EdgeDelay is the per-hop latency inside the edge cloud
-	// (default 100 µs; eNB->MEC measures ≈1.6 ms RTT as in §7.2).
-	EdgeDelay time.Duration
-
-	// GWCosts selects the GW-U per-packet processing model
-	// (default sdn.ACACIAGWCosts).
-	GWCosts sdn.PathCosts
 
 	// IdleTimeout overrides the LTE inactivity timer (default 11.576 s).
 	IdleTimeout time.Duration
-
-	// EdgeDevice and CloudDevice pick the AR servers' compute models
-	// (default: eight-core i7 for both).
-	EdgeDevice, CloudDevice compute.Device
 
 	// Scheme sets the edge AR back-end's search-space strategy (default
 	// SchemeACACIA). The cloud back-end is always Naive.
@@ -76,44 +51,33 @@ type TestbedConfig struct {
 	DiscoveryPeriod time.Duration
 }
 
+// radioDLBps is the downlink rate of every UE's radio link.
+const radioDLBps = 40e6
+
+// cloudRegions place the paper's three EC2 regions behind the internet
+// router, in link order, with their one-way delay from it.
+var cloudRegions = []struct {
+	name  string
+	addr  pkt.Addr
+	delay time.Duration
+}{
+	{"california", pkt.AddrFrom(8, 8, 1, 10), 13 * time.Millisecond},
+	{"oregon", pkt.AddrFrom(8, 8, 2, 10), 23 * time.Millisecond},
+	{"virginia", pkt.AddrFrom(8, 8, 3, 10), 40 * time.Millisecond},
+}
+
 func (c TestbedConfig) withDefaults() TestbedConfig {
-	def := func(f *float64, v float64) {
-		if *f == 0 {
-			*f = v
-		}
-	}
 	defD := func(d *time.Duration, v time.Duration) {
 		if *d == 0 {
 			*d = v
 		}
 	}
-	def(&c.RadioULBps, 24e6)
-	def(&c.RadioDLBps, 40e6)
+	if c.RadioULBps == 0 {
+		c.RadioULBps = 24e6
+	}
 	defD(&c.RadioDelay, 4500*time.Microsecond)
 	defD(&c.RadioJitter, 2*time.Millisecond)
-	defD(&c.BackhaulDelay, 500*time.Microsecond)
 	defD(&c.CoreDelay, 15*time.Millisecond)
-	def(&c.SharedCoreBps, 100e6)
-	if c.SharedCoreQueue == 0 {
-		c.SharedCoreQueue = 16 << 20
-	}
-	if c.CloudDelays == nil {
-		c.CloudDelays = map[string]time.Duration{
-			"california": 13 * time.Millisecond,
-			"oregon":     23 * time.Millisecond,
-			"virginia":   40 * time.Millisecond,
-		}
-	}
-	defD(&c.EdgeDelay, 100*time.Microsecond)
-	if c.GWCosts == (sdn.PathCosts{}) {
-		c.GWCosts = sdn.ACACIAGWCosts
-	}
-	if c.EdgeDevice.Name == "" {
-		c.EdgeDevice = compute.I7x8
-	}
-	if c.CloudDevice.Name == "" {
-		c.CloudDevice = compute.I7x8
-	}
 	if c.NumUEs == 0 {
 		c.NumUEs = 1
 	}
@@ -132,24 +96,6 @@ const (
 	RetailPolicyID    = "retail-ar"
 )
 
-// SiteBundle groups the pieces of one edge site: the local user-plane
-// switches, the CI server with its AR backend and localization manager,
-// and the site's links (the fault injector's crash target).
-type SiteBundle struct {
-	Name     string
-	SGW, PGW *sdn.Switch
-	CI       *netsim.Host
-	Backend  *ARBackend
-	// Loc is the site-local localization manager: each CI server tracks
-	// only the users bound to it. After a failover the adopting site
-	// starts cold and its backend falls back to full-database search until
-	// the user's landmark reports re-accumulate there.
-	Loc      *LocalizationManager
-	SGWPlane string
-	PGWPlane string
-	links    []*netsim.Link
-}
-
 // UEBundle groups one customer device's pieces.
 type UEBundle struct {
 	UE       *epc.UE
@@ -159,22 +105,17 @@ type UEBundle struct {
 	Name     string
 }
 
-// Testbed is the fully wired ACACIA environment.
+// Testbed is the fully wired ACACIA environment: a Metro plus the retail
+// deployment on it and the internet side behind its SGi node.
 type Testbed struct {
+	*Metro
 	Cfg TestbedConfig
-	Eng *sim.Engine
-	Net *netsim.Network
-	Ctl *sdn.Controller
-	EPC *epc.Core
 	MRS *MRS
-	ENB *epc.ENB
-	// ENBs lists every base station (ENB plus any neighbours added with
-	// AddNeighborENB).
-	ENBs      []*epc.ENB
-	aggRouter *netsim.Router
-	D2D       *d2d.Env
-	Floor     *geo.Floor
-	DB        *vision.DB
+	// ENB is the store's first cell, ENBs[0].
+	ENB   *epc.ENB
+	D2D   *d2d.Env
+	Floor *geo.Floor
+	DB    *vision.DB
 	// Loc is edge-1's localization manager (every site carries its own in
 	// SiteBundle.Loc; this field aliases Sites[0].Loc for the single-site
 	// experiments).
@@ -186,145 +127,77 @@ type Testbed struct {
 
 	UEs []*UEBundle
 
-	// Servers.
-	CIServer    *netsim.Host // edge CI server
+	// Servers. CIServer and EdgeBackend alias edge-1's.
+	CIServer    *netsim.Host
 	CentralMEC  *netsim.Host // MEC server behind the centralized GWs
 	CloudHosts  map[string]*netsim.Host
 	EdgeBackend *ARBackend
 	MECBackend  *ARBackend // Naive backend on the central MEC server
 	CloudAR     *ARBackend // Naive backend on the California cloud server
 
-	// Switches.
-	CoreSGW, CorePGW, EdgeSGW, EdgePGW *sdn.Switch
-
-	// SharedCoreLink is the 100 Mbps bottleneck all default-bearer traffic
-	// crosses (background traffic injection point for Fig. 3(g)/10(b)).
-	SharedCoreLink *netsim.Link
+	// EdgeSGW and EdgePGW alias edge-1's switches.
+	EdgeSGW, EdgePGW *sdn.Switch
 
 	// Faults injects deterministic outages against registered targets:
 	// the control links ("s11", "s5"), "shared-core", and every edge site
-	// by name. Sites lists the edge sites in creation order ("edge-1"
-	// first); AddEdgeSite extends both.
+	// by name ("edge-1" first; AddEdgeSite registers the rest).
 	Faults *fault.Injector
-	Sites  []*SiteBundle
 
 	// BGSource/BGSink generate and absorb background load through the
-	// shared core.
+	// shared core (SharedCoreLink, the Fig. 3(g)/10(b) bottleneck).
 	BGSource *netsim.Host
 	BGSink   *netsim.Host
 }
 
-// NewTestbed builds the standard topology:
+// NewTestbed builds the standard topology, a Metro with one eNB and one
+// edge site plus the internet side:
 //
-//	UEs --radio-- eNB -- router --+-- core SGW-U ==100Mbps== core PGW-U --+-- inet rtr -- clouds
-//	                              |                                       +-- central MEC server
-//	                              +-- edge SGW-U -- edge PGW-U -- CI server
+//	UEs --radio-- enb -- router --+-- core SGW-U ==100Mbps== core PGW-U -- inet rtr --+-- clouds
+//	                              |                                                   +-- central MEC server
+//	                              +-- edge-1 SGW-U -- edge-1 PGW-U -- edge-1 CI
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	cfg = cfg.withDefaults()
-	eng := sim.NewEngine(cfg.Seed)
-	nw := netsim.New(eng)
-	ctl := sdn.NewController(eng)
-	ctl.RTT = 200 * time.Microsecond
-
+	m := NewMetro(MetroConfig{
+		Seed: cfg.Seed, WireBps: 1e9, CoreDelay: cfg.CoreDelay, SiteDelay: fabricDelay,
+		// Every default bearer shares 100 Mbps, the saturation point of
+		// Fig. 3(g), behind a 16 MiB LTE-style deep buffer that produces
+		// the paper's second-scale delays at saturation.
+		SharedCore: netsim.LinkConfig{BitsPerSecond: 100e6, Propagation: 300 * time.Microsecond, QueueBytes: 16 << 20},
+		ENBs:       []string{"enb"}, Sites: []string{"edge-1"},
+	})
 	tb := &Testbed{
-		Cfg: cfg, Eng: eng, Net: nw, Ctl: ctl,
+		Metro: m, Cfg: cfg,
 		Floor:      geo.RetailFloor(),
 		CloudHosts: make(map[string]*netsim.Host),
 	}
 
-	gbit := func(d time.Duration) netsim.LinkConfig {
-		return netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: d}
+	// Background traffic enters at the router, bound for the internet sink.
+	bgSrcN := m.Net.AddNode("bg-src", pkt.AddrFrom(10, 1, 1, 1))
+	m.uplink(bgSrcN, 100*time.Microsecond)
+	m.Router.AddRoute(pkt.AddrFrom(8, 8, 0, 0), pkt.Addr{255, 255, 0, 0}, m.Router.Lookup(m.CoreSGW.Node().Addr()))
+
+	inetRtr := netsim.NewRouter(m.SGi)
+	inetRtr.AddRoute(pkt.AddrFrom(172, 16, 0, 0), pkt.Addr{255, 255, 0, 0}, m.SGi.Port(0))
+	// internet hangs a ping-answering host off the SGi router.
+	internet := func(name string, addr pkt.Addr, d time.Duration) *netsim.Host {
+		n := m.Net.AddNode(name, addr)
+		inetRtr.AddHostRoute(addr, m.Net.ConnectSymmetric(m.SGi, n, m.wire(d)).A)
+		h := netsim.NewHost(n)
+		h.Listen(netsim.PingPort, netsim.PingResponder{})
+		return h
 	}
-
-	// Nodes.
-	enbN := nw.AddNode("enb", pkt.AddrFrom(10, 1, 0, 1))
-	rtrN := nw.AddNode("agg-router", pkt.AddrFrom(10, 1, 0, 254))
-	coreSGWN := nw.AddNode("core-sgw-u", pkt.AddrFrom(10, 2, 0, 1))
-	corePGWN := nw.AddNode("core-pgw-u", pkt.AddrFrom(10, 2, 0, 2))
-	inetRtrN := nw.AddNode("inet-router", pkt.AddrFrom(8, 8, 0, 254))
-	mecCentralN := nw.AddNode("central-mec", pkt.AddrFrom(10, 2, 0, 10))
-	edgeSGWN := nw.AddNode("edge-sgw-u", pkt.AddrFrom(10, 3, 0, 1))
-	edgePGWN := nw.AddNode("edge-pgw-u", pkt.AddrFrom(10, 3, 0, 2))
-	ciN := nw.AddNode("ci-server", pkt.AddrFrom(10, 3, 0, 10))
-	bgSrcN := nw.AddNode("bg-src", pkt.AddrFrom(10, 1, 1, 1))
-	bgSinkN := nw.AddNode("bg-sink", pkt.AddrFrom(8, 8, 9, 9))
-
-	// eNB port 0 = backhaul (must exist before UEs connect).
-	nw.ConnectSymmetric(enbN, rtrN, gbit(cfg.BackhaulDelay))
-	nw.ConnectSymmetric(rtrN, coreSGWN, gbit(cfg.CoreDelay)) // rtr:1
-	tb.SharedCoreLink = nw.ConnectSymmetric(coreSGWN, corePGWN, netsim.LinkConfig{
-		BitsPerSecond: cfg.SharedCoreBps,
-		Propagation:   300 * time.Microsecond,
-		QueueBytes:    cfg.SharedCoreQueue,
-	})
-	nw.ConnectSymmetric(corePGWN, inetRtrN, gbit(2*time.Millisecond))       // pgw:1 (SGi)
-	edgeRtrLink := nw.ConnectSymmetric(rtrN, edgeSGWN, gbit(cfg.EdgeDelay)) // rtr:2
-	edgeFabricLink := nw.ConnectSymmetric(edgeSGWN, edgePGWN, gbit(cfg.EdgeDelay))
-	edgeCILink := nw.ConnectSymmetric(edgePGWN, ciN, gbit(cfg.EdgeDelay))
-	nw.ConnectSymmetric(rtrN, bgSrcN, gbit(100*time.Microsecond)) // rtr:3
-
-	rtr := netsim.NewRouter(rtrN)
-	rtr.AddHostRoute(enbN.Addr(), rtrN.Port(0))
-	rtr.AddHostRoute(coreSGWN.Addr(), rtrN.Port(1))
-	rtr.AddHostRoute(edgeSGWN.Addr(), rtrN.Port(2))
-	rtr.AddHostRoute(bgSrcN.Addr(), rtrN.Port(3))
-	// Background traffic enters here destined for the internet sink.
-	rtr.AddRoute(pkt.AddrFrom(8, 8, 0, 0), pkt.Addr{255, 255, 0, 0}, rtrN.Port(1))
-	tb.aggRouter = rtr
-
-	inetRtr := netsim.NewRouter(inetRtrN)
-	inetRtr.AddRoute(pkt.AddrFrom(172, 16, 0, 0), pkt.Addr{255, 255, 0, 0}, inetRtrN.Port(0))
-	nw.ConnectSymmetric(inetRtrN, bgSinkN, gbit(100*time.Microsecond))
-	inetRtr.AddHostRoute(bgSinkN.Addr(), inetRtrN.Port(1))
+	tb.BGSink = internet("bg-sink", pkt.AddrFrom(8, 8, 9, 9), 100*time.Microsecond)
 	// The central-MEC server sits just behind the centralized gateways:
 	// minimal extra distance, but its traffic still crosses the shared
 	// core bottleneck (the Fig. 10(b) "EPC with MEC" configuration).
-	nw.ConnectSymmetric(inetRtrN, mecCentralN, gbit(300*time.Microsecond))
-	inetRtr.AddHostRoute(mecCentralN.Addr(), inetRtrN.Port(2))
-
-	// Cloud servers by region.
-	cloudAddrs := map[string]pkt.Addr{
-		"california": pkt.AddrFrom(8, 8, 1, 10),
-		"oregon":     pkt.AddrFrom(8, 8, 2, 10),
-		"virginia":   pkt.AddrFrom(8, 8, 3, 10),
-	}
-	for _, name := range []string{"california", "oregon", "virginia"} {
-		delay, ok := cfg.CloudDelays[name]
-		if !ok {
-			continue
-		}
-		n := nw.AddNode("cloud-"+name, cloudAddrs[name])
-		nw.ConnectSymmetric(inetRtrN, n, netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: delay})
-		inetRtr.AddHostRoute(n.Addr(), inetRtrN.Port(len(inetRtrN.Ports())-1))
-		h := netsim.NewHost(n)
-		h.Listen(netsim.PingPort, netsim.PingResponder{})
-		tb.CloudHosts[name] = h
+	tb.CentralMEC = internet("central-mec", pkt.AddrFrom(10, 2, 0, 10), 300*time.Microsecond)
+	for _, r := range cloudRegions {
+		tb.CloudHosts[r.name] = internet("cloud-"+r.name, r.addr, r.delay)
 	}
 
-	// Switches.
-	tb.CoreSGW = sdn.NewSwitch(1, coreSGWN, cfg.GWCosts)
-	tb.CorePGW = sdn.NewSwitch(2, corePGWN, cfg.GWCosts)
-	tb.EdgeSGW = sdn.NewSwitch(3, edgeSGWN, cfg.GWCosts)
-	tb.EdgePGW = sdn.NewSwitch(4, edgePGWN, cfg.GWCosts)
-	for _, sw := range []*sdn.Switch{tb.CoreSGW, tb.CorePGW, tb.EdgeSGW, tb.EdgePGW} {
-		ctl.AddSwitch(sw)
-	}
-
-	// EPC control plane.
-	tb.EPC = epc.NewCore(epc.Config{
-		Eng: eng, Net: nw, Ctl: ctl,
-		S1APDelay:   2 * time.Millisecond,
-		GTPv2Delay:  time.Millisecond,
-		IdleTimeout: cfg.IdleTimeout,
-	})
-	tb.EPC.SGWC.AddUserPlane("core-sgw", tb.CoreSGW, 0, 1)
-	tb.EPC.PGWC.AddUserPlane("core-pgw", tb.CorePGW, 0, 1)
-	tb.EPC.SGWC.AddUserPlane("edge-sgw", tb.EdgeSGW, 0, 1)
-	tb.EPC.PGWC.AddUserPlane("edge-pgw", tb.EdgePGW, 0, 1)
+	m.Start(cfg.IdleTimeout)
+	tb.ENB = m.ENBs[0]
 	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: RetailPolicyID, QCI: pkt.QCIMEC, ARP: 2, Precedence: 10})
-
-	tb.ENB = epc.NewENB(tb.EPC, enbN)
-	tb.ENBs = []*epc.ENB{tb.ENB}
 
 	// Static flow chain for background traffic through the shared core
 	// (another tenant's load, present regardless of our UEs).
@@ -333,13 +206,12 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		Match:   pkt.Match{IPv4Src: pkt.AddrPtr(bgSrcN.Addr())},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
 	}
-	ctl.InstallFlow(tb.CoreSGW, bg)
-	ctl.InstallFlow(tb.CorePGW, bg)
+	m.Ctl.InstallFlow(m.CoreSGW, bg)
+	m.Ctl.InstallFlow(m.CorePGW, bg)
 	tb.BGSource = netsim.NewHost(bgSrcN)
-	tb.BGSink = netsim.NewHost(bgSinkN)
 
 	// Radio environment, landmarks and localization.
-	tb.D2D = d2d.NewEnv(eng)
+	tb.D2D = d2d.NewEnv(m.Eng)
 	for i, lm := range tb.Floor.Landmarks {
 		// The publisher device carries the landmark's name: discovery
 		// messages identify the landmark by their From field, which the
@@ -350,55 +222,34 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		dev.Publish(RetailServiceName, code, lm.Section, cfg.DiscoveryPeriod)
 	}
 	tb.locFit = CalibrateFromChannel(tb.D2D.PathLoss, nil)
-	tb.Loc = NewLocalizationManager(tb.Floor, tb.locFit)
 	tb.DB = vision.BuildRetailDB(tb.Floor, cfg.DBFeatures)
 
-	// Servers and backends.
-	tb.CIServer = netsim.NewHost(ciN)
-	tb.CIServer.Listen(netsim.PingPort, netsim.PingResponder{})
-	tb.EdgeBackend = NewARBackend(tb.CIServer, cfg.EdgeDevice, cfg.Scheme, tb.Floor, tb.DB, tb.Loc)
-
-	tb.CentralMEC = netsim.NewHost(mecCentralN)
-	tb.CentralMEC.Listen(netsim.PingPort, netsim.PingResponder{})
-	tb.MECBackend = NewARBackend(tb.CentralMEC, cfg.CloudDevice, SchemeNaive, tb.Floor, tb.DB, nil)
-
-	if ca := tb.CloudHosts["california"]; ca != nil {
-		tb.CloudAR = NewARBackend(ca, cfg.CloudDevice, SchemeNaive, tb.Floor, tb.DB, nil)
-	}
+	tb.MECBackend = NewARBackend(tb.CentralMEC, compute.I7x8, SchemeNaive, tb.Floor, tb.DB, nil)
+	tb.CloudAR = NewARBackend(tb.CloudHosts["california"], compute.I7x8, SchemeNaive, tb.Floor, tb.DB, nil)
 
 	// MRS and the retail service.
 	tb.MRS = NewMRS(tb.EPC)
-	tb.MRS.RegisterService(CIService{
-		Name:     RetailServiceName,
-		PolicyID: RetailPolicyID,
-		Sites: []EdgeSite{{
-			Name: "edge-1", CIServer: ciN.Addr(),
-			SGWPlane: "edge-sgw", PGWPlane: "edge-pgw",
-			ENBs: []string{"enb"},
-		}},
-	})
+	tb.MRS.RegisterService(CIService{Name: RetailServiceName, PolicyID: RetailPolicyID})
 	// Handover completions flow into the MRS so it can re-anchor the MEC
 	// binding when the UE's new cell has a closer edge site (DESIGN.md §3j).
 	tb.EPC.MME.OnHandoverComplete = func(sess *epc.Session, _, target *epc.ENB) {
 		tb.MRS.HandleHandover(sess.UE.Addr(), target.Name())
 	}
 
-	// Fault-injection targets: the named control/bottleneck links and the
-	// default edge site as a crash group.
-	tb.Faults = fault.NewInjector(eng)
+	// Fault-injection targets: the named control/bottleneck links, then
+	// edge-1 as a crash group.
+	tb.Faults = fault.NewInjector(m.Eng)
 	tb.Faults.RegisterLink("s11", tb.EPC.S11Link())
 	tb.Faults.RegisterLink("s5", tb.EPC.S5Link())
-	tb.Faults.RegisterLink("shared-core", tb.SharedCoreLink)
-	site1 := &SiteBundle{
-		Name: "edge-1", SGW: tb.EdgeSGW, PGW: tb.EdgePGW,
-		CI: tb.CIServer, Backend: tb.EdgeBackend, Loc: tb.Loc,
-		SGWPlane: "edge-sgw", PGWPlane: "edge-pgw",
-		links: []*netsim.Link{edgeRtrLink, edgeFabricLink, edgeCILink},
-	}
-	tb.Sites = []*SiteBundle{site1}
-	tb.Faults.RegisterSite(site1.Name, site1.links...)
-	rtr.AddHostRoute(ciN.Addr(), rtrN.Port(2))
-	tb.routeSiteCI(site1)
+	tb.Faults.RegisterLink("shared-core", m.SharedCoreLink)
+
+	site1 := m.Sites[0]
+	tb.equipSite(site1)
+	edge1 := site1.EdgeSite()
+	edge1.ENBs = []string{"enb"}
+	tb.MRS.AddSite(RetailServiceName, edge1)
+	tb.Loc, tb.CIServer, tb.EdgeBackend = site1.Loc, site1.CI, site1.Backend
+	tb.EdgeSGW, tb.EdgePGW = site1.SGW, site1.PGW
 
 	// UEs.
 	for i := 0; i < cfg.NumUEs; i++ {
@@ -408,53 +259,28 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 }
 
 // AddEdgeSite deploys another edge cloud instance on the aggregation
-// router: its own SGW-U/PGW-U pair, CI server, AR backend and localization
-// manager, registered with the retail service as a failover candidate (no
-// eNB lists it, so the MRS only selects it when sites local to the UE's
-// eNB are down) and with the fault injector as a crash group.
+// router: the Metro's site plus its retail pieces (equipSite), registered
+// with the retail service as a failover candidate (no eNB lists it, so the
+// MRS only selects it when sites local to the UE's eNB are down).
 func (tb *Testbed) AddEdgeSite(name string) *SiteBundle {
-	idx := len(tb.Sites)
-	base := byte(3 + idx)
-	gbit := netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: tb.Cfg.EdgeDelay}
-	rtrN := tb.Net.Node("agg-router")
-	sgwN := tb.Net.AddNode(name+"-sgw-u", pkt.AddrFrom(10, base, 0, 1))
-	pgwN := tb.Net.AddNode(name+"-pgw-u", pkt.AddrFrom(10, base, 0, 2))
-	ciN := tb.Net.AddNode(name+"-ci", pkt.AddrFrom(10, base, 0, 10))
-
-	rtrLink := tb.Net.ConnectSymmetric(rtrN, sgwN, gbit)
-	tb.aggRouter.AddHostRoute(sgwN.Addr(), rtrN.Port(len(rtrN.Ports())-1))
-	tb.aggRouter.AddHostRoute(ciN.Addr(), rtrN.Port(len(rtrN.Ports())-1))
-	fabricLink := tb.Net.ConnectSymmetric(sgwN, pgwN, gbit)
-	ciLink := tb.Net.ConnectSymmetric(pgwN, ciN, gbit)
-
-	// DPIDs continue the 3/4 = edge-1 pattern: site idx gets 3+2*idx and
-	// 4+2*idx (core switches hold 1/2).
-	sgw := sdn.NewSwitch(uint64(3+2*idx), sgwN, tb.Cfg.GWCosts)
-	pgw := sdn.NewSwitch(uint64(4+2*idx), pgwN, tb.Cfg.GWCosts)
-	tb.Ctl.AddSwitch(sgw)
-	tb.Ctl.AddSwitch(pgw)
-	tb.EPC.SGWC.AddUserPlane(name+"-sgw", sgw, 0, 1)
-	tb.EPC.PGWC.AddUserPlane(name+"-pgw", pgw, 0, 1)
-
-	ci := netsim.NewHost(ciN)
-	ci.Listen(netsim.PingPort, netsim.PingResponder{})
-	loc := NewLocalizationManager(tb.Floor, tb.locFit)
-	backend := NewARBackend(ci, tb.Cfg.EdgeDevice, tb.Cfg.Scheme, tb.Floor, tb.DB, loc)
-
-	s := &SiteBundle{
-		Name: name, SGW: sgw, PGW: pgw, CI: ci, Backend: backend, Loc: loc,
-		SGWPlane: name + "-sgw", PGWPlane: name + "-pgw",
-		links: []*netsim.Link{rtrLink, fabricLink, ciLink},
-	}
-	tb.Sites = append(tb.Sites, s)
-	tb.Faults.RegisterSite(name, s.links...)
-	tb.MRS.AddSite(RetailServiceName, EdgeSite{
-		Name: name, CIServer: ciN.Addr(),
-		SGWPlane: s.SGWPlane, PGWPlane: s.PGWPlane,
-	})
-	tb.routeSiteCI(s)
+	s := tb.AddSite(name)
+	tb.equipSite(s)
+	tb.MRS.AddSite(RetailServiceName, s.EdgeSite())
 	tb.Eng.Metrics().Scope("core/testbed").Emit("site-added", name)
 	return s
+}
+
+// equipSite gives an edge site its retail pieces: a ping responder, AR
+// backend and localization manager on the CI server, a crash group in the
+// fault injector, and the routes that carry session migration between CI
+// servers.
+func (tb *Testbed) equipSite(s *SiteBundle) {
+	s.CI.Listen(netsim.PingPort, netsim.PingResponder{})
+	s.Loc = NewLocalizationManager(tb.Floor, tb.locFit)
+	s.Backend = NewARBackend(s.CI, compute.I7x8, tb.Cfg.Scheme, tb.Floor, tb.DB, s.Loc)
+	tb.Faults.RegisterSite(s.Name, s.links...)
+	tb.Router.AddHostRoute(s.CI.Node.Addr(), s.links[0].A)
+	tb.routeSiteCI(s)
 }
 
 // ciRouteCookie tags the static inter-site routes that carry the session
@@ -517,15 +343,18 @@ func sectionIndex(f *geo.Floor, section string) int {
 	return -1
 }
 
-// AddUE creates one customer device at pos: UE node + radio link, IMSI
-// provisioning, d2d device, device manager and AR front-end.
+// AddUE creates one customer device at pos: UE node + a radio link to
+// every eNB, IMSI provisioning, d2d device, device manager and AR
+// front-end.
 func (tb *Testbed) AddUE(name string, pos geo.Point) *UEBundle {
 	idx := len(tb.UEs)
 	imsi := fmt.Sprintf("0010100000%05d", idx+1)
 	ueN := tb.Net.AddNode(name, pkt.AddrFrom(172, 16, byte(idx/250), byte(2+idx%250)))
 	ue := epc.NewUE(ueN, imsi)
 	b := &UEBundle{UE: ue, Name: name}
-	tb.connectRadio(tb.ENB, b)
+	for _, enb := range tb.ENBs {
+		tb.connectRadio(enb, b)
+	}
 	tb.EPC.HSS.Provision(epc.Subscriber{IMSI: imsi})
 
 	dev := tb.D2D.AddDevice(name, pos)
@@ -534,11 +363,6 @@ func (tb *Testbed) AddUE(name string, pos geo.Point) *UEBundle {
 	b.Frontend = NewARFrontend(ue.Host, name, compute.Resolution{W: 720, H: 480}, pos)
 	tb.UEs = append(tb.UEs, b)
 	return b
-}
-
-func lastLink(nw *netsim.Network) *netsim.Link {
-	links := nw.Links()
-	return links[len(links)-1]
 }
 
 // Attach runs the initial attach for a UE bundle and waits for completion.
@@ -599,17 +423,10 @@ func (tb *Testbed) AddNeighborENB(name string) *epc.ENB {
 // site bound to the new cell (BindSiteToENB) when one is live — the
 // cross-site mobility case of DESIGN.md §3j.
 func (tb *Testbed) AddCellENB(name string) *epc.ENB {
-	rtrN := tb.Net.Node("agg-router")
-	enbN := tb.Net.AddNode(name, pkt.AddrFrom(10, 1, 0, byte(2+len(tb.ENBs))))
-	tb.Net.ConnectSymmetric(enbN, rtrN, netsim.LinkConfig{
-		BitsPerSecond: 1e9, Propagation: tb.Cfg.BackhaulDelay,
-	})
-	tb.aggRouter.AddHostRoute(enbN.Addr(), rtrN.Port(len(rtrN.Ports())-1))
-	enb := epc.NewENB(tb.EPC, enbN)
+	enb := tb.AddENB(name)
 	for _, b := range tb.UEs {
 		tb.connectRadio(enb, b)
 	}
-	tb.ENBs = append(tb.ENBs, enb)
 	return enb
 }
 
@@ -657,12 +474,11 @@ func (tb *Testbed) StartWalk(b *UEBundle, w geo.Walker, cellOf func(geo.Point) i
 // connectRadio links a UE bundle to an eNB with the testbed's radio
 // configuration.
 func (tb *Testbed) connectRadio(enb *epc.ENB, b *UEBundle) {
-	enb.ConnectUE(b.UE, netsim.LinkConfig{
-		BitsPerSecond: tb.Cfg.RadioDLBps,
+	radio := enb.ConnectUE(b.UE, netsim.LinkConfig{
+		BitsPerSecond: radioDLBps,
 		Propagation:   tb.Cfg.RadioDelay,
 		Jitter:        tb.Cfg.RadioJitter,
 	})
-	radio := lastLink(tb.Net)
 	radio.SetConfigAB(netsim.LinkConfig{
 		BitsPerSecond: tb.Cfg.RadioULBps,
 		Propagation:   tb.Cfg.RadioDelay,

@@ -29,12 +29,13 @@ import (
 	"acacia/internal/telemetry"
 )
 
-// Transport defaults: T3 is the retransmission timeout, N3 the retry budget
-// (TS 29.274 §7.6 uses T3-RESPONSE/N3-REQUESTS; 3 s / 3 tries on real
-// hardware — the testbed uses a shorter timer scaled to its link delays).
+// T3 is the per-attempt retransmission timeout; N3 bounds the number of
+// retransmissions before a transaction fails terminally (TS 29.274 §7.6
+// uses T3-RESPONSE/N3-REQUESTS; 3 s / 3 tries on real hardware — the
+// testbed uses a shorter timer scaled to its link delays).
 const (
-	DefaultT3 = 100 * time.Millisecond
-	DefaultN3 = 3
+	T3 = 100 * time.Millisecond
+	N3 = 3
 )
 
 // AckBytes is the wire size of a transport-level ack frame (an SCTP SACK
@@ -53,15 +54,11 @@ type TxInfo struct {
 	RTT       time.Duration
 }
 
-// Transport owns the transaction configuration shared by every control
-// endpoint (timers, retry budget), the epc/txn/* counters and latency
-// histogram, and the frame and transaction pools every endpoint draws from.
+// Transport owns what every control endpoint shares: the epc/txn/*
+// counters and latency histogram, and the frame and transaction pools
+// every endpoint draws from.
 type Transport struct {
 	eng *sim.Engine
-	// T3 is the per-attempt retransmission timeout; N3 bounds the number
-	// of retransmissions before the transaction fails terminally.
-	T3 time.Duration
-	N3 int
 
 	sent     *telemetry.Counter
 	retrans  *telemetry.Counter
@@ -85,12 +82,12 @@ type Transport struct {
 	txnFree []*txn
 }
 
-// NewTransport creates the engine's control transport with default timers,
-// registering its metrics in the engine's registry.
+// NewTransport creates the engine's control transport, registering its
+// metrics in the engine's registry.
 func NewTransport(eng *sim.Engine) *Transport {
 	scope := eng.Metrics().Scope("epc").Scope("txn")
 	return &Transport{
-		eng: eng, T3: DefaultT3, N3: DefaultN3,
+		eng:      eng,
 		sent:     scope.Counter("sent"),
 		retrans:  scope.Counter("retransmissions"),
 		timeouts: scope.Counter("timeouts"),
@@ -398,7 +395,7 @@ func (ep *Endpoint) transmit(tx *txn) {
 	p := ep.node.Network().ClonePacket(tx.tpl)
 	p.CreatedAt = ep.eng.Now()
 	tx.route.Send(p)
-	tx.timer = ep.eng.ScheduleArg(ep.tr.T3, ep.expireF, tx)
+	tx.timer = ep.eng.ScheduleArg(T3, ep.expireF, tx)
 }
 
 // expireArg adapts expire to the engine's pre-bound callback shape.
@@ -411,7 +408,7 @@ func (ep *Endpoint) expire(tx *txn) {
 	if ep.pending[key] != tx {
 		return // acked in the meantime
 	}
-	if tx.retries >= ep.tr.N3 {
+	if tx.retries >= N3 {
 		delete(ep.pending, key)
 		ep.tr.timeouts.Inc()
 		ep.eng.Metrics().Scope("epc/txn").Emit("timeout",

@@ -90,7 +90,7 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	}
 	eng.Run()
 	if failures != 0 {
-		t.Fatalf("%d transactions timed out at 5%% loss with N3=%d retries", failures, tr.N3)
+		t.Fatalf("%d transactions timed out at 5%% loss with N3=%d retries", failures, N3)
 	}
 	if len(delivered) != n {
 		t.Fatalf("delivered %d distinct transactions, want %d", len(delivered), n)
@@ -147,11 +147,11 @@ func TestTimeoutAfterRetryBudget(t *testing.T) {
 	if tr.Timeouts() != 1 {
 		t.Errorf("timeouts counter = %d, want 1", tr.Timeouts())
 	}
-	if got := uint64(tr.N3); tr.Retransmissions() != got {
+	if got := uint64(N3); tr.Retransmissions() != got {
 		t.Errorf("retransmissions = %d, want the full budget %d", tr.Retransmissions(), got)
 	}
 	// Terminal failure lands after (N3+1) armed timers, not earlier.
-	wantElapsed := time.Duration(tr.N3+1) * tr.T3
+	wantElapsed := time.Duration(N3+1) * T3
 	if elapsed := eng.Now().Sub(start); elapsed < wantElapsed {
 		t.Errorf("failed after %v, want >= %v", elapsed, wantElapsed)
 	}

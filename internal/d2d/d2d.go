@@ -266,9 +266,6 @@ func (e *Env) pubStopped() {
 	e.ulUtilization.Set(UplinkUtilization(e.activePubs, e.lastPeriod))
 }
 
-// Sensitivity reports the environment's decode threshold in dBm.
-func (e *Env) Sensitivity() float64 { return e.sensitivity }
-
 // AddDevice registers a new device at pos.
 func (e *Env) AddDevice(name string, pos geo.Point) *Device {
 	for _, d := range e.devices {

@@ -17,21 +17,21 @@ type Config struct {
 	Eng *sim.Engine
 	Net *netsim.Network
 	Ctl *sdn.Controller
-	// S1APDelay is the one-way eNB<->MME control latency: the propagation
-	// delay of each eNB's S1-MME control link.
-	S1APDelay time.Duration
-	// GTPv2Delay is the one-way latency between core control entities: the
-	// propagation delay of the S11 and S5 control links.
-	GTPv2Delay time.Duration
 	// IdleTimeout overrides the LTE inactivity timeout (tests shorten it);
 	// zero selects the standard 11.576 s.
 	IdleTimeout time.Duration
 }
 
-// ctlLinkBps is the serialization rate of every control-plane link.
-// Control messages are small, so serialization adds microseconds on top of
-// the configured propagation delays.
-const ctlLinkBps = 1e9
+// Control links: ctlLinkBps is every control link's serialization rate
+// (control messages are small, so serialization adds microseconds on top
+// of propagation). s1apDelay is the one-way propagation delay of each eNB's
+// S1-MME link; gtpv2Delay that of the S11 and S5 links between core
+// control entities.
+const (
+	ctlLinkBps = 1e9
+	s1apDelay  = 2 * time.Millisecond
+	gtpv2Delay = time.Millisecond
+)
 
 // Core is the evolved packet core control plane: one MME, HSS and PCRF,
 // plus split gateway control planes managing any number of user planes.
@@ -117,7 +117,7 @@ func NewCore(cfg Config) *Core {
 	c.mmeEP = c.Txn.Endpoint(mmeN, true)
 	c.sgwEP = c.Txn.Endpoint(sgwN, true)
 	c.pgwEP = c.Txn.Endpoint(pgwN, true)
-	coreCfg := netsim.LinkConfig{BitsPerSecond: ctlLinkBps, Propagation: cfg.GTPv2Delay}
+	coreCfg := netsim.LinkConfig{BitsPerSecond: ctlLinkBps, Propagation: gtpv2Delay}
 	c.s11Link = ctl.Connect(c.mmeEP, c.sgwEP, coreCfg)
 	c.s5Link = ctl.Connect(c.sgwEP, c.pgwEP, coreCfg)
 

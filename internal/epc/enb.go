@@ -26,10 +26,6 @@ type ENB struct {
 	ep     *ctl.Endpoint
 	s1Link *netsim.Link
 
-	// RACHDelay models the radio-side latency of paging response and
-	// service-request ramp-up (RACH + RRC connection establishment).
-	RACHDelay time.Duration
-
 	byUEIP map[pkt.Addr]*ueCtx
 	// byRadio[id] is the context on radio port id, nil for the backhaul and
 	// control ports. Contexts are never removed, so its order is connection
@@ -67,20 +63,23 @@ type ueCtx struct {
 // maxULBuffer bounds uplink buffering during promotion.
 const maxULBuffer = 64
 
+// rachDelay models the radio-side latency of paging response and
+// service-request ramp-up (RACH + RRC connection establishment).
+const rachDelay = 50 * time.Millisecond
+
 // NewENB wraps node as an eNodeB. Port 0 must already be connected to the
 // backhaul before traffic flows.
 func NewENB(core *Core, node *netsim.Node) *ENB {
 	e := &ENB{
-		core:      core,
-		node:      node,
-		RACHDelay: 50 * time.Millisecond,
-		byUEIP:    make(map[pkt.Addr]*ueCtx),
-		byDLTEID:  make(map[uint32]dlKey),
+		core:     core,
+		node:     node,
+		byUEIP:   make(map[pkt.Addr]*ueCtx),
+		byDLTEID: make(map[uint32]dlKey),
 	}
 	node.SetHandler(e.handle)
 	e.ep = core.Txn.Endpoint(node, false)
 	e.s1Link = ctl.Connect(e.ep, core.mmeEP,
-		netsim.LinkConfig{BitsPerSecond: ctlLinkBps, Propagation: core.cfg.S1APDelay})
+		netsim.LinkConfig{BitsPerSecond: ctlLinkBps, Propagation: s1apDelay})
 	e.ticker = sim.NewTicker(core.Eng, 500*time.Millisecond, e.checkIdle)
 	return e
 }
@@ -315,7 +314,7 @@ func (e *ENB) sendServiceRequest(sess *Session) {
 		return
 	}
 	sess.setState(e.core.Eng, StatePromoting)
-	e.core.Eng.Schedule(e.RACHDelay, func() {
+	e.core.Eng.Schedule(rachDelay, func() {
 		msg := &pkt.S1APMsg{
 			Procedure: pkt.S1APInitialUEMessage,
 			ENBUEID:   sess.ENBUEID,
@@ -338,7 +337,7 @@ func (e *ENB) sendServiceRequest(sess *Session) {
 // pageUE delivers a page over the radio; the UE responds with a service
 // request after the paging-cycle delay.
 func (e *ENB) pageUE(sess *Session) {
-	e.core.Eng.Schedule(e.RACHDelay, func() {
+	e.core.Eng.Schedule(rachDelay, func() {
 		if sess.State == StateIdle {
 			e.sendServiceRequest(sess)
 		}

@@ -82,12 +82,7 @@ func buildTestbed(t *testing.T, idle time.Duration) *testbed {
 		ctl.AddSwitch(sw)
 	}
 
-	core := NewCore(Config{
-		Eng: eng, Net: nw, Ctl: ctl,
-		S1APDelay:   2 * time.Millisecond,
-		GTPv2Delay:  time.Millisecond,
-		IdleTimeout: idle,
-	})
+	core := NewCore(Config{Eng: eng, Net: nw, Ctl: ctl, IdleTimeout: idle})
 	tb.core = core
 
 	core.SGWC.AddUserPlane("core-sgw", tb.coreSGW, 0, 1)

@@ -334,7 +334,7 @@ func measureQCIUnderLoad(opts Options, seed uint64, qci pkt.QCI) (median, p95 fl
 	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: "qci-probe", QCI: qci, ARP: 2, Precedence: 7})
 	done := false
 	tb.EPC.PCRF.RequestDedicatedBearer("qci-probe", b.UE.Addr(), tb.CIServer.Node.Addr(),
-		"edge-sgw", "edge-pgw", func(_ uint8, err error) {
+		tb.Sites[0].SGWPlane(), tb.Sites[0].PGWPlane(), func(_ uint8, err error) {
 			if err != nil {
 				panic(err)
 			}

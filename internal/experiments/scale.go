@@ -10,7 +10,6 @@ import (
 	"acacia/internal/epc"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
-	"acacia/internal/sdn"
 	"acacia/internal/sim"
 	"acacia/internal/stats"
 )
@@ -138,15 +137,15 @@ func scaleUEAddr(k int) pkt.Addr {
 }
 
 // Validate reports a shape the generator's addressing cannot build: UEs
-// beyond the 172.16/12 plan above, sites beyond 10.30–10.254 (and the eNB
-// grid's 10.1.1–10.1.255), or eNBs per site beyond one octet.
+// beyond the 172.16/12 plan above, sites beyond core.Metro's 10.3–10.227,
+// or eNBs per site beyond one octet.
 func (c ScaleConfig) Validate() error {
 	c = c.withDefaults()
 	switch {
 	case c.UEs > 16*62500:
 		return fmt.Errorf("scale: %d UEs exceed the %d the 172.16/12 address plan holds", c.UEs, 16*62500)
 	case c.Sites > 225:
-		return fmt.Errorf("scale: %d sites exceed the 225 the 10.30-10.254 address plan holds", c.Sites)
+		return fmt.Errorf("scale: %d sites exceed the 225 the 10.3-10.227 address plan holds", c.Sites)
 	case c.ENBsPerSite > 254:
 		return fmt.Errorf("scale: %d eNBs per site exceed the 254 one address octet holds", c.ENBsPerSite)
 	}
@@ -239,18 +238,7 @@ func invertDiurnal(p float64) float64 {
 // the same cfg and seed produce the same run. cfg must already have its
 // defaults applied.
 func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
-	const (
-		radioDelay    = 5 * time.Millisecond
-		backhaulDelay = 500 * time.Microsecond
-		coreDelay     = 10 * time.Millisecond
-		siteDelay     = 2 * time.Millisecond // rtr -> site SGW-U
-		fabricDelay   = 100 * time.Microsecond
-	)
-
-	eng := sim.NewEngine(seed)
-	nw := netsim.New(eng)
-	ctl := sdn.NewController(eng)
-	ctl.RTT = 200 * time.Microsecond
+	const radioDelay = 5 * time.Millisecond
 
 	out := &scaleRun{sites: make([]scaleSiteOutcome, cfg.Sites)}
 	for i := range out.attachMs {
@@ -258,120 +246,44 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		out.frameMs[i] = &stats.Sample{}
 	}
 
-	link := func(d time.Duration) netsim.LinkConfig {
-		return netsim.LinkConfig{Propagation: d}
-	}
-
-	// Aggregation core: router, centralized default-bearer gateways, SGi
-	// sink.
-	rtrN := nw.AddNode("agg-router", pkt.AddrFrom(10, 1, 0, 254))
-	coreSGWN := nw.AddNode("metro-core-sgw-u", pkt.AddrFrom(10, 2, 0, 1))
-	corePGWN := nw.AddNode("metro-core-pgw-u", pkt.AddrFrom(10, 2, 0, 2))
-	inetN := nw.AddNode("inet-sink", pkt.AddrFrom(8, 8, 0, 10))
-
-	// eNB grid: ENBsPerSite eNBs per site on the router (eNB port 0 must be
-	// the backhaul, so these links precede every UE connection).
-	numENBs := cfg.Sites * cfg.ENBsPerSite
-	enbNodes := make([]*netsim.Node, 0, numENBs)
-	for s := 0; s < cfg.Sites; s++ {
+	// The metro on pure delay lines: ENBsPerSite eNBs per generated site on
+	// the aggregation router, the centralized default-bearer gateways, and
+	// the sites' SGW-U/PGW-U pairs and CI servers.
+	siteNames := make([]string, cfg.Sites)
+	enbNames := make([]string, 0, cfg.Sites*cfg.ENBsPerSite)
+	for s := range siteNames {
+		siteNames[s] = fmt.Sprintf("site-%d", s+1)
 		for e := 0; e < cfg.ENBsPerSite; e++ {
-			n := nw.AddNode(fmt.Sprintf("enb-%d-%d", s+1, e+1), pkt.AddrFrom(10, 1, byte(1+s), byte(1+e)))
-			nw.ConnectSymmetric(n, rtrN, link(backhaulDelay))
-			enbNodes = append(enbNodes, n)
+			enbNames = append(enbNames, fmt.Sprintf("enb-%d-%d", s+1, e+1))
 		}
 	}
-	nw.ConnectSymmetric(rtrN, coreSGWN, link(coreDelay)) // rtr port numENBs
-	nw.ConnectSymmetric(coreSGWN, corePGWN, link(backhaulDelay))
-	nw.ConnectSymmetric(corePGWN, inetN, link(2*time.Millisecond))
-
-	// Generated sites: SGW-U/PGW-U pair plus CI server.
-	type siteNodes struct {
-		name         string
-		sgw, pgw, ci *netsim.Node
-		sgwSW, pgwSW *sdn.Switch
-		sgwPl, pgwPl string
-	}
-	siteList := make([]*siteNodes, cfg.Sites)
-	for s := 0; s < cfg.Sites; s++ {
-		name := fmt.Sprintf("site-%d", s+1)
-		sn := &siteNodes{
-			name:  name,
-			sgw:   nw.AddNode(name+"-sgw-u", pkt.AddrFrom(10, byte(30+s), 0, 1)),
-			pgw:   nw.AddNode(name+"-pgw-u", pkt.AddrFrom(10, byte(30+s), 0, 2)),
-			ci:    nw.AddNode(name+"-ci", pkt.AddrFrom(10, byte(30+s), 0, 10)),
-			sgwPl: name + "-sgw",
-			pgwPl: name + "-pgw",
-		}
-		nw.ConnectSymmetric(rtrN, sn.sgw, link(siteDelay)) // rtr port numENBs+1+s
-		nw.ConnectSymmetric(sn.sgw, sn.pgw, link(fabricDelay))
-		nw.ConnectSymmetric(sn.pgw, sn.ci, link(fabricDelay))
-		siteList[s] = sn
-	}
-
-	rtr := netsim.NewRouter(rtrN)
-	for i, n := range enbNodes {
-		rtr.AddHostRoute(n.Addr(), rtrN.Port(i))
-	}
-	rtr.AddHostRoute(coreSGWN.Addr(), rtrN.Port(numENBs))
-	for s, sn := range siteList {
-		rtr.AddHostRoute(sn.sgw.Addr(), rtrN.Port(numENBs+1+s))
-	}
-
-	// Switches.
-	coreSGW := sdn.NewSwitch(1, coreSGWN, sdn.ACACIAGWCosts)
-	corePGW := sdn.NewSwitch(2, corePGWN, sdn.ACACIAGWCosts)
-	ctl.AddSwitch(coreSGW)
-	ctl.AddSwitch(corePGW)
-	for s, sn := range siteList {
-		sn.sgwSW = sdn.NewSwitch(uint64(3+2*s), sn.sgw, sdn.ACACIAGWCosts)
-		sn.pgwSW = sdn.NewSwitch(uint64(4+2*s), sn.pgw, sdn.ACACIAGWCosts)
-		ctl.AddSwitch(sn.sgwSW)
-		ctl.AddSwitch(sn.pgwSW)
-	}
-
-	// EPC control plane and user planes.
-	ec := epc.NewCore(epc.Config{
-		Eng: eng, Net: nw, Ctl: ctl,
-		S1APDelay:   2 * time.Millisecond,
-		GTPv2Delay:  time.Millisecond,
-		IdleTimeout: time.Hour,
+	m := core.NewMetro(core.MetroConfig{
+		Seed: seed, CoreDelay: 10 * time.Millisecond, SiteDelay: 2 * time.Millisecond,
+		SharedCore: netsim.LinkConfig{Propagation: 500 * time.Microsecond},
+		ENBs:       enbNames, Sites: siteNames,
 	})
-	ec.SGWC.AddUserPlane("metro-core-sgw", coreSGW, 0, 1)
-	ec.PGWC.AddUserPlane("metro-core-pgw", corePGW, 0, 1)
-	for _, sn := range siteList {
-		ec.SGWC.AddUserPlane(sn.sgwPl, sn.sgwSW, 0, 1)
-		ec.PGWC.AddUserPlane(sn.pgwPl, sn.pgwSW, 0, 1)
-	}
+	m.Start(time.Hour)
+	eng, nw, ec := m.Eng, m.Net, m.EPC
 	ec.PCRF.AddRule(epc.PolicyRule{ServiceID: scalePolicy, QCI: pkt.QCIMEC, ARP: 2, Precedence: 10})
-
-	enbs := make([]*epc.ENB, len(enbNodes))
-	for i, n := range enbNodes {
-		enbs[i] = epc.NewENB(ec, n)
-	}
+	netsim.NewHost(m.SGi) // absorbs whatever a default bearer carries out
 
 	// MRS with capacity-based admission: each site is local to its own
 	// eNBs; the UCMEC-style spill and the ErrNoCapacity backoff handle a
 	// site filling up.
 	mrs := core.NewMRS(ec)
 	svc := core.CIService{Name: scaleService, PolicyID: scalePolicy}
-	for s, sn := range siteList {
-		enbNames := make([]string, cfg.ENBsPerSite)
-		for e := 0; e < cfg.ENBsPerSite; e++ {
-			enbNames[e] = enbNodes[s*cfg.ENBsPerSite+e].Name()
-		}
-		svc.Sites = append(svc.Sites, core.EdgeSite{
-			Name: sn.name, CIServer: sn.ci.Addr(),
-			SGWPlane: sn.sgwPl, PGWPlane: sn.pgwPl,
-			ENBs: enbNames, CapacityUnits: cfg.SiteCapacity,
-		})
+	for s, site := range m.Sites {
+		es := site.EdgeSite()
+		lo, hi := s*cfg.ENBsPerSite, (s+1)*cfg.ENBsPerSite
+		es.ENBs, es.CapacityUnits = enbNames[lo:hi:hi], cfg.SiteCapacity
+		svc.Sites = append(svc.Sites, es)
 	}
 	mrs.RegisterService(svc)
 
 	// CI servers: a deterministic FIFO single-server queue per site.
-	netsim.NewHost(inetN)
-	for s, sn := range siteList {
+	for s, site := range m.Sites {
 		st := &out.sites[s]
-		ci := netsim.NewHost(sn.ci)
+		ci := site.CI
 		var busyUntil sim.Time
 		// reply answers a served request packet: bound once per site, the
 		// boxed payload passed through — no Event, closure or box per frame.
@@ -431,8 +343,8 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		if k >= background {
 			site = cfg.FlashSite
 		}
-		enb := enbs[site*cfg.ENBsPerSite+k%cfg.ENBsPerSite]
-		enb.ConnectUE(ue, link(radioDelay))
+		enb := m.ENBs[site*cfg.ENBsPerSite+k%cfg.ENBsPerSite]
+		enb.ConnectUE(ue, netsim.LinkConfig{Propagation: radioDelay})
 		ec.HSS.Provision(epc.Subscriber{IMSI: imsi})
 		ues[k] = ue
 		homeENB[k] = enb
@@ -530,7 +442,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 			}
 			cohort := append([]*epc.UE(nil), pending[:n]...)
 			pending = pending[n:]
-			ec.AttachBatch(cohort, "metro-core-sgw", "metro-core-pgw", func(u *epc.UE, err error) {
+			ec.AttachBatch(cohort, "core-sgw", "core-pgw", func(u *epc.UE, err error) {
 				if err != nil {
 					out.attachErrs++
 					return
@@ -557,8 +469,8 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 
 	eng.RunFor(cfg.Ramp + cfg.Hold)
 
-	for s, sn := range siteList {
-		out.sites[s].Bound = mrs.SiteLoad(sn.name)
+	for s, site := range m.Sites {
+		out.sites[s].Bound = mrs.SiteLoad(site.Name)
 	}
 	out.rejections = mrs.Rejections
 	return out

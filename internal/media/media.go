@@ -6,11 +6,7 @@
 // frames.
 package media
 
-import (
-	"fmt"
-
-	"acacia/internal/compute"
-)
+import "acacia/internal/compute"
 
 // CameraFPS is the measured One+ One camera preview rate by resolution
 // (Fig. 3(e)): full rate up to DVD-class sizes, dropping to 10 FPS at full
@@ -111,6 +107,3 @@ func AppFrameBytes(r compute.Resolution) int {
 
 // String formats the encoding name.
 func (e Encoding) String() string { return e.Name }
-
-// FormatRate renders a bit rate in Mbps for experiment tables.
-func FormatRate(bps float64) string { return fmt.Sprintf("%.1f Mbps", bps/1e6) }

@@ -175,7 +175,6 @@ func (g *GreedyFlow) onTimeout(seq int) {
 }
 
 // Cwnd reports the current congestion window in segments.
-func (g *GreedyFlow) Cwnd() float64 { return g.cwnd }
 
 // NewGreedyReceiver registers the receiving side of a greedy flow on h at
 // port: it acknowledges every segment and exposes goodput via the returned

@@ -328,9 +328,6 @@ func (l *Link) BacklogAB() int { return l.ab.Backlog() }
 // queue only once the drain has finished (arrival order is preserved).
 func (l *Link) SetConfigAB(cfg LinkConfig) { l.ab.cfg = cfg.withDefaults() }
 
-// SetConfigBA replaces the B->A direction configuration.
-func (l *Link) SetConfigBA(cfg LinkConfig) { l.ba.cfg = cfg.withDefaults() }
-
 // SetDown fails (true) or repairs (false) the link: while down, every
 // packet offered in either direction is dropped at the transmitter.
 // Packets already in flight are delivered. Failure-injection for tests and

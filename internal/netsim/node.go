@@ -150,9 +150,6 @@ func (nw *Network) AddNode(name string, addr pkt.Addr) *Node {
 // Node returns the node with the given name, or nil.
 func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
 
-// NodeByAddr returns the node owning addr, or nil.
-func (nw *Network) NodeByAddr(a pkt.Addr) *Node { return nw.byAddr[a] }
-
 // Connect joins two nodes with a link configured independently per
 // direction (ab: a->b, ba: b->a) and returns it. New ports are appended to
 // each node. The link registers with the engine's telemetry registry as a

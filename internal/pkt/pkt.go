@@ -20,20 +20,6 @@ import (
 // ErrTruncated reports input shorter than a header or declared length field.
 var ErrTruncated = errors.New("pkt: truncated input")
 
-// Layer is an encodable/decodable protocol layer.
-type Layer interface {
-	// Encode appends the layer's wire representation to b and returns the
-	// extended slice.
-	Encode(b []byte) []byte
-	// Decode parses the layer from the front of b and returns the number of
-	// bytes consumed.
-	Decode(b []byte) (int, error)
-}
-
-// EncodedLen reports the wire length of a layer by encoding it into a
-// scratch buffer.
-func EncodedLen(l Layer) int { return len(l.Encode(nil)) }
-
 // be is the byte order used by every encoding in this package (network
 // order, as on the wire).
 var be = binary.BigEndian

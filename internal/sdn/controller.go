@@ -41,14 +41,11 @@ type Controller struct {
 	RTT time.Duration
 
 	switches map[uint64]*Switch
-	// byName indexes switches by node name so per-message resolution is a
-	// map probe; order remembers switch registration order for the places
-	// where iteration sequence matters (control-channel wiring creates
-	// links, and with them metric naming and RNG consumption, in a
-	// deterministic order that map iteration would not give).
-	byName map[string]*Switch
-	order  []*Switch
-	xid    uint32
+	// order remembers switch registration order: control-channel wiring
+	// creates links, and with them metric naming and RNG consumption, in a
+	// deterministic order that map iteration would not give.
+	order []*Switch
+	xid   uint32
 
 	// Transactional control channel, set by EnableTransport; every
 	// controller-switch message rides it.
@@ -83,7 +80,6 @@ func NewController(eng *sim.Engine) *Controller {
 	scope := eng.Metrics().Scope("sdn").Scope("controller")
 	return &Controller{
 		switches:  make(map[uint64]*Switch),
-		byName:    make(map[string]*Switch),
 		ByType:    make(map[pkt.OFMsgType]uint64),
 		sent:      scope.Counter("sent"),
 		sentBytes: scope.Counter("sent-bytes"),
@@ -109,7 +105,6 @@ func (c *Controller) AddSwitch(sw *Switch) {
 		panic(fmt.Sprintf("sdn: duplicate dpid %d", sw.DPID))
 	}
 	c.switches[sw.DPID] = sw
-	c.byName[sw.node.Name()] = sw
 	c.order = append(c.order, sw)
 	sw.controller = c
 	if c.tr != nil {
@@ -161,14 +156,6 @@ func (c *Controller) toController(sw *Switch, name string, size int, fn func()) 
 
 // Switch returns the connected switch with the given datapath id, or nil.
 func (c *Controller) Switch(dpid uint64) *Switch { return c.switches[dpid] }
-
-// SwitchByName returns the connected switch on the named node, or nil — an
-// O(1) probe for callers that would otherwise walk the registration order.
-func (c *Controller) SwitchByName(name string) *Switch { return c.byName[name] }
-
-// Switches returns the connected switches in registration order (the
-// deterministic iteration base; the map views are index-only).
-func (c *Controller) Switches() []*Switch { return c.order }
 
 func (c *Controller) nextXID() uint32 {
 	c.xid++

@@ -81,12 +81,8 @@ func (sw *Switch) EnablePathMonitor(period time.Duration, maxMisses int) *PathMo
 
 // Peers returns the supervised path states. The returned map is the
 // monitor's live working set — its iteration order is randomized like any
-// Go map, so deterministic consumers must use PeerList instead.
+// Go map, so it serves lookups only.
 func (m *PathMonitor) Peers() map[pkt.Addr]*PathState { return m.peers }
-
-// PeerList returns the supervised path states in ascending peer-address
-// order: the deterministic view of Peers.
-func (m *PathMonitor) PeerList() []*PathState { return m.sortedPeers() }
 
 // Supervise pins a peer into the supervision set regardless of the flow
 // table: probes go out the given port every tick even after the peer's
