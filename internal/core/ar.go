@@ -120,9 +120,8 @@ type ARBackend struct {
 	// migrating back is removed on the inbound state transfer.
 	migratedAway map[string]bool
 
-	// Registry mirrors under core/backend/<host>/.
-	framesCtr, missesCtr              *telemetry.Counter
-	migrationsOutCtr, migrationsInCtr *telemetry.Counter
+	// metricNames name the four counts above, built by the first snapshot.
+	metricNames *[4]string
 }
 
 // NewARBackend attaches an AR back-end to host, computing on dev under the
@@ -135,15 +134,25 @@ func NewARBackend(host *netsim.Host, dev compute.Device, scheme Scheme, floor *g
 		migratingOut: make(map[string]*outTransfer),
 		migratedAway: make(map[string]bool),
 	}
-	scope := host.Engine().Metrics().Scope("core/backend").Scope(host.Node.Name())
-	b.framesCtr = scope.Counter("frames")
-	b.missesCtr = scope.Counter("misses")
-	b.migrationsOutCtr = scope.Counter("migrations-out")
-	b.migrationsInCtr = scope.Counter("migrations-in")
+	host.Engine().Metrics().Register(b)
 	host.Listen(ARPort, netsim.AppFunc(b.onFrame))
 	host.Listen(LocPort, netsim.AppFunc(b.onLocReport))
 	host.Listen(MigratePort, netsim.AppFunc(b.onMigrate))
 	return b
+}
+
+// AppendMetrics reports Frames, Misses, MigrationsOut and MigrationsIn as
+// core/backend/<host>/{frames,misses,migrations-out,migrations-in}: the
+// backend is the telemetry.Source NewARBackend registers.
+func (b *ARBackend) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
+	if b.metricNames == nil {
+		prefix := "core/backend/" + b.Host.Node.Name() + "/"
+		b.metricNames = &[4]string{prefix + "frames", prefix + "misses", prefix + "migrations-out", prefix + "migrations-in"}
+	}
+	for i, n := range [4]uint64{b.Frames, b.Misses, b.MigrationsOut, b.MigrationsIn} {
+		dst = append(dst, telemetry.Metric{Name: b.metricNames[i], Kind: telemetry.KindCounter, Count: n})
+	}
+	return dst
 }
 
 // Scheme reports the backend's search scheme.
@@ -196,7 +205,6 @@ func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 		return
 	}
 	b.Frames++
-	b.framesCtr.Inc()
 
 	// Stage 1: decode + SURF on the server.
 	pixels := req.res.Pixels()
@@ -235,7 +243,6 @@ func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 	}
 	if !found {
 		b.Misses++
-		b.missesCtr.Inc()
 	}
 
 	b.srv.Submit(&compute.Job{Work: prepWork, Done: func(prepElapsed time.Duration) {

@@ -137,7 +137,6 @@ func (b *ARBackend) onMigrate(h *netsim.Host, p *netsim.Packet) {
 		size := b.migrateStateBytes(snap)
 		b.migratedAway[msg.user] = true
 		b.MigrationsOut++
-		b.migrationsOutCtr.Inc()
 		b.eng.Metrics().Scope("core/migrate").Emit("freeze",
 			fmt.Sprintf("%s %s -> %v (%d bytes)", msg.user, b.Host.Node.Name(), msg.dest, size))
 		b.migratingOut[msg.user] = &outTransfer{
@@ -162,7 +161,6 @@ func (b *ARBackend) onMigrate(h *netsim.Host, p *netsim.Packet) {
 			b.lm.Import(msg.user, msg.track)
 		}
 		b.MigrationsIn++
-		b.migrationsInCtr.Inc()
 		b.eng.Metrics().Scope("core/migrate").Emit("resume",
 			fmt.Sprintf("%s at %s (%d bytes)", msg.user, b.Host.Node.Name(), msg.bytes))
 		b.Host.Send(msg.ue, MigratePort, MigratePort, pkt.ProtoTCP, 64, migrateDone{

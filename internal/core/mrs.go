@@ -104,7 +104,12 @@ type MRS struct {
 	// because the UE handed over to a cell another site serves; Rejections
 	// counts requests denied for lack of capacity.
 	Requests, Deletes, Failovers, Relocations, Rejections uint64
-	rejectionsCtr                                         *telemetry.Counter
+}
+
+// AppendMetrics reports Rejections as core/mrs/admission-rejects: the MRS
+// is the telemetry.Source NewMRS registers.
+func (m *MRS) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
+	return append(dst, telemetry.Metric{Name: "core/mrs/admission-rejects", Kind: telemetry.KindCounter, Count: m.Rejections})
 }
 
 type binding struct {
@@ -123,17 +128,17 @@ type binding struct {
 
 // NewMRS creates an MRS against the given EPC control plane.
 func NewMRS(core *epc.Core) *MRS {
-	scope := core.Eng.Metrics().Scope("core").Scope("mrs")
-	return &MRS{
-		core:          core,
-		services:      make(map[string]*CIService),
-		bindings:      make(map[pkt.Addr]*binding),
-		siteBindings:  make(map[string]map[pkt.Addr]*binding),
-		peerSites:     make(map[pkt.Addr][]*EdgeSite),
-		downSites:     make(map[string]bool),
-		scope:         scope,
-		rejectionsCtr: scope.Counter("admission-rejects"),
+	m := &MRS{
+		core:         core,
+		services:     make(map[string]*CIService),
+		bindings:     make(map[pkt.Addr]*binding),
+		siteBindings: make(map[string]map[pkt.Addr]*binding),
+		peerSites:    make(map[pkt.Addr][]*EdgeSite),
+		downSites:    make(map[string]bool),
+		scope:        core.Eng.Metrics().Scope("core").Scope("mrs"),
 	}
+	core.Eng.Metrics().Register(m)
+	return m
 }
 
 // RegisterService adds a CI service and its edge sites.
@@ -290,7 +295,6 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 	if err != nil {
 		if errors.Is(err, ErrNoCapacity) {
 			m.Rejections++
-			m.rejectionsCtr.Inc()
 			m.scope.Emit("admission-reject", ueIP.String())
 		}
 		if done != nil {

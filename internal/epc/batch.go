@@ -1,364 +1,117 @@
 package epc
 
-import (
-	"fmt"
-
-	"acacia/internal/pkt"
-)
+import "fmt"
 
 // Batched session procedures. At metro scale the arrival process delivers
 // whole cohorts of UEs inside one scheduling window, and running the full
 // four-message S11/S5 Create Session chain once per UE makes the
 // control-plane transaction count the bottleneck long before the data
-// plane saturates. AttachBatch and DetachBatch amortize the GTPv2 legs:
-// one Create/Modify/Delete Session exchange carries the bearer contexts of
-// the whole cohort (the extra members ride the message's batch-IMSI IEs),
-// while the radio-side S1AP exchanges — inherently per-UE, each against
-// its own eNB context — stay individual. For a cohort of N the attach
-// GTPv2 message count drops from 6N to 6 (and detach from 4N to 4), at
-// unchanged per-UE S1AP cost.
-
-// batchUE is the per-UE slot of an in-flight batched procedure.
-type batchUE struct {
-	ue   *UE
-	sess *Session
-	b    *Bearer
-}
+// plane saturates. AttachBatch and DetachBatch run the legs of UE.Attach
+// and UE.Detach (mme.go) over a cohort of many: one Create/Modify/Delete
+// Session exchange carries the bearer contexts of the whole cohort (the
+// extra members ride the message's batch-IMSI IEs), while the radio-side
+// S1AP exchanges — inherently per-UE, each against its own eNB context —
+// stay individual. For a cohort of N the attach GTPv2 message count drops
+// from 6N to 6 (and detach from 4N to 4), at unchanged per-UE S1AP cost.
+// A transport timeout on a shared leg fails the whole cohort: the cohort
+// is one control-plane transaction.
 
 // AttachBatch runs the initial attach for a cohort of UEs arriving in the
 // same window, all against the named default user planes. UEs that fail
 // validation (no radio link, already attached, unknown IMSI) are reported
 // through done immediately and do not hold up the rest of the cohort. done
 // (may be nil) fires once per UE with the attach outcome.
-//
-// Signaling: one S1AP InitialUEMessage per UE (the radio arrivals), then a
-// single batched Create Session chain on S11/S5, per-UE Initial Context
-// Setup exchanges, a single batched Modify Bearer exchange, and per-UE
-// attach-complete NAS transports. A transport timeout on a shared GTPv2
-// leg fails the whole cohort — the cohort is one control-plane
-// transaction.
 func (c *Core) AttachBatch(ues []*UE, sgwPlane, pgwPlane string, done func(*UE, error)) {
-	report := func(ue *UE, err error) {
-		if done != nil {
-			done(ue, err)
-		}
+	if done == nil {
+		done = func(*UE, error) {}
 	}
 	planes, perr := c.internPlanes(sgwPlane, pgwPlane)
 	if perr != nil {
 		for _, ue := range ues {
-			report(ue, perr)
+			done(ue, perr)
 		}
 		return
 	}
 	apn := c.internAPN(defaultAPN, planes)
 
-	// Validate and build the cohort. Validation failures are per-UE
-	// outcomes; they never abort the batch.
-	cohort := make([]*batchUE, 0, len(ues))
+	// Validate and open the cohort's sessions before any message is sent
+	// (UE.Attach validates at the MME instead). Validation failures are
+	// per-UE outcomes; they never abort the batch.
+	members := make([]member, 0, len(ues))
 	for _, ue := range ues {
 		switch {
 		case ue.enb == nil:
-			report(ue, fmt.Errorf("epc: UE %s has no radio connection", ue.IMSI))
+			done(ue, fmt.Errorf("epc: UE %s has no radio connection", ue.IMSI))
 		case ue.attached || c.sessions[ue.IMSI] != nil:
-			report(ue, fmt.Errorf("epc: IMSI %s already attached", ue.IMSI))
+			done(ue, fmt.Errorf("epc: IMSI %s already attached", ue.IMSI))
 		default:
 			sub, ok := c.HSS.Lookup(ue.IMSI)
 			if !ok {
-				report(ue, fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
+				done(ue, fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
 				continue
 			}
-			c.MME.Attaches++
-			c.nextUEID++
-			sess := &Session{
-				IMSI:       ue.IMSI,
-				ENB:        ue.enb,
-				UE:         ue,
-				APN:        apn,
-				MMEUEID:    c.nextUEID,
-				ENBUEID:    c.nextUEID | 0x1000000,
-				AttachedAt: c.Eng.Now(),
-			}
-			sess.setState(c.Eng, StateConnecting)
-			c.sessions[ue.IMSI] = sess
-			cohort = append(cohort, &batchUE{
-				ue:   ue,
-				sess: sess,
-				b:    &Bearer{EBI: EBIDefault, QoS: c.internQoS(sub.DefaultQoS), Planes: planes},
-			})
+			members = append(members, c.newSession(ue, apn, sub.DefaultQoS))
 		}
 	}
-	if len(cohort) == 0 {
+	if len(members) == 0 {
 		return
 	}
 
 	// One procedure spans the whole cohort: a terminal transport failure on
 	// any shared leg unwinds every half-built session and reports the error
 	// to every member.
-	pr := newProc(func(err error) {
+	co := &cohort{members: members, batched: true, report: done}
+	co.end = func(err error) {
 		if err != nil {
-			for _, m := range cohort {
-				report(m.ue, err)
+			for _, m := range members {
+				done(m.sess.UE, err)
 			}
 		}
-	})
-	pr.onError(func() {
-		for _, m := range cohort {
-			delete(c.sessions, m.sess.IMSI)
-			if !m.sess.UEIP.IsZero() {
-				delete(c.byIP, m.sess.UEIP)
-			}
-			m.sess.setState(c.Eng, StateDetached)
-		}
-	})
+	}
+	co.onError(func() { c.unwindAttach(members) })
 
 	// Radio arrivals: each UE's S1AP InitialUEMessage from its own eNB.
-	// They fan in; the batched Create Session chain starts once the last
-	// one lands at the MME.
-	pending := len(cohort)
-	for _, m := range cohort {
-		nas := c.encodeNAS(&pkt.NASMsg{
-			Type: pkt.NASAttachRequest,
-			IMSI: m.ue.IMSI,
-			ESM:  &pkt.NASMsg{Type: pkt.NASActivateDefaultBearerRequest, APN: apn.Name},
-		})
-		msg := &pkt.S1APMsg{Procedure: pkt.S1APInitialUEMessage, ENBUEID: m.sess.ENBUEID, NAS: nas}
-		c.sendS1AP(pr, m.ue.enb.ep, c.mmeEP, msg, func() {
-			pending--
-			if pending == 0 {
-				c.batchCreateSession(pr, cohort, planes, report)
-			}
-		})
-	}
-}
-
-// cohortIMSIs splits a cohort's identities into the primary IMSI plus the
-// batch extension list for the wire message.
-func cohortIMSIs(cohort []*batchUE) (string, []string) {
-	extra := make([]string, 0, len(cohort)-1)
-	for _, m := range cohort[1:] {
-		extra = append(extra, m.sess.IMSI)
-	}
-	return cohort[0].sess.IMSI, extra
-}
-
-// batchCreateSession runs the shared S11/S5 Create Session chain carrying
-// every cohort member's default-bearer context, then hands off to the
-// per-UE radio legs.
-func (c *Core) batchCreateSession(pr *proc, cohort []*batchUE, planes *PlanePair, report func(*UE, error)) {
-	first, extra := cohortIMSIs(cohort)
-	contexts := make([]pkt.BearerContext, len(cohort))
-	for i, m := range cohort {
-		contexts[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
-	}
-	csReq := &pkt.GTPv2Msg{
-		Type: pkt.GTPv2CreateSessionRequest,
-		IMSI: first, IMSIs: extra,
-		Bearers: contexts,
-	}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, csReq, func() {
-		// SGW-C: allocate TEIDs for the whole cohort, forward on S5.
-		for _, m := range cohort {
-			m.b.S1UL = c.SGWC.teids.alloc()
-			m.b.S5DL = c.SGWC.teids.alloc()
-		}
-		fwd := &pkt.GTPv2Msg{
-			Type: pkt.GTPv2CreateSessionRequest,
-			IMSI: first, IMSIs: extra,
-			SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5SGW, TEID: cohort[0].b.S5DL, Addr: planes.SGW.Addr()},
-			Bearers:     contexts,
-		}
-		c.sendGTPv2(pr, c.sgwEP, c.pgwEP, fwd, func() {
-			// PGW-C: confirm addresses and allocate S5 TEIDs for everyone.
-			respCtx := make([]pkt.BearerContext, len(cohort))
-			for i, m := range cohort {
-				m.sess.UEIP = m.ue.Addr()
-				c.byIP[m.sess.UEIP] = m.sess
-				m.b.S5UL = c.PGWC.teids.alloc()
-				respCtx[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted}
-			}
-			resp := &pkt.GTPv2Msg{
-				Type:  pkt.GTPv2CreateSessionResponse,
-				Cause: pkt.GTPv2CauseAccepted, PAA: cohort[0].sess.UEIP,
-				SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: cohort[0].b.S5UL, Addr: planes.PGW.Addr()},
-				Bearers:     respCtx,
-			}
-			c.sendGTPv2(pr, c.pgwEP, c.sgwEP, resp, func() {
-				finalCtx := make([]pkt.BearerContext, len(cohort))
-				for i, m := range cohort {
-					finalCtx[i] = pkt.BearerContext{
-						EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted,
-						FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: m.b.S1UL, Addr: planes.SGW.Addr()}},
-					}
-				}
-				resp2 := &pkt.GTPv2Msg{
-					Type:  pkt.GTPv2CreateSessionResponse,
-					Cause: pkt.GTPv2CauseAccepted, PAA: cohort[0].sess.UEIP,
-					Bearers: finalCtx,
-				}
-				c.sendGTPv2(pr, c.sgwEP, c.mmeEP, resp2, func() {
-					c.batchContextSetup(pr, cohort, report)
-				})
-			})
-		})
-	})
-}
-
-// batchContextSetup runs the per-UE Initial Context Setup exchanges (each
-// against the member's own eNB), then the shared Modify Bearer exchange
-// and the per-UE completion legs.
-func (c *Core) batchContextSetup(pr *proc, cohort []*batchUE, report func(*UE, error)) {
-	pending := len(cohort)
-	for _, m := range cohort {
-		m := m
-		sess, b := m.sess, m.b
-		acceptNAS := c.encodeNAS(&pkt.NASMsg{
-			Type: pkt.NASAttachAccept,
-			ESM: &pkt.NASMsg{
-				Type: pkt.NASActivateDefaultBearerRequest,
-				EBI:  b.EBI, APN: sess.APN.Name, UEIP: sess.UEIP, QoS: b.QoS,
-			},
-		})
-		icsReq := &pkt.S1APMsg{
-			Procedure: pkt.S1APInitialContextSetupRequest,
-			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-			NAS: acceptNAS,
-			ERABs: []pkt.ERABItem{{
-				ERABID: b.EBI, QoS: b.QoS,
-				Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: b.Planes.SGW.Addr()},
-			}},
-		}
-		c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, icsReq, func() {
-			b.S1DL = sess.ENB.attachBearer(sess, b)
-			icsResp := &pkt.S1APMsg{
-				Procedure: pkt.S1APInitialContextSetupResponse,
-				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				ERABs: []pkt.ERABItem{{
-					ERABID:    b.EBI,
-					Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()},
-				}},
-			}
-			c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, icsResp, func() {
-				pending--
-				if pending == 0 {
-					c.batchModifyBearer(pr, cohort, report)
-				}
-			})
-		})
-	}
-}
-
-// batchModifyBearer sends the cohort's eNB F-TEIDs to the SGW-C in one
-// Modify Bearer exchange, installs every member's flows, and concludes
-// with the per-UE attach-complete NAS transports.
-func (c *Core) batchModifyBearer(pr *proc, cohort []*batchUE, report func(*UE, error)) {
-	first, extra := cohortIMSIs(cohort)
-	items := make([]pkt.BearerContext, len(cohort))
-	for i, m := range cohort {
-		items[i] = pkt.BearerContext{
-			EBI:    m.b.EBI,
-			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: m.b.S1DL, Addr: m.sess.ENB.Addr()}},
+	// They fan in; the shared legs start once the last one lands at the
+	// MME.
+	arrived := func() {
+		if co.arrive() {
+			c.attach(co)
 		}
 	}
-	mbReq := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: first, IMSIs: extra, Bearers: items}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, mbReq, func() {
-		mbResp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted}
-		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, mbResp, func() {
-			pending := len(cohort)
-			for _, m := range cohort {
-				m := m
-				sess, b := m.sess, m.b
-				sess.Bearers[b.EBI] = b
-				c.installBearerFlows(sess, b)
-				complete := &pkt.S1APMsg{
-					Procedure: pkt.S1APUplinkNASTransport,
-					ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-					NAS: c.encodeNAS(&pkt.NASMsg{Type: pkt.NASAttachComplete}),
-				}
-				c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, complete, func() {
-					sess.UE.completeAttach(sess)
-					sess.setState(c.Eng, StateConnected)
-					report(m.ue, nil)
-					pending--
-					if pending == 0 {
-						pr.finish(nil)
-					}
-				})
-			}
-		})
-	})
+	co.pending = len(members)
+	for _, m := range members {
+		c.sendAttachRequest(&co.proc, m.sess.UE, m.sess.ENBUEID, arrived)
+	}
 }
 
 // DetachBatch detaches a cohort of attached UEs with one shared Delete
 // Session chain on S11/S5 and per-UE S1AP context releases. done (may be
 // nil) fires once per UE.
 func (c *Core) DetachBatch(ues []*UE, done func(*UE, error)) {
-	report := func(ue *UE, err error) {
-		if done != nil {
-			done(ue, err)
-		}
+	if done == nil {
+		done = func(*UE, error) {}
 	}
-	cohort := make([]*batchUE, 0, len(ues))
+	members := make([]member, 0, len(ues))
 	for _, ue := range ues {
 		if !ue.attached || ue.sess == nil {
-			report(ue, fmt.Errorf("epc: UE %s not attached", ue.IMSI))
+			done(ue, fmt.Errorf("epc: UE %s not attached", ue.IMSI))
 			continue
 		}
-		cohort = append(cohort, &batchUE{ue: ue, sess: ue.sess})
+		members = append(members, member{sess: ue.sess})
 	}
-	if len(cohort) == 0 {
+	if len(members) == 0 {
 		return
 	}
-	pr := newProc(func(err error) {
+	co := &cohort{members: members, batched: true, report: done}
+	co.end = func(err error) {
 		if err != nil {
 			// The detach signaling failed mid-flight; force-release every
 			// cohort session locally so no UE stays half-attached.
-			for _, m := range cohort {
+			for _, m := range members {
 				c.forceDetach(m.sess)
-				report(m.ue, err)
+				done(m.sess.UE, err)
 			}
 		}
-	})
-	first, extra := cohortIMSIs(cohort)
-	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: first, IMSIs: extra}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, req, func() {
-		fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: first, IMSIs: extra}
-		c.sendGTPv2(pr, c.sgwEP, c.pgwEP, fwd, func() {
-			for _, m := range cohort {
-				c.releaseSessionResources(m.sess)
-			}
-			resp := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
-			c.sendGTPv2(pr, c.pgwEP, c.sgwEP, resp, func() {
-				resp2 := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
-				c.sendGTPv2(pr, c.sgwEP, c.mmeEP, resp2, func() {
-					pending := len(cohort)
-					for _, m := range cohort {
-						m := m
-						sess := m.sess
-						cmd := &pkt.S1APMsg{
-							Procedure: pkt.S1APUEContextReleaseCommand,
-							ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: 3, // detach
-						}
-						c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
-							sess.ENB.releaseContext(sess)
-							complete := &pkt.S1APMsg{
-								Procedure: pkt.S1APUEContextReleaseComplete,
-								ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-							}
-							c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, complete, func() {
-								sess.setState(c.Eng, StateDetached)
-								delete(c.sessions, sess.IMSI)
-								delete(c.byIP, sess.UEIP)
-								sess.UE.completeDetach()
-								report(m.ue, nil)
-								pending--
-								if pending == 0 {
-									pr.finish(nil)
-								}
-							})
-						})
-					}
-				})
-			})
-		})
-	})
+	}
+	c.detach(co)
 }

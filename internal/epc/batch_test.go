@@ -8,6 +8,7 @@ import (
 
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
+	"acacia/internal/sdn"
 )
 
 // addBatchUEs provisions and radio-connects n extra UEs on the testbed's
@@ -125,6 +126,87 @@ func TestDetachBatch(t *testing.T) {
 	if got := tb.coreSGW.FlowCount(); got != 0 {
 		t.Errorf("core SGW flows after detach = %d", got)
 	}
+}
+
+// TestBatchFailureUnwinds kills S11 during AttachBatch and again during
+// DetachBatch. Every member must hear the error exactly once, and sessions,
+// UE-IP bindings, eNB downlink mappings, GW-U flows and admitted GBR must be
+// back at their values from before the cohort attached: the attach unwind
+// and the detach teardown leave nothing behind.
+func TestBatchFailureUnwinds(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	cohort := tb.addBatchUEs(2)
+	edge := tb.core.PGWC.Plane("edge-pgw")
+	edge.GBRCapacityBps = 10_000_000
+	tb.core.PCRF.AddRule(PolicyRule{
+		ServiceID: "gbr-video", QCI: 1, ARP: 2, Precedence: 5,
+		GuaranteedUL: 2_000_000, GuaranteedDL: 4_000_000,
+	})
+	type state struct {
+		sessions, byIP, mappings, flows int
+		gbr                             uint64
+	}
+	snapshot := func() state {
+		flows := 0
+		for _, sw := range []*sdn.Switch{tb.coreSGW, tb.corePGW, tb.edgeSGW, tb.edgePGW} {
+			flows += sw.FlowCount()
+		}
+		return state{len(tb.core.sessions), len(tb.core.byIP), len(tb.enb.byDLTEID), flows, edge.GBRInUse()}
+	}
+	before := snapshot()
+	withDeadS11 := func(procedure string, start func(done func(*UE, error))) {
+		t.Helper()
+		errs := make(map[string]int)
+		tb.core.S11Link().SetDown(true)
+		start(func(ue *UE, err error) {
+			if err == nil {
+				t.Errorf("%s: %s succeeded over a dead S11", procedure, ue.IMSI)
+			}
+			errs[ue.IMSI]++
+		})
+		tb.eng.RunFor(5 * time.Second) // bounded retries conclude the procedure
+		tb.core.S11Link().SetDown(false)
+		for _, ue := range cohort {
+			if errs[ue.IMSI] != 1 {
+				t.Errorf("%s: %s heard %d errors, want exactly 1", procedure, ue.IMSI, errs[ue.IMSI])
+			}
+			if ue.Attached() {
+				t.Errorf("%s: %s still attached", procedure, ue.IMSI)
+			}
+		}
+		if got := snapshot(); got != before {
+			t.Errorf("%s: left %+v, want %+v as before the cohort attached", procedure, got, before)
+		}
+	}
+
+	withDeadS11("AttachBatch", func(done func(*UE, error)) {
+		tb.core.AttachBatch(cohort, "core-sgw", "core-pgw", done)
+	})
+
+	// Healed, the cohort attaches and one member adds a GBR bearer at the
+	// edge, so the failed detach must also return admitted capacity.
+	var attachErr error
+	tb.core.AttachBatch(cohort, "core-sgw", "core-pgw", func(_ *UE, err error) {
+		if err != nil {
+			attachErr = err
+		}
+	})
+	tb.eng.RunFor(2 * time.Second)
+	if attachErr != nil {
+		t.Fatalf("healed AttachBatch: %v", attachErr)
+	}
+	var bearerErr error
+	activated := false
+	tb.core.PCRF.RequestDedicatedBearer("gbr-video", cohort[1].Addr(), tb.ciHost.Node.Addr(), "edge-sgw", "edge-pgw",
+		func(_ uint8, err error) { bearerErr, activated = err, true })
+	tb.eng.RunFor(time.Second)
+	if !activated || bearerErr != nil || edge.GBRInUse() == 0 {
+		t.Fatalf("GBR bearer: done=%v err=%v, %d in use", activated, bearerErr, edge.GBRInUse())
+	}
+
+	withDeadS11("DetachBatch", func(done func(*UE, error)) {
+		tb.core.DetachBatch(cohort, done)
+	})
 }
 
 func TestGTPv2BatchIMSIRoundTrip(t *testing.T) {

@@ -79,8 +79,11 @@ type Core struct {
 	// serialization. encBuf holds the outer S1AP/GTPv2 encoding, which is
 	// consumed synchronously (only its length reaches the transport). nasBuf
 	// holds NAS payloads that the following sendS1AP reads synchronously;
-	// see encodeNAS for the aliasing rule.
+	// see encodeNAS for the aliasing rule, which bearerContexts' ctxBuf and
+	// fteidBuf follow too.
 	encBuf, nasBuf []byte
+	ctxBuf         []pkt.BearerContext
+	fteidBuf       []pkt.FTEID
 }
 
 // NewCore builds an empty core and places its control plane on the network.
@@ -124,7 +127,7 @@ func NewCore(cfg Config) *Core {
 	c.unmatchedPktIn = cfg.Eng.Metrics().Scope("epc").Scope("packet-in").Counter("unmatched")
 
 	c.MME.hoScope = cfg.Eng.Metrics().Scope("epc").Scope("handover")
-	c.MME.hoCompleted = c.MME.hoScope.Counter("completed")
+	cfg.Eng.Metrics().Register(c.MME)
 	c.MME.hoFailed = c.MME.hoScope.Counter("failed")
 	c.MME.hoGap = c.MME.hoScope.Histogram("gap-ms")
 
@@ -198,9 +201,6 @@ func (pr *proc) finish(err error) {
 	}
 }
 
-// fail is finish shaped as the transport's failure callback.
-func (pr *proc) fail(err error) { pr.finish(err) }
-
 // noteTx builds the transport-observation callback that back-fills a traced
 // record's wire fields, or nil when the message is not traced.
 func (c *Core) noteTx(idx int) func(ctl.TxInfo) {
@@ -226,7 +226,7 @@ func (c *Core) sendS1AP(pr *proc, from, to *ctl.Endpoint, m *pkt.S1APMsg, delive
 	name := m.Procedure.String()
 	idx := c.Acct.RecordTx(c.Eng.Now(), ProtoS1AP, name, n, seq, c.txPath(from, to))
 	//acacia:allow hotpath-escape per-transaction callbacks capture procedure state; control-plane sends are bounded by procedure rate, not the packet rate
-	from.Send(to.Addr(), seq, name, n, pr.step(deliver), pr.fail, c.noteTx(idx))
+	from.Send(to.Addr(), seq, name, n, pr.step(deliver), pr.finish, c.noteTx(idx))
 }
 
 // sendGTPv2 is sendS1AP for GTPv2-C: the allocated sequence becomes the
@@ -241,7 +241,7 @@ func (c *Core) sendGTPv2(pr *proc, from, to *ctl.Endpoint, m *pkt.GTPv2Msg, deli
 	name := m.Type.String()
 	idx := c.Acct.RecordTx(c.Eng.Now(), ProtoGTPv2, name, n, seq, c.txPath(from, to))
 	//acacia:allow hotpath-escape per-transaction callbacks capture procedure state; control-plane sends are bounded by procedure rate, not the packet rate
-	from.Send(to.Addr(), seq, name, n, pr.step(deliver), pr.fail, c.noteTx(idx))
+	from.Send(to.Addr(), seq, name, n, pr.step(deliver), pr.finish, c.noteTx(idx))
 }
 
 // txPath builds the "from->to" trace label, but only when tracing is on —
@@ -268,6 +268,16 @@ func (c *Core) txPath(from, to *ctl.Endpoint) string {
 func (c *Core) encodeNAS(m *pkt.NASMsg) []byte {
 	c.nasBuf = m.Encode(c.nasBuf[:0])
 	return c.nasBuf
+}
+
+// bearerContexts returns n bearer contexts and n F-TEIDs of scratch for a
+// cohort GTPv2 message built and sent at once (the next call reuses them).
+// Callers set every entry; context i's F-TEID, if any, is fteids[i : i+1].
+func (c *Core) bearerContexts(n int) ([]pkt.BearerContext, []pkt.FTEID) {
+	if cap(c.ctxBuf) < n {
+		c.ctxBuf, c.fteidBuf = make([]pkt.BearerContext, n), make([]pkt.FTEID, n)
+	}
+	return c.ctxBuf[:n], c.fteidBuf[:n]
 }
 
 // onPacketIn handles GW-U table misses. The only expected miss is downlink
@@ -303,6 +313,12 @@ func (c *Core) releaseSessionResources(sess *Session) {
 func (c *Core) forceDetach(sess *Session) {
 	c.releaseSessionResources(sess)
 	sess.ENB.releaseContext(sess)
+	c.endSession(sess)
+}
+
+// endSession retires a session whose user plane and radio context are
+// gone: every detach, completed or forced, and every failed attach ends here.
+func (c *Core) endSession(sess *Session) {
 	sess.setState(c.Eng, StateDetached)
 	delete(c.sessions, sess.IMSI)
 	delete(c.byIP, sess.UEIP)
@@ -392,9 +408,9 @@ type Session struct {
 	// ordScratch and dedScratch back OrderedBearers and DedicatedBearers.
 	// Each call rebuilds its scratch in place, so the returned slice is
 	// valid only until the next call on this session and must not be
-	// retained. Separate slices keep the per-packet uplink classifier
-	// (DedicatedBearers) from clobbering an in-progress control-procedure
-	// iteration (OrderedBearers).
+	// retained. Separate slices let a DedicatedBearers lookup (the PGW-C's
+	// bearer deactivation) run without clobbering an in-progress
+	// OrderedBearers iteration.
 	ordScratch, dedScratch []*Bearer
 }
 

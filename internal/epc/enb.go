@@ -180,46 +180,43 @@ func (e *ENB) forwardUplink(ctx *ueCtx, p *netsim.Packet) {
 	e.node.Port(0).Send(p)
 }
 
-// classifyUplink picks the bearer for an uplink packet: dedicated-bearer
-// TFTs in precedence order, falling back to the default bearer.
+// classifyUplink picks the bearer for an uplink packet by the modem's rule
+// (uplinkPrecedence): the matching dedicated bearer with the lowest TFT
+// precedence, the lowest EBI on a tie, else the default bearer.
 func (e *ENB) classifyUplink(sess *Session, p *netsim.Packet) *Bearer {
 	if sess == nil {
 		return nil
 	}
-	dedicated := sess.DedicatedBearers()
-	// Insertion sort by TFT precedence: the set is tiny (≤14 bearers) and
-	// this runs per uplink packet, so sort.SliceStable's closure and
-	// swapper allocations are not acceptable here. Shifting only on
-	// strictly-greater precedence keeps the sort stable.
-	for i := 1; i < len(dedicated); i++ {
-		b := dedicated[i]
-		j := i
-		for j > 0 && tftPrecedence(dedicated[j-1].TFT) > tftPrecedence(b.TFT) {
-			dedicated[j] = dedicated[j-1]
-			j--
+	best, bestPrec := sess.Bearers[EBIDefault], noTFTMatch
+	for _, b := range sess.Bearers[EBIDedicated:] {
+		if b == nil {
+			continue
 		}
-		dedicated[j] = b
-	}
-	for _, b := range dedicated {
-		if b.TFT != nil && b.TFT.MatchUplink(p.Flow, p.TOS) {
-			return b
-		}
-	}
-	return sess.Bearers[EBIDefault]
-}
-
-func tftPrecedence(t *pkt.TFT) int {
-	if t == nil || len(t.Filters) == 0 {
-		return 255
-	}
-	best := 255
-	for _, f := range t.Filters {
-		if int(f.Precedence) < best {
-			best = int(f.Precedence)
+		if prec := uplinkPrecedence(b.TFT, p.Flow, p.TOS); prec < bestPrec {
+			best, bestPrec = b, prec
 		}
 	}
 	return best
 }
+
+// uplinkPrecedence is the uplink TFT rule the modem (UE.match) and the eNB
+// (classifyUplink) share: the lowest filter precedence of a TFT that matches
+// the packet, noTFTMatch otherwise. Both scan bearers in EBI order and keep
+// only a strictly lower value, so the lowest precedence wins and the lowest
+// EBI breaks a tie.
+func uplinkPrecedence(t *pkt.TFT, flow pkt.FiveTuple, tos uint8) int {
+	if t == nil || !t.MatchUplink(flow, tos) {
+		return noTFTMatch
+	}
+	best := 255
+	for _, f := range t.Filters {
+		best = min(best, int(f.Precedence))
+	}
+	return best
+}
+
+// noTFTMatch ranks after every TFT precedence (255 at most).
+const noTFTMatch = 256
 
 func (e *ENB) handleDownlink(p *netsim.Packet) {
 	if !p.Tunneled() || p.TunnelDst != e.Addr() {
@@ -344,24 +341,6 @@ func (e *ENB) pageUE(sess *Session) {
 	})
 }
 
-// sendInitialAttach carries the UE's attach request to the MME.
-func (e *ENB) sendInitialAttach(ue *UE, sgwPlane, pgwPlane string, done func(error)) {
-	nas := e.core.encodeNAS(&pkt.NASMsg{
-		Type: pkt.NASAttachRequest,
-		IMSI: ue.IMSI,
-		ESM:  &pkt.NASMsg{Type: pkt.NASActivateDefaultBearerRequest, APN: "internet"},
-	})
-	msg := &pkt.S1APMsg{
-		Procedure: pkt.S1APInitialUEMessage,
-		ENBUEID:   1,
-		NAS:       nas,
-	}
-	pr := newProc(done)
-	e.core.sendS1AP(pr, e.ep, e.core.mmeEP, msg, func() {
-		e.core.MME.onInitialAttach(pr, e, ue, sgwPlane, pgwPlane)
-	})
-}
-
 // checkIdle fires the inactivity timer for connected UEs, in connection
 // order: each release sends S1AP and draws sequence numbers, so UEs that
 // time out on one tick must be released in the same order every run.
@@ -383,7 +362,7 @@ func (e *ENB) checkIdle() {
 func (e *ENB) requestRelease(sess *Session) {
 	msg := &pkt.S1APMsg{
 		Procedure: pkt.S1APUEContextReleaseRequest,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: 20,
+		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: causeUserInactivity,
 	}
 	pr := newProc(nil)
 	e.core.sendS1AP(pr, e.ep, e.core.mmeEP, msg, func() {

@@ -62,7 +62,6 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 			m.hoScope.Emit("failed", sess.IMSI+" "+err.Error())
 		} else {
 			m.Handovers++
-			m.hoCompleted.Inc()
 			if gapStarted {
 				m.hoGap.Observe(float64(c.Eng.Now()-gapStart) / float64(time.Millisecond))
 			}

@@ -11,7 +11,7 @@ import (
 // and drives session procedures over GTPv2 toward the SGW-C.
 type MME struct {
 	core *Core
-	// Stats.
+	// Stats. Handovers is reported as epc/handover/completed.
 	Attaches   uint64
 	Releases   uint64
 	Promotions uint64
@@ -25,110 +25,219 @@ type MME struct {
 	OnHandoverComplete func(sess *Session, source, target *ENB)
 
 	// Handover telemetry (registered by NewCore).
-	hoScope     telemetry.Scope
-	hoCompleted *telemetry.Counter
-	hoFailed    *telemetry.Counter
-	hoGap       *telemetry.Histogram
+	hoScope  telemetry.Scope
+	hoFailed *telemetry.Counter
+	hoGap    *telemetry.Histogram
 }
 
-// --- Attach ---
+// AppendMetrics reports Handovers as epc/handover/completed: the MME is the
+// telemetry.Source NewCore registers.
+func (m *MME) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
+	return append(dst, telemetry.Metric{Name: "epc/handover/completed", Kind: telemetry.KindCounter, Count: m.Handovers})
+}
 
-// onInitialAttach handles an InitialUEMessage carrying an attach request.
-// defaultPlanes name the (central) user planes serving the default bearer.
-// pr is the attach procedure opened at the eNB; it concludes when the
-// attach completes or any leg fails terminally.
-func (m *MME) onInitialAttach(pr *proc, enb *ENB, ue *UE, sgwPlane, pgwPlane string) {
+// --- Attach and detach ---
+//
+// Every exchange of attach, detach and idle release is built and sent in
+// one function below. UE.Attach and UE.Detach run them over a cohort of
+// one, AttachBatch and DetachBatch (batch.go) over many; a cohort of one
+// encodes exactly as the single-UE messages. The single and batched
+// procedures differ in three places, each explicit once: where the attach
+// is validated (onInitialAttach, AttachBatch), the Modify Bearer Response
+// (modifyBearers) and the Uplink NAS Transport that opens UE.Detach.
+
+// member is one UE's slot in a cohort: its session and, while it attaches,
+// the default bearer being built.
+type member struct {
+	sess *Session
+	b    *Bearer
+}
+
+// cohort is an attach or detach procedure over one UE (UE.Attach,
+// UE.Detach) or several (AttachBatch, DetachBatch): the proc its legs run
+// under and the members they run over.
+type cohort struct {
+	proc
+	members []member
+	// batched marks AttachBatch and DetachBatch: report hears each member.
+	batched bool
+	report  func(*UE, error)
+	pending int // per-UE legs of the current phase still outstanding
+	// one backs members in the single procedures (no slice to allocate).
+	one [1]member
+}
+
+// arrive marks one per-UE leg of the current phase done and reports whether
+// it was the last. Phases run one after another, each setting pending to
+// the cohort size, so one counter serves them all.
+func (co *cohort) arrive() bool {
+	co.pending--
+	return co.pending == 0
+}
+
+// memberDone reports a member's success (batched cohorts) and concludes the
+// procedure after the last member.
+func (co *cohort) memberDone(ue *UE) {
+	if co.batched {
+		co.report(ue, nil)
+	}
+	if co.arrive() {
+		co.finish(nil)
+	}
+}
+
+// sendAttachRequest carries ue's NAS Attach Request from its eNB to the MME
+// in an S1AP InitialUEMessage numbered enbUEID; then runs at the MME.
+func (c *Core) sendAttachRequest(pr *proc, ue *UE, enbUEID uint32, then func()) {
+	nas := c.encodeNAS(&pkt.NASMsg{
+		Type: pkt.NASAttachRequest,
+		IMSI: ue.IMSI,
+		ESM:  &pkt.NASMsg{Type: pkt.NASActivateDefaultBearerRequest, APN: defaultAPN},
+	})
+	msg := &pkt.S1APMsg{Procedure: pkt.S1APInitialUEMessage, ENBUEID: enbUEID, NAS: nas}
+	c.sendS1AP(pr, ue.enb.ep, c.mmeEP, msg, then)
+}
+
+// onInitialAttach handles an InitialUEMessage carrying an attach request:
+// the MME validates the UE, opens its session and runs the attach legs for
+// a cohort of one. co is the attach procedure opened at the eNB; it
+// concludes when the attach completes or any leg fails terminally.
+func (m *MME) onInitialAttach(co *cohort, ue *UE, sgwPlane, pgwPlane string) {
 	c := m.core
 	sub, ok := c.HSS.Lookup(ue.IMSI)
 	if !ok {
-		pr.finish(fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
+		co.finish(fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
 		return
 	}
 	if c.sessions[ue.IMSI] != nil {
-		pr.finish(fmt.Errorf("epc: IMSI %s already attached", ue.IMSI))
+		co.finish(fmt.Errorf("epc: IMSI %s already attached", ue.IMSI))
 		return
 	}
 	planes, err := c.internPlanes(sgwPlane, pgwPlane)
 	if err != nil {
-		pr.finish(fmt.Errorf("epc: unknown default planes %q/%q", sgwPlane, pgwPlane))
+		co.finish(fmt.Errorf("epc: unknown default planes %q/%q", sgwPlane, pgwPlane))
 		return
 	}
-	m.Attaches++
+	co.members = append(co.one[:0], c.newSession(ue, c.internAPN(defaultAPN, planes), sub.DefaultQoS))
+	co.onError(func() { c.unwindAttach(co.members) })
+	c.attach(co)
+}
+
+// newSession opens ue's session at its serving eNB in StateConnecting,
+// with the default bearer it attaches on apn's planes. The bearer joins
+// the session's Bearers once the Modify Bearer exchange is done.
+func (c *Core) newSession(ue *UE, apn *APNProfile, qos pkt.BearerQoS) member {
+	c.MME.Attaches++
 	c.nextUEID++
 	sess := &Session{
 		IMSI:       ue.IMSI,
-		ENB:        enb,
+		ENB:        ue.enb,
 		UE:         ue,
-		APN:        c.internAPN(defaultAPN, planes),
+		APN:        apn,
 		MMEUEID:    c.nextUEID,
 		ENBUEID:    c.nextUEID | 0x1000000,
 		AttachedAt: c.Eng.Now(),
 	}
 	sess.setState(c.Eng, StateConnecting)
 	c.sessions[ue.IMSI] = sess
-	// If any leg of the attach times out, unwind the half-built session so
-	// the UE can retry from scratch.
-	pr.onError(func() {
-		delete(c.sessions, ue.IMSI)
-		if !sess.UEIP.IsZero() {
-			delete(c.byIP, sess.UEIP)
-		}
-		sess.setState(c.Eng, StateDetached)
-	})
+	return member{sess: sess, b: &Bearer{EBI: EBIDefault, QoS: c.internQoS(qos), Planes: apn.Planes}}
+}
 
-	// MME -> SGW-C: Create Session Request (S11).
-	b := &Bearer{EBI: EBIDefault, QoS: c.internQoS(sub.DefaultQoS), Planes: planes}
-	csReq := &pkt.GTPv2Msg{
-		Type:    pkt.GTPv2CreateSessionRequest,
-		IMSI:    ue.IMSI,
-		Bearers: []pkt.BearerContext{{EBI: b.EBI, QoS: b.QoS}},
+// unwindAttach ends a failed attach's half-built sessions so each UE can
+// retry from scratch; both attach procedures register it with onError.
+func (c *Core) unwindAttach(members []member) {
+	for _, m := range members {
+		c.endSession(m.sess)
 	}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, csReq, func() {
-		// SGW-C allocates its TEIDs, forwards Create Session to the PGW-C.
-		b.S1UL = c.SGWC.teids.alloc()
-		b.S5DL = c.SGWC.teids.alloc()
-		fwd := &pkt.GTPv2Msg{
-			Type:        pkt.GTPv2CreateSessionRequest,
-			IMSI:        ue.IMSI,
-			SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5SGW, TEID: b.S5DL, Addr: planes.SGW.Addr()},
-			Bearers:     []pkt.BearerContext{{EBI: b.EBI, QoS: b.QoS}},
+}
+
+// attach runs the attach legs for a cohort whose sessions are open: the
+// Create Session chain, each member's Initial Context Setup, one Modify
+// Bearer exchange, then each member's flows and attach completion.
+func (c *Core) attach(co *cohort) {
+	c.createSessions(co, func() {
+		setUp := func() {
+			if !co.arrive() {
+				return
+			}
+			c.modifyBearers(co, func() {
+				co.pending = len(co.members)
+				for _, m := range co.members {
+					m.sess.Bearers[m.b.EBI] = m.b
+					c.installBearerFlows(m.sess, m.b)
+					c.sendAttachComplete(co, m.sess)
+				}
+			})
 		}
-		c.sendGTPv2(pr, c.sgwEP, c.pgwEP, fwd, func() {
-			// PGW-C (PCEF): confirm the UE's statically bound address (the
-			// PAA) and allocate the S5 TEID.
-			sess.UEIP = sess.UE.Addr()
-			c.byIP[sess.UEIP] = sess
-			b.S5UL = c.PGWC.teids.alloc()
+		co.pending = len(co.members)
+		for _, m := range co.members {
+			c.setupDefaultBearer(&co.proc, m.sess, m.b, setUp)
+		}
+	})
+}
+
+// createSessions runs the Create Session chain for a cohort, MME -> SGW-C
+// -> PGW-C and back on S11 and S5, one message per hop carrying every
+// member's default bearer; the first member fills the message-level
+// fields. then runs at the MME on the last response.
+func (c *Core) createSessions(co *cohort, then func()) {
+	imsi, imsis := cohortIMSIs(co.members)
+	ctxs, _ := c.bearerContexts(len(co.members))
+	for i, m := range co.members {
+		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
+	}
+	req := &pkt.GTPv2Msg{Type: pkt.GTPv2CreateSessionRequest, IMSI: imsi, IMSIs: imsis, Bearers: ctxs}
+	c.sendGTPv2(&co.proc, c.mmeEP, c.sgwEP, req, func() {
+		imsi, imsis := cohortIMSIs(co.members)
+		ctxs, _ := c.bearerContexts(len(co.members))
+		for i, m := range co.members {
+			m.b.S1UL = c.SGWC.teids.alloc()
+			m.b.S5DL = c.SGWC.teids.alloc()
+			ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
+		}
+		first := co.members[0]
+		fwd := &pkt.GTPv2Msg{
+			Type: pkt.GTPv2CreateSessionRequest, IMSI: imsi, IMSIs: imsis,
+			SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5SGW, TEID: first.b.S5DL, Addr: first.b.Planes.SGW.Addr()},
+			Bearers:     ctxs,
+		}
+		c.sendGTPv2(&co.proc, c.sgwEP, c.pgwEP, fwd, func() {
+			ctxs, _ := c.bearerContexts(len(co.members))
+			for i, m := range co.members {
+				m.sess.UEIP = m.sess.UE.Addr()
+				c.byIP[m.sess.UEIP] = m.sess
+				m.b.S5UL = c.PGWC.teids.alloc()
+				ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted}
+			}
+			first := co.members[0]
 			resp := &pkt.GTPv2Msg{
 				Type:  pkt.GTPv2CreateSessionResponse,
-				Cause: pkt.GTPv2CauseAccepted, PAA: sess.UEIP,
-				SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: b.S5UL, Addr: planes.PGW.Addr()},
-				Bearers:     []pkt.BearerContext{{EBI: b.EBI, Cause: pkt.GTPv2CauseAccepted}},
+				Cause: pkt.GTPv2CauseAccepted, PAA: first.sess.UEIP,
+				SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: first.b.S5UL, Addr: first.b.Planes.PGW.Addr()},
+				Bearers:     ctxs,
 			}
-			c.sendGTPv2(pr, c.pgwEP, c.sgwEP, resp, func() {
-				// SGW-C -> MME: Create Session Response with the S1-U
-				// F-TEID the eNB must send uplink to.
+			c.sendGTPv2(&co.proc, c.pgwEP, c.sgwEP, resp, func() {
+				ctxs, fteids := c.bearerContexts(len(co.members))
+				for i, m := range co.members {
+					fteids[i] = pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: m.b.S1UL, Addr: m.b.Planes.SGW.Addr()}
+					ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted, FTEIDs: fteids[i : i+1]}
+				}
 				resp2 := &pkt.GTPv2Msg{
 					Type:  pkt.GTPv2CreateSessionResponse,
-					Cause: pkt.GTPv2CauseAccepted, PAA: sess.UEIP,
-					Bearers: []pkt.BearerContext{{
-						EBI: b.EBI, Cause: pkt.GTPv2CauseAccepted,
-						FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: planes.SGW.Addr()}},
-					}},
+					Cause: pkt.GTPv2CauseAccepted, PAA: co.members[0].sess.UEIP,
+					Bearers: ctxs,
 				}
-				c.sendGTPv2(pr, c.sgwEP, c.mmeEP, resp2, func() {
-					m.setupInitialContext(pr, sess, b)
-				})
+				c.sendGTPv2(&co.proc, c.sgwEP, c.mmeEP, resp2, then)
 			})
 		})
 	})
 }
 
-// setupInitialContext runs the S1AP Initial Context Setup exchange with the
-// eNB and the follow-up Modify Bearer toward the SGW-C.
-func (m *MME) setupInitialContext(pr *proc, sess *Session, b *Bearer) {
-	c := m.core
-	sgw := b.Planes.SGW
+// setupDefaultBearer runs one member's Initial Context Setup: the MME hands
+// the eNB the default bearer's S1-U endpoint with the NAS Attach Accept,
+// and the eNB maps the bearer and answers with its downlink TEID. then runs
+// at the MME on the response.
+func (c *Core) setupDefaultBearer(pr *proc, sess *Session, b *Bearer, then func()) {
 	acceptNAS := c.encodeNAS(&pkt.NASMsg{
 		Type: pkt.NASAttachAccept,
 		ESM: &pkt.NASMsg{
@@ -136,19 +245,18 @@ func (m *MME) setupInitialContext(pr *proc, sess *Session, b *Bearer) {
 			EBI:  b.EBI, APN: sess.APN.Name, UEIP: sess.UEIP, QoS: b.QoS,
 		},
 	})
-	icsReq := &pkt.S1APMsg{
+	req := &pkt.S1APMsg{
 		Procedure: pkt.S1APInitialContextSetupRequest,
 		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
 		NAS: acceptNAS,
 		ERABs: []pkt.ERABItem{{
 			ERABID: b.EBI, QoS: b.QoS,
-			Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: sgw.Addr()},
+			Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: b.Planes.SGW.Addr()},
 		}},
 	}
-	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, icsReq, func() {
-		// eNB allocates its downlink TEID and attaches the radio bearer.
+	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, req, func() {
 		b.S1DL = sess.ENB.attachBearer(sess, b)
-		icsResp := &pkt.S1APMsg{
+		resp := &pkt.S1APMsg{
 			Procedure: pkt.S1APInitialContextSetupResponse,
 			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
 			ERABs: []pkt.ERABItem{{
@@ -156,79 +264,119 @@ func (m *MME) setupInitialContext(pr *proc, sess *Session, b *Bearer) {
 				Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()},
 			}},
 		}
-		c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, icsResp, func() {
-			// MME -> SGW-C: Modify Bearer with the eNB F-TEID.
-			mbReq := &pkt.GTPv2Msg{
-				Type: pkt.GTPv2ModifyBearerRequest, IMSI: sess.IMSI,
-				Bearers: []pkt.BearerContext{{
-					EBI:    b.EBI,
-					FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()}},
-				}},
+		c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, resp, then)
+	})
+}
+
+// modifyBearers sends the cohort's eNB F-TEIDs to the SGW-C in one Modify
+// Bearer exchange; then runs at the MME on the response. This is where the
+// two attach procedures' wire formats differ: UE.Attach's response echoes
+// the default bearer's context, AttachBatch's acknowledges the cohort with
+// the cause alone.
+func (c *Core) modifyBearers(co *cohort, then func()) {
+	imsi, imsis := cohortIMSIs(co.members)
+	ctxs, fteids := c.bearerContexts(len(co.members))
+	for i, m := range co.members {
+		fteids[i] = pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: m.b.S1DL, Addr: m.sess.ENB.Addr()}
+		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, FTEIDs: fteids[i : i+1]}
+	}
+	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: imsi, IMSIs: imsis, Bearers: ctxs}
+	c.sendGTPv2(&co.proc, c.mmeEP, c.sgwEP, req, func() {
+		var echo []pkt.BearerContext
+		if !co.batched {
+			echo = []pkt.BearerContext{{EBI: co.members[0].b.EBI, Cause: pkt.GTPv2CauseAccepted}}
+		}
+		resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted, Bearers: echo}
+		c.sendGTPv2(&co.proc, c.sgwEP, c.mmeEP, resp, then)
+	})
+}
+
+// sendAttachComplete carries one member's NAS Attach Complete to the MME,
+// which marks the UE attached and its session connected.
+func (c *Core) sendAttachComplete(co *cohort, sess *Session) {
+	msg := &pkt.S1APMsg{
+		Procedure: pkt.S1APUplinkNASTransport,
+		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
+		NAS: c.encodeNAS(&pkt.NASMsg{Type: pkt.NASAttachComplete}),
+	}
+	c.sendS1AP(&co.proc, sess.ENB.ep, c.mmeEP, msg, func() {
+		sess.UE.completeAttach(sess)
+		sess.setState(c.Eng, StateConnected)
+		co.memberDone(sess.UE)
+	})
+}
+
+// detach runs the detach legs for a cohort: one Delete Session chain, then
+// each member's UE Context Release, after which its session ends.
+func (c *Core) detach(co *cohort) {
+	c.deleteSessions(co, func() {
+		co.pending = len(co.members)
+		for _, m := range co.members {
+			sess := m.sess
+			c.releaseUEContext(&co.proc, sess, causeDetach, func() {
+				c.endSession(sess)
+				co.memberDone(sess.UE)
+			})
+		}
+	})
+}
+
+// deleteSessions runs the Delete Session chain for a cohort on S11 and S5;
+// the PGW-C drops every member's flows and returns its GBR reservations.
+// then runs at the MME on the last response.
+func (c *Core) deleteSessions(co *cohort, then func()) {
+	imsi, imsis := cohortIMSIs(co.members)
+	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: imsi, IMSIs: imsis}
+	c.sendGTPv2(&co.proc, c.mmeEP, c.sgwEP, req, func() {
+		imsi, imsis := cohortIMSIs(co.members)
+		fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: imsi, IMSIs: imsis}
+		c.sendGTPv2(&co.proc, c.sgwEP, c.pgwEP, fwd, func() {
+			for _, m := range co.members {
+				c.releaseSessionResources(m.sess)
 			}
-			c.sendGTPv2(pr, c.mmeEP, c.sgwEP, mbReq, func() {
-				mbResp := &pkt.GTPv2Msg{
-					Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted,
-					Bearers: []pkt.BearerContext{{EBI: b.EBI, Cause: pkt.GTPv2CauseAccepted}},
-				}
-				c.sendGTPv2(pr, c.sgwEP, c.mmeEP, mbResp, func() {
-					sess.Bearers[b.EBI] = b
-					c.installBearerFlows(sess, b)
-					// UE -> MME attach complete.
-					complete := &pkt.S1APMsg{
-						Procedure: pkt.S1APUplinkNASTransport,
-						ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-						NAS: c.encodeNAS(&pkt.NASMsg{Type: pkt.NASAttachComplete}),
-					}
-					c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, complete, func() {
-						sess.UE.completeAttach(sess)
-						sess.setState(c.Eng, StateConnected)
-						pr.finish(nil)
-					})
-				})
+			resp := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
+			c.sendGTPv2(&co.proc, c.pgwEP, c.sgwEP, resp, func() {
+				resp2 := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
+				c.sendGTPv2(&co.proc, c.sgwEP, c.mmeEP, resp2, then)
 			})
 		})
 	})
 }
 
-// --- Detach ---
+// UE Context Release causes.
+const (
+	causeDetach         = 3  // NAS detach
+	causeUserInactivity = 20 // the eNB's inactivity timer fired
+)
 
-// onDetach handles a UE-initiated detach: tear down every bearer's user
-// plane, delete the session at the gateways (Delete Session Request on S11
-// and S5), and release the radio context.
-func (m *MME) onDetach(pr *proc, sess *Session) {
-	c := m.core
-	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: sess.IMSI}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, req, func() {
-		fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: sess.IMSI}
-		c.sendGTPv2(pr, c.sgwEP, c.pgwEP, fwd, func() {
-			// PGW-C: drop flows, return GBR reservations.
-			c.releaseSessionResources(sess)
-			resp := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
-			c.sendGTPv2(pr, c.pgwEP, c.sgwEP, resp, func() {
-				resp2 := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
-				c.sendGTPv2(pr, c.sgwEP, c.mmeEP, resp2, func() {
-					cmd := &pkt.S1APMsg{
-						Procedure: pkt.S1APUEContextReleaseCommand,
-						ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: 3, // detach
-					}
-					c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
-						sess.ENB.releaseContext(sess)
-						complete := &pkt.S1APMsg{
-							Procedure: pkt.S1APUEContextReleaseComplete,
-							ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-						}
-						c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, complete, func() {
-							sess.setState(c.Eng, StateDetached)
-							delete(c.sessions, sess.IMSI)
-							delete(c.byIP, sess.UEIP)
-							sess.UE.completeDetach()
-							pr.finish(nil)
-						})
-					})
-				})
-			})
-		})
+// releaseUEContext runs the UE Context Release pair: the MME commands the
+// eNB to drop the UE's radio context and the eNB confirms. Only the cause
+// tells a detach from an idle release. then runs at the MME on the
+// confirmation.
+func (c *Core) releaseUEContext(pr *proc, sess *Session, cause uint8, then func()) {
+	cmd := &pkt.S1APMsg{
+		Procedure: pkt.S1APUEContextReleaseCommand,
+		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: cause,
+	}
+	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
+		sess.ENB.releaseContext(sess)
+		complete := &pkt.S1APMsg{
+			Procedure: pkt.S1APUEContextReleaseComplete,
+			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
+		}
+		c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, complete, then)
 	})
+}
+
+// cohortIMSIs names a cohort in a session-level GTPv2 message: the first
+// member's IMSI, and the others for the batch-IMSI IEs — none for a cohort
+// of one, whose messages encode to the single-UE bytes.
+func cohortIMSIs(members []member) (string, []string) {
+	extra := make([]string, 0, len(members)-1)
+	for _, m := range members[1:] {
+		extra = append(extra, m.sess.IMSI)
+	}
+	return members[0].sess.IMSI, extra
 }
 
 // --- S1 release (idle transition) ---
@@ -253,18 +401,7 @@ func (m *MME) onReleaseRequest(pr *proc, sess *Session) {
 		}
 		raResp := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersResponse, Cause: pkt.GTPv2CauseAccepted}
 		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, raResp, func() {
-			cmd := &pkt.S1APMsg{
-				Procedure: pkt.S1APUEContextReleaseCommand,
-				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: 20, // user-inactivity
-			}
-			c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
-				sess.ENB.releaseContext(sess)
-				complete := &pkt.S1APMsg{
-					Procedure: pkt.S1APUEContextReleaseComplete,
-					ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				}
-				c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, complete, func() { pr.finish(nil) })
-			})
+			c.releaseUEContext(pr, sess, causeUserInactivity, func() { pr.finish(nil) })
 		})
 	})
 }

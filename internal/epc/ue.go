@@ -71,7 +71,12 @@ func (u *UE) Attach(sgwPlane, pgwPlane string, done func(error)) {
 		}
 		return
 	}
-	u.enb.sendInitialAttach(u, sgwPlane, pgwPlane, done)
+	core := u.enb.core
+	co := &cohort{proc: proc{end: done}}
+	// The eNB has no session to number the UE by yet.
+	core.sendAttachRequest(&co.proc, u, 1, func() {
+		core.MME.onInitialAttach(co, u, sgwPlane, pgwPlane)
+	})
 }
 
 // completeAttach is called by the MME when the default bearer is live.
@@ -81,8 +86,9 @@ func (u *UE) completeAttach(sess *Session) {
 }
 
 // Detach runs the UE-initiated detach: the NAS detach request rides an
-// uplink NAS transport, then the MME tears the session down. done (may be
-// nil) fires when the UE is fully detached.
+// uplink NAS transport (the one message DetachBatch does not send), then
+// the MME runs the detach legs for a cohort of one. done (may be nil) fires
+// when the UE is fully detached.
 func (u *UE) Detach(done func()) error {
 	if !u.attached || u.sess == nil {
 		return fmt.Errorf("epc: UE %s not attached", u.IMSI)
@@ -95,7 +101,7 @@ func (u *UE) Detach(done func()) error {
 		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
 		NAS: nas,
 	}
-	pr := newProc(func(err error) {
+	co := &cohort{proc: proc{end: func(err error) {
 		if err != nil {
 			// The detach signalling failed mid-flight; force-release the
 			// session locally so the UE does not stay half-attached.
@@ -104,8 +110,9 @@ func (u *UE) Detach(done func()) error {
 		if done != nil {
 			done()
 		}
-	})
-	core.sendS1AP(pr, u.enb.ep, core.mmeEP, msg, func() { core.MME.onDetach(pr, sess) })
+	}}}
+	co.members = append(co.one[:0], member{sess: sess})
+	core.sendS1AP(&co.proc, u.enb.ep, core.mmeEP, msg, func() { core.detach(co) })
 	return nil
 }
 
@@ -142,20 +149,19 @@ func (u *UE) installTFTFromNAS(nas []byte) error {
 	return nil
 }
 
-// match is the modem's UL TFT evaluation: the bearer whose TFT matches with
-// the lowest precedence value (lowest EBI on a tie), else the default bearer.
+// match is the modem's UL TFT evaluation (uplinkPrecedence): the bearer
+// whose TFT matches with the lowest precedence value (lowest EBI on a tie),
+// else the default bearer.
 //
 //acacia:hotpath
 func (u *UE) match(flow pkt.FiveTuple, tos uint8) (uint8, pkt.QCI) {
 	ebi, qci := uint8(EBIDefault), pkt.QCIDefault
-	bestPrec := 256
+	bestPrec := noTFTMatch
 	for i := range u.tfts {
 		mt := &u.tfts[i]
-		if mt.tft != nil && mt.tft.MatchUplink(flow, tos) {
-			if prec := tftPrecedence(mt.tft); prec < bestPrec {
-				bestPrec = prec
-				ebi, qci = uint8(i)+EBIDefault, mt.qci
-			}
+		if prec := uplinkPrecedence(mt.tft, flow, tos); prec < bestPrec {
+			bestPrec = prec
+			ebi, qci = uint8(i)+EBIDefault, mt.qci
 		}
 	}
 	return ebi, qci

@@ -22,22 +22,33 @@ func activation(ebi uint8, qci pkt.QCI, f pkt.PacketFilter) []byte {
 	return m.Encode(nil)
 }
 
-// TestModemClassification checks the modem's UL TFT scan: classify (what
-// packets get) and BearerFor (what tests and observers are told) agree on
-// every flow, the lowest precedence value wins, an equal-precedence tie goes
-// to the lowest EBI every time (BearerFor used to range a map there), and an
-// EBI can be installed, removed and installed again.
+// TestModemClassification checks the UL TFT rule: classify (what packets
+// get), BearerFor (what tests and observers are told) and the eNB's
+// classifyUplink over a session holding the same TFTs agree on every flow,
+// the lowest precedence value wins, an equal-precedence tie goes to the
+// lowest EBI every time (BearerFor used to range a map there), and an EBI
+// can be installed, removed and installed again.
 func TestModemClassification(t *testing.T) {
 	nw := netsim.New(sim.NewEngine(1))
 	ue := NewUE(nw.AddNode("ue", pkt.AddrFrom(10, 0, 0, 9)), "001010000000009")
 	udp := func(port uint16) pkt.FiveTuple {
 		return pkt.FiveTuple{Src: ue.Addr(), Dst: pkt.AddrFrom(10, 9, 0, 1), SrcPort: 40000, DstPort: port, Proto: pkt.ProtoUDP}
 	}
+	// sess mirrors the modem's TFTs as the bearers the eNB classifies over.
+	var enb ENB
+	def := &Bearer{EBI: EBIDefault}
+	sess := &Session{}
+	sess.Bearers[EBIDefault] = def
 	install := func(ebi uint8, qci pkt.QCI, f pkt.PacketFilter) {
 		t.Helper()
 		if err := ue.installTFTFromNAS(activation(ebi, qci, f)); err != nil {
 			t.Fatalf("install EBI %d: %v", ebi, err)
 		}
+		sess.Bearers[ebi] = &Bearer{EBI: ebi, TFT: ue.tfts[ebi-EBIDefault].tft}
+	}
+	remove := func(ebi uint8) {
+		ue.removeTFT(ebi)
+		sess.Bearers[ebi] = nil
 	}
 	check := func(step string, flow pkt.FiveTuple, wantEBI uint8, wantQCI pkt.QCI) {
 		t.Helper()
@@ -50,6 +61,9 @@ func TestModemClassification(t *testing.T) {
 		}
 		if p.Priority != wantQCI.Priority() {
 			t.Fatalf("%s: classify(port %d) set priority %d, want QCI %d's %d", step, flow.DstPort, p.Priority, wantQCI, wantQCI.Priority())
+		}
+		if b := enb.classifyUplink(sess, p); b.EBI != wantEBI {
+			t.Fatalf("%s: eNB classified port %d onto EBI %d, modem onto %d", step, flow.DstPort, b.EBI, wantEBI)
 		}
 	}
 
@@ -68,12 +82,13 @@ func TestModemClassification(t *testing.T) {
 	tcp.Proto = pkt.ProtoTCP
 	check("no match", tcp, EBIDefault, pkt.QCIDefault)
 
-	ue.removeTFT(7)
+	remove(7)
 	check("tie winner removed", udp(7000), 9, 3)
 	install(7, 5, pkt.PacketFilter{ID: 1, Precedence: 10, Proto: pkt.ProtoUDP, RemotePortLo: 7000, RemotePortHi: 7000})
 	check("reinstalled", udp(7000), 7, 5)
 
 	ue.completeDetach()
+	sess.Bearers = [16]*Bearer{EBIDefault: def}
 	check("after detach", udp(7000), EBIDefault, pkt.QCIDefault)
 
 	for _, ebi := range []uint8{0, 4} {
