@@ -347,8 +347,9 @@ func BenchmarkAllocTFTMatch(b *testing.B) {
 // BenchmarkAllocFlowInstall measures one FlowMod add and one delete by
 // cookie, controller call to switch table, against a warm 10,000-entry
 // table: the encoded message goes into the controller's scratch, the entry
-// into a slot the previous round vacated, and both messages ride the
-// pooled control transport; what is left is the two delivery closures.
+// into a slot the previous round vacated, both messages ride the pooled
+// control transport, and each carries its entry or cookie in a pooled
+// FlowMod record, so the round allocates nothing.
 func BenchmarkAllocFlowInstall(b *testing.B) {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
@@ -464,6 +465,71 @@ func BenchmarkAllocHandover(b *testing.B) {
 		if err := tb.Handover(ue, tb.ENB); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAllocChurnRound measures one round of the control-plane churn
+// the paper's per-session bearer lifecycle implies, over 16 UEs: attach,
+// MRS bind (dedicated MEC bearer and its flows), handover out and back,
+// release, detach. Every S1AP/GTPv2 leg and OpenFlow FlowMod of the round
+// rides a pooled continuation record, so what is left is per-procedure
+// state and the legs' own closures.
+func BenchmarkAllocChurnRound(b *testing.B) {
+	tb := NewTestbed(TestbedConfig{Seed: 1, NumUEs: 16, IdleTimeout: time.Hour, DiscoveryPeriod: time.Hour})
+	east := tb.AddNeighborENB("enb-east")
+	tb.Run(time.Second)
+	fired := 0
+	bound := func(_ pkt.Addr, err error) {
+		if err == nil {
+			fired++
+		}
+	}
+	released := func(err error) {
+		if err == nil {
+			fired++
+		}
+	}
+	detached := func() { fired++ }
+	fanOut := func(phase string, issue func(u *UEBundle) error) {
+		fired = 0
+		for _, u := range tb.UEs {
+			if err := issue(u); err != nil {
+				b.Fatalf("%s %s: %v", phase, u.Name, err)
+			}
+		}
+		tb.Run(2 * time.Second)
+		if fired != len(tb.UEs) {
+			b.Fatalf("%s: %d of %d completed", phase, fired, len(tb.UEs))
+		}
+	}
+	round := func() {
+		for _, u := range tb.UEs {
+			if err := tb.Attach(u); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fanOut("bind", func(u *UEBundle) error {
+			tb.MRS.RequestConnectivity(RetailServiceName, u.UE.Addr(), tb.ENB.Name(), bound)
+			return nil
+		})
+		for _, u := range tb.UEs {
+			for _, target := range []*epc.ENB{east, tb.ENB} {
+				if err := tb.Handover(u, target); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		fanOut("release", func(u *UEBundle) error {
+			tb.MRS.ReleaseConnectivity(u.UE.Addr(), released)
+			return nil
+		})
+		fanOut("detach", func(u *UEBundle) error { return u.UE.Detach(detached) })
+	}
+	round() // warm: pools and lazily built state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
 

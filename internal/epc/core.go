@@ -84,6 +84,10 @@ type Core struct {
 	encBuf, nasBuf []byte
 	ctxBuf         []pkt.BearerContext
 	fteidBuf       []pkt.FTEID
+
+	// legFree recycles the continuation records every S1AP/GTPv2 send
+	// carries (see leg).
+	legFree []*leg
 }
 
 // NewCore builds an empty core and places its control plane on the network.
@@ -158,7 +162,7 @@ func (c *Core) Session(imsi string) *Session { return c.sessions[imsi] }
 func (c *Core) SessionByIP(ip pkt.Addr) *Session { return c.byIP[ip] }
 
 // proc coordinates one multi-message control procedure over the lossy
-// transport: continuation steps run only while the procedure is live, the
+// transport: continuations run only while the procedure is live, the
 // terminal callback fires exactly once, and error-path cleanups
 // (registered as the procedure acquires resources) run in reverse order
 // when it fails.
@@ -166,20 +170,12 @@ type proc struct {
 	finished bool
 	end      func(error)
 	errFns   []func()
+	// fail is finish as a method value, bound on the procedure's first send
+	// and passed by every send as its transport-failure callback.
+	fail func(error)
 }
 
 func newProc(end func(error)) *proc { return &proc{end: end} }
-
-// step wraps a continuation so it is skipped once the procedure reached a
-// terminal outcome (e.g. an earlier leg already timed out).
-func (pr *proc) step(f func()) func() {
-	return func() {
-		if pr.finished {
-			return
-		}
-		f()
-	}
-}
 
 // onError registers a cleanup to run if the procedure fails.
 func (pr *proc) onError(fn func()) { pr.errFns = append(pr.errFns, fn) }
@@ -201,8 +197,72 @@ func (pr *proc) finish(err error) {
 	}
 }
 
+// failure returns the procedure's transport-failure callback, binding it on
+// the first send. Noinline keeps the one-per-procedure method value out of
+// the hotpath senders' escape profiles.
+//
+//go:noinline
+func (pr *proc) failure() func(error) {
+	if pr.fail == nil {
+		pr.fail = pr.finish
+	}
+	return pr.fail
+}
+
+// leg is a pooled continuation record: the receiver-side continuation of
+// one S1AP/GTPv2 send and the procedure it belongs to. The transport
+// carries run, bound once when the record is built. The record goes back to
+// Core.legFree when its delivery runs, which the ctl receiver's duplicate
+// filter allows at most once per frame; a record whose every attempt was
+// lost is never delivered and is left to the GC.
+type leg struct {
+	c       *Core
+	pr      *proc
+	deliver func()
+	run     func()
+}
+
+// land is the record's delivery: it recycles the record, then continues the
+// procedure unless an earlier leg already concluded it.
+func (l *leg) land() {
+	pr, deliver := l.pr, l.deliver
+	l.pr, l.deliver = nil, nil
+	l.c.legFree = append(l.c.legFree, l)
+	if !pr.finished {
+		deliver()
+	}
+}
+
+// takeLeg pops a continuation record for one send of pr, or builds one,
+// and returns its pre-bound delivery.
+//
+//acacia:hotpath
+func (c *Core) takeLeg(pr *proc, deliver func()) func() {
+	if len(c.legFree) == 0 {
+		c.legFree = append(c.legFree, c.newLeg())
+	}
+	n := len(c.legFree) - 1
+	l := c.legFree[n]
+	c.legFree[n], c.legFree = nil, c.legFree[:n]
+	l.pr, l.deliver = pr, deliver
+	return l.run
+}
+
+// newLeg is the record pool's refill path. Noinline keeps the pool-miss
+// allocation out of hotpath callers' escape profiles.
+//
+//go:noinline
+func (c *Core) newLeg() *leg {
+	l := &leg{c: c}
+	l.run = l.land
+	return l
+}
+
 // noteTx builds the transport-observation callback that back-fills a traced
-// record's wire fields, or nil when the message is not traced.
+// record's wire fields, or nil when the message is not traced. Noinline for
+// the reason txPath gives: only traced runs build the closure.
+//
+//go:noinline
 func (c *Core) noteTx(idx int) func(ctl.TxInfo) {
 	if idx < 0 {
 		return nil
@@ -225,8 +285,7 @@ func (c *Core) sendS1AP(pr *proc, from, to *ctl.Endpoint, m *pkt.S1APMsg, delive
 	n := len(c.encBuf)
 	name := m.Procedure.String()
 	idx := c.Acct.RecordTx(c.Eng.Now(), ProtoS1AP, name, n, seq, c.txPath(from, to))
-	//acacia:allow hotpath-escape per-transaction callbacks capture procedure state; control-plane sends are bounded by procedure rate, not the packet rate
-	from.Send(to.Addr(), seq, name, n, pr.step(deliver), pr.finish, c.noteTx(idx))
+	from.Send(to.Addr(), seq, name, n, c.takeLeg(pr, deliver), pr.failure(), c.noteTx(idx))
 }
 
 // sendGTPv2 is sendS1AP for GTPv2-C: the allocated sequence becomes the
@@ -240,8 +299,7 @@ func (c *Core) sendGTPv2(pr *proc, from, to *ctl.Endpoint, m *pkt.GTPv2Msg, deli
 	n := len(c.encBuf)
 	name := m.Type.String()
 	idx := c.Acct.RecordTx(c.Eng.Now(), ProtoGTPv2, name, n, seq, c.txPath(from, to))
-	//acacia:allow hotpath-escape per-transaction callbacks capture procedure state; control-plane sends are bounded by procedure rate, not the packet rate
-	from.Send(to.Addr(), seq, name, n, pr.step(deliver), pr.finish, c.noteTx(idx))
+	from.Send(to.Addr(), seq, name, n, c.takeLeg(pr, deliver), pr.failure(), c.noteTx(idx))
 }
 
 // txPath builds the "from->to" trace label, but only when tracing is on —

@@ -147,7 +147,10 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 							source.restoreBearerMapping(sess, b.EBI, oldTEIDs[i])
 						}
 					})
-					c.Eng.Schedule(handoverInterruption, pr.step(func() {
+					c.Eng.Schedule(handoverInterruption, func() {
+						if pr.finished {
+							return // a leg failed during the interruption
+						}
 						sess.UE.switchRadio(target, tctx.uePort)
 						sess.ENB = target
 						// Compensation: retune the UE back to the source.
@@ -165,7 +168,7 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 						c.sendS1AP(pr, target.ep, c.mmeEP, notify, func() {
 							m.pathSwitch(pr, sess, source, hoBearers, oldTEIDs)
 						})
-					}))
+					})
 				})
 			})
 		})

@@ -1,0 +1,172 @@
+package epc
+
+import (
+	"testing"
+	"time"
+
+	"acacia/internal/ctl"
+	"acacia/internal/pkt"
+)
+
+// The continuation contract of sendS1AP/sendGTPv2: each send carries a
+// pooled leg record that runs its continuation at most once, and only while
+// the procedure is live, and that returns to Core.legFree when it lands.
+
+// distinctLegs fails the test if a record sits in the free list twice,
+// which a second delivery of one frame would cause.
+func distinctLegs(t *testing.T, c *Core) {
+	t.Helper()
+	seen := make(map[*leg]bool, len(c.legFree))
+	for _, l := range c.legFree {
+		if seen[l] {
+			t.Fatal("a leg record was recycled twice")
+		}
+		if l.pr != nil || l.deliver != nil {
+			t.Fatal("a recycled leg record still holds its procedure")
+		}
+		seen[l] = true
+	}
+}
+
+// TestLegAfterFailureRunsNothing fails a procedure on a dead S11 while its
+// other leg is still crossing S1: the late leg lands, runs nothing and
+// returns its record, while the timed-out leg's record never comes back.
+func TestLegAfterFailureRunsNothing(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	c := tb.core
+	if n := len(c.legFree); n != 0 {
+		t.Fatalf("fresh core holds %d leg records", n)
+	}
+	c.S11Link().SetDown(true)
+
+	var failed error
+	ran := 0
+	pr := newProc(func(err error) { failed = err })
+	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: tb.ue.IMSI}, func() { ran++ })
+	// The S11 transaction fails when its last T3 expires; send the S1 leg
+	// so that it lands just after.
+	failAt := time.Duration(ctl.N3+1) * ctl.T3
+	tb.eng.Schedule(failAt-time.Millisecond, func() {
+		c.sendS1AP(pr, c.mmeEP, tb.enb.ep, &pkt.S1APMsg{Procedure: pkt.S1APPaging}, func() { ran++ })
+	})
+	tb.eng.RunFor(time.Second)
+
+	if failed == nil {
+		t.Fatal("the procedure did not fail over a dead S11")
+	}
+	if tb.enb.S1Link().StatsAB().Delivered == 0 {
+		t.Fatal("the S1 leg never landed")
+	}
+	if ran != 0 {
+		t.Fatalf("%d continuations ran after the procedure failed", ran)
+	}
+	if n := len(c.legFree); n != 1 {
+		t.Fatalf("%d leg records recycled, want 1 (the landed leg; the timed-out one goes to the GC)", n)
+	}
+	distinctLegs(t, c)
+}
+
+// TestRetransmittedLegRunsOnce loses the ack of a delivered request, so the
+// retransmission lands as a duplicate: the continuation must run once, and
+// its record return to the pool once.
+func TestRetransmittedLegRunsOnce(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	c := tb.core
+	s1 := tb.enb.S1Link()
+	ran := 0
+	pr := newProc(nil)
+	c.sendS1AP(pr, c.mmeEP, tb.enb.ep, &pkt.S1APMsg{Procedure: pkt.S1APPaging}, func() { ran++ })
+	// The request is in flight at 1 ms and lands at 2 ms; its ack leaves
+	// into a dead link and the T3 retransmission repeats the request.
+	tb.eng.Schedule(time.Millisecond, func() { s1.SetDown(true) })
+	tb.eng.Schedule(3*time.Millisecond, func() { s1.SetDown(false) })
+	tb.eng.RunFor(time.Second)
+
+	tr := c.Transport()
+	if tr.Retransmissions() != 1 || tr.Duplicates() != 1 || tr.Timeouts() != 0 {
+		t.Fatalf("retransmissions=%d duplicates=%d timeouts=%d, want 1, 1, 0",
+			tr.Retransmissions(), tr.Duplicates(), tr.Timeouts())
+	}
+	if ran != 1 {
+		t.Fatalf("continuation ran %d times, want once", ran)
+	}
+	if n := len(c.legFree); n != 1 {
+		t.Fatalf("%d leg records recycled, want 1", n)
+	}
+	distinctLegs(t, c)
+
+	// Whole procedures over lossy links keep the contract too.
+	tb.enb.S1Link().SetLoss(0.2)
+	c.S11Link().SetLoss(0.2)
+	tb.attach(t)
+	if err := tb.ue.Detach(nil); err != nil {
+		t.Fatal(err)
+	}
+	tb.eng.RunFor(2 * time.Second)
+	if tr.Duplicates() < 2 {
+		t.Fatal("no duplicate deliveries under 20% loss — the filter is untested")
+	}
+	distinctLegs(t, c)
+}
+
+// TestLegPoolsStopGrowing runs loss-free lifecycle rounds — attach,
+// dedicated bearer, handover out and back, bearer deletion, detach, then a
+// batched attach and detach — and requires every record back in the pool
+// at each quiescent point, with the pool no larger after the last round
+// than after the first.
+func TestLegPoolsStopGrowing(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	enb2 := withSecondENB(t, tb)
+	cohort := tb.addBatchUEs(2)
+	c := tb.core
+	round := func() {
+		t.Helper()
+		tb.attach(t)
+		tb.dedicate(t)
+		sess := c.Session(tb.ue.IMSI)
+		for _, target := range []*ENB{enb2, tb.enb} {
+			var hoErr error
+			c.MME.Handover(sess, target, func(err error) { hoErr = err })
+			tb.eng.RunFor(500 * time.Millisecond)
+			if hoErr != nil || sess.ENB != target {
+				t.Fatalf("handover to %s: %v", target.Name(), hoErr)
+			}
+		}
+		var delErr error
+		c.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(err error) { delErr = err })
+		tb.eng.RunFor(500 * time.Millisecond)
+		if delErr != nil {
+			t.Fatalf("bearer deletion: %v", delErr)
+		}
+		if err := tb.ue.Detach(nil); err != nil {
+			t.Fatal(err)
+		}
+		tb.eng.RunFor(time.Second)
+		for _, batch := range []func(func(*UE, error)){
+			func(done func(*UE, error)) { c.AttachBatch(cohort, "core-sgw", "core-pgw", done) },
+			func(done func(*UE, error)) { c.DetachBatch(cohort, done) },
+		} {
+			batch(func(ue *UE, err error) {
+				if err != nil {
+					t.Fatalf("%s: %v", ue.IMSI, err)
+				}
+			})
+			tb.eng.RunFor(2 * time.Second)
+		}
+		if c.Transport().Timeouts() != 0 {
+			t.Fatal("a transaction timed out on loss-free links")
+		}
+		distinctLegs(t, c)
+	}
+	round()
+	first := len(c.legFree)
+	if first == 0 {
+		t.Fatal("no leg records recycled")
+	}
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	if n := len(c.legFree); n != first {
+		t.Fatalf("leg pool holds %d records after 21 rounds, %d after the first", n, first)
+	}
+}

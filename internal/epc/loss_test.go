@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"acacia/internal/netsim"
+	"acacia/internal/pkt"
 )
 
 // Control-plane robustness: the transactional transport must carry EPC
@@ -233,6 +234,89 @@ func TestTraceSeqsMonotonicPerPath(t *testing.T) {
 	for _, r := range tb.core.Acct.Log {
 		if r.Retrans != 0 {
 			t.Errorf("%s on %s reports %d retransmissions on a loss-free run", r.Name, r.Path, r.Retrans)
+		}
+	}
+}
+
+// TestAttachUnwindsRadioAfterContextSetup kills S11 as the last Initial
+// Context Setup Response leaves its eNB: the default bearers are mapped at
+// the eNB, and the Modify Bearer exchange that follows is lost. Both attach
+// procedures must then unwind the eNB side as well as the sessions — no
+// downlink TEID mapping and no connected radio context may remain — and a
+// healed retry must succeed.
+func TestAttachUnwindsRadioAfterContextSetup(t *testing.T) {
+	procedures := []struct {
+		name  string
+		extra int // cohort members beside the testbed's UE
+		start func(tb *testbed, cohort []*UE, done func(*UE, error))
+	}{
+		{"Attach", 0, func(tb *testbed, _ []*UE, done func(*UE, error)) {
+			tb.ue.Attach("core-sgw", "core-pgw", func(err error) { done(tb.ue, err) })
+		}},
+		{"AttachBatch", 2, func(tb *testbed, cohort []*UE, done func(*UE, error)) {
+			tb.core.AttachBatch(cohort, "core-sgw", "core-pgw", done)
+		}},
+	}
+	for _, p := range procedures {
+		setup := func() (*testbed, []*UE) {
+			tb := buildTestbed(t, time.Hour)
+			return tb, tb.addBatchUEs(p.extra)
+		}
+		// A traced loss-free run times the last context-setup response.
+		ref, refCohort := setup()
+		ref.core.Acct.Trace = true
+		p.start(ref, refCohort, func(*UE, error) {})
+		ref.eng.RunFor(2 * time.Second)
+		var killAt time.Duration
+		for _, r := range ref.core.Acct.Log {
+			if r.Name == pkt.S1APInitialContextSetupResponse.String() {
+				killAt = time.Duration(r.At)
+			}
+		}
+		if killAt == 0 {
+			t.Fatalf("%s: reference run sent no InitialContextSetupResponse", p.name)
+		}
+
+		tb, cohort := setup()
+		tb.eng.Schedule(killAt-time.Duration(tb.eng.Now()), func() { tb.core.S11Link().SetDown(true) })
+		errs := make(map[string]int)
+		p.start(tb, cohort, func(ue *UE, err error) {
+			if err == nil {
+				t.Errorf("%s: %s attached without its Modify Bearer exchange", p.name, ue.IMSI)
+			}
+			errs[ue.IMSI]++
+		})
+		tb.eng.RunFor(5 * time.Second)
+		for _, ue := range cohort {
+			if errs[ue.IMSI] != 1 {
+				t.Errorf("%s: %s heard %d errors, want exactly 1", p.name, ue.IMSI, errs[ue.IMSI])
+			}
+		}
+		connected := 0
+		for _, ctx := range tb.enb.byRadio {
+			if ctx != nil && ctx.connected {
+				connected++
+			}
+		}
+		if n := len(tb.enb.byDLTEID); n != 0 || connected != 0 {
+			t.Errorf("%s: eNB kept %d downlink mappings and %d connected contexts, want 0 and 0", p.name, n, connected)
+		}
+		if len(tb.core.sessions) != 0 || len(tb.core.byIP) != 0 {
+			t.Errorf("%s: %d sessions and %d UE-IP bindings left", p.name, len(tb.core.sessions), len(tb.core.byIP))
+		}
+
+		tb.core.S11Link().SetDown(false)
+		var retryErr error
+		retried := 0
+		p.start(tb, cohort, func(_ *UE, err error) {
+			if err != nil {
+				retryErr = err
+			}
+			retried++
+		})
+		tb.eng.RunFor(2 * time.Second)
+		if retried != len(cohort) || retryErr != nil || !tb.ue.Attached() {
+			t.Errorf("%s: healed retry: %d outcomes, err=%v, attached=%v", p.name, retried, retryErr, tb.ue.Attached())
 		}
 	}
 }

@@ -144,9 +144,12 @@ func (c *Core) newSession(ue *UE, apn *APNProfile, qos pkt.BearerQoS) member {
 }
 
 // unwindAttach ends a failed attach's half-built sessions so each UE can
-// retry from scratch; both attach procedures register it with onError.
+// retry from scratch; both attach procedures register it with onError. A
+// failure after Initial Context Setup has mapped the default bearer at the
+// eNB, so the radio context is released too (a no-op before that leg).
 func (c *Core) unwindAttach(members []member) {
 	for _, m := range members {
+		m.sess.ENB.releaseContext(m.sess)
 		c.endSession(m.sess)
 	}
 }
@@ -507,6 +510,9 @@ func (m *MME) page(sess *Session) {
 func (m *MME) onCreateBearerRequest(pr *proc, sess *Session, b *Bearer, done func(error)) {
 	c := m.core
 	doSetup := func() {
+		if pr.finished {
+			return // a promotion waiter outlived the failed procedure
+		}
 		sgw := b.Planes.SGW
 		// The NAS Activate Dedicated EPS Bearer Context Request carries the
 		// QoS and TFT the eNB relays to the UE in the RRC reconfiguration.
@@ -553,10 +559,10 @@ func (m *MME) onCreateBearerRequest(pr *proc, sess *Session, b *Bearer, done fun
 		doSetup()
 	case StateIdle:
 		// Wake the UE first; bearer setup rides after promotion.
-		sess.whenConnected(pr.step(doSetup))
+		sess.whenConnected(doSetup)
 		m.page(sess)
 	case StatePromoting, StateConnecting:
-		sess.whenConnected(pr.step(doSetup))
+		sess.whenConnected(doSetup)
 	default:
 		done(fmt.Errorf("epc: UE %s in state %v", sess.IMSI, sess.State))
 	}

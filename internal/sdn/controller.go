@@ -73,6 +73,61 @@ type Controller struct {
 	// encBuf is the controller-lifetime scratch the accounting encoders
 	// serialize into; only the encoded length outlives each call.
 	encBuf []byte
+
+	// modFree recycles the FlowMod continuation records (see flowMod).
+	modFree []*flowMod
+}
+
+// flowMod is a pooled FlowMod continuation: the entry to add, or the
+// cookie (entry.Cookie) to delete, applied at sw when the message lands.
+// The transport carries apply, bound once when the record is built. The
+// record goes back to Controller.modFree when it is applied, which the ctl
+// receiver's duplicate filter allows at most once per frame; a FlowMod
+// whose every attempt was lost is never applied and is left to the GC.
+type flowMod struct {
+	c     *Controller
+	sw    *Switch
+	add   bool
+	entry FlowEntry
+	apply func()
+}
+
+// land is the record's delivery: it recycles the record, then changes the
+// switch's table.
+func (m *flowMod) land() {
+	sw, add, e := m.sw, m.add, m.entry
+	m.sw, m.entry = nil, FlowEntry{}
+	m.c.modFree = append(m.c.modFree, m)
+	if add {
+		sw.installFlow(e)
+	} else {
+		sw.removeFlows(e.Cookie)
+	}
+}
+
+// takeFlowMod pops a FlowMod record for sw, or builds one, and returns its
+// pre-bound delivery.
+//
+//acacia:hotpath
+func (c *Controller) takeFlowMod(sw *Switch, add bool, e FlowEntry) func() {
+	if len(c.modFree) == 0 {
+		c.modFree = append(c.modFree, c.newFlowMod())
+	}
+	n := len(c.modFree) - 1
+	m := c.modFree[n]
+	c.modFree[n], c.modFree = nil, c.modFree[:n]
+	m.sw, m.add, m.entry = sw, add, e
+	return m.apply
+}
+
+// newFlowMod is the record pool's refill path. Noinline keeps the pool-miss
+// allocation out of hotpath callers' escape profiles.
+//
+//go:noinline
+func (c *Controller) newFlowMod() *flowMod {
+	m := &flowMod{c: c}
+	m.apply = m.land
+	return m
 }
 
 // NewController creates a controller on eng.
@@ -143,12 +198,16 @@ func (c *Controller) wireSwitch(sw *Switch) {
 
 // toSwitch delivers a controller-to-switch message over the switch's
 // control link.
+//
+//acacia:hotpath
 func (c *Controller) toSwitch(sw *Switch, name string, size int, fn func()) {
 	seq := c.ep.NextSeq(sw.ctlEP.Addr())
 	c.ep.Send(sw.ctlEP.Addr(), seq, name, size, fn, nil, nil)
 }
 
 // toController delivers a switch-to-controller message symmetrically.
+//
+//acacia:hotpath
 func (c *Controller) toController(sw *Switch, name string, size int, fn func()) {
 	seq := sw.ctlEP.NextSeq(c.ep.Addr())
 	sw.ctlEP.Send(c.ep.Addr(), seq, name, size, fn, nil, nil)
@@ -196,7 +255,7 @@ func (c *Controller) InstallFlow(sw *Switch, e FlowEntry) int {
 		Actions:     e.Actions,
 	}
 	n := c.accountSent(msg)
-	c.toSwitch(sw, "FlowMod", n, func() { sw.installFlow(e) })
+	c.toSwitch(sw, "FlowMod", n, c.takeFlowMod(sw, true, e))
 	return n
 }
 
@@ -209,7 +268,7 @@ func (c *Controller) RemoveFlows(sw *Switch, cookie uint64) int {
 		Cookie:  cookie,
 	}
 	n := c.accountSent(msg)
-	c.toSwitch(sw, "FlowMod", n, func() { sw.removeFlows(cookie) })
+	c.toSwitch(sw, "FlowMod", n, c.takeFlowMod(sw, false, FlowEntry{Cookie: cookie}))
 	return n
 }
 

@@ -562,3 +562,43 @@ func TestEchoDoesNotDisturbDataPlane(t *testing.T) {
 			g.sgwU.Stats().TableMisses, g.pgwU.Stats().TableMisses)
 	}
 }
+
+// TestFlowModRecordsRecycle installs and deletes flows in loss-free rounds:
+// every FlowMod record must be back in the controller's pool at each
+// quiescent point, cleared and listed once, and the pool no larger after
+// the last round than after the first.
+func TestFlowModRecordsRecycle(t *testing.T) {
+	g := buildGWTopo(t, ACACIAGWCosts)
+	round := func() {
+		t.Helper()
+		for i := uint64(1); i <= 8; i++ {
+			g.ctl.InstallFlow(g.sgwU, FlowEntry{Priority: 50, Cookie: i, Match: pkt.Match{TunnelID: pkt.U64(1000 + i)}})
+		}
+		g.eng.RunFor(time.Millisecond)
+		if n := g.sgwU.FlowCount(); n != 9 {
+			t.Fatalf("%d flows after the installs, want 9", n)
+		}
+		for i := uint64(1); i <= 8; i++ {
+			g.ctl.RemoveFlows(g.sgwU, i)
+		}
+		g.eng.RunFor(time.Millisecond)
+		if n := g.sgwU.FlowCount(); n != 1 {
+			t.Fatalf("%d flows after the deletes, want 1", n)
+		}
+		seen := make(map[*flowMod]bool)
+		for _, m := range g.ctl.modFree {
+			if seen[m] || m.sw != nil || m.entry.Cookie != 0 {
+				t.Fatal("a FlowMod record was recycled twice or kept its entry")
+			}
+			seen[m] = true
+		}
+	}
+	round()
+	first := len(g.ctl.modFree)
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	if n := len(g.ctl.modFree); n != first || first == 0 {
+		t.Fatalf("FlowMod pool holds %d records after 21 rounds, %d after the first", n, first)
+	}
+}

@@ -26,9 +26,8 @@ import (
 	"acacia/internal/telemetry"
 )
 
-// FlowEntry is one OpenFlow table entry as the controller specifies it. At
-// 112 bytes it is under the 128 a closure captures by value, which keeps a
-// FlowMod's delivery closure to one allocation.
+// FlowEntry is one OpenFlow table entry as the controller specifies it. A
+// FlowMod carries it by value in a pooled record (flowMod).
 type FlowEntry struct {
 	Priority    uint16
 	Match       pkt.Match
