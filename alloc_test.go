@@ -114,7 +114,7 @@ func BenchmarkAllocPacketPath(b *testing.B) {
 // under congestion: a FIFO direction (a -> b, one lane) and a QCI-prioritised
 // one (b -> a, nine lanes) each hold a 64-packet backlog, and every
 // iteration offers one packet to each and serialises one out of each, so
-// lanes compact, drain and refill with no allocation.
+// lanes cycle their blocks, drain and refill with no allocation.
 func BenchmarkAllocQueuedLink(b *testing.B) {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
@@ -132,7 +132,7 @@ func BenchmarkAllocQueuedLink(b *testing.B) {
 		for _, end := range [2][2]*netsim.Node{{na, nb}, {nb, na}} {
 			p := end[0].NewPacket()
 			p.Flow = pkt.FiveTuple{Src: end[0].Addr(), Dst: end[1].Addr(), DstPort: 9000, Proto: pkt.ProtoUDP}
-			p.Size, p.Priority = size, 1+n%9
+			p.Size, p.Priority = size, uint8(1+n%9)
 			end[0].Inject(p)
 		}
 		n++
@@ -144,7 +144,7 @@ func BenchmarkAllocQueuedLink(b *testing.B) {
 		offer()
 		eng.RunFor(time.Millisecond)
 	}
-	for i := 0; i < 256; i++ { // warm pools, lanes and the compaction cycle
+	for i := 0; i < 256; i++ { // warm pools, lanes and their spare blocks
 		step()
 	}
 	b.ReportAllocs()
@@ -326,6 +326,71 @@ func BenchmarkAllocSwitchPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		send()
+	}
+}
+
+// BenchmarkAllocSwitchBacklog holds an OpenEPC-cost switch (every packet
+// on the 35 µs slow path) at a backlog of about 4,000 packets, Fig. 8's
+// overload regime, and each iteration offers one packet and serves one.
+// The CPU queue's blocks cycle through its spare list and the packets
+// through the pool, so the steady state allocates nothing at all.
+func BenchmarkAllocSwitchBacklog(b *testing.B) {
+	const backlog = 4000
+	eng := sim.NewEngine(1)
+	nw := netsim.New(eng)
+	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
+	ns := nw.AddNode("s", pkt.AddrFrom(10, 0, 0, 2))
+	nb := nw.AddNode("b", pkt.AddrFrom(10, 0, 0, 3))
+	cfg := netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: 100 * time.Microsecond}
+	nw.ConnectSymmetric(na, ns, cfg) // s port 0
+	nw.ConnectSymmetric(ns, nb, cfg) // s port 1
+	ha := netsim.NewHost(na)
+	sink := netsim.NewSink(netsim.NewHost(nb), 9000)
+	sw := sdn.NewSwitch(1, ns, sdn.OpenEPCGWCosts)
+	controller := sdn.NewController(eng)
+	controller.AddSwitch(sw)
+	wireController(controller, nw)
+	controller.InstallFlow(sw, sdn.FlowEntry{
+		Priority: 100, Cookie: 1,
+		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(nb.Addr())},
+		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
+	})
+	eng.RunFor(time.Millisecond) // let the FlowMod land
+	sent := 0
+	offer := func() {
+		ha.Send(nb.Addr(), 30000, 9000, pkt.ProtoUDP, 1200, nil)
+		sent++
+	}
+	// One offer per slow-path service time keeps the backlog where the
+	// burst put it; 3,000 warm-up rounds fill the packet pool and the
+	// queue's spare list.
+	step := func() {
+		offer()
+		eng.RunFor(sdn.OpenEPCGWCosts.SlowPath)
+	}
+	for i := 0; i < backlog; i++ {
+		offer()
+	}
+	for i := 0; i < 3000; i++ {
+		step()
+	}
+	// allocs/op rounds one new block per 1,024 packets down to 0, so also
+	// count per 1,024 steps, averaged over 16 rounds.
+	if n := testing.AllocsPerRun(16, func() {
+		for i := 0; i < 1024; i++ {
+			step()
+		}
+	}); n != 0 {
+		b.Fatalf("%.0f allocations per 1,024 steps at a steady backlog, want 0", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	if waiting := sent - int(sink.Packets); waiting < backlog/2 {
+		b.Fatalf("%d packets behind the switch, want a backlog near %d", waiting, backlog)
 	}
 }
 

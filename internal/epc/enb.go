@@ -174,7 +174,7 @@ func (e *ENB) forwardUplink(ctx *ueCtx, p *netsim.Packet) {
 		return
 	}
 	sgw := b.Planes.SGW
-	p.Priority = b.QoS.QCI.Priority()
+	p.Priority = uint8(b.QoS.QCI.Priority())
 	p.Encapsulate(e.Addr(), sgw.Addr(), b.S1UL)
 	e.ULPackets++
 	e.node.Port(0).Send(p)
@@ -229,7 +229,7 @@ func (e *ENB) handleDownlink(p *netsim.Packet) {
 	}
 	key.ctx.lastSeen = e.core.Eng.Now()
 	if b := key.ctx.sess.Bearers[key.ebi]; b != nil {
-		p.Priority = b.QoS.QCI.Priority()
+		p.Priority = uint8(b.QoS.QCI.Priority())
 	}
 	e.DLPackets++
 	e.node.Port(key.ctx.radioPort).Send(p)

@@ -270,12 +270,12 @@ func TestDedicatedBearerPriority(t *testing.T) {
 	ciFlow := pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.ciHost.Node.Addr(), DstPort: 80, Proto: pkt.ProtoUDP}
 	p := &netsim.Packet{Flow: ciFlow, Size: 100}
 	tb.ue.classify(p)
-	if p.Priority != pkt.QCIMEC.Priority() {
+	if int(p.Priority) != pkt.QCIMEC.Priority() {
 		t.Errorf("CI packet priority = %d, want %d", p.Priority, pkt.QCIMEC.Priority())
 	}
 	inet := &netsim.Packet{Flow: pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.inetHost.Node.Addr()}, Size: 100}
 	tb.ue.classify(inet)
-	if inet.Priority != pkt.QCIDefault.Priority() {
+	if int(inet.Priority) != pkt.QCIDefault.Priority() {
 		t.Errorf("default packet priority = %d", inet.Priority)
 	}
 }

@@ -173,7 +173,7 @@ func (u *UE) match(flow pkt.FiveTuple, tos uint8) (uint8, pkt.QCI) {
 //acacia:hotpath
 func (u *UE) classify(p *netsim.Packet) *netsim.Port {
 	_, qci := u.match(p.Flow, p.TOS)
-	p.Priority = qci.Priority()
+	p.Priority = uint8(qci.Priority())
 	if u.servingPort >= len(u.node.Ports()) {
 		return nil
 	}

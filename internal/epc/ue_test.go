@@ -59,7 +59,7 @@ func TestModemClassification(t *testing.T) {
 				t.Fatalf("%s: BearerFor(port %d) = %d, want %d", step, flow.DstPort, got, wantEBI)
 			}
 		}
-		if p.Priority != wantQCI.Priority() {
+		if int(p.Priority) != wantQCI.Priority() {
 			t.Fatalf("%s: classify(port %d) set priority %d, want QCI %d's %d", step, flow.DstPort, p.Priority, wantQCI, wantQCI.Priority())
 		}
 		if b := enb.classifyUplink(sess, p); b.EBI != wantEBI {

@@ -139,7 +139,7 @@ func (d *linkDir) send(p *Packet) {
 	d.qBytes += p.Size
 	prio := 0
 	if d.cfg.Prioritized {
-		prio = p.Priority
+		prio = int(p.Priority)
 	}
 	d.queue.push(prio, queuedPacket{p: p, enq: d.eng.Now()})
 	if !d.busy {
@@ -211,14 +211,6 @@ type queuedPacket struct {
 // urgent) through 15; QCI priorities are 1-10 (pkt.QCI.Priority).
 const maxLanes = 16
 
-// lane is one priority level's FIFO: items[head:] wait, popping advances
-// head (see sdn.Switch.serveNext for why it does not re-slice from the
-// front).
-type lane struct {
-	items []queuedPacket
-	head  int
-}
-
 // laneQueue is a direction's transmit queue: one FIFO lane per priority and
 // a bitmask of the non-empty ones. Pop takes the head of the lowest set
 // bit's lane, which is (priority, arrival) order in O(1) — also across a
@@ -226,7 +218,7 @@ type lane struct {
 // at push. lanes grows to prio+1 on first use: most directions are delay
 // lines that never queue, and a wired FIFO only ever has lane 0.
 type laneQueue struct {
-	lanes    []lane
+	lanes    []FIFO[queuedPacket]
 	nonEmpty uint16
 }
 
@@ -238,8 +230,7 @@ func (q *laneQueue) push(prio int, it queuedPacket) {
 	if uint(prio) >= uint(len(q.lanes)) {
 		q.grow(prio)
 	}
-	l := &q.lanes[prio]
-	l.items = append(l.items, it)
+	q.lanes[prio].Push(it)
 	q.nonEmpty |= 1 << prio
 }
 
@@ -248,7 +239,7 @@ func (q *laneQueue) grow(prio int) {
 	if uint(prio) >= maxLanes {
 		panic("netsim: link queue priority outside [0, 16)")
 	}
-	q.lanes = append(q.lanes, make([]lane, prio+1-len(q.lanes))...)
+	q.lanes = append(q.lanes, make([]FIFO[queuedPacket], prio+1-len(q.lanes))...)
 }
 
 // pop removes the first-arrived packet of the most urgent non-empty lane.
@@ -257,19 +248,9 @@ func (q *laneQueue) grow(prio int) {
 func (q *laneQueue) pop() queuedPacket {
 	prio := bits.TrailingZeros16(q.nonEmpty)
 	l := &q.lanes[prio]
-	it := l.items[l.head]
-	l.head++
-	// Same compaction rule as sdn.Switch.serveNext: a drained lane resets to
-	// [:0], one that never drains holds at most a third more slots than
-	// packets.
-	if 4*l.head >= len(l.items) {
-		live := copy(l.items, l.items[l.head:])
-		clear(l.items[live:])
-		l.items = l.items[:live]
-		l.head = 0
-		if live == 0 {
-			q.nonEmpty &^= 1 << prio
-		}
+	it := l.Pop()
+	if l.Len() == 0 {
+		q.nonEmpty &^= 1 << prio
 	}
 	return it
 }

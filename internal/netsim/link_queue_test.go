@@ -12,13 +12,15 @@ import (
 // random pushes and pops and checks every pop against the reference order:
 // a stable sort of the waiting packets by (priority, arrival). The phases
 // cover a deep never-draining backlog, lanes that drain completely and
-// refill, and a trickle; lane slices must stay compact throughout.
+// refill, and a trickle; each lane stays within its FIFO's memory bound,
+// and a drained lane rewinds into one block.
 func TestLaneQueueMatchesStableSort(t *testing.T) {
 	type ref struct{ prio, id int }
 	for seed := uint64(1); seed <= 3; seed++ {
 		rng := sim.NewRNG(seed)
 		var q laneQueue
 		var waiting []ref
+		var hwm [maxLanes]int
 		next := 0
 		pop := func() {
 			sort.SliceStable(waiting, func(i, j int) bool { return waiting[i].prio < waiting[j].prio })
@@ -46,13 +48,14 @@ func TestLaneQueueMatchesStableSort(t *testing.T) {
 				var mask uint16
 				for i := range q.lanes {
 					l := &q.lanes[i]
-					if n := len(l.items) - l.head; n > 0 {
+					hwm[i] = max(hwm[i], l.Len())
+					if c, bound := l.Cap(), fifoBound(l, hwm[i]); c > bound {
+						t.Fatalf("seed %d: lane %d holds %d slots at high-water mark %d, want at most %d", seed, i, c, hwm[i], bound)
+					}
+					if l.Len() > 0 {
 						mask |= 1 << i
-						if len(l.items) > n+n/3+1 {
-							t.Fatalf("seed %d: lane %d holds %d slots for %d waiting", seed, i, len(l.items), n)
-						}
-					} else if len(l.items) != 0 || l.head != 0 {
-						t.Fatalf("seed %d: drained lane %d not reset (len %d, head %d)", seed, i, len(l.items), l.head)
+					} else if l.head != l.tail || l.r != 0 || l.w != 0 {
+						t.Fatalf("seed %d: drained lane %d not rewound (r %d, w %d)", seed, i, l.r, l.w)
 					}
 				}
 				if mask != q.nonEmpty {
@@ -135,7 +138,7 @@ func TestLinkOrderAcrossPrioritizedToggle(t *testing.T) {
 		link.SetConfigAB(cfg)
 		for i := 0; i < 20; i++ {
 			prio := 1 + rng.Intn(9)
-			na.Inject(&Packet{Flow: pkt.FiveTuple{Src: na.Addr(), Dst: hb.Node.Addr(), DstPort: 80}, Size: id, Priority: prio})
+			na.Inject(&Packet{Flow: pkt.FiveTuple{Src: na.Addr(), Dst: hb.Node.Addr(), DstPort: 80}, Size: id, Priority: uint8(prio)})
 			lane := 0
 			if cfg.Prioritized {
 				lane = prio

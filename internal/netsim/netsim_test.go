@@ -120,7 +120,7 @@ func TestPriorityScheduling(t *testing.T) {
 	ha, hb := NewHost(na), NewHost(nb)
 
 	var order []int
-	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) { order = append(order, p.Priority) }))
+	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) { order = append(order, int(p.Priority)) }))
 
 	for i := 0; i < 5; i++ {
 		p := &Packet{Flow: pkt.FiveTuple{Src: na.Addr(), Dst: nb.Addr(), DstPort: 80, Proto: pkt.ProtoUDP}, Size: 1250, Priority: 9}
@@ -146,7 +146,7 @@ func TestFIFOIgnoresPriority(t *testing.T) {
 	nw := hb.Node.Network()
 	na := nw.Node("a")
 	var order []int
-	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) { order = append(order, p.Priority) }))
+	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) { order = append(order, int(p.Priority)) }))
 	for i := 0; i < 3; i++ {
 		na.Inject(&Packet{Flow: pkt.FiveTuple{Src: na.Addr(), Dst: hb.Node.Addr(), DstPort: 80}, Size: 100, Priority: 9})
 	}

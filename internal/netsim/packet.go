@@ -18,7 +18,11 @@ import (
 
 // Packet is one simulated datagram. Packets are passed by pointer and owned
 // by whichever queue or handler currently holds them; handlers that fan a
-// packet out must Clone it.
+// packet out copy it with Network.ClonePacket.
+//
+// The field order packs the struct into 80 bytes, an allocator size class
+// of its own (TestPacketIs80Bytes): overloaded switch queues hold hundreds
+// of thousands of packets, and the metro runs keep pools of them hot.
 type Packet struct {
 	// ID is unique per network for tracing.
 	ID uint64
@@ -26,6 +30,10 @@ type Packet struct {
 	Flow pkt.FiveTuple
 	// TOS is the inner IP TOS byte; bearers mark it from their QCI.
 	TOS uint8
+	// Priority is the scheduling priority derived from the bearer QCI
+	// (lower = served first), the lane of a prioritised link queue. Zero
+	// means default best effort.
+	Priority uint8
 	// Size is the current on-the-wire size in bytes, including any tunnel
 	// encapsulation currently applied.
 	Size int
@@ -39,17 +47,8 @@ type Packet struct {
 	TEID                 uint32
 	TunnelSrc, TunnelDst pkt.Addr
 
-	// Priority is the scheduling priority derived from the bearer QCI
-	// (lower = served first). Zero means default best effort.
-	Priority int
-
-	// CreatedAt is when the packet entered the network.
-	CreatedAt sim.Time
-	// QueueWait accumulates the time spent waiting in link transmit queues
-	// across every hop so far.
-	QueueWait time.Duration
-	// Hops counts forwarding operations, a loop guard.
-	Hops int
+	// Hops counts forwarding operations, a loop guard (MaxHops).
+	Hops uint8
 
 	// pooled marks packets drawn from the network's free-list
 	// (Network.NewPacket/Node.NewPacket/ClonePacket); only those are
@@ -58,6 +57,12 @@ type Packet struct {
 	// application decided to keep past the delivery callback: Release then
 	// becomes a no-op and the packet leaves pool management for good.
 	pooled, freed, retained bool
+
+	// CreatedAt is when the packet entered the network.
+	CreatedAt sim.Time
+	// QueueWait accumulates the time spent waiting in link transmit queues
+	// across every hop so far.
+	QueueWait time.Duration
 }
 
 // Retain opts the packet out of pool recycling. Applications that keep a
@@ -68,14 +73,6 @@ func (p *Packet) Retain() { p.retained = true }
 
 // MaxHops aborts forwarding loops: no testbed path is longer than this.
 const MaxHops = 64
-
-// Clone returns a copy of p sharing the Payload value. The copy is not pool
-// managed; use Network.ClonePacket on hot paths.
-func (p *Packet) Clone() *Packet {
-	c := *p
-	c.pooled, c.freed, c.retained = false, false, false
-	return &c
-}
 
 // Encapsulate applies GTP-U tunnel state between two gateway addresses and
 // grows the wire size by the encapsulation overhead.

@@ -201,9 +201,11 @@ func TestPacketInOnTableMiss(t *testing.T) {
 
 // TestSwitchCPUQueueOverloadStaysCompact checks the switch's CPU queue under
 // sustained overload (the Fig. 8 OpenEPC regime: arrivals at several times
-// the slow-path service rate): the served prefix is compacted away as the
-// backlog grows, and packets still leave in arrival order.
+// the slow-path service rate): the queue holds no more than two of its
+// FIFO's largest (1,024-entry) blocks beyond its high-water mark, packets
+// still leave in arrival order, and the drained queue keeps its blocks.
 func TestSwitchCPUQueueOverloadStaysCompact(t *testing.T) {
+	const maxBlock = 1024 // netsim's largest FIFO block
 	g := buildGWTopo(t, OpenEPCGWCosts)
 	next := 0
 	g.dst.Listen(2000, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) {
@@ -214,24 +216,26 @@ func TestSwitchCPUQueueOverloadStaysCompact(t *testing.T) {
 		}
 		next++
 	}))
-	sent := 0
+	sw := g.sgwU
+	sent, hwm := 0, 0
 	tk := sim.NewTicker(g.eng, 10*time.Microsecond, func() {
 		g.sendTunneled(100 + sent%1000)
 		sent++
+		hwm = max(hwm, sw.cpuQueue.Len())
 	})
 	g.eng.RunFor(100 * time.Millisecond)
 	tk.Stop()
-	sw := g.sgwU
-	waiting := len(sw.cpuQueue) - sw.cpuHead
+	waiting := sw.cpuQueue.Len()
 	if waiting < 5000 {
 		t.Fatalf("waiting = %d, want a deep backlog", waiting)
 	}
-	if len(sw.cpuQueue) > waiting+waiting/3+1 {
-		t.Errorf("slice holds %d slots for %d waiting packets, want at most a third more", len(sw.cpuQueue), waiting)
+	held := sw.cpuQueue.Cap()
+	if held > hwm+2*maxBlock {
+		t.Errorf("queue holds %d slots for %d waiting (high-water mark %d), want at most %d more than the mark", held, waiting, hwm, 2*maxBlock)
 	}
 	g.eng.Run()
-	if next != sent || len(sw.cpuQueue) != 0 || sw.cpuHead != 0 {
-		t.Errorf("after drain: delivered %d of %d, len %d, head %d; want all delivered and an empty reset queue", next, sent, len(sw.cpuQueue), sw.cpuHead)
+	if next != sent || sw.cpuQueue.Len() != 0 || sw.cpuQueue.Cap() != held {
+		t.Errorf("after drain: delivered %d of %d, %d waiting in %d slots; want all delivered and the %d slots kept", next, sent, sw.cpuQueue.Len(), sw.cpuQueue.Cap(), held)
 	}
 }
 

@@ -247,14 +247,13 @@ type Switch struct {
 	// Single-server CPU for per-packet processing costs. cpuCur stages the
 	// packet being served; cpuDoneF is the method value bound once in
 	// NewSwitch so per-packet service scheduling allocates no closure.
-	// cpuQueue[cpuHead:] are the waiting packets (serveNext pops them).
+	// cpuQueue holds the waiting packets (serveNext pops them).
 	// cpuKey/cpuSlot/cpuGen stage classifyCost's one megaflow probe for
 	// process: the key, the slot found (0 = miss) and the cache generation
 	// it was read under (§3h). Here, not in pendingPacket: cpuQueue is
 	// unbounded and Fig 8 overloads it.
 	busy     bool
-	cpuQueue []pendingPacket
-	cpuHead  int
+	cpuQueue netsim.FIFO[pendingPacket]
 	cpuCur   pendingPacket
 	cpuKey   cacheKey
 	cpuSlot  int32
@@ -354,37 +353,22 @@ func (sw *Switch) receive(ingress *netsim.Port, p *netsim.Packet) {
 			return
 		}
 	}
-	sw.cpuQueue = append(sw.cpuQueue, pendingPacket{ingress, p})
+	sw.cpuQueue.Push(pendingPacket{ingress, p})
 	if !sw.busy {
 		sw.serveNext()
 	}
 }
 
 // serveNext starts serving the next waiting packet, or idles the CPU.
-// Popping advances cpuHead instead of re-slicing from the front, which would
-// walk the slice's capacity down to zero and make the next append allocate —
-// once per packet with the usual 0–1-deep queue.
 //
 //acacia:hotpath
 func (sw *Switch) serveNext() {
-	if len(sw.cpuQueue) == 0 {
+	if sw.cpuQueue.Len() == 0 {
 		sw.busy = false
 		return
 	}
 	sw.busy = true
-	sw.cpuCur = sw.cpuQueue[sw.cpuHead]
-	sw.cpuHead++
-	// Once the served prefix is a quarter of the slice, move the waiting
-	// tail to the front: a drained queue resets to [:0] (so empty is still
-	// len 0), and a queue that never drains under sustained overload holds
-	// at most a third more slots than it has packets waiting, for an
-	// amortized three slot copies per pop.
-	if 4*sw.cpuHead >= len(sw.cpuQueue) {
-		live := copy(sw.cpuQueue, sw.cpuQueue[sw.cpuHead:])
-		clear(sw.cpuQueue[live:])
-		sw.cpuQueue = sw.cpuQueue[:live]
-		sw.cpuHead = 0
-	}
+	sw.cpuCur = sw.cpuQueue.Pop()
 	cost := sw.classifyCost(sw.cpuCur)
 	sw.eng.Schedule(cost, sw.cpuDoneF)
 }
