@@ -80,10 +80,12 @@ type Core struct {
 	// consumed synchronously (only its length reaches the transport). nasBuf
 	// holds NAS payloads that the following sendS1AP reads synchronously;
 	// see encodeNAS for the aliasing rule, which bearerContexts' ctxBuf and
-	// fteidBuf follow too.
+	// fteidBuf and setupERABs' erabBuf and oneBearer follow too.
 	encBuf, nasBuf []byte
 	ctxBuf         []pkt.BearerContext
 	fteidBuf       []pkt.FTEID
+	erabBuf        []pkt.ERABItem
+	oneBearer      [1]*Bearer
 
 	// legFree recycles the continuation records every S1AP/GTPv2 send
 	// carries (see leg).
@@ -439,6 +441,17 @@ type Bearer struct {
 	S1DL uint32 // allocated by eNB; SGW-U sends downlink with this TEID
 	S5UL uint32 // allocated by PGW-C
 	S5DL uint32 // allocated by SGW-C
+}
+
+// s1uSGW is the bearer's S1-U SGW F-TEID: where the eNB sends its uplink.
+func (b *Bearer) s1uSGW() pkt.FTEID {
+	return pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: b.Planes.SGW.Addr()}
+}
+
+// s1uENB is the bearer's S1-U eNB F-TEID at enb: where the SGW-U sends its
+// downlink.
+func (b *Bearer) s1uENB(enb *ENB) pkt.FTEID {
+	return pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: enb.Addr()}
 }
 
 // Session is one UE's EPC context. Bearers is a fixed inline array indexed

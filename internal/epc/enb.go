@@ -320,9 +320,17 @@ func (e *ENB) sendServiceRequest(sess *Session) {
 		// The MME sees the session as idle until it processes the request.
 		sess.setState(e.core.Eng, StateIdle)
 		pr := newProc(nil)
+		// A promotion that dies after the MME took it up leaves the UE idle
+		// at every layer: the radio context goes, and so does any SGW-U
+		// downlink rule the Modify Bearer leg re-installed, so downlink
+		// pages again.
 		pr.onError(func() {
 			if sess.State == StatePromoting {
 				sess.setState(e.core.Eng, StateIdle)
+				sess.ENB.releaseContext(sess)
+				for _, b := range sess.OrderedBearers() {
+					e.core.removeSGWDownlink(sess, b)
+				}
 			}
 		})
 		e.core.sendS1AP(pr, e.ep, e.core.mmeEP, msg, func() {

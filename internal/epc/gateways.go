@@ -348,8 +348,8 @@ func (s *SGWC) replayBuffered(sess *Session) {
 }
 
 // activateDedicatedBearer runs the network-initiated dedicated bearer
-// activation: PCEF (here) builds the bearer, then the Create Bearer
-// Request/Response chain flows PGW-C -> SGW-C -> MME -> eNB -> UE and back.
+// activation: the PCEF (here) admits and builds the bearer, then runs its
+// Create Bearer chain (createBearer).
 func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer pkt.Addr, sgwPlane, pgwPlane string, done func(uint8, error)) {
 	if sess.State == StateDetached {
 		fail(done, fmt.Errorf("epc: UE %s not attached", sess.IMSI))
@@ -395,7 +395,9 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 
 	// One procedure spans the whole activation chain; any failure — a
 	// protocol denial answered down the chain or a transport timeout on any
-	// leg — returns the GBR reservation exactly once.
+	// leg — returns the GBR reservation exactly once. If the E-RAB Setup
+	// landed (b.S1DL is set), it also takes back what that gave the radio
+	// side: the eNB's downlink mapping and the modem's TFT.
 	pr := newProc(func(err error) {
 		if err != nil {
 			fail(done, err)
@@ -405,54 +407,88 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 			done(b.EBI, nil)
 		}
 	})
-	pr.onError(func() { plane.releaseGBR(gbr) })
+	pr.onError(func() {
+		b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
+		if b.S1DL != 0 {
+			sess.ENB.detachBearer(sess, b.EBI)
+			sess.UE.removeTFT(b.EBI)
+		}
+	})
+	p.core.createBearer(pr, sess, b)
+}
 
-	// PGW-C -> SGW-C: Create Bearer Request (S5), carrying the PGW-side
-	// F-TEID. The SGW-C fills in its own TEIDs and forwards upstream.
+// createBearer runs a dedicated bearer's Create Bearer chain: the request
+// from the PGW-C through the SGW-C to the MME on S5 and S11, the E-RAB
+// Setup at the eNB once the UE is connected (paging it first if idle), and
+// the SGW-C's response to the PGW-C (answerCreateBearer).
+func (c *Core) createBearer(pr *proc, sess *Session, b *Bearer) {
 	req := &pkt.GTPv2Msg{
 		Type: pkt.GTPv2CreateBearerRequest,
 		TEID: 1,
 		Bearers: []pkt.BearerContext{{
-			EBI: ebi, TFT: b.TFT, QoS: b.QoS,
-			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: b.S5UL, Addr: planes.PGW.Addr()}},
-		}},
-	}
-	p.core.sendGTPv2(pr, p.core.pgwEP, p.core.sgwEP, req, func() {
-		p.core.SGWC.onCreateBearerRequest(pr, sess, b)
-	})
-}
-
-// onCreateBearerRequest is the SGW-C half of dedicated bearer activation.
-func (s *SGWC) onCreateBearerRequest(pr *proc, sess *Session, b *Bearer) {
-	b.S1UL = s.teids.alloc()
-	b.S5DL = s.teids.alloc()
-	// SGW-C -> MME: Create Bearer Request (S11) with the *local* SGW-U
-	// address in the S1-U F-TEID — the step that steers the radio-side
-	// tunnel to the edge.
-	req := &pkt.GTPv2Msg{
-		Type: pkt.GTPv2CreateBearerRequest,
-		TEID: 2,
-		Bearers: []pkt.BearerContext{{
 			EBI: b.EBI, TFT: b.TFT, QoS: b.QoS,
-			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: b.Planes.SGW.Addr()}},
+			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: b.S5UL, Addr: b.Planes.PGW.Addr()}},
 		}},
 	}
-	s.core.sendGTPv2(pr, s.core.sgwEP, s.core.mmeEP, req, func() {
-		s.core.MME.onCreateBearerRequest(pr, sess, b, func(err error) {
-			s.finishCreateBearer(pr, sess, b, err)
+	c.sendGTPv2(pr, c.pgwEP, c.sgwEP, req, func() {
+		b.S1UL = c.SGWC.teids.alloc()
+		b.S5DL = c.SGWC.teids.alloc()
+		// The S1-U F-TEID carries the *local* SGW-U address — the step that
+		// steers the radio-side tunnel to the edge.
+		fwd := &pkt.GTPv2Msg{
+			Type: pkt.GTPv2CreateBearerRequest,
+			TEID: 2,
+			Bearers: []pkt.BearerContext{{
+				EBI: b.EBI, TFT: b.TFT, QoS: b.QoS,
+				FTEIDs: []pkt.FTEID{b.s1uSGW()},
+			}},
+		}
+		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, fwd, func() {
+			if sess.State == StateDetached {
+				c.answerCreateBearer(pr, sess, b, fmt.Errorf("epc: UE %s in state %v", sess.IMSI, sess.State))
+				return
+			}
+			sess.whenConnected(func() {
+				if !pr.finished { // a promotion waiter can outlive a failed procedure
+					c.setupDedicatedBearer(pr, sess, b)
+				}
+			})
+			c.MME.page(sess) // wakes an idle UE; the setup rides after promotion
 		})
 	})
 }
 
-// finishCreateBearer sends the Create Bearer Response back down the chain
-// and programs the user planes. A denial concludes the procedure with its
-// error, which unwinds the GBR reservation made at admission.
-func (s *SGWC) finishCreateBearer(pr *proc, sess *Session, b *Bearer, err error) {
+// setupDedicatedBearer runs the dedicated bearer's E-RAB Setup. Its NAS
+// Activate Dedicated EPS Bearer Context Request carries the QoS and TFT the
+// eNB relays to the UE in the RRC reconfiguration, where the modem installs
+// them. The NAS is encoded into a fresh slice, not the core's NAS scratch:
+// the modem decodes the bytes after the asynchronous S1AP delivery.
+func (c *Core) setupDedicatedBearer(pr *proc, sess *Session, b *Bearer) {
+	nas := (&pkt.NASMsg{
+		Type: pkt.NASActivateDedicatedBearerRequest,
+		EBI:  b.EBI, LinkedEBI: EBIDefault, QoS: b.QoS, TFT: b.TFT,
+	}).Encode(nil)
+	toModem := func() {
+		if err := sess.UE.installTFTFromNAS(nas); err != nil {
+			panic("epc: NAS bearer activation round trip failed: " + err.Error())
+		}
+	}
+	c.setupERABs(pr, sess, sess.ENB, pkt.S1APERABSetupRequest, nas, b, toModem, func() {
+		c.answerCreateBearer(pr, sess, b, nil)
+	})
+}
+
+// answerCreateBearer sends the SGW-C's Create Bearer Response to the PGW-C:
+// accepted once the E-RAB Setup is done, denied with err when the MME found
+// the session gone. On an accepted response the PGW-C installs the bearer,
+// unless a detach released the session meanwhile (releaseSessionResources
+// clears the default bearer), which fails the activation instead. The
+// MME's own Create Bearer Response to the SGW-C on S11 is not modelled.
+func (c *Core) answerCreateBearer(pr *proc, sess *Session, b *Bearer, err error) {
 	cause := uint8(pkt.GTPv2CauseAccepted)
 	if err != nil {
 		cause = pkt.GTPv2CauseDenied
 	}
-	// SGW-C -> PGW-C response (S5), then PGW-C concludes.
 	resp := &pkt.GTPv2Msg{
 		Type: pkt.GTPv2CreateBearerResponse,
 		TEID: 1, Cause: cause,
@@ -461,14 +497,17 @@ func (s *SGWC) finishCreateBearer(pr *proc, sess *Session, b *Bearer, err error)
 			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS5SGW, TEID: b.S5DL, Addr: b.Planes.SGW.Addr()}},
 		}},
 	}
-	s.core.sendGTPv2(pr, s.core.sgwEP, s.core.pgwEP, resp, func() {
-		if err != nil {
+	c.sendGTPv2(pr, c.sgwEP, c.pgwEP, resp, func() {
+		switch {
+		case err != nil:
 			pr.finish(err)
-			return
+		case sess.Bearers[EBIDefault] == nil:
+			pr.finish(fmt.Errorf("epc: UE %s detached during bearer activation", sess.IMSI))
+		default:
+			sess.Bearers[b.EBI] = b
+			c.installBearerFlows(sess, b)
+			pr.finish(nil)
 		}
-		sess.Bearers[b.EBI] = b
-		s.core.installBearerFlows(sess, b)
-		pr.finish(nil)
 	})
 }
 
@@ -487,31 +526,43 @@ func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done 
 		}
 		return
 	}
-	pr := newProc(done)
-	req := &pkt.GTPv2Msg{
-		Type:    pkt.GTPv2DeleteBearerRequest,
-		TEID:    1,
-		Bearers: []pkt.BearerContext{{EBI: b.EBI}},
-	}
-	p.core.sendGTPv2(pr, p.core.pgwEP, p.core.sgwEP, req, func() {
-		// SGW-C forwards to the MME, which releases the radio side.
-		fwd := &pkt.GTPv2Msg{
-			Type:    pkt.GTPv2DeleteBearerRequest,
-			TEID:    2,
-			Bearers: []pkt.BearerContext{{EBI: b.EBI}},
-		}
-		p.core.sendGTPv2(pr, p.core.sgwEP, p.core.mmeEP, fwd, func() {
-			p.core.MME.onDeleteBearerRequest(pr, sess, b, func() {
-				resp := &pkt.GTPv2Msg{
-					Type: pkt.GTPv2DeleteBearerResponse,
-					TEID: 1, Cause: pkt.GTPv2CauseAccepted,
-					Bearers: []pkt.BearerContext{{EBI: b.EBI, Cause: pkt.GTPv2CauseAccepted}},
+	p.core.deleteBearer(newProc(done), sess, b)
+}
+
+// deleteBearer runs a dedicated bearer's Delete Bearer chain: the request
+// from the PGW-C through the SGW-C to the MME on S5 and S11, the E-RAB
+// Release pair at the eNB (which drops the bearer's mapping, and the modem
+// its TFT), and the SGW-C's response to the PGW-C, which removes the
+// bearer's flows and returns its GBR reservation.
+func (c *Core) deleteBearer(pr *proc, sess *Session, b *Bearer) {
+	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteBearerRequest, TEID: 1, Bearers: []pkt.BearerContext{{EBI: b.EBI}}}
+	c.sendGTPv2(pr, c.pgwEP, c.sgwEP, req, func() {
+		fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteBearerRequest, TEID: 2, Bearers: []pkt.BearerContext{{EBI: b.EBI}}}
+		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, fwd, func() {
+			cmd := &pkt.S1APMsg{
+				Procedure: pkt.S1APERABReleaseCommand,
+				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
+				ERABs: []pkt.ERABItem{{ERABID: b.EBI}},
+			}
+			c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
+				sess.ENB.detachBearer(sess, b.EBI)
+				sess.UE.removeTFT(b.EBI)
+				released := &pkt.S1APMsg{
+					Procedure: pkt.S1APERABReleaseResponse,
+					ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
 				}
-				p.core.sendGTPv2(pr, p.core.sgwEP, p.core.pgwEP, resp, func() {
-					p.core.removeBearerFlows(sess, b)
-					sess.Bearers[b.EBI] = nil
-					b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
-					pr.finish(nil)
+				c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, released, func() {
+					resp := &pkt.GTPv2Msg{
+						Type: pkt.GTPv2DeleteBearerResponse,
+						TEID: 1, Cause: pkt.GTPv2CauseAccepted,
+						Bearers: []pkt.BearerContext{{EBI: b.EBI, Cause: pkt.GTPv2CauseAccepted}},
+					}
+					c.sendGTPv2(pr, c.sgwEP, c.pgwEP, resp, func() {
+						c.removeBearerFlows(sess, b)
+						sess.Bearers[b.EBI] = nil
+						b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
+						pr.finish(nil)
+					})
 				})
 			})
 		})

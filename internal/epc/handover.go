@@ -87,30 +87,14 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: 2, // radio reasons
 	}
 	c.sendS1AP(pr, source.ep, c.mmeEP, required, func() {
-		// 2. MME -> target eNB: Handover Request carrying every E-RAB.
-		var erabs []pkt.ERABItem
-		for _, b := range sess.OrderedBearers() {
-			erabs = append(erabs, pkt.ERABItem{
-				ERABID: b.EBI, QoS: b.QoS,
-				Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: b.Planes.SGW.Addr()},
-			})
-		}
-		hoReq := &pkt.S1APMsg{
-			Procedure: pkt.S1APHandoverRequest,
-			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-			ERABs: erabs,
-		}
-		c.sendS1AP(pr, c.mmeEP, target.ep, hoReq, func() {
-			// Target admits the bearers: new downlink TEIDs.
-			var ackItems []pkt.ERABItem
-			for _, b := range sess.OrderedBearers() {
-				hoBearers = append(hoBearers, b)
-				oldTEIDs = append(oldTEIDs, b.S1DL)
-				b.S1DL = target.attachBearer(sess, b)
-				ackItems = append(ackItems, pkt.ERABItem{
-					ERABID:    b.EBI,
-					Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: target.Addr()},
-				})
+		// 2-3. MME -> target eNB: Handover Request carrying every E-RAB; the
+		// target admits them with new downlink TEIDs in its Handover
+		// Request Acknowledge.
+		capture := func() {
+			bearers := sess.OrderedBearers()
+			hoBearers, oldTEIDs = make([]*Bearer, len(bearers)), make([]uint32, len(bearers))
+			for i, b := range bearers {
+				hoBearers[i], oldTEIDs[i] = b, b.S1DL
 			}
 			// Compensation: drop the admitted target contexts and put the
 			// source TEIDs back on the bearers.
@@ -120,89 +104,62 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 					b.S1DL = oldTEIDs[i]
 				}
 			})
-			// 3. Target -> MME: Handover Request Acknowledge.
-			ack := &pkt.S1APMsg{
-				Procedure: pkt.S1APHandoverRequestAck,
+		}
+		c.setupERABs(pr, sess, target, pkt.S1APHandoverRequest, nil, nil, capture, func() {
+			// 4. MME -> source eNB: Handover Command; the source tells
+			// the UE to retune (RRC reconfiguration with mobility).
+			// The Target-to-Source transparent container carries the
+			// RRC reconfiguration (opaque to the MME).
+			cmd := &pkt.S1APMsg{
+				Procedure: pkt.S1APHandoverCommand,
 				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				ERABs: ackItems,
+				NAS: make([]byte, 90),
 			}
-			c.sendS1AP(pr, target.ep, c.mmeEP, ack, func() {
-				// 4. MME -> source eNB: Handover Command; the source tells
-				// the UE to retune (RRC reconfiguration with mobility).
-				// The Target-to-Source transparent container carries the
-				// RRC reconfiguration (opaque to the MME).
-				cmd := &pkt.S1APMsg{
-					Procedure: pkt.S1APHandoverCommand,
-					ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-					NAS: make([]byte, 90),
-				}
-				c.sendS1AP(pr, c.mmeEP, source.ep, cmd, func() {
-					source.releaseContext(sess)
-					gapStarted, gapStart = true, c.Eng.Now()
-					// Compensation: re-adopt the session at the source with
-					// the original TEIDs (tolerates the source context being
-					// gone — restoreBearerMapping nil-checks it).
+			c.sendS1AP(pr, c.mmeEP, source.ep, cmd, func() {
+				source.releaseContext(sess)
+				gapStarted, gapStart = true, c.Eng.Now()
+				// Compensation: re-adopt the session at the source with
+				// the original TEIDs (tolerates the source context being
+				// gone — restoreBearerMapping nil-checks it).
+				pr.onError(func() {
+					for i, b := range hoBearers {
+						source.restoreBearerMapping(sess, b.EBI, oldTEIDs[i])
+					}
+				})
+				c.Eng.Schedule(handoverInterruption, func() {
+					if pr.finished {
+						return // a leg failed during the interruption
+					}
+					sess.UE.switchRadio(target, tctx.uePort)
+					sess.ENB = target
+					// Compensation: retune the UE back to the source.
 					pr.onError(func() {
-						for i, b := range hoBearers {
-							source.restoreBearerMapping(sess, b.EBI, oldTEIDs[i])
+						sess.ENB = source
+						if srcCtx != nil {
+							sess.UE.switchRadio(source, srcCtx.uePort)
 						}
 					})
-					c.Eng.Schedule(handoverInterruption, func() {
-						if pr.finished {
-							return // a leg failed during the interruption
-						}
-						sess.UE.switchRadio(target, tctx.uePort)
-						sess.ENB = target
-						// Compensation: retune the UE back to the source.
-						pr.onError(func() {
-							sess.ENB = source
-							if srcCtx != nil {
-								sess.UE.switchRadio(source, srcCtx.uePort)
-							}
-						})
-						// 5. Target -> MME: Handover Notify.
-						notify := &pkt.S1APMsg{
-							Procedure: pkt.S1APHandoverNotify,
-							ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-						}
-						c.sendS1AP(pr, target.ep, c.mmeEP, notify, func() {
-							m.pathSwitch(pr, sess, source, hoBearers, oldTEIDs)
-						})
+					// 5. Target -> MME: Handover Notify.
+					notify := &pkt.S1APMsg{
+						Procedure: pkt.S1APHandoverNotify,
+						ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
+					}
+					c.sendS1AP(pr, target.ep, c.mmeEP, notify, func() {
+						// 6. Path switch: the SGW-U downlink rules follow
+						// the bearers to the target.
+						c.modifySessionBearers(pr, sess, func() {
+							// Compensation: repoint the rules at the source
+							// eNB and its TEIDs (installFlow replaces on
+							// identical match+priority).
+							pr.onError(func() {
+								for i, b := range hoBearers {
+									c.installSGWDownlinkTo(sess, b, oldTEIDs[i], source.Addr())
+								}
+							})
+						}, func() { pr.finish(nil) })
 					})
 				})
 			})
-		})
-	})
-}
-
-// pathSwitch repoints the SGW-U downlink rules at the new eNB (Modify
-// Bearer Request/Response on S11). source and the captured TEIDs feed the
-// compensation that repoints the rules back if the procedure dies after the
-// switch.
-func (m *MME) pathSwitch(pr *proc, sess *Session, source *ENB, hoBearers []*Bearer, oldTEIDs []uint32) {
-	c := m.core
-	var items []pkt.BearerContext
-	for _, b := range sess.OrderedBearers() {
-		items = append(items, pkt.BearerContext{
-			EBI:    b.EBI,
-			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()}},
-		})
-	}
-	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: sess.IMSI, Bearers: items}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, req, func() {
-		for _, b := range sess.OrderedBearers() {
-			c.installSGWDownlink(sess, b)
-		}
-		// Compensation: reinstall the downlink rules toward the source eNB
-		// and its TEIDs (installFlow replaces on identical match+priority).
-		pr.onError(func() {
-			for i, b := range hoBearers {
-				c.installSGWDownlinkTo(sess, b, oldTEIDs[i], source.Addr())
-			}
-		})
-		resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted}
-		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, resp, func() {
-			pr.finish(nil)
 		})
 	})
 }

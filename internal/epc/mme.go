@@ -222,7 +222,7 @@ func (c *Core) createSessions(co *cohort, then func()) {
 			c.sendGTPv2(&co.proc, c.pgwEP, c.sgwEP, resp, func() {
 				ctxs, fteids := c.bearerContexts(len(co.members))
 				for i, m := range co.members {
-					fteids[i] = pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: m.b.S1UL, Addr: m.b.Planes.SGW.Addr()}
+					fteids[i] = m.b.s1uSGW()
 					ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted, FTEIDs: fteids[i : i+1]}
 				}
 				resp2 := &pkt.GTPv2Msg{
@@ -236,10 +236,9 @@ func (c *Core) createSessions(co *cohort, then func()) {
 	})
 }
 
-// setupDefaultBearer runs one member's Initial Context Setup: the MME hands
-// the eNB the default bearer's S1-U endpoint with the NAS Attach Accept,
-// and the eNB maps the bearer and answers with its downlink TEID. then runs
-// at the MME on the response.
+// setupDefaultBearer runs one member's Initial Context Setup: the E-RAB
+// setup of its default bearer, carrying the NAS Attach Accept. then runs at
+// the MME on the response.
 func (c *Core) setupDefaultBearer(pr *proc, sess *Session, b *Bearer, then func()) {
 	acceptNAS := c.encodeNAS(&pkt.NASMsg{
 		Type: pkt.NASAttachAccept,
@@ -248,27 +247,7 @@ func (c *Core) setupDefaultBearer(pr *proc, sess *Session, b *Bearer, then func(
 			EBI:  b.EBI, APN: sess.APN.Name, UEIP: sess.UEIP, QoS: b.QoS,
 		},
 	})
-	req := &pkt.S1APMsg{
-		Procedure: pkt.S1APInitialContextSetupRequest,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-		NAS: acceptNAS,
-		ERABs: []pkt.ERABItem{{
-			ERABID: b.EBI, QoS: b.QoS,
-			Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: b.Planes.SGW.Addr()},
-		}},
-	}
-	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, req, func() {
-		b.S1DL = sess.ENB.attachBearer(sess, b)
-		resp := &pkt.S1APMsg{
-			Procedure: pkt.S1APInitialContextSetupResponse,
-			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-			ERABs: []pkt.ERABItem{{
-				ERABID:    b.EBI,
-				Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()},
-			}},
-		}
-		c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, resp, then)
-	})
+	c.setupERABs(pr, sess, sess.ENB, pkt.S1APInitialContextSetupRequest, acceptNAS, b, nil, then)
 }
 
 // modifyBearers sends the cohort's eNB F-TEIDs to the SGW-C in one Modify
@@ -280,7 +259,7 @@ func (c *Core) modifyBearers(co *cohort, then func()) {
 	imsi, imsis := cohortIMSIs(co.members)
 	ctxs, fteids := c.bearerContexts(len(co.members))
 	for i, m := range co.members {
-		fteids[i] = pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: m.b.S1DL, Addr: m.sess.ENB.Addr()}
+		fteids[i] = m.b.s1uENB(m.sess.ENB)
 		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, FTEIDs: fteids[i : i+1]}
 	}
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: imsi, IMSIs: imsis, Bearers: ctxs}
@@ -412,7 +391,10 @@ func (m *MME) onReleaseRequest(pr *proc, sess *Session) {
 // --- Service request (promotion) ---
 
 // onServiceRequest handles the eNB's InitialUEMessage{Service Request} when
-// an idle UE has data to send (or responds to paging).
+// an idle UE has data to send (or responds to paging): every bearer's E-RAB
+// is set up afresh, the Modify Bearer exchange repoints the SGW-U downlink
+// rules at the new eNB TEIDs, and the NAS Service Accept closes the
+// promotion.
 func (m *MME) onServiceRequest(pr *proc, sess *Session) {
 	c := m.core
 	if sess.State != StateIdle {
@@ -421,64 +403,17 @@ func (m *MME) onServiceRequest(pr *proc, sess *Session) {
 	}
 	m.Promotions++
 	sess.setState(c.Eng, StatePromoting)
-
-	// Rebuild the E-RAB list for every bearer of the session.
-	var erabs []pkt.ERABItem
-	for _, b := range sess.OrderedBearers() {
-		erabs = append(erabs, pkt.ERABItem{
-			ERABID: b.EBI, QoS: b.QoS,
-			Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: b.Planes.SGW.Addr()},
-			TFT:       b.TFT,
-		})
-	}
-	icsReq := &pkt.S1APMsg{
-		Procedure: pkt.S1APInitialContextSetupRequest,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-		ERABs: erabs,
-	}
-	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, icsReq, func() {
-		var respItems []pkt.ERABItem
-		for _, b := range sess.OrderedBearers() {
-			b.S1DL = sess.ENB.attachBearer(sess, b)
-			respItems = append(respItems, pkt.ERABItem{
-				ERABID:    b.EBI,
-				Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()},
-			})
-		}
-		icsResp := &pkt.S1APMsg{
-			Procedure: pkt.S1APInitialContextSetupResponse,
-			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-			ERABs: respItems,
-		}
-		c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, icsResp, func() {
-			var mbItems []pkt.BearerContext
-			for _, b := range sess.OrderedBearers() {
-				mbItems = append(mbItems, pkt.BearerContext{
-					EBI:    b.EBI,
-					FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()}},
-				})
+	c.setupERABs(pr, sess, sess.ENB, pkt.S1APInitialContextSetupRequest, nil, nil, nil, func() {
+		c.modifySessionBearers(pr, sess, nil, func() {
+			accept := &pkt.S1APMsg{
+				Procedure: pkt.S1APDownlinkNASTransport,
+				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
+				NAS: c.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceAccept}),
 			}
-			mbReq := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: sess.IMSI, Bearers: mbItems}
-			c.sendGTPv2(pr, c.mmeEP, c.sgwEP, mbReq, func() {
-				// SGW-C reinstalls the SGW-U downlink rules toward the new
-				// eNB TEIDs (PGW-U state is unchanged).
-				for _, b := range sess.OrderedBearers() {
-					c.installSGWDownlink(sess, b)
-				}
-				mbResp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted}
-				c.sendGTPv2(pr, c.sgwEP, c.mmeEP, mbResp, func() {
-					// NAS service accept closes the promotion exchange.
-					accept := &pkt.S1APMsg{
-						Procedure: pkt.S1APDownlinkNASTransport,
-						ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-						NAS: c.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceAccept}),
-					}
-					c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, accept, func() {
-						sess.setState(c.Eng, StateConnected)
-						sess.ENB.flushUplink(sess)
-						pr.finish(nil)
-					})
-				})
+			c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, accept, func() {
+				sess.setState(c.Eng, StateConnected)
+				sess.ENB.flushUplink(sess)
+				pr.finish(nil)
 			})
 		})
 	})
@@ -500,89 +435,98 @@ func (m *MME) page(sess *Session) {
 	})
 }
 
-// --- Dedicated bearer S1AP leg ---
+// --- Bearer legs ---
+//
+// Every bearer-level exchange is built and sent in one function below:
+// setupERABs is the E-RAB setup of attach, promotion, handover and
+// dedicated bearer activation; modifySessionBearers is the one-session
+// Modify Bearer exchange of promotion and the handover path switch; and
+// createBearer and deleteBearer (gateways.go) are the dedicated bearer's
+// Create and Delete Bearer chains.
 
-// onCreateBearerRequest is the MME's role in dedicated bearer activation:
-// run the E-RAB Setup exchange with the eNB (which delivers the TFT to the
-// UE in the RRC reconfiguration) and report back to the SGW-C. done carries
-// the protocol-level outcome (acceptance or denial); transport failures
-// conclude pr directly.
-func (m *MME) onCreateBearerRequest(pr *proc, sess *Session, b *Bearer, done func(error)) {
-	c := m.core
-	doSetup := func() {
-		if pr.finished {
-			return // a promotion waiter outlived the failed procedure
+// setupERABs runs one E-RAB setup exchange. The MME sends req — an Initial
+// Context Setup, Handover or E-RAB Setup Request — to enb, listing bearer b,
+// or every bearer of sess when b is nil, with nas (may be nil); enb answers
+// (ENB.admitERABs). atENB (may be nil) runs at the eNB before it maps the
+// bearers; then runs at the MME on the response.
+func (c *Core) setupERABs(pr *proc, sess *Session, enb *ENB, req pkt.S1APProcedure, nas []byte, b *Bearer, atENB, then func()) {
+	// The one wire difference between the setups: a Handover Request's
+	// E-RABs carry no TFT — the UE keeps its TFTs across the move.
+	withTFT := req != pkt.S1APHandoverRequest
+	items := c.erabBuf[:0]
+	for _, sb := range c.erabBearers(sess, b) {
+		item := pkt.ERABItem{ERABID: sb.EBI, QoS: sb.QoS, Transport: sb.s1uSGW()}
+		if withTFT {
+			item.TFT = sb.TFT
 		}
-		sgw := b.Planes.SGW
-		// The NAS Activate Dedicated EPS Bearer Context Request carries the
-		// QoS and TFT the eNB relays to the UE in the RRC reconfiguration.
-		// Encoded into a fresh slice (not the core's NAS scratch): the bytes
-		// are re-decoded at the UE after the asynchronous S1AP delivery, so
-		// they must survive intervening encodes.
-		activateNAS := (&pkt.NASMsg{
-			Type:      pkt.NASActivateDedicatedBearerRequest,
-			EBI:       b.EBI,
-			LinkedEBI: EBIDefault,
-			QoS:       b.QoS,
-			TFT:       b.TFT,
-		}).Encode(nil)
-		req := &pkt.S1APMsg{
-			Procedure: pkt.S1APERABSetupRequest,
-			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-			NAS: activateNAS,
-			ERABs: []pkt.ERABItem{{
-				ERABID: b.EBI, QoS: b.QoS,
-				Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1USGW, TEID: b.S1UL, Addr: sgw.Addr()},
-				TFT:       b.TFT,
-			}},
-		}
-		c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, req, func() {
-			b.S1DL = sess.ENB.attachBearer(sess, b)
-			if err := sess.UE.installTFTFromNAS(activateNAS); err != nil {
-				panic("epc: NAS bearer activation round trip failed: " + err.Error())
-			}
-			resp := &pkt.S1APMsg{
-				Procedure: pkt.S1APERABSetupResponse,
-				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				ERABs: []pkt.ERABItem{{
-					ERABID:    b.EBI,
-					Transport: pkt.FTEID{IfaceType: pkt.FTEIDIfaceS1UeNodeB, TEID: b.S1DL, Addr: sess.ENB.Addr()},
-				}},
-			}
-			c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, resp, func() {
-				done(nil)
-			})
-		})
+		items = append(items, item)
 	}
-	switch sess.State {
-	case StateConnected:
-		doSetup()
-	case StateIdle:
-		// Wake the UE first; bearer setup rides after promotion.
-		sess.whenConnected(doSetup)
-		m.page(sess)
-	case StatePromoting, StateConnecting:
-		sess.whenConnected(doSetup)
-	default:
-		done(fmt.Errorf("epc: UE %s in state %v", sess.IMSI, sess.State))
-	}
+	c.erabBuf = items
+	msg := &pkt.S1APMsg{Procedure: req, ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID, NAS: nas, ERABs: items}
+	c.sendS1AP(pr, c.mmeEP, enb.ep, msg, func() { enb.admitERABs(pr, sess, b, req, atENB, then) })
 }
 
-// onDeleteBearerRequest releases the radio leg of a dedicated bearer.
-func (m *MME) onDeleteBearerRequest(pr *proc, sess *Session, b *Bearer, done func()) {
-	c := m.core
-	cmd := &pkt.S1APMsg{
-		Procedure: pkt.S1APERABReleaseCommand,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-		ERABs: []pkt.ERABItem{{ERABID: b.EBI}},
+// admitERABs is the eNB half of setupERABs: after atENB, it maps each
+// bearer to a fresh downlink TEID and answers req with the bearers' S1-U
+// F-TEIDs; then runs at the MME on the response.
+func (e *ENB) admitERABs(pr *proc, sess *Session, b *Bearer, req pkt.S1APProcedure, atENB, then func()) {
+	c := e.core
+	if atENB != nil {
+		atENB()
 	}
-	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
-		sess.ENB.detachBearer(sess, b.EBI)
-		sess.UE.removeTFT(b.EBI)
-		resp := &pkt.S1APMsg{
-			Procedure: pkt.S1APERABReleaseResponse,
-			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
+	items := c.erabBuf[:0]
+	for _, sb := range c.erabBearers(sess, b) {
+		sb.S1DL = e.attachBearer(sess, sb)
+		items = append(items, pkt.ERABItem{ERABID: sb.EBI, Transport: sb.s1uENB(e)})
+	}
+	c.erabBuf = items
+	resp := &pkt.S1APMsg{Procedure: erabSetupResponse(req), ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID, ERABs: items}
+	c.sendS1AP(pr, e.ep, c.mmeEP, resp, then)
+}
+
+// erabBearers lists the bearers an E-RAB setup covers: b alone, in core
+// scratch valid until the next call, or every bearer of sess when b is nil.
+func (c *Core) erabBearers(sess *Session, b *Bearer) []*Bearer {
+	if b == nil {
+		return sess.OrderedBearers()
+	}
+	c.oneBearer[0] = b
+	return c.oneBearer[:]
+}
+
+// erabSetupResponse names the eNB's answer to an E-RAB setup request.
+func erabSetupResponse(req pkt.S1APProcedure) pkt.S1APProcedure {
+	switch req {
+	case pkt.S1APHandoverRequest:
+		return pkt.S1APHandoverRequestAck
+	case pkt.S1APERABSetupRequest:
+		return pkt.S1APERABSetupResponse
+	}
+	return pkt.S1APInitialContextSetupResponse
+}
+
+// modifySessionBearers runs one session's Modify Bearer exchange on S11
+// after its E-RABs were set up afresh, by promotion or at a handover
+// target: the MME sends every bearer's eNB F-TEID, and the SGW-C re-installs
+// each bearer's SGW-U downlink rule toward it (the PGW-U side is unchanged).
+// atSGW (may be nil) runs at the SGW-C after the re-install; then runs at
+// the MME on the response.
+func (c *Core) modifySessionBearers(pr *proc, sess *Session, atSGW, then func()) {
+	bearers := sess.OrderedBearers()
+	ctxs, fteids := c.bearerContexts(len(bearers))
+	for i, b := range bearers {
+		fteids[i] = b.s1uENB(sess.ENB)
+		ctxs[i] = pkt.BearerContext{EBI: b.EBI, FTEIDs: fteids[i : i+1]}
+	}
+	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: sess.IMSI, Bearers: ctxs}
+	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, req, func() {
+		for _, b := range sess.OrderedBearers() {
+			c.installSGWDownlink(sess, b)
 		}
-		c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, resp, done)
+		if atSGW != nil {
+			atSGW()
+		}
+		resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted}
+		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, resp, then)
 	})
 }
