@@ -19,6 +19,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -295,6 +296,10 @@ func runExperiments(opts Options, exps []*Experiment) ([]*Result, error) {
 			tasks = append(tasks, exec.Task[any]{
 				Key: e.ID + "/" + t.Key,
 				Run: func() (any, error) {
+					// Start each trial from a collected heap, so its
+					// memory peak does not hang on the GC cycle earlier
+					// trials left running (DESIGN.md, "Collection").
+					runtime.GC()
 					return t.Run(trialSeed(base, e.ID, t.Key)), nil
 				},
 			})

@@ -193,8 +193,8 @@ type scaleRun struct {
 	// attachMs/frameMs bucket latency samples by the attached population at
 	// measurement time (bucket i covers populations up to (i+1)/10 of the
 	// configured total) — the raw material of the UEs-vs-latency curve.
-	attachMs [scaleBuckets]*stats.Sample
-	frameMs  [scaleBuckets]*stats.Sample
+	attachMs [scaleBuckets]stats.Sample
+	frameMs  [scaleBuckets]stats.Sample
 }
 
 // scaleSiteWeights is the deterministic "downtown gradient": site 0 is the
@@ -241,10 +241,6 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	const radioDelay = 5 * time.Millisecond
 
 	out := &scaleRun{sites: make([]scaleSiteOutcome, cfg.Sites)}
-	for i := range out.attachMs {
-		out.attachMs[i] = &stats.Sample{}
-		out.frameMs[i] = &stats.Sample{}
-	}
 
 	// The metro on pure delay lines: ENBsPerSite eNBs per generated site on
 	// the aggregation router, the centralized default-bearer gateways, and
@@ -484,7 +480,7 @@ func assembleScale(id string, cfg ScaleConfig, seq *scaleRun) *Result {
 			cfg.UEs, cfg.Sites, cfg.ENBsPerSite, cfg.Ramp, cfg.Arrival),
 		"population", "attach-n", "attach-p50-ms", "attach-p99-ms", "frame-n", "frame-p50-ms", "frame-p99-ms")
 	for i := 0; i < scaleBuckets; i++ {
-		a, f := seq.attachMs[i], seq.frameMs[i]
+		a, f := &seq.attachMs[i], &seq.frameMs[i]
 		if a.N() == 0 && f.N() == 0 {
 			continue
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -209,6 +210,35 @@ func TestProgressReportsEveryTrial(t *testing.T) {
 	for _, trial := range trials {
 		if !strings.HasPrefix(trial, "10a/") {
 			t.Errorf("trial name %q lacks experiment prefix", trial)
+		}
+	}
+}
+
+// TestTrialStartsFromCollectedHeap checks every trial runs after a forced
+// GC, so a trial's memory peak does not depend on the garbage earlier
+// trials left.
+func TestTrialStartsFromCollectedHeap(t *testing.T) {
+	var forced []uint32
+	var ts []Trial
+	for i := 0; i < 4; i++ {
+		ts = append(ts, Trial{Key: fmt.Sprint("t", i), Run: func(uint64) any {
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			forced = append(forced, m.NumForcedGC)
+			return nil
+		}})
+	}
+	e := &Experiment{
+		ID:       "gc",
+		Trials:   func(Options) []Trial { return ts },
+		Assemble: func(Options, []any) *Result { return &Result{ID: "gc"} },
+	}
+	if _, err := runExperiments(Options{Parallel: 1}, []*Experiment{e}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(forced); i++ {
+		if forced[i] <= forced[i-1] {
+			t.Fatalf("no forced GC between trials %d and %d: NumForcedGC %v", i-1, i, forced)
 		}
 	}
 }

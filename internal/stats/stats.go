@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics and series formatting used by
-// the ACACIA experiment harness: means, percentiles, CDFs, and aligned table
-// output mirroring the rows and series the paper reports.
+// the ACACIA experiment harness: means, standard deviations, percentiles,
+// and aligned table output mirroring the rows and series the paper reports.
 package stats
 
 import (
@@ -12,85 +12,142 @@ import (
 
 // Sample accumulates float64 observations and answers summary queries.
 // The zero value is an empty sample ready for use.
+//
+// Past flatMax observations, Add never regrows: later ones fill fixed
+// blocks, so a large sample allocates about the bytes it holds instead of
+// the ~5x a regrown slice copies (DESIGN.md §3f). The first order-dependent
+// query after blocks exist copies xs and the blocks, in order, into one
+// exact-size slice, sorts it, and keeps it as xs.
 type Sample struct {
-	xs     []float64
+	xs     []float64   // the first observations, or the sorted flattening
+	blocks [][]float64 // later observations, full length; the last is filled to tail
+	tail   int
+	n      int
 	sorted bool
 }
 
+const (
+	// flatMax is the xs capacity past which Add starts blocks.
+	flatMax = 1024
+	// blockMax caps a block at 64 KiB.
+	blockMax = 8192
+)
+
 // Add appends an observation.
+//
+//acacia:hotpath
 func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
+	s.n++
 	s.sorted = false
+	if s.blocks == nil && (len(s.xs) < cap(s.xs) || cap(s.xs) < flatMax) {
+		s.xs = append(s.xs, x)
+		return
+	}
+	if s.blocks == nil || s.tail == len(s.blocks[len(s.blocks)-1]) {
+		s.grow()
+	}
+	s.blocks[len(s.blocks)-1][s.tail] = x
+	s.tail++
+}
+
+// grow appends an empty block sized to the sample so far, up to blockMax.
+// Noinline keeps the allocation out of Add's escape profile.
+//
+//go:noinline
+func (s *Sample) grow() {
+	s.blocks = append(s.blocks, make([]float64, min(s.n, blockMax)))
+	s.tail = 0
+}
+
+// each calls f on every observation in Values order, as of the call: a
+// sample merging itself copies only what it held before.
+func (s *Sample) each(f func(float64)) {
+	xs, blocks, tail := s.xs, s.blocks, s.tail
+	for _, x := range xs {
+		f(x)
+	}
+	for i, b := range blocks {
+		if i == len(blocks)-1 {
+			b = b[:tail]
+		}
+		for _, x := range b {
+			f(x)
+		}
+	}
 }
 
 // AddAll appends all observations in xs.
 func (s *Sample) AddAll(xs ...float64) {
-	s.xs = append(s.xs, xs...)
-	s.sorted = false
+	for _, x := range xs {
+		s.Add(x)
+	}
 }
 
 // N reports the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int { return s.n }
 
 // Merge appends all of other's observations to s, leaving other unchanged.
 // It lets concurrent trials accumulate partial samples that are combined
-// deterministically afterwards.
+// deterministically afterwards. s.Merge(s) doubles s.
 func (s *Sample) Merge(other *Sample) {
-	if other == nil || len(other.xs) == 0 {
-		return
+	if other != nil {
+		other.each(s.Add)
 	}
-	s.xs = append(s.xs, other.xs...)
-	s.sorted = false
 }
 
 // Values returns a copy of the observations. The copy is in insertion order
-// until the first order-dependent query (Min, Max, Median, Percentile, CDF,
-// FractionBelow) sorts the sample in place, after which it is ascending;
-// callers should treat the result as an unordered multiset.
+// until the first order-dependent query (Min, Max, Median, Percentile)
+// sorts the sample, after which it is the ascending prefix followed by any
+// later observations; callers should treat the result as an unordered
+// multiset.
 func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
+	out := make([]float64, 0, s.n)
+	s.each(func(x float64) { out = append(out, x) })
 	return out
 }
 
-// Mean reports the arithmetic mean, or 0 for an empty sample.
+// Mean reports the arithmetic mean, or 0 for an empty sample. It sums in
+// Values order.
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
 	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	s.each(func(x float64) { sum += x })
+	return sum / float64(s.n)
 }
 
 // StdDev reports the population standard deviation, or 0 for fewer than two
 // observations.
 func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n < 2 {
+	if s.n < 2 {
 		return 0
 	}
 	m := s.Mean()
 	var ss float64
-	for _, x := range s.xs {
+	s.each(func(x float64) {
 		d := x - m
 		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
+	})
+	return math.Sqrt(ss / float64(s.n))
 }
 
+// sort leaves every observation in xs, ascending.
 func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+	if s.sorted {
+		return
 	}
+	if s.blocks != nil {
+		s.xs = s.Values()
+		s.blocks, s.tail = nil, 0
+	}
+	sort.Float64s(s.xs)
+	s.sorted = true
 }
 
 // Min reports the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
 	s.sort()
@@ -99,18 +156,22 @@ func (s *Sample) Min() float64 {
 
 // Max reports the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
 	s.sort()
-	return s.xs[len(s.xs)-1]
+	return s.xs[s.n-1]
 }
 
 // Percentile reports the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. Empty samples report 0.
+// interpolation between closest ranks. An empty sample reports 0 for any
+// p; otherwise a NaN p reports NaN.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
+	}
+	if math.IsNaN(p) {
+		return math.NaN()
 	}
 	if p <= 0 {
 		return s.Min()
@@ -119,7 +180,7 @@ func (s *Sample) Percentile(p float64) float64 {
 		return s.Max()
 	}
 	s.sort()
-	rank := p / 100 * float64(len(s.xs)-1)
+	rank := p / 100 * float64(s.n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
@@ -131,41 +192,6 @@ func (s *Sample) Percentile(p float64) float64 {
 
 // Median reports the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// CDF returns (value, cumulative fraction) pairs over the sample, one point
-// per distinct value, suitable for plotting the paper's CDF figures.
-func (s *Sample) CDF() []CDFPoint {
-	if len(s.xs) == 0 {
-		return nil
-	}
-	s.sort()
-	var pts []CDFPoint
-	n := float64(len(s.xs))
-	for i := 0; i < len(s.xs); i++ {
-		// Collapse runs of equal values to the highest cumulative fraction.
-		if i+1 < len(s.xs) && s.xs[i+1] == s.xs[i] {
-			continue
-		}
-		pts = append(pts, CDFPoint{Value: s.xs[i], Fraction: float64(i+1) / n})
-	}
-	return pts
-}
-
-// FractionBelow reports the fraction of observations <= x.
-func (s *Sample) FractionBelow(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
 
 // Summary is a compact five-number-plus-mean description of a sample.
 type Summary struct {
