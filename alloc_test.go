@@ -9,7 +9,9 @@ package acacia
 // the benchmark gate.
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -231,18 +233,7 @@ func BenchmarkAllocEngineHold(b *testing.B) {
 // pair: the request frame, its T3 timer, the ack coming back and the
 // receiver's duplicate filter, all drawn from pools.
 func BenchmarkAllocCtlTxn(b *testing.B) {
-	eng := sim.NewEngine(1)
-	nw := netsim.New(eng)
-	tr := ctl.NewTransport(eng)
-	a := tr.Endpoint(nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1)), true)
-	z := tr.Endpoint(nw.AddNode("z", pkt.AddrFrom(10, 0, 0, 2)), true)
-	ctl.Connect(a, z, netsim.LinkConfig{Propagation: time.Millisecond})
-	delivered := 0
-	deliver := func() { delivered++ }
-	txn := func() {
-		a.Send(z.Addr(), a.NextSeq(z.Addr()), "Req", 120, deliver, nil, nil)
-		eng.Run()
-	}
+	txn := ctlTxnRig()
 	for i := 0; i < 64; i++ {
 		txn()
 	}
@@ -251,8 +242,26 @@ func BenchmarkAllocCtlTxn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		txn()
 	}
-	if delivered != b.N+64 {
-		b.Fatalf("delivered %d of %d transactions", delivered, b.N+64)
+}
+
+// ctlTxnRig returns one loss-free transaction between two fresh
+// endpoints, run to its ack; it panics if the request is not delivered.
+func ctlTxnRig() func() {
+	eng := sim.NewEngine(1)
+	nw := netsim.New(eng)
+	tr := ctl.NewTransport(eng)
+	a := tr.Endpoint(nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1)), true)
+	z := tr.Endpoint(nw.AddNode("z", pkt.AddrFrom(10, 0, 0, 2)), true)
+	ctl.Connect(a, z, netsim.LinkConfig{Propagation: time.Millisecond})
+	delivered := false
+	deliver := func() { delivered = true }
+	return func() {
+		delivered = false
+		a.Send(z.Addr(), a.NextSeq(z.Addr()), "Req", 120, deliver, nil, nil)
+		eng.Run()
+		if !delivered {
+			panic("control transaction not delivered")
+		}
 	}
 }
 
@@ -446,20 +455,30 @@ func BenchmarkAllocFlowInstall(b *testing.B) {
 // cycle on a live testbed: NAS + S1AP + GTPv2 signaling, bearer setup and
 // teardown, all encoding into core-owned scratch buffers.
 func BenchmarkAllocAttachCycle(b *testing.B) {
-	tb := NewTestbed(TestbedConfig{Seed: 1})
-	ue := tb.UEs[0]
+	op := attachCycleRig(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// attachCycleRig builds BenchmarkAllocAttachCycle's testbed and returns
+// one iteration. The four procedure rigs are the bodies both their
+// benchmarks and TestProcedureAllocBudgets run.
+func attachCycleRig(t testing.TB) func() {
+	tb := NewTestbed(TestbedConfig{Seed: 1})
+	ue := tb.UEs[0]
+	return func() {
 		if err := tb.Attach(ue); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		done := false
 		if err := ue.UE.Detach(func() { done = true }); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		tb.Run(time.Second)
 		if !done {
-			b.Fatal("detach did not complete")
+			t.Fatal("detach did not complete")
 		}
 	}
 }
@@ -469,35 +488,42 @@ func BenchmarkAllocAttachCycle(b *testing.B) {
 // per-UE GTPv2 exchanges into per-batch ones (6 messages per cohort instead
 // of 6 per UE). Compare per-UE cost against BenchmarkAllocAttachCycle.
 func BenchmarkAllocAttachBatch(b *testing.B) {
+	op := attachBatchRig(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func attachBatchRig(t testing.TB) func() {
 	const cohort = 8
 	tb := NewTestbed(TestbedConfig{Seed: 1, NumUEs: cohort})
 	ues := make([]*epc.UE, cohort)
 	for i, bundle := range tb.UEs {
 		ues[i] = bundle.UE
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		attached := 0
 		tb.EPC.AttachBatch(ues, "core-sgw", "core-pgw", func(_ *epc.UE, err error) {
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 			attached++
 		})
 		tb.Run(2 * time.Second)
 		if attached != cohort {
-			b.Fatalf("attached %d of %d", attached, cohort)
+			t.Fatalf("attached %d of %d", attached, cohort)
 		}
 		detached := 0
 		tb.EPC.DetachBatch(ues, func(_ *epc.UE, err error) {
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 			detached++
 		})
 		tb.Run(2 * time.Second)
 		if detached != cohort {
-			b.Fatalf("detached %d of %d", detached, cohort)
+			t.Fatalf("detached %d of %d", detached, cohort)
 		}
 	}
 }
@@ -509,37 +535,49 @@ func BenchmarkAllocAttachBatch(b *testing.B) {
 // compensation bookkeeping. The UE runs no app, so this isolates the
 // control plane from MRS relocation and state migration.
 func BenchmarkAllocHandover(b *testing.B) {
+	op := handoverRig(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func handoverRig(t testing.TB) func() {
 	tb := NewTestbed(TestbedConfig{Seed: 1, IdleTimeout: time.Hour})
 	east := tb.AddNeighborENB("enb-east")
 	ue := tb.UEs[0]
 	if err := tb.Attach(ue); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	// Warm: one round trip so lazily-built state exists before measuring.
-	if err := tb.Handover(ue, east); err != nil {
-		b.Fatal(err)
-	}
-	if err := tb.Handover(ue, tb.ENB); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	op := func() {
 		if err := tb.Handover(ue, east); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		if err := tb.Handover(ue, tb.ENB); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 	}
+	op() // warm: one round trip so lazily-built state exists before measuring
+	return op
 }
 
 // BenchmarkAllocChurnRound measures one round of the control-plane churn
 // the paper's per-session bearer lifecycle implies, over 16 UEs: attach,
 // MRS bind (dedicated MEC bearer and its flows), handover out and back,
-// release, detach. Every S1AP/GTPv2 leg and OpenFlow FlowMod of the round
-// rides a pooled continuation record, so what is left is per-procedure
-// state and the legs' own closures.
+// release, detach. Every procedure runs on a pooled record whose legs ride
+// pooled continuation records, so what is left is real state: sessions,
+// bearers, flow actions and the MRS bindings.
 func BenchmarkAllocChurnRound(b *testing.B) {
+	round := churnRoundRig(b)
+	round() // warm: pools and lazily built state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+func churnRoundRig(t testing.TB) func() {
 	tb := NewTestbed(TestbedConfig{Seed: 1, NumUEs: 16, IdleTimeout: time.Hour, DiscoveryPeriod: time.Hour})
 	east := tb.AddNeighborENB("enb-east")
 	tb.Run(time.Second)
@@ -559,18 +597,18 @@ func BenchmarkAllocChurnRound(b *testing.B) {
 		fired = 0
 		for _, u := range tb.UEs {
 			if err := issue(u); err != nil {
-				b.Fatalf("%s %s: %v", phase, u.Name, err)
+				t.Fatalf("%s %s: %v", phase, u.Name, err)
 			}
 		}
 		tb.Run(2 * time.Second)
 		if fired != len(tb.UEs) {
-			b.Fatalf("%s: %d of %d completed", phase, fired, len(tb.UEs))
+			t.Fatalf("%s: %d of %d completed", phase, fired, len(tb.UEs))
 		}
 	}
-	round := func() {
+	return func() {
 		for _, u := range tb.UEs {
 			if err := tb.Attach(u); err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 		}
 		fanOut("bind", func(u *UEBundle) error {
@@ -580,7 +618,7 @@ func BenchmarkAllocChurnRound(b *testing.B) {
 		for _, u := range tb.UEs {
 			for _, target := range []*epc.ENB{east, tb.ENB} {
 				if err := tb.Handover(u, target); err != nil {
-					b.Fatal(err)
+					t.Fatal(err)
 				}
 			}
 		}
@@ -590,11 +628,54 @@ func BenchmarkAllocChurnRound(b *testing.B) {
 		})
 		fanOut("detach", func(u *UEBundle) error { return u.UE.Detach(detached) })
 	}
-	round() // warm: pools and lazily built state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
+}
+
+// TestProcedureAllocBudgets holds the four procedure rigs to their
+// ALLOC_BUDGET.json ceilings inside go test, so a procedure that starts
+// allocating again fails tier-1 and not only the benchmark gate.
+// testing.AllocsPerRun warms each rig with one run before it averages.
+func TestProcedureAllocBudgets(t *testing.T) {
+	raw, err := os.ReadFile("ALLOC_BUDGET.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget map[string]float64
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		runs int
+		rig  func(testing.TB) func()
+	}{
+		{"BenchmarkAllocAttachCycle", 50, attachCycleRig},
+		{"BenchmarkAllocAttachBatch", 20, attachBatchRig},
+		{"BenchmarkAllocHandover", 50, handoverRig},
+		{"BenchmarkAllocChurnRound", 5, churnRoundRig},
+	} {
+		want, ok := budget[c.name]
+		if !ok {
+			t.Fatalf("ALLOC_BUDGET.json has no %s", c.name)
+		}
+		got := testing.AllocsPerRun(c.runs, c.rig(t))
+		if got > want {
+			t.Errorf("%s: %.0f allocs per iteration, budget %.0f", c.name, got, want)
+		}
+		t.Logf("%s: %.0f allocs per iteration (budget %.0f)", c.name, got, want)
+	}
+}
+
+// TestZeroAllocCtlTxn pins BenchmarkAllocCtlTxn's contract in go test: a
+// control transaction on a warmed endpoint pair — request frame, T3 timer,
+// ack and duplicate filter — allocates nothing, so a data frame the ack
+// path fails to recycle shows here.
+func TestZeroAllocCtlTxn(t *testing.T) {
+	txn := ctlTxnRig()
+	for i := 0; i < 64; i++ {
+		txn()
+	}
+	if n := testing.AllocsPerRun(1000, txn); n != 0 {
+		t.Fatalf("control transaction allocates %.1f times, want 0", n)
 	}
 }
 

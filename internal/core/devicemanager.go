@@ -191,10 +191,7 @@ func (dm *DeviceManager) scheduleRetry(st *appState) {
 		st.attempts = 0
 		return
 	}
-	delay := retryBase << st.attempts
-	if delay > retryCap {
-		delay = retryCap
-	}
+	delay := min(retryBase<<st.attempts, retryCap)
 	st.attempts++
 	st.retryPending = true
 	dm.ue.Host.Node.Engine().Schedule(delay, func() {

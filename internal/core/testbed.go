@@ -147,6 +147,31 @@ type Testbed struct {
 	// shared core (SharedCoreLink, the Fig. 3(g)/10(b) bottleneck).
 	BGSource *netsim.Host
 	BGSink   *netsim.Host
+
+	// wait collects Attach's and Handover's outcomes.
+	wait *waiter
+}
+
+// waiter receives one procedure outcome through fn, bound once. A waiter
+// whose procedure outlived its Run window is abandoned to it, so a late
+// callback never lands in a later call.
+type waiter struct {
+	err   error
+	fired bool
+	fn    func(error)
+}
+
+func (w *waiter) set(err error) { w.err, w.fired = err, true }
+
+// await returns a waiter ready for the next procedure.
+func (tb *Testbed) await() *waiter {
+	if w := tb.wait; w != nil && w.fired {
+		w.err, w.fired = nil, false
+		return w
+	}
+	tb.wait = &waiter{}
+	tb.wait.fn = tb.wait.set
+	return tb.wait
 }
 
 // NewTestbed builds the standard topology, a Metro with one eNB and one
@@ -367,17 +392,13 @@ func (tb *Testbed) AddUE(name string, pos geo.Point) *UEBundle {
 
 // Attach runs the initial attach for a UE bundle and waits for completion.
 func (tb *Testbed) Attach(b *UEBundle) error {
-	var result error
-	done := false
-	b.UE.Attach("core-sgw", "core-pgw", func(err error) {
-		result = err
-		done = true
-	})
+	w := tb.await()
+	b.UE.Attach("core-sgw", "core-pgw", w.fn)
 	tb.Run(2 * time.Second)
-	if !done {
+	if !w.fired {
 		return fmt.Errorf("core: attach timed out for %s", b.Name)
 	}
-	return result
+	return w.err
 }
 
 // StartRetailApp registers the retail CI application for a bundle: the
@@ -446,12 +467,10 @@ func (tb *Testbed) BindSiteToENB(siteName, enbName string) {
 func (tb *Testbed) StartWalk(b *UEBundle, w geo.Walker, cellOf func(geo.Point) int,
 	cells []*epc.ENB, tick time.Duration, onHO func(c geo.Crossing, err error)) []geo.Crossing {
 	for el := time.Duration(0); el <= w.Duration(); el += tick {
-		el := el
 		tb.Eng.Schedule(el, func() { tb.MoveUE(b, w.PosAt(el)) })
 	}
 	crossings := w.Crossings(cellOf, tick)
 	for _, c := range crossings {
-		c := c
 		if c.To < 0 || c.To >= len(cells) || cells[c.To] == nil {
 			continue
 		}
@@ -494,14 +513,13 @@ func (tb *Testbed) Handover(b *UEBundle, target *epc.ENB) error {
 	if sess == nil {
 		return fmt.Errorf("core: %s has no session", b.Name)
 	}
-	var result error
-	done := false
-	tb.EPC.MME.Handover(sess, target, func(err error) { result, done = err, true })
+	w := tb.await()
+	tb.EPC.MME.Handover(sess, target, w.fn)
 	tb.Run(time.Second)
-	if !done {
+	if !w.fired {
 		return fmt.Errorf("core: handover for %s timed out", b.Name)
 	}
-	return result
+	return w.err
 }
 
 // Run advances virtual time by d.

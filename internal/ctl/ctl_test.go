@@ -255,3 +255,35 @@ func TestDuplicateFilterStaysEmptyInOrder(t *testing.T) {
 		t.Errorf("pending = %d, duplicates = %d; want 0, 0", len(a.pending), tr.Duplicates())
 	}
 }
+
+// TestRetransmittedFrameNotRecycledWhileInFlight acks a transaction while
+// its retransmitted clone is still on the wire: with 60 ms each way and
+// T3 = 100 ms, the request lands at 60 ms, T3 sends a clone at 100 ms, the
+// ack retires the transaction at 120 ms and the clone lands at 160 ms. A
+// second transaction sent at 130 ms draws from the frame pool. The clone
+// must still carry the first transaction's frame — so the duplicate filter
+// suppresses it — and the second transaction must land at its own 190 ms,
+// not early through a recycled frame the clone shares.
+func TestRetransmittedFrameNotRecycledWhileInFlight(t *testing.T) {
+	eng, tr, a, b, _ := pair(t, netsim.LinkConfig{Propagation: 60 * time.Millisecond})
+	var first, second []sim.Time
+	a.Send(b.Addr(), a.NextSeq(b.Addr()), "First", 100, func() { first = append(first, eng.Now()) }, nil, nil)
+	eng.Schedule(130*time.Millisecond, func() {
+		a.Send(b.Addr(), a.NextSeq(b.Addr()), "Second", 100, func() { second = append(second, eng.Now()) }, nil, nil)
+	})
+	eng.RunFor(170 * time.Millisecond)
+	if tr.Retransmissions() != 1 || tr.Duplicates() != 1 {
+		t.Fatalf("by 170 ms: retransmissions=%d duplicates=%d, want 1 and 1 (the clone suppressed)",
+			tr.Retransmissions(), tr.Duplicates())
+	}
+	eng.Run()
+	if len(first) != 1 || first[0] != sim.Time(60*time.Millisecond) {
+		t.Fatalf("first delivered at %v, want once at 60ms", first)
+	}
+	if len(second) != 1 || second[0] != sim.Time(190*time.Millisecond) {
+		t.Fatalf("second delivered at %v, want once at 190ms", second)
+	}
+	if tr.Timeouts() != 0 {
+		t.Fatalf("%d timeouts, want 0", tr.Timeouts())
+	}
+}

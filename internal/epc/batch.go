@@ -37,7 +37,7 @@ func (c *Core) AttachBatch(ues []*UE, sgwPlane, pgwPlane string, done func(*UE, 
 	// Validate and open the cohort's sessions before any message is sent
 	// (UE.Attach validates at the MME instead). Validation failures are
 	// per-UE outcomes; they never abort the batch.
-	members := make([]member, 0, len(ues))
+	co := c.takeCohort(false, true)
 	for _, ue := range ues {
 		switch {
 		case ue.enb == nil:
@@ -50,37 +50,23 @@ func (c *Core) AttachBatch(ues []*UE, sgwPlane, pgwPlane string, done func(*UE, 
 				done(ue, fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
 				continue
 			}
-			members = append(members, c.newSession(ue, apn, sub.DefaultQoS))
+			co.members = append(co.members, c.newSession(ue, apn, sub.DefaultQoS))
 		}
 	}
-	if len(members) == 0 {
-		return
-	}
-
 	// One procedure spans the whole cohort: a terminal transport failure on
 	// any shared leg unwinds every half-built session and reports the error
 	// to every member.
-	co := &cohort{members: members, batched: true, report: done}
-	co.end = func(err error) {
-		if err != nil {
-			for _, m := range members {
-				done(m.sess.UE, err)
-			}
-		}
+	co.report, co.stage, co.pending = done, 1, len(co.members)
+	if len(co.members) == 0 {
+		co.finish(nil)
+		return
 	}
-	co.onError(func() { c.unwindAttach(members) })
 
 	// Radio arrivals: each UE's S1AP InitialUEMessage from its own eNB.
 	// They fan in; the shared legs start once the last one lands at the
 	// MME.
-	arrived := func() {
-		if co.arrive() {
-			c.attach(co)
-		}
-	}
-	co.pending = len(members)
-	for _, m := range members {
-		c.sendAttachRequest(&co.proc, m.sess.UE, m.sess.ENBUEID, arrived)
+	for _, m := range co.members {
+		co.sendAttachRequest(m.sess.UE, m.sess.ENBUEID)
 	}
 }
 
@@ -91,27 +77,18 @@ func (c *Core) DetachBatch(ues []*UE, done func(*UE, error)) {
 	if done == nil {
 		done = func(*UE, error) {}
 	}
-	members := make([]member, 0, len(ues))
+	co := c.takeCohort(true, true)
 	for _, ue := range ues {
 		if !ue.attached || ue.sess == nil {
 			done(ue, fmt.Errorf("epc: UE %s not attached", ue.IMSI))
 			continue
 		}
-		members = append(members, member{sess: ue.sess})
+		co.members = append(co.members, member{sess: ue.sess})
 	}
-	if len(members) == 0 {
+	co.report = done
+	if len(co.members) == 0 {
+		co.finish(nil)
 		return
 	}
-	co := &cohort{members: members, batched: true, report: done}
-	co.end = func(err error) {
-		if err != nil {
-			// The detach signaling failed mid-flight; force-release every
-			// cohort session locally so no UE stays half-attached.
-			for _, m := range members {
-				c.forceDetach(m.sess)
-				done(m.sess.UE, err)
-			}
-		}
-	}
-	c.detach(co)
+	co.deleteSessions()
 }

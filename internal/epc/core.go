@@ -80,16 +80,21 @@ type Core struct {
 	// consumed synchronously (only its length reaches the transport). nasBuf
 	// holds NAS payloads that the following sendS1AP reads synchronously;
 	// see encodeNAS for the aliasing rule, which bearerContexts' ctxBuf and
-	// fteidBuf and setupERABs' erabBuf and oneBearer follow too.
+	// fteidBuf, setupERABs' erabBuf and oneBearer, and cohortIMSIs'
+	// imsiBuf follow too.
 	encBuf, nasBuf []byte
 	ctxBuf         []pkt.BearerContext
 	fteidBuf       []pkt.FTEID
 	erabBuf        []pkt.ERABItem
 	oneBearer      [1]*Bearer
+	imsiBuf        []string
 
-	// legFree recycles the continuation records every S1AP/GTPv2 send
-	// carries (see leg).
+	// Free lists of the continuation records every S1AP/GTPv2 send
+	// carries (see leg) and of the procedure records (see proc).
 	legFree []*leg
+	hoFree  records[handover]
+	dedFree records[dedicated]
+	coFree  records[cohort]
 }
 
 // NewCore builds an empty core and places its control plane on the network.
@@ -163,90 +168,141 @@ func (c *Core) Session(imsi string) *Session { return c.sessions[imsi] }
 // SessionByIP returns the session owning a UE IP, or nil.
 func (c *Core) SessionByIP(ip pkt.Addr) *Session { return c.byIP[ip] }
 
-// proc coordinates one multi-message control procedure over the lossy
+// proc is the state every control procedure shares over the lossy
 // transport: continuations run only while the procedure is live, the
-// terminal callback fires exactly once, and error-path cleanups
-// (registered as the procedure acquires resources) run in reverse order
-// when it fails.
+// terminal callback fires exactly once, and on failure undo first unwinds
+// the compensations made due so far (stage counts them), last first.
+// Handover, dedicated-bearer and cohort procedures embed it in a pooled
+// record whose legs are methods bound once (DESIGN.md §3c). gen counts a
+// record's procedures: every leg, timer and waiter carries the gen it was
+// issued under and is dropped on a mismatch, as sim.Timer is.
 type proc struct {
+	gen      uint32
 	finished bool
-	end      func(error)
-	errFns   []func()
-	// fail is finish as a method value, bound on the procedure's first send
-	// and passed by every send as its transport-failure callback.
-	fail func(error)
+	stage    uint8
+	end      func(error) // may be nil; a pooled record's end recycles it
+	undo     func()      // may be nil
 }
 
-func newProc(end func(error)) *proc { return &proc{end: end} }
-
-// onError registers a cleanup to run if the procedure fails.
-func (pr *proc) onError(fn func()) { pr.errFns = append(pr.errFns, fn) }
-
-// finish concludes the procedure exactly once. On error the registered
-// cleanups unwind in reverse order before the terminal callback runs.
+// finish concludes the procedure exactly once. On error undo runs before
+// the terminal callback.
 func (pr *proc) finish(err error) {
 	if pr.finished {
 		return
 	}
 	pr.finished = true
-	if err != nil {
-		for i := len(pr.errFns) - 1; i >= 0; i-- {
-			pr.errFns[i]()
-		}
+	if err != nil && pr.undo != nil {
+		pr.undo()
 	}
 	if pr.end != nil {
 		pr.end(err)
 	}
 }
 
-// failure returns the procedure's transport-failure callback, binding it on
-// the first send. Noinline keeps the one-per-procedure method value out of
-// the hotpath senders' escape profiles.
-//
-//go:noinline
-func (pr *proc) failure() func(error) {
-	if pr.fail == nil {
-		pr.fail = pr.finish
+// records is a free list of procedure records; take pops one, or builds
+// one with refill (noinline, like newLeg), whose proc the caller restarts.
+type records[T any] []*T
+
+func (f *records[T]) take(refill func() *T) *T {
+	n := len(*f)
+	if n == 0 {
+		return refill()
 	}
-	return pr.fail
+	r := (*f)[n-1]
+	(*f)[n-1], *f = nil, (*f)[:n-1]
+	return r
 }
 
-// leg is a pooled continuation record: the receiver-side continuation of
-// one S1AP/GTPv2 send and the procedure it belongs to. The transport
-// carries run, bound once when the record is built. The record goes back to
-// Core.legFree when its delivery runs, which the ctl receiver's duplicate
-// filter allows at most once per frame; a record whose every attempt was
-// lost is never delivered and is left to the GC.
+// restart readies a pooled record's proc for its next procedure.
+func (pr *proc) restart() {
+	pr.gen++
+	pr.finished, pr.stage = false, 0
+}
+
+// leg is a pooled continuation record: what runs at the receiver of one
+// S1AP/GTPv2 send, or when a timer or promotion waiter fires, for one
+// generation of one procedure. The transport carries run, failF and ackF,
+// bound once. holds counts the events still to reach the record — a send's
+// delivery and its transaction's ack or terminal failure (a delivered
+// request still times out when every ack is lost), or a waiter's firing —
+// and it returns to Core.legFree after the last (a send never delivered
+// keeps a hold and is left to the GC). It continues as deliver, or else as
+// each with sess (a cohort member's leg). The far half of a shared exchange
+// (admit, repoint, release) is a leg's delivery: it reads the exchange's
+// arguments from the leg and answers with a leg that continues as then or
+// each.
 type leg struct {
-	c       *Core
-	pr      *proc
-	deliver func()
-	run     func()
+	c                               *Core
+	pr                              *proc
+	gen                             uint32
+	holds                           uint8
+	req                             pkt.S1APProcedure
+	idx                             int // traced record index, or -1
+	sess                            *Session
+	b                               *Bearer
+	enb                             *ENB
+	deliver, at, then               func()
+	each                            func(*Session)
+	run, admitF, repointF, releaseF func()
+	failF                           func(error)
+	ackF                            func(ctl.TxInfo)
 }
 
-// land is the record's delivery: it recycles the record, then continues the
-// procedure unless an earlier leg already concluded it.
+// land is the record's delivery; failed its transaction's terminal
+// timeout; acked back-fills a traced record's wire fields at ack time.
 func (l *leg) land() {
-	pr, deliver := l.pr, l.deliver
-	l.pr, l.deliver = nil, nil
-	l.c.legFree = append(l.c.legFree, l)
-	if !pr.finished {
-		deliver()
+	if l.live() && l.deliver != nil {
+		l.deliver()
+	} else if l.live() {
+		l.each(l.sess)
+	}
+	l.drop()
+}
+
+func (l *leg) failed(err error) {
+	if l.live() {
+		l.pr.finish(err)
+	}
+	l.drop()
+}
+
+func (l *leg) acked(info ctl.TxInfo) {
+	if l.idx >= 0 {
+		l.c.Acct.NoteTransport(l.idx, info.Link, info.QueueWait, info.Retrans)
+	}
+	l.drop()
+}
+
+// live reports whether the leg's procedure is live in the leg's generation.
+func (l *leg) live() bool { return l.pr.gen == l.gen && !l.pr.finished }
+
+// drop releases one hold, recycling the record after the last.
+func (l *leg) drop() {
+	if l.holds--; l.holds == 0 {
+		l.pr, l.sess, l.b, l.enb, l.deliver, l.at, l.then, l.each = nil, nil, nil, nil, nil, nil, nil, nil
+		l.c.legFree = append(l.c.legFree, l)
 	}
 }
 
-// takeLeg pops a continuation record for one send of pr, or builds one,
-// and returns its pre-bound delivery.
+// takeLeg pops a continuation record for one send of pr, or builds one.
 //
 //acacia:hotpath
-func (c *Core) takeLeg(pr *proc, deliver func()) func() {
+func (c *Core) takeLeg(pr *proc, deliver func()) *leg {
 	if len(c.legFree) == 0 {
 		c.legFree = append(c.legFree, c.newLeg())
 	}
 	n := len(c.legFree) - 1
 	l := c.legFree[n]
 	c.legFree[n], c.legFree = nil, c.legFree[:n]
-	l.pr, l.deliver = pr, deliver
+	l.pr, l.gen, l.holds, l.deliver = pr, pr.gen, 2, deliver
+	return l
+}
+
+// resume returns fn as a one-shot continuation of pr's current generation,
+// for a timer or a promotion waiter.
+func (c *Core) resume(pr *proc, fn func()) func() {
+	l := c.takeLeg(pr, fn)
+	l.holds = 1
 	return l.run
 }
 
@@ -256,52 +312,46 @@ func (c *Core) takeLeg(pr *proc, deliver func()) func() {
 //go:noinline
 func (c *Core) newLeg() *leg {
 	l := &leg{c: c}
-	l.run = l.land
+	l.run, l.admitF, l.repointF, l.releaseF, l.failF, l.ackF = l.land, l.admit, l.repoint, l.release, l.failed, l.acked
 	return l
 }
 
-// noteTx builds the transport-observation callback that back-fills a traced
-// record's wire fields, or nil when the message is not traced. Noinline for
-// the reason txPath gives: only traced runs build the closure.
-//
-//go:noinline
-func (c *Core) noteTx(idx int) func(ctl.TxInfo) {
-	if idx < 0 {
-		return nil
-	}
-	return func(info ctl.TxInfo) {
-		c.Acct.NoteTransport(idx, info.Link, info.QueueWait, info.Retrans)
-	}
+// answer opens a far half's response leg, which continues as the
+// exchange's then, or as each with sess.
+func (l *leg) answer() *leg {
+	n := l.c.takeLeg(l.pr, l.then)
+	n.each, n.sess = l.each, l.sess
+	return n
 }
 
 // sendS1AP stamps the next per-peer sequence into the message's TSN,
 // serializes and accounts it, and opens a transport transaction from
-// endpoint from to endpoint to. deliver runs at the receiver (unless the
-// procedure already failed); a terminal transport timeout fails pr.
+// endpoint from to endpoint to that carries l: l continues at the receiver,
+// and a terminal transport timeout fails its procedure.
 //
 //acacia:hotpath
-func (c *Core) sendS1AP(pr *proc, from, to *ctl.Endpoint, m *pkt.S1APMsg, deliver func()) {
+func (c *Core) sendS1AP(l *leg, from, to *ctl.Endpoint, m *pkt.S1APMsg) {
 	seq := from.NextSeq(to.Addr())
 	m.TSN = seq
 	c.encBuf = m.Encode(c.encBuf[:0])
 	n := len(c.encBuf)
 	name := m.Procedure.String()
-	idx := c.Acct.RecordTx(c.Eng.Now(), ProtoS1AP, name, n, seq, c.txPath(from, to))
-	from.Send(to.Addr(), seq, name, n, c.takeLeg(pr, deliver), pr.failure(), c.noteTx(idx))
+	l.idx = c.Acct.RecordTx(c.Eng.Now(), ProtoS1AP, name, n, seq, c.txPath(from, to))
+	from.Send(to.Addr(), seq, name, n, l.run, l.failF, l.ackF)
 }
 
 // sendGTPv2 is sendS1AP for GTPv2-C: the allocated sequence becomes the
 // message's 24-bit Seq field.
 //
 //acacia:hotpath
-func (c *Core) sendGTPv2(pr *proc, from, to *ctl.Endpoint, m *pkt.GTPv2Msg, deliver func()) {
+func (c *Core) sendGTPv2(l *leg, from, to *ctl.Endpoint, m *pkt.GTPv2Msg) {
 	seq := from.NextSeq(to.Addr())
 	m.Seq = seq
 	c.encBuf = m.Encode(c.encBuf[:0])
 	n := len(c.encBuf)
 	name := m.Type.String()
-	idx := c.Acct.RecordTx(c.Eng.Now(), ProtoGTPv2, name, n, seq, c.txPath(from, to))
-	from.Send(to.Addr(), seq, name, n, c.takeLeg(pr, deliver), pr.failure(), c.noteTx(idx))
+	l.idx = c.Acct.RecordTx(c.Eng.Now(), ProtoGTPv2, name, n, seq, c.txPath(from, to))
+	from.Send(to.Addr(), seq, name, n, l.run, l.failF, l.ackF)
 }
 
 // txPath builds the "from->to" trace label, but only when tracing is on —
@@ -483,6 +533,11 @@ type Session struct {
 	// bearer deactivation) run without clobbering an in-progress
 	// OrderedBearers iteration.
 	ordScratch, dedScratch []*Bearer
+}
+
+// s1ap builds a UE-associated S1AP message of the session.
+func (s *Session) s1ap(p pkt.S1APProcedure, cause uint8, nas []byte) *pkt.S1APMsg {
+	return &pkt.S1APMsg{Procedure: p, ENBUEID: s.ENBUEID, MMEUEID: s.MMEUEID, Cause: cause, NAS: nas}
 }
 
 // Bearer returns the bearer with the given EBI, or nil.

@@ -319,12 +319,12 @@ func (e *ENB) sendServiceRequest(sess *Session) {
 		}
 		// The MME sees the session as idle until it processes the request.
 		sess.setState(e.core.Eng, StateIdle)
-		pr := newProc(nil)
 		// A promotion that dies after the MME took it up leaves the UE idle
 		// at every layer: the radio context goes, and so does any SGW-U
 		// downlink rule the Modify Bearer leg re-installed, so downlink
 		// pages again.
-		pr.onError(func() {
+		pr := &proc{}
+		pr.undo = func() {
 			if sess.State == StatePromoting {
 				sess.setState(e.core.Eng, StateIdle)
 				sess.ENB.releaseContext(sess)
@@ -332,10 +332,10 @@ func (e *ENB) sendServiceRequest(sess *Session) {
 					e.core.removeSGWDownlink(sess, b)
 				}
 			}
-		})
-		e.core.sendS1AP(pr, e.ep, e.core.mmeEP, msg, func() {
+		}
+		e.core.sendS1AP(e.core.takeLeg(pr, func() {
 			e.core.MME.onServiceRequest(pr, sess)
-		})
+		}), e.ep, e.core.mmeEP, msg)
 	})
 }
 
@@ -368,12 +368,9 @@ func (e *ENB) checkIdle() {
 // requestRelease sends the UE Context Release Request that starts the idle
 // transition.
 func (e *ENB) requestRelease(sess *Session) {
-	msg := &pkt.S1APMsg{
-		Procedure: pkt.S1APUEContextReleaseRequest,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: causeUserInactivity,
-	}
-	pr := newProc(nil)
-	e.core.sendS1AP(pr, e.ep, e.core.mmeEP, msg, func() {
+	msg := sess.s1ap(pkt.S1APUEContextReleaseRequest, causeUserInactivity, nil)
+	pr := &proc{}
+	e.core.sendS1AP(e.core.takeLeg(pr, func() {
 		e.core.MME.onReleaseRequest(pr, sess)
-	})
+	}), e.ep, e.core.mmeEP, msg)
 }

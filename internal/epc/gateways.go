@@ -347,9 +347,82 @@ func (s *SGWC) replayBuffered(sess *Session) {
 	}
 }
 
+// dedicated is the pooled record of a dedicated bearer procedure on sess:
+// the network-initiated activation of b (the Create Bearer chain) or its
+// deactivation (the Delete Bearer chain). denied is the MME's refusal,
+// answered down the chain to the PGW-C. nas is the activation's NAS
+// request: the modem decodes it after the asynchronous S1AP delivery, so
+// it cannot live in Core.nasBuf.
+type dedicated struct {
+	proc
+	*Core
+	sess        *Session
+	b           *Bearer
+	activated   func(uint8, error)
+	deactivated func(error)
+	denied      error
+	nas         []byte
+
+	cbAtSGWF, cbAtMMEF, setupF, toModemF, erabDoneF, answeredF func()
+	dbAtSGWF, dbAtMMEF, dbAtENBF, dbBackF, dbAtPGWF            func()
+}
+
+// takeDedicated pops a dedicated-bearer record, or builds one, for a new
+// procedure on b.
+func (c *Core) takeDedicated(sess *Session, b *Bearer) *dedicated {
+	d := c.dedFree.take(c.newDedicated)
+	d.restart()
+	d.sess, d.b = sess, b
+	return d
+}
+
+// newDedicated is the dedicated-bearer pool's refill path.
+//
+//go:noinline
+func (c *Core) newDedicated() *dedicated {
+	d := &dedicated{Core: c}
+	d.end, d.undo, d.cbAtSGWF, d.cbAtMMEF, d.setupF, d.toModemF = d.ended, d.unwind, d.cbAtSGW, d.cbAtMME, d.setup, d.toModem
+	d.erabDoneF, d.answeredF, d.dbAtSGWF, d.dbAtMMEF, d.dbAtENBF, d.dbBackF, d.dbAtPGWF = d.erabDone, d.answered, d.dbAtSGW, d.dbAtMME, d.dbAtENB, d.dbBack, d.dbAtPGW
+	return d
+}
+
+// unwind is an activation's one compensation (stage 1, set as it starts):
+// any failure — a protocol denial answered down the chain or a transport
+// timeout on any leg — returns the GBR reservation exactly once. If the
+// E-RAB Setup landed (b.S1DL is set), it also takes back what that gave
+// the radio side: the eNB's downlink mapping and the modem's TFT.
+func (d *dedicated) unwind() {
+	if d.stage == 0 {
+		return
+	}
+	b, sess := d.b, d.sess
+	b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
+	if b.S1DL != 0 {
+		sess.ENB.detachBearer(sess, b.EBI)
+		sess.UE.removeTFT(b.EBI)
+	}
+}
+
+// ended reports the outcome and recycles the record.
+func (d *dedicated) ended(err error) {
+	ebi, activated, deactivated := d.b.EBI, d.activated, d.deactivated
+	d.sess, d.b, d.activated, d.deactivated, d.denied = nil, nil, nil, nil, nil
+	d.dedFree = append(d.dedFree, d)
+	switch {
+	case activated != nil && err != nil:
+		activated(0, err)
+	case activated != nil:
+		activated(ebi, nil)
+	case deactivated != nil:
+		deactivated(err)
+	}
+}
+
 // activateDedicatedBearer runs the network-initiated dedicated bearer
-// activation: the PCEF (here) admits and builds the bearer, then runs its
-// Create Bearer chain (createBearer).
+// activation: the PCEF (here) admits and builds the bearer, then the
+// Create Bearer chain runs from the PGW-C through the SGW-C to the MME on
+// S5 and S11, the E-RAB Setup at the eNB once the UE is connected (paging
+// it first if idle), and the SGW-C's response to the PGW-C.
 func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer pkt.Addr, sgwPlane, pgwPlane string, done func(uint8, error)) {
 	if sess.State == StateDetached {
 		fail(done, fmt.Errorf("epc: UE %s not attached", sess.IMSI))
@@ -392,36 +465,9 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 		CIServer: ciServer,
 		S5UL:     p.teids.alloc(),
 	}
-
-	// One procedure spans the whole activation chain; any failure — a
-	// protocol denial answered down the chain or a transport timeout on any
-	// leg — returns the GBR reservation exactly once. If the E-RAB Setup
-	// landed (b.S1DL is set), it also takes back what that gave the radio
-	// side: the eNB's downlink mapping and the modem's TFT.
-	pr := newProc(func(err error) {
-		if err != nil {
-			fail(done, err)
-			return
-		}
-		if done != nil {
-			done(b.EBI, nil)
-		}
-	})
-	pr.onError(func() {
-		b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
-		if b.S1DL != 0 {
-			sess.ENB.detachBearer(sess, b.EBI)
-			sess.UE.removeTFT(b.EBI)
-		}
-	})
-	p.core.createBearer(pr, sess, b)
-}
-
-// createBearer runs a dedicated bearer's Create Bearer chain: the request
-// from the PGW-C through the SGW-C to the MME on S5 and S11, the E-RAB
-// Setup at the eNB once the UE is connected (paging it first if idle), and
-// the SGW-C's response to the PGW-C (answerCreateBearer).
-func (c *Core) createBearer(pr *proc, sess *Session, b *Bearer) {
+	c := p.core
+	d := c.takeDedicated(sess, b)
+	d.activated, d.stage = done, 1
 	req := &pkt.GTPv2Msg{
 		Type: pkt.GTPv2CreateBearerRequest,
 		TEID: 1,
@@ -430,61 +476,65 @@ func (c *Core) createBearer(pr *proc, sess *Session, b *Bearer) {
 			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: b.S5UL, Addr: b.Planes.PGW.Addr()}},
 		}},
 	}
-	c.sendGTPv2(pr, c.pgwEP, c.sgwEP, req, func() {
-		b.S1UL = c.SGWC.teids.alloc()
-		b.S5DL = c.SGWC.teids.alloc()
-		// The S1-U F-TEID carries the *local* SGW-U address — the step that
-		// steers the radio-side tunnel to the edge.
-		fwd := &pkt.GTPv2Msg{
-			Type: pkt.GTPv2CreateBearerRequest,
-			TEID: 2,
-			Bearers: []pkt.BearerContext{{
-				EBI: b.EBI, TFT: b.TFT, QoS: b.QoS,
-				FTEIDs: []pkt.FTEID{b.s1uSGW()},
-			}},
-		}
-		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, fwd, func() {
-			if sess.State == StateDetached {
-				c.answerCreateBearer(pr, sess, b, fmt.Errorf("epc: UE %s in state %v", sess.IMSI, sess.State))
-				return
-			}
-			sess.whenConnected(func() {
-				if !pr.finished { // a promotion waiter can outlive a failed procedure
-					c.setupDedicatedBearer(pr, sess, b)
-				}
-			})
-			c.MME.page(sess) // wakes an idle UE; the setup rides after promotion
-		})
-	})
+	c.sendGTPv2(c.takeLeg(&d.proc, d.cbAtSGWF), c.pgwEP, c.sgwEP, req)
 }
 
-// setupDedicatedBearer runs the dedicated bearer's E-RAB Setup. Its NAS
-// Activate Dedicated EPS Bearer Context Request carries the QoS and TFT the
-// eNB relays to the UE in the RRC reconfiguration, where the modem installs
-// them. The NAS is encoded into a fresh slice, not the core's NAS scratch:
-// the modem decodes the bytes after the asynchronous S1AP delivery.
-func (c *Core) setupDedicatedBearer(pr *proc, sess *Session, b *Bearer) {
-	nas := (&pkt.NASMsg{
+func (d *dedicated) cbAtSGW() {
+	b := d.b
+	b.S1UL = d.SGWC.teids.alloc()
+	b.S5DL = d.SGWC.teids.alloc()
+	// The S1-U F-TEID carries the *local* SGW-U address — the step that
+	// steers the radio-side tunnel to the edge.
+	fwd := &pkt.GTPv2Msg{
+		Type: pkt.GTPv2CreateBearerRequest,
+		TEID: 2,
+		Bearers: []pkt.BearerContext{{
+			EBI: b.EBI, TFT: b.TFT, QoS: b.QoS,
+			FTEIDs: []pkt.FTEID{b.s1uSGW()},
+		}},
+	}
+	d.sendGTPv2(d.takeLeg(&d.proc, d.cbAtMMEF), d.sgwEP, d.mmeEP, fwd)
+}
+
+func (d *dedicated) cbAtMME() {
+	sess := d.sess
+	if sess.State == StateDetached {
+		d.answer(fmt.Errorf("epc: UE %s in state %v", sess.IMSI, sess.State))
+		return
+	}
+	// A promotion waiter can outlive a failed procedure: resume drops it.
+	sess.whenConnected(d.resume(&d.proc, d.setupF))
+	d.MME.page(sess) // wakes an idle UE; the setup rides after promotion
+}
+
+// setup runs the dedicated bearer's E-RAB Setup. Its NAS Activate
+// Dedicated EPS Bearer Context Request carries the QoS and TFT the eNB
+// relays to the UE in the RRC reconfiguration, where the modem installs
+// them (toModem).
+func (d *dedicated) setup() {
+	b, sess := d.b, d.sess
+	d.nas = (&pkt.NASMsg{
 		Type: pkt.NASActivateDedicatedBearerRequest,
 		EBI:  b.EBI, LinkedEBI: EBIDefault, QoS: b.QoS, TFT: b.TFT,
-	}).Encode(nil)
-	toModem := func() {
-		if err := sess.UE.installTFTFromNAS(nas); err != nil {
-			panic("epc: NAS bearer activation round trip failed: " + err.Error())
-		}
-	}
-	c.setupERABs(pr, sess, sess.ENB, pkt.S1APERABSetupRequest, nas, b, toModem, func() {
-		c.answerCreateBearer(pr, sess, b, nil)
-	})
+	}).Encode(d.nas[:0])
+	d.setupERABs(&d.proc, sess, sess.ENB, pkt.S1APERABSetupRequest, d.nas, b, d.toModemF, d.erabDoneF)
 }
 
-// answerCreateBearer sends the SGW-C's Create Bearer Response to the PGW-C:
-// accepted once the E-RAB Setup is done, denied with err when the MME found
-// the session gone. On an accepted response the PGW-C installs the bearer,
-// unless a detach released the session meanwhile (releaseSessionResources
-// clears the default bearer), which fails the activation instead. The
-// MME's own Create Bearer Response to the SGW-C on S11 is not modelled.
-func (c *Core) answerCreateBearer(pr *proc, sess *Session, b *Bearer, err error) {
+func (d *dedicated) toModem() {
+	if err := d.sess.UE.installTFTFromNAS(d.nas); err != nil {
+		panic("epc: NAS bearer activation round trip failed: " + err.Error())
+	}
+}
+
+func (d *dedicated) erabDone() { d.answer(nil) }
+
+// answer sends the SGW-C's Create Bearer Response to the PGW-C: accepted
+// once the E-RAB Setup is done, denied with err when the MME found the
+// session gone. The MME's own Create Bearer Response to the SGW-C on S11
+// is not modelled.
+func (d *dedicated) answer(err error) {
+	b := d.b
+	d.denied = err
 	cause := uint8(pkt.GTPv2CauseAccepted)
 	if err != nil {
 		cause = pkt.GTPv2CauseDenied
@@ -497,21 +547,32 @@ func (c *Core) answerCreateBearer(pr *proc, sess *Session, b *Bearer, err error)
 			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS5SGW, TEID: b.S5DL, Addr: b.Planes.SGW.Addr()}},
 		}},
 	}
-	c.sendGTPv2(pr, c.sgwEP, c.pgwEP, resp, func() {
-		switch {
-		case err != nil:
-			pr.finish(err)
-		case sess.Bearers[EBIDefault] == nil:
-			pr.finish(fmt.Errorf("epc: UE %s detached during bearer activation", sess.IMSI))
-		default:
-			sess.Bearers[b.EBI] = b
-			c.installBearerFlows(sess, b)
-			pr.finish(nil)
-		}
-	})
+	d.sendGTPv2(d.takeLeg(&d.proc, d.answeredF), d.sgwEP, d.pgwEP, resp)
 }
 
-// deactivateDedicatedBearer tears down the bearer whose CI server matches.
+// answered: on an accepted response the PGW-C installs the bearer, unless
+// a detach released the session meanwhile (releaseSessionResources clears
+// the default bearer), which fails the activation instead.
+func (d *dedicated) answered() {
+	sess, b := d.sess, d.b
+	switch {
+	case d.denied != nil:
+		d.finish(d.denied)
+	case sess.Bearers[EBIDefault] == nil:
+		d.finish(fmt.Errorf("epc: UE %s detached during bearer activation", sess.IMSI))
+	default:
+		sess.Bearers[b.EBI] = b
+		d.installBearerFlows(sess, b)
+		d.finish(nil)
+	}
+}
+
+// deactivateDedicatedBearer tears down the bearer whose CI server matches
+// with its Delete Bearer chain: the request from the PGW-C through the
+// SGW-C to the MME on S5 and S11, the E-RAB Release pair at the eNB (which
+// drops the bearer's mapping, and the modem its TFT), and the SGW-C's
+// response to the PGW-C, which removes the bearer's flows and returns its
+// GBR reservation.
 func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done func(error)) {
 	var b *Bearer
 	for _, cand := range sess.DedicatedBearers() {
@@ -526,45 +587,47 @@ func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done 
 		}
 		return
 	}
-	p.core.deleteBearer(newProc(done), sess, b)
+	c := p.core
+	d := c.takeDedicated(sess, b)
+	d.deactivated = done
+	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteBearerRequest, TEID: 1, Bearers: []pkt.BearerContext{{EBI: b.EBI}}}
+	c.sendGTPv2(c.takeLeg(&d.proc, d.dbAtSGWF), c.pgwEP, c.sgwEP, req)
 }
 
-// deleteBearer runs a dedicated bearer's Delete Bearer chain: the request
-// from the PGW-C through the SGW-C to the MME on S5 and S11, the E-RAB
-// Release pair at the eNB (which drops the bearer's mapping, and the modem
-// its TFT), and the SGW-C's response to the PGW-C, which removes the
-// bearer's flows and returns its GBR reservation.
-func (c *Core) deleteBearer(pr *proc, sess *Session, b *Bearer) {
-	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteBearerRequest, TEID: 1, Bearers: []pkt.BearerContext{{EBI: b.EBI}}}
-	c.sendGTPv2(pr, c.pgwEP, c.sgwEP, req, func() {
-		fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteBearerRequest, TEID: 2, Bearers: []pkt.BearerContext{{EBI: b.EBI}}}
-		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, fwd, func() {
-			cmd := &pkt.S1APMsg{
-				Procedure: pkt.S1APERABReleaseCommand,
-				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				ERABs: []pkt.ERABItem{{ERABID: b.EBI}},
-			}
-			c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
-				sess.ENB.detachBearer(sess, b.EBI)
-				sess.UE.removeTFT(b.EBI)
-				released := &pkt.S1APMsg{
-					Procedure: pkt.S1APERABReleaseResponse,
-					ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				}
-				c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, released, func() {
-					resp := &pkt.GTPv2Msg{
-						Type: pkt.GTPv2DeleteBearerResponse,
-						TEID: 1, Cause: pkt.GTPv2CauseAccepted,
-						Bearers: []pkt.BearerContext{{EBI: b.EBI, Cause: pkt.GTPv2CauseAccepted}},
-					}
-					c.sendGTPv2(pr, c.sgwEP, c.pgwEP, resp, func() {
-						c.removeBearerFlows(sess, b)
-						sess.Bearers[b.EBI] = nil
-						b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
-						pr.finish(nil)
-					})
-				})
-			})
-		})
-	})
+func (d *dedicated) dbAtSGW() {
+	fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteBearerRequest, TEID: 2, Bearers: []pkt.BearerContext{{EBI: d.b.EBI}}}
+	d.sendGTPv2(d.takeLeg(&d.proc, d.dbAtMMEF), d.sgwEP, d.mmeEP, fwd)
+}
+
+func (d *dedicated) dbAtMME() {
+	sess := d.sess
+	cmd := &pkt.S1APMsg{Procedure: pkt.S1APERABReleaseCommand, ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID,
+		ERABs: []pkt.ERABItem{{ERABID: d.b.EBI}}}
+	d.sendS1AP(d.takeLeg(&d.proc, d.dbAtENBF), d.mmeEP, sess.ENB.ep, cmd)
+}
+
+func (d *dedicated) dbAtENB() {
+	sess := d.sess
+	sess.ENB.detachBearer(sess, d.b.EBI)
+	sess.UE.removeTFT(d.b.EBI)
+	released := sess.s1ap(pkt.S1APERABReleaseResponse, 0, nil)
+	d.sendS1AP(d.takeLeg(&d.proc, d.dbBackF), sess.ENB.ep, d.mmeEP, released)
+}
+
+func (d *dedicated) dbBack() {
+	b := d.b
+	resp := &pkt.GTPv2Msg{
+		Type: pkt.GTPv2DeleteBearerResponse,
+		TEID: 1, Cause: pkt.GTPv2CauseAccepted,
+		Bearers: []pkt.BearerContext{{EBI: b.EBI, Cause: pkt.GTPv2CauseAccepted}},
+	}
+	d.sendGTPv2(d.takeLeg(&d.proc, d.dbAtPGWF), d.sgwEP, d.pgwEP, resp)
+}
+
+func (d *dedicated) dbAtPGW() {
+	sess, b := d.sess, d.b
+	d.removeBearerFlows(sess, b)
+	sess.Bearers[b.EBI] = nil
+	b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
+	d.finish(nil)
 }

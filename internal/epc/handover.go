@@ -16,150 +16,171 @@ import (
 // survive the move.
 //
 // Every leg runs over the lossy ctl transport, so each state mutation
-// registers a pr.onError compensation; a terminal timeout on any leg
-// unwinds them in reverse order, leaving the session fully anchored at the
-// source (or cleanly failed) instead of half-switched with leaked
+// advances the record's stage; a terminal timeout on any leg unwinds the
+// stages in reverse order (undo), leaving the session fully anchored at
+// the source (or cleanly failed) instead of half-switched with leaked
 // target-eNB contexts.
 
 // handoverInterruption is the radio-layer outage while the UE detunes from
 // the source cell and synchronizes to the target (detach + RACH).
 const handoverInterruption = 30 * time.Millisecond
 
+// hoCommandNAS stands in for the Handover Command's Target-to-Source
+// transparent container, the RRC reconfiguration (opaque to the MME).
+var hoCommandNAS [90]byte
+
+// handover is the pooled record of one S1 handover. Its legs: (1) the
+// source's Handover Required reaches the MME (required); (2) the Handover
+// Request carries every E-RAB to the target, which first saves the bearers
+// and their S1 downlink TEIDs (capture, stage 1) and (3) acknowledges with
+// new TEIDs (prepared); (4) the Handover Command makes the source release
+// the UE (commanded, stage 2); (5) after the radio interruption the UE is
+// on the target (retune, stage 3), which sends the Handover Notify
+// (notified); (6) the path switch's Modify Bearer repoints the SGW-U
+// downlink rules (switched, stage 4). gapStart is when the source
+// released the UE: the gap a successful handover observes runs from it.
+type handover struct {
+	proc
+	*Core
+	sess           *Session
+	source, target *ENB
+	done           func(error)
+	gapStart       sim.Time
+	hoBearers      []*Bearer
+	oldTEIDs       []uint32
+
+	requiredF, captureF, preparedF, commandedF, retuneF, notifiedF, switchedF, completeF func()
+}
+
 // Handover moves sess from its serving eNB to target. done (may be nil)
 // fires when the path switch completes or the preparation fails.
 func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 	c := m.core
-	if sess.State != StateConnected {
+	var err error
+	switch {
+	case sess.State != StateConnected:
+		err = fmt.Errorf("epc: cannot hand over session in state %v", sess.State)
+	case sess.ENB == target:
+		err = fmt.Errorf("epc: source and target eNB are both %s", target.Name())
+	case target.byUEIP[sess.UE.Addr()] == nil:
+		err = fmt.Errorf("epc: UE %s has no radio link to %s", sess.IMSI, target.Name())
+	}
+	if err != nil {
 		if done != nil {
-			done(fmt.Errorf("epc: cannot hand over session in state %v", sess.State))
+			done(err)
 		}
 		return
 	}
 	source := sess.ENB
-	if source == target {
-		if done != nil {
-			done(fmt.Errorf("epc: source and target eNB are both %s", target.Name()))
-		}
-		return
-	}
-	tctx := target.byUEIP[sess.UE.Addr()]
-	if tctx == nil {
-		if done != nil {
-			done(fmt.Errorf("epc: UE %s has no radio link to %s", sess.IMSI, target.Name()))
-		}
-		return
-	}
-	srcCtx := source.byUEIP[sess.UE.Addr()]
-
-	// The interruption gap runs from the source context release (UE detunes)
-	// to procedure end; only successful handovers observe it.
-	var gapStart sim.Time
-	var gapStarted bool
 	m.hoScope.Emit("start", sess.IMSI+" "+source.Name()+"->"+target.Name())
-	pr := newProc(func(err error) {
-		if err != nil {
-			m.hoFailed.Inc()
-			m.hoScope.Emit("failed", sess.IMSI+" "+err.Error())
-		} else {
-			m.Handovers++
-			if gapStarted {
-				m.hoGap.Observe(float64(c.Eng.Now()-gapStart) / float64(time.Millisecond))
-			}
-			m.hoScope.Emit("complete", sess.IMSI+" "+source.Name()+"->"+target.Name())
-			if m.OnHandoverComplete != nil {
-				m.OnHandoverComplete(sess, source, target)
-			}
-		}
-		if done != nil {
-			done(err)
-		}
-	})
+	h := c.hoFree.take(c.newHandover)
+	h.restart()
+	h.sess, h.source, h.target, h.done = sess, source, target, done
+	required := sess.s1ap(pkt.S1APHandoverRequired, 2, nil) // radio reasons
+	c.sendS1AP(c.takeLeg(&h.proc, h.requiredF), source.ep, c.mmeEP, required)
+}
 
-	// Bearer pointers and their pre-handover S1 downlink TEIDs, captured
-	// once for the compensations (OrderedBearers scratch must not be
-	// retained across legs).
-	var hoBearers []*Bearer
-	var oldTEIDs []uint32
+// newHandover is the handover pool's refill path.
+//
+//go:noinline
+func (c *Core) newHandover() *handover {
+	h := &handover{Core: c}
+	h.end, h.undo, h.requiredF, h.captureF, h.preparedF = h.ended, h.unwind, h.required, h.capture, h.prepared
+	h.commandedF, h.retuneF, h.notifiedF, h.switchedF, h.completeF = h.commanded, h.retune, h.notified, h.switched, h.complete
+	return h
+}
 
-	// 1. Source eNB -> MME: Handover Required.
-	required := &pkt.S1APMsg{
-		Procedure: pkt.S1APHandoverRequired,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: 2, // radio reasons
+func (h *handover) required() {
+	h.setupERABs(&h.proc, h.sess, h.target, pkt.S1APHandoverRequest, nil, nil, h.captureF, h.preparedF)
+}
+
+// capture copies out the bearers once: OrderedBearers scratch must not be
+// retained across legs.
+func (h *handover) capture() {
+	h.hoBearers, h.oldTEIDs = h.hoBearers[:0], h.oldTEIDs[:0]
+	for _, b := range h.sess.OrderedBearers() {
+		h.hoBearers, h.oldTEIDs = append(h.hoBearers, b), append(h.oldTEIDs, b.S1DL)
 	}
-	c.sendS1AP(pr, source.ep, c.mmeEP, required, func() {
-		// 2-3. MME -> target eNB: Handover Request carrying every E-RAB; the
-		// target admits them with new downlink TEIDs in its Handover
-		// Request Acknowledge.
-		capture := func() {
-			bearers := sess.OrderedBearers()
-			hoBearers, oldTEIDs = make([]*Bearer, len(bearers)), make([]uint32, len(bearers))
-			for i, b := range bearers {
-				hoBearers[i], oldTEIDs[i] = b, b.S1DL
+	h.stage = 1
+}
+
+func (h *handover) prepared() {
+	sess := h.sess
+	cmd := sess.s1ap(pkt.S1APHandoverCommand, 0, hoCommandNAS[:])
+	h.sendS1AP(h.takeLeg(&h.proc, h.commandedF), h.mmeEP, h.source.ep, cmd)
+}
+
+func (h *handover) commanded() {
+	h.source.releaseContext(h.sess)
+	h.gapStart, h.stage = h.Eng.Now(), 2
+	h.Eng.Schedule(handoverInterruption, h.resume(&h.proc, h.retuneF))
+}
+
+func (h *handover) retune() {
+	sess := h.sess
+	sess.UE.switchRadio(h.target, h.target.byUEIP[sess.UE.Addr()].uePort)
+	sess.ENB, h.stage = h.target, 3
+	notify := sess.s1ap(pkt.S1APHandoverNotify, 0, nil)
+	h.sendS1AP(h.takeLeg(&h.proc, h.notifiedF), h.target.ep, h.mmeEP, notify)
+}
+
+func (h *handover) notified() {
+	h.modifySessionBearers(&h.proc, h.sess, h.switchedF, h.completeF)
+}
+
+func (h *handover) switched() { h.stage = 4 }
+func (h *handover) complete() { h.finish(nil) }
+
+// unwind undoes the stages reached, last first: repoint the SGW-U rules at
+// the source eNB and its TEIDs (installFlow replaces on identical
+// match+priority), retune the UE back, re-adopt the session at the source
+// (restoreBearerMapping tolerates the context being gone), then drop the
+// target contexts and put the source TEIDs back on the bearers.
+func (h *handover) unwind() {
+	sess, source := h.sess, h.source
+	for ; h.stage > 0; h.stage-- {
+		switch h.stage {
+		case 4:
+			for i, b := range h.hoBearers {
+				h.installSGWDownlinkTo(sess, b, h.oldTEIDs[i], source.Addr())
 			}
-			// Compensation: drop the admitted target contexts and put the
-			// source TEIDs back on the bearers.
-			pr.onError(func() {
-				target.releaseContext(sess)
-				for i, b := range hoBearers {
-					b.S1DL = oldTEIDs[i]
-				}
-			})
+		case 3:
+			sess.ENB = source
+			if ctx := source.byUEIP[sess.UE.Addr()]; ctx != nil {
+				sess.UE.switchRadio(source, ctx.uePort)
+			}
+		case 2:
+			for i, b := range h.hoBearers {
+				source.restoreBearerMapping(sess, b.EBI, h.oldTEIDs[i])
+			}
+		case 1:
+			h.target.releaseContext(sess)
+			for i, b := range h.hoBearers {
+				b.S1DL = h.oldTEIDs[i]
+			}
 		}
-		c.setupERABs(pr, sess, target, pkt.S1APHandoverRequest, nil, nil, capture, func() {
-			// 4. MME -> source eNB: Handover Command; the source tells
-			// the UE to retune (RRC reconfiguration with mobility).
-			// The Target-to-Source transparent container carries the
-			// RRC reconfiguration (opaque to the MME).
-			cmd := &pkt.S1APMsg{
-				Procedure: pkt.S1APHandoverCommand,
-				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				NAS: make([]byte, 90),
-			}
-			c.sendS1AP(pr, c.mmeEP, source.ep, cmd, func() {
-				source.releaseContext(sess)
-				gapStarted, gapStart = true, c.Eng.Now()
-				// Compensation: re-adopt the session at the source with
-				// the original TEIDs (tolerates the source context being
-				// gone — restoreBearerMapping nil-checks it).
-				pr.onError(func() {
-					for i, b := range hoBearers {
-						source.restoreBearerMapping(sess, b.EBI, oldTEIDs[i])
-					}
-				})
-				c.Eng.Schedule(handoverInterruption, func() {
-					if pr.finished {
-						return // a leg failed during the interruption
-					}
-					sess.UE.switchRadio(target, tctx.uePort)
-					sess.ENB = target
-					// Compensation: retune the UE back to the source.
-					pr.onError(func() {
-						sess.ENB = source
-						if srcCtx != nil {
-							sess.UE.switchRadio(source, srcCtx.uePort)
-						}
-					})
-					// 5. Target -> MME: Handover Notify.
-					notify := &pkt.S1APMsg{
-						Procedure: pkt.S1APHandoverNotify,
-						ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-					}
-					c.sendS1AP(pr, target.ep, c.mmeEP, notify, func() {
-						// 6. Path switch: the SGW-U downlink rules follow
-						// the bearers to the target.
-						c.modifySessionBearers(pr, sess, func() {
-							// Compensation: repoint the rules at the source
-							// eNB and its TEIDs (installFlow replaces on
-							// identical match+priority).
-							pr.onError(func() {
-								for i, b := range hoBearers {
-									c.installSGWDownlinkTo(sess, b, oldTEIDs[i], source.Addr())
-								}
-							})
-						}, func() { pr.finish(nil) })
-					})
-				})
-			})
-		})
-	})
+	}
+}
+
+// ended reports the outcome and recycles the record.
+func (h *handover) ended(err error) {
+	m := h.MME
+	sess, source, target, done := h.sess, h.source, h.target, h.done
+	if err != nil {
+		m.hoFailed.Inc()
+		m.hoScope.Emit("failed", sess.IMSI+" "+err.Error())
+	} else {
+		m.Handovers++
+		m.hoGap.Observe(float64(h.Eng.Now()-h.gapStart) / float64(time.Millisecond))
+		m.hoScope.Emit("complete", sess.IMSI+" "+source.Name()+"->"+target.Name())
+	}
+	clear(h.hoBearers)
+	h.sess, h.source, h.target, h.done = nil, nil, nil, nil
+	h.hoFree = append(h.hoFree, h)
+	if err == nil && m.OnHandoverComplete != nil {
+		m.OnHandoverComplete(sess, source, target)
+	}
+	if done != nil {
+		done(err)
+	}
 }

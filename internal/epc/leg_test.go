@@ -1,16 +1,20 @@
 package epc
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"acacia/internal/ctl"
 	"acacia/internal/pkt"
+	"acacia/internal/sdn"
 )
 
 // The continuation contract of sendS1AP/sendGTPv2: each send carries a
 // pooled leg record that runs its continuation at most once, and only while
-// the procedure is live, and that returns to Core.legFree when it lands.
+// the procedure is live in the leg's generation, and that returns to
+// Core.legFree once it has landed and its transaction has been acked or
+// has failed.
 
 // distinctLegs fails the test if a record sits in the free list twice,
 // which a second delivery of one frame would cause.
@@ -41,13 +45,13 @@ func TestLegAfterFailureRunsNothing(t *testing.T) {
 
 	var failed error
 	ran := 0
-	pr := newProc(func(err error) { failed = err })
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: tb.ue.IMSI}, func() { ran++ })
+	pr := &proc{end: func(err error) { failed = err }}
+	c.sendGTPv2(c.takeLeg(pr, func() { ran++ }), c.mmeEP, c.sgwEP, &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: tb.ue.IMSI})
 	// The S11 transaction fails when its last T3 expires; send the S1 leg
 	// so that it lands just after.
 	failAt := time.Duration(ctl.N3+1) * ctl.T3
 	tb.eng.Schedule(failAt-time.Millisecond, func() {
-		c.sendS1AP(pr, c.mmeEP, tb.enb.ep, &pkt.S1APMsg{Procedure: pkt.S1APPaging}, func() { ran++ })
+		c.sendS1AP(c.takeLeg(pr, func() { ran++ }), c.mmeEP, tb.enb.ep, &pkt.S1APMsg{Procedure: pkt.S1APPaging})
 	})
 	tb.eng.RunFor(time.Second)
 
@@ -74,8 +78,8 @@ func TestRetransmittedLegRunsOnce(t *testing.T) {
 	c := tb.core
 	s1 := tb.enb.S1Link()
 	ran := 0
-	pr := newProc(nil)
-	c.sendS1AP(pr, c.mmeEP, tb.enb.ep, &pkt.S1APMsg{Procedure: pkt.S1APPaging}, func() { ran++ })
+	pr := &proc{}
+	c.sendS1AP(c.takeLeg(pr, func() { ran++ }), c.mmeEP, tb.enb.ep, &pkt.S1APMsg{Procedure: pkt.S1APPaging})
 	// The request is in flight at 1 ms and lands at 2 ms; its ack leaves
 	// into a dead link and the T3 retransmission repeats the request.
 	tb.eng.Schedule(time.Millisecond, func() { s1.SetDown(true) })
@@ -168,5 +172,99 @@ func TestLegPoolsStopGrowing(t *testing.T) {
 	}
 	if n := len(c.legFree); n != first {
 		t.Fatalf("leg pool holds %d records after 21 rounds, %d after the first", n, first)
+	}
+}
+
+// TestReusedRecordIgnoresLateLegs fails a handover by terminal timeout
+// after its request was delivered, then reuses its record at once. The
+// source eNB's S1 link dies 1 ms in: the Handover Required (sent at 0)
+// still lands, but its acks are lost, and so is the Handover Command the
+// MME sends at about 6 ms. The Required's T3 fails the handover at 400 ms;
+// its callback heals the link and starts a second handover, which takes
+// the same record. The Command's own terminal timeout lands at about
+// 406 ms, a leg of the old generation: the new handover must not see it.
+// It completes, its callback fires once, and no flow, TEID mapping or GBR
+// reservation leaks.
+func TestReusedRecordIgnoresLateLegs(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	enb2 := withSecondENB(t, tb)
+	c := tb.core
+	c.PCRF.AddRule(PolicyRule{
+		ServiceID: "gbr-ar", QCI: 1, ARP: 2, Precedence: 5,
+		GuaranteedUL: 1_000_000, GuaranteedDL: 2_000_000,
+	})
+	c.PGWC.Plane("edge-pgw").GBRCapacityBps = 10_000_000
+	tb.attach(t)
+	var dedErr error = errors.New("no callback")
+	c.PCRF.RequestDedicatedBearer("gbr-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
+		"edge-sgw", "edge-pgw", func(_ uint8, err error) { dedErr = err })
+	tb.eng.RunFor(time.Second)
+	if dedErr != nil {
+		t.Fatalf("GBR bearer activation: %v", dedErr)
+	}
+	sess := c.Session(tb.ue.IMSI)
+	switches := []*sdn.Switch{tb.coreSGW, tb.corePGW, tb.edgeSGW, tb.edgePGW}
+	flows := make([]int, len(switches))
+	for i, sw := range switches {
+		flows[i] = sw.FlowCount()
+	}
+	gbr := c.PGWC.Plane("edge-pgw").GBRInUse()
+	if gbr != 3_000_000 {
+		t.Fatalf("edge PGW-U GBR in use %d after the activation, want 3000000", gbr)
+	}
+
+	var firstErr, secondErr error
+	firstCalls, secondCalls, timeoutsAtReuse := 0, 0, uint64(0)
+	var record *handover
+	tb.eng.Schedule(time.Millisecond, func() { tb.enb.S1Link().SetDown(true) })
+	c.MME.Handover(sess, enb2, func(err error) {
+		firstErr = err
+		firstCalls++
+		if len(c.hoFree) != 1 {
+			t.Fatalf("%d handover records free after the first ended, want 1", len(c.hoFree))
+		}
+		record, timeoutsAtReuse = c.hoFree[0], c.Transport().Timeouts()
+		tb.enb.S1Link().SetDown(false)
+		c.MME.Handover(sess, enb2, func(err error) { secondErr = err; secondCalls++ })
+		if len(c.hoFree) != 0 {
+			t.Fatal("the second handover did not take the first one's record")
+		}
+	})
+	tb.eng.RunFor(2 * time.Second)
+
+	if firstCalls != 1 || firstErr == nil {
+		t.Fatalf("first handover: %d callbacks, err %v; want one failure", firstCalls, firstErr)
+	}
+	if timeoutsAtReuse != 1 || c.Transport().Timeouts() != 2 {
+		t.Fatalf("timeouts: %d at reuse, %d at the end; want 1 then 2 (the Command's after the reuse)",
+			timeoutsAtReuse, c.Transport().Timeouts())
+	}
+	if secondCalls != 1 || secondErr != nil {
+		t.Fatalf("second handover: %d callbacks, err %v; want one success", secondCalls, secondErr)
+	}
+	if len(c.hoFree) != 1 || c.hoFree[0] != record {
+		t.Fatal("the reused record did not come back to the free list alone")
+	}
+	if sess.ENB != enb2 || tb.ue.ServingENB() != enb2 || c.MME.Handovers != 1 {
+		t.Fatalf("session at %s, UE at %s, %d handovers; want enb2, enb2, 1",
+			sess.ENB.Name(), tb.ue.ServingENB().Name(), c.MME.Handovers)
+	}
+	for i, sw := range switches {
+		if got := sw.FlowCount(); got != flows[i] {
+			t.Errorf("%s holds %d flows, %d before the handovers", sw.Node().Name(), got, flows[i])
+		}
+	}
+	bearers := sess.OrderedBearers()
+	if len(tb.enb.byDLTEID) != 0 || len(enb2.byDLTEID) != len(bearers) {
+		t.Fatalf("downlink mappings: %d at the source, %d at the target; want 0 and %d",
+			len(tb.enb.byDLTEID), len(enb2.byDLTEID), len(bearers))
+	}
+	for _, b := range bearers {
+		if key, ok := enb2.byDLTEID[b.S1DL]; !ok || key.ebi != b.EBI {
+			t.Fatalf("bearer %d: S1DL %d not mapped at the target", b.EBI, b.S1DL)
+		}
+	}
+	if got := c.PGWC.Plane("edge-pgw").GBRInUse(); got != gbr {
+		t.Fatalf("edge PGW-U GBR in use %d, %d before", got, gbr)
 	}
 }

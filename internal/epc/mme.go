@@ -39,12 +39,12 @@ func (m *MME) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
 // --- Attach and detach ---
 //
 // Every exchange of attach, detach and idle release is built and sent in
-// one function below. UE.Attach and UE.Detach run them over a cohort of
+// one place below. UE.Attach and UE.Detach run them over a cohort of
 // one, AttachBatch and DetachBatch (batch.go) over many; a cohort of one
 // encodes exactly as the single-UE messages. The single and batched
 // procedures differ in three places, each explicit once: where the attach
 // is validated (onInitialAttach, AttachBatch), the Modify Bearer Response
-// (modifyBearers) and the Uplink NAS Transport that opens UE.Detach.
+// (mbAtSGW) and the Uplink NAS Transport that opens UE.Detach.
 
 // member is one UE's slot in a cohort: its session and, while it attaches,
 // the default bearer being built.
@@ -53,18 +53,83 @@ type member struct {
 	b    *Bearer
 }
 
-// cohort is an attach or detach procedure over one UE (UE.Attach,
-// UE.Detach) or several (AttachBatch, DetachBatch): the proc its legs run
-// under and the members they run over.
+// cohort is the pooled record of an attach or detach procedure over one
+// UE (UE.Attach, UE.Detach) or several (AttachBatch, DetachBatch): the
+// members its legs run over, how it reports (batched cohorts report each
+// member), and for UE.Attach the UE and planes the MME validates.
 type cohort struct {
 	proc
-	members []member
-	// batched marks AttachBatch and DetachBatch: report hears each member.
-	batched bool
-	report  func(*UE, error)
-	pending int // per-UE legs of the current phase still outstanding
-	// one backs members in the single procedures (no slice to allocate).
-	one [1]member
+	*Core
+	members            []member
+	batched, detach    bool
+	report             func(*UE, error)
+	attachDone         func(error)
+	detachDone         func()
+	pending            int // per-UE legs of the current phase still outstanding
+	ue                 *UE
+	sgwPlane, pgwPlane string
+
+	arrivedF, csAtSGWF, csAtPGWF, csBackF, createdF, setUpF, mbAtSGWF, modifiedF func()
+	deleteF, dsAtSGWF, dsAtPGWF, dsBackF, deletedF                               func()
+	attachedF, releasedF                                                         func(*Session)
+}
+
+// takeCohort pops a cohort record, or builds one, for a new procedure.
+func (c *Core) takeCohort(detach, batched bool) *cohort {
+	co := c.coFree.take(c.newCohort)
+	co.restart()
+	co.detach, co.batched, co.members = detach, batched, co.members[:0]
+	return co
+}
+
+// newCohort is the cohort pool's refill path.
+//
+//go:noinline
+func (c *Core) newCohort() *cohort {
+	co := &cohort{Core: c}
+	co.end, co.undo, co.arrivedF, co.csAtSGWF, co.csAtPGWF, co.csBackF = co.ended, co.unwind, co.arrived, co.csAtSGW, co.csAtPGW, co.csBack
+	co.createdF, co.setUpF, co.mbAtSGWF, co.modifiedF, co.attachedF = co.created, co.setUp, co.mbAtSGW, co.modified, co.attached
+	co.deleteF, co.dsAtSGWF, co.dsAtPGWF, co.dsBackF, co.deletedF, co.releasedF = co.deleteSessions, co.dsAtSGW, co.dsAtPGW, co.dsBack, co.deleted, co.released
+	return co
+}
+
+// ended reports the outcome and recycles the record. A failed batch
+// reports to every member, and a detach whose signalling failed
+// force-releases each session locally so no UE stays half-attached.
+func (co *cohort) ended(err error) {
+	for _, m := range co.members {
+		if err != nil && co.detach {
+			co.forceDetach(m.sess)
+		}
+		if err != nil && co.batched {
+			co.report(m.sess.UE, err)
+		}
+	}
+	attachDone, detachDone := co.attachDone, co.detachDone
+	clear(co.members)
+	co.report, co.attachDone, co.detachDone, co.ue = nil, nil, nil, nil
+	co.coFree = append(co.coFree, co)
+	switch {
+	case co.batched:
+	case co.detach && detachDone != nil:
+		detachDone()
+	case !co.detach && attachDone != nil:
+		attachDone(err)
+	}
+}
+
+// unwind ends a failed attach's half-built sessions so each UE can retry
+// from scratch (stage 1: the sessions are open). A failure after Initial
+// Context Setup has mapped the default bearer at the eNB, so the radio
+// context is released too (a no-op before that leg).
+func (co *cohort) unwind() {
+	if co.stage == 0 {
+		return
+	}
+	for _, m := range co.members {
+		m.sess.ENB.releaseContext(m.sess)
+		co.endSession(m.sess)
+	}
 }
 
 // arrive marks one per-UE leg of the current phase done and reports whether
@@ -87,23 +152,34 @@ func (co *cohort) memberDone(ue *UE) {
 }
 
 // sendAttachRequest carries ue's NAS Attach Request from its eNB to the MME
-// in an S1AP InitialUEMessage numbered enbUEID; then runs at the MME.
-func (c *Core) sendAttachRequest(pr *proc, ue *UE, enbUEID uint32, then func()) {
-	nas := c.encodeNAS(&pkt.NASMsg{
+// in an S1AP InitialUEMessage numbered enbUEID; the cohort's arrived leg
+// runs at the MME.
+func (co *cohort) sendAttachRequest(ue *UE, enbUEID uint32) {
+	nas := co.encodeNAS(&pkt.NASMsg{
 		Type: pkt.NASAttachRequest,
 		IMSI: ue.IMSI,
 		ESM:  &pkt.NASMsg{Type: pkt.NASActivateDefaultBearerRequest, APN: defaultAPN},
 	})
 	msg := &pkt.S1APMsg{Procedure: pkt.S1APInitialUEMessage, ENBUEID: enbUEID, NAS: nas}
-	c.sendS1AP(pr, ue.enb.ep, c.mmeEP, msg, then)
+	co.sendS1AP(co.takeLeg(&co.proc, co.arrivedF), ue.enb.ep, co.mmeEP, msg)
 }
 
-// onInitialAttach handles an InitialUEMessage carrying an attach request:
-// the MME validates the UE, opens its session and runs the attach legs for
-// a cohort of one. co is the attach procedure opened at the eNB; it
-// concludes when the attach completes or any leg fails terminally.
-func (m *MME) onInitialAttach(co *cohort, ue *UE, sgwPlane, pgwPlane string) {
-	c := m.core
+// arrived is an InitialUEMessage landing at the MME: UE.Attach's is
+// validated there (onInitialAttach); a batch's shared legs start once the
+// last member's lands.
+func (co *cohort) arrived() {
+	if !co.batched {
+		co.MME.onInitialAttach(co)
+	} else if co.arrive() {
+		co.attach()
+	}
+}
+
+// onInitialAttach handles UE.Attach's InitialUEMessage: the MME validates
+// the UE, opens its session and runs the attach legs for a cohort of one,
+// which concludes when the attach completes or any leg fails terminally.
+func (m *MME) onInitialAttach(co *cohort) {
+	c, ue := m.core, co.ue
 	sub, ok := c.HSS.Lookup(ue.IMSI)
 	if !ok {
 		co.finish(fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
@@ -113,14 +189,13 @@ func (m *MME) onInitialAttach(co *cohort, ue *UE, sgwPlane, pgwPlane string) {
 		co.finish(fmt.Errorf("epc: IMSI %s already attached", ue.IMSI))
 		return
 	}
-	planes, err := c.internPlanes(sgwPlane, pgwPlane)
+	planes, err := c.internPlanes(co.sgwPlane, co.pgwPlane)
 	if err != nil {
-		co.finish(fmt.Errorf("epc: unknown default planes %q/%q", sgwPlane, pgwPlane))
+		co.finish(fmt.Errorf("epc: unknown default planes %q/%q", co.sgwPlane, co.pgwPlane))
 		return
 	}
-	co.members = append(co.one[:0], c.newSession(ue, c.internAPN(defaultAPN, planes), sub.DefaultQoS))
-	co.onError(func() { c.unwindAttach(co.members) })
-	c.attach(co)
+	co.members, co.stage = append(co.members, c.newSession(ue, c.internAPN(defaultAPN, planes), sub.DefaultQoS)), 1
+	co.attach()
 }
 
 // newSession opens ue's session at its serving eNB in StateConnecting,
@@ -143,186 +218,178 @@ func (c *Core) newSession(ue *UE, apn *APNProfile, qos pkt.BearerQoS) member {
 	return member{sess: sess, b: &Bearer{EBI: EBIDefault, QoS: c.internQoS(qos), Planes: apn.Planes}}
 }
 
-// unwindAttach ends a failed attach's half-built sessions so each UE can
-// retry from scratch; both attach procedures register it with onError. A
-// failure after Initial Context Setup has mapped the default bearer at the
-// eNB, so the radio context is released too (a no-op before that leg).
-func (c *Core) unwindAttach(members []member) {
-	for _, m := range members {
-		m.sess.ENB.releaseContext(m.sess)
-		c.endSession(m.sess)
-	}
-}
-
 // attach runs the attach legs for a cohort whose sessions are open: the
 // Create Session chain, each member's Initial Context Setup, one Modify
 // Bearer exchange, then each member's flows and attach completion.
-func (c *Core) attach(co *cohort) {
-	c.createSessions(co, func() {
-		setUp := func() {
-			if !co.arrive() {
-				return
-			}
-			c.modifyBearers(co, func() {
-				co.pending = len(co.members)
-				for _, m := range co.members {
-					m.sess.Bearers[m.b.EBI] = m.b
-					c.installBearerFlows(m.sess, m.b)
-					c.sendAttachComplete(co, m.sess)
-				}
-			})
-		}
-		co.pending = len(co.members)
-		for _, m := range co.members {
-			c.setupDefaultBearer(&co.proc, m.sess, m.b, setUp)
-		}
-	})
-}
-
-// createSessions runs the Create Session chain for a cohort, MME -> SGW-C
-// -> PGW-C and back on S11 and S5, one message per hop carrying every
-// member's default bearer; the first member fills the message-level
-// fields. then runs at the MME on the last response.
-func (c *Core) createSessions(co *cohort, then func()) {
-	imsi, imsis := cohortIMSIs(co.members)
-	ctxs, _ := c.bearerContexts(len(co.members))
+//
+// The Create Session chain runs MME -> SGW-C -> PGW-C and back on S11 and
+// S5, one message per hop carrying every member's default bearer; the
+// first member fills the message-level fields.
+func (co *cohort) attach() {
+	imsi, imsis := co.cohortIMSIs(co.members)
+	ctxs, _ := co.bearerContexts(len(co.members))
 	for i, m := range co.members {
 		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
 	}
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2CreateSessionRequest, IMSI: imsi, IMSIs: imsis, Bearers: ctxs}
-	c.sendGTPv2(&co.proc, c.mmeEP, c.sgwEP, req, func() {
-		imsi, imsis := cohortIMSIs(co.members)
-		ctxs, _ := c.bearerContexts(len(co.members))
-		for i, m := range co.members {
-			m.b.S1UL = c.SGWC.teids.alloc()
-			m.b.S5DL = c.SGWC.teids.alloc()
-			ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
-		}
-		first := co.members[0]
-		fwd := &pkt.GTPv2Msg{
-			Type: pkt.GTPv2CreateSessionRequest, IMSI: imsi, IMSIs: imsis,
-			SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5SGW, TEID: first.b.S5DL, Addr: first.b.Planes.SGW.Addr()},
-			Bearers:     ctxs,
-		}
-		c.sendGTPv2(&co.proc, c.sgwEP, c.pgwEP, fwd, func() {
-			ctxs, _ := c.bearerContexts(len(co.members))
-			for i, m := range co.members {
-				m.sess.UEIP = m.sess.UE.Addr()
-				c.byIP[m.sess.UEIP] = m.sess
-				m.b.S5UL = c.PGWC.teids.alloc()
-				ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted}
-			}
-			first := co.members[0]
-			resp := &pkt.GTPv2Msg{
-				Type:  pkt.GTPv2CreateSessionResponse,
-				Cause: pkt.GTPv2CauseAccepted, PAA: first.sess.UEIP,
-				SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: first.b.S5UL, Addr: first.b.Planes.PGW.Addr()},
-				Bearers:     ctxs,
-			}
-			c.sendGTPv2(&co.proc, c.pgwEP, c.sgwEP, resp, func() {
-				ctxs, fteids := c.bearerContexts(len(co.members))
-				for i, m := range co.members {
-					fteids[i] = m.b.s1uSGW()
-					ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted, FTEIDs: fteids[i : i+1]}
-				}
-				resp2 := &pkt.GTPv2Msg{
-					Type:  pkt.GTPv2CreateSessionResponse,
-					Cause: pkt.GTPv2CauseAccepted, PAA: co.members[0].sess.UEIP,
-					Bearers: ctxs,
-				}
-				c.sendGTPv2(&co.proc, c.sgwEP, c.mmeEP, resp2, then)
-			})
+	co.sendGTPv2(co.takeLeg(&co.proc, co.csAtSGWF), co.mmeEP, co.sgwEP, req)
+}
+
+func (co *cohort) csAtSGW() {
+	imsi, imsis := co.cohortIMSIs(co.members)
+	ctxs, _ := co.bearerContexts(len(co.members))
+	for i, m := range co.members {
+		m.b.S1UL = co.SGWC.teids.alloc()
+		m.b.S5DL = co.SGWC.teids.alloc()
+		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
+	}
+	first := co.members[0]
+	fwd := &pkt.GTPv2Msg{
+		Type: pkt.GTPv2CreateSessionRequest, IMSI: imsi, IMSIs: imsis,
+		SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5SGW, TEID: first.b.S5DL, Addr: first.b.Planes.SGW.Addr()},
+		Bearers:     ctxs,
+	}
+	co.sendGTPv2(co.takeLeg(&co.proc, co.csAtPGWF), co.sgwEP, co.pgwEP, fwd)
+}
+
+func (co *cohort) csAtPGW() {
+	ctxs, _ := co.bearerContexts(len(co.members))
+	for i, m := range co.members {
+		m.sess.UEIP = m.sess.UE.Addr()
+		co.byIP[m.sess.UEIP] = m.sess
+		m.b.S5UL = co.PGWC.teids.alloc()
+		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted}
+	}
+	first := co.members[0]
+	resp := &pkt.GTPv2Msg{
+		Type:  pkt.GTPv2CreateSessionResponse,
+		Cause: pkt.GTPv2CauseAccepted, PAA: first.sess.UEIP,
+		SenderFTEID: &pkt.FTEID{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: first.b.S5UL, Addr: first.b.Planes.PGW.Addr()},
+		Bearers:     ctxs,
+	}
+	co.sendGTPv2(co.takeLeg(&co.proc, co.csBackF), co.pgwEP, co.sgwEP, resp)
+}
+
+func (co *cohort) csBack() {
+	ctxs, fteids := co.bearerContexts(len(co.members))
+	for i, m := range co.members {
+		fteids[i] = m.b.s1uSGW()
+		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, Cause: pkt.GTPv2CauseAccepted, FTEIDs: fteids[i : i+1]}
+	}
+	resp := &pkt.GTPv2Msg{
+		Type:  pkt.GTPv2CreateSessionResponse,
+		Cause: pkt.GTPv2CauseAccepted, PAA: co.members[0].sess.UEIP,
+		Bearers: ctxs,
+	}
+	co.sendGTPv2(co.takeLeg(&co.proc, co.createdF), co.sgwEP, co.mmeEP, resp)
+}
+
+// created runs each member's Initial Context Setup: the E-RAB setup of its
+// default bearer, carrying the NAS Attach Accept.
+func (co *cohort) created() {
+	co.pending = len(co.members)
+	for _, m := range co.members {
+		acceptNAS := co.encodeNAS(&pkt.NASMsg{
+			Type: pkt.NASAttachAccept,
+			ESM: &pkt.NASMsg{
+				Type: pkt.NASActivateDefaultBearerRequest,
+				EBI:  m.b.EBI, APN: m.sess.APN.Name, UEIP: m.sess.UEIP, QoS: m.b.QoS,
+			},
 		})
-	})
+		co.setupERABs(&co.proc, m.sess, m.sess.ENB, pkt.S1APInitialContextSetupRequest, acceptNAS, m.b, nil, co.setUpF)
+	}
 }
 
-// setupDefaultBearer runs one member's Initial Context Setup: the E-RAB
-// setup of its default bearer, carrying the NAS Attach Accept. then runs at
-// the MME on the response.
-func (c *Core) setupDefaultBearer(pr *proc, sess *Session, b *Bearer, then func()) {
-	acceptNAS := c.encodeNAS(&pkt.NASMsg{
-		Type: pkt.NASAttachAccept,
-		ESM: &pkt.NASMsg{
-			Type: pkt.NASActivateDefaultBearerRequest,
-			EBI:  b.EBI, APN: sess.APN.Name, UEIP: sess.UEIP, QoS: b.QoS,
-		},
-	})
-	c.setupERABs(pr, sess, sess.ENB, pkt.S1APInitialContextSetupRequest, acceptNAS, b, nil, then)
-}
-
-// modifyBearers sends the cohort's eNB F-TEIDs to the SGW-C in one Modify
-// Bearer exchange; then runs at the MME on the response. This is where the
-// two attach procedures' wire formats differ: UE.Attach's response echoes
-// the default bearer's context, AttachBatch's acknowledges the cohort with
-// the cause alone.
-func (c *Core) modifyBearers(co *cohort, then func()) {
-	imsi, imsis := cohortIMSIs(co.members)
-	ctxs, fteids := c.bearerContexts(len(co.members))
+// setUp is a member's Initial Context Setup Response; after the last, the
+// cohort's eNB F-TEIDs go to the SGW-C in one Modify Bearer exchange.
+func (co *cohort) setUp() {
+	if !co.arrive() {
+		return
+	}
+	imsi, imsis := co.cohortIMSIs(co.members)
+	ctxs, fteids := co.bearerContexts(len(co.members))
 	for i, m := range co.members {
 		fteids[i] = m.b.s1uENB(m.sess.ENB)
 		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, FTEIDs: fteids[i : i+1]}
 	}
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: imsi, IMSIs: imsis, Bearers: ctxs}
-	c.sendGTPv2(&co.proc, c.mmeEP, c.sgwEP, req, func() {
-		var echo []pkt.BearerContext
-		if !co.batched {
-			echo = []pkt.BearerContext{{EBI: co.members[0].b.EBI, Cause: pkt.GTPv2CauseAccepted}}
-		}
-		resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted, Bearers: echo}
-		c.sendGTPv2(&co.proc, c.sgwEP, c.mmeEP, resp, then)
-	})
+	co.sendGTPv2(co.takeLeg(&co.proc, co.mbAtSGWF), co.mmeEP, co.sgwEP, req)
 }
 
-// sendAttachComplete carries one member's NAS Attach Complete to the MME,
-// which marks the UE attached and its session connected.
-func (c *Core) sendAttachComplete(co *cohort, sess *Session) {
-	msg := &pkt.S1APMsg{
-		Procedure: pkt.S1APUplinkNASTransport,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-		NAS: c.encodeNAS(&pkt.NASMsg{Type: pkt.NASAttachComplete}),
+// mbAtSGW answers the Modify Bearer Request. This is where the two attach
+// procedures' wire formats differ: UE.Attach's response echoes the default
+// bearer's context, AttachBatch's acknowledges the cohort with the cause
+// alone.
+func (co *cohort) mbAtSGW() {
+	var echo []pkt.BearerContext
+	if !co.batched {
+		echo = []pkt.BearerContext{{EBI: co.members[0].b.EBI, Cause: pkt.GTPv2CauseAccepted}}
 	}
-	c.sendS1AP(&co.proc, sess.ENB.ep, c.mmeEP, msg, func() {
-		sess.UE.completeAttach(sess)
-		sess.setState(c.Eng, StateConnected)
-		co.memberDone(sess.UE)
-	})
+	resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted, Bearers: echo}
+	co.sendGTPv2(co.takeLeg(&co.proc, co.modifiedF), co.sgwEP, co.mmeEP, resp)
 }
 
-// detach runs the detach legs for a cohort: one Delete Session chain, then
-// each member's UE Context Release, after which its session ends.
-func (c *Core) detach(co *cohort) {
-	c.deleteSessions(co, func() {
-		co.pending = len(co.members)
-		for _, m := range co.members {
-			sess := m.sess
-			c.releaseUEContext(&co.proc, sess, causeDetach, func() {
-				c.endSession(sess)
-				co.memberDone(sess.UE)
-			})
-		}
-	})
+// modified installs each member's flows and carries its NAS Attach
+// Complete to the MME, which marks the UE attached and its session
+// connected (attached).
+func (co *cohort) modified() {
+	co.pending = len(co.members)
+	for _, m := range co.members {
+		sess := m.sess
+		sess.Bearers[m.b.EBI] = m.b
+		co.installBearerFlows(sess, m.b)
+		msg := sess.s1ap(pkt.S1APUplinkNASTransport, 0, co.encodeNAS(&pkt.NASMsg{Type: pkt.NASAttachComplete}))
+		l := co.takeLeg(&co.proc, nil)
+		l.each, l.sess = co.attachedF, sess
+		co.sendS1AP(l, sess.ENB.ep, co.mmeEP, msg)
+	}
 }
 
-// deleteSessions runs the Delete Session chain for a cohort on S11 and S5;
-// the PGW-C drops every member's flows and returns its GBR reservations.
-// then runs at the MME on the last response.
-func (c *Core) deleteSessions(co *cohort, then func()) {
-	imsi, imsis := cohortIMSIs(co.members)
+func (co *cohort) attached(sess *Session) {
+	sess.UE.completeAttach(sess)
+	sess.setState(co.Eng, StateConnected)
+	co.memberDone(sess.UE)
+}
+
+// deleteSessions runs the detach legs for a cohort: one Delete Session
+// chain on S11 and S5, in which the PGW-C drops every member's flows and
+// returns its GBR reservations, then each member's UE Context Release,
+// after which its session ends.
+func (co *cohort) deleteSessions() {
+	imsi, imsis := co.cohortIMSIs(co.members)
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: imsi, IMSIs: imsis}
-	c.sendGTPv2(&co.proc, c.mmeEP, c.sgwEP, req, func() {
-		imsi, imsis := cohortIMSIs(co.members)
-		fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: imsi, IMSIs: imsis}
-		c.sendGTPv2(&co.proc, c.sgwEP, c.pgwEP, fwd, func() {
-			for _, m := range co.members {
-				c.releaseSessionResources(m.sess)
-			}
-			resp := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
-			c.sendGTPv2(&co.proc, c.pgwEP, c.sgwEP, resp, func() {
-				resp2 := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
-				c.sendGTPv2(&co.proc, c.sgwEP, c.mmeEP, resp2, then)
-			})
-		})
-	})
+	co.sendGTPv2(co.takeLeg(&co.proc, co.dsAtSGWF), co.mmeEP, co.sgwEP, req)
+}
+
+func (co *cohort) dsAtSGW() {
+	imsi, imsis := co.cohortIMSIs(co.members)
+	fwd := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionRequest, IMSI: imsi, IMSIs: imsis}
+	co.sendGTPv2(co.takeLeg(&co.proc, co.dsAtPGWF), co.sgwEP, co.pgwEP, fwd)
+}
+
+func (co *cohort) dsAtPGW() {
+	for _, m := range co.members {
+		co.releaseSessionResources(m.sess)
+	}
+	resp := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
+	co.sendGTPv2(co.takeLeg(&co.proc, co.dsBackF), co.pgwEP, co.sgwEP, resp)
+}
+
+func (co *cohort) dsBack() {
+	resp := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteSessionResponse, Cause: pkt.GTPv2CauseAccepted}
+	co.sendGTPv2(co.takeLeg(&co.proc, co.deletedF), co.sgwEP, co.mmeEP, resp)
+}
+
+func (co *cohort) deleted() {
+	co.pending = len(co.members)
+	for _, m := range co.members {
+		co.releaseUEContext(&co.proc, m.sess, causeDetach, co.releasedF)
+	}
+}
+
+func (co *cohort) released(sess *Session) {
+	co.endSession(sess)
+	co.memberDone(sess.UE)
 }
 
 // UE Context Release causes.
@@ -332,32 +399,34 @@ const (
 )
 
 // releaseUEContext runs the UE Context Release pair: the MME commands the
-// eNB to drop the UE's radio context and the eNB confirms. Only the cause
-// tells a detach from an idle release. then runs at the MME on the
-// confirmation.
-func (c *Core) releaseUEContext(pr *proc, sess *Session, cause uint8, then func()) {
-	cmd := &pkt.S1APMsg{
-		Procedure: pkt.S1APUEContextReleaseCommand,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID, Cause: cause,
-	}
-	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, cmd, func() {
-		sess.ENB.releaseContext(sess)
-		complete := &pkt.S1APMsg{
-			Procedure: pkt.S1APUEContextReleaseComplete,
-			ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-		}
-		c.sendS1AP(pr, sess.ENB.ep, c.mmeEP, complete, then)
-	})
+// eNB to drop the UE's radio context and the eNB confirms (release). Only
+// the cause tells a detach from an idle release. then runs at the MME on
+// the confirmation.
+func (c *Core) releaseUEContext(pr *proc, sess *Session, cause uint8, then func(*Session)) {
+	cmd := sess.s1ap(pkt.S1APUEContextReleaseCommand, cause, nil)
+	l := c.takeLeg(pr, nil)
+	l.deliver, l.each, l.sess = l.releaseF, then, sess
+	c.sendS1AP(l, c.mmeEP, sess.ENB.ep, cmd)
+}
+
+// release is releaseUEContext's eNB half.
+func (l *leg) release() {
+	sess := l.sess
+	sess.ENB.releaseContext(sess)
+	complete := sess.s1ap(pkt.S1APUEContextReleaseComplete, 0, nil)
+	l.c.sendS1AP(l.answer(), sess.ENB.ep, l.c.mmeEP, complete)
 }
 
 // cohortIMSIs names a cohort in a session-level GTPv2 message: the first
 // member's IMSI, and the others for the batch-IMSI IEs — none for a cohort
-// of one, whose messages encode to the single-UE bytes.
-func cohortIMSIs(members []member) (string, []string) {
-	extra := make([]string, 0, len(members)-1)
+// of one, whose messages encode to the single-UE bytes. The list is core
+// scratch, valid until the next call.
+func (c *Core) cohortIMSIs(members []member) (string, []string) {
+	extra := c.imsiBuf[:0]
 	for _, m := range members[1:] {
 		extra = append(extra, m.sess.IMSI)
 	}
+	c.imsiBuf = extra
 	return members[0].sess.IMSI, extra
 }
 
@@ -375,17 +444,17 @@ func (m *MME) onReleaseRequest(pr *proc, sess *Session) {
 	sess.setState(c.Eng, StateIdle)
 	// MME -> SGW-C: Release Access Bearers (drops eNB-facing state).
 	raReq := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersRequest, IMSI: sess.IMSI}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, raReq, func() {
+	c.sendGTPv2(c.takeLeg(pr, func() {
 		// SGW-C deletes the SGW-U downlink rules: later downlink traffic
 		// misses and triggers paging.
 		for _, b := range sess.OrderedBearers() {
 			c.removeSGWDownlink(sess, b)
 		}
 		raResp := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersResponse, Cause: pkt.GTPv2CauseAccepted}
-		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, raResp, func() {
-			c.releaseUEContext(pr, sess, causeUserInactivity, func() { pr.finish(nil) })
-		})
-	})
+		c.sendGTPv2(c.takeLeg(pr, func() {
+			c.releaseUEContext(pr, sess, causeUserInactivity, func(*Session) { pr.finish(nil) })
+		}), c.sgwEP, c.mmeEP, raResp)
+	}), c.mmeEP, c.sgwEP, raReq)
 }
 
 // --- Service request (promotion) ---
@@ -405,16 +474,12 @@ func (m *MME) onServiceRequest(pr *proc, sess *Session) {
 	sess.setState(c.Eng, StatePromoting)
 	c.setupERABs(pr, sess, sess.ENB, pkt.S1APInitialContextSetupRequest, nil, nil, nil, func() {
 		c.modifySessionBearers(pr, sess, nil, func() {
-			accept := &pkt.S1APMsg{
-				Procedure: pkt.S1APDownlinkNASTransport,
-				ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-				NAS: c.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceAccept}),
-			}
-			c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, accept, func() {
+			accept := sess.s1ap(pkt.S1APDownlinkNASTransport, 0, c.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceAccept}))
+			c.sendS1AP(c.takeLeg(pr, func() {
 				sess.setState(c.Eng, StateConnected)
 				sess.ENB.flushUplink(sess)
 				pr.finish(nil)
-			})
+			}), c.mmeEP, sess.ENB.ep, accept)
 		})
 	})
 }
@@ -427,12 +492,12 @@ func (m *MME) page(sess *Session) {
 		return
 	}
 	m.Pagings++
-	pr := newProc(nil)
+	pr := &proc{}
 	msg := &pkt.S1APMsg{Procedure: pkt.S1APPaging, MMEUEID: sess.MMEUEID}
-	c.sendS1AP(pr, c.mmeEP, sess.ENB.ep, msg, func() {
+	c.sendS1AP(c.takeLeg(pr, func() {
 		sess.ENB.pageUE(sess)
 		pr.finish(nil)
-	})
+	}), c.mmeEP, sess.ENB.ep, msg)
 }
 
 // --- Bearer legs ---
@@ -441,14 +506,14 @@ func (m *MME) page(sess *Session) {
 // setupERABs is the E-RAB setup of attach, promotion, handover and
 // dedicated bearer activation; modifySessionBearers is the one-session
 // Modify Bearer exchange of promotion and the handover path switch; and
-// createBearer and deleteBearer (gateways.go) are the dedicated bearer's
+// the dedicated record's legs (gateways.go) are the dedicated bearer's
 // Create and Delete Bearer chains.
 
 // setupERABs runs one E-RAB setup exchange. The MME sends req — an Initial
 // Context Setup, Handover or E-RAB Setup Request — to enb, listing bearer b,
 // or every bearer of sess when b is nil, with nas (may be nil); enb answers
-// (ENB.admitERABs). atENB (may be nil) runs at the eNB before it maps the
-// bearers; then runs at the MME on the response.
+// (admit). atENB (may be nil) runs at the eNB before it maps the bearers;
+// then runs at the MME on the response.
 func (c *Core) setupERABs(pr *proc, sess *Session, enb *ENB, req pkt.S1APProcedure, nas []byte, b *Bearer, atENB, then func()) {
 	// The one wire difference between the setups: a Handover Request's
 	// E-RABs carry no TFT — the UE keeps its TFTs across the move.
@@ -463,25 +528,26 @@ func (c *Core) setupERABs(pr *proc, sess *Session, enb *ENB, req pkt.S1APProcedu
 	}
 	c.erabBuf = items
 	msg := &pkt.S1APMsg{Procedure: req, ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID, NAS: nas, ERABs: items}
-	c.sendS1AP(pr, c.mmeEP, enb.ep, msg, func() { enb.admitERABs(pr, sess, b, req, atENB, then) })
+	l := c.takeLeg(pr, nil)
+	l.deliver, l.sess, l.enb, l.req, l.b, l.at, l.then = l.admitF, sess, enb, req, b, atENB, then
+	c.sendS1AP(l, c.mmeEP, enb.ep, msg)
 }
 
-// admitERABs is the eNB half of setupERABs: after atENB, it maps each
-// bearer to a fresh downlink TEID and answers req with the bearers' S1-U
-// F-TEIDs; then runs at the MME on the response.
-func (e *ENB) admitERABs(pr *proc, sess *Session, b *Bearer, req pkt.S1APProcedure, atENB, then func()) {
-	c := e.core
-	if atENB != nil {
-		atENB()
+// admit is setupERABs' eNB half: after at, it maps each bearer to a fresh
+// downlink TEID and answers the request with the bearers' S1-U F-TEIDs.
+func (l *leg) admit() {
+	c, e, sess := l.c, l.enb, l.sess
+	if l.at != nil {
+		l.at()
 	}
 	items := c.erabBuf[:0]
-	for _, sb := range c.erabBearers(sess, b) {
+	for _, sb := range c.erabBearers(sess, l.b) {
 		sb.S1DL = e.attachBearer(sess, sb)
 		items = append(items, pkt.ERABItem{ERABID: sb.EBI, Transport: sb.s1uENB(e)})
 	}
 	c.erabBuf = items
-	resp := &pkt.S1APMsg{Procedure: erabSetupResponse(req), ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID, ERABs: items}
-	c.sendS1AP(pr, e.ep, c.mmeEP, resp, then)
+	resp := &pkt.S1APMsg{Procedure: erabSetupResponse(l.req), ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID, ERABs: items}
+	c.sendS1AP(l.answer(), e.ep, c.mmeEP, resp)
 }
 
 // erabBearers lists the bearers an E-RAB setup covers: b alone, in core
@@ -508,9 +574,9 @@ func erabSetupResponse(req pkt.S1APProcedure) pkt.S1APProcedure {
 // modifySessionBearers runs one session's Modify Bearer exchange on S11
 // after its E-RABs were set up afresh, by promotion or at a handover
 // target: the MME sends every bearer's eNB F-TEID, and the SGW-C re-installs
-// each bearer's SGW-U downlink rule toward it (the PGW-U side is unchanged).
-// atSGW (may be nil) runs at the SGW-C after the re-install; then runs at
-// the MME on the response.
+// each bearer's SGW-U downlink rule toward it (repoint; the PGW-U side is
+// unchanged). atSGW (may be nil) runs at the SGW-C after the re-install;
+// then runs at the MME on the response.
 func (c *Core) modifySessionBearers(pr *proc, sess *Session, atSGW, then func()) {
 	bearers := sess.OrderedBearers()
 	ctxs, fteids := c.bearerContexts(len(bearers))
@@ -519,14 +585,20 @@ func (c *Core) modifySessionBearers(pr *proc, sess *Session, atSGW, then func())
 		ctxs[i] = pkt.BearerContext{EBI: b.EBI, FTEIDs: fteids[i : i+1]}
 	}
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: sess.IMSI, Bearers: ctxs}
-	c.sendGTPv2(pr, c.mmeEP, c.sgwEP, req, func() {
-		for _, b := range sess.OrderedBearers() {
-			c.installSGWDownlink(sess, b)
-		}
-		if atSGW != nil {
-			atSGW()
-		}
-		resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted}
-		c.sendGTPv2(pr, c.sgwEP, c.mmeEP, resp, then)
-	})
+	l := c.takeLeg(pr, nil)
+	l.deliver, l.sess, l.at, l.then = l.repointF, sess, atSGW, then
+	c.sendGTPv2(l, c.mmeEP, c.sgwEP, req)
+}
+
+// repoint is modifySessionBearers' SGW-C half.
+func (l *leg) repoint() {
+	c := l.c
+	for _, b := range l.sess.OrderedBearers() {
+		c.installSGWDownlink(l.sess, b)
+	}
+	if l.at != nil {
+		l.at()
+	}
+	resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerResponse, Cause: pkt.GTPv2CauseAccepted}
+	c.sendGTPv2(l.answer(), c.sgwEP, c.mmeEP, resp)
 }

@@ -71,12 +71,10 @@ func (u *UE) Attach(sgwPlane, pgwPlane string, done func(error)) {
 		}
 		return
 	}
-	core := u.enb.core
-	co := &cohort{proc: proc{end: done}}
+	co := u.enb.core.takeCohort(false, false)
+	co.attachDone, co.ue, co.sgwPlane, co.pgwPlane = done, u, sgwPlane, pgwPlane
 	// The eNB has no session to number the UE by yet.
-	core.sendAttachRequest(&co.proc, u, 1, func() {
-		core.MME.onInitialAttach(co, u, sgwPlane, pgwPlane)
-	})
+	co.sendAttachRequest(u, 1)
 }
 
 // completeAttach is called by the MME when the default bearer is live.
@@ -96,23 +94,10 @@ func (u *UE) Detach(done func()) error {
 	sess := u.sess
 	core := u.enb.core
 	nas := core.encodeNAS(&pkt.NASMsg{Type: pkt.NASDetachRequest, IMSI: u.IMSI})
-	msg := &pkt.S1APMsg{
-		Procedure: pkt.S1APUplinkNASTransport,
-		ENBUEID:   sess.ENBUEID, MMEUEID: sess.MMEUEID,
-		NAS: nas,
-	}
-	co := &cohort{proc: proc{end: func(err error) {
-		if err != nil {
-			// The detach signalling failed mid-flight; force-release the
-			// session locally so the UE does not stay half-attached.
-			core.forceDetach(sess)
-		}
-		if done != nil {
-			done()
-		}
-	}}}
-	co.members = append(co.one[:0], member{sess: sess})
-	core.sendS1AP(&co.proc, u.enb.ep, core.mmeEP, msg, func() { core.detach(co) })
+	msg := sess.s1ap(pkt.S1APUplinkNASTransport, 0, nas)
+	co := core.takeCohort(true, false)
+	co.detachDone, co.members = done, append(co.members, member{sess: sess})
+	core.sendS1AP(core.takeLeg(&co.proc, co.deleteF), u.enb.ep, core.mmeEP, msg)
 	return nil
 }
 

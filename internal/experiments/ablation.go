@@ -42,23 +42,17 @@ func ablationFastPath() Experiment {
 			if opts.Full {
 				dur = 8 * time.Second
 			}
-			trials := make([]Trial, 0, len(costList))
-			for _, cost := range costList {
-				cost := cost
-				trials = append(trials, Trial{
-					Key: fmt.Sprintf("cost=%gus", float64(cost)/float64(time.Microsecond)),
-					Run: func(seed uint64) any {
-						costs := sdn.PathCosts{FastPath: cost, SlowPath: 35 * time.Microsecond, FastPathEnabled: true}
-						series, snap := measureGWThroughput(seed, costs, dur)
-						var sum float64
-						for _, x := range series {
-							sum += x
-						}
-						return Metered{Part: sum / float64(len(series)), Snap: snap}
-					},
-				})
-			}
-			return trials
+			return sweep(costList, func(cost time.Duration) string {
+				return fmt.Sprintf("cost=%gus", float64(cost)/float64(time.Microsecond))
+			}, func(seed uint64, cost time.Duration) any {
+				costs := sdn.PathCosts{FastPath: cost, SlowPath: 35 * time.Microsecond, FastPathEnabled: true}
+				series, snap := measureGWThroughput(seed, costs, dur)
+				var sum float64
+				for _, x := range series {
+					sum += x
+				}
+				return Metered{Part: sum / float64(len(series)), Snap: snap}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("GW-U goodput vs per-packet fast-path cost (1 Gbps line)",
@@ -105,10 +99,11 @@ func ablationBearer(opts Options, seed uint64) *Result {
 // trial per stage set. Every trial scores the identical frame stream (the
 // frame seed depends only on the frame index), so the comparison is paired.
 func ablationStages() Experiment {
-	stageSets := []struct {
+	type stageSet struct {
 		name   string
 		stages vision.Stage
-	}{
+	}
+	stageSets := []stageSet{
 		{"ratio only", vision.StageRatio},
 		{"ratio+symmetry", vision.StageRatio | vision.StageSymmetry},
 		{"full (ratio+symmetry+RANSAC)", vision.StageAll},
@@ -122,35 +117,27 @@ func ablationStages() Experiment {
 				frames = 60
 			}
 			base := opts.BaseSeed()
-			trials := make([]Trial, 0, len(stageSets))
-			for _, sc := range stageSets {
-				sc := sc
-				trials = append(trials, Trial{
-					Key: "stages=" + sc.name,
-					Run: func(seed uint64) any {
-						floor := geo.RetailFloor()
-						db := vision.BuildRetailDB(floor, 64)
-						m := vision.NewMatcher(vision.MatcherConfig{Stages: sc.stages}, sim.NewRNG(seed))
-						tp, fp := 0, 0
-						var macs stats.Sample
-						for i := 0; i < frames; i++ {
-							target := db.Objects[(i*11)%db.Len()]
-							frameRNG := sim.NewRNG(subSeed(base, "ablation-stages", "frame", fmt.Sprint(i)))
-							frame := vision.GenerateFrame(target.Features(), vision.DefaultFrameParams(96), frameRNG)
-							res := db.Search(frame, []int{target.Subsection}, m)
-							macs.Add(res.MACs)
-							switch {
-							case res.Best == target:
-								tp++
-							case res.Best != nil:
-								fp++
-							}
-						}
-						return []any{sc.name, tp, fp, macs.Mean()}
-					},
-				})
-			}
-			return trials
+			return sweep(stageSets, func(sc stageSet) string { return "stages=" + sc.name }, func(seed uint64, sc stageSet) any {
+				floor := geo.RetailFloor()
+				db := vision.BuildRetailDB(floor, 64)
+				m := vision.NewMatcher(vision.MatcherConfig{Stages: sc.stages}, sim.NewRNG(seed))
+				tp, fp := 0, 0
+				var macs stats.Sample
+				for i := 0; i < frames; i++ {
+					target := db.Objects[(i*11)%db.Len()]
+					frameRNG := sim.NewRNG(subSeed(base, "ablation-stages", "frame", fmt.Sprint(i)))
+					frame := vision.GenerateFrame(target.Features(), vision.DefaultFrameParams(96), frameRNG)
+					res := db.Search(frame, []int{target.Subsection}, m)
+					macs.Add(res.MACs)
+					switch {
+					case res.Best == target:
+						tp++
+					case res.Best != nil:
+						fp++
+					}
+				}
+				return []any{sc.name, tp, fp, macs.Mean()}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Matching pipeline stages on real synthetic frames",
@@ -192,40 +179,32 @@ func ablationRadius() Experiment {
 			// the pruning decision, so small radii visibly lose coverage.
 			campaign := ablationCampaignSeed(opts, "ablation-radius")
 			res := compute.Resolution{W: 720, H: 480}
-			trials := make([]Trial, 0, len(radii))
-			for _, radius := range radii {
-				radius := radius
-				trials = append(trials, Trial{
-					Key: fmt.Sprintf("radius=%gm", radius),
-					Run: func(uint64) any {
-						floor := geo.RetailFloor()
-						grouped := trace.ByCheckpoint(trace.Campaign(floor, campaign, 1))
-						fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
-						var cand stats.Sample
-						covered := 0
-						for _, cp := range floor.Checkpoints {
-							ms := checkpointMeasurements(floor, grouped[cp.Name], fit)
-							est, err := localization.Trilaterate(ms)
-							if err != nil {
-								continue
-							}
-							est = floor.Bounds.Clamp(est)
-							cells := floor.SubsectionsNear(est, radius)
-							cand.Add(float64(len(cells) * 5))
-							trueCell := floor.SubsectionAt(cp.Pos)
-							for _, id := range cells {
-								if trueCell != nil && id == trueCell.ID {
-									covered++
-									break
-								}
-							}
+			return sweep(radii, func(radius float64) string { return fmt.Sprintf("radius=%gm", radius) }, func(_ uint64, radius float64) any {
+				floor := geo.RetailFloor()
+				grouped := trace.ByCheckpoint(trace.Campaign(floor, campaign, 1))
+				fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
+				var cand stats.Sample
+				covered := 0
+				for _, cp := range floor.Checkpoints {
+					ms := checkpointMeasurements(floor, grouped[cp.Name], fit)
+					est, err := localization.Trilaterate(ms)
+					if err != nil {
+						continue
+					}
+					est = floor.Bounds.Clamp(est)
+					cells := floor.SubsectionsNear(est, radius)
+					cand.Add(float64(len(cells) * 5))
+					trueCell := floor.SubsectionAt(cp.Pos)
+					for _, id := range cells {
+						if trueCell != nil && id == trueCell.ID {
+							covered++
+							break
 						}
-						match := compute.I7x8.MatchTime(matchMACs(res, core.DBObjectFeatures, int(cand.Mean()))).Seconds() * 1000
-						return []any{radius, cand.Mean(), 100 * float64(covered) / float64(len(floor.Checkpoints)), match}
-					},
-				})
-			}
-			return trials
+					}
+				}
+				match := compute.I7x8.MatchTime(matchMACs(res, core.DBObjectFeatures, int(cand.Mean()))).Seconds() * 1000
+				return []any{radius, cand.Mean(), 100 * float64(covered) / float64(len(floor.Checkpoints)), match}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Pruning radius vs search cost and coverage",
@@ -240,10 +219,11 @@ func ablationRadius() Experiment {
 // ablationSolver compares the trilateration solvers — one trial per solver,
 // all three ranging over the identical shared campaign.
 func ablationSolver() Experiment {
-	solvers := []struct {
+	type solver struct {
 		name  string
 		solve func([]localization.Measurement) (geo.Point, error)
-	}{
+	}
+	solvers := []solver{
 		{"Gauss-Newton (ACACIA)", localization.Trilaterate},
 		{"weighted Gauss-Newton (1/d)", localization.TrilaterateWeighted},
 		{"linearized closed form", localization.TrilaterateLinear},
@@ -253,27 +233,19 @@ func ablationSolver() Experiment {
 		Title: "Ablation: trilateration solver choice",
 		Trials: func(opts Options) []Trial {
 			campaign := ablationCampaignSeed(opts, "ablation-solver")
-			trials := make([]Trial, 0, len(solvers))
-			for _, sv := range solvers {
-				sv := sv
-				trials = append(trials, Trial{
-					Key: "solver=" + sv.name,
-					Run: func(uint64) any {
-						floor := geo.RetailFloor()
-						grouped := trace.ByCheckpoint(trace.Campaign(floor, campaign, 1))
-						fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
-						var errs stats.Sample
-						for _, cp := range floor.Checkpoints {
-							ms := checkpointMeasurements(floor, grouped[cp.Name], fit)
-							if p, err := sv.solve(ms); err == nil {
-								errs.Add(floor.Bounds.Clamp(p).Dist(cp.Pos))
-							}
-						}
-						return []any{sv.name, errs.Mean(), errs.Percentile(95), errs.Max()}
-					},
-				})
-			}
-			return trials
+			return sweep(solvers, func(sv solver) string { return "solver=" + sv.name }, func(_ uint64, sv solver) any {
+				floor := geo.RetailFloor()
+				grouped := trace.ByCheckpoint(trace.Campaign(floor, campaign, 1))
+				fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
+				var errs stats.Sample
+				for _, cp := range floor.Checkpoints {
+					ms := checkpointMeasurements(floor, grouped[cp.Name], fit)
+					if p, err := sv.solve(ms); err == nil {
+						errs.Add(floor.Bounds.Clamp(p).Dist(cp.Pos))
+					}
+				}
+				return []any{sv.name, errs.Mean(), errs.Percentile(95), errs.Max()}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Trilateration solver accuracy (m) over 24 checkpoints, 7 landmarks",
@@ -297,18 +269,10 @@ func ablationQCI() Experiment {
 		ID:    "ablation-qci",
 		Title: "Ablation: QCI priority under radio congestion",
 		Trials: func(opts Options) []Trial {
-			trials := make([]Trial, 0, len(qcis))
-			for _, qci := range qcis {
-				qci := qci
-				trials = append(trials, Trial{
-					Key: fmt.Sprintf("qci=%d", qci),
-					Run: func(seed uint64) any {
-						med, p95 := measureQCIUnderLoad(opts, seed, qci)
-						return []any{fmt.Sprintf("QCI %d", qci), med, p95}
-					},
-				})
-			}
-			return trials
+			return sweep(qcis, func(qci pkt.QCI) string { return fmt.Sprintf("qci=%d", qci) }, func(seed uint64, qci pkt.QCI) any {
+				med, p95 := measureQCIUnderLoad(opts, seed, qci)
+				return []any{fmt.Sprintf("QCI %d", qci), med, p95}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("CI-server RTT (ms) by dedicated-bearer QCI under 45 Mbps DL bulk load (40 Mbps radio)",
@@ -371,11 +335,12 @@ func ablationIndex() Experiment {
 	type searchFn func(db *vision.DB, floor *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, target *vision.Object) vision.SearchResult
 	// usesIndex marks the strategies that read the LSH index; only their
 	// trials build it.
-	strategies := []struct {
+	type strategy struct {
 		name      string
 		usesIndex bool
 		search    searchFn
-	}{
+	}
+	strategies := []strategy{
 		{"brute force (Naive)", false, func(db *vision.DB, _ *geo.Floor, _ *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
 			return db.Search(q, nil, m)
 		}},
@@ -399,37 +364,29 @@ func ablationIndex() Experiment {
 				frames = 30
 			}
 			base := opts.BaseSeed()
-			trials := make([]Trial, 0, len(strategies))
-			for _, st := range strategies {
-				st := st
-				trials = append(trials, Trial{
-					Key: "strategy=" + st.name,
-					Run: func(seed uint64) any {
-						floor := geo.RetailFloor()
-						db := vision.BuildRetailDB(floor, 64)
-						var ix *vision.Index
-						if st.usesIndex {
-							ix = vision.BuildIndex(db, vision.IndexConfig{}, sim.NewRNG(subSeed(base, "ablation-index", "lsh")))
-						}
-						m := vision.NewMatcher(vision.MatcherConfig{}, sim.NewRNG(seed))
-						found := 0
-						var macs, cands stats.Sample
-						for i := 0; i < frames; i++ {
-							target := db.Objects[(i*17)%db.Len()]
-							frameRNG := sim.NewRNG(subSeed(base, "ablation-index", "frame", fmt.Sprint(i)))
-							q := vision.GenerateFrame(target.Features(), vision.DefaultFrameParams(96), frameRNG)
-							res := st.search(db, floor, ix, m, q, target)
-							macs.Add(res.MACs)
-							cands.Add(float64(res.Candidates))
-							if res.Best == target {
-								found++
-							}
-						}
-						return []any{st.name, 100 * float64(found) / float64(frames), macs.Mean(), cands.Mean()}
-					},
-				})
-			}
-			return trials
+			return sweep(strategies, func(st strategy) string { return "strategy=" + st.name }, func(seed uint64, st strategy) any {
+				floor := geo.RetailFloor()
+				db := vision.BuildRetailDB(floor, 64)
+				var ix *vision.Index
+				if st.usesIndex {
+					ix = vision.BuildIndex(db, vision.IndexConfig{}, sim.NewRNG(subSeed(base, "ablation-index", "lsh")))
+				}
+				m := vision.NewMatcher(vision.MatcherConfig{}, sim.NewRNG(seed))
+				found := 0
+				var macs, cands stats.Sample
+				for i := 0; i < frames; i++ {
+					target := db.Objects[(i*17)%db.Len()]
+					frameRNG := sim.NewRNG(subSeed(base, "ablation-index", "frame", fmt.Sprint(i)))
+					q := vision.GenerateFrame(target.Features(), vision.DefaultFrameParams(96), frameRNG)
+					res := st.search(db, floor, ix, m, q, target)
+					macs.Add(res.MACs)
+					cands.Add(float64(res.Candidates))
+					if res.Best == target {
+						found++
+					}
+				}
+				return []any{st.name, 100 * float64(found) / float64(frames), macs.Mean(), cands.Mean()}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Search strategy vs work and recall (real matching pipeline)",

@@ -159,26 +159,19 @@ func fig11a() Experiment {
 		Title: "Match runtime by search-space scheme (Fig. 11(a))",
 		Trials: func(opts Options) []Trial {
 			campaign := searchSpacesSeed(opts)
-			var trials []Trial
-			for _, res := range compute.AppResolutions {
-				for _, dev := range devices {
-					res, dev := res, dev
-					trials = append(trials, Trial{
-						Key: fmt.Sprintf("res=%s/dev=%s", res, dev.Name),
-						Run: func(uint64) any {
-							spaces := buildSearchSpaces(campaign)
-							var means [3]float64
-							for i, scheme := range fig11Schemes {
-								var s stats.Sample
-								s.AddAll(matchTimesMS(spaces, scheme, dev, res)...)
-								means[i] = s.Mean()
-							}
-							return []any{fmt.Sprintf("%s (%s)", dev.Name, res),
-								means[0], means[1], means[2], stats.Ratio(means[2], means[0])}
-						},
-					})
+			trials := grid(compute.AppResolutions, devices, func(res compute.Resolution, dev compute.Device) string {
+				return fmt.Sprintf("res=%s/dev=%s", res, dev.Name)
+			}, func(_ uint64, res compute.Resolution, dev compute.Device) any {
+				spaces := buildSearchSpaces(campaign)
+				var means [3]float64
+				for i, scheme := range fig11Schemes {
+					var s stats.Sample
+					s.AddAll(matchTimesMS(spaces, scheme, dev, res)...)
+					means[i] = s.Mean()
 				}
-			}
+				return []any{fmt.Sprintf("%s (%s)", dev.Name, res),
+					means[0], means[1], means[2], stats.Ratio(means[2], means[0])}
+			})
 			trials = append(trials, Trial{
 				Key: "accuracy",
 				Run: func(uint64) any {
@@ -226,23 +219,15 @@ func fig11b() Experiment {
 		Title: "Match runtime distribution at 960x720 (Fig. 11(b))",
 		Trials: func(opts Options) []Trial {
 			campaign := searchSpacesSeed(opts)
-			var trials []Trial
-			for _, scheme := range fig11Schemes {
-				for _, dev := range devices {
-					scheme, dev := scheme, dev
-					trials = append(trials, Trial{
-						Key: fmt.Sprintf("scheme=%s/dev=%s", scheme, dev.Name),
-						Run: func(uint64) any {
-							spaces := buildSearchSpaces(campaign)
-							var s stats.Sample
-							s.AddAll(matchTimesMS(spaces, scheme, dev, res)...)
-							return []any{fmt.Sprintf("%s (%s)", scheme, dev.Name),
-								s.Percentile(25), s.Median(), s.Percentile(75), s.Percentile(95), s.Max()}
-						},
-					})
-				}
-			}
-			return trials
+			return grid(fig11Schemes, devices, func(scheme core.Scheme, dev compute.Device) string {
+				return fmt.Sprintf("scheme=%s/dev=%s", scheme, dev.Name)
+			}, func(_ uint64, scheme core.Scheme, dev compute.Device) any {
+				spaces := buildSearchSpaces(campaign)
+				var s stats.Sample
+				s.AddAll(matchTimesMS(spaces, scheme, dev, res)...)
+				return []any{fmt.Sprintf("%s (%s)", scheme, dev.Name),
+					s.Percentile(25), s.Median(), s.Percentile(75), s.Percentile(95), s.Max()}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Match runtime (ms) distribution at 960x720",
@@ -265,24 +250,16 @@ func fig12() Experiment {
 		Title: "Match runtime vs number of clients (Fig. 12)",
 		Trials: func(opts Options) []Trial {
 			campaign := searchSpacesSeed(opts)
-			var trials []Trial
-			for _, dev := range devices {
-				for _, n := range clientCounts {
-					dev, n := dev, n
-					trials = append(trials, Trial{
-						Key: fmt.Sprintf("dev=%s/clients=%d", dev.Name, n),
-						Run: func(seed uint64) any {
-							spaces := buildSearchSpaces(campaign)
-							row := make([]float64, 0, len(fig11Schemes))
-							for _, scheme := range fig11Schemes {
-								row = append(row, multiClientMatchMS(seed, spaces, scheme, dev, res, n))
-							}
-							return row
-						},
-					})
+			return grid(devices, clientCounts, func(dev compute.Device, n int) string {
+				return fmt.Sprintf("dev=%s/clients=%d", dev.Name, n)
+			}, func(seed uint64, dev compute.Device, n int) any {
+				spaces := buildSearchSpaces(campaign)
+				row := make([]float64, 0, len(fig11Schemes))
+				for _, scheme := range fig11Schemes {
+					row = append(row, multiClientMatchMS(seed, spaces, scheme, dev, res, n))
 				}
-			}
-			return trials
+				return row
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			var tables []*stats.Table
@@ -355,41 +332,33 @@ func fig13() Experiment {
 			if opts.Full {
 				dur = 120 * time.Second
 			}
-			trials := make([]Trial, 0, len(configs))
-			for _, c := range configs {
-				c := c
-				trials = append(trials, Trial{
-					Key: "deployment=" + c.name,
-					Run: func(seed uint64) any {
-						tb := core.NewTestbed(core.TestbedConfig{
-							Seed:        seed,
-							IdleTimeout: time.Hour,
-							Scheme:      c.scheme,
-						})
-						b := tb.UEs[0]
-						tb.MoveUE(b, retailSpot)
-						if err := tb.Attach(b); err != nil {
-							panic(err)
-						}
-						if c.cloud {
-							// CLOUD baseline: conventional EPC, AR server in the
-							// cloud, default bearer, Naive search.
-							b.Frontend.Start(tb.CloudHosts["california"].Node.Addr())
-						} else if err := tb.StartRetailApp(b, "electronics"); err != nil {
-							panic(err)
-						}
-						tb.Run(dur)
-						st := &b.Frontend.Stats
-						return metered(fig13Means{
-							match:   st.Match.Mean(),
-							compute: st.Compute.Mean(),
-							network: st.Network.Mean(),
-							total:   st.Total.Mean(),
-						}, tb.Eng)
-					},
+			return sweep(configs, func(c config) string { return "deployment=" + c.name }, func(seed uint64, c config) any {
+				tb := core.NewTestbed(core.TestbedConfig{
+					Seed:        seed,
+					IdleTimeout: time.Hour,
+					Scheme:      c.scheme,
 				})
-			}
-			return trials
+				b := tb.UEs[0]
+				tb.MoveUE(b, retailSpot)
+				if err := tb.Attach(b); err != nil {
+					panic(err)
+				}
+				if c.cloud {
+					// CLOUD baseline: conventional EPC, AR server in the
+					// cloud, default bearer, Naive search.
+					b.Frontend.Start(tb.CloudHosts["california"].Node.Addr())
+				} else if err := tb.StartRetailApp(b, "electronics"); err != nil {
+					panic(err)
+				}
+				tb.Run(dur)
+				st := &b.Frontend.Stats
+				return metered(fig13Means{
+					match:   st.Match.Mean(),
+					compute: st.Compute.Mean(),
+					network: st.Network.Mean(),
+					total:   st.Total.Mean(),
+				}, tb.Eng)
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			acacia := parts[0].(fig13Means)

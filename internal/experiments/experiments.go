@@ -115,6 +115,27 @@ func addRows(tbl *stats.Table, parts []any) {
 	}
 }
 
+// sweep declares one trial per parameter point, in order: key names a
+// point's trial and run measures it.
+func sweep[P any](points []P, key func(P) string, run func(seed uint64, p P) any) []Trial {
+	trials := make([]Trial, 0, len(points))
+	for _, p := range points {
+		trials = append(trials, Trial{Key: key(p), Run: func(seed uint64) any { return run(seed, p) }})
+	}
+	return trials
+}
+
+// grid is sweep over every (a, b) pair, a-major.
+func grid[A, B any](as []A, bs []B, key func(A, B) string, run func(seed uint64, a A, b B) any) []Trial {
+	var trials []Trial
+	for _, a := range as {
+		for _, b := range bs {
+			trials = append(trials, Trial{Key: key(a, b), Run: func(seed uint64) any { return run(seed, a, b) }})
+		}
+	}
+	return trials
+}
+
 // subSeed derives a deterministic seed from base and labels without
 // consuming any RNG state, so two trials asking for the same labeled stream
 // (a shared calibration campaign, a per-frame generator) get identical
@@ -285,14 +306,12 @@ func runExperiments(opts Options, exps []*Experiment) ([]*Result, error) {
 		tasks []exec.Task[any]
 	)
 	for _, e := range exps {
-		e := e
 		trials := e.Trials(opts)
 		if err := checkTrialKeys(e.ID, trials); err != nil {
 			return nil, err
 		}
 		spans = append(spans, span{exp: e, trials: trials, lo: len(tasks)})
 		for _, t := range trials {
-			t := t
 			tasks = append(tasks, exec.Task[any]{
 				Key: e.ID + "/" + t.Key,
 				Run: func() (any, error) {

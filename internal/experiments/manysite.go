@@ -89,7 +89,6 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen int, dur time.Duration) 
 	}))
 
 	for i := 0; i < sites; i++ {
-		i := i
 		name := fmt.Sprintf("site-%d", i+1)
 		srvN := nw.AddNode(name+"-srv", pkt.AddrFrom(10, byte(10+i), 0, 1))
 		hubLink := nw.ConnectSymmetric(hubN, srvN, netsim.LinkConfig{Propagation: 5 * time.Millisecond})
@@ -140,7 +139,6 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen int, dur time.Duration) 
 		})
 
 		for j := 0; j < uesPerSite; j++ {
-			j := j
 			ueN := nw.AddNode(fmt.Sprintf("%s-ue-%d", name, j+1), pkt.AddrFrom(10, byte(10+i), 1, byte(1+j)))
 			ueLink := nw.ConnectSymmetric(srvN, ueN, netsim.LinkConfig{Propagation: 200 * time.Microsecond})
 			srvPorts[ueN.Addr()] = ueLink.A
@@ -190,9 +188,7 @@ func manySite() Experiment {
 			sites, ues, vecLen, dur := shape(opts)
 			return []Trial{{
 				Key: "all",
-				Run: func(_ uint64) any {
-					return runManySite(subSeed(opts.BaseSeed(), id), sites, ues, vecLen, dur)
-				},
+				Run: func(_ uint64) any { return runManySite(subSeed(opts.BaseSeed(), id), sites, ues, vecLen, dur) },
 			}}
 		},
 		Assemble: func(opts Options, parts []any) *Result {

@@ -90,10 +90,11 @@ func fig6(opts Options, seed uint64) *Result {
 // fig8 declares one trial per data-plane variant; each measures goodput
 // through its own GW-U chain.
 func fig8() Experiment {
-	variants := []struct {
+	type variant struct {
 		name  string
 		costs sdn.PathCosts
-	}{
+	}
+	variants := []variant{
 		{"OpenEPC", sdn.OpenEPCGWCosts},
 		{"ACACIA", sdn.ACACIAGWCosts},
 		{"IDEAL", sdn.IdealGWCosts},
@@ -106,18 +107,10 @@ func fig8() Experiment {
 			if opts.Full {
 				dur = 20 * time.Second
 			}
-			trials := make([]Trial, 0, len(variants))
-			for _, v := range variants {
-				v := v
-				trials = append(trials, Trial{
-					Key: "variant=" + v.name,
-					Run: func(seed uint64) any {
-						series, snap := measureGWThroughput(seed, v.costs, dur)
-						return Metered{Part: series, Snap: snap}
-					},
-				})
-			}
-			return trials
+			return sweep(variants, func(v variant) string { return "variant=" + v.name }, func(seed uint64, v variant) any {
+				series, snap := measureGWThroughput(seed, v.costs, dur)
+				return Metered{Part: series, Snap: snap}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			series := make([][]float64, len(parts))
@@ -261,16 +254,10 @@ func fig9() Experiment {
 			for k := minK; k <= len(floor.Landmarks); k++ {
 				combos := localization.Combinations(len(floor.Landmarks), k)
 				for lo := 0; lo < len(combos); lo += batchSize {
-					hi := lo + batchSize
-					if hi > len(combos) {
-						hi = len(combos)
-					}
-					k, lo, hi := k, lo, hi
+					hi := min(lo+batchSize, len(combos))
 					trials = append(trials, Trial{
 						Key: fmt.Sprintf("k=%d/combos=%d-%d", k, lo, hi-1),
-						Run: func(uint64) any {
-							return fig9Batch(campaignSeed, k, lo, hi)
-						},
+						Run: func(uint64) any { return fig9Batch(campaignSeed, k, lo, hi) },
 					})
 				}
 			}
@@ -366,42 +353,34 @@ func fig10a() Experiment {
 			if opts.Full {
 				probes = 300
 			}
-			trials := make([]Trial, 0, len(qcis))
-			for _, qci := range qcis {
-				qci := qci
-				trials = append(trials, Trial{
-					Key: fmt.Sprintf("qci=%d", qci),
-					Run: func(seed uint64) any {
-						tb := core.NewTestbed(core.TestbedConfig{
-							Seed:        seed,
-							IdleTimeout: time.Hour,
-							RadioJitter: time.Millisecond,
-						})
-						// Re-provision the retail policy with this QCI.
-						tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: core.RetailPolicyID, QCI: qci, ARP: 2, Precedence: 10})
-						b := tb.UEs[0]
-						tb.MoveUE(b, retailSpot)
-						if err := tb.Attach(b); err != nil {
-							panic(err)
-						}
-						if err := tb.StartRetailApp(b, "electronics"); err != nil {
-							panic(err)
-						}
-						tb.Run(5 * time.Second)
-						b.Frontend.Stop()
-						tb.Run(time.Second)
-						pg := netsim.NewPinger(b.UE.Host, tb.CIServer.Node.Addr(), 64, 7500)
-						for i := 0; i < probes; i++ {
-							pg.SendOne()
-							tb.Run(30 * time.Millisecond)
-						}
-						tb.Run(time.Second)
-						return metered([]any{fmt.Sprintf("QCI %d", qci),
-							pg.RTTs.Median(), pg.RTTs.Percentile(95), pg.RTTs.Percentile(99)}, tb.Eng)
-					},
+			return sweep(qcis, func(qci pkt.QCI) string { return fmt.Sprintf("qci=%d", qci) }, func(seed uint64, qci pkt.QCI) any {
+				tb := core.NewTestbed(core.TestbedConfig{
+					Seed:        seed,
+					IdleTimeout: time.Hour,
+					RadioJitter: time.Millisecond,
 				})
-			}
-			return trials
+				// Re-provision the retail policy with this QCI.
+				tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: core.RetailPolicyID, QCI: qci, ARP: 2, Precedence: 10})
+				b := tb.UEs[0]
+				tb.MoveUE(b, retailSpot)
+				if err := tb.Attach(b); err != nil {
+					panic(err)
+				}
+				if err := tb.StartRetailApp(b, "electronics"); err != nil {
+					panic(err)
+				}
+				tb.Run(5 * time.Second)
+				b.Frontend.Stop()
+				tb.Run(time.Second)
+				pg := netsim.NewPinger(b.UE.Host, tb.CIServer.Node.Addr(), 64, 7500)
+				for i := 0; i < probes; i++ {
+					pg.SendOne()
+					tb.Run(30 * time.Millisecond)
+				}
+				tb.Run(time.Second)
+				return metered([]any{fmt.Sprintf("QCI %d", qci),
+					pg.RTTs.Median(), pg.RTTs.Percentile(95), pg.RTTs.Percentile(99)}, tb.Eng)
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("UE to MEC server RTT (ms) by dedicated-bearer QCI",
@@ -421,18 +400,10 @@ func fig10b() Experiment {
 		Title: "Latency isolation under background load (Fig. 10(b))",
 		Trials: func(opts Options) []Trial {
 			loads := fig10bLoads(opts)
-			trials := make([]Trial, 0, len(loads))
-			for _, load := range loads {
-				load := load
-				trials = append(trials, Trial{
-					Key: fmt.Sprintf("bg=%gMbps", load/1e6),
-					Run: func(seed uint64) any {
-						conv, mec, acacia := measureIsolation(opts, seed, load)
-						return []any{load / 1e6, conv, mec, acacia}
-					},
-				})
-			}
-			return trials
+			return sweep(loads, func(load float64) string { return fmt.Sprintf("bg=%gMbps", load/1e6) }, func(seed uint64, load float64) any {
+				conv, mec, acacia := measureIsolation(opts, seed, load)
+				return []any{load / 1e6, conv, mec, acacia}
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Latency (ms) vs background traffic by architecture",

@@ -30,15 +30,9 @@ func mobilityContinuity() Experiment {
 			if opts.Full {
 				features = []int{50, 100, 200, 400, 800}
 			}
-			trials := make([]Trial, 0, len(features))
-			for _, f := range features {
-				f := f
-				trials = append(trials, Trial{
-					Key: fmt.Sprintf("features=%d", f),
-					Run: func(seed uint64) any { return runMobilityTrial(seed, f) },
-				})
-			}
-			return trials
+			return sweep(features, func(f int) string { return fmt.Sprintf("features=%d", f) }, func(seed uint64, f int) any {
+				return runMobilityTrial(seed, f)
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Mid-session walk across a cell boundary (two sites, two cells)",

@@ -82,36 +82,28 @@ func fig3c() Experiment {
 			if opts.Full {
 				probes = 400
 			}
-			trials := make([]Trial, 0, len(ec2Regions))
-			for _, region := range ec2Regions {
-				region := region
-				trials = append(trials, Trial{
-					Key: "region=" + region,
-					Run: func(seed uint64) any {
-						tb := core.NewTestbed(core.TestbedConfig{
-							Seed:        seed,
-							IdleTimeout: time.Hour,
-							RadioJitter: 3 * time.Millisecond, // commercial-network scheduling spread
-						})
-						b := tb.UEs[0]
-						if err := tb.Attach(b); err != nil {
-							panic(err)
-						}
-						host := tb.CloudHosts[region]
-						pg := netsim.NewPinger(b.UE.Host, host.Node.Addr(), 64, uint16(7100))
-						for i := 0; i < probes; i++ {
-							pg.SendOne()
-							tb.Run(50 * time.Millisecond)
-						}
-						tb.Run(time.Second)
-						pg.Stop()
-						return metered([]any{region,
-							pg.RTTs.Percentile(10), pg.RTTs.Percentile(25), pg.RTTs.Median(),
-							pg.RTTs.Percentile(75), pg.RTTs.Percentile(90), pg.RTTs.Percentile(95)}, tb.Eng)
-					},
+			return sweep(ec2Regions, func(region string) string { return "region=" + region }, func(seed uint64, region string) any {
+				tb := core.NewTestbed(core.TestbedConfig{
+					Seed:        seed,
+					IdleTimeout: time.Hour,
+					RadioJitter: 3 * time.Millisecond, // commercial-network scheduling spread
 				})
-			}
-			return trials
+				b := tb.UEs[0]
+				if err := tb.Attach(b); err != nil {
+					panic(err)
+				}
+				host := tb.CloudHosts[region]
+				pg := netsim.NewPinger(b.UE.Host, host.Node.Addr(), 64, uint16(7100))
+				for i := 0; i < probes; i++ {
+					pg.SendOne()
+					tb.Run(50 * time.Millisecond)
+				}
+				tb.Run(time.Second)
+				pg.Stop()
+				return metered([]any{region,
+					pg.RTTs.Percentile(10), pg.RTTs.Percentile(25), pg.RTTs.Median(),
+					pg.RTTs.Percentile(75), pg.RTTs.Percentile(90), pg.RTTs.Percentile(95)}, tb.Eng)
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("RTT (ms) from UE to EC2 regions over LTE",
@@ -139,35 +131,27 @@ func fig3d() Experiment {
 			if opts.Full {
 				dur = 20 * time.Second
 			}
-			var trials []Trial
-			for _, sig := range signals {
-				for _, region := range ec2Regions {
-					sig, region := sig, region
-					trials = append(trials, Trial{
-						Key: fmt.Sprintf("signal=%s/region=%s", sig.name, region),
-						Run: func(seed uint64) any {
-							tb := core.NewTestbed(core.TestbedConfig{
-								Seed:        seed,
-								IdleTimeout: time.Hour,
-								RadioULBps:  sig.bps,
-							})
-							b := tb.UEs[0]
-							if err := tb.Attach(b); err != nil {
-								panic(err)
-							}
-							host := tb.CloudHosts[region]
-							sink := netsim.NewGreedyReceiver(host, 7200)
-							g := netsim.NewGreedyFlow(b.UE.Host, host.Node.Addr(), 7200, 47000, 1400)
-							g.Start()
-							tb.Run(dur)
-							g.Stop()
-							tb.Run(500 * time.Millisecond)
-							return metered(sink.ThroughputBps()/1e6, tb.Eng)
-						},
-					})
+			return grid(signals, ec2Regions, func(sig signal, region string) string {
+				return fmt.Sprintf("signal=%s/region=%s", sig.name, region)
+			}, func(seed uint64, sig signal, region string) any {
+				tb := core.NewTestbed(core.TestbedConfig{
+					Seed:        seed,
+					IdleTimeout: time.Hour,
+					RadioULBps:  sig.bps,
+				})
+				b := tb.UEs[0]
+				if err := tb.Attach(b); err != nil {
+					panic(err)
 				}
-			}
-			return trials
+				host := tb.CloudHosts[region]
+				sink := netsim.NewGreedyReceiver(host, 7200)
+				g := netsim.NewGreedyFlow(b.UE.Host, host.Node.Addr(), 7200, 47000, 1400)
+				g.Start()
+				tb.Run(dur)
+				g.Stop()
+				tb.Run(500 * time.Millisecond)
+				return metered(sink.ThroughputBps()/1e6, tb.Eng)
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Uplink bandwidth (Mbps) to EC2 regions by signal quality",
@@ -208,10 +192,11 @@ func fig3f(opts Options, seed uint64) *Result {
 // fig3g declares one trial per (base RTT, background load) grid cell; each
 // runs an AR-like flow plus background CBR through its own shared core.
 func fig3g() Experiment {
-	rttConfigs := []struct {
+	type rttConfig struct {
 		label     string
 		coreDelay time.Duration
-	}{
+	}
+	rttConfigs := []rttConfig{
 		{"8 ms", 0},
 		{"18 ms", 5 * time.Millisecond},
 		{"70 ms", 31 * time.Millisecond},
@@ -221,19 +206,11 @@ func fig3g() Experiment {
 		Title: "Network latency vs competing background traffic (Fig. 3(g))",
 		Trials: func(opts Options) []Trial {
 			loads := fig3gLoads(opts)
-			var trials []Trial
-			for _, rc := range rttConfigs {
-				for _, load := range loads {
-					rc, load := rc, load
-					trials = append(trials, Trial{
-						Key: fmt.Sprintf("rtt=%s/bg=%gMbps", rc.label, load/1e6),
-						Run: func(seed uint64) any {
-							return measureSharedCoreLatency(opts, seed, rc.coreDelay, load)
-						},
-					})
-				}
-			}
-			return trials
+			return grid(rttConfigs, loads, func(rc rttConfig, load float64) string {
+				return fmt.Sprintf("rtt=%s/bg=%gMbps", rc.label, load/1e6)
+			}, func(seed uint64, rc rttConfig, load float64) any {
+				return measureSharedCoreLatency(opts, seed, rc.coreDelay, load)
+			})
 		},
 		Assemble: func(opts Options, parts []any) *Result {
 			loads := fig3gLoads(opts)

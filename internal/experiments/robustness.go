@@ -27,15 +27,9 @@ func controlLoss() Experiment {
 		ID:    "control-loss",
 		Title: "Bearer signalling under control-plane loss (transport robustness)",
 		Trials: func(opts Options) []Trial {
-			trials := make([]Trial, 0, len(lossRates))
-			for _, p := range lossRates {
-				p := p
-				trials = append(trials, Trial{
-					Key: fmt.Sprintf("loss=%g", p),
-					Run: func(seed uint64) any { return runControlLossTrial(seed, p) },
-				})
-			}
-			return trials
+			return sweep(lossRates, func(p float64) string { return fmt.Sprintf("loss=%g", p) }, func(seed uint64, p float64) any {
+				return runControlLossTrial(seed, p)
+			})
 		},
 		Assemble: func(_ Options, parts []any) *Result {
 			tbl := stats.NewTable("Attach + dedicated bearer over a lossy S11 control link",

@@ -432,10 +432,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	var pending []*epc.UE
 	flush := func() {
 		for len(pending) > 0 {
-			n := len(pending)
-			if n > scaleMaxBatch {
-				n = scaleMaxBatch
-			}
+			n := min(len(pending), scaleMaxBatch)
 			cohort := append([]*epc.UE(nil), pending[:n]...)
 			pending = pending[n:]
 			ec.AttachBatch(cohort, "core-sgw", "core-pgw", func(u *epc.UE, err error) {
@@ -452,7 +449,6 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		}
 	}
 	for k := 0; k < cfg.UEs; k++ {
-		k := k
 		eng.Schedule(arrival(k), func() {
 			arrivalAt[k] = eng.Now()
 			pending = append(pending, ues[k])

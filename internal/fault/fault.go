@@ -186,7 +186,6 @@ func (in *Injector) Apply(p Plan) error {
 	copy(events, p.Events)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	for _, e := range events {
-		e := e
 		in.eng.Schedule(e.At, func() { in.inject(e) })
 	}
 	return nil

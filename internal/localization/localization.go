@@ -95,7 +95,17 @@ var ErrInsufficient = errors.New("localization: need >= 3 non-collinear landmark
 // Gauss-Newton nonlinear least squares on the range residuals, seeded with
 // the linearized closed-form solution. This mirrors the nonlinear solver of
 // the trilateration library the paper extends.
-func Trilaterate(ms []Measurement) (geo.Point, error) {
+func Trilaterate(ms []Measurement) (geo.Point, error) { return gaussNewton(ms, false) }
+
+// TrilaterateWeighted is Gauss-Newton with inverse-distance weighting:
+// under log-normal shadowing the range error is multiplicative (σ_d ∝ d),
+// so near landmarks are more trustworthy than far ones. Each residual is
+// weighted by 1/d_i.
+func TrilaterateWeighted(ms []Measurement) (geo.Point, error) { return gaussNewton(ms, true) }
+
+// gaussNewton is the solver behind Trilaterate and, weighted,
+// TrilaterateWeighted.
+func gaussNewton(ms []Measurement, weighted bool) (geo.Point, error) {
 	if len(ms) < 3 {
 		return geo.Point{}, ErrInsufficient
 	}
@@ -119,70 +129,20 @@ func Trilaterate(ms []Measurement) (geo.Point, error) {
 				dist = 1e-9
 			}
 			ji0, ji1 := dx/dist, dy/dist
+			wj0, wj1 := ji0, ji1 // the row weighted: w·J_i, w = 1/d_i
+			if weighted && m.Distance > 0.1 {
+				w := 1.0 / m.Distance
+				wj0, wj1 = w*ji0, w*ji1
+			}
 			ri := dist - m.Distance
-			jtj00 += ji0 * ji0
-			jtj01 += ji0 * ji1
-			jtj11 += ji1 * ji1
-			jtr0 += ji0 * ri
-			jtr1 += ji1 * ri
+			jtj00 += wj0 * ji0
+			jtj01 += wj0 * ji1
+			jtj11 += wj1 * ji1
+			jtr0 += wj0 * ri
+			jtr1 += wj1 * ri
 		}
 		// Solve the 2x2 normal equations (with a tiny Levenberg damping for
 		// near-singular geometry).
-		const lambda = 1e-9
-		jtj00 += lambda
-		jtj11 += lambda
-		det := jtj00*jtj11 - jtj01*jtj01
-		if math.Abs(det) < 1e-12 {
-			return geo.Point{}, ErrInsufficient
-		}
-		dxStep := (jtj11*jtr0 - jtj01*jtr1) / det
-		dyStep := (jtj00*jtr1 - jtj01*jtr0) / det
-		p.X -= dxStep
-		p.Y -= dyStep
-		if math.Hypot(dxStep, dyStep) < tol {
-			break
-		}
-	}
-	return p, nil
-}
-
-// TrilaterateWeighted is Gauss-Newton with inverse-distance weighting:
-// under log-normal shadowing the range error is multiplicative (σ_d ∝ d),
-// so near landmarks are more trustworthy than far ones. Each residual is
-// weighted by 1/d_i.
-func TrilaterateWeighted(ms []Measurement) (geo.Point, error) {
-	if len(ms) < 3 {
-		return geo.Point{}, ErrInsufficient
-	}
-	p, err := TrilaterateLinear(ms)
-	if err != nil {
-		p = centroid(ms)
-	}
-	const (
-		maxIter = 50
-		tol     = 1e-6
-	)
-	for iter := 0; iter < maxIter; iter++ {
-		var jtj00, jtj01, jtj11, jtr0, jtr1 float64
-		for _, m := range ms {
-			dx := p.X - m.Landmark.X
-			dy := p.Y - m.Landmark.Y
-			dist := math.Hypot(dx, dy)
-			if dist < 1e-9 {
-				dist = 1e-9
-			}
-			w := 1.0
-			if m.Distance > 0.1 {
-				w = 1.0 / m.Distance
-			}
-			ji0, ji1 := dx/dist, dy/dist
-			ri := dist - m.Distance
-			jtj00 += w * ji0 * ji0
-			jtj01 += w * ji0 * ji1
-			jtj11 += w * ji1 * ji1
-			jtr0 += w * ji0 * ri
-			jtr1 += w * ji1 * ri
-		}
 		const lambda = 1e-9
 		jtj00 += lambda
 		jtj11 += lambda

@@ -93,13 +93,6 @@ func buildZigzag() [64]int {
 	return order
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // quantStep maps a quality setting (1..100) to a uniform quantizer step:
 // high quality = fine steps. The mapping follows the libjpeg convention of
 // halving the base table at quality 100 and doubling toward quality 1.

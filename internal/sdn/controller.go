@@ -277,7 +277,7 @@ func (c *Controller) packetIn(sw *Switch, inPort uint32, p *netsim.Packet, tunne
 	msg := &pkt.OFMsg{
 		Type: pkt.OFPacketIn, XID: c.nextXID(),
 		BufferID: 0xffffffff,
-		DataLen:  uint16(clampLen(p.Size, 128)), // truncated packet copy
+		DataLen:  uint16(min(p.Size, 128)), // truncated packet copy
 		Match:    pkt.Match{InPort: pkt.U32(inPort), TunnelID: pkt.U64(tunnelID)},
 	}
 	n := c.accountReceived(msg)
@@ -319,11 +319,4 @@ func (c *Controller) flowRemoved(sw *Switch, e *FlowEntry) {
 	// The notification rides the wire even though the controller has no
 	// handler beyond accounting.
 	c.toController(sw, "FlowRemoved", c.accountReceived(msg), func() {})
-}
-
-func clampLen(v, lim int) int {
-	if v > lim {
-		return lim
-	}
-	return v
 }

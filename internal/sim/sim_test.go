@@ -324,3 +324,62 @@ func TestProcessedCount(t *testing.T) {
 		t.Errorf("Processed = %d, want 5", eng.Processed())
 	}
 }
+
+// TestRNGPermUniform draws 24,000 permutations of four and requires each of
+// the 24 to appear as often as a uniform shuffle predicts (χ² with 23
+// degrees of freedom under 49.73, the p = 0.001 bound). Sattolo's variant,
+// which draws j from [0, i) and so yields only the six cyclic
+// permutations, never the identity, fails it.
+func TestRNGPermUniform(t *testing.T) {
+	const n, draws = 4, 24000
+	r := NewRNG(2016)
+	counts := make(map[[n]int]int)
+	for i := 0; i < draws; i++ {
+		var key [n]int
+		copy(key[:], r.Perm(n))
+		counts[key]++
+	}
+	if len(counts) != 24 {
+		t.Fatalf("%d distinct permutations of 4 in %d draws, want all 24", len(counts), draws)
+	}
+	expect := float64(draws) / 24
+	chi2 := 0.0
+	for _, c := range counts {
+		chi2 += (float64(c) - expect) * (float64(c) - expect) / expect
+	}
+	if chi2 >= 49.73 {
+		t.Fatalf("χ² = %.1f over 24 permutations, want < 49.73 (p = 0.001, 23 dof)", chi2)
+	}
+}
+
+func TestTickerZeroPeriodPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewTicker with a zero period did not panic")
+		}
+	}()
+	NewTicker(NewEngine(1), 0, func() {})
+}
+
+// TestEngineLimitRunsExactlyLimit gives a run one event more than Limit:
+// exactly Limit handlers run, and popping the next one panics.
+func TestEngineLimitRunsExactlyLimit(t *testing.T) {
+	const limit = 10
+	eng := NewEngine(1)
+	eng.Limit = limit
+	ran := 0
+	for i := 0; i <= limit; i++ {
+		eng.Schedule(time.Duration(i)*time.Millisecond, func() { ran++ })
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the event past the limit did not panic")
+			}
+		}()
+		eng.Run()
+	}()
+	if ran != limit {
+		t.Fatalf("%d handlers ran under Limit = %d, want exactly %d", ran, limit, limit)
+	}
+}

@@ -158,10 +158,7 @@ func patchDescriptor(ix, iy []float64, w, cx, cy int) Descriptor {
 			}
 			// Orientation bin in [0,4): quadrant of atan2.
 			ang := math.Atan2(gy, gx) // [-pi, pi]
-			bin := int((ang + math.Pi) / (math.Pi / 2))
-			if bin > 3 {
-				bin = 3
-			}
+			bin := min(int((ang+math.Pi)/(math.Pi/2)), 3)
 			cell := (py/4)*4 + px/4 // 0..15
 			d[cell*4+bin] += float32(mag)
 		}

@@ -141,10 +141,7 @@ func DefaultFrameParams(totalFeatures int) FrameParams {
 // features appear first in the returned set only by construction detail;
 // callers must not rely on ordering.
 func GenerateFrame(object *FeatureSet, params FrameParams, rng *sim.RNG) *FeatureSet {
-	nObj := int(float64(params.TotalFeatures) * params.ObjectFraction)
-	if nObj > object.Len() {
-		nObj = object.Len()
-	}
+	nObj := min(int(float64(params.TotalFeatures)*params.ObjectFraction), object.Len())
 	nClutter := params.TotalFeatures - nObj
 	fs := &FeatureSet{
 		Keypoints:   make([]Keypoint, 0, params.TotalFeatures),
