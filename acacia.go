@@ -30,7 +30,7 @@
 //	if err := tb.Attach(ue); err != nil { ... }
 //	if err := tb.StartRetailApp(ue, "electronics"); err != nil { ... }
 //	tb.Run(30 * time.Second)
-//	fmt.Println(ue.Frontend.Stats.Total.Summarize())
+//	fmt.Println(ue.Frontend.Stats.Total.Mean()) // mean end-to-end latency, ms
 package acacia
 
 import (
@@ -112,7 +112,6 @@ type FaultEvent = fault.Event
 const (
 	FaultLinkDown  = fault.LinkDown
 	FaultLinkLoss  = fault.LinkLoss
-	FaultNodeCrash = fault.NodeCrash
 	FaultSiteCrash = fault.SiteCrash
 )
 

@@ -1,17 +1,17 @@
 package acacia
 
-// Allocation benchmarks and zero-alloc contract tests for the hot paths
-// covered by DESIGN.md §3f. The BenchmarkAlloc* family is what
-// `make bench-alloc` records into BENCH_alloc.json, and what
-// cmd/acacia-allocgate holds against the budgets in ALLOC_BUDGET.json.
-// The TestZeroAlloc* tests pin the strict 0 allocs/op contracts directly
-// with testing.AllocsPerRun so a regression fails `go test` even without
-// the benchmark gate.
+// Allocation budgets for the hot paths covered by DESIGN.md §3f. Every
+// ALLOC_BUDGET.json entry names a BenchmarkAlloc* benchmark, and every such
+// benchmark is a thin wrapper over a rig: setup and warm-up that return one
+// op. TestAllocBudgets holds each rig to its budget with
+// testing.AllocsPerRun, so go test is the allocation gate; `make bench`
+// still reports the benchmarks' ns/op and allocs/op.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -26,75 +26,76 @@ import (
 
 // BenchmarkAllocGTPUEncap measures the zero-alloc encap path: outer
 // IPv4+UDP+GTP-U headers appended to a reused scratch buffer.
-func BenchmarkAllocGTPUEncap(b *testing.B) {
+func BenchmarkAllocGTPUEncap(b *testing.B) { benchRig(b, gtpuEncapRig) }
+
+func gtpuEncapRig(t testing.TB) func() {
 	src, dst := pkt.AddrFrom(10, 0, 0, 1), pkt.AddrFrom(10, 0, 0, 2)
 	buf := make([]byte, 0, pkt.GTPUOverhead)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = pkt.AppendGPDU(buf[:0], src, dst, 0xbeef, 1400)
-	}
-	if len(buf) != pkt.GTPUOverhead {
-		b.Fatalf("encap length %d, want %d", len(buf), pkt.GTPUOverhead)
+	return func() {
+		if buf = pkt.AppendGPDU(buf[:0], src, dst, 0xbeef, 1400); len(buf) != pkt.GTPUOverhead {
+			t.Fatalf("encap length %d, want %d", len(buf), pkt.GTPUOverhead)
+		}
 	}
 }
 
 // BenchmarkAllocGTPUEncapDecap round-trips a full tunneled packet through
 // encap and decap with every buffer reused across iterations.
-func BenchmarkAllocGTPUEncapDecap(b *testing.B) {
+func BenchmarkAllocGTPUEncapDecap(b *testing.B) { benchRig(b, gtpuEncapDecapRig) }
+
+func gtpuEncapDecapRig(t testing.TB) func() {
 	src, dst := pkt.AddrFrom(10, 0, 0, 1), pkt.AddrFrom(10, 0, 0, 2)
 	inner := make([]byte, 1400)
 	buf := make([]byte, 0, pkt.GTPUOverhead+len(inner))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		buf = pkt.AppendGPDU(buf[:0], src, dst, 0xbeef, len(inner))
 		buf = append(buf, inner...)
 		teid, got, err := pkt.DecapsulateGPDU(buf)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		if teid != 0xbeef || len(got) != len(inner) {
-			b.Fatalf("decap teid %#x len %d", teid, len(got))
+			t.Fatalf("decap teid %#x len %d", teid, len(got))
 		}
 	}
 }
 
 // BenchmarkAllocTelemetryInc measures a counter increment on an
 // already-registered metric — the per-event telemetry hot path.
-func BenchmarkAllocTelemetryInc(b *testing.B) {
-	reg := telemetry.New()
-	c := reg.Scope("bench").Counter("inc")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
+func BenchmarkAllocTelemetryInc(b *testing.B) { benchRig(b, telemetryIncRig) }
+
+func telemetryIncRig(testing.TB) func() {
+	return telemetry.New().Scope("bench").Counter("inc").Inc
 }
 
 // BenchmarkAllocTelemetryObserve measures a histogram observation, the
 // per-sample latency-recording path.
-func BenchmarkAllocTelemetryObserve(b *testing.B) {
-	reg := telemetry.New()
-	h := reg.Scope("bench").Histogram("observe")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i))
+func BenchmarkAllocTelemetryObserve(b *testing.B) { benchRig(b, telemetryObserveRig) }
+
+func telemetryObserveRig(testing.TB) func() {
+	h := telemetry.New().Scope("bench").Histogram("observe")
+	x := 0.0
+	return func() {
+		h.Observe(x)
+		x++
 	}
 }
 
 // BenchmarkAllocTelemetryScope measures re-deriving an interned scope —
 // the path a handler takes when it scopes metrics per message rather than
 // caching the Scope value.
-func BenchmarkAllocTelemetryScope(b *testing.B) {
+func BenchmarkAllocTelemetryScope(b *testing.B) { benchRig(b, telemetryScopeRig) }
+
+func telemetryScopeRig(testing.TB) func() {
 	reg := telemetry.New()
 	reg.Scope("epc").Scope("s1ap") // warm the intern table
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = reg.Scope("epc").Scope("s1ap")
-	}
+	return func() { _ = reg.Scope("epc").Scope("s1ap") }
 }
 
 // BenchmarkAllocPacketPath measures the steady-state one-hop data path:
 // pooled packet out of the network free-list, link transit, sink release.
-func BenchmarkAllocPacketPath(b *testing.B) {
+func BenchmarkAllocPacketPath(b *testing.B) { benchRig(b, packetPathRig) }
+
+func packetPathRig(testing.TB) func() {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
 	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
@@ -102,11 +103,7 @@ func BenchmarkAllocPacketPath(b *testing.B) {
 	ha := netsim.NewHost(na)
 	netsim.NewSink(netsim.NewHost(nb), 9000)
 	nw.ConnectSymmetric(na, nb, netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: time.Millisecond})
-	// Warm the packet and event pools before measuring.
-	ha.Send(pkt.AddrFrom(10, 0, 0, 2), 30000, 9000, pkt.ProtoUDP, 1200, nil)
-	eng.Run()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		ha.Send(pkt.AddrFrom(10, 0, 0, 2), 30000, 9000, pkt.ProtoUDP, 1200, nil)
 		eng.Run()
 	}
@@ -117,7 +114,9 @@ func BenchmarkAllocPacketPath(b *testing.B) {
 // one (b -> a, nine lanes) each hold a 64-packet backlog, and every
 // iteration offers one packet to each and serialises one out of each, so
 // lanes cycle their blocks, drain and refill with no allocation.
-func BenchmarkAllocQueuedLink(b *testing.B) {
+func BenchmarkAllocQueuedLink(b *testing.B) { benchRig(b, queuedLinkRig) }
+
+func queuedLinkRig(t testing.TB) func() {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
 	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
@@ -127,7 +126,7 @@ func BenchmarkAllocQueuedLink(b *testing.B) {
 	fifo := netsim.LinkConfig{BitsPerSecond: 10e6, Propagation: time.Millisecond}
 	radio := fifo
 	radio.Prioritized = true
-	nw.Connect(na, nb, fifo, radio)
+	link := nw.Connect(na, nb, fifo, radio)
 	const size = 1250 // 1 ms of serialisation at 10 Mbps
 	n := 0
 	offer := func() {
@@ -149,14 +148,10 @@ func BenchmarkAllocQueuedLink(b *testing.B) {
 	for i := 0; i < 256; i++ { // warm pools, lanes and their spare blocks
 		step()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+	if got := link.BacklogAB(); got < 32*size {
+		t.Fatalf("a->b backlog %d bytes: the direction is not congested", got)
 	}
-	if got := nw.Links()[0].BacklogAB(); got < 32*size {
-		b.Fatalf("a->b backlog %d bytes: the direction is not congested", got)
-	}
+	return step
 }
 
 // BenchmarkAllocConnect measures building one link: the metro generator
@@ -164,32 +159,33 @@ func BenchmarkAllocQueuedLink(b *testing.B) {
 // network per 10,000 keeps the heap flat); telemetry names nothing until a
 // snapshot reads it, so what is left is the link itself and the two
 // pre-bound method values per direction.
-func BenchmarkAllocConnect(b *testing.B) {
+func BenchmarkAllocConnect(b *testing.B) { benchRig(b, connectRig) }
+
+func connectRig(testing.TB) func() {
 	const fanout = 10000
 	cfg := netsim.LinkConfig{Propagation: time.Millisecond}
 	var nw *netsim.Network
 	var hub, leaf *netsim.Node
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		if i%fanout == 0 {
 			nw = netsim.New(sim.NewEngine(1))
 			hub = nw.AddNode("hub", pkt.AddrFrom(10, 0, 0, 1))
 			leaf = nw.AddNode("leaf", pkt.AddrFrom(10, 0, 0, 2))
 		}
+		i++
 		nw.Connect(hub, leaf, cfg, cfg)
 	}
 }
 
 // BenchmarkAllocEngineSchedule measures pooled event scheduling with a
 // pre-bound callback, the engine's per-event hot path.
-func BenchmarkAllocEngineSchedule(b *testing.B) {
+func BenchmarkAllocEngineSchedule(b *testing.B) { benchRig(b, engineScheduleRig) }
+
+func engineScheduleRig(testing.TB) func() {
 	eng := sim.NewEngine(1)
 	nop := func() {}
-	// Warm the event pool.
-	eng.Schedule(1, nop)
-	eng.Run()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		eng.Schedule(1, nop)
 		eng.Run()
 	}
@@ -202,51 +198,46 @@ func BenchmarkAllocEngineSchedule(b *testing.B) {
 // height, and the clock keeps crossing power-of-two boundaries, so ever new
 // buckets fill — from the queue's spare arrays, not the allocator.
 func BenchmarkAllocEngineHold(b *testing.B) {
-	units := [...]time.Duration{0, time.Microsecond, time.Millisecond, 100 * time.Millisecond}
 	for _, depth := range []int{1 << 10, 1 << 16} {
-		b.Run(fmt.Sprintf("q%dk", depth>>10), func(b *testing.B) {
-			eng := sim.NewEngine(1)
-			rng := eng.RNG()
-			left := 0
-			var hold func()
-			hold = func() {
-				r := rng.Uint64()
-				eng.Schedule(units[r&3]*time.Duration(1+r>>2&15), hold)
-				if left--; left == 0 {
-					eng.Stop()
-				}
+		b.Run(fmt.Sprintf("q%dk", depth>>10), func(b *testing.B) { benchRig(b, engineHoldRig(depth)) })
+	}
+}
+
+// engineHoldRig's op runs one event of the hold model at depth.
+func engineHoldRig(depth int) allocRig {
+	units := [...]time.Duration{0, time.Microsecond, time.Millisecond, 100 * time.Millisecond}
+	return func(testing.TB) func() {
+		eng := sim.NewEngine(1)
+		rng := eng.RNG()
+		left := 0
+		var hold func()
+		hold = func() {
+			r := rng.Uint64()
+			eng.Schedule(units[r&3]*time.Duration(1+r>>2&15), hold)
+			if left--; left == 0 {
+				eng.Stop()
 			}
-			left = 8 * depth // warm the event pool and the bucket arrays
-			for i := 0; i < depth; i++ {
-				hold()
-			}
+		}
+		left = 8 * depth // warm the event pool and the bucket arrays
+		for i := 0; i < depth; i++ {
+			hold()
+		}
+		eng.Run()
+		return func() {
+			left = 1
 			eng.Run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			left = b.N
-			eng.Run()
-		})
+		}
 	}
 }
 
 // BenchmarkAllocCtlTxn measures one control transaction on a warmed endpoint
 // pair: the request frame, its T3 timer, the ack coming back and the
 // receiver's duplicate filter, all drawn from pools.
-func BenchmarkAllocCtlTxn(b *testing.B) {
-	txn := ctlTxnRig()
-	for i := 0; i < 64; i++ {
-		txn()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		txn()
-	}
-}
+func BenchmarkAllocCtlTxn(b *testing.B) { benchRig(b, ctlTxnRig) }
 
-// ctlTxnRig returns one loss-free transaction between two fresh
-// endpoints, run to its ack; it panics if the request is not delivered.
-func ctlTxnRig() func() {
+// ctlTxnRig returns one loss-free transaction between two fresh endpoints,
+// run to its ack, after 64 warm-up transactions.
+func ctlTxnRig(t testing.TB) func() {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
 	tr := ctl.NewTransport(eng)
@@ -255,37 +246,37 @@ func ctlTxnRig() func() {
 	ctl.Connect(a, z, netsim.LinkConfig{Propagation: time.Millisecond})
 	delivered := false
 	deliver := func() { delivered = true }
-	return func() {
+	txn := func() {
 		delivered = false
 		a.Send(z.Addr(), a.NextSeq(z.Addr()), "Req", 120, deliver, nil, nil)
 		eng.Run()
 		if !delivered {
-			panic("control transaction not delivered")
+			t.Fatal("control transaction not delivered")
 		}
 	}
+	for i := 0; i < 64; i++ {
+		txn()
+	}
+	return txn
 }
 
 // BenchmarkAllocTicker measures a steady-state ticker period: the tick's
 // event is recycled before the re-arm takes it back, so a tick costs no
 // allocation.
-func BenchmarkAllocTicker(b *testing.B) {
+func BenchmarkAllocTicker(b *testing.B) { benchRig(b, tickerRig) }
+
+func tickerRig(testing.TB) func() {
 	eng := sim.NewEngine(1)
-	tk := sim.NewTicker(eng, time.Millisecond, func() {})
-	defer tk.Stop()
-	eng.RunFor(time.Millisecond)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.RunFor(time.Millisecond)
-	}
+	sim.NewTicker(eng, time.Millisecond, func() {})
+	return func() { eng.RunFor(time.Millisecond) }
 }
 
-// switchPath builds host a -> SDN switch -> host b with a forwarding flow
+// switchPathRig builds host a -> SDN switch -> host b with a forwarding flow
 // installed and every pool warm, and returns a function that sends one
 // packet from a to b and runs it to delivery. The switch queues the packet
 // for its single-server CPU, which is where a pop that shrinks the queue's
 // capacity used to cost an allocation per packet.
-func switchPath(tb testing.TB) func() {
+func switchPathRig(tb testing.TB) func() {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
 	na := nw.AddNode("a", pkt.AddrFrom(10, 0, 0, 1))
@@ -300,7 +291,7 @@ func switchPath(tb testing.TB) func() {
 	sw := sdn.NewSwitch(1, ns, sdn.ACACIAGWCosts)
 	controller := sdn.NewController(eng)
 	controller.AddSwitch(sw)
-	wireController(controller, nw)
+	wireController(controller, eng, nw)
 	controller.InstallFlow(sw, sdn.FlowEntry{
 		Priority: 100, Cookie: 1,
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(nb.Addr())},
@@ -323,27 +314,22 @@ func switchPath(tb testing.TB) func() {
 }
 
 // wireController connects c to its switches over a control node of its own.
-func wireController(c *sdn.Controller, nw *netsim.Network) {
-	c.EnableTransport(ctl.NewTransport(nw.Engine()), nw.AddNode("sdn-ctl", pkt.AddrFrom(10, 255, 0, 10)))
+func wireController(c *sdn.Controller, eng *sim.Engine, nw *netsim.Network) {
+	c.EnableTransport(ctl.NewTransport(eng), nw.AddNode("sdn-ctl", pkt.AddrFrom(10, 255, 0, 10)))
 }
 
 // BenchmarkAllocSwitchPath measures a packet crossing a switch CPU queue in
 // steady state.
-func BenchmarkAllocSwitchPath(b *testing.B) {
-	send := switchPath(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
-	}
-}
+func BenchmarkAllocSwitchPath(b *testing.B) { benchRig(b, switchPathRig) }
 
 // BenchmarkAllocSwitchBacklog holds an OpenEPC-cost switch (every packet
 // on the 35 µs slow path) at a backlog of about 4,000 packets, Fig. 8's
 // overload regime, and each iteration offers one packet and serves one.
 // The CPU queue's blocks cycle through its spare list and the packets
 // through the pool, so the steady state allocates nothing at all.
-func BenchmarkAllocSwitchBacklog(b *testing.B) {
+func BenchmarkAllocSwitchBacklog(b *testing.B) { benchRig(b, switchBacklogRig) }
+
+func switchBacklogRig(t testing.TB) func() {
 	const backlog = 4000
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
@@ -358,7 +344,7 @@ func BenchmarkAllocSwitchBacklog(b *testing.B) {
 	sw := sdn.NewSwitch(1, ns, sdn.OpenEPCGWCosts)
 	controller := sdn.NewController(eng)
 	controller.AddSwitch(sw)
-	wireController(controller, nw)
+	wireController(controller, eng, nw)
 	controller.InstallFlow(sw, sdn.FlowEntry{
 		Priority: 100, Cookie: 1,
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(nb.Addr())},
@@ -390,30 +376,26 @@ func BenchmarkAllocSwitchBacklog(b *testing.B) {
 			step()
 		}
 	}); n != 0 {
-		b.Fatalf("%.0f allocations per 1,024 steps at a steady backlog, want 0", n)
+		t.Fatalf("%.0f allocations per 1,024 steps at a steady backlog, want 0", n)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-	b.StopTimer()
 	if waiting := sent - int(sink.Packets); waiting < backlog/2 {
-		b.Fatalf("%d packets behind the switch, want a backlog near %d", waiting, backlog)
+		t.Fatalf("%d packets behind the switch, want a backlog near %d", waiting, backlog)
 	}
+	return step
 }
 
 // BenchmarkAllocTFTMatch measures the modem's per-packet uplink
 // classification against a dedicated-bearer TFT: the template is shared by
 // every session bound to the site, so matching must only read it.
-func BenchmarkAllocTFTMatch(b *testing.B) {
+func BenchmarkAllocTFTMatch(b *testing.B) { benchRig(b, tftMatchRig) }
+
+func tftMatchRig(t testing.TB) func() {
 	ci := pkt.AddrFrom(10, 3, 0, 10)
 	tft := pkt.DedicatedBearerTFT(ci)
 	ft := pkt.FiveTuple{Src: pkt.AddrFrom(172, 16, 0, 2), Dst: ci, SrcPort: 40000, DstPort: 7000, Proto: pkt.ProtoTCP}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !tft.MatchUplink(ft, 0) || tft.MatchDownlink(ft, 0) {
-			b.Fatal("uplink packet toward the CI server misclassified")
+	return func() {
+		if !tft.MatchUplink(ft, 0) {
+			t.Fatal("uplink packet toward the CI server misclassified")
 		}
 	}
 }
@@ -424,13 +406,15 @@ func BenchmarkAllocTFTMatch(b *testing.B) {
 // into a slot the previous round vacated, both messages ride the pooled
 // control transport, and each carries its entry or cookie in a pooled
 // FlowMod record, so the round allocates nothing.
-func BenchmarkAllocFlowInstall(b *testing.B) {
+func BenchmarkAllocFlowInstall(b *testing.B) { benchRig(b, flowInstallRig) }
+
+func flowInstallRig(t testing.TB) func() {
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
 	sw := sdn.NewSwitch(1, nw.AddNode("s", pkt.AddrFrom(10, 0, 0, 2)), sdn.ACACIAGWCosts)
 	controller := sdn.NewController(eng)
 	controller.AddSwitch(sw)
-	wireController(controller, nw)
+	wireController(controller, eng, nw)
 	e := sdn.FlowEntry{Priority: 100, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}}}
 	round := func(i int) {
 		e.Cookie, e.Match = uint64(i), pkt.Match{TunnelID: pkt.U64(uint64(i))}
@@ -440,31 +424,22 @@ func BenchmarkAllocFlowInstall(b *testing.B) {
 	for i := 1; i <= 10001; i++ {
 		round(i)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	if sw.FlowCount() != 10001 {
+		t.Fatalf("%d flows after the fill, want 10001", sw.FlowCount())
+	}
+	i := 0
+	return func() {
 		controller.RemoveFlows(sw, uint64(1+i%10001))
 		round(1 + i%10001)
-	}
-	if sw.FlowCount() != 10001 {
-		b.Fatalf("%d flows at the end, want 10001", sw.FlowCount())
+		i++
 	}
 }
 
 // BenchmarkAllocAttachCycle measures a full control-plane attach/detach
 // cycle on a live testbed: NAS + S1AP + GTPv2 signaling, bearer setup and
 // teardown, all encoding into core-owned scratch buffers.
-func BenchmarkAllocAttachCycle(b *testing.B) {
-	op := attachCycleRig(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
-}
+func BenchmarkAllocAttachCycle(b *testing.B) { benchRig(b, attachCycleRig) }
 
-// attachCycleRig builds BenchmarkAllocAttachCycle's testbed and returns
-// one iteration. The four procedure rigs are the bodies both their
-// benchmarks and TestProcedureAllocBudgets run.
 func attachCycleRig(t testing.TB) func() {
 	tb := NewTestbed(TestbedConfig{Seed: 1})
 	ue := tb.UEs[0]
@@ -487,13 +462,7 @@ func attachCycleRig(t testing.TB) func() {
 // AttachBatch/DetachBatch cycle over an 8-UE cohort, which coalesces the
 // per-UE GTPv2 exchanges into per-batch ones (6 messages per cohort instead
 // of 6 per UE). Compare per-UE cost against BenchmarkAllocAttachCycle.
-func BenchmarkAllocAttachBatch(b *testing.B) {
-	op := attachBatchRig(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
-}
+func BenchmarkAllocAttachBatch(b *testing.B) { benchRig(b, attachBatchRig) }
 
 func attachBatchRig(t testing.TB) func() {
 	const cohort = 8
@@ -534,13 +503,7 @@ func attachBatchRig(t testing.TB) func() {
 // bearer-modify exchange toward the gateways, and the path switch with its
 // compensation bookkeeping. The UE runs no app, so this isolates the
 // control plane from MRS relocation and state migration.
-func BenchmarkAllocHandover(b *testing.B) {
-	op := handoverRig(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
-}
+func BenchmarkAllocHandover(b *testing.B) { benchRig(b, handoverRig) }
 
 func handoverRig(t testing.TB) func() {
 	tb := NewTestbed(TestbedConfig{Seed: 1, IdleTimeout: time.Hour})
@@ -549,7 +512,7 @@ func handoverRig(t testing.TB) func() {
 	if err := tb.Attach(ue); err != nil {
 		t.Fatal(err)
 	}
-	op := func() {
+	return func() {
 		if err := tb.Handover(ue, east); err != nil {
 			t.Fatal(err)
 		}
@@ -557,8 +520,6 @@ func handoverRig(t testing.TB) func() {
 			t.Fatal(err)
 		}
 	}
-	op() // warm: one round trip so lazily-built state exists before measuring
-	return op
 }
 
 // BenchmarkAllocChurnRound measures one round of the control-plane churn
@@ -567,15 +528,7 @@ func handoverRig(t testing.TB) func() {
 // release, detach. Every procedure runs on a pooled record whose legs ride
 // pooled continuation records, so what is left is real state: sessions,
 // bearers, flow actions and the MRS bindings.
-func BenchmarkAllocChurnRound(b *testing.B) {
-	round := churnRoundRig(b)
-	round() // warm: pools and lazily built state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
-}
+func BenchmarkAllocChurnRound(b *testing.B) { benchRig(b, churnRoundRig) }
 
 func churnRoundRig(t testing.TB) func() {
 	tb := NewTestbed(TestbedConfig{Seed: 1, NumUEs: 16, IdleTimeout: time.Hour, DiscoveryPeriod: time.Hour})
@@ -630,11 +583,63 @@ func churnRoundRig(t testing.TB) func() {
 	}
 }
 
-// TestProcedureAllocBudgets holds the four procedure rigs to their
-// ALLOC_BUDGET.json ceilings inside go test, so a procedure that starts
-// allocating again fails tier-1 and not only the benchmark gate.
-// testing.AllocsPerRun warms each rig with one run before it averages.
-func TestProcedureAllocBudgets(t *testing.T) {
+// allocRig builds a benchmark's fixture and returns one op. A rig warms
+// only what one op cannot: its callers run one op before they measure.
+type allocRig func(testing.TB) func()
+
+// benchRig times rig's op after one warm-up op, as testing.AllocsPerRun
+// does: the body of every BenchmarkAlloc* benchmark.
+func benchRig(b *testing.B, rig allocRig) {
+	op := rig(b)
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// allocRigs are the rigs TestAllocBudgets holds, by the benchmark name
+// ALLOC_BUDGET.json budgets them under, each with the number of ops
+// testing.AllocsPerRun averages over.
+var allocRigs = map[string]struct {
+	rig  allocRig
+	runs int
+}{
+	"BenchmarkAllocGTPUEncap":        {gtpuEncapRig, 1000},
+	"BenchmarkAllocGTPUEncapDecap":   {gtpuEncapDecapRig, 1000},
+	"BenchmarkAllocTelemetryInc":     {telemetryIncRig, 1000},
+	"BenchmarkAllocTelemetryObserve": {telemetryObserveRig, 1000},
+	"BenchmarkAllocTelemetryScope":   {telemetryScopeRig, 1000},
+	"BenchmarkAllocPacketPath":       {packetPathRig, 1000},
+	"BenchmarkAllocQueuedLink":       {queuedLinkRig, 1000},
+	"BenchmarkAllocConnect":          {connectRig, 1000},
+	"BenchmarkAllocEngineSchedule":   {engineScheduleRig, 1000},
+	"BenchmarkAllocEngineHold/q1k":   {engineHoldRig(1 << 10), 1000},
+	"BenchmarkAllocEngineHold/q64k":  {engineHoldRig(1 << 16), 1000},
+	"BenchmarkAllocCtlTxn":           {ctlTxnRig, 1000},
+	"BenchmarkAllocTicker":           {tickerRig, 1000},
+	"BenchmarkAllocSwitchPath":       {switchPathRig, 1000},
+	"BenchmarkAllocSwitchBacklog":    {switchBacklogRig, 1000},
+	"BenchmarkAllocTFTMatch":         {tftMatchRig, 1000},
+	"BenchmarkAllocFlowInstall":      {flowInstallRig, 1000},
+	"BenchmarkAllocAttachCycle":      {attachCycleRig, 50},
+	"BenchmarkAllocAttachBatch":      {attachBatchRig, 20},
+	"BenchmarkAllocHandover":         {handoverRig, 50},
+	"BenchmarkAllocChurnRound":       {churnRoundRig, 5},
+}
+
+// allocHeldElsewhere names the budgets a rig in another package holds,
+// with the test that does.
+var allocHeldElsewhere = map[string]string{
+	"BenchmarkAllocGWChain": "internal/experiments TestGWChainAllocBudget",
+}
+
+// TestAllocBudgets holds every ALLOC_BUDGET.json entry inside go test: each
+// rig, averaged over its runs by testing.AllocsPerRun (which warms it with
+// one op first), must stay within its budget. A budget with no rig, or a
+// rig with no budget, fails, so a renamed benchmark cannot escape the gate.
+func TestAllocBudgets(t *testing.T) {
 	raw, err := os.ReadFile("ALLOC_BUDGET.json")
 	if err != nil {
 		t.Fatal(err)
@@ -643,95 +648,51 @@ func TestProcedureAllocBudgets(t *testing.T) {
 	if err := json.Unmarshal(raw, &budget); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		runs int
-		rig  func(testing.TB) func()
-	}{
-		{"BenchmarkAllocAttachCycle", 50, attachCycleRig},
-		{"BenchmarkAllocAttachBatch", 20, attachBatchRig},
-		{"BenchmarkAllocHandover", 50, handoverRig},
-		{"BenchmarkAllocChurnRound", 5, churnRoundRig},
-	} {
-		want, ok := budget[c.name]
+	names := make([]string, 0, len(budget))
+	for name := range budget {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		c, ok := allocRigs[name]
 		if !ok {
-			t.Fatalf("ALLOC_BUDGET.json has no %s", c.name)
+			if _, ok := allocHeldElsewhere[name]; !ok {
+				t.Errorf("ALLOC_BUDGET.json budgets %s, which has no rig", name)
+			}
+			continue
 		}
-		got := testing.AllocsPerRun(c.runs, c.rig(t))
-		if got > want {
-			t.Errorf("%s: %.0f allocs per iteration, budget %.0f", c.name, got, want)
+		t.Run(name, func(t *testing.T) {
+			got := testing.AllocsPerRun(c.runs, c.rig(t))
+			if got > budget[name] {
+				t.Errorf("%.0f allocs per op, budget %.0f", got, budget[name])
+			}
+			t.Logf("%.0f allocs per op (budget %.0f)", got, budget[name])
+		})
+	}
+	rigs := make([]string, 0, len(allocRigs)+len(allocHeldElsewhere))
+	for name := range allocRigs {
+		rigs = append(rigs, name)
+	}
+	for name := range allocHeldElsewhere {
+		rigs = append(rigs, name)
+	}
+	sort.Strings(rigs)
+	for _, name := range rigs {
+		if _, ok := budget[name]; !ok {
+			t.Errorf("rig %s has no ALLOC_BUDGET.json entry", name)
 		}
-		t.Logf("%s: %.0f allocs per iteration (budget %.0f)", c.name, got, want)
 	}
 }
 
-// TestZeroAllocCtlTxn pins BenchmarkAllocCtlTxn's contract in go test: a
-// control transaction on a warmed endpoint pair — request frame, T3 timer,
-// ack and duplicate filter — allocates nothing, so a data frame the ack
-// path fails to recycle shows here.
-func TestZeroAllocCtlTxn(t *testing.T) {
-	txn := ctlTxnRig()
-	for i := 0; i < 64; i++ {
-		txn()
-	}
-	if n := testing.AllocsPerRun(1000, txn); n != 0 {
-		t.Fatalf("control transaction allocates %.1f times, want 0", n)
-	}
-}
-
-// TestZeroAllocGTPUEncap pins the strict contract from ISSUE acceptance:
-// GTP-U encapsulation into a reused scratch buffer performs zero
-// allocations per packet.
-func TestZeroAllocGTPUEncap(t *testing.T) {
-	src, dst := pkt.AddrFrom(10, 0, 0, 1), pkt.AddrFrom(10, 0, 0, 2)
-	buf := make([]byte, 0, pkt.GTPUOverhead)
-	n := testing.AllocsPerRun(1000, func() {
-		buf = pkt.AppendGPDU(buf[:0], src, dst, 0xbeef, 1400)
-	})
-	if n != 0 {
-		t.Fatalf("GTP-U encap allocates %.1f times per packet, want 0", n)
-	}
-}
-
-// TestZeroAllocTelemetry pins zero allocations on counter increment,
-// gauge set and histogram observe for registered metrics.
+// TestZeroAllocTelemetry pins zero allocations on a gauge set, the one
+// telemetry hot path no budgeted rig covers.
 func TestZeroAllocTelemetry(t *testing.T) {
-	reg := telemetry.New()
-	s := reg.Scope("zero")
-	c := s.Counter("c")
-	g := s.Gauge("g")
-	h := s.Histogram("h")
+	g := telemetry.New().Scope("zero").Gauge("g")
 	x := 0.0
-	n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
+	if n := testing.AllocsPerRun(1000, func() {
 		g.Set(x)
-		h.Observe(x)
 		x++
-	})
-	if n != 0 {
-		t.Fatalf("telemetry observe path allocates %.1f times per event, want 0", n)
-	}
-}
-
-// TestZeroAllocInternedScope pins zero allocations when re-deriving a
-// scope whose prefix is already interned in the registry.
-func TestZeroAllocInternedScope(t *testing.T) {
-	reg := telemetry.New()
-	reg.Scope("epc").Scope("s1ap")
-	n := testing.AllocsPerRun(1000, func() {
-		_ = reg.Scope("epc").Scope("s1ap")
-	})
-	if n != 0 {
-		t.Fatalf("interned scope lookup allocates %.1f times, want 0", n)
-	}
-}
-
-// TestZeroAllocSwitchPath pins zero allocations for a packet crossing a
-// Switch: it serves a 0–1-deep CPU queue, and popping it must not cost the
-// next append its backing array.
-func TestZeroAllocSwitchPath(t *testing.T) {
-	send := switchPath(t)
-	if n := testing.AllocsPerRun(1000, send); n != 0 {
-		t.Fatalf("switch path allocates %.1f times per packet, want 0", n)
+	}); n != 0 {
+		t.Fatalf("gauge set allocates %.1f times, want 0", n)
 	}
 }

@@ -31,7 +31,7 @@ func runGoroutine(p *Pass) {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				p.Reportf(n.Pos(),
-					"go statement outside internal/exec: route concurrency through the bounded worker pool (exec.Run)")
+					"go statement outside internal/exec: route concurrency through the bounded worker pool (exec.RunProgress)")
 			case *ast.ChanType:
 				p.Reportf(n.Pos(),
 					"channel type outside internal/exec: concurrency plumbing belongs to the worker-pool package")

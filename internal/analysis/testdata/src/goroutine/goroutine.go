@@ -17,7 +17,7 @@ func fanOut(work []func()) {
 
 // homegrownScheduler is the violation the event engine must never grow: a
 // private barrier built from channel sends and selects. One run is one
-// event queue; only whole trials run in parallel (exec.Run).
+// event queue; only whole trials run in parallel (exec.RunProgress).
 func homegrownScheduler(windows []func(), ready chan int) { // want "channel type outside internal/exec"
 	for i, w := range windows {
 		w()

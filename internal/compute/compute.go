@@ -161,9 +161,6 @@ func NewServer(eng *sim.Engine, dev Device) *Server {
 	return &Server{eng: eng, dev: dev, rate: dev.MatchMACsPerSec}
 }
 
-// Device returns the server's underlying device model.
-func (s *Server) Device() Device { return s.dev }
-
 // Submit adds a job for processing. The job's Done callback fires when the
 // job's work has been served.
 func (s *Server) Submit(j *Job) {

@@ -31,11 +31,23 @@ func (a *recordingApp) lastErr() error {
 	return a.errs[len(a.errs)-1]
 }
 
+// requestNow makes dm request connectivity for a registered service at
+// once, as a discovery match would, without waiting for one.
+func requestNow(t *testing.T, dm *DeviceManager, service string) {
+	t.Helper()
+	st, ok := dm.apps[service]
+	if !ok {
+		t.Fatalf("service %q not registered", service)
+	}
+	st.requested = true
+	dm.requestConnectivity(st)
+}
+
 // retailSite returns the MRS-owned instance of the default edge site so
 // tests can bound its admission capacity.
 func retailSite(t *testing.T, tb *Testbed, idx int) *EdgeSite {
 	t.Helper()
-	sites := tb.MRS.Service(RetailServiceName).SiteList()
+	sites := tb.MRS.services[RetailServiceName].sites
 	if idx >= len(sites) {
 		t.Fatalf("service has %d sites, want index %d", len(sites), idx)
 	}
@@ -75,8 +87,8 @@ func TestAdmissionExactCapacity(t *testing.T) {
 		}
 	}
 	site := retailSite(t, tb, 0)
-	if site.Load() != 2 || site.Remaining() != 0 {
-		t.Fatalf("at capacity: load=%d remaining=%d, want 2/0", site.Load(), site.Remaining())
+	if site.load != 2 || site.Remaining() != 0 {
+		t.Fatalf("at capacity: load=%d remaining=%d, want 2/0", site.load, site.Remaining())
 	}
 
 	// One past the boundary: deterministic, retriable rejection.
@@ -87,8 +99,8 @@ func TestAdmissionExactCapacity(t *testing.T) {
 	if tb.MRS.Rejections != 1 {
 		t.Errorf("rejections = %d, want 1", tb.MRS.Rejections)
 	}
-	if site.Load() != 2 {
-		t.Errorf("rejection changed load to %d", site.Load())
+	if site.load != 2 {
+		t.Errorf("rejection changed load to %d", site.load)
 	}
 	if tb.MRS.Binding(tb.UEs[2].UE.Addr()) != nil {
 		t.Error("rejected UE has a binding")
@@ -102,14 +114,14 @@ func TestAdmissionExactCapacity(t *testing.T) {
 	// Releasing a unit reopens admission for the freed slot only.
 	tb.MRS.ReleaseConnectivity(tb.UEs[0].UE.Addr(), nil)
 	tb.Run(2 * time.Second)
-	if site.Load() != 1 {
-		t.Fatalf("after release: load=%d, want 1", site.Load())
+	if site.load != 1 {
+		t.Fatalf("after release: load=%d, want 1", site.load)
 	}
 	if err := connect(tb.UEs[2]); err != nil {
 		t.Fatalf("request after release rejected: %v", err)
 	}
-	if site.Load() != 2 || site.Remaining() != 0 {
-		t.Errorf("refilled: load=%d remaining=%d, want 2/0", site.Load(), site.Remaining())
+	if site.load != 2 || site.Remaining() != 0 {
+		t.Errorf("refilled: load=%d remaining=%d, want 2/0", site.load, site.Remaining())
 	}
 }
 
@@ -134,9 +146,7 @@ func TestAdmissionBackoffAdmitsAfterRelease(t *testing.T) {
 	if err := waiter.DM.Register(ServiceInfo{ServiceName: RetailServiceName, Interest: neverMatches}, app); err != nil {
 		t.Fatal(err)
 	}
-	if err := waiter.DM.TriggerManually(RetailServiceName); err != nil {
-		t.Fatal(err)
-	}
+	requestNow(t, waiter.DM, RetailServiceName)
 
 	// The site stays full across the first backoff attempts: the initial
 	// request and at least one 500ms retry are rejected.
@@ -162,8 +172,8 @@ func TestAdmissionBackoffAdmitsAfterRelease(t *testing.T) {
 		t.Errorf("connects=%d server=%v, want 1 connect to %v", app.connects, app.server, tb.CIServer.Node.Addr())
 	}
 	site := retailSite(t, tb, 0)
-	if site.Load() != 1 {
-		t.Errorf("post-admission load = %d, want 1", site.Load())
+	if site.load != 1 {
+		t.Errorf("post-admission load = %d, want 1", site.load)
 	}
 	if s := tb.MRS.Binding(waiter.UE.Addr()); s == nil || s.Name != "edge-1" {
 		t.Errorf("waiter binding = %+v", s)
@@ -198,9 +208,7 @@ func TestFailoverRespectsCapacity(t *testing.T) {
 	if err := spiller.DM.Register(ServiceInfo{ServiceName: RetailServiceName, Interest: neverMatches}, app); err != nil {
 		t.Fatal(err)
 	}
-	if err := spiller.DM.TriggerManually(RetailServiceName); err != nil {
-		t.Fatal(err)
-	}
+	requestNow(t, spiller.DM, RetailServiceName)
 	tb.Run(2 * time.Second)
 	if s := tb.MRS.Binding(spiller.UE.Addr()); s == nil || s.Name != "edge-2" {
 		t.Fatalf("spiller binding = %+v, want edge-2 spill", s)

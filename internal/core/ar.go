@@ -155,9 +155,6 @@ func (b *ARBackend) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
 	return dst
 }
 
-// Scheme reports the backend's search scheme.
-func (b *ARBackend) Scheme() Scheme { return b.scheme }
-
 func (b *ARBackend) onLocReport(h *netsim.Host, p *netsim.Packet) {
 	rep, ok := p.Payload.(locReport)
 	h.Node.Network().Release(p)

@@ -209,20 +209,3 @@ func (dm *DeviceManager) Connected(serviceName string) bool {
 	st := dm.apps[serviceName]
 	return st != nil && st.connected
 }
-
-// TriggerManually requests MEC connectivity for a registered application
-// without waiting for a proximity discovery match — the paper's §8 "ACACIA
-// without proximity service discovery" mode, where launching the
-// application itself is the trigger.
-func (dm *DeviceManager) TriggerManually(serviceName string) error {
-	st, ok := dm.apps[serviceName]
-	if !ok {
-		return fmt.Errorf("core: service %q not registered", serviceName)
-	}
-	if st.requested {
-		return nil // already triggered (by discovery or manually)
-	}
-	st.requested = true
-	dm.requestConnectivity(st)
-	return nil
-}

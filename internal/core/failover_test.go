@@ -129,7 +129,7 @@ func TestAllSitesDownRetriesUntilRecovery(t *testing.T) {
 	if b.Frontend.Responses <= respBefore {
 		t.Error("no AR responses after recovery")
 	}
-	if tb.MRS.SiteDown("edge-1") {
+	if tb.MRS.downSites["edge-1"] {
 		t.Error("site still marked down after recovery")
 	}
 

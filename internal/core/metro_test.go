@@ -7,6 +7,7 @@ import (
 
 	"acacia/internal/geo"
 	"acacia/internal/netsim"
+	"acacia/internal/sdn"
 )
 
 // linkNames lists nw's links from index from on as "a->b" node pairs, the
@@ -17,6 +18,19 @@ func linkNames(nw *netsim.Network, from int) []string {
 		names = append(names, l.A.Node.Name()+"->"+l.B.Node.Name())
 	}
 	return names
+}
+
+// nodeNamed returns the node called name at either end of one of nw's
+// links, or nil.
+func nodeNamed(nw *netsim.Network, name string) *netsim.Node {
+	for _, l := range nw.Links() {
+		for _, n := range []*netsim.Node{l.A.Node, l.B.Node} {
+			if n.Name() == name {
+				return n
+			}
+		}
+	}
+	return nil
 }
 
 // TestMetroWiring holds NewMetro and Start to the documented build order:
@@ -37,7 +51,7 @@ func TestMetroWiring(t *testing.T) {
 		t.Fatalf("NewMetro links:\n got %q\nwant %q", got, want)
 	}
 	for _, dst := range []string{"enb-a", "enb-b", "core-sgw-u", "s1-sgw-u", "s2-sgw-u"} {
-		port := m.Router.Lookup(m.Net.Node(dst).Addr())
+		port := m.Router.Lookup(nodeNamed(m.Net, dst).Addr())
 		if port == nil || port.Peer().Node.Name() != dst {
 			t.Errorf("router has no route to %s", dst)
 		}
@@ -58,8 +72,9 @@ func TestMetroWiring(t *testing.T) {
 	if got := linkNames(m.Net, 11); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Start links:\n got %q\nwant %q", got, want)
 	}
+	switches := []*sdn.Switch{m.CoreSGW, m.CorePGW, m.Sites[0].SGW, m.Sites[0].PGW, m.Sites[1].SGW, m.Sites[1].PGW}
 	for dpid, node := range []string{"core-sgw-u", "core-pgw-u", "s1-sgw-u", "s1-pgw-u", "s2-sgw-u", "s2-pgw-u"} {
-		if sw := m.Ctl.Switch(uint64(dpid + 1)); sw == nil || sw.Node().Name() != node {
+		if sw := switches[dpid]; sw.DPID != uint64(dpid+1) || sw.Node().Name() != node {
 			t.Errorf("DPID %d is not %s", dpid+1, node)
 		}
 	}

@@ -45,9 +45,6 @@ func (s *EdgeSite) Remaining() int {
 	return s.CapacityUnits - s.load
 }
 
-// Load reports the units currently reserved on the site.
-func (s *EdgeSite) Load() int { return s.load }
-
 // CIService is a continuous-interactive service registered with the MRS.
 type CIService struct {
 	// Name is the LTE-direct service name (e.g. the retail chain).
@@ -64,9 +61,6 @@ type CIService struct {
 	sites []*EdgeSite
 	byENB map[string][]*EdgeSite
 }
-
-// SiteList returns the service's live edge sites in registration order.
-func (s *CIService) SiteList() []*EdgeSite { return s.sites }
 
 // ErrNoCapacity is returned (wrapped) by RequestConnectivity when every
 // surviving edge site of the service is at capacity. It is retriable: the
@@ -150,9 +144,6 @@ func (m *MRS) RegisterService(svc CIService) {
 		m.addSite(&cp, svc.Sites[i])
 	}
 }
-
-// Service returns a registered service by name.
-func (m *MRS) Service(name string) *CIService { return m.services[name] }
 
 // AddSite registers another edge site with a service (a failover candidate
 // when no eNB lists it) and returns the MRS-owned instance. All site-set
@@ -245,9 +236,6 @@ func (m *MRS) SiteFor(svc *CIService, enbName string) (*EdgeSite, error) {
 	}
 	return nil, fmt.Errorf("core: service %q has no surviving edge sites", svc.Name)
 }
-
-// SiteDown reports whether the named site is currently marked failed.
-func (m *MRS) SiteDown(name string) bool { return m.downSites[name] }
 
 // SiteLoad reports the units reserved on the named site, or -1 when no
 // service registers it.

@@ -97,9 +97,6 @@ func NewTransport(eng *sim.Engine) *Transport {
 	}
 }
 
-// Engine returns the driving simulation engine.
-func (t *Transport) Engine() *sim.Engine { return t.eng }
-
 // takeAckFrame pops a recycled ack frame, or allocates a fresh one.
 //
 //acacia:hotpath
@@ -311,9 +308,6 @@ func (ep *Endpoint) Addr() pkt.Addr { return ep.node.Addr() }
 
 // Name returns the endpoint's node name.
 func (ep *Endpoint) Name() string { return ep.node.Name() }
-
-// Node returns the underlying network node.
-func (ep *Endpoint) Node() *netsim.Node { return ep.node }
 
 // Connect joins two endpoints with a dedicated control link (cfg applies in
 // both directions) and installs the mutual routes.

@@ -60,12 +60,6 @@ func (m PathLossModel) RxPower(d float64, rng *sim.RNG) float64 {
 	return m.MeanRxPower(d) + rng.NormFloat64()*m.ShadowSigmaDB
 }
 
-// InvertMeanDistance returns the distance whose shadowing-free received
-// power equals rx dBm: the exact inverse of MeanRxPower.
-func (m PathLossModel) InvertMeanDistance(rx float64) float64 {
-	return math.Pow(10, (m.TxPowerDBm-m.RefLossDB-rx)/(10*m.Exponent))
-}
-
 // Receiver characteristics.
 const (
 	// SensitivityDBm is the weakest decodable broadcast.
@@ -137,19 +131,9 @@ type Publication struct {
 	Code    uint64
 	Payload string
 	Period  time.Duration
-	ticker  *sim.Ticker
 	dev     *Device
 	// Broadcasts counts transmissions.
 	Broadcasts uint64
-}
-
-// Stop ceases broadcasting.
-func (p *Publication) Stop() {
-	if p.ticker != nil {
-		p.ticker.Stop()
-		p.ticker = nil
-		p.dev.env.pubStopped()
-	}
 }
 
 // Subscription is a registered interest with its delivery callback.
@@ -183,9 +167,6 @@ type Device struct {
 	Received uint64
 }
 
-// Name reports the device name.
-func (d *Device) Name() string { return d.name }
-
 // Pos reports the device position.
 func (d *Device) Pos() geo.Point { return d.pos }
 
@@ -195,7 +176,7 @@ func (d *Device) SetPos(p geo.Point) { d.pos = p }
 // Publish starts broadcasting a service advertisement every period.
 func (d *Device) Publish(service string, code uint64, payload string, period time.Duration) *Publication {
 	pub := &Publication{Service: service, Code: code, Payload: payload, Period: period, dev: d}
-	pub.ticker = sim.NewTicker(d.env.eng, period, func() { d.env.broadcast(pub) })
+	sim.NewTicker(d.env.eng, period, func() { d.env.broadcast(pub) })
 	d.pubs = append(d.pubs, pub)
 	d.env.pubStarted(period)
 	return pub
@@ -230,14 +211,13 @@ type Env struct {
 	rbUsed        *telemetry.Counter
 	ulUtilization *telemetry.Gauge
 
-	// activePubs tracks live publications for the utilization gauge; the
-	// period of the most recent Publish is used as the allocation period.
+	// activePubs counts publications for the utilization gauge; the period
+	// of the most recent Publish is used as the allocation period.
 	activePubs int
-	lastPeriod time.Duration
 }
 
 // NewEnv creates a radio environment on eng with the default (LTE-direct)
-// channel. Use a Technology's Apply method to switch radios.
+// channel; set PathLoss to model another radio.
 func NewEnv(eng *sim.Engine) *Env {
 	scope := eng.Metrics().Scope("d2d")
 	return &Env{
@@ -253,17 +233,10 @@ func NewEnv(eng *sim.Engine) *Env {
 	}
 }
 
-// pubStarted/pubStopped keep the uplink-utilization gauge current as
-// publications come and go.
+// pubStarted counts a new publication into the uplink-utilization gauge.
 func (e *Env) pubStarted(period time.Duration) {
 	e.activePubs++
-	e.lastPeriod = period
 	e.ulUtilization.Set(UplinkUtilization(e.activePubs, period))
-}
-
-func (e *Env) pubStopped() {
-	e.activePubs--
-	e.ulUtilization.Set(UplinkUtilization(e.activePubs, e.lastPeriod))
 }
 
 // AddDevice registers a new device at pos.
@@ -277,9 +250,6 @@ func (e *Env) AddDevice(name string, pos geo.Point) *Device {
 	e.devices = append(e.devices, d)
 	return d
 }
-
-// Devices returns all registered devices.
-func (e *Env) Devices() []*Device { return e.devices }
 
 // broadcast delivers pub's message to every other device within decode
 // range, applying modem-side expression filtering.

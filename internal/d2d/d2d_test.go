@@ -27,7 +27,7 @@ func TestPathLossInverse(t *testing.T) {
 	f := func(raw uint16) bool {
 		d := 1 + float64(raw%600)/10 // 1..61 m
 		rx := m.MeanRxPower(d)
-		back := m.InvertMeanDistance(rx)
+		back := meanDistance(m, rx)
 		return math.Abs(back-d) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -164,25 +164,6 @@ func TestSubscriptionCancel(t *testing.T) {
 	eng.RunUntil(sim.Time(5 * time.Second))
 	if n != 1 {
 		t.Errorf("deliveries = %d, want 1 (cancelled after first)", n)
-	}
-}
-
-func TestPublicationStop(t *testing.T) {
-	eng := sim.NewEngine(3)
-	env := NewEnv(eng)
-	p := env.AddDevice("p", geo.Point{X: 0, Y: 0})
-	s := env.AddDevice("s", geo.Point{X: 2, Y: 0})
-	n := 0
-	s.Subscribe(Expression{Code: 5, Mask: MaskItem}, func(DiscoveryMessage) { n++ })
-	pub := p.Publish("svc", 5, "x", time.Second)
-	eng.RunUntil(sim.Time(2500 * time.Millisecond))
-	pub.Stop()
-	eng.RunUntil(sim.Time(10 * time.Second))
-	if n != 2 {
-		t.Errorf("deliveries = %d, want 2", n)
-	}
-	if pub.Broadcasts != 2 {
-		t.Errorf("broadcasts = %d, want 2", pub.Broadcasts)
 	}
 }
 

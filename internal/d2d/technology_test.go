@@ -1,6 +1,7 @@
 package d2d
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -8,10 +9,92 @@ import (
 	"acacia/internal/sim"
 )
 
+// Technology characterizes a proximity service discovery radio. The paper
+// (§8) notes ACACIA can run over other pub/sub discovery technologies —
+// Bluetooth iBeacon and Wi-Fi Aware — which differ in transmit power,
+// propagation, discovery period and scale, but expose the same service
+// discovery message + power-level shape the device manager consumes.
+type Technology struct {
+	Name     string
+	PathLoss PathLossModel
+	// SensitivityDBm is the weakest decodable broadcast.
+	SensitivityDBm float64
+	// MinPeriod is the fastest sensible advertisement period.
+	MinPeriod time.Duration
+	// TypicalRangeM is the advertised usable range; derived ranges are
+	// validated against it.
+	TypicalRangeM float64
+}
+
+// The three technologies the paper discusses.
+var (
+	// LTEDirect: 23 dBm UE transmit power, licensed spectrum, superior
+	// range and robustness; 5-10 s discovery periods.
+	LTEDirect = Technology{
+		Name:           "LTE-direct",
+		PathLoss:       DefaultPathLoss,
+		SensitivityDBm: SensitivityDBm,
+		MinPeriod:      5 * time.Second,
+		TypicalRangeM:  60,
+	}
+	// IBeacon: Bluetooth LE at ~0 dBm with ~100 ms advertisement
+	// intervals; tens of meters indoors.
+	IBeacon = Technology{
+		Name: "iBeacon",
+		PathLoss: PathLossModel{
+			TxPowerDBm:    0,
+			RefLossDB:     60, // 2.4 GHz reference loss incl. antenna
+			Exponent:      2.6,
+			ShadowSigmaDB: 4.0, // BLE fading is noisier
+		},
+		SensitivityDBm: -95,
+		MinPeriod:      100 * time.Millisecond,
+		TypicalRangeM:  20,
+	}
+	// WiFiAware (NAN): ~15 dBm, 2.4/5 GHz, discovery windows every 512 TU
+	// (~524 ms).
+	WiFiAware = Technology{
+		Name: "Wi-Fi Aware",
+		PathLoss: PathLossModel{
+			TxPowerDBm:    15,
+			RefLossDB:     62,
+			Exponent:      2.8,
+			ShadowSigmaDB: 3.0,
+		},
+		SensitivityDBm: -92,
+		MinPeriod:      524 * time.Millisecond,
+		TypicalRangeM:  40,
+	}
+)
+
+// technologies lists the discovery radios above.
+func technologies() []Technology {
+	return []Technology{LTEDirect, IBeacon, WiFiAware}
+}
+
+// maxRange reports the distance at which t's mean received power falls to
+// its sensitivity: the decode horizon without shadowing.
+func maxRange(t Technology) float64 {
+	return meanDistance(t.PathLoss, t.SensitivityDBm)
+}
+
+// meanDistance returns the distance whose shadowing-free received power
+// under m equals rx dBm: the closed-form inverse of MeanRxPower.
+func meanDistance(m PathLossModel, rx float64) float64 {
+	return math.Pow(10, (m.TxPowerDBm-m.RefLossDB-rx)/(10*m.Exponent))
+}
+
+// apply switches e to t's channel, path loss and sensitivity. Existing
+// devices keep their subscriptions; only the radio model changes.
+func apply(t Technology, e *Env) {
+	e.PathLoss = t.PathLoss
+	e.sensitivity = t.SensitivityDBm
+}
+
 func TestTechnologyRangeOrdering(t *testing.T) {
-	lte := LTEDirect.MaxRange()
-	wifi := WiFiAware.MaxRange()
-	ble := IBeacon.MaxRange()
+	lte := maxRange(LTEDirect)
+	wifi := maxRange(WiFiAware)
+	ble := maxRange(IBeacon)
 	if !(ble < wifi && wifi <= lte*2 && lte > wifi*0.5) {
 		t.Errorf("ranges: ble=%.1f wifi=%.1f lte=%.1f", ble, wifi, lte)
 	}
@@ -22,8 +105,8 @@ func TestTechnologyRangeOrdering(t *testing.T) {
 }
 
 func TestTechnologyRangesMatchSpec(t *testing.T) {
-	for _, tech := range Technologies() {
-		r := tech.MaxRange()
+	for _, tech := range technologies() {
+		r := maxRange(tech)
 		// The decode horizon should be the same order as the documented
 		// typical range (within a factor of ~3: typical < max).
 		if r < tech.TypicalRangeM*0.8 || r > tech.TypicalRangeM*4 {
@@ -42,7 +125,7 @@ func TestApplySwitchesChannel(t *testing.T) {
 
 	pub := env.AddDevice("p", geo.Point{X: 0, Y: 0})
 	// Subscriber placed beyond iBeacon range but inside LTE-direct range.
-	dist := (IBeacon.MaxRange() + 5)
+	dist := (maxRange(IBeacon) + 5)
 	sub := env.AddDevice("s", geo.Point{X: dist, Y: 0})
 	n := 0
 	sub.Subscribe(Expression{Code: 1, Mask: MaskItem}, func(DiscoveryMessage) { n++ })
@@ -56,7 +139,7 @@ func TestApplySwitchesChannel(t *testing.T) {
 	// Switch to iBeacon: the same geometry is now out of range.
 	tech := IBeacon
 	tech.PathLoss.ShadowSigmaDB = 0
-	tech.Apply(env)
+	apply(tech, env)
 	eng.RunUntil(sim.Time(4500 * time.Millisecond))
 	if n != 1 {
 		t.Errorf("iBeacon deliveries at %.1f m = %d, want none beyond range", dist, n-1)
@@ -68,7 +151,7 @@ func TestIBeaconWorksAtShortRange(t *testing.T) {
 	env := NewEnv(eng)
 	tech := IBeacon
 	tech.PathLoss.ShadowSigmaDB = 0
-	tech.Apply(env)
+	apply(tech, env)
 	pub := env.AddDevice("p", geo.Point{X: 0, Y: 0})
 	sub := env.AddDevice("s", geo.Point{X: 5, Y: 0})
 	n := 0
@@ -88,7 +171,7 @@ func TestDiscoveryLatencyByTechnology(t *testing.T) {
 		eng := sim.NewEngine(33)
 		env := NewEnv(eng)
 		tech.PathLoss.ShadowSigmaDB = 0
-		tech.Apply(env)
+		apply(tech, env)
 		pub := env.AddDevice("p", geo.Point{X: 0, Y: 0})
 		sub := env.AddDevice("s", geo.Point{X: 10, Y: 0})
 		var at sim.Time

@@ -51,7 +51,7 @@ func TestAttachBatchAmortizesGTPv2(t *testing.T) {
 		}
 	}
 	for _, ue := range cohort {
-		if !ue.Attached() {
+		if !ue.attached {
 			t.Errorf("UE %s not attached", ue.IMSI)
 		}
 		sess := tb.core.Session(ue.IMSI)
@@ -61,7 +61,7 @@ func TestAttachBatchAmortizesGTPv2(t *testing.T) {
 	}
 	// The shared chain is 6 GTPv2 messages regardless of cohort size:
 	// Create Session req/resp on S11 and S5, Modify Bearer req/resp.
-	d := tb.core.Acct.Diff(before)
+	d := acctDiff(tb.core.Acct, before)
 	if d.Msgs[ProtoGTPv2] != 6 {
 		t.Errorf("GTPv2 msgs = %d, want 6 for the whole cohort", d.Msgs[ProtoGTPv2])
 	}
@@ -95,8 +95,8 @@ func TestAttachBatchReportsInvalidMembers(t *testing.T) {
 		t.Error("unprovisioned cohort member attached")
 	}
 	for _, ue := range cohort[:2] {
-		if results[ue.IMSI] != nil || !ue.Attached() {
-			t.Errorf("valid member %s: err=%v attached=%v", ue.IMSI, results[ue.IMSI], ue.Attached())
+		if results[ue.IMSI] != nil || !ue.attached {
+			t.Errorf("valid member %s: err=%v attached=%v", ue.IMSI, results[ue.IMSI], ue.attached)
 		}
 	}
 }
@@ -116,11 +116,11 @@ func TestDetachBatch(t *testing.T) {
 		if err, ok := results[ue.IMSI]; !ok || err != nil {
 			t.Errorf("detach %s: ok=%v err=%v", ue.IMSI, ok, err)
 		}
-		if ue.Attached() || tb.core.Session(ue.IMSI) != nil {
+		if ue.attached || tb.core.Session(ue.IMSI) != nil {
 			t.Errorf("UE %s still attached", ue.IMSI)
 		}
 	}
-	if d := tb.core.Acct.Diff(before); d.Msgs[ProtoGTPv2] != 4 {
+	if d := acctDiff(tb.core.Acct, before); d.Msgs[ProtoGTPv2] != 4 {
 		t.Errorf("GTPv2 msgs = %d, want 4 for the whole cohort", d.Msgs[ProtoGTPv2])
 	}
 	if got := tb.coreSGW.FlowCount(); got != 0 {
@@ -170,7 +170,7 @@ func TestBatchFailureUnwinds(t *testing.T) {
 			if errs[ue.IMSI] != 1 {
 				t.Errorf("%s: %s heard %d errors, want exactly 1", procedure, ue.IMSI, errs[ue.IMSI])
 			}
-			if ue.Attached() {
+			if ue.attached {
 				t.Errorf("%s: %s still attached", procedure, ue.IMSI)
 			}
 		}

@@ -96,7 +96,7 @@ func killControl(tb *testbed, dead bool) {
 	if dead {
 		loss = 1
 	}
-	tb.enb.S1Link().SetLoss(loss)
+	tb.enb.s1Link.SetLoss(loss)
 	tb.core.S11Link().SetLoss(loss)
 	tb.core.S5Link().SetLoss(loss)
 }
@@ -224,7 +224,7 @@ func TestDedicatedActivationFailureReleasesRadio(t *testing.T) {
 		if n := len(tb.enb.byDLTEID); n != base {
 			t.Fatalf("kill@%dms: eNB holds %d downlink mappings, want %d", killMS, n, base)
 		}
-		if ebi := tb.ue.BearerFor(ciFlow(tb), 0); ebi != EBIDefault {
+		if ebi := bearerFor(tb.ue, ciFlow(tb), 0); ebi != EBIDefault {
 			t.Fatalf("kill@%dms: the modem still steers CI traffic onto EBI %d", killMS, ebi)
 		}
 		killControl(tb, false)

@@ -159,14 +159,8 @@ func (c *Core) S5Link() *netsim.Link { return c.s5Link }
 // Transport returns the control-plane transaction transport.
 func (c *Core) Transport() *ctl.Transport { return c.Txn }
 
-// IdleTimeout reports the configured inactivity timeout.
-func (c *Core) IdleTimeout() time.Duration { return c.cfg.IdleTimeout }
-
 // Session returns the session for an IMSI, or nil.
 func (c *Core) Session(imsi string) *Session { return c.sessions[imsi] }
-
-// SessionByIP returns the session owning a UE IP, or nil.
-func (c *Core) SessionByIP(ip pkt.Addr) *Session { return c.byIP[ip] }
 
 // proc is the state every control procedure shares over the lossy
 // transport: continuations run only while the procedure is live, the
@@ -538,14 +532,6 @@ type Session struct {
 // s1ap builds a UE-associated S1AP message of the session.
 func (s *Session) s1ap(p pkt.S1APProcedure, cause uint8, nas []byte) *pkt.S1APMsg {
 	return &pkt.S1APMsg{Procedure: p, ENBUEID: s.ENBUEID, MMEUEID: s.MMEUEID, Cause: cause, NAS: nas}
-}
-
-// Bearer returns the bearer with the given EBI, or nil.
-func (s *Session) Bearer(ebi uint8) *Bearer {
-	if ebi >= 16 {
-		return nil
-	}
-	return s.Bearers[ebi]
 }
 
 // DedicatedBearers lists non-default bearers in EBI order. The returned

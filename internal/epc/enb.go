@@ -84,14 +84,8 @@ func NewENB(core *Core, node *netsim.Node) *ENB {
 	return e
 }
 
-// S1Link returns the eNB's S1-MME control link (fault-injection handle).
-func (e *ENB) S1Link() *netsim.Link { return e.s1Link }
-
 // Addr returns the eNB's S1-U endpoint address.
 func (e *ENB) Addr() pkt.Addr { return e.node.Addr() }
-
-// Node returns the underlying network node.
-func (e *ENB) Node() *netsim.Node { return e.node }
 
 // ConnectUE attaches a UE's radio link to this eNB. The returned link is
 // the radio bearer path; radioCfg applies in both directions with

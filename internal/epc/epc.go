@@ -139,11 +139,6 @@ func (a *Accounting) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
 	return dst
 }
 
-// Record adds one message.
-func (a *Accounting) Record(at sim.Time, proto Protocol, name string, bytes int) {
-	a.RecordTx(at, proto, name, bytes, 0, "")
-}
-
 // RecordTx adds one message with its transport identity (sequence number
 // and endpoint path). It returns the record's index in the trace log so the
 // caller can attach wire observations later via NoteTransport, or -1 when
@@ -180,16 +175,6 @@ func (a *Accounting) Snapshot() Accounting {
 	return Accounting{Msgs: a.Msgs, Bytes: a.Bytes, logLen: len(a.Log)}
 }
 
-// Diff reports counters accumulated since an earlier snapshot.
-func (a *Accounting) Diff(since Accounting) Accounting {
-	var d Accounting
-	for i := range a.Msgs {
-		d.Msgs[i] = a.Msgs[i] - since.Msgs[i]
-		d.Bytes[i] = a.Bytes[i] - since.Bytes[i]
-	}
-	return d
-}
-
 // DiffLog returns the trace records appended to the live log since the given
 // Snapshot was taken. It requires Trace to have been enabled over the
 // interval; with tracing off it returns nil.
@@ -198,24 +183,6 @@ func (a *Accounting) DiffLog(since Accounting) []MsgRecord {
 		return nil
 	}
 	return a.Log[since.logLen:]
-}
-
-// TotalMsgs sums message counts across protocols.
-func (a *Accounting) TotalMsgs() uint64 {
-	var t uint64
-	for _, v := range a.Msgs {
-		t += v
-	}
-	return t
-}
-
-// TotalBytes sums byte counts across protocols.
-func (a *Accounting) TotalBytes() uint64 {
-	var t uint64
-	for _, v := range a.Bytes {
-		t += v
-	}
-	return t
 }
 
 // teidAllocator hands out unique tunnel endpoint identifiers per gateway.

@@ -63,12 +63,6 @@ type PCRF struct {
 // AddRule provisions a policy rule for a service.
 func (p *PCRF) AddRule(r PolicyRule) { p.rules[r.ServiceID] = r }
 
-// Rule returns the rule for a service id.
-func (p *PCRF) Rule(serviceID string) (PolicyRule, bool) {
-	r, ok := p.rules[serviceID]
-	return r, ok
-}
-
 // RequestDedicatedBearer is the Rx-like entry point used by the MRS: it
 // resolves policy for (service, UE, CI server) and asks the PCEF to
 // activate a dedicated bearer on the given local user planes. done (may be

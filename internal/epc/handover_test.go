@@ -13,28 +13,12 @@ import (
 func withSecondENB(t *testing.T, tb *testbed) *ENB {
 	t.Helper()
 	enb2N := tb.nw.AddNode("enb2", pkt.AddrFrom(10, 1, 0, 2))
-	rtrN := tb.nw.Node("backhaul")
+	rtrN := tb.rtr.Node
 	tb.nw.ConnectSymmetric(enb2N, rtrN, netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: backhaulDelay})
-	// The router learned its earlier ports in buildTestbed; add this one.
-	rtr := routerOf(tb)
-	rtr.AddHostRoute(enb2N.Addr(), rtrN.Port(len(rtrN.Ports())-1))
+	tb.rtr.AddHostRoute(enb2N.Addr(), rtrN.Port(len(rtrN.Ports())-1))
 	enb2 := NewENB(tb.core, enb2N)
 	enb2.ConnectUE(tb.ue, netsim.LinkConfig{BitsPerSecond: 100e6, Propagation: radioDelay})
 	return enb2
-}
-
-// routerOf rebuilds a router view over the backhaul node. The node's
-// handler is already the router's forward function; we only need AddRoute,
-// so keep the router from buildTestbed by stashing it — simplest is to
-// re-create it, which resets routes, so instead buildTestbed's router is
-// reconstructed here with all known routes.
-func routerOf(tb *testbed) *netsim.Router {
-	rtrN := tb.nw.Node("backhaul")
-	rtr := netsim.NewRouter(rtrN)
-	rtr.AddHostRoute(tb.nw.Node("enb").Addr(), rtrN.Port(0))
-	rtr.AddHostRoute(tb.nw.Node("core-sgw-u").Addr(), rtrN.Port(1))
-	rtr.AddHostRoute(tb.nw.Node("edge-sgw-u").Addr(), rtrN.Port(2))
-	return rtr
 }
 
 func TestHandoverMovesSession(t *testing.T) {
@@ -63,7 +47,7 @@ func TestHandoverMovesSession(t *testing.T) {
 	if tb.core.MME.Handovers != 1 {
 		t.Errorf("handover count = %d", tb.core.MME.Handovers)
 	}
-	if sess.UE.ServingENB() != enb2 {
+	if sess.UE.enb != enb2 {
 		t.Error("UE radio not retuned")
 	}
 	// Bearers survive with fresh eNB-side TEIDs.
@@ -83,7 +67,7 @@ func TestHandoverDataContinuity(t *testing.T) {
 	pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5100)
 	pg.Start(20 * time.Millisecond)
 	tb.eng.RunFor(time.Second)
-	lostBefore := pg.Lost()
+	lostBefore := pg.Sent - pg.Received
 
 	tb.core.MME.Handover(sess, enb2, nil)
 	tb.eng.RunFor(2 * time.Second)
@@ -95,7 +79,7 @@ func TestHandoverDataContinuity(t *testing.T) {
 	}
 	// The radio interruption plus the pre-path-switch downlink window cost
 	// a bounded handful of probes at 20 ms spacing.
-	lostDuring := pg.Lost() - lostBefore
+	lostDuring := (pg.Sent - pg.Received) - lostBefore
 	if lostDuring > 10 {
 		t.Errorf("lost %d probes across handover, want a small bounded gap", lostDuring)
 	}
@@ -124,7 +108,7 @@ func TestHandoverMessageAccounting(t *testing.T) {
 	if !done {
 		t.Fatal("handover incomplete")
 	}
-	d := tb.core.Acct.Diff(before)
+	d := acctDiff(tb.core.Acct, before)
 	// Required, Request, RequestAck, Command, Notify.
 	if d.Msgs[ProtoS1AP] != 5 {
 		t.Errorf("handover S1AP messages = %d, want 5", d.Msgs[ProtoS1AP])

@@ -58,7 +58,7 @@ func TestLegAfterFailureRunsNothing(t *testing.T) {
 	if failed == nil {
 		t.Fatal("the procedure did not fail over a dead S11")
 	}
-	if tb.enb.S1Link().StatsAB().Delivered == 0 {
+	if tb.enb.s1Link.StatsAB().Delivered == 0 {
 		t.Fatal("the S1 leg never landed")
 	}
 	if ran != 0 {
@@ -76,7 +76,7 @@ func TestLegAfterFailureRunsNothing(t *testing.T) {
 func TestRetransmittedLegRunsOnce(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	c := tb.core
-	s1 := tb.enb.S1Link()
+	s1 := tb.enb.s1Link
 	ran := 0
 	pr := &proc{}
 	c.sendS1AP(c.takeLeg(pr, func() { ran++ }), c.mmeEP, tb.enb.ep, &pkt.S1APMsg{Procedure: pkt.S1APPaging})
@@ -100,7 +100,7 @@ func TestRetransmittedLegRunsOnce(t *testing.T) {
 	distinctLegs(t, c)
 
 	// Whole procedures over lossy links keep the contract too.
-	tb.enb.S1Link().SetLoss(0.2)
+	tb.enb.s1Link.SetLoss(0.2)
 	c.S11Link().SetLoss(0.2)
 	tb.attach(t)
 	if err := tb.ue.Detach(nil); err != nil {
@@ -216,7 +216,7 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	var firstErr, secondErr error
 	firstCalls, secondCalls, timeoutsAtReuse := 0, 0, uint64(0)
 	var record *handover
-	tb.eng.Schedule(time.Millisecond, func() { tb.enb.S1Link().SetDown(true) })
+	tb.eng.Schedule(time.Millisecond, func() { tb.enb.s1Link.SetDown(true) })
 	c.MME.Handover(sess, enb2, func(err error) {
 		firstErr = err
 		firstCalls++
@@ -224,7 +224,7 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 			t.Fatalf("%d handover records free after the first ended, want 1", len(c.hoFree))
 		}
 		record, timeoutsAtReuse = c.hoFree[0], c.Transport().Timeouts()
-		tb.enb.S1Link().SetDown(false)
+		tb.enb.s1Link.SetDown(false)
 		c.MME.Handover(sess, enb2, func(err error) { secondErr = err; secondCalls++ })
 		if len(c.hoFree) != 0 {
 			t.Fatal("the second handover did not take the first one's record")
@@ -245,9 +245,9 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	if len(c.hoFree) != 1 || c.hoFree[0] != record {
 		t.Fatal("the reused record did not come back to the free list alone")
 	}
-	if sess.ENB != enb2 || tb.ue.ServingENB() != enb2 || c.MME.Handovers != 1 {
+	if sess.ENB != enb2 || tb.ue.enb != enb2 || c.MME.Handovers != 1 {
 		t.Fatalf("session at %s, UE at %s, %d handovers; want enb2, enb2, 1",
-			sess.ENB.Name(), tb.ue.ServingENB().Name(), c.MME.Handovers)
+			sess.ENB.Name(), tb.ue.enb.Name(), c.MME.Handovers)
 	}
 	for i, sw := range switches {
 		if got := sw.FlowCount(); got != flows[i] {

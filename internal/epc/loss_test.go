@@ -60,7 +60,7 @@ func TestAttachFailsCleanlyOnDeadS11(t *testing.T) {
 	if tb.core.Transport().Timeouts() == 0 {
 		t.Error("no timeout recorded for the failed transaction")
 	}
-	if tb.ue.Attached() {
+	if tb.ue.attached {
 		t.Error("UE reports attached after a failed attach")
 	}
 	if tb.core.Session(tb.ue.IMSI) != nil {
@@ -90,7 +90,7 @@ func TestDedicatedBearerFailureReleasesResources(t *testing.T) {
 	if derr == nil {
 		t.Fatal("dedicated bearer activation succeeded over a dead S11 link")
 	}
-	if got := len(tb.ue.Session().DedicatedBearers()); got != 0 {
+	if got := len(tb.ue.sess.DedicatedBearers()); got != 0 {
 		t.Fatalf("%d dedicated bearers exist after failed activation", got)
 	}
 
@@ -121,8 +121,8 @@ func TestHandoverLossyLegsLeakNothing(t *testing.T) {
 		var hoErr error
 		doneCalls := 0
 		tb.eng.Schedule(killAt, func() {
-			tb.enb.S1Link().SetLoss(1.0)
-			enb2.S1Link().SetLoss(1.0)
+			tb.enb.s1Link.SetLoss(1.0)
+			enb2.s1Link.SetLoss(1.0)
 			tb.core.S11Link().SetLoss(1.0)
 		})
 		tb.core.MME.Handover(sess, enb2, func(err error) {
@@ -140,8 +140,8 @@ func TestHandoverLossyLegsLeakNothing(t *testing.T) {
 			if sess.ENB != tb.enb {
 				t.Fatalf("kill@%v: session half-switched, ENB=%s", killAt, sess.ENB.Name())
 			}
-			if sess.UE.ServingENB() != tb.enb {
-				t.Fatalf("kill@%v: UE radio left at %s", killAt, sess.UE.ServingENB().Name())
+			if sess.UE.enb != tb.enb {
+				t.Fatalf("kill@%v: UE radio left at %s", killAt, sess.UE.enb.Name())
 			}
 			if n := len(enb2.byDLTEID); n != 0 {
 				t.Fatalf("kill@%v: %d bearer contexts leaked at the target eNB", killAt, n)
@@ -161,14 +161,14 @@ func TestHandoverLossyLegsLeakNothing(t *testing.T) {
 		} else {
 			successes++
 			// Late kill: the procedure finished first and must be complete.
-			if sess.ENB != enb2 || sess.UE.ServingENB() != enb2 {
+			if sess.ENB != enb2 || sess.UE.enb != enb2 {
 				t.Fatalf("kill@%v: handover reported success but session at %s", killAt, sess.ENB.Name())
 			}
 		}
 
 		// Heal and prove the session is usable on its current anchor.
-		tb.enb.S1Link().SetLoss(0)
-		enb2.S1Link().SetLoss(0)
+		tb.enb.s1Link.SetLoss(0)
+		enb2.s1Link.SetLoss(0)
 		tb.core.S11Link().SetLoss(0)
 		pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, uint16(5400+killMS))
 		pg.SendOne()
@@ -315,8 +315,8 @@ func TestAttachUnwindsRadioAfterContextSetup(t *testing.T) {
 			retried++
 		})
 		tb.eng.RunFor(2 * time.Second)
-		if retried != len(cohort) || retryErr != nil || !tb.ue.Attached() {
-			t.Errorf("%s: healed retry: %d outcomes, err=%v, attached=%v", p.name, retried, retryErr, tb.ue.Attached())
+		if retried != len(cohort) || retryErr != nil || !tb.ue.attached {
+			t.Errorf("%s: healed retry: %d outcomes, err=%v, attached=%v", p.name, retried, retryErr, tb.ue.attached)
 		}
 	}
 }

@@ -62,8 +62,8 @@ func TestProcedureTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.eng.RunFor(time.Second)
-	if !detached || tb.ue.Attached() {
-		t.Fatalf("detach: done=%v attached=%v", detached, tb.ue.Attached())
+	if !detached || tb.ue.attached {
+		t.Fatalf("detach: done=%v attached=%v", detached, tb.ue.attached)
 	}
 
 	cohort := tb.addBatchUEs(2)

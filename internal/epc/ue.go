@@ -49,12 +49,6 @@ func NewUE(node *netsim.Node, imsi string) *UE {
 // Addr returns the UE's IP address.
 func (u *UE) Addr() pkt.Addr { return u.node.Addr() }
 
-// Attached reports whether the attach procedure has completed.
-func (u *UE) Attached() bool { return u.attached }
-
-// Session returns the UE's EPC session (nil before attach completes).
-func (u *UE) Session() *Session { return u.sess }
-
 // Attach runs the initial attach through the connected eNB, establishing
 // the default bearer on the named user planes. done (may be nil) fires when
 // the attach completes or fails.
@@ -165,19 +159,9 @@ func (u *UE) classify(p *netsim.Packet) *netsim.Port {
 	return u.node.Port(u.servingPort)
 }
 
-// ServingENB reports the eNB currently serving the UE.
-func (u *UE) ServingENB() *ENB { return u.enb }
-
 // switchRadio retunes the UE to the target eNB's radio link (the RRC
 // reconfiguration with mobility control of an S1 handover).
 func (u *UE) switchRadio(target *ENB, portID int) {
 	u.enb = target
 	u.servingPort = portID
-}
-
-// BearerFor reports which EBI an uplink five-tuple would ride, by the
-// modem's own classification (for tests and observability).
-func (u *UE) BearerFor(flow pkt.FiveTuple, tos uint8) uint8 {
-	ebi, _ := u.match(flow, tos)
-	return ebi
 }

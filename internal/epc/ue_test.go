@@ -23,10 +23,10 @@ func activation(ebi uint8, qci pkt.QCI, f pkt.PacketFilter) []byte {
 }
 
 // TestModemClassification checks the UL TFT rule: classify (what packets
-// get), BearerFor (what tests and observers are told) and the eNB's
+// get), match (what bearerFor reports) and the eNB's
 // classifyUplink over a session holding the same TFTs agree on every flow,
 // the lowest precedence value wins, an equal-precedence tie goes to the
-// lowest EBI every time (BearerFor used to range a map there), and an EBI
+// lowest EBI every time (classification used to range a map there), and an EBI
 // can be installed, removed and installed again.
 func TestModemClassification(t *testing.T) {
 	nw := netsim.New(sim.NewEngine(1))
@@ -55,8 +55,8 @@ func TestModemClassification(t *testing.T) {
 		p := &netsim.Packet{Flow: flow}
 		ue.classify(p)
 		for i := 0; i < 20; i++ { // a map-ranged tie would flip within a few tries
-			if got := ue.BearerFor(flow, 0); got != wantEBI {
-				t.Fatalf("%s: BearerFor(port %d) = %d, want %d", step, flow.DstPort, got, wantEBI)
+			if got := bearerFor(ue, flow, 0); got != wantEBI {
+				t.Fatalf("%s: bearerFor(port %d) = %d, want %d", step, flow.DstPort, got, wantEBI)
 			}
 		}
 		if int(p.Priority) != wantQCI.Priority() {

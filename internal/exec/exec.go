@@ -53,15 +53,11 @@ func Workers(n int) int {
 	return n
 }
 
-// Run executes tasks on at most Workers(workers) goroutines and returns one
-// outcome per task, index-aligned with tasks regardless of completion order.
-func Run[T any](workers int, tasks []Task[T]) []Outcome[T] {
-	return RunProgress(workers, tasks, nil)
-}
-
-// RunProgress is Run with a completion callback: progress, when non-nil, is
-// invoked serially (never concurrently) after each task finishes, in
-// completion order. done counts finished tasks including the reported one.
+// RunProgress executes tasks on at most Workers(workers) goroutines and
+// returns one outcome per task, index-aligned with tasks regardless of
+// completion order. progress, when non-nil, is invoked serially (never
+// concurrently) after each task finishes, in completion order. done counts
+// finished tasks including the reported one.
 func RunProgress[T any](workers int, tasks []Task[T], progress func(done, total int, o Outcome[T])) []Outcome[T] {
 	outs := make([]Outcome[T], len(tasks))
 	if len(tasks) == 0 {

@@ -22,7 +22,7 @@ func TestOrderPreserved(t *testing.T) {
 			return i * 10, nil
 		}}
 	}
-	outs := Run(n, tasks)
+	outs := RunProgress(n, tasks, nil)
 	if len(outs) != n {
 		t.Fatalf("got %d outcomes, want %d", len(outs), n)
 	}
@@ -43,7 +43,7 @@ func TestPanicRecoveredSiblingsSurvive(t *testing.T) {
 		{Key: "boom", Run: func() (string, error) { panic("kaput") }},
 		{Key: "ok-2", Run: func() (string, error) { ran.Add(1); return "b", nil }},
 	}
-	outs := Run(2, tasks)
+	outs := RunProgress(2, tasks, nil)
 	if ran.Load() != 2 {
 		t.Errorf("sibling tasks ran = %d, want 2", ran.Load())
 	}
@@ -85,7 +85,7 @@ func TestBoundedConcurrency(t *testing.T) {
 			return struct{}{}, nil
 		}}
 	}
-	Run(workers, tasks)
+	RunProgress(workers, tasks, nil)
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak concurrency = %d, want <= %d", p, workers)
 	}
@@ -131,17 +131,17 @@ func TestProgressSerialized(t *testing.T) {
 
 func TestTaskErrorPropagates(t *testing.T) {
 	sentinel := errors.New("nope")
-	outs := Run(1, []Task[int]{{Key: "e", Run: func() (int, error) { return 0, sentinel }}})
+	outs := RunProgress(1, []Task[int]{{Key: "e", Run: func() (int, error) { return 0, sentinel }}}, nil)
 	if !errors.Is(outs[0].Err, sentinel) {
 		t.Errorf("err = %v, want sentinel", outs[0].Err)
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if outs := Run[int](4, nil); len(outs) != 0 {
+	if outs := RunProgress[int](4, nil, nil); len(outs) != 0 {
 		t.Errorf("empty run returned %d outcomes", len(outs))
 	}
-	outs := Run(8, []Task[int]{{Key: "only", Run: func() (int, error) { return 42, nil }}})
+	outs := RunProgress(8, []Task[int]{{Key: "only", Run: func() (int, error) { return 42, nil }}}, nil)
 	if outs[0].Value != 42 {
 		t.Errorf("single-task run = %+v", outs[0])
 	}

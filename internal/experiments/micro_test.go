@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 	"time"
 
@@ -28,20 +30,47 @@ func TestGWThroughputRecyclesPackets(t *testing.T) {
 // Fig. 8 and ablation-fastpath measure, at ideal switch costs: pool take at
 // the source, two megaflow-cache hits, sink release.
 func BenchmarkAllocGWChain(b *testing.B) {
+	send := gwChainRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+}
+
+// gwChainRig returns BenchmarkAllocGWChain's op once the first segments
+// have filled both megaflow caches and the pools.
+func gwChainRig(t testing.TB) func() {
 	c := newGWChain(1, sdn.IdealGWCosts)
 	send := func() {
 		c.send()
 		c.eng.RunFor(time.Millisecond)
 	}
-	// The first segment fills both megaflow caches and the pools.
 	send()
 	send()
 	if want := uint64(2 * gwSegment); c.bytes != want {
-		b.Fatalf("warm-up delivered %d bytes, want %d", c.bytes, want)
+		t.Fatalf("warm-up delivered %d bytes, want %d", c.bytes, want)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
+	return send
+}
+
+// TestGWChainAllocBudget holds gwChainRig to BenchmarkAllocGWChain's
+// ALLOC_BUDGET.json entry; the root package's TestAllocBudgets holds every
+// other entry and knows this one is held here.
+func TestGWChainAllocBudget(t *testing.T) {
+	raw, err := os.ReadFile("../../ALLOC_BUDGET.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget map[string]float64
+	if err := json.Unmarshal(raw, &budget); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := budget["BenchmarkAllocGWChain"]
+	if !ok {
+		t.Fatal("ALLOC_BUDGET.json has no BenchmarkAllocGWChain")
+	}
+	if got := testing.AllocsPerRun(1000, gwChainRig(t)); got > want {
+		t.Errorf("GW-U chain: %.0f allocs per segment, budget %.0f", got, want)
 	}
 }

@@ -32,10 +32,6 @@ const (
 	// LinkLoss injects independent per-packet loss with the event's Loss
 	// probability for the window (a loss burst).
 	LinkLoss
-	// NodeCrash fails every link attached to a registered node for the
-	// window, isolating it from the network without destroying its state —
-	// the simulation analog of a host losing power and rebooting.
-	NodeCrash
 	// SiteCrash fails every link of a registered edge site (its gateway
 	// fabric and CI server together), the outage the MEC failover path is
 	// built to survive.
@@ -49,8 +45,6 @@ func (k Kind) String() string {
 		return "link-down"
 	case LinkLoss:
 		return "link-loss"
-	case NodeCrash:
-		return "node-crash"
 	case SiteCrash:
 		return "site-crash"
 	}
@@ -81,13 +75,12 @@ type Plan struct {
 }
 
 // Injector applies fault plans to registered targets. Testbeds register
-// their interesting links, nodes and sites under stable names; experiments
+// their interesting links and sites under stable names; experiments
 // then describe outages against those names without reaching into
 // topology internals.
 type Injector struct {
 	eng   *sim.Engine
 	links map[string]*netsim.Link
-	nodes map[string]*netsim.Node
 	sites map[string][]*netsim.Link
 
 	// downRef / lossRef count overlapping windows per link so recovery of
@@ -108,7 +101,6 @@ func NewInjector(eng *sim.Engine) *Injector {
 	return &Injector{
 		eng:       eng,
 		links:     make(map[string]*netsim.Link),
-		nodes:     make(map[string]*netsim.Node),
 		sites:     make(map[string][]*netsim.Link),
 		downRef:   make(map[*netsim.Link]int),
 		lossRef:   make(map[*netsim.Link]int),
@@ -124,20 +116,11 @@ func (in *Injector) RegisterLink(name string, l *netsim.Link) {
 	in.links[name] = l
 }
 
-// RegisterNode names a node as a crash target: NodeCrash fails every link
-// attached to one of its ports.
-func (in *Injector) RegisterNode(name string, n *netsim.Node) {
-	in.nodes[name] = n
-}
-
 // RegisterSite names a group of links as an edge site: SiteCrash fails
 // them together.
 func (in *Injector) RegisterSite(name string, links ...*netsim.Link) {
 	in.sites[name] = links
 }
-
-// Link returns the registered link, or nil.
-func (in *Injector) Link(name string) *netsim.Link { return in.links[name] }
 
 // targets resolves an event to the links it manipulates.
 func (in *Injector) targets(e Event) ([]*netsim.Link, error) {
@@ -148,18 +131,6 @@ func (in *Injector) targets(e Event) ([]*netsim.Link, error) {
 			return nil, fmt.Errorf("fault: unknown link %q", e.Target)
 		}
 		return []*netsim.Link{l}, nil
-	case NodeCrash:
-		n, ok := in.nodes[e.Target]
-		if !ok {
-			return nil, fmt.Errorf("fault: unknown node %q", e.Target)
-		}
-		var out []*netsim.Link
-		for _, pt := range n.Ports() {
-			if l := pt.Link(); l != nil {
-				out = append(out, l)
-			}
-		}
-		return out, nil
 	case SiteCrash:
 		ls, ok := in.sites[e.Target]
 		if !ok {

@@ -22,9 +22,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Add returns p translated by (dx, dy).
-func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
-
 // Lerp linearly interpolates from p to q by t in [0,1].
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}

@@ -343,14 +343,3 @@ func TestThreeLandmarkFloor(t *testing.T) {
 		t.Error("walk does not end at landmark 3")
 	}
 }
-
-func TestRetailWalkPathVisitsAllCheckpoints(t *testing.T) {
-	f := RetailFloor()
-	p := RetailWalkPath(f)
-	if len(p.Waypoints) != 24 {
-		t.Errorf("waypoints = %d", len(p.Waypoints))
-	}
-	if p.Length() <= 0 {
-		t.Error("walk has no length")
-	}
-}

@@ -103,13 +103,3 @@ func ThreeLandmarkFloor() *Floor {
 func Fig6WalkPath() Path {
 	return Path{Waypoints: []Point{{5, 4}, {55, 4}}}
 }
-
-// RetailWalkPath returns a serpentine walk through all 24 retail
-// checkpoints in order.
-func RetailWalkPath(f *Floor) Path {
-	var pts []Point
-	for _, c := range f.Checkpoints {
-		pts = append(pts, c.Pos)
-	}
-	return Path{Waypoints: pts}
-}

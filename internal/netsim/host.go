@@ -203,9 +203,6 @@ func (pg *Pinger) Stop() {
 	}
 }
 
-// Lost reports probes sent but not (yet) answered.
-func (pg *Pinger) Lost() int { return pg.Sent - pg.Received }
-
 // --- Constant bit rate source ---
 
 // CBRSource emits fixed-size packets at a constant bit rate, the background
@@ -268,7 +265,7 @@ func NewSink(h *Host, port uint16) *Sink {
 }
 
 // Deliver implements App. The packet is recycled after the OnPacket hook
-// returns; hooks that keep the packet must call p.Retain.
+// returns; hooks that keep the packet must copy it (Network.ClonePacket).
 //
 //acacia:hotpath
 func (s *Sink) Deliver(h *Host, p *Packet) {

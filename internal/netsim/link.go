@@ -60,10 +60,6 @@ type LinkStats struct {
 	Bytes     uint64
 }
 
-// Offered reports the total load offered to the transmitter: packets
-// accepted (Sent) plus packets dropped at offer time (Dropped).
-func (s LinkStats) Offered() uint64 { return s.Sent + s.Dropped }
-
 // linkDir is one direction of a link: a single transmitter serving a bounded
 // queue, followed by a propagation delay line. Its activity counts are
 // plain fields; the link reports them under netsim/link/<n>/<src>-><dst>/.
@@ -199,9 +195,6 @@ func (d *linkDir) arrive(v any) {
 	d.dst.deliver(p)
 }
 
-// Backlog reports the bytes currently waiting in the transmit queue.
-func (d *linkDir) Backlog() int { return d.qBytes }
-
 type queuedPacket struct {
 	p   *Packet
 	enq sim.Time
@@ -299,7 +292,7 @@ func (l *Link) StatsAB() LinkStats { return l.ab.stats }
 func (l *Link) StatsBA() LinkStats { return l.ba.stats }
 
 // BacklogAB reports queued bytes in the A->B direction.
-func (l *Link) BacklogAB() int { return l.ab.Backlog() }
+func (l *Link) BacklogAB() int { return l.ab.qBytes }
 
 // SetConfigAB replaces the A->B direction configuration. Used by
 // experiments that vary emulated rate or RTT mid-run. Packets already
@@ -317,9 +310,6 @@ func (l *Link) SetDown(down bool) {
 	l.ab.down = down
 	l.ba.down = down
 }
-
-// Down reports whether the link is currently failed.
-func (l *Link) Down() bool { return l.ab.down }
 
 // SetLoss injects independent per-packet loss with probability p in both
 // directions. Zero restores lossless operation.
@@ -363,9 +353,6 @@ func (pt *Port) Peer() *Port {
 	}
 	return pt.link.A
 }
-
-// Link returns the attached link.
-func (pt *Port) Link() *Link { return pt.link }
 
 func (pt *Port) deliver(p *Packet) {
 	pt.Node.receive(pt, p)

@@ -104,10 +104,10 @@ func TestLaneQueuePriorityOutOfRangePanics(t *testing.T) {
 	}
 	// Through a link: only a prioritised direction reads Packet.Priority.
 	_, _, hb, _ := twoHosts(t, LinkConfig{BitsPerSecond: 1e6})
-	na := hb.Node.Network().Node("a")
+	na := hb.Node.Network().nodes["a"]
 	flow := pkt.FiveTuple{Src: na.Addr(), Dst: hb.Node.Addr(), DstPort: 80}
 	na.Inject(&Packet{Flow: flow, Size: 100, Priority: maxLanes}) // FIFO: lane 0
-	na.Port(0).Link().SetConfigAB(LinkConfig{BitsPerSecond: 1e6, Prioritized: true})
+	na.Port(0).link.SetConfigAB(LinkConfig{BitsPerSecond: 1e6, Prioritized: true})
 	defer func() {
 		if recover() == nil {
 			t.Error("prioritised send at priority 16 did not panic")
@@ -124,8 +124,8 @@ func TestLaneQueuePriorityOutOfRangePanics(t *testing.T) {
 func TestLinkOrderAcrossPrioritizedToggle(t *testing.T) {
 	cfg := LinkConfig{BitsPerSecond: 1e6, Prioritized: true}
 	eng, _, hb, _ := twoHosts(t, cfg)
-	na := hb.Node.Network().Node("a")
-	link := na.Port(0).Link()
+	na := hb.Node.Network().nodes["a"]
+	link := na.Port(0).link
 	var order []int
 	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) { order = append(order, p.Size) }))
 

@@ -11,16 +11,9 @@ import (
 // the node originates locally (injected via Node.Inject).
 type Handler func(ingress *Port, p *Packet)
 
-// NodeStats counts node-level packet activity.
-type NodeStats struct {
-	Received  uint64
-	Forwarded uint64
-	HopDrops  uint64
-}
-
 // Node is a network element: a host, gateway, switch or base station. Its
 // behaviour lives in the Handler installed by the owning layer (epc, sdn,
-// core). The node itself provides ports, addressing and counters; per-packet
+// core). The node itself provides ports and addressing; per-packet
 // processing cost belongs to the handler (sdn.Switch serves its own CPU).
 type Node struct {
 	net     *Network
@@ -28,7 +21,6 @@ type Node struct {
 	addr    pkt.Addr
 	ports   []*Port
 	handler Handler
-	stats   NodeStats
 }
 
 // Name reports the node's unique name within its network.
@@ -48,9 +40,6 @@ func (n *Node) Engine() *sim.Engine { return n.net.eng }
 //
 //acacia:hotpath
 func (n *Node) NewPacket() *Packet { return n.net.NewPacket() }
-
-// Stats reports the node's packet counters.
-func (n *Node) Stats() NodeStats { return n.stats }
 
 // SetHandler installs the packet handler. It must be set before traffic
 // reaches the node.
@@ -81,10 +70,8 @@ func (n *Node) Inject(p *Packet) {
 //
 //acacia:hotpath
 func (n *Node) receive(ingress *Port, p *Packet) {
-	n.stats.Received++
 	p.Hops++
 	if p.Hops > MaxHops {
-		n.stats.HopDrops++
 		n.net.Release(p)
 		return
 	}
@@ -96,7 +83,6 @@ func (n *Node) handle(ingress *Port, p *Packet) {
 	if n.handler == nil {
 		noHandler(n.name)
 	}
-	n.stats.Forwarded++
 	n.handler(ingress, p)
 }
 
@@ -126,9 +112,6 @@ func New(eng *sim.Engine) *Network {
 	}
 }
 
-// Engine returns the driving simulation engine.
-func (nw *Network) Engine() *sim.Engine { return nw.eng }
-
 // AddNode creates a node with a unique name and primary address.
 func (nw *Network) AddNode(name string, addr pkt.Addr) *Node {
 	if _, dup := nw.nodes[name]; dup {
@@ -146,9 +129,6 @@ func (nw *Network) AddNode(name string, addr pkt.Addr) *Node {
 	}
 	return n
 }
-
-// Node returns the node with the given name, or nil.
-func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
 
 // Connect joins two nodes with a link configured independently per
 // direction (ab: a->b, ba: b->a) and returns it. New ports are appended to

@@ -53,10 +53,8 @@ type Packet struct {
 	// pooled marks packets drawn from the network's free-list
 	// (Network.NewPacket/Node.NewPacket/ClonePacket); only those are
 	// recycled by Release. freed marks a pooled packet currently resting in
-	// the free-list, the double-release canary. retained marks a packet an
-	// application decided to keep past the delivery callback: Release then
-	// becomes a no-op and the packet leaves pool management for good.
-	pooled, freed, retained bool
+	// the free-list, the double-release canary.
+	pooled, freed bool
 
 	// CreatedAt is when the packet entered the network.
 	CreatedAt sim.Time
@@ -64,12 +62,6 @@ type Packet struct {
 	// across every hop so far.
 	QueueWait time.Duration
 }
-
-// Retain opts the packet out of pool recycling. Applications that keep a
-// delivered packet beyond their callback (downlink buffering, reinjection
-// queues) call this so a later Release at a drop site cannot recycle state
-// they still hold.
-func (p *Packet) Retain() { p.retained = true }
 
 // MaxHops aborts forwarding loops: no testbed path is longer than this.
 const MaxHops = 64

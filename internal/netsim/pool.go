@@ -10,8 +10,8 @@ package netsim
 // Ownership rule: a packet is owned by whichever queue, link or handler
 // currently holds it. The handler that ends a packet's life — a drop site, a
 // terminal application callback, an experiment harness's sink — releases
-// it. Applications that keep a packet past their callback must call Retain
-// first.
+// it. Applications that keep a packet past their callback keep a
+// ClonePacket copy instead.
 
 // NewPacket returns a zeroed pool-managed packet owned by the caller.
 //
@@ -59,14 +59,14 @@ func (nw *Network) ClonePacket(p *Packet) *Packet {
 }
 
 // Release returns a pool-managed packet to the free-list. Releasing a
-// non-pooled or retained packet is a no-op; releasing the same pooled packet
+// non-pooled packet is a no-op; releasing the same pooled packet
 // twice panics (the mutate-after-release canary). The packet is zeroed on
 // release, so stale readers observe garbage immediately instead of silently
 // corrupting a recycled packet.
 //
 //acacia:hotpath
 func (nw *Network) Release(p *Packet) {
-	if !p.pooled || p.retained {
+	if !p.pooled {
 		return
 	}
 	if p.freed {

@@ -59,22 +59,6 @@ func TestPoolNonPooledReleaseNoOp(t *testing.T) {
 	}
 }
 
-// TestPoolRetainedNotRecycled checks Retain: an application that keeps a
-// packet past its callback opts it out of recycling entirely.
-func TestPoolRetainedNotRecycled(t *testing.T) {
-	nw := poolNet()
-	p := nw.NewPacket()
-	p.Size = 777
-	p.Retain()
-	nw.Release(p)
-	if p.Size != 777 {
-		t.Error("retained packet was zeroed by Release")
-	}
-	if q := nw.NewPacket(); q == p {
-		t.Error("retained packet re-issued by the pool")
-	}
-}
-
 // TestPoolLIFOReuse checks the recycle order is deterministic: NewPacket
 // returns the most recently released packet. Seeded runs depend on this —
 // a randomized free-list would still be correct but would make allocation

@@ -32,13 +32,6 @@ var qciTable = map[QCI]QCIClass{
 	9: {QCI: 9, GBR: false, Priority: 9, DelayBudget: 300 * time.Millisecond, LossRate: 1e-6, Example: "default best effort"},
 }
 
-// Class returns the standardized characteristics for q and whether q is a
-// known standardized value.
-func (q QCI) Class() (QCIClass, bool) {
-	c, ok := qciTable[q]
-	return c, ok
-}
-
 // qciPriority is qciTable's Priority column, read once per uplink packet.
 var qciPriority = func() (t [256]uint8) {
 	for q := range t {
@@ -53,17 +46,6 @@ var qciPriority = func() (t [256]uint8) {
 // Priority returns the scheduling priority for q (lower = more urgent).
 // Unknown QCIs get the lowest priority.
 func (q QCI) Priority() int { return int(qciPriority[q]) }
-
-// Valid reports whether q is a standardized QCI value.
-func (q QCI) Valid() bool {
-	_, ok := qciTable[q]
-	return ok
-}
-
-// StandardQCIs lists all standardized QCI values in ascending order.
-func StandardQCIs() []QCI {
-	return []QCI{1, 2, 3, 4, 5, 6, 7, 8, 9}
-}
 
 // QCIDefault is the QCI carried by default bearers in the testbed.
 const QCIDefault QCI = 9

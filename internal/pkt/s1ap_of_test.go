@@ -324,8 +324,8 @@ func TestOpenFlowMatchRejectsWrongWidth(t *testing.T) {
 }
 
 func TestQCITable(t *testing.T) {
-	for _, q := range StandardQCIs() {
-		c, ok := q.Class()
+	for q := QCI(1); q <= 9; q++ {
+		c, ok := qciTable[q]
 		if !ok {
 			t.Errorf("QCI %d missing from table", q)
 			continue
@@ -337,15 +337,15 @@ func TestQCITable(t *testing.T) {
 			t.Errorf("QCI %d has invalid characteristics %+v", q, c)
 		}
 	}
-	if QCI(42).Valid() {
-		t.Error("QCI 42 reported valid")
+	if _, ok := qciTable[42]; ok || QCI(42).Priority() != 10 {
+		t.Error("QCI 42 is not unknown at the lowest priority")
 	}
 	if QCIMEC.Priority() >= QCIDefault.Priority() {
 		t.Error("MEC QCI must have stricter priority than default")
 	}
 	// Priorities are unique per the standard table.
 	seen := map[int]QCI{}
-	for _, q := range StandardQCIs() {
+	for q := QCI(1); q <= 9; q++ {
 		p := q.Priority()
 		if other, dup := seen[p]; dup {
 			t.Errorf("QCIs %d and %d share priority %d", q, other, p)

@@ -78,15 +78,6 @@ func (p *PacketFilter) MatchUplink(ft FiveTuple, tos uint8) bool {
 	return p.match(ft.Dst, ft.SrcPort, ft.DstPort, ft.Proto, tos)
 }
 
-// MatchDownlink reports whether a downlink packet matches the filter. For
-// downlink traffic the "remote" end is the source.
-func (p *PacketFilter) MatchDownlink(ft FiveTuple, tos uint8) bool {
-	if p.Direction == DirUplink {
-		return false
-	}
-	return p.match(ft.Src, ft.DstPort, ft.SrcPort, ft.Proto, tos)
-}
-
 func (p *PacketFilter) match(remote Addr, localPort, remotePort uint16, proto, tos uint8) bool {
 	if !p.RemoteAddr.IsZero() || !p.RemoteMask.IsZero() {
 		for i := 0; i < 4; i++ {
@@ -115,16 +106,6 @@ func (p *PacketFilter) match(remote Addr, localPort, remotePort uint16, proto, t
 func (t *TFT) MatchUplink(ft FiveTuple, tos uint8) bool {
 	for i := range t.Filters {
 		if t.Filters[i].MatchUplink(ft, tos) {
-			return true
-		}
-	}
-	return false
-}
-
-// MatchDownlink evaluates the TFT against a downlink packet.
-func (t *TFT) MatchDownlink(ft FiveTuple, tos uint8) bool {
-	for i := range t.Filters {
-		if t.Filters[i].MatchDownlink(ft, tos) {
 			return true
 		}
 	}

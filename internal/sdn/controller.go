@@ -11,17 +11,6 @@ import (
 	"acacia/internal/telemetry"
 )
 
-// MsgStats accounts controller-channel traffic by direction: message counts
-// and serialized byte totals. These feed the §4 control-overhead numbers.
-// It is a point-in-time view of the counters the controller registers under
-// sdn/controller/ in the engine's telemetry registry.
-type MsgStats struct {
-	Sent      uint64
-	SentBytes uint64
-	Received  uint64
-	RecvBytes uint64
-}
-
 // PacketInHandler reacts to a table miss: it receives the switch, ingress
 // port, the (already decapsulated) packet and the tunnel metadata it
 // carried. The packet is the controller's to keep — buffer-and-page logic
@@ -61,7 +50,8 @@ type Controller struct {
 	OnPathEvent func(sw *Switch, peer pkt.Addr, down bool)
 
 	// Channel counters, registered under sdn/controller/ in the engine's
-	// telemetry registry. Stats() assembles the MsgStats compat view.
+	// telemetry registry: message counts and serialized byte totals by
+	// direction. These feed the §4 control-overhead numbers.
 	sent      *telemetry.Counter
 	sentBytes *telemetry.Counter
 	recv      *telemetry.Counter
@@ -143,16 +133,6 @@ func NewController(eng *sim.Engine) *Controller {
 	}
 }
 
-// Stats reports channel counters, read back from the telemetry registry.
-func (c *Controller) Stats() MsgStats {
-	return MsgStats{
-		Sent:      c.sent.Value(),
-		SentBytes: c.sentBytes.Value(),
-		Received:  c.recv.Value(),
-		RecvBytes: c.recvBytes.Value(),
-	}
-}
-
 // AddSwitch connects a switch to the controller (the OpenFlow Hello
 // exchange).
 func (c *Controller) AddSwitch(sw *Switch) {
@@ -212,9 +192,6 @@ func (c *Controller) toController(sw *Switch, name string, size int, fn func()) 
 	seq := sw.ctlEP.NextSeq(c.ep.Addr())
 	sw.ctlEP.Send(c.ep.Addr(), seq, name, size, fn, nil, nil)
 }
-
-// Switch returns the connected switch with the given datapath id, or nil.
-func (c *Controller) Switch(dpid uint64) *Switch { return c.switches[dpid] }
 
 func (c *Controller) nextXID() uint32 {
 	c.xid++
@@ -308,15 +285,4 @@ func (c *Controller) pathStatus(sw *Switch, peer pkt.Addr, down bool) {
 			c.OnPathEvent(sw, peer, down)
 		}
 	})
-}
-
-// flowRemoved is called by a switch when an idle entry expires.
-func (c *Controller) flowRemoved(sw *Switch, e *FlowEntry) {
-	msg := &pkt.OFMsg{
-		Type: pkt.OFFlowRemoved, XID: c.nextXID(),
-		Cookie: e.Cookie, Priority: e.Priority, Match: e.Match,
-	}
-	// The notification rides the wire even though the controller has no
-	// handler beyond accounting.
-	c.toController(sw, "FlowRemoved", c.accountReceived(msg), func() {})
 }

@@ -47,7 +47,6 @@ type PathMonitor struct {
 	sw        *Switch
 	maxMisses int
 	peers     map[pkt.Addr]*PathState
-	ticker    *sim.Ticker
 	scope     telemetry.Scope
 
 	// OnPathDown/OnPathUp observe path state transitions. Independently of
@@ -75,14 +74,9 @@ func (sw *Switch) EnablePathMonitor(period time.Duration, maxMisses int) *PathMo
 		scope:     sw.eng.Metrics().Scope("sdn/pathmon").Scope(sw.node.Name()),
 	}
 	sw.pathMon = m
-	m.ticker = sim.NewTicker(sw.eng, period, m.tick)
+	sim.NewTicker(sw.eng, period, m.tick)
 	return m
 }
-
-// Peers returns the supervised path states. The returned map is the
-// monitor's live working set — its iteration order is randomized like any
-// Go map, so it serves lookups only.
-func (m *PathMonitor) Peers() map[pkt.Addr]*PathState { return m.peers }
 
 // Supervise pins a peer into the supervision set regardless of the flow
 // table: probes go out the given port every tick even after the peer's
@@ -97,9 +91,6 @@ func (m *PathMonitor) Supervise(peer pkt.Addr, port int) {
 	}
 	m.peers[peer] = &PathState{Peer: peer, Port: port, static: true}
 }
-
-// Stop halts supervision.
-func (m *PathMonitor) Stop() { m.ticker.Stop() }
 
 // sortedPeers collects the peer set in ascending address order, pinning
 // probe order — and with it packet enqueue order and any jitter RNG draws

@@ -10,19 +10,30 @@ import (
 	"acacia/internal/sim"
 )
 
-// runUntilServing advances the engine event by event until the switch CPU
-// has a packet in service, and returns the time its service period ends.
-func runUntilServing(t *testing.T, eng *sim.Engine, sw *Switch) sim.Time {
+// chargedCost runs eng until sw's CPU takes a packet into service, calls
+// during (if non-nil) at that instant, and then runs on until the service period ends. It
+// returns the CPU time the packet was charged: service start to cpuDone.
+func chargedCost(t *testing.T, eng *sim.Engine, sw *Switch, during func()) time.Duration {
 	t.Helper()
-	for !sw.busy {
-		at, ok := eng.NextEventAt()
-		if !ok {
-			t.Fatal("engine drained before the switch served a packet")
+	cpuDone := sw.cpuDoneF
+	defer func() { sw.node.SetHandler(sw.receive); sw.cpuDoneF = cpuDone }()
+	sw.node.SetHandler(func(in *netsim.Port, p *netsim.Packet) {
+		if sw.receive(in, p); sw.busy {
+			eng.Stop()
 		}
-		eng.RunUntil(at)
+	})
+	var done sim.Time
+	sw.cpuDoneF = func() { done = eng.Now(); eng.Stop(); cpuDone() }
+	eng.Run()
+	if !sw.busy {
+		t.Fatal("engine drained before the switch served a packet")
 	}
-	done, _ := eng.NextEventAt()
-	return done
+	start := eng.Now()
+	if during != nil {
+		during()
+	}
+	eng.Run()
+	return done.Sub(start)
 }
 
 // TestSingleProbeMatchesTwoProbes pins the one-probe-per-packet rule to the
@@ -55,45 +66,41 @@ func TestSingleProbeMatchesTwoProbes(t *testing.T) {
 				step, s.FastPathHits, s.SlowPathHits, occupancy(), s.TableMisses, fast, slow, occ)
 		}
 	}
-	// serve sends one packet, lets a table write land mid-service when asked
-	// to, and reports the CPU time the packet was charged.
-	serve := func(writeDuringService bool) time.Duration {
+	// serve sends one packet, runs during (if any) mid-service, and reports
+	// the CPU time the packet was charged.
+	serve := func(during func()) time.Duration {
 		g.sendTunneled(1000)
-		done := runUntilServing(t, g.eng, sw)
-		start := g.eng.Now()
-		if writeDuringService {
-			write()
-		}
-		return done.Sub(start)
+		return chargedCost(t, g.eng, sw, during)
 	}
 
-	if cost := serve(false); cost != ACACIAGWCosts.SlowPath {
+	if cost := serve(nil); cost != ACACIAGWCosts.SlowPath {
 		t.Fatalf("first packet charged %v, want the slow path", cost)
 	}
 	check("first packet learns", 0, 1, 1)
-	if cost := serve(false); cost != ACACIAGWCosts.FastPath {
+	if cost := serve(nil); cost != ACACIAGWCosts.FastPath {
 		t.Fatalf("second packet charged %v, want the fast path", cost)
 	}
 	check("undisturbed hit", 1, 1, 1)
 
 	// hit -> write lands during service -> charged fast, forwarded slow.
-	if cost := serve(true); cost != ACACIAGWCosts.FastPath {
+	if cost := serve(func() {
+		if write(); occupancy() != 0 {
+			t.Fatalf("occupancy %v after the flush, want 0", occupancy())
+		}
+	}); cost != ACACIAGWCosts.FastPath {
 		t.Fatalf("staged hit charged %v, want the fast path", cost)
-	}
-	if occupancy() != 0 {
-		t.Fatalf("occupancy %v after the flush, want 0", occupancy())
 	}
 	check("staged hit, flushed mid-service", 1, 2, 1)
 
 	// miss -> write -> still a miss (and the re-learned megaflow is gone).
 	write()
-	if cost := serve(true); cost != ACACIAGWCosts.SlowPath {
+	if cost := serve(write); cost != ACACIAGWCosts.SlowPath {
 		t.Fatalf("staged miss charged %v, want the slow path", cost)
 	}
 	check("staged miss, flushed mid-service", 1, 3, 1)
 
 	// A write between two packets, not during one, is the plain sequence.
-	if cost := serve(false); cost != ACACIAGWCosts.FastPath {
+	if cost := serve(nil); cost != ACACIAGWCosts.FastPath {
 		t.Fatalf("hit after re-learn charged %v, want the fast path", cost)
 	}
 	check("hit after re-learn", 2, 3, 1)

@@ -2,6 +2,7 @@ package sdn
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -9,6 +10,21 @@ import (
 	"acacia/internal/pkt"
 	"acacia/internal/sim"
 )
+
+// tableOrder lists the live slots in table order: descending priority, then
+// arrival. It is the order the historical linear scan walked.
+func (sw *Switch) tableOrder() []int32 {
+	order := make([]int32, 0, sw.flows)
+	for i := int32(1); i <= sw.nslots; i++ {
+		if sw.slot(i).rank != 0 {
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return sw.slot(order[a]).rank&^rankSpecMask < sw.slot(order[b]).rank&^rankSpecMask
+	})
+	return order
+}
 
 // lookupScan is the historical O(#flows) linear scan over the table in
 // table order, kept as the semantic reference: the tests below hold
@@ -148,24 +164,19 @@ func TestLookupTracksMutations(t *testing.T) {
 		Match:   pkt.Match{TunnelID: pkt.U64(1000)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 2}}})
 	check("after install")
-	sw.ExpireIdleFlows()
-	check("after expiry pass")
 }
 
 // refTable is the table as it was before the index: a slice kept in
 // (priority desc, arrival) order by insertion-shift, a linear duplicate scan
-// on install, full scans for cookie removal and expiry, and the linear
+// on install, a full scan for cookie removal, and the linear
 // lookup. TestTableMatchesReferenceModel holds the switch to it operation by
 // operation.
 type refTable struct{ entries []refEntry }
 
-type refEntry struct {
-	FlowEntry
-	lastUsed sim.Time
-}
+type refEntry struct{ FlowEntry }
 
-func (r *refTable) install(e FlowEntry, now sim.Time) {
-	ne := refEntry{FlowEntry: e, lastUsed: now}
+func (r *refTable) install(e FlowEntry) {
+	ne := refEntry{e}
 	for i := range r.entries {
 		if r.entries[i].Priority == e.Priority && r.entries[i].Match == e.Match {
 			r.entries[i] = ne
@@ -195,12 +206,6 @@ func (r *refTable) filter(drop func(*refEntry) bool) int {
 
 func (r *refTable) remove(cookie uint64) int {
 	return r.filter(func(e *refEntry) bool { return e.Cookie == cookie })
-}
-
-func (r *refTable) expire(now sim.Time) int {
-	return r.filter(func(e *refEntry) bool {
-		return e.IdleTimeout > 0 && now.Sub(e.lastUsed) >= e.IdleTimeout
-	})
 }
 
 func (r *refTable) scan(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) *refEntry {
@@ -255,7 +260,7 @@ func modelProbe(rng *rand.Rand) (uint32, pkt.FiveTuple, uint64) {
 }
 
 // TestTableMatchesReferenceModel drives a seeded stream of install,
-// re-install, remove-by-cookie and expire at the switch and at the
+// re-install and remove-by-cookie at the switch and at the
 // reference table, and after every operation requires the same flow count,
 // the same (priority, arrival) dump order and the same winner for random
 // probes — from lookup, from the scan over the switch's own table, and from
@@ -276,22 +281,13 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					Match:    modelMatch(rng),
 					Actions:  []pkt.Action{{Type: pkt.ActionOutput, Port: uint32(op)}},
 				}
-				if rng.Intn(4) == 0 {
-					e.IdleTimeout = time.Duration(1+rng.Intn(3)) * time.Second
-				}
 				sw.installFlow(e)
-				ref.install(e, sw.eng.Now())
-			case r < 9:
+				ref.install(e)
+			default:
 				what = "remove"
 				cookie := uint64(rng.Intn(12))
 				if got, want := sw.removeFlows(cookie), ref.remove(cookie); got != want {
 					t.Fatalf("seed %d op %d: removeFlows(%d) = %d, reference %d", seed, op, cookie, got, want)
-				}
-			default:
-				what = "expire"
-				sw.eng.RunFor(time.Duration(rng.Intn(1500)) * time.Millisecond)
-				if got, want := sw.ExpireIdleFlows(), ref.expire(sw.eng.Now()); got != want {
-					t.Fatalf("seed %d op %d: ExpireIdleFlows = %d, reference %d", seed, op, got, want)
 				}
 			}
 			if sw.FlowCount() != len(ref.entries) {
@@ -400,7 +396,7 @@ func TestIndexChainsAndSlots(t *testing.T) {
 		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xd2, Match: dl, Actions: out(4)}) // path switch, new cookie
 		order := sw.tableOrder()
 		if sw.FlowCount() != 3 || tag(&sw.slot(order[1]).FlowEntry) != 4 {
-			t.Fatalf("after replace: %d flows, table %s", sw.FlowCount(), sw.DumpFlows())
+			t.Fatalf("after replace: %d flows, second in table order is install #%d", sw.FlowCount(), tag(&sw.slot(order[1]).FlowEntry))
 		}
 		if i := sw.lookup(0, pkt.FiveTuple{}, 0x5001); tag(&sw.slot(i).FlowEntry) != 4 {
 			t.Errorf("lookup still returns install #%d", tag(&sw.slot(i).FlowEntry))

@@ -21,6 +21,7 @@ type gwTopo struct {
 	nw         *netsim.Network
 	src, dst   *netsim.Host
 	sgwU, pgwU *Switch
+	s5         *netsim.Link // the SGW-U <-> PGW-U link
 	ctl        *Controller
 }
 
@@ -33,9 +34,9 @@ func buildGWTopo(t *testing.T, costs PathCosts) *gwTopo {
 	pgwN := nw.AddNode("pgw-u", pkt.AddrFrom(10, 0, 0, 3))
 	dstN := nw.AddNode("dst", pkt.AddrFrom(10, 0, 0, 4))
 	cfg := netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: 100 * time.Microsecond}
-	nw.ConnectSymmetric(srcN, sgwN, cfg) // src port0 <-> sgw port0
-	nw.ConnectSymmetric(sgwN, pgwN, cfg) // sgw port1 <-> pgw port0
-	nw.ConnectSymmetric(pgwN, dstN, cfg) // pgw port1 <-> dst port0
+	nw.ConnectSymmetric(srcN, sgwN, cfg)       // src port0 <-> sgw port0
+	s5 := nw.ConnectSymmetric(sgwN, pgwN, cfg) // sgw port1 <-> pgw port0
+	nw.ConnectSymmetric(pgwN, dstN, cfg)       // pgw port1 <-> dst port0
 
 	sgw := NewSwitch(1, sgwN, costs)
 	pgw := NewSwitch(2, pgwN, costs)
@@ -68,7 +69,7 @@ func buildGWTopo(t *testing.T, costs PathCosts) *gwTopo {
 	return &gwTopo{
 		eng: eng, nw: nw,
 		src: netsim.NewHost(srcN), dst: netsim.NewHost(dstN),
-		sgwU: sgw, pgwU: pgw, ctl: c,
+		sgwU: sgw, pgwU: pgw, s5: s5, ctl: c,
 	}
 }
 
@@ -344,41 +345,19 @@ func TestRemoveFlowsByCookie(t *testing.T) {
 	}
 }
 
-func TestIdleFlowExpiry(t *testing.T) {
-	g := buildGWTopo(t, ACACIAGWCosts)
-	g.ctl.InstallFlow(g.sgwU, FlowEntry{
-		Priority: 10, Cookie: 0x111,
-		Match:       pkt.Match{TunnelID: pkt.U64(55)},
-		Actions:     []pkt.Action{{Type: pkt.ActionOutput, Port: 1}},
-		IdleTimeout: 5 * time.Second,
-	})
-	g.eng.RunFor(time.Millisecond)
-	if g.sgwU.FlowCount() != 2 {
-		t.Fatalf("flows = %d", g.sgwU.FlowCount())
-	}
-	g.eng.RunFor(6 * time.Second)
-	if n := g.sgwU.ExpireIdleFlows(); n != 1 {
-		t.Errorf("expired = %d, want 1 (permanent flow stays)", n)
-	}
-	if g.sgwU.FlowCount() != 1 {
-		t.Errorf("flows after expiry = %d", g.sgwU.FlowCount())
-	}
-}
-
 func TestControllerAccounting(t *testing.T) {
 	g := buildGWTopo(t, ACACIAGWCosts)
-	before := g.ctl.Stats()
+	sent, sentBytes := g.ctl.sent.Value(), g.ctl.sentBytes.Value()
 	n := g.ctl.InstallFlow(g.sgwU, FlowEntry{
 		Priority: 10, Cookie: 0x222,
 		Match:   pkt.Match{TunnelID: pkt.U64(77)},
 		Actions: []pkt.Action{{Type: pkt.ActionSetTunnel, TunnelID: 88, TunnelDst: g.pgwU.Node().Addr()}, {Type: pkt.ActionOutput, Port: 1}},
 	})
-	after := g.ctl.Stats()
-	if after.Sent != before.Sent+1 {
-		t.Errorf("sent count %d -> %d", before.Sent, after.Sent)
+	if got := g.ctl.sent.Value(); got != sent+1 {
+		t.Errorf("sent count %d -> %d", sent, got)
 	}
-	if int(after.SentBytes-before.SentBytes) != n {
-		t.Errorf("byte accounting mismatch: %d vs %d", after.SentBytes-before.SentBytes, n)
+	if got := int(g.ctl.sentBytes.Value() - sentBytes); got != n {
+		t.Errorf("byte accounting mismatch: %d vs %d", got, n)
 	}
 	// A realistic GTP FlowMod lands in the few-hundred-byte range the
 	// paper's 1424-bytes-per-4-messages measurement implies.
@@ -493,7 +472,7 @@ func TestPathMonitorSupervisesPeers(t *testing.T) {
 	g := buildGWTopo(t, ACACIAGWCosts)
 	mon := g.sgwU.EnablePathMonitor(time.Second, 3)
 	g.eng.RunFor(5 * time.Second)
-	ps := mon.Peers()[g.pgwU.Node().Addr()]
+	ps := mon.peers[g.pgwU.Node().Addr()]
 	if ps == nil {
 		t.Fatal("PGW-U peer not discovered from flow table")
 	}
@@ -514,22 +493,21 @@ func TestPathMonitorDetectsFailureAndRecovery(t *testing.T) {
 	g.eng.RunFor(3 * time.Second)
 
 	// Fail the SGW-U <-> PGW-U link.
-	link := g.sgwU.Node().Port(1).Link()
-	link.SetDown(true)
+	g.s5.SetDown(true)
 	g.eng.RunFor(6 * time.Second)
 	if len(downs) != 1 || downs[0] != g.pgwU.Node().Addr() {
 		t.Fatalf("downs = %v", downs)
 	}
-	if !mon.Peers()[g.pgwU.Node().Addr()].Down {
+	if !mon.peers[g.pgwU.Node().Addr()].Down {
 		t.Error("path not marked down")
 	}
 
-	link.SetDown(false)
+	g.s5.SetDown(false)
 	g.eng.RunFor(3 * time.Second)
 	if len(ups) != 1 {
 		t.Fatalf("ups = %v", ups)
 	}
-	if mon.Peers()[g.pgwU.Node().Addr()].Down {
+	if mon.peers[g.pgwU.Node().Addr()].Down {
 		t.Error("path still down after repair")
 	}
 }
@@ -538,13 +516,13 @@ func TestPathMonitorForgetsRemovedPeers(t *testing.T) {
 	g := buildGWTopo(t, ACACIAGWCosts)
 	mon := g.sgwU.EnablePathMonitor(time.Second, 3)
 	g.eng.RunFor(2 * time.Second)
-	if len(mon.Peers()) != 1 {
-		t.Fatalf("peers = %d", len(mon.Peers()))
+	if len(mon.peers) != 1 {
+		t.Fatalf("peers = %d", len(mon.peers))
 	}
 	g.ctl.RemoveFlows(g.sgwU, 0xbea4e401)
 	g.eng.RunFor(2 * time.Second)
-	if len(mon.Peers()) != 0 {
-		t.Errorf("peers after flow removal = %d", len(mon.Peers()))
+	if len(mon.peers) != 0 {
+		t.Errorf("peers after flow removal = %d", len(mon.peers))
 	}
 }
 

@@ -13,10 +13,8 @@
 package sdn
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"acacia/internal/ctl"
@@ -64,8 +62,6 @@ type flowSlot struct {
 	// cookieNext those that share a cookie bucket.
 	next, cookieNext int32
 
-	lastUsed   sim.Time
-	packets    uint64   // traffic handled by this entry, slow and fast path
 	tokens     float64  // token bucket
 	lastRefill sim.Time // token bucket
 }
@@ -73,7 +69,7 @@ type flowSlot struct {
 const (
 	rankSeqBits  = 44
 	rankSpecMask = uint64(0xf) << rankSeqBits
-	slotChunk    = 32 // slots per storage chunk: 5 KiB, what a table of ten cost as a slice
+	slotChunk    = 32 // slots per storage chunk: 4.5 KiB, what a table of ten cost as a slice
 )
 
 // PathCosts models per-packet processing cost on each path.
@@ -268,6 +264,8 @@ type Switch struct {
 	dropped      *telemetry.Counter
 	encapsulated *telemetry.Counter
 	decapsulated *telemetry.Counter
+	// flowsExpired reads 0: nothing expires idle flows. It stays
+	// registered because the -metrics listing names it.
 	flowsExpired *telemetry.Counter
 	meterDrops   *telemetry.Counter
 	occupancy    *telemetry.Gauge // megaflow cache entries currently live
@@ -509,13 +507,11 @@ func (e *flowSlot) meterAllows(now sim.Time, size int) bool {
 
 // apply executes an entry's actions on the packet.
 func (sw *Switch) apply(e *flowSlot, p *netsim.Packet) {
-	e.lastUsed = sw.eng.Now()
 	if !e.meterAllows(sw.eng.Now(), p.Size) {
 		sw.meterDrops.Inc()
 		sw.node.Network().Release(p)
 		return
 	}
-	e.packets++
 	sw.stagedTEID, sw.stagedDst = 0, pkt.Addr{}
 	for _, a := range e.Actions {
 		switch a.Type {
@@ -603,7 +599,7 @@ func (sw *Switch) installFlow(e FlowEntry) {
 func (sw *Switch) arm(s *flowSlot, e FlowEntry) {
 	// A metered entry starts with a full bucket, so the meter polices the
 	// steady-state rate, not the first burst after installation.
-	s.FlowEntry, s.lastUsed, s.packets = e, sw.eng.Now(), 0
+	s.FlowEntry = e
 	s.tokens, s.lastRefill = e.burst(), sw.eng.Now()
 }
 
@@ -713,53 +709,4 @@ func (sw *Switch) flushCache() {
 		clear(sw.cache)
 	}
 	sw.occupancy.Set(0)
-}
-
-// tableOrder lists the live slots in table order: descending priority, then
-// arrival. Dumps and expiry passes walk it; nothing per-packet does.
-func (sw *Switch) tableOrder() []int32 {
-	order := make([]int32, 0, sw.flows)
-	for i := int32(1); i <= sw.nslots; i++ {
-		if sw.slot(i).rank != 0 {
-			order = append(order, i)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return sw.slot(order[a]).rank&^rankSpecMask < sw.slot(order[b]).rank&^rankSpecMask
-	})
-	return order
-}
-
-// ExpireIdleFlows removes entries idle past their timeout, as the periodic
-// OVS revalidator does. Returns the number removed.
-func (sw *Switch) ExpireIdleFlows() int {
-	now := sw.eng.Now()
-	removed := 0
-	for _, i := range sw.tableOrder() {
-		e := sw.slot(i)
-		if e.IdleTimeout <= 0 || now.Sub(e.lastUsed) < e.IdleTimeout {
-			continue
-		}
-		removed++
-		sw.flowsExpired.Inc()
-		if sw.controller != nil {
-			sw.controller.flowRemoved(sw, &e.FlowEntry)
-		}
-		sw.unlinkCookie(i)
-		sw.release(i)
-	}
-	if removed > 0 {
-		sw.flushCache()
-	}
-	return removed
-}
-
-// DumpFlows returns a human-readable table dump for debugging.
-func (sw *Switch) DumpFlows() string {
-	s := fmt.Sprintf("switch dpid=%d (%s): %d flows\n", sw.DPID, sw.node.Name(), sw.flows)
-	for _, i := range sw.tableOrder() {
-		e := sw.slot(i)
-		s += fmt.Sprintf("  prio=%d cookie=%#x pkts=%d actions=%d\n", e.Priority, e.Cookie, e.packets, len(e.Actions))
-	}
-	return s
 }

@@ -70,24 +70,25 @@ func TestPooledEventArgIntegrity(t *testing.T) {
 	}
 }
 
-// TestNextEventAtSkipsCancelled checks the cancelled-event sweep in
-// NextEventAt coexists with event pooling: a cancelled recycled event is
-// skipped without perturbing the live event behind it.
-func TestNextEventAtSkipsCancelled(t *testing.T) {
+// TestCancelledRecycledEventSkipped checks lazy cancel coexists with event
+// pooling: a cancelled recycled event is skipped without perturbing the live
+// event behind it.
+func TestCancelledRecycledEventSkipped(t *testing.T) {
 	eng := NewEngine(1)
 	// Warm one event and let it fire.
 	eng.Schedule(time.Millisecond, func() {})
 	eng.Run()
-	// The recycled event, cancelled, ahead of a fresh one: the sweep in
-	// NextEventAt must skip it and still report the live event's time.
-	tm := eng.Schedule(time.Millisecond, func() {})
-	eng.Schedule(2*time.Millisecond, func() {})
+	// The recycled event, cancelled, ahead of a fresh one: the run must skip
+	// it and still fire the live event at its time.
+	tm := eng.Schedule(time.Millisecond, func() { t.Error("cancelled event fired") })
+	want := eng.Now().Add(2 * time.Millisecond)
+	var at Time
+	eng.Schedule(2*time.Millisecond, func() { at = eng.Now() })
 	tm.Cancel()
-	at, ok := eng.NextEventAt()
-	if !ok || at != Time(2*time.Millisecond).Add(eng.Now().Duration()) {
-		t.Fatalf("NextEventAt = %v, %v; want the live event's time", at, ok)
-	}
 	eng.Run()
+	if at != want || eng.Processed() != 2 {
+		t.Fatalf("live event fired at %v after %d events; want %v, 2", at, eng.Processed(), want)
+	}
 }
 
 // TestStaleTimerCancelSparesReusedEvent is the reason Timer carries a

@@ -7,17 +7,15 @@ import (
 	"time"
 )
 
-// queued lists the engine's pending events bucket by bucket (not in firing
+// queued lists the engine's pending slots bucket by bucket (not in firing
 // order): the white-box view the tests below use to follow events through
 // the free-list.
-func queued(e *Engine) []*event {
-	var evs []*event
+func queued(e *Engine) []slot {
+	var slots []slot
 	for i := range e.queue.bucket {
-		for _, s := range e.queue.live(i) {
-			evs = append(evs, s.ev)
-		}
+		slots = append(slots, e.queue.live(i)...)
 	}
-	return evs
+	return slots
 }
 
 // pending reports the number of queued (possibly cancelled) events.
@@ -265,42 +263,41 @@ func TestQueueArraysAreExchanged(t *testing.T) {
 	}
 }
 
-// TestCancelledHeadDrain checks lazy cancel at the head of the queue on both
-// paths that look at the head: NextEventAt reads past cancelled events to
-// the first live one, and RunUntil pops them without running them, counting
-// them or moving the clock to their timestamps.
+// TestCancelledHeadDrain checks lazy cancel at the head of the queue:
+// cancelled events stay queued until a run passes them, and RunUntil pops
+// them without running them, counting them or moving the clock to their
+// timestamps.
 func TestCancelledHeadDrain(t *testing.T) {
 	eng := NewEngine(1)
 	fired := 0
+	var firedAt Time
 	var dead []Timer
 	for i := 0; i < 6; i++ {
 		dead = append(dead, eng.Schedule(time.Duration(1+i/2)*time.Millisecond, func() { t.Error("cancelled event fired") }))
 	}
-	eng.Schedule(3*time.Millisecond, func() { fired++ }) // ties with the last cancelled pair
+	eng.Schedule(3*time.Millisecond, func() { fired, firedAt = fired+1, eng.Now() }) // ties with the last cancelled pair
 	tail := eng.Schedule(9*time.Millisecond, func() { t.Error("cancelled tail fired") })
 	for _, tm := range dead {
 		tm.Cancel()
 	}
-
-	if at, ok := eng.NextEventAt(); !ok || at != Time(3*time.Millisecond) {
-		t.Fatalf("NextEventAt = %v, %v; want the live event at 3ms", at, ok)
-	}
-	// NextEventAt only reads: the cancelled events stay queued until a run
-	// passes them.
 	if pending(eng) != 8 {
-		t.Errorf("pending = %d after NextEventAt, want 8 (nothing swept)", pending(eng))
+		t.Errorf("pending = %d before any run, want 8 (cancel sweeps nothing)", pending(eng))
+	}
+
+	// A run that stops short of the live event sweeps the two cancelled
+	// pairs due before it and nothing else.
+	eng.RunUntil(Time(2 * time.Millisecond))
+	if pending(eng) != 4 || eng.Processed() != 0 {
+		t.Errorf("pending = %d, processed = %d at 2ms; want 4, 0", pending(eng), eng.Processed())
 	}
 
 	tail.Cancel()
 	eng.RunUntil(Time(20 * time.Millisecond))
-	if fired != 1 || eng.Processed() != 1 {
-		t.Errorf("fired = %d, processed = %d; want 1, 1 (cancelled events are not processed)", fired, eng.Processed())
+	if fired != 1 || firedAt != Time(3*time.Millisecond) || eng.Processed() != 1 {
+		t.Errorf("fired = %d at %v, processed = %d; want 1 at 3ms, 1 (cancelled events are not processed)", fired, firedAt, eng.Processed())
 	}
 	if pending(eng) != 0 || eng.Now() != Time(20*time.Millisecond) {
 		t.Errorf("pending = %d, clock = %v; want 0, 20ms", pending(eng), eng.Now())
-	}
-	if _, ok := eng.NextEventAt(); ok {
-		t.Error("NextEventAt reports an event on an empty queue")
 	}
 
 	// A queue holding only cancelled events drains to empty through RunUntil
@@ -359,11 +356,11 @@ func TestTickerReusesItsEvent(t *testing.T) {
 	ev := tk.timer.ev
 	for i := 1; i <= 3; i++ {
 		eng.RunUntil(Time(time.Duration(i) * 10 * time.Millisecond))
-		if tk.timer.ev != ev || pending(eng) != 1 || queued(eng)[0] != ev {
+		if tk.timer.ev != ev || pending(eng) != 1 || queued(eng)[0].ev != ev {
 			t.Fatalf("tick %d: ticker is not re-queueing its one event", i)
 		}
 		want := Time(time.Duration(i+1) * 10 * time.Millisecond)
-		if at, ok := eng.NextEventAt(); !ok || at != want {
+		if at := queued(eng)[0].at; at != want {
 			t.Errorf("tick %d: next firing at %v, want %v", i, at, want)
 		}
 	}

@@ -32,23 +32,14 @@ const (
 	Second      Time = Time(time.Second)
 )
 
-// Duration converts t to a time.Duration since the simulation epoch.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
-
-// Milliseconds reports t as a floating-point number of milliseconds.
-func (t Time) Milliseconds() float64 { return float64(time.Duration(t)) / float64(time.Millisecond) }
 
 // Add returns t shifted forward by d.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
 
 // String formats t as a duration since the epoch.
 func (t Time) String() string { return time.Duration(t).String() }
@@ -456,23 +447,6 @@ func (e *Engine) run(limit Time) {
 //go:noinline
 func (e *Engine) limitExceeded() {
 	panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v (scheduling loop?)", e.Limit, e.now))
-}
-
-// NextEventAt returns the timestamp of the earliest pending event that has
-// not been cancelled, if any. It only reads: ref moves inside runs only.
-func (e *Engine) NextEventAt() (Time, bool) {
-	for m := e.queue.mask; m != 0; m &= m - 1 {
-		best, ok := Time(0), false
-		for _, s := range e.queue.live(bits.TrailingZeros64(m)) {
-			if !s.ev.cancel && (!ok || s.at < best) {
-				best, ok = s.at, true
-			}
-		}
-		if ok {
-			return best, true
-		}
-	}
-	return 0, false
 }
 
 // Ticker repeatedly invokes a handler at a fixed virtual-time period until

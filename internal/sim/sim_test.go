@@ -121,21 +121,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	NewEngine(1).Schedule(-time.Millisecond, func() {})
 }
 
-func TestEngineNextEventAt(t *testing.T) {
-	eng := NewEngine(1)
-	if _, ok := eng.NextEventAt(); ok {
-		t.Error("empty engine reported a next event")
-	}
-	tm := eng.Schedule(5*time.Millisecond, func() {})
-	if at, ok := eng.NextEventAt(); !ok || at != Time(5*time.Millisecond) {
-		t.Errorf("NextEventAt = %v, %v", at, ok)
-	}
-	tm.Cancel()
-	if _, ok := eng.NextEventAt(); ok {
-		t.Error("cancelled-only queue reported a next event")
-	}
-}
-
 func TestTicker(t *testing.T) {
 	eng := NewEngine(1)
 	var ticks []Time
@@ -177,17 +162,11 @@ func TestTimeHelpers(t *testing.T) {
 	if tm.Seconds() != 1.5 {
 		t.Errorf("Seconds = %v", tm.Seconds())
 	}
-	if tm.Milliseconds() != 1500 {
-		t.Errorf("Milliseconds = %v", tm.Milliseconds())
-	}
 	if tm.Add(500*time.Millisecond) != Time(2*time.Second) {
 		t.Error("Add")
 	}
 	if tm.Sub(Time(time.Second)) != 500*time.Millisecond {
 		t.Error("Sub")
-	}
-	if !Time(1).Before(Time(2)) || Time(2).Before(Time(1)) {
-		t.Error("Before")
 	}
 }
 
@@ -349,6 +328,32 @@ func TestRNGPermUniform(t *testing.T) {
 	}
 	if chi2 >= 49.73 {
 		t.Fatalf("χ² = %.1f over 24 permutations, want < 49.73 (p = 0.001, 23 dof)", chi2)
+	}
+}
+
+// TestRNGIntnUniform draws Intn(n) 2,000 n times for each small n and
+// requires every value in [0, n) as often as a uniform draw predicts: χ²
+// with n−1 degrees of freedom under its p = 0.001 bound. A draw that never
+// yields n−1 (reducing mod n−1) or favours some values fails it.
+func TestRNGIntnUniform(t *testing.T) {
+	r := NewRNG(2016)
+	for _, c := range []struct {
+		n     int
+		bound float64 // χ² at p = 0.001 with n−1 degrees of freedom
+	}{{2, 10.83}, {3, 13.82}, {5, 18.47}, {6, 20.52}, {7, 22.46}, {10, 27.88}} {
+		draws := 2000 * c.n
+		counts := make([]int, c.n)
+		for i := 0; i < draws; i++ {
+			counts[r.Intn(c.n)]++
+		}
+		expect := float64(draws) / float64(c.n)
+		chi2 := 0.0
+		for _, k := range counts {
+			chi2 += (float64(k) - expect) * (float64(k) - expect) / expect
+		}
+		if chi2 >= c.bound {
+			t.Errorf("Intn(%d): χ² = %.1f over counts %v, want < %.2f (p = 0.001, %d dof)", c.n, chi2, counts, c.bound, c.n-1)
+		}
 	}
 }
 

@@ -117,21 +117,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(s.n)
 }
 
-// StdDev reports the population standard deviation, or 0 for fewer than two
-// observations.
-func (s *Sample) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	s.each(func(x float64) {
-		d := x - m
-		ss += d * d
-	})
-	return math.Sqrt(ss / float64(s.n))
-}
-
 // sort leaves every observation in xs, ascending.
 func (s *Sample) sort() {
 	if s.sorted {
@@ -192,35 +177,6 @@ func (s *Sample) Percentile(p float64) float64 {
 
 // Median reports the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Summary is a compact five-number-plus-mean description of a sample.
-type Summary struct {
-	N                int
-	Mean, StdDev     float64
-	Min, Median, Max float64
-	P90, P95, P99    float64
-}
-
-// Summarize computes a Summary for s.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		N:      s.N(),
-		Mean:   s.Mean(),
-		StdDev: s.StdDev(),
-		Min:    s.Min(),
-		Median: s.Median(),
-		Max:    s.Max(),
-		P90:    s.Percentile(90),
-		P95:    s.Percentile(95),
-		P99:    s.Percentile(99),
-	}
-}
-
-// String formats the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g p50=%.4g p95=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
-}
 
 // Table renders aligned experiment output: a header row plus data rows, with
 // columns padded to the widest cell. It is how every experiment prints its

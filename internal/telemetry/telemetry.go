@@ -150,14 +150,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum reports the observation total.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Mean reports the observation mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Min reports the smallest observation (0 when empty).
 func (h *Histogram) Min() float64 { return h.min }
 

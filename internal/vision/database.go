@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"acacia/internal/geo"
-	"acacia/internal/media"
 )
 
 // Object is one entry of the AR database: an annotated, geo-tagged item in
@@ -20,15 +19,15 @@ type Object struct {
 	// Pos is the object's position, used to generate evaluation frames at
 	// checkpoints.
 	Pos geo.Point
-	// A synthetic object records the (seed, n) of its canonical feature set
-	// and generates it on first read; an enrolled one holds it from the start.
+	// An object records the (seed, n) of its canonical feature set and
+	// generates it on first read.
 	seed     uint64
 	n        int
 	features *FeatureSet
 }
 
-// Features returns the canonical SURF feature set extracted at enrollment.
-// For a BuildRetailDB object the first call generates it — exactly
+// Features returns the object's canonical SURF feature set. The first call
+// generates it — exactly
 // GenerateObjectFeatures(seed, n) — and later calls return the same set. A
 // DB is owned by one trial: the accessor is not safe for concurrent use.
 func (o *Object) Features() *FeatureSet {
@@ -89,52 +88,26 @@ const ObjectsPerRetailSubsection = 5
 // (Object.Features): a testbed's AR back-end reads only counts, and
 // 105 x 200 descriptors cost ~60 ms per build.
 func BuildRetailDB(floor *geo.Floor, featuresPerObject int) *DB {
-	return buildRetail(floor, func(o *Object, seed uint64) {
-		o.seed, o.n = seed, featuresPerObject
-	})
-}
-
-// BuildRetailDBFromImages populates the retail database by *enrolling real
-// images*: each object's catalog photo is rendered (deterministically from
-// its seed), run through the Harris/patch-descriptor detector, and stored.
-// The pixel-level counterpart of BuildRetailDB, used to exercise the whole
-// AR pipeline on actual image data. imgW/imgH are the catalog photo size.
-func BuildRetailDBFromImages(floor *geo.Floor, imgW, imgH int, opts DetectOptions) *DB {
-	return buildRetail(floor, func(o *Object, seed uint64) {
-		o.features = EnrollFromImage(media.SyntheticFrame(imgW, imgH, seed), opts)
-		o.n = o.features.Len()
-	})
-}
-
-// buildRetail lays out the retail objects; features fills in each one's
-// feature source from its stable seed.
-func buildRetail(floor *geo.Floor, features func(o *Object, seed uint64)) *DB {
 	db := NewDB()
 	for _, ss := range floor.Subsections {
 		for k := 0; k < ObjectsPerRetailSubsection; k++ {
 			// Spread object positions inside the subsection.
 			frac := (float64(k) + 0.5) / ObjectsPerRetailSubsection
-			o := &Object{
+			db.Add(&Object{
 				Name:       fmt.Sprintf("obj-%02d-%d", ss.ID, k),
 				Tag:        fmt.Sprintf("%s item %d in cell %d", ss.Section, k, ss.ID),
 				Section:    ss.Section,
 				Subsection: ss.ID,
 				Pos:        ss.Bounds.Min.Lerp(ss.Bounds.Max, frac),
-			}
-			features(o, retailSeed(ss.ID, k))
-			db.Add(o)
+				seed:       retailSeed(ss.ID, k),
+				n:          featuresPerObject,
+			})
 		}
 	}
 	return db
 }
 
 func retailSeed(subsection, k int) uint64 { return uint64(subsection)*1000 + uint64(k) + 0xACAC1A }
-
-// ObjectPhoto renders the catalog image an object was enrolled from (same
-// deterministic seed as BuildRetailDBFromImages).
-func ObjectPhoto(subsection, k, imgW, imgH int) *media.Frame {
-	return media.SyntheticFrame(imgW, imgH, retailSeed(subsection, k))
-}
 
 // SearchResult is the outcome of a database search.
 type SearchResult struct {

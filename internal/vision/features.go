@@ -163,17 +163,3 @@ func GenerateFrame(object *FeatureSet, params FrameParams, rng *sim.RNG) *Featur
 	}
 	return fs
 }
-
-// GenerateClutterFrame synthesizes a frame containing no database object at
-// all — the no-match case.
-func GenerateClutterFrame(totalFeatures int, rng *sim.RNG) *FeatureSet {
-	fs := &FeatureSet{
-		Keypoints:   make([]Keypoint, totalFeatures),
-		Descriptors: make([]Descriptor, totalFeatures),
-	}
-	for i := 0; i < totalFeatures; i++ {
-		fs.Keypoints[i] = Keypoint{X: float32(rng.Float64()), Y: float32(rng.Float64())}
-		fs.Descriptors[i] = randomDescriptor(rng)
-	}
-	return fs
-}

@@ -107,7 +107,7 @@ func TestMatcherRejectsWrongObject(t *testing.T) {
 
 func TestMatcherRejectsClutter(t *testing.T) {
 	obj := GenerateObjectFeatures(11, 150)
-	clutter := GenerateClutterFrame(120, sim.NewRNG(5))
+	clutter := clutterFrame(120, sim.NewRNG(5))
 	m := NewMatcher(MatcherConfig{}, sim.NewRNG(4))
 	if res := m.Match(clutter, obj); res.Matched {
 		t.Errorf("matched clutter with %d inliers", res.Inliers)
@@ -256,7 +256,7 @@ func TestSearchNoMatchWhenObjectOutsidePrunedSet(t *testing.T) {
 func TestSearchMACsScaleWithCandidates(t *testing.T) {
 	floor := geo.RetailFloor()
 	db := BuildRetailDB(floor, 64)
-	frame := GenerateClutterFrame(100, sim.NewRNG(14))
+	frame := clutterFrame(100, sim.NewRNG(14))
 	m := NewMatcher(MatcherConfig{}, sim.NewRNG(15))
 	one := db.Search(frame, []int{0}, m)
 	four := db.Search(frame, []int{0, 1, 2, 3}, m)
@@ -298,10 +298,18 @@ func TestRetailDBFeaturesLazy(t *testing.T) {
 	if i != db.Len() {
 		t.Fatalf("visited %d of %d objects", i, db.Len())
 	}
-	// An enrolled database is eager: enrolment is its work.
-	for _, o := range BuildRetailDBFromImages(floor, 64, 48, DetectOptions{MaxFeatures: 16}).Objects {
-		if !o.Materialised() || o.FeatureCount() != o.Features().Len() {
-			t.Fatalf("%s: enrolled object not eager (count %d)", o.Name, o.FeatureCount())
-		}
+}
+
+// clutterFrame synthesizes a frame containing no database object at
+// all — the no-match case.
+func clutterFrame(totalFeatures int, rng *sim.RNG) *FeatureSet {
+	fs := &FeatureSet{
+		Keypoints:   make([]Keypoint, totalFeatures),
+		Descriptors: make([]Descriptor, totalFeatures),
 	}
+	for i := 0; i < totalFeatures; i++ {
+		fs.Keypoints[i] = Keypoint{X: float32(rng.Float64()), Y: float32(rng.Float64())}
+		fs.Descriptors[i] = randomDescriptor(rng)
+	}
+	return fs
 }

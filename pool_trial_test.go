@@ -73,7 +73,7 @@ func TestPoolNoCrossTrialAliasing(t *testing.T) {
 			},
 		}
 	}
-	outs := exec.Run(trials, tasks)
+	outs := exec.RunProgress(trials, tasks, nil)
 
 	for i := 0; i < trials; i++ {
 		if outs[i].Err != nil {
@@ -125,7 +125,7 @@ func TestParallelAttachByteIdentity(t *testing.T) {
 			Run: func() (string, error) { return run(uint64(i + 1)), nil },
 		}
 	}
-	outs := exec.Run(trials, tasks)
+	outs := exec.RunProgress(trials, tasks, nil)
 	for i := 0; i < trials; i++ {
 		if solo[i] == "" {
 			continue // already failed above
