@@ -18,6 +18,7 @@ var keepUnreferenced = map[string]string{
 	// Invariant probes that tests read.
 	"acacia/internal/netsim.FIFO.Cap":            "FuzzFIFO and the backlog tests bound the queue's memory with it",
 	"acacia/internal/netsim.Link.BacklogAB":      "the queued-link alloc rig checks its direction is congested",
+	"acacia/internal/sim.Pool.Idle":              "pool tests in sim, epc and sdn read which records are at rest",
 	"acacia/internal/netsim.Link.StatsAB":        "link, ctl, epc and fault tests read per-direction counters",
 	"acacia/internal/netsim.Link.StatsBA":        "ctl and epc loss tests read the reverse direction's counters",
 	"acacia/internal/netsim.Network.Links":       "core's wiring tests pin link creation order, the <n> of every link metric",

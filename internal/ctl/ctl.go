@@ -67,19 +67,19 @@ type Transport struct {
 	dups     *telemetry.Counter
 	latency  *telemetry.Histogram
 
-	// ackFree recycles ack frames: they are created per delivered data
-	// frame and consumed in one Receive call at the sender, so pooling them
+	// ackFrames recycles ack frames: they are created per delivered data frame
+	// and consumed in one Receive call at the sender, so pooling them
 	// (engine-scoped, like packets and events) removes a per-ack allocation.
-	ackFree []*Frame
-	// dataFree recycles data frames. A data frame is shared by every cloned
+	ackFrames sim.Pool[Frame]
+	// dataFrames recycles data frames. A data frame is shared by every cloned
 	// attempt of its transaction, so it returns to the pool only when the
 	// ack retires a transaction that was never retransmitted (control links
 	// are FIFO, so the acked sole attempt having arrived means no clone is
-	// still in flight). Retransmitted transactions leak their frame to the
-	// GC rather than risk aliasing with a late clone.
-	dataFree []*Frame
-	// txnFree recycles transaction records, retired at ack time.
-	txnFree []*txn
+	// still in flight). Retransmitted transactions abandon their frame
+	// rather than risk aliasing with a late clone.
+	dataFrames sim.Pool[Frame]
+	// txns recycles transaction records, retired at ack time.
+	txns sim.Pool[txn]
 }
 
 // NewTransport creates the engine's control transport, registering its
@@ -97,47 +97,13 @@ func NewTransport(eng *sim.Engine) *Transport {
 	}
 }
 
-// takeAckFrame pops a recycled ack frame, or allocates a fresh one.
-//
-//acacia:hotpath
-func (t *Transport) takeAckFrame() *Frame {
-	if n := len(t.ackFree); n > 0 {
-		f := t.ackFree[n-1]
-		t.ackFree[n-1] = nil
-		t.ackFree = t.ackFree[:n-1]
-		return f
-	}
-	return newFrame()
-}
-
-// takeDataFrame pops a recycled data frame, or allocates a fresh one.
-//
-//acacia:hotpath
-func (t *Transport) takeDataFrame() *Frame {
-	if n := len(t.dataFree); n > 0 {
-		f := t.dataFree[n-1]
-		t.dataFree[n-1] = nil
-		t.dataFree = t.dataFree[:n-1]
-		return f
-	}
-	return newFrame()
-}
-
-// newFrame is the frame pools' shared refill path. Noinline keeps the
-// pool-miss allocation out of hotpath callers' escape profiles.
-//
-//go:noinline
-func newFrame() *Frame {
-	return &Frame{}
-}
-
 // recycleDataFrame returns a data frame to its pool. Only the ack path may
 // call it, and only for transactions whose single attempt was acked.
 //
 //acacia:hotpath
 func (t *Transport) recycleDataFrame(f *Frame) {
 	*f = Frame{}
-	t.dataFree = append(t.dataFree, f)
+	t.dataFrames.Put(f)
 }
 
 // recycleTxn zeroes a retired transaction and returns it to the pool. The
@@ -147,28 +113,7 @@ func (t *Transport) recycleDataFrame(f *Frame) {
 //acacia:hotpath
 func (t *Transport) recycleTxn(tx *txn) {
 	*tx = txn{}
-	t.txnFree = append(t.txnFree, tx)
-}
-
-// takeTxn pops a recycled transaction record, or allocates one.
-//
-//acacia:hotpath
-func (t *Transport) takeTxn() *txn {
-	if n := len(t.txnFree); n > 0 {
-		tx := t.txnFree[n-1]
-		t.txnFree[n-1] = nil
-		t.txnFree = t.txnFree[:n-1]
-		return tx
-	}
-	return newTxn()
-}
-
-// newTxn is the transaction pool's refill path, noinline for the same
-// reason as newFrame.
-//
-//go:noinline
-func newTxn() *txn {
-	return &txn{}
+	t.txns.Put(tx)
 }
 
 // recycleAckFrame returns a consumed ack frame to its pool. Callers must
@@ -177,7 +122,7 @@ func newTxn() *txn {
 //acacia:hotpath
 func (t *Transport) recycleAckFrame(f *Frame) {
 	*f = Frame{}
-	t.ackFree = append(t.ackFree, f)
+	t.ackFrames.Put(f)
 }
 
 // Retransmissions reports the total retransmission count.
@@ -357,13 +302,13 @@ func (ep *Endpoint) Send(peer pkt.Addr, seq uint32, name string, size int, deliv
 	if ps == nil || ps.route == nil {
 		noRoute(ep.Name(), peer)
 	}
-	f := ep.tr.takeDataFrame()
+	f := ep.tr.dataFrames.Take()
 	f.seq, f.name, f.deliver = seq, name, deliver
 	tpl := ep.node.NewPacket()
 	tpl.Flow = pkt.FiveTuple{Src: ep.Addr(), Dst: peer}
 	tpl.Size = size
 	tpl.Payload = f
-	tx := ep.tr.takeTxn()
+	tx := ep.tr.txns.Take()
 	tx.peer, tx.route, tx.seq, tx.name, tx.tpl = peer, ps.route, seq, name, tpl
 	tx.start = ep.eng.Now()
 	tx.onFail, tx.onDone = onFail, onDone
@@ -478,7 +423,7 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 	// retransmitted request, echoing what this attempt experienced.
 	ps := ep.peer(peer)
 	if back := ps.route; back != nil {
-		ack := ep.tr.takeAckFrame()
+		ack := ep.tr.ackFrames.Take()
 		ack.ack, ack.seq, ack.name = true, f.seq, f.name
 		ack.queueWait, ack.linkName = p.QueueWait, ep.linkNameFor(ingress)
 		ap := ep.node.NewPacket()

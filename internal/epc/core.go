@@ -89,12 +89,13 @@ type Core struct {
 	oneBearer      [1]*Bearer
 	imsiBuf        []string
 
-	// Free lists of the continuation records every S1AP/GTPv2 send
-	// carries (see leg) and of the procedure records (see proc).
-	legFree []*leg
-	hoFree  records[handover]
-	dedFree records[dedicated]
-	coFree  records[cohort]
+	// Pools of the continuation records every S1AP/GTPv2 send carries
+	// (see leg) and of the procedure records (see proc). A record fresh
+	// from its pool has a nil Core back-pointer: its first take binds it.
+	legs    sim.Pool[leg]
+	hos     sim.Pool[handover]
+	deds    sim.Pool[dedicated]
+	cohorts sim.Pool[cohort]
 }
 
 // NewCore builds an empty core and places its control plane on the network.
@@ -193,20 +194,6 @@ func (pr *proc) finish(err error) {
 	}
 }
 
-// records is a free list of procedure records; take pops one, or builds
-// one with refill (noinline, like newLeg), whose proc the caller restarts.
-type records[T any] []*T
-
-func (f *records[T]) take(refill func() *T) *T {
-	n := len(*f)
-	if n == 0 {
-		return refill()
-	}
-	r := (*f)[n-1]
-	(*f)[n-1], *f = nil, (*f)[:n-1]
-	return r
-}
-
 // restart readies a pooled record's proc for its next procedure.
 func (pr *proc) restart() {
 	pr.gen++
@@ -219,8 +206,8 @@ func (pr *proc) restart() {
 // bound once. holds counts the events still to reach the record — a send's
 // delivery and its transaction's ack or terminal failure (a delivered
 // request still times out when every ack is lost), or a waiter's firing —
-// and it returns to Core.legFree after the last (a send never delivered
-// keeps a hold and is left to the GC). It continues as deliver, or else as
+// and it returns to Core.legs after the last (a send never delivered
+// keeps a hold and is never put back). It continues as deliver, or else as
 // each with sess (a cohort member's leg). The far half of a shared exchange
 // (admit, repoint, release) is a leg's delivery: it reads the exchange's
 // arguments from the leg and answers with a leg that continues as then or
@@ -274,20 +261,18 @@ func (l *leg) live() bool { return l.pr.gen == l.gen && !l.pr.finished }
 func (l *leg) drop() {
 	if l.holds--; l.holds == 0 {
 		l.pr, l.sess, l.b, l.enb, l.deliver, l.at, l.then, l.each = nil, nil, nil, nil, nil, nil, nil, nil
-		l.c.legFree = append(l.c.legFree, l)
+		l.c.legs.Put(l)
 	}
 }
 
-// takeLeg pops a continuation record for one send of pr, or builds one.
+// takeLeg takes a continuation record for one send of pr.
 //
 //acacia:hotpath
 func (c *Core) takeLeg(pr *proc, deliver func()) *leg {
-	if len(c.legFree) == 0 {
-		c.legFree = append(c.legFree, c.newLeg())
+	l := c.legs.Take()
+	if l.c == nil {
+		c.bindLeg(l)
 	}
-	n := len(c.legFree) - 1
-	l := c.legFree[n]
-	c.legFree[n], c.legFree = nil, c.legFree[:n]
 	l.pr, l.gen, l.holds, l.deliver = pr, pr.gen, 2, deliver
 	return l
 }
@@ -300,14 +285,14 @@ func (c *Core) resume(pr *proc, fn func()) func() {
 	return l.run
 }
 
-// newLeg is the record pool's refill path. Noinline keeps the pool-miss
-// allocation out of hotpath callers' escape profiles.
+// bindLeg readies a fresh record: the back-pointer and the method values
+// the transport carries, bound once for the record's life. Noinline keeps
+// the bindings out of hotpath callers' escape profiles.
 //
 //go:noinline
-func (c *Core) newLeg() *leg {
-	l := &leg{c: c}
+func (c *Core) bindLeg(l *leg) {
+	l.c = c
 	l.run, l.admitF, l.repointF, l.releaseF, l.failF, l.ackF = l.land, l.admit, l.repoint, l.release, l.failed, l.acked
-	return l
 }
 
 // answer opens a far half's response leg, which continues as the

@@ -361,23 +361,25 @@ type dedicated struct {
 	dbAtSGWF, dbAtMMEF, dbAtENBF, dbBackF, dbAtPGWF            func()
 }
 
-// takeDedicated pops a dedicated-bearer record, or builds one, for a new
-// procedure on b.
+// takeDedicated takes a dedicated-bearer record for a new procedure on b.
 func (c *Core) takeDedicated(sess *Session, b *Bearer) *dedicated {
-	d := c.dedFree.take(c.newDedicated)
+	d := c.deds.Take()
+	if d.Core == nil {
+		c.bindDedicated(d)
+	}
 	d.restart()
 	d.sess, d.b = sess, b
 	return d
 }
 
-// newDedicated is the dedicated-bearer pool's refill path.
+// bindDedicated readies a fresh dedicated-bearer record, binding its legs
+// once.
 //
 //go:noinline
-func (c *Core) newDedicated() *dedicated {
-	d := &dedicated{Core: c}
+func (c *Core) bindDedicated(d *dedicated) {
+	d.Core = c
 	d.end, d.undo, d.cbAtSGWF, d.cbAtMMEF, d.setupF, d.toModemF = d.ended, d.unwind, d.cbAtSGW, d.cbAtMME, d.setup, d.toModem
 	d.erabDoneF, d.answeredF, d.dbAtSGWF, d.dbAtMMEF, d.dbAtENBF, d.dbBackF, d.dbAtPGWF = d.erabDone, d.answered, d.dbAtSGW, d.dbAtMME, d.dbAtENB, d.dbBack, d.dbAtPGW
-	return d
 }
 
 // unwind is an activation's one compensation (stage 1, set as it starts):
@@ -401,7 +403,7 @@ func (d *dedicated) unwind() {
 func (d *dedicated) ended(err error) {
 	ebi, activated, deactivated := d.b.EBI, d.activated, d.deactivated
 	d.sess, d.b, d.activated, d.deactivated, d.denied = nil, nil, nil, nil, nil
-	d.dedFree = append(d.dedFree, d)
+	d.deds.Put(d)
 	switch {
 	case activated != nil && err != nil:
 		activated(0, err)

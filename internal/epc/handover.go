@@ -73,21 +73,23 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 	}
 	source := sess.ENB
 	m.hoScope.Emit("start", sess.IMSI+" "+source.Name()+"->"+target.Name())
-	h := c.hoFree.take(c.newHandover)
+	h := c.hos.Take()
+	if h.Core == nil {
+		c.bindHandover(h)
+	}
 	h.restart()
 	h.sess, h.source, h.target, h.done = sess, source, target, done
 	required := sess.s1ap(pkt.S1APHandoverRequired, 2, nil) // radio reasons
 	c.sendS1AP(c.takeLeg(&h.proc, h.requiredF), source.ep, c.mmeEP, required)
 }
 
-// newHandover is the handover pool's refill path.
+// bindHandover readies a fresh handover record, binding its legs once.
 //
 //go:noinline
-func (c *Core) newHandover() *handover {
-	h := &handover{Core: c}
+func (c *Core) bindHandover(h *handover) {
+	h.Core = c
 	h.end, h.undo, h.requiredF, h.captureF, h.preparedF = h.ended, h.unwind, h.required, h.capture, h.prepared
 	h.commandedF, h.retuneF, h.notifiedF, h.switchedF, h.completeF = h.commanded, h.retune, h.notified, h.switched, h.complete
-	return h
 }
 
 func (h *handover) required() {
@@ -176,7 +178,7 @@ func (h *handover) ended(err error) {
 	}
 	clear(h.hoBearers)
 	h.sess, h.source, h.target, h.done = nil, nil, nil, nil
-	h.hoFree = append(h.hoFree, h)
+	h.hos.Put(h)
 	if err == nil && m.OnHandoverComplete != nil {
 		m.OnHandoverComplete(sess, source, target)
 	}

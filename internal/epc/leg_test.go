@@ -13,15 +13,15 @@ import (
 // The continuation contract of sendS1AP/sendGTPv2: each send carries a
 // pooled leg record that runs its continuation at most once, and only while
 // the procedure is live in the leg's generation, and that returns to
-// Core.legFree once it has landed and its transaction has been acked or
+// Core.legs once it has landed and its transaction has been acked or
 // has failed.
 
 // distinctLegs fails the test if a record sits in the free list twice,
 // which a second delivery of one frame would cause.
 func distinctLegs(t *testing.T, c *Core) {
 	t.Helper()
-	seen := make(map[*leg]bool, len(c.legFree))
-	for _, l := range c.legFree {
+	seen := make(map[*leg]bool, len(c.legs.Idle()))
+	for _, l := range c.legs.Idle() {
 		if seen[l] {
 			t.Fatal("a leg record was recycled twice")
 		}
@@ -38,7 +38,7 @@ func distinctLegs(t *testing.T, c *Core) {
 func TestLegAfterFailureRunsNothing(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	c := tb.core
-	if n := len(c.legFree); n != 0 {
+	if n := len(c.legs.Idle()); n != 0 {
 		t.Fatalf("fresh core holds %d leg records", n)
 	}
 	c.S11Link().SetDown(true)
@@ -64,8 +64,8 @@ func TestLegAfterFailureRunsNothing(t *testing.T) {
 	if ran != 0 {
 		t.Fatalf("%d continuations ran after the procedure failed", ran)
 	}
-	if n := len(c.legFree); n != 1 {
-		t.Fatalf("%d leg records recycled, want 1 (the landed leg; the timed-out one goes to the GC)", n)
+	if n := len(c.legs.Idle()); n != 1 {
+		t.Fatalf("%d leg records recycled, want 1 (the landed leg; the timed-out one is never put back)", n)
 	}
 	distinctLegs(t, c)
 }
@@ -94,7 +94,7 @@ func TestRetransmittedLegRunsOnce(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("continuation ran %d times, want once", ran)
 	}
-	if n := len(c.legFree); n != 1 {
+	if n := len(c.legs.Idle()); n != 1 {
 		t.Fatalf("%d leg records recycled, want 1", n)
 	}
 	distinctLegs(t, c)
@@ -163,14 +163,14 @@ func TestLegPoolsStopGrowing(t *testing.T) {
 		distinctLegs(t, c)
 	}
 	round()
-	first := len(c.legFree)
+	first := len(c.legs.Idle())
 	if first == 0 {
 		t.Fatal("no leg records recycled")
 	}
 	for i := 0; i < 20; i++ {
 		round()
 	}
-	if n := len(c.legFree); n != first {
+	if n := len(c.legs.Idle()); n != first {
 		t.Fatalf("leg pool holds %d records after 21 rounds, %d after the first", n, first)
 	}
 }
@@ -220,13 +220,13 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	c.MME.Handover(sess, enb2, func(err error) {
 		firstErr = err
 		firstCalls++
-		if len(c.hoFree) != 1 {
-			t.Fatalf("%d handover records free after the first ended, want 1", len(c.hoFree))
+		if len(c.hos.Idle()) != 1 {
+			t.Fatalf("%d handover records free after the first ended, want 1", len(c.hos.Idle()))
 		}
-		record, timeoutsAtReuse = c.hoFree[0], c.Transport().Timeouts()
+		record, timeoutsAtReuse = c.hos.Idle()[0], c.Transport().Timeouts()
 		tb.enb.s1Link.SetDown(false)
 		c.MME.Handover(sess, enb2, func(err error) { secondErr = err; secondCalls++ })
-		if len(c.hoFree) != 0 {
+		if len(c.hos.Idle()) != 0 {
 			t.Fatal("the second handover did not take the first one's record")
 		}
 	})
@@ -242,7 +242,7 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	if secondCalls != 1 || secondErr != nil {
 		t.Fatalf("second handover: %d callbacks, err %v; want one success", secondCalls, secondErr)
 	}
-	if len(c.hoFree) != 1 || c.hoFree[0] != record {
+	if len(c.hos.Idle()) != 1 || c.hos.Idle()[0] != record {
 		t.Fatal("the reused record did not come back to the free list alone")
 	}
 	if sess.ENB != enb2 || tb.ue.enb != enb2 || c.MME.Handovers != 1 {

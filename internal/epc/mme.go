@@ -74,23 +74,25 @@ type cohort struct {
 	attachedF, releasedF                                                         func(*Session)
 }
 
-// takeCohort pops a cohort record, or builds one, for a new procedure.
+// takeCohort takes a cohort record for a new procedure.
 func (c *Core) takeCohort(detach, batched bool) *cohort {
-	co := c.coFree.take(c.newCohort)
+	co := c.cohorts.Take()
+	if co.Core == nil {
+		c.bindCohort(co)
+	}
 	co.restart()
 	co.detach, co.batched, co.members = detach, batched, co.members[:0]
 	return co
 }
 
-// newCohort is the cohort pool's refill path.
+// bindCohort readies a fresh cohort record, binding its legs once.
 //
 //go:noinline
-func (c *Core) newCohort() *cohort {
-	co := &cohort{Core: c}
+func (c *Core) bindCohort(co *cohort) {
+	co.Core = c
 	co.end, co.undo, co.arrivedF, co.csAtSGWF, co.csAtPGWF, co.csBackF = co.ended, co.unwind, co.arrived, co.csAtSGW, co.csAtPGW, co.csBack
 	co.createdF, co.setUpF, co.mbAtSGWF, co.modifiedF, co.attachedF = co.created, co.setUp, co.mbAtSGW, co.modified, co.attached
 	co.deleteF, co.dsAtSGWF, co.dsAtPGWF, co.dsBackF, co.deletedF, co.releasedF = co.deleteSessions, co.dsAtSGW, co.dsAtPGW, co.dsBack, co.deleted, co.released
-	return co
 }
 
 // ended reports the outcome and recycles the record. A failed batch
@@ -108,7 +110,7 @@ func (co *cohort) ended(err error) {
 	attachDone, detachDone := co.attachDone, co.detachDone
 	clear(co.members)
 	co.report, co.attachDone, co.detachDone, co.ue = nil, nil, nil, nil
-	co.coFree = append(co.coFree, co)
+	co.cohorts.Put(co)
 	switch {
 	case co.batched:
 	case co.detach && detachDone != nil:

@@ -378,15 +378,16 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	// Frame loop: started once the UE is bound to a CI server. UE k's sends
 	// land on whole milliseconds plus its unique k+1 ns phase; with a
 	// whole-millisecond period no two UEs ever send at the same instant.
+	// Frame records come from one pool for the whole metro.
+	var frames sim.Pool[scaleFrame]
 	startFrames := func(k int, ue *epc.UE, ciAddr pkt.Addr) {
 		seq := 0
-		var free []*scaleFrame // one record unless the site queues past a period
 		ue.Host.Listen(scaleRespPort, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
 			fr := p.Payload.(*scaleFrame)
 			rtt := eng.Now().Sub(fr.sentAt)
 			out.framesDone++
 			out.frameMs[bucket(fr.pop)].Add(float64(rtt) / 1e6)
-			free = append(free, fr)
+			frames.Put(fr)
 			h.Node.Network().Release(p)
 		}))
 		now := eng.Now()
@@ -394,11 +395,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		first := (now/ms+1)*ms + sim.Time(k+1)
 		eng.Schedule(first.Sub(now), func() {
 			send := func() {
-				if len(free) == 0 {
-					free = append(free, new(scaleFrame))
-				}
-				fr := free[len(free)-1]
-				free = free[:len(free)-1]
+				fr := frames.Take()
 				seq++
 				*fr = scaleFrame{ue: k, seq: seq, sentAt: eng.Now(), pop: out.attached}
 				out.framesSent++

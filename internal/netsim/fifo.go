@@ -1,9 +1,18 @@
 package netsim
 
-// Block sizes of a FIFO's chain: the first block holds fifoFirstBlock
-// entries and each new block doubles the last, up to fifoMaxBlock. A
+import (
+	"math/bits"
+	"unsafe"
+
+	"acacia/internal/sim"
+)
+
+// Block sizes of a FIFO's chain: the first block is sized for
+// fifoFirstBlock entries and each new block doubles the last, up to
+// fifoMaxBlock, less the entries the allocation header displaces
+// (sim.SlabLen): one, for the 16-byte link-lane and switch entries. A
 // 0–1-deep queue lives in its first block; Fig. 8's 500k-packet backlog is
-// a chain of 1,024-entry blocks, never one array copied on regrowth.
+// a chain of largest blocks, never one array copied on regrowth.
 const (
 	fifoFirstBlock = 16
 	fifoMaxBlock   = 1024
@@ -74,11 +83,13 @@ func (q *FIFO[T]) link() {
 	if b != nil {
 		q.spare, b.next = b.next, nil
 	} else {
-		size := fifoFirstBlock
+		n := fifoFirstBlock
 		if q.tail != nil {
-			size = min(2*len(q.tail.items), fifoMaxBlock)
+			// The tail was sized for the power of two its length rounds up to.
+			n = min(2<<bits.Len(uint(len(q.tail.items)-1)), fifoMaxBlock)
 		}
-		b = &fifoBlock[T]{items: make([]T, size)}
+		size := unsafe.Sizeof(*new(T))
+		b = &fifoBlock[T]{items: make([]T, sim.SlabLen(uintptr(n)*size, size))}
 	}
 	if q.tail == nil {
 		q.head = b

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -44,7 +45,7 @@ func (m *fifoModel) pop() {
 // is allocated only when the tail is full and no spare is left, so every
 // slot held then is waiting, in the head block's read prefix or in the new
 // block: at most two of the queue's largest blocks beyond hwm, and never
-// more than two 1,024-entry blocks.
+// more than two of the largest blocks.
 func fifoBound[T any](q *FIFO[T], hwm int) int {
 	largest := 0
 	for _, b := range [2]*fifoBlock[T]{q.head, q.spare} {
@@ -184,6 +185,45 @@ func TestFIFORefillAllocatesNothing(t *testing.T) {
 	if after := q.Cap(); after != before {
 		t.Fatalf("refill grew the queue from %d to %d slots", before, after)
 	}
+}
+
+// TestFIFOBlocksFitSizeClass holds each block of a link lane's chain, up to
+// and past the largest, to its allocator size class: the item array spends
+// its bytes on entries and, above 512 bytes, the 8-byte header, never on a
+// hole an entry would fit. A 1,024-entry block of 16-byte entries would
+// land in the 18,432-byte class; 1,023 entries fill the 16,384-byte one.
+func TestFIFOBlocksFitSizeClass(t *testing.T) {
+	var q FIFO[queuedPacket]
+	for i := 0; i < 6000; i++ {
+		q.Push(queuedPacket{})
+	}
+	entry := uint64(unsafe.Sizeof(queuedPacket{}))
+	for b := q.head; b != nil; b = b.next {
+		n := len(b.items)
+		if got := arrayBytes[queuedPacket](n); got >= uint64(n+1)*entry+8 {
+			t.Errorf("%d-entry block of %d-byte entries takes %d bytes, room for another beside the header", n, entry, got)
+		}
+	}
+	if n := len(q.tail.items); n != 1023 {
+		t.Errorf("largest block holds %d entries, want 1,023", n)
+	}
+}
+
+// arrayBytes measures what allocating an n-entry array of T costs, averaged
+// over 64 arrays, the least of three rounds.
+func arrayBytes[T any](n int) uint64 {
+	bytes := ^uint64(0)
+	sink := make([][]T, 64)
+	for round := 0; round < 3; round++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range sink {
+			sink[i] = make([]T, n)
+		}
+		runtime.ReadMemStats(&m1)
+		bytes = min(bytes, (m1.TotalAlloc-m0.TotalAlloc)/uint64(len(sink)))
+	}
+	return bytes
 }
 
 // TestPacketIs80Bytes pins the Packet layout to the allocator's 80-byte

@@ -21,8 +21,8 @@ type GreedyFlow struct {
 	cwnd     float64 // congestion window in segments
 	ssthresh float64
 	nextSeq  int
-	inFlight map[int]sim.Timer // seq -> retransmit timer
-	sentAt   map[int]sim.Time  // seq -> first-transmission time
+	inFlight map[int]*greedyRTO // seq -> armed retransmit timer
+	sentAt   map[int]sim.Time   // seq -> first-transmission time
 	rto      time.Duration
 	srtt     time.Duration // smoothed RTT (Jacobson/Karels)
 	rttvar   time.Duration
@@ -33,11 +33,12 @@ type GreedyFlow struct {
 	// Retransmits counts loss events.
 	Retransmits uint64
 
-	// free recycles segment payloads: a *greedySeg boxes into Packet.Payload
-	// without allocating, rides to the receiver, comes back on the ACK
-	// turnaround and returns here. Payloads on dropped packets simply fall
-	// to the garbage collector.
-	free []*greedySeg
+	// segs recycles segment payloads, which ride to the receiver and back
+	// on the ACK turnaround; those on dropped packets are never put back.
+	segs sim.Pool[greedySeg]
+	// rtos recycles retransmit timers, each the argument of timeoutF.
+	rtos     sim.Pool[greedyRTO]
+	timeoutF func(any)
 }
 
 // greedySeg is the payload of both a data segment and (turned around by the
@@ -47,6 +48,12 @@ type greedySeg struct {
 	sentAt sim.Time
 }
 
+// greedyRTO is one armed retransmit timer of segment seq.
+type greedyRTO struct {
+	seq   int
+	timer sim.Timer
+}
+
 // NewGreedyFlow creates a greedy sender from h to dst:dstPort with the given
 // segment size. The receiver side must be created with NewGreedyReceiver on
 // the destination host at dstPort.
@@ -54,9 +61,10 @@ func NewGreedyFlow(h *Host, dst pkt.Addr, dstPort, srcPort uint16, segSize int) 
 	g := &GreedyFlow{
 		host: h, dst: dst, dstPort: dstPort, srcPort: srcPort, size: segSize,
 		cwnd: 2, ssthresh: 64, rto: 200 * time.Millisecond,
-		inFlight: make(map[int]sim.Timer),
+		inFlight: make(map[int]*greedyRTO),
 		sentAt:   make(map[int]sim.Time),
 	}
+	g.timeoutF = g.timeout
 	h.Listen(srcPort, AppFunc(func(_ *Host, p *Packet) {
 		seg, ok := p.Payload.(*greedySeg)
 		h.Node.Network().Release(p)
@@ -65,7 +73,7 @@ func NewGreedyFlow(h *Host, dst pkt.Addr, dstPort, srcPort uint16, segSize int) 
 		}
 		seq := seg.seq
 		*seg = greedySeg{}
-		g.free = append(g.free, seg)
+		g.segs.Put(seg)
 		g.onAck(seq)
 	}))
 	return g
@@ -80,10 +88,10 @@ func (g *GreedyFlow) Start() {
 // Stop halts transmission and cancels retransmit timers.
 func (g *GreedyFlow) Stop() {
 	g.running = false
-	for _, ev := range g.inFlight {
-		ev.Cancel()
+	for _, r := range g.inFlight {
+		r.timer.Cancel()
 	}
-	g.inFlight = make(map[int]sim.Timer)
+	g.inFlight = make(map[int]*greedyRTO)
 }
 
 func (g *GreedyFlow) pump() {
@@ -94,22 +102,19 @@ func (g *GreedyFlow) pump() {
 }
 
 func (g *GreedyFlow) sendSeg(seq int) {
-	var seg *greedySeg
-	if n := len(g.free); n > 0 {
-		seg = g.free[n-1]
-		g.free[n-1] = nil
-		g.free = g.free[:n-1]
-	} else {
-		seg = &greedySeg{}
-	}
+	seg := g.segs.Take()
 	seg.seq, seg.sentAt = seq, g.host.Engine().Now()
 	g.host.Send(g.dst, g.srcPort, g.dstPort, pkt.ProtoTCP, g.size, seg)
 	if old, ok := g.inFlight[seq]; ok {
-		old.Cancel()
+		old.timer.Cancel()
+		g.rtos.Put(old)
 	} else {
 		g.sentAt[seq] = g.host.Engine().Now()
 	}
-	g.inFlight[seq] = g.host.Engine().Schedule(g.rto, func() { g.onTimeout(seq) })
+	r := g.rtos.Take()
+	r.seq = seq
+	r.timer = g.host.Engine().ScheduleArg(g.rto, g.timeoutF, r)
+	g.inFlight[seq] = r
 }
 
 // updateRTO folds a fresh RTT measurement into the Jacobson/Karels
@@ -135,11 +140,12 @@ func (g *GreedyFlow) updateRTO(rtt time.Duration) {
 }
 
 func (g *GreedyFlow) onAck(seq int) {
-	ev, ok := g.inFlight[seq]
+	r, ok := g.inFlight[seq]
 	if !ok {
 		return // duplicate or post-timeout ack
 	}
-	ev.Cancel()
+	r.timer.Cancel()
+	g.rtos.Put(r)
 	delete(g.inFlight, seq)
 	if t0, ok := g.sentAt[seq]; ok {
 		g.updateRTO(g.host.Engine().Now().Sub(t0))
@@ -156,7 +162,9 @@ func (g *GreedyFlow) onAck(seq int) {
 	}
 }
 
-func (g *GreedyFlow) onTimeout(seq int) {
+// timeout fires a retransmit timer; sendSeg recycles its record.
+func (g *GreedyFlow) timeout(v any) {
+	seq := v.(*greedyRTO).seq
 	if !g.running {
 		return
 	}

@@ -127,9 +127,10 @@ type Pinger struct {
 	srcPort  uint16
 	seq      int
 	inFlight map[int]sim.Time
-	// free recycles request payloads: boxing a *pingReq into Packet.Payload
-	// is allocation-free, and the reply handler returns the struct here.
-	free []*pingReq
+	// reqs recycles request payloads: boxing a *pingReq into
+	// Packet.Payload is allocation-free, and the reply handler returns the
+	// struct here.
+	reqs sim.Pool[pingReq]
 	// RTTs collects observed round-trip times in milliseconds.
 	RTTs stats.Sample
 	// Lost counts requests that were never answered by the time Stop or
@@ -151,7 +152,7 @@ func NewPinger(h *Host, dst pkt.Addr, size int, srcPort uint16) *Pinger {
 		}
 		seq, sentAt := req.seq, req.sentAt
 		*req = pingReq{}
-		pg.free = append(pg.free, req)
+		pg.reqs.Put(req)
 		if _, pending := pg.inFlight[seq]; !pending {
 			return
 		}
@@ -176,24 +177,9 @@ func (pg *Pinger) SendOne() {
 	pg.seq++
 	pg.Sent++
 	pg.inFlight[pg.seq] = pg.host.Engine().Now()
-	var req *pingReq
-	if n := len(pg.free); n > 0 {
-		req = pg.free[n-1]
-		pg.free[n-1] = nil
-		pg.free = pg.free[:n-1]
-	} else {
-		req = newPingReq()
-	}
+	req := pg.reqs.Take()
 	req.seq, req.sentAt = pg.seq, pg.host.Engine().Now()
 	pg.host.Send(pg.dst, pg.srcPort, PingPort, pkt.ProtoICMP, pg.size, req)
-}
-
-// newPingReq is the pool-miss refill path, noinline to keep the allocation
-// out of SendOne's escape profile.
-//
-//go:noinline
-func newPingReq() *pingReq {
-	return &pingReq{}
 }
 
 // Stop halts probing.

@@ -342,6 +342,28 @@ func TestGreedyFlowSharesWithLoss(t *testing.T) {
 	}
 }
 
+// TestGreedyFlowSteadyStateAllocatesNothing runs a greedy flow past its
+// ramp, on a roomy queue and on one tight enough to force retransmissions,
+// and requires the next 100 ms windows to allocate nothing: segment
+// payloads, retransmit timers and their records all come back from pools.
+func TestGreedyFlowSteadyStateAllocatesNothing(t *testing.T) {
+	for _, queue := range []int{128 << 10, 8 << 10} {
+		eng, ha, hb, _ := twoHosts(t, LinkConfig{BitsPerSecond: 50e6, Propagation: 2 * time.Millisecond, QueueBytes: queue})
+		NewGreedyReceiver(hb, 5001)
+		g := NewGreedyFlow(ha, hb.Node.Addr(), 5001, 40000, 1400)
+		g.Start()
+		eng.RunUntil(sim.Time(2 * time.Second))
+		acked, retrans := g.AckedSegments, g.Retransmits
+		if n := testing.AllocsPerRun(10, func() { eng.RunFor(100 * time.Millisecond) }); n != 0 {
+			t.Errorf("%d-byte queue: %.1f allocations per 100 ms window, want 0", queue, n)
+		}
+		if g.AckedSegments-acked < 1000 || (queue < 16<<10 && g.Retransmits == retrans) {
+			t.Errorf("%d-byte queue: %d segments and %d retransmissions in the windows; the case is not exercised",
+				queue, g.AckedSegments-acked, g.Retransmits-retrans)
+		}
+	}
+}
+
 func TestHopLimitStopsLoops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := New(eng)

@@ -97,10 +97,10 @@ type Network struct {
 	nodes  map[string]*Node
 	byAddr map[pkt.Addr]*Node
 	links  []*Link
-	// pktSeq numbers injected packets; pktFree is the packet free-list
-	// (see pool.go).
-	pktSeq  uint64
-	pktFree []*Packet
+	// pktSeq numbers injected packets; pkts is the packet pool (see
+	// pool.go).
+	pktSeq uint64
+	pkts   sim.Pool[Packet]
 }
 
 // New creates an empty network on eng.

@@ -50,10 +50,10 @@ type Packet struct {
 	// Hops counts forwarding operations, a loop guard (MaxHops).
 	Hops uint8
 
-	// pooled marks packets drawn from the network's free-list
+	// pooled marks packets drawn from the network's pool
 	// (Network.NewPacket/Node.NewPacket/ClonePacket); only those are
 	// recycled by Release. freed marks a pooled packet currently resting in
-	// the free-list, the double-release canary.
+	// the pool, the double-release canary.
 	pooled, freed bool
 
 	// CreatedAt is when the packet entered the network.

@@ -1,6 +1,6 @@
 package netsim
 
-// Packet free-list. The pool hangs off the Network — never a package
+// Packet pool. The sim.Pool hangs off the Network — never a package
 // global — so parallel trials never share packet memory and a seeded run
 // recycles in exactly the same order every time. Every packet a simulation
 // sends comes from NewPacket/ClonePacket; a &Packet{} literal is for tests
@@ -17,25 +17,8 @@ package netsim
 //
 //acacia:hotpath
 func (nw *Network) NewPacket() *Packet {
-	if n := len(nw.pktFree); n > 0 {
-		p := nw.pktFree[n-1]
-		nw.pktFree[n-1] = nil
-		nw.pktFree = nw.pktFree[:n-1]
-		p.freed = false
-		return p
-	}
-	return newPacketSlow()
-}
-
-// newPacketSlow is the pool-miss refill path. Noinline keeps the
-// unavoidable allocation out of hotpath callers' escape profiles: inlined,
-// it would be attributed to every caller's line range and trip the
-// hotpath-escape gate.
-//
-//go:noinline
-func newPacketSlow() *Packet {
-	p := new(Packet)
-	p.pooled = true
+	p := nw.pkts.Take()
+	p.pooled, p.freed = true, false
 	return p
 }
 
@@ -58,7 +41,7 @@ func (nw *Network) ClonePacket(p *Packet) *Packet {
 	return c
 }
 
-// Release returns a pool-managed packet to the free-list. Releasing a
+// Release returns a pool-managed packet to the pool. Releasing a
 // non-pooled packet is a no-op; releasing the same pooled packet
 // twice panics (the mutate-after-release canary). The packet is zeroed on
 // release, so stale readers observe garbage immediately instead of silently
@@ -73,5 +56,5 @@ func (nw *Network) Release(p *Packet) {
 		panicDoubleRelease()
 	}
 	*p = Packet{pooled: true, freed: true}
-	nw.pktFree = append(nw.pktFree, p)
+	nw.pkts.Put(p)
 }

@@ -92,6 +92,24 @@ func TestPoolReuseStartsZeroed(t *testing.T) {
 	}
 }
 
+// TestFreshPacketsComeInSlabs pins the pool-miss cost: a fresh Network
+// handing out 10,000 packets with none released, as an overloaded switch
+// queue does, carves them from a hundred-odd slabs instead of allocating
+// each one. The count includes building the Network itself.
+func TestFreshPacketsComeInSlabs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := testing.AllocsPerRun(3, func() {
+		nw := New(eng)
+		for i := 0; i < 10_000; i++ {
+			nw.NewPacket()
+		}
+	})
+	t.Logf("10,000 fresh packets: %.0f allocations", n)
+	if n > 120 {
+		t.Fatalf("10,000 fresh packets cost %.0f allocations, want at most 120", n)
+	}
+}
+
 // TestClonePacketIndependent checks a clone is pool-managed but distinct:
 // releasing the clone leaves the original untouched.
 func TestClonePacketIndependent(t *testing.T) {

@@ -64,16 +64,16 @@ type Controller struct {
 	// serialize into; only the encoded length outlives each call.
 	encBuf []byte
 
-	// modFree recycles the FlowMod continuation records (see flowMod).
-	modFree []*flowMod
+	// mods recycles the FlowMod continuation records (see flowMod).
+	mods sim.Pool[flowMod]
 }
 
 // flowMod is a pooled FlowMod continuation: the entry to add, or the
 // cookie (entry.Cookie) to delete, applied at sw when the message lands.
-// The transport carries apply, bound once when the record is built. The
-// record goes back to Controller.modFree when it is applied, which the ctl
+// The transport carries apply, bound on the record's first take. The
+// record goes back to Controller.mods when it is applied, which the ctl
 // receiver's duplicate filter allows at most once per frame; a FlowMod
-// whose every attempt was lost is never applied and is left to the GC.
+// whose every attempt was lost is never applied and never put back.
 type flowMod struct {
 	c     *Controller
 	sw    *Switch
@@ -87,7 +87,7 @@ type flowMod struct {
 func (m *flowMod) land() {
 	sw, add, e := m.sw, m.add, m.entry
 	m.sw, m.entry = nil, FlowEntry{}
-	m.c.modFree = append(m.c.modFree, m)
+	m.c.mods.Put(m)
 	if add {
 		sw.installFlow(e)
 	} else {
@@ -95,29 +95,27 @@ func (m *flowMod) land() {
 	}
 }
 
-// takeFlowMod pops a FlowMod record for sw, or builds one, and returns its
-// pre-bound delivery.
+// takeFlowMod takes a FlowMod record for sw and returns its pre-bound
+// delivery.
 //
 //acacia:hotpath
 func (c *Controller) takeFlowMod(sw *Switch, add bool, e FlowEntry) func() {
-	if len(c.modFree) == 0 {
-		c.modFree = append(c.modFree, c.newFlowMod())
+	m := c.mods.Take()
+	if m.c == nil {
+		c.bindFlowMod(m)
 	}
-	n := len(c.modFree) - 1
-	m := c.modFree[n]
-	c.modFree[n], c.modFree = nil, c.modFree[:n]
 	m.sw, m.add, m.entry = sw, add, e
 	return m.apply
 }
 
-// newFlowMod is the record pool's refill path. Noinline keeps the pool-miss
-// allocation out of hotpath callers' escape profiles.
+// bindFlowMod readies a fresh record: its back-pointer and its delivery,
+// bound once. Noinline keeps the binding out of hotpath callers' escape
+// profiles.
 //
 //go:noinline
-func (c *Controller) newFlowMod() *flowMod {
-	m := &flowMod{c: c}
+func (c *Controller) bindFlowMod(m *flowMod) {
+	m.c = c
 	m.apply = m.land
-	return m
 }
 
 // NewController creates a controller on eng.

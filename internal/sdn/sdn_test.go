@@ -568,7 +568,7 @@ func TestFlowModRecordsRecycle(t *testing.T) {
 			t.Fatalf("%d flows after the deletes, want 1", n)
 		}
 		seen := make(map[*flowMod]bool)
-		for _, m := range g.ctl.modFree {
+		for _, m := range g.ctl.mods.Idle() {
 			if seen[m] || m.sw != nil || m.entry.Cookie != 0 {
 				t.Fatal("a FlowMod record was recycled twice or kept its entry")
 			}
@@ -576,11 +576,11 @@ func TestFlowModRecordsRecycle(t *testing.T) {
 		}
 	}
 	round()
-	first := len(g.ctl.modFree)
+	first := len(g.ctl.mods.Idle())
 	for i := 0; i < 20; i++ {
 		round()
 	}
-	if n := len(g.ctl.modFree); n != first || first == 0 {
+	if n := len(g.ctl.mods.Idle()); n != first || first == 0 {
 		t.Fatalf("FlowMod pool holds %d records after 21 rounds, %d after the first", n, first)
 	}
 }

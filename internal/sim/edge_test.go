@@ -51,15 +51,15 @@ func TestCancelledEventsDrainPooled(t *testing.T) {
 	a.Cancel()
 	b.Cancel()
 
-	free0 := len(eng.free)
+	free0 := len(eng.events.Idle())
 	if pending(eng) != 3 || eng.Processed() != 0 || ran {
 		t.Errorf("cancel disturbed the queue: pending=%d processed=%d", pending(eng), eng.Processed())
 	}
 
 	// A run reaching 1 ms passes the cancelled pair and recycles it.
 	eng.RunUntil(Time(time.Millisecond))
-	if len(eng.free) != free0+2 || eng.Processed() != 0 {
-		t.Errorf("free-list grew by %d with %d processed, want 2, 0 (cancelled events recycled unfired)", len(eng.free)-free0, eng.Processed())
+	if len(eng.events.Idle()) != free0+2 || eng.Processed() != 0 {
+		t.Errorf("free-list grew by %d with %d processed, want 2, 0 (cancelled events recycled unfired)", len(eng.events.Idle())-free0, eng.Processed())
 	}
 	if pending(eng) != 1 {
 		t.Errorf("pending = %d after the run passed the cancelled pair, want only the live event", pending(eng))
@@ -68,8 +68,8 @@ func TestCancelledEventsDrainPooled(t *testing.T) {
 	// The recycled events must be reusable: the next Schedule must not
 	// allocate.
 	eng.Schedule(3*time.Millisecond, func() {})
-	if len(eng.free) != free0+1 {
-		t.Errorf("Schedule did not reuse a recycled event (free=%d, want %d)", len(eng.free), free0+1)
+	if len(eng.events.Idle()) != free0+1 {
+		t.Errorf("Schedule did not reuse a recycled event (free=%d, want %d)", len(eng.events.Idle()), free0+1)
 	}
 	eng.Run()
 	if !ran {

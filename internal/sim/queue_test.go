@@ -317,8 +317,8 @@ func TestPooledHandleReuse(t *testing.T) {
 	old := eng.ScheduleArg(time.Millisecond, func(any) {}, "stale")
 	first := old.ev
 	eng.Run()
-	if len(eng.free) != 1 || eng.free[0] != first || first.gen == old.gen {
-		t.Fatalf("fired event not on the free-list under a new generation (free=%d)", len(eng.free))
+	if len(eng.events.Idle()) != 1 || eng.events.Idle()[0] != first || first.gen == old.gen {
+		t.Fatalf("fired event not on the free-list under a new generation (free=%d)", len(eng.events.Idle()))
 	}
 
 	// Same event, now in closure form: the stale afn must not shadow fn.
@@ -367,8 +367,8 @@ func TestTickerReusesItsEvent(t *testing.T) {
 	tk.Stop() // between ticks
 	tk.Stop()
 	eng.Run()
-	if ticks != 3 || pending(eng) != 0 || len(eng.free) != 1 || eng.free[0] != ev {
-		t.Errorf("ticks = %d, pending = %d, free = %d; want 3, 0, the ticker's event", ticks, pending(eng), len(eng.free))
+	if ticks != 3 || pending(eng) != 0 || len(eng.events.Idle()) != 1 || eng.events.Idle()[0] != ev {
+		t.Errorf("ticks = %d, pending = %d, free = %d; want 3, 0, the ticker's event", ticks, pending(eng), len(eng.events.Idle()))
 	}
 }
 

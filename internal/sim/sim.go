@@ -46,7 +46,7 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // event is a scheduled callback. Events are one-shot; recurring behaviour is
 // built by re-scheduling from within the handler. Every event comes from the
-// engine's free-list and goes back to it once it has fired or, cancelled, been
+// engine's pool and goes back to it once it has fired or, cancelled, been
 // popped.
 //
 // An event carries no queue position. Cancel is lazy — it only sets a flag
@@ -269,11 +269,11 @@ type Engine struct {
 	queue   eventQueue
 	rng     *RNG
 	stopped bool
-	// free is the engine-owned event free-list every scheduling call draws
+	// events is the engine-owned event pool every scheduling call draws
 	// from. Hanging it off the engine (never a package global) keeps trials
 	// isolated: concurrent trials each recycle only their own events, so
 	// pooling cannot perturb the byte-identity of seeded runs.
-	free []*event
+	events Pool[event]
 	// Processed counts events whose handlers have run.
 	processed uint64
 	// Limit, when non-zero, aborts Run after this many events as a runaway
@@ -336,47 +336,26 @@ func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) Timer {
 // end-to-end benchmark's hold-model probe calls it.
 func (e *Engine) After(d time.Duration, fn func()) { e.Schedule(d, fn) }
 
-// enqueue is the one way into the queue: it fills a free-list event and adds
+// enqueue is the one way into the queue: it fills a pooled event and adds
 // its slot for time at. Every scheduling API ends here, which is what makes
 // them share one FIFO tie-break order.
 //
 //acacia:hotpath
 func (e *Engine) enqueue(at Time, fn func(), afn func(any), arg any) Timer {
-	ev := e.takeEvent()
+	ev := e.events.Take()
 	ev.fn, ev.afn, ev.arg = fn, afn, arg
 	e.queue.add(slot{at: at, ev: ev})
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-// takeEvent pops a recycled event from the free-list, or allocates one.
-//
-//acacia:hotpath
-func (e *Engine) takeEvent() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return newEvent()
-}
-
-// newEvent is takeEvent's pool-miss refill path. Noinline keeps the
-// unavoidable allocation out of the hotpath callers' escape profiles.
-//
-//go:noinline
-func newEvent() *event {
-	return &event{}
-}
-
-// recycle returns an event to the free-list once it can no longer fire:
+// recycle returns an event to the pool once it can no longer fire:
 // after it fired, or when it is popped cancelled. Bumping gen retires every
 // Timer issued for the use that just ended.
 //
 //acacia:hotpath
 func (e *Engine) recycle(ev *event) {
 	*ev = event{gen: ev.gen + 1}
-	e.free = append(e.free, ev)
+	e.events.Put(ev)
 }
 
 // badDelay is noinline: inlined into a hotpath caller, its Sprintf boxing

@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"slices"
 	"sort"
 
 	"acacia/internal/sim"
@@ -55,21 +56,39 @@ func BuildIndex(db *DB, cfg IndexConfig, rng *sim.RNG) *Index {
 		for b := 0; b < cfg.Bits; b++ {
 			ix.planes[t][b] = randomDescriptor(rng)
 		}
-		ix.tables[t] = make(map[uint32][]int32)
 	}
-	for objIdx, obj := range db.Objects {
-		descs := obj.Features().Descriptors
-		for d := range descs {
-			desc := &descs[d]
-			for t := 0; t < cfg.Tables; t++ {
-				sig := ix.signature(t, desc)
-				bucket := ix.tables[t][sig]
-				// Deduplicate consecutive inserts of the same object.
-				if n := len(bucket); n == 0 || bucket[n-1] != int32(objIdx) {
-					ix.tables[t][sig] = append(bucket, int32(objIdx))
-				}
+	// Each table collects its (signature, object) pairs, packed so that
+	// sorting orders them by signature and, within one, by object: the
+	// order objects are hashed in. A bucket is one run of the sorted pairs
+	// with repeats dropped, carved from the table's single backing array.
+	var pairs []uint64
+	for t := range ix.tables {
+		pairs = pairs[:0]
+		for objIdx, obj := range db.Objects {
+			descs := obj.Features().Descriptors
+			for d := range descs {
+				pairs = append(pairs, uint64(ix.signature(t, &descs[d]))<<32|uint64(objIdx))
 			}
 		}
+		slices.Sort(pairs)
+		ps := slices.Compact(pairs)
+		objs, buckets := make([]int32, len(ps)), 0
+		for i, p := range ps {
+			objs[i] = int32(uint32(p))
+			if i == 0 || p>>32 != ps[i-1]>>32 {
+				buckets++
+			}
+		}
+		table := make(map[uint32][]int32, buckets)
+		for lo := 0; lo < len(ps); {
+			hi := lo + 1
+			for hi < len(ps) && ps[hi]>>32 == ps[lo]>>32 {
+				hi++
+			}
+			table[uint32(ps[lo]>>32)] = objs[lo:hi:hi]
+			lo = hi
+		}
+		ix.tables[t] = table
 	}
 	return ix
 }

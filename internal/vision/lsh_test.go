@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"reflect"
 	"testing"
 
 	"acacia/internal/geo"
@@ -90,5 +91,35 @@ func TestLSHTopMClampedToAvailable(t *testing.T) {
 	cands, _ := ix.CandidateObjects(frame, 10_000)
 	if len(cands) > db.Len() {
 		t.Errorf("candidates = %d beyond database size", len(cands))
+	}
+}
+
+// TestBuildIndexMatchesAppendModel rebuilds every table the direct way,
+// appending each object to its signature's bucket unless it is already the
+// bucket's last entry, and requires BuildIndex's sorted, carved buckets to
+// hold the same objects in the same order.
+func TestBuildIndexMatchesAppendModel(t *testing.T) {
+	db, ix := buildIndexedDB(t)
+	for tb, table := range ix.tables {
+		model := make(map[uint32][]int32)
+		for objIdx, obj := range db.Objects {
+			descs := obj.Features().Descriptors
+			for d := range descs {
+				sig := ix.signature(tb, &descs[d])
+				if b := model[sig]; len(b) == 0 || b[len(b)-1] != int32(objIdx) {
+					model[sig] = append(b, int32(objIdx))
+				}
+			}
+		}
+		if !reflect.DeepEqual(table, model) {
+			t.Fatalf("table %d: %d buckets, the append model %d, or their contents differ", tb, len(table), len(model))
+		}
+		spare := 0 // capacity past a bucket's objects, reaching the next bucket
+		for _, b := range table {
+			spare += cap(b) - len(b)
+		}
+		if spare != 0 {
+			t.Fatalf("table %d: buckets reach %d entries past their objects", tb, spare)
+		}
 	}
 }

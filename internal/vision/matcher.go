@@ -80,6 +80,9 @@ type MatchResult struct {
 type Matcher struct {
 	cfg MatcherConfig
 	rng *sim.RNG
+	// hyp and best are RANSAC's scratch: the current hypothesis's inliers
+	// and the best set so far, swapped when a hypothesis wins.
+	hyp, best []Correspondence
 }
 
 // NewMatcher creates a matcher; rng drives RANSAC sampling and must be
@@ -169,14 +172,14 @@ func (m *Matcher) Match(query, train *FeatureSet) MatchResult {
 }
 
 // ransac estimates a scale+translation model from correspondence pairs and
-// returns the best consensus set.
+// returns a copy of the best consensus set, nil when no hypothesis found
+// one.
 func (m *Matcher) ransac(query, train *FeatureSet, cands []Correspondence) ([]Correspondence, int) {
 	if len(cands) < 2 {
 		return nil, 0
 	}
 	tol2 := m.cfg.RANSACTol * m.cfg.RANSACTol
-	bestCount := 0
-	var bestInliers []Correspondence
+	m.best = m.best[:0]
 	for iter := 0; iter < m.cfg.RANSACIters; iter++ {
 		a := cands[m.rng.Intn(len(cands))]
 		b := cands[m.rng.Intn(len(cands))]
@@ -200,7 +203,7 @@ func (m *Matcher) ransac(query, train *FeatureSet, cands []Correspondence) ([]Co
 		}
 		tx := float64(query.Keypoints[a.Q].X) - float64(train.Keypoints[a.T].X)*s
 		ty := float64(query.Keypoints[a.Q].Y) - float64(train.Keypoints[a.T].Y)*s
-		var inliers []Correspondence
+		inliers := m.hyp[:0]
 		for _, c := range cands {
 			px := float64(train.Keypoints[c.T].X)*s + tx
 			py := float64(train.Keypoints[c.T].Y)*s + ty
@@ -210,10 +213,14 @@ func (m *Matcher) ransac(query, train *FeatureSet, cands []Correspondence) ([]Co
 				inliers = append(inliers, c)
 			}
 		}
-		if len(inliers) > bestCount {
-			bestCount = len(inliers)
-			bestInliers = inliers
+		if len(inliers) > len(m.best) {
+			m.hyp, m.best = m.best, inliers
+		} else {
+			m.hyp = inliers
 		}
 	}
-	return bestInliers, bestCount
+	if len(m.best) == 0 {
+		return nil, 0
+	}
+	return append([]Correspondence(nil), m.best...), len(m.best)
 }

@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -92,6 +93,75 @@ func TestMatcherFindsObjectInFrame(t *testing.T) {
 	}
 	if res.MACs <= 0 {
 		t.Error("no MACs accounted")
+	}
+}
+
+// ransacModel is RANSAC with a fresh inlier slice per hypothesis: the
+// reference Matcher.ransac's two swapped buffers must reproduce.
+func ransacModel(cfg MatcherConfig, rng *sim.RNG, query, train *FeatureSet, cands []Correspondence) ([]Correspondence, int) {
+	if len(cands) < 2 {
+		return nil, 0
+	}
+	var best []Correspondence
+	for iter := 0; iter < cfg.RANSACIters; iter++ {
+		a, b := cands[rng.Intn(len(cands))], cands[rng.Intn(len(cands))]
+		if a == b {
+			continue
+		}
+		ta, tb, qa, qb := train.Keypoints[a.T], train.Keypoints[b.T], query.Keypoints[a.Q], query.Keypoints[b.Q]
+		tn := math.Hypot(float64(tb.X-ta.X), float64(tb.Y-ta.Y))
+		if tn < 1e-6 {
+			continue
+		}
+		s := math.Hypot(float64(qb.X-qa.X), float64(qb.Y-qa.Y)) / tn
+		if s < 0.1 || s > 10 {
+			continue
+		}
+		tx, ty := float64(qa.X)-float64(ta.X)*s, float64(qa.Y)-float64(ta.Y)*s
+		var inliers []Correspondence
+		for _, c := range cands {
+			dx := float64(train.Keypoints[c.T].X)*s + tx - float64(query.Keypoints[c.Q].X)
+			dy := float64(train.Keypoints[c.T].Y)*s + ty - float64(query.Keypoints[c.Q].Y)
+			if dx*dx+dy*dy <= cfg.RANSACTol*cfg.RANSACTol {
+				inliers = append(inliers, c)
+			}
+		}
+		if len(inliers) > len(best) {
+			best = inliers
+		}
+	}
+	return best, len(best)
+}
+
+// TestRANSACMatchesPerHypothesisModel runs one matcher's RANSAC over
+// several correspondence sets, one after another so its buffers carry over,
+// against the per-hypothesis model on the same random stream: a frame's
+// true matches diluted with random pairs, the true matches alone, and a
+// degenerate set no hypothesis can come from. Each must give the same
+// consensus set, nil when none formed.
+func TestRANSACMatchesPerHypothesisModel(t *testing.T) {
+	obj := GenerateObjectFeatures(11, 150)
+	query := GenerateFrame(obj, DefaultFrameParams(120), sim.NewRNG(3))
+	pre := NewMatcher(MatcherConfig{Stages: StageRatio | StageSymmetry}, sim.NewRNG(1))
+	truth := pre.Match(query, obj).Correspondences
+	noise := sim.NewRNG(9)
+	diluted := append([]Correspondence(nil), truth...)
+	for range truth {
+		diluted = append(diluted, Correspondence{Q: noise.Intn(len(query.Keypoints)), T: noise.Intn(len(obj.Keypoints))})
+	}
+	degenerate := []Correspondence{{Q: 0, T: 0}, {Q: 0, T: 0}}
+
+	m := NewMatcher(MatcherConfig{}, sim.NewRNG(4))
+	model := sim.NewRNG(4)
+	for i, cands := range [][]Correspondence{diluted, truth, degenerate, diluted[:len(diluted)/3]} {
+		got, n := m.ransac(query, obj, cands)
+		want, wn := ransacModel(m.cfg, model, query, obj, cands)
+		if n != wn || !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d: consensus %d %v, model %d %v", i, n, got, wn, want)
+		}
+		if (i == 0 && (n < 8 || n == len(cands))) || (i == 2 && got != nil) {
+			t.Fatalf("set %d: consensus %d of %d (nil %v) does not exercise the case", i, n, len(cands), got == nil)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package acacia
 
-// Cross-trial pool-isolation tests. The packet and event free-lists hang
-// off the Network and Engine respectively — never off package globals — so
-// concurrent trials recycle only their own memory. These tests run real
-// trials concurrently through the exec worker pool and fail under the
-// race detector, or on any byte-level output divergence, if a pool ever
-// leaks across trials.
+// Cross-trial pool-isolation tests. The packet and event pools, each a
+// sim.Pool carving fresh records from its own slabs, hang off the Network
+// and Engine respectively — never off package globals — so concurrent
+// trials recycle only their own memory. These tests run real trials
+// concurrently through the exec worker pool and fail under the race
+// detector, or on any byte-level output divergence, if a pool ever leaks
+// across trials.
 
 import (
 	"fmt"
@@ -30,6 +31,17 @@ func canaryTrial(t *testing.T, seed uint64, marker uint32) string {
 	ha := netsim.NewHost(na)
 	netsim.NewSink(netsim.NewHost(nb), 9000)
 	nw.ConnectSymmetric(na, nb, netsim.LinkConfig{BitsPerSecond: 1e8, Propagation: time.Millisecond})
+
+	// Several slabs' worth of fresh packets, all held at once, then all
+	// released: the loop below re-acquires them.
+	held := make([]*netsim.Packet, 300)
+	for i := range held {
+		held[i] = nw.NewPacket()
+		held[i].TEID = marker
+	}
+	for _, p := range held {
+		nw.Release(p)
+	}
 
 	var received uint64
 	for i := 0; i < 200; i++ {
