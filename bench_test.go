@@ -291,7 +291,7 @@ func BenchmarkFailoverRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		tb.Run(5 * time.Second)
-		if err := tb.Faults.Apply(FaultPlan{Name: "bench", Events: []FaultEvent{
+		if err := tb.Faults.Apply(FaultPlan{Events: []FaultEvent{
 			{Kind: FaultSiteCrash, Target: "edge-1", At: time.Second},
 		}}); err != nil {
 			b.Fatal(err)
@@ -326,7 +326,7 @@ func BenchmarkFaultPlanApply(b *testing.B) {
 				Duration: 5 * time.Millisecond,
 			})
 		}
-		if err := in.Apply(fault.Plan{Name: "bench", Events: evs}); err != nil {
+		if err := in.Apply(fault.Plan{Events: evs}); err != nil {
 			b.Fatal(err)
 		}
 		eng.Run()

@@ -86,7 +86,7 @@ func main() {
 
 	if *faults {
 		fmt.Println("\n-- edge-2 crashes; path supervision detects, MRS fails the session over --")
-		if err := tb.Faults.Apply(acacia.FaultPlan{Name: "edge-outage", Events: []acacia.FaultEvent{
+		if err := tb.Faults.Apply(acacia.FaultPlan{Events: []acacia.FaultEvent{
 			{Kind: acacia.FaultSiteCrash, Target: "edge-2", At: time.Second},
 		}}); err != nil {
 			panic(err)

@@ -48,12 +48,11 @@ type Rule struct {
 
 // Diagnostic is one finding: a violated contract at a position.
 type Diagnostic struct {
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Rule    string         `json:"rule"`
-	Message string         `json:"message"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Rule    string `json:"rule"`
+	Message string `json:"message"`
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -68,7 +67,6 @@ type Pass struct {
 	// package's path; external test packages carry a "_test" suffix.
 	Path  string
 	Files []*ast.File
-	Pkg   *types.Package
 	Info  *types.Info
 
 	// prog is the whole program the package was loaded with, for the
@@ -82,7 +80,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:     position,
 		File:    position.Filename,
 		Line:    position.Line,
 		Col:     position.Column,
@@ -196,7 +193,6 @@ func RunProgram(prog *Program, rules []*Rule) []Diagnostic {
 				Fset:  pkg.Fset,
 				Path:  pkg.Path,
 				Files: pkg.Files,
-				Pkg:   pkg.Pkg,
 				Info:  pkg.Info,
 				prog:  prog,
 				rule:  rule,
@@ -217,13 +213,13 @@ func RunProgram(prog *Program, rules []*Rule) []Diagnostic {
 					switch {
 					case !knownRule[d.rule]:
 						diags = append(diags, Diagnostic{
-							Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
+							File: pos.Filename, Line: pos.Line, Col: pos.Column,
 							Rule:    "directive",
 							Message: fmt.Sprintf("//acacia:allow names unknown rule %q", d.rule),
 						})
 					case d.reason == "":
 						diags = append(diags, Diagnostic{
-							Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
+							File: pos.Filename, Line: pos.Line, Col: pos.Column,
 							Rule:    "directive",
 							Message: fmt.Sprintf("//acacia:allow %s needs a reason", d.rule),
 						})
@@ -280,7 +276,6 @@ func unusedAllows(allows []*allowDirective, knownRule, selected map[string]bool)
 			continue
 		}
 		out = append(out, Diagnostic{
-			Pos:     token.Position{Filename: a.file, Line: a.line, Column: a.col},
 			File:    a.file,
 			Line:    a.line,
 			Col:     a.col,

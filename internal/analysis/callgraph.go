@@ -72,7 +72,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 // not token.Pos values.
 func (p *ProgramPass) ReportAt(position token.Position, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:     position,
 		File:    position.Filename,
 		Line:    position.Line,
 		Col:     position.Column,
@@ -119,11 +118,10 @@ type CGNode struct {
 	// Func is the declared function or method; nil for a literal.
 	Func *types.Func
 	Name string // human-readable, e.g. "(*epc.MME).handleAttach"
-	// Body and Pkg are set for functions whose source was analyzed;
+	// Pkg is set for functions whose source was analyzed;
 	// referenced-but-unanalyzed functions (standard library, mostly) are
 	// body-less leaves.
-	Body *ast.BlockStmt
-	Pkg  *Package
+	Pkg *Package
 	// Root marks event-handler entry points: functions whose value flows
 	// into a sim.Engine scheduling API (Schedule, ScheduleArg, After) or
 	// into sim.NewTicker.
@@ -393,7 +391,6 @@ func (b *cgBuilder) declNode(pkg *Package, fd *ast.FuncDecl) *CGNode {
 		return nil
 	}
 	n := b.ensureFunc(fn)
-	n.Body = fd.Body
 	n.Pkg = pkg
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		idx := fd.Name.Name + "/" + strconv.Itoa(sig.Params().Len())
@@ -421,7 +418,6 @@ func (b *cgBuilder) litNode(pkg *Package, parent *CGNode, lit *ast.FuncLit) *CGN
 	line := b.prog.Fset.Position(lit.Pos()).Line
 	return b.newNode(lit, &CGNode{
 		Name: parent.Name + ".func@" + strconv.Itoa(line),
-		Body: lit.Body,
 		Pkg:  pkg,
 	})
 }

@@ -2,42 +2,69 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// keepUnreferenced names the internal/ functions TestNoUnreferencedCode lets
-// stand although no non-test code references them, each with its reason.
-// Only three kinds belong here: invariant probes that tests read, reference
-// models that live code is checked against, and controls a tier-1 budget
-// rig needs.
+// keepUnreferenced names the internal/ declarations TestNoUnreferencedCode
+// lets stand although no non-test code reads them, each with its reason.
+// Functions are keyed "<pkg>.<Name>" or "<pkg>.<Type>.<Method>", fields
+// "<pkg>.<Type>.<field>", constants "<pkg>.<Name>". Only four kinds belong
+// here: invariant probes that tests read, reference models that live code
+// is checked against, controls a tier-1 budget rig needs, and fields the
+// frozen benchmark/ writes.
 var keepUnreferenced = map[string]string{
 	// Invariant probes that tests read.
-	"acacia/internal/netsim.FIFO.Cap":            "FuzzFIFO and the backlog tests bound the queue's memory with it",
-	"acacia/internal/netsim.Link.BacklogAB":      "the queued-link alloc rig checks its direction is congested",
-	"acacia/internal/sim.Pool.Idle":              "pool tests in sim, epc and sdn read which records are at rest",
-	"acacia/internal/netsim.Link.StatsAB":        "link, ctl, epc and fault tests read per-direction counters",
-	"acacia/internal/netsim.Link.StatsBA":        "ctl and epc loss tests read the reverse direction's counters",
-	"acacia/internal/netsim.Network.Links":       "core's wiring tests pin link creation order, the <n> of every link metric",
-	"acacia/internal/epc.UserPlane.GBRInUse":     "bearer tests check GBR is returned on every teardown path",
-	"acacia/internal/vision.Object.Materialised": "the lazy-DB tests check a session generates no descriptors",
+	"acacia/internal/netsim.FIFO.Cap":                    "FuzzFIFO and the backlog tests bound the queue's memory with it",
+	"acacia/internal/netsim.Link.BacklogAB":              "the queued-link alloc rig checks its direction is congested",
+	"acacia/internal/sim.Pool.Idle":                      "pool tests in sim, epc and sdn read which records are at rest",
+	"acacia/internal/netsim.Link.StatsAB":                "link, ctl, epc and fault tests read per-direction counters",
+	"acacia/internal/netsim.Link.StatsBA":                "ctl and epc loss tests read the reverse direction's counters",
+	"acacia/internal/netsim.Network.Links":               "core's wiring tests pin link creation order, the <n> of every link metric",
+	"acacia/internal/epc.UserPlane.GBRInUse":             "bearer tests check GBR is returned on every teardown path",
+	"acacia/internal/vision.Object.Materialised":         "the lazy-DB tests check a session generates no descriptors",
+	"acacia/internal/core.ARFrontend.MigrationTimeouts":  "mobility tests check a relocation's migration finished before its watchdog",
+	"acacia/internal/netsim.GreedyFlow.AckedSegments":    "greedy-flow tests check the measured windows ack segments",
+	"acacia/internal/netsim.GreedyFlow.Retransmits":      "greedy-flow tests check a tight queue drives the pooled retransmit path",
+	"acacia/internal/netsim.Pinger.Sent":                 "ping tests count unanswered probes as Sent - RTTs.N()",
+	"acacia/internal/netsim.Router.Dropped":              "the routing test checks an unroutable packet is dropped",
+	"acacia/internal/pkt.DirUplink":                      "TFT and modem tests build uplink-only filters (TS 24.008 direction 2)",
+	"acacia/internal/vision.MatchResult.Correspondences": "vision tests compare the matches each pipeline stage keeps",
+	"acacia/internal/d2d.DiscoveryMessage.Service":       "the discovery test checks a delivery carries the published service",
+	"acacia/internal/d2d.DiscoveryMessage.Payload":       "the discovery test checks a delivery carries the published payload",
+	"acacia/internal/epc.ENB.s1Link":                     "loss and leg tests fail and heal the eNB's S1-MME link through it",
+	"acacia/internal/epc.ENB.ULPackets":                  "handover tests check uplink traffic traverses the target eNB",
+	"acacia/internal/epc.MME.Releases":                   "idle-mode tests count inactivity releases",
+	"acacia/internal/epc.MME.Promotions":                 "idle-mode tests count service-request promotions",
+	"acacia/internal/epc.MME.Pagings":                    "paging tests and the procedure golden count pages",
+	"acacia/internal/sdn.SwitchStats.SlowPathHits":       "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",
+	"acacia/internal/sdn.SwitchStats.TableMisses":        "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",
+	"acacia/internal/sdn.SwitchStats.Dropped":            "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",
+	"acacia/internal/sdn.SwitchStats.Encapsulated":       "sdn, epc and core tests check GTP-U encapsulation through Switch.Stats",
+	"acacia/internal/sdn.SwitchStats.Decapsulated":       "sdn and epc tests check GTP-U decapsulation through Switch.Stats",
+	"acacia/internal/analysis.CGNode.Pkg":                "the call-graph test picks a fixture's roots by package",
 	// Reference models live code is compared against.
 	"acacia/internal/pkt.Match.Matches": "sdn's scale tests use it as the linear-scan model of lookup",
 	// Controls a tier-1 budget rig needs.
 	"acacia/internal/sim.Engine.Stop": "the event-queue hold rig stops the engine after b.N events",
+	// Fields the frozen benchmark/ writes.
+	"acacia/internal/experiments.ScaleConfig.Workers": "benchmark/ sets it; it goes with ROADMAP item 1(a)'s re-base",
 }
 
 // TestNoUnreferencedCode holds internal/ to code something can run:
 // internal/ packages cannot be imported from outside this module, so a
-// function no command, example, benchmark or public-package file reaches —
-// directly, or through live code — is dead. A reference counts only from
-// Info.Uses outside _test.go files and outside dead bodies, so a function
-// only dead code calls is dead too. A method named by an interface its
-// receiver satisfies is live: calls through the interface do not resolve to
-// it by type.
+// function, field, constant, var or type no command, example, benchmark or
+// public-package file reads — directly, or through live code — is dead, and
+// so is an unused parameter of a function only ever called. A read counts
+// only from Info.Uses outside _test.go files and outside dead bodies, so
+// what only dead code reads is dead too; writes are not reads. A method
+// named by an interface its receiver satisfies is live: calls through the
+// interface do not resolve to it by type.
 func TestNoUnreferencedCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repo from source")
@@ -65,16 +92,16 @@ func TestNoUnreferencedCode(t *testing.T) {
 	}
 	sort.Strings(keep)
 	dead, referenced := unreferenced(pkgs, l.ModulePath+"/internal/", keep, fmtPkg.Scope().Lookup("Stringer").Type())
-	for _, fn := range dead {
-		pos := l.Fset.Position(fn.Pos())
+	for _, f := range dead {
+		pos := l.Fset.Position(f.obj.Pos())
 		rel, _ := filepath.Rel(l.ModuleRoot, pos.Filename)
-		t.Errorf("%s:%d: %s has no non-test reference: delete it, or name it in keepUnreferenced with a reason", rel, pos.Line, funcKey(fn))
+		t.Errorf("%s:%d: %s has no non-test read: delete it, or name it in keepUnreferenced with a reason", rel, pos.Line, f)
 	}
 	for _, name := range keep {
 		if live, ok := referenced[name]; !ok {
 			t.Errorf("keepUnreferenced names %s, which is not declared in internal/", name)
 		} else if live {
-			t.Errorf("keepUnreferenced names %s, which live code references: drop the entry", name)
+			t.Errorf("keepUnreferenced names %s, which live code reads: drop the entry", name)
 		}
 	}
 }
@@ -92,126 +119,438 @@ func funcKey(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + name
 }
 
-// unreferenced returns, in position order, the functions declared in
-// non-test files of packages under prefix that nothing live references, and
-// every such function's key mapped to whether a reference from live code
-// reaches it. Roots are the references from everything else: non-test code
-// outside prefix, and package-level declarations other than functions.
-// Methods whose receiver satisfies an interface naming them are roots too;
-// the interfaces are extra plus every one a non-test expression's type
-// mentions. The keep functions, and what they reference, are live without
-// counting as referenced.
-func unreferenced(pkgs []*Package, prefix string, keep []string, extra ...types.Type) (dead []*types.Func, referenced map[string]bool) {
-	edges := map[*types.Func][]*types.Func{}
-	var candidates, roots []*types.Func
-	var ifaces []*types.Interface
-	seen := map[types.Type]bool{}
-	var collect func(types.Type)
-	collect = func(typ types.Type) {
-		if typ == nil || seen[typ] {
-			return
-		}
-		seen[typ] = true
-		switch u := typ.(type) {
-		case *types.Named:
-			if it, ok := u.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-				ifaces = append(ifaces, it)
-			}
-		case *types.Interface:
-			if u.NumMethods() > 0 {
-				ifaces = append(ifaces, u)
-			}
-		case *types.Pointer:
-			collect(u.Elem())
-		case *types.Slice:
-			collect(u.Elem())
-		case *types.Map:
-			collect(u.Elem())
-		case *types.Chan:
-			collect(u.Elem())
-		case *types.Signature:
-			for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
-				for i := 0; i < tup.Len(); i++ {
-					collect(tup.At(i).Type())
-				}
-			}
-		}
+// finding is one declaration nothing live reads.
+type finding struct {
+	obj  types.Object
+	kind string // func, field, const, var, type or param
+	key  string
+}
+
+func (f finding) String() string { return f.kind + " " + f.key }
+
+// unreferenced returns, in position order, the declarations in non-test
+// files of packages under prefix that nothing live reads — functions,
+// struct fields, constants, package-level vars, types, and the parameters
+// of functions only ever called directly — and every such declaration's key
+// mapped to whether a read from live code reaches it. Roots are the reads
+// from everything else: non-test code outside prefix, init functions, blank
+// package-level vars, and struct fields with a tag other than `json:"-"`,
+// which reflection reads. Methods whose receiver satisfies an interface
+// naming them are roots too; the interfaces are extra plus every one a
+// non-test expression's type mentions. The keep declarations, and what they
+// read, are live without counting as referenced.
+func unreferenced(pkgs []*Package, prefix string, keep []string, extra ...types.Type) (dead []finding, referenced map[string]bool) {
+	g := &refGraph{
+		edges:  map[types.Object][]types.Object{},
+		decls:  map[types.Object]finding{},
+		params: map[*types.Func][]*types.Var{},
+		values: map[*types.Func]bool{},
+		writes: map[*ast.Ident]bool{},
+		called: map[*ast.Ident]bool{},
+		hashed: map[hashUse]bool{},
+		seen:   map[types.Type]bool{},
 	}
 	for _, typ := range extra {
-		collect(typ)
+		g.collect(typ)
 	}
 	for _, pkg := range pkgs {
+		g.pkg, g.declare = pkg, strings.HasPrefix(pkg.Path, prefix)
 		for _, file := range pkg.Files {
 			if strings.HasSuffix(pkg.Fset.Position(file.Pos()).Filename, "_test.go") {
 				continue
 			}
 			for _, decl := range file.Decls {
-				var from *types.Func
-				if fd, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(pkg.Path, prefix) {
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && fd.Name.Name != "init" {
-						from = fn
-						candidates = append(candidates, fn)
-					}
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					g.walk(decl, nil, pkg.Path)
+					continue
 				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					if e, ok := n.(ast.Expr); ok {
-						if tv, ok := pkg.Info.Types[e]; ok {
-							collect(tv.Type)
+				fn := pkg.Info.Defs[fd.Name].(*types.Func)
+				var from []types.Object
+				if g.declare && fd.Name.Name != "init" {
+					g.add(fn, "func", funcKey(fn))
+					from = []types.Object{fn}
+					for _, field := range fd.Type.Params.List {
+						for _, name := range field.Names {
+							if name.Name != "_" {
+								g.params[fn] = append(g.params[fn], pkg.Info.Defs[name].(*types.Var))
+							}
 						}
 					}
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					fn, ok := pkg.Info.Uses[id].(*types.Func)
-					if !ok {
-						return true
-					}
-					if fn = fn.Origin(); from == nil {
-						roots = append(roots, fn)
-					} else if fn != from {
-						edges[from] = append(edges[from], fn)
-					}
-					return true
-				})
+				}
+				g.walk(fd, from, funcKey(fn))
 			}
 		}
 	}
-	for _, fn := range candidates {
-		if namedByInterface(fn, ifaces) {
-			roots = append(roots, fn)
+	for obj := range g.decls {
+		if fn, ok := obj.(*types.Func); ok && namedByInterface(fn, g.ifaces) {
+			g.roots = append(g.roots, fn)
 		}
 	}
-	live := map[*types.Func]bool{}
-	mark := func(roots []*types.Func) {
+	live := map[types.Object]bool{}
+	mark := func(roots []types.Object) {
 		for len(roots) > 0 {
-			fn := roots[len(roots)-1]
+			obj := roots[len(roots)-1]
 			roots = roots[:len(roots)-1]
-			if !live[fn] {
-				live[fn] = true
-				roots = append(roots, edges[fn]...)
+			if !live[obj] {
+				live[obj] = true
+				roots = append(roots, g.edges[obj]...)
 			}
 		}
 	}
-	mark(roots)
+	mark(g.roots)
+	// A parameter counts only where the function's signature is its own:
+	// one used as a value or named by an interface must match a type.
+	for fn, params := range g.params {
+		if !live[fn] || g.values[fn] || namedByInterface(fn, g.ifaces) {
+			continue
+		}
+		for _, p := range params {
+			g.add(p, "param", funcKey(fn)+"."+p.Name())
+		}
+	}
 	referenced = map[string]bool{}
-	byKey := map[string]*types.Func{}
-	for _, fn := range candidates {
-		referenced[funcKey(fn)] = live[fn]
-		byKey[funcKey(fn)] = fn
+	byKey := map[string]types.Object{}
+	for obj, f := range g.decls {
+		referenced[f.key] = live[obj]
+		byKey[f.key] = obj
 	}
 	for _, name := range keep {
-		if fn, ok := byKey[name]; ok {
-			mark([]*types.Func{fn})
+		if obj, ok := byKey[name]; ok {
+			mark([]types.Object{obj})
 		}
 	}
-	for _, fn := range candidates {
-		if !live[fn] {
-			dead = append(dead, fn)
+	for obj, f := range g.decls {
+		if !live[obj] {
+			dead = append(dead, f)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].Pos() < dead[j].Pos() })
+	sort.Slice(dead, func(i, j int) bool { return dead[i].obj.Pos() < dead[j].obj.Pos() })
 	return dead, referenced
+}
+
+// refGraph is the read graph unreferenced marks: an edge runs from a
+// declaration to each object its declaration reads.
+type refGraph struct {
+	pkg     *Package
+	declare bool // whether pkg's declarations are candidates
+	edges   map[types.Object][]types.Object
+	roots   []types.Object
+	decls   map[types.Object]finding
+	params  map[*types.Func][]*types.Var
+	// values holds the functions non-test code uses other than by calling.
+	values map[*types.Func]bool
+	// writes and called mark identifiers in the file being walked: the
+	// target of an assignment or keyed literal element, and a callee.
+	writes, called map[*ast.Ident]bool
+	hashed         map[hashUse]bool
+	ifaces         []*types.Interface
+	seen           map[types.Type]bool
+}
+
+// hashUse is one declaration's hashing or comparing of a type's values.
+type hashUse struct {
+	from types.Object
+	typ  types.Type
+}
+
+func (g *refGraph) add(obj types.Object, kind, key string) {
+	g.decls[obj] = finding{obj, kind, key}
+}
+
+// read records that every declaration in from reads obj; with from empty
+// the read is a root.
+func (g *refGraph) read(from []types.Object, obj types.Object) {
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+	case *types.Var:
+		obj = o.Origin()
+	}
+	if len(from) == 0 {
+		g.roots = append(g.roots, obj)
+	}
+	for _, f := range from {
+		if f != obj {
+			g.edges[f] = append(g.edges[f], obj)
+		}
+	}
+}
+
+// walk records the reads under n as reads by from; scope is the key prefix
+// of declarations nested in n.
+func (g *refGraph) walk(n ast.Node, from []types.Object, scope string) {
+	info := g.pkg.Info
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			obj := info.Defs[n.Name]
+			key := scope + "." + n.Name.Name
+			sub := from
+			if g.declare {
+				g.add(obj, "type", key)
+				sub = []types.Object{obj}
+			}
+			if n.TypeParams != nil {
+				g.walk(n.TypeParams, sub, key)
+			}
+			g.walk(n.Type, sub, key)
+			return false
+		case *ast.ValueSpec:
+			// Constants anywhere, vars at package level; a local var's
+			// reads are its function's.
+			var objs []types.Object
+			for _, name := range n.Names {
+				obj := info.Defs[name]
+				_, isConst := obj.(*types.Const)
+				if name.Name == "_" || !isConst && obj.Parent() != g.pkg.Pkg.Scope() {
+					continue
+				}
+				objs = append(objs, obj)
+				if g.declare {
+					kind := "var"
+					if isConst {
+						kind = "const"
+					}
+					g.add(obj, kind, scope+"."+name.Name)
+				}
+			}
+			if len(objs) == 0 || !g.declare {
+				return true
+			}
+			for _, e := range append([]ast.Expr{n.Type}, n.Values...) {
+				if e != nil {
+					g.walk(e, objs, scope)
+				}
+			}
+			return false
+		case *ast.StructType:
+			for _, field := range n.Fields.List {
+				g.field(field, from, scope)
+			}
+			return false
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					g.markWrite(lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			g.markWrite(n.X)
+		case *ast.CompositeLit:
+			if tv, ok := info.Types[n]; ok {
+				if _, ok := tv.Type.Underlying().(*types.Struct); ok {
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							g.writes[kv.Key.(*ast.Ident)] = true
+						}
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if id := callee(n.Fun); id != nil {
+				g.called[id] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				g.hash(from, info.Types[n.X].Type)
+			}
+		case *ast.SelectorExpr:
+			// A promoted selection reads every embedded field on its path.
+			if sel := info.Selections[n]; sel != nil {
+				t := sel.Recv()
+				for _, i := range sel.Index()[:len(sel.Index())-1] {
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					f := t.Underlying().(*types.Struct).Field(i)
+					g.read(from, f)
+					t = f.Type()
+				}
+			}
+		case *ast.Ident:
+			if obj := info.Uses[n]; obj != nil && !g.writes[n] {
+				g.read(from, obj)
+				if fn, ok := obj.(*types.Func); ok && !g.called[n] {
+					g.values[fn.Origin()] = true
+				}
+			}
+		}
+		if e, ok := n.(ast.Expr); ok {
+			if tv, ok := info.Types[e]; ok {
+				g.collect(tv.Type)
+				g.hashTypes(from, tv.Type)
+			}
+		}
+		return true
+	})
+}
+
+// field declares one struct field (or the names of one field list entry)
+// and walks its type as their read.
+func (g *refGraph) field(field *ast.Field, from []types.Object, scope string) {
+	var objs []types.Object
+	names := field.Names
+	if len(names) == 0 {
+		names = []*ast.Ident{embeddedName(field.Type)}
+	}
+	for _, name := range names {
+		obj := g.pkg.Info.Defs[name]
+		if name.Name == "_" || obj == nil {
+			continue
+		}
+		objs = append(objs, obj)
+		if g.declare {
+			g.add(obj, "field", scope+"."+name.Name)
+		}
+	}
+	if field.Tag != nil {
+		if tag, _ := strconv.Unquote(field.Tag.Value); tag != `json:"-"` {
+			g.roots = append(g.roots, objs...)
+		}
+	}
+	if g.declare && len(objs) > 0 {
+		from = objs
+		scope += "." + names[0].Name
+	}
+	g.walk(field.Type, from, scope)
+}
+
+// embeddedName returns the identifier an embedded field is named by.
+func embeddedName(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
+// markWrite marks the variable or field an assignment to lhs stores into:
+// the outermost selection, through any indexing.
+func (g *refGraph) markWrite(lhs ast.Expr) {
+	for {
+		switch x := lhs.(type) {
+		case *ast.ParenExpr:
+			lhs = x.X
+		case *ast.IndexExpr:
+			lhs = x.X
+		case *ast.SelectorExpr:
+			g.writes[x.Sel] = true
+			return
+		case *ast.Ident:
+			g.writes[x] = true
+			return
+		default:
+			return
+		}
+	}
+}
+
+// callee returns the identifier a call expression calls by name, if any.
+func callee(fun ast.Expr) *ast.Ident {
+	for {
+		switch x := fun.(type) {
+		case *ast.ParenExpr:
+			fun = x.X
+		case *ast.IndexExpr:
+			fun = x.X
+		case *ast.IndexListExpr:
+			fun = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		case *ast.Ident:
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
+// hashTypes records the hashing typ implies: a map hashes its key, and a
+// type argument for a comparable type parameter may be hashed or compared.
+func (g *refGraph) hashTypes(from []types.Object, typ types.Type) {
+	switch t := types.Unalias(typ).(type) {
+	case *types.Map:
+		g.hash(from, t.Key())
+	case *types.Named:
+		if m, ok := t.Underlying().(*types.Map); ok {
+			g.hash(from, m.Key())
+		}
+		args := t.TypeArgs()
+		for i := 0; i < args.Len(); i++ {
+			if c, ok := t.Origin().TypeParams().At(i).Constraint().Underlying().(*types.Interface); ok && c.IsComparable() {
+				g.hash(from, args.At(i))
+			}
+		}
+	}
+}
+
+// hash records that from hashes or compares values of typ, which reads
+// every field they hold.
+func (g *refGraph) hash(from []types.Object, typ types.Type) {
+	if typ == nil {
+		return
+	}
+	var f0 types.Object
+	if len(from) > 0 {
+		f0 = from[0]
+	}
+	if g.hashed[hashUse{f0, typ}] {
+		return
+	}
+	g.hashed[hashUse{f0, typ}] = true
+	switch u := typ.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			g.read(from, u.Field(i))
+			g.hash(from, u.Field(i).Type())
+		}
+	case *types.Array:
+		g.hash(from, u.Elem())
+	}
+}
+
+// collect gathers the interfaces typ mentions.
+func (g *refGraph) collect(typ types.Type) {
+	if typ == nil || g.seen[typ] {
+		return
+	}
+	g.seen[typ] = true
+	switch u := types.Unalias(typ).(type) {
+	case *types.Named:
+		if it, ok := u.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			g.ifaces = append(g.ifaces, it)
+		}
+	case *types.Interface:
+		if u.NumMethods() > 0 {
+			g.ifaces = append(g.ifaces, u)
+		}
+	case *types.Pointer:
+		g.collect(u.Elem())
+	case *types.Slice:
+		g.collect(u.Elem())
+	case *types.Map:
+		g.collect(u.Elem())
+	case *types.Chan:
+		g.collect(u.Elem())
+	case *types.Signature:
+		for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
+			for i := 0; i < tup.Len(); i++ {
+				g.collect(tup.At(i).Type())
+			}
+		}
+	}
 }
 
 // namedByInterface reports whether fn is a method one of ifaces names and
@@ -235,4 +574,22 @@ func namedByInterface(fn *types.Func, ifaces []*types.Interface) bool {
 		}
 	}
 	return false
+}
+
+// TestUnreferencedGolden runs the guard over a fixture holding one case of
+// each rule: write-only and literal-only fields, an unused constant, a var
+// and function only dead code reaches, and an unused parameter of a
+// function only called directly fail; map-key, compared, tagged and
+// embedded fields and an unused parameter of a function used as a value
+// pass.
+func TestUnreferencedGolden(t *testing.T) {
+	const path = "acacia/x/unreferenced"
+	dir, pkgs := loadGolden(t, "unreferenced", path)
+	dead, _ := unreferenced(pkgs, path, nil)
+	var diags []Diagnostic
+	for _, f := range dead {
+		pos := pkgs[0].Fset.Position(f.obj.Pos())
+		diags = append(diags, Diagnostic{File: pos.Filename, Line: pos.Line, Message: f.String()})
+	}
+	compareDiags(t, dir, diags)
 }

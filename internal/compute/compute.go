@@ -21,9 +21,6 @@ import (
 // Device describes a compute platform by its processing rates.
 type Device struct {
 	Name string
-	// Cores is the usable parallelism (informational; rates below are
-	// aggregate across cores).
-	Cores int
 	// SURFPixelsPerSec is the aggregate pixel rate of SURF keypoint
 	// detection + descriptor extraction.
 	SURFPixelsPerSec float64
@@ -59,7 +56,7 @@ const (
 var (
 	// OnePlusOne is the One+ One smartphone (client device).
 	OnePlusOne = Device{
-		Name: "One+", Cores: 4,
+		Name:             "One+",
 		SURFPixelsPerSec: phoneSURFPixelsPerSec,
 		MatchMACsPerSec:  phoneMatchMACsPerSec,
 		// §7.3: JPEG-90 encode of a 1280x720 grayscale frame takes 53 ms.
@@ -67,21 +64,21 @@ var (
 	}
 	// I7x1 is a single i7 core.
 	I7x1 = Device{
-		Name: "i7(1)", Cores: 1,
+		Name:             "i7(1)",
 		SURFPixelsPerSec: phoneSURFPixelsPerSec * surfSpeedupI7x1,
 		MatchMACsPerSec:  phoneMatchMACsPerSec * matchSpeedupI7x1,
 		JPEGPixelsPerSec: 200e6,
 	}
 	// I7x8 is the eight-core i7 server.
 	I7x8 = Device{
-		Name: "i7(8)", Cores: 8,
+		Name:             "i7(8)",
 		SURFPixelsPerSec: phoneSURFPixelsPerSec * surfSpeedupI7x8,
 		MatchMACsPerSec:  phoneMatchMACsPerSec * matchSpeedupI7x8,
 		JPEGPixelsPerSec: 800e6,
 	}
 	// GPU is the GeForce GTX TITAN server.
 	GPU = Device{
-		Name: "GPU", Cores: 2688,
+		Name:             "GPU",
 		SURFPixelsPerSec: phoneSURFPixelsPerSec * surfSpeedupGPU,
 		MatchMACsPerSec:  phoneMatchMACsPerSec * matchSpeedupGPU,
 		JPEGPixelsPerSec: 800e6,
@@ -89,7 +86,7 @@ var (
 	// Xeon32 is the 32-core Xeon of the §7.3 search-space experiments,
 	// roughly 2.7x the eight-core i7 on parallel matching.
 	Xeon32 = Device{
-		Name: "Xeon(32)", Cores: 32,
+		Name:             "Xeon(32)",
 		SURFPixelsPerSec: phoneSURFPixelsPerSec * surfSpeedupI7x8 * 2.2,
 		MatchMACsPerSec:  phoneMatchMACsPerSec * matchSpeedupI7x8 * 2.7,
 		JPEGPixelsPerSec: 1600e6,
@@ -145,20 +142,17 @@ type Job struct {
 // behaviour behind Fig. 12's near-linear runtime growth with client count.
 type Server struct {
 	eng    *sim.Engine
-	dev    Device
 	rate   float64 // ops/sec aggregate
 	active []*Job
 	// lastUpdate is when `remaining` values were last current.
 	lastUpdate sim.Time
 	completion sim.Timer
-	// Completed counts finished jobs.
-	Completed uint64
 }
 
 // NewServer creates a processor-sharing server for dev, using its matching
 // rate as the service rate.
 func NewServer(eng *sim.Engine, dev Device) *Server {
-	return &Server{eng: eng, dev: dev, rate: dev.MatchMACsPerSec}
+	return &Server{eng: eng, rate: dev.MatchMACsPerSec}
 }
 
 // Submit adds a job for processing. The job's Done callback fires when the
@@ -166,7 +160,6 @@ func NewServer(eng *sim.Engine, dev Device) *Server {
 func (s *Server) Submit(j *Job) {
 	if j.Work <= 0 {
 		// Degenerate job: complete immediately.
-		s.Completed++
 		if j.Done != nil {
 			j.Done(0)
 		}
@@ -232,7 +225,6 @@ func (s *Server) reschedule() {
 		}
 		s.active = kept
 		for _, job := range done {
-			s.Completed++
 			if job.Done != nil {
 				job.Done(s.eng.Now().Sub(job.started))
 			}

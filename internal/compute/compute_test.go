@@ -124,14 +124,15 @@ func TestServerSingleJobRunsAtFullRate(t *testing.T) {
 	eng := sim.NewEngine(1)
 	srv := NewServer(eng, I7x8)
 	var elapsed time.Duration
+	completed := 0
 	work := I7x8.MatchMACsPerSec // exactly one second of work
-	srv.Submit(&Job{Work: work, Done: func(e time.Duration) { elapsed = e }})
+	srv.Submit(&Job{Work: work, Done: func(e time.Duration) { elapsed = e; completed++ }})
 	eng.Run()
 	if math.Abs(elapsed.Seconds()-1) > 1e-6 {
 		t.Errorf("elapsed = %v, want 1s", elapsed)
 	}
-	if srv.Completed != 1 {
-		t.Errorf("completed = %d", srv.Completed)
+	if completed != 1 {
+		t.Errorf("completed = %d", completed)
 	}
 }
 

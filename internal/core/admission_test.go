@@ -220,7 +220,7 @@ func TestFailoverRespectsCapacity(t *testing.T) {
 	// Kill the victim's site. Failover frees edge-1's unit but edge-2 is
 	// full, so the replayed request is rejected and the victim waits in
 	// backoff rather than hanging or evicting the spiller.
-	if err := tb.Faults.Apply(fault.Plan{Name: "kill-edge-1", Events: []fault.Event{
+	if err := tb.Faults.Apply(fault.Plan{Events: []fault.Event{
 		{Kind: fault.SiteCrash, Target: "edge-1", At: 200 * time.Millisecond},
 	}}); err != nil {
 		t.Fatal(err)

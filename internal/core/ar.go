@@ -64,23 +64,19 @@ const PruneRadius = 7.5
 
 // arFrameReq is the uplink frame payload.
 type arFrameReq struct {
-	user       string
-	seq        int
-	res        compute.Resolution
-	truePos    geo.Point
-	sentAt     sim.Time
-	compressMS float64
+	user    string
+	seq     int
+	res     compute.Resolution
+	truePos geo.Point
 }
 
 // ARFrameResult is the downlink result payload (exposed through
 // ARFrontend.OnResponse so experiments can observe per-frame outcomes).
 type ARFrameResult struct {
-	seq        int
-	found      bool
-	object     string
-	matchMS    float64
-	serverMS   float64 // decode + SURF (compute component on the server)
-	candidates int
+	seq      int
+	found    bool
+	matchMS  float64
+	serverMS float64 // decode + SURF (compute component on the server)
 }
 
 type locReport struct {
@@ -220,7 +216,6 @@ func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 	// Ground truth: the frame shows an object in the user's subsection; a
 	// search finds it iff that subsection is in the candidate set.
 	found := false
-	object := ""
 	if ss := b.floor.SubsectionAt(req.truePos); ss != nil {
 		if subs == nil {
 			found = true
@@ -230,11 +225,6 @@ func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 					found = true
 					break
 				}
-			}
-		}
-		if found {
-			if objs := b.db.InSubsections([]int{ss.ID}); len(objs) > 0 {
-				object = objs[0].Name
 			}
 		}
 	}
@@ -252,10 +242,9 @@ func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 			rp := b.Host.Node.NewPacket()
 			rp.Flow, rp.Size = reply, 300
 			rp.Payload = ARFrameResult{
-				seq: req.seq, found: found, object: object,
-				matchMS:    float64(matchElapsed) / float64(time.Millisecond),
-				serverMS:   float64(prepElapsed) / float64(time.Millisecond),
-				candidates: nCand,
+				seq: req.seq, found: found,
+				matchMS:  float64(matchElapsed) / float64(time.Millisecond),
+				serverMS: float64(prepElapsed) / float64(time.Millisecond),
 			}
 			b.Host.Node.Inject(rp)
 		}})
@@ -336,7 +325,7 @@ type frameTiming struct {
 // object's location.
 func NewARFrontend(ue *netsim.Host, user string, res compute.Resolution, pos geo.Point) *ARFrontend {
 	f := &ARFrontend{
-		ue: ue, eng: ue.Engine(), user: user, res: res,
+		ue: ue, eng: ue.Engine(), user: user, res: res, pos: pos,
 		phone:   compute.OnePlusOne,
 		pending: make(map[int]frameTiming),
 	}
@@ -410,8 +399,7 @@ func (f *ARFrontend) captureAndSend() {
 		}
 		f.ue.Send(f.server, uint16(ARPort), ARPort, pkt.ProtoTCP, media.AppFrameBytes(f.res), arFrameReq{
 			user: f.user, seq: seq, res: f.res,
-			truePos: f.pos, sentAt: f.eng.Now(),
-			compressMS: float64(compress) / float64(time.Millisecond),
+			truePos: f.pos,
 		})
 	})
 }

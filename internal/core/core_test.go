@@ -186,6 +186,31 @@ func TestCloudVsEdgeNetworkLatency(t *testing.T) {
 	}
 }
 
+// TestARFrontendStartsAtItsPosition checks that a new frontend labels its
+// frames with the position it was built at, before any move.
+func TestARFrontendStartsAtItsPosition(t *testing.T) {
+	tb := newRetailTestbed(t, TestbedConfig{})
+	b := tb.AddUE("placed", electronicsSpot)
+	if got := b.Frontend.Pos(); got != electronicsSpot {
+		t.Fatalf("Pos() = %v, want %v", got, electronicsSpot)
+	}
+	if err := tb.Attach(b); err != nil {
+		t.Fatal(err)
+	}
+	var first []geo.Point
+	tb.BGSink.Listen(ARPort, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
+		if req, ok := p.Payload.(arFrameReq); ok {
+			first = append(first, req.truePos)
+		}
+		h.Node.Network().Release(p)
+	}))
+	b.Frontend.Start(tb.BGSink.Node.Addr())
+	tb.Run(time.Second)
+	if len(first) == 0 || first[0] != electronicsSpot {
+		t.Fatalf("frames carried %v, want the first at %v", first, electronicsSpot)
+	}
+}
+
 func TestUnregisterReleasesBearer(t *testing.T) {
 	tb := newRetailTestbed(t, TestbedConfig{})
 	b := startRetail(t, tb, "electronics", electronicsSpot)
@@ -294,8 +319,8 @@ func TestBackgroundTrafficIsolation(t *testing.T) {
 	bg.Stop()
 	tb.Run(2 * time.Second)
 
-	if edgePing.Received < 10 || cloudPing.Received < 5 {
-		t.Fatalf("pings: edge %d cloud %d", edgePing.Received, cloudPing.Received)
+	if edgePing.RTTs.N() < 10 || cloudPing.RTTs.N() < 5 {
+		t.Fatalf("pings: edge %d cloud %d", edgePing.RTTs.N(), cloudPing.RTTs.N())
 	}
 	edgeRTT := edgePing.RTTs.Median()
 	cloudRTT := cloudPing.RTTs.Median()
@@ -322,8 +347,8 @@ func TestEdgeRTTMatchesPaper(t *testing.T) {
 	tb.Run(10 * time.Second)
 	pg.Stop()
 	tb.Run(time.Second)
-	if pg.Received < 100 {
-		t.Fatalf("replies = %d", pg.Received)
+	if pg.RTTs.N() < 100 {
+		t.Fatalf("replies = %d", pg.RTTs.N())
 	}
 	p95 := pg.RTTs.Percentile(95)
 	if p95 < 8 || p95 > 20 {

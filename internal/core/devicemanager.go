@@ -29,8 +29,7 @@ type ServiceInfo struct {
 
 // Discovery is a matched service discovery delivered to a CI application.
 type Discovery struct {
-	ServiceInfo ServiceInfo
-	Message     d2d.DiscoveryMessage
+	Message d2d.DiscoveryMessage
 }
 
 // CIApp is the interface a CI application registers with the device
@@ -58,9 +57,6 @@ type DeviceManager struct {
 	enbName string
 
 	apps map[string]*appState
-
-	// Matches counts interest matches delivered to applications.
-	Matches uint64
 }
 
 type appState struct {
@@ -70,7 +66,6 @@ type appState struct {
 	wideSub   *d2d.Subscription
 	requested bool
 	connected bool
-	server    pkt.Addr
 	// attempts counts consecutive failed connectivity requests for the
 	// capped-backoff retry; retryPending guards against stacking timers.
 	attempts     int
@@ -117,8 +112,7 @@ func (dm *DeviceManager) Register(info ServiceInfo, app CIApp) error {
 			if st.info.Interest.Matches(msg.Code) {
 				return
 			}
-			dm.Matches++
-			st.app.OnDiscovery(Discovery{ServiceInfo: st.info, Message: msg})
+			st.app.OnDiscovery(Discovery{Message: msg})
 		})
 	}
 	dm.apps[info.ServiceName] = st
@@ -147,8 +141,7 @@ func (dm *DeviceManager) Unregister(serviceName string) error {
 
 // onMatch handles a modem-filtered discovery match.
 func (dm *DeviceManager) onMatch(st *appState, msg d2d.DiscoveryMessage) {
-	dm.Matches++
-	st.app.OnDiscovery(Discovery{ServiceInfo: st.info, Message: msg})
+	st.app.OnDiscovery(Discovery{Message: msg})
 	if st.requested {
 		return
 	}
@@ -174,7 +167,6 @@ func (dm *DeviceManager) requestConnectivity(st *appState) {
 		}
 		st.attempts = 0
 		st.connected = true
-		st.server = server
 		st.app.OnConnected(server)
 	})
 }

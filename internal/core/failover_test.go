@@ -27,7 +27,7 @@ func TestFailoverToSurvivingSite(t *testing.T) {
 
 	// Crash edge-1 permanently half a second from now.
 	failAt := time.Duration(tb.Eng.Now()) + 500*time.Millisecond
-	if err := tb.Faults.Apply(fault.Plan{Name: "kill-edge-1", Events: []fault.Event{
+	if err := tb.Faults.Apply(fault.Plan{Events: []fault.Event{
 		{Kind: fault.SiteCrash, Target: "edge-1", At: 500 * time.Millisecond},
 	}}); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestAllSitesDownRetriesUntilRecovery(t *testing.T) {
 	b := startRetail(t, tb, "electronics", electronicsSpot)
 	respBefore := b.Frontend.Responses
 
-	if err := tb.Faults.Apply(fault.Plan{Name: "edge-1-outage", Events: []fault.Event{
+	if err := tb.Faults.Apply(fault.Plan{Events: []fault.Event{
 		{Kind: fault.SiteCrash, Target: "edge-1", At: 500 * time.Millisecond, Duration: 4 * time.Second},
 	}}); err != nil {
 		t.Fatal(err)

@@ -17,9 +17,6 @@ type LocalizationManager struct {
 	fit   localization.PathLossFit
 
 	users map[string]*userTrack
-
-	// Estimates counts successful position estimates.
-	Estimates uint64
 }
 
 type userTrack struct {
@@ -109,7 +106,6 @@ func (lm *LocalizationManager) reestimate(tr *userTrack) {
 	est = lm.floor.Bounds.Clamp(est)
 	tr.est = est
 	tr.hasEst = true
-	lm.Estimates++
 }
 
 // Estimate returns the user's latest position estimate, if any.

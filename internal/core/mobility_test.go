@@ -164,9 +164,9 @@ func TestRetailSessionNeverMaterialisesDB(t *testing.T) {
 	if int(b.Frontend.MigratedBytes) < migrateSessionCtxBytes+perObject {
 		t.Errorf("migrated %d bytes, want the DB slice counted", b.Frontend.MigratedBytes)
 	}
-	for _, o := range tb.DB.Objects {
+	for i, o := range tb.DB.Objects {
 		if o.Materialised() {
-			t.Fatalf("%s was materialised by a retail session", o.Name)
+			t.Fatalf("object %d was materialised by a retail session", i)
 		}
 	}
 }

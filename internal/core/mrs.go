@@ -93,11 +93,10 @@ type MRS struct {
 
 	scope telemetry.Scope
 
-	// Requests/Deletes count connectivity operations; Failovers counts
-	// bindings moved off a failed site; Relocations counts bindings moved
-	// because the UE handed over to a cell another site serves; Rejections
-	// counts requests denied for lack of capacity.
-	Requests, Deletes, Failovers, Relocations, Rejections uint64
+	// Failovers counts bindings moved off a failed site; Relocations
+	// counts bindings moved because the UE handed over to a cell another
+	// site serves; Rejections counts requests denied for lack of capacity.
+	Failovers, Relocations, Rejections uint64
 }
 
 // AppendMetrics reports Rejections as core/mrs/admission-rejects: the MRS
@@ -109,7 +108,6 @@ func (m *MRS) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
 type binding struct {
 	service *CIService
 	site    *EdgeSite
-	ebi     uint8
 	// enbName and notify replay the original connectivity request during
 	// failover: the MRS re-selects a site for the same eNB and tells the
 	// device manager's callback about the new CI server.
@@ -261,7 +259,6 @@ func (m *MRS) SiteLoad(name string) int {
 // wrapped ErrNoCapacity when every surviving site is full — a deterministic,
 // retriable outcome the device manager's capped backoff absorbs.
 func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName string, done func(pkt.Addr, error)) {
-	m.Requests++
 	svc, ok := m.services[serviceName]
 	if !ok {
 		if done != nil {
@@ -292,7 +289,7 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 	}
 	site.load++ // reserve the unit across the activation round-trip
 	m.core.PCRF.RequestDedicatedBearer(svc.PolicyID, ueIP, site.CIServer, site.SGWPlane, site.PGWPlane,
-		func(ebi uint8, err error) {
+		func(_ uint8, err error) {
 			if err != nil {
 				site.load--
 				if done != nil {
@@ -301,7 +298,7 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 				return
 			}
 			m.bind(ueIP, &binding{
-				service: svc, site: site, ebi: ebi,
+				service: svc, site: site,
 				enbName: enbName, notify: done,
 			})
 			if done != nil {
@@ -343,7 +340,6 @@ func (m *MRS) ReleaseConnectivity(ueIP pkt.Addr, done func(error)) {
 		}
 		return
 	}
-	m.Deletes++
 	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(err error) {
 		if err == nil {
 			m.unbind(ueIP)

@@ -132,8 +132,6 @@ type Testbed struct {
 	CentralMEC  *netsim.Host // MEC server behind the centralized GWs
 	CloudHosts  map[string]*netsim.Host
 	EdgeBackend *ARBackend
-	MECBackend  *ARBackend // Naive backend on the central MEC server
-	CloudAR     *ARBackend // Naive backend on the California cloud server
 
 	// EdgeSGW and EdgePGW alias edge-1's switches.
 	EdgeSGW, EdgePGW *sdn.Switch
@@ -249,8 +247,10 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	tb.locFit = CalibrateFromChannel(tb.D2D.PathLoss, nil)
 	tb.DB = vision.BuildRetailDB(tb.Floor, cfg.DBFeatures)
 
-	tb.MECBackend = NewARBackend(tb.CentralMEC, compute.I7x8, SchemeNaive, tb.Floor, tb.DB, nil)
-	tb.CloudAR = NewARBackend(tb.CloudHosts["california"], compute.I7x8, SchemeNaive, tb.Floor, tb.DB, nil)
+	// Naive backends on the central MEC server and the California cloud
+	// server: each serves the frames its host receives.
+	NewARBackend(tb.CentralMEC, compute.I7x8, SchemeNaive, tb.Floor, tb.DB, nil)
+	NewARBackend(tb.CloudHosts["california"], compute.I7x8, SchemeNaive, tb.Floor, tb.DB, nil)
 
 	// MRS and the retail service.
 	tb.MRS = NewMRS(tb.EPC)

@@ -45,13 +45,11 @@ const AckBytes = 28
 
 // TxInfo reports how one transaction fared on the wire, observed at ack
 // time: the link the (finally delivered) request traversed, the queueing
-// delay it accumulated, how many retransmissions the exchange needed, and
-// the request->ack round-trip time.
+// delay it accumulated, and how many retransmissions the exchange needed.
 type TxInfo struct {
 	Link      string
 	QueueWait time.Duration
 	Retrans   int
-	RTT       time.Duration
 }
 
 // Transport owns what every control endpoint shares: the epc/txn/*
@@ -396,7 +394,7 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 		ep.tr.acks.Inc()
 		rtt := ep.eng.Now().Sub(tx.start)
 		ep.tr.latency.Observe(float64(rtt) / float64(time.Millisecond))
-		info := TxInfo{Link: f.linkName, QueueWait: f.queueWait, Retrans: tx.retries, RTT: rtt}
+		info := TxInfo{Link: f.linkName, QueueWait: f.queueWait, Retrans: tx.retries}
 		onDone := tx.onDone
 		ep.tr.recycleAckFrame(f)
 		ep.node.Network().Release(p)

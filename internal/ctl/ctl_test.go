@@ -50,11 +50,12 @@ func TestLossFreeDelivery(t *testing.T) {
 	eng, tr, a, b, _ := pair(t, netsim.LinkConfig{Propagation: 2 * time.Millisecond})
 	delivered := 0
 	var info TxInfo
+	var ackedAt sim.Time
 	doneCalls := 0
 	seq := a.NextSeq(b.Addr())
 	a.Send(b.Addr(), seq, "Req", 100, func() { delivered++ }, func(err error) {
 		t.Errorf("unexpected failure: %v", err)
-	}, func(ti TxInfo) { info = ti; doneCalls++ })
+	}, func(ti TxInfo) { info, ackedAt = ti, eng.Now(); doneCalls++ })
 	eng.Run()
 	if delivered != 1 || doneCalls != 1 {
 		t.Fatalf("delivered=%d doneCalls=%d, want 1/1", delivered, doneCalls)
@@ -62,8 +63,9 @@ func TestLossFreeDelivery(t *testing.T) {
 	if info.Retrans != 0 {
 		t.Errorf("loss-free exchange reported %d retransmissions", info.Retrans)
 	}
-	if info.RTT < 4*time.Millisecond {
-		t.Errorf("RTT %v below two propagation delays", info.RTT)
+	// Sent at time zero, so the ack time is the round trip.
+	if rtt := time.Duration(ackedAt); rtt < 4*time.Millisecond {
+		t.Errorf("RTT %v below two propagation delays", rtt)
 	}
 	if info.Link != "a->b" {
 		t.Errorf("link = %q, want a->b", info.Link)

@@ -109,7 +109,6 @@ func ServiceCode(service uint32, category uint16, item uint16) uint64 {
 const (
 	MaskService  = uint64(0xffffffff) << 32
 	MaskCategory = MaskService | uint64(0xffff)<<16
-	MaskItem     = ^uint64(0)
 )
 
 // DiscoveryMessage is a received service discovery broadcast, annotated
@@ -119,7 +118,6 @@ type DiscoveryMessage struct {
 	Code       uint64
 	Payload    string // application-specific detail (section/product)
 	From       string // publisher device name
-	FromPos    geo.Point
 	RxPowerDBm float64
 	SNRDB      float64
 	At         sim.Time
@@ -130,21 +128,14 @@ type Publication struct {
 	Service string
 	Code    uint64
 	Payload string
-	Period  time.Duration
 	dev     *Device
-	// Broadcasts counts transmissions.
-	Broadcasts uint64
 }
 
 // Subscription is a registered interest with its delivery callback.
 type Subscription struct {
 	Expr Expression
 	// Deliver receives matching broadcasts. It runs in simulation context.
-	Deliver func(DiscoveryMessage)
-	dev     *Device
-	// Matched counts deliveries; Filtered counts broadcasts the modem
-	// discarded for this subscription (seen but not matching).
-	Matched  uint64
+	Deliver  func(DiscoveryMessage)
 	released bool
 }
 
@@ -160,22 +151,14 @@ type Device struct {
 	pos  geo.Point
 	subs []*Subscription
 	pubs []*Publication
-	// FilteredInModem counts broadcasts received and discarded without
-	// waking any application — the scalability property of LTE-direct.
-	FilteredInModem uint64
-	// Received counts all decodable broadcasts seen by the modem.
-	Received uint64
 }
-
-// Pos reports the device position.
-func (d *Device) Pos() geo.Point { return d.pos }
 
 // SetPos moves the device (walking subscribers).
 func (d *Device) SetPos(p geo.Point) { d.pos = p }
 
 // Publish starts broadcasting a service advertisement every period.
 func (d *Device) Publish(service string, code uint64, payload string, period time.Duration) *Publication {
-	pub := &Publication{Service: service, Code: code, Payload: payload, Period: period, dev: d}
+	pub := &Publication{Service: service, Code: code, Payload: payload, dev: d}
 	sim.NewTicker(d.env.eng, period, func() { d.env.broadcast(pub) })
 	d.pubs = append(d.pubs, pub)
 	d.env.pubStarted(period)
@@ -184,7 +167,7 @@ func (d *Device) Publish(service string, code uint64, payload string, period tim
 
 // Subscribe registers an interest expression with a delivery callback.
 func (d *Device) Subscribe(expr Expression, deliver func(DiscoveryMessage)) *Subscription {
-	sub := &Subscription{Expr: expr, Deliver: deliver, dev: d}
+	sub := &Subscription{Expr: expr, Deliver: deliver}
 	d.subs = append(d.subs, sub)
 	return sub
 }
@@ -254,7 +237,6 @@ func (e *Env) AddDevice(name string, pos geo.Point) *Device {
 // broadcast delivers pub's message to every other device within decode
 // range, applying modem-side expression filtering.
 func (e *Env) broadcast(pub *Publication) {
-	pub.Broadcasts++
 	e.Broadcasts++
 	e.broadcasts.Inc()
 	e.rbUsed.Add(RBsPerMessage)
@@ -268,14 +250,12 @@ func (e *Env) broadcast(pub *Publication) {
 		if rx < e.sensitivity {
 			continue
 		}
-		dst.Received++
 		e.decodes.Inc()
 		msg := DiscoveryMessage{
 			Service:    pub.Service,
 			Code:       pub.Code,
 			Payload:    pub.Payload,
 			From:       src.name,
-			FromPos:    src.pos,
 			RxPowerDBm: rx,
 			SNRDB:      snrFor(rx),
 			At:         e.eng.Now(),
@@ -290,14 +270,14 @@ func (e *Env) broadcast(pub *Publication) {
 			kept = append(kept, sub)
 			if sub.Expr.Matches(pub.Code) {
 				matched = true
-				sub.Matched++
 				e.matched.Inc()
 				sub.Deliver(msg)
 			}
 		}
 		dst.subs = kept
 		if !matched {
-			dst.FilteredInModem++
+			// Discarded without waking any application: the scalability
+			// property of LTE-direct.
 			e.filteredModem.Inc()
 		}
 	}
@@ -310,10 +290,6 @@ const (
 	// RBsPerSubframe is the uplink RB count of a 10 MHz carrier per 1 ms
 	// subframe.
 	RBsPerSubframe = 50
-	// DiscoveryRBsPerPeriod is the RB budget the eNB allocates to
-	// LTE-direct each discovery period (64 subframes x 50 RBs worth of
-	// discovery resources in one allocation).
-	DiscoveryRBsPerPeriod = 64 * RBsPerSubframe
 	// RBsPerMessage is the cost of one discovery broadcast (2 RB pairs).
 	RBsPerMessage = 4
 )

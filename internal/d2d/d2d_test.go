@@ -10,6 +10,9 @@ import (
 	"acacia/internal/sim"
 )
 
+// maskItem subscribes to one exact service code.
+const maskItem = ^uint64(0)
+
 func TestPathLossMonotoneInDistance(t *testing.T) {
 	m := DefaultPathLoss
 	prev := math.Inf(1)
@@ -97,7 +100,7 @@ func TestExpressionMatching(t *testing.T) {
 	if otherSvc.Matches(code) {
 		t.Error("different service matched")
 	}
-	itemSub := Expression{Code: code, Mask: MaskItem}
+	itemSub := Expression{Code: code, Mask: maskItem}
 	if !itemSub.Matches(code) {
 		t.Error("exact item subscription should match")
 	}
@@ -146,8 +149,9 @@ func TestBroadcastDeliveryAndFiltering(t *testing.T) {
 	if farGot != 0 {
 		t.Error("out-of-range device received broadcast")
 	}
-	if otherDev.FilteredInModem != 3 {
-		t.Errorf("modem filtered = %d, want 3", otherDev.FilteredInModem)
+	// Only otherDev heard a broadcast no subscription wanted.
+	if n := eng.Metrics().Snapshot().CounterValue("d2d/filtered-modem"); n != 3 {
+		t.Errorf("modem filtered = %d, want 3", n)
 	}
 }
 
@@ -157,7 +161,7 @@ func TestSubscriptionCancel(t *testing.T) {
 	pub := env.AddDevice("p", geo.Point{X: 0, Y: 0})
 	subDev := env.AddDevice("s", geo.Point{X: 3, Y: 0})
 	n := 0
-	sub := subDev.Subscribe(Expression{Code: 1, Mask: MaskItem}, func(DiscoveryMessage) { n++ })
+	sub := subDev.Subscribe(Expression{Code: 1, Mask: maskItem}, func(DiscoveryMessage) { n++ })
 	pub.Publish("svc", 1, "x", time.Second)
 	eng.RunUntil(sim.Time(1500 * time.Millisecond))
 	sub.Cancel()
@@ -175,12 +179,12 @@ func TestMovingSubscriberSeesPowerGradient(t *testing.T) {
 	p := env.AddDevice("p", geo.Point{X: 0, Y: 0})
 	s := env.AddDevice("s", geo.Point{X: 40, Y: 0})
 	var powers []float64
-	s.Subscribe(Expression{Code: 1, Mask: MaskItem}, func(m DiscoveryMessage) {
+	s.Subscribe(Expression{Code: 1, Mask: maskItem}, func(m DiscoveryMessage) {
 		powers = append(powers, m.RxPowerDBm)
 	})
 	p.Publish("svc", 1, "x", time.Second)
+	pos := geo.Point{X: 40, Y: 0}
 	sim.NewTicker(eng, time.Second, func() {
-		pos := s.Pos()
 		pos.X -= 5
 		if pos.X < 1 {
 			pos.X = 1

@@ -128,7 +128,7 @@ func TestApplySwitchesChannel(t *testing.T) {
 	dist := (maxRange(IBeacon) + 5)
 	sub := env.AddDevice("s", geo.Point{X: dist, Y: 0})
 	n := 0
-	sub.Subscribe(Expression{Code: 1, Mask: MaskItem}, func(DiscoveryMessage) { n++ })
+	sub.Subscribe(Expression{Code: 1, Mask: maskItem}, func(DiscoveryMessage) { n++ })
 	pub.Publish("svc", 1, "x", time.Second)
 
 	eng.RunUntil(sim.Time(1500 * time.Millisecond))
@@ -155,7 +155,7 @@ func TestIBeaconWorksAtShortRange(t *testing.T) {
 	pub := env.AddDevice("p", geo.Point{X: 0, Y: 0})
 	sub := env.AddDevice("s", geo.Point{X: 5, Y: 0})
 	n := 0
-	sub.Subscribe(Expression{Code: 1, Mask: MaskItem}, func(DiscoveryMessage) { n++ })
+	sub.Subscribe(Expression{Code: 1, Mask: maskItem}, func(DiscoveryMessage) { n++ })
 	pub.Publish("svc", 1, "x", IBeacon.MinPeriod)
 	eng.RunUntil(sim.Time(time.Second))
 	if n < 8 {
@@ -175,7 +175,7 @@ func TestDiscoveryLatencyByTechnology(t *testing.T) {
 		pub := env.AddDevice("p", geo.Point{X: 0, Y: 0})
 		sub := env.AddDevice("s", geo.Point{X: 10, Y: 0})
 		var at sim.Time
-		sub.Subscribe(Expression{Code: 1, Mask: MaskItem}, func(m DiscoveryMessage) {
+		sub.Subscribe(Expression{Code: 1, Mask: maskItem}, func(m DiscoveryMessage) {
 			if at == 0 {
 				at = m.At
 			}

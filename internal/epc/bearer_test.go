@@ -184,8 +184,8 @@ func TestPromotionFailureLeavesUEIdle(t *testing.T) {
 		killControl(tb, false)
 		pg := ping(tb, 5502)
 		tb.eng.RunFor(time.Second)
-		if sess.State != StateConnected || pg.Received != 1 {
-			t.Fatalf("kill@%v: healed retry: state %v, %d replies", killAt, sess.State, pg.Received)
+		if sess.State != StateConnected || pg.RTTs.N() != 1 {
+			t.Fatalf("kill@%v: healed retry: state %v, %d replies", killAt, sess.State, pg.RTTs.N())
 		}
 	}
 	if failures == 0 {

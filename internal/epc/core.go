@@ -408,6 +408,7 @@ func (c *Core) forceDetach(sess *Session) {
 // endSession retires a session whose user plane and radio context are
 // gone: every detach, completed or forced, and every failed attach ends here.
 func (c *Core) endSession(sess *Session) {
+	c.SGWC.dropPage(sess)
 	sess.setState(c.Eng, StateDetached)
 	delete(c.sessions, sess.IMSI)
 	delete(c.byIP, sess.UEIP)
@@ -497,10 +498,6 @@ type Session struct {
 	ENBUEID uint32
 	Bearers [16]*Bearer
 
-	// Timestamps for observability.
-	AttachedAt  sim.Time
-	LastStateAt sim.Time
-
 	// onConnected callbacks run once when the session (re)enters
 	// StateConnected — promotion waiters and attach continuations.
 	onConnected []func()
@@ -559,7 +556,6 @@ func (s *Session) OrderedBearers() []*Bearer {
 // -timeline exports the full RRC/S1 state history of every UE.
 func (s *Session) setState(eng *sim.Engine, st SessionState) {
 	s.State = st
-	s.LastStateAt = eng.Now()
 	eng.Metrics().Scope("epc/session").Scope(s.IMSI).Emit("state", st.String())
 	if st == StateConnected {
 		cbs := s.onConnected

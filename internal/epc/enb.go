@@ -33,12 +33,9 @@ type ENB struct {
 	byRadio  []*ueCtx
 	byDLTEID map[uint32]dlKey
 	teids    teidAllocator
-	ticker   *sim.Ticker
 
-	// Stats.
-	ULPackets, DLPackets uint64
-	BufferedUL           uint64
-	DroppedUL            uint64
+	// ULPackets counts uplink packets forwarded to the SGW-U.
+	ULPackets uint64
 }
 
 type dlKey struct {
@@ -47,7 +44,6 @@ type dlKey struct {
 }
 
 type ueCtx struct {
-	ue        *UE
 	sess      *Session
 	radioPort int // eNB-side port of the radio link
 	uePort    int // UE-side port of the radio link
@@ -80,7 +76,7 @@ func NewENB(core *Core, node *netsim.Node) *ENB {
 	e.ep = core.Txn.Endpoint(node, false)
 	e.s1Link = ctl.Connect(e.ep, core.mmeEP,
 		netsim.LinkConfig{BitsPerSecond: ctlLinkBps, Propagation: s1apDelay})
-	e.ticker = sim.NewTicker(core.Eng, 500*time.Millisecond, e.checkIdle)
+	sim.NewTicker(core.Eng, 500*time.Millisecond, e.checkIdle)
 	return e
 }
 
@@ -95,7 +91,7 @@ func (e *ENB) Addr() pkt.Addr { return e.node.Addr() }
 func (e *ENB) ConnectUE(ue *UE, radioCfg netsim.LinkConfig) *netsim.Link {
 	radioCfg.Prioritized = true
 	link := e.core.cfg.Net.ConnectSymmetric(ue.node, e.node, radioCfg)
-	ctx := &ueCtx{ue: ue, radioPort: link.B.ID, uePort: link.A.ID}
+	ctx := &ueCtx{radioPort: link.B.ID, uePort: link.A.ID}
 	e.byUEIP[ue.Addr()] = ctx
 	if n := link.B.ID + 1; n > len(e.byRadio) {
 		e.byRadio = append(e.byRadio, make([]*ueCtx, n-len(e.byRadio))...)
@@ -149,9 +145,6 @@ func (e *ENB) handleUplink(ctx *ueCtx, p *netsim.Packet) {
 		// Idle UE with data: buffer and promote.
 		if len(ctx.ulBuffer) < maxULBuffer {
 			ctx.ulBuffer = append(ctx.ulBuffer, p)
-			e.BufferedUL++
-		} else {
-			e.DroppedUL++
 		}
 		if ctx.sess != nil && ctx.sess.State == StateIdle {
 			e.sendServiceRequest(ctx.sess)
@@ -164,7 +157,6 @@ func (e *ENB) handleUplink(ctx *ueCtx, p *netsim.Packet) {
 func (e *ENB) forwardUplink(ctx *ueCtx, p *netsim.Packet) {
 	b := e.classifyUplink(ctx.sess, p)
 	if b == nil {
-		e.DroppedUL++
 		return
 	}
 	sgw := b.Planes.SGW
@@ -225,7 +217,6 @@ func (e *ENB) handleDownlink(p *netsim.Packet) {
 	if b := key.ctx.sess.Bearers[key.ebi]; b != nil {
 		p.Priority = uint8(b.QoS.QCI.Priority())
 	}
-	e.DLPackets++
 	e.node.Port(key.ctx.radioPort).Send(p)
 }
 
@@ -315,10 +306,11 @@ func (e *ENB) sendServiceRequest(sess *Session) {
 		sess.setState(e.core.Eng, StateIdle)
 		// A promotion that dies after the MME took it up leaves the UE idle
 		// at every layer: the radio context goes, and so does any SGW-U
-		// downlink rule the Modify Bearer leg re-installed, so downlink
-		// pages again.
+		// downlink rule the Modify Bearer leg re-installed. Whenever it
+		// dies, the page it answered is dropped, so downlink pages again.
 		pr := &proc{}
 		pr.undo = func() {
+			e.core.SGWC.dropPage(sess)
 			if sess.State == StatePromoting {
 				sess.setState(e.core.Eng, StateIdle)
 				sess.ENB.releaseContext(sess)

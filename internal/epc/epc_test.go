@@ -222,8 +222,8 @@ func TestDataPathThroughCore(t *testing.T) {
 	tb.eng.RunFor(2 * time.Second)
 	pg.Stop()
 	tb.eng.RunFor(500 * time.Millisecond)
-	if pg.Received < 10 {
-		t.Fatalf("replies = %d of %d", pg.Received, pg.Sent)
+	if pg.RTTs.N() < 10 {
+		t.Fatalf("replies = %d of %d", pg.RTTs.N(), pg.Sent)
 	}
 	// Expected RTT: 2*(radio + backhaul + core + sgw-pgw + inet) plus
 	// small switching costs.
@@ -266,8 +266,8 @@ func TestDedicatedBearerRedirectsToEdge(t *testing.T) {
 	tb.eng.RunFor(time.Second)
 	pgCI.Stop()
 	tb.eng.RunFor(200 * time.Millisecond)
-	if pgCI.Received < 10 {
-		t.Fatalf("CI replies = %d", pgCI.Received)
+	if pgCI.RTTs.N() < 10 {
+		t.Fatalf("CI replies = %d", pgCI.RTTs.N())
 	}
 	edgeRTT := pgCI.RTTs.Mean()
 	wantEdge := 2 * (radioDelay + backhaulDelay + edgeDelay*3).Seconds() * 1000
@@ -282,7 +282,7 @@ func TestDedicatedBearerRedirectsToEdge(t *testing.T) {
 	pgInet := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5002)
 	pgInet.SendOne()
 	tb.eng.RunFor(time.Second)
-	if pgInet.Received != 1 {
+	if pgInet.RTTs.N() != 1 {
 		t.Fatal("internet ping lost after dedicated bearer setup")
 	}
 	if pgInet.RTTs.Mean() < 2*coreDelay.Seconds()*1000 {
@@ -361,8 +361,8 @@ func TestIdleReleaseAndPromotion(t *testing.T) {
 	if tb.core.MME.Promotions != 1 {
 		t.Errorf("promotions = %d", tb.core.MME.Promotions)
 	}
-	if pg.Received != 1 {
-		t.Errorf("buffered uplink ping not delivered: received=%d", pg.Received)
+	if pg.RTTs.N() != 1 {
+		t.Errorf("buffered uplink ping not delivered: received=%d", pg.RTTs.N())
 	}
 }
 
@@ -447,6 +447,85 @@ func TestPagingOnDownlinkWhileIdle(t *testing.T) {
 	tb.eng.RunFor(time.Second)
 	if got != 2 {
 		t.Errorf("post-paging downlink total = %d, want 2", got)
+	}
+}
+
+// TestLostPagePagesAgain loses the page a downlink packet to an idle UE
+// starts: S1, S11 and S5 are dead until the page's transaction gives up.
+// The failed page must not leave the SGW's paging buffer claiming an
+// outstanding page: after healing, the next downlink packet pages again,
+// promotes the UE and is delivered.
+func TestLostPagePagesAgain(t *testing.T) {
+	tb := buildTestbed(t, 3*time.Second)
+	tb.attach(t)
+	sess := tb.core.Session(tb.ue.IMSI)
+	tb.eng.RunFor(5 * time.Second)
+	if sess.State != StateIdle {
+		t.Fatalf("state = %v, want idle", sess.State)
+	}
+	var got int
+	tb.ue.Host.Listen(8888, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) { got++ }))
+
+	killControl(tb, true)
+	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
+	tb.eng.RunFor(8 * time.Second) // the page's transaction times out
+	if p := tb.core.MME.Pagings; p != 1 || sess.State != StateIdle || got != 0 {
+		t.Fatalf("lost page: pagings %d, state %v, delivered %d; want 1, idle, 0", p, sess.State, got)
+	}
+	if n := len(tb.core.SGWC.paged); n != 0 {
+		t.Errorf("failed page left %d paging buffers", n)
+	}
+
+	killControl(tb, false)
+	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
+	tb.eng.RunFor(3 * time.Second)
+	if p := tb.core.MME.Pagings; p != 2 || sess.State != StateConnected || got != 1 {
+		t.Fatalf("healed: pagings %d, state %v, delivered %d; want 2, connected, 1", p, sess.State, got)
+	}
+}
+
+// TestDetachDropsPagingBuffer detaches an idle UE while a downlink packet
+// waits in the SGW's paging buffer. The session's end must release the
+// buffered packet and forget the page, so the UE's next session is paged
+// for its own downlink.
+func TestDetachDropsPagingBuffer(t *testing.T) {
+	tb := buildTestbed(t, 3*time.Second)
+	tb.attach(t)
+	tb.eng.RunFor(5 * time.Second)
+	if s := tb.core.Session(tb.ue.IMSI); s.State != StateIdle {
+		t.Fatalf("state = %v, want idle", s.State)
+	}
+	var got int
+	tb.ue.Host.Listen(8888, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) { got++ }))
+
+	// Detach as soon as the page goes out: the promotion it starts needs a
+	// radio round trip, so the detach ends the session first.
+	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
+	for i := 0; i < 100 && tb.core.MME.Pagings == 0; i++ {
+		tb.eng.RunFor(time.Millisecond)
+	}
+	detached := false
+	if err := tb.ue.Detach(func() { detached = true }); err != nil {
+		t.Fatal(err)
+	}
+	tb.eng.RunFor(2 * time.Second)
+	if !detached || tb.core.MME.Pagings != 1 || got != 0 {
+		t.Fatalf("detach: done %v, pagings %d, delivered %d; want true, 1, 0", detached, tb.core.MME.Pagings, got)
+	}
+	if n := len(tb.core.SGWC.paged); n != 0 {
+		t.Errorf("ended session left %d paging buffers", n)
+	}
+
+	tb.attach(t)
+	tb.eng.RunFor(5 * time.Second)
+	sess := tb.core.Session(tb.ue.IMSI)
+	if sess.State != StateIdle {
+		t.Fatalf("re-attached state = %v, want idle", sess.State)
+	}
+	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
+	tb.eng.RunFor(3 * time.Second)
+	if p := tb.core.MME.Pagings; p != 2 || sess.State != StateConnected || got != 1 {
+		t.Fatalf("next session: pagings %d, state %v, delivered %d; want 2, connected, 1", p, sess.State, got)
 	}
 }
 
@@ -715,7 +794,7 @@ func TestDetachTearsDownEverything(t *testing.T) {
 	pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5200)
 	pg.SendOne()
 	tb.eng.RunFor(time.Second)
-	if pg.Received != 0 {
+	if pg.RTTs.N() != 0 {
 		t.Error("ping delivered after detach")
 	}
 	// Re-attach works and restores connectivity.
@@ -723,7 +802,7 @@ func TestDetachTearsDownEverything(t *testing.T) {
 	pg2 := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5201)
 	pg2.SendOne()
 	tb.eng.RunFor(time.Second)
-	if pg2.Received != 1 {
+	if pg2.RTTs.N() != 1 {
 		t.Error("ping lost after re-attach")
 	}
 }
@@ -771,7 +850,7 @@ func TestDedicatedBearerActivationWhileIdle(t *testing.T) {
 	pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5300)
 	pg.SendOne()
 	tb.eng.RunFor(time.Second)
-	if pg.Received != 1 {
+	if pg.RTTs.N() != 1 {
 		t.Error("CI ping lost after idle-time activation")
 	}
 }

@@ -102,8 +102,7 @@ func fail(done func(uint8, error), err error) {
 // UserPlane is one GW-U: a switch plus the port conventions the control
 // plane programs against.
 type UserPlane struct {
-	Name string
-	SW   *sdn.Switch
+	SW *sdn.Switch
 	// AccessPort faces the eNB side (SGW-U) or the SGW-U side (PGW-U).
 	AccessPort int
 	// CorePort faces the PGW-U side (SGW-U) or the SGi/server side (PGW-U).
@@ -177,7 +176,7 @@ const maxDLBuffer = 16
 
 // AddUserPlane registers an SGW-U under a name ("core-sgw", "edge-sgw-1").
 func (s *SGWC) AddUserPlane(name string, sw *sdn.Switch, accessPort, corePort int) *UserPlane {
-	up := &UserPlane{Name: name, SW: sw, AccessPort: accessPort, CorePort: corePort}
+	up := &UserPlane{SW: sw, AccessPort: accessPort, CorePort: corePort}
 	s.planes[name] = up
 	sw.MarkGTPPort(accessPort)
 	sw.MarkGTPPort(corePort)
@@ -197,7 +196,7 @@ type PGWC struct {
 // AddUserPlane registers a PGW-U ("core-pgw", "edge-pgw-1"). corePort faces
 // the SGW-U; sgiPort faces the packet data network (servers).
 func (p *PGWC) AddUserPlane(name string, sw *sdn.Switch, corePort, sgiPort int) *UserPlane {
-	up := &UserPlane{Name: name, SW: sw, AccessPort: corePort, CorePort: sgiPort}
+	up := &UserPlane{SW: sw, AccessPort: corePort, CorePort: sgiPort}
 	p.planes[name] = up
 	sw.MarkGTPPort(corePort)
 	return up
@@ -324,6 +323,16 @@ func (s *SGWC) bufferAndPage(sess *Session, sw *sdn.Switch, p *netsim.Packet, te
 		}
 		sess.whenConnected(func() { s.replayBuffered(sess) })
 	}
+}
+
+// dropPage releases sess's paging-buffered downlink packets and forgets its
+// page, so the next downlink packet buffers afresh and pages again: the
+// page or the promotion it started failed, or the session ended.
+func (s *SGWC) dropPage(sess *Session) {
+	for _, item := range s.paged[sess.IMSI] {
+		item.sw.Node().Network().Release(item.p)
+	}
+	delete(s.paged, sess.IMSI)
 }
 
 // replayBuffered re-injects paging-buffered downlink packets into their

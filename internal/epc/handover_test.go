@@ -67,19 +67,19 @@ func TestHandoverDataContinuity(t *testing.T) {
 	pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5100)
 	pg.Start(20 * time.Millisecond)
 	tb.eng.RunFor(time.Second)
-	lostBefore := pg.Sent - pg.Received
+	lostBefore := pg.Sent - pg.RTTs.N()
 
 	tb.core.MME.Handover(sess, enb2, nil)
 	tb.eng.RunFor(2 * time.Second)
 	pg.Stop()
 	tb.eng.RunFor(500 * time.Millisecond)
 
-	if pg.Received < 100 {
-		t.Fatalf("replies = %d", pg.Received)
+	if pg.RTTs.N() < 100 {
+		t.Fatalf("replies = %d", pg.RTTs.N())
 	}
 	// The radio interruption plus the pre-path-switch downlink window cost
 	// a bounded handful of probes at 20 ms spacing.
-	lostDuring := (pg.Sent - pg.Received) - lostBefore
+	lostDuring := (pg.Sent - pg.RTTs.N()) - lostBefore
 	if lostDuring > 10 {
 		t.Errorf("lost %d probes across handover, want a small bounded gap", lostDuring)
 	}
@@ -88,7 +88,7 @@ func TestHandoverDataContinuity(t *testing.T) {
 	pg2 := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5101)
 	pg2.SendOne()
 	tb.eng.RunFor(200 * time.Millisecond)
-	if pg2.Received != 1 {
+	if pg2.RTTs.N() != 1 {
 		t.Error("post-handover ping lost")
 	}
 	if enb2.ULPackets == before {
@@ -191,7 +191,7 @@ func TestHandoverThenIdleAndPromotionOnTarget(t *testing.T) {
 	if sess.State != StateConnected {
 		t.Fatalf("state = %v after uplink at target", sess.State)
 	}
-	if pg.Received != 1 {
+	if pg.RTTs.N() != 1 {
 		t.Error("promotion at target did not deliver the buffered ping")
 	}
 }

@@ -173,7 +173,7 @@ func TestHandoverLossyLegsLeakNothing(t *testing.T) {
 		pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, uint16(5400+killMS))
 		pg.SendOne()
 		tb.eng.RunFor(500 * time.Millisecond)
-		if pg.Received != 1 {
+		if pg.RTTs.N() != 1 {
 			t.Fatalf("kill@%v: post-recovery CI ping lost (handover err=%v)", killAt, hoErr)
 		}
 

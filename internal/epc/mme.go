@@ -12,7 +12,6 @@ import (
 type MME struct {
 	core *Core
 	// Stats. Handovers is reported as epc/handover/completed.
-	Attaches   uint64
 	Releases   uint64
 	Promotions uint64
 	Pagings    uint64
@@ -204,16 +203,14 @@ func (m *MME) onInitialAttach(co *cohort) {
 // with the default bearer it attaches on apn's planes. The bearer joins
 // the session's Bearers once the Modify Bearer exchange is done.
 func (c *Core) newSession(ue *UE, apn *APNProfile, qos pkt.BearerQoS) member {
-	c.MME.Attaches++
 	c.nextUEID++
 	sess := &Session{
-		IMSI:       ue.IMSI,
-		ENB:        ue.enb,
-		UE:         ue,
-		APN:        apn,
-		MMEUEID:    c.nextUEID,
-		ENBUEID:    c.nextUEID | 0x1000000,
-		AttachedAt: c.Eng.Now(),
+		IMSI:    ue.IMSI,
+		ENB:     ue.enb,
+		UE:      ue,
+		APN:     apn,
+		MMEUEID: c.nextUEID,
+		ENBUEID: c.nextUEID | 0x1000000,
 	}
 	sess.setState(c.Eng, StateConnecting)
 	c.sessions[ue.IMSI] = sess
@@ -494,7 +491,7 @@ func (m *MME) page(sess *Session) {
 		return
 	}
 	m.Pagings++
-	pr := &proc{}
+	pr := &proc{undo: func() { c.SGWC.dropPage(sess) }}
 	msg := &pkt.S1APMsg{Procedure: pkt.S1APPaging, MMEUEID: sess.MMEUEID}
 	c.sendS1AP(c.takeLeg(pr, func() {
 		sess.ENB.pageUE(sess)

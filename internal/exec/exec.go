@@ -37,8 +37,7 @@ type Outcome[T any] struct {
 // PanicError is the error recorded for a task whose Run panicked.
 type PanicError struct {
 	Key   string
-	Value any    // the recovered panic value
-	Stack []byte // stack of the panicking goroutine
+	Value any // the recovered panic value
 }
 
 func (e *PanicError) Error() string {
@@ -101,8 +100,7 @@ func runOne[T any](t Task[T]) (o Outcome[T]) {
 	o.Key = t.Key
 	defer func() {
 		if r := recover(); r != nil {
-			buf := make([]byte, 64<<10)
-			o.Err = &PanicError{Key: t.Key, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
+			o.Err = &PanicError{Key: t.Key, Value: r}
 		}
 	}()
 	o.Value, o.Err = t.Run()

@@ -69,7 +69,7 @@ func ablationFastPath() Experiment {
 // ablationBearer compares bearer-management strategies by daily control
 // traffic, using the measured per-cycle bytes.
 func ablationBearer(opts Options, seed uint64) *Result {
-	msgs, bytes, _ := measureCycle(opts, seed)
+	msgs, bytes, _ := measureCycle(seed)
 	var totalBytes uint64
 	var totalMsgs uint64
 	for _, b := range bytes {

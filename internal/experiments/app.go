@@ -55,7 +55,6 @@ func compressionTable(opts Options, seed uint64) *Result {
 // object count per scheme using real campaign measurements, and whether the
 // true object's subsection is covered (accuracy).
 type searchSpace struct {
-	checkpoint string
 	candidates map[core.Scheme]int
 	covered    map[core.Scheme]bool
 }
@@ -78,7 +77,6 @@ func buildSearchSpaces(campaignSeed uint64) []searchSpace {
 	for _, cp := range floor.Checkpoints {
 		rs := grouped[cp.Name]
 		ss := searchSpace{
-			checkpoint: cp.Name,
 			candidates: map[core.Scheme]int{},
 			covered:    map[core.Scheme]bool{},
 		}

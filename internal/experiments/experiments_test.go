@@ -203,7 +203,7 @@ func TestControlLossShape(t *testing.T) {
 }
 
 func TestMeasureCycleMatchesEPCBudget(t *testing.T) {
-	msgs, bytes, delta := measureCycle(Options{}, DefaultSeed)
+	msgs, bytes, delta := measureCycle(DefaultSeed)
 	if msgs[epc.ProtoS1AP] != 7 || msgs[epc.ProtoGTPv2] != 4 || msgs[epc.ProtoOpenFlow] != 4 {
 		t.Errorf("cycle messages = %v", msgs)
 	}

@@ -30,7 +30,7 @@ func init() { register(manySite()) }
 type manyReq struct{ ue, seq int }
 
 // manyRep is a site server's periodic report to the hub.
-type manyRep struct{ site, seq int }
+type manyRep struct{}
 
 // manySiteStats is one site's deterministic outcome.
 type manySiteStats struct {
@@ -128,11 +128,9 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen int, dur time.Duration) 
 		// The server's periodic hub report.
 		hubAddr := hubN.Addr()
 		eng.Schedule(nextOff(), func() {
-			seq := 0
 			report := func() {
-				seq++
 				st.reports++
-				srv.Send(hubAddr, 7004, 7003, pkt.ProtoUDP, 200, manyRep{site: i, seq: seq})
+				srv.Send(hubAddr, 7004, 7003, pkt.ProtoUDP, 200, manyRep{})
 			}
 			report()
 			sim.NewTicker(eng, 25*time.Millisecond, report)

@@ -304,7 +304,7 @@ func fig3h(opts Options, seed uint64) *Result {
 // registry's delta snapshot over the cycle, which also becomes the result's
 // Metrics (so `acacia-sim -fig overhead -metrics` prints the same totals).
 func overheadTable(opts Options, seed uint64) *Result {
-	msgs, bytes, delta := measureCycle(opts, seed)
+	msgs, bytes, delta := measureCycle(seed)
 	tbl := stats.NewTable("Control messages per bearer release + re-establish cycle",
 		"protocol", "messages", "bytes", "paper msgs", "paper bytes")
 	tbl.AddRow("SCTP/S1AP", msgs[epc.ProtoS1AP], bytes[epc.ProtoS1AP], 7, 1138)
@@ -331,7 +331,7 @@ func overheadTable(opts Options, seed uint64) *Result {
 // per-protocol message/byte counts (OpenFlow folded in from the SDN
 // controller) plus the telemetry-registry delta over the cycle the counts
 // were read from.
-func measureCycle(opts Options, seed uint64) (msgs, bytes map[epc.Protocol]uint64, delta *telemetry.Snapshot) {
+func measureCycle(seed uint64) (msgs, bytes map[epc.Protocol]uint64, delta *telemetry.Snapshot) {
 	tb := core.NewTestbed(core.TestbedConfig{
 		Seed:        seed,
 		IdleTimeout: 3 * time.Second,

@@ -138,7 +138,7 @@ func runFailoverTrial(seed uint64, pt failoverPoint) Metered {
 		respTimes = append(respTimes, time.Duration(tb.Eng.Now()))
 	}
 	failWall := time.Duration(tb.Eng.Now()) + pt.failAt
-	if err := tb.Faults.Apply(fault.Plan{Name: "site-crash", Events: []fault.Event{
+	if err := tb.Faults.Apply(fault.Plan{Events: []fault.Event{
 		{Kind: fault.SiteCrash, Target: "edge-1", At: pt.failAt},
 	}}); err != nil {
 		return row("-", "-", "-", "-", "PLAN REJECTED")

@@ -167,9 +167,8 @@ const (
 // and the sender's note of when it left and how many UEs were attached then.
 // A UE recycles its records: no allocation and no map entry per frame.
 type scaleFrame struct {
-	ue, seq int
-	sentAt  sim.Time
-	pop     uint64
+	sentAt sim.Time
+	pop    uint64
 }
 
 // scaleSiteOutcome is one generated site's deterministic outcome.
@@ -184,7 +183,6 @@ type scaleRun struct {
 	bound      uint64 // UEs with a MEC binding
 	rejections uint64 // MRS admission rejections (all sites full)
 	retries    uint64 // backoff retries scheduled after a rejection
-	attachErrs uint64
 	framesSent uint64
 	framesDone uint64
 
@@ -381,7 +379,6 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	// Frame records come from one pool for the whole metro.
 	var frames sim.Pool[scaleFrame]
 	startFrames := func(k int, ue *epc.UE, ciAddr pkt.Addr) {
-		seq := 0
 		ue.Host.Listen(scaleRespPort, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
 			fr := p.Payload.(*scaleFrame)
 			rtt := eng.Now().Sub(fr.sentAt)
@@ -396,8 +393,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		eng.Schedule(first.Sub(now), func() {
 			send := func() {
 				fr := frames.Take()
-				seq++
-				*fr = scaleFrame{ue: k, seq: seq, sentAt: eng.Now(), pop: out.attached}
+				*fr = scaleFrame{sentAt: eng.Now(), pop: out.attached}
 				out.framesSent++
 				ue.Host.Send(ciAddr, scaleRespPort, scaleFramePort, pkt.ProtoUDP, scaleFrameReq, fr)
 			}
@@ -434,7 +430,6 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 			pending = pending[n:]
 			ec.AttachBatch(cohort, "core-sgw", "core-pgw", func(u *epc.UE, err error) {
 				if err != nil {
-					out.attachErrs++
 					return
 				}
 				k := ueIndex[u]

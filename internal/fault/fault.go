@@ -70,7 +70,6 @@ type Event struct {
 // Apply sorts them by activation time (ties keep declaration order) so a
 // plan's effect is independent of how it was assembled.
 type Plan struct {
-	Name   string
 	Events []Event
 }
 

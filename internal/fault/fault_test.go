@@ -50,7 +50,7 @@ func TestLinkDownWindow(t *testing.T) {
 	r.b.Listen(80, netsim.AppFunc(func(_ *netsim.Host, _ *netsim.Packet) {
 		got = append(got, r.eng.Now())
 	}))
-	err := r.in.Apply(Plan{Name: "one-window", Events: []Event{
+	err := r.in.Apply(Plan{Events: []Event{
 		{Kind: LinkDown, Target: "ab", At: 10 * time.Millisecond, Duration: 20 * time.Millisecond},
 	}})
 	if err != nil {

@@ -133,8 +133,8 @@ func TestWalkerCrossings(t *testing.T) {
 	if diff := cr[0].At - 5*time.Second; diff < 0 || diff > 2*time.Millisecond {
 		t.Errorf("crossing at %v, want ~5s", cr[0].At)
 	}
-	if cr[0].Pos.X < 10 {
-		t.Errorf("crossing pos %v still west of midline", cr[0].Pos)
+	if p := w.PosAt(cr[0].At); p.X < 10 {
+		t.Errorf("crossing pos %v still west of midline", p)
 	}
 	// There and back: two crossings, second one returns to cell 0.
 	w2 := Walker{Path: Path{Waypoints: []Point{{0, 0}, {20, 0}, {0, 0}}}, Speed: 2}

@@ -30,12 +30,11 @@ func (w Walker) PosAt(elapsed time.Duration) Point {
 }
 
 // Crossing is a cell-boundary crossing event emitted by a walk: at time At
-// the walker moves from cell From into cell To, at position Pos (the first
-// sampled position inside To, refined by bisection to within ~1ms).
+// (refined by bisection to within ~1ms) the walker moves from cell From
+// into cell To.
 type Crossing struct {
 	At       time.Duration
 	From, To int
-	Pos      Point
 }
 
 // Crossings walks the path and reports every cell-boundary crossing.
@@ -57,7 +56,7 @@ func (w Walker) Crossings(cellOf func(Point) int, step time.Duration) []Crossing
 		cur := cellOf(w.PosAt(t))
 		if cur != prev {
 			at := w.refine(cellOf, t-step, t, prev)
-			out = append(out, Crossing{At: at, From: prev, To: cur, Pos: w.PosAt(at)})
+			out = append(out, Crossing{At: at, From: prev, To: cur})
 			prev = cur
 		}
 		if t >= total {

@@ -36,21 +36,18 @@ type Encoding struct {
 	// Ratio is the size reduction vs. raw grayscale for the HD store
 	// scene of the Fig. 3(f) experiment.
 	Ratio float64
-	// Lossy marks encodings that discard information (affects matching
-	// accuracy at aggressive settings).
-	Lossy bool
 }
 
 // The encodings of Fig. 3(f), with ratios calibrated so that JPEG 90 yields
 // ≈8 FPS over a 12 Mbps uplink for full-HD grayscale frames, raw cannot
 // reach 1 FPS, and quality ordering is preserved.
 var (
-	JPEG50  = Encoding{Name: "JPEG 50", Ratio: 22, Lossy: true}
-	JPEG80  = Encoding{Name: "JPEG 80", Ratio: 14, Lossy: true}
-	JPEG90  = Encoding{Name: "JPEG 90", Ratio: 11, Lossy: true}
-	JPEG100 = Encoding{Name: "JPEG 100", Ratio: 4, Lossy: true}
-	PNG     = Encoding{Name: "PNG", Ratio: 2.2, Lossy: false}
-	RawGray = Encoding{Name: "Raw (Gray)", Ratio: 1, Lossy: false}
+	JPEG50  = Encoding{Name: "JPEG 50", Ratio: 22}
+	JPEG80  = Encoding{Name: "JPEG 80", Ratio: 14}
+	JPEG90  = Encoding{Name: "JPEG 90", Ratio: 11}
+	JPEG100 = Encoding{Name: "JPEG 100", Ratio: 4}
+	PNG     = Encoding{Name: "PNG", Ratio: 2.2}
+	RawGray = Encoding{Name: "Raw (Gray)", Ratio: 1}
 )
 
 // Fig3fEncodings lists the encodings in the figure's legend order.

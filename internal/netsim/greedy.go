@@ -44,8 +44,7 @@ type GreedyFlow struct {
 // greedySeg is the payload of both a data segment and (turned around by the
 // receiver) its ACK.
 type greedySeg struct {
-	seq    int
-	sentAt sim.Time
+	seq int
 }
 
 // greedyRTO is one armed retransmit timer of segment seq.
@@ -103,7 +102,7 @@ func (g *GreedyFlow) pump() {
 
 func (g *GreedyFlow) sendSeg(seq int) {
 	seg := g.segs.Take()
-	seg.seq, seg.sentAt = seq, g.host.Engine().Now()
+	seg.seq = seq
 	g.host.Send(g.dst, g.srcPort, g.dstPort, pkt.ProtoTCP, g.size, seg)
 	if old, ok := g.inFlight[seq]; ok {
 		old.timer.Cancel()

@@ -31,8 +31,6 @@ type Host struct {
 	// port 0 is used. This is where the UE modem's UL-TFT classification
 	// plugs in.
 	ClassifyEgress func(p *Packet) *Port
-	// Unclaimed counts packets for ports with no registered app.
-	Unclaimed uint64
 }
 
 // NewHost wraps node with host behaviour and installs its handler.
@@ -73,7 +71,6 @@ func (h *Host) handle(ingress *Port, p *Packet) {
 		app.Deliver(h, p)
 		return
 	}
-	h.Unclaimed++
 	h.Node.Network().Release(p)
 }
 
@@ -85,7 +82,6 @@ func (h *Host) egress(p *Packet) {
 		port = h.Node.Port(0)
 	}
 	if port == nil {
-		h.Unclaimed++
 		return
 	}
 	port.Send(p)
@@ -131,12 +127,12 @@ type Pinger struct {
 	// Packet.Payload is allocation-free, and the reply handler returns the
 	// struct here.
 	reqs sim.Pool[pingReq]
-	// RTTs collects observed round-trip times in milliseconds.
+	// RTTs collects observed round-trip times in milliseconds, one per
+	// answered request.
 	RTTs stats.Sample
-	// Lost counts requests that were never answered by the time Stop or
-	// final accounting runs (computed as sent - received).
-	Sent, Received int
-	ticker         *sim.Ticker
+	// Sent counts requests.
+	Sent   int
+	ticker *sim.Ticker
 }
 
 // NewPinger creates a pinger on h towards dst with the given probe size.
@@ -157,7 +153,6 @@ func NewPinger(h *Host, dst pkt.Addr, size int, srcPort uint16) *Pinger {
 			return
 		}
 		delete(pg.inFlight, seq)
-		pg.Received++
 		rtt := h.Engine().Now().Sub(sentAt)
 		pg.RTTs.Add(float64(rtt) / float64(time.Millisecond))
 	}))
@@ -194,12 +189,11 @@ func (pg *Pinger) Stop() {
 // CBRSource emits fixed-size packets at a constant bit rate, the background
 // traffic generator for the congestion experiments.
 type CBRSource struct {
-	host     *Host
-	dst      pkt.Addr
-	dstPort  uint16
-	size     int
-	ticker   *sim.Ticker
-	SentPkts uint64
+	host    *Host
+	dst     pkt.Addr
+	dstPort uint16
+	size    int
+	ticker  *sim.Ticker
 }
 
 // NewCBRSource creates a source on h sending size-byte UDP packets to
@@ -218,7 +212,6 @@ func (c *CBRSource) Start(bitsPerSecond float64) {
 		interval = time.Nanosecond
 	}
 	c.ticker = sim.NewTicker(c.host.Engine(), interval, func() {
-		c.SentPkts++
 		c.host.Send(c.dst, 30000, c.dstPort, pkt.ProtoUDP, c.size, nil)
 	})
 }

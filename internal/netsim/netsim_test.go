@@ -281,13 +281,13 @@ func TestPingRTT(t *testing.T) {
 	eng.RunUntil(sim.Time(time.Second))
 	pg.Stop()
 	eng.Run()
-	if pg.Received == 0 {
+	if pg.RTTs.N() == 0 {
 		t.Fatal("no ping replies")
 	}
 	if rtt := pg.RTTs.Mean(); math.Abs(rtt-14) > 1e-9 {
 		t.Errorf("mean RTT = %v ms, want 14", rtt)
 	}
-	if lost := pg.Sent - pg.Received; lost != 0 {
+	if lost := pg.Sent - pg.RTTs.N(); lost != 0 {
 		t.Errorf("lost = %d", lost)
 	}
 }
@@ -420,14 +420,14 @@ func TestLinkFailureInjection(t *testing.T) {
 	pg := NewPinger(ha, hb.Node.Addr(), 64, 5555)
 	pg.Start(50 * time.Millisecond)
 	eng.RunFor(time.Second)
-	healthyRecv := pg.Received
+	healthyRecv := pg.RTTs.N()
 
 	l.SetDown(true)
 	if !l.ab.down || !l.ba.down {
 		t.Fatal("link not marked down")
 	}
 	eng.RunFor(time.Second)
-	duringRecv := pg.Received
+	duringRecv := pg.RTTs.N()
 	if duringRecv > healthyRecv+1 { // one in-flight reply may land
 		t.Errorf("replies during outage: %d -> %d", healthyRecv, duringRecv)
 	}
@@ -439,8 +439,8 @@ func TestLinkFailureInjection(t *testing.T) {
 	eng.RunFor(time.Second)
 	pg.Stop()
 	eng.RunFor(200 * time.Millisecond)
-	if pg.Received <= duringRecv+10 {
-		t.Errorf("traffic did not resume after repair: %d -> %d", duringRecv, pg.Received)
+	if pg.RTTs.N() <= duringRecv+10 {
+		t.Errorf("traffic did not resume after repair: %d -> %d", duringRecv, pg.RTTs.N())
 	}
 }
 
@@ -452,8 +452,8 @@ func TestLinkJitterSpreadsDelivery(t *testing.T) {
 	eng.RunFor(5 * time.Second)
 	pg.Stop()
 	eng.RunFor(time.Second)
-	if pg.Received < 100 {
-		t.Fatalf("replies = %d", pg.Received)
+	if pg.RTTs.N() < 100 {
+		t.Fatalf("replies = %d", pg.RTTs.N())
 	}
 	// Base RTT is 10 ms; exponential jitter (mean 3 ms per delivery, two
 	// deliveries) should push the mean to ≈16 ms with real spread.

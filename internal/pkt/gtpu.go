@@ -18,14 +18,9 @@ type GTPU struct {
 	TEID    uint32
 }
 
-// GTP-U message types used by the testbed.
-const (
-	GTPUMsgEchoRequest  = 1
-	GTPUMsgEchoResponse = 2
-	GTPUMsgErrorInd     = 26
-	GTPUMsgEndMarker    = 254
-	GTPUMsgGPDU         = 255
-)
+// GTPUMsgGPDU is the GTP-U message type of user data, the only one the
+// testbed sends.
+const GTPUMsgGPDU = 255
 
 // Encode appends the header to b.
 func (g *GTPU) Encode(b []byte) []byte {

@@ -130,9 +130,8 @@ type BearerContext struct {
 
 // GTPv2Cause values.
 const (
-	GTPv2CauseAccepted        = 16
-	GTPv2CauseContextNotFound = 64
-	GTPv2CauseDenied          = 65
+	GTPv2CauseAccepted = 16
+	GTPv2CauseDenied   = 65
 )
 
 // GTPv2Msg is one GTPv2-C message: header fields plus the IEs the testbed
@@ -151,8 +150,6 @@ type GTPv2Msg struct {
 	SenderFTEID *FTEID
 	Bearers     []BearerContext
 }
-
-const gtpv2HeaderLen = 12
 
 // Encode appends the full message to b. Every IE — including nested encodes
 // like the bearer context's TFT — is appended in place with a length

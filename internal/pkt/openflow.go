@@ -52,7 +52,6 @@ func (t OFMsgType) String() string {
 // FlowMod commands.
 const (
 	FlowModAdd    = 0
-	FlowModModify = 1
 	FlowModDelete = 3
 )
 
@@ -376,8 +375,6 @@ type OFMsg struct {
 	DataLen  uint16 // bytes of packet data carried
 	Reason   uint8
 }
-
-const ofHeaderLen = 8
 
 // Encode appends the message to b.
 func (m *OFMsg) Encode(b []byte) []byte {

@@ -1,43 +1,22 @@
 package pkt
 
-import "time"
-
 // QCI is a 3GPP QoS Class Identifier. Each bearer carries exactly one QCI,
 // which maps to a standardized priority, packet delay budget and packet
 // error/loss rate (TS 23.203 table 6.1.7). ACACIA assigns the dedicated MEC
 // bearer a low-latency QCI while default bearers typically use QCI 9.
 type QCI uint8
 
-// QCIClass describes the standardized characteristics of one QCI value.
-type QCIClass struct {
-	QCI         QCI
-	GBR         bool // guaranteed bit rate resource type
-	Priority    int  // lower = served first
-	DelayBudget time.Duration
-	LossRate    float64 // packet error loss rate target
-	Example     string
-}
-
-// qciTable is the TS 23.203 subset relevant to the testbed (QCIs the paper
-// evaluates in Fig. 10(a) plus the GBR classes used for comparison).
-var qciTable = map[QCI]QCIClass{
-	1: {QCI: 1, GBR: true, Priority: 2, DelayBudget: 100 * time.Millisecond, LossRate: 1e-2, Example: "conversational voice"},
-	2: {QCI: 2, GBR: true, Priority: 4, DelayBudget: 150 * time.Millisecond, LossRate: 1e-3, Example: "conversational video"},
-	3: {QCI: 3, GBR: true, Priority: 3, DelayBudget: 50 * time.Millisecond, LossRate: 1e-3, Example: "real time gaming"},
-	4: {QCI: 4, GBR: true, Priority: 5, DelayBudget: 300 * time.Millisecond, LossRate: 1e-6, Example: "buffered video"},
-	5: {QCI: 5, GBR: false, Priority: 1, DelayBudget: 100 * time.Millisecond, LossRate: 1e-6, Example: "IMS signalling"},
-	6: {QCI: 6, GBR: false, Priority: 6, DelayBudget: 300 * time.Millisecond, LossRate: 1e-6, Example: "buffered video, TCP apps"},
-	7: {QCI: 7, GBR: false, Priority: 7, DelayBudget: 100 * time.Millisecond, LossRate: 1e-3, Example: "voice, live video, gaming"},
-	8: {QCI: 8, GBR: false, Priority: 8, DelayBudget: 300 * time.Millisecond, LossRate: 1e-6, Example: "premium best effort"},
-	9: {QCI: 9, GBR: false, Priority: 9, DelayBudget: 300 * time.Millisecond, LossRate: 1e-6, Example: "default best effort"},
-}
-
-// qciPriority is qciTable's Priority column, read once per uplink packet.
+// qciPriority is the priority column of TS 23.203 table 6.1.7 for the QCIs
+// the testbed uses (those the paper evaluates in Fig. 10(a) plus the GBR
+// classes 1-4 used for comparison), read once per uplink packet. Every
+// other QCI gets the lowest priority, 10.
 var qciPriority = func() (t [256]uint8) {
 	for q := range t {
 		t[q] = 10
-		if c, ok := qciTable[QCI(q)]; ok {
-			t[q] = uint8(c.Priority)
+	}
+	for q, p := range [...]uint8{1: 2, 2: 4, 3: 3, 4: 5, 5: 1, 6: 6, 7: 7, 8: 8, 9: 9} {
+		if p != 0 {
+			t[q] = p
 		}
 	}
 	return t

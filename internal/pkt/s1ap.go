@@ -12,13 +12,9 @@ import (
 // carriage), framed in SCTP common-header + DATA-chunk framing so that the
 // §4 byte accounting matches what a wire capture of the testbed would count.
 
-// SCTP framing constants: 12-byte common header plus a 16-byte DATA chunk
-// header per message.
-const (
-	SCTPCommonHeaderLen = 12
-	SCTPDataChunkLen    = 16
-	SCTPFramingLen      = SCTPCommonHeaderLen + SCTPDataChunkLen
-)
+// SCTPDataChunkLen is the DATA chunk header each message carries after the
+// 12-byte SCTP common header.
+const SCTPDataChunkLen = 16
 
 // S1APProcedure identifies the S1AP (or NAS-carrying) procedure.
 type S1APProcedure uint8

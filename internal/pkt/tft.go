@@ -20,14 +20,9 @@ type TFT struct {
 // TFTOp is the TS 24.008 TFT operation code.
 type TFTOp uint8
 
-// TFT operation codes (TS 24.008 §10.5.6.12).
-const (
-	TFTOpCreateNew      TFTOp = 1
-	TFTOpDeleteExisting TFTOp = 2
-	TFTOpAddFilters     TFTOp = 3
-	TFTOpReplaceFilters TFTOp = 4
-	TFTOpDeleteFilters  TFTOp = 5
-)
+// TFTOpCreateNew is the TS 24.008 §10.5.6.12 operation code of a new TFT,
+// the only operation the testbed signals.
+const TFTOpCreateNew TFTOp = 1
 
 // FilterDirection says which traffic direction a packet filter applies to.
 type FilterDirection uint8

@@ -57,9 +57,6 @@ type Controller struct {
 	recv      *telemetry.Counter
 	recvBytes *telemetry.Counter
 
-	// ByType counts messages per OpenFlow message type.
-	ByType map[pkt.OFMsgType]uint64
-
 	// encBuf is the controller-lifetime scratch the accounting encoders
 	// serialize into; only the encoded length outlives each call.
 	encBuf []byte
@@ -123,7 +120,6 @@ func NewController(eng *sim.Engine) *Controller {
 	scope := eng.Metrics().Scope("sdn").Scope("controller")
 	return &Controller{
 		switches:  make(map[uint64]*Switch),
-		ByType:    make(map[pkt.OFMsgType]uint64),
 		sent:      scope.Counter("sent"),
 		sentBytes: scope.Counter("sent-bytes"),
 		recv:      scope.Counter("received"),
@@ -202,7 +198,6 @@ func (c *Controller) accountSent(m *pkt.OFMsg) int {
 	n := len(c.encBuf)
 	c.sent.Inc()
 	c.sentBytes.Add(uint64(n))
-	c.ByType[m.Type]++
 	return n
 }
 
@@ -212,7 +207,6 @@ func (c *Controller) accountReceived(m *pkt.OFMsg) int {
 	n := len(c.encBuf)
 	c.recv.Inc()
 	c.recvBytes.Add(uint64(n))
-	c.ByType[m.Type]++
 	return n
 }
 

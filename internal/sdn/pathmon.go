@@ -32,11 +32,11 @@ type PathState struct {
 	Peer pkt.Addr
 	Port int
 	Down bool
-	// Sent/Received count echo requests and responses.
-	Sent, Received uint64
-	lastSentSeq    uint32
-	lastAckedSeq   uint32
-	misses         int
+	// lastSentSeq numbers the echo requests sent; lastAckedSeq is the
+	// highest one answered.
+	lastSentSeq  uint32
+	lastAckedSeq uint32
+	misses       int
 	// static marks peers pinned with Supervise: they outlive flow-table
 	// refreshes, so supervision survives bearer teardown.
 	static bool
@@ -119,7 +119,6 @@ func (m *PathMonitor) tick() {
 			}
 		}
 		ps.lastSentSeq++
-		ps.Sent++
 		p := m.sw.node.NewPacket()
 		p.Flow = pkt.FiveTuple{
 			Src: m.sw.node.Addr(), Dst: ps.Peer,
@@ -232,7 +231,6 @@ func (m *PathMonitor) onResponse(echo gtpEcho) {
 	if !ok {
 		return
 	}
-	ps.Received++
 	if echo.seq > ps.lastAckedSeq {
 		ps.lastAckedSeq = echo.seq
 	}

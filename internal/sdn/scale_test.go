@@ -14,6 +14,7 @@ import (
 // tableOrder lists the live slots in table order: descending priority, then
 // arrival. It is the order the historical linear scan walked.
 func (sw *Switch) tableOrder() []int32 {
+	const rankSpecMask = uint64(0xf) << rankSeqBits // the rank's specificity class
 	order := make([]int32, 0, sw.flows)
 	for i := int32(1); i <= sw.nslots; i++ {
 		if sw.slot(i).rank != 0 {

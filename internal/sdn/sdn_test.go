@@ -479,8 +479,8 @@ func TestPathMonitorSupervisesPeers(t *testing.T) {
 	if ps.Down {
 		t.Error("healthy path marked down")
 	}
-	if ps.Sent < 3 || ps.Received < 3 {
-		t.Errorf("echo counters: sent=%d received=%d", ps.Sent, ps.Received)
+	if ps.lastSentSeq < 3 || ps.lastAckedSeq < 3 {
+		t.Errorf("echo sequence: sent=%d acked=%d", ps.lastSentSeq, ps.lastAckedSeq)
 	}
 }
 

@@ -67,9 +67,8 @@ type flowSlot struct {
 }
 
 const (
-	rankSeqBits  = 44
-	rankSpecMask = uint64(0xf) << rankSeqBits
-	slotChunk    = 32 // slots per storage chunk: 4.5 KiB, what a table of ten cost as a slice
+	rankSeqBits = 44
+	slotChunk   = 32 // slots per storage chunk: 4.5 KiB, what a table of ten cost as a slice
 )
 
 // PathCosts models per-packet processing cost on each path.
@@ -198,8 +197,6 @@ type SwitchStats struct {
 	Dropped      uint64 // no matching entry and no controller
 	Encapsulated uint64
 	Decapsulated uint64
-	FlowsExpired uint64
-	MeterDrops   uint64 // packets policed away by per-entry meters
 }
 
 // Switch is a GW-U: an OpenFlow switch with GTP logical-port semantics.
@@ -264,9 +261,6 @@ type Switch struct {
 	dropped      *telemetry.Counter
 	encapsulated *telemetry.Counter
 	decapsulated *telemetry.Counter
-	// flowsExpired reads 0: nothing expires idle flows. It stays
-	// registered because the -metrics listing names it.
-	flowsExpired *telemetry.Counter
 	meterDrops   *telemetry.Counter
 	occupancy    *telemetry.Gauge // megaflow cache entries currently live
 
@@ -300,7 +294,9 @@ func NewSwitch(dpid uint64, node *netsim.Node, costs PathCosts) *Switch {
 	sw.dropped = scope.Counter("dropped")
 	sw.encapsulated = scope.Counter("encapsulated")
 	sw.decapsulated = scope.Counter("decapsulated")
-	sw.flowsExpired = scope.Counter("flows-expired")
+	// flows-expired reads 0: nothing expires idle flows. It stays
+	// registered because the -metrics listing names it.
+	scope.Counter("flows-expired")
 	sw.meterDrops = scope.Counter("meter-drops")
 	sw.occupancy = scope.Gauge("megaflow/occupancy")
 	node.SetHandler(sw.receive)
@@ -320,8 +316,6 @@ func (sw *Switch) Stats() SwitchStats {
 		Dropped:      sw.dropped.Value(),
 		Encapsulated: sw.encapsulated.Value(),
 		Decapsulated: sw.decapsulated.Value(),
-		FlowsExpired: sw.flowsExpired.Value(),
-		MeterDrops:   sw.meterDrops.Value(),
 	}
 }
 

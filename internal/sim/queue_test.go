@@ -66,7 +66,7 @@ func checkInvariant(t *testing.T, q *eventQueue) {
 // opDelays are the push distances the op stream draws from: exact ties, tens
 // of nanoseconds, microseconds, a link latency, a frame period, and a jump
 // past bit 40, so slots travel down through most of the bucket range.
-var opDelays = [...]Time{0, 0, 1, 10, Microsecond, Millisecond, 100 * Millisecond, 1 << 40}
+var opDelays = [...]Time{0, 0, 1, 10, Time(time.Microsecond), Time(time.Millisecond), 100 * Time(time.Millisecond), 1 << 40}
 
 // driveQueue interprets ops as a stream of (opcode, argument) byte pairs
 // against an engine's queue and free-list and a model — the still-queued
@@ -140,7 +140,7 @@ func driveQueue(t *testing.T, ops []byte) {
 		case 8:
 			// A burst inside one bucket, past the minimum array size.
 			for k := Time(0); k < 17+arg%48; k++ {
-				push(now + Millisecond + k%5)
+				push(now + Time(time.Millisecond) + k%5)
 			}
 		case 9:
 			for k := Time(0); k <= arg%32; k++ {
@@ -149,9 +149,9 @@ func driveQueue(t *testing.T, ops []byte) {
 		case 10:
 			pop(now + arg)
 		case 11:
-			pop(now + arg*Microsecond)
+			pop(now + arg*Time(time.Microsecond))
 		case 12:
-			for pop(now + arg*Millisecond) {
+			for pop(now + arg*Time(time.Millisecond)) {
 			}
 		case 13:
 			pop(math.MaxInt64)
@@ -239,7 +239,7 @@ func TestQueueArraysAreExchanged(t *testing.T) {
 	for k := uint(22); k <= 40; k++ {
 		base := q.ref + 1<<k
 		for i := 0; i < n; i++ {
-			q.add(slot{at: base + Time(i)*Microsecond, ev: ev})
+			q.add(slot{at: base + Time(i)*Time(time.Microsecond), ev: ev})
 		}
 		for q.mask != 0 {
 			q.popAtMost(math.MaxInt64)

@@ -24,14 +24,6 @@ import (
 // the simulation. The zero Time is the simulation epoch.
 type Time time.Duration
 
-// Common virtual-time unit helpers.
-const (
-	Nanosecond  Time = Time(time.Nanosecond)
-	Microsecond Time = Time(time.Microsecond)
-	Millisecond Time = Time(time.Millisecond)
-	Second      Time = Time(time.Second)
-)
-
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 

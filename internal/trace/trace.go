@@ -17,7 +17,6 @@ import (
 // Sample is one received discovery message during a walk.
 type Sample struct {
 	At       sim.Time
-	Pos      geo.Point // subscriber position at reception
 	Landmark string
 	RxPower  float64
 	SNR      float64
@@ -52,14 +51,15 @@ func Walk(floor *geo.Floor, cfg WalkConfig) []Sample {
 		dev := env.AddDevice(lm.Name, lm.Pos)
 		dev.Publish("trace", d2d.ServiceCode(1, uint16(i), 0), lm.Section, cfg.Period)
 	}
-	sub := env.AddDevice("walker", cfg.Path.At(0))
+	w := geo.Walker{Path: cfg.Path, Speed: cfg.Speed}
+	start := eng.Now()
+	sub := env.AddDevice("walker", w.PosAt(0))
 
 	var samples []Sample
 	sub.Subscribe(d2d.Expression{Code: d2d.ServiceCode(1, 0, 0), Mask: d2d.MaskService},
 		func(m d2d.DiscoveryMessage) {
 			samples = append(samples, Sample{
 				At:       m.At,
-				Pos:      sub.Pos(),
 				Landmark: m.From,
 				RxPower:  m.RxPowerDBm,
 				SNR:      m.SNRDB,
@@ -68,13 +68,8 @@ func Walk(floor *geo.Floor, cfg WalkConfig) []Sample {
 
 	// Move the subscriber every 100 ms.
 	const step = 100 * time.Millisecond
-	sim.NewTicker(eng, step, func() {
-		dist := cfg.Speed * eng.Now().Seconds()
-		sub.SetPos(cfg.Path.At(dist))
-	})
-
-	walkDuration := time.Duration(cfg.Path.Length() / cfg.Speed * float64(time.Second))
-	eng.RunUntil(sim.Time(walkDuration))
+	sim.NewTicker(eng, step, func() { sub.SetPos(w.PosAt(eng.Now().Sub(start))) })
+	eng.RunUntil(start.Add(w.Duration()))
 	return samples
 }
 
@@ -82,7 +77,6 @@ func Walk(floor *geo.Floor, cfg WalkConfig) []Sample {
 // checkpoint.
 type CheckpointReading struct {
 	Checkpoint string
-	Pos        geo.Point
 	Landmark   string
 	RxPower    float64
 }
@@ -117,7 +111,6 @@ func Campaign(floor *geo.Floor, seed uint64, samplesPerPoint int) []CheckpointRe
 			}
 			out = append(out, CheckpointReading{
 				Checkpoint: cp.Name,
-				Pos:        cp.Pos,
 				Landmark:   lm.Name,
 				RxPower:    sum / float64(n),
 			})

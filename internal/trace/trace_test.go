@@ -31,6 +31,13 @@ func TestWalkProducesSamplesFromAllLandmarks(t *testing.T) {
 	}
 }
 
+// walkerPos is where a Fig. 6 walk at speed had put the subscriber when s
+// arrived: the walker moves on 100 ms ticks.
+func walkerPos(speed float64, s Sample) geo.Point {
+	w := geo.Walker{Path: geo.Fig6WalkPath(), Speed: speed}
+	return w.PosAt(time.Duration(s.At).Truncate(100 * time.Millisecond))
+}
+
 func TestWalkRxPowerPeaksNearLandmarks(t *testing.T) {
 	// Fig. 6(c): each landmark's rxPower peaks as the walker passes it.
 	floor := geo.ThreeLandmarkFloor()
@@ -47,7 +54,7 @@ func TestWalkRxPowerPeaksNearLandmarks(t *testing.T) {
 			continue
 		}
 		n++
-		sumDist += s.Pos.Dist(l2.Pos)
+		sumDist += walkerPos(0.5, s).Dist(l2.Pos)
 		if s.RxPower > bestRx {
 			bestRx = s.RxPower
 			best = s
@@ -56,7 +63,7 @@ func TestWalkRxPowerPeaksNearLandmarks(t *testing.T) {
 	if n < 10 {
 		t.Fatalf("only %d samples for %s", n, l2.Name)
 	}
-	if best.Pos.Dist(l2.Pos) > sumDist/float64(n) {
+	if walkerPos(0.5, best).Dist(l2.Pos) > sumDist/float64(n) {
 		t.Error("peak rxPower not nearer the landmark than average")
 	}
 }
@@ -70,7 +77,7 @@ func TestWalkSNRSaturatesNearLandmark(t *testing.T) {
 	var nearRx []float64
 	for _, s := range samples {
 		lm := floor.Landmark(s.Landmark)
-		if s.Pos.Dist(lm.Pos) < 5 {
+		if walkerPos(0.5, s).Dist(lm.Pos) < 5 {
 			nearSNR = append(nearSNR, s.SNR)
 			nearRx = append(nearRx, s.RxPower)
 		}
@@ -150,7 +157,7 @@ func TestCampaignPowerDecreasesWithDistance(t *testing.T) {
 	var nearSum, farSum float64
 	var nearN, farN int
 	for _, r := range readings {
-		d := r.Pos.Dist(floor.Landmark(r.Landmark).Pos)
+		d := floor.Checkpoint(r.Checkpoint).Pos.Dist(floor.Landmark(r.Landmark).Pos)
 		switch {
 		case d < 10:
 			nearSum += r.RxPower

@@ -1,20 +1,11 @@
 package vision
 
-import (
-	"fmt"
-
-	"acacia/internal/geo"
-)
+import "acacia/internal/geo"
 
 // Object is one entry of the AR database: an annotated, geo-tagged item in
 // the store with its canonical feature set.
 type Object struct {
-	Name string
-	// Tag is the annotation returned to the user on a match (price,
-	// reviews link, etc. in the real application).
-	Tag string
-	// Section and Subsection geo-tag the object's location on the floor.
-	Section    string
+	// Subsection geo-tags the object's location on the floor.
 	Subsection int
 	// Pos is the object's position, used to generate evaluation frames at
 	// checkpoints.
@@ -94,9 +85,6 @@ func BuildRetailDB(floor *geo.Floor, featuresPerObject int) *DB {
 			// Spread object positions inside the subsection.
 			frac := (float64(k) + 0.5) / ObjectsPerRetailSubsection
 			db.Add(&Object{
-				Name:       fmt.Sprintf("obj-%02d-%d", ss.ID, k),
-				Tag:        fmt.Sprintf("%s item %d in cell %d", ss.Section, k, ss.ID),
-				Section:    ss.Section,
 				Subsection: ss.ID,
 				Pos:        ss.Bounds.Min.Lerp(ss.Bounds.Max, frac),
 				seed:       retailSeed(ss.ID, k),

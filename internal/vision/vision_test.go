@@ -242,13 +242,13 @@ func TestBuildRetailDB(t *testing.T) {
 		t.Fatalf("objects = %d, want 105", db.Len())
 	}
 	perCell := map[int]int{}
-	for _, o := range db.Objects {
+	for i, o := range db.Objects {
 		perCell[o.Subsection]++
 		if o.Features().Len() != 64 {
-			t.Fatalf("object %s has %d features", o.Name, o.Features().Len())
+			t.Fatalf("object %d has %d features", i, o.Features().Len())
 		}
-		if floor.SectionAt(o.Pos) != o.Section {
-			t.Errorf("object %s position/section mismatch", o.Name)
+		if ss := floor.SubsectionAt(o.Pos); ss == nil || ss.ID != o.Subsection {
+			t.Errorf("object %d position/subsection mismatch", i)
 		}
 	}
 	if len(perCell) != 21 {
@@ -348,21 +348,21 @@ func TestRetailDBFeaturesLazy(t *testing.T) {
 	for _, ss := range floor.Subsections {
 		for k := 0; k < ObjectsPerRetailSubsection; k++ {
 			o := db.Objects[i]
-			i++
 			if got := o.FeatureCount(); got != n {
-				t.Fatalf("%s: FeatureCount = %d, want %d", o.Name, got, n)
+				t.Fatalf("object %d: FeatureCount = %d, want %d", i, got, n)
 			}
 			if o.Materialised() {
-				t.Fatalf("%s: materialised by the build or the count accessor", o.Name)
+				t.Fatalf("object %d: materialised by the build or the count accessor", i)
 			}
 			want := GenerateObjectFeatures(uint64(ss.ID)*1000+uint64(k)+0xACAC1A, n)
 			first := o.Features()
 			if !o.Materialised() || !reflect.DeepEqual(first, want) {
-				t.Fatalf("%s: first read differs from GenerateObjectFeatures(seed, n)", o.Name)
+				t.Fatalf("object %d: first read differs from GenerateObjectFeatures(seed, n)", i)
 			}
 			if second := o.Features(); second != first || !reflect.DeepEqual(second, want) {
-				t.Fatalf("%s: second read is not the first read's set", o.Name)
+				t.Fatalf("object %d: second read is not the first read's set", i)
 			}
+			i++
 		}
 	}
 	if i != db.Len() {
