@@ -522,6 +522,35 @@ func handoverRig(t testing.TB) func() {
 	}
 }
 
+// BenchmarkAllocIdleCycle measures the idle-mode procedures on a live
+// testbed: one iteration lets the UE's inactivity timer release it twice,
+// waking it once by uplink data (a promotion) and once by downlink data (a
+// page, then the promotion the page starts).
+func BenchmarkAllocIdleCycle(b *testing.B) { benchRig(b, idleCycleRig) }
+
+func idleCycleRig(t testing.TB) func() {
+	tb := NewTestbed(TestbedConfig{Seed: 1, IdleTimeout: 2 * time.Second, DiscoveryPeriod: time.Hour})
+	ue, server := tb.UEs[0].UE, tb.CentralMEC
+	if err := tb.Attach(tb.UEs[0]); err != nil {
+		t.Fatal(err)
+	}
+	sess := tb.EPC.Session(ue.IMSI)
+	settle := func(d time.Duration, want epc.SessionState) {
+		tb.Run(d)
+		if sess.State != want {
+			t.Fatalf("session %v, want %v", sess.State, want)
+		}
+	}
+	return func() {
+		settle(3*time.Second, epc.StateIdle)
+		ue.Host.Send(server.Node.Addr(), 9000, 9000, pkt.ProtoUDP, 100, nil)
+		settle(time.Second, epc.StateConnected)
+		settle(3*time.Second, epc.StateIdle)
+		server.Send(ue.Addr(), 9000, 9000, pkt.ProtoUDP, 100, nil)
+		settle(time.Second, epc.StateConnected)
+	}
+}
+
 // BenchmarkAllocChurnRound measures one round of the control-plane churn
 // the paper's per-session bearer lifecycle implies, over 16 UEs: attach,
 // MRS bind (dedicated MEC bearer and its flows), handover out and back,
@@ -626,6 +655,7 @@ var allocRigs = map[string]struct {
 	"BenchmarkAllocAttachCycle":      {attachCycleRig, 50},
 	"BenchmarkAllocAttachBatch":      {attachBatchRig, 20},
 	"BenchmarkAllocHandover":         {handoverRig, 50},
+	"BenchmarkAllocIdleCycle":        {idleCycleRig, 20},
 	"BenchmarkAllocChurnRound":       {churnRoundRig, 5},
 }
 

@@ -26,10 +26,6 @@ func main() {
 	b := tb.UEs[0]
 	tb.MoveUE(b, geo.Point{X: 21, Y: 15})
 
-	// Snapshot the accounting before any traffic: DiffLog against it yields
-	// exactly the records this run appended.
-	start := tb.EPC.Acct.Snapshot()
-
 	// In CSV mode only the trace rows go to stdout; narration moves to
 	// stderr so the output stays machine-readable.
 	text := os.Stdout
@@ -80,7 +76,7 @@ func main() {
 	} else {
 		fmt.Println("\ntime        protocol    message                          bytes  seq  path              queue_us  retrans")
 	}
-	for _, rec := range tb.EPC.Acct.DiffLog(start) {
+	for _, rec := range tb.EPC.Acct.Log {
 		if *csv {
 			fmt.Printf("%.3f,%s,%s,%d,%d,%s,%s,%d,%d\n",
 				rec.At.Seconds(), rec.Proto, rec.Name, rec.Bytes,

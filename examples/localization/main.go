@@ -19,7 +19,7 @@ import (
 
 func main() {
 	// 1. One-time calibration: fit rxPower = alpha + beta*log10(d).
-	fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
+	fit := core.CalibrateFromChannel(d2d.DefaultPathLoss)
 	fmt.Printf("path-loss fit: rxPower = %.1f %+.1f*log10(d) dBm (residual %.2f dB)\n\n",
 		fit.Alpha, fit.Beta, fit.Residual)
 

@@ -23,6 +23,7 @@ var keepUnreferenced = map[string]string{
 	"acacia/internal/netsim.FIFO.Cap":                    "FuzzFIFO and the backlog tests bound the queue's memory with it",
 	"acacia/internal/netsim.Link.BacklogAB":              "the queued-link alloc rig checks its direction is congested",
 	"acacia/internal/sim.Pool.Idle":                      "pool tests in sim, epc and sdn read which records are at rest",
+	"acacia/internal/sim.Pool.Outstanding":               "pool-balance tests in sim and epc check every record came back",
 	"acacia/internal/netsim.Link.StatsAB":                "link, ctl, epc and fault tests read per-direction counters",
 	"acacia/internal/netsim.Link.StatsBA":                "ctl and epc loss tests read the reverse direction's counters",
 	"acacia/internal/netsim.Network.Links":               "core's wiring tests pin link creation order, the <n> of every link metric",
@@ -39,9 +40,6 @@ var keepUnreferenced = map[string]string{
 	"acacia/internal/d2d.DiscoveryMessage.Payload":       "the discovery test checks a delivery carries the published payload",
 	"acacia/internal/epc.ENB.s1Link":                     "loss and leg tests fail and heal the eNB's S1-MME link through it",
 	"acacia/internal/epc.ENB.ULPackets":                  "handover tests check uplink traffic traverses the target eNB",
-	"acacia/internal/epc.MME.Releases":                   "idle-mode tests count inactivity releases",
-	"acacia/internal/epc.MME.Promotions":                 "idle-mode tests count service-request promotions",
-	"acacia/internal/epc.MME.Pagings":                    "paging tests and the procedure golden count pages",
 	"acacia/internal/sdn.SwitchStats.SlowPathHits":       "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",
 	"acacia/internal/sdn.SwitchStats.TableMisses":        "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",
 	"acacia/internal/sdn.SwitchStats.Dropped":            "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",

@@ -38,16 +38,12 @@ func NewLocalizationManager(floor *geo.Floor, fit localization.PathLossFit) *Loc
 }
 
 // CalibrateFromChannel builds the path-loss fit by sampling the given d2d
-// channel model at known distances — the per-environment regression the
-// paper describes as a one-time overhead.
-func CalibrateFromChannel(m d2d.PathLossModel, rng interface{ NormFloat64() float64 }) localization.PathLossFit {
+// channel model's mean received power at known distances — the
+// per-environment regression the paper describes as a one-time overhead.
+func CalibrateFromChannel(m d2d.PathLossModel) localization.PathLossFit {
 	var samples []localization.CalibrationSample
 	for d := 1.0; d <= 45; d += 1.5 {
-		rx := m.MeanRxPower(d)
-		if rng != nil {
-			rx += rng.NormFloat64() * m.ShadowSigmaDB
-		}
-		samples = append(samples, localization.CalibrationSample{Distance: d, RxPowerDBm: rx})
+		samples = append(samples, localization.CalibrationSample{Distance: d, RxPowerDBm: m.MeanRxPower(d)})
 	}
 	fit, err := localization.FitPathLoss(samples)
 	if err != nil {

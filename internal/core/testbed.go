@@ -244,7 +244,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		code := d2d.ServiceCode(RetailServiceCode, uint16(sectionIdx), uint16(i))
 		dev.Publish(RetailServiceName, code, lm.Section, cfg.DiscoveryPeriod)
 	}
-	tb.locFit = CalibrateFromChannel(tb.D2D.PathLoss, nil)
+	tb.locFit = CalibrateFromChannel(tb.D2D.PathLoss)
 	tb.DB = vision.BuildRetailDB(tb.Floor, cfg.DBFeatures)
 
 	// Naive backends on the central MEC server and the California cloud

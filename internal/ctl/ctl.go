@@ -286,9 +286,10 @@ func (ep *Endpoint) NextSeq(peer pkt.Addr) uint32 {
 // Send opens a transaction toward peer: a data frame of the given wire
 // size is transmitted on the route's link, retransmitted every T3 until
 // acked, and failed terminally after N3 retransmissions. deliver runs
-// exactly once at the receiver (duplicates are suppressed there); onFail
-// (may be nil) receives the terminal timeout error; onDone (may be nil)
-// receives the transaction's transport observations at ack time.
+// at most once at the receiver (duplicates are suppressed there), and
+// never after the transaction failed; onFail (may be nil) receives the
+// terminal timeout error; onDone (may be nil) receives the transaction's
+// transport observations at ack time.
 //
 // seq must come from NextSeq for this peer — passing it in (rather than
 // allocating here) lets callers stamp the same value into the protocol
@@ -347,6 +348,9 @@ func (ep *Endpoint) expire(tx *txn) {
 	}
 	if tx.retries >= N3 {
 		delete(ep.pending, key)
+		// The sender has given up, so no attempt may deliver now: one still
+		// in flight lands as an acked no-op.
+		FrameOf(tx.tpl).deliver = nil
 		ep.tr.timeouts.Inc()
 		ep.eng.Metrics().Scope("epc/txn").Emit("timeout",
 			fmt.Sprintf("%s seq=%d %s->%v", tx.name, tx.seq, ep.Name(), tx.peer))

@@ -124,6 +124,19 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	}
 }
 
+// TestNoDeliveryAfterTimeout sends over a link slower than the whole retry
+// budget: every attempt is still in flight when the transaction fails, and
+// none may deliver after that.
+func TestNoDeliveryAfterTimeout(t *testing.T) {
+	eng, _, a, b, _ := pair(t, netsim.LinkConfig{Propagation: time.Duration(N3+2) * T3})
+	delivered, failed := 0, 0
+	a.Send(b.Addr(), a.NextSeq(b.Addr()), "Req", 100, func() { delivered++ }, func(error) { failed++ }, nil)
+	eng.Run()
+	if failed != 1 || delivered != 0 {
+		t.Fatalf("%d failures, %d deliveries; want 1 and 0", failed, delivered)
+	}
+}
+
 func TestTimeoutAfterRetryBudget(t *testing.T) {
 	eng, tr, a, b, l := pair(t, netsim.LinkConfig{Propagation: time.Millisecond})
 	l.SetLoss(1.0)

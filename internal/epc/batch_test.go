@@ -30,7 +30,7 @@ func TestAttachBatchAmortizesGTPv2(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	cohort := tb.addBatchUEs(2)
 
-	before := tb.core.Acct.Snapshot()
+	before := acctCounts(tb.core.Acct)
 	results := make(map[string]error)
 	tb.core.AttachBatch(cohort, "core-sgw", "core-pgw", func(ue *UE, err error) {
 		results[ue.IMSI] = err
@@ -107,7 +107,7 @@ func TestDetachBatch(t *testing.T) {
 	tb.core.AttachBatch(cohort, "core-sgw", "core-pgw", nil)
 	tb.eng.RunFor(2 * time.Second)
 
-	before := tb.core.Acct.Snapshot()
+	before := acctCounts(tb.core.Acct)
 	results := make(map[string]error)
 	tb.core.DetachBatch(cohort, func(ue *UE, err error) { results[ue.IMSI] = err })
 	tb.eng.RunFor(2 * time.Second)

@@ -96,6 +96,7 @@ type Core struct {
 	hos     sim.Pool[handover]
 	deds    sim.Pool[dedicated]
 	cohorts sim.Pool[cohort]
+	idles   sim.Pool[idle]
 }
 
 // NewCore builds an empty core and places its control plane on the network.
@@ -166,17 +167,18 @@ func (c *Core) Session(imsi string) *Session { return c.sessions[imsi] }
 // proc is the state every control procedure shares over the lossy
 // transport: continuations run only while the procedure is live, the
 // terminal callback fires exactly once, and on failure undo first unwinds
-// the compensations made due so far (stage counts them), last first.
-// Handover, dedicated-bearer and cohort procedures embed it in a pooled
-// record whose legs are methods bound once (DESIGN.md §3c). gen counts a
+// the compensations made due so far (stage records them), last first.
+// Every procedure embeds it in a pooled record — handover, dedicated,
+// cohort or idle — whose legs are methods bound once (DESIGN.md §3c), and
+// whose end reports the outcome and recycles the record. gen counts a
 // record's procedures: every leg, timer and waiter carries the gen it was
 // issued under and is dropped on a mismatch, as sim.Timer is.
 type proc struct {
 	gen      uint32
 	finished bool
 	stage    uint8
-	end      func(error) // may be nil; a pooled record's end recycles it
-	undo     func()      // may be nil
+	end      func(error)
+	undo     func()
 }
 
 // finish concludes the procedure exactly once. On error undo runs before
@@ -186,12 +188,10 @@ func (pr *proc) finish(err error) {
 		return
 	}
 	pr.finished = true
-	if err != nil && pr.undo != nil {
+	if err != nil {
 		pr.undo()
 	}
-	if pr.end != nil {
-		pr.end(err)
-	}
+	pr.end(err)
 }
 
 // restart readies a pooled record's proc for its next procedure.
@@ -206,9 +206,9 @@ func (pr *proc) restart() {
 // bound once. holds counts the events still to reach the record — a send's
 // delivery and its transaction's ack or terminal failure (a delivered
 // request still times out when every ack is lost), or a waiter's firing —
-// and it returns to Core.legs after the last (a send never delivered
-// keeps a hold and is never put back). It continues as deliver, or else as
-// each with sess (a cohort member's leg). The far half of a shared exchange
+// and it returns to Core.legs after the last. A terminal failure also
+// stands for a delivery that has not come: the transport cancels it. It
+// continues as deliver, or else as each with sess (a cohort member's leg). The far half of a shared exchange
 // (admit, repoint, release) is a leg's delivery: it reads the exchange's
 // arguments from the leg and answers with a leg that continues as then or
 // each.
@@ -243,6 +243,9 @@ func (l *leg) land() {
 func (l *leg) failed(err error) {
 	if l.live() {
 		l.pr.finish(err)
+	}
+	if l.holds == 2 {
+		l.holds-- // never landed: the failed transaction cancels its delivery
 	}
 	l.drop()
 }

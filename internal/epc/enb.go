@@ -145,6 +145,8 @@ func (e *ENB) handleUplink(ctx *ueCtx, p *netsim.Packet) {
 		// Idle UE with data: buffer and promote.
 		if len(ctx.ulBuffer) < maxULBuffer {
 			ctx.ulBuffer = append(ctx.ulBuffer, p)
+		} else {
+			e.node.Network().Release(p)
 		}
 		if ctx.sess != nil && ctx.sess.State == StateIdle {
 			e.sendServiceRequest(ctx.sess)
@@ -157,6 +159,7 @@ func (e *ENB) handleUplink(ctx *ueCtx, p *netsim.Packet) {
 func (e *ENB) forwardUplink(ctx *ueCtx, p *netsim.Packet) {
 	b := e.classifyUplink(ctx.sess, p)
 	if b == nil {
+		e.node.Network().Release(p)
 		return
 	}
 	sgw := b.Planes.SGW
@@ -206,11 +209,13 @@ const noTFTMatch = 256
 
 func (e *ENB) handleDownlink(p *netsim.Packet) {
 	if !p.Tunneled() || p.TunnelDst != e.Addr() {
-		return // not for us
+		e.node.Network().Release(p) // not for us
+		return
 	}
 	teid := p.Decapsulate()
 	key, ok := e.byDLTEID[teid]
 	if !ok || !key.ctx.connected {
+		e.node.Network().Release(p)
 		return
 	}
 	key.ctx.lastSeen = e.core.Eng.Now()
@@ -290,7 +295,8 @@ func (e *ENB) flushUplink(sess *Session) {
 }
 
 // sendServiceRequest starts promotion: RACH + RRC connection, then the
-// S1AP InitialUEMessage carrying the NAS service request.
+// S1AP InitialUEMessage carrying the NAS service request, which the MME
+// takes up (idle.serviced).
 func (e *ENB) sendServiceRequest(sess *Session) {
 	if sess.State != StateIdle {
 		return
@@ -304,34 +310,8 @@ func (e *ENB) sendServiceRequest(sess *Session) {
 		}
 		// The MME sees the session as idle until it processes the request.
 		sess.setState(e.core.Eng, StateIdle)
-		// A promotion that dies after the MME took it up leaves the UE idle
-		// at every layer: the radio context goes, and so does any SGW-U
-		// downlink rule the Modify Bearer leg re-installed. Whenever it
-		// dies, the page it answered is dropped, so downlink pages again.
-		pr := &proc{}
-		pr.undo = func() {
-			e.core.SGWC.dropPage(sess)
-			if sess.State == StatePromoting {
-				sess.setState(e.core.Eng, StateIdle)
-				sess.ENB.releaseContext(sess)
-				for _, b := range sess.OrderedBearers() {
-					e.core.removeSGWDownlink(sess, b)
-				}
-			}
-		}
-		e.core.sendS1AP(e.core.takeLeg(pr, func() {
-			e.core.MME.onServiceRequest(pr, sess)
-		}), e.ep, e.core.mmeEP, msg)
-	})
-}
-
-// pageUE delivers a page over the radio; the UE responds with a service
-// request after the paging-cycle delay.
-func (e *ENB) pageUE(sess *Session) {
-	e.core.Eng.Schedule(rachDelay, func() {
-		if sess.State == StateIdle {
-			e.sendServiceRequest(sess)
-		}
+		id := e.core.takeIdle(sess, stagePromotion)
+		e.core.sendS1AP(e.core.takeLeg(&id.proc, id.servicedF), e.ep, e.core.mmeEP, msg)
 	})
 }
 
@@ -352,11 +332,9 @@ func (e *ENB) checkIdle() {
 }
 
 // requestRelease sends the UE Context Release Request that starts the idle
-// transition.
+// transition (idle.requested).
 func (e *ENB) requestRelease(sess *Session) {
 	msg := sess.s1ap(pkt.S1APUEContextReleaseRequest, causeUserInactivity, nil)
-	pr := &proc{}
-	e.core.sendS1AP(e.core.takeLeg(pr, func() {
-		e.core.MME.onReleaseRequest(pr, sess)
-	}), e.ep, e.core.mmeEP, msg)
+	id := e.core.takeIdle(sess, stageRelease)
+	e.core.sendS1AP(e.core.takeLeg(&id.proc, id.requestedF), e.ep, e.core.mmeEP, msg)
 }

@@ -5,7 +5,85 @@ import (
 	"time"
 
 	"acacia/internal/netsim"
+	"acacia/internal/pkt"
 )
+
+// dropMarker is the size the eNB drop-path tests give their packets.
+// Release zeroes a packet, so one that still carries it at the end of a
+// test was dropped without going back to the pool.
+const dropMarker = 1111
+
+// uplink sends a marked packet from the testbed's UE to the internet
+// server's port 8888 and returns it.
+func uplink(tb *testbed) *netsim.Packet {
+	p := tb.nw.NewPacket()
+	p.Flow = pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.inetHost.Node.Addr(), SrcPort: 9999, DstPort: 8888, Proto: pkt.ProtoUDP}
+	p.Size = dropMarker
+	tb.ue.Host.Node.Inject(p)
+	return p
+}
+
+// TestFullUplinkBufferReleases sends an idle UE's eNB one uplink packet
+// more than its promotion buffer holds. The promotion replays the buffer,
+// and the packet past its bound must go back to the pool.
+func TestFullUplinkBufferReleases(t *testing.T) {
+	tb := buildTestbed(t, 3*time.Second)
+	tb.attach(t)
+	tb.eng.RunFor(5 * time.Second)
+	sess := tb.core.Session(tb.ue.IMSI)
+	if sess.State != StateIdle {
+		t.Fatalf("state = %v, want idle", sess.State)
+	}
+	got := 0
+	tb.inetHost.Listen(8888, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
+		got++
+		h.Node.Network().Release(p)
+	}))
+	var last *netsim.Packet
+	for i := 0; i <= maxULBuffer; i++ {
+		last = uplink(tb)
+	}
+	tb.eng.RunFor(time.Second)
+	if sess.State != StateConnected || got != maxULBuffer {
+		t.Fatalf("state %v, %d packets replayed; want connected, %d", sess.State, got, maxULBuffer)
+	}
+	if last.Size == dropMarker {
+		t.Error("the packet past the uplink buffer's bound never returned to the pool")
+	}
+}
+
+// TestBearerlessUplinkReleases sends uplink in a detach's window where the
+// PGW-C has released the session's bearers but the eNB still holds the
+// UE's radio context: the eNB finds no bearer for the packet and must
+// return it to the pool.
+func TestBearerlessUplinkReleases(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	tb.attach(t)
+	tb.core.releaseSessionResources(tb.core.Session(tb.ue.IMSI))
+	p := uplink(tb)
+	tb.eng.RunFor(100 * time.Millisecond)
+	if p.Size == dropMarker {
+		t.Error("the uplink packet with no bearer never returned to the pool")
+	}
+}
+
+// TestUnmappedDownlinkReleases tunnels a downlink packet to the eNB under
+// a TEID it does not map, as a packet still in flight to a handover's
+// source arrives after the source released the UE: the eNB must return it
+// to the pool.
+func TestUnmappedDownlinkReleases(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	tb.attach(t)
+	p := tb.nw.NewPacket()
+	p.Flow = pkt.FiveTuple{Src: tb.inetHost.Node.Addr(), Dst: tb.ue.Addr(), SrcPort: 9999, DstPort: 8888, Proto: pkt.ProtoUDP}
+	p.Size = dropMarker
+	p.Encapsulate(tb.coreSGW.Node().Addr(), tb.enb.Addr(), 0xdead)
+	tb.rtr.Node.Inject(p)
+	tb.eng.RunFor(100 * time.Millisecond)
+	if p.Size == dropMarker {
+		t.Error("the downlink packet under an unmapped TEID never returned to the pool")
+	}
+}
 
 // wantMappings checks the eNB's downlink map against the (one) UE context's
 // reverse index: exactly n entries, one per listed bearer under its S1DL.

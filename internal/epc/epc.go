@@ -57,20 +57,6 @@ func (p Protocol) String() string {
 	}
 }
 
-// slug is the metric-name form of the protocol (epc/<slug>/msgs).
-func (p Protocol) slug() string {
-	switch p {
-	case ProtoS1AP:
-		return "s1ap"
-	case ProtoGTPv2:
-		return "gtpv2"
-	case ProtoOpenFlow:
-		return "openflow"
-	default:
-		return fmt.Sprintf("proto%d", uint8(p))
-	}
-}
-
 // MsgRecord is one logged control message. The transport fields are filled
 // in two phases: Seq and Path at send time, and the wire observations
 // (Link, QueueWait, Retrans) when the transport ack reports how the
@@ -94,7 +80,7 @@ type MsgRecord struct {
 }
 
 // Accounting tallies control-plane messages by protocol. The §4 experiment
-// snapshots it around a release/re-establish cycle.
+// reads it around a release/re-establish cycle.
 //
 // The arrays are the one store (a zero-value Accounting works standalone);
 // one built by NewAccounting is a telemetry source that reports them as
@@ -106,10 +92,6 @@ type Accounting struct {
 	// Log holds individual records when Trace is enabled.
 	Trace bool
 	Log   []MsgRecord
-
-	// logLen is the Log length at the time this value was produced by
-	// Snapshot; DiffLog slices the live log from it.
-	logLen int
 }
 
 // NewAccounting returns an Accounting registered with reg as the source of
@@ -121,13 +103,11 @@ func NewAccounting(reg *telemetry.Registry) *Accounting {
 }
 
 // acctNames[p] are protocol p's msgs and bytes metric names.
-var acctNames = func() (names [protoCount][2]string) {
-	for p := range names {
-		prefix := "epc/" + Protocol(p).slug() + "/"
-		names[p] = [2]string{prefix + "msgs", prefix + "bytes"}
-	}
-	return names
-}()
+var acctNames = [protoCount][2]string{
+	{"epc/s1ap/msgs", "epc/s1ap/bytes"},
+	{"epc/gtpv2/msgs", "epc/gtpv2/bytes"},
+	{"epc/openflow/msgs", "epc/openflow/bytes"},
+}
 
 // AppendMetrics reports the per-protocol totals (telemetry.Source).
 func (a *Accounting) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
@@ -164,25 +144,6 @@ func (a *Accounting) NoteTransport(idx int, link string, queueWait time.Duration
 	r.Link = link
 	r.QueueWait = queueWait
 	r.Retrans = retrans
-}
-
-// Snapshot returns a copy of the current counters. The copy deliberately
-// carries neither Trace nor Log: tracing stays with the live Accounting, and
-// copying a growing log into every snapshot would be quadratic. Instead the
-// snapshot remembers the log position, so DiffLog can later return exactly
-// the records that arrived after it.
-func (a *Accounting) Snapshot() Accounting {
-	return Accounting{Msgs: a.Msgs, Bytes: a.Bytes, logLen: len(a.Log)}
-}
-
-// DiffLog returns the trace records appended to the live log since the given
-// Snapshot was taken. It requires Trace to have been enabled over the
-// interval; with tracing off it returns nil.
-func (a *Accounting) DiffLog(since Accounting) []MsgRecord {
-	if since.logLen >= len(a.Log) {
-		return nil
-	}
-	return a.Log[since.logLen:]
 }
 
 // teidAllocator hands out unique tunnel endpoint identifiers per gateway.

@@ -1,6 +1,7 @@
 package epc
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -106,7 +107,10 @@ func buildTestbed(t *testing.T, idle time.Duration) *testbed {
 	return tb
 }
 
-// acctDiff reports the counters a accumulated since an earlier snapshot.
+// acctCounts copies a's counters, for acctDiff.
+func acctCounts(a *Accounting) Accounting { return Accounting{Msgs: a.Msgs, Bytes: a.Bytes} }
+
+// acctDiff reports the counters a accumulated since an acctCounts copy.
 func acctDiff(a *Accounting, since Accounting) Accounting {
 	var d Accounting
 	for i := range a.Msgs {
@@ -114,6 +118,18 @@ func acctDiff(a *Accounting, since Accounting) Accounting {
 		d.Bytes[i] = a.Bytes[i] - since.Bytes[i]
 	}
 	return d
+}
+
+// traced counts the control messages of type msg in the trace log, which
+// holds what was sent since Acct.Trace was turned on.
+func traced(tb *testbed, msg fmt.Stringer) int {
+	n := 0
+	for _, r := range tb.core.Acct.Log {
+		if r.Name == msg.String() {
+			n++
+		}
+	}
+	return n
 }
 
 // openFlowSent reads the SDN controller's sent-message and sent-byte
@@ -338,6 +354,7 @@ func TestBearerDeletion(t *testing.T) {
 
 func TestIdleReleaseAndPromotion(t *testing.T) {
 	tb := buildTestbed(t, 3*time.Second)
+	tb.core.Acct.Trace = true
 	tb.attach(t)
 	tb.dedicate(t)
 	sess := tb.core.Session(tb.ue.IMSI)
@@ -347,8 +364,8 @@ func TestIdleReleaseAndPromotion(t *testing.T) {
 	if sess.State != StateIdle {
 		t.Fatalf("state = %v after inactivity, want idle", sess.State)
 	}
-	if tb.core.MME.Releases != 1 {
-		t.Errorf("releases = %d", tb.core.MME.Releases)
+	if n := traced(tb, pkt.GTPv2ReleaseAccessBearersRequest); n != 1 {
+		t.Errorf("releases = %d", n)
 	}
 
 	// Uplink data wakes the session and is delivered after promotion.
@@ -358,8 +375,8 @@ func TestIdleReleaseAndPromotion(t *testing.T) {
 	if sess.State != StateConnected {
 		t.Fatalf("state = %v after uplink, want connected", sess.State)
 	}
-	if tb.core.MME.Promotions != 1 {
-		t.Errorf("promotions = %d", tb.core.MME.Promotions)
+	if n := traced(tb, pkt.S1APDownlinkNASTransport); n != 1 {
+		t.Errorf("promotions = %d", n)
 	}
 	if pg.RTTs.N() != 1 {
 		t.Errorf("buffered uplink ping not delivered: received=%d", pg.RTTs.N())
@@ -377,7 +394,7 @@ func TestReleaseReestablishMessageBudget(t *testing.T) {
 	sess := tb.core.Session(tb.ue.IMSI)
 	// The dedicate helper already ran 2 s of virtual time past activation;
 	// snapshot now, before the 3 s inactivity timer fires.
-	acctBefore := tb.core.Acct.Snapshot()
+	acctBefore := acctCounts(tb.core.Acct)
 	ofBefore, ofBytesBefore := openFlowSent(tb)
 
 	// Idle out...
@@ -420,6 +437,7 @@ func TestReleaseReestablishMessageBudget(t *testing.T) {
 
 func TestPagingOnDownlinkWhileIdle(t *testing.T) {
 	tb := buildTestbed(t, 3*time.Second)
+	tb.core.Acct.Trace = true
 	tb.attach(t)
 	sess := tb.core.Session(tb.ue.IMSI)
 	tb.eng.RunFor(5 * time.Second)
@@ -433,7 +451,7 @@ func TestPagingOnDownlinkWhileIdle(t *testing.T) {
 	tb.ue.Host.Listen(8888, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) { got++ }))
 	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
 	tb.eng.RunFor(3 * time.Second)
-	if tb.core.MME.Pagings == 0 {
+	if traced(tb, pkt.S1APPaging) == 0 {
 		t.Error("no paging occurred")
 	}
 	if sess.State != StateConnected {
@@ -457,6 +475,7 @@ func TestPagingOnDownlinkWhileIdle(t *testing.T) {
 // promotes the UE and is delivered.
 func TestLostPagePagesAgain(t *testing.T) {
 	tb := buildTestbed(t, 3*time.Second)
+	tb.core.Acct.Trace = true
 	tb.attach(t)
 	sess := tb.core.Session(tb.ue.IMSI)
 	tb.eng.RunFor(5 * time.Second)
@@ -469,7 +488,7 @@ func TestLostPagePagesAgain(t *testing.T) {
 	killControl(tb, true)
 	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
 	tb.eng.RunFor(8 * time.Second) // the page's transaction times out
-	if p := tb.core.MME.Pagings; p != 1 || sess.State != StateIdle || got != 0 {
+	if p := traced(tb, pkt.S1APPaging); p != 1 || sess.State != StateIdle || got != 0 {
 		t.Fatalf("lost page: pagings %d, state %v, delivered %d; want 1, idle, 0", p, sess.State, got)
 	}
 	if n := len(tb.core.SGWC.paged); n != 0 {
@@ -479,7 +498,7 @@ func TestLostPagePagesAgain(t *testing.T) {
 	killControl(tb, false)
 	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
 	tb.eng.RunFor(3 * time.Second)
-	if p := tb.core.MME.Pagings; p != 2 || sess.State != StateConnected || got != 1 {
+	if p := traced(tb, pkt.S1APPaging); p != 2 || sess.State != StateConnected || got != 1 {
 		t.Fatalf("healed: pagings %d, state %v, delivered %d; want 2, connected, 1", p, sess.State, got)
 	}
 }
@@ -490,6 +509,7 @@ func TestLostPagePagesAgain(t *testing.T) {
 // for its own downlink.
 func TestDetachDropsPagingBuffer(t *testing.T) {
 	tb := buildTestbed(t, 3*time.Second)
+	tb.core.Acct.Trace = true
 	tb.attach(t)
 	tb.eng.RunFor(5 * time.Second)
 	if s := tb.core.Session(tb.ue.IMSI); s.State != StateIdle {
@@ -501,7 +521,7 @@ func TestDetachDropsPagingBuffer(t *testing.T) {
 	// Detach as soon as the page goes out: the promotion it starts needs a
 	// radio round trip, so the detach ends the session first.
 	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
-	for i := 0; i < 100 && tb.core.MME.Pagings == 0; i++ {
+	for i := 0; i < 100 && traced(tb, pkt.S1APPaging) == 0; i++ {
 		tb.eng.RunFor(time.Millisecond)
 	}
 	detached := false
@@ -509,8 +529,8 @@ func TestDetachDropsPagingBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.eng.RunFor(2 * time.Second)
-	if !detached || tb.core.MME.Pagings != 1 || got != 0 {
-		t.Fatalf("detach: done %v, pagings %d, delivered %d; want true, 1, 0", detached, tb.core.MME.Pagings, got)
+	if p := traced(tb, pkt.S1APPaging); !detached || p != 1 || got != 0 {
+		t.Fatalf("detach: done %v, pagings %d, delivered %d; want true, 1, 0", detached, p, got)
 	}
 	if n := len(tb.core.SGWC.paged); n != 0 {
 		t.Errorf("ended session left %d paging buffers", n)
@@ -524,7 +544,7 @@ func TestDetachDropsPagingBuffer(t *testing.T) {
 	}
 	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
 	tb.eng.RunFor(3 * time.Second)
-	if p := tb.core.MME.Pagings; p != 2 || sess.State != StateConnected || got != 1 {
+	if p := traced(tb, pkt.S1APPaging); p != 2 || sess.State != StateConnected || got != 1 {
 		t.Fatalf("next session: pagings %d, state %v, delivered %d; want 2, connected, 1", p, sess.State, got)
 	}
 }
@@ -618,32 +638,6 @@ func TestSessionStateString(t *testing.T) {
 	}
 	if SessionState(99).String() == "" {
 		t.Error("unknown state empty string")
-	}
-}
-
-// TestAccountingDiffLog checks DiffLog returns exactly the records appended after the snapshot, and Snapshot
-// itself stays a counters-only copy (no Trace/Log aliasing).
-func TestAccountingDiffLog(t *testing.T) {
-	var a Accounting
-	a.Trace = true
-	a.RecordTx(0, ProtoS1AP, "before", 100, 0, "")
-	snap := a.Snapshot()
-	if snap.Trace || snap.Log != nil {
-		t.Errorf("Snapshot copied trace state: Trace=%v Log=%v", snap.Trace, snap.Log)
-	}
-	if got := a.DiffLog(snap); got != nil {
-		t.Errorf("DiffLog with no new records = %v, want nil", got)
-	}
-	a.RecordTx(sim.Time(time.Second), ProtoGTPv2, "after-1", 50, 0, "")
-	a.RecordTx(sim.Time(2*time.Second), ProtoS1AP, "after-2", 30, 0, "")
-	got := a.DiffLog(snap)
-	if len(got) != 2 || got[0].Name != "after-1" || got[1].Name != "after-2" {
-		t.Fatalf("DiffLog = %+v, want the two post-snapshot records", got)
-	}
-	// A stale snapshot (taken before records the log no longer knows
-	// about, e.g. from another Accounting) must not panic.
-	if got := a.DiffLog(Accounting{logLen: 99}); got != nil {
-		t.Errorf("DiffLog past the log end = %v, want nil", got)
 	}
 }
 
@@ -818,6 +812,7 @@ func TestDedicatedBearerActivationWhileIdle(t *testing.T) {
 	// An MRS/PCRF-triggered bearer activation for an idle UE must first
 	// page it awake, then complete the E-RAB setup after promotion.
 	tb := buildTestbed(t, 3*time.Second)
+	tb.core.Acct.Trace = true
 	tb.attach(t)
 	sess := tb.core.Session(tb.ue.IMSI)
 	tb.eng.RunFor(5 * time.Second)
@@ -840,7 +835,7 @@ func TestDedicatedBearerActivationWhileIdle(t *testing.T) {
 	if ebi != EBIDedicated {
 		t.Errorf("ebi = %d", ebi)
 	}
-	if tb.core.MME.Pagings == 0 {
+	if traced(tb, pkt.S1APPaging) == 0 {
 		t.Error("idle UE was not paged for bearer activation")
 	}
 	if sess.State != StateConnected {

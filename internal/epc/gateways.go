@@ -318,9 +318,7 @@ func (s *SGWC) bufferAndPage(sess *Session, sw *sdn.Switch, p *netsim.Packet, te
 		sw.Node().Network().Release(p)
 	}
 	if first {
-		if sess.State == StateIdle {
-			s.core.MME.page(sess)
-		}
+		s.core.page(sess)
 		sess.whenConnected(func() { s.replayBuffered(sess) })
 	}
 }
@@ -509,7 +507,7 @@ func (d *dedicated) cbAtMME() {
 	}
 	// A promotion waiter can outlive a failed procedure: resume drops it.
 	sess.whenConnected(d.resume(&d.proc, d.setupF))
-	d.MME.page(sess) // wakes an idle UE; the setup rides after promotion
+	d.page(sess) // wakes an idle UE; the setup rides after promotion
 }
 
 // setup runs the dedicated bearer's E-RAB Setup. Its NAS Activate

@@ -101,7 +101,7 @@ func TestHandoverMessageAccounting(t *testing.T) {
 	enb2 := withSecondENB(t, tb)
 	tb.attach(t)
 	sess := tb.core.Session(tb.ue.IMSI)
-	before := tb.core.Acct.Snapshot()
+	before := acctCounts(tb.core.Acct)
 	done := false
 	tb.core.MME.Handover(sess, enb2, func(error) { done = true })
 	tb.eng.RunFor(time.Second)

@@ -34,7 +34,8 @@ func distinctLegs(t *testing.T, c *Core) {
 
 // TestLegAfterFailureRunsNothing fails a procedure on a dead S11 while its
 // other leg is still crossing S1: the late leg lands, runs nothing and
-// returns its record, while the timed-out leg's record never comes back.
+// returns its record, and so does the timed-out leg, whose delivery the
+// failed transaction cancelled.
 func TestLegAfterFailureRunsNothing(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	c := tb.core
@@ -45,7 +46,7 @@ func TestLegAfterFailureRunsNothing(t *testing.T) {
 
 	var failed error
 	ran := 0
-	pr := &proc{end: func(err error) { failed = err }}
+	pr := &proc{end: func(err error) { failed = err }, undo: func() {}}
 	c.sendGTPv2(c.takeLeg(pr, func() { ran++ }), c.mmeEP, c.sgwEP, &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: tb.ue.IMSI})
 	// The S11 transaction fails when its last T3 expires; send the S1 leg
 	// so that it lands just after.
@@ -64,8 +65,8 @@ func TestLegAfterFailureRunsNothing(t *testing.T) {
 	if ran != 0 {
 		t.Fatalf("%d continuations ran after the procedure failed", ran)
 	}
-	if n := len(c.legs.Idle()); n != 1 {
-		t.Fatalf("%d leg records recycled, want 1 (the landed leg; the timed-out one is never put back)", n)
+	if n := len(c.legs.Idle()); n != 2 {
+		t.Fatalf("%d leg records recycled, want 2 (the landed leg and the timed-out one)", n)
 	}
 	distinctLegs(t, c)
 }

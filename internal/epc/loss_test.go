@@ -1,9 +1,11 @@
 package epc
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"acacia/internal/ctl"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 )
@@ -318,5 +320,94 @@ func TestAttachUnwindsRadioAfterContextSetup(t *testing.T) {
 		if retried != len(cohort) || retryErr != nil || !tb.ue.attached {
 			t.Errorf("%s: healed retry: %d outcomes, err=%v, attached=%v", p.name, retried, retryErr, tb.ue.attached)
 		}
+	}
+}
+
+// TestIdleModeLossyLegs fails each S1AP and GTPv2 leg of an S1 release, of
+// a page and of the promotion the page starts, one leg per run: the leg's
+// control link goes down as the leg is sent and stays down until the
+// leg's transaction has failed, T3×(N3+1) later. Whatever leg dies, the
+// session must end idle or connected at the MME, the eNB and the SGW-U
+// alike, with no page left buffered and every leg and idle record back in
+// its pool, and once idle the UE must be paged again for downlink.
+func TestIdleModeLossyLegs(t *testing.T) {
+	// cycle idles the UE out and pages it back with one downlink packet.
+	cycle := func(tb *testbed) {
+		tb.eng.RunFor(5 * time.Second)
+		tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
+		tb.eng.RunFor(3 * time.Second)
+	}
+	ref := buildTestbed(t, 3*time.Second)
+	ref.attach(t)
+	connectedFlows := ref.coreSGW.FlowCount()
+	ref.core.Acct.Trace = true
+	cycle(ref)
+	var legs []MsgRecord
+	for _, r := range ref.core.Acct.Log {
+		if r.Proto != ProtoOpenFlow {
+			legs = append(legs, r)
+		}
+	}
+	if len(legs) != 12 {
+		t.Fatalf("the reference cycle sent %d S1AP and GTPv2 messages, want 12", len(legs))
+	}
+
+	outcomes := map[SessionState]int{}
+	for _, leg := range legs {
+		what := leg.Name + " " + leg.Path
+		tb := buildTestbed(t, 3*time.Second)
+		tb.attach(t)
+		idleFlows := connectedFlows - len(tb.core.Session(tb.ue.IMSI).OrderedBearers())
+		link := tb.enb.s1Link
+		if strings.Contains(leg.Path, "sgw-c") {
+			link = tb.core.S11Link()
+		}
+		down := time.Duration(leg.At) - time.Duration(tb.eng.Now())
+		tb.eng.Schedule(down, func() { link.SetDown(true) })
+		tb.eng.Schedule(down+time.Duration(ctl.N3+1)*ctl.T3, func() { link.SetDown(false) })
+		cycle(tb)
+		if tb.core.Transport().Timeouts() == 0 {
+			t.Fatalf("%s: no transaction failed", what)
+		}
+
+		sess := tb.core.Session(tb.ue.IMSI)
+		connected := sess.State == StateConnected
+		if !connected && sess.State != StateIdle {
+			t.Fatalf("%s: session %v, want idle or connected", what, sess.State)
+		}
+		outcomes[sess.State]++
+		flows, mappings := idleFlows, 0
+		if connected {
+			flows, mappings = connectedFlows, len(sess.OrderedBearers())
+		}
+		if ctx := tb.enb.byUEIP[tb.ue.Addr()]; ctx.connected != connected || len(tb.enb.byDLTEID) != mappings {
+			t.Fatalf("%s: session %v, but the eNB context connected=%v with %d downlink mappings", what, sess.State, ctx.connected, len(tb.enb.byDLTEID))
+		}
+		if n := tb.coreSGW.FlowCount(); n != flows {
+			t.Fatalf("%s: session %v, but the SGW-U holds %d flows, want %d", what, sess.State, n, flows)
+		}
+		if n := len(tb.core.SGWC.paged); n != 0 {
+			t.Fatalf("%s: %d paging buffers left", what, n)
+		}
+		if l, id := tb.core.legs.Outstanding(), tb.core.idles.Outstanding(); l != 0 || id != 0 {
+			t.Fatalf("%s: %d leg and %d idle records outstanding", what, l, id)
+		}
+
+		tb.eng.RunFor(5 * time.Second)
+		tb.core.Acct.Trace = true
+		got := 0
+		tb.ue.Host.Listen(8888, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
+			got++
+			h.Node.Network().Release(p)
+		}))
+		tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
+		tb.eng.RunFor(3 * time.Second)
+		if p := traced(tb, pkt.S1APPaging); p != 1 || sess.State != StateConnected || got != 1 {
+			t.Fatalf("%s: healed: %d pages, session %v, %d delivered; want 1, connected, 1", what, p, sess.State, got)
+		}
+	}
+	// The sweep must end in both states or it proves nothing.
+	if outcomes[StateIdle] == 0 || outcomes[StateConnected] == 0 {
+		t.Fatalf("sweep degenerate: outcomes %v", outcomes)
 	}
 }

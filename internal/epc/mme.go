@@ -11,11 +11,8 @@ import (
 // and drives session procedures over GTPv2 toward the SGW-C.
 type MME struct {
 	core *Core
-	// Stats. Handovers is reported as epc/handover/completed.
-	Releases   uint64
-	Promotions uint64
-	Pagings    uint64
-	Handovers  uint64
+	// Handovers is reported as epc/handover/completed.
+	Handovers uint64
 
 	// OnHandoverComplete, when set, fires after a successful handover's
 	// path switch with the session and the eNBs it moved between. The MRS
@@ -429,74 +426,151 @@ func (c *Core) cohortIMSIs(members []member) (string, []string) {
 	return members[0].sess.IMSI, extra
 }
 
-// --- S1 release (idle transition) ---
+// --- Idle mode: S1 release, paging and promotion ---
 
-// onReleaseRequest handles the eNB's UE Context Release Request after the
-// inactivity timer fires.
-func (m *MME) onReleaseRequest(pr *proc, sess *Session) {
-	c := m.core
+// Idle-mode procedures, by what a failure undoes (stage).
+const (
+	stageRelease   = iota // an S1 release: the access side, if the MME has the UE idle
+	stagePage             // a page: the page
+	stagePromotion        // a promotion: the page, and the access side if promoting
+)
+
+// idle is the pooled record of an idle-mode procedure on sess, which its
+// stage names. An S1 release runs requested, rabAtSGW, rabBack and
+// released; a page runs paged; a promotion by service request runs
+// serviced, setUp, modified and accepted.
+type idle struct {
+	proc
+	*Core
+	sess *Session
+
+	requestedF, rabAtSGWF, rabBackF, pagedF, servicedF, setUpF, modifiedF, acceptedF func()
+	releasedF                                                                        func(*Session)
+}
+
+// takeIdle takes an idle-mode record for a new procedure on sess.
+func (c *Core) takeIdle(sess *Session, stage uint8) *idle {
+	id := c.idles.Take()
+	if id.Core == nil {
+		c.bindIdle(id)
+	}
+	id.restart()
+	id.sess, id.stage = sess, stage
+	return id
+}
+
+// bindIdle readies a fresh idle-mode record, binding its legs once.
+//
+//go:noinline
+func (c *Core) bindIdle(id *idle) {
+	id.Core = c
+	id.end, id.undo, id.requestedF, id.rabAtSGWF, id.rabBackF, id.releasedF = id.ended, id.unwind, id.requested, id.rabAtSGW, id.rabBack, id.released
+	id.pagedF, id.servicedF, id.setUpF, id.modifiedF, id.acceptedF = id.paged, id.serviced, id.setUp, id.modified, id.accepted
+}
+
+// unwind drops a failed page's or promotion's page, so downlink pages
+// again. A release the MME took up or a promotion it was running leaves
+// the UE idle at every layer: the radio context goes, and so do the SGW-U
+// downlink rules.
+func (id *idle) unwind() {
+	sess := id.sess
+	if id.stage != stageRelease {
+		id.SGWC.dropPage(sess)
+	}
+	if id.stage == stagePromotion && sess.State == StatePromoting {
+		sess.setState(id.Eng, StateIdle)
+	} else if id.stage != stageRelease || sess.State != StateIdle {
+		return
+	}
+	sess.ENB.releaseContext(sess)
+	for _, b := range sess.OrderedBearers() {
+		id.removeSGWDownlink(sess, b)
+	}
+}
+
+// ended recycles the record: no idle-mode procedure reports its outcome.
+func (id *idle) ended(error) {
+	id.sess = nil
+	id.idles.Put(id)
+}
+
+// requested takes the eNB's UE Context Release Request up at the MME.
+func (id *idle) requested() {
+	sess := id.sess
 	if sess.State != StateConnected {
-		pr.finish(nil)
+		id.finish(nil)
 		return
 	}
-	m.Releases++
-	sess.setState(c.Eng, StateIdle)
-	// MME -> SGW-C: Release Access Bearers (drops eNB-facing state).
-	raReq := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersRequest, IMSI: sess.IMSI}
-	c.sendGTPv2(c.takeLeg(pr, func() {
-		// SGW-C deletes the SGW-U downlink rules: later downlink traffic
-		// misses and triggers paging.
-		for _, b := range sess.OrderedBearers() {
-			c.removeSGWDownlink(sess, b)
-		}
-		raResp := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersResponse, Cause: pkt.GTPv2CauseAccepted}
-		c.sendGTPv2(c.takeLeg(pr, func() {
-			c.releaseUEContext(pr, sess, causeUserInactivity, func(*Session) { pr.finish(nil) })
-		}), c.sgwEP, c.mmeEP, raResp)
-	}), c.mmeEP, c.sgwEP, raReq)
+	sess.setState(id.Eng, StateIdle)
+	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersRequest, IMSI: sess.IMSI}
+	id.sendGTPv2(id.takeLeg(&id.proc, id.rabAtSGWF), id.mmeEP, id.sgwEP, req)
 }
 
-// --- Service request (promotion) ---
-
-// onServiceRequest handles the eNB's InitialUEMessage{Service Request} when
-// an idle UE has data to send (or responds to paging): every bearer's E-RAB
-// is set up afresh, the Modify Bearer exchange repoints the SGW-U downlink
-// rules at the new eNB TEIDs, and the NAS Service Accept closes the
-// promotion.
-func (m *MME) onServiceRequest(pr *proc, sess *Session) {
-	c := m.core
-	if sess.State != StateIdle {
-		pr.finish(nil)
-		return
+// rabAtSGW deletes the SGW-U downlink rules: later downlink traffic misses
+// and triggers paging.
+func (id *idle) rabAtSGW() {
+	for _, b := range id.sess.OrderedBearers() {
+		id.removeSGWDownlink(id.sess, b)
 	}
-	m.Promotions++
-	sess.setState(c.Eng, StatePromoting)
-	c.setupERABs(pr, sess, sess.ENB, pkt.S1APInitialContextSetupRequest, nil, nil, nil, func() {
-		c.modifySessionBearers(pr, sess, nil, func() {
-			accept := sess.s1ap(pkt.S1APDownlinkNASTransport, 0, c.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceAccept}))
-			c.sendS1AP(c.takeLeg(pr, func() {
-				sess.setState(c.Eng, StateConnected)
-				sess.ENB.flushUplink(sess)
-				pr.finish(nil)
-			}), c.mmeEP, sess.ENB.ep, accept)
-		})
-	})
+	resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersResponse, Cause: pkt.GTPv2CauseAccepted}
+	id.sendGTPv2(id.takeLeg(&id.proc, id.rabBackF), id.sgwEP, id.mmeEP, resp)
 }
 
-// page sends an S1AP Paging message and delivers the page to the UE over
-// the radio; the UE answers with a service request.
-func (m *MME) page(sess *Session) {
-	c := m.core
+func (id *idle) rabBack() {
+	id.releaseUEContext(&id.proc, id.sess, causeUserInactivity, id.releasedF)
+}
+
+func (id *idle) released(*Session) { id.finish(nil) }
+
+// page sends an S1AP Paging for an idle session; the eNB pages the UE,
+// which answers with a service request.
+func (c *Core) page(sess *Session) {
 	if sess.State != StateIdle {
 		return
 	}
-	m.Pagings++
-	pr := &proc{undo: func() { c.SGWC.dropPage(sess) }}
+	id := c.takeIdle(sess, stagePage)
 	msg := &pkt.S1APMsg{Procedure: pkt.S1APPaging, MMEUEID: sess.MMEUEID}
-	c.sendS1AP(c.takeLeg(pr, func() {
-		sess.ENB.pageUE(sess)
-		pr.finish(nil)
-	}), c.mmeEP, sess.ENB.ep, msg)
+	c.sendS1AP(c.takeLeg(&id.proc, id.pagedF), c.mmeEP, sess.ENB.ep, msg)
+}
+
+// paged delivers the page over the radio: after the paging cycle, an idle
+// UE answers with a service request.
+func (id *idle) paged() {
+	sess := id.sess
+	id.Eng.Schedule(rachDelay, func() {
+		if sess.State == StateIdle {
+			sess.ENB.sendServiceRequest(sess)
+		}
+	})
+	id.finish(nil)
+}
+
+// serviced takes an InitialUEMessage{Service Request} up at the MME: every
+// E-RAB is set up afresh, the Modify Bearer exchange repoints the SGW-U
+// downlink rules, and the NAS Service Accept reconnects the UE.
+func (id *idle) serviced() {
+	sess := id.sess
+	if sess.State != StateIdle {
+		id.finish(nil)
+		return
+	}
+	sess.setState(id.Eng, StatePromoting)
+	id.setupERABs(&id.proc, sess, sess.ENB, pkt.S1APInitialContextSetupRequest, nil, nil, nil, id.setUpF)
+}
+
+func (id *idle) setUp() { id.modifySessionBearers(&id.proc, id.sess, nil, id.modifiedF) }
+
+func (id *idle) modified() {
+	sess := id.sess
+	accept := sess.s1ap(pkt.S1APDownlinkNASTransport, 0, id.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceAccept}))
+	id.sendS1AP(id.takeLeg(&id.proc, id.acceptedF), id.mmeEP, sess.ENB.ep, accept)
+}
+
+func (id *idle) accepted() {
+	sess := id.sess
+	sess.setState(id.Eng, StateConnected)
+	sess.ENB.flushUplink(sess)
+	id.finish(nil)
 }
 
 // --- Bearer legs ---

@@ -35,8 +35,8 @@ func TestProcedureTraceGolden(t *testing.T) {
 	}
 	tb.inetHost.Send(tb.ue.Addr(), 9999, 8888, pkt.ProtoUDP, 200, nil)
 	tb.eng.RunFor(time.Second)
-	if sess.State != StateConnected || tb.core.MME.Pagings != 1 {
-		t.Fatalf("after paging: state = %v, pagings = %d", sess.State, tb.core.MME.Pagings)
+	if p := traced(tb, pkt.S1APPaging); sess.State != StateConnected || p != 1 {
+		t.Fatalf("after paging: state = %v, pagings = %d", sess.State, p)
 	}
 
 	for _, target := range []*ENB{enb2, tb.enb} {

@@ -182,7 +182,7 @@ func ablationRadius() Experiment {
 			return sweep(radii, func(radius float64) string { return fmt.Sprintf("radius=%gm", radius) }, func(_ uint64, radius float64) any {
 				floor := geo.RetailFloor()
 				grouped := trace.ByCheckpoint(trace.Campaign(floor, campaign, 1))
-				fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
+				fit := core.CalibrateFromChannel(d2d.DefaultPathLoss)
 				var cand stats.Sample
 				covered := 0
 				for _, cp := range floor.Checkpoints {
@@ -236,7 +236,7 @@ func ablationSolver() Experiment {
 			return sweep(solvers, func(sv solver) string { return "solver=" + sv.name }, func(_ uint64, sv solver) any {
 				floor := geo.RetailFloor()
 				grouped := trace.ByCheckpoint(trace.Campaign(floor, campaign, 1))
-				fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
+				fit := core.CalibrateFromChannel(d2d.DefaultPathLoss)
 				var errs stats.Sample
 				for _, cp := range floor.Checkpoints {
 					ms := checkpointMeasurements(floor, grouped[cp.Name], fit)

@@ -71,7 +71,7 @@ func buildSearchSpaces(campaignSeed uint64) []searchSpace {
 	floor := geo.RetailFloor()
 	readings := trace.Campaign(floor, campaignSeed, 5)
 	grouped := trace.ByCheckpoint(readings)
-	fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
+	fit := core.CalibrateFromChannel(d2d.DefaultPathLoss)
 
 	var out []searchSpace
 	for _, cp := range floor.Checkpoints {

@@ -300,7 +300,7 @@ func fig9Batch(campaignSeed uint64, k, lo, hi int) *stats.Sample {
 	// channel's full error reaches the solver, as in the paper's traces.
 	readings := trace.Campaign(floor, campaignSeed, 1)
 	grouped := trace.ByCheckpoint(readings)
-	fit := core.CalibrateFromChannel(d2d.DefaultPathLoss, nil)
+	fit := core.CalibrateFromChannel(d2d.DefaultPathLoss)
 	combos := localization.Combinations(len(floor.Landmarks), k)
 
 	comboErr := &stats.Sample{}

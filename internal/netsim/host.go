@@ -82,6 +82,7 @@ func (h *Host) egress(p *Packet) {
 		port = h.Node.Port(0)
 	}
 	if port == nil {
+		h.Node.Network().Release(p)
 		return
 	}
 	port.Send(p)
@@ -232,8 +233,6 @@ type Sink struct {
 	first   sim.Time
 	last    sim.Time
 	eng     *sim.Engine
-	// OnPacket, when set, observes each arrival.
-	OnPacket func(p *Packet)
 }
 
 // NewSink registers a sink app on h at port and returns it.
@@ -243,8 +242,7 @@ func NewSink(h *Host, port uint16) *Sink {
 	return s
 }
 
-// Deliver implements App. The packet is recycled after the OnPacket hook
-// returns; hooks that keep the packet must copy it (Network.ClonePacket).
+// Deliver implements App: the packet is accounted and recycled.
 //
 //acacia:hotpath
 func (s *Sink) Deliver(h *Host, p *Packet) {
@@ -260,9 +258,6 @@ func (s *Sink) account(p *Packet) {
 	s.last = s.eng.Now()
 	s.Packets++
 	s.Bytes += uint64(p.Size)
-	if s.OnPacket != nil {
-		s.OnPacket(p)
-	}
 }
 
 // ThroughputBps reports the average received rate between the first and

@@ -110,6 +110,20 @@ func TestFreshPacketsComeInSlabs(t *testing.T) {
 	}
 }
 
+// TestPortlessEgressReleases sends from a host whose node has no port: the
+// egress drop must return the packet to the pool.
+func TestPortlessEgressReleases(t *testing.T) {
+	nw := poolNet()
+	h := NewHost(nw.AddNode("h", pkt.AddrFrom(10, 0, 0, 1)))
+	nw.Release(nw.NewPacket()) // carve the first slab
+	idle := len(nw.pkts.Idle())
+	h.Send(pkt.AddrFrom(10, 0, 0, 2), 1, 2, pkt.ProtoUDP, 100, nil)
+	nw.eng.Run()
+	if n := len(nw.pkts.Idle()); n != idle {
+		t.Fatalf("%d packets at rest after the drop, want %d", n, idle)
+	}
+}
+
 // TestClonePacketIndependent checks a clone is pool-managed but distinct:
 // releasing the clone leaves the original untouched.
 func TestClonePacketIndependent(t *testing.T) {

@@ -216,12 +216,11 @@ func (c *Controller) accountReceived(m *pkt.OFMsg) int {
 func (c *Controller) InstallFlow(sw *Switch, e FlowEntry) int {
 	msg := &pkt.OFMsg{
 		Type: pkt.OFFlowMod, XID: c.nextXID(),
-		Command:     pkt.FlowModAdd,
-		Priority:    e.Priority,
-		Cookie:      e.Cookie,
-		IdleTimeout: uint16(e.IdleTimeout / time.Second),
-		Match:       e.Match,
-		Actions:     e.Actions,
+		Command:  pkt.FlowModAdd,
+		Priority: e.Priority,
+		Cookie:   e.Cookie,
+		Match:    e.Match,
+		Actions:  e.Actions,
 	}
 	n := c.accountSent(msg)
 	c.toSwitch(sw, "FlowMod", n, c.takeFlowMod(sw, true, e))

@@ -48,12 +48,6 @@ type PathMonitor struct {
 	maxMisses int
 	peers     map[pkt.Addr]*PathState
 	scope     telemetry.Scope
-
-	// OnPathDown/OnPathUp observe path state transitions. Independently of
-	// these hooks, every transition is reported to the switch's controller
-	// as a PortStatus message over the control channel.
-	OnPathDown func(peer pkt.Addr)
-	OnPathUp   func(peer pkt.Addr)
 }
 
 // EnablePathMonitor starts echo supervision on the switch: every period it
@@ -130,19 +124,14 @@ func (m *PathMonitor) tick() {
 	}
 }
 
-// notify records a path transition on the telemetry timeline, invokes the
-// user hooks, and reports the transition to the switch's controller.
+// notify records a path transition on the telemetry timeline and reports
+// it to the switch's controller as a PortStatus message over the control
+// channel.
 func (m *PathMonitor) notify(peer pkt.Addr, down bool) {
 	if down {
 		m.scope.Emit("down", peer.String())
-		if m.OnPathDown != nil {
-			m.OnPathDown(peer)
-		}
 	} else {
 		m.scope.Emit("up", peer.String())
-		if m.OnPathUp != nil {
-			m.OnPathUp(peer)
-		}
 	}
 	if m.sw.controller != nil {
 		m.sw.controller.pathStatus(m.sw, peer, down)

@@ -439,8 +439,7 @@ func TestMeterAllowsBurstThenPolices(t *testing.T) {
 			{Type: pkt.ActionSetTunnel, TunnelID: 201, TunnelDst: g.pgwU.Node().Addr()},
 			{Type: pkt.ActionOutput, Port: 1},
 		},
-		MeterBps:        8e6,
-		MeterBurstBytes: 5000,
+		MeterBps: 400e3, // a 5000 B bucket
 	})
 	g.eng.RunFor(time.Millisecond)
 	var got int
@@ -487,15 +486,22 @@ func TestPathMonitorSupervisesPeers(t *testing.T) {
 func TestPathMonitorDetectsFailureAndRecovery(t *testing.T) {
 	g := buildGWTopo(t, ACACIAGWCosts)
 	mon := g.sgwU.EnablePathMonitor(time.Second, 3)
-	var downs, ups []pkt.Addr
-	mon.OnPathDown = func(p pkt.Addr) { downs = append(downs, p) }
-	mon.OnPathUp = func(p pkt.Addr) { ups = append(ups, p) }
+	// transitions lists the monitor's timeline events of one kind, by peer.
+	transitions := func(kind string) []string {
+		var peers []string
+		for _, e := range g.eng.Metrics().Snapshot().Events {
+			if e.Scope == "sdn/pathmon/"+g.sgwU.Node().Name() && e.Name == kind {
+				peers = append(peers, e.Detail)
+			}
+		}
+		return peers
+	}
 	g.eng.RunFor(3 * time.Second)
 
 	// Fail the SGW-U <-> PGW-U link.
 	g.s5.SetDown(true)
 	g.eng.RunFor(6 * time.Second)
-	if len(downs) != 1 || downs[0] != g.pgwU.Node().Addr() {
+	if downs := transitions("down"); len(downs) != 1 || downs[0] != g.pgwU.Node().Addr().String() {
 		t.Fatalf("downs = %v", downs)
 	}
 	if !mon.peers[g.pgwU.Node().Addr()].Down {
@@ -504,7 +510,7 @@ func TestPathMonitorDetectsFailureAndRecovery(t *testing.T) {
 
 	g.s5.SetDown(false)
 	g.eng.RunFor(3 * time.Second)
-	if len(ups) != 1 {
+	if ups := transitions("up"); len(ups) != 1 {
 		t.Fatalf("ups = %v", ups)
 	}
 	if mon.peers[g.pgwU.Node().Addr()].Down {

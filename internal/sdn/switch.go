@@ -27,25 +27,18 @@ import (
 // FlowEntry is one OpenFlow table entry as the controller specifies it. A
 // FlowMod carries it by value in a pooled record (flowMod).
 type FlowEntry struct {
-	Priority    uint16
-	Match       pkt.Match
-	Actions     []pkt.Action
-	Cookie      uint64
-	IdleTimeout time.Duration // 0 = permanent
+	Priority uint16
+	Match    pkt.Match
+	Actions  []pkt.Action
+	Cookie   uint64
 	// MeterBps, when non-zero, rate-limits the entry with a token-bucket
 	// meter (OpenFlow 1.3 meters): packets beyond the rate are dropped.
-	// The PCEF uses this to enforce bearer MBRs at the PGW-U.
+	// The PCEF uses this to enforce bearer MBRs at the PGW-U. The bucket
+	// holds 100 ms of the rate.
 	MeterBps float64
-	// MeterBurstBytes bounds the bucket; zero selects 1/10 s of MeterBps.
-	MeterBurstBytes int
 }
 
-func (e *FlowEntry) burst() float64 {
-	if e.MeterBurstBytes != 0 {
-		return float64(e.MeterBurstBytes)
-	}
-	return e.MeterBps / 8 / 10 // 100 ms of rate
-}
+func (e *FlowEntry) burst() float64 { return e.MeterBps / 8 / 10 }
 
 // flowSlot is an installed entry: the specification, its links in the
 // switch's index (DESIGN.md §3h) and its run-time state. Slots are numbered

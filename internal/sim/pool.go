@@ -11,9 +11,10 @@ import "unsafe"
 // record's next use may see. A record never put back pins its slab until
 // the owner goes, the end of its trial. The zero value is an empty pool.
 type Pool[T any] struct {
-	free  []*T
-	slab  []T // fresh records not yet taken
-	slabs int // slabs carved so far
+	free   []*T
+	slab   []T // fresh records not yet taken
+	slabs  int // slabs carved so far
+	carved int // records those slabs hold
 }
 
 // SlabLen is how many size-byte records an allocation of budget bytes
@@ -50,7 +51,7 @@ func (p *Pool[T]) Take() *T {
 func (p *Pool[T]) fresh() *T {
 	if len(p.slab) == 0 {
 		p.slab = make([]T, SlabLen(512<<min(p.slabs, 4), unsafe.Sizeof(*new(T))))
-		p.slabs++
+		p.slabs, p.carved = p.slabs+1, p.carved+len(p.slab)
 	}
 	r := &p.slab[0]
 	p.slab = p.slab[1:]
@@ -67,3 +68,7 @@ func (p *Pool[T]) Put(r *T) {
 // Idle returns the records resting in the pool, the next Take's last. The
 // slice aliases the pool until its next Take or Put.
 func (p *Pool[T]) Idle() []*T { return p.free }
+
+// Outstanding counts the records taken and not put back: every record
+// carved so far, less those resting and those not yet handed out.
+func (p *Pool[T]) Outstanding() int { return p.carved - len(p.free) - len(p.slab) }

@@ -135,8 +135,8 @@ type rec80 struct {
 // TestPoolMatchesStackModel drives a Pool beside a slice-stack model with
 // seeded interleavings of Take and Put: Take returns what the model's top
 // holds, last put first, and with nothing resting a record never handed
-// out before, zeroed. Put keeps whatever the record holds, and Idle lists
-// the resting records in model order.
+// out before, zeroed. Put keeps whatever the record holds, Idle lists the
+// resting records in model order, and Outstanding counts the taken ones.
 func TestPoolMatchesStackModel(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := NewRNG(seed)
@@ -170,6 +170,9 @@ func TestPoolMatchesStackModel(t *testing.T) {
 				out[i], out = out[len(out)-1], out[:len(out)-1]
 				p.Put(r)
 				model = append(model, r)
+			}
+			if n := p.Outstanding(); n != len(out) {
+				t.Fatalf("seed %d op %d: %d records outstanding, model has %d", seed, op, n, len(out))
 			}
 			idle := p.Idle()
 			if len(idle) != len(model) {
