@@ -157,8 +157,8 @@ func queuedLinkRig(t testing.TB) func() {
 // BenchmarkAllocConnect measures building one link: the metro generator
 // builds one per UE. Links fan onto one hub, 10,000 to a network (a fresh
 // network per 10,000 keeps the heap flat); telemetry names nothing until a
-// snapshot reads it, so what is left is the link itself and the two
-// pre-bound method values per direction.
+// snapshot reads it, so what is left is the link itself and one pre-bound
+// method value per direction.
 func BenchmarkAllocConnect(b *testing.B) { benchRig(b, connectRig) }
 
 func connectRig(testing.TB) func() {

@@ -24,6 +24,7 @@ var keepUnreferenced = map[string]string{
 	"acacia/internal/netsim.Link.BacklogAB":              "the queued-link alloc rig checks its direction is congested",
 	"acacia/internal/sim.Pool.Idle":                      "pool tests in sim, epc and sdn read which records are at rest",
 	"acacia/internal/sim.Pool.Outstanding":               "pool-balance tests in sim and epc check every record came back",
+	"acacia/internal/netsim.Network.PacketsOut":          "ctl's timeout test checks a failed transaction returns its packets",
 	"acacia/internal/netsim.Link.StatsAB":                "link, ctl, epc and fault tests read per-direction counters",
 	"acacia/internal/netsim.Link.StatsBA":                "ctl and epc loss tests read the reverse direction's counters",
 	"acacia/internal/netsim.Network.Links":               "core's wiring tests pin link creation order, the <n> of every link metric",

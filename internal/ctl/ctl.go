@@ -349,14 +349,20 @@ func (ep *Endpoint) expire(tx *txn) {
 	if tx.retries >= N3 {
 		delete(ep.pending, key)
 		// The sender has given up, so no attempt may deliver now: one still
-		// in flight lands as an acked no-op.
+		// in flight lands as an acked no-op. That attempt still carries the
+		// data frame, so the frame is abandoned; the template and the
+		// transaction go back to their pools.
 		FrameOf(tx.tpl).deliver = nil
 		ep.tr.timeouts.Inc()
 		ep.eng.Metrics().Scope("epc/txn").Emit("timeout",
 			fmt.Sprintf("%s seq=%d %s->%v", tx.name, tx.seq, ep.Name(), tx.peer))
-		if tx.onFail != nil {
-			tx.onFail(fmt.Errorf("ctl: %s (seq %d) from %s to %v timed out after %d retransmissions",
-				tx.name, tx.seq, ep.Name(), tx.peer, tx.retries))
+		err := fmt.Errorf("ctl: %s (seq %d) from %s to %v timed out after %d retransmissions",
+			tx.name, tx.seq, ep.Name(), tx.peer, tx.retries)
+		onFail := tx.onFail
+		ep.node.Network().Release(tx.tpl)
+		ep.tr.recycleTxn(tx)
+		if onFail != nil {
+			onFail(err)
 		}
 		return
 	}

@@ -137,6 +137,28 @@ func TestNoDeliveryAfterTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutReturnsPooledRecords fails one transaction over a link slower
+// than the retry budget: once every late attempt and its ack have landed,
+// the transaction record and every packet — the template included — are
+// back in their pools.
+func TestTimeoutReturnsPooledRecords(t *testing.T) {
+	eng, tr, a, b, _ := pair(t, netsim.LinkConfig{Propagation: time.Duration(N3+2) * T3})
+	nw := a.node.Network()
+	txns, pkts := tr.txns.Outstanding(), nw.PacketsOut()
+	failed := 0
+	a.Send(b.Addr(), a.NextSeq(b.Addr()), "Req", 100, func() { t.Error("delivered after timeout") }, func(error) { failed++ }, nil)
+	eng.Run()
+	if failed != 1 || tr.Timeouts() != 1 {
+		t.Fatalf("%d failures, %d timeouts; want 1 and 1", failed, tr.Timeouts())
+	}
+	if got := tr.txns.Outstanding(); got != txns {
+		t.Errorf("%d transaction records out after the timeout, want %d", got, txns)
+	}
+	if got := nw.PacketsOut(); got != pkts {
+		t.Errorf("%d packets out after the timeout, want %d", got, pkts)
+	}
+}
+
 func TestTimeoutAfterRetryBudget(t *testing.T) {
 	eng, tr, a, b, l := pair(t, netsim.LinkConfig{Propagation: time.Millisecond})
 	l.SetLoss(1.0)

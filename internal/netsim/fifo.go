@@ -41,6 +41,19 @@ type FIFO[T any] struct {
 // Len reports the entries waiting.
 func (q *FIFO[T]) Len() int { return q.n }
 
+// At returns the entry i places behind the head, in place. i must be below
+// Len.
+//
+//acacia:hotpath
+func (q *FIFO[T]) At(i int) *T {
+	b, i := q.head, q.r+i
+	for i >= len(b.items) {
+		i -= len(b.items)
+		b = b.next
+	}
+	return &b.items[i]
+}
+
 // Push appends v at the tail.
 //
 //acacia:hotpath

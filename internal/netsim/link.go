@@ -63,40 +63,71 @@ type LinkStats struct {
 // linkDir is one direction of a link: a single transmitter serving a bounded
 // queue, followed by a propagation delay line. Its activity counts are
 // plain fields; the link reports them under netsim/link/<n>/<src>-><dst>/.
+//
+// A FIFO, jitter-free direction runs a lazily settled transmitter: lane 0
+// of queue holds every accepted, undelivered packet in order. Its first
+// nFlight entries have started serializing, and their enq field holds
+// their arrival time at dst; the rest wait, and enq holds their enqueue
+// time. settle starts the waiting ones whose turn has come, and the one
+// armed engine event per direction delivers the head: one event per packet
+// per hop. Prioritized and jittered directions, and whatever a mid-run
+// SetConfigAB hands over, run the event path instead: a txDone event at
+// the end of each serialization and an arrive event per packet.
 type linkDir struct {
 	net    *Network
-	eng    *sim.Engine
 	cfg    LinkConfig
 	dst    *Port
 	queue  laneQueue
 	qBytes int // queued bytes awaiting transmission (the queue-bytes gauge)
-	busy   bool
-	down   bool
-	stats  LinkStats
+	// busyUntil is when the lazy transmitter finishes the last packet it
+	// started.
+	busyUntil sim.Time
+	// busy: the event path has a packet in service (tx). armed: the lazy
+	// head's arrival event is pending. stale: an arrival event handOff
+	// orphaned is pending, and the lazy path waits for it to fire.
+	busy, down, armed, stale bool
+	nFlight                  int32
+	stats                    LinkStats
 
-	// txDoneF/arriveF are method values bound once at construction and
-	// passed to Engine.ScheduleArg, so per-packet scheduling allocates no
-	// closures.
-	txDoneF func(any)
+	// tx is the event path's packet in service; txDone reads it. arriveF
+	// is arrive bound once at construction and passed to
+	// Engine.ScheduleArg, so per-packet scheduling allocates no closures.
+	tx      *Packet
 	arriveF func(any)
 }
 
 func (d *linkDir) init(net *Network, cfg LinkConfig, dst *Port) {
-	d.net, d.eng = net, net.eng
+	d.net = net
 	d.cfg, d.dst = cfg.withDefaults(), dst
-	d.txDoneF = d.txDone
 	d.arriveF = d.arrive
 }
 
 // appendMetrics reports the direction under names, which are in
 // linkMetricNames order.
 func (d *linkDir) appendMetrics(dst []telemetry.Metric, names *[len(linkMetricNames)]string) []telemetry.Metric {
+	st := d.read()
 	return append(dst,
-		telemetry.Metric{Name: names[0], Kind: telemetry.KindCounter, Count: d.stats.Bytes},
-		telemetry.Metric{Name: names[1], Kind: telemetry.KindCounter, Count: d.stats.Delivered},
-		telemetry.Metric{Name: names[2], Kind: telemetry.KindCounter, Count: d.stats.Dropped},
+		telemetry.Metric{Name: names[0], Kind: telemetry.KindCounter, Count: st.Bytes},
+		telemetry.Metric{Name: names[1], Kind: telemetry.KindCounter, Count: st.Delivered},
+		telemetry.Metric{Name: names[2], Kind: telemetry.KindCounter, Count: st.Dropped},
 		telemetry.Metric{Name: names[3], Kind: telemetry.KindGauge, Value: float64(d.qBytes)},
-		telemetry.Metric{Name: names[4], Kind: telemetry.KindCounter, Count: d.stats.Sent})
+		telemetry.Metric{Name: names[4], Kind: telemetry.KindCounter, Count: st.Sent})
+}
+
+// read settles the lazy transmitter and reports the counters as the event
+// path keeps them: Bytes counts a packet once it has been serialized, so
+// the one still serializing is left out.
+func (d *linkDir) read() LinkStats {
+	if d.nFlight == 0 {
+		return d.stats
+	}
+	now := d.net.eng.Now()
+	d.settle(now)
+	st := d.stats
+	if d.busyUntil > now {
+		st.Bytes -= uint64(d.queue.lanes[0].At(int(d.nFlight) - 1).p.Size)
+	}
+	return st
 }
 
 // send offers p to the transmitter. All drops (down direction, injected
@@ -111,20 +142,25 @@ func (d *linkDir) send(p *Packet) {
 		d.net.Release(p)
 		return
 	}
-	if d.cfg.LossProb > 0 && d.eng.RNG().Float64() < d.cfg.LossProb {
+	if d.cfg.LossProb > 0 && d.net.eng.RNG().Float64() < d.cfg.LossProb {
 		d.stats.Dropped++
 		d.net.Release(p)
 		return
 	}
-	if d.cfg.BitsPerSecond == 0 && !d.busy {
-		// Pure delay line: no serialization, no queueing. The busy check
-		// keeps delivery in arrival order while packets queued under a
-		// previous finite-rate config are still draining (SetConfigAB
-		// mid-run); until the drain completes, new arrivals queue behind.
+	if d.cfg.BitsPerSecond == 0 && !d.busy && d.queue.nonEmpty == 0 {
+		// Pure delay line: no serialization, no queueing. The checks keep
+		// delivery in arrival order while packets queued under a previous
+		// finite-rate config are still draining (SetConfigAB mid-run);
+		// until the drain completes, new arrivals queue behind.
 		d.stats.Sent++
 		d.stats.Bytes += uint64(p.Size)
 		d.deliverAfter(p, d.cfg.Propagation)
 		return
+	}
+	lazy := !d.busy && !d.stale && !d.cfg.Prioritized && d.cfg.Jitter == 0
+	now := d.net.eng.Now()
+	if lazy {
+		d.settle(now)
 	}
 	if d.qBytes+p.Size > d.cfg.QueueBytes {
 		d.stats.Dropped++
@@ -133,14 +169,118 @@ func (d *linkDir) send(p *Packet) {
 	}
 	d.stats.Sent++
 	d.qBytes += p.Size
+	if lazy {
+		d.queue.push(0, queuedPacket{p: p, enq: now})
+		if !d.armed {
+			// The queue was empty, so p starts now.
+			d.settle(now)
+			d.arm(now)
+		}
+		return
+	}
 	prio := 0
 	if d.cfg.Prioritized {
 		prio = int(p.Priority)
 	}
-	d.queue.push(prio, queuedPacket{p: p, enq: d.eng.Now()})
+	d.queue.push(prio, queuedPacket{p: p, enq: now})
 	if !d.busy {
 		d.transmitNext()
 	}
+}
+
+// settle starts, in order, every waiting packet whose transmission begins
+// by now: at its enqueue time, or when the transmitter finishes the packet
+// ahead. A waiting packet was enqueued by now, so one starts exactly when
+// the transmitter is free by now. Each one's wait, bytes and arrival time
+// are what the event path would give it, from the same arithmetic.
+//
+//acacia:hotpath
+func (d *linkDir) settle(now sim.Time) {
+	if d.queue.nonEmpty == 0 {
+		return
+	}
+	l := &d.queue.lanes[0]
+	for n := int(d.nFlight); n < l.Len() && d.busyUntil <= now; n++ {
+		it := l.At(n)
+		start := max(it.enq, d.busyUntil)
+		p := it.p
+		p.QueueWait += start.Sub(it.enq)
+		d.qBytes -= p.Size
+		d.busyUntil = start.Add(d.txTime(p))
+		it.enq = d.busyUntil.Add(d.cfg.Propagation)
+		d.stats.Bytes += uint64(p.Size)
+		d.nFlight++
+	}
+}
+
+// arm schedules the head packet's arrival, if one has started.
+//
+//acacia:hotpath
+func (d *linkDir) arm(now sim.Time) {
+	if d.nFlight == 0 {
+		return
+	}
+	d.armed = true
+	d.net.eng.ScheduleArg(d.queue.lanes[0].At(0).enq.Sub(now), linkLand, d)
+}
+
+// linkLand is the armed arrival's callback: a package-level function, so
+// arming binds no method value.
+func linkLand(v any) { v.(*linkDir).land() }
+
+// land delivers the lazy head: it settles the transmitter, arms the next
+// arrival and hands the packet to the destination node.
+//
+//acacia:hotpath
+func (d *linkDir) land() {
+	if d.stale {
+		d.stale = false
+		return
+	}
+	d.armed = false
+	it := d.queue.pop()
+	d.nFlight--
+	now := d.net.eng.Now()
+	d.settle(now)
+	d.arm(now)
+	d.stats.Delivered++
+	d.dst.deliver(it.p)
+}
+
+// handOff moves the lazy transmitter's packets onto the event path, under
+// the config they started with: each packet on the delay line gets its own
+// arrive event, the one still serializing a txDone, and the waiting ones
+// stay queued for transmitNext. The armed event is left to fire as a no-op.
+func (d *linkDir) handOff() {
+	if d.nFlight == 0 {
+		return
+	}
+	now := d.net.eng.Now()
+	d.settle(now)
+	for ; d.nFlight > 0; d.nFlight-- {
+		it := d.queue.pop()
+		if d.nFlight == 1 && d.busyUntil > now {
+			d.stats.Bytes -= uint64(it.p.Size) // txDone counts it
+			d.busy, d.tx = true, it.p
+			d.net.eng.ScheduleArg(d.busyUntil.Sub(now), linkTxDone, d)
+		} else {
+			d.net.eng.ScheduleArg(it.enq.Sub(now), d.arriveF, it.p)
+		}
+	}
+	d.armed, d.stale = false, true
+}
+
+// txTime is p's serialization time. Zero BitsPerSecond means infinite
+// bandwidth: a direction can be reconfigured to it mid-run while packets
+// queued under the previous finite rate still wait, and those drain in
+// queue order with zero serialization time.
+//
+//acacia:hotpath
+func (d *linkDir) txTime(p *Packet) time.Duration {
+	if d.cfg.BitsPerSecond > 0 {
+		return time.Duration(float64(p.Size*8) / d.cfg.BitsPerSecond * float64(time.Second))
+	}
+	return 0
 }
 
 //acacia:hotpath
@@ -152,26 +292,23 @@ func (d *linkDir) transmitNext() {
 	d.busy = true
 	item := d.queue.pop()
 	p := item.p
-	p.QueueWait += d.eng.Now().Sub(item.enq)
+	p.QueueWait += d.net.eng.Now().Sub(item.enq)
 	d.qBytes -= p.Size
-	// Zero BitsPerSecond means infinite bandwidth. A direction can be
-	// reconfigured to it mid-run while packets queued under the previous
-	// finite rate still wait: those drain here in queue order with zero
-	// serialization time, instead of the +Inf division (and the garbage
-	// schedule time.Duration(+Inf) produces) the old code hit.
-	var txTime time.Duration
-	if d.cfg.BitsPerSecond > 0 {
-		txTime = time.Duration(float64(p.Size*8) / d.cfg.BitsPerSecond * float64(time.Second))
-	}
-	d.eng.ScheduleArg(txTime, d.txDoneF, p)
+	d.tx = p
+	d.net.eng.ScheduleArg(d.txTime(p), linkTxDone, d)
 }
+
+// linkTxDone is the event path's serialization callback, package-level
+// like linkLand.
+func linkTxDone(v any) { v.(*linkDir).txDone() }
 
 // txDone finishes one serialization: account the bytes, put the packet on
 // the delay line and start the next transmission.
 //
 //acacia:hotpath
-func (d *linkDir) txDone(v any) {
-	p := v.(*Packet)
+func (d *linkDir) txDone() {
+	p := d.tx
+	d.tx = nil
 	d.stats.Bytes += uint64(p.Size)
 	d.deliverAfter(p, d.cfg.Propagation)
 	d.transmitNext()
@@ -180,9 +317,9 @@ func (d *linkDir) txDone(v any) {
 //acacia:hotpath
 func (d *linkDir) deliverAfter(p *Packet, delay time.Duration) {
 	if d.cfg.Jitter > 0 {
-		delay += time.Duration(d.eng.RNG().ExpFloat64() * float64(d.cfg.Jitter))
+		delay += time.Duration(d.net.eng.RNG().ExpFloat64() * float64(d.cfg.Jitter))
 	}
-	d.eng.ScheduleArg(delay, d.arriveF, p)
+	d.net.eng.ScheduleArg(delay, d.arriveF, p)
 }
 
 // arrive completes the propagation delay and hands the packet to the
@@ -195,6 +332,8 @@ func (d *linkDir) arrive(v any) {
 	d.dst.deliver(p)
 }
 
+// queuedPacket is a queued packet and its enqueue time; on the lazy path,
+// once the packet has started, enq holds its arrival time instead.
 type queuedPacket struct {
 	p   *Packet
 	enq sim.Time
@@ -286,21 +425,29 @@ func (l *Link) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
 }
 
 // StatsAB reports counters for the A->B direction.
-func (l *Link) StatsAB() LinkStats { return l.ab.stats }
+func (l *Link) StatsAB() LinkStats { return l.ab.read() }
 
 // StatsBA reports counters for the B->A direction.
-func (l *Link) StatsBA() LinkStats { return l.ba.stats }
+func (l *Link) StatsBA() LinkStats { return l.ba.read() }
 
 // BacklogAB reports queued bytes in the A->B direction.
-func (l *Link) BacklogAB() int { return l.ab.qBytes }
+func (l *Link) BacklogAB() int {
+	l.ab.read()
+	return l.ab.qBytes
+}
 
-// SetConfigAB replaces the A->B direction configuration. Used by
-// experiments that vary emulated rate or RTT mid-run. Packets already
-// queued keep their place and serialize under the new rate as they reach
-// the transmitter; when the new rate is zero ("infinite"), they drain in
-// queue order with zero serialization time, and fresh arrivals bypass the
-// queue only once the drain has finished (arrival order is preserved).
-func (l *Link) SetConfigAB(cfg LinkConfig) { l.ab.cfg = cfg.withDefaults() }
+// SetConfigAB replaces the A->B direction configuration. Testbed
+// construction calls it, before any traffic, to give the radio uplink its
+// own rate and priority scheduling. Mid-run, packets that have started
+// keep the departure the old config gave them; packets still queued keep
+// their place and serialize under the new rate as they reach the
+// transmitter. When the new rate is zero ("infinite"), they drain in queue
+// order with zero serialization time, and fresh arrivals bypass the queue
+// only once the drain has finished (arrival order is preserved).
+func (l *Link) SetConfigAB(cfg LinkConfig) {
+	l.ab.handOff()
+	l.ab.cfg = cfg.withDefaults()
+}
 
 // SetDown fails (true) or repairs (false) the link: while down, every
 // packet offered in either direction is dropped at the transmitter.

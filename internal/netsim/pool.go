@@ -22,6 +22,10 @@ func (nw *Network) NewPacket() *Packet {
 	return p
 }
 
+// PacketsOut reports the pooled packets taken and not yet released, the
+// pool balance leak tests check.
+func (nw *Network) PacketsOut() int { return nw.pkts.Outstanding() }
+
 // panicDoubleRelease reports the mutate-after-release canary. Noinline so
 // the boxed panic message never lands in a hotpath caller.
 //
