@@ -28,7 +28,6 @@ var keepUnreferenced = map[string]string{
 	"acacia/internal/netsim.Link.StatsAB":                "link, ctl, epc and fault tests read per-direction counters",
 	"acacia/internal/netsim.Link.StatsBA":                "ctl and epc loss tests read the reverse direction's counters",
 	"acacia/internal/netsim.Network.Links":               "core's wiring tests pin link creation order, the <n> of every link metric",
-	"acacia/internal/epc.UserPlane.GBRInUse":             "bearer tests check GBR is returned on every teardown path",
 	"acacia/internal/vision.Object.Materialised":         "the lazy-DB tests check a session generates no descriptors",
 	"acacia/internal/core.ARFrontend.MigrationTimeouts":  "mobility tests check a relocation's migration finished before its watchdog",
 	"acacia/internal/netsim.GreedyFlow.AckedSegments":    "greedy-flow tests check the measured windows ack segments",
@@ -68,19 +67,7 @@ func TestNoUnreferencedCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repo from source")
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load(l.ModuleRoot + "/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for _, e := range pkg.Errs {
-			t.Fatalf("type error in %s: %v", pkg.Path, e)
-		}
-	}
+	l, pkgs := loadRepo(t)
 	fmtPkg, err := l.Import("fmt")
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +90,71 @@ func TestNoUnreferencedCode(t *testing.T) {
 			t.Errorf("keepUnreferenced names %s, which live code reads: drop the entry", name)
 		}
 	}
+}
+
+// keepUnwritten names the internal/ struct fields
+// TestEveryReadFieldHasAWriter lets stand although live code reads them and
+// no non-test code writes them, each with its reason. Keys are
+// "<pkg>.<Type>.<field>", as in keepUnreferenced.
+var keepUnwritten = map[string]string{
+	"acacia/internal/fault.Event.Duration":          "public as acacia.FaultEvent: a caller's fault plan sets the window",
+	"acacia/internal/fault.Event.Loss":              "public as acacia.FaultEvent: a caller's fault plan sets the drop rate",
+	"acacia/internal/analysis.Program.EscapeOutput": "the escape gate's golden test feeds it canned compiler output",
+}
+
+// TestEveryReadFieldHasAWriter is the write-side dual of
+// TestNoUnreferencedCode: an internal/ struct field that live code reads
+// but no non-test code writes holds its zero value in every real run, a
+// knob only tests turn. Delete the field and the code that reads it, or
+// name it in keepUnwritten with a reason.
+func TestEveryReadFieldHasAWriter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole repo from source")
+	}
+	l, pkgs := loadRepo(t)
+	fmtPkg, err := l.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, f := range unwritten(pkgs, l.ModulePath+"/internal/", fmtPkg.Scope().Lookup("Stringer").Type()) {
+		found[f.key] = true
+		if _, ok := keepUnwritten[f.key]; ok {
+			continue
+		}
+		pos := l.Fset.Position(f.obj.Pos())
+		rel, _ := filepath.Rel(l.ModuleRoot, pos.Filename)
+		t.Errorf("%s:%d: %s is read but no non-test code writes it: delete it, or name it in keepUnwritten with a reason", rel, pos.Line, f)
+	}
+	keep := make([]string, 0, len(keepUnwritten))
+	for name := range keepUnwritten {
+		keep = append(keep, name)
+	}
+	sort.Strings(keep)
+	for _, name := range keep {
+		if !found[name] {
+			t.Errorf("keepUnwritten names %s, which is not a live, unwritten internal/ field: drop the entry", name)
+		}
+	}
+}
+
+// loadRepo type-checks the whole module from source.
+func loadRepo(t *testing.T) (*Loader, []*Package) {
+	t.Helper()
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load(l.ModuleRoot + "/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, e := range pkg.Errs {
+			t.Fatalf("type error in %s: %v", pkg.Path, e)
+		}
+	}
+	return l, pkgs
 }
 
 // funcKey names fn as "<package path>.<Recv>.<Name>" (or "<path>.<Name>").
@@ -131,23 +183,79 @@ func (f finding) String() string { return f.kind + " " + f.key }
 // files of packages under prefix that nothing live reads — functions,
 // struct fields, constants, package-level vars, types, and the parameters
 // of functions only ever called directly — and every such declaration's key
-// mapped to whether a read from live code reaches it. Roots are the reads
-// from everything else: non-test code outside prefix, init functions, blank
-// package-level vars, and struct fields with a tag other than `json:"-"`,
-// which reflection reads. Methods whose receiver satisfies an interface
-// naming them are roots too; the interfaces are extra plus every one a
-// non-test expression's type mentions. The keep declarations, and what they
-// read, are live without counting as referenced.
+// mapped to whether a read from live code (newRefGraph's roots) reaches
+// it. The keep declarations, and what they read, are live without counting
+// as referenced.
 func unreferenced(pkgs []*Package, prefix string, keep []string, extra ...types.Type) (dead []finding, referenced map[string]bool) {
+	g := newRefGraph(pkgs, prefix, extra...)
+	live := map[types.Object]bool{}
+	g.mark(live, g.roots)
+	// A parameter counts only where the function's signature is its own:
+	// one used as a value or named by an interface must match a type.
+	for fn, params := range g.params {
+		if !live[fn] || g.values[fn] || namedByInterface(fn, g.ifaces) {
+			continue
+		}
+		for _, p := range params {
+			g.add(p, "param", funcKey(fn)+"."+p.Name())
+		}
+	}
+	referenced = map[string]bool{}
+	byKey := map[string]types.Object{}
+	for obj, f := range g.decls {
+		referenced[f.key] = live[obj]
+		byKey[f.key] = obj
+	}
+	for _, name := range keep {
+		if obj, ok := byKey[name]; ok {
+			g.mark(live, []types.Object{obj})
+		}
+	}
+	for obj, f := range g.decls {
+		if !live[obj] {
+			dead = append(dead, f)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].obj.Pos() < dead[j].obj.Pos() })
+	return dead, referenced
+}
+
+// unwritten returns, in position order, the struct fields declared in
+// non-test files of packages under prefix that live code reads (as
+// unreferenced marks reads, from the same roots) but no non-test code
+// writes (walk and field record the stores in refGraph.written).
+func unwritten(pkgs []*Package, prefix string, extra ...types.Type) []finding {
+	g := newRefGraph(pkgs, prefix, extra...)
+	live := map[types.Object]bool{}
+	g.mark(live, g.roots)
+	var out []finding
+	for obj, f := range g.decls {
+		if f.kind == "field" && live[obj] && !g.written[obj] {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].obj.Pos() < out[j].obj.Pos() })
+	return out
+}
+
+// newRefGraph walks every non-test file of pkgs, declaring what packages
+// under prefix declare. Its roots are the reads from everything else:
+// non-test code outside prefix, init functions, blank package-level vars,
+// and struct fields with a tag other than `json:"-"`, which reflection
+// reads. Methods whose receiver satisfies an interface naming them are
+// roots too; the interfaces are extra plus every one a non-test
+// expression's type mentions.
+func newRefGraph(pkgs []*Package, prefix string, extra ...types.Type) *refGraph {
 	g := &refGraph{
-		edges:  map[types.Object][]types.Object{},
-		decls:  map[types.Object]finding{},
-		params: map[*types.Func][]*types.Var{},
-		values: map[*types.Func]bool{},
-		writes: map[*ast.Ident]bool{},
-		called: map[*ast.Ident]bool{},
-		hashed: map[hashUse]bool{},
-		seen:   map[types.Type]bool{},
+		edges:   map[types.Object][]types.Object{},
+		decls:   map[types.Object]finding{},
+		params:  map[*types.Func][]*types.Var{},
+		values:  map[*types.Func]bool{},
+		writes:  map[*ast.Ident]bool{},
+		called:  map[*ast.Ident]bool{},
+		written: map[types.Object]bool{},
+		hashed:  map[hashUse]bool{},
+		seen:    map[types.Type]bool{},
 	}
 	for _, typ := range extra {
 		g.collect(typ)
@@ -186,46 +294,19 @@ func unreferenced(pkgs []*Package, prefix string, keep []string, extra ...types.
 			g.roots = append(g.roots, fn)
 		}
 	}
-	live := map[types.Object]bool{}
-	mark := func(roots []types.Object) {
-		for len(roots) > 0 {
-			obj := roots[len(roots)-1]
-			roots = roots[:len(roots)-1]
-			if !live[obj] {
-				live[obj] = true
-				roots = append(roots, g.edges[obj]...)
-			}
-		}
-	}
-	mark(g.roots)
-	// A parameter counts only where the function's signature is its own:
-	// one used as a value or named by an interface must match a type.
-	for fn, params := range g.params {
-		if !live[fn] || g.values[fn] || namedByInterface(fn, g.ifaces) {
-			continue
-		}
-		for _, p := range params {
-			g.add(p, "param", funcKey(fn)+"."+p.Name())
-		}
-	}
-	referenced = map[string]bool{}
-	byKey := map[string]types.Object{}
-	for obj, f := range g.decls {
-		referenced[f.key] = live[obj]
-		byKey[f.key] = obj
-	}
-	for _, name := range keep {
-		if obj, ok := byKey[name]; ok {
-			mark([]types.Object{obj})
-		}
-	}
-	for obj, f := range g.decls {
+	return g
+}
+
+// mark adds to live everything roots reach along the read edges.
+func (g *refGraph) mark(live map[types.Object]bool, roots []types.Object) {
+	for len(roots) > 0 {
+		obj := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
 		if !live[obj] {
-			dead = append(dead, f)
+			live[obj] = true
+			roots = append(roots, g.edges[obj]...)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].obj.Pos() < dead[j].obj.Pos() })
-	return dead, referenced
 }
 
 // refGraph is the read graph unreferenced marks: an edge runs from a
@@ -242,9 +323,11 @@ type refGraph struct {
 	// writes and called mark identifiers in the file being walked: the
 	// target of an assignment or keyed literal element, and a callee.
 	writes, called map[*ast.Ident]bool
-	hashed         map[hashUse]bool
-	ifaces         []*types.Interface
-	seen           map[types.Type]bool
+	// written holds the fields non-test code stores into (wrote).
+	written map[types.Object]bool
+	hashed  map[hashUse]bool
+	ifaces  []*types.Interface
+	seen    map[types.Type]bool
 }
 
 // hashUse is one declaration's hashing or comparing of a type's values.
@@ -332,17 +415,25 @@ func (g *refGraph) walk(n ast.Node, from []types.Object, scope string) {
 			if n.Tok != token.DEFINE {
 				for _, lhs := range n.Lhs {
 					g.markWrite(lhs)
+					g.wrote(lhs)
 				}
 			}
 		case *ast.IncDecStmt:
 			g.markWrite(n.X)
+			g.wrote(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				g.wrote(n.X)
+			}
 		case *ast.CompositeLit:
-			if tv, ok := info.Types[n]; ok {
-				if _, ok := tv.Type.Underlying().(*types.Struct); ok {
-					for _, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							g.writes[kv.Key.(*ast.Ident)] = true
-						}
+			if st := litStruct(info.Types[n].Type); st != nil {
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						id := kv.Key.(*ast.Ident)
+						g.writes[id] = true
+						g.written[info.Uses[id].(*types.Var).Origin()] = true
+					} else {
+						g.written[st.Field(i).Origin()] = true
 					}
 				}
 			}
@@ -365,6 +456,13 @@ func (g *refGraph) walk(n ast.Node, from []types.Object, scope string) {
 					f := t.Underlying().(*types.Struct).Field(i)
 					g.read(from, f)
 					t = f.Type()
+				}
+				// A pointer method called on an addressable value (t, once
+				// the embedded fields are selected) takes its address, as
+				// &x.f does.
+				if sel.Kind() == types.MethodVal && isPointer(sel.Obj().Type().(*types.Signature).Recv().Type()) && !isPointer(t) {
+					g.wroteSelection(sel)
+					g.wrote(n.X)
 				}
 			}
 		case *ast.Ident:
@@ -406,6 +504,9 @@ func (g *refGraph) field(field *ast.Field, from []types.Object, scope string) {
 	if field.Tag != nil {
 		if tag, _ := strconv.Unquote(field.Tag.Value); tag != `json:"-"` {
 			g.roots = append(g.roots, objs...)
+			for _, obj := range objs {
+				g.written[obj] = true
+			}
 		}
 	}
 	if g.declare && len(objs) > 0 {
@@ -454,6 +555,67 @@ func (g *refGraph) markWrite(lhs ast.Expr) {
 			return
 		}
 	}
+}
+
+// wrote records the fields a store into e writes: every field selected on
+// its path, through indexing, dereferences and embedded fields, so x.f.g = v
+// writes f and g.
+func (g *refGraph) wrote(e ast.Expr) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sel := g.pkg.Info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			g.wroteSelection(sel)
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// wroteSelection records the embedded fields on sel's path as written and,
+// for a field selection, the field.
+func (g *refGraph) wroteSelection(sel *types.Selection) {
+	idx := sel.Index()
+	if sel.Kind() != types.FieldVal {
+		idx = idx[:len(idx)-1]
+	}
+	t := sel.Recv()
+	for _, i := range idx {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		f := t.Underlying().(*types.Struct).Field(i)
+		g.written[f.Origin()] = true
+		t = f.Type()
+	}
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+// litStruct returns the struct type a composite literal of type t builds,
+// also where an elided &T{...} element gives t as *T; nil otherwise.
+func litStruct(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }
 
 // callee returns the identifier a call expression calls by name, if any.
@@ -587,6 +749,23 @@ func TestUnreferencedGolden(t *testing.T) {
 	dead, _ := unreferenced(pkgs, path, nil)
 	var diags []Diagnostic
 	for _, f := range dead {
+		pos := pkgs[0].Fset.Position(f.obj.Pos())
+		diags = append(diags, Diagnostic{File: pos.Filename, Line: pos.Line, Message: f.String()})
+	}
+	compareDiags(t, dir, diags)
+}
+
+// TestUnwrittenGolden runs the write-side guard over a fixture holding one
+// case of each store that counts as a write — assignment, op=, ++, --, a
+// store through indexing or a nested selection, &x.f, a pointer method on
+// the field or promoted through it, keyed, positional and elided-&T
+// literal elements, a tag — and one of each finding: a field nothing
+// writes, one only a test writes, and one only stored through.
+func TestUnwrittenGolden(t *testing.T) {
+	const path = "acacia/x/unwritten"
+	dir, pkgs := loadGolden(t, "unwritten", path)
+	var diags []Diagnostic
+	for _, f := range unwritten(pkgs, path) {
 		pos := pkgs[0].Fset.Position(f.obj.Pos())
 		diags = append(diags, Diagnostic{File: pos.Filename, Line: pos.Line, Message: f.String()})
 	}

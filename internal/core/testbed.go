@@ -493,16 +493,14 @@ func (tb *Testbed) StartWalk(b *UEBundle, w geo.Walker, cellOf func(geo.Point) i
 // connectRadio links a UE bundle to an eNB with the testbed's radio
 // configuration.
 func (tb *Testbed) connectRadio(enb *epc.ENB, b *UEBundle) {
-	radio := enb.ConnectUE(b.UE, netsim.LinkConfig{
-		BitsPerSecond: radioDLBps,
-		Propagation:   tb.Cfg.RadioDelay,
-		Jitter:        tb.Cfg.RadioJitter,
-	})
-	radio.SetConfigAB(netsim.LinkConfig{
+	enb.ConnectUE(b.UE, netsim.LinkConfig{
 		BitsPerSecond: tb.Cfg.RadioULBps,
 		Propagation:   tb.Cfg.RadioDelay,
 		Jitter:        tb.Cfg.RadioJitter,
-		Prioritized:   true,
+	}, netsim.LinkConfig{
+		BitsPerSecond: radioDLBps,
+		Propagation:   tb.Cfg.RadioDelay,
+		Jitter:        tb.Cfg.RadioJitter,
 	})
 }
 

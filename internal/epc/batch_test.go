@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"acacia/internal/netsim"
 	"acacia/internal/pkt"
 	"acacia/internal/sdn"
 )
@@ -19,7 +18,7 @@ func (tb *testbed) addBatchUEs(n int) []*UE {
 		imsi := fmt.Sprintf("00101000001%04d", i+1)
 		ueN := tb.nw.AddNode(fmt.Sprintf("ue-%d", i+2), pkt.AddrFrom(172, 16, 0, byte(3+i)))
 		ue := NewUE(ueN, imsi)
-		tb.enb.ConnectUE(ue, netsim.LinkConfig{BitsPerSecond: 100e6, Propagation: radioDelay})
+		tb.enb.ConnectUE(ue, radio100M, radio100M)
 		tb.core.HSS.Provision(Subscriber{IMSI: imsi})
 		cohort = append(cohort, ue)
 	}
@@ -82,7 +81,7 @@ func TestAttachBatchReportsInvalidMembers(t *testing.T) {
 	// An unprovisioned UE in the cohort fails alone.
 	strayN := tb.nw.AddNode("stray", pkt.AddrFrom(172, 16, 0, 99))
 	stray := NewUE(strayN, "999990000000001")
-	tb.enb.ConnectUE(stray, netsim.LinkConfig{BitsPerSecond: 100e6, Propagation: radioDelay})
+	tb.enb.ConnectUE(stray, radio100M, radio100M)
 	cohort = append(cohort, stray)
 
 	results := make(map[string]error)
@@ -130,28 +129,23 @@ func TestDetachBatch(t *testing.T) {
 
 // TestBatchFailureUnwinds kills S11 during AttachBatch and again during
 // DetachBatch. Every member must hear the error exactly once, and sessions,
-// UE-IP bindings, eNB downlink mappings, GW-U flows and admitted GBR must be
-// back at their values from before the cohort attached: the attach unwind
-// and the detach teardown leave nothing behind.
+// UE-IP bindings, eNB downlink mappings, GW-U flows and procedure records
+// out must be back at their values from before the cohort attached: the
+// attach unwind and the detach teardown leave nothing behind.
 func TestBatchFailureUnwinds(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	cohort := tb.addBatchUEs(2)
-	edge := tb.core.PGWC.Plane("edge-pgw")
-	edge.GBRCapacityBps = 10_000_000
-	tb.core.PCRF.AddRule(PolicyRule{
-		ServiceID: "gbr-video", QCI: 1, ARP: 2, Precedence: 5,
-		GuaranteedUL: 2_000_000, GuaranteedDL: 4_000_000,
-	})
 	type state struct {
-		sessions, byIP, mappings, flows int
-		gbr                             uint64
+		sessions, byIP, mappings, flows, records int
 	}
 	snapshot := func() state {
 		flows := 0
 		for _, sw := range []*sdn.Switch{tb.coreSGW, tb.corePGW, tb.edgeSGW, tb.edgePGW} {
 			flows += sw.FlowCount()
 		}
-		return state{len(tb.core.sessions), len(tb.core.byIP), len(tb.enb.byDLTEID), flows, edge.GBRInUse()}
+		c := tb.core
+		records := c.legs.Outstanding() + c.deds.Outstanding() + c.cohorts.Outstanding()
+		return state{len(c.sessions), len(c.byIP), len(tb.enb.byDLTEID), flows, records}
 	}
 	before := snapshot()
 	withDeadS11 := func(procedure string, start func(done func(*UE, error))) {
@@ -183,8 +177,8 @@ func TestBatchFailureUnwinds(t *testing.T) {
 		tb.core.AttachBatch(cohort, "core-sgw", "core-pgw", done)
 	})
 
-	// Healed, the cohort attaches and one member adds a GBR bearer at the
-	// edge, so the failed detach must also return admitted capacity.
+	// Healed, the cohort attaches and one member adds a dedicated bearer at
+	// the edge, so the failed detach must also remove its flows.
 	var attachErr error
 	tb.core.AttachBatch(cohort, "core-sgw", "core-pgw", func(_ *UE, err error) {
 		if err != nil {
@@ -197,11 +191,11 @@ func TestBatchFailureUnwinds(t *testing.T) {
 	}
 	var bearerErr error
 	activated := false
-	tb.core.PCRF.RequestDedicatedBearer("gbr-video", cohort[1].Addr(), tb.ciHost.Node.Addr(), "edge-sgw", "edge-pgw",
+	tb.core.PCRF.RequestDedicatedBearer("retail-ar", cohort[1].Addr(), tb.ciHost.Node.Addr(), "edge-sgw", "edge-pgw",
 		func(_ uint8, err error) { bearerErr, activated = err, true })
 	tb.eng.RunFor(time.Second)
-	if !activated || bearerErr != nil || edge.GBRInUse() == 0 {
-		t.Fatalf("GBR bearer: done=%v err=%v, %d in use", activated, bearerErr, edge.GBRInUse())
+	if n := len(tb.core.Session(cohort[1].IMSI).DedicatedBearers()); !activated || bearerErr != nil || n != 1 {
+		t.Fatalf("dedicated bearer: done=%v err=%v, %d dedicated bearers", activated, bearerErr, n)
 	}
 
 	withDeadS11("DetachBatch", func(done func(*UE, error)) {

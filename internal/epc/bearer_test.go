@@ -235,19 +235,14 @@ func TestDedicatedActivationFailureReleasesRadio(t *testing.T) {
 	}
 }
 
-// TestActivationRacingDetachLeaksNothing detaches 0–8 ms after a GBR
-// dedicated bearer activation starts. Whichever procedure lands first, no
-// flow entry and no GBR reservation may outlive the session, and the
-// activation must report exactly once.
+// TestActivationRacingDetachLeaksNothing detaches 0–8 ms after a dedicated
+// bearer activation starts. Whichever procedure lands first, no flow entry,
+// eNB downlink mapping, modem TFT or procedure record may outlive the
+// session, and the activation must report exactly once.
 func TestActivationRacingDetachLeaksNothing(t *testing.T) {
 	for offMS := 0; offMS <= 8; offMS++ {
 		tb := buildTestbed(t, time.Hour)
-		tb.core.PCRF.AddRule(PolicyRule{
-			ServiceID: "gbr-ar", QCI: 1, ARP: 2, Precedence: 5,
-			GuaranteedUL: 1_000_000, GuaranteedDL: 2_000_000,
-		})
-		plane := tb.core.PGWC.Plane("edge-pgw")
-		plane.GBRCapacityBps = 10_000_000
+		tb.core.PCRF.AddRule(PolicyRule{ServiceID: "voice-ar", QCI: 1, ARP: 2, Precedence: 5})
 		switches := []*sdn.Switch{tb.coreSGW, tb.corePGW, tb.edgeSGW, tb.edgePGW}
 		before := make([]int, len(switches))
 		for i, sw := range switches {
@@ -256,7 +251,7 @@ func TestActivationRacingDetachLeaksNothing(t *testing.T) {
 		tb.attach(t)
 
 		calls := 0
-		tb.core.PCRF.RequestDedicatedBearer("gbr-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
+		tb.core.PCRF.RequestDedicatedBearer("voice-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
 			"edge-sgw", "edge-pgw", func(uint8, error) { calls++ })
 		detached := false
 		tb.eng.Schedule(time.Duration(offMS)*time.Millisecond, func() {
@@ -274,8 +269,14 @@ func TestActivationRacingDetachLeaksNothing(t *testing.T) {
 				t.Errorf("+%dms: switch %d holds %d flows, %d before attach", offMS, i, n, before[i])
 			}
 		}
-		if n := plane.GBRInUse(); n != 0 {
-			t.Errorf("+%dms: %d bps of GBR still reserved", offMS, n)
+		if n := len(tb.enb.byDLTEID); n != 0 {
+			t.Errorf("+%dms: the eNB keeps %d downlink mappings", offMS, n)
+		}
+		if tb.ue.tfts != [len(tb.ue.tfts)]modemTFT{} {
+			t.Errorf("+%dms: the modem keeps a dedicated bearer's TFT", offMS)
+		}
+		if d, l := tb.core.deds.Outstanding(), tb.core.legs.Outstanding(); d != 0 || l != 0 {
+			t.Errorf("+%dms: %d dedicated and %d leg records still out", offMS, d, l)
 		}
 	}
 }

@@ -388,13 +388,12 @@ func (c *Core) onPacketIn(sw *sdn.Switch, inPort uint32, p *netsim.Packet, tunne
 	c.SGWC.bufferAndPage(sess, sw, p, tunnelID)
 }
 
-// releaseSessionResources removes every bearer's user-plane state and
-// returns its GBR reservation. Clearing the bearer map afterwards makes the
-// teardown idempotent — a timeout-recovery path may run it again.
+// releaseSessionResources removes every bearer's user-plane state.
+// Clearing the bearer map afterwards makes the teardown idempotent — a
+// timeout-recovery path may run it again.
 func (c *Core) releaseSessionResources(sess *Session) {
 	for _, b := range sess.OrderedBearers() {
 		c.removeBearerFlows(sess, b)
-		b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
 	}
 	sess.Bearers = [16]*Bearer{}
 }

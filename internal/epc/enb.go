@@ -84,13 +84,13 @@ func NewENB(core *Core, node *netsim.Node) *ENB {
 func (e *ENB) Addr() pkt.Addr { return e.node.Addr() }
 
 // ConnectUE attaches a UE's radio link to this eNB. The returned link is
-// the radio bearer path; radioCfg applies in both directions with
-// QCI-priority scheduling enabled downlink (the radio scheduler). A UE may
-// be connected to several eNBs (neighbour cells); the first connection
-// becomes its serving cell, later ones are handover candidates.
-func (e *ENB) ConnectUE(ue *UE, radioCfg netsim.LinkConfig) *netsim.Link {
-	radioCfg.Prioritized = true
-	link := e.core.cfg.Net.ConnectSymmetric(ue.node, e.node, radioCfg)
+// the radio bearer path: ul configures the UE->eNB direction, dl the
+// eNB->UE one, both with QCI-priority scheduling (the radio scheduler). A
+// UE may be connected to several eNBs (neighbour cells); the first
+// connection becomes its serving cell, later ones are handover candidates.
+func (e *ENB) ConnectUE(ue *UE, ul, dl netsim.LinkConfig) *netsim.Link {
+	ul.Prioritized, dl.Prioritized = true, true
+	link := e.core.cfg.Net.Connect(ue.node, e.node, ul, dl)
 	ctx := &ueCtx{radioPort: link.B.ID, uePort: link.A.ID}
 	e.byUEIP[ue.Addr()] = ctx
 	if n := link.B.ID + 1; n > len(e.byRadio) {
@@ -294,25 +294,18 @@ func (e *ENB) flushUplink(sess *Session) {
 	}
 }
 
-// sendServiceRequest starts promotion: RACH + RRC connection, then the
-// S1AP InitialUEMessage carrying the NAS service request, which the MME
-// takes up (idle.serviced).
+// sendServiceRequest starts promotion: RACH + RRC connection (the
+// promotion record's rach leg, rachDelay later), then the S1AP
+// InitialUEMessage carrying the NAS service request, which the MME takes
+// up (idle.serviced).
 func (e *ENB) sendServiceRequest(sess *Session) {
 	if sess.State != StateIdle {
 		return
 	}
 	sess.setState(e.core.Eng, StatePromoting)
-	e.core.Eng.Schedule(rachDelay, func() {
-		msg := &pkt.S1APMsg{
-			Procedure: pkt.S1APInitialUEMessage,
-			ENBUEID:   sess.ENBUEID,
-			NAS:       e.core.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceRequest}),
-		}
-		// The MME sees the session as idle until it processes the request.
-		sess.setState(e.core.Eng, StateIdle)
-		id := e.core.takeIdle(sess, stagePromotion)
-		e.core.sendS1AP(e.core.takeLeg(&id.proc, id.servicedF), e.ep, e.core.mmeEP, msg)
-	})
+	id := e.core.takeIdle(sess, stagePromotion)
+	id.enb = e
+	e.core.Eng.Schedule(rachDelay, id.rachF)
 }
 
 // checkIdle fires the inactivity timer for connected UEs, in connection

@@ -39,6 +39,13 @@ const (
 	edgeDelay     = 100 * time.Microsecond
 )
 
+// The test radio links, each the same both ways: 100 Mbps, or a pure
+// delay line.
+var (
+	radio100M = netsim.LinkConfig{BitsPerSecond: 100e6, Propagation: radioDelay}
+	radioLine = netsim.LinkConfig{Propagation: radioDelay}
+)
+
 func buildTestbed(t *testing.T, idle time.Duration) *testbed {
 	t.Helper()
 	eng := sim.NewEngine(42)
@@ -97,7 +104,7 @@ func buildTestbed(t *testing.T, idle time.Duration) *testbed {
 
 	tb.enb = NewENB(core, enbN)
 	tb.ue = NewUE(ueN, "001010000000001")
-	tb.enb.ConnectUE(tb.ue, netsim.LinkConfig{BitsPerSecond: 100e6, Propagation: radioDelay})
+	tb.enb.ConnectUE(tb.ue, radio100M, radio100M)
 
 	tb.inetHost = netsim.NewHost(inetN)
 	tb.inetHost.Listen(netsim.PingPort, netsim.PingResponder{})
@@ -218,7 +225,7 @@ func TestAttachUnknownIMSIFails(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	ueN := tb.nw.AddNode("ue2", pkt.AddrFrom(172, 16, 0, 3))
 	rogue := NewUE(ueN, "999990000000009")
-	tb.enb.ConnectUE(rogue, netsim.LinkConfig{Propagation: radioDelay})
+	tb.enb.ConnectUE(rogue, radioLine, radioLine)
 	var gotErr error
 	rogue.Attach("core-sgw", "core-pgw", func(err error) { gotErr = err })
 	tb.eng.RunFor(time.Second)
@@ -638,111 +645,6 @@ func TestSessionStateString(t *testing.T) {
 	}
 	if SessionState(99).String() == "" {
 		t.Error("unknown state empty string")
-	}
-}
-
-func TestGBRAdmissionControl(t *testing.T) {
-	tb := buildTestbed(t, time.Hour)
-	// Constrain the edge PGW-U to 10 Mbps of guaranteed rate and define a
-	// GBR service needing 6 Mbps per bearer: the first UE is admitted, the
-	// second rejected.
-	tb.core.PGWC.Plane("edge-pgw").GBRCapacityBps = 10_000_000
-	tb.core.PCRF.AddRule(PolicyRule{
-		ServiceID: "gbr-video", QCI: 1, ARP: 2, Precedence: 5,
-		GuaranteedUL: 2_000_000, GuaranteedDL: 4_000_000,
-	})
-	tb.attach(t)
-
-	request := func() error {
-		var reqErr error
-		done := false
-		tb.core.PCRF.RequestDedicatedBearer("gbr-video", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-			"edge-sgw", "edge-pgw", func(_ uint8, err error) { reqErr, done = err, true })
-		tb.eng.RunFor(time.Second)
-		if !done {
-			t.Fatal("request did not complete")
-		}
-		return reqErr
-	}
-	if err := request(); err != nil {
-		t.Fatalf("first GBR bearer rejected: %v", err)
-	}
-	if got := tb.core.PGWC.Plane("edge-pgw").GBRInUse(); got != 6_000_000 {
-		t.Errorf("GBR in use = %d, want 6 Mbps", got)
-	}
-
-	// Second UE requesting the same service must be rejected.
-	ue2N := tb.nw.AddNode("ue2", pkt.AddrFrom(172, 16, 0, 3))
-	ue2 := NewUE(ue2N, "001010000000002")
-	tb.core.HSS.Provision(Subscriber{IMSI: ue2.IMSI})
-	tb.enb.ConnectUE(ue2, netsim.LinkConfig{Propagation: radioDelay})
-	var attachErr error
-	ue2.Attach("core-sgw", "core-pgw", func(err error) { attachErr = err })
-	tb.eng.RunFor(2 * time.Second)
-	if attachErr != nil {
-		t.Fatal(attachErr)
-	}
-	var secondErr error
-	secondDone := false
-	tb.core.PCRF.RequestDedicatedBearer("gbr-video", ue2.Addr(), tb.ciHost.Node.Addr(),
-		"edge-sgw", "edge-pgw", func(_ uint8, err error) { secondErr, secondDone = err, true })
-	tb.eng.RunFor(time.Second)
-	if !secondDone || secondErr == nil {
-		t.Fatalf("second GBR bearer should be rejected (done=%v err=%v)", secondDone, secondErr)
-	}
-
-	// Releasing the first bearer frees the capacity.
-	var delErr error
-	tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(err error) { delErr = err })
-	tb.eng.RunFor(time.Second)
-	if delErr != nil {
-		t.Fatal(delErr)
-	}
-	if got := tb.core.PGWC.Plane("edge-pgw").GBRInUse(); got != 0 {
-		t.Errorf("GBR in use after release = %d", got)
-	}
-	if err := request(); err != nil {
-		t.Errorf("re-admission after release failed: %v", err)
-	}
-}
-
-func TestNonGBRBearersSkipAdmission(t *testing.T) {
-	tb := buildTestbed(t, time.Hour)
-	tb.core.PGWC.Plane("edge-pgw").GBRCapacityBps = 1 // essentially zero
-	tb.attach(t)
-	// The retail-ar rule is non-GBR (QCI 5): always admitted.
-	ebi := tb.dedicate(t)
-	if ebi != EBIDedicated {
-		t.Errorf("non-GBR bearer not admitted: ebi=%d", ebi)
-	}
-}
-
-func TestBearerMBREnforcedAtPGW(t *testing.T) {
-	tb := buildTestbed(t, time.Hour)
-	tb.core.PCRF.AddRule(PolicyRule{
-		ServiceID: "capped-ar", QCI: pkt.QCIMEC, ARP: 2, Precedence: 6,
-		MaxUL: 5_000_000,
-	})
-	tb.attach(t)
-	var derr error
-	done := false
-	tb.core.PCRF.RequestDedicatedBearer("capped-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-		"edge-sgw", "edge-pgw", func(_ uint8, err error) { derr, done = err, true })
-	tb.eng.RunFor(2 * time.Second)
-	if !done || derr != nil {
-		t.Fatalf("bearer: done=%v err=%v", done, derr)
-	}
-
-	// Offer 30 Mbps of uplink CI traffic: the PGW-U meter polices to 5.
-	sink := netsim.NewSink(tb.ciHost, 9100)
-	src := netsim.NewCBRSource(tb.ue.Host, tb.ciHost.Node.Addr(), 9100, 1250)
-	src.Start(30e6)
-	tb.eng.RunFor(3 * time.Second)
-	src.Stop()
-	tb.eng.RunFor(200 * time.Millisecond)
-	got := sink.ThroughputBps()
-	if got < 4e6 || got > 6e6 {
-		t.Errorf("policed uplink = %.2f Mbps, want ≈5 (MBR)", got/1e6)
 	}
 }
 

@@ -42,13 +42,6 @@ type PolicyRule struct {
 	ARP       uint8
 	// Precedence orders the resulting TFT filter.
 	Precedence uint8
-	// GuaranteedUL/DL are the GBR rates (bits/s) for guaranteed-bit-rate
-	// QCIs; the PCEF admission-controls them against the serving PGW-U's
-	// capacity. Zero for non-GBR classes.
-	GuaranteedUL, GuaranteedDL uint64
-	// MaxUL/MaxDL are the bearer's maximum bit rates (bits/s), enforced by
-	// meters at the PGW-U. Zero means unpoliced.
-	MaxUL, MaxDL uint64
 }
 
 // PCRF is the policy and charging rules function. ACACIA's MRS (an
@@ -107,35 +100,6 @@ type UserPlane struct {
 	AccessPort int
 	// CorePort faces the PGW-U side (SGW-U) or the SGi/server side (PGW-U).
 	CorePort int
-	// GBRCapacityBps bounds the sum of guaranteed bit rates (UL+DL) the
-	// PCEF may admit onto this plane; zero means no admission control.
-	GBRCapacityBps uint64
-	// gbrInUse tracks admitted guaranteed rate.
-	gbrInUse uint64
-}
-
-// GBRInUse reports the guaranteed rate currently admitted on this plane.
-func (u *UserPlane) GBRInUse() uint64 { return u.gbrInUse }
-
-// admitGBR reserves rate if capacity allows.
-func (u *UserPlane) admitGBR(rate uint64) bool {
-	if u.GBRCapacityBps == 0 || rate == 0 {
-		return true
-	}
-	if u.gbrInUse+rate > u.GBRCapacityBps {
-		return false
-	}
-	u.gbrInUse += rate
-	return true
-}
-
-// releaseGBR returns previously admitted rate.
-func (u *UserPlane) releaseGBR(rate uint64) {
-	if rate >= u.gbrInUse {
-		u.gbrInUse = 0
-		return
-	}
-	u.gbrInUse -= rate
 }
 
 // Addr returns the user plane's GTP endpoint address.
@@ -219,14 +183,11 @@ func (c *Core) installBearerFlows(sess *Session, b *Bearer) {
 			{Type: pkt.ActionOutput, Port: uint32(sgw.CorePort)},
 		},
 	})
-	// PGW-U uplink: S5 tunnel in -> plain out the SGi port. The bearer's
-	// MBR, when set, is enforced here with a meter — the PCEF's QoS
-	// enforcement point.
+	// PGW-U uplink: S5 tunnel in -> plain out the SGi port.
 	c.Ctl.InstallFlow(pgw.SW, sdn.FlowEntry{
 		Priority: 100, Cookie: cookieUL(sess.UEIP, b.EBI),
-		Match:    pkt.Match{TunnelID: pkt.U64(uint64(b.S5UL))},
-		Actions:  []pkt.Action{{Type: pkt.ActionOutput, Port: uint32(pgw.CorePort)}},
-		MeterBps: float64(b.QoS.MaxBitrateUL),
+		Match:   pkt.Match{TunnelID: pkt.U64(uint64(b.S5UL))},
+		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: uint32(pgw.CorePort)}},
 	})
 	c.installDownlinkFlows(sess, b)
 }
@@ -250,7 +211,6 @@ func (c *Core) installDownlinkFlows(sess *Session, b *Bearer) {
 			{Type: pkt.ActionSetTunnel, TunnelID: uint64(b.S5DL), TunnelDst: sgw.Addr()},
 			{Type: pkt.ActionOutput, Port: uint32(pgw.AccessPort)},
 		},
-		MeterBps: float64(b.QoS.MaxBitrateDL),
 	})
 	c.installSGWDownlink(sess, b)
 }
@@ -390,16 +350,16 @@ func (c *Core) bindDedicated(d *dedicated) {
 }
 
 // unwind is an activation's one compensation (stage 1, set as it starts):
-// any failure — a protocol denial answered down the chain or a transport
-// timeout on any leg — returns the GBR reservation exactly once. If the
-// E-RAB Setup landed (b.S1DL is set), it also takes back what that gave
-// the radio side: the eNB's downlink mapping and the modem's TFT.
+// on any failure — a protocol denial answered down the chain or a transport
+// timeout on any leg — after the E-RAB Setup landed (b.S1DL is set), it
+// takes back what that gave the radio side: the eNB's downlink mapping and
+// the modem's TFT. The bearer's flows and its sess.Bearers slot are only
+// installed on success (answered), so nothing else needs undoing.
 func (d *dedicated) unwind() {
 	if d.stage == 0 {
 		return
 	}
 	b, sess := d.b, d.sess
-	b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
 	if b.S1DL != 0 {
 		sess.ENB.detachBearer(sess, b.EBI)
 		sess.UE.removeTFT(b.EBI)
@@ -422,7 +382,7 @@ func (d *dedicated) ended(err error) {
 }
 
 // activateDedicatedBearer runs the network-initiated dedicated bearer
-// activation: the PCEF (here) admits and builds the bearer, then the
+// activation: the PCEF (here) builds the bearer, then the
 // Create Bearer chain runs from the PGW-C through the SGW-C to the MME on
 // S5 and S11, the E-RAB Setup at the eNB once the UE is connected (paging
 // it first if idle), and the SGW-C's response to the PGW-C.
@@ -445,24 +405,9 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 			return
 		}
 	}
-	// GBR admission control: a guaranteed-bit-rate bearer must fit the
-	// serving plane's remaining capacity or be rejected outright
-	// (TS 23.401 bearer-level admission at the PCEF).
-	gbr := rule.GuaranteedUL + rule.GuaranteedDL
-	plane := planes.PGW
-	if !plane.admitGBR(gbr) {
-		fail(done, fmt.Errorf("epc: plane %q GBR capacity exhausted (%d in use of %d, requested %d)",
-			pgwPlane, plane.gbrInUse, plane.GBRCapacityBps, gbr))
-		return
-	}
-
 	b := &Bearer{
-		EBI: ebi,
-		QoS: p.core.internQoS(pkt.BearerQoS{
-			QCI: rule.QCI, ARP: rule.ARP,
-			GuaranteedUL: rule.GuaranteedUL, GuaranteedDL: rule.GuaranteedDL,
-			MaxBitrateUL: rule.MaxUL, MaxBitrateDL: rule.MaxDL,
-		}),
+		EBI:      ebi,
+		QoS:      p.core.internQoS(pkt.BearerQoS{QCI: rule.QCI, ARP: rule.ARP}),
 		TFT:      p.core.internTFT(ciServer, rule.Precedence),
 		Planes:   planes,
 		CIServer: ciServer,
@@ -574,8 +519,7 @@ func (d *dedicated) answered() {
 // with its Delete Bearer chain: the request from the PGW-C through the
 // SGW-C to the MME on S5 and S11, the E-RAB Release pair at the eNB (which
 // drops the bearer's mapping, and the modem its TFT), and the SGW-C's
-// response to the PGW-C, which removes the bearer's flows and returns its
-// GBR reservation.
+// response to the PGW-C, which removes the bearer's flows.
 func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done func(error)) {
 	var b *Bearer
 	for _, cand := range sess.DedicatedBearers() {
@@ -631,6 +575,5 @@ func (d *dedicated) dbAtPGW() {
 	sess, b := d.sess, d.b
 	d.removeBearerFlows(sess, b)
 	sess.Bearers[b.EBI] = nil
-	b.Planes.PGW.releaseGBR(b.QoS.GuaranteedUL + b.QoS.GuaranteedDL)
 	d.finish(nil)
 }

@@ -17,7 +17,7 @@ func withSecondENB(t *testing.T, tb *testbed) *ENB {
 	tb.nw.ConnectSymmetric(enb2N, rtrN, netsim.LinkConfig{BitsPerSecond: 1e9, Propagation: backhaulDelay})
 	tb.rtr.AddHostRoute(enb2N.Addr(), rtrN.Port(len(rtrN.Ports())-1))
 	enb2 := NewENB(tb.core, enb2N)
-	enb2.ConnectUE(tb.ue, netsim.LinkConfig{BitsPerSecond: 100e6, Propagation: radioDelay})
+	enb2.ConnectUE(tb.ue, radio100M, radio100M)
 	return enb2
 }
 
@@ -137,7 +137,7 @@ func TestHandoverGuards(t *testing.T) {
 	ue2N := tb.nw.AddNode("ue-noradio", pkt.AddrFrom(172, 16, 0, 9))
 	ue2 := NewUE(ue2N, "001010000000003")
 	tb.core.HSS.Provision(Subscriber{IMSI: ue2.IMSI})
-	tb.enb.ConnectUE(ue2, netsim.LinkConfig{Propagation: radioDelay})
+	tb.enb.ConnectUE(ue2, radioLine, radioLine)
 	var aerr error
 	ue2.Attach("core-sgw", "core-pgw", func(err error) { aerr = err })
 	tb.eng.RunFor(2 * time.Second)

@@ -184,24 +184,20 @@ func TestLegPoolsStopGrowing(t *testing.T) {
 // its callback heals the link and starts a second handover, which takes
 // the same record. The Command's own terminal timeout lands at about
 // 406 ms, a leg of the old generation: the new handover must not see it.
-// It completes, its callback fires once, and no flow, TEID mapping or GBR
-// reservation leaks.
+// It completes, its callback fires once, and no flow, TEID mapping, bearer
+// or procedure record leaks.
 func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	enb2 := withSecondENB(t, tb)
 	c := tb.core
-	c.PCRF.AddRule(PolicyRule{
-		ServiceID: "gbr-ar", QCI: 1, ARP: 2, Precedence: 5,
-		GuaranteedUL: 1_000_000, GuaranteedDL: 2_000_000,
-	})
-	c.PGWC.Plane("edge-pgw").GBRCapacityBps = 10_000_000
+	c.PCRF.AddRule(PolicyRule{ServiceID: "voice-ar", QCI: 1, ARP: 2, Precedence: 5})
 	tb.attach(t)
 	var dedErr error = errors.New("no callback")
-	c.PCRF.RequestDedicatedBearer("gbr-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
+	c.PCRF.RequestDedicatedBearer("voice-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
 		"edge-sgw", "edge-pgw", func(_ uint8, err error) { dedErr = err })
 	tb.eng.RunFor(time.Second)
 	if dedErr != nil {
-		t.Fatalf("GBR bearer activation: %v", dedErr)
+		t.Fatalf("dedicated bearer activation: %v", dedErr)
 	}
 	sess := c.Session(tb.ue.IMSI)
 	switches := []*sdn.Switch{tb.coreSGW, tb.corePGW, tb.edgeSGW, tb.edgePGW}
@@ -209,9 +205,8 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	for i, sw := range switches {
 		flows[i] = sw.FlowCount()
 	}
-	gbr := c.PGWC.Plane("edge-pgw").GBRInUse()
-	if gbr != 3_000_000 {
-		t.Fatalf("edge PGW-U GBR in use %d after the activation, want 3000000", gbr)
+	if n := len(sess.OrderedBearers()); n != 2 {
+		t.Fatalf("%d bearers after the activation, want the default and the dedicated one", n)
 	}
 
 	var firstErr, secondErr error
@@ -265,7 +260,10 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 			t.Fatalf("bearer %d: S1DL %d not mapped at the target", b.EBI, b.S1DL)
 		}
 	}
-	if got := c.PGWC.Plane("edge-pgw").GBRInUse(); got != gbr {
-		t.Fatalf("edge PGW-U GBR in use %d, %d before", got, gbr)
+	if len(bearers) != 2 {
+		t.Fatalf("%d bearers after the handovers, want the default and the dedicated one", len(bearers))
+	}
+	if l, h := c.legs.Outstanding(), c.hos.Outstanding(); l != 0 || h != 0 {
+		t.Fatalf("%d leg and %d handover records still out", l, h)
 	}
 }

@@ -437,15 +437,16 @@ const (
 
 // idle is the pooled record of an idle-mode procedure on sess, which its
 // stage names. An S1 release runs requested, rabAtSGW, rabBack and
-// released; a page runs paged; a promotion by service request runs
-// serviced, setUp, modified and accepted.
+// released; a page runs paged; a promotion by service request runs rach
+// at enb, then serviced, setUp, modified and accepted.
 type idle struct {
 	proc
 	*Core
 	sess *Session
+	enb  *ENB
 
-	requestedF, rabAtSGWF, rabBackF, pagedF, servicedF, setUpF, modifiedF, acceptedF func()
-	releasedF                                                                        func(*Session)
+	requestedF, rabAtSGWF, rabBackF, pagedF, rachF, servicedF, setUpF, modifiedF, acceptedF func()
+	releasedF                                                                               func(*Session)
 }
 
 // takeIdle takes an idle-mode record for a new procedure on sess.
@@ -465,7 +466,7 @@ func (c *Core) takeIdle(sess *Session, stage uint8) *idle {
 func (c *Core) bindIdle(id *idle) {
 	id.Core = c
 	id.end, id.undo, id.requestedF, id.rabAtSGWF, id.rabBackF, id.releasedF = id.ended, id.unwind, id.requested, id.rabAtSGW, id.rabBack, id.released
-	id.pagedF, id.servicedF, id.setUpF, id.modifiedF, id.acceptedF = id.paged, id.serviced, id.setUp, id.modified, id.accepted
+	id.pagedF, id.rachF, id.servicedF, id.setUpF, id.modifiedF, id.acceptedF = id.paged, id.rach, id.serviced, id.setUp, id.modified, id.accepted
 }
 
 // unwind drops a failed page's or promotion's page, so downlink pages
@@ -490,7 +491,7 @@ func (id *idle) unwind() {
 
 // ended recycles the record: no idle-mode procedure reports its outcome.
 func (id *idle) ended(error) {
-	id.sess = nil
+	id.sess, id.enb = nil, nil
 	id.idles.Put(id)
 }
 
@@ -534,15 +535,32 @@ func (c *Core) page(sess *Session) {
 }
 
 // paged delivers the page over the radio: after the paging cycle, an idle
-// UE answers with a service request.
+// UE answers with a service request (pageAnswered).
 func (id *idle) paged() {
-	sess := id.sess
-	id.Eng.Schedule(rachDelay, func() {
-		if sess.State == StateIdle {
-			sess.ENB.sendServiceRequest(sess)
-		}
-	})
+	id.Eng.ScheduleArg(rachDelay, pageAnswered, id.sess)
 	id.finish(nil)
+}
+
+// pageAnswered is the paging cycle's callback: a package-level function,
+// so scheduling it binds no closure.
+func pageAnswered(v any) {
+	if sess := v.(*Session); sess.State == StateIdle {
+		sess.ENB.sendServiceRequest(sess)
+	}
+}
+
+// rach ends the promotion's RACH at the eNB that started it: the S1AP
+// InitialUEMessage carries the NAS service request to the MME.
+func (id *idle) rach() {
+	sess := id.sess
+	msg := &pkt.S1APMsg{
+		Procedure: pkt.S1APInitialUEMessage,
+		ENBUEID:   sess.ENBUEID,
+		NAS:       id.encodeNAS(&pkt.NASMsg{Type: pkt.NASServiceRequest}),
+	}
+	// The MME sees the session as idle until it processes the request.
+	sess.setState(id.Eng, StateIdle)
+	id.sendS1AP(id.takeLeg(&id.proc, id.servicedF), id.enb.ep, id.mmeEP, msg)
 }
 
 // serviced takes an InitialUEMessage{Service Request} up at the MME: every

@@ -338,7 +338,8 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 			site = cfg.FlashSite
 		}
 		enb := m.ENBs[site*cfg.ENBsPerSite+k%cfg.ENBsPerSite]
-		enb.ConnectUE(ue, netsim.LinkConfig{Propagation: radioDelay})
+		radio := netsim.LinkConfig{Propagation: radioDelay}
+		enb.ConnectUE(ue, radio, radio)
 		ec.HSS.Provision(epc.Subscriber{IMSI: imsi})
 		ues[k] = ue
 		homeENB[k] = enb

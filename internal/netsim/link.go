@@ -70,9 +70,10 @@ type LinkStats struct {
 // their arrival time at dst; the rest wait, and enq holds their enqueue
 // time. settle starts the waiting ones whose turn has come, and the one
 // armed engine event per direction delivers the head: one event per packet
-// per hop. Prioritized and jittered directions, and whatever a mid-run
-// SetConfigAB hands over, run the event path instead: a txDone event at
-// the end of each serialization and an arrive event per packet.
+// per hop. Prioritized and jittered directions run the event path instead:
+// a txDone event at the end of each serialization and an arrive event per
+// packet. A direction's config is fixed when Connect builds the link, so
+// it keeps one path for life.
 type linkDir struct {
 	net    *Network
 	cfg    LinkConfig
@@ -83,11 +84,10 @@ type linkDir struct {
 	// started.
 	busyUntil sim.Time
 	// busy: the event path has a packet in service (tx). armed: the lazy
-	// head's arrival event is pending. stale: an arrival event handOff
-	// orphaned is pending, and the lazy path waits for it to fire.
-	busy, down, armed, stale bool
-	nFlight                  int32
-	stats                    LinkStats
+	// head's arrival event is pending.
+	busy, down, armed bool
+	nFlight           int32
+	stats             LinkStats
 
 	// tx is the event path's packet in service; txDone reads it. arriveF
 	// is arrive bound once at construction and passed to
@@ -147,17 +147,14 @@ func (d *linkDir) send(p *Packet) {
 		d.net.Release(p)
 		return
 	}
-	if d.cfg.BitsPerSecond == 0 && !d.busy && d.queue.nonEmpty == 0 {
-		// Pure delay line: no serialization, no queueing. The checks keep
-		// delivery in arrival order while packets queued under a previous
-		// finite-rate config are still draining (SetConfigAB mid-run);
-		// until the drain completes, new arrivals queue behind.
+	if d.cfg.BitsPerSecond == 0 {
+		// Pure delay line: no serialization, no queueing.
 		d.stats.Sent++
 		d.stats.Bytes += uint64(p.Size)
 		d.deliverAfter(p, d.cfg.Propagation)
 		return
 	}
-	lazy := !d.busy && !d.stale && !d.cfg.Prioritized && d.cfg.Jitter == 0
+	lazy := !d.cfg.Prioritized && d.cfg.Jitter == 0
 	now := d.net.eng.Now()
 	if lazy {
 		d.settle(now)
@@ -233,10 +230,6 @@ func linkLand(v any) { v.(*linkDir).land() }
 //
 //acacia:hotpath
 func (d *linkDir) land() {
-	if d.stale {
-		d.stale = false
-		return
-	}
 	d.armed = false
 	it := d.queue.pop()
 	d.nFlight--
@@ -247,40 +240,11 @@ func (d *linkDir) land() {
 	d.dst.deliver(it.p)
 }
 
-// handOff moves the lazy transmitter's packets onto the event path, under
-// the config they started with: each packet on the delay line gets its own
-// arrive event, the one still serializing a txDone, and the waiting ones
-// stay queued for transmitNext. The armed event is left to fire as a no-op.
-func (d *linkDir) handOff() {
-	if d.nFlight == 0 {
-		return
-	}
-	now := d.net.eng.Now()
-	d.settle(now)
-	for ; d.nFlight > 0; d.nFlight-- {
-		it := d.queue.pop()
-		if d.nFlight == 1 && d.busyUntil > now {
-			d.stats.Bytes -= uint64(it.p.Size) // txDone counts it
-			d.busy, d.tx = true, it.p
-			d.net.eng.ScheduleArg(d.busyUntil.Sub(now), linkTxDone, d)
-		} else {
-			d.net.eng.ScheduleArg(it.enq.Sub(now), d.arriveF, it.p)
-		}
-	}
-	d.armed, d.stale = false, true
-}
-
-// txTime is p's serialization time. Zero BitsPerSecond means infinite
-// bandwidth: a direction can be reconfigured to it mid-run while packets
-// queued under the previous finite rate still wait, and those drain in
-// queue order with zero serialization time.
+// txTime is p's serialization time on a finite-rate direction.
 //
 //acacia:hotpath
 func (d *linkDir) txTime(p *Packet) time.Duration {
-	if d.cfg.BitsPerSecond > 0 {
-		return time.Duration(float64(p.Size*8) / d.cfg.BitsPerSecond * float64(time.Second))
-	}
-	return 0
+	return time.Duration(float64(p.Size*8) / d.cfg.BitsPerSecond * float64(time.Second))
 }
 
 //acacia:hotpath
@@ -345,10 +309,9 @@ const maxLanes = 16
 
 // laneQueue is a direction's transmit queue: one FIFO lane per priority and
 // a bitmask of the non-empty ones. Pop takes the head of the lowest set
-// bit's lane, which is (priority, arrival) order in O(1) — also across a
-// mid-run SetConfigAB toggling Prioritized, since a packet's lane is fixed
-// at push. lanes grows to prio+1 on first use: most directions are delay
-// lines that never queue, and a wired FIFO only ever has lane 0.
+// bit's lane, which is (priority, arrival) order in O(1). lanes grows to
+// prio+1 on first use: most directions are delay lines that never queue,
+// and a wired FIFO only ever has lane 0.
 type laneQueue struct {
 	lanes    []FIFO[queuedPacket]
 	nonEmpty uint16
@@ -434,19 +397,6 @@ func (l *Link) StatsBA() LinkStats { return l.ba.read() }
 func (l *Link) BacklogAB() int {
 	l.ab.read()
 	return l.ab.qBytes
-}
-
-// SetConfigAB replaces the A->B direction configuration. Testbed
-// construction calls it, before any traffic, to give the radio uplink its
-// own rate and priority scheduling. Mid-run, packets that have started
-// keep the departure the old config gave them; packets still queued keep
-// their place and serialize under the new rate as they reach the
-// transmitter. When the new rate is zero ("infinite"), they drain in queue
-// order with zero serialization time, and fresh arrivals bypass the queue
-// only once the drain has finished (arrival order is preserved).
-func (l *Link) SetConfigAB(cfg LinkConfig) {
-	l.ab.handOff()
-	l.ab.cfg = cfg.withDefaults()
 }
 
 // SetDown fails (true) or repairs (false) the link: while down, every

@@ -511,56 +511,6 @@ func TestTwoGreedyFlowsShareFairly(t *testing.T) {
 	}
 }
 
-// TestZeroBandwidthReconfigDrains covers mid-run reconfiguration of a busy
-// direction to zero ("infinite") bandwidth: packets queued under the old
-// finite rate drain in queue order with zero serialization time — not the
-// garbage schedule the old +Inf division produced — and fresh arrivals do
-// not overtake the drain.
-func TestZeroBandwidthReconfigDrains(t *testing.T) {
-	eng, ha, hb, l := twoHosts(t, LinkConfig{BitsPerSecond: 1e6, Propagation: time.Millisecond})
-	var got []int
-	var arrivals []sim.Time
-	hb.Listen(80, AppFunc(func(_ *Host, p *Packet) {
-		got = append(got, p.Payload.(int))
-		arrivals = append(arrivals, eng.Now())
-	}))
-	// Three 1250-byte packets: 10 ms serialization each at 1 Mbps. The
-	// first enters service; the others queue.
-	for i := 0; i < 3; i++ {
-		ha.Send(hb.Node.Addr(), 1, 80, pkt.ProtoUDP, 1250, i)
-	}
-	// Mid-service, switch to infinite bandwidth and offer two more packets:
-	// they must queue behind the draining backlog, not jump ahead.
-	eng.Schedule(5*time.Millisecond, func() {
-		l.SetConfigAB(LinkConfig{Propagation: time.Millisecond})
-		ha.Send(hb.Node.Addr(), 1, 80, pkt.ProtoUDP, 1250, 3)
-		ha.Send(hb.Node.Addr(), 1, 80, pkt.ProtoUDP, 1250, 4)
-	})
-	// Once the drain has finished, the direction is a pure delay line.
-	eng.Schedule(30*time.Millisecond, func() {
-		ha.Send(hb.Node.Addr(), 1, 80, pkt.ProtoUDP, 1250, 5)
-	})
-	eng.Run()
-	if len(got) != 6 {
-		t.Fatalf("delivered %d packets (%v), want 6", len(got), got)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("delivery order %v, want 0..5", got)
-		}
-	}
-	// Packet 0 finishes its 10 ms serialization; 1-4 drain instantly behind
-	// it, so all five arrive together after the 1 ms propagation.
-	for i := 0; i < 5; i++ {
-		if arrivals[i] != sim.Time(11*time.Millisecond) {
-			t.Errorf("arrival[%d] = %v, want 11ms", i, arrivals[i])
-		}
-	}
-	if arrivals[5] != sim.Time(31*time.Millisecond) {
-		t.Errorf("post-drain arrival = %v, want 31ms (pure delay line)", arrivals[5])
-	}
-}
-
 // TestSetDownDropAccounting pins the LinkStats counter semantics under
 // failure injection: drops at the transmitter never count as sent, so
 // Sent+Dropped is the offered load and Sent−Delivered is in flight.

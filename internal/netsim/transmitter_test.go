@@ -25,11 +25,10 @@ type linkDelivery struct {
 }
 
 // offerLoad drives the A->B direction of a cfg link with seed's offered
-// load, reconfigured to re at the instant reAt, and traces it. The load
-// runs a moderate phase, an overload that drops at the 16 KiB queue, an
-// idle gap and a near-saturated phase; counters are read at 300 seeded
-// instants.
-func offerLoad(t *testing.T, cfg, re LinkConfig, reAt time.Duration, seed uint64) linkTrace {
+// load and traces it. The load runs a moderate phase, an overload that
+// drops at the 16 KiB queue, an idle gap and a near-saturated phase;
+// counters are read at 300 seeded instants.
+func offerLoad(t *testing.T, cfg LinkConfig, seed uint64) linkTrace {
 	t.Helper()
 	eng, ha, hb, l := twoHosts(t, cfg)
 	var tr linkTrace
@@ -61,7 +60,6 @@ func offerLoad(t *testing.T, cfg, re LinkConfig, reAt time.Duration, seed uint64
 			tr.backlogs = append(tr.backlogs, l.BacklogAB())
 		})
 	}
-	eng.Schedule(reAt, func() { l.SetConfigAB(re) })
 	eng.Run()
 	tr.stats = append(tr.stats, l.StatsAB())
 	tr.processed = eng.Processed()
@@ -71,18 +69,15 @@ func offerLoad(t *testing.T, cfg, re LinkConfig, reAt time.Duration, seed uint64
 // TestLazyTransmitterMatchesEventPath runs one seeded offered load through
 // a FIFO direction (the lazily settled transmitter) and through a
 // Prioritized one whose packets are all priority 0 (the txDone event
-// path, serving the same FIFO order), with a mid-overload SetConfigAB that
-// hands the lazy transmitter's packets over. Every delivery time, order
-// and queue wait, every drop and every sampled counter must agree; only
-// the event count differs.
+// path, serving the same FIFO order). Every delivery time, order and queue
+// wait, every drop and every sampled counter must agree; only the event
+// count differs.
 func TestLazyTransmitterMatchesEventPath(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := LinkConfig{BitsPerSecond: 8e6, Propagation: 3 * time.Millisecond, QueueBytes: 16 << 10}
-		re := LinkConfig{BitsPerSecond: 5e6, Propagation: 2 * time.Millisecond, QueueBytes: 24 << 10}
-		reAt := 600 * time.Millisecond
-		lazy := offerLoad(t, cfg, re, reAt, seed)
-		cfg.Prioritized, re.Prioritized = true, true
-		event := offerLoad(t, cfg, re, reAt, seed)
+		lazy := offerLoad(t, cfg, seed)
+		cfg.Prioritized = true
+		event := offerLoad(t, cfg, seed)
 
 		final := event.stats[len(event.stats)-1]
 		if final.Dropped == 0 || final.Delivered < 1000 {
@@ -167,6 +162,101 @@ func TestLinkMD1Wait(t *testing.T) {
 		}
 		if 3*se > service.Seconds()/2 {
 			t.Errorf("rho %.1f: 3 s.e. = %.2g s cannot resolve one service time (%v)", rho, 3*se, service)
+		}
+	}
+}
+
+// md1kBlocking is the blocking probability of an M/D/1/K queue at load rho
+// (K counts the packet in service), from the M/G/1/K embedded chain at
+// departures: a_k = e^-rho rho^k / k! arrivals per service time, the
+// departure distribution pi over 0..K-1 by the standard recursion, and
+// P(block) = 1 - 1/(pi_0 + rho) by PASTA.
+func md1kBlocking(rho float64, k int) float64 {
+	a := make([]float64, k)
+	a[0] = math.Exp(-rho)
+	for i := 1; i < k; i++ {
+		a[i] = a[i-1] * rho / float64(i)
+	}
+	pi := make([]float64, k)
+	pi[0] = 1
+	for j := 0; j+1 < k; j++ {
+		v := pi[j] - pi[0]*a[j]
+		for i := 1; i <= j; i++ {
+			v -= pi[i] * a[j-i+1]
+		}
+		pi[j+1] = v / a[0]
+	}
+	sum := 0.0
+	for _, v := range pi {
+		sum += v
+	}
+	return 1 - 1/(pi[0]/sum+rho)
+}
+
+// TestLinkMD1KBlocking checks drop-tail loss against M/D/1/K blocking:
+// Poisson arrivals of fixed-size packets at load rho, on the lazy FIFO
+// direction and on its Prioritized twin (the event path). Only waiting
+// bytes count against QueueBytes, so the system holds K =
+// QueueBytes/size + 1 packets. The mean of batch loss rates must lie
+// within three standard errors of the M/G/1/K prediction for K, and that
+// bound must be tight enough to tell K from K-1 and K+1.
+func TestLinkMD1KBlocking(t *testing.T) {
+	const (
+		size     = 1000
+		warmup   = 5000
+		batches  = 20
+		perBatch = 10000
+	)
+	for _, prioritized := range []bool{false, true} {
+		cfg := LinkConfig{BitsPerSecond: 8e6, QueueBytes: 3500, Prioritized: prioritized}
+		k := cfg.QueueBytes/size + 1
+		service := float64(size*8) / cfg.BitsPerSecond * float64(time.Second)
+		for i, rho := range []float64{0.7, 1.0, 1.5} {
+			eng, ha, hb, l := twoHosts(t, cfg)
+			hb.Listen(80, AppFunc(func(h *Host, p *Packet) { h.Node.Network().Release(p) }))
+			rng := sim.NewRNG(uint64(21 + i))
+			var loss []float64
+			var dropped uint64
+			sent := 0
+			var offer func()
+			offer = func() {
+				if n := sent - warmup; n >= 0 && n%perBatch == 0 {
+					// Drops happen at offer time, so the counter read here
+					// closes the batch of the arrivals before this one.
+					st := l.StatsAB()
+					if n > 0 {
+						loss = append(loss, float64(st.Dropped-dropped)/perBatch)
+					}
+					dropped = st.Dropped
+				}
+				if sent == warmup+batches*perBatch {
+					return
+				}
+				ha.Send(hb.Node.Addr(), 1, 80, pkt.ProtoUDP, size, nil)
+				sent++
+				eng.Schedule(time.Duration(rng.ExpFloat64()*service/rho), offer)
+			}
+			eng.Schedule(0, offer)
+			eng.Run()
+			if len(loss) != batches {
+				t.Fatalf("prioritized %v, rho %.1f: %d batches, want %d", prioritized, rho, len(loss), batches)
+			}
+			var sum, sumSq float64
+			for _, m := range loss {
+				sum += m
+				sumSq += m * m
+			}
+			mean := sum / batches
+			se := math.Sqrt((sumSq/batches - mean*mean) / (batches - 1))
+			want := md1kBlocking(rho, k)
+			if math.Abs(mean-want) > 3*se {
+				t.Errorf("prioritized %v, rho %.1f: loss %.4f, M/D/1/%d predicts %.4f (3 s.e. = %.4f)", prioritized, rho, mean, k, want, 3*se)
+			}
+			for _, other := range []int{k - 1, k + 1} {
+				if d := math.Abs(md1kBlocking(rho, other) - want); 3*se > d {
+					t.Errorf("prioritized %v, rho %.1f: 3 s.e. = %.4f cannot tell K = %d from %d (%.4f apart)", prioritized, rho, 3*se, k, other, d)
+				}
+			}
 		}
 	}
 }

@@ -31,14 +31,7 @@ type FlowEntry struct {
 	Match    pkt.Match
 	Actions  []pkt.Action
 	Cookie   uint64
-	// MeterBps, when non-zero, rate-limits the entry with a token-bucket
-	// meter (OpenFlow 1.3 meters): packets beyond the rate are dropped.
-	// The PCEF uses this to enforce bearer MBRs at the PGW-U. The bucket
-	// holds 100 ms of the rate.
-	MeterBps float64
 }
-
-func (e *FlowEntry) burst() float64 { return e.MeterBps / 8 / 10 }
 
 // flowSlot is an installed entry: the specification, its links in the
 // switch's index (DESIGN.md §3h) and its run-time state. Slots are numbered
@@ -54,14 +47,11 @@ type flowSlot struct {
 	// next chains the entries that share a match key, by ascending rank;
 	// cookieNext those that share a cookie bucket.
 	next, cookieNext int32
-
-	tokens     float64  // token bucket
-	lastRefill sim.Time // token bucket
 }
 
 const (
 	rankSeqBits = 44
-	slotChunk   = 32 // slots per storage chunk: 4.5 KiB, what a table of ten cost as a slice
+	slotChunk   = 32 // slots per storage chunk: 3.25 KiB
 )
 
 // PathCosts models per-packet processing cost on each path.
@@ -254,7 +244,6 @@ type Switch struct {
 	dropped      *telemetry.Counter
 	encapsulated *telemetry.Counter
 	decapsulated *telemetry.Counter
-	meterDrops   *telemetry.Counter
 	occupancy    *telemetry.Gauge // megaflow cache entries currently live
 
 	// tunnel metadata staged by SetTunnel between actions, per packet
@@ -287,10 +276,11 @@ func NewSwitch(dpid uint64, node *netsim.Node, costs PathCosts) *Switch {
 	sw.dropped = scope.Counter("dropped")
 	sw.encapsulated = scope.Counter("encapsulated")
 	sw.decapsulated = scope.Counter("decapsulated")
-	// flows-expired reads 0: nothing expires idle flows. It stays
-	// registered because the -metrics listing names it.
+	// flows-expired and meter-drops read 0: nothing expires idle flows
+	// and no entry is metered. They stay registered because the -metrics
+	// listing names them.
 	scope.Counter("flows-expired")
-	sw.meterDrops = scope.Counter("meter-drops")
+	scope.Counter("meter-drops")
 	sw.occupancy = scope.Gauge("megaflow/occupancy")
 	node.SetHandler(sw.receive)
 	return sw
@@ -476,29 +466,8 @@ func (sw *Switch) lookup(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) int
 	return best
 }
 
-// meterAllows refills and charges the entry's token bucket; a false return
-// polices the packet away.
-func (e *flowSlot) meterAllows(now sim.Time, size int) bool {
-	if e.MeterBps <= 0 {
-		return true
-	}
-	elapsed := now.Sub(e.lastRefill).Seconds()
-	e.lastRefill = now
-	e.tokens = min(e.tokens+elapsed*e.MeterBps/8, e.burst())
-	if e.tokens < float64(size) {
-		return false
-	}
-	e.tokens -= float64(size)
-	return true
-}
-
 // apply executes an entry's actions on the packet.
 func (sw *Switch) apply(e *flowSlot, p *netsim.Packet) {
-	if !e.meterAllows(sw.eng.Now(), p.Size) {
-		sw.meterDrops.Inc()
-		sw.node.Network().Release(p)
-		return
-	}
 	sw.stagedTEID, sw.stagedDst = 0, pkt.Addr{}
 	for _, a := range e.Actions {
 		switch a.Type {
@@ -532,8 +501,8 @@ func (sw *Switch) output(portID int, p *netsim.Packet) {
 
 // installFlow adds an entry, or replaces in place the one with the same
 // priority and match (the replacement keeps its predecessor's slot, arrival
-// order and chain position; counters and meter start afresh). Like every
-// table write it flushes the megaflow cache.
+// order and chain position). Like every table write it flushes the
+// megaflow cache.
 //
 //acacia:hotpath
 func (sw *Switch) installFlow(e FlowEntry) {
@@ -549,11 +518,11 @@ func (sw *Switch) installFlow(e FlowEntry) {
 			break
 		} else if c == class && s.Match == e.Match {
 			if s.Cookie == e.Cookie {
-				sw.arm(s, e)
+				s.FlowEntry = e
 				return
 			}
 			sw.unlinkCookie(at)
-			sw.arm(s, e)
+			s.FlowEntry = e
 			sw.linkCookie(at)
 			return
 		}
@@ -578,16 +547,8 @@ func (sw *Switch) installFlow(e FlowEntry) {
 		}
 	}
 	sw.flows++
-	sw.arm(s, e)
-	sw.linkCookie(i)
-}
-
-// arm loads a specification into a slot and starts its state afresh.
-func (sw *Switch) arm(s *flowSlot, e FlowEntry) {
-	// A metered entry starts with a full bucket, so the meter polices the
-	// steady-state rate, not the first burst after installation.
 	s.FlowEntry = e
-	s.tokens, s.lastRefill = e.burst(), sw.eng.Now()
+	sw.linkCookie(i)
 }
 
 // allocSlot returns a vacant slot: the most recently freed one, else the
