@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-escape test race cover fmt-check bench benchmark loc loc-check results results-csv examples clean
+.PHONY: all build vet vet-escape test race cover live-cover fmt-check bench benchmark loc loc-check results results-csv examples clean
 
 all: build vet test
 
@@ -42,6 +42,33 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
+# The dynamic counterpart of TestNoUnreferencedCode (DESIGN.md §3i): build
+# every command, example and ./benchmark with coverage of the whole module,
+# run the live surfaces under one GOCOVERDIR (the paper sweep with its
+# metrics, the CSV and timeline writers, the scale scenario at each arrival
+# profile, the bearer trace in both forms, the examples, acacia-vet and the
+# benchmark's traced smoke pass), and list every internal/ function no run
+# executed. internal/analysis is left out: what it runs is whatever code it
+# vets. The list must equal LIVE_UNCOVERED.txt, which gives each function
+# the reason it stays (failure unwind, panic, paging, decoder, probe...).
+live-cover:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; b=$$tmp/bin; \
+	for p in ./cmd/* ./examples/* ./benchmark; do \
+		$(GO) build -cover -coverpkg=./... -o $$b/$$(basename $$p) $$p; done; \
+	export GOCOVERDIR=$$tmp/cov; mkdir $$GOCOVERDIR; \
+	$$b/acacia-sim -all -metrics >/dev/null; \
+	$$b/acacia-sim -fig 3a,13 -csv -timeline $$tmp/timeline.json >/dev/null; \
+	for a in uniform diurnal flash; do $$b/acacia-sim -scale -scale-arrival $$a >/dev/null; done; \
+	$$b/acacia-bearers >/dev/null 2>&1; $$b/acacia-bearers -csv >/dev/null 2>&1; \
+	for e in ./examples/*; do $$b/$$(basename $$e) >/dev/null; done; \
+	$$b/acacia-vet ./... >/dev/null; \
+	$$b/benchmark -smoke -traced -dir $$tmp/bench >/dev/null 2>&1; \
+	$(GO) tool covdata func -i=$$GOCOVERDIR | awk '$$NF == "0.0%" && $$1 ~ /^acacia\/internal\// && $$1 !~ /^acacia\/internal\/analysis\// \
+		{ sub(/^acacia\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | LC_ALL=C sort >$$tmp/got; \
+	grep -v '^#' LIVE_UNCOVERED.txt | awk '{ print $$1, $$2 }' | LC_ALL=C sort >$$tmp/want; \
+	if ! diff $$tmp/want $$tmp/got; then \
+		echo "live-cover: internal/ functions no live run executes differ from LIVE_UNCOVERED.txt (< listed, > measured)"; exit 1; fi; \
+	echo "live-cover: $$(wc -l <$$tmp/got) internal/ functions unexecuted, as LIVE_UNCOVERED.txt lists"
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -74,7 +101,7 @@ loc:
 # The ceiling loc-check holds `make loc` to. Growth past it fails CI, so
 # raising it is a reviewed one-line diff, as ALLOC_BUDGET.json is for
 # allocations.
-LOC_CEILING = 21622
+LOC_CEILING = 21612
 
 loc-check:
 	@n=$$($(LOC)); if [ "$$n" -gt $(LOC_CEILING) ]; then \

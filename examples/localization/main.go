@@ -61,18 +61,12 @@ func main() {
 			for _, cp := range floor.Checkpoints {
 				var ms []localization.Measurement
 				for _, r := range grouped[cp.Name] {
-					if use[r.Landmark] {
-						ms = append(ms, localization.Measurement{
-							Landmark: floor.Landmark(r.Landmark).Pos,
-							Distance: fit.Distance(r.RxPower),
-						})
+					if m, ok := core.LandmarkRange(floor, fit, r.Landmark, r.RxPower); ok && use[r.Landmark] {
+						ms = append(ms, m)
 					}
 				}
-				if len(ms) < 3 {
-					continue
-				}
-				if est, err := localization.Trilaterate(ms); err == nil {
-					sum += floor.Bounds.Clamp(est).Dist(cp.Pos)
+				if est, ok := core.EstimatePosition(floor, ms); ok {
+					sum += est.Dist(cp.Pos)
 					n++
 				}
 			}

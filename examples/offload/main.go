@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"acacia/internal/compute"
+	"acacia/internal/core"
 	"acacia/internal/media"
 )
 
@@ -52,7 +53,7 @@ func main() {
 	}
 	fmt.Println("\nmatching cost against N objects on the eight-core i7 — Fig. 3(h)'s shape:")
 	for _, n := range []int{1, 5, 10, 25, 50, 105} {
-		macs := res.Features() * 200 * 64 * 2 * float64(n)
+		macs := core.MatchMACs(res.Features(), core.DBObjectFeatures, n)
 		fmt.Printf("  %3d objects: %7.1f ms\n", n, compute.I7x8.MatchTime(macs).Seconds()*1000)
 	}
 	fmt.Println("pruning the database (ACACIA's context) is what keeps matching inside the budget.")

@@ -14,53 +14,12 @@ import (
 	"acacia/internal/vision"
 )
 
-// Scheme selects the AR back-end's search-space strategy (§7.3).
-type Scheme uint8
-
-// Search-space schemes. SchemeACACIA is the zero value: an unset scheme
-// means the full system.
-const (
-	// SchemeACACIA prunes to the subsections around the trilaterated user
-	// position.
-	SchemeACACIA Scheme = iota
-	// SchemeRxPower prunes to the sections of the two strongest-rxPower
-	// landmarks.
-	SchemeRxPower
-	// SchemeNaive searches the entire database (the CLOUD and MEC
-	// baselines).
-	SchemeNaive
-)
-
-// String names the scheme.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeNaive:
-		return "Naive"
-	case SchemeRxPower:
-		return "rxPower"
-	case SchemeACACIA:
-		return "ACACIA"
-	default:
-		return "Scheme?"
-	}
-}
-
 // ARPort is the CI server port the AR back-end listens on; LocPort receives
 // localization reports.
 const (
 	ARPort  = 7000
 	LocPort = 7001
 )
-
-// DBObjectFeatures is the stored feature count per database object,
-// calibrated so a Naive search over the 105-object database at 720x480 on
-// the eight-core i7 lands near the paper's ≈0.6 s (Fig. 11(a)).
-const DBObjectFeatures = 200
-
-// PruneRadius is the ACACIA search radius in meters around the estimated
-// position: 2.5x the ≈3 m localization error, which covers the user's true
-// subsection while keeping the search at the paper's 2-6 of 21 cells.
-const PruneRadius = 7.5
 
 // arFrameReq is the uplink frame payload.
 type arFrameReq struct {
@@ -160,36 +119,6 @@ func (b *ARBackend) onLocReport(h *netsim.Host, p *netsim.Packet) {
 	b.lm.Report(rep.user, rep.landmark, rep.rxPower)
 }
 
-// candidateSubsections resolves the scheme's search space for a user.
-// A nil slice means the whole database.
-func (b *ARBackend) candidateSubsections(user string) []int {
-	switch b.scheme {
-	case SchemeACACIA:
-		if b.lm != nil {
-			if est, ok := b.lm.Estimate(user); ok {
-				return b.floor.SubsectionsNear(est, PruneRadius)
-			}
-		}
-		return nil // no estimate yet: fall back to full search
-	case SchemeRxPower:
-		if b.lm != nil {
-			names := b.lm.StrongestLandmarks(user, 2)
-			var sections []string
-			for _, n := range names {
-				if l := b.floor.Landmark(n); l != nil {
-					sections = append(sections, l.Section)
-				}
-			}
-			if len(sections) > 0 {
-				return b.floor.SubsectionsOfSections(sections...)
-			}
-		}
-		return nil
-	default:
-		return nil
-	}
-}
-
 func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 	req, ok := p.Payload.(arFrameReq)
 	reply := p.Flow.Reverse()
@@ -204,30 +133,23 @@ func (b *ARBackend) onFrame(h *netsim.Host, p *netsim.Packet) {
 	serverPrep := b.dev.JPEGTime(pixels) + b.dev.SURFTime(pixels)
 	prepWork := serverPrep.Seconds() * b.dev.MatchMACsPerSec
 
-	// Stage 2: match against the (pruned) database.
-	subs := b.candidateSubsections(req.user)
-	cands := b.db.InSubsections(subs)
-	nCand := len(cands)
-	b.CandidateStats.Add(float64(nCand))
-	qFeatures := req.res.Features()
-	// Forward + symmetric reverse k-NN scans over every candidate object.
-	matchWork := qFeatures * DBObjectFeatures * vision.DescriptorDim * 2 * float64(nCand)
-
-	// Ground truth: the frame shows an object in the user's subsection; a
-	// search finds it iff that subsection is in the candidate set.
-	found := false
-	if ss := b.floor.SubsectionAt(req.truePos); ss != nil {
-		if subs == nil {
-			found = true
-		} else {
-			for _, id := range subs {
-				if id == ss.ID {
-					found = true
-					break
-				}
-			}
+	// Stage 2: match against the (pruned) database. Only rxPower reads the
+	// strongest landmarks, which cost a sort.
+	var subs []int
+	if b.lm != nil {
+		est, hasEst := b.lm.Estimate(req.user)
+		var strongest []string
+		if b.scheme == SchemeRxPower {
+			strongest = b.lm.StrongestLandmarks(req.user, 2)
 		}
+		subs = SearchSpace(b.floor, b.scheme, est, hasEst, strongest)
 	}
+	nCand := CandidateCount(b.floor, subs)
+	b.CandidateStats.Add(float64(nCand))
+	matchWork := MatchMACs(req.res.Features(), DBObjectFeatures, nCand)
+
+	// Ground truth: the frame shows an object at the user's position.
+	found := Covers(b.floor, subs, req.truePos)
 	if !found {
 		b.Misses++
 	}

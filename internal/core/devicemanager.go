@@ -72,16 +72,16 @@ type appState struct {
 	retryPending bool
 }
 
-// Capped deterministic backoff for failed MRS requests: 500ms, 1s, 2s,
-// then 4s per attempt up to retryMaxAttempts, after which the device
-// manager gives up until the next discovery match or manual trigger. The
-// schedule is a pure function of the attempt count — no RNG — so retries
-// replay identically across runs.
-const (
-	retryBase        = 500 * time.Millisecond
-	retryCap         = 4 * time.Second
-	retryMaxAttempts = 8
-)
+// retryMaxAttempts bounds a failed MRS request's retries, after which the
+// device manager gives up until the next discovery match or manual trigger.
+const retryMaxAttempts = 8
+
+// RetryDelay is the deterministic backoff before retry attempt (from 0) of
+// a failed MEC connectivity request: 500ms, 1s, 2s, then 4s. No RNG, so
+// retries replay identically; the shift is capped first, so never overflows.
+func RetryDelay(attempt int) time.Duration {
+	return 500 * time.Millisecond << uint(min(attempt, 3))
+}
 
 // NewDeviceManager creates the daemon for a UE with its LTE-direct device.
 // enbName tells the MRS which base station the UE is served by (context the
@@ -183,7 +183,7 @@ func (dm *DeviceManager) scheduleRetry(st *appState) {
 		st.attempts = 0
 		return
 	}
-	delay := min(retryBase<<st.attempts, retryCap)
+	delay := RetryDelay(st.attempts)
 	st.attempts++
 	st.retryPending = true
 	dm.ue.Host.Node.Engine().Schedule(delay, func() {

@@ -82,26 +82,13 @@ func (lm *LocalizationManager) reestimate(tr *userTrack) {
 	names := sortedLandmarkNames(tr)
 	var ms []localization.Measurement
 	for _, name := range names {
-		l := lm.floor.Landmark(name)
-		if l == nil {
-			continue
+		if m, ok := LandmarkRange(lm.floor, lm.fit, name, tr.latest[name]); ok {
+			ms = append(ms, m)
 		}
-		ms = append(ms, localization.Measurement{
-			Landmark: l.Pos,
-			Distance: lm.fit.Distance(tr.latest[name]),
-		})
 	}
-	if len(ms) < 3 {
-		return
+	if est, ok := EstimatePosition(lm.floor, ms); ok {
+		tr.est, tr.hasEst = est, true
 	}
-	est, err := localization.Trilaterate(ms)
-	if err != nil {
-		return
-	}
-	// The user is known to be on the floor; clamp degenerate estimates.
-	est = lm.floor.Bounds.Clamp(est)
-	tr.est = est
-	tr.hasEst = true
 }
 
 // Estimate returns the user's latest position estimate, if any.

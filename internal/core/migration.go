@@ -97,10 +97,7 @@ type migrateDone struct {
 // database when no estimate exists, since nothing bounds the search).
 func (b *ARBackend) migrateStateBytes(snap TrackSnapshot) int {
 	n := migrateSessionCtxBytes + 24*len(snap.Landmarks)
-	var ids []int
-	if snap.HasEst {
-		ids = b.floor.SubsectionsNear(snap.Est, PruneRadius)
-	}
+	ids := SearchSpace(b.floor, SchemeACACIA, snap.Est, snap.HasEst, nil)
 	for _, o := range b.db.InSubsections(ids) {
 		// Per feature: one descriptor (float32 x DescriptorDim) + keypoint.
 		n += o.FeatureCount() * (vision.DescriptorDim*4 + 16)

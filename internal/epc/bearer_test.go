@@ -280,3 +280,49 @@ func TestActivationRacingDetachLeaksNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlappingActivationsTakeDistinctEBIs issues two dedicated bearer
+// activations back to back on one session, toward different CI servers.
+// The second starts before the first is answered, so the EBI the first
+// chose is not yet in sess.Bearers: each must still get its own EBI, and
+// both bearers, their modem TFTs and their gateway flows must be in place.
+func TestOverlappingActivationsTakeDistinctEBIs(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	tb.attach(t)
+	sgwFlows, pgwFlows := tb.edgeSGW.FlowCount(), tb.edgePGW.FlowCount()
+	servers := []pkt.Addr{tb.ciHost.Node.Addr(), tb.inetHost.Node.Addr()}
+	ebis := make([]uint8, len(servers))
+	for i, server := range servers {
+		tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), server, "edge-sgw", "edge-pgw",
+			func(ebi uint8, err error) {
+				if err != nil {
+					t.Errorf("activation toward %v: %v", server, err)
+				}
+				ebis[i] = ebi
+			})
+	}
+	tb.eng.RunFor(2 * time.Second)
+
+	if ebis[0] != EBIDedicated || ebis[1] != EBIDedicated+1 {
+		t.Fatalf("activations reported EBIs %v, want [%d %d]", ebis, EBIDedicated, EBIDedicated+1)
+	}
+	sess := tb.core.Session(tb.ue.IMSI)
+	for i, server := range servers {
+		ebi := ebis[i]
+		if b := sess.Bearers[ebi]; b == nil || b.CIServer != server {
+			t.Errorf("EBI %d holds %+v, want the bearer toward %v", ebi, b, server)
+		}
+		flow := pkt.FiveTuple{Src: tb.ue.Addr(), Dst: server, SrcPort: 5000, DstPort: netsim.PingPort, Proto: pkt.ProtoUDP}
+		if got := bearerFor(tb.ue, flow, 0); got != ebi {
+			t.Errorf("the modem steers traffic toward %v onto EBI %d, want %d", server, got, ebi)
+		}
+	}
+	// Each dedicated bearer installs an uplink and a downlink rule on both
+	// edge gateways.
+	if n := tb.edgeSGW.FlowCount() - sgwFlows; n != 4 {
+		t.Errorf("edge SGW-U gained %d flows, want 4", n)
+	}
+	if n := tb.edgePGW.FlowCount() - pgwFlows; n != 4 {
+		t.Errorf("edge PGW-U gained %d flows, want 4", n)
+	}
+}

@@ -490,9 +490,12 @@ func (b *Bearer) s1uENB(enb *ENB) pkt.FTEID {
 // by EBI (0..15 is the full EPS bearer-id space): no per-session map, no
 // hashing on the per-packet classify path.
 type Session struct {
-	IMSI    string
-	UEIP    pkt.Addr
-	State   SessionState
+	IMSI  string
+	UEIP  pkt.Addr
+	State SessionState
+	// pending holds a bit per EBI that a dedicated bearer activation still
+	// under way has reserved (in State's padding: Session stays 256 bytes).
+	pending uint16
 	ENB     *ENB
 	UE      *UE
 	APN     *APNProfile

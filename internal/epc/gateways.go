@@ -366,9 +366,13 @@ func (d *dedicated) unwind() {
 	}
 }
 
-// ended reports the outcome and recycles the record.
+// ended reports the outcome and recycles the record. An activation gives
+// back its EBI reservation: on success the bearer holds the slot itself.
 func (d *dedicated) ended(err error) {
 	ebi, activated, deactivated := d.b.EBI, d.activated, d.deactivated
+	if activated != nil {
+		d.sess.pending &^= 1 << ebi
+	}
 	d.sess, d.b, d.activated, d.deactivated, d.denied = nil, nil, nil, nil, nil
 	d.deds.Put(d)
 	switch {
@@ -396,15 +400,17 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 		fail(done, perr)
 		return
 	}
-	// Next free EBI.
+	// Next free EBI: neither installed nor held by an activation still
+	// under way, which takes its sess.Bearers slot only when answered.
 	ebi := uint8(EBIDedicated)
-	for sess.Bearers[ebi] != nil {
+	for sess.Bearers[ebi] != nil || sess.pending&(1<<ebi) != 0 {
 		ebi++
 		if ebi > 15 {
 			fail(done, fmt.Errorf("epc: UE %s has no free EBI", sess.IMSI))
 			return
 		}
 	}
+	sess.pending |= 1 << ebi
 	b := &Bearer{
 		EBI:      ebi,
 		QoS:      p.core.internQoS(pkt.BearerQoS{QCI: rule.QCI, ARP: rule.ARP}),

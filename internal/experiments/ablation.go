@@ -161,8 +161,9 @@ func ablationCampaignSeed(opts Options, exp string) uint64 {
 func checkpointMeasurements(floor *geo.Floor, rs []trace.CheckpointReading, fit localization.PathLossFit) []localization.Measurement {
 	var ms []localization.Measurement
 	for _, r := range rs {
-		lm := floor.Landmark(r.Landmark)
-		ms = append(ms, localization.Measurement{Landmark: lm.Pos, Distance: fit.Distance(r.RxPower)})
+		if m, ok := core.LandmarkRange(floor, fit, r.Landmark, r.RxPower); ok {
+			ms = append(ms, m)
+		}
 	}
 	return ms
 }
@@ -186,23 +187,17 @@ func ablationRadius() Experiment {
 				var cand stats.Sample
 				covered := 0
 				for _, cp := range floor.Checkpoints {
-					ms := checkpointMeasurements(floor, grouped[cp.Name], fit)
-					est, err := localization.Trilaterate(ms)
-					if err != nil {
+					est, ok := core.EstimatePosition(floor, checkpointMeasurements(floor, grouped[cp.Name], fit))
+					if !ok {
 						continue
 					}
-					est = floor.Bounds.Clamp(est)
 					cells := floor.SubsectionsNear(est, radius)
-					cand.Add(float64(len(cells) * 5))
-					trueCell := floor.SubsectionAt(cp.Pos)
-					for _, id := range cells {
-						if trueCell != nil && id == trueCell.ID {
-							covered++
-							break
-						}
+					cand.Add(float64(core.CandidateCount(floor, cells)))
+					if core.Covers(floor, cells, cp.Pos) {
+						covered++
 					}
 				}
-				match := compute.I7x8.MatchTime(matchMACs(res, core.DBObjectFeatures, int(cand.Mean()))).Seconds() * 1000
+				match := compute.I7x8.MatchTime(core.MatchMACs(res.Features(), core.DBObjectFeatures, int(cand.Mean()))).Seconds() * 1000
 				return []any{radius, cand.Mean(), 100 * float64(covered) / float64(len(floor.Checkpoints)), match}
 			})
 		},
@@ -345,8 +340,7 @@ func ablationIndex() Experiment {
 			return db.Search(q, nil, m)
 		}},
 		{"geo-pruned (ACACIA)", false, func(db *vision.DB, floor *geo.Floor, _ *vision.Index, m *vision.Matcher, q *vision.FeatureSet, target *vision.Object) vision.SearchResult {
-			cells := floor.SubsectionsNear(target.Pos, core.PruneRadius)
-			return db.Search(q, cells, m)
+			return db.Search(q, core.SearchSpace(floor, core.SchemeACACIA, target.Pos, true, nil), m)
 		}},
 		{"LSH top-5", true, func(db *vision.DB, _ *geo.Floor, ix *vision.Index, m *vision.Matcher, q *vision.FeatureSet, _ *vision.Object) vision.SearchResult {
 			return db.SearchWithIndex(q, ix, 5, m)

@@ -8,7 +8,6 @@ import (
 	"acacia/internal/core"
 	"acacia/internal/d2d"
 	"acacia/internal/geo"
-	"acacia/internal/localization"
 	"acacia/internal/media"
 	"acacia/internal/sim"
 	"acacia/internal/stats"
@@ -51,12 +50,12 @@ func compressionTable(opts Options, seed uint64) *Result {
 	return &Result{ID: "compression", Title: Title("compression"), Tables: []*stats.Table{tbl, codec}}
 }
 
-// searchSpace computes, for each checkpoint of the floor, the candidate
-// object count per scheme using real campaign measurements, and whether the
-// true object's subsection is covered (accuracy).
+// searchSpace is one checkpoint's search under each of the three schemes,
+// indexed by core.Scheme: the candidate object count, and whether the true
+// object's subsection is covered (accuracy).
 type searchSpace struct {
-	candidates map[core.Scheme]int
-	covered    map[core.Scheme]bool
+	candidates [3]int
+	covered    [3]bool
 }
 
 // searchSpacesSeed derives the campaign seed behind buildSearchSpaces. It
@@ -64,29 +63,21 @@ type searchSpace struct {
 // evaluate the same measured search spaces, as in the paper.
 func searchSpacesSeed(opts Options) uint64 { return subSeed(opts.BaseSeed(), "search-spaces") }
 
-// buildSearchSpaces runs the localization pipeline offline over the
-// campaign readings at every checkpoint. It is a pure function of the seed,
-// so concurrent trials rebuild identical spaces.
+// buildSearchSpaces runs the AR back-end's search rules (core.SearchSpace,
+// core.CandidateCount, core.Covers) offline over the campaign readings at
+// every checkpoint: ACACIA from the trilaterated position, rxPower from the
+// two strongest landmarks. It is a pure function of the seed, so
+// concurrent trials rebuild identical spaces.
 func buildSearchSpaces(campaignSeed uint64) []searchSpace {
 	floor := geo.RetailFloor()
 	readings := trace.Campaign(floor, campaignSeed, 5)
 	grouped := trace.ByCheckpoint(readings)
 	fit := core.CalibrateFromChannel(d2d.DefaultPathLoss)
 
-	var out []searchSpace
+	out := make([]searchSpace, 0, len(floor.Checkpoints))
 	for _, cp := range floor.Checkpoints {
 		rs := grouped[cp.Name]
-		ss := searchSpace{
-			candidates: map[core.Scheme]int{},
-			covered:    map[core.Scheme]bool{},
-		}
-		trueCell := floor.SubsectionAt(cp.Pos)
-
-		// Naive: everything.
-		ss.candidates[core.SchemeNaive] = 21 * 5
-		ss.covered[core.SchemeNaive] = true
-
-		// rxPower: sections of the two strongest landmarks.
+		// rxPower's input: the landmarks of the two strongest readings.
 		best, second := "", ""
 		bestRx, secondRx := -1e9, -1e9
 		for _, r := range rs {
@@ -97,37 +88,12 @@ func buildSearchSpaces(campaignSeed uint64) []searchSpace {
 				second, secondRx = r.Landmark, r.RxPower
 			}
 		}
-		var sections []string
-		for _, name := range []string{best, second} {
-			if lm := floor.Landmark(name); lm != nil {
-				sections = append(sections, lm.Section)
-			}
-		}
-		cells := floor.SubsectionsOfSections(sections...)
-		ss.candidates[core.SchemeRxPower] = len(cells) * 5
-		for _, id := range cells {
-			if trueCell != nil && id == trueCell.ID {
-				ss.covered[core.SchemeRxPower] = true
-			}
-		}
-
-		// ACACIA: trilateration + radius pruning.
-		var ms []localization.Measurement
-		for _, r := range rs {
-			lm := floor.Landmark(r.Landmark)
-			ms = append(ms, localization.Measurement{Landmark: lm.Pos, Distance: fit.Distance(r.RxPower)})
-		}
-		est, err := localization.Trilaterate(ms)
-		if err != nil {
-			est = cp.Pos // degenerate geometry: never happens with 7 landmarks
-		}
-		est = floor.Bounds.Clamp(est)
-		prune := floor.SubsectionsNear(est, core.PruneRadius)
-		ss.candidates[core.SchemeACACIA] = len(prune) * 5
-		for _, id := range prune {
-			if trueCell != nil && id == trueCell.ID {
-				ss.covered[core.SchemeACACIA] = true
-			}
+		est, hasEst := core.EstimatePosition(floor, checkpointMeasurements(floor, rs, fit))
+		var ss searchSpace
+		for _, scheme := range fig11Schemes {
+			cells := core.SearchSpace(floor, scheme, est, hasEst, []string{best, second})
+			ss.candidates[scheme] = core.CandidateCount(floor, cells)
+			ss.covered[scheme] = core.Covers(floor, cells, cp.Pos)
 		}
 		out = append(out, ss)
 	}
@@ -141,7 +107,7 @@ var fig11Schemes = []core.Scheme{core.SchemeACACIA, core.SchemeRxPower, core.Sch
 func matchTimesMS(spaces []searchSpace, scheme core.Scheme, dev compute.Device, res compute.Resolution) []float64 {
 	out := make([]float64, 0, len(spaces))
 	for _, ss := range spaces {
-		macs := matchMACs(res, core.DBObjectFeatures, ss.candidates[scheme])
+		macs := core.MatchMACs(res.Features(), core.DBObjectFeatures, ss.candidates[scheme])
 		out = append(out, dev.MatchTime(macs).Seconds()*1000)
 	}
 	return out
@@ -291,7 +257,7 @@ func multiClientMatchMS(seed uint64, spaces []searchSpace, scheme core.Scheme, d
 			return
 		}
 		ss := spaces[(client*7+round)%len(spaces)]
-		macs := matchMACs(res, core.DBObjectFeatures, ss.candidates[scheme])
+		macs := core.MatchMACs(res.Features(), core.DBObjectFeatures, ss.candidates[scheme])
 		srv.Submit(&compute.Job{Work: macs, Done: func(elapsed time.Duration) {
 			sample.Add(elapsed.Seconds() * 1000)
 			submit(client, round+1)

@@ -314,23 +314,14 @@ func fig9Batch(campaignSeed uint64, k, lo, hi int) *stats.Sample {
 		for _, cp := range floor.Checkpoints {
 			var ms []localization.Measurement
 			for _, r := range grouped[cp.Name] {
-				if !want[r.Landmark] {
-					continue
+				if m, ok := core.LandmarkRange(floor, fit, r.Landmark, r.RxPower); ok && want[r.Landmark] {
+					ms = append(ms, m)
 				}
-				lm := floor.Landmark(r.Landmark)
-				ms = append(ms, localization.Measurement{
-					Landmark: lm.Pos,
-					Distance: fit.Distance(r.RxPower),
-				})
 			}
-			if len(ms) < 3 {
+			est, ok := core.EstimatePosition(floor, ms)
+			if !ok {
 				continue
 			}
-			est, err := localization.Trilaterate(ms)
-			if err != nil {
-				continue
-			}
-			est = floor.Bounds.Clamp(est)
 			errSum += est.Dist(cp.Pos)
 			n++
 		}

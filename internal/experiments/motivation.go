@@ -28,12 +28,6 @@ func init() {
 	registerSolo("overhead", "Bearer release/re-establish control overhead (§4)", overheadTable)
 }
 
-// matchMACs is the descriptor workload of matching a query frame against n
-// database objects (forward + symmetric reverse scans).
-func matchMACs(res compute.Resolution, objFeatures float64, n int) float64 {
-	return res.Features() * objFeatures * 64 * 2 * float64(n)
-}
-
 func fig3a(opts Options, seed uint64) *Result {
 	devices := []compute.Device{compute.OnePlusOne, compute.I7x1, compute.I7x8, compute.GPU}
 	tbl := stats.NewTable("SURF runtime (sec) by resolution (avg features)", "resolution", "features", "One+", "i7(1)", "i7(8)", "GPU")
@@ -59,7 +53,7 @@ func fig3b(opts Options, seed uint64) *Result {
 	for _, res := range compute.EvalResolutions {
 		row := []any{res.String()}
 		for _, d := range devices {
-			row = append(row, d.MatchTime(matchMACs(res, 1000, 1)).Seconds())
+			row = append(row, d.MatchTime(core.MatchMACs(res.Features(), 1000, 1)).Seconds())
 		}
 		tbl.AddRow(row...)
 	}
@@ -291,7 +285,7 @@ func fig3h(opts Options, seed uint64) *Result {
 	for _, res := range compute.EvalResolutions {
 		row := []any{res.String()}
 		for _, n := range dbSizes {
-			row = append(row, compute.I7x8.MatchTime(matchMACs(res, 1000, n)).Seconds())
+			row = append(row, compute.I7x8.MatchTime(core.MatchMACs(res.Features(), 1000, n)).Seconds())
 		}
 		tbl.AddRow(row...)
 	}

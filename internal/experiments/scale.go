@@ -403,16 +403,15 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		})
 	}
 
-	// MEC connectivity with the device-manager-style capped backoff:
-	// ErrNoCapacity is retriable, anything else terminal.
+	// MEC connectivity with the device manager's capped backoff
+	// (core.RetryDelay): ErrNoCapacity is retriable, anything else terminal.
 	var requestCI func(k int, ue *epc.UE, attempt int)
 	requestCI = func(k int, ue *epc.UE, attempt int) {
 		mrs.RequestConnectivity(scaleService, ue.Addr(), homeENB[k].Name(), func(ci pkt.Addr, err error) {
 			if err != nil {
 				if errors.Is(err, core.ErrNoCapacity) {
 					out.retries++
-					backoff := 500 * time.Millisecond << uint(min(attempt, 3))
-					eng.Schedule(backoff, func() { requestCI(k, ue, attempt+1) })
+					eng.Schedule(core.RetryDelay(attempt), func() { requestCI(k, ue, attempt+1) })
 				}
 				return
 			}
