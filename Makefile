@@ -101,7 +101,7 @@ loc:
 # The ceiling loc-check holds `make loc` to. Growth past it fails CI, so
 # raising it is a reviewed one-line diff, as ALLOC_BUDGET.json is for
 # allocations.
-LOC_CEILING = 21612
+LOC_CEILING = 21854
 
 loc-check:
 	@n=$$($(LOC)); if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -12,6 +12,7 @@ import (
 
 	"acacia/internal/epc"
 	"acacia/internal/pkt"
+	"acacia/internal/sim"
 	"acacia/internal/telemetry"
 )
 
@@ -91,7 +92,8 @@ type MRS struct {
 	// failed, as reported by HandlePathEvent. Placement skips them.
 	downSites map[string]bool
 
-	scope telemetry.Scope
+	scope   telemetry.Scope
+	records sim.Pool[binding]
 
 	// Failovers counts bindings moved off a failed site; Relocations
 	// counts bindings moved because the UE handed over to a cell another
@@ -105,7 +107,15 @@ func (m *MRS) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
 	return append(dst, telemetry.Metric{Name: "core/mrs/admission-rejects", Kind: telemetry.KindCounter, Count: m.Rejections})
 }
 
+// binding is one UE's MEC binding, and the pooled record of the procedures
+// on it (DESIGN.md §3c): RequestConnectivity takes it and hands the PCRF
+// its activated leg, ReleaseConnectivity its released leg, both bound once
+// on the record's first take. holds counts what still reaches the record —
+// its entry in the binding indexes, and an activation, release or move
+// under way — and it goes back to MRS.records after the last.
 type binding struct {
+	m       *MRS
+	ueIP    pkt.Addr
 	service *CIService
 	site    *EdgeSite
 	// enbName and notify replay the original connectivity request during
@@ -113,9 +123,23 @@ type binding struct {
 	// device manager's callback about the new CI server.
 	enbName string
 	notify  func(pkt.Addr, error)
+	// released is the callback of the release under way, if releasing.
+	released func(error)
 	// failing marks a binding mid-failover so a burst of path events does
-	// not re-enter the procedure.
-	failing bool
+	// not re-enter the procedure; releasing marks a release under way.
+	failing, releasing bool
+	holds              uint8
+
+	activatedF func(uint8, error)
+	releasedF  func(error)
+}
+
+// drop releases one hold, recycling the record after the last.
+func (b *binding) drop() {
+	if b.holds--; b.holds == 0 {
+		b.service, b.site, b.notify, b.released, b.failing = nil, nil, nil, nil, false
+		b.m.records.Put(b)
+	}
 }
 
 // NewMRS creates an MRS against the given EPC control plane.
@@ -288,27 +312,38 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 		return
 	}
 	site.load++ // reserve the unit across the activation round-trip
-	m.core.PCRF.RequestDedicatedBearer(svc.PolicyID, ueIP, site.CIServer, site.SGWPlane, site.PGWPlane,
-		func(_ uint8, err error) {
-			if err != nil {
-				site.load--
-				if done != nil {
-					done(pkt.Addr{}, err)
-				}
-				return
-			}
-			m.bind(ueIP, &binding{
-				service: svc, site: site,
-				enbName: enbName, notify: done,
-			})
-			if done != nil {
-				done(site.CIServer, nil)
-			}
-		})
+	b := m.records.Take()
+	if b.m == nil {
+		b.m, b.activatedF, b.releasedF = m, b.activated, b.releaseDone
+	}
+	b.holds = 1 // the activation's
+	b.ueIP, b.service, b.site, b.enbName, b.notify = ueIP, svc, site, enbName, done
+	m.core.PCRF.RequestDedicatedBearer(svc.PolicyID, ueIP, site.CIServer, site.SGWPlane, site.PGWPlane, b.activatedF)
 }
 
-// bind records a live binding in the per-UE and per-site indexes.
+// activated ends the request's bearer activation: on success the binding
+// goes live, on failure its capacity unit and its record go back.
+func (b *binding) activated(_ uint8, err error) {
+	done, server := b.notify, b.site.CIServer
+	if err != nil {
+		b.site.load--
+		b.drop()
+		if done != nil {
+			done(pkt.Addr{}, err)
+		}
+		return
+	}
+	b.m.bind(b.ueIP, b)
+	b.drop()
+	if done != nil {
+		done(server, nil)
+	}
+}
+
+// bind records a live binding in the per-UE and per-site indexes, which
+// hold it until unbind.
 func (m *MRS) bind(ueIP pkt.Addr, b *binding) {
+	b.holds++
 	m.bindings[ueIP] = b
 	bySite := m.siteBindings[b.site.Name]
 	if bySite == nil {
@@ -329,25 +364,43 @@ func (m *MRS) unbind(ueIP pkt.Addr) {
 		delete(bySite, ueIP)
 	}
 	b.site.load--
+	b.drop()
 }
 
 // ReleaseConnectivity tears down the UE's dedicated bearer for the service.
+// A binding has one release at a time: asking again while one is under
+// way fails.
 func (m *MRS) ReleaseConnectivity(ueIP pkt.Addr, done func(error)) {
 	b := m.bindings[ueIP]
-	if b == nil {
-		if done != nil {
-			done(fmt.Errorf("core: UE %v has no MEC binding", ueIP))
-		}
-		return
+	var err error
+	switch {
+	case b == nil:
+		err = fmt.Errorf("core: UE %v has no MEC binding", ueIP)
+	case b.releasing:
+		err = fmt.Errorf("core: UE %v: MEC binding release already under way", ueIP)
 	}
-	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(err error) {
-		if err == nil {
-			m.unbind(ueIP)
-		}
+	if err != nil {
 		if done != nil {
 			done(err)
 		}
-	})
+		return
+	}
+	b.releasing, b.released = true, done
+	b.holds++
+	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, b.releasedF)
+}
+
+// releaseDone ends a release: a terminated bearer unbinds the UE.
+func (b *binding) releaseDone(err error) {
+	done := b.released
+	b.releasing, b.released = false, nil
+	if err == nil {
+		b.m.unbind(b.ueIP)
+	}
+	b.drop()
+	if done != nil {
+		done(err)
+	}
 }
 
 // Binding reports the edge site currently bound to a UE, or nil.
@@ -515,16 +568,19 @@ func (m *MRS) move(ueIP pkt.Addr, kind string) {
 		m.Relocations++
 	}
 	m.scope.Emit(kind+"-start", fmt.Sprintf("%v from %s", ueIP, b.site.Name))
+	b.holds++ // the termination callback reads the record
 	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(error) {
+		service, enbName, notify := b.service.Name, b.enbName, b.notify
 		m.unbind(ueIP)
-		m.RequestConnectivity(b.service.Name, ueIP, b.enbName, func(server pkt.Addr, err error) {
+		b.drop()
+		m.RequestConnectivity(service, ueIP, enbName, func(server pkt.Addr, err error) {
 			if err != nil {
 				m.scope.Emit(kind+"-failed", fmt.Sprintf("%v: %v", ueIP, err))
 			} else {
 				m.scope.Emit(kind+"-done", fmt.Sprintf("%v to %v", ueIP, server))
 			}
-			if b.notify != nil {
-				b.notify(server, err)
+			if notify != nil {
+				notify(server, err)
 			}
 		})
 	})

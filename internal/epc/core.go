@@ -2,6 +2,7 @@ package epc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"acacia/internal/ctl"
@@ -80,14 +81,15 @@ type Core struct {
 	// consumed synchronously (only its length reaches the transport). nasBuf
 	// holds NAS payloads that the following sendS1AP reads synchronously;
 	// see encodeNAS for the aliasing rule, which bearerContexts' ctxBuf and
-	// fteidBuf, setupERABs' erabBuf and oneBearer, and cohortIMSIs'
-	// imsiBuf follow too.
+	// fteidBuf, setupERABs' erabBuf, sessionBearers' bearerBuf and
+	// cohortIMSIs' imsiBuf follow too.
 	encBuf, nasBuf []byte
 	ctxBuf         []pkt.BearerContext
 	fteidBuf       []pkt.FTEID
 	erabBuf        []pkt.ERABItem
-	oneBearer      [1]*Bearer
+	bearerBuf      []*Bearer
 	imsiBuf        []string
+	modem          modemStore
 
 	// Pools of the continuation records every S1AP/GTPv2 send carries
 	// (see leg) and of the procedure records (see proc). A record fresh
@@ -122,8 +124,8 @@ func NewCore(cfg Config) *Core {
 	}
 	c.HSS = &HSS{subscribers: make(map[string]Subscriber)}
 	c.PCRF = &PCRF{core: c, rules: make(map[string]PolicyRule)}
-	c.MME = &MME{core: c}
-	c.SGWC = &SGWC{core: c, planes: make(map[string]*UserPlane)}
+	c.MME = &MME{core: c, hoDetails: make(map[hoRoute]string)}
+	c.SGWC = &SGWC{core: c, planes: make(map[string]*UserPlane), paged: make(map[string]*idle)}
 	c.PGWC = &PGWC{core: c, planes: make(map[string]*UserPlane)}
 
 	c.Txn = ctl.NewTransport(cfg.Eng)
@@ -280,12 +282,26 @@ func (c *Core) takeLeg(pr *proc, deliver func()) *leg {
 	return l
 }
 
-// resume returns fn as a one-shot continuation of pr's current generation,
-// for a timer or a promotion waiter.
-func (c *Core) resume(pr *proc, fn func()) func() {
+// waiter takes a leg for a one-shot continuation of pr's current
+// generation, for a timer (its run) or a promotion waiter: a firing, not a
+// send, is all that reaches it.
+func (c *Core) waiter(pr *proc, fn func()) *leg {
 	l := c.takeLeg(pr, fn)
 	l.holds = 1
-	return l.run
+	return l
+}
+
+// whenConnected runs fn as a continuation of pr now if sess is connected,
+// otherwise once sess next reaches StateConnected. A waiter whose
+// procedure ended meanwhile is dropped when it fires, or when the session
+// ends first.
+func (c *Core) whenConnected(sess *Session, pr *proc, fn func()) {
+	l := c.waiter(pr, fn)
+	if sess.State == StateConnected {
+		l.land()
+		return
+	}
+	sess.onConnected = append(sess.onConnected, l)
 }
 
 // bindLeg readies a fresh record: the back-pointer and the method values
@@ -392,8 +408,10 @@ func (c *Core) onPacketIn(sw *sdn.Switch, inPort uint32, p *netsim.Packet, tunne
 // Clearing the bearer map afterwards makes the teardown idempotent — a
 // timeout-recovery path may run it again.
 func (c *Core) releaseSessionResources(sess *Session) {
-	for _, b := range sess.OrderedBearers() {
-		c.removeBearerFlows(sess, b)
+	for _, b := range sess.Bearers {
+		if b != nil {
+			c.removeBearerFlows(sess, b)
+		}
 	}
 	sess.Bearers = [16]*Bearer{}
 }
@@ -411,6 +429,10 @@ func (c *Core) forceDetach(sess *Session) {
 // gone: every detach, completed or forced, and every failed attach ends here.
 func (c *Core) endSession(sess *Session) {
 	c.SGWC.dropPage(sess)
+	for _, l := range sess.onConnected {
+		l.drop()
+	}
+	sess.onConnected = nil
 	sess.setState(c.Eng, StateDetached)
 	delete(c.sessions, sess.IMSI)
 	delete(c.byIP, sess.UEIP)
@@ -488,13 +510,16 @@ func (b *Bearer) s1uENB(enb *ENB) pkt.FTEID {
 
 // Session is one UE's EPC context. Bearers is a fixed inline array indexed
 // by EBI (0..15 is the full EPS bearer-id space): no per-session map, no
-// hashing on the per-packet classify path.
+// hashing on the per-packet classify path, and ranging over it visits the
+// bearers in EBI order, which every control procedure relies on — E-RAB
+// and bearer-context lists built in another order would make encoded
+// messages, and the flow-install sequence, differ run to run.
 type Session struct {
 	IMSI  string
 	UEIP  pkt.Addr
 	State SessionState
 	// pending holds a bit per EBI that a dedicated bearer activation still
-	// under way has reserved (in State's padding: Session stays 256 bytes).
+	// under way has reserved (in State's padding: Session stays 208 bytes).
 	pending uint16
 	ENB     *ENB
 	UE      *UE
@@ -503,17 +528,9 @@ type Session struct {
 	ENBUEID uint32
 	Bearers [16]*Bearer
 
-	// onConnected callbacks run once when the session (re)enters
-	// StateConnected — promotion waiters and attach continuations.
-	onConnected []func()
-
-	// ordScratch and dedScratch back OrderedBearers and DedicatedBearers.
-	// Each call rebuilds its scratch in place, so the returned slice is
-	// valid only until the next call on this session and must not be
-	// retained. Separate slices let a DedicatedBearers lookup (the PGW-C's
-	// bearer deactivation) run without clobbering an in-progress
-	// OrderedBearers iteration.
-	ordScratch, dedScratch []*Bearer
+	// onConnected holds the waiters (see Core.whenConnected) that run once
+	// when the session next enters StateConnected.
+	onConnected []*leg
 }
 
 // s1ap builds a UE-associated S1AP message of the session.
@@ -521,39 +538,53 @@ func (s *Session) s1ap(p pkt.S1APProcedure, cause uint8, nas []byte) *pkt.S1APMs
 	return &pkt.S1APMsg{Procedure: p, ENBUEID: s.ENBUEID, MMEUEID: s.MMEUEID, Cause: cause, NAS: nas}
 }
 
-// DedicatedBearers lists non-default bearers in EBI order. The returned
-// slice shares the session's scratch storage: it is valid until the next
-// DedicatedBearers call and must not be retained.
-//
-//acacia:hotpath
-func (s *Session) DedicatedBearers() []*Bearer {
-	out := s.dedScratch[:0]
-	for ebi := EBIDedicated; ebi < 16; ebi++ {
-		if b := s.Bearers[ebi]; b != nil {
+// DedicatedBearers lists non-default bearers in EBI order, in a fresh
+// slice. Control procedures range over Bearers instead, which allocates
+// nothing.
+func (s *Session) DedicatedBearers() []*Bearer { return s.bearersFrom(EBIDedicated) }
+
+// OrderedBearers lists every bearer of the session in EBI order, in a fresh
+// slice.
+func (s *Session) OrderedBearers() []*Bearer { return s.bearersFrom(0) }
+
+func (s *Session) bearersFrom(ebi int) []*Bearer {
+	var out []*Bearer
+	for _, b := range s.Bearers[ebi:] {
+		if b != nil {
 			out = append(out, b)
 		}
 	}
-	s.dedScratch = out
 	return out
 }
 
-// OrderedBearers lists every bearer of the session in EBI order. Control
-// procedures must iterate bearers through it, never over the Bearers map
-// directly: E-RAB and bearer-context lists built in map order would make
-// encoded messages — and the flow-install sequence — differ run to run.
-// The returned slice shares the session's scratch storage: it is valid
-// until the next OrderedBearers call and must not be retained.
-//
-//acacia:hotpath
-func (s *Session) OrderedBearers() []*Bearer {
-	out := s.ordScratch[:0]
-	for ebi := 0; ebi < 16; ebi++ {
-		if b := s.Bearers[ebi]; b != nil {
-			out = append(out, b)
+// sessionBearers lists the bearers an exchange covers, in EBI order: b
+// alone, or every bearer of sess when b is nil. The list is core scratch,
+// valid until the next call.
+func (c *Core) sessionBearers(sess *Session, b *Bearer) []*Bearer {
+	out := c.bearerBuf[:0]
+	if b != nil {
+		out = append(out, b)
+	} else {
+		for _, sb := range sess.Bearers {
+			if sb != nil {
+				out = append(out, sb)
+			}
 		}
 	}
-	s.ordScratch = out
+	c.bearerBuf = out
 	return out
+}
+
+// dropWaiter removes pr's waiter, if any, from the session's onConnected
+// list and recycles it.
+func (s *Session) dropWaiter(pr *proc) {
+	for i, l := range s.onConnected {
+		if l.pr == pr {
+			s.onConnected = slices.Delete(s.onConnected, i, i+1)
+			l.drop()
+			return
+		}
+	}
 }
 
 // setState transitions the session and records the transition on the
@@ -563,20 +594,14 @@ func (s *Session) setState(eng *sim.Engine, st SessionState) {
 	s.State = st
 	eng.Metrics().Scope("epc/session").Scope(s.IMSI).Emit("state", st.String())
 	if st == StateConnected {
-		cbs := s.onConnected
+		waiters := s.onConnected
 		s.onConnected = nil
-		for _, cb := range cbs {
-			cb()
+		for _, l := range waiters {
+			l.land()
+		}
+		if s.onConnected == nil { // keep the backing for the next wait
+			clear(waiters)
+			s.onConnected = waiters[:0]
 		}
 	}
-}
-
-// whenConnected runs cb immediately if connected, otherwise once the
-// session next reaches StateConnected.
-func (s *Session) whenConnected(cb func()) {
-	if s.State == StateConnected {
-		cb()
-		return
-	}
-	s.onConnected = append(s.onConnected, cb)
 }

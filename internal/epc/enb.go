@@ -292,6 +292,8 @@ func (e *ENB) flushUplink(sess *Session) {
 	for _, p := range buf {
 		e.forwardUplink(ctx, p)
 	}
+	clear(buf)
+	ctx.ulBuffer = buf[:0] // the next promotion buffers into the same backing
 }
 
 // sendServiceRequest starts promotion: RACH + RRC connection (the

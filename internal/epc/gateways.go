@@ -120,9 +120,9 @@ type SGWC struct {
 	core   *Core
 	planes map[string]*UserPlane
 	teids  teidAllocator
-	// paged tracks buffered downlink packets per session awaiting
-	// promotion.
-	paged map[string][]bufferedDL
+	// paged holds, by IMSI, the paging buffer of each idle session whose
+	// downlink missed: an idle record (stageBuffer) awaiting promotion.
+	paged map[string]*idle
 }
 
 type bufferedDL struct {
@@ -171,6 +171,8 @@ func (p *PGWC) Plane(name string) *UserPlane { return p.planes[name] }
 
 // installBearerFlows programs the four GTP flow rules of one bearer:
 // uplink and downlink on both its SGW-U and PGW-U.
+//
+//acacia:hotpath
 func (c *Core) installBearerFlows(sess *Session, b *Bearer) {
 	sgw := b.Planes.SGW
 	pgw := b.Planes.PGW
@@ -195,6 +197,8 @@ func (c *Core) installBearerFlows(sess *Session, b *Bearer) {
 // installDownlinkFlows programs the two downlink rules (PGW-U and SGW-U).
 // They are installed separately because S1 release deletes the SGW-U
 // downlink rule while keeping uplink state.
+//
+//acacia:hotpath
 func (c *Core) installDownlinkFlows(sess *Session, b *Bearer) {
 	sgw := b.Planes.SGW
 	pgw := b.Planes.PGW
@@ -219,6 +223,8 @@ func (c *Core) installDownlinkFlows(sess *Session, b *Bearer) {
 // an idle period reinstalls just this rule — the PGW-U side is unaffected
 // by eNB TEID changes — matching the testbed's OpenFlow message budget of
 // one delete + one add per bearer per release/re-establish cycle.
+//
+//acacia:hotpath
 func (c *Core) installSGWDownlink(sess *Session, b *Bearer) {
 	c.installSGWDownlinkTo(sess, b, b.S1DL, sess.ENB.Addr())
 }
@@ -227,6 +233,8 @@ func (c *Core) installSGWDownlink(sess *Session, b *Bearer) {
 // TEID and eNB address. The handover compensation path uses it to repoint
 // the rule at the *source* eNB's captured endpoints after the session
 // fields were already rewritten toward the target.
+//
+//acacia:hotpath
 func (c *Core) installSGWDownlinkTo(sess *Session, b *Bearer, s1dl uint32, enbAddr pkt.Addr) {
 	sgw := b.Planes.SGW
 	// SGW-U downlink: S5 tunnel in -> S1 tunnel toward the eNB.
@@ -258,28 +266,31 @@ func (c *Core) removeSGWDownlink(sess *Session, b *Bearer) {
 }
 
 // bufferAndPage handles a downlink table miss for an idle UE: buffer the
-// packet (bounded, as real SGW paging buffers are) and start paging. Once
-// the UE promotes back to connected, the buffered packets are replayed
-// through the SGW-U, whose freshly reinstalled downlink rules deliver them.
-// A packet it does not buffer is dropped and released.
+// packet (bounded, as real SGW paging buffers are) and start paging. The
+// buffer lives in a pooled idle record (stageBuffer) that waits for the
+// session to be connected again; then replay re-injects the packets through
+// the SGW-U, whose freshly reinstalled downlink rules deliver them. A
+// packet it does not buffer is dropped and released.
 func (s *SGWC) bufferAndPage(sess *Session, sw *sdn.Switch, p *netsim.Packet, teid uint64) {
 	if sess.State != StateIdle && sess.State != StatePromoting {
 		// Race with an in-flight state change; nothing to do.
 		sw.Node().Network().Release(p)
 		return
 	}
-	if s.paged == nil {
-		s.paged = make(map[string][]bufferedDL)
+	id := s.paged[sess.IMSI]
+	first := id == nil
+	if first {
+		id = s.core.takeIdle(sess, stageBuffer)
+		s.paged[sess.IMSI] = id
 	}
-	first := len(s.paged[sess.IMSI]) == 0
-	if len(s.paged[sess.IMSI]) < maxDLBuffer {
-		s.paged[sess.IMSI] = append(s.paged[sess.IMSI], bufferedDL{sw: sw, p: p, teid: teid})
+	if len(id.buffered) < maxDLBuffer {
+		id.buffered = append(id.buffered, bufferedDL{sw: sw, p: p, teid: teid})
 	} else {
 		sw.Node().Network().Release(p)
 	}
 	if first {
 		s.core.page(sess)
-		sess.whenConnected(func() { s.replayBuffered(sess) })
+		s.core.whenConnected(sess, &id.proc, id.replayF)
 	}
 }
 
@@ -287,25 +298,30 @@ func (s *SGWC) bufferAndPage(sess *Session, sw *sdn.Switch, p *netsim.Packet, te
 // page, so the next downlink packet buffers afresh and pages again: the
 // page or the promotion it started failed, or the session ended.
 func (s *SGWC) dropPage(sess *Session) {
-	for _, item := range s.paged[sess.IMSI] {
-		item.sw.Node().Network().Release(item.p)
+	id := s.paged[sess.IMSI]
+	if id == nil {
+		return
 	}
 	delete(s.paged, sess.IMSI)
+	for _, item := range id.buffered {
+		item.sw.Node().Network().Release(item.p)
+	}
+	sess.dropWaiter(&id.proc)
+	id.finish(nil)
 }
 
-// replayBuffered re-injects paging-buffered downlink packets into their
-// SGW-U after promotion, restoring the S5 encapsulation the switch stripped
-// before the table miss.
-func (s *SGWC) replayBuffered(sess *Session) {
-	buf := s.paged[sess.IMSI]
-	delete(s.paged, sess.IMSI)
-	for _, item := range buf {
+// replay re-injects the paging buffer into its SGW-U after promotion,
+// restoring the S5 encapsulation the switch stripped before the table miss.
+func (id *idle) replay() {
+	delete(id.SGWC.paged, id.sess.IMSI)
+	for _, item := range id.buffered {
 		if item.teid != 0 && !item.p.Tunneled() {
 			addr := item.sw.Node().Addr()
 			item.p.Encapsulate(addr, addr, uint32(item.teid))
 		}
 		item.sw.Node().Inject(item.p)
 	}
+	id.finish(nil)
 }
 
 // dedicated is the pooled record of a dedicated bearer procedure on sess:
@@ -456,8 +472,8 @@ func (d *dedicated) cbAtMME() {
 		d.answer(fmt.Errorf("epc: UE %s in state %v", sess.IMSI, sess.State))
 		return
 	}
-	// A promotion waiter can outlive a failed procedure: resume drops it.
-	sess.whenConnected(d.resume(&d.proc, d.setupF))
+	// A promotion waiter can outlive a failed procedure: it is dropped.
+	d.whenConnected(sess, &d.proc, d.setupF)
 	d.page(sess) // wakes an idle UE; the setup rides after promotion
 }
 
@@ -528,8 +544,8 @@ func (d *dedicated) answered() {
 // response to the PGW-C, which removes the bearer's flows.
 func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done func(error)) {
 	var b *Bearer
-	for _, cand := range sess.DedicatedBearers() {
-		if cand.CIServer == ciServer {
+	for _, cand := range sess.Bearers[EBIDedicated:] {
+		if cand != nil && cand.CIServer == ciServer {
 			b = cand
 			break
 		}

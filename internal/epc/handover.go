@@ -72,7 +72,7 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 		return
 	}
 	source := sess.ENB
-	m.hoScope.Emit("start", sess.IMSI+" "+source.Name()+"->"+target.Name())
+	m.hoScope.Emit("start", m.hoDetail(sess, source, target))
 	h := c.hos.Take()
 	if h.Core == nil {
 		c.bindHandover(h)
@@ -81,6 +81,25 @@ func (m *MME) Handover(sess *Session, target *ENB, done func(error)) {
 	h.sess, h.source, h.target, h.done = sess, source, target, done
 	required := sess.s1ap(pkt.S1APHandoverRequired, 2, nil) // radio reasons
 	c.sendS1AP(c.takeLeg(&h.proc, h.requiredF), source.ep, c.mmeEP, required)
+}
+
+// hoRoute keys the MME's memo of handover event details.
+type hoRoute struct {
+	ue             *UE
+	source, target *ENB
+}
+
+// hoDetail returns the "IMSI source->target" detail of a handover's start
+// and complete events, built once per (UE, source, target) and reused: a
+// UE ping-ponging between two cells emits the same two strings every time.
+func (m *MME) hoDetail(sess *Session, source, target *ENB) string {
+	k := hoRoute{sess.UE, source, target}
+	d, ok := m.hoDetails[k]
+	if !ok {
+		d = sess.IMSI + " " + source.Name() + "->" + target.Name()
+		m.hoDetails[k] = d
+	}
+	return d
 }
 
 // bindHandover readies a fresh handover record, binding its legs once.
@@ -96,12 +115,13 @@ func (h *handover) required() {
 	h.setupERABs(&h.proc, h.sess, h.target, pkt.S1APHandoverRequest, nil, nil, h.captureF, h.preparedF)
 }
 
-// capture copies out the bearers once: OrderedBearers scratch must not be
-// retained across legs.
+// capture saves the bearers and their source S1 downlink TEIDs for unwind.
 func (h *handover) capture() {
 	h.hoBearers, h.oldTEIDs = h.hoBearers[:0], h.oldTEIDs[:0]
-	for _, b := range h.sess.OrderedBearers() {
-		h.hoBearers, h.oldTEIDs = append(h.hoBearers, b), append(h.oldTEIDs, b.S1DL)
+	for _, b := range h.sess.Bearers {
+		if b != nil {
+			h.hoBearers, h.oldTEIDs = append(h.hoBearers, b), append(h.oldTEIDs, b.S1DL)
+		}
 	}
 	h.stage = 1
 }
@@ -115,7 +135,7 @@ func (h *handover) prepared() {
 func (h *handover) commanded() {
 	h.source.releaseContext(h.sess)
 	h.gapStart, h.stage = h.Eng.Now(), 2
-	h.Eng.Schedule(handoverInterruption, h.resume(&h.proc, h.retuneF))
+	h.Eng.Schedule(handoverInterruption, h.waiter(&h.proc, h.retuneF).run)
 }
 
 func (h *handover) retune() {
@@ -174,7 +194,7 @@ func (h *handover) ended(err error) {
 	} else {
 		m.Handovers++
 		m.hoGap.Observe(float64(h.Eng.Now()-h.gapStart) / float64(time.Millisecond))
-		m.hoScope.Emit("complete", sess.IMSI+" "+source.Name()+"->"+target.Name())
+		m.hoScope.Emit("complete", m.hoDetail(sess, source, target))
 	}
 	clear(h.hoBearers)
 	h.sess, h.source, h.target, h.done = nil, nil, nil, nil

@@ -21,9 +21,10 @@ type MME struct {
 	OnHandoverComplete func(sess *Session, source, target *ENB)
 
 	// Handover telemetry (registered by NewCore).
-	hoScope  telemetry.Scope
-	hoFailed *telemetry.Counter
-	hoGap    *telemetry.Histogram
+	hoScope   telemetry.Scope
+	hoFailed  *telemetry.Counter
+	hoGap     *telemetry.Histogram
+	hoDetails map[hoRoute]string // see hoDetail
 }
 
 // AppendMetrics reports Handovers as epc/handover/completed: the MME is the
@@ -433,20 +434,25 @@ const (
 	stageRelease   = iota // an S1 release: the access side, if the MME has the UE idle
 	stagePage             // a page: the page
 	stagePromotion        // a promotion: the page, and the access side if promoting
+	stageBuffer           // a paging buffer: nothing (it never fails)
 )
 
 // idle is the pooled record of an idle-mode procedure on sess, which its
 // stage names. An S1 release runs requested, rabAtSGW, rabBack and
 // released; a page runs paged; a promotion by service request runs rach
-// at enb, then serviced, setUp, modified and accepted.
+// at enb, then serviced, setUp, modified and accepted. A paging buffer
+// holds the SGW's buffered downlink (SGWC.bufferAndPage) and runs replay
+// once the session is connected; the record keeps the buffer's backing
+// from one use to the next.
 type idle struct {
 	proc
 	*Core
-	sess *Session
-	enb  *ENB
+	sess     *Session
+	enb      *ENB
+	buffered []bufferedDL
 
-	requestedF, rabAtSGWF, rabBackF, pagedF, rachF, servicedF, setUpF, modifiedF, acceptedF func()
-	releasedF                                                                               func(*Session)
+	requestedF, rabAtSGWF, rabBackF, pagedF, rachF, servicedF, setUpF, modifiedF, acceptedF, replayF func()
+	releasedF                                                                                        func(*Session)
 }
 
 // takeIdle takes an idle-mode record for a new procedure on sess.
@@ -467,6 +473,7 @@ func (c *Core) bindIdle(id *idle) {
 	id.Core = c
 	id.end, id.undo, id.requestedF, id.rabAtSGWF, id.rabBackF, id.releasedF = id.ended, id.unwind, id.requested, id.rabAtSGW, id.rabBack, id.released
 	id.pagedF, id.rachF, id.servicedF, id.setUpF, id.modifiedF, id.acceptedF = id.paged, id.rach, id.serviced, id.setUp, id.modified, id.accepted
+	id.replayF = id.replay
 }
 
 // unwind drops a failed page's or promotion's page, so downlink pages
@@ -484,14 +491,17 @@ func (id *idle) unwind() {
 		return
 	}
 	sess.ENB.releaseContext(sess)
-	for _, b := range sess.OrderedBearers() {
-		id.removeSGWDownlink(sess, b)
+	for _, b := range sess.Bearers {
+		if b != nil {
+			id.removeSGWDownlink(sess, b)
+		}
 	}
 }
 
 // ended recycles the record: no idle-mode procedure reports its outcome.
 func (id *idle) ended(error) {
-	id.sess, id.enb = nil, nil
+	clear(id.buffered)
+	id.sess, id.enb, id.buffered = nil, nil, id.buffered[:0]
 	id.idles.Put(id)
 }
 
@@ -510,8 +520,10 @@ func (id *idle) requested() {
 // rabAtSGW deletes the SGW-U downlink rules: later downlink traffic misses
 // and triggers paging.
 func (id *idle) rabAtSGW() {
-	for _, b := range id.sess.OrderedBearers() {
-		id.removeSGWDownlink(id.sess, b)
+	for _, b := range id.sess.Bearers {
+		if b != nil {
+			id.removeSGWDownlink(id.sess, b)
+		}
 	}
 	resp := &pkt.GTPv2Msg{Type: pkt.GTPv2ReleaseAccessBearersResponse, Cause: pkt.GTPv2CauseAccepted}
 	id.sendGTPv2(id.takeLeg(&id.proc, id.rabBackF), id.sgwEP, id.mmeEP, resp)
@@ -610,7 +622,7 @@ func (c *Core) setupERABs(pr *proc, sess *Session, enb *ENB, req pkt.S1APProcedu
 	// E-RABs carry no TFT — the UE keeps its TFTs across the move.
 	withTFT := req != pkt.S1APHandoverRequest
 	items := c.erabBuf[:0]
-	for _, sb := range c.erabBearers(sess, b) {
+	for _, sb := range c.sessionBearers(sess, b) {
 		item := pkt.ERABItem{ERABID: sb.EBI, QoS: sb.QoS, Transport: sb.s1uSGW()}
 		if withTFT {
 			item.TFT = sb.TFT
@@ -632,23 +644,13 @@ func (l *leg) admit() {
 		l.at()
 	}
 	items := c.erabBuf[:0]
-	for _, sb := range c.erabBearers(sess, l.b) {
+	for _, sb := range c.sessionBearers(sess, l.b) {
 		sb.S1DL = e.attachBearer(sess, sb)
 		items = append(items, pkt.ERABItem{ERABID: sb.EBI, Transport: sb.s1uENB(e)})
 	}
 	c.erabBuf = items
 	resp := &pkt.S1APMsg{Procedure: erabSetupResponse(l.req), ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID, ERABs: items}
 	c.sendS1AP(l.answer(), e.ep, c.mmeEP, resp)
-}
-
-// erabBearers lists the bearers an E-RAB setup covers: b alone, in core
-// scratch valid until the next call, or every bearer of sess when b is nil.
-func (c *Core) erabBearers(sess *Session, b *Bearer) []*Bearer {
-	if b == nil {
-		return sess.OrderedBearers()
-	}
-	c.oneBearer[0] = b
-	return c.oneBearer[:]
 }
 
 // erabSetupResponse names the eNB's answer to an E-RAB setup request.
@@ -669,7 +671,7 @@ func erabSetupResponse(req pkt.S1APProcedure) pkt.S1APProcedure {
 // unchanged). atSGW (may be nil) runs at the SGW-C after the re-install;
 // then runs at the MME on the response.
 func (c *Core) modifySessionBearers(pr *proc, sess *Session, atSGW, then func()) {
-	bearers := sess.OrderedBearers()
+	bearers := c.sessionBearers(sess, nil)
 	ctxs, fteids := c.bearerContexts(len(bearers))
 	for i, b := range bearers {
 		fteids[i] = b.s1uENB(sess.ENB)
@@ -684,8 +686,10 @@ func (c *Core) modifySessionBearers(pr *proc, sess *Session, atSGW, then func())
 // repoint is modifySessionBearers' SGW-C half.
 func (l *leg) repoint() {
 	c := l.c
-	for _, b := range l.sess.OrderedBearers() {
-		c.installSGWDownlink(l.sess, b)
+	for _, b := range l.sess.Bearers {
+		if b != nil {
+			c.installSGWDownlink(l.sess, b)
+		}
 	}
 	if l.at != nil {
 		l.at()

@@ -5,6 +5,7 @@ import (
 
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
+	"acacia/internal/sim"
 )
 
 // UE is a user device: a netsim host behind a radio link, with the modem's
@@ -32,6 +33,15 @@ type UE struct {
 type modemTFT struct {
 	qci pkt.QCI
 	tft *pkt.TFT
+}
+
+// modemStore is what every UE modem on a core decodes bearer activations
+// into: the scratch message, whose QoS is reused, and the pool of the TFTs
+// the modems hold. A TFT a modem drops goes back to the pool, and the next
+// activation decodes into it, reusing its filter backing.
+type modemStore struct {
+	nas  pkt.NASMsg
+	tfts sim.Pool[pkt.TFT]
 }
 
 // NewUE wraps node as a UE with the given IMSI. The node's address is the
@@ -99,32 +109,46 @@ func (u *UE) Detach(done func()) error {
 func (u *UE) completeDetach() {
 	u.attached = false
 	u.sess = nil
-	u.tfts = [len(u.tfts)]modemTFT{}
+	for i := range u.tfts {
+		u.removeTFT(uint8(i) + EBIDefault)
+	}
 }
 
-// removeTFT drops a dedicated bearer's classifier.
-func (u *UE) removeTFT(ebi uint8) { u.tfts[ebi-EBIDefault] = modemTFT{} }
+// removeTFT drops a dedicated bearer's classifier, returning its TFT to the
+// core's modem store.
+func (u *UE) removeTFT(ebi uint8) {
+	mt := &u.tfts[ebi-EBIDefault]
+	if mt.tft != nil {
+		u.enb.core.modem.tfts.Put(mt.tft)
+	}
+	*mt = modemTFT{}
+}
 
 // installTFTFromNAS is the modem-side effect of the RRC Connection
 // Reconfiguration carrying a dedicated bearer's TFT: it decodes an Activate
 // Dedicated EPS Bearer Context Request from its wire form and installs the
 // carried TFT and QoS — the modem consumes exactly the bytes the network
-// sent.
+// sent. It decodes into the core's modem store (modemStore).
 func (u *UE) installTFTFromNAS(nas []byte) error {
-	var m pkt.NASMsg
-	if _, err := m.Decode(nas); err != nil {
+	ms := &u.enb.core.modem
+	m, tft := &ms.nas, ms.tfts.Take()
+	m.TFT = tft
+	_, err := m.Decode(nas)
+	switch {
+	case err != nil:
+	case m.Type != pkt.NASActivateDedicatedBearerRequest:
+		err = fmt.Errorf("epc: NAS type 0x%02x is not a dedicated bearer activation", m.Type)
+	case m.TFT == nil || m.QoS == nil:
+		err = fmt.Errorf("epc: bearer activation without TFT/QoS")
+	case m.EBI < EBIDefault: // a nibble on the wire: 15 at most
+		err = fmt.Errorf("epc: bearer activation for reserved EBI %d", m.EBI)
+	}
+	if err != nil {
+		ms.tfts.Put(tft)
 		return err
 	}
-	if m.Type != pkt.NASActivateDedicatedBearerRequest {
-		return fmt.Errorf("epc: NAS type 0x%02x is not a dedicated bearer activation", m.Type)
-	}
-	if m.TFT == nil || m.QoS == nil {
-		return fmt.Errorf("epc: bearer activation without TFT/QoS")
-	}
-	if m.EBI < EBIDefault { // a nibble on the wire: 15 at most
-		return fmt.Errorf("epc: bearer activation for reserved EBI %d", m.EBI)
-	}
-	u.tfts[m.EBI-EBIDefault] = modemTFT{qci: m.QoS.QCI, tft: m.TFT}
+	u.removeTFT(m.EBI)
+	u.tfts[m.EBI-EBIDefault] = modemTFT{qci: m.QoS.QCI, tft: tft}
 	return nil
 }
 

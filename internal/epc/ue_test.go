@@ -34,8 +34,10 @@ func TestModemClassification(t *testing.T) {
 	udp := func(port uint16) pkt.FiveTuple {
 		return pkt.FiveTuple{Src: ue.Addr(), Dst: pkt.AddrFrom(10, 9, 0, 1), SrcPort: 40000, DstPort: port, Proto: pkt.ProtoUDP}
 	}
-	// sess mirrors the modem's TFTs as the bearers the eNB classifies over.
-	var enb ENB
+	// sess mirrors the modem's TFTs as the bearers the eNB classifies over;
+	// enb's core holds the modem store the UE decodes into.
+	enb := ENB{core: &Core{}}
+	ue.enb = &enb
 	def := &Bearer{EBI: EBIDefault}
 	sess := &Session{}
 	sess.Bearers[EBIDefault] = def

@@ -153,8 +153,13 @@ func (m *NASMsg) appendESMContainer(b []byte) []byte {
 }
 
 // Decode parses a NAS message from the front of b, returning bytes
-// consumed.
+// consumed. It overwrites every field of m, but decodes a QoS, TFT or ESM
+// container into the record m already points to, if any, reusing the TFT's
+// filter backing: a message decoded into again allocates nothing, and what
+// an earlier decode returned through those pointers changes with it.
 func (m *NASMsg) Decode(b []byte) (int, error) {
+	qos, tft, esm := m.QoS, m.TFT, m.ESM
+	*m = NASMsg{}
 	r := &reader{b: b}
 	pd, err := r.u8()
 	if err != nil {
@@ -181,7 +186,7 @@ func (m *NASMsg) Decode(b []byte) (int, error) {
 		if _, err := readNASLV(r); err != nil { // capability
 			return 0, err
 		}
-		if err := m.decodeESMContainer(r); err != nil {
+		if err := m.decodeESMContainer(r, esm); err != nil {
 			return 0, err
 		}
 	case NASAttachAccept:
@@ -194,7 +199,7 @@ func (m *NASMsg) Decode(b []byte) (int, error) {
 		if _, err := readNASLV(r); err != nil { // GUTI
 			return 0, err
 		}
-		if err := m.decodeESMContainer(r); err != nil {
+		if err := m.decodeESMContainer(r, esm); err != nil {
 			return 0, err
 		}
 	case NASAttachComplete:
@@ -236,7 +241,7 @@ func (m *NASMsg) Decode(b []byte) (int, error) {
 			return 0, err
 		}
 		if len(qosRaw) > 0 {
-			m.QoS = &BearerQoS{}
+			m.QoS = orNew(qos)
 			if err := m.QoS.decode(qosRaw); err != nil {
 				return 0, err
 			}
@@ -251,7 +256,7 @@ func (m *NASMsg) Decode(b []byte) (int, error) {
 			return 0, err
 		}
 		if len(qosRaw) > 0 {
-			m.QoS = &BearerQoS{}
+			m.QoS = orNew(qos)
 			if err := m.QoS.decode(qosRaw); err != nil {
 				return 0, err
 			}
@@ -261,7 +266,7 @@ func (m *NASMsg) Decode(b []byte) (int, error) {
 			return 0, err
 		}
 		if len(tftRaw) > 0 {
-			m.TFT = &TFT{}
+			m.TFT = orNew(tft)
 			if _, err := m.TFT.Decode(tftRaw); err != nil {
 				return 0, err
 			}
@@ -272,7 +277,9 @@ func (m *NASMsg) Decode(b []byte) (int, error) {
 	return r.off, nil
 }
 
-func (m *NASMsg) decodeESMContainer(r *reader) error {
+// decodeESMContainer decodes the nested message into esm, or a fresh
+// record when esm is nil.
+func (m *NASMsg) decodeESMContainer(r *reader, esm *NASMsg) error {
 	n, err := r.u16()
 	if err != nil {
 		return err
@@ -284,12 +291,18 @@ func (m *NASMsg) decodeESMContainer(r *reader) error {
 	if err != nil {
 		return err
 	}
-	esm := &NASMsg{}
-	if _, err := esm.Decode(raw); err != nil {
-		return err
+	m.ESM = orNew(esm)
+	_, err = m.ESM.Decode(raw)
+	return err
+}
+
+// orNew returns p, or a fresh T when p is nil: the decoders overwrite
+// every field of the record they decode into.
+func orNew[T any](p *T) *T {
+	if p == nil {
+		return new(T)
 	}
-	m.ESM = esm
-	return nil
+	return p
 }
 
 // beginNASLV opens a length-value field (1-octet length placeholder),

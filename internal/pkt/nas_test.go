@@ -153,3 +153,54 @@ func TestNASServiceAcceptRoundTrip(t *testing.T) {
 		t.Errorf("type = 0x%02x", got.Type)
 	}
 }
+
+// TestDecodeIntoReusedStorage decodes a TFT of three filters and then one
+// of one filter into the same TFT, and likewise a sequence of NAS messages
+// into one NASMsg: every result must equal a fresh decode of its bytes,
+// with no filter, QoS or ESM container left over from the one before.
+func TestDecodeIntoReusedStorage(t *testing.T) {
+	three := sampleTFT()
+	three.Filters = append(three.Filters, PacketFilter{ID: 3, Direction: DirDownlink, Precedence: 1, Proto: ProtoUDP})
+	one := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{ID: 1, Direction: DirUplink, Precedence: 9, TOSTrafficClass: 0xb8, TOSMask: 0xfc}}}
+	if len(three.Filters) != 3 {
+		t.Fatalf("the three-filter TFT has %d filters", len(three.Filters))
+	}
+	var tft TFT
+	for _, src := range []TFT{three, one} {
+		b := src.Encode(nil)
+		var fresh TFT
+		if _, err := fresh.Decode(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tft.Decode(b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tft, fresh) {
+			t.Errorf("decode into reused TFT = %+v, fresh = %+v", tft, fresh)
+		}
+	}
+
+	gbr := &BearerQoS{QCI: 3, ARP: 4, MaxBitrateUL: 2e6, MaxBitrateDL: 4e6, GuaranteedUL: 1e6, GuaranteedDL: 3e6}
+	msgs := []NASMsg{
+		{Type: NASActivateDedicatedBearerRequest, EBI: 6, LinkedEBI: 5, QoS: gbr, TFT: &three},
+		{Type: NASActivateDedicatedBearerRequest, EBI: 7, LinkedEBI: 5, QoS: &BearerQoS{QCI: QCIMEC, ARP: 2}, TFT: &one},
+		{Type: NASAttachAccept, ESM: &NASMsg{Type: NASActivateDefaultBearerRequest, EBI: 5, APN: "internet", UEIP: AddrFrom(172, 16, 0, 2), QoS: gbr}},
+		{Type: NASAttachRequest, IMSI: "001010123456789", ESM: &NASMsg{Type: NASActivateDefaultBearerRequest, APN: "acacia.mec"}},
+		{Type: NASServiceRequest},
+		{Type: NASActivateDedicatedBearerRequest, EBI: 6, LinkedEBI: 5, QoS: gbr, TFT: &three},
+	}
+	var m NASMsg
+	for i, src := range msgs {
+		b := src.Encode(nil)
+		var fresh NASMsg
+		if _, err := fresh.Decode(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Decode(b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m, fresh) {
+			t.Errorf("message %d: decode into reused NASMsg = %+v, fresh = %+v", i, m, fresh)
+		}
+	}
+}

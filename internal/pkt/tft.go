@@ -166,7 +166,9 @@ func (p *PacketFilter) encodeComponents(b []byte) []byte {
 	return b
 }
 
-// Decode parses a TFT from the front of b.
+// Decode parses a TFT from the front of b. It reuses t's filter backing
+// when that holds the filter count, so decoding into the same TFT again
+// allocates nothing.
 func (t *TFT) Decode(b []byte) (int, error) {
 	r := &reader{b: b}
 	head, err := r.u8()
@@ -175,7 +177,10 @@ func (t *TFT) Decode(b []byte) (int, error) {
 	}
 	t.Op = TFTOp(head >> 5)
 	n := int(head & 0x0f)
-	t.Filters = make([]PacketFilter, 0, n)
+	if cap(t.Filters) < n {
+		t.Filters = make([]PacketFilter, 0, n)
+	}
+	t.Filters = t.Filters[:0]
 	for i := 0; i < n; i++ {
 		var f PacketFilter
 		idDir, err := r.u8()

@@ -61,12 +61,14 @@ type Controller struct {
 	// serialize into; only the encoded length outlives each call.
 	encBuf []byte
 
-	// mods recycles the FlowMod continuation records (see flowMod).
+	// mods and ins recycle the FlowMod and PacketIn continuation records
+	// (see flowMod and packetIn).
 	mods sim.Pool[flowMod]
+	ins  sim.Pool[packetIn]
 }
 
-// flowMod is a pooled FlowMod continuation: the entry to add, or the
-// cookie (entry.Cookie) to delete, applied at sw when the message lands.
+// flowMod is a pooled FlowMod continuation: the rule to add, or the
+// cookie (rule.Cookie) to delete, applied at sw when the message lands.
 // The transport carries apply, bound on the record's first take. The
 // record goes back to Controller.mods when it is applied, which the ctl
 // receiver's duplicate filter allows at most once per frame; a FlowMod
@@ -75,33 +77,34 @@ type flowMod struct {
 	c     *Controller
 	sw    *Switch
 	add   bool
-	entry FlowEntry
+	rule  flowRule
 	apply func()
 }
 
 // land is the record's delivery: it recycles the record, then changes the
 // switch's table.
 func (m *flowMod) land() {
-	sw, add, e := m.sw, m.add, m.entry
-	m.sw, m.entry = nil, FlowEntry{}
+	sw, add, r := m.sw, m.add, m.rule
+	m.sw, m.rule = nil, flowRule{}
 	m.c.mods.Put(m)
 	if add {
-		sw.installFlow(e)
+		sw.installFlow(r)
 	} else {
-		sw.removeFlows(e.Cookie)
+		sw.removeFlows(r.Cookie)
 	}
 }
 
-// takeFlowMod takes a FlowMod record for sw and returns its pre-bound
-// delivery.
+// takeFlowMod takes a FlowMod record for sw, copies e into it and returns
+// its pre-bound delivery.
 //
 //acacia:hotpath
-func (c *Controller) takeFlowMod(sw *Switch, add bool, e FlowEntry) func() {
+func (c *Controller) takeFlowMod(sw *Switch, add bool, e *FlowEntry) func() {
 	m := c.mods.Take()
 	if m.c == nil {
 		c.bindFlowMod(m)
 	}
-	m.sw, m.add, m.entry = sw, add, e
+	m.sw, m.add = sw, add
+	m.rule.set(e)
 	return m.apply
 }
 
@@ -212,8 +215,15 @@ func (c *Controller) accountReceived(m *pkt.OFMsg) int {
 
 // InstallFlow sends a FlowMod(add) to the switch; the entry takes effect
 // when the message lands over the control link. The returned byte count is
-// the serialized FlowMod size (used by overhead accounting).
+// the serialized FlowMod size (used by overhead accounting). The entry is
+// copied before InstallFlow returns, so the caller may reuse its Actions;
+// an entry with more than maxActions actions panics.
+//
+//acacia:hotpath
 func (c *Controller) InstallFlow(sw *Switch, e FlowEntry) int {
+	if len(e.Actions) > maxActions {
+		tooManyActions(len(e.Actions))
+	}
 	msg := &pkt.OFMsg{
 		Type: pkt.OFFlowMod, XID: c.nextXID(),
 		Command:  pkt.FlowModAdd,
@@ -223,8 +233,16 @@ func (c *Controller) InstallFlow(sw *Switch, e FlowEntry) int {
 		Actions:  e.Actions,
 	}
 	n := c.accountSent(msg)
-	c.toSwitch(sw, "FlowMod", n, c.takeFlowMod(sw, true, e))
+	c.toSwitch(sw, "FlowMod", n, c.takeFlowMod(sw, true, &e))
 	return n
+}
+
+// tooManyActions is noinline so the boxed panic message stays out of
+// InstallFlow's escape profile.
+//
+//go:noinline
+func tooManyActions(n int) {
+	panic(fmt.Sprintf("sdn: a flow entry holds at most %d actions, got %d", maxActions, n))
 }
 
 // RemoveFlows sends a FlowMod(delete) for all entries with the given
@@ -236,7 +254,7 @@ func (c *Controller) RemoveFlows(sw *Switch, cookie uint64) int {
 		Cookie:  cookie,
 	}
 	n := c.accountSent(msg)
-	c.toSwitch(sw, "FlowMod", n, c.takeFlowMod(sw, false, FlowEntry{Cookie: cookie}))
+	c.toSwitch(sw, "FlowMod", n, c.takeFlowMod(sw, false, &FlowEntry{Cookie: cookie}))
 	return n
 }
 
@@ -254,7 +272,34 @@ func (c *Controller) packetIn(sw *Switch, inPort uint32, p *netsim.Packet, tunne
 		sw.node.Network().Release(p)
 		return
 	}
-	c.toController(sw, "PacketIn", n, func() { c.OnPacketIn(sw, inPort, p, tunnelID) })
+	in := c.ins.Take()
+	if in.c == nil {
+		in.c, in.deliver = c, in.land
+	}
+	in.sw, in.inPort, in.p, in.tunnelID = sw, inPort, p, tunnelID
+	c.toController(sw, "PacketIn", n, in.deliver)
+}
+
+// packetIn is a pooled PacketIn continuation: the table miss handed to
+// OnPacketIn when the message reaches the controller. Like flowMod, the
+// transport carries deliver, bound on the record's first take, and the
+// record goes back to Controller.ins when it lands; a PacketIn whose every
+// attempt was lost is never put back.
+type packetIn struct {
+	c        *Controller
+	sw       *Switch
+	inPort   uint32
+	p        *netsim.Packet
+	tunnelID uint64
+	deliver  func()
+}
+
+// land recycles the record, then runs the controller's handler.
+func (in *packetIn) land() {
+	sw, inPort, p, tunnelID := in.sw, in.inPort, in.p, in.tunnelID
+	in.sw, in.p = nil, nil
+	in.c.ins.Put(in)
+	in.c.OnPacketIn(sw, inPort, p, tunnelID)
 }
 
 // pathStatus carries a switch's GTP path-state transition to the

@@ -144,7 +144,7 @@ func (m *PathMonitor) refreshPeers() {
 	seen := map[pkt.Addr]int{}
 	for i := int32(1); i <= m.sw.nslots; i++ {
 		var dst pkt.Addr
-		for _, a := range m.sw.slot(i).Actions { // none in a vacant slot
+		for _, a := range m.sw.slot(i).actions() { // none in a vacant slot
 			switch a.Type {
 			case pkt.ActionSetTunnel:
 				dst = a.TunnelDst

@@ -54,7 +54,7 @@ func TestSingleProbeMatchesTwoProbes(t *testing.T) {
 		return m.Value
 	}
 	write := func() {
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 9, Match: pkt.Match{TunnelID: pkt.U64(999)},
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 9, Match: pkt.Match{TunnelID: pkt.U64(999)},
 			Actions: []pkt.Action{{Type: pkt.ActionDrop}}})
 	}
 	check := func(step string, fast, slow uint64, occ float64) {
@@ -133,7 +133,7 @@ func TestGTPPortMarks(t *testing.T) {
 	}
 	sw.MarkGTPPort(1)
 	for port := range tunneled {
-		sw.installFlow(FlowEntry{Priority: 100, Match: pkt.Match{UDPDst: pkt.U16(uint16(port))},
+		sw.installEntry(FlowEntry{Priority: 100, Match: pkt.Match{UDPDst: pkt.U16(uint16(port))},
 			Actions: []pkt.Action{
 				{Type: pkt.ActionSetTunnel, TunnelID: 7, TunnelDst: pkt.AddrFrom(10, 0, 9, 9)},
 				{Type: pkt.ActionOutput, Port: uint32(port)}}})

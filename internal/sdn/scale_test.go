@@ -84,9 +84,9 @@ func fillScaleTable(sw *Switch, n int) {
 				Match:   pkt.Match{IPv4Src: pkt.AddrPtr(pkt.AddrFrom(10, 1, byte(i/250%250), byte(1+i%250)))},
 				Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}}
 		}
-		sw.installFlow(e)
+		sw.installEntry(e)
 	}
-	sw.installFlow(FlowEntry{Priority: 1, Cookie: 0xca7c4a11,
+	sw.installEntry(FlowEntry{Priority: 1, Cookie: 0xca7c4a11,
 		Actions: []pkt.Action{{Type: pkt.ActionDrop}}})
 }
 
@@ -118,13 +118,13 @@ func TestLookupMatchesScan(t *testing.T) {
 	// Overlap block: same key reachable through several shapes and equal
 	// priorities, so tie-breaks are actually exercised.
 	dst := pkt.AddrFrom(172, 16, 0, 7)
-	sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xa,
+	sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xa,
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(dst)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}}})
-	sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xb,
+	sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xb,
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(dst), IPProto: pkt.U8(pkt.ProtoTCP)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 2}}})
-	sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xc,
+	sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xc,
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(dst)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 3}}})
 
@@ -161,7 +161,7 @@ func TestLookupTracksMutations(t *testing.T) {
 	check("initial")
 	sw.removeFlows(2) // one of the DL entries
 	check("after remove")
-	sw.installFlow(FlowEntry{Priority: 200, Cookie: 0xf00,
+	sw.installEntry(FlowEntry{Priority: 200, Cookie: 0xf00,
 		Match:   pkt.Match{TunnelID: pkt.U64(1000)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 2}}})
 	check("after install")
@@ -226,7 +226,7 @@ func (r *refTable) scan(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) *ref
 
 // tag reads the install number the model test stores in an entry's output
 // port, so entries can be told apart across the two tables.
-func tag(e *FlowEntry) uint32 { return e.Actions[0].Port }
+func tag(acts []pkt.Action) uint32 { return acts[0].Port }
 
 // modelMatch draws from a universe small enough that re-installs, one key
 // at several priorities and EthType-only differences all happen often.
@@ -282,7 +282,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					Match:    modelMatch(rng),
 					Actions:  []pkt.Action{{Type: pkt.ActionOutput, Port: uint32(op)}},
 				}
-				sw.installFlow(e)
+				sw.installEntry(e)
 				ref.install(e)
 			default:
 				what = "remove"
@@ -295,14 +295,14 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				t.Fatalf("seed %d op %d (%s): FlowCount %d, reference %d", seed, op, what, sw.FlowCount(), len(ref.entries))
 			}
 			for n, i := range sw.tableOrder() {
-				if got, want := tag(&sw.slot(i).FlowEntry), tag(&ref.entries[n].FlowEntry); got != want {
+				if got, want := tag(sw.slot(i).actions()), tag(ref.entries[n].Actions); got != want {
 					t.Fatalf("seed %d op %d (%s): dump position %d holds install #%d, reference #%d", seed, op, what, n, got, want)
 				}
 			}
 			for probe := 0; probe < 20; probe++ {
 				inPort, ft, teid := modelProbe(rng)
 				got, scan, want := sw.lookup(inPort, ft, teid), sw.lookupScan(inPort, ft, teid), ref.scan(inPort, ft, teid)
-				if got != scan || (got == 0) != (want == nil) || (got != 0 && tag(&sw.slot(got).FlowEntry) != tag(&want.FlowEntry)) {
+				if got != scan || (got == 0) != (want == nil) || (got != 0 && tag(sw.slot(got).actions()) != tag(want.Actions)) {
 					t.Fatalf("seed %d op %d (%s): lookup=%d scan=%d reference=%+v (inPort=%d ft=%+v teid=%d)",
 						seed, op, what, got, scan, want, inPort, ft, teid)
 				}
@@ -334,14 +334,14 @@ func TestIndexChainsAndSlots(t *testing.T) {
 		if i == 0 {
 			return 0
 		}
-		return tag(&sw.slot(i).FlowEntry)
+		return tag(sw.slot(i).actions())
 	}
 
 	t.Run("same key at two priorities", func(t *testing.T) {
 		sw := benchSwitch()
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 1, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(1)})
-		sw.installFlow(FlowEntry{Priority: 110, Cookie: 2, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(2)})
-		sw.installFlow(FlowEntry{Priority: 50, Cookie: 3, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(3)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 1, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(1)})
+		sw.installEntry(FlowEntry{Priority: 110, Cookie: 2, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(2)})
+		sw.installEntry(FlowEntry{Priority: 50, Cookie: 3, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}, Actions: out(3)})
 		if sw.FlowCount() != 3 || winner(sw) != 2 {
 			t.Fatalf("%d flows, winner #%d; want 3 flows, #2", sw.FlowCount(), winner(sw))
 		}
@@ -365,16 +365,16 @@ func TestIndexChainsAndSlots(t *testing.T) {
 		plain := pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}
 		v4 := pkt.Match{IPv4Dst: pkt.AddrPtr(dst), EthType: pkt.U16(0x0800)}
 		v6 := pkt.Match{IPv4Dst: pkt.AddrPtr(dst), EthType: pkt.U16(0x86dd)}
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 1, Match: plain, Actions: out(1)})
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 2, Match: v4, Actions: out(2)})
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(3)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 1, Match: plain, Actions: out(1)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 2, Match: v4, Actions: out(2)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(3)})
 		// Three distinct entries under one key; the more specific, earlier
 		// one wins, as in the scan.
 		if sw.FlowCount() != 3 || winner(sw) != 2 {
 			t.Fatalf("%d flows, winner #%d; want 3 flows, #2", sw.FlowCount(), winner(sw))
 		}
 		// Re-installing one replaces that one only.
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(4)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(4)})
 		if sw.FlowCount() != 3 || winner(sw) != 2 {
 			t.Errorf("after re-install: %d flows, winner #%d", sw.FlowCount(), winner(sw))
 		}
@@ -391,16 +391,16 @@ func TestIndexChainsAndSlots(t *testing.T) {
 		// add, and keep the entry's place in the table.
 		sw := benchSwitch()
 		dl := pkt.Match{TunnelID: pkt.U64(0x5001)}
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xa, Match: pkt.Match{TunnelID: pkt.U64(1)}, Actions: out(1)})
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xd1, Match: dl, Actions: out(2)})
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xb, Match: pkt.Match{TunnelID: pkt.U64(2)}, Actions: out(3)})
-		sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xd2, Match: dl, Actions: out(4)}) // path switch, new cookie
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xa, Match: pkt.Match{TunnelID: pkt.U64(1)}, Actions: out(1)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xd1, Match: dl, Actions: out(2)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xb, Match: pkt.Match{TunnelID: pkt.U64(2)}, Actions: out(3)})
+		sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xd2, Match: dl, Actions: out(4)}) // path switch, new cookie
 		order := sw.tableOrder()
-		if sw.FlowCount() != 3 || tag(&sw.slot(order[1]).FlowEntry) != 4 {
-			t.Fatalf("after replace: %d flows, second in table order is install #%d", sw.FlowCount(), tag(&sw.slot(order[1]).FlowEntry))
+		if sw.FlowCount() != 3 || tag(sw.slot(order[1]).actions()) != 4 {
+			t.Fatalf("after replace: %d flows, second in table order is install #%d", sw.FlowCount(), tag(sw.slot(order[1]).actions()))
 		}
-		if i := sw.lookup(0, pkt.FiveTuple{}, 0x5001); tag(&sw.slot(i).FlowEntry) != 4 {
-			t.Errorf("lookup still returns install #%d", tag(&sw.slot(i).FlowEntry))
+		if i := sw.lookup(0, pkt.FiveTuple{}, 0x5001); tag(sw.slot(i).actions()) != 4 {
+			t.Errorf("lookup still returns install #%d", tag(sw.slot(i).actions()))
 		}
 		// The replaced entry left its old cookie's chain and joined the new.
 		if n := sw.removeFlows(0xd1); n != 0 {
@@ -415,7 +415,7 @@ func TestIndexChainsAndSlots(t *testing.T) {
 		sw := benchSwitch()
 		for round := 0; round < 5; round++ {
 			for i := 0; i < 600; i++ { // spans chunk boundaries
-				sw.installFlow(FlowEntry{Priority: 100, Cookie: uint64(i % 7),
+				sw.installEntry(FlowEntry{Priority: 100, Cookie: uint64(i % 7),
 					Match: pkt.Match{TunnelID: pkt.U64(uint64(round*1000 + i))}, Actions: out(uint32(i))})
 			}
 			for c := uint64(0); c < 7; c++ {
@@ -456,7 +456,7 @@ func TestCacheFlushSequence(t *testing.T) {
 		{"first packet learns", func() { g.sendTunneled(1000) }, 0, 1, 1},
 		{"second packet hits", func() { g.sendTunneled(1000) }, 1, 1, 1},
 		{"unrelated install flushes", func() {
-			sw.installFlow(FlowEntry{Priority: 100, Cookie: 9, Match: pkt.Match{TunnelID: pkt.U64(999)},
+			sw.installEntry(FlowEntry{Priority: 100, Cookie: 9, Match: pkt.Match{TunnelID: pkt.U64(999)},
 				Actions: []pkt.Action{{Type: pkt.ActionDrop}}})
 		}, 1, 1, 0},
 		{"next packet misses the cache", func() { g.sendTunneled(1000) }, 1, 2, 1},
@@ -464,7 +464,7 @@ func TestCacheFlushSequence(t *testing.T) {
 		{"removing nothing still flushes", func() { sw.removeFlows(0xdead) }, 2, 2, 0},
 		{"miss again", func() { g.sendTunneled(1000) }, 2, 3, 1},
 		{"re-install of the live entry flushes", func() {
-			sw.installFlow(FlowEntry{Priority: 100, Cookie: 0xbea4e401, Match: pkt.Match{TunnelID: pkt.U64(101)},
+			sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xbea4e401, Match: pkt.Match{TunnelID: pkt.U64(101)},
 				Actions: []pkt.Action{
 					{Type: pkt.ActionSetTunnel, TunnelID: 201, TunnelDst: g.pgwU.Node().Addr()},
 					{Type: pkt.ActionOutput, Port: 1}}})
@@ -497,7 +497,7 @@ func benchWrite(b *testing.B, n int, timeInstall bool) {
 	install := func() {
 		for j := 0; j < round; j++ {
 			e.Cookie, e.Match = uint64(1<<40+j), pkt.Match{TunnelID: pkt.U64(uint64(1<<32 + j))}
-			sw.installFlow(e)
+			sw.installEntry(e)
 		}
 	}
 	remove := func() {

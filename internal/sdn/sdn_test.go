@@ -1,6 +1,7 @@
 package sdn
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -71,6 +72,14 @@ func buildGWTopo(t *testing.T, costs PathCosts) *gwTopo {
 		src: netsim.NewHost(srcN), dst: netsim.NewHost(dstN),
 		sgwU: sgw, pgwU: pgw, s5: s5, ctl: c,
 	}
+}
+
+// installEntry writes e straight into the switch's table, as a landed
+// FlowMod would.
+func (sw *Switch) installEntry(e FlowEntry) {
+	var r flowRule
+	r.set(&e)
+	sw.installFlow(r)
 }
 
 // sendTunneled injects one uplink packet from src, pre-encapsulated toward
@@ -252,7 +261,7 @@ func TestSwitchCPUServesSlowPathFIFO(t *testing.T) {
 	out := nw.AddNode("out", pkt.AddrFrom(10, 0, 0, 8))
 	nw.ConnectSymmetric(swN, out, netsim.LinkConfig{})
 	sw := NewSwitch(9, swN, costs)
-	sw.installFlow(FlowEntry{Priority: 1, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}})
+	sw.installEntry(FlowEntry{Priority: 1, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}})
 	var at []sim.Time
 	var sizes []int
 	out.SetHandler(func(_ *netsim.Port, p *netsim.Packet) {
@@ -363,6 +372,55 @@ func TestControllerAccounting(t *testing.T) {
 	// paper's 1424-bytes-per-4-messages measurement implies.
 	if n < 80 || n > 600 {
 		t.Errorf("FlowMod size = %d bytes, implausible", n)
+	}
+}
+
+// TestInstallFlowCopiesActions overwrites the caller's action slice after
+// InstallFlow returns and before the FlowMod lands: the switch must forward
+// by the actions it was given, and the accounted FlowMod encoding must be
+// theirs. An entry longer than a rule holds is refused at the call.
+func TestInstallFlowCopiesActions(t *testing.T) {
+	g := buildGWTopo(t, ACACIAGWCosts)
+	pgwAddr := g.pgwU.Node().Addr()
+	acts := []pkt.Action{
+		{Type: pkt.ActionSetTunnel, TunnelID: 201, TunnelDst: pgwAddr},
+		{Type: pkt.ActionOutput, Port: 1},
+	}
+	e := FlowEntry{Priority: 100, Cookie: 0x5eed, Match: pkt.Match{TunnelID: pkt.U64(101)}, Actions: acts}
+	want := (&pkt.OFMsg{
+		Type: pkt.OFFlowMod, XID: g.ctl.xid + 1, Command: pkt.FlowModAdd,
+		Priority: e.Priority, Cookie: e.Cookie, Match: e.Match,
+		Actions: []pkt.Action{acts[0], acts[1]},
+	}).Encode(nil)
+	g.ctl.InstallFlow(g.sgwU, e)
+	if !bytes.Equal(g.ctl.encBuf, want) {
+		t.Errorf("FlowMod encoded as\n% x\nwant\n% x", g.ctl.encBuf, want)
+	}
+	acts[0] = pkt.Action{Type: pkt.ActionDrop}
+	acts[1] = pkt.Action{Type: pkt.ActionOutput, Port: 0}
+	g.eng.RunFor(time.Millisecond) // the FlowMod lands
+	var got int
+	g.dst.Listen(2000, netsim.AppFunc(func(_ *netsim.Host, p *netsim.Packet) { got++ }))
+	g.sendTunneled(100)
+	g.eng.Run()
+	if got != 1 {
+		t.Fatalf("delivered %d packets, want 1: the switch forwarded by the caller's rewritten actions", got)
+	}
+
+	sent, flows := g.ctl.sent.Value(), g.sgwU.FlowCount()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a 3-action entry was accepted")
+			}
+		}()
+		g.ctl.InstallFlow(g.sgwU, FlowEntry{Priority: 1, Match: pkt.Match{TunnelID: pkt.U64(9)},
+			Actions: []pkt.Action{{Type: pkt.ActionSetField}, acts[0], acts[1]}})
+	}()
+	g.eng.RunFor(time.Millisecond)
+	if g.ctl.sent.Value() != sent || g.sgwU.FlowCount() != flows {
+		t.Errorf("refused entry still sent (%d -> %d messages, %d -> %d flows)",
+			sent, g.ctl.sent.Value(), flows, g.sgwU.FlowCount())
 	}
 }
 
@@ -525,7 +583,7 @@ func TestFlowModRecordsRecycle(t *testing.T) {
 		}
 		seen := make(map[*flowMod]bool)
 		for _, m := range g.ctl.mods.Idle() {
-			if seen[m] || m.sw != nil || m.entry.Cookie != 0 {
+			if seen[m] || m.sw != nil || m.rule.Cookie != 0 {
 				t.Fatal("a FlowMod record was recycled twice or kept its entry")
 			}
 			seen[m] = true

@@ -24,8 +24,9 @@ import (
 	"acacia/internal/telemetry"
 )
 
-// FlowEntry is one OpenFlow table entry as the controller specifies it. A
-// FlowMod carries it by value in a pooled record (flowMod).
+// FlowEntry is one OpenFlow table entry as the controller specifies it.
+// Controller.InstallFlow copies it, its actions included, so the caller's
+// Actions slice is never retained; it may hold at most maxActions.
 type FlowEntry struct {
 	Priority uint16
 	Match    pkt.Match
@@ -33,12 +34,38 @@ type FlowEntry struct {
 	Cookie   uint64
 }
 
-// flowSlot is an installed entry: the specification, its links in the
-// switch's index (DESIGN.md §3h) and its run-time state. Slots are numbered
-// from 1 (0 is "none") and an entry keeps its number from install to
-// removal; a vacant slot has rank 0 and threads the free list through next.
+// maxActions bounds a FlowEntry's action list: the longest the gateways
+// program is SetTunnel then Output.
+const maxActions = 2
+
+// flowRule is a FlowEntry as the switch and the pooled FlowMod record hold
+// it: the actions inline, so storing a rule allocates nothing and keeps no
+// caller memory alive.
+type flowRule struct {
+	Priority uint16
+	nacts    uint8
+	Match    pkt.Match
+	acts     [maxActions]pkt.Action
+	Cookie   uint64
+}
+
+// set makes r a copy of e, whose actions the caller has checked fit.
+func (r *flowRule) set(e *FlowEntry) {
+	*r = flowRule{Priority: e.Priority, nacts: uint8(len(e.Actions)), Match: e.Match, Cookie: e.Cookie}
+	for i, a := range e.Actions {
+		r.acts[i] = a
+	}
+}
+
+// actions returns the rule's action list, which aliases the rule.
+func (r *flowRule) actions() []pkt.Action { return r.acts[:r.nacts] }
+
+// flowSlot is an installed entry: the rule, its links in the switch's
+// index (DESIGN.md §3h) and its run-time state. Slots are numbered from 1
+// (0 is "none") and an entry keeps its number from install to removal; a
+// vacant slot has rank 0 and threads the free list through next.
 type flowSlot struct {
-	FlowEntry
+	flowRule
 	// rank orders entries the way the table scan resolved overlaps, lowest
 	// first: bits 63..48 hold ^Priority, 47..44 hold 15-specificity, 43..0
 	// the arrival sequence (a replace keeps the one it replaces). Without
@@ -51,7 +78,7 @@ type flowSlot struct {
 
 const (
 	rankSeqBits = 44
-	slotChunk   = 32 // slots per storage chunk: 3.25 KiB
+	slotChunk   = 32 // slots per storage chunk: 32 × 128 B = 4 KiB
 )
 
 // PathCosts models per-packet processing cost on each path.
@@ -469,7 +496,7 @@ func (sw *Switch) lookup(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) int
 // apply executes an entry's actions on the packet.
 func (sw *Switch) apply(e *flowSlot, p *netsim.Packet) {
 	sw.stagedTEID, sw.stagedDst = 0, pkt.Addr{}
-	for _, a := range e.Actions {
+	for _, a := range e.actions() {
 		switch a.Type {
 		case pkt.ActionSetTunnel:
 			sw.stagedTEID = a.TunnelID
@@ -505,7 +532,7 @@ func (sw *Switch) output(portID int, p *netsim.Packet) {
 // megaflow cache.
 //
 //acacia:hotpath
-func (sw *Switch) installFlow(e FlowEntry) {
+func (sw *Switch) installFlow(e flowRule) {
 	sw.flushCache()
 	key := entryKey(&e.Match)
 	class := uint64(^e.Priority)<<4 | uint64(15-e.Match.SpecificityScore()) // rank without the sequence
@@ -518,11 +545,11 @@ func (sw *Switch) installFlow(e FlowEntry) {
 			break
 		} else if c == class && s.Match == e.Match {
 			if s.Cookie == e.Cookie {
-				s.FlowEntry = e
+				s.flowRule = e
 				return
 			}
 			sw.unlinkCookie(at)
-			s.FlowEntry = e
+			s.flowRule = e
 			sw.linkCookie(at)
 			return
 		}
@@ -547,7 +574,7 @@ func (sw *Switch) installFlow(e FlowEntry) {
 		}
 	}
 	sw.flows++
-	s.FlowEntry = e
+	s.flowRule = e
 	sw.linkCookie(i)
 }
 

@@ -31,7 +31,10 @@ type Snapshot struct {
 	// TakenAt is the virtual time the snapshot was taken.
 	TakenAt time.Duration
 	Metrics []Metric
-	Events  []Event
+	// Events shares the registry's append-only event log, capped at the
+	// snapshot's length so later emits never show through: it is
+	// read-only.
+	Events []Event
 }
 
 // Snapshot captures the registry's current state: the named metrics and
@@ -77,7 +80,9 @@ func (r *Registry) Snapshot() *Snapshot {
 			panic(fmt.Sprintf("telemetry: %q reported twice (as %v and %v)", s.Metrics[i].Name, s.Metrics[i-1].Kind, s.Metrics[i].Kind))
 		}
 	}
-	s.Events = append(s.Events, r.events...)
+	if n := len(r.events); n > 0 {
+		s.Events = r.events[:n:n]
+	}
 	return s
 }
 

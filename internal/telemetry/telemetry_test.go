@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +112,48 @@ func TestDelta(t *testing.T) {
 	}
 	if len(d.Events) != 1 || d.Events[0].Detail != "connected" || d.Events[0].At != time.Second {
 		t.Errorf("delta events = %+v, want the one post-snapshot event", d.Events)
+	}
+}
+
+// TestSnapshotEventsShared takes a snapshot, emits more events into the
+// log it shares, and checks the snapshot still reads its own events, and
+// that Delta and MergeSnapshots over shared logs read as over copies.
+func TestSnapshotEventsShared(t *testing.T) {
+	r := New()
+	now := time.Duration(0)
+	r.SetClock(func() time.Duration { return now })
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			now += time.Millisecond
+			r.Emit("s", "e", now.String())
+		}
+	}
+	emit(3) // the log's capacity is now 4: the next emit writes in place
+	early := r.Snapshot()
+	want := slices.Clone(early.Events)
+	if &early.Events[0] != &r.Events()[0] {
+		t.Error("the snapshot copied the event log")
+	}
+	emit(5)
+	if !slices.Equal(early.Events, want) || cap(early.Events) != len(want) {
+		t.Fatalf("later emits showed through: %+v, want %+v", early.Events, want)
+	}
+	late := r.Snapshot()
+	all := slices.Clone(late.Events)
+	if d := late.Delta(early); !slices.Equal(d.Events, all[3:]) {
+		t.Errorf("delta events = %+v, want %+v", d.Events, all[3:])
+	}
+	other := New()
+	other.SetClock(func() time.Duration { return 2500 * time.Microsecond })
+	other.Emit("o", "e", "")
+	m := MergeSnapshots(early, other.Snapshot(), late)
+	wantMerged := slices.Concat(want, other.Events(), all) // argument order
+	slices.SortStableFunc(wantMerged, func(a, b Event) int { return int(a.At - b.At) })
+	if !slices.Equal(m.Events, wantMerged) {
+		t.Errorf("merged events = %+v, want %+v", m.Events, wantMerged)
+	}
+	if !slices.Equal(early.Events, want) || !slices.Equal(late.Events, all) {
+		t.Error("merging reordered an input snapshot's events")
 	}
 }
 
