@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-escape test race cover live-cover fmt-check bench benchmark loc loc-check results results-csv examples clean
+.PHONY: all build vet vet-escape test race cover live-cover identity fmt-check bench benchmark loc loc-check results results-csv examples clean
 
 all: build vet test
 
@@ -70,6 +70,25 @@ live-cover:
 		echo "live-cover: internal/ functions no live run executes differ from LIVE_UNCOVERED.txt (< listed, > measured)"; exit 1; fi; \
 	echo "live-cover: $$(wc -l <$$tmp/got) internal/ functions unexecuted, as LIVE_UNCOVERED.txt lists"
 
+# Byte-identity against a base revision: unpack BASE with git archive,
+# build the commands and examples of both trees, and cmp what a change must
+# keep printing (stdout and stderr): the paper sweep with its metrics at -parallel 1 and 4 and
+# at -seed 7, the scale scenario at each arrival profile, the bearer trace
+# in both forms, and the five examples. Usage: make identity BASE=<rev>.
+identity:
+	@set -e; if [ -z "$(BASE)" ]; then echo "usage: make identity BASE=<rev>"; exit 2; fi; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir $$tmp/src; git archive "$(BASE)" | tar -x -C $$tmp/src; \
+	(cd $$tmp/src && $(GO) build -o $$tmp/base/ ./cmd/acacia-sim ./cmd/acacia-bearers ./examples/...); \
+	$(GO) build -o $$tmp/head/ ./cmd/acacia-sim ./cmd/acacia-bearers ./examples/...; \
+	fail=0; \
+	for c in "acacia-sim -all -metrics -parallel 1" "acacia-sim -all -metrics -parallel 4" "acacia-sim -all -seed 7" \
+		"acacia-sim -scale -scale-arrival uniform" "acacia-sim -scale -scale-arrival diurnal" "acacia-sim -scale -scale-arrival flash" \
+		"acacia-bearers" "acacia-bearers -csv" quickstart retail localization offload mobility; do \
+		$$tmp/base/$$c >$$tmp/want 2>$$tmp/want.err; $$tmp/head/$$c >$$tmp/got 2>$$tmp/got.err; \
+		if cmp -s $$tmp/want $$tmp/got && cmp -s $$tmp/want.err $$tmp/got.err; then echo "identity: same    $$c"; else echo "identity: DIFFERS $$c"; fail=1; fi; \
+	done; exit $$fail
+
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -101,7 +120,7 @@ loc:
 # The ceiling loc-check holds `make loc` to. Growth past it fails CI, so
 # raising it is a reviewed one-line diff, as ALLOC_BUDGET.json is for
 # allocations.
-LOC_CEILING = 21854
+LOC_CEILING = 21831
 
 loc-check:
 	@n=$$($(LOC)); if [ "$$n" -gt $(LOC_CEILING) ]; then \

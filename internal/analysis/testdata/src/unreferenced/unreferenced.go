@@ -17,6 +17,15 @@ type pair struct {
 	b int // want "field .*pair.b"
 }
 
+// Copying a field into itself is not a read: a field only ever copied from
+// one record to another, or swapped between two, is dead; one more read
+// keeps it.
+type packet struct {
+	id    int // want "field .*packet.id"
+	size  int
+	owner int // want "field .*packet.owner"
+}
+
 // Hashing and comparing read every field: a map key and an == operand.
 type key struct{ shard, slot int }
 
@@ -63,6 +72,12 @@ func init() {
 
 	p := pair{1, 2}
 	sink += p.a
+
+	src, dst := &packet{id: 1, size: 2, owner: 3}, &packet{}
+	dst.id = src.id
+	dst.size = (src.size)
+	sink += dst.size
+	src.owner, dst.owner = dst.owner, src.owner
 
 	seen := map[key]bool{{shard: 1, slot: 2}: true}
 	sink += len(seen)

@@ -321,7 +321,8 @@ type refGraph struct {
 	// values holds the functions non-test code uses other than by calling.
 	values map[*types.Func]bool
 	// writes and called mark identifiers in the file being walked: the
-	// target of an assignment or keyed literal element, and a callee.
+	// target of an assignment or keyed literal element, or the source of a
+	// same-field copy (markSelfCopy); and a callee.
 	writes, called map[*ast.Ident]bool
 	// written holds the fields non-test code stores into (wrote).
 	written map[types.Object]bool
@@ -413,9 +414,12 @@ func (g *refGraph) walk(n ast.Node, from []types.Object, scope string) {
 			return false
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
-				for _, lhs := range n.Lhs {
+				for i, lhs := range n.Lhs {
 					g.markWrite(lhs)
 					g.wrote(lhs)
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+						g.markSelfCopy(lhs, n.Rhs[i])
+					}
 				}
 			}
 		case *ast.IncDecStmt:
@@ -554,6 +558,23 @@ func (g *refGraph) markWrite(lhs ast.Expr) {
 		default:
 			return
 		}
+	}
+}
+
+// markSelfCopy marks the source of x.f = y.f, one pair of an assignment,
+// as no read of f: a field only ever copied into itself carries nothing
+// anyone uses.
+func (g *refGraph) markSelfCopy(lhs, rhs ast.Expr) {
+	dst, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	src, ok2 := ast.Unparen(rhs).(*ast.SelectorExpr)
+	if !ok || !ok2 {
+		return
+	}
+	info := g.pkg.Info
+	d, s := info.Selections[dst], info.Selections[src]
+	if d != nil && s != nil && d.Kind() == types.FieldVal && s.Kind() == types.FieldVal &&
+		d.Obj().(*types.Var).Origin() == s.Obj().(*types.Var).Origin() {
+		g.writes[src.Sel] = true
 	}
 }
 
@@ -738,11 +759,12 @@ func namedByInterface(fn *types.Func, ifaces []*types.Interface) bool {
 }
 
 // TestUnreferencedGolden runs the guard over a fixture holding one case of
-// each rule: write-only and literal-only fields, an unused constant, a var
-// and function only dead code reaches, and an unused parameter of a
-// function only called directly fail; map-key, compared, tagged and
-// embedded fields and an unused parameter of a function used as a value
-// pass.
+// each rule: write-only and literal-only fields, a field only copied into
+// itself and one only swapped between two records, an unused constant, a
+// var and function only dead code reaches, and an unused parameter of a
+// function only called directly fail; a self-copied field with one other
+// read, map-key, compared, tagged and embedded fields and an unused
+// parameter of a function used as a value pass.
 func TestUnreferencedGolden(t *testing.T) {
 	const path = "acacia/x/unreferenced"
 	dir, pkgs := loadGolden(t, "unreferenced", path)

@@ -260,3 +260,48 @@ func TestFailoverRespectsCapacity(t *testing.T) {
 		t.Errorf("frontend server = %v, want %v", victim.Frontend.Server(), want)
 	}
 }
+
+// TestOverlappingRequestFails asks twice for one UE before the first bearer
+// activation completes: the second request fails at once, as a second
+// release does, and the first binds alone, so after release the site's
+// load and the MRS record pool are back at 0.
+func TestOverlappingRequestFails(t *testing.T) {
+	tb := newRetailTestbed(t, TestbedConfig{NumUEs: 1})
+	ue := tb.UEs[0]
+	if err := tb.Attach(ue); err != nil {
+		t.Fatal(err)
+	}
+	ip := ue.UE.Addr()
+	var errs [2]error
+	var done [2]bool
+	for i := range errs {
+		tb.MRS.RequestConnectivity(RetailServiceName, ip, "enb", func(_ pkt.Addr, err error) {
+			errs[i], done[i] = err, true
+		})
+	}
+	if !done[1] || errs[1] == nil {
+		t.Errorf("overlapping request: done=%v err=%v, want an immediate failure", done[1], errs[1])
+	}
+	tb.Run(2 * time.Second)
+	if !done[0] || errs[0] != nil {
+		t.Fatalf("first request: done=%v err=%v, want bound", done[0], errs[0])
+	}
+	site := retailSite(t, tb, 0)
+	if site.load != 1 {
+		t.Errorf("bound: load=%d, want 1", site.load)
+	}
+	released := false
+	tb.MRS.ReleaseConnectivity(ip, func(err error) {
+		if err != nil {
+			t.Errorf("release: %v", err)
+		}
+		released = true
+	})
+	tb.Run(2 * time.Second)
+	if !released {
+		t.Fatal("release never completed")
+	}
+	if site.load != 0 || tb.MRS.records.Outstanding() != 0 {
+		t.Errorf("after release: load=%d records out=%d, want 0/0", site.load, tb.MRS.records.Outstanding())
+	}
+}

@@ -75,6 +75,8 @@ type MRS struct {
 	core     *epc.Core
 	services map[string]*CIService
 	bindings map[pkt.Addr]*binding // by UE IP
+	// activating marks the UEs whose bearer activation is under way.
+	activating map[pkt.Addr]bool
 
 	// siteBindings indexes live bindings by site name, so failover never
 	// scans the full binding table; peerSites resolves a supervised
@@ -148,6 +150,7 @@ func NewMRS(core *epc.Core) *MRS {
 		core:         core,
 		services:     make(map[string]*CIService),
 		bindings:     make(map[pkt.Addr]*binding),
+		activating:   make(map[pkt.Addr]bool),
 		siteBindings: make(map[string]map[pkt.Addr]*binding),
 		peerSites:    make(map[pkt.Addr][]*EdgeSite),
 		downSites:    make(map[string]bool),
@@ -282,11 +285,21 @@ func (m *MRS) SiteLoad(name string) int {
 // site up front (released again if activation fails) and rejects with a
 // wrapped ErrNoCapacity when every surviving site is full — a deterministic,
 // retriable outcome the device manager's capped backoff absorbs.
+//
+// A UE has one activation at a time: asking again while one is under way
+// fails.
 func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName string, done func(pkt.Addr, error)) {
 	svc, ok := m.services[serviceName]
-	if !ok {
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("core: unknown CI service %q", serviceName)
+	case m.activating[ueIP]:
+		err = fmt.Errorf("core: UE %v: MEC bearer activation already under way", ueIP)
+	}
+	if err != nil {
 		if done != nil {
-			done(pkt.Addr{}, fmt.Errorf("core: unknown CI service %q", serviceName))
+			done(pkt.Addr{}, err)
 		}
 		return
 	}
@@ -318,6 +331,7 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 	}
 	b.holds = 1 // the activation's
 	b.ueIP, b.service, b.site, b.enbName, b.notify = ueIP, svc, site, enbName, done
+	m.activating[ueIP] = true
 	m.core.PCRF.RequestDedicatedBearer(svc.PolicyID, ueIP, site.CIServer, site.SGWPlane, site.PGWPlane, b.activatedF)
 }
 
@@ -325,6 +339,7 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 // goes live, on failure its capacity unit and its record go back.
 func (b *binding) activated(_ uint8, err error) {
 	done, server := b.notify, b.site.CIServer
+	delete(b.m.activating, b.ueIP)
 	if err != nil {
 		b.site.load--
 		b.drop()

@@ -44,10 +44,11 @@ const (
 const AckBytes = 28
 
 // TxInfo reports how one transaction fared on the wire, observed at ack
-// time: the link the (finally delivered) request traversed, the queueing
-// delay it accumulated, and how many retransmissions the exchange needed.
+// time: the queueing delay the (finally delivered) request accumulated, and
+// how many retransmissions the exchange needed. Every route is one direct
+// link (Connect), so the link a request crossed is its sender-to-receiver
+// path.
 type TxInfo struct {
-	Link      string
 	QueueWait time.Duration
 	Retrans   int
 }
@@ -65,17 +66,15 @@ type Transport struct {
 	dups     *telemetry.Counter
 	latency  *telemetry.Histogram
 
-	// ackFrames recycles ack frames: they are created per delivered data frame
-	// and consumed in one Receive call at the sender, so pooling them
-	// (engine-scoped, like packets and events) removes a per-ack allocation.
-	ackFrames sim.Pool[Frame]
-	// dataFrames recycles data frames. A data frame is shared by every cloned
-	// attempt of its transaction, so it returns to the pool only when the
-	// ack retires a transaction that was never retransmitted (control links
-	// are FIFO, so the acked sole attempt having arrived means no clone is
-	// still in flight). Retransmitted transactions abandon their frame
-	// rather than risk aliasing with a late clone.
-	dataFrames sim.Pool[Frame]
+	// frames recycles data and ack frames (engine-scoped, like packets and
+	// events). An ack frame is consumed in one Receive call at the sender.
+	// A data frame is shared by every cloned attempt of its transaction, so
+	// it returns to the pool only when the ack retires a transaction that
+	// was never retransmitted (control links are FIFO, so the acked sole
+	// attempt having arrived means no clone is still in flight).
+	// Retransmitted transactions abandon their frame rather than risk
+	// aliasing with a late clone.
+	frames sim.Pool[Frame]
 	// txns recycles transaction records, retired at ack time.
 	txns sim.Pool[txn]
 }
@@ -95,13 +94,14 @@ func NewTransport(eng *sim.Engine) *Transport {
 	}
 }
 
-// recycleDataFrame returns a data frame to its pool. Only the ack path may
-// call it, and only for transactions whose single attempt was acked.
+// recycleFrame returns a consumed frame to the pool: an ack frame once
+// its fields are copied out, a data frame only when its transaction's
+// single attempt was acked.
 //
 //acacia:hotpath
-func (t *Transport) recycleDataFrame(f *Frame) {
+func (t *Transport) recycleFrame(f *Frame) {
 	*f = Frame{}
-	t.dataFrames.Put(f)
+	t.frames.Put(f)
 }
 
 // recycleTxn zeroes a retired transaction and returns it to the pool. The
@@ -112,15 +112,6 @@ func (t *Transport) recycleDataFrame(f *Frame) {
 func (t *Transport) recycleTxn(tx *txn) {
 	*tx = txn{}
 	t.txns.Put(tx)
-}
-
-// recycleAckFrame returns a consumed ack frame to its pool. Callers must
-// have copied out every field they need first.
-//
-//acacia:hotpath
-func (t *Transport) recycleAckFrame(f *Frame) {
-	*f = Frame{}
-	t.ackFrames.Put(f)
 }
 
 // Retransmissions reports the total retransmission count.
@@ -155,18 +146,17 @@ type txn struct {
 
 // Frame is the transport PDU riding netsim packets between endpoints. Data
 // frames carry the receiver-side continuation (the simulation's stand-in
-// for dispatching a decoded message); ack frames echo the transport
-// conditions the receiver observed so the sender can attribute them to the
-// transaction. The type is opaque outside this package: shared-node
-// handlers detect control traffic with FrameOf and hand it to Receive.
+// for dispatching a decoded message); ack frames carry the sequence number
+// and the queueing delay the acked attempt met, which the sender reports
+// for the transaction. The type is opaque outside this package:
+// shared-node handlers detect control traffic with FrameOf and hand it to
+// Receive.
 type Frame struct {
 	ack     bool
 	seq     uint32
-	name    string
 	deliver func()
-	// Ack-side observations.
+	// queueWait is an ack's observation of the acked attempt.
 	queueWait time.Duration
-	linkName  string
 }
 
 // FrameOf returns the control frame carried by p, or nil for data-plane
@@ -218,9 +208,6 @@ type Endpoint struct {
 	node    *netsim.Node
 	peers   map[pkt.Addr]*peerState
 	pending map[txnKey]*txn
-	// linkNames interns the "peer->self" label per ingress port so acks
-	// don't rebuild the string for every delivered frame.
-	linkNames map[*netsim.Port]string
 	// expireF is the method value bound once at construction so arming the
 	// per-attempt T3 timer allocates no closure.
 	expireF func(any)
@@ -232,12 +219,11 @@ type Endpoint struct {
 // false and forward frames explicitly.
 func (t *Transport) Endpoint(node *netsim.Node, own bool) *Endpoint {
 	ep := &Endpoint{
-		tr:        t,
-		eng:       t.eng,
-		node:      node,
-		peers:     make(map[pkt.Addr]*peerState),
-		pending:   make(map[txnKey]*txn),
-		linkNames: make(map[*netsim.Port]string),
+		tr:      t,
+		eng:     t.eng,
+		node:    node,
+		peers:   make(map[pkt.Addr]*peerState),
+		pending: make(map[txnKey]*txn),
 	}
 	ep.expireF = ep.expireArg
 	if own {
@@ -301,8 +287,8 @@ func (ep *Endpoint) Send(peer pkt.Addr, seq uint32, name string, size int, deliv
 	if ps == nil || ps.route == nil {
 		noRoute(ep.Name(), peer)
 	}
-	f := ep.tr.dataFrames.Take()
-	f.seq, f.name, f.deliver = seq, name, deliver
+	f := ep.tr.frames.Take()
+	f.seq, f.deliver = seq, deliver
 	tpl := ep.node.NewPacket()
 	tpl.Flow = pkt.FiveTuple{Src: ep.Addr(), Dst: peer}
 	tpl.Size = size
@@ -330,9 +316,7 @@ func noRoute(name string, peer pkt.Addr) {
 //
 //acacia:hotpath
 func (ep *Endpoint) transmit(tx *txn) {
-	p := ep.node.Network().ClonePacket(tx.tpl)
-	p.CreatedAt = ep.eng.Now()
-	tx.route.Send(p)
+	tx.route.Send(ep.node.Network().ClonePacket(tx.tpl))
 	tx.timer = ep.eng.ScheduleArg(T3, ep.expireF, tx)
 }
 
@@ -374,9 +358,9 @@ func (ep *Endpoint) expire(tx *txn) {
 // handleNode is the packet handler installed on dedicated control nodes.
 // Anything that is not a control frame is dropped: these nodes carry no
 // data plane.
-func (ep *Endpoint) handleNode(ingress *netsim.Port, p *netsim.Packet) {
+func (ep *Endpoint) handleNode(_ *netsim.Port, p *netsim.Packet) {
 	if f := FrameOf(p); f != nil {
-		ep.Receive(ingress, p, f)
+		ep.Receive(p, f)
 		return
 	}
 	ep.node.Network().Release(p)
@@ -388,14 +372,14 @@ func (ep *Endpoint) handleNode(ingress *netsim.Port, p *netsim.Packet) {
 // observations.
 //
 //acacia:hotpath
-func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
+func (ep *Endpoint) Receive(p *netsim.Packet, f *Frame) {
 	peer := p.Flow.Src
 	key := txnKey{peer, f.seq}
 	if f.ack {
 		tx := ep.pending[key]
 		if tx == nil {
 			// Duplicate ack; transaction already retired.
-			ep.tr.recycleAckFrame(f)
+			ep.tr.recycleFrame(f)
 			ep.node.Network().Release(p)
 			return
 		}
@@ -404,9 +388,9 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 		ep.tr.acks.Inc()
 		rtt := ep.eng.Now().Sub(tx.start)
 		ep.tr.latency.Observe(float64(rtt) / float64(time.Millisecond))
-		info := TxInfo{Link: f.linkName, QueueWait: f.queueWait, Retrans: tx.retries}
+		info := TxInfo{QueueWait: f.queueWait, Retrans: tx.retries}
 		onDone := tx.onDone
-		ep.tr.recycleAckFrame(f)
+		ep.tr.recycleFrame(f)
 		ep.node.Network().Release(p)
 		// Retire the transaction's resources. The template never rides a
 		// link itself (attempts are clones), so it always returns to the
@@ -417,7 +401,7 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 		// recycled only when nothing was ever retransmitted.
 		if tx.retries == 0 {
 			if df := FrameOf(tx.tpl); df != nil {
-				ep.tr.recycleDataFrame(df)
+				ep.tr.recycleFrame(df)
 			}
 		}
 		ep.node.Network().Release(tx.tpl)
@@ -431,14 +415,12 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 	// retransmitted request, echoing what this attempt experienced.
 	ps := ep.peer(peer)
 	if back := ps.route; back != nil {
-		ack := ep.tr.ackFrames.Take()
-		ack.ack, ack.seq, ack.name = true, f.seq, f.name
-		ack.queueWait, ack.linkName = p.QueueWait, ep.linkNameFor(ingress)
+		ack := ep.tr.frames.Take()
+		ack.ack, ack.seq, ack.queueWait = true, f.seq, p.QueueWait
 		ap := ep.node.NewPacket()
 		ap.Flow = pkt.FiveTuple{Src: ep.Addr(), Dst: peer}
 		ap.Size = AckBytes
 		ap.Payload = ack
-		ap.CreatedAt = ep.eng.Now()
 		back.Send(ap)
 	}
 	ep.node.Network().Release(p)
@@ -449,17 +431,4 @@ func (ep *Endpoint) Receive(ingress *netsim.Port, p *netsim.Packet, f *Frame) {
 	if f.deliver != nil {
 		f.deliver()
 	}
-}
-
-// linkNameFor returns the interned "peer->self" label of the ingress port.
-func (ep *Endpoint) linkNameFor(ingress *netsim.Port) string {
-	if ingress == nil || ingress.Peer() == nil {
-		return ""
-	}
-	if s, ok := ep.linkNames[ingress]; ok {
-		return s
-	}
-	s := ingress.Peer().Node.Name() + "->" + ingress.Node.Name()
-	ep.linkNames[ingress] = s
-	return s
 }

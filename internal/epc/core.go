@@ -254,7 +254,7 @@ func (l *leg) failed(err error) {
 
 func (l *leg) acked(info ctl.TxInfo) {
 	if l.idx >= 0 {
-		l.c.Acct.NoteTransport(l.idx, info.Link, info.QueueWait, info.Retrans)
+		l.c.Acct.NoteTransport(l.idx, info.QueueWait, info.Retrans)
 	}
 	l.drop()
 }

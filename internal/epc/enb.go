@@ -116,7 +116,7 @@ func (e *ENB) handle(ingress *netsim.Port, p *netsim.Packet) {
 	// S1-MME control frames arrive on the eNB's control port; everything
 	// else is data plane.
 	if f := ctl.FrameOf(p); f != nil {
-		e.ep.Receive(ingress, p, f)
+		e.ep.Receive(p, f)
 		return
 	}
 	if ingress.ID == 0 {

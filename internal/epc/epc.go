@@ -71,7 +71,9 @@ type MsgRecord struct {
 	Seq uint32
 	// Path names the sending and receiving endpoints ("mme->sgw-c").
 	Path string
-	// Link names the link the delivered attempt traversed.
+	// Link names the link the delivered attempt traversed, set at ack
+	// time: every control route is one direct link (ctl.Connect), so an
+	// acked record's Link is its Path, and a never-acked one's is empty.
 	Link string
 	// QueueWait is the transmit-queue delay of the delivered attempt.
 	QueueWait time.Duration
@@ -134,14 +136,14 @@ func (a *Accounting) RecordTx(at sim.Time, proto Protocol, name string, bytes in
 }
 
 // NoteTransport back-fills the wire observations of a traced message once
-// its transport transaction concludes. idx is RecordTx's return value; -1
+// its transport transaction is acked. idx is RecordTx's return value; -1
 // is ignored.
-func (a *Accounting) NoteTransport(idx int, link string, queueWait time.Duration, retrans int) {
+func (a *Accounting) NoteTransport(idx int, queueWait time.Duration, retrans int) {
 	if idx < 0 || idx >= len(a.Log) {
 		return
 	}
 	r := &a.Log[idx]
-	r.Link = link
+	r.Link = r.Path
 	r.QueueWait = queueWait
 	r.Retrans = retrans
 }

@@ -56,14 +56,9 @@ func (n *Node) Port(id int) *Port {
 	return n.ports[id]
 }
 
-// Inject hands a locally originated packet to the node's handler, stamping
-// its creation time. Use this to start traffic at a host.
-func (n *Node) Inject(p *Packet) {
-	n.net.pktSeq++
-	p.ID = n.net.pktSeq
-	p.CreatedAt = n.net.eng.Now()
-	n.handle(nil, p)
-}
+// Inject hands a locally originated packet to the node's handler. Use this
+// to start traffic at a host.
+func (n *Node) Inject(p *Packet) { n.handle(nil, p) }
 
 // receive is called by a link when a packet arrives on one of the node's
 // ports.
@@ -97,10 +92,8 @@ type Network struct {
 	nodes  map[string]*Node
 	byAddr map[pkt.Addr]*Node
 	links  []*Link
-	// pktSeq numbers injected packets; pkts is the packet pool (see
-	// pool.go).
-	pktSeq uint64
-	pkts   sim.Pool[Packet]
+	// pkts is the packet pool (see pool.go).
+	pkts sim.Pool[Packet]
 }
 
 // New creates an empty network on eng.

@@ -13,19 +13,17 @@ import (
 	"time"
 
 	"acacia/internal/pkt"
-	"acacia/internal/sim"
 )
 
 // Packet is one simulated datagram. Packets are passed by pointer and owned
 // by whichever queue or handler currently holds them; handlers that fan a
 // packet out copy it with Network.ClonePacket.
 //
-// The field order packs the struct into 80 bytes, an allocator size class
-// of its own (TestPacketIs80Bytes): overloaded switch queues hold hundreds
-// of thousands of packets, and the metro runs keep pools of them hot.
+// The field order packs the struct into 64 bytes, an allocator size class
+// and a cache line (TestPacketIs64Bytes): overloaded switch queues hold
+// hundreds of thousands of packets, and the metro runs keep pools of them
+// hot.
 type Packet struct {
-	// ID is unique per network for tracing.
-	ID uint64
 	// Flow is the inner five-tuple (endpoint view).
 	Flow pkt.FiveTuple
 	// TOS is the inner IP TOS byte; bearers mark it from their QCI.
@@ -43,9 +41,10 @@ type Packet struct {
 	Payload any
 
 	// Tunnel state: when TEID is non-zero the packet is GTP-U encapsulated
-	// between TunnelSrc and TunnelDst and Size includes pkt.GTPUOverhead.
-	TEID                 uint32
-	TunnelSrc, TunnelDst pkt.Addr
+	// toward the tunnel endpoint TunnelDst and Size includes
+	// pkt.GTPUOverhead.
+	TEID      uint32
+	TunnelDst pkt.Addr
 
 	// Hops counts forwarding operations, a loop guard (MaxHops).
 	Hops uint8
@@ -56,8 +55,6 @@ type Packet struct {
 	// the pool, the double-release canary.
 	pooled, freed bool
 
-	// CreatedAt is when the packet entered the network.
-	CreatedAt sim.Time
 	// QueueWait accumulates the time spent waiting in link transmit queues
 	// across every hop so far.
 	QueueWait time.Duration
@@ -66,14 +63,15 @@ type Packet struct {
 // MaxHops aborts forwarding loops: no testbed path is longer than this.
 const MaxHops = 64
 
-// Encapsulate applies GTP-U tunnel state between two gateway addresses and
-// grows the wire size by the encapsulation overhead.
-func (p *Packet) Encapsulate(src, dst pkt.Addr, teid uint32) {
+// Encapsulate applies GTP-U tunnel state toward the gateway address dst and
+// grows the wire size by the encapsulation overhead. The first parameter,
+// the tunnel's source gateway, is not kept: forwarding reads only the TEID
+// and the endpoint.
+func (p *Packet) Encapsulate(_, dst pkt.Addr, teid uint32) {
 	if p.TEID != 0 {
 		panicDoubleGTP()
 	}
-	p.TEID = teid
-	p.TunnelSrc, p.TunnelDst = src, dst
+	p.TEID, p.TunnelDst = teid, dst
 	p.Size += pkt.GTPUOverhead
 }
 
@@ -92,7 +90,7 @@ func (p *Packet) Decapsulate() uint32 {
 	}
 	teid := p.TEID
 	p.TEID = 0
-	p.TunnelSrc, p.TunnelDst = pkt.Addr{}, pkt.Addr{}
+	p.TunnelDst = pkt.Addr{}
 	p.Size -= pkt.GTPUOverhead
 	return teid
 }

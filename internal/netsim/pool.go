@@ -39,9 +39,9 @@ func panicDoubleRelease() {
 //acacia:hotpath
 func (nw *Network) ClonePacket(p *Packet) *Packet {
 	c := nw.NewPacket()
-	c.ID, c.Flow, c.TOS, c.Size, c.Payload = p.ID, p.Flow, p.TOS, p.Size, p.Payload
-	c.TEID, c.TunnelSrc, c.TunnelDst = p.TEID, p.TunnelSrc, p.TunnelDst
-	c.Priority, c.CreatedAt, c.QueueWait, c.Hops = p.Priority, p.CreatedAt, p.QueueWait, p.Hops
+	c.Flow, c.TOS, c.Size, c.Payload = p.Flow, p.TOS, p.Size, p.Payload
+	c.TEID, c.TunnelDst = p.TEID, p.TunnelDst
+	c.Priority, c.QueueWait, c.Hops = p.Priority, p.QueueWait, p.Hops
 	return c
 }
 

@@ -94,7 +94,7 @@ func TestPoolReuseStartsZeroed(t *testing.T) {
 
 // TestFreshPacketsComeInSlabs pins the pool-miss cost: a fresh Network
 // handing out 10,000 packets with none released, as an overloaded switch
-// queue does, carves them from a hundred-odd slabs instead of allocating
+// queue does, carves them from under a hundred slabs instead of allocating
 // each one. The count includes building the Network itself.
 func TestFreshPacketsComeInSlabs(t *testing.T) {
 	eng := sim.NewEngine(1)

@@ -351,7 +351,7 @@ func (sw *Switch) MarkGTPPort(portID int) {
 func (sw *Switch) receive(ingress *netsim.Port, p *netsim.Packet) {
 	if sw.ctlEP != nil {
 		if f := ctl.FrameOf(p); f != nil {
-			sw.ctlEP.Receive(ingress, p, f)
+			sw.ctlEP.Receive(p, f)
 			return
 		}
 	}
