@@ -74,7 +74,9 @@ live-cover:
 # build the commands and examples of both trees, and cmp what a change must
 # keep printing (stdout and stderr): the paper sweep with its metrics at -parallel 1 and 4 and
 # at -seed 7, the scale scenario at each arrival profile, the bearer trace
-# in both forms, and the five examples. Usage: make identity BASE=<rev>.
+# in both forms, the five examples and the mobility example's site crash
+# (-faults); then the JSON timeline the paper sweep writes, where the MRS's
+# site-down, failover and relocate events land. Usage: make identity BASE=<rev>.
 identity:
 	@set -e; if [ -z "$(BASE)" ]; then echo "usage: make identity BASE=<rev>"; exit 2; fi; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -84,10 +86,13 @@ identity:
 	fail=0; \
 	for c in "acacia-sim -all -metrics -parallel 1" "acacia-sim -all -metrics -parallel 4" "acacia-sim -all -seed 7" \
 		"acacia-sim -scale -scale-arrival uniform" "acacia-sim -scale -scale-arrival diurnal" "acacia-sim -scale -scale-arrival flash" \
-		"acacia-bearers" "acacia-bearers -csv" quickstart retail localization offload mobility; do \
+		"acacia-bearers" "acacia-bearers -csv" quickstart retail localization offload mobility "mobility -faults"; do \
 		$$tmp/base/$$c >$$tmp/want 2>$$tmp/want.err; $$tmp/head/$$c >$$tmp/got 2>$$tmp/got.err; \
 		if cmp -s $$tmp/want $$tmp/got && cmp -s $$tmp/want.err $$tmp/got.err; then echo "identity: same    $$c"; else echo "identity: DIFFERS $$c"; fail=1; fi; \
-	done; exit $$fail
+	done; \
+	c="acacia-sim -all -timeline"; $$tmp/base/$$c $$tmp/want.json >/dev/null; $$tmp/head/$$c $$tmp/got.json >/dev/null; \
+	if cmp -s $$tmp/want.json $$tmp/got.json; then echo "identity: same    $$c (JSON)"; else echo "identity: DIFFERS $$c (JSON)"; fail=1; fi; \
+	exit $$fail
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -120,7 +125,7 @@ loc:
 # The ceiling loc-check holds `make loc` to. Growth past it fails CI, so
 # raising it is a reviewed one-line diff, as ALLOC_BUDGET.json is for
 # allocations.
-LOC_CEILING = 21831
+LOC_CEILING = 21752
 
 loc-check:
 	@n=$$($(LOC)); if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -62,9 +62,9 @@ func TestWalkerDrivenHandover(t *testing.T) {
 	if site := tb.MRS.Binding(customer.UE.Addr()); site == nil || site.Name != site2.Name {
 		t.Fatalf("final binding = %+v, want %s", site, site2.Name)
 	}
-	if customer.Frontend.Migrations != 1 || customer.Frontend.MigrationTimeouts != 0 {
-		t.Fatalf("migrations = %d (timeouts %d), want 1 clean migration",
-			customer.Frontend.Migrations, customer.Frontend.MigrationTimeouts)
+	// Migrations counts only a done message that beat the watchdog.
+	if customer.Frontend.Migrations != 1 {
+		t.Fatalf("migrations = %d, want 1 clean migration", customer.Frontend.Migrations)
 	}
 
 	// No frame loss beyond the interruption window: the only frame the

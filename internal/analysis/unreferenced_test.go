@@ -24,22 +24,19 @@ var keepUnreferenced = map[string]string{
 	"acacia/internal/netsim.Link.BacklogAB":              "the queued-link alloc rig checks its direction is congested",
 	"acacia/internal/sim.Pool.Idle":                      "pool tests in sim, epc and sdn read which records are at rest",
 	"acacia/internal/sim.Pool.Outstanding":               "pool-balance tests in sim and epc check every record came back",
-	"acacia/internal/netsim.Network.PacketsOut":          "ctl's timeout test checks a failed transaction returns its packets",
-	"acacia/internal/netsim.Link.StatsAB":                "link, ctl, epc and fault tests read per-direction counters",
+	"acacia/internal/netsim.Network.PacketsOut":          "ctl's timeout test checks a failed transaction returns its packets, the routing test an unroutable packet",
+	"acacia/internal/netsim.Link.StatsAB":                "link, ctl, epc, core and fault tests read per-direction counters",
 	"acacia/internal/netsim.Link.StatsBA":                "ctl and epc loss tests read the reverse direction's counters",
-	"acacia/internal/netsim.Network.Links":               "core's wiring tests pin link creation order, the <n> of every link metric",
+	"acacia/internal/netsim.Network.Links":               "core's wiring tests pin link creation order, the <n> of every link metric; handover tests find an eNB's backhaul",
 	"acacia/internal/vision.Object.Materialised":         "the lazy-DB tests check a session generates no descriptors",
-	"acacia/internal/core.ARFrontend.MigrationTimeouts":  "mobility tests check a relocation's migration finished before its watchdog",
 	"acacia/internal/netsim.GreedyFlow.AckedSegments":    "greedy-flow tests check the measured windows ack segments",
 	"acacia/internal/netsim.GreedyFlow.Retransmits":      "greedy-flow tests check a tight queue drives the pooled retransmit path",
 	"acacia/internal/netsim.Pinger.Sent":                 "ping tests count unanswered probes as Sent - RTTs.N()",
-	"acacia/internal/netsim.Router.Dropped":              "the routing test checks an unroutable packet is dropped",
 	"acacia/internal/pkt.DirUplink":                      "TFT and modem tests build uplink-only filters (TS 24.008 direction 2)",
 	"acacia/internal/vision.MatchResult.Correspondences": "vision tests compare the matches each pipeline stage keeps",
 	"acacia/internal/d2d.DiscoveryMessage.Service":       "the discovery test checks a delivery carries the published service",
 	"acacia/internal/d2d.DiscoveryMessage.Payload":       "the discovery test checks a delivery carries the published payload",
 	"acacia/internal/epc.ENB.s1Link":                     "loss and leg tests fail and heal the eNB's S1-MME link through it",
-	"acacia/internal/epc.ENB.ULPackets":                  "handover tests check uplink traffic traverses the target eNB",
 	"acacia/internal/sdn.SwitchStats.SlowPathHits":       "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",
 	"acacia/internal/sdn.SwitchStats.TableMisses":        "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",
 	"acacia/internal/sdn.SwitchStats.Dropped":            "sdn tests read the switch's sdn/<node>/ counters through Switch.Stats",

@@ -212,9 +212,9 @@ type ARFrontend struct {
 	// Responses counts results; Found counts successful matches; Timeouts
 	// counts frames abandoned without a response.
 	Responses, Found, Timeouts uint64
-	// Migrations counts completed state migrations; MigratedBytes sums the
-	// shipped state; MigrationTimeouts counts watchdog-resumed sessions.
-	Migrations, MigratedBytes, MigrationTimeouts uint64
+	// Migrations counts completed state migrations (not watchdog-resumed
+	// ones); MigratedBytes sums the shipped state.
+	Migrations, MigratedBytes uint64
 	// MigrateTransferMS is the last completed migration's duration, from
 	// the fetch request to the done notification (pure protocol + transfer
 	// time, free of frame-cadence phase).

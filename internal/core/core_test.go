@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"acacia/internal/d2d"
+	"acacia/internal/epc"
 	"acacia/internal/geo"
 	"acacia/internal/netsim"
 	"acacia/internal/pkt"
@@ -477,9 +478,22 @@ func TestRetailSessionSurvivesHandover(t *testing.T) {
 	if len(sess.DedicatedBearers()) != 1 {
 		t.Errorf("dedicated bearers after handover = %d", len(sess.DedicatedBearers()))
 	}
-	if enb2.ULPackets == 0 {
+	if backhaulUL(t, tb, enb2).StatsAB().Sent == 0 {
 		t.Error("no uplink via the target eNB")
 	}
+}
+
+// backhaulUL returns the eNB's link to the aggregation router, whose A->B
+// direction carries the uplink the eNB forwards.
+func backhaulUL(t *testing.T, tb *Testbed, enb *epc.ENB) *netsim.Link {
+	t.Helper()
+	for _, l := range tb.Net.Links() {
+		if l.A.Node.Name() == enb.Name() && l.B.Node == tb.Router.Node {
+			return l
+		}
+	}
+	t.Fatalf("%s has no backhaul link", enb.Name())
+	return nil
 }
 
 func TestMultiClientServerSharingEndToEnd(t *testing.T) {

@@ -214,7 +214,6 @@ func (f *ARFrontend) relocateTo(old, server pkt.Addr) {
 			return
 		}
 		f.migrating = false
-		f.MigrationTimeouts++
 		f.resumeFrames()
 	})
 }

@@ -74,9 +74,9 @@ func TestCrossSiteHandoverMigratesSession(t *testing.T) {
 
 	// The application state actually moved: frozen out of edge-1, resumed
 	// at edge-2, via one sized transfer.
-	if b.Frontend.Migrations != 1 || b.Frontend.MigrationTimeouts != 0 {
-		t.Fatalf("migrations = %d (timeouts %d), want 1 clean migration",
-			b.Frontend.Migrations, b.Frontend.MigrationTimeouts)
+	// Migrations counts only a done message that beat the watchdog.
+	if b.Frontend.Migrations != 1 {
+		t.Fatalf("migrations = %d, want 1 clean migration", b.Frontend.Migrations)
 	}
 	if b.Frontend.MigratedBytes == 0 {
 		t.Fatal("migration shipped zero bytes")

@@ -23,8 +23,9 @@ type EdgeSite struct {
 	CIServer pkt.Addr
 	SGWPlane string
 	PGWPlane string
-	// ENBs lists the base stations this site is local to; the MRS picks
-	// the site serving the requesting UE's eNB.
+	// ENBs lists the base stations this site is local to when it is
+	// registered (MRS.AddSiteENB adds more later); the MRS picks the site
+	// serving the requesting UE's eNB.
 	ENBs []string
 	// CapacityUnits bounds concurrent MEC bindings the site admits; zero
 	// means unbounded (the paper-scale default). One binding consumes one
@@ -52,13 +53,9 @@ type CIService struct {
 	Name string
 	// PolicyID keys the PCRF rule for this service's dedicated bearers.
 	PolicyID string
-	// Sites seeds the service's edge sites at registration time. The live
-	// set is MRS-owned afterwards: grow it with MRS.AddSite (stable
-	// *EdgeSite identity, indexes maintained), not by appending here.
-	Sites []EdgeSite
 
-	// sites is the live, MRS-owned site list in registration order; byENB
-	// indexes the eNB-local subsets (same order).
+	// sites is the MRS-owned site list in registration order (MRS.AddSite);
+	// byENB indexes the eNB-local subsets (same order).
 	sites []*EdgeSite
 	byENB map[string][]*EdgeSite
 }
@@ -74,21 +71,11 @@ var ErrNoCapacity = errors.New("no edge site with spare capacity")
 type MRS struct {
 	core     *epc.Core
 	services map[string]*CIService
-	bindings map[pkt.Addr]*binding // by UE IP
-	// activating marks the UEs whose bearer activation is under way.
-	activating map[pkt.Addr]bool
-
-	// siteBindings indexes live bindings by site name, so failover never
-	// scans the full binding table; peerSites resolves a supervised
-	// user-plane address straight to the sites whose fabric owns it. Both
-	// replace O(#sessions)/O(#sites) scans on the path-event hot path.
-	siteBindings map[string]map[pkt.Addr]*binding
-	peerSites    map[pkt.Addr][]*EdgeSite
-	// peerDirty forces a peerSites rebuild: user-plane addresses resolve
-	// through the gateway control planes, which may register planes after
-	// the service, so the index is (re)built lazily on first use and after
-	// every site mutation.
-	peerDirty bool
+	// bindings is the one binding table, by UE IP: a UE's record enters it
+	// when its request is placed and leaves it when the binding ends.
+	// Failover and path events scan it and the site lists; no workload
+	// fails a site at a scale where that scan shows.
+	bindings map[pkt.Addr]*binding
 
 	// downSites marks edge sites (by name) whose GTP-U path is currently
 	// failed, as reported by HandlePathEvent. Placement skips them.
@@ -109,12 +96,26 @@ func (m *MRS) AppendMetrics(dst []telemetry.Metric) []telemetry.Metric {
 	return append(dst, telemetry.Metric{Name: "core/mrs/admission-rejects", Kind: telemetry.KindCounter, Count: m.Rejections})
 }
 
+// bindState is the one procedure a binding runs, or bound when none is.
+type bindState uint8
+
+const (
+	// activating: the request's bearer activation is under way.
+	activating bindState = iota
+	bound
+	// releasing: a release's termination is under way, or a move's that
+	// the release took over.
+	releasing
+	// moving: a relocation's or failover's termination is under way.
+	moving
+)
+
 // binding is one UE's MEC binding, and the pooled record of the procedures
 // on it (DESIGN.md §3c): RequestConnectivity takes it and hands the PCRF
 // its activated leg, ReleaseConnectivity its released leg, both bound once
-// on the record's first take. holds counts what still reaches the record —
-// its entry in the binding indexes, and an activation, release or move
-// under way — and it goes back to MRS.records after the last.
+// on the record's first take. A binding runs one procedure at a time, so
+// the record leaves the table, and goes back to MRS.records, in the
+// callback of the procedure that ends it.
 type binding struct {
 	m       *MRS
 	ueIP    pkt.Addr
@@ -127,61 +128,39 @@ type binding struct {
 	notify  func(pkt.Addr, error)
 	// released is the callback of the release under way, if releasing.
 	released func(error)
-	// failing marks a binding mid-failover so a burst of path events does
-	// not re-enter the procedure; releasing marks a release under way.
-	failing, releasing bool
-	holds              uint8
+	state    bindState
 
 	activatedF func(uint8, error)
 	releasedF  func(error)
 }
 
-// drop releases one hold, recycling the record after the last.
-func (b *binding) drop() {
-	if b.holds--; b.holds == 0 {
-		b.service, b.site, b.notify, b.released, b.failing = nil, nil, nil, nil, false
-		b.m.records.Put(b)
-	}
-}
-
 // NewMRS creates an MRS against the given EPC control plane.
 func NewMRS(core *epc.Core) *MRS {
 	m := &MRS{
-		core:         core,
-		services:     make(map[string]*CIService),
-		bindings:     make(map[pkt.Addr]*binding),
-		activating:   make(map[pkt.Addr]bool),
-		siteBindings: make(map[string]map[pkt.Addr]*binding),
-		peerSites:    make(map[pkt.Addr][]*EdgeSite),
-		downSites:    make(map[string]bool),
-		scope:        core.Eng.Metrics().Scope("core").Scope("mrs"),
+		core:      core,
+		services:  make(map[string]*CIService),
+		bindings:  make(map[pkt.Addr]*binding),
+		downSites: make(map[string]bool),
+		scope:     core.Eng.Metrics().Scope("core").Scope("mrs"),
 	}
 	core.Eng.Metrics().Register(m)
 	return m
 }
 
-// RegisterService adds a CI service and its edge sites.
+// RegisterService adds a CI service; AddSite gives it its edge sites.
 func (m *MRS) RegisterService(svc CIService) {
-	cp := svc
-	cp.byENB = make(map[string][]*EdgeSite)
-	m.services[svc.Name] = &cp
-	for i := range svc.Sites {
-		m.addSite(&cp, svc.Sites[i])
-	}
+	svc.byENB = make(map[string][]*EdgeSite)
+	m.services[svc.Name] = &svc
 }
 
 // AddSite registers another edge site with a service (a failover candidate
 // when no eNB lists it) and returns the MRS-owned instance. All site-set
-// mutation goes through here so the address and eNB indexes stay current.
+// mutation goes through here so the eNB index stays current.
 func (m *MRS) AddSite(serviceName string, site EdgeSite) *EdgeSite {
 	svc := m.services[serviceName]
 	if svc == nil {
 		return nil
 	}
-	return m.addSite(svc, site)
-}
-
-func (m *MRS) addSite(svc *CIService, site EdgeSite) *EdgeSite {
 	s := new(EdgeSite)
 	*s = site
 	s.load = 0
@@ -189,39 +168,21 @@ func (m *MRS) addSite(svc *CIService, site EdgeSite) *EdgeSite {
 	for _, enb := range s.ENBs {
 		svc.byENB[enb] = append(svc.byENB[enb], s)
 	}
-	m.peerDirty = true
 	return s
 }
 
-// AddServiceENB marks every site of the service as local to the named eNB
-// (the testbed's neighbour-cell deployment, where the store's sites serve
-// both cells).
-func (m *MRS) AddServiceENB(serviceName, enbName string) {
-	svc := m.services[serviceName]
-	if svc == nil {
-		return
-	}
-	for _, s := range svc.sites {
-		s.ENBs = append(s.ENBs, enbName)
-		svc.byENB[enbName] = append(svc.byENB[enbName], s)
-	}
-}
-
-// AddSiteENB marks one named site of a service as local to an eNB — the
-// cross-site mobility deployment, where each cell has its own edge site
-// (unlike AddServiceENB's blanket neighbour-cell coverage).
+// AddSiteENB marks one named site of a service as local to an eNB: the MRS
+// prefers it for sessions attaching, or handing over, through that cell.
 func (m *MRS) AddSiteENB(serviceName, siteName, enbName string) {
 	svc := m.services[serviceName]
 	if svc == nil {
 		return
 	}
 	for _, s := range svc.sites {
-		if s.Name != siteName {
-			continue
+		if s.Name == siteName {
+			svc.byENB[enbName] = append(svc.byENB[enbName], s)
+			return
 		}
-		s.ENBs = append(s.ENBs, enbName)
-		svc.byENB[enbName] = append(svc.byENB[enbName], s)
-		return
 	}
 }
 
@@ -290,11 +251,12 @@ func (m *MRS) SiteLoad(name string) int {
 // fails.
 func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName string, done func(pkt.Addr, error)) {
 	svc, ok := m.services[serviceName]
+	b := m.bindings[ueIP]
 	var err error
 	switch {
 	case !ok:
 		err = fmt.Errorf("core: unknown CI service %q", serviceName)
-	case m.activating[ueIP]:
+	case b != nil && b.state == activating:
 		err = fmt.Errorf("core: UE %v: MEC bearer activation already under way", ueIP)
 	}
 	if err != nil {
@@ -303,7 +265,7 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 		}
 		return
 	}
-	if b := m.bindings[ueIP]; b != nil {
+	if b != nil {
 		// Idempotent: the bearer already exists. Adopt the caller's
 		// callback so failover notifications reach the latest requester.
 		b.enbName = enbName
@@ -325,73 +287,53 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 		return
 	}
 	site.load++ // reserve the unit across the activation round-trip
-	b := m.records.Take()
+	b = m.records.Take()
 	if b.m == nil {
 		b.m, b.activatedF, b.releasedF = m, b.activated, b.releaseDone
 	}
-	b.holds = 1 // the activation's
-	b.ueIP, b.service, b.site, b.enbName, b.notify = ueIP, svc, site, enbName, done
-	m.activating[ueIP] = true
+	b.ueIP, b.service, b.site, b.enbName, b.notify, b.state = ueIP, svc, site, enbName, done, activating
+	m.bindings[ueIP] = b
 	m.core.PCRF.RequestDedicatedBearer(svc.PolicyID, ueIP, site.CIServer, site.SGWPlane, site.PGWPlane, b.activatedF)
 }
 
 // activated ends the request's bearer activation: on success the binding
-// goes live, on failure its capacity unit and its record go back.
+// goes live, on failure it ends.
 func (b *binding) activated(_ uint8, err error) {
 	done, server := b.notify, b.site.CIServer
-	delete(b.m.activating, b.ueIP)
 	if err != nil {
-		b.site.load--
-		b.drop()
+		b.m.unbind(b)
 		if done != nil {
 			done(pkt.Addr{}, err)
 		}
 		return
 	}
-	b.m.bind(b.ueIP, b)
-	b.drop()
+	b.state = bound
 	if done != nil {
 		done(server, nil)
 	}
 }
 
-// bind records a live binding in the per-UE and per-site indexes, which
-// hold it until unbind.
-func (m *MRS) bind(ueIP pkt.Addr, b *binding) {
-	b.holds++
-	m.bindings[ueIP] = b
-	bySite := m.siteBindings[b.site.Name]
-	if bySite == nil {
-		bySite = make(map[pkt.Addr]*binding)
-		m.siteBindings[b.site.Name] = bySite
-	}
-	bySite[ueIP] = b
-}
-
-// unbind removes a binding from both indexes and frees its capacity unit.
-func (m *MRS) unbind(ueIP pkt.Addr) {
-	b := m.bindings[ueIP]
-	if b == nil {
-		return
-	}
-	delete(m.bindings, ueIP)
-	if bySite := m.siteBindings[b.site.Name]; bySite != nil {
-		delete(bySite, ueIP)
-	}
+// unbind ends a binding: it leaves the table, its capacity unit is freed and
+// its record recycled.
+func (m *MRS) unbind(b *binding) {
+	delete(m.bindings, b.ueIP)
 	b.site.load--
-	b.drop()
+	b.service, b.site, b.notify, b.released = nil, nil, nil, nil
+	m.records.Put(b)
 }
 
 // ReleaseConnectivity tears down the UE's dedicated bearer for the service.
 // A binding has one release at a time: asking again while one is under
-// way fails.
+// way fails. A release wins over a move: a move skips a releasing binding,
+// and a release that arrives during a move's termination takes it over,
+// ending the binding there instead of replaying the request.
 func (m *MRS) ReleaseConnectivity(ueIP pkt.Addr, done func(error)) {
 	b := m.bindings[ueIP]
 	var err error
 	switch {
-	case b == nil:
+	case b == nil || b.state == activating:
 		err = fmt.Errorf("core: UE %v has no MEC binding", ueIP)
-	case b.releasing:
+	case b.state == releasing:
 		err = fmt.Errorf("core: UE %v: MEC binding release already under way", ueIP)
 	}
 	if err != nil {
@@ -400,27 +342,31 @@ func (m *MRS) ReleaseConnectivity(ueIP pkt.Addr, done func(error)) {
 		}
 		return
 	}
-	b.releasing, b.released = true, done
-	b.holds++
-	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, b.releasedF)
+	moving := b.state == moving
+	b.state, b.released = releasing, done
+	if !moving {
+		m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, b.releasedF)
+	}
 }
 
-// releaseDone ends a release: a terminated bearer unbinds the UE.
+// releaseDone ends a release: a terminated bearer ends the binding, a failed
+// termination leaves it bound.
 func (b *binding) releaseDone(err error) {
 	done := b.released
-	b.releasing, b.released = false, nil
 	if err == nil {
-		b.m.unbind(b.ueIP)
+		b.m.unbind(b)
+	} else {
+		b.state, b.released = bound, nil
 	}
-	b.drop()
 	if done != nil {
 		done(err)
 	}
 }
 
-// Binding reports the edge site currently bound to a UE, or nil.
+// Binding reports the edge site a UE is bound to, or nil while the UE has
+// no binding or its activation is still under way.
 func (m *MRS) Binding(ueIP pkt.Addr) *EdgeSite {
-	if b := m.bindings[ueIP]; b != nil {
+	if b := m.bindings[ueIP]; b != nil && b.state != activating {
 		return b.site
 	}
 	return nil
@@ -451,69 +397,45 @@ func (m *MRS) HandlePathEvent(peer pkt.Addr, down bool) {
 	}
 }
 
-// sitesOfPeer resolves a supervised peer address through the address index;
-// a miss rebuilds the index once (user planes may have registered since the
-// last build) before giving up.
+// sitesOfPeer lists the sites whose fabric owns a supervised peer address
+// (the CI server, SGW-U or PGW-U plane), visiting services in sorted name
+// order and their sites in registration order, each site name once, so the
+// failover event sequence is deterministic. Planes resolve through the
+// gateway control planes at the event, since they may register after the
+// service.
 func (m *MRS) sitesOfPeer(peer pkt.Addr) []*EdgeSite {
-	if m.peerDirty {
-		m.rebuildPeerIndex()
-	}
-	if sites, ok := m.peerSites[peer]; ok {
-		return sites
-	}
-	m.rebuildPeerIndex()
-	return m.peerSites[peer]
-}
-
-// rebuildPeerIndex maps every site fabric address (CI server, SGW-U and
-// PGW-U plane) to its sites, visiting services in sorted name order and
-// sites in registration order so each address's site list — and with it the
-// failover event sequence — is deterministic.
-func (m *MRS) rebuildPeerIndex() {
-	for k := range m.peerSites {
-		delete(m.peerSites, k)
+	if peer.IsZero() {
+		return nil
 	}
 	names := make([]string, 0, len(m.services))
 	for name := range m.services {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	owns := func(up *epc.UserPlane) bool { return up != nil && up.Addr() == peer }
 	seen := make(map[string]bool)
+	var sites []*EdgeSite
 	for _, name := range names {
-		for _, site := range m.services[name].sites {
-			if seen[site.Name] {
+		for _, s := range m.services[name].sites {
+			if seen[s.Name] {
 				continue
 			}
-			seen[site.Name] = true
-			add := func(addr pkt.Addr) {
-				if !addr.IsZero() {
-					m.peerSites[addr] = append(m.peerSites[addr], site)
-				}
-			}
-			add(site.CIServer)
-			if up := m.core.SGWC.Plane(site.SGWPlane); up != nil {
-				add(up.SW.Node().Addr())
-			}
-			if up := m.core.PGWC.Plane(site.PGWPlane); up != nil {
-				add(up.SW.Node().Addr())
+			seen[s.Name] = true
+			if s.CIServer == peer || owns(m.core.SGWC.Plane(s.SGWPlane)) || owns(m.core.PGWC.Plane(s.PGWPlane)) {
+				sites = append(sites, s)
 			}
 		}
 	}
-	m.peerDirty = false
+	return sites
 }
 
-// failoverBindings moves every binding served by the failed site onto a
-// surviving one, in ascending UE-address order so the resulting signaling
-// sequence is deterministic. The per-site index makes this proportional to
-// the failed site's population, not the whole binding table.
+// failoverBindings moves every bound binding served by the failed site onto
+// a surviving one, in ascending UE-address order so the resulting signaling
+// sequence is deterministic.
 func (m *MRS) failoverBindings(siteName string) {
-	bySite := m.siteBindings[siteName]
-	if len(bySite) == 0 {
-		return
-	}
-	ues := make([]pkt.Addr, 0, len(bySite))
-	for ueIP, b := range bySite {
-		if !b.failing {
+	var ues []pkt.Addr
+	for ueIP, b := range m.bindings {
+		if b.state == bound && b.site.Name == siteName {
 			ues = append(ues, ueIP)
 		}
 	}
@@ -531,9 +453,10 @@ func (m *MRS) failoverBindings(siteName string) {
 // target site's gateways. When the current site already serves the new cell
 // (the neighbour-cell deployment) or no local site can take the session,
 // the SGW-anchored bearer keeps working from where it is and nothing moves.
+// A binding running another procedure is left to it.
 func (m *MRS) HandleHandover(ueIP pkt.Addr, enbName string) {
 	b := m.bindings[ueIP]
-	if b == nil || b.failing {
+	if b == nil || b.state != bound {
 		return
 	}
 	b.enbName = enbName
@@ -556,9 +479,9 @@ func (m *MRS) HandleHandover(ueIP pkt.Addr, enbName string) {
 	m.move(ueIP, "relocate")
 }
 
-// move re-anchors one binding: terminate the old dedicated bearer, drop the
-// binding, and replay the original connectivity request. The kind names the
-// cause and prefixes the emitted events:
+// move re-anchors one bound binding: terminate the old dedicated bearer, end
+// the binding, and replay the original connectivity request. The kind names
+// the cause and prefixes the emitted events:
 //   - "relocate": a handover put the UE in a cell with its own live site,
 //     which SiteFor now prefers;
 //   - "failover": the serving site went dark. The control plane is
@@ -570,24 +493,28 @@ func (m *MRS) HandleHandover(ueIP pkt.Addr, enbName string) {
 // The stored notify callback tells the device manager about the new CI
 // server — whose application then migrates its state from the old backend
 // — or about the failure, whose capped-backoff retry keeps the session from
-// hanging when no site survives or none has spare capacity.
+// hanging when no site survives or none has spare capacity. A release that
+// arrives during the termination takes the move over: the binding ends
+// there, the release's callback gets nil, and nothing is replayed.
 func (m *MRS) move(ueIP pkt.Addr, kind string) {
 	b := m.bindings[ueIP]
-	if b == nil || b.failing {
+	if b == nil || b.state != bound {
 		return
 	}
-	b.failing = true
+	b.state = moving
 	if kind == "failover" {
 		m.Failovers++
 	} else {
 		m.Relocations++
 	}
 	m.scope.Emit(kind+"-start", fmt.Sprintf("%v from %s", ueIP, b.site.Name))
-	b.holds++ // the termination callback reads the record
 	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(error) {
+		if b.state == releasing {
+			b.releaseDone(nil)
+			return
+		}
 		service, enbName, notify := b.service.Name, b.enbName, b.notify
-		m.unbind(ueIP)
-		b.drop()
+		m.unbind(b)
 		m.RequestConnectivity(service, ueIP, enbName, func(server pkt.Addr, err error) {
 			if err != nil {
 				m.scope.Emit(kind+"-failed", fmt.Sprintf("%v: %v", ueIP, err))

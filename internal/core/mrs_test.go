@@ -1,0 +1,225 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"acacia/internal/pkt"
+)
+
+// mrsRig is one attached UE on a testbed with two edge sites, driven
+// straight through the MRS (no device manager). edge-1 serves "enb", edge-2
+// serves "enb-2". seq orders the rig's calls and callbacks, so a callback
+// can tell whether its request was issued before a release succeeded.
+type mrsRig struct {
+	tb *Testbed
+	ip pkt.Addr
+
+	seq int
+	// notifies counts request callbacks (a request's own answer and the
+	// failover or relocation results the MRS reports through it); late
+	// counts those that fired, for a request issued before a release, after
+	// that release succeeded.
+	notifies, late int
+	// releases counts release callbacks; releasedAt holds the seq of each
+	// that reported success.
+	releases   int
+	releasedAt []int
+}
+
+func newMRSRig(t *testing.T) *mrsRig {
+	t.Helper()
+	tb := newRetailTestbed(t, TestbedConfig{NumUEs: 1})
+	tb.AddEdgeSite("edge-2")
+	tb.BindSiteToENB("edge-2", "enb-2")
+	ue := tb.UEs[0]
+	if err := tb.Attach(ue); err != nil {
+		t.Fatal(err)
+	}
+	return &mrsRig{tb: tb, ip: ue.UE.Addr()}
+}
+
+// bound makes the rig's UE bound to edge-1 before a run starts.
+func (r *mrsRig) bound(t *testing.T) {
+	t.Helper()
+	r.request()
+	r.tb.Run(2 * time.Second)
+	if s := r.tb.MRS.Binding(r.ip); s == nil || s.Name != "edge-1" {
+		t.Fatalf("initial binding = %+v, want edge-1", s)
+	}
+}
+
+func (r *mrsRig) request() {
+	r.seq++
+	issued := r.seq
+	r.tb.MRS.RequestConnectivity(RetailServiceName, r.ip, "enb", func(pkt.Addr, error) {
+		r.seq++
+		r.notifies++
+		for _, at := range r.releasedAt {
+			if issued < at {
+				r.late++
+			}
+		}
+	})
+}
+
+func (r *mrsRig) release() {
+	r.seq++
+	r.tb.MRS.ReleaseConnectivity(r.ip, func(err error) {
+		r.seq++
+		r.releases++
+		if err == nil {
+			r.releasedAt = append(r.releasedAt, r.seq)
+		}
+	})
+}
+
+func (r *mrsRig) relocate() { r.tb.MRS.HandleHandover(r.ip, "enb-2") }
+
+func (r *mrsRig) failover() { r.tb.MRS.HandlePathEvent(r.tb.Sites[0].CI.Node.Addr(), true) }
+
+// check requires the binding, the site loads, the installed dedicated
+// bearer and the MRS's outstanding record to agree, and no request
+// callback to have fired after a release that succeeded.
+func (r *mrsRig) check(t *testing.T, label string) {
+	t.Helper()
+	m := r.tb.MRS
+	site := m.Binding(r.ip)
+	loads := [2]int{m.SiteLoad("edge-1"), m.SiteLoad("edge-2")}
+	bearers := r.tb.EPC.Session(r.tb.UEs[0].UE.IMSI).DedicatedBearers()
+	// n is the bearers, records and table entries the binding accounts for.
+	var wantLoads [2]int
+	n := 0
+	if site != nil {
+		n = 1
+		if site.Name == "edge-2" {
+			wantLoads[1] = 1
+		} else {
+			wantLoads[0] = 1
+		}
+	}
+	if loads != wantLoads || len(bearers) != n || m.records.Outstanding() != n || len(m.bindings) != n {
+		t.Errorf("%s: binding %v, loads %v, %d dedicated bearers, %d records out, %d table entries; want loads %v and %d of each",
+			label, site, loads, len(bearers), m.records.Outstanding(), len(m.bindings), wantLoads, n)
+	} else if site != nil && bearers[0].CIServer != site.CIServer {
+		t.Errorf("%s: bound to %s but the bearer goes to %v", label, site.Name, bearers[0].CIServer)
+	}
+	if r.late != 0 {
+		t.Errorf("%s: %d request callbacks fired after a release succeeded", label, r.late)
+	}
+}
+
+// checkReleased requires one successful release and no request callback
+// beyond the bind's, with the UE left unbound.
+func (r *mrsRig) checkReleased(t *testing.T) {
+	t.Helper()
+	r.check(t, "settled")
+	if r.tb.MRS.Binding(r.ip) != nil {
+		t.Errorf("UE still bound to %s after a release that succeeded", r.tb.MRS.Binding(r.ip).Name)
+	}
+	if r.releases != 1 || len(r.releasedAt) != 1 {
+		t.Errorf("release callbacks = %d (%d successful), want 1 successful", r.releases, len(r.releasedAt))
+	}
+	if r.notifies != 1 {
+		t.Errorf("request callback fired %d times, want once (the bind)", r.notifies)
+	}
+}
+
+// TestReleaseThenFailover fails the serving site while a release's Delete
+// Bearer chain is running: the failover skips the releasing binding, so
+// the release ends it and nothing is re-activated on edge-2.
+func TestReleaseThenFailover(t *testing.T) {
+	r := newMRSRig(t)
+	r.bound(t)
+	r.release()
+	r.tb.Run(time.Millisecond)
+	if r.releases != 0 {
+		t.Fatal("release finished before the site failed")
+	}
+	r.failover()
+	r.tb.Run(3 * time.Second)
+	r.checkReleased(t)
+}
+
+// TestFailoverThenRelease releases while a failover's termination is in
+// flight: the release takes the move over, so the binding ends when the
+// termination does, the release gets nil, and no request is replayed.
+func TestFailoverThenRelease(t *testing.T) {
+	r := newMRSRig(t)
+	r.bound(t)
+	r.failover()
+	r.tb.Run(time.Millisecond)
+	if r.tb.MRS.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1 under way", r.tb.MRS.Failovers)
+	}
+	r.release()
+	r.tb.Run(3 * time.Second)
+	r.checkReleased(t)
+}
+
+// mrsStarters are the four procedures the pair sweep overlaps. bind says
+// whether the UE starts bound to edge-1.
+var mrsStarters = []struct {
+	name  string
+	bind  bool
+	start func(*mrsRig)
+}{
+	{"request", false, (*mrsRig).request},
+	{"release", true, (*mrsRig).release},
+	{"relocate", true, (*mrsRig).relocate},
+	{"failover", true, (*mrsRig).failover},
+}
+
+// legBoundaries runs starter a alone and returns the offsets, from its
+// start, of every control message its procedure sends.
+func legBoundaries(t *testing.T, a int) []time.Duration {
+	r := newMRSRig(t)
+	if mrsStarters[a].bind {
+		r.bound(t)
+	}
+	acct := r.tb.EPC.Acct
+	acct.Trace, acct.Log = true, acct.Log[:0]
+	t0 := r.tb.Eng.Now()
+	mrsStarters[a].start(r)
+	r.tb.Run(3 * time.Second)
+	var offs []time.Duration
+	for _, rec := range acct.Log {
+		off := rec.At.Sub(t0)
+		if len(offs) == 0 || offs[len(offs)-1] != off {
+			offs = append(offs, off)
+		}
+	}
+	if len(offs) == 0 {
+		t.Fatalf("%s sent no control message", mrsStarters[a].name)
+	}
+	return offs
+}
+
+// TestMRSPairSweep overlaps every ordered pair (A, B) of the MRS's
+// procedures on one UE and two sites: B starts at each of A's leg
+// boundaries and 1 ns either side of each. Whatever the interleaving, once
+// both settle the binding, the site loads, the dedicated bearer and the
+// binding record must agree, and no request callback may fire after a
+// release succeeded.
+func TestMRSPairSweep(t *testing.T) {
+	for a := range mrsStarters {
+		legs := legBoundaries(t, a)
+		for b := range mrsStarters {
+			for _, leg := range legs {
+				for _, off := range []time.Duration{leg - 1, leg, leg + 1} {
+					r := newMRSRig(t)
+					if mrsStarters[a].bind {
+						r.bound(t)
+					}
+					sa, sb := mrsStarters[a].start, mrsStarters[b].start
+					base := time.Nanosecond // room for B to lead A by 1 ns
+					r.tb.Eng.Schedule(base, func() { sa(r) })
+					r.tb.Eng.Schedule(base+off, func() { sb(r) })
+					r.tb.Run(3 * time.Second)
+					r.check(t, fmt.Sprintf("%s then %s at %v", mrsStarters[a].name, mrsStarters[b].name, off))
+				}
+			}
+		}
+	}
+}

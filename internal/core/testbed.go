@@ -430,11 +430,14 @@ func (tb *Testbed) MoveUE(b *UEBundle, pos geo.Point) {
 
 // AddNeighborENB deploys a second base station on the same backhaul (a
 // store spanning two cells) and gives every existing UE a radio link to it,
-// making it a handover candidate. The new eNB is registered with the
-// retail service's edge site so MEC bindings remain valid after handover.
+// making it a handover candidate. The new eNB is registered with every
+// edge site of the retail service so MEC bindings remain valid after
+// handover.
 func (tb *Testbed) AddNeighborENB(name string) *epc.ENB {
 	enb := tb.AddCellENB(name)
-	tb.MRS.AddServiceENB(RetailServiceName, name)
+	for _, s := range tb.Sites {
+		tb.BindSiteToENB(s.Name, name)
+	}
 	return enb
 }
 

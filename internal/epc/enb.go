@@ -33,9 +33,6 @@ type ENB struct {
 	byRadio  []*ueCtx
 	byDLTEID map[uint32]dlKey
 	teids    teidAllocator
-
-	// ULPackets counts uplink packets forwarded to the SGW-U.
-	ULPackets uint64
 }
 
 type dlKey struct {
@@ -165,7 +162,6 @@ func (e *ENB) forwardUplink(ctx *ueCtx, p *netsim.Packet) {
 	sgw := b.Planes.SGW
 	p.Priority = uint8(b.QoS.QCI.Priority())
 	p.Encapsulate(e.Addr(), sgw.Addr(), b.S1UL)
-	e.ULPackets++
 	e.node.Port(0).Send(p)
 }
 

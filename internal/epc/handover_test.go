@@ -21,6 +21,19 @@ func withSecondENB(t *testing.T, tb *testbed) *ENB {
 	return enb2
 }
 
+// backhaulUL returns the eNB's backhaul link, whose A->B direction carries
+// the uplink it forwards to the SGW-U.
+func backhaulUL(t *testing.T, tb *testbed, enb *ENB) *netsim.Link {
+	t.Helper()
+	for _, l := range tb.nw.Links() {
+		if l.A.Node == enb.node && l.B.Node == tb.rtr.Node {
+			return l
+		}
+	}
+	t.Fatalf("%s has no backhaul link", enb.Name())
+	return nil
+}
+
 func TestHandoverMovesSession(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	enb2 := withSecondENB(t, tb)
@@ -84,14 +97,15 @@ func TestHandoverDataContinuity(t *testing.T) {
 		t.Errorf("lost %d probes across handover, want a small bounded gap", lostDuring)
 	}
 	// Traffic now flows via eNB2.
-	before := enb2.ULPackets
+	ul := backhaulUL(t, tb, enb2)
+	before := ul.StatsAB().Sent
 	pg2 := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5101)
 	pg2.SendOne()
 	tb.eng.RunFor(200 * time.Millisecond)
 	if pg2.RTTs.N() != 1 {
 		t.Error("post-handover ping lost")
 	}
-	if enb2.ULPackets == before {
+	if ul.StatsAB().Sent == before {
 		t.Error("post-handover uplink did not traverse the target eNB")
 	}
 }

@@ -265,14 +265,13 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	// eNBs; the UCMEC-style spill and the ErrNoCapacity backoff handle a
 	// site filling up.
 	mrs := core.NewMRS(ec)
-	svc := core.CIService{Name: scaleService, PolicyID: scalePolicy}
+	mrs.RegisterService(core.CIService{Name: scaleService, PolicyID: scalePolicy})
 	for s, site := range m.Sites {
 		es := site.EdgeSite()
 		lo, hi := s*cfg.ENBsPerSite, (s+1)*cfg.ENBsPerSite
 		es.ENBs, es.CapacityUnits = enbNames[lo:hi:hi], cfg.SiteCapacity
-		svc.Sites = append(svc.Sites, es)
+		mrs.AddSite(scaleService, es)
 	}
-	mrs.RegisterService(svc)
 
 	// CI servers: a deterministic FIFO single-server queue per site.
 	for s, site := range m.Sites {

@@ -205,12 +205,16 @@ func TestRouterDropsUnroutable(t *testing.T) {
 	r := nw.AddNode("r", pkt.Addr{})
 	h := nw.AddNode("h", pkt.AddrFrom(10, 0, 0, 1))
 	nw.ConnectSymmetric(h, r, LinkConfig{})
-	router := NewRouter(r)
+	NewRouter(r)
 	host := NewHost(h)
+	before := nw.PacketsOut()
 	host.Send(pkt.AddrFrom(99, 0, 0, 1), 1, 2, pkt.ProtoUDP, 10, nil)
+	if nw.PacketsOut() != before+1 {
+		t.Fatalf("packets out = %d, want %d in flight", nw.PacketsOut(), before+1)
+	}
 	eng.Run()
-	if router.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", router.Dropped)
+	if nw.PacketsOut() != before {
+		t.Errorf("packets out = %d, want %d: the router must drop and release it", nw.PacketsOut(), before)
 	}
 }
 

@@ -42,8 +42,6 @@ func (r Route) maskLen() int {
 type Router struct {
 	Node   *Node
 	routes []Route
-	// Dropped counts packets with no matching route.
-	Dropped uint64
 }
 
 // NewRouter wraps node with routing behaviour and installs its handler.
@@ -90,7 +88,6 @@ func (r *Router) forward(ingress *Port, p *Packet) {
 	}
 	port := r.Lookup(dst)
 	if port == nil {
-		r.Dropped++
 		r.Node.Network().Release(p)
 		return
 	}
