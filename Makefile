@@ -125,7 +125,7 @@ loc:
 # The ceiling loc-check holds `make loc` to. Growth past it fails CI, so
 # raising it is a reviewed one-line diff, as ALLOC_BUDGET.json is for
 # allocations.
-LOC_CEILING = 21752
+LOC_CEILING = 21526
 
 loc-check:
 	@n=$$($(LOC)); if [ "$$n" -gt $(LOC_CEILING) ]; then \

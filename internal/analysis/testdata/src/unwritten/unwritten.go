@@ -48,6 +48,30 @@ type knobs struct {
 	ptr      *buffer // want "field .*knobs.ptr"
 }
 
+// A decoder's stores into the type it decodes into, as receiver or as
+// result, are no writes: header.version and frame.kind are findings. Its
+// stores into a decoder-local helper (cursor.off) are writes.
+type header struct {
+	version int // want "field .*header.version"
+	length  int // the encoder's caller writes it
+}
+
+type frame struct {
+	kind int // want "field .*frame.kind"
+}
+
+type cursor struct{ off int }
+
+func (h *header) decode(b []byte) {
+	c := &cursor{off: 1}
+	h.version = int(b[0])
+	h.length = int(b[c.off])
+}
+
+func decodeFrame(b []byte) *frame {
+	return &frame{kind: int(b[0])}
+}
+
 // Only dead code reads unread: the read-side guard's finding, not this one.
 type unreadOnly struct{ unread int }
 
@@ -77,6 +101,10 @@ func init() {
 	var r record
 	_ = json.Unmarshal([]byte(`{"name":"x"}`), &r)
 	sink += len(r.Name)
+
+	h := header{length: 2}
+	h.decode([]byte{1, 0})
+	sink += h.version + h.length + decodeFrame([]byte{3}).kind
 
 	var k knobs
 	if k.ptr != nil {

@@ -16,8 +16,8 @@ import (
 // Functions are keyed "<pkg>.<Name>" or "<pkg>.<Type>.<Method>", fields
 // "<pkg>.<Type>.<field>", constants "<pkg>.<Name>". Only four kinds belong
 // here: invariant probes that tests read, reference models that live code
-// is checked against, controls a tier-1 budget rig needs, and fields the
-// frozen benchmark/ writes.
+// is checked against, controls a tier-1 budget rig needs, and fields and
+// parameters the frozen benchmark/ sets.
 var keepUnreferenced = map[string]string{
 	// Invariant probes that tests read.
 	"acacia/internal/netsim.FIFO.Cap":                    "FuzzFIFO and the backlog tests bound the queue's memory with it",
@@ -47,8 +47,9 @@ var keepUnreferenced = map[string]string{
 	"acacia/internal/pkt.Match.Matches": "sdn's scale tests use it as the linear-scan model of lookup",
 	// Controls a tier-1 budget rig needs.
 	"acacia/internal/sim.Engine.Stop": "the event-queue hold rig stops the engine after b.N events",
-	// Fields the frozen benchmark/ writes.
+	// Fields and parameters the frozen benchmark/ sets.
 	"acacia/internal/experiments.ScaleConfig.Workers": "benchmark/ sets it; it goes with ROADMAP item 1(a)'s re-base",
+	"acacia/internal/pkt.TFT.MatchUplink.tos":         "benchmark/'s TFT probe passes it; no filter matches on TOS, and it goes with the next benchmark change",
 }
 
 // TestNoUnreferencedCode holds internal/ to code something can run:
@@ -270,6 +271,7 @@ func newRefGraph(pkgs []*Package, prefix string, extra ...types.Type) *refGraph 
 					continue
 				}
 				fn := pkg.Info.Defs[fd.Name].(*types.Func)
+				g.decodes = decodedTypes(fn)
 				var from []types.Object
 				if g.declare && fd.Name.Name != "init" {
 					g.add(fn, "func", funcKey(fn))
@@ -283,6 +285,7 @@ func newRefGraph(pkgs []*Package, prefix string, extra ...types.Type) *refGraph 
 					}
 				}
 				g.walk(fd, from, funcKey(fn))
+				g.decodes = nil
 			}
 		}
 	}
@@ -323,6 +326,10 @@ type refGraph struct {
 	writes, called map[*ast.Ident]bool
 	// written holds the fields non-test code stores into (wrote).
 	written map[types.Object]bool
+	// decodes holds, while a decoder's body is walked, the types it
+	// decodes into (decodedTypes): its stores into their fields are no
+	// writes.
+	decodes map[*types.TypeName]bool
 	hashed  map[hashUse]bool
 	ifaces  []*types.Interface
 	seen    map[types.Type]bool
@@ -429,11 +436,14 @@ func (g *refGraph) walk(n ast.Node, from []types.Object, scope string) {
 		case *ast.CompositeLit:
 			if st := litStruct(info.Types[n].Type); st != nil {
 				for i, elt := range n.Elts {
+					decoded := g.decoded(info.Types[n].Type)
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						id := kv.Key.(*ast.Ident)
 						g.writes[id] = true
-						g.written[info.Uses[id].(*types.Var).Origin()] = true
-					} else {
+						if !decoded {
+							g.written[info.Uses[id].(*types.Var).Origin()] = true
+						}
+					} else if !decoded {
 						g.written[st.Field(i).Origin()] = true
 					}
 				}
@@ -613,9 +623,55 @@ func (g *refGraph) wroteSelection(sel *types.Selection) {
 			t = p.Elem()
 		}
 		f := t.Underlying().(*types.Struct).Field(i)
-		g.written[f.Origin()] = true
+		if !g.decoded(t) {
+			g.written[f.Origin()] = true
+		}
 		t = f.Type()
 	}
+}
+
+// decodedTypes returns the named types a function named decode* or
+// Decode* decodes into, its receiver's and its results' (through a
+// pointer), or nil for any other function. A decoder's store into a field
+// of such a type is no write: what a decoder sets, only the wire carries,
+// so a field no other code writes holds nothing a run chose. A
+// decoder-local helper (a byte reader) is neither, and its stores count.
+func decodedTypes(fn *types.Func) map[*types.TypeName]bool {
+	if !strings.HasPrefix(fn.Name(), "decode") && !strings.HasPrefix(fn.Name(), "Decode") {
+		return nil
+	}
+	sig := fn.Type().(*types.Signature)
+	out := map[*types.TypeName]bool{}
+	vars := []*types.Var{sig.Recv()}
+	for i := 0; i < sig.Results().Len(); i++ {
+		vars = append(vars, sig.Results().At(i))
+	}
+	for _, v := range vars {
+		if v == nil {
+			continue
+		}
+		t := v.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := types.Unalias(t).(*types.Named); ok {
+			out[named.Origin().Obj()] = true
+		}
+	}
+	return out
+}
+
+// decoded reports whether t (or what it points at) is a type the decoder
+// being walked decodes into.
+func (g *refGraph) decoded(t types.Type) bool {
+	if g.decodes == nil || t == nil {
+		return false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	return ok && g.decodes[named.Origin().Obj()]
 }
 
 func isPointer(t types.Type) bool {

@@ -248,7 +248,7 @@ func (m *MRS) SiteLoad(name string) int {
 // retriable outcome the device manager's capped backoff absorbs.
 //
 // A UE has one activation at a time: asking again while one is under way
-// fails.
+// fails, and so does asking while the UE's binding is being released.
 func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName string, done func(pkt.Addr, error)) {
 	svc, ok := m.services[serviceName]
 	b := m.bindings[ueIP]
@@ -258,6 +258,8 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 		err = fmt.Errorf("core: unknown CI service %q", serviceName)
 	case b != nil && b.state == activating:
 		err = fmt.Errorf("core: UE %v: MEC bearer activation already under way", ueIP)
+	case b != nil && b.state == releasing:
+		err = fmt.Errorf("core: UE %v: MEC binding release under way", ueIP)
 	}
 	if err != nil {
 		if done != nil {
@@ -297,11 +299,12 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 }
 
 // activated ends the request's bearer activation: on success the binding
-// goes live, on failure it ends.
+// goes live, on failure it ends. A site that failed while the activation
+// toward it ran is reported first, then failed over at once.
 func (b *binding) activated(_ uint8, err error) {
-	done, server := b.notify, b.site.CIServer
+	m, ueIP, site, done := b.m, b.ueIP, b.site, b.notify
 	if err != nil {
-		b.m.unbind(b)
+		m.unbind(b)
 		if done != nil {
 			done(pkt.Addr{}, err)
 		}
@@ -309,7 +312,10 @@ func (b *binding) activated(_ uint8, err error) {
 	}
 	b.state = bound
 	if done != nil {
-		done(server, nil)
+		done(site.CIServer, nil)
+	}
+	if m.downSites[site.Name] {
+		m.move(ueIP, "failover")
 	}
 }
 
@@ -519,6 +525,9 @@ func (m *MRS) move(ueIP pkt.Addr, kind string) {
 			if err != nil {
 				m.scope.Emit(kind+"-failed", fmt.Sprintf("%v: %v", ueIP, err))
 			} else {
+				// The replayed binding answers the requester, not this
+				// move, from here on.
+				m.bindings[ueIP].notify = notify
 				m.scope.Emit(kind+"-done", fmt.Sprintf("%v to %v", ueIP, server))
 			}
 			if notify != nil {

@@ -20,8 +20,9 @@ type mrsRig struct {
 	// notifies counts request callbacks (a request's own answer and the
 	// failover or relocation results the MRS reports through it); late
 	// counts those that fired, for a request issued before a release, after
-	// that release succeeded.
+	// that release succeeded. errs holds each callback's error.
 	notifies, late int
+	errs           []error
 	// releases counts release callbacks; releasedAt holds the seq of each
 	// that reported success.
 	releases   int
@@ -53,9 +54,10 @@ func (r *mrsRig) bound(t *testing.T) {
 func (r *mrsRig) request() {
 	r.seq++
 	issued := r.seq
-	r.tb.MRS.RequestConnectivity(RetailServiceName, r.ip, "enb", func(pkt.Addr, error) {
+	r.tb.MRS.RequestConnectivity(RetailServiceName, r.ip, "enb", func(_ pkt.Addr, err error) {
 		r.seq++
 		r.notifies++
+		r.errs = append(r.errs, err)
 		for _, at := range r.releasedAt {
 			if issued < at {
 				r.late++
@@ -77,7 +79,10 @@ func (r *mrsRig) release() {
 
 func (r *mrsRig) relocate() { r.tb.MRS.HandleHandover(r.ip, "enb-2") }
 
-func (r *mrsRig) failover() { r.tb.MRS.HandlePathEvent(r.tb.Sites[0].CI.Node.Addr(), true) }
+func (r *mrsRig) failover() { r.failSite(0) }
+
+// failSite reports the path to edge-(i+1)'s CI server down.
+func (r *mrsRig) failSite(i int) { r.tb.MRS.HandlePathEvent(r.tb.Sites[i].CI.Node.Addr(), true) }
 
 // check requires the binding, the site loads, the installed dedicated
 // bearer and the MRS's outstanding record to agree, and no request
@@ -156,6 +161,81 @@ func TestFailoverThenRelease(t *testing.T) {
 	r.release()
 	r.tb.Run(3 * time.Second)
 	r.checkReleased(t)
+}
+
+// TestRequestDuringRelease requests while a release's Delete Bearer chain
+// runs: the request fails, since the binding it would reuse is ending, and
+// the release ends it.
+func TestRequestDuringRelease(t *testing.T) {
+	r := newMRSRig(t)
+	r.bound(t)
+	r.release()
+	r.tb.Run(time.Millisecond)
+	r.request()
+	r.tb.Run(3 * time.Second)
+	if len(r.errs) != 2 || r.errs[0] != nil || r.errs[1] == nil {
+		t.Fatalf("request callbacks got %v, want the bind's nil, then an error", r.errs)
+	}
+	if s := r.tb.MRS.Binding(r.ip); s != nil {
+		t.Errorf("UE bound to %s after the release", s.Name)
+	}
+	r.check(t, "settled")
+}
+
+// TestSiteFailsDuringActivation fails edge-1 while the bearer activation
+// toward it runs: the request is answered with edge-1, and the binding is
+// failed over to edge-2 as soon as it is live.
+func TestSiteFailsDuringActivation(t *testing.T) {
+	r := newMRSRig(t)
+	r.request()
+	r.tb.Run(2 * time.Millisecond)
+	if r.notifies != 0 {
+		t.Fatal("activation finished before the site failed")
+	}
+	r.failover()
+	r.tb.Run(3 * time.Second)
+	if s := r.tb.MRS.Binding(r.ip); s == nil || s.Name != "edge-2" {
+		t.Errorf("binding = %+v, want edge-2", s)
+	}
+	if r.tb.MRS.Failovers != 1 {
+		t.Errorf("failovers = %d, want 1", r.tb.MRS.Failovers)
+	}
+	if len(r.errs) != 2 || r.errs[0] != nil || r.errs[1] != nil {
+		t.Errorf("request callbacks got %v, want two successes (bind, failover)", r.errs)
+	}
+	r.check(t, "settled")
+}
+
+// TestMoveTwice relocates edge-1 -> edge-2, then fails edge-2: each move
+// emits its own start and done once, and the requester hears once per move.
+func TestMoveTwice(t *testing.T) {
+	r := newMRSRig(t)
+	r.bound(t)
+	r.relocate()
+	r.tb.Run(3 * time.Second)
+	if s := r.tb.MRS.Binding(r.ip); s == nil || s.Name != "edge-2" {
+		t.Fatalf("after relocation: binding = %+v, want edge-2", s)
+	}
+	r.failSite(1)
+	r.tb.Run(3 * time.Second)
+	if s := r.tb.MRS.Binding(r.ip); s == nil || s.Name != "edge-1" {
+		t.Errorf("after failover: binding = %+v, want edge-1", s)
+	}
+	counts := map[string]int{}
+	for _, ev := range r.tb.Eng.Metrics().Events() {
+		if ev.Scope == "core/mrs" {
+			counts[ev.Name]++
+		}
+	}
+	for _, name := range []string{"relocate-start", "relocate-done", "failover-start", "failover-done"} {
+		if counts[name] != 1 {
+			t.Errorf("%s emitted %d times, want once (events %v)", name, counts[name], counts)
+		}
+	}
+	if r.notifies != 3 {
+		t.Errorf("request callback fired %d times, want 3 (bind, relocation, failover)", r.notifies)
+	}
+	r.check(t, "settled")
 }
 
 // mrsStarters are the four procedures the pair sweep overlaps. bind says

@@ -220,7 +220,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 
 	m.Start(cfg.IdleTimeout)
 	tb.ENB = m.ENBs[0]
-	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: RetailPolicyID, QCI: pkt.QCIMEC, ARP: 2, Precedence: 10})
+	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: RetailPolicyID, QCI: pkt.QCIMEC, Precedence: 10})
 
 	// Static flow chain for background traffic through the shared core
 	// (another tenant's load, present regardless of our UEs).

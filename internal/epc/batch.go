@@ -32,7 +32,6 @@ func (c *Core) AttachBatch(ues []*UE, sgwPlane, pgwPlane string, done func(*UE, 
 		}
 		return
 	}
-	apn := c.internAPN(defaultAPN, planes)
 
 	// Validate and open the cohort's sessions before any message is sent
 	// (UE.Attach validates at the MME instead). Validation failures are
@@ -45,12 +44,11 @@ func (c *Core) AttachBatch(ues []*UE, sgwPlane, pgwPlane string, done func(*UE, 
 		case ue.attached || c.sessions[ue.IMSI] != nil:
 			done(ue, fmt.Errorf("epc: IMSI %s already attached", ue.IMSI))
 		default:
-			sub, ok := c.HSS.Lookup(ue.IMSI)
-			if !ok {
+			if _, ok := c.HSS.Lookup(ue.IMSI); !ok {
 				done(ue, fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
 				continue
 			}
-			co.members = append(co.members, c.newSession(ue, apn, sub.DefaultQoS))
+			co.members = append(co.members, c.newSession(ue, planes))
 		}
 	}
 	// One procedure spans the whole cohort: a terminal transport failure on

@@ -224,7 +224,7 @@ func TestDedicatedActivationFailureReleasesRadio(t *testing.T) {
 		if n := len(tb.enb.byDLTEID); n != base {
 			t.Fatalf("kill@%dms: eNB holds %d downlink mappings, want %d", killMS, n, base)
 		}
-		if ebi := bearerFor(tb.ue, ciFlow(tb), 0); ebi != EBIDefault {
+		if ebi := bearerFor(tb.ue, ciFlow(tb)); ebi != EBIDefault {
 			t.Fatalf("kill@%dms: the modem still steers CI traffic onto EBI %d", killMS, ebi)
 		}
 		killControl(tb, false)
@@ -242,7 +242,7 @@ func TestDedicatedActivationFailureReleasesRadio(t *testing.T) {
 func TestActivationRacingDetachLeaksNothing(t *testing.T) {
 	for offMS := 0; offMS <= 8; offMS++ {
 		tb := buildTestbed(t, time.Hour)
-		tb.core.PCRF.AddRule(PolicyRule{ServiceID: "voice-ar", QCI: 1, ARP: 2, Precedence: 5})
+		tb.core.PCRF.AddRule(PolicyRule{ServiceID: "voice-ar", QCI: 1, Precedence: 5})
 		switches := []*sdn.Switch{tb.coreSGW, tb.corePGW, tb.edgeSGW, tb.edgePGW}
 		before := make([]int, len(switches))
 		for i, sw := range switches {
@@ -313,7 +313,7 @@ func TestOverlappingActivationsTakeDistinctEBIs(t *testing.T) {
 			t.Errorf("EBI %d holds %+v, want the bearer toward %v", ebi, b, server)
 		}
 		flow := pkt.FiveTuple{Src: tb.ue.Addr(), Dst: server, SrcPort: 5000, DstPort: netsim.PingPort, Proto: pkt.ProtoUDP}
-		if got := bearerFor(tb.ue, flow, 0); got != ebi {
+		if got := bearerFor(tb.ue, flow); got != ebi {
 			t.Errorf("the modem steers traffic toward %v onto EBI %d, want %d", server, got, ebi)
 		}
 	}

@@ -67,14 +67,12 @@ type Core struct {
 	byIP     map[pkt.Addr]*Session
 	nextUEID uint32
 
-	// Flyweight intern tables: shared immutable configuration (QoS
-	// profiles, TFT templates, plane pairs, APN data) is stored once and
-	// referenced by handle from every session/bearer, so per-UE state
-	// carries only hot mutable fields. See flyweight.go.
-	qosIntern   map[pkt.BearerQoS]*pkt.BearerQoS
+	// Flyweight intern tables: shared immutable configuration (TFT
+	// templates, plane pairs) is stored once and referenced by handle from
+	// every bearer, so per-UE state carries only hot mutable fields. See
+	// flyweight.go.
 	tftIntern   map[tftKey]*pkt.TFT
 	planeIntern map[planeKey]*PlanePair
-	apnIntern   map[apnKey]*APNProfile
 
 	// encBuf and nasBuf are core-lifetime scratch buffers for control-plane
 	// serialization. encBuf holds the outer S1AP/GTPv2 encoding, which is
@@ -117,10 +115,8 @@ func NewCore(cfg Config) *Core {
 		sessions: make(map[string]*Session),
 		byIP:     make(map[pkt.Addr]*Session),
 
-		qosIntern:   make(map[pkt.BearerQoS]*pkt.BearerQoS),
 		tftIntern:   make(map[tftKey]*pkt.TFT),
 		planeIntern: make(map[planeKey]*PlanePair),
-		apnIntern:   make(map[apnKey]*APNProfile),
 	}
 	c.HSS = &HSS{subscribers: make(map[string]Subscriber)}
 	c.PCRF = &PCRF{core: c, rules: make(map[string]PolicyRule)}
@@ -473,14 +469,15 @@ func (s SessionState) String() string {
 // entities exchange real messages to mutate it, but the state itself is
 // kept in one place rather than copied per entity.
 //
-// The layout is a flyweight: QoS, TFT and the serving plane pair are
-// handles into the core's intern tables — shared, immutable, one copy per
-// distinct profile regardless of UE count — and only the hot mutable
-// per-UE fields (the four tunnel endpoints) live inline.
+// The layout is a flyweight: TFT and the serving plane pair are handles
+// into the core's intern tables — shared, immutable, one copy per distinct
+// profile regardless of UE count — and only the two-byte QoS and the hot
+// mutable per-UE fields (the four tunnel endpoints) live inline. Messages
+// point at QoS while they are encoded.
 type Bearer struct {
 	EBI uint8
-	// QoS is the interned QoS profile (never mutated after creation).
-	QoS *pkt.BearerQoS
+	// QoS is the bearer's QoS profile (never mutated after creation).
+	QoS pkt.BearerQoS
 	// TFT is the interned traffic flow template; nil for the default
 	// bearer (match-everything-else).
 	TFT *pkt.TFT
@@ -519,11 +516,10 @@ type Session struct {
 	UEIP  pkt.Addr
 	State SessionState
 	// pending holds a bit per EBI that a dedicated bearer activation still
-	// under way has reserved (in State's padding: Session stays 208 bytes).
+	// under way has reserved (in State's padding: Session stays 200 bytes).
 	pending uint16
 	ENB     *ENB
 	UE      *UE
-	APN     *APNProfile
 	MMEUEID uint32
 	ENBUEID uint32
 	Bearers [16]*Bearer

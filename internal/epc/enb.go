@@ -177,7 +177,7 @@ func (e *ENB) classifyUplink(sess *Session, p *netsim.Packet) *Bearer {
 		if b == nil {
 			continue
 		}
-		if prec := uplinkPrecedence(b.TFT, p.Flow, p.TOS); prec < bestPrec {
+		if prec := uplinkPrecedence(b.TFT, p.Flow); prec < bestPrec {
 			best, bestPrec = b, prec
 		}
 	}
@@ -189,8 +189,8 @@ func (e *ENB) classifyUplink(sess *Session, p *netsim.Packet) *Bearer {
 // the packet, noTFTMatch otherwise. Both scan bearers in EBI order and keep
 // only a strictly lower value, so the lowest precedence wins and the lowest
 // EBI breaks a tie.
-func uplinkPrecedence(t *pkt.TFT, flow pkt.FiveTuple, tos uint8) int {
-	if t == nil || !t.MatchUplink(flow, tos) {
+func uplinkPrecedence(t *pkt.TFT, flow pkt.FiveTuple) int {
+	if t == nil || !t.MatchUplink(flow, 0) {
 		return noTFTMatch
 	}
 	best := 255

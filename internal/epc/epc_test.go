@@ -100,7 +100,7 @@ func buildTestbed(t *testing.T, idle time.Duration) *testbed {
 	core.PGWC.AddUserPlane("edge-pgw", tb.edgePGW, 0, 1)
 
 	core.HSS.Provision(Subscriber{IMSI: "001010000000001"})
-	core.PCRF.AddRule(PolicyRule{ServiceID: "retail-ar", QCI: pkt.QCIMEC, ARP: 2, Precedence: 10})
+	core.PCRF.AddRule(PolicyRule{ServiceID: "retail-ar", QCI: pkt.QCIMEC, Precedence: 10})
 
 	tb.enb = NewENB(core, enbN)
 	tb.ue = NewUE(ueN, "001010000000001")
@@ -150,8 +150,8 @@ func openFlowSent(tb *testbed) (msgs, bytes uint64) {
 
 // bearerFor reports which EBI an uplink five-tuple rides, by the modem's
 // own classification.
-func bearerFor(u *UE, flow pkt.FiveTuple, tos uint8) uint8 {
-	ebi, _ := u.match(flow, tos)
+func bearerFor(u *UE, flow pkt.FiveTuple) uint8 {
+	ebi, _ := u.match(flow)
 	return ebi
 }
 
@@ -274,11 +274,11 @@ func TestDedicatedBearerRedirectsToEdge(t *testing.T) {
 	}
 	// The UE modem classifies CI traffic onto the dedicated bearer.
 	ciFlow := pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.ciHost.Node.Addr(), DstPort: 80, Proto: pkt.ProtoTCP}
-	if got := bearerFor(tb.ue, ciFlow, 0); got != ebi {
+	if got := bearerFor(tb.ue, ciFlow); got != ebi {
 		t.Errorf("CI flow bearer = %d, want %d", got, ebi)
 	}
 	inetFlow := pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.inetHost.Node.Addr(), DstPort: 80, Proto: pkt.ProtoTCP}
-	if got := bearerFor(tb.ue, inetFlow, 0); got != EBIDefault {
+	if got := bearerFor(tb.ue, inetFlow); got != EBIDefault {
 		t.Errorf("internet flow bearer = %d, want default", got)
 	}
 
@@ -354,7 +354,7 @@ func TestBearerDeletion(t *testing.T) {
 	}
 	// CI traffic falls back to the default bearer.
 	ciFlow := pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.ciHost.Node.Addr(), DstPort: 80, Proto: pkt.ProtoTCP}
-	if got := bearerFor(tb.ue, ciFlow, 0); got != EBIDefault {
+	if got := bearerFor(tb.ue, ciFlow); got != EBIDefault {
 		t.Errorf("CI flow bearer after deletion = %d", got)
 	}
 }

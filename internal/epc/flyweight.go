@@ -7,12 +7,11 @@ import (
 )
 
 // Flyweight intern tables. At metro scale the overwhelming majority of
-// per-UE configuration is identical across UEs: every subscriber of a
-// service shares one QoS profile, every dedicated bearer toward the same CI
-// server shares one TFT, every session on an APN shares the same default
-// user planes. Storing those once and handing sessions/bearers immutable
-// handles shrinks per-UE state to its hot mutable fields and makes profile
-// comparisons pointer comparisons.
+// per-UE configuration is identical across UEs: every dedicated bearer
+// toward the same CI server shares one TFT, and every bearer on the same
+// user planes shares one resolved plane pair. Storing those once and
+// handing bearers immutable handles shrinks per-UE state to its hot
+// mutable fields. A bearer's QoS, two bytes, is held by value.
 //
 // Interned values are immutable by contract: callers must never write
 // through the returned pointers. Mutation would alias every session sharing
@@ -22,15 +21,7 @@ import (
 // resolved SGW-U/PGW-U pair, so the per-message string-keyed map lookups of
 // the pre-flyweight layout happen once at intern time.
 type PlanePair struct {
-	SGWName, PGWName string
-	SGW, PGW         *UserPlane
-}
-
-// APNProfile is the interned per-APN configuration a session attaches
-// against: the access point name and the default-bearer plane pair.
-type APNProfile struct {
-	Name   string
-	Planes *PlanePair
+	SGW, PGW *UserPlane
 }
 
 type tftKey struct {
@@ -40,22 +31,6 @@ type tftKey struct {
 
 type planeKey struct {
 	sgw, pgw string
-}
-
-type apnKey struct {
-	name     string
-	sgw, pgw string
-}
-
-// internQoS returns the canonical instance of a QoS profile.
-func (c *Core) internQoS(q pkt.BearerQoS) *pkt.BearerQoS {
-	if p := c.qosIntern[q]; p != nil {
-		return p
-	}
-	p := new(pkt.BearerQoS)
-	*p = q
-	c.qosIntern[q] = p
-	return p
 }
 
 // internTFT returns the canonical dedicated-bearer TFT toward a CI server
@@ -86,21 +61,18 @@ func (c *Core) internPlanes(sgwPlane, pgwPlane string) (*PlanePair, error) {
 	if sgw == nil || pgw == nil {
 		return nil, fmt.Errorf("epc: unknown user planes %q/%q", sgwPlane, pgwPlane)
 	}
-	p := &PlanePair{SGWName: sgwPlane, PGWName: pgwPlane, SGW: sgw, PGW: pgw}
+	p := &PlanePair{SGW: sgw, PGW: pgw}
 	c.planeIntern[k] = p
 	return p, nil
 }
 
-// internAPN returns the canonical APN profile for (name, plane pair).
-func (c *Core) internAPN(name string, planes *PlanePair) *APNProfile {
-	k := apnKey{name: name, sgw: planes.SGWName, pgw: planes.PGWName}
-	if a := c.apnIntern[k]; a != nil {
-		return a
-	}
-	a := &APNProfile{Name: name, Planes: planes}
-	c.apnIntern[k] = a
-	return a
-}
-
-// defaultAPN is the access point name of the always-on default bearer.
+// defaultAPN is the access point name of the always-on default bearer, the
+// one APN every session attaches on.
 const defaultAPN = "internet"
+
+// defaultQoS is the default bearer's QoS profile, every subscriber's.
+var defaultQoS = pkt.BearerQoS{QCI: pkt.QCIDefault, ARP: 9}
+
+// dedicatedARP is the allocation/retention priority of every dedicated
+// bearer a policy rule activates.
+const dedicatedARP = 2

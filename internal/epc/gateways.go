@@ -8,11 +8,10 @@ import (
 	"acacia/internal/sdn"
 )
 
-// Subscriber is an HSS record.
+// Subscriber is an HSS record. Every subscriber's default bearer has the
+// same QoS profile (defaultQoS).
 type Subscriber struct {
 	IMSI string
-	// DefaultQoS is the default bearer's QoS profile.
-	DefaultQoS pkt.BearerQoS
 }
 
 // HSS is the home subscriber server: the authorization database consulted
@@ -22,12 +21,7 @@ type HSS struct {
 }
 
 // Provision registers a subscriber.
-func (h *HSS) Provision(s Subscriber) {
-	if s.DefaultQoS.QCI == 0 {
-		s.DefaultQoS = pkt.BearerQoS{QCI: pkt.QCIDefault, ARP: 9}
-	}
-	h.subscribers[s.IMSI] = s
-}
+func (h *HSS) Provision(s Subscriber) { h.subscribers[s.IMSI] = s }
 
 // Lookup returns the subscriber record and whether it exists.
 func (h *HSS) Lookup(imsi string) (Subscriber, bool) {
@@ -35,11 +29,11 @@ func (h *HSS) Lookup(imsi string) (Subscriber, bool) {
 	return s, ok
 }
 
-// PolicyRule is a PCRF rule mapping an application service to bearer QoS.
+// PolicyRule is a PCRF rule mapping an application service to bearer QoS:
+// its QCI, with ARP dedicatedARP.
 type PolicyRule struct {
 	ServiceID string
 	QCI       pkt.QCI
-	ARP       uint8
 	// Precedence orders the resulting TFT filter.
 	Precedence uint8
 }
@@ -429,7 +423,7 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 	sess.pending |= 1 << ebi
 	b := &Bearer{
 		EBI:      ebi,
-		QoS:      p.core.internQoS(pkt.BearerQoS{QCI: rule.QCI, ARP: rule.ARP}),
+		QoS:      pkt.BearerQoS{QCI: rule.QCI, ARP: dedicatedARP},
 		TFT:      p.core.internTFT(ciServer, rule.Precedence),
 		Planes:   planes,
 		CIServer: ciServer,
@@ -442,7 +436,7 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 		Type: pkt.GTPv2CreateBearerRequest,
 		TEID: 1,
 		Bearers: []pkt.BearerContext{{
-			EBI: b.EBI, TFT: b.TFT, QoS: b.QoS,
+			EBI: b.EBI, TFT: b.TFT, QoS: &b.QoS,
 			FTEIDs: []pkt.FTEID{{IfaceType: pkt.FTEIDIfaceS5PGW, TEID: b.S5UL, Addr: b.Planes.PGW.Addr()}},
 		}},
 	}
@@ -459,7 +453,7 @@ func (d *dedicated) cbAtSGW() {
 		Type: pkt.GTPv2CreateBearerRequest,
 		TEID: 2,
 		Bearers: []pkt.BearerContext{{
-			EBI: b.EBI, TFT: b.TFT, QoS: b.QoS,
+			EBI: b.EBI, TFT: b.TFT, QoS: &b.QoS,
 			FTEIDs: []pkt.FTEID{b.s1uSGW()},
 		}},
 	}
@@ -485,7 +479,7 @@ func (d *dedicated) setup() {
 	b, sess := d.b, d.sess
 	d.nas = (&pkt.NASMsg{
 		Type: pkt.NASActivateDedicatedBearerRequest,
-		EBI:  b.EBI, LinkedEBI: EBIDefault, QoS: b.QoS, TFT: b.TFT,
+		EBI:  b.EBI, LinkedEBI: EBIDefault, QoS: &b.QoS, TFT: b.TFT,
 	}).Encode(d.nas[:0])
 	d.setupERABs(&d.proc, sess, sess.ENB, pkt.S1APERABSetupRequest, d.nas, b, d.toModemF, d.erabDoneF)
 }

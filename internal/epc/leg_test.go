@@ -190,7 +190,7 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	enb2 := withSecondENB(t, tb)
 	c := tb.core
-	c.PCRF.AddRule(PolicyRule{ServiceID: "voice-ar", QCI: 1, ARP: 2, Precedence: 5})
+	c.PCRF.AddRule(PolicyRule{ServiceID: "voice-ar", QCI: 1, Precedence: 5})
 	tb.attach(t)
 	var dedErr error = errors.New("no callback")
 	c.PCRF.RequestDedicatedBearer("voice-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),

@@ -179,8 +179,7 @@ func (co *cohort) arrived() {
 // which concludes when the attach completes or any leg fails terminally.
 func (m *MME) onInitialAttach(co *cohort) {
 	c, ue := m.core, co.ue
-	sub, ok := c.HSS.Lookup(ue.IMSI)
-	if !ok {
+	if _, ok := c.HSS.Lookup(ue.IMSI); !ok {
 		co.finish(fmt.Errorf("epc: IMSI %s unknown to HSS", ue.IMSI))
 		return
 	}
@@ -193,26 +192,25 @@ func (m *MME) onInitialAttach(co *cohort) {
 		co.finish(fmt.Errorf("epc: unknown default planes %q/%q", co.sgwPlane, co.pgwPlane))
 		return
 	}
-	co.members, co.stage = append(co.members, c.newSession(ue, c.internAPN(defaultAPN, planes), sub.DefaultQoS)), 1
+	co.members, co.stage = append(co.members, c.newSession(ue, planes)), 1
 	co.attach()
 }
 
 // newSession opens ue's session at its serving eNB in StateConnecting,
-// with the default bearer it attaches on apn's planes. The bearer joins
-// the session's Bearers once the Modify Bearer exchange is done.
-func (c *Core) newSession(ue *UE, apn *APNProfile, qos pkt.BearerQoS) member {
+// with the default bearer it attaches on planes. The bearer joins the
+// session's Bearers once the Modify Bearer exchange is done.
+func (c *Core) newSession(ue *UE, planes *PlanePair) member {
 	c.nextUEID++
 	sess := &Session{
 		IMSI:    ue.IMSI,
 		ENB:     ue.enb,
 		UE:      ue,
-		APN:     apn,
 		MMEUEID: c.nextUEID,
 		ENBUEID: c.nextUEID | 0x1000000,
 	}
 	sess.setState(c.Eng, StateConnecting)
 	c.sessions[ue.IMSI] = sess
-	return member{sess: sess, b: &Bearer{EBI: EBIDefault, QoS: c.internQoS(qos), Planes: apn.Planes}}
+	return member{sess: sess, b: &Bearer{EBI: EBIDefault, QoS: defaultQoS, Planes: planes}}
 }
 
 // attach runs the attach legs for a cohort whose sessions are open: the
@@ -226,7 +224,7 @@ func (co *cohort) attach() {
 	imsi, imsis := co.cohortIMSIs(co.members)
 	ctxs, _ := co.bearerContexts(len(co.members))
 	for i, m := range co.members {
-		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
+		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: &m.b.QoS}
 	}
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2CreateSessionRequest, IMSI: imsi, IMSIs: imsis, Bearers: ctxs}
 	co.sendGTPv2(co.takeLeg(&co.proc, co.csAtSGWF), co.mmeEP, co.sgwEP, req)
@@ -238,7 +236,7 @@ func (co *cohort) csAtSGW() {
 	for i, m := range co.members {
 		m.b.S1UL = co.SGWC.teids.alloc()
 		m.b.S5DL = co.SGWC.teids.alloc()
-		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: m.b.QoS}
+		ctxs[i] = pkt.BearerContext{EBI: m.b.EBI, QoS: &m.b.QoS}
 	}
 	first := co.members[0]
 	fwd := &pkt.GTPv2Msg{
@@ -290,7 +288,7 @@ func (co *cohort) created() {
 			Type: pkt.NASAttachAccept,
 			ESM: &pkt.NASMsg{
 				Type: pkt.NASActivateDefaultBearerRequest,
-				EBI:  m.b.EBI, APN: m.sess.APN.Name, UEIP: m.sess.UEIP, QoS: m.b.QoS,
+				EBI:  m.b.EBI, APN: defaultAPN, UEIP: m.sess.UEIP, QoS: &m.b.QoS,
 			},
 		})
 		co.setupERABs(&co.proc, m.sess, m.sess.ENB, pkt.S1APInitialContextSetupRequest, acceptNAS, m.b, nil, co.setUpF)
@@ -623,7 +621,7 @@ func (c *Core) setupERABs(pr *proc, sess *Session, enb *ENB, req pkt.S1APProcedu
 	withTFT := req != pkt.S1APHandoverRequest
 	items := c.erabBuf[:0]
 	for _, sb := range c.sessionBearers(sess, b) {
-		item := pkt.ERABItem{ERABID: sb.EBI, QoS: sb.QoS, Transport: sb.s1uSGW()}
+		item := pkt.ERABItem{ERABID: sb.EBI, QoS: &sb.QoS, Transport: sb.s1uSGW()}
 		if withTFT {
 			item.TFT = sb.TFT
 		}

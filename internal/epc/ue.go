@@ -157,12 +157,12 @@ func (u *UE) installTFTFromNAS(nas []byte) error {
 // else the default bearer.
 //
 //acacia:hotpath
-func (u *UE) match(flow pkt.FiveTuple, tos uint8) (uint8, pkt.QCI) {
+func (u *UE) match(flow pkt.FiveTuple) (uint8, pkt.QCI) {
 	ebi, qci := uint8(EBIDefault), pkt.QCIDefault
 	bestPrec := noTFTMatch
 	for i := range u.tfts {
 		mt := &u.tfts[i]
-		if prec := uplinkPrecedence(mt.tft, flow, tos); prec < bestPrec {
+		if prec := uplinkPrecedence(mt.tft, flow); prec < bestPrec {
 			bestPrec = prec
 			ebi, qci = uint8(i)+EBIDefault, mt.qci
 		}
@@ -175,7 +175,7 @@ func (u *UE) match(flow pkt.FiveTuple, tos uint8) (uint8, pkt.QCI) {
 //
 //acacia:hotpath
 func (u *UE) classify(p *netsim.Packet) *netsim.Port {
-	_, qci := u.match(p.Flow, p.TOS)
+	_, qci := u.match(p.Flow)
 	p.Priority = uint8(qci.Priority())
 	if u.servingPort >= len(u.node.Ports()) {
 		return nil

@@ -31,8 +31,15 @@ func activation(ebi uint8, qci pkt.QCI, f pkt.PacketFilter) []byte {
 func TestModemClassification(t *testing.T) {
 	nw := netsim.New(sim.NewEngine(1))
 	ue := NewUE(nw.AddNode("ue", pkt.AddrFrom(10, 0, 0, 9)), "001010000000009")
-	udp := func(port uint16) pkt.FiveTuple {
-		return pkt.FiveTuple{Src: ue.Addr(), Dst: pkt.AddrFrom(10, 9, 0, 1), SrcPort: 40000, DstPort: port, Proto: pkt.ProtoUDP}
+	to := func(host byte) pkt.FiveTuple {
+		return pkt.FiveTuple{Src: ue.Addr(), Dst: pkt.AddrFrom(10, 9, 0, host), SrcPort: 40000, DstPort: 7000, Proto: pkt.ProtoUDP}
+	}
+	// host filters one address, subnet all of 10.9.0.0/16.
+	host := func(h, prec uint8) pkt.PacketFilter {
+		return pkt.PacketFilter{ID: 1, Precedence: prec, RemoteAddr: pkt.AddrFrom(10, 9, 0, h), RemoteMask: pkt.Addr{255, 255, 255, 255}}
+	}
+	subnet := func(prec uint8) pkt.PacketFilter {
+		return pkt.PacketFilter{ID: 1, Precedence: prec, RemoteAddr: pkt.AddrFrom(10, 9, 0, 0), RemoteMask: pkt.Addr{255, 255, 0, 0}}
 	}
 	// sess mirrors the modem's TFTs as the bearers the eNB classifies over;
 	// enb's core holds the modem store the UE decodes into.
@@ -57,47 +64,48 @@ func TestModemClassification(t *testing.T) {
 		p := &netsim.Packet{Flow: flow}
 		ue.classify(p)
 		for i := 0; i < 20; i++ { // a map-ranged tie would flip within a few tries
-			if got := bearerFor(ue, flow, 0); got != wantEBI {
-				t.Fatalf("%s: bearerFor(port %d) = %d, want %d", step, flow.DstPort, got, wantEBI)
+			if got := bearerFor(ue, flow); got != wantEBI {
+				t.Fatalf("%s: bearerFor(%v) = %d, want %d", step, flow.Dst, got, wantEBI)
 			}
 		}
 		if int(p.Priority) != wantQCI.Priority() {
-			t.Fatalf("%s: classify(port %d) set priority %d, want QCI %d's %d", step, flow.DstPort, p.Priority, wantQCI, wantQCI.Priority())
+			t.Fatalf("%s: classify(%v) set priority %d, want QCI %d's %d", step, flow.Dst, p.Priority, wantQCI, wantQCI.Priority())
 		}
 		if b := enb.classifyUplink(sess, p); b.EBI != wantEBI {
-			t.Fatalf("%s: eNB classified port %d onto EBI %d, modem onto %d", step, flow.DstPort, b.EBI, wantEBI)
+			t.Fatalf("%s: eNB classified %v onto EBI %d, modem onto %d", step, flow.Dst, b.EBI, wantEBI)
 		}
 	}
 
-	check("empty modem", udp(7000), EBIDefault, pkt.QCIDefault)
+	check("empty modem", to(1), EBIDefault, pkt.QCIDefault)
 
-	// 9 and 7 tie at precedence 10 on port 7000; 8 matches every UDP port
-	// at a worse precedence; 12 beats them all on port 7001 only.
-	install(9, 3, pkt.PacketFilter{ID: 1, Precedence: 10, Proto: pkt.ProtoUDP, RemotePortLo: 7000, RemotePortHi: 7000})
-	install(7, 7, pkt.PacketFilter{ID: 1, Precedence: 10, Proto: pkt.ProtoUDP, RemotePortLo: 7000, RemotePortHi: 7000})
-	install(8, 6, pkt.PacketFilter{ID: 1, Precedence: 20, Proto: pkt.ProtoUDP})
-	install(12, 1, pkt.PacketFilter{ID: 1, Precedence: 5, Proto: pkt.ProtoUDP, RemotePortLo: 7001, RemotePortHi: 7001})
-	check("tie", udp(7000), 7, 7)
-	check("best precedence", udp(7001), 12, 1)
-	check("catch-all", udp(9), 8, 6)
-	tcp := udp(7000)
-	tcp.Proto = pkt.ProtoTCP
-	check("no match", tcp, EBIDefault, pkt.QCIDefault)
+	// 9 and 7 tie at precedence 10 on 10.9.0.1; 8 matches all of
+	// 10.9.0.0/16 at a worse precedence; 12 beats them all on 10.9.0.2
+	// only.
+	install(9, 3, host(1, 10))
+	install(7, 7, host(1, 10))
+	install(8, 6, subnet(20))
+	install(12, 1, host(2, 5))
+	check("tie", to(1), 7, 7)
+	check("best precedence", to(2), 12, 1)
+	check("catch-all", to(9), 8, 6)
+	outside := to(1)
+	outside.Dst = pkt.AddrFrom(10, 8, 0, 1)
+	check("no match", outside, EBIDefault, pkt.QCIDefault)
 
 	remove(7)
-	check("tie winner removed", udp(7000), 9, 3)
-	install(7, 5, pkt.PacketFilter{ID: 1, Precedence: 10, Proto: pkt.ProtoUDP, RemotePortLo: 7000, RemotePortHi: 7000})
-	check("reinstalled", udp(7000), 7, 5)
+	check("tie winner removed", to(1), 9, 3)
+	install(7, 5, host(1, 10))
+	check("reinstalled", to(1), 7, 5)
 
 	ue.completeDetach()
 	sess.Bearers = [16]*Bearer{EBIDefault: def}
-	check("after detach", udp(7000), EBIDefault, pkt.QCIDefault)
+	check("after detach", to(1), EBIDefault, pkt.QCIDefault)
 
 	for _, ebi := range []uint8{0, 4} {
 		if err := ue.installTFTFromNAS(activation(ebi, 3, pkt.PacketFilter{ID: 1, Precedence: 1})); err == nil {
 			t.Errorf("activation for reserved EBI %d accepted", ebi)
 		}
 	}
-	install(15, 2, pkt.PacketFilter{ID: 1, Precedence: 1, Proto: pkt.ProtoUDP})
-	check("highest EBI", udp(7000), 15, 2)
+	install(15, 2, subnet(1))
+	check("highest EBI", to(1), 15, 2)
 }

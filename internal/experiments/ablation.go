@@ -290,7 +290,7 @@ func measureQCIUnderLoad(opts Options, seed uint64, qci pkt.QCI) (median, p95 fl
 		panic(err)
 	}
 	// Dedicated bearer toward the CI server at the requested QCI.
-	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: "qci-probe", QCI: qci, ARP: 2, Precedence: 7})
+	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: "qci-probe", QCI: qci, Precedence: 7})
 	done := false
 	tb.EPC.PCRF.RequestDedicatedBearer("qci-probe", b.UE.Addr(), tb.CIServer.Node.Addr(),
 		tb.Sites[0].SGWPlane(), tb.Sites[0].PGWPlane(), func(_ uint8, err error) {

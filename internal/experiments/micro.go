@@ -351,7 +351,7 @@ func fig10a() Experiment {
 					RadioJitter: time.Millisecond,
 				})
 				// Re-provision the retail policy with this QCI.
-				tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: core.RetailPolicyID, QCI: qci, ARP: 2, Precedence: 10})
+				tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: core.RetailPolicyID, QCI: qci, Precedence: 10})
 				b := tb.UEs[0]
 				tb.MoveUE(b, retailSpot)
 				if err := tb.Attach(b); err != nil {

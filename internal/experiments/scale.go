@@ -258,7 +258,7 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	})
 	m.Start(time.Hour)
 	eng, nw, ec := m.Eng, m.Net, m.EPC
-	ec.PCRF.AddRule(epc.PolicyRule{ServiceID: scalePolicy, QCI: pkt.QCIMEC, ARP: 2, Precedence: 10})
+	ec.PCRF.AddRule(epc.PolicyRule{ServiceID: scalePolicy, QCI: pkt.QCIMEC, Precedence: 10})
 	netsim.NewHost(m.SGi) // absorbs whatever a default bearer carries out
 
 	// MRS with capacity-based admission: each site is local to its own

@@ -26,8 +26,6 @@ import (
 type Packet struct {
 	// Flow is the inner five-tuple (endpoint view).
 	Flow pkt.FiveTuple
-	// TOS is the inner IP TOS byte; bearers mark it from their QCI.
-	TOS uint8
 	// Priority is the scheduling priority derived from the bearer QCI
 	// (lower = served first), the lane of a prioritised link queue. Zero
 	// means default best effort.

@@ -39,7 +39,7 @@ func panicDoubleRelease() {
 //acacia:hotpath
 func (nw *Network) ClonePacket(p *Packet) *Packet {
 	c := nw.NewPacket()
-	c.Flow, c.TOS, c.Size, c.Payload = p.Flow, p.TOS, p.Size, p.Payload
+	c.Flow, c.Size, c.Payload = p.Flow, p.Size, p.Payload
 	c.TEID, c.TunnelDst = p.TEID, p.TunnelDst
 	c.Priority, c.QueueWait, c.Hops = p.Priority, p.QueueWait, p.Hops
 	return c

@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -113,4 +114,109 @@ func FuzzDecoders(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) { decodeAll(b) })
+}
+
+// TestDecodersRejectUnsentFields: a field the testbed never sets is encoded
+// as a constant, so a decoder meets any other value only in bytes no
+// encoder here writes, and rejects them: a TFT component other than the
+// remote address, a Bearer QoS bit rate, a set-field action, an OXM field
+// outside the TEID, port and address matches, a FlowMod table id or
+// timeout, and an OpenFlow message type nothing sends.
+func TestDecodersRejectUnsentFields(t *testing.T) {
+	tftWith := func(comp ...byte) []byte {
+		// Op create-new with one filter: id 1 bidirectional, precedence 0.
+		return append([]byte{byte(TFTOpCreateNew)<<5 | 1, 0x31, 0, byte(len(comp))}, comp...)
+	}
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"tft-local-port-range", tftWith(0x41, 0x04, 0x00, 0xff, 0xff)},
+		{"tft-remote-port-range", tftWith(0x51, 0x13, 0x88, 0x13, 0x92)},
+		{"tft-protocol", tftWith(0x30, ProtoUDP)},
+		{"tft-tos", tftWith(0x70, 0xb8, 0xfc)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got TFT
+			if _, err := got.Decode(tc.wire); err == nil {
+				t.Errorf("decoded %+v", got)
+			}
+		})
+	}
+
+	t.Run("qos-bit-rate", func(t *testing.T) {
+		qos := BearerQoS{QCI: QCIMEC, ARP: 2}
+		ie := qos.encode(nil)
+		tft := DedicatedBearerTFT(AddrFrom(10, 3, 0, 10))
+		msg := NASMsg{Type: NASActivateDedicatedBearerRequest, EBI: 6, LinkedEBI: 5, QoS: &qos, TFT: &tft}
+		wire := msg.Encode(nil)
+		at := bytes.Index(wire, ie)
+		if at < 0 {
+			t.Fatal("the QoS IE is not in the encoding")
+		}
+		var ok NASMsg
+		if _, err := ok.Decode(wire); err != nil {
+			t.Fatal(err)
+		}
+		wire[at+2+4] = 1 // MBR uplink 1 kbps
+		var got NASMsg
+		if _, err := got.Decode(wire); err == nil {
+			t.Errorf("a GBR QoS decoded: %+v", got.QoS)
+		}
+	})
+
+	flowMod := func() (wire []byte, out int) {
+		m := OFMsg{Type: OFFlowMod, Command: FlowModAdd, Priority: 10,
+			Match: Match{TunnelID: U64(7)}, Actions: []Action{{Type: ActionOutput, Port: 2}}}
+		wire = m.Encode(nil)
+		return wire, len(wire) - 16 // the output action closes the message
+	}
+	for _, tc := range []struct {
+		name  string
+		patch func(b []byte, out int)
+	}{
+		{"of-set-field-action", func(b []byte, out int) {
+			// OFPAT_SET_FIELD carrying a 1-byte IP DSCP OXM, padded to 16.
+			copy(b[out:], []byte{0, 25, 0, 16, 0x80, 0, 8 << 1, 1, 0xb8, 0, 0, 0, 0, 0, 0, 0})
+		}},
+		{"of-table-id", func(b []byte, _ int) { b[8+16] = 1 }},
+		{"of-idle-timeout", func(b []byte, _ int) { b[8+18+1] = 30 }},
+		{"of-hard-timeout", func(b []byte, _ int) { b[8+20+1] = 60 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire, out := flowMod()
+			var ok OFMsg
+			if _, err := ok.Decode(wire); err != nil {
+				t.Fatal(err)
+			}
+			tc.patch(wire, out)
+			var got OFMsg
+			if _, err := got.Decode(wire); err == nil {
+				t.Errorf("decoded %+v", got)
+			}
+		})
+	}
+
+	t.Run("of-udp-dst-match", func(t *testing.T) {
+		// A PortStatus whose match holds one OXM, UDP destination port
+		// 7000, padded to 8.
+		wire := []byte{0x04, byte(OFPortStatus), 0, 32, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+		wire = append(wire, 0, 1, 0, 10, 0x80, 0, 16<<1, 2, 0x1b, 0x58, 0, 0, 0, 0, 0, 0)
+		var got OFMsg
+		if _, err := got.Decode(wire); err == nil {
+			t.Errorf("decoded %+v", got)
+		}
+	})
+
+	t.Run("of-flow-removed", func(t *testing.T) {
+		// Header, cookie, priority, reason, table, 24 bytes of durations,
+		// timeouts and counters, then an empty OXM match padded to 8.
+		wire := []byte{0x04, 11, 0, 52, 0, 0, 0, 1}
+		wire = append(wire, make([]byte, 8+2+2+24)...)
+		wire = append(wire, 0, 1, 0, 4, 0, 0, 0, 0)
+		var got OFMsg
+		if _, err := got.Decode(wire); err == nil {
+			t.Errorf("decoded %+v", got)
+		}
+	})
 }

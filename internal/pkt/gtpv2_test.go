@@ -7,7 +7,7 @@ import (
 )
 
 func TestGTPv2CreateSessionRoundTrip(t *testing.T) {
-	qos := &BearerQoS{QCI: QCIDefault, ARP: 9, MaxBitrateUL: 50_000_000, MaxBitrateDL: 100_000_000}
+	qos := &BearerQoS{QCI: QCIDefault, ARP: 9}
 	orig := GTPv2Msg{
 		Type:        GTPv2CreateSessionRequest,
 		TEID:        0,
@@ -167,14 +167,15 @@ func TestFTEIDRoundTrip(t *testing.T) {
 }
 
 func TestBearerQoSRoundTrip(t *testing.T) {
-	orig := BearerQoS{
-		QCI: 1, ARP: 3,
-		MaxBitrateUL: 12_000_000, MaxBitrateDL: 50_000_000,
-		GuaranteedUL: 5_000_000, GuaranteedDL: 10_000_000,
-	}
+	orig := BearerQoS{QCI: QCIMEC, ARP: 3}
 	b := orig.encode(nil)
 	if len(b) != 22 {
 		t.Errorf("Bearer QoS IE payload %d bytes, want 22", len(b))
+	}
+	for i, c := range b[2:] {
+		if c != 0 {
+			t.Errorf("bit-rate byte %d = %#x, want 0 (non-GBR)", i, c)
+		}
 	}
 	var got BearerQoS
 	if err := got.decode(b); err != nil {

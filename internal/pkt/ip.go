@@ -10,28 +10,25 @@ const (
 )
 
 // IPv4 is a 20-byte option-less IPv4 header. Only the fields the testbed
-// uses are modeled; checksum is computed on encode and verified on decode.
+// sets are modeled: encode writes TOS 0, ID 0 and TTL 64 and decode reads
+// past them; checksum is computed on encode and verified on decode.
 type IPv4 struct {
-	TOS      uint8 // DSCP/ECN byte; carries the bearer's QCI-derived marking
 	TotalLen uint16
-	ID       uint16
-	TTL      uint8
 	Proto    uint8
 	Src, Dst Addr
 }
 
+// ipv4TTL is the TTL every encoded header carries.
+const ipv4TTL = 64
+
 // Encode appends the header to b.
 func (h *IPv4) Encode(b []byte) []byte {
 	start := len(b)
-	b = append(b, 0x45, h.TOS) // version 4, IHL 5
+	b = append(b, 0x45, 0) // version 4, IHL 5; TOS
 	b = putU16(b, h.TotalLen)
-	b = putU16(b, h.ID)
+	b = putU16(b, 0) // ID
 	b = putU16(b, 0) // flags/fragment offset: unfragmented
-	ttl := h.TTL
-	if ttl == 0 {
-		ttl = 64
-	}
-	b = append(b, ttl, h.Proto)
+	b = append(b, ipv4TTL, h.Proto)
 	b = putU16(b, 0) // checksum placeholder
 	b = append(b, h.Src[:]...)
 	b = append(b, h.Dst[:]...)
@@ -51,19 +48,13 @@ func (h *IPv4) Decode(b []byte) (int, error) {
 	if vihl != 0x45 {
 		return 0, fmt.Errorf("pkt: unsupported IPv4 version/IHL 0x%02x", vihl)
 	}
-	if h.TOS, err = r.u8(); err != nil {
+	if _, err = r.u8(); err != nil { // TOS
 		return 0, err
 	}
 	if h.TotalLen, err = r.u16(); err != nil {
 		return 0, err
 	}
-	if h.ID, err = r.u16(); err != nil {
-		return 0, err
-	}
-	if _, err = r.u16(); err != nil { // flags/frag
-		return 0, err
-	}
-	if h.TTL, err = r.u8(); err != nil {
+	if _, err = r.bytes(5); err != nil { // ID, flags/frag, TTL
 		return 0, err
 	}
 	if h.Proto, err = r.u8(); err != nil {

@@ -160,8 +160,8 @@ func TestNASServiceAcceptRoundTrip(t *testing.T) {
 // with no filter, QoS or ESM container left over from the one before.
 func TestDecodeIntoReusedStorage(t *testing.T) {
 	three := sampleTFT()
-	three.Filters = append(three.Filters, PacketFilter{ID: 3, Direction: DirDownlink, Precedence: 1, Proto: ProtoUDP})
-	one := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{ID: 1, Direction: DirUplink, Precedence: 9, TOSTrafficClass: 0xb8, TOSMask: 0xfc}}}
+	three.Filters = append(three.Filters, PacketFilter{ID: 3, Direction: DirDownlink, Precedence: 1, RemoteAddr: AddrFrom(10, 0, 0, 0), RemoteMask: Addr{255}})
+	one := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{ID: 1, Direction: DirUplink, Precedence: 9}}}
 	if len(three.Filters) != 3 {
 		t.Fatalf("the three-filter TFT has %d filters", len(three.Filters))
 	}
@@ -180,14 +180,14 @@ func TestDecodeIntoReusedStorage(t *testing.T) {
 		}
 	}
 
-	gbr := &BearerQoS{QCI: 3, ARP: 4, MaxBitrateUL: 2e6, MaxBitrateDL: 4e6, GuaranteedUL: 1e6, GuaranteedDL: 3e6}
+	def := &BearerQoS{QCI: QCIDefault, ARP: 9}
 	msgs := []NASMsg{
-		{Type: NASActivateDedicatedBearerRequest, EBI: 6, LinkedEBI: 5, QoS: gbr, TFT: &three},
+		{Type: NASActivateDedicatedBearerRequest, EBI: 6, LinkedEBI: 5, QoS: def, TFT: &three},
 		{Type: NASActivateDedicatedBearerRequest, EBI: 7, LinkedEBI: 5, QoS: &BearerQoS{QCI: QCIMEC, ARP: 2}, TFT: &one},
-		{Type: NASAttachAccept, ESM: &NASMsg{Type: NASActivateDefaultBearerRequest, EBI: 5, APN: "internet", UEIP: AddrFrom(172, 16, 0, 2), QoS: gbr}},
+		{Type: NASAttachAccept, ESM: &NASMsg{Type: NASActivateDefaultBearerRequest, EBI: 5, APN: "internet", UEIP: AddrFrom(172, 16, 0, 2), QoS: def}},
 		{Type: NASAttachRequest, IMSI: "001010123456789", ESM: &NASMsg{Type: NASActivateDefaultBearerRequest, APN: "acacia.mec"}},
 		{Type: NASServiceRequest},
-		{Type: NASActivateDedicatedBearerRequest, EBI: 6, LinkedEBI: 5, QoS: gbr, TFT: &three},
+		{Type: NASActivateDedicatedBearerRequest, EBI: 6, LinkedEBI: 5, QoS: def, TFT: &three},
 	}
 	var m NASMsg
 	for i, src := range msgs {

@@ -15,14 +15,10 @@ type OFMsgType uint8
 
 // Message types used by the testbed (OpenFlow 1.3 numbering).
 const (
-	OFHello       OFMsgType = 0
-	OFEchoRequest OFMsgType = 2
-	OFEchoReply   OFMsgType = 3
-	OFPacketIn    OFMsgType = 10
-	OFFlowRemoved OFMsgType = 11
-	OFPortStatus  OFMsgType = 12
-	OFFlowMod     OFMsgType = 14
-	OFBarrier     OFMsgType = 20
+	OFHello      OFMsgType = 0
+	OFPacketIn   OFMsgType = 10
+	OFPortStatus OFMsgType = 12
+	OFFlowMod    OFMsgType = 14
 )
 
 // String names the message type.
@@ -30,20 +26,12 @@ func (t OFMsgType) String() string {
 	switch t {
 	case OFHello:
 		return "Hello"
-	case OFEchoRequest:
-		return "EchoRequest"
-	case OFEchoReply:
-		return "EchoReply"
 	case OFPacketIn:
 		return "PacketIn"
-	case OFFlowRemoved:
-		return "FlowRemoved"
 	case OFPortStatus:
 		return "PortStatus"
 	case OFFlowMod:
 		return "FlowMod"
-	case OFBarrier:
-		return "Barrier"
 	default:
 		return fmt.Sprintf("OFMsgType(%d)", uint8(t))
 	}
@@ -59,19 +47,14 @@ const (
 // field the GTP extension uses for the TEID).
 const (
 	OXMInPort   = 0
-	OXMEthType  = 5
-	OXMIPProto  = 10
 	OXMIPv4Src  = 11
 	OXMIPv4Dst  = 12
-	OXMUDPSrc   = 15
-	OXMUDPDst   = 16
 	OXMTunnelID = 38
 )
 
 // oxmWidth is each known OXM field's value length in bytes; zero marks an
 // identifier the testbed does not use.
-var oxmWidth = [...]uint8{OXMInPort: 4, OXMEthType: 2, OXMIPProto: 1, OXMIPv4Src: 4,
-	OXMIPv4Dst: 4, OXMUDPSrc: 2, OXMUDPDst: 2, OXMTunnelID: 8}
+var oxmWidth = [...]uint8{OXMInPort: 4, OXMIPv4Src: 4, OXMIPv4Dst: 4, OXMTunnelID: 8}
 
 // Opt is one optional match field: a value and whether it is set. The zero
 // Opt is the wildcard, and only the constructors below build a set one, so
@@ -87,15 +70,11 @@ func (o Opt[T]) Get() (T, bool) { return o.v, o.set }
 
 // Match is the set of OXM fields a flow entry matches on; unset fields are
 // wildcards. It is a comparable value (no pointers): == is field-for-field
-// equality and a Match can key a map. Fields are ordered by size to keep it
-// at 48 bytes.
+// equality and a Match can key a map. It holds the TEID and address
+// matches an LTE gateway's flow rules use, 40 bytes.
 type Match struct {
 	TunnelID Opt[uint64] // GTP TEID carried in tunnel metadata
 	InPort   Opt[uint32]
-	EthType  Opt[uint16]
-	UDPSrc   Opt[uint16]
-	UDPDst   Opt[uint16]
-	IPProto  Opt[uint8]
 	IPv4Src  Opt[Addr]
 	IPv4Dst  Opt[Addr]
 }
@@ -103,27 +82,17 @@ type Match struct {
 // U32 returns a set 32-bit match field, a convenience for building matches.
 func U32(v uint32) Opt[uint32] { return Opt[uint32]{v, true} }
 
-// U16 returns a set 16-bit match field.
-func U16(v uint16) Opt[uint16] { return Opt[uint16]{v, true} }
-
-// U8 returns a set 8-bit match field.
-func U8(v uint8) Opt[uint8] { return Opt[uint8]{v, true} }
-
 // U64 returns a set 64-bit match field.
 func U64(v uint64) Opt[uint64] { return Opt[uint64]{v, true} }
 
 // AddrPtr returns a set address match field.
 func AddrPtr(a Addr) Opt[Addr] { return Opt[Addr]{a, true} }
 
-// Matches reports whether a packet view satisfies every set field. The view
-// carries no EthType, so that field never rejects a packet.
+// Matches reports whether a packet view satisfies every set field.
 func (m *Match) Matches(inPort uint32, ft FiveTuple, tunnelID uint64) bool {
 	return (!m.InPort.set || m.InPort.v == inPort) &&
-		(!m.IPProto.set || m.IPProto.v == ft.Proto) &&
 		(!m.IPv4Src.set || m.IPv4Src.v == ft.Src) &&
 		(!m.IPv4Dst.set || m.IPv4Dst.v == ft.Dst) &&
-		(!m.UDPSrc.set || m.UDPSrc.v == ft.SrcPort) &&
-		(!m.UDPDst.set || m.UDPDst.v == ft.DstPort) &&
 		(!m.TunnelID.set || m.TunnelID.v == tunnelID)
 }
 
@@ -131,8 +100,7 @@ func (m *Match) Matches(inPort uint32, ft FiveTuple, tunnelID uint64) bool {
 // equal priority deterministically.
 func (m *Match) SpecificityScore() int {
 	n := 0
-	for _, set := range [...]bool{m.InPort.set, m.EthType.set, m.IPProto.set,
-		m.IPv4Src.set, m.IPv4Dst.set, m.UDPSrc.set, m.UDPDst.set, m.TunnelID.set} {
+	for _, set := range [...]bool{m.InPort.set, m.IPv4Src.set, m.IPv4Dst.set, m.TunnelID.set} {
 		if set {
 			n++
 		}
@@ -155,12 +123,8 @@ func (m *Match) encode(b []byte) []byte {
 		}
 	}
 	oxm(OXMInPort, uint64(m.InPort.v), m.InPort.set)
-	oxm(OXMEthType, uint64(m.EthType.v), m.EthType.set)
-	oxm(OXMIPProto, uint64(m.IPProto.v), m.IPProto.set)
 	oxm(OXMIPv4Src, uint64(m.IPv4Src.v.Uint32()), m.IPv4Src.set)
 	oxm(OXMIPv4Dst, uint64(m.IPv4Dst.v.Uint32()), m.IPv4Dst.set)
-	oxm(OXMUDPSrc, uint64(m.UDPSrc.v), m.UDPSrc.set)
-	oxm(OXMUDPDst, uint64(m.UDPDst.v), m.UDPDst.set)
 	oxm(OXMTunnelID, m.TunnelID.v, m.TunnelID.set)
 	mlen := len(b) - start
 	b[start+2] = byte(mlen >> 8)
@@ -216,18 +180,10 @@ func (m *Match) decode(r *reader) error {
 		switch field {
 		case OXMInPort:
 			m.InPort = U32(uint32(v))
-		case OXMEthType:
-			m.EthType = U16(uint16(v))
-		case OXMIPProto:
-			m.IPProto = U8(uint8(v))
 		case OXMIPv4Src:
 			m.IPv4Src = AddrPtr(AddrFromUint32(uint32(v)))
 		case OXMIPv4Dst:
 			m.IPv4Dst = AddrPtr(AddrFromUint32(uint32(v)))
-		case OXMUDPSrc:
-			m.UDPSrc = U16(uint16(v))
-		case OXMUDPDst:
-			m.UDPDst = U16(uint16(v))
 		case OXMTunnelID:
 			m.TunnelID = U64(v)
 		}
@@ -252,8 +208,6 @@ const (
 	// ActionSetTunnel sets the tunnel metadata (TEID + remote endpoint)
 	// consumed by a subsequent output to a GTP logical port.
 	ActionSetTunnel
-	// ActionSetField rewrites a header field (used for TOS remarking).
-	ActionSetField
 	// ActionDrop discards the packet (encoded as an empty action list in
 	// real OpenFlow; explicit here for clarity).
 	ActionDrop
@@ -261,11 +215,10 @@ const (
 
 // Action is one flow-entry action.
 type Action struct {
-	Type       ActionType
-	Port       uint32 // ActionOutput
-	TunnelID   uint64 // ActionSetTunnel: GTP TEID
-	TunnelDst  Addr   // ActionSetTunnel: remote GTP endpoint
-	FieldValue uint8  // ActionSetField: new TOS
+	Type      ActionType
+	Port      uint32 // ActionOutput
+	TunnelID  uint64 // ActionSetTunnel: GTP TEID
+	TunnelDst Addr   // ActionSetTunnel: remote GTP endpoint
 }
 
 func (a *Action) encode(b []byte) []byte {
@@ -289,13 +242,6 @@ func (a *Action) encode(b []byte) []byte {
 		b = append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 		return append(b, a.TunnelDst[:]...)
-	case ActionSetField:
-		// OFPAT_SET_FIELD with a 1-byte OXM, padded to 16.
-		b = putU16(b, 25)
-		b = putU16(b, 16)
-		b = putU16(b, 0x8000)
-		b = append(b, 8<<1, 1, a.FieldValue) // IP DSCP
-		return append(b, 0, 0, 0, 0, 0, 0, 0)
 	case ActionDrop:
 		// Encoded as an experimenter no-op so the list length reflects it.
 		b = putU16(b, 0xffff)
@@ -326,8 +272,6 @@ func decodeAction(r *reader) (Action, error) {
 	switch {
 	case typ == 0:
 		need = 4 // port
-	case typ == 25:
-		need = 5 // OXM header + value
 	case typ == 0xffff && alen != 8:
 		need = 20 // experimenter header + tunnel id + dst
 	}
@@ -338,9 +282,6 @@ func decodeAction(r *reader) (Action, error) {
 	case 0:
 		a.Type = ActionOutput
 		a.Port = be.Uint32(body[:4])
-	case 25:
-		a.Type = ActionSetField
-		a.FieldValue = body[4]
 	case 0xffff:
 		if alen == 8 {
 			a.Type = ActionDrop
@@ -360,15 +301,13 @@ type OFMsg struct {
 	Type OFMsgType
 	XID  uint32
 
-	// FlowMod fields.
-	Command     uint8
-	TableID     uint8
-	Priority    uint16
-	IdleTimeout uint16 // seconds; 0 = permanent
-	HardTimeout uint16
-	Cookie      uint64
-	Match       Match
-	Actions     []Action
+	// FlowMod fields. Every flow lives in table 0 and is permanent: the
+	// table id and the idle and hard timeouts are encoded as zero.
+	Command  uint8
+	Priority uint16
+	Cookie   uint64
+	Match    Match
+	Actions  []Action
 
 	// PacketIn fields.
 	BufferID uint32
@@ -389,9 +328,8 @@ func (m *OFMsg) Encode(b []byte) []byte {
 		b = be.AppendUint64(b, m.Cookie)
 		b = putU32(b, 0xffffffff)
 		b = putU32(b, 0xffffffff)
-		b = append(b, m.TableID, m.Command)
-		b = putU16(b, m.IdleTimeout)
-		b = putU16(b, m.HardTimeout)
+		b = append(b, 0, m.Command) // table 0
+		b = putU32(b, 0)            // idle and hard timeouts: permanent
 		b = putU16(b, m.Priority)
 		b = putU32(b, 0xffffffff) // OFP_NO_BUFFER
 		b = putU32(b, 0xffffffff) // out_port any
@@ -413,24 +351,18 @@ func (m *OFMsg) Encode(b []byte) []byte {
 	case OFPacketIn:
 		b = putU32(b, m.BufferID)
 		b = putU16(b, m.DataLen)
-		b = append(b, m.Reason, m.TableID)
+		b = append(b, m.Reason, 0) // table 0
 		b = be.AppendUint64(b, m.Cookie)
 		b = m.Match.encode(b)
 		b = putU16(b, 0) // pad
 		b = append(b, make([]byte, m.DataLen)...)
-	case OFHello, OFEchoRequest, OFEchoReply, OFBarrier:
+	case OFHello:
 		// Header only.
 	case OFPortStatus:
 		// reason(1) + pad(7), then the affected path carried in the match
 		// (GTP path supervision identifies "ports" by peer address).
 		b = append(b, m.Reason)
 		b = append(b, make([]byte, 7)...)
-		b = m.Match.encode(b)
-	case OFFlowRemoved:
-		b = be.AppendUint64(b, m.Cookie)
-		b = putU16(b, m.Priority)
-		b = append(b, m.Reason, m.TableID)
-		b = append(b, make([]byte, 24)...) // duration/timeouts/counters
 		b = m.Match.encode(b)
 	default:
 		panic(fmt.Sprintf("pkt: cannot encode OpenFlow type %v", m.Type))
@@ -476,16 +408,13 @@ func (m *OFMsg) Decode(b []byte) (int, error) {
 		if _, err := r.bytes(8); err != nil { // cookie mask
 			return 0, err
 		}
-		if m.TableID, err = r.u8(); err != nil {
+		if err := r.zero(1); err != nil { // table
 			return 0, err
 		}
 		if m.Command, err = r.u8(); err != nil {
 			return 0, err
 		}
-		if m.IdleTimeout, err = r.u16(); err != nil {
-			return 0, err
-		}
-		if m.HardTimeout, err = r.u16(); err != nil {
+		if err := r.zero(4); err != nil { // idle and hard timeouts
 			return 0, err
 		}
 		if m.Priority, err = r.u16(); err != nil {
@@ -529,7 +458,7 @@ func (m *OFMsg) Decode(b []byte) (int, error) {
 		if m.Reason, err = r.u8(); err != nil {
 			return 0, err
 		}
-		if m.TableID, err = r.u8(); err != nil {
+		if err := r.zero(1); err != nil { // table
 			return 0, err
 		}
 		cookie, err := r.bytes(8)
@@ -547,35 +476,13 @@ func (m *OFMsg) Decode(b []byte) (int, error) {
 		if _, err := r.bytes(int(m.DataLen)); err != nil {
 			return 0, err
 		}
-	case OFHello, OFEchoRequest, OFEchoReply, OFBarrier:
+	case OFHello:
 		// Header only.
 	case OFPortStatus:
 		if m.Reason, err = r.u8(); err != nil {
 			return 0, err
 		}
 		if _, err := r.bytes(7); err != nil {
-			return 0, err
-		}
-		m.Match = Match{}
-		if err := m.Match.decode(r); err != nil {
-			return 0, err
-		}
-	case OFFlowRemoved:
-		cookie, err := r.bytes(8)
-		if err != nil {
-			return 0, err
-		}
-		m.Cookie = be.Uint64(cookie)
-		if m.Priority, err = r.u16(); err != nil {
-			return 0, err
-		}
-		if m.Reason, err = r.u8(); err != nil {
-			return 0, err
-		}
-		if m.TableID, err = r.u8(); err != nil {
-			return 0, err
-		}
-		if _, err := r.bytes(24); err != nil {
 			return 0, err
 		}
 		m.Match = Match{}

@@ -68,6 +68,21 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
+// zero consumes n bytes that the codec writes as zero (a field the testbed
+// never sets) and rejects any other value.
+func (r *reader) zero(n int) error {
+	v, err := r.bytes(n)
+	if err != nil {
+		return err
+	}
+	for _, c := range v {
+		if c != 0 {
+			return fmt.Errorf("pkt: non-zero byte 0x%02x at offset %d, where the testbed writes zero", c, r.off-n)
+		}
+	}
+	return nil
+}
+
 func putU16(b []byte, v uint16) []byte {
 	return append(b, byte(v>>8), byte(v))
 }

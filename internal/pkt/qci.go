@@ -35,24 +35,22 @@ const QCIDefault QCI = 9
 const QCIMEC QCI = 5
 
 // BearerQoS is the QoS description carried in dedicated bearer activation
-// messages (a subset of the GTPv2 Bearer QoS IE).
+// messages (a subset of the GTPv2 Bearer QoS IE). Every bearer the testbed
+// sets up is non-GBR, so the IE's bit rates are always zero.
 type BearerQoS struct {
 	QCI QCI
 	ARP uint8 // allocation/retention priority 1..15
-	// Bit rates in bits per second; zero for non-GBR bearers.
-	MaxBitrateUL, MaxBitrateDL uint64
-	GuaranteedUL, GuaranteedDL uint64
 }
 
+// qosRateBytes is the length of the IE's four 5-byte bit rates (maximum
+// and guaranteed, uplink and downlink).
+const qosRateBytes = 20
+
 // encode appends the 22-byte Bearer QoS IE payload (TS 29.274 §8.15 layout:
-// flags/ARP octet, QCI octet, then four 5-byte bit rates).
+// flags/ARP octet, QCI octet, then four 5-byte bit rates, all zero).
 func (q *BearerQoS) encode(b []byte) []byte {
 	b = append(b, q.ARP&0x7f, byte(q.QCI))
-	for _, r := range []uint64{q.MaxBitrateUL, q.MaxBitrateDL, q.GuaranteedUL, q.GuaranteedDL} {
-		kbps := r / 1000
-		b = append(b, byte(kbps>>32), byte(kbps>>24), byte(kbps>>16), byte(kbps>>8), byte(kbps))
-	}
-	return b
+	return append(b, make([]byte, qosRateBytes)...)
 }
 
 func (q *BearerQoS) decode(b []byte) error {
@@ -67,14 +65,5 @@ func (q *BearerQoS) decode(b []byte) error {
 		return err
 	}
 	q.QCI = QCI(qci)
-	rates := []*uint64{&q.MaxBitrateUL, &q.MaxBitrateDL, &q.GuaranteedUL, &q.GuaranteedDL}
-	for _, p := range rates {
-		raw, err := r.bytes(5)
-		if err != nil {
-			return err
-		}
-		kbps := uint64(raw[0])<<32 | uint64(raw[1])<<24 | uint64(raw[2])<<16 | uint64(raw[3])<<8 | uint64(raw[4])
-		*p = kbps * 1000
-	}
-	return nil
+	return r.zero(qosRateBytes) // bit rates: every bearer is non-GBR
 }

@@ -145,12 +145,10 @@ func sampleFlowMod() OFMsg {
 		Type:     OFFlowMod,
 		XID:      77,
 		Command:  FlowModAdd,
-		TableID:  0,
 		Priority: 100,
 		Cookie:   0xacac1a,
 		Match: Match{
 			InPort:   U32(1),
-			IPProto:  U8(ProtoUDP),
 			IPv4Src:  AddrPtr(AddrFrom(172, 16, 0, 9)),
 			IPv4Dst:  AddrPtr(AddrFrom(10, 20, 0, 9)),
 			TunnelID: U64(0x5001),
@@ -181,7 +179,7 @@ func TestOpenFlowFlowModRoundTrip(t *testing.T) {
 func TestOpenFlowPacketInRoundTrip(t *testing.T) {
 	orig := OFMsg{
 		Type: OFPacketIn, XID: 3, BufferID: 0xffffffff, DataLen: 128,
-		Reason: 0, TableID: 0, Cookie: 5,
+		Reason: 0, Cookie: 5,
 		Match: Match{InPort: U32(4), TunnelID: U64(9)},
 	}
 	b := orig.Encode(nil)
@@ -195,23 +193,20 @@ func TestOpenFlowPacketInRoundTrip(t *testing.T) {
 }
 
 func TestOpenFlowHeaderOnlyMessages(t *testing.T) {
-	for _, typ := range []OFMsgType{OFHello, OFEchoRequest, OFEchoReply, OFBarrier} {
-		orig := OFMsg{Type: typ, XID: 9}
-		b := orig.Encode(nil)
-		if len(b) != 8 { // the OpenFlow header alone
-			t.Errorf("%v: encoded %d bytes, want 8", typ, len(b))
-		}
-		var got OFMsg
-		if _, err := got.Decode(b); err != nil {
-			t.Errorf("%v: %v", typ, err)
-		}
+	orig := OFMsg{Type: OFHello, XID: 9}
+	b := orig.Encode(nil)
+	if len(b) != 8 { // the OpenFlow header alone
+		t.Errorf("Hello: encoded %d bytes, want 8", len(b))
+	}
+	var got OFMsg
+	if _, err := got.Decode(b); err != nil {
+		t.Errorf("Hello: %v", err)
 	}
 }
 
 func TestOpenFlowMatchSemantics(t *testing.T) {
 	m := Match{
 		IPv4Dst:  AddrPtr(AddrFrom(10, 0, 0, 1)),
-		IPProto:  U8(ProtoUDP),
 		TunnelID: U64(42),
 	}
 	ft := FiveTuple{Src: AddrFrom(1, 1, 1, 1), Dst: AddrFrom(10, 0, 0, 1), Proto: ProtoUDP}
@@ -237,8 +232,8 @@ func TestOpenFlowSpecificity(t *testing.T) {
 		t.Error("empty match specificity not 0")
 	}
 	m := sampleFlowMod().Match
-	if m.SpecificityScore() != 5 {
-		t.Errorf("specificity = %d, want 5", m.SpecificityScore())
+	if m.SpecificityScore() != 4 {
+		t.Errorf("specificity = %d, want 4", m.SpecificityScore())
 	}
 }
 
@@ -263,7 +258,7 @@ func TestOpenFlowDecodeTruncated(t *testing.T) {
 
 // TestOpenFlowMatchIsComparableValue pins what the switch's index relies on:
 // equal field sets compare equal with ==, any differing field or presence
-// (EthType included) does not, a decoded match equals the one encoded, and
+// does not, a decoded match equals the one encoded, and
 // building or decoding a match allocates nothing.
 func TestOpenFlowMatchIsComparableValue(t *testing.T) {
 	a := Match{TunnelID: U64(7), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4))}
@@ -274,8 +269,8 @@ func TestOpenFlowMatchIsComparableValue(t *testing.T) {
 	for _, other := range []Match{
 		{TunnelID: U64(8), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4))}, // value
 		{TunnelID: U64(7)}, // presence
-		{TunnelID: U64(7), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4)), InPort: U32(0)},       // set to zero
-		{TunnelID: U64(7), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4)), EthType: U16(0x0800)}, // EthType
+		{TunnelID: U64(7), IPv4Dst: AddrPtr(AddrFrom(1, 2, 3, 4)), InPort: U32(0)}, // set to zero
+		{TunnelID: U64(7), IPv4Src: AddrPtr(AddrFrom(1, 2, 3, 4))},                 // field
 	} {
 		if a == other {
 			t.Errorf("differing matches compare equal: %+v", other)

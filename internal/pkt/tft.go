@@ -35,72 +35,43 @@ const (
 	DirBidirectional FilterDirection = 3
 )
 
-// PacketFilter is one TFT packet filter. Zero-valued components are treated
-// as wildcards, mirroring the optional component encoding on the wire.
+// PacketFilter is one TFT packet filter: the remote address/mask component
+// ACACIA's uplink filter toward the CI server carries. A zero address and
+// mask means the component is absent (a wildcard), as on the wire.
 type PacketFilter struct {
 	ID         uint8 // 0..15
 	Direction  FilterDirection
 	Precedence uint8 // lower = evaluated first
 
-	// Components; zero value means "not present" (wildcard).
-	RemoteAddr      Addr
-	RemoteMask      Addr
-	Proto           uint8 // 0 = any
-	LocalPortLo     uint16
-	LocalPortHi     uint16
-	RemotePortLo    uint16
-	RemotePortHi    uint16
-	TOSTrafficClass uint8
-	TOSMask         uint8
+	RemoteAddr Addr
+	RemoteMask Addr
 }
 
-// Packet filter component type identifiers (TS 24.008 table 10.5.162).
-const (
-	pfcIPv4RemoteAddr  = 0x10
-	pfcProtocol        = 0x30
-	pfcLocalPortRange  = 0x41
-	pfcRemotePortRange = 0x51
-	pfcTOSClass        = 0x70
-)
+// pfcIPv4RemoteAddr is the IPv4 remote address component type (TS 24.008
+// table 10.5.162), the one component the testbed signals.
+const pfcIPv4RemoteAddr = 0x10
 
-// MatchUplink reports whether an uplink packet with the given five-tuple and
-// TOS byte matches the filter. For uplink traffic the "remote" end is the
-// destination and the "local" end is the UE's source port.
-func (p *PacketFilter) MatchUplink(ft FiveTuple, tos uint8) bool {
+// MatchUplink reports whether an uplink packet with the given five-tuple
+// matches the filter. For uplink traffic the "remote" end is the
+// destination.
+func (p *PacketFilter) MatchUplink(ft FiveTuple) bool {
 	if p.Direction == DirDownlink {
 		return false
 	}
-	return p.match(ft.Dst, ft.SrcPort, ft.DstPort, ft.Proto, tos)
-}
-
-func (p *PacketFilter) match(remote Addr, localPort, remotePort uint16, proto, tos uint8) bool {
-	if !p.RemoteAddr.IsZero() || !p.RemoteMask.IsZero() {
-		for i := 0; i < 4; i++ {
-			if remote[i]&p.RemoteMask[i] != p.RemoteAddr[i]&p.RemoteMask[i] {
-				return false
-			}
+	for i := 0; i < 4; i++ {
+		if ft.Dst[i]&p.RemoteMask[i] != p.RemoteAddr[i]&p.RemoteMask[i] {
+			return false
 		}
-	}
-	if p.Proto != 0 && proto != p.Proto {
-		return false
-	}
-	if p.LocalPortHi != 0 && (localPort < p.LocalPortLo || localPort > p.LocalPortHi) {
-		return false
-	}
-	if p.RemotePortHi != 0 && (remotePort < p.RemotePortLo || remotePort > p.RemotePortHi) {
-		return false
-	}
-	if p.TOSMask != 0 && tos&p.TOSMask != p.TOSTrafficClass&p.TOSMask {
-		return false
 	}
 	return true
 }
 
 // MatchUplink evaluates the TFT's filters in order against an uplink packet
-// and reports whether any filter matched.
+// and reports whether any filter matched. No filter matches on the TOS
+// byte.
 func (t *TFT) MatchUplink(ft FiveTuple, tos uint8) bool {
 	for i := range t.Filters {
-		if t.Filters[i].MatchUplink(ft, tos) {
+		if t.Filters[i].MatchUplink(ft) {
 			return true
 		}
 	}
@@ -146,22 +117,6 @@ func (p *PacketFilter) encodeComponents(b []byte) []byte {
 		b = append(b, pfcIPv4RemoteAddr)
 		b = append(b, p.RemoteAddr[:]...)
 		b = append(b, p.RemoteMask[:]...)
-	}
-	if p.Proto != 0 {
-		b = append(b, pfcProtocol, p.Proto)
-	}
-	if p.LocalPortHi != 0 {
-		b = append(b, pfcLocalPortRange)
-		b = putU16(b, p.LocalPortLo)
-		b = putU16(b, p.LocalPortHi)
-	}
-	if p.RemotePortHi != 0 {
-		b = append(b, pfcRemotePortRange)
-		b = putU16(b, p.RemotePortLo)
-		b = putU16(b, p.RemotePortHi)
-	}
-	if p.TOSMask != 0 {
-		b = append(b, pfcTOSClass, p.TOSTrafficClass, p.TOSMask)
 	}
 	return b
 }
@@ -222,42 +177,15 @@ func (p *PacketFilter) decodeComponents(b []byte) error {
 		if err != nil {
 			return err
 		}
-		switch typ {
-		case pfcIPv4RemoteAddr:
-			raw, err := r.bytes(8)
-			if err != nil {
-				return err
-			}
-			copy(p.RemoteAddr[:], raw[:4])
-			copy(p.RemoteMask[:], raw[4:])
-		case pfcProtocol:
-			if p.Proto, err = r.u8(); err != nil {
-				return err
-			}
-		case pfcLocalPortRange:
-			if p.LocalPortLo, err = r.u16(); err != nil {
-				return err
-			}
-			if p.LocalPortHi, err = r.u16(); err != nil {
-				return err
-			}
-		case pfcRemotePortRange:
-			if p.RemotePortLo, err = r.u16(); err != nil {
-				return err
-			}
-			if p.RemotePortHi, err = r.u16(); err != nil {
-				return err
-			}
-		case pfcTOSClass:
-			if p.TOSTrafficClass, err = r.u8(); err != nil {
-				return err
-			}
-			if p.TOSMask, err = r.u8(); err != nil {
-				return err
-			}
-		default:
+		if typ != pfcIPv4RemoteAddr {
 			return fmt.Errorf("unknown packet filter component 0x%02x", typ)
 		}
+		raw, err := r.bytes(8)
+		if err != nil {
+			return err
+		}
+		copy(p.RemoteAddr[:], raw[:4])
+		copy(p.RemoteMask[:], raw[4:])
 	}
 	return nil
 }

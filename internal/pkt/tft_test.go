@@ -14,11 +14,10 @@ func sampleTFT() TFT {
 			{
 				ID: 1, Direction: DirBidirectional, Precedence: 10,
 				RemoteAddr: AddrFrom(10, 10, 0, 5), RemoteMask: Addr{255, 255, 255, 255},
-				Proto: ProtoUDP, RemotePortLo: 5000, RemotePortHi: 5010,
 			},
 			{
 				ID: 2, Direction: DirUplink, Precedence: 20,
-				Proto: ProtoTCP, LocalPortLo: 1024, LocalPortHi: 65535,
+				RemoteAddr: AddrFrom(10, 20, 0, 0), RemoteMask: Addr{255, 255, 0, 0},
 			},
 		},
 	}
@@ -71,36 +70,6 @@ func TestTFTDirectionality(t *testing.T) {
 	}
 }
 
-func TestTFTPortRangeMatching(t *testing.T) {
-	tft := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{
-		ID: 1, Direction: DirBidirectional, Precedence: 1,
-		Proto: ProtoUDP, RemotePortLo: 5000, RemotePortHi: 5010,
-	}}}
-	base := FiveTuple{Src: AddrFrom(1, 1, 1, 1), Dst: AddrFrom(2, 2, 2, 2), SrcPort: 999, Proto: ProtoUDP}
-	for _, tc := range []struct {
-		port uint16
-		want bool
-	}{
-		{4999, false}, {5000, true}, {5005, true}, {5010, true}, {5011, false},
-	} {
-		ft := base
-		ft.DstPort = tc.port
-		if got := tft.MatchUplink(ft, 0); got != tc.want {
-			t.Errorf("port %d: match = %v, want %v", tc.port, got, tc.want)
-		}
-	}
-}
-
-func TestTFTProtocolMismatch(t *testing.T) {
-	tft := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{
-		ID: 1, Direction: DirBidirectional, Precedence: 1, Proto: ProtoTCP,
-	}}}
-	udp := FiveTuple{Src: AddrFrom(1, 1, 1, 1), Dst: AddrFrom(2, 2, 2, 2), Proto: ProtoUDP}
-	if tft.MatchUplink(udp, 0) {
-		t.Error("TCP-only filter matched a UDP packet")
-	}
-}
-
 func TestTFTSubnetMask(t *testing.T) {
 	tft := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{
 		ID: 1, Direction: DirBidirectional, Precedence: 1,
@@ -113,20 +82,6 @@ func TestTFTSubnetMask(t *testing.T) {
 	}
 	if tft.MatchUplink(out, 0) {
 		t.Error("out-of-subnet destination matched")
-	}
-}
-
-func TestTFTTOSMatching(t *testing.T) {
-	tft := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{
-		ID: 1, Direction: DirBidirectional, Precedence: 1,
-		TOSTrafficClass: 0x2e << 2, TOSMask: 0xfc,
-	}}}
-	ft := FiveTuple{Src: AddrFrom(1, 1, 1, 1), Dst: AddrFrom(2, 2, 2, 2)}
-	if !tft.MatchUplink(ft, 0x2e<<2) {
-		t.Error("matching TOS did not match")
-	}
-	if tft.MatchUplink(ft, 0) {
-		t.Error("non-matching TOS matched")
 	}
 }
 
@@ -156,14 +111,14 @@ func TestTFTPrecedenceOrdering(t *testing.T) {
 // allocate.
 func TestTFTMatchIsReadOnly(t *testing.T) {
 	tft := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{
-		{ID: 2, Direction: DirBidirectional, Precedence: 20, Proto: ProtoUDP},
-		{ID: 1, Direction: DirBidirectional, Precedence: 10, Proto: ProtoTCP},
+		{ID: 2, Direction: DirBidirectional, Precedence: 20, RemoteAddr: AddrFrom(2, 2, 2, 2), RemoteMask: Addr{255, 255, 255, 255}},
+		{ID: 1, Direction: DirBidirectional, Precedence: 10, RemoteAddr: AddrFrom(3, 3, 3, 3), RemoteMask: Addr{255, 255, 255, 255}},
 	}}
 	before := tft.Encode(nil)
 	ft := FiveTuple{Src: AddrFrom(1, 1, 1, 1), Dst: AddrFrom(2, 2, 2, 2), Proto: ProtoUDP}
 	allocs := testing.AllocsPerRun(100, func() {
 		if !tft.MatchUplink(ft, 0) {
-			t.Fatal("UDP filter did not match")
+			t.Fatal("the 2.2.2.2 filter did not match")
 		}
 	})
 	if allocs != 0 {
@@ -193,17 +148,10 @@ func TestTFTEncodeTooManyFiltersPanics(t *testing.T) {
 }
 
 func TestTFTPropertyRoundTrip(t *testing.T) {
-	f := func(id, prec, proto uint8, addr [4]byte, plo, phi uint16) bool {
-		if phi < plo {
-			plo, phi = phi, plo
-		}
-		if phi == 0 {
-			phi = 1
-		}
+	f := func(id, prec uint8, addr, mask [4]byte) bool {
 		orig := TFT{Op: TFTOpCreateNew, Filters: []PacketFilter{{
 			ID: id & 0x0f, Direction: DirBidirectional, Precedence: prec,
-			RemoteAddr: Addr(addr), RemoteMask: Addr{255, 255, 255, 255},
-			Proto: proto, RemotePortLo: plo, RemotePortHi: phi,
+			RemoteAddr: Addr(addr), RemoteMask: Addr(mask),
 		}}}
 		b := orig.Encode(nil)
 		var got TFT

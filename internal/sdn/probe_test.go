@@ -133,11 +133,12 @@ func TestGTPPortMarks(t *testing.T) {
 	}
 	sw.MarkGTPPort(1)
 	for port := range tunneled {
-		sw.installEntry(FlowEntry{Priority: 100, Match: pkt.Match{UDPDst: pkt.U16(uint16(port))},
+		dst := pkt.AddrFrom(10, 0, 2, byte(port))
+		sw.installEntry(FlowEntry{Priority: 100, Match: pkt.Match{IPv4Dst: pkt.AddrPtr(dst)},
 			Actions: []pkt.Action{
 				{Type: pkt.ActionSetTunnel, TunnelID: 7, TunnelDst: pkt.AddrFrom(10, 0, 9, 9)},
 				{Type: pkt.ActionOutput, Port: uint32(port)}}})
-		swN.Inject(&netsim.Packet{Flow: pkt.FiveTuple{DstPort: uint16(port), Proto: pkt.ProtoUDP}, Size: 100})
+		swN.Inject(&netsim.Packet{Flow: pkt.FiveTuple{Dst: dst, Proto: pkt.ProtoUDP}, Size: 100})
 	}
 	eng.Run()
 	if want := []bool{false, true, false}; tunneled[0] != want[0] || tunneled[1] != want[1] || tunneled[2] != want[2] {

@@ -122,7 +122,7 @@ func TestLookupMatchesScan(t *testing.T) {
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(dst)},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 1}}})
 	sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xb,
-		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(dst), IPProto: pkt.U8(pkt.ProtoTCP)},
+		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(dst), IPv4Src: pkt.AddrPtr(pkt.AddrFrom(10, 3, 0, 10))},
 		Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 2}}})
 	sw.installEntry(FlowEntry{Priority: 100, Cookie: 0xc,
 		Match:   pkt.Match{IPv4Dst: pkt.AddrPtr(dst)},
@@ -229,7 +229,8 @@ func (r *refTable) scan(inPort uint32, flow pkt.FiveTuple, tunnelID uint64) *ref
 func tag(acts []pkt.Action) uint32 { return acts[0].Port }
 
 // modelMatch draws from a universe small enough that re-installs, one key
-// at several priorities and EthType-only differences all happen often.
+// at several priorities and one destination under several shapes all
+// happen often.
 func modelMatch(rng *rand.Rand) pkt.Match {
 	dst := pkt.AddrPtr(pkt.AddrFrom(172, 16, 0, byte(rng.Intn(6))))
 	switch rng.Intn(8) {
@@ -240,13 +241,13 @@ func modelMatch(rng *rand.Rand) pkt.Match {
 	case 2:
 		return pkt.Match{IPv4Dst: dst}
 	case 3:
-		return pkt.Match{IPv4Dst: dst, EthType: pkt.U16(0x0800)}
+		return pkt.Match{IPv4Dst: dst, InPort: pkt.U32(uint32(rng.Intn(2)))}
 	case 4:
-		return pkt.Match{IPv4Dst: dst, EthType: pkt.U16(0x86dd)}
+		return pkt.Match{IPv4Dst: dst, TunnelID: pkt.U64(uint64(rng.Intn(8)))}
 	case 5:
 		return pkt.Match{IPv4Dst: dst, IPv4Src: pkt.AddrPtr(pkt.AddrFrom(10, 3, 0, byte(rng.Intn(2))))}
 	case 6:
-		return pkt.Match{IPv4Dst: dst, IPProto: pkt.U8(pkt.ProtoTCP)}
+		return pkt.Match{IPv4Src: pkt.AddrPtr(pkt.AddrFrom(10, 3, 0, byte(rng.Intn(2))))}
 	default:
 		return pkt.Match{}
 	}
@@ -357,30 +358,6 @@ func TestIndexChainsAndSlots(t *testing.T) {
 		sw.removeFlows(3)
 		if winner(sw) != 0 || len(sw.index) != 0 || len(sw.shapes) != 0 {
 			t.Errorf("empty table: winner #%d, %d index keys, shapes %v", winner(sw), len(sw.index), sw.shapes)
-		}
-	})
-
-	t.Run("matches differing only in EthType", func(t *testing.T) {
-		sw := benchSwitch()
-		plain := pkt.Match{IPv4Dst: pkt.AddrPtr(dst)}
-		v4 := pkt.Match{IPv4Dst: pkt.AddrPtr(dst), EthType: pkt.U16(0x0800)}
-		v6 := pkt.Match{IPv4Dst: pkt.AddrPtr(dst), EthType: pkt.U16(0x86dd)}
-		sw.installEntry(FlowEntry{Priority: 100, Cookie: 1, Match: plain, Actions: out(1)})
-		sw.installEntry(FlowEntry{Priority: 100, Cookie: 2, Match: v4, Actions: out(2)})
-		sw.installEntry(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(3)})
-		// Three distinct entries under one key; the more specific, earlier
-		// one wins, as in the scan.
-		if sw.FlowCount() != 3 || winner(sw) != 2 {
-			t.Fatalf("%d flows, winner #%d; want 3 flows, #2", sw.FlowCount(), winner(sw))
-		}
-		// Re-installing one replaces that one only.
-		sw.installEntry(FlowEntry{Priority: 100, Cookie: 3, Match: v6, Actions: out(4)})
-		if sw.FlowCount() != 3 || winner(sw) != 2 {
-			t.Errorf("after re-install: %d flows, winner #%d", sw.FlowCount(), winner(sw))
-		}
-		sw.removeFlows(2)
-		if winner(sw) != 4 {
-			t.Errorf("after removing v4: winner #%d, want the replaced v6 (#4)", winner(sw))
 		}
 	})
 

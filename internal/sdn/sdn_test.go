@@ -415,7 +415,7 @@ func TestInstallFlowCopiesActions(t *testing.T) {
 			}
 		}()
 		g.ctl.InstallFlow(g.sgwU, FlowEntry{Priority: 1, Match: pkt.Match{TunnelID: pkt.U64(9)},
-			Actions: []pkt.Action{{Type: pkt.ActionSetField}, acts[0], acts[1]}})
+			Actions: []pkt.Action{{Type: pkt.ActionDrop}, acts[0], acts[1]}})
 	}()
 	g.eng.RunFor(time.Millisecond)
 	if g.ctl.sent.Value() != sent || g.sgwU.FlowCount() != flows {

@@ -78,7 +78,7 @@ type flowSlot struct {
 
 const (
 	rankSeqBits = 44
-	slotChunk   = 32 // slots per storage chunk: 32 × 128 B = 4 KiB
+	slotChunk   = 32 // slots per storage chunk: 32 × 120 B, in the 4 KiB size class
 )
 
 // PathCosts models per-packet processing cost on each path.
@@ -116,24 +116,18 @@ var OpenEPCGWCosts = PathCosts{
 var IdealGWCosts = PathCosts{FastPathEnabled: true}
 
 // cacheKey identifies a megaflow: the exact packet header view the fast
-// path hashes, packed into six 32-bit words (ports is srcPort<<16|dstPort,
-// protoTOS is proto<<8|tos). With no padding the map hashes the key as one
-// run of memory instead of field by field; 4-byte alignment keeps its map
-// slot at 28 bytes.
+// path hashes, packed into six 32-bit words (ports is srcPort<<16|dstPort).
+// With no padding the map hashes the key as one run of memory instead of
+// field by field; 4-byte alignment keeps its map slot at 28 bytes.
 type cacheKey struct {
-	src, dst, ports, teid, inPort, protoTOS uint32
+	src, dst, ports, teid, inPort, proto uint32
 }
 
-// Shape bits for the exact-match index: one bit per packet-visible match
-// field. EthType has no bit — the packet view carries no EthType, so entries
-// that differ only there share a key and are told apart on its chain.
+// Shape bits for the exact-match index: one bit per match field.
 const (
 	shpInPort uint8 = 1 << iota
-	shpIPProto
 	shpIPv4Src
 	shpIPv4Dst
-	shpUDPSrc
-	shpUDPDst
 	shpTunnelID
 	numShapes
 )
@@ -144,24 +138,20 @@ const (
 // entry hashes to exactly one (shape, values) key. The fields are ordered to
 // pack without holes, so the map hashes and compares them as one run.
 type idxKey struct {
-	teid         uint64
-	inPort       uint32
-	src, dst     pkt.Addr
-	sport, dport uint16
-	shape, proto uint8
+	teid     uint64
+	inPort   uint32
+	src, dst pkt.Addr
+	shape    uint8
 }
 
 // entryKey projects a match onto its index key.
 func entryKey(m *pkt.Match) idxKey {
 	var k idxKey
-	var set [7]bool
+	var set [4]bool
 	k.inPort, set[0] = m.InPort.Get()
-	k.proto, set[1] = m.IPProto.Get()
-	k.src, set[2] = m.IPv4Src.Get()
-	k.dst, set[3] = m.IPv4Dst.Get()
-	k.sport, set[4] = m.UDPSrc.Get()
-	k.dport, set[5] = m.UDPDst.Get()
-	k.teid, set[6] = m.TunnelID.Get()
+	k.src, set[1] = m.IPv4Src.Get()
+	k.dst, set[2] = m.IPv4Dst.Get()
+	k.teid, set[3] = m.TunnelID.Get()
 	for i, on := range set {
 		if on {
 			k.shape |= 1 << i
@@ -176,20 +166,11 @@ func probeKey(shape uint8, inPort uint32, flow pkt.FiveTuple, tunnelID uint64) i
 	if shape&shpInPort != 0 {
 		k.inPort = inPort
 	}
-	if shape&shpIPProto != 0 {
-		k.proto = flow.Proto
-	}
 	if shape&shpIPv4Src != 0 {
 		k.src = flow.Src
 	}
 	if shape&shpIPv4Dst != 0 {
 		k.dst = flow.Dst
-	}
-	if shape&shpUDPSrc != 0 {
-		k.sport = flow.SrcPort
-	}
-	if shape&shpUDPDst != 0 {
-		k.dport = flow.DstPort
 	}
 	if shape&shpTunnelID != 0 {
 		k.teid = tunnelID
@@ -409,12 +390,12 @@ func (sw *Switch) keyFor(ingress *netsim.Port, p *netsim.Packet) cacheKey {
 	}
 	f := p.Flow
 	return cacheKey{
-		src:      f.Src.Uint32(),
-		dst:      f.Dst.Uint32(),
-		ports:    uint32(f.SrcPort)<<16 | uint32(f.DstPort),
-		teid:     teid,
-		inPort:   inPort,
-		protoTOS: uint32(f.Proto)<<8 | uint32(p.TOS),
+		src:    f.Src.Uint32(),
+		dst:    f.Dst.Uint32(),
+		ports:  uint32(f.SrcPort)<<16 | uint32(f.DstPort),
+		teid:   teid,
+		inPort: inPort,
+		proto:  uint32(f.Proto),
 	}
 }
 
@@ -501,8 +482,6 @@ func (sw *Switch) apply(e *flowSlot, p *netsim.Packet) {
 		case pkt.ActionSetTunnel:
 			sw.stagedTEID = a.TunnelID
 			sw.stagedDst = a.TunnelDst
-		case pkt.ActionSetField:
-			p.TOS = a.FieldValue
 		case pkt.ActionOutput:
 			sw.output(int(a.Port), p)
 		case pkt.ActionDrop:
