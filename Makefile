@@ -75,8 +75,9 @@ live-cover:
 # keep printing (stdout and stderr): the paper sweep with its metrics at -parallel 1 and 4 and
 # at -seed 7, the scale scenario at each arrival profile, the bearer trace
 # in both forms, the five examples and the mobility example's site crash
-# (-faults); then the JSON timeline the paper sweep writes, where the MRS's
-# site-down, failover and relocate events land. Usage: make identity BASE=<rev>.
+# (-faults); then the JSON timeline the paper sweep writes, at the default
+# seed and at seed 7, where the MRS's site-down, failover and relocate
+# events land. Usage: make identity BASE=<rev>.
 identity:
 	@set -e; if [ -z "$(BASE)" ]; then echo "usage: make identity BASE=<rev>"; exit 2; fi; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -90,8 +91,10 @@ identity:
 		$$tmp/base/$$c >$$tmp/want 2>$$tmp/want.err; $$tmp/head/$$c >$$tmp/got 2>$$tmp/got.err; \
 		if cmp -s $$tmp/want $$tmp/got && cmp -s $$tmp/want.err $$tmp/got.err; then echo "identity: same    $$c"; else echo "identity: DIFFERS $$c"; fail=1; fi; \
 	done; \
-	c="acacia-sim -all -timeline"; $$tmp/base/$$c $$tmp/want.json >/dev/null; $$tmp/head/$$c $$tmp/got.json >/dev/null; \
-	if cmp -s $$tmp/want.json $$tmp/got.json; then echo "identity: same    $$c (JSON)"; else echo "identity: DIFFERS $$c (JSON)"; fail=1; fi; \
+	for c in "acacia-sim -all -timeline" "acacia-sim -all -seed 7 -timeline"; do \
+		$$tmp/base/$$c $$tmp/want.json >/dev/null; $$tmp/head/$$c $$tmp/got.json >/dev/null; \
+		if cmp -s $$tmp/want.json $$tmp/got.json; then echo "identity: same    $$c (JSON)"; else echo "identity: DIFFERS $$c (JSON)"; fail=1; fi; \
+	done; \
 	exit $$fail
 
 fmt-check:
@@ -125,7 +128,7 @@ loc:
 # The ceiling loc-check holds `make loc` to. Growth past it fails CI, so
 # raising it is a reviewed one-line diff, as ALLOC_BUDGET.json is for
 # allocations.
-LOC_CEILING = 21526
+LOC_CEILING = 21768
 
 loc-check:
 	@n=$$($(LOC)); if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -91,6 +91,16 @@ func telemetryScopeRig(testing.TB) func() {
 	return func() { _ = reg.Scope("epc").Scope("s1ap") }
 }
 
+// BenchmarkAllocTimelineEmit measures a timeline event on an interned
+// (scope, name) pair: the log grows by whole chunks it never copies, so an
+// emit between chunks allocates nothing.
+func BenchmarkAllocTimelineEmit(b *testing.B) { benchRig(b, timelineEmitRig) }
+
+func timelineEmitRig(testing.TB) func() {
+	s := telemetry.New().Scope("epc").Scope("session").Scope("001")
+	return func() { s.Emit("state", "connected") }
+}
+
 // BenchmarkAllocPacketPath measures the steady-state one-hop data path:
 // pooled packet out of the network free-list, link transit, sink release.
 func BenchmarkAllocPacketPath(b *testing.B) { benchRig(b, packetPathRig) }
@@ -643,6 +653,7 @@ var allocRigs = map[string]struct {
 	"BenchmarkAllocTelemetryInc":     {telemetryIncRig, 1000},
 	"BenchmarkAllocTelemetryObserve": {telemetryObserveRig, 1000},
 	"BenchmarkAllocTelemetryScope":   {telemetryScopeRig, 1000},
+	"BenchmarkAllocTimelineEmit":     {timelineEmitRig, 1000},
 	"BenchmarkAllocPacketPath":       {packetPathRig, 1000},
 	"BenchmarkAllocQueuedLink":       {queuedLinkRig, 1000},
 	"BenchmarkAllocConnect":          {connectRig, 1000},

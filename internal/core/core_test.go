@@ -618,7 +618,9 @@ func TestSameTickIdleReleaseOrder(t *testing.T) {
 		}
 		tb.Run(6 * time.Second)
 		var order []string
-		for _, e := range tb.Eng.Metrics().Events() {
+		tl := tb.Eng.Metrics().Events()
+		for i := 0; i < tl.Len(); i++ {
+			e := tl.At(i)
 			if e.Name == "state" && e.Detail == "idle" {
 				order = append(order, e.At.String()+" "+e.Scope)
 			}

@@ -50,7 +50,9 @@ func TestFailoverToSurvivingSite(t *testing.T) {
 
 	// Detect and repair marks are on the timeline with sane timings.
 	var detectAt, repairAt time.Duration
-	for _, ev := range tb.Eng.Metrics().Events() {
+	tl := tb.Eng.Metrics().Events()
+	for i := 0; i < tl.Len(); i++ {
+		ev := tl.At(i)
 		if ev.Scope != "core/mrs" {
 			continue
 		}
@@ -135,7 +137,9 @@ func TestAllSitesDownRetriesUntilRecovery(t *testing.T) {
 
 	// The timeline shows the failed failover attempt and the site-up mark.
 	var failed, up bool
-	for _, ev := range tb.Eng.Metrics().Events() {
+	tl := tb.Eng.Metrics().Events()
+	for i := 0; i < tl.Len(); i++ {
+		ev := tl.At(i)
 		if ev.Scope != "core/mrs" {
 			continue
 		}

@@ -103,11 +103,14 @@ const (
 	// activating: the request's bearer activation is under way.
 	activating bindState = iota
 	bound
-	// releasing: a release's termination is under way, or a move's that
-	// the release took over.
+	// releasing: a release's termination is under way, or a move's
+	// termination or re-activation that the release took over.
 	releasing
 	// moving: a relocation's or failover's termination is under way.
 	moving
+	// reactivating: the request a move replayed is activating its bearer
+	// on the new site.
+	reactivating
 )
 
 // binding is one UE's MEC binding, and the pooled record of the procedures
@@ -248,7 +251,9 @@ func (m *MRS) SiteLoad(name string) int {
 // retriable outcome the device manager's capped backoff absorbs.
 //
 // A UE has one activation at a time: asking again while one is under way
-// fails, and so does asking while the UE's binding is being released.
+// fails, and so does asking while the UE's binding is being released. A
+// request during a move's termination adopts the binding without an
+// answer: the requester hears once, from the replayed request.
 func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName string, done func(pkt.Addr, error)) {
 	svc, ok := m.services[serviceName]
 	b := m.bindings[ueIP]
@@ -256,7 +261,7 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 	switch {
 	case !ok:
 		err = fmt.Errorf("core: unknown CI service %q", serviceName)
-	case b != nil && b.state == activating:
+	case b != nil && (b.state == activating || b.state == reactivating):
 		err = fmt.Errorf("core: UE %v: MEC bearer activation already under way", ueIP)
 	case b != nil && b.state == releasing:
 		err = fmt.Errorf("core: UE %v: MEC binding release under way", ueIP)
@@ -273,7 +278,9 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 		b.enbName = enbName
 		if done != nil {
 			b.notify = done
-			done(b.site.CIServer, nil)
+			if b.state == bound {
+				done(b.site.CIServer, nil)
+			}
 		}
 		return
 	}
@@ -300,9 +307,19 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 
 // activated ends the request's bearer activation: on success the binding
 // goes live, on failure it ends. A site that failed while the activation
-// toward it ran is reported first, then failed over at once.
+// toward it ran is reported first, then failed over at once. A release that
+// took a move's re-activation over ends the binding instead, and the
+// requester hears nothing.
 func (b *binding) activated(_ uint8, err error) {
 	m, ueIP, site, done := b.m, b.ueIP, b.site, b.notify
+	if b.state == releasing {
+		if err != nil {
+			b.releaseDone(nil)
+		} else {
+			m.core.PCRF.RequestBearerTermination(ueIP, site.CIServer, b.releasedF)
+		}
+		return
+	}
 	if err != nil {
 		m.unbind(b)
 		if done != nil {
@@ -331,8 +348,9 @@ func (m *MRS) unbind(b *binding) {
 // ReleaseConnectivity tears down the UE's dedicated bearer for the service.
 // A binding has one release at a time: asking again while one is under
 // way fails. A release wins over a move: a move skips a releasing binding,
-// and a release that arrives during a move's termination takes it over,
-// ending the binding there instead of replaying the request.
+// and a release that arrives during a move's termination or re-activation
+// takes it over, ending the binding there (once the activation ends) in
+// place of replaying or answering the request.
 func (m *MRS) ReleaseConnectivity(ueIP pkt.Addr, done func(error)) {
 	b := m.bindings[ueIP]
 	var err error
@@ -348,9 +366,9 @@ func (m *MRS) ReleaseConnectivity(ueIP pkt.Addr, done func(error)) {
 		}
 		return
 	}
-	moving := b.state == moving
+	terminate := b.state == bound
 	b.state, b.released = releasing, done
-	if !moving {
+	if terminate {
 		m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, b.releasedF)
 	}
 }
@@ -372,7 +390,7 @@ func (b *binding) releaseDone(err error) {
 // Binding reports the edge site a UE is bound to, or nil while the UE has
 // no binding or its activation is still under way.
 func (m *MRS) Binding(ueIP pkt.Addr) *EdgeSite {
-	if b := m.bindings[ueIP]; b != nil && b.state != activating {
+	if b := m.bindings[ueIP]; b != nil && b.state != activating && b.state != reactivating {
 		return b.site
 	}
 	return nil
@@ -500,8 +518,9 @@ func (m *MRS) HandleHandover(ueIP pkt.Addr, enbName string) {
 // server — whose application then migrates its state from the old backend
 // — or about the failure, whose capped-backoff retry keeps the session from
 // hanging when no site survives or none has spare capacity. A release that
-// arrives during the termination takes the move over: the binding ends
-// there, the release's callback gets nil, and nothing is replayed.
+// arrives during the termination or the re-activation takes the move over:
+// the binding ends, the release's callback gets nil, and the requester hears
+// nothing more.
 func (m *MRS) move(ueIP pkt.Addr, kind string) {
 	b := m.bindings[ueIP]
 	if b == nil || b.state != bound {
@@ -534,5 +553,9 @@ func (m *MRS) move(ueIP pkt.Addr, kind string) {
 				notify(server, err)
 			}
 		})
+		// A placed replay is still this move, so a release can take it over.
+		if nb := m.bindings[ueIP]; nb != nil {
+			nb.state = reactivating
+		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -27,6 +28,32 @@ type mrsRig struct {
 	// that reported success.
 	releases   int
 	releasedAt []int
+
+	// movesEnded counts the moves (relocations and failovers) that have
+	// ended, by answering the requester or by a release taking them over:
+	// the MRS's counters beyond it are the move under way. releasing is
+	// set while an accepted release runs, and inCall while the rig is in
+	// an MRS call, so a callback can tell a synchronous answer.
+	movesEnded        uint64
+	releasing, inCall bool
+	// violations lists each request answer that named a site down when
+	// the request was issued or one the UE was moving off, and each
+	// release of a bound or moving UE that failed.
+	violations []string
+}
+
+// moving reports whether a relocation or failover is under way: its
+// termination, or the replayed request's activation after it.
+func (r *mrsRig) moving() bool { return r.tb.MRS.Failovers+r.tb.MRS.Relocations > r.movesEnded }
+
+// siteOf names the edge site whose CI server is addr.
+func (r *mrsRig) siteOf(addr pkt.Addr) string {
+	for _, s := range r.tb.MRS.services[RetailServiceName].sites {
+		if s.CIServer == addr {
+			return s.Name
+		}
+	}
+	return addr.String()
 }
 
 func newMRSRig(t *testing.T) *mrsRig {
@@ -54,7 +81,10 @@ func (r *mrsRig) bound(t *testing.T) {
 func (r *mrsRig) request() {
 	r.seq++
 	issued := r.seq
-	r.tb.MRS.RequestConnectivity(RetailServiceName, r.ip, "enb", func(_ pkt.Addr, err error) {
+	m := r.tb.MRS
+	down := maps.Clone(m.downSites)
+	r.inCall = true
+	m.RequestConnectivity(RetailServiceName, r.ip, "enb", func(server pkt.Addr, err error) {
 		r.seq++
 		r.notifies++
 		r.errs = append(r.errs, err)
@@ -63,18 +93,47 @@ func (r *mrsRig) request() {
 				r.late++
 			}
 		}
+		if !r.inCall && r.moving() {
+			r.movesEnded++ // the replayed request answers the move
+		}
+		if err != nil {
+			return
+		}
+		// A site that fails while the activation toward it runs is still
+		// answered (TestSiteFailsDuringActivation), then failed over; a
+		// site known down at the request, or being left, never is.
+		name := r.siteOf(server)
+		if down[name] {
+			r.violations = append(r.violations, fmt.Sprintf("a request answered %s, down when it was issued", name))
+		}
+		if b := m.bindings[r.ip]; b != nil && b.state == moving && b.site.CIServer == server {
+			r.violations = append(r.violations, fmt.Sprintf("a request answered %s, which the UE is moving off", name))
+		}
 	})
+	r.inCall = false
 }
 
 func (r *mrsRig) release() {
 	r.seq++
+	b := r.tb.MRS.bindings[r.ip]
+	mustSucceed := !r.releasing && (b != nil && b.state == bound || r.moving())
+	answered := false
 	r.tb.MRS.ReleaseConnectivity(r.ip, func(err error) {
+		answered, r.releasing = true, false
 		r.seq++
 		r.releases++
 		if err == nil {
 			r.releasedAt = append(r.releasedAt, r.seq)
+			if r.moving() {
+				r.movesEnded++ // the release took the move over
+			}
+		} else if mustSucceed {
+			r.violations = append(r.violations, fmt.Sprintf("a release of a bound or moving UE failed: %v", err))
 		}
 	})
+	if !answered {
+		r.releasing = true
+	}
 }
 
 func (r *mrsRig) relocate() { r.tb.MRS.HandleHandover(r.ip, "enb-2") }
@@ -112,6 +171,9 @@ func (r *mrsRig) check(t *testing.T, label string) {
 	}
 	if r.late != 0 {
 		t.Errorf("%s: %d request callbacks fired after a release succeeded", label, r.late)
+	}
+	for _, v := range r.violations {
+		t.Errorf("%s: %s", label, v)
 	}
 }
 
@@ -182,6 +244,49 @@ func TestRequestDuringRelease(t *testing.T) {
 	r.check(t, "settled")
 }
 
+// TestRequestDuringFailover requests while a failover's termination runs:
+// the request takes over the binding's callback without an answer, so the
+// requester hears once, from the replay, and about edge-2.
+func TestRequestDuringFailover(t *testing.T) {
+	r := newMRSRig(t)
+	r.bound(t)
+	r.failover()
+	r.tb.Run(time.Millisecond)
+	var answers []pkt.Addr
+	r.tb.MRS.RequestConnectivity(RetailServiceName, r.ip, "enb", func(server pkt.Addr, err error) {
+		if err != nil {
+			t.Errorf("request during failover: %v", err)
+		}
+		answers = append(answers, server)
+	})
+	r.tb.Run(3 * time.Second)
+	if want := pkt.AddrFrom(10, 4, 0, 10); len(answers) != 1 || answers[0] != want {
+		t.Errorf("request callbacks got %v, want one, with %v (edge-2)", answers, want)
+	}
+	if r.notifies != 1 {
+		t.Errorf("the bind's callback fired %d times, want once (the bind)", r.notifies)
+	}
+	r.check(t, "settled")
+}
+
+// TestReleaseDuringReactivation releases after a relocation's termination
+// ended, while the replayed request activates its bearer on edge-2: the
+// release wins, as during the termination, so the binding ends once the
+// activation does, and the requester hears nothing more.
+func TestReleaseDuringReactivation(t *testing.T) {
+	r := newMRSRig(t)
+	r.bound(t)
+	r.relocate()
+	r.tb.Run(8 * time.Millisecond)
+	if r.tb.MRS.Relocations != 1 || r.tb.MRS.Binding(r.ip) != nil || r.notifies != 1 {
+		t.Fatalf("relocations %d, binding %v, %d callbacks: want the replayed activation under way",
+			r.tb.MRS.Relocations, r.tb.MRS.Binding(r.ip), r.notifies)
+	}
+	r.release()
+	r.tb.Run(3 * time.Second)
+	r.checkReleased(t)
+}
+
 // TestSiteFailsDuringActivation fails edge-1 while the bearer activation
 // toward it runs: the request is answered with edge-1, and the binding is
 // failed over to edge-2 as soon as it is live.
@@ -222,7 +327,9 @@ func TestMoveTwice(t *testing.T) {
 		t.Errorf("after failover: binding = %+v, want edge-1", s)
 	}
 	counts := map[string]int{}
-	for _, ev := range r.tb.Eng.Metrics().Events() {
+	tl := r.tb.Eng.Metrics().Events()
+	for i := 0; i < tl.Len(); i++ {
+		ev := tl.At(i)
 		if ev.Scope == "core/mrs" {
 			counts[ev.Name]++
 		}
@@ -281,7 +388,9 @@ func legBoundaries(t *testing.T, a int) []time.Duration {
 // boundaries and 1 ns either side of each. Whatever the interleaving, once
 // both settle the binding, the site loads, the dedicated bearer and the
 // binding record must agree, and no request callback may fire after a
-// release succeeded.
+// release succeeded. Along the way no answer may name a site that was down
+// at the request or that the UE is moving off, and a release of a bound or
+// moving UE must succeed.
 func TestMRSPairSweep(t *testing.T) {
 	for a := range mrsStarters {
 		legs := legBoundaries(t, a)

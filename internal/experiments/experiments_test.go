@@ -230,7 +230,9 @@ func TestMeasureCycleMatchesEPCBudget(t *testing.T) {
 		t.Errorf("registry sdn/controller/sent delta = %d, want 4", got)
 	}
 	states := map[string]bool{}
-	for _, e := range delta.Events {
+	tl := delta.Events
+	for i := 0; i < tl.Len(); i++ {
+		e := tl.At(i)
 		if e.Name == "state" {
 			states[e.Detail] = true
 		}

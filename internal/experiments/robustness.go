@@ -147,7 +147,9 @@ func runFailoverTrial(seed uint64, pt failoverPoint) Metered {
 	tb.Run(pt.failAt + 15*time.Second)
 
 	var detectAt, repairAt time.Duration
-	for _, ev := range tb.Eng.Metrics().Events() {
+	events := tb.Eng.Metrics().Events()
+	for i := 0; i < events.Len(); i++ {
+		ev := events.At(i)
 		if ev.Scope != "core/mrs" {
 			continue
 		}

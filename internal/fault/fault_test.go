@@ -74,7 +74,9 @@ func TestLinkDownWindow(t *testing.T) {
 
 	// The timeline records the injection and the recovery under fault/.
 	var inject, recover int
-	for _, ev := range r.eng.Metrics().Events() {
+	tl := r.eng.Metrics().Events()
+	for i := 0; i < tl.Len(); i++ {
+		ev := tl.At(i)
 		if ev.Scope != "fault" {
 			continue
 		}

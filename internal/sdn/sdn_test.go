@@ -497,7 +497,9 @@ func TestPathMonitorDetectsFailureAndRecovery(t *testing.T) {
 	// transitions lists the monitor's timeline events of one kind, by peer.
 	transitions := func(kind string) []string {
 		var peers []string
-		for _, e := range g.eng.Metrics().Snapshot().Events {
+		tl := g.eng.Metrics().Snapshot().Events
+		for i := 0; i < tl.Len(); i++ {
+			e := tl.At(i)
 			if e.Scope == "sdn/pathmon/"+g.sgwU.Node().Name() && e.Name == kind {
 				peers = append(peers, e.Detail)
 			}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,10 +32,9 @@ type Snapshot struct {
 	// TakenAt is the virtual time the snapshot was taken.
 	TakenAt time.Duration
 	Metrics []Metric
-	// Events shares the registry's append-only event log, capped at the
-	// snapshot's length so later emits never show through: it is
-	// read-only.
-	Events []Event
+	// Events is a view of the registry's event log as of the snapshot:
+	// taking it copies nothing, and later emits never show through.
+	Events Timeline
 }
 
 // Snapshot captures the registry's current state: the named metrics and
@@ -80,9 +80,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			panic(fmt.Sprintf("telemetry: %q reported twice (as %v and %v)", s.Metrics[i].Name, s.Metrics[i-1].Kind, s.Metrics[i].Kind))
 		}
 	}
-	if n := len(r.events); n > 0 {
-		s.Events = r.events[:n:n]
-	}
+	s.Events = r.Events()
 	return s
 }
 
@@ -119,9 +117,7 @@ func (s *Snapshot) Delta(since *Snapshot) *Snapshot {
 		}
 		d.Metrics = append(d.Metrics, m)
 	}
-	if n := len(since.Events); n < len(s.Events) {
-		d.Events = append(d.Events, s.Events[n:]...)
-	}
+	d.Events = s.Events.from(since.Events.Len())
 	return d
 }
 
@@ -137,6 +133,7 @@ func (s *Snapshot) Delta(since *Snapshot) *Snapshot {
 func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 	merged := map[string]Metric{}
 	out := &Snapshot{}
+	timelines := make([]Timeline, 0, len(snaps))
 	for _, s := range snaps {
 		if s == nil {
 			continue
@@ -172,7 +169,7 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 			}
 			merged[m.Name] = acc
 		}
-		out.Events = append(out.Events, s.Events...)
+		timelines = append(timelines, s.Events)
 	}
 	names := make([]string, 0, len(merged))
 	for name := range merged {
@@ -183,7 +180,51 @@ func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 	for _, name := range names {
 		out.Metrics = append(out.Metrics, merged[name])
 	}
-	sort.SliceStable(out.Events, func(i, j int) bool { return out.Events[i].At < out.Events[j].At })
+	out.Events = mergeTimelines(timelines)
+	return out
+}
+
+// mergeTimelines concatenates timelines in argument order into a log of
+// their own, with its own (scope, name) table, stably sorted by virtual
+// time, and laid out in the chunks a registry's log uses.
+func mergeTimelines(ts []Timeline) Timeline {
+	total := 0
+	for _, t := range ts {
+		total += t.n
+	}
+	if total == 0 {
+		return Timeline{}
+	}
+	flat := make([]record, 0, total)
+	var keys []eventKey
+	kinds := make(map[eventKey]uint32)
+	for _, t := range ts {
+		if t.n == 0 {
+			continue
+		}
+		xlat := make([]uint32, len(t.keys))
+		for i, k := range t.keys {
+			kind, ok := kinds[k]
+			if !ok {
+				kind = uint32(len(keys))
+				keys = append(keys, k)
+				kinds[k] = kind
+			}
+			xlat[i] = kind
+		}
+		for i := 0; i < t.n; i++ {
+			rec := *t.record(i)
+			rec.kind = xlat[rec.kind]
+			flat = append(flat, rec)
+		}
+	}
+	slices.SortStableFunc(flat, func(a, b record) int { return cmp.Compare(a.at, b.at) })
+	out := Timeline{keys: keys, n: total}
+	for c := 0; len(flat) > 0; c++ {
+		n := min(chunkLen(c), len(flat))
+		out.chunks = append(out.chunks, flat[:n:n])
+		flat = flat[n:]
+	}
 	return out
 }
 
@@ -231,8 +272,9 @@ type timelineEntry struct {
 // ordered by virtual time (events already are; merged snapshots sort on
 // merge).
 func (s *Snapshot) WriteTimelineJSON(w io.Writer) error {
-	entries := make([]timelineEntry, 0, len(s.Events))
-	for _, e := range s.Events {
+	entries := make([]timelineEntry, 0, s.Events.Len())
+	for i := 0; i < s.Events.Len(); i++ {
+		e := s.Events.At(i)
 		entries = append(entries, timelineEntry{
 			TNs: int64(e.At), T: e.At.String(),
 			Scope: e.Scope, Name: e.Name, Detail: e.Detail,

@@ -156,20 +156,6 @@ func (h *Histogram) Min() float64 { return h.min }
 // Max reports the largest observation (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
 
-// Event is one timeline entry: something that happened at a point in
-// virtual time (a session state change, a bearer activation, a handover).
-type Event struct {
-	// At is the virtual time of the event, as a duration since the
-	// simulation epoch (sim.Time and time.Duration are interconvertible).
-	At time.Duration
-	// Scope locates the emitter ("epc/session/<imsi>").
-	Scope string
-	// Name is the event kind ("state", "bearer", "handover").
-	Name string
-	// Detail is free-form annotation ("connected", "ebi=6 qci=3").
-	Detail string
-}
-
 // Registry is one engine's metric namespace. The zero value is not usable;
 // call New. sim.NewEngine creates one per engine and wires its clock, so
 // layers reach it through Engine.Metrics().
@@ -184,11 +170,20 @@ type Registry struct {
 	// srcScratch is the buffer Snapshot collects source metrics into; it is
 	// reused, so a repeated snapshot does not regrow it.
 	srcScratch []Metric
-	events     []Event
+	// chunks hold the event timeline (timeline.go), filled in order and
+	// never moved, so snapshots share them; tail is the last chunk's
+	// unwritten part and nEvents the events emitted.
+	chunks  [][]record
+	tail    []record
+	nEvents int
 	// prefixes interns joined scope prefixes: re-deriving the same child
 	// scope (Scope("epc/session").Scope(imsi), once per state transition)
 	// hits the table instead of re-concatenating the name.
 	prefixes map[prefixKey]string
+	// eventKinds interns each event's (scope, name) pair as the kind a
+	// record stores; eventKeys maps a kind back to its pair.
+	eventKinds map[eventKey]uint32
+	eventKeys  []eventKey
 }
 
 // prefixKey identifies one parent-prefix + child-name join.
@@ -279,15 +274,6 @@ type Source interface {
 // slice: naming, sorting and the duplicate-name check happen at Snapshot.
 func (r *Registry) Register(src Source) { r.sources = append(r.sources, src) }
 
-// Emit appends a timeline event stamped with the current virtual time.
-func (r *Registry) Emit(scope, name, detail string) {
-	r.events = append(r.events, Event{At: r.clock(), Scope: scope, Name: name, Detail: detail})
-}
-
-// Events returns the timeline in emission (= virtual-time) order. The
-// slice is the registry's own backing store; callers must not mutate it.
-func (r *Registry) Events() []Event { return r.events }
-
 // Scope is a name-prefix view of a registry: Scope("epc").Counter("s1ap/msgs")
 // registers "epc/s1ap/msgs". Scopes nest.
 type Scope struct {
@@ -339,6 +325,8 @@ func (s Scope) Histogram(name string) *Histogram { return s.r.Histogram(s.prefix
 
 // Emit appends a timeline event with the scope's prefix (sans trailing
 // slash) as the event scope.
+//
+//acacia:hotpath
 func (s Scope) Emit(name, detail string) {
 	s.r.Emit(s.prefix[:len(s.prefix)-1], name, detail)
 }

@@ -1,10 +1,15 @@
 package telemetry
 
 import (
+	"cmp"
+	"math/rand/v2"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -110,9 +115,18 @@ func TestDelta(t *testing.T) {
 	if m, _ := d.Get("depth"); m.Value != 9 {
 		t.Errorf("delta gauge = %g, want 9 (last observed)", m.Value)
 	}
-	if len(d.Events) != 1 || d.Events[0].Detail != "connected" || d.Events[0].At != time.Second {
-		t.Errorf("delta events = %+v, want the one post-snapshot event", d.Events)
+	if ev := events(d.Events); len(ev) != 1 || ev[0].Detail != "connected" || ev[0].At != time.Second {
+		t.Errorf("delta events = %+v, want the one post-snapshot event", ev)
 	}
+}
+
+// events reads a timeline into a slice, through its accessor.
+func events(tl Timeline) []Event {
+	out := make([]Event, tl.Len())
+	for i := range out {
+		out[i] = tl.At(i)
+	}
+	return out
 }
 
 // TestSnapshotEventsShared takes a snapshot, emits more events into the
@@ -128,32 +142,149 @@ func TestSnapshotEventsShared(t *testing.T) {
 			r.Emit("s", "e", now.String())
 		}
 	}
-	emit(3) // the log's capacity is now 4: the next emit writes in place
+	emit(3) // the first chunk has room: the next emit writes in place
 	early := r.Snapshot()
-	want := slices.Clone(early.Events)
-	if &early.Events[0] != &r.Events()[0] {
+	want := events(early.Events)
+	if early.Events.record(0) != r.Events().record(0) {
 		t.Error("the snapshot copied the event log")
 	}
 	emit(5)
-	if !slices.Equal(early.Events, want) || cap(early.Events) != len(want) {
-		t.Fatalf("later emits showed through: %+v, want %+v", early.Events, want)
+	if got := events(early.Events); !slices.Equal(got, want) {
+		t.Fatalf("later emits showed through: %+v, want %+v", got, want)
 	}
 	late := r.Snapshot()
-	all := slices.Clone(late.Events)
-	if d := late.Delta(early); !slices.Equal(d.Events, all[3:]) {
-		t.Errorf("delta events = %+v, want %+v", d.Events, all[3:])
+	all := events(late.Events)
+	if d := events(late.Delta(early).Events); !slices.Equal(d, all[3:]) {
+		t.Errorf("delta events = %+v, want %+v", d, all[3:])
 	}
 	other := New()
 	other.SetClock(func() time.Duration { return 2500 * time.Microsecond })
 	other.Emit("o", "e", "")
 	m := MergeSnapshots(early, other.Snapshot(), late)
-	wantMerged := slices.Concat(want, other.Events(), all) // argument order
+	wantMerged := slices.Concat(want, events(other.Events()), all) // argument order
 	slices.SortStableFunc(wantMerged, func(a, b Event) int { return int(a.At - b.At) })
-	if !slices.Equal(m.Events, wantMerged) {
-		t.Errorf("merged events = %+v, want %+v", m.Events, wantMerged)
+	if got := events(m.Events); !slices.Equal(got, wantMerged) {
+		t.Errorf("merged events = %+v, want %+v", got, wantMerged)
 	}
-	if !slices.Equal(early.Events, want) || !slices.Equal(late.Events, all) {
+	if !slices.Equal(events(early.Events), want) || !slices.Equal(events(late.Events), all) {
 		t.Error("merging reordered an input snapshot's events")
+	}
+}
+
+// TestTimelineKeepsWithoutCopying emits 100,000 events past a snapshot:
+// the snapshot's events stay equal and at the same addresses, and the
+// emits allocate no more than their 32-byte records and one chunk of
+// slack.
+func TestTimelineKeepsWithoutCopying(t *testing.T) {
+	r := New()
+	now := time.Duration(0)
+	r.SetClock(func() time.Duration { return now })
+	details := []string{"idle", "promoting", "connected"}
+	for i := 0; i < 10; i++ {
+		now += time.Millisecond
+		r.Emit("epc/session/001", "state", details[i%len(details)])
+	}
+	snap := r.Snapshot()
+	want := events(snap.Events)
+	addrs := make([]*record, snap.Events.Len())
+	for i := range addrs {
+		addrs[i] = snap.Events.record(i)
+	}
+	const emits = 100000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < emits; i++ {
+		now += time.Microsecond
+		r.Emit("epc/session/001", "state", details[i%len(details)])
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*emits+32*maxChunk); got > limit {
+		t.Errorf("%d emits allocated %d B, want at most %d (32 B each plus one chunk)", emits, got, limit)
+	}
+	if got := events(snap.Events); !slices.Equal(got, want) {
+		t.Errorf("snapshot events changed: %+v, want %+v", got, want)
+	}
+	for i, a := range addrs {
+		if snap.Events.record(i) != a || r.Events().record(i) != a {
+			t.Fatalf("event %d moved", i)
+		}
+	}
+	if n := r.Events().Len(); n != 10+emits {
+		t.Errorf("log holds %d events, want %d", n, 10+emits)
+	}
+	if size := unsafe.Sizeof(record{}); size != 32 {
+		t.Errorf("a stored event takes %d B, want 32", size)
+	}
+}
+
+// TestTimelineModel drives random Emit, Snapshot, Delta and MergeSnapshots
+// sequences over a few registries against plain []Event models: every
+// view must read exactly as a copy of the model would.
+func TestTimelineModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	scopes := []string{"epc/session/001", "epc/session/002", "core/mrs", "fault"}
+	names := []string{"state", "bearer", "handover", "site-down"}
+	for round := 0; round < 25; round++ {
+		const nRegs = 3
+		var regs [nRegs]*Registry
+		var models [nRegs][]Event
+		var clocks [nRegs]time.Duration
+		type taken struct {
+			snap *Snapshot
+			want []Event
+			reg  int
+		}
+		var snaps []taken
+		for i := range regs {
+			regs[i] = New()
+			regs[i].SetClock(func() time.Duration { return clocks[i] })
+		}
+		steps := 1 + rng.IntN(400)
+		for step := 0; step < steps; step++ {
+			i := rng.IntN(nRegs)
+			switch op := rng.IntN(100); {
+			case op < 90:
+				// Clocks mostly advance; a tie or a step back checks the
+				// merge's stable order over unsorted input too.
+				for n := rng.IntN(50); n > 0; n-- {
+					clocks[i] += time.Duration(rng.IntN(4)-1) * time.Millisecond
+					e := Event{At: clocks[i], Scope: scopes[rng.IntN(len(scopes))], Name: names[rng.IntN(len(names))], Detail: strconv.Itoa(n)}
+					regs[i].Emit(e.Scope, e.Name, e.Detail)
+					models[i] = append(models[i], e)
+				}
+			case op < 96:
+				snaps = append(snaps, taken{regs[i].Snapshot(), slices.Clone(models[i]), i})
+			default:
+				if len(snaps) < 2 {
+					continue
+				}
+				a, b := snaps[rng.IntN(len(snaps))], snaps[rng.IntN(len(snaps))]
+				if a.reg == b.reg {
+					if len(a.want) > len(b.want) {
+						a, b = b, a
+					}
+					if got := events(b.snap.Delta(a.snap).Events); !slices.Equal(got, b.want[len(a.want):]) {
+						t.Fatalf("round %d step %d: delta = %d events, want %d", round, step, len(got), len(b.want)-len(a.want))
+					}
+				}
+				c := snaps[rng.IntN(len(snaps))]
+				want := slices.Concat(a.want, b.want, c.want)
+				slices.SortStableFunc(want, func(x, y Event) int { return cmp.Compare(x.At, y.At) })
+				if got := events(MergeSnapshots(a.snap, nil, b.snap, c.snap).Events); !slices.Equal(got, want) {
+					t.Fatalf("round %d step %d: merge of %d+%d+%d events differs from the model", round, step, len(a.want), len(b.want), len(c.want))
+				}
+			}
+		}
+		for _, s := range snaps {
+			if got := events(s.snap.Events); !slices.Equal(got, s.want) {
+				t.Fatalf("round %d: a %d-event snapshot changed after later emits", round, len(s.want))
+			}
+		}
+		for i := range regs {
+			if got := events(regs[i].Events()); !slices.Equal(got, models[i]) {
+				t.Fatalf("round %d: registry %d log differs from its model", round, i)
+			}
+		}
 	}
 }
 
@@ -180,8 +311,8 @@ func TestMergeSnapshots(t *testing.T) {
 	if g, _ := m.Get("g"); g.Value != 2 {
 		t.Errorf("merged gauge = %g, want 2 (sum)", g.Value)
 	}
-	if len(m.Events) != 2 || m.Events[0].At != time.Second {
-		t.Errorf("merged events not sorted by time: %+v", m.Events)
+	if ev := events(m.Events); len(ev) != 2 || ev[0].At != time.Second {
+		t.Errorf("merged events not sorted by time: %+v", ev)
 	}
 	if m.TakenAt != 2*time.Second {
 		t.Errorf("merged TakenAt = %v", m.TakenAt)

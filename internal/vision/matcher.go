@@ -2,6 +2,7 @@ package vision
 
 import (
 	"math"
+	"slices"
 
 	"acacia/internal/sim"
 )
@@ -83,6 +84,8 @@ type Matcher struct {
 	// hyp and best are RANSAC's scratch: the current hypothesis's inliers
 	// and the best set so far, swapped when a hypothesis wins.
 	hyp, best []Correspondence
+	// fwd and rev are the forward and reverse 2-NN scans' scratch.
+	fwd, rev knn
 }
 
 // NewMatcher creates a matcher; rng drives RANSAC sampling and must be
@@ -91,27 +94,60 @@ func NewMatcher(cfg MatcherConfig, rng *sim.RNG) *Matcher {
 	return &Matcher{cfg: cfg.withDefaults(), rng: rng}
 }
 
-// knn2 finds, for each query descriptor, the two nearest train descriptors,
-// returning (best index, best distSq, second distSq) triples and the MAC
-// count of the scan.
-func knn2(q, t []Descriptor) (best []int, d1, d2 []float64, macs float64) {
-	best = make([]int, len(q))
-	d1 = make([]float64, len(q))
-	d2 = make([]float64, len(q))
+// knn holds a 2-NN scan's result: for each query descriptor, the nearest
+// train descriptor's index and the two smallest squared distances. A
+// Matcher keeps one per direction, so repeated matches reuse the slices.
+type knn struct {
+	best   []int
+	d1, d2 []float64
+}
+
+// scan finds, for each query descriptor, the two nearest train descriptors,
+// and returns the MAC count of the scan. It scores two train descriptors
+// per pass; the two sums are independent and each runs in DistSq's order,
+// so every distance is DistSq's, bit for bit.
+func (k *knn) scan(q, t []Descriptor) (macs float64) {
+	n := len(q)
+	k.best, k.d1, k.d2 = slices.Grow(k.best[:0], n)[:n], slices.Grow(k.d1[:0], n)[:n], slices.Grow(k.d2[:0], n)[:n]
 	for i := range q {
+		qi := &q[i]
 		b, b1, b2 := -1, math.Inf(1), math.Inf(1)
-		for j := range t {
-			d := q[i].DistSq(&t[j])
-			if d < b1 {
-				b, b2, b1 = j, b1, d
-			} else if d < b2 {
-				b2 = d
-			}
+		j := 0
+		for ; j+1 < len(t); j += 2 {
+			da, db := distSq2(qi, &t[j], &t[j+1])
+			b, b1, b2 = keep2(j, da, b, b1, b2)
+			b, b1, b2 = keep2(j+1, db, b, b1, b2)
 		}
-		best[i], d1[i], d2[i] = b, b1, b2
+		if j < len(t) {
+			b, b1, b2 = keep2(j, qi.DistSq(&t[j]), b, b1, b2)
+		}
+		k.best[i], k.d1[i], k.d2[i] = b, b1, b2
 	}
-	macs = float64(len(q)) * float64(len(t)) * DescriptorDim
-	return best, d1, d2, macs
+	return float64(len(q)) * float64(len(t)) * DescriptorDim
+}
+
+// distSq2 is q.DistSq(a) and q.DistSq(b) in one pass.
+func distSq2(q, a, b *Descriptor) (float64, float64) {
+	var sa, sb float64
+	for i := 0; i < DescriptorDim; i++ {
+		da := float64(q[i] - a[i])
+		db := float64(q[i] - b[i])
+		sa += da * da
+		sb += db * db
+	}
+	return sa, sb
+}
+
+// keep2 folds train descriptor j, at distance d, into the running nearest
+// index b and two smallest distances b1 <= b2.
+func keep2(j int, d float64, b int, b1, b2 float64) (int, float64, float64) {
+	if d < b1 {
+		return j, d, b1
+	}
+	if d < b2 {
+		return b, b1, d
+	}
+	return b, b1, b2
 }
 
 // Match runs the pipeline for a query frame against one object's features.
@@ -122,8 +158,8 @@ func (m *Matcher) Match(query, train *FeatureSet) MatchResult {
 	}
 
 	// Stage 1: forward 2-NN with ratio test.
-	fwdBest, fd1, fd2, macs := knn2(query.Descriptors, train.Descriptors)
-	res.MACs += macs
+	res.MACs += m.fwd.scan(query.Descriptors, train.Descriptors)
+	fwdBest, fd1, fd2 := m.fwd.best, m.fwd.d1, m.fwd.d2
 	ratio2 := m.cfg.RatioThreshold * m.cfg.RatioThreshold
 	var cands []Correspondence
 	for i, j := range fwdBest {
@@ -141,11 +177,10 @@ func (m *Matcher) Match(query, train *FeatureSet) MatchResult {
 	// Stage 2: symmetry (cross-check) — the reverse 2-NN of each candidate
 	// train feature must point back at the query feature.
 	if m.cfg.Stages&StageSymmetry != 0 && len(cands) > 0 {
-		revBest, _, _, revMACs := knn2(train.Descriptors, query.Descriptors)
-		res.MACs += revMACs
+		res.MACs += m.rev.scan(train.Descriptors, query.Descriptors)
 		sym := cands[:0]
 		for _, c := range cands {
-			if revBest[c.T] == c.Q {
+			if m.rev.best[c.T] == c.Q {
 				sym = append(sym, c)
 			}
 		}

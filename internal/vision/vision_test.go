@@ -22,6 +22,49 @@ func TestDescriptorDistSq(t *testing.T) {
 	}
 }
 
+// TestKNNMatchesDistSq checks the paired 2-NN scan against a plain DistSq
+// scan, bit for bit, over odd and even train counts, with one knn reused
+// across sizes as a Matcher reuses it.
+func TestKNNMatchesDistSq(t *testing.T) {
+	rng := sim.NewRNG(7)
+	descs := func(n int) []Descriptor {
+		out := make([]Descriptor, n)
+		for i := range out {
+			out[i] = randomDescriptor(rng)
+		}
+		return out
+	}
+	var k knn
+	for _, sizes := range [][2]int{{9, 64}, {9, 65}, {5, 1}, {3, 2}, {12, 3}, {1, 0}, {0, 4}, {7, 96}, {16, 31}} {
+		q, tr := descs(sizes[0]), descs(sizes[1])
+		// A duplicate makes a tie, which must break as the plain scan does.
+		if len(tr) > 2 {
+			tr[len(tr)-1] = tr[1]
+		}
+		macs := k.scan(q, tr)
+		if want := float64(len(q)*len(tr)) * DescriptorDim; macs != want {
+			t.Errorf("%v: macs = %v, want %v", sizes, macs, want)
+		}
+		if len(k.best) != len(q) || len(k.d1) != len(q) || len(k.d2) != len(q) {
+			t.Fatalf("%v: result lengths %d/%d/%d, want %d", sizes, len(k.best), len(k.d1), len(k.d2), len(q))
+		}
+		for i := range q {
+			b, b1, b2 := -1, math.Inf(1), math.Inf(1)
+			for j := range tr {
+				d := q[i].DistSq(&tr[j])
+				if d < b1 {
+					b, b2, b1 = j, b1, d
+				} else if d < b2 {
+					b2 = d
+				}
+			}
+			if k.best[i] != b || math.Float64bits(k.d1[i]) != math.Float64bits(b1) || math.Float64bits(k.d2[i]) != math.Float64bits(b2) {
+				t.Errorf("%v query %d: got (%d, %v, %v), want (%d, %v, %v)", sizes, i, k.best[i], k.d1[i], k.d2[i], b, b1, b2)
+			}
+		}
+	}
+}
+
 func TestDescriptorNormalization(t *testing.T) {
 	rng := sim.NewRNG(5)
 	f := func(seed uint64) bool {
