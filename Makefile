@@ -73,7 +73,8 @@ live-cover:
 # Byte-identity against a base revision: unpack BASE with git archive,
 # build the commands and examples of both trees, and cmp what a change must
 # keep printing (stdout and stderr): the paper sweep with its metrics at -parallel 1 and 4 and
-# at -seed 7, the scale scenario at each arrival profile, the bearer trace
+# at -seed 7, the scale scenario at each arrival profile and at its full
+# shape (10,000 UEs on 12 sites x 2 eNBs, flash arrivals), the bearer trace
 # in both forms, the five examples and the mobility example's site crash
 # (-faults); then the JSON timeline the paper sweep writes, at the default
 # seed and at seed 7, where the MRS's site-down, failover and relocate
@@ -86,7 +87,7 @@ identity:
 	$(GO) build -o $$tmp/head/ ./cmd/acacia-sim ./cmd/acacia-bearers ./examples/...; \
 	fail=0; \
 	for c in "acacia-sim -all -metrics -parallel 1" "acacia-sim -all -metrics -parallel 4" "acacia-sim -all -seed 7" \
-		"acacia-sim -scale -scale-arrival uniform" "acacia-sim -scale -scale-arrival diurnal" "acacia-sim -scale -scale-arrival flash" \
+		"acacia-sim -scale -scale-arrival uniform" "acacia-sim -scale -scale-arrival diurnal" "acacia-sim -scale -scale-arrival flash" "acacia-sim -scale -full" \
 		"acacia-bearers" "acacia-bearers -csv" quickstart retail localization offload mobility "mobility -faults"; do \
 		$$tmp/base/$$c >$$tmp/want 2>$$tmp/want.err; $$tmp/head/$$c >$$tmp/got 2>$$tmp/got.err; \
 		if cmp -s $$tmp/want $$tmp/got && cmp -s $$tmp/want.err $$tmp/got.err; then echo "identity: same    $$c"; else echo "identity: DIFFERS $$c"; fail=1; fi; \

@@ -48,7 +48,7 @@ func main() {
 	tb.Run(*idle + 3*time.Second)
 
 	fmt.Fprintln(text, "== uplink data: promotion ==")
-	pg := netsim.NewPinger(b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 64, 7400)
+	pg := netsim.NewPinger(&b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 64, 7400)
 	pg.SendOne()
 	tb.Run(3 * time.Second)
 

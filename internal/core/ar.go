@@ -83,13 +83,13 @@ type ARBackend struct {
 // given scheme. The localization manager may be nil for SchemeNaive.
 func NewARBackend(host *netsim.Host, dev compute.Device, scheme Scheme, floor *geo.Floor, db *vision.DB, lm *LocalizationManager) *ARBackend {
 	b := &ARBackend{
-		Host: host, eng: host.Engine(), dev: dev,
-		srv:    compute.NewServer(host.Engine(), dev),
+		Host: host, eng: host.Node.Engine(), dev: dev,
+		srv:    compute.NewServer(host.Node.Engine(), dev),
 		scheme: scheme, floor: floor, db: db, lm: lm,
 		migratingOut: make(map[string]*outTransfer),
 		migratedAway: make(map[string]bool),
 	}
-	host.Engine().Metrics().Register(b)
+	host.Node.Engine().Metrics().Register(b)
 	host.Listen(ARPort, netsim.AppFunc(b.onFrame))
 	host.Listen(LocPort, netsim.AppFunc(b.onLocReport))
 	host.Listen(MigratePort, netsim.AppFunc(b.onMigrate))
@@ -247,16 +247,16 @@ type frameTiming struct {
 // object's location.
 func NewARFrontend(ue *netsim.Host, user string, res compute.Resolution, pos geo.Point) *ARFrontend {
 	f := &ARFrontend{
-		ue: ue, eng: ue.Engine(), user: user, res: res, pos: pos,
+		ue: ue, eng: ue.Node.Engine(), user: user, res: res, pos: pos,
 		phone:   compute.OnePlusOne,
 		pending: make(map[int]frameTiming),
 	}
-	stage := ue.Engine().Metrics().Scope("core/session/stage")
+	stage := ue.Node.Engine().Metrics().Scope("core/session/stage")
 	f.matchHist = stage.Histogram("match-ms")
 	f.computeHist = stage.Histogram("compute-ms")
 	f.networkHist = stage.Histogram("network-ms")
 	f.totalHist = stage.Histogram("total-ms")
-	migrate := ue.Engine().Metrics().Scope("core/session/migrate")
+	migrate := ue.Node.Engine().Metrics().Scope("core/session/migrate")
 	f.migrateGapHist = migrate.Histogram("gap-ms")
 	f.migrateSizeHist = migrate.Histogram("state-kb")
 	ue.Listen(ARPort, netsim.AppFunc(f.onResponse))

@@ -310,8 +310,8 @@ func TestBackgroundTrafficIsolation(t *testing.T) {
 	bg.Start(105e6) // overload the 100 Mbps bottleneck so its queue fills
 	tb.Run(3 * time.Second)
 
-	edgePing := netsim.NewPinger(b.UE.Host, tb.CIServer.Node.Addr(), 64, 6001)
-	cloudPing := netsim.NewPinger(b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 64, 6002)
+	edgePing := netsim.NewPinger(&b.UE.Host, tb.CIServer.Node.Addr(), 64, 6001)
+	cloudPing := netsim.NewPinger(&b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 64, 6002)
 	edgePing.Start(200 * time.Millisecond)
 	cloudPing.Start(200 * time.Millisecond)
 	tb.Run(10 * time.Second)
@@ -343,7 +343,7 @@ func TestEdgeRTTMatchesPaper(t *testing.T) {
 	// equal-priority probes behind it.
 	b.Frontend.Stop()
 	tb.Run(2 * time.Second)
-	pg := netsim.NewPinger(b.UE.Host, tb.CIServer.Node.Addr(), 64, 6003)
+	pg := netsim.NewPinger(&b.UE.Host, tb.CIServer.Node.Addr(), 64, 6003)
 	pg.Start(50 * time.Millisecond)
 	tb.Run(10 * time.Second)
 	pg.Stop()

@@ -114,11 +114,10 @@ const (
 )
 
 // binding is one UE's MEC binding, and the pooled record of the procedures
-// on it (DESIGN.md §3c): RequestConnectivity takes it and hands the PCRF
-// its activated leg, ReleaseConnectivity its released leg, both bound once
-// on the record's first take. A binding runs one procedure at a time, so
-// the record leaves the table, and goes back to MRS.records, in the
-// callback of the procedure that ends it.
+// on it (DESIGN.md §3c), which the PCRF answers through package-level
+// functions with the record as their argument. A binding runs one procedure
+// at a time, so the record leaves the table, and goes back to MRS.records,
+// in the callback of the procedure that ends it.
 type binding struct {
 	m       *MRS
 	ueIP    pkt.Addr
@@ -128,13 +127,20 @@ type binding struct {
 	// failover: the MRS re-selects a site for the same eNB and tells the
 	// device manager's callback about the new CI server.
 	enbName string
-	notify  func(pkt.Addr, error)
+	notify  answer
+	// move names the move ("relocate" or "failover") a moving or
+	// reactivating binding runs, "" otherwise.
+	move string
 	// released is the callback of the release under way, if releasing.
 	released func(error)
 	state    bindState
+}
 
-	activatedF func(uint8, error)
-	releasedF  func(error)
+// answer is a requester's callback, fn(arg, ...): a record that asks
+// passes a package-level fn and itself, so asking binds no closure.
+type answer struct {
+	fn  func(arg any, ci pkt.Addr, err error)
+	arg any
 }
 
 // NewMRS creates an MRS against the given EPC control plane.
@@ -252,34 +258,49 @@ func (m *MRS) SiteLoad(name string) int {
 //
 // A UE has one activation at a time: asking again while one is under way
 // fails, and so does asking while the UE's binding is being released. A
-// request during a move's termination adopts the binding without an
-// answer: the requester hears once, from the replayed request.
+// request during a move's termination or re-activation adopts the binding
+// without an answer: the requester hears once, from the replayed request.
 func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName string, done func(pkt.Addr, error)) {
+	var fn func(any, pkt.Addr, error)
+	if done != nil {
+		fn = callDone
+	}
+	m.RequestConnectivityArg(serviceName, ueIP, enbName, fn, done)
+}
+
+// callDone runs the func a RequestConnectivity carries as its arg.
+func callDone(done any, ci pkt.Addr, err error) { done.(func(pkt.Addr, error))(ci, err) }
+
+// RequestConnectivityArg is RequestConnectivity answering fn(arg, ci, err).
+func (m *MRS) RequestConnectivityArg(serviceName string, ueIP pkt.Addr, enbName string, fn func(any, pkt.Addr, error), arg any) {
+	m.request(serviceName, ueIP, enbName, answer{fn, arg}, "")
+}
+
+// request places a request, or a move's replay of one (move names it).
+func (m *MRS) request(serviceName string, ueIP pkt.Addr, enbName string, notify answer, move string) {
 	svc, ok := m.services[serviceName]
 	b := m.bindings[ueIP]
 	var err error
 	switch {
 	case !ok:
 		err = fmt.Errorf("core: unknown CI service %q", serviceName)
-	case b != nil && (b.state == activating || b.state == reactivating):
+	case b != nil && b.state == activating:
 		err = fmt.Errorf("core: UE %v: MEC bearer activation already under way", ueIP)
 	case b != nil && b.state == releasing:
 		err = fmt.Errorf("core: UE %v: MEC binding release under way", ueIP)
 	}
 	if err != nil {
-		if done != nil {
-			done(pkt.Addr{}, err)
-		}
+		m.reply(notify, move, ueIP, pkt.Addr{}, err)
 		return
 	}
 	if b != nil {
 		// Idempotent: the bearer already exists. Adopt the caller's
 		// callback so failover notifications reach the latest requester.
 		b.enbName = enbName
-		if done != nil {
-			b.notify = done
+		if notify.fn != nil {
+			b.notify = notify
 			if b.state == bound {
-				done(b.site.CIServer, nil)
+				m.reply(notify, "", ueIP, b.site.CIServer, nil)
 			}
 		}
 		return
@@ -290,47 +311,56 @@ func (m *MRS) RequestConnectivity(serviceName string, ueIP pkt.Addr, enbName str
 			m.Rejections++
 			m.scope.Emit("admission-reject", ueIP.String())
 		}
-		if done != nil {
-			done(pkt.Addr{}, err)
-		}
+		m.reply(notify, move, ueIP, pkt.Addr{}, err)
 		return
 	}
 	site.load++ // reserve the unit across the activation round-trip
 	b = m.records.Take()
-	if b.m == nil {
-		b.m, b.activatedF, b.releasedF = m, b.activated, b.releaseDone
+	b.m, b.ueIP, b.service, b.site, b.enbName, b.notify, b.move, b.state = m, ueIP, svc, site, enbName, notify, move, activating
+	if move != "" {
+		b.state = reactivating // a placed replay is still the move, so a release can take it over
 	}
-	b.ueIP, b.service, b.site, b.enbName, b.notify, b.state = ueIP, svc, site, enbName, done, activating
 	m.bindings[ueIP] = b
-	m.core.PCRF.RequestDedicatedBearer(svc.PolicyID, ueIP, site.CIServer, site.SGWPlane, site.PGWPlane, b.activatedF)
+	m.core.PCRF.RequestDedicatedBearer(svc.PolicyID, ueIP, site.CIServer, site.SGWPlane, site.PGWPlane, bindingActivated, b)
 }
 
-// activated ends the request's bearer activation: on success the binding
-// goes live, on failure it ends. A site that failed while the activation
-// toward it ran is reported first, then failed over at once. A release that
-// took a move's re-activation over ends the binding instead, and the
-// requester hears nothing.
-func (b *binding) activated(_ uint8, err error) {
-	m, ueIP, site, done := b.m, b.ueIP, b.site, b.notify
+// reply answers a request; a move's replay records its outcome first.
+func (m *MRS) reply(notify answer, move string, ueIP, ci pkt.Addr, err error) {
+	switch {
+	case move == "":
+	case err != nil:
+		m.scope.Emit(move+"-failed", fmt.Sprintf("%v: %v", ueIP, err))
+	default:
+		m.scope.Emit(move+"-done", fmt.Sprintf("%v to %v", ueIP, ci))
+	}
+	if notify.fn != nil {
+		notify.fn(notify.arg, ci, err)
+	}
+}
+
+// bindingActivated ends the request's bearer activation: on success the
+// binding goes live, on failure it ends. A site that failed while the
+// activation toward it ran is reported first, then failed over at once. A
+// release that took a move's re-activation over ends the binding instead,
+// and the requester hears nothing.
+func bindingActivated(v any, _ uint8, err error) {
+	b := v.(*binding)
+	m, ueIP, site, notify, move := b.m, b.ueIP, b.site, b.notify, b.move
 	if b.state == releasing {
 		if err != nil {
-			b.releaseDone(nil)
+			bindingReleased(b, nil)
 		} else {
-			m.core.PCRF.RequestBearerTermination(ueIP, site.CIServer, b.releasedF)
+			m.core.PCRF.RequestBearerTermination(ueIP, site.CIServer, bindingReleased, b)
 		}
 		return
 	}
 	if err != nil {
 		m.unbind(b)
-		if done != nil {
-			done(pkt.Addr{}, err)
-		}
+		m.reply(notify, move, ueIP, pkt.Addr{}, err)
 		return
 	}
-	b.state = bound
-	if done != nil {
-		done(site.CIServer, nil)
-	}
+	b.state, b.move = bound, ""
+	m.reply(notify, move, ueIP, site.CIServer, nil)
 	if m.downSites[site.Name] {
 		m.move(ueIP, "failover")
 	}
@@ -341,7 +371,7 @@ func (b *binding) activated(_ uint8, err error) {
 func (m *MRS) unbind(b *binding) {
 	delete(m.bindings, b.ueIP)
 	b.site.load--
-	b.service, b.site, b.notify, b.released = nil, nil, nil, nil
+	b.service, b.site, b.notify, b.move, b.released = nil, nil, answer{}, "", nil
 	m.records.Put(b)
 }
 
@@ -369,13 +399,14 @@ func (m *MRS) ReleaseConnectivity(ueIP pkt.Addr, done func(error)) {
 	terminate := b.state == bound
 	b.state, b.released = releasing, done
 	if terminate {
-		m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, b.releasedF)
+		m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, bindingReleased, b)
 	}
 }
 
-// releaseDone ends a release: a terminated bearer ends the binding, a failed
-// termination leaves it bound.
-func (b *binding) releaseDone(err error) {
+// bindingReleased ends a release: a terminated bearer ends the binding, a
+// failed termination leaves it bound.
+func bindingReleased(v any, err error) {
+	b := v.(*binding)
 	done := b.released
 	if err == nil {
 		b.m.unbind(b)
@@ -526,36 +557,25 @@ func (m *MRS) move(ueIP pkt.Addr, kind string) {
 	if b == nil || b.state != bound {
 		return
 	}
-	b.state = moving
+	b.state, b.move = moving, kind
 	if kind == "failover" {
 		m.Failovers++
 	} else {
 		m.Relocations++
 	}
 	m.scope.Emit(kind+"-start", fmt.Sprintf("%v from %s", ueIP, b.site.Name))
-	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, func(error) {
-		if b.state == releasing {
-			b.releaseDone(nil)
-			return
-		}
-		service, enbName, notify := b.service.Name, b.enbName, b.notify
-		m.unbind(b)
-		m.RequestConnectivity(service, ueIP, enbName, func(server pkt.Addr, err error) {
-			if err != nil {
-				m.scope.Emit(kind+"-failed", fmt.Sprintf("%v: %v", ueIP, err))
-			} else {
-				// The replayed binding answers the requester, not this
-				// move, from here on.
-				m.bindings[ueIP].notify = notify
-				m.scope.Emit(kind+"-done", fmt.Sprintf("%v to %v", ueIP, server))
-			}
-			if notify != nil {
-				notify(server, err)
-			}
-		})
-		// A placed replay is still this move, so a release can take it over.
-		if nb := m.bindings[ueIP]; nb != nil {
-			nb.state = reactivating
-		}
-	})
+	m.core.PCRF.RequestBearerTermination(ueIP, b.site.CIServer, moveTerminated, b)
+}
+
+// moveTerminated replays a move's request once its old bearer is gone,
+// unless a release took the move over.
+func moveTerminated(v any, _ error) {
+	b := v.(*binding)
+	if b.state == releasing {
+		bindingReleased(b, nil)
+		return
+	}
+	m, service, ueIP, enbName, notify, kind := b.m, b.service.Name, b.ueIP, b.enbName, b.notify, b.move
+	m.unbind(b)
+	m.request(service, ueIP, enbName, notify, kind)
 }

@@ -40,6 +40,9 @@ type mrsRig struct {
 	// the request was issued or one the UE was moving off, and each
 	// release of a bound or moving UE that failed.
 	violations []string
+	// refused holds each request refusal that no other request's answer
+	// stands for: one that came while no plain activation was under way.
+	refused []error
 }
 
 // moving reports whether a relocation or failover is under way: its
@@ -83,6 +86,10 @@ func (r *mrsRig) request() {
 	issued := r.seq
 	m := r.tb.MRS
 	down := maps.Clone(m.downSites)
+	// A request during another request's activation is refused, and that
+	// request's answer reports the binding.
+	b := m.bindings[r.ip]
+	otherAnswers := b != nil && b.state == activating
 	r.inCall = true
 	m.RequestConnectivity(RetailServiceName, r.ip, "enb", func(server pkt.Addr, err error) {
 		r.seq++
@@ -97,6 +104,9 @@ func (r *mrsRig) request() {
 			r.movesEnded++ // the replayed request answers the move
 		}
 		if err != nil {
+			if !otherAnswers {
+				r.refused = append(r.refused, err)
+			}
 			return
 		}
 		// A site that fails while the activation toward it runs is still
@@ -171,6 +181,9 @@ func (r *mrsRig) check(t *testing.T, label string) {
 	}
 	if r.late != 0 {
 		t.Errorf("%s: %d request callbacks fired after a release succeeded", label, r.late)
+	}
+	if site != nil && len(r.refused) > 0 {
+		t.Errorf("%s: a request was refused (%v), but the UE ends bound to %s", label, r.refused, site.Name)
 	}
 	for _, v := range r.violations {
 		t.Errorf("%s: %s", label, v)
@@ -262,6 +275,41 @@ func TestRequestDuringFailover(t *testing.T) {
 	r.tb.Run(3 * time.Second)
 	if want := pkt.AddrFrom(10, 4, 0, 10); len(answers) != 1 || answers[0] != want {
 		t.Errorf("request callbacks got %v, want one, with %v (edge-2)", answers, want)
+	}
+	if r.notifies != 1 {
+		t.Errorf("the bind's callback fired %d times, want once (the bind)", r.notifies)
+	}
+	r.check(t, "settled")
+}
+
+// TestRequestDuringReactivation requests after a relocation's termination
+// ended, while the replayed request activates its bearer on edge-2: the
+// request adopts the binding's callback, as during the termination, so the
+// requester hears once, from the replay, and about edge-2, where the UE is
+// bound.
+func TestRequestDuringReactivation(t *testing.T) {
+	r := newMRSRig(t)
+	r.bound(t)
+	r.relocate()
+	r.tb.Run(8 * time.Millisecond)
+	if r.tb.MRS.Relocations != 1 || r.tb.MRS.Binding(r.ip) != nil || r.notifies != 1 {
+		t.Fatalf("relocations %d, binding %v, %d callbacks: want the replayed activation under way",
+			r.tb.MRS.Relocations, r.tb.MRS.Binding(r.ip), r.notifies)
+	}
+	var answers []pkt.Addr
+	r.tb.MRS.RequestConnectivity(RetailServiceName, r.ip, "enb", func(server pkt.Addr, err error) {
+		if err != nil {
+			t.Errorf("request during re-activation: %v", err)
+		}
+		answers = append(answers, server)
+	})
+	r.tb.Run(3 * time.Second)
+	s := r.tb.MRS.Binding(r.ip)
+	if s == nil || s.Name != "edge-2" {
+		t.Fatalf("binding = %+v, want edge-2", s)
+	}
+	if len(answers) != 1 || answers[0] != s.CIServer {
+		t.Errorf("request callbacks got %v, want one, with %v (edge-2)", answers, s.CIServer)
 	}
 	if r.notifies != 1 {
 		t.Errorf("the bind's callback fired %d times, want once (the bind)", r.notifies)

@@ -27,18 +27,14 @@ const (
 	SchemeNaive
 )
 
+var schemeNames = [...]string{SchemeNaive: "Naive", SchemeRxPower: "rxPower", SchemeACACIA: "ACACIA"}
+
 // String names the scheme.
 func (s Scheme) String() string {
-	switch s {
-	case SchemeNaive:
-		return "Naive"
-	case SchemeRxPower:
-		return "rxPower"
-	case SchemeACACIA:
-		return "ACACIA"
-	default:
-		return "Scheme?"
+	if uint(s) < uint(len(schemeNames)) {
+		return schemeNames[s]
 	}
+	return "Scheme?"
 }
 
 // DBObjectFeatures is the stored feature count per database object,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -67,24 +68,9 @@ var cloudRegions = []struct {
 }
 
 func (c TestbedConfig) withDefaults() TestbedConfig {
-	defD := func(d *time.Duration, v time.Duration) {
-		if *d == 0 {
-			*d = v
-		}
-	}
-	if c.RadioULBps == 0 {
-		c.RadioULBps = 24e6
-	}
-	defD(&c.RadioDelay, 4500*time.Microsecond)
-	defD(&c.RadioJitter, 2*time.Millisecond)
-	defD(&c.CoreDelay, 15*time.Millisecond)
-	if c.NumUEs == 0 {
-		c.NumUEs = 1
-	}
-	if c.DBFeatures == 0 {
-		c.DBFeatures = DBObjectFeatures
-	}
-	defD(&c.DiscoveryPeriod, time.Second)
+	c.RadioULBps, c.NumUEs, c.DBFeatures = cmp.Or(c.RadioULBps, 24e6), cmp.Or(c.NumUEs, 1), cmp.Or(c.DBFeatures, DBObjectFeatures)
+	c.RadioDelay, c.RadioJitter = cmp.Or(c.RadioDelay, 4500*time.Microsecond), cmp.Or(c.RadioJitter, 2*time.Millisecond)
+	c.CoreDelay, c.DiscoveryPeriod = cmp.Or(c.CoreDelay, 15*time.Millisecond), cmp.Or(c.DiscoveryPeriod, time.Second)
 	return c
 }
 
@@ -375,7 +361,7 @@ func (tb *Testbed) AddUE(name string, pos geo.Point) *UEBundle {
 	idx := len(tb.UEs)
 	imsi := fmt.Sprintf("0010100000%05d", idx+1)
 	ueN := tb.Net.AddNode(name, pkt.AddrFrom(172, 16, byte(idx/250), byte(2+idx%250)))
-	ue := epc.NewUE(ueN, imsi)
+	ue := tb.EPC.NewUE(ueN, imsi)
 	b := &UEBundle{UE: ue, Name: name}
 	for _, enb := range tb.ENBs {
 		tb.connectRadio(enb, b)
@@ -385,7 +371,7 @@ func (tb *Testbed) AddUE(name string, pos geo.Point) *UEBundle {
 	dev := tb.D2D.AddDevice(name, pos)
 	b.D2D = dev
 	b.DM = NewDeviceManager(ue, dev, tb.MRS, "enb")
-	b.Frontend = NewARFrontend(ue.Host, name, compute.Resolution{W: 720, H: 480}, pos)
+	b.Frontend = NewARFrontend(&ue.Host, name, compute.Resolution{W: 720, H: 480}, pos)
 	tb.UEs = append(tb.UEs, b)
 	return b
 }

@@ -132,6 +132,7 @@ type txnKey struct {
 
 // txn is one pending request awaiting its ack.
 type txn struct {
+	ep      *Endpoint // the sender
 	peer    pkt.Addr
 	route   *netsim.Port // toward peer
 	seq     uint32
@@ -208,9 +209,6 @@ type Endpoint struct {
 	node    *netsim.Node
 	peers   map[pkt.Addr]*peerState
 	pending map[txnKey]*txn
-	// expireF is the method value bound once at construction so arming the
-	// per-attempt T3 timer allocates no closure.
-	expireF func(any)
 }
 
 // Endpoint attaches the transport to a node. When own is true the endpoint
@@ -225,9 +223,8 @@ func (t *Transport) Endpoint(node *netsim.Node, own bool) *Endpoint {
 		peers:   make(map[pkt.Addr]*peerState),
 		pending: make(map[txnKey]*txn),
 	}
-	ep.expireF = ep.expireArg
 	if own {
-		node.SetHandler(ep.handleNode)
+		node.SetHandler(ep)
 	}
 	return ep
 }
@@ -294,7 +291,7 @@ func (ep *Endpoint) Send(peer pkt.Addr, seq uint32, name string, size int, deliv
 	tpl.Size = size
 	tpl.Payload = f
 	tx := ep.tr.txns.Take()
-	tx.peer, tx.route, tx.seq, tx.name, tx.tpl = peer, ps.route, seq, name, tpl
+	tx.ep, tx.peer, tx.route, tx.seq, tx.name, tx.tpl = ep, peer, ps.route, seq, name, tpl
 	tx.start = ep.eng.Now()
 	tx.onFail, tx.onDone = onFail, onDone
 	ep.pending[txnKey{peer, seq}] = tx
@@ -311,21 +308,20 @@ func noRoute(name string, peer pkt.Addr) {
 }
 
 // transmit sends one attempt (a pooled clone of the pristine template, so
-// per-hop state like queue wait restarts per attempt) and arms the T3 timer
-// through the pre-bound expiry callback.
+// per-hop state like queue wait restarts per attempt) and arms the T3
+// timer, whose callback is package-level with the transaction as its arg.
 //
 //acacia:hotpath
 func (ep *Endpoint) transmit(tx *txn) {
 	tx.route.Send(ep.node.Network().ClonePacket(tx.tpl))
-	tx.timer = ep.eng.ScheduleArg(T3, ep.expireF, tx)
+	tx.timer = ep.eng.ScheduleArg(T3, expire, tx)
 }
-
-// expireArg adapts expire to the engine's pre-bound callback shape.
-func (ep *Endpoint) expireArg(v any) { ep.expire(v.(*txn)) }
 
 // expire fires when T3 elapses without an ack: retransmit, or fail the
 // transaction once the retry budget is spent.
-func (ep *Endpoint) expire(tx *txn) {
+func expire(v any) {
+	tx := v.(*txn)
+	ep := tx.ep
 	key := txnKey{tx.peer, tx.seq}
 	if ep.pending[key] != tx {
 		return // acked in the meantime
@@ -355,10 +351,10 @@ func (ep *Endpoint) expire(tx *txn) {
 	ep.transmit(tx)
 }
 
-// handleNode is the packet handler installed on dedicated control nodes.
+// Handle is the packet handler installed on dedicated control nodes.
 // Anything that is not a control frame is dropped: these nodes carry no
 // data plane.
-func (ep *Endpoint) handleNode(_ *netsim.Port, p *netsim.Packet) {
+func (ep *Endpoint) Handle(_ *netsim.Port, p *netsim.Packet) {
 	if f := FrameOf(p); f != nil {
 		ep.Receive(p, f)
 		return

@@ -17,7 +17,7 @@ func (tb *testbed) addBatchUEs(n int) []*UE {
 	for i := 0; i < n; i++ {
 		imsi := fmt.Sprintf("00101000001%04d", i+1)
 		ueN := tb.nw.AddNode(fmt.Sprintf("ue-%d", i+2), pkt.AddrFrom(172, 16, 0, byte(3+i)))
-		ue := NewUE(ueN, imsi)
+		ue := tb.core.NewUE(ueN, imsi)
 		tb.enb.ConnectUE(ue, radio100M, radio100M)
 		tb.core.HSS.Provision(Subscriber{IMSI: imsi})
 		cohort = append(cohort, ue)
@@ -80,7 +80,7 @@ func TestAttachBatchReportsInvalidMembers(t *testing.T) {
 	cohort := tb.addBatchUEs(1)
 	// An unprovisioned UE in the cohort fails alone.
 	strayN := tb.nw.AddNode("stray", pkt.AddrFrom(172, 16, 0, 99))
-	stray := NewUE(strayN, "999990000000001")
+	stray := tb.core.NewUE(strayN, "999990000000001")
 	tb.enb.ConnectUE(stray, radio100M, radio100M)
 	cohort = append(cohort, stray)
 
@@ -192,7 +192,7 @@ func TestBatchFailureUnwinds(t *testing.T) {
 	var bearerErr error
 	activated := false
 	tb.core.PCRF.RequestDedicatedBearer("retail-ar", cohort[1].Addr(), tb.ciHost.Node.Addr(), "edge-sgw", "edge-pgw",
-		func(_ uint8, err error) { bearerErr, activated = err, true })
+		func(_ any, _ uint8, err error) { bearerErr, activated = err, true }, nil)
 	tb.eng.RunFor(time.Second)
 	if n := len(tb.core.Session(cohort[1].IMSI).DedicatedBearers()); !activated || bearerErr != nil || n != 1 {
 		t.Fatalf("dedicated bearer: done=%v err=%v, %d dedicated bearers", activated, bearerErr, n)

@@ -67,7 +67,7 @@ CreateBearerResponse 46 sgw-c->pgw-c
 	var derr error
 	tb.eng.Schedule(9*time.Millisecond, func() {
 		tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-			"edge-sgw", "edge-pgw", func(_ uint8, err error) { derr = err })
+			"edge-sgw", "edge-pgw", func(_ any, _ uint8, err error) { derr = err }, nil)
 	})
 	tb.eng.RunFor(time.Second)
 	if derr == nil {
@@ -140,7 +140,7 @@ func TestPromotionFailureLeavesUEIdle(t *testing.T) {
 		return tb
 	}
 	ping := func(tb *testbed, port uint16) *netsim.Pinger {
-		pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, port)
+		pg := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, port)
 		pg.SendOne()
 		return pg
 	}
@@ -211,7 +211,7 @@ func TestDedicatedActivationFailureReleasesRadio(t *testing.T) {
 		var derr error
 		calls := 0
 		tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-			"edge-sgw", "edge-pgw", func(_ uint8, err error) { derr = err; calls++ })
+			"edge-sgw", "edge-pgw", func(_ any, _ uint8, err error) { derr = err; calls++ }, nil)
 		tb.eng.RunFor(8 * time.Second)
 		if calls != 1 {
 			t.Fatalf("kill@%dms: activation callback fired %d times", killMS, calls)
@@ -252,7 +252,7 @@ func TestActivationRacingDetachLeaksNothing(t *testing.T) {
 
 		calls := 0
 		tb.core.PCRF.RequestDedicatedBearer("voice-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-			"edge-sgw", "edge-pgw", func(uint8, error) { calls++ })
+			"edge-sgw", "edge-pgw", func(any, uint8, error) { calls++ }, nil)
 		detached := false
 		tb.eng.Schedule(time.Duration(offMS)*time.Millisecond, func() {
 			if err := tb.ue.Detach(func() { detached = true }); err != nil {
@@ -294,12 +294,12 @@ func TestOverlappingActivationsTakeDistinctEBIs(t *testing.T) {
 	ebis := make([]uint8, len(servers))
 	for i, server := range servers {
 		tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), server, "edge-sgw", "edge-pgw",
-			func(ebi uint8, err error) {
+			func(_ any, ebi uint8, err error) {
 				if err != nil {
 					t.Errorf("activation toward %v: %v", server, err)
 				}
 				ebis[i] = ebi
-			})
+			}, nil)
 	}
 	tb.eng.RunFor(2 * time.Second)
 

@@ -89,6 +89,13 @@ type Core struct {
 	imsiBuf        []string
 	modem          modemStore
 
+	// Slabs of the per-entity records: taken for the core's life and never
+	// put back, so a Session or Bearer is never a recycled record.
+	ues        sim.Pool[UE]
+	ctxs       sim.Pool[ueCtx]
+	sessRecs   sim.Pool[Session]
+	bearerRecs sim.Pool[Bearer]
+
 	// Pools of the continuation records every S1AP/GTPv2 send carries
 	// (see leg) and of the procedure records (see proc). A record fresh
 	// from its pool has a nil Core back-pointer: its first take binds it.
@@ -206,33 +213,37 @@ func (pr *proc) restart() {
 // request still times out when every ack is lost), or a waiter's firing —
 // and it returns to Core.legs after the last. A terminal failure also
 // stands for a delivery that has not come: the transport cancels it. It
-// continues as deliver, or else as each with sess (a cohort member's leg). The far half of a shared exchange
-// (admit, repoint, release) is a leg's delivery: it reads the exchange's
-// arguments from the leg and answers with a leg that continues as then or
-// each.
+// continues as far, deliver, or else each with sess (a cohort member's
+// leg). far, the far half of a shared exchange (admit, repoint, release), is
+// a method expression: it reads the exchange's arguments from the leg and
+// answers with a leg that continues as then or each.
 type leg struct {
-	c                               *Core
-	pr                              *proc
-	gen                             uint32
-	holds                           uint8
-	req                             pkt.S1APProcedure
-	idx                             int // traced record index, or -1
-	sess                            *Session
-	b                               *Bearer
-	enb                             *ENB
-	deliver, at, then               func()
-	each                            func(*Session)
-	run, admitF, repointF, releaseF func()
-	failF                           func(error)
-	ackF                            func(ctl.TxInfo)
+	c                      *Core
+	pr                     *proc
+	gen                    uint32
+	holds                  uint8
+	req                    pkt.S1APProcedure
+	idx                    int // traced record index, or -1
+	sess                   *Session
+	b                      *Bearer
+	enb                    *ENB
+	deliver, at, then, run func()
+	far                    func(*leg)
+	each                   func(*Session)
+	failF                  func(error)
+	ackF                   func(ctl.TxInfo)
 }
 
 // land is the record's delivery; failed its transaction's terminal
 // timeout; acked back-fills a traced record's wire fields at ack time.
 func (l *leg) land() {
-	if l.live() && l.deliver != nil {
+	switch {
+	case !l.live():
+	case l.far != nil:
+		l.far(l)
+	case l.deliver != nil:
 		l.deliver()
-	} else if l.live() {
+	default:
 		l.each(l.sess)
 	}
 	l.drop()
@@ -261,7 +272,7 @@ func (l *leg) live() bool { return l.pr.gen == l.gen && !l.pr.finished }
 // drop releases one hold, recycling the record after the last.
 func (l *leg) drop() {
 	if l.holds--; l.holds == 0 {
-		l.pr, l.sess, l.b, l.enb, l.deliver, l.at, l.then, l.each = nil, nil, nil, nil, nil, nil, nil, nil
+		l.pr, l.sess, l.b, l.enb, l.deliver, l.at, l.then, l.far, l.each = nil, nil, nil, nil, nil, nil, nil, nil, nil
 		l.c.legs.Put(l)
 	}
 }
@@ -301,13 +312,13 @@ func (c *Core) whenConnected(sess *Session, pr *proc, fn func()) {
 }
 
 // bindLeg readies a fresh record: the back-pointer and the method values
-// the transport carries, bound once for the record's life. Noinline keeps
-// the bindings out of hotpath callers' escape profiles.
+// ctl.Endpoint.Send carries, bound once for the record's life. Noinline
+// keeps the bindings out of hotpath callers' escape profiles.
 //
 //go:noinline
 func (c *Core) bindLeg(l *leg) {
 	l.c = c
-	l.run, l.admitF, l.repointF, l.releaseF, l.failF, l.ackF = l.land, l.admit, l.repoint, l.release, l.failed, l.acked
+	l.run, l.failF, l.ackF = l.land, l.failed, l.acked
 }
 
 // answer opens a far half's response leg, which continues as the
@@ -447,22 +458,14 @@ const (
 	StatePromoting
 )
 
+var sessionStateNames = [...]string{StateDetached: "detached", StateConnecting: "connecting", StateConnected: "connected", StateIdle: "idle", StatePromoting: "promoting"}
+
 // String names the state.
 func (s SessionState) String() string {
-	switch s {
-	case StateDetached:
-		return "detached"
-	case StateConnecting:
-		return "connecting"
-	case StateConnected:
-		return "connected"
-	case StateIdle:
-		return "idle"
-	case StatePromoting:
-		return "promoting"
-	default:
-		return fmt.Sprintf("SessionState(%d)", uint8(s))
+	if uint(s) < uint(len(sessionStateNames)) {
+		return sessionStateNames[s]
 	}
+	return fmt.Sprintf("SessionState(%d)", uint8(s))
 }
 
 // Bearer is the authoritative record of one EPS bearer. Individual control

@@ -69,7 +69,7 @@ func NewENB(core *Core, node *netsim.Node) *ENB {
 		byUEIP:   make(map[pkt.Addr]*ueCtx),
 		byDLTEID: make(map[uint32]dlKey),
 	}
-	node.SetHandler(e.handle)
+	node.SetHandler(e)
 	e.ep = core.Txn.Endpoint(node, false)
 	e.s1Link = ctl.Connect(e.ep, core.mmeEP,
 		netsim.LinkConfig{BitsPerSecond: ctlLinkBps, Propagation: s1apDelay})
@@ -87,8 +87,9 @@ func (e *ENB) Addr() pkt.Addr { return e.node.Addr() }
 // connection becomes its serving cell, later ones are handover candidates.
 func (e *ENB) ConnectUE(ue *UE, ul, dl netsim.LinkConfig) *netsim.Link {
 	ul.Prioritized, dl.Prioritized = true, true
-	link := e.core.cfg.Net.Connect(ue.node, e.node, ul, dl)
-	ctx := &ueCtx{radioPort: link.B.ID, uePort: link.A.ID}
+	link := e.core.cfg.Net.Connect(ue.Node, e.node, ul, dl)
+	ctx := e.core.ctxs.Take()
+	ctx.radioPort, ctx.uePort = link.B.ID, link.A.ID
 	e.byUEIP[ue.Addr()] = ctx
 	if n := link.B.ID + 1; n > len(e.byRadio) {
 		e.byRadio = append(e.byRadio, make([]*ueCtx, n-len(e.byRadio))...)
@@ -105,8 +106,8 @@ func (e *ENB) ConnectUE(ue *UE, ul, dl netsim.LinkConfig) *netsim.Link {
 // selection).
 func (e *ENB) Name() string { return e.node.Name() }
 
-// handle is the netsim packet handler.
-func (e *ENB) handle(ingress *netsim.Port, p *netsim.Packet) {
+// Handle is the netsim packet handler.
+func (e *ENB) Handle(ingress *netsim.Port, p *netsim.Packet) {
 	if ingress == nil {
 		return
 	}

@@ -143,7 +143,7 @@ func TestENBMappingsTrackLiveBearers(t *testing.T) {
 		t.Fatalf("state = %v, want idle", sess.State)
 	}
 	wantMappings(t, "idle release", tb.enb, tb.ue, 0)
-	pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5003)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5003)
 	pg.SendOne()
 	tb.eng.RunFor(2 * time.Second)
 	if sess.State != StateConnected {
@@ -184,7 +184,7 @@ func TestENBMappingsTrackLiveBearers(t *testing.T) {
 
 	// Deleting the dedicated bearer leaves the default one.
 	done := false
-	tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(err error) { done = err == nil })
+	tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(_ any, err error) { done = err == nil }, nil)
 	tb.eng.RunFor(time.Second)
 	if !done {
 		t.Fatal("bearer termination failed")

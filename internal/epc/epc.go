@@ -43,18 +43,14 @@ const (
 	protoCount
 )
 
+var protocolNames = [...]string{ProtoS1AP: "SCTP/S1AP", ProtoGTPv2: "GTPv2", ProtoOpenFlow: "OpenFlow"}
+
 // String names the protocol.
 func (p Protocol) String() string {
-	switch p {
-	case ProtoS1AP:
-		return "SCTP/S1AP"
-	case ProtoGTPv2:
-		return "GTPv2"
-	case ProtoOpenFlow:
-		return "OpenFlow"
-	default:
-		return fmt.Sprintf("Protocol(%d)", uint8(p))
+	if uint(p) < uint(len(protocolNames)) {
+		return protocolNames[p]
 	}
+	return fmt.Sprintf("Protocol(%d)", uint8(p))
 }
 
 // MsgRecord is one logged control message. The transport fields are filled

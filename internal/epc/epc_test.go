@@ -103,7 +103,7 @@ func buildTestbed(t *testing.T, idle time.Duration) *testbed {
 	core.PCRF.AddRule(PolicyRule{ServiceID: "retail-ar", QCI: pkt.QCIMEC, Precedence: 10})
 
 	tb.enb = NewENB(core, enbN)
-	tb.ue = NewUE(ueN, "001010000000001")
+	tb.ue = core.NewUE(ueN, "001010000000001")
 	tb.enb.ConnectUE(tb.ue, radio100M, radio100M)
 
 	tb.inetHost = netsim.NewHost(inetN)
@@ -180,9 +180,9 @@ func (tb *testbed) dedicate(t *testing.T) uint8 {
 	var derr error
 	done := false
 	tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-		"edge-sgw", "edge-pgw", func(e uint8, err error) {
+		"edge-sgw", "edge-pgw", func(_ any, e uint8, err error) {
 			ebi, derr, done = e, err, true
-		})
+		}, nil)
 	tb.eng.RunFor(2 * time.Second)
 	if !done {
 		t.Fatal("dedicated bearer activation did not complete")
@@ -224,7 +224,7 @@ func TestAttachEstablishesDefaultBearer(t *testing.T) {
 func TestAttachUnknownIMSIFails(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	ueN := tb.nw.AddNode("ue2", pkt.AddrFrom(172, 16, 0, 3))
-	rogue := NewUE(ueN, "999990000000009")
+	rogue := tb.core.NewUE(ueN, "999990000000009")
 	tb.enb.ConnectUE(rogue, radioLine, radioLine)
 	var gotErr error
 	rogue.Attach("core-sgw", "core-pgw", func(err error) { gotErr = err })
@@ -240,7 +240,7 @@ func TestAttachUnknownIMSIFails(t *testing.T) {
 func TestDataPathThroughCore(t *testing.T) {
 	tb := buildTestbed(t, time.Hour)
 	tb.attach(t)
-	pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5000)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5000)
 	pg.Start(100 * time.Millisecond)
 	tb.eng.RunFor(2 * time.Second)
 	pg.Stop()
@@ -284,7 +284,7 @@ func TestDedicatedBearerRedirectsToEdge(t *testing.T) {
 
 	// CI pings ride the edge path: far lower RTT, via edge switches only.
 	edgeBefore := tb.edgeSGW.Stats().Encapsulated
-	pgCI := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5001)
+	pgCI := netsim.NewPinger(&tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5001)
 	pgCI.Start(50 * time.Millisecond)
 	tb.eng.RunFor(time.Second)
 	pgCI.Stop()
@@ -302,7 +302,7 @@ func TestDedicatedBearerRedirectsToEdge(t *testing.T) {
 	}
 
 	// Internet traffic still uses the core path.
-	pgInet := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5002)
+	pgInet := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5002)
 	pgInet.SendOne()
 	tb.eng.RunFor(time.Second)
 	if pgInet.RTTs.N() != 1 {
@@ -319,12 +319,12 @@ func TestDedicatedBearerPriority(t *testing.T) {
 	tb.dedicate(t)
 	ciFlow := pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.ciHost.Node.Addr(), DstPort: 80, Proto: pkt.ProtoUDP}
 	p := &netsim.Packet{Flow: ciFlow, Size: 100}
-	tb.ue.classify(p)
+	tb.ue.ClassifyEgress(p)
 	if int(p.Priority) != pkt.QCIMEC.Priority() {
 		t.Errorf("CI packet priority = %d, want %d", p.Priority, pkt.QCIMEC.Priority())
 	}
 	inet := &netsim.Packet{Flow: pkt.FiveTuple{Src: tb.ue.Addr(), Dst: tb.inetHost.Node.Addr()}, Size: 100}
-	tb.ue.classify(inet)
+	tb.ue.ClassifyEgress(inet)
 	if int(inet.Priority) != pkt.QCIDefault.Priority() {
 		t.Errorf("default packet priority = %d", inet.Priority)
 	}
@@ -339,9 +339,9 @@ func TestBearerDeletion(t *testing.T) {
 	}
 	var delErr error
 	done := false
-	tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(err error) {
+	tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(_ any, err error) {
 		delErr, done = err, true
-	})
+	}, nil)
 	tb.eng.RunFor(time.Second)
 	if !done || delErr != nil {
 		t.Fatalf("termination done=%v err=%v", done, delErr)
@@ -376,7 +376,7 @@ func TestIdleReleaseAndPromotion(t *testing.T) {
 	}
 
 	// Uplink data wakes the session and is delivered after promotion.
-	pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5003)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5003)
 	pg.SendOne()
 	tb.eng.RunFor(2 * time.Second)
 	if sess.State != StateConnected {
@@ -410,7 +410,7 @@ func TestReleaseReestablishMessageBudget(t *testing.T) {
 		t.Fatalf("state = %v", sess.State)
 	}
 	// ...and promote via uplink data.
-	pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5004)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5004)
 	pg.SendOne()
 	tb.eng.RunFor(2 * time.Second)
 	if sess.State != StateConnected {
@@ -620,7 +620,7 @@ func TestControlMessagesRoundTripDecode(t *testing.T) {
 	tb.attach(t)
 	tb.dedicate(t)
 	tb.eng.RunFor(6 * time.Second) // idle out
-	netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5005).SendOne()
+	netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5005).SendOne()
 	tb.eng.RunFor(2 * time.Second)
 
 	if len(tb.core.Acct.Log) < 15 {
@@ -687,7 +687,7 @@ func TestDetachTearsDownEverything(t *testing.T) {
 		}
 	}
 	// Traffic no longer flows.
-	pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5200)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5200)
 	pg.SendOne()
 	tb.eng.RunFor(time.Second)
 	if pg.RTTs.N() != 0 {
@@ -695,7 +695,7 @@ func TestDetachTearsDownEverything(t *testing.T) {
 	}
 	// Re-attach works and restores connectivity.
 	tb.attach(t)
-	pg2 := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5201)
+	pg2 := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5201)
 	pg2.SendOne()
 	tb.eng.RunFor(time.Second)
 	if pg2.RTTs.N() != 1 {
@@ -726,7 +726,7 @@ func TestDedicatedBearerActivationWhileIdle(t *testing.T) {
 	var derr error
 	done := false
 	tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-		"edge-sgw", "edge-pgw", func(e uint8, err error) { ebi, derr, done = e, err, true })
+		"edge-sgw", "edge-pgw", func(_ any, e uint8, err error) { ebi, derr, done = e, err, true }, nil)
 	tb.eng.RunFor(3 * time.Second)
 	if !done {
 		t.Fatal("activation did not complete")
@@ -744,7 +744,7 @@ func TestDedicatedBearerActivationWhileIdle(t *testing.T) {
 		t.Errorf("state = %v after activation", sess.State)
 	}
 	// The new bearer carries traffic.
-	pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5300)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5300)
 	pg.SendOne()
 	tb.eng.RunFor(time.Second)
 	if pg.RTTs.N() != 1 {

@@ -53,36 +53,38 @@ func (p *PCRF) AddRule(r PolicyRule) { p.rules[r.ServiceID] = r }
 // RequestDedicatedBearer is the Rx-like entry point used by the MRS: it
 // resolves policy for (service, UE, CI server) and asks the PCEF to
 // activate a dedicated bearer on the given local user planes. done (may be
-// nil) receives the bearer EBI or an error.
-func (p *PCRF) RequestDedicatedBearer(serviceID string, ueIP, ciServer pkt.Addr, sgwPlane, pgwPlane string, done func(uint8, error)) {
+// nil) receives arg and the bearer EBI or an error: a record that asks
+// passes a package-level done and itself, and binds no closure.
+func (p *PCRF) RequestDedicatedBearer(serviceID string, ueIP, ciServer pkt.Addr, sgwPlane, pgwPlane string, done func(arg any, ebi uint8, err error), arg any) {
 	rule, ok := p.rules[serviceID]
 	if !ok {
-		fail(done, fmt.Errorf("epc: no policy rule for service %q", serviceID))
+		fail(done, arg, fmt.Errorf("epc: no policy rule for service %q", serviceID))
 		return
 	}
 	sess := p.core.byIP[ueIP]
 	if sess == nil {
-		fail(done, fmt.Errorf("epc: no session for UE %v", ueIP))
+		fail(done, arg, fmt.Errorf("epc: no session for UE %v", ueIP))
 		return
 	}
-	p.core.PGWC.activateDedicatedBearer(sess, rule, ciServer, sgwPlane, pgwPlane, done)
+	p.core.PGWC.activateDedicatedBearer(sess, rule, ciServer, sgwPlane, pgwPlane, done, arg)
 }
 
-// RequestBearerTermination tears down the dedicated bearer toward ciServer.
-func (p *PCRF) RequestBearerTermination(ueIP, ciServer pkt.Addr, done func(error)) {
+// RequestBearerTermination tears down the dedicated bearer toward ciServer;
+// done (may be nil) receives arg and the outcome.
+func (p *PCRF) RequestBearerTermination(ueIP, ciServer pkt.Addr, done func(arg any, err error), arg any) {
 	sess := p.core.byIP[ueIP]
 	if sess == nil {
 		if done != nil {
-			done(fmt.Errorf("epc: no session for UE %v", ueIP))
+			done(arg, fmt.Errorf("epc: no session for UE %v", ueIP))
 		}
 		return
 	}
-	p.core.PGWC.deactivateDedicatedBearer(sess, ciServer, done)
+	p.core.PGWC.deactivateDedicatedBearer(sess, ciServer, done, arg)
 }
 
-func fail(done func(uint8, error), err error) {
+func fail(done func(any, uint8, error), arg any, err error) {
 	if done != nil {
-		done(0, err)
+		done(arg, 0, err)
 	}
 }
 
@@ -329,8 +331,9 @@ type dedicated struct {
 	*Core
 	sess        *Session
 	b           *Bearer
-	activated   func(uint8, error)
-	deactivated func(error)
+	activated   func(any, uint8, error)
+	deactivated func(any, error)
+	arg         any // the activated or deactivated callback's
 	denied      error
 	nas         []byte
 
@@ -379,19 +382,19 @@ func (d *dedicated) unwind() {
 // ended reports the outcome and recycles the record. An activation gives
 // back its EBI reservation: on success the bearer holds the slot itself.
 func (d *dedicated) ended(err error) {
-	ebi, activated, deactivated := d.b.EBI, d.activated, d.deactivated
+	ebi, activated, deactivated, arg := d.b.EBI, d.activated, d.deactivated, d.arg
 	if activated != nil {
 		d.sess.pending &^= 1 << ebi
 	}
-	d.sess, d.b, d.activated, d.deactivated, d.denied = nil, nil, nil, nil, nil
+	d.sess, d.b, d.activated, d.deactivated, d.arg, d.denied = nil, nil, nil, nil, nil, nil
 	d.deds.Put(d)
 	switch {
 	case activated != nil && err != nil:
-		activated(0, err)
+		activated(arg, 0, err)
 	case activated != nil:
-		activated(ebi, nil)
+		activated(arg, ebi, nil)
 	case deactivated != nil:
-		deactivated(err)
+		deactivated(arg, err)
 	}
 }
 
@@ -400,14 +403,14 @@ func (d *dedicated) ended(err error) {
 // Create Bearer chain runs from the PGW-C through the SGW-C to the MME on
 // S5 and S11, the E-RAB Setup at the eNB once the UE is connected (paging
 // it first if idle), and the SGW-C's response to the PGW-C.
-func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer pkt.Addr, sgwPlane, pgwPlane string, done func(uint8, error)) {
+func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer pkt.Addr, sgwPlane, pgwPlane string, done func(any, uint8, error), arg any) {
 	if sess.State == StateDetached {
-		fail(done, fmt.Errorf("epc: UE %s not attached", sess.IMSI))
+		fail(done, arg, fmt.Errorf("epc: UE %s not attached", sess.IMSI))
 		return
 	}
 	planes, perr := p.core.internPlanes(sgwPlane, pgwPlane)
 	if perr != nil {
-		fail(done, perr)
+		fail(done, arg, perr)
 		return
 	}
 	// Next free EBI: neither installed nor held by an activation still
@@ -416,22 +419,23 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 	for sess.Bearers[ebi] != nil || sess.pending&(1<<ebi) != 0 {
 		ebi++
 		if ebi > 15 {
-			fail(done, fmt.Errorf("epc: UE %s has no free EBI", sess.IMSI))
+			fail(done, arg, fmt.Errorf("epc: UE %s has no free EBI", sess.IMSI))
 			return
 		}
 	}
 	sess.pending |= 1 << ebi
-	b := &Bearer{
+	c := p.core
+	b := c.bearerRecs.Take()
+	*b = Bearer{
 		EBI:      ebi,
 		QoS:      pkt.BearerQoS{QCI: rule.QCI, ARP: dedicatedARP},
-		TFT:      p.core.internTFT(ciServer, rule.Precedence),
+		TFT:      c.internTFT(ciServer, rule.Precedence),
 		Planes:   planes,
 		CIServer: ciServer,
 		S5UL:     p.teids.alloc(),
 	}
-	c := p.core
 	d := c.takeDedicated(sess, b)
-	d.activated, d.stage = done, 1
+	d.activated, d.arg, d.stage = done, arg, 1
 	req := &pkt.GTPv2Msg{
 		Type: pkt.GTPv2CreateBearerRequest,
 		TEID: 1,
@@ -536,7 +540,7 @@ func (d *dedicated) answered() {
 // SGW-C to the MME on S5 and S11, the E-RAB Release pair at the eNB (which
 // drops the bearer's mapping, and the modem its TFT), and the SGW-C's
 // response to the PGW-C, which removes the bearer's flows.
-func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done func(error)) {
+func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done func(any, error), arg any) {
 	var b *Bearer
 	for _, cand := range sess.Bearers[EBIDedicated:] {
 		if cand != nil && cand.CIServer == ciServer {
@@ -546,13 +550,13 @@ func (p *PGWC) deactivateDedicatedBearer(sess *Session, ciServer pkt.Addr, done 
 	}
 	if b == nil {
 		if done != nil {
-			done(fmt.Errorf("epc: no dedicated bearer toward %v", ciServer))
+			done(arg, fmt.Errorf("epc: no dedicated bearer toward %v", ciServer))
 		}
 		return
 	}
 	c := p.core
 	d := c.takeDedicated(sess, b)
-	d.deactivated = done
+	d.deactivated, d.arg = done, arg
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2DeleteBearerRequest, TEID: 1, Bearers: []pkt.BearerContext{{EBI: b.EBI}}}
 	c.sendGTPv2(c.takeLeg(&d.proc, d.dbAtSGWF), c.pgwEP, c.sgwEP, req)
 }

@@ -77,7 +77,7 @@ func TestHandoverDataContinuity(t *testing.T) {
 	sess := tb.core.Session(tb.ue.IMSI)
 
 	// Continuous CI traffic across the handover.
-	pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5100)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5100)
 	pg.Start(20 * time.Millisecond)
 	tb.eng.RunFor(time.Second)
 	lostBefore := pg.Sent - pg.RTTs.N()
@@ -99,7 +99,7 @@ func TestHandoverDataContinuity(t *testing.T) {
 	// Traffic now flows via eNB2.
 	ul := backhaulUL(t, tb, enb2)
 	before := ul.StatsAB().Sent
-	pg2 := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5101)
+	pg2 := netsim.NewPinger(&tb.ue.Host, tb.ciHost.Node.Addr(), 64, 5101)
 	pg2.SendOne()
 	tb.eng.RunFor(200 * time.Millisecond)
 	if pg2.RTTs.N() != 1 {
@@ -149,7 +149,7 @@ func TestHandoverGuards(t *testing.T) {
 
 	// UE without a radio link to the target.
 	ue2N := tb.nw.AddNode("ue-noradio", pkt.AddrFrom(172, 16, 0, 9))
-	ue2 := NewUE(ue2N, "001010000000003")
+	ue2 := tb.core.NewUE(ue2N, "001010000000003")
 	tb.core.HSS.Provision(Subscriber{IMSI: ue2.IMSI})
 	tb.enb.ConnectUE(ue2, radioLine, radioLine)
 	var aerr error
@@ -199,7 +199,7 @@ func TestHandoverThenIdleAndPromotionOnTarget(t *testing.T) {
 	if sess.State != StateIdle {
 		t.Fatalf("state = %v, want idle at target", sess.State)
 	}
-	pg := netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5102)
+	pg := netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5102)
 	pg.SendOne()
 	tb.eng.RunFor(2 * time.Second)
 	if sess.State != StateConnected {

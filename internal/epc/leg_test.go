@@ -138,7 +138,7 @@ func TestLegPoolsStopGrowing(t *testing.T) {
 			}
 		}
 		var delErr error
-		c.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(err error) { delErr = err })
+		c.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(_ any, err error) { delErr = err }, nil)
 		tb.eng.RunFor(500 * time.Millisecond)
 		if delErr != nil {
 			t.Fatalf("bearer deletion: %v", delErr)
@@ -194,7 +194,7 @@ func TestReusedRecordIgnoresLateLegs(t *testing.T) {
 	tb.attach(t)
 	var dedErr error = errors.New("no callback")
 	c.PCRF.RequestDedicatedBearer("voice-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-		"edge-sgw", "edge-pgw", func(_ uint8, err error) { dedErr = err })
+		"edge-sgw", "edge-pgw", func(_ any, _ uint8, err error) { dedErr = err }, nil)
 	tb.eng.RunFor(time.Second)
 	if dedErr != nil {
 		t.Fatalf("dedicated bearer activation: %v", dedErr)

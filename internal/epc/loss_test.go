@@ -81,10 +81,10 @@ func TestDedicatedBearerFailureReleasesResources(t *testing.T) {
 	var derr error
 	doneCalls := 0
 	tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), tb.ciHost.Node.Addr(),
-		"edge-sgw", "edge-pgw", func(e uint8, err error) {
+		"edge-sgw", "edge-pgw", func(_ any, e uint8, err error) {
 			derr = err
 			doneCalls++
-		})
+		}, nil)
 	tb.eng.RunFor(5 * time.Second)
 	if doneCalls != 1 {
 		t.Fatalf("bearer callback fired %d times, want exactly once", doneCalls)
@@ -172,7 +172,7 @@ func TestHandoverLossyLegsLeakNothing(t *testing.T) {
 		tb.enb.s1Link.SetLoss(0)
 		enb2.s1Link.SetLoss(0)
 		tb.core.S11Link().SetLoss(0)
-		pg := netsim.NewPinger(tb.ue.Host, tb.ciHost.Node.Addr(), 64, uint16(5400+killMS))
+		pg := netsim.NewPinger(&tb.ue.Host, tb.ciHost.Node.Addr(), 64, uint16(5400+killMS))
 		pg.SendOne()
 		tb.eng.RunFor(500 * time.Millisecond)
 		if pg.RTTs.N() != 1 {
@@ -206,7 +206,7 @@ func TestTraceSeqsMonotonicPerPath(t *testing.T) {
 	tb.dedicate(t)
 	// Idle release + promotion adds more signalling on the same paths.
 	tb.eng.RunFor(2 * time.Second)
-	netsim.NewPinger(tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5300).SendOne()
+	netsim.NewPinger(&tb.ue.Host, tb.inetHost.Node.Addr(), 64, 5300).SendOne()
 	tb.eng.RunFor(2 * time.Second)
 
 	last := map[string]uint32{} // "proto|path" -> last seq

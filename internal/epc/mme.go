@@ -201,16 +201,14 @@ func (m *MME) onInitialAttach(co *cohort) {
 // session's Bearers once the Modify Bearer exchange is done.
 func (c *Core) newSession(ue *UE, planes *PlanePair) member {
 	c.nextUEID++
-	sess := &Session{
-		IMSI:    ue.IMSI,
-		ENB:     ue.enb,
-		UE:      ue,
-		MMEUEID: c.nextUEID,
-		ENBUEID: c.nextUEID | 0x1000000,
-	}
+	sess := c.sessRecs.Take()
+	sess.IMSI, sess.ENB, sess.UE = ue.IMSI, ue.enb, ue
+	sess.MMEUEID, sess.ENBUEID = c.nextUEID, c.nextUEID|0x1000000
 	sess.setState(c.Eng, StateConnecting)
 	c.sessions[ue.IMSI] = sess
-	return member{sess: sess, b: &Bearer{EBI: EBIDefault, QoS: defaultQoS, Planes: planes}}
+	b := c.bearerRecs.Take()
+	b.EBI, b.QoS, b.Planes = EBIDefault, defaultQoS, planes
+	return member{sess: sess, b: b}
 }
 
 // attach runs the attach legs for a cohort whose sessions are open: the
@@ -400,7 +398,7 @@ const (
 func (c *Core) releaseUEContext(pr *proc, sess *Session, cause uint8, then func(*Session)) {
 	cmd := sess.s1ap(pkt.S1APUEContextReleaseCommand, cause, nil)
 	l := c.takeLeg(pr, nil)
-	l.deliver, l.each, l.sess = l.releaseF, then, sess
+	l.far, l.each, l.sess = (*leg).release, then, sess
 	c.sendS1AP(l, c.mmeEP, sess.ENB.ep, cmd)
 }
 
@@ -630,7 +628,7 @@ func (c *Core) setupERABs(pr *proc, sess *Session, enb *ENB, req pkt.S1APProcedu
 	c.erabBuf = items
 	msg := &pkt.S1APMsg{Procedure: req, ENBUEID: sess.ENBUEID, MMEUEID: sess.MMEUEID, NAS: nas, ERABs: items}
 	l := c.takeLeg(pr, nil)
-	l.deliver, l.sess, l.enb, l.req, l.b, l.at, l.then = l.admitF, sess, enb, req, b, atENB, then
+	l.far, l.sess, l.enb, l.req, l.b, l.at, l.then = (*leg).admit, sess, enb, req, b, atENB, then
 	c.sendS1AP(l, c.mmeEP, enb.ep, msg)
 }
 
@@ -677,7 +675,7 @@ func (c *Core) modifySessionBearers(pr *proc, sess *Session, atSGW, then func())
 	}
 	req := &pkt.GTPv2Msg{Type: pkt.GTPv2ModifyBearerRequest, IMSI: sess.IMSI, Bearers: ctxs}
 	l := c.takeLeg(pr, nil)
-	l.deliver, l.sess, l.at, l.then = l.repointF, sess, atSGW, then
+	l.far, l.sess, l.at, l.then = (*leg).repoint, sess, atSGW, then
 	c.sendGTPv2(l, c.mmeEP, c.sgwEP, req)
 }
 

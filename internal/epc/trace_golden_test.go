@@ -51,7 +51,7 @@ func TestProcedureTraceGolden(t *testing.T) {
 
 	var delErr error
 	deleted := false
-	tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(err error) { delErr, deleted = err, true })
+	tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), tb.ciHost.Node.Addr(), func(_ any, err error) { delErr, deleted = err, true }, nil)
 	tb.eng.RunFor(500 * time.Millisecond)
 	if !deleted || delErr != nil {
 		t.Fatalf("bearer deletion: done=%v err=%v", deleted, delErr)

@@ -13,8 +13,7 @@ import (
 // packet is classified against the installed uplink TFTs so it departs with
 // the right bearer priority (the eNB performs the corresponding S1 mapping).
 type UE struct {
-	Host *netsim.Host
-	node *netsim.Node
+	netsim.Host
 	IMSI string
 	enb  *ENB
 
@@ -44,20 +43,18 @@ type modemStore struct {
 	tfts sim.Pool[pkt.TFT]
 }
 
-// NewUE wraps node as a UE with the given IMSI. The node's address is the
-// UE's (statically bound) IP, confirmed by the PGW at attach.
-func NewUE(node *netsim.Node, imsi string) *UE {
-	ue := &UE{
-		Host: netsim.NewHost(node),
-		node: node,
-		IMSI: imsi,
-	}
-	ue.Host.ClassifyEgress = ue.classify
+// NewUE wraps node as a UE with the given IMSI, carved from the core's slab.
+// The node's address is the UE's (statically bound) IP, confirmed at attach.
+func (c *Core) NewUE(node *netsim.Node, imsi string) *UE {
+	ue := c.ues.Take()
+	ue.IMSI = imsi
+	ue.Init(node)
+	ue.Egress = ue
 	return ue
 }
 
 // Addr returns the UE's IP address.
-func (u *UE) Addr() pkt.Addr { return u.node.Addr() }
+func (u *UE) Addr() pkt.Addr { return u.Node.Addr() }
 
 // Attach runs the initial attach through the connected eNB, establishing
 // the default bearer on the named user planes. done (may be nil) fires when
@@ -170,17 +167,17 @@ func (u *UE) match(flow pkt.FiveTuple) (uint8, pkt.QCI) {
 	return ebi, qci
 }
 
-// classify is the Host egress hook: stamp the packet's priority from the
-// matching bearer's QCI and send it out the radio port.
+// ClassifyEgress is the Host egress hook: stamp the packet's priority from
+// the matching bearer's QCI and send it out the radio port.
 //
 //acacia:hotpath
-func (u *UE) classify(p *netsim.Packet) *netsim.Port {
+func (u *UE) ClassifyEgress(p *netsim.Packet) *netsim.Port {
 	_, qci := u.match(p.Flow)
 	p.Priority = uint8(qci.Priority())
-	if u.servingPort >= len(u.node.Ports()) {
+	if u.servingPort >= len(u.Node.Ports()) {
 		return nil
 	}
-	return u.node.Port(u.servingPort)
+	return u.Node.Port(u.servingPort)
 }
 
 // switchRadio retunes the UE to the target eNB's radio link (the RRC

@@ -30,7 +30,8 @@ func activation(ebi uint8, qci pkt.QCI, f pkt.PacketFilter) []byte {
 // can be installed, removed and installed again.
 func TestModemClassification(t *testing.T) {
 	nw := netsim.New(sim.NewEngine(1))
-	ue := NewUE(nw.AddNode("ue", pkt.AddrFrom(10, 0, 0, 9)), "001010000000009")
+	core := &Core{}
+	ue := core.NewUE(nw.AddNode("ue", pkt.AddrFrom(10, 0, 0, 9)), "001010000000009")
 	to := func(host byte) pkt.FiveTuple {
 		return pkt.FiveTuple{Src: ue.Addr(), Dst: pkt.AddrFrom(10, 9, 0, host), SrcPort: 40000, DstPort: 7000, Proto: pkt.ProtoUDP}
 	}
@@ -43,7 +44,7 @@ func TestModemClassification(t *testing.T) {
 	}
 	// sess mirrors the modem's TFTs as the bearers the eNB classifies over;
 	// enb's core holds the modem store the UE decodes into.
-	enb := ENB{core: &Core{}}
+	enb := ENB{core: core}
 	ue.enb = &enb
 	def := &Bearer{EBI: EBIDefault}
 	sess := &Session{}
@@ -62,7 +63,7 @@ func TestModemClassification(t *testing.T) {
 	check := func(step string, flow pkt.FiveTuple, wantEBI uint8, wantQCI pkt.QCI) {
 		t.Helper()
 		p := &netsim.Packet{Flow: flow}
-		ue.classify(p)
+		ue.ClassifyEgress(p)
 		for i := 0; i < 20; i++ { // a map-ranged tie would flip within a few tries
 			if got := bearerFor(ue, flow); got != wantEBI {
 				t.Fatalf("%s: bearerFor(%v) = %d, want %d", step, flow.Dst, got, wantEBI)

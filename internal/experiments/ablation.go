@@ -293,12 +293,12 @@ func measureQCIUnderLoad(opts Options, seed uint64, qci pkt.QCI) (median, p95 fl
 	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: "qci-probe", QCI: qci, Precedence: 7})
 	done := false
 	tb.EPC.PCRF.RequestDedicatedBearer("qci-probe", b.UE.Addr(), tb.CIServer.Node.Addr(),
-		tb.Sites[0].SGWPlane(), tb.Sites[0].PGWPlane(), func(_ uint8, err error) {
+		tb.Sites[0].SGWPlane(), tb.Sites[0].PGWPlane(), func(_ any, _ uint8, err error) {
 			if err != nil {
 				panic(err)
 			}
 			done = true
-		})
+		}, nil)
 	tb.Run(2 * time.Second)
 	if !done {
 		panic("bearer setup timed out")
@@ -307,7 +307,7 @@ func measureQCIUnderLoad(opts Options, seed uint64, qci pkt.QCI) (median, p95 fl
 	// Bulk downlink on the default bearer, overloading the 40 Mbps radio.
 	bulk := netsim.NewCBRSource(tb.CloudHosts["california"], b.UE.Addr(), 9400, 1250)
 	bulk.Start(45e6)
-	pg := netsim.NewPinger(b.UE.Host, tb.CIServer.Node.Addr(), 200, 9401)
+	pg := netsim.NewPinger(&b.UE.Host, tb.CIServer.Node.Addr(), 200, 9401)
 	tb.Run(2 * time.Second) // let the radio queue fill
 	pg.Start(100 * time.Millisecond)
 	dur := 8 * time.Second

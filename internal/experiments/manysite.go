@@ -10,6 +10,12 @@ import (
 	"acacia/internal/stats"
 )
 
+// portsByDst routes a multi-homed host's egress by destination address.
+type portsByDst map[pkt.Addr]*netsim.Port
+
+// ClassifyEgress implements netsim.Classifier.
+func (m portsByDst) ClassifyEgress(p *netsim.Packet) *netsim.Port { return m[p.Flow.Dst] }
+
 func init() { register(manySite()) }
 
 // The many-site experiment is a hub-and-spoke workload: K edge sites, each
@@ -77,8 +83,8 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen int, dur time.Duration) 
 
 	hubN := nw.AddNode("hub", pkt.AddrFrom(10, 0, 0, 1))
 	hub := netsim.NewHost(hubN)
-	hubPorts := map[pkt.Addr]*netsim.Port{}
-	hub.ClassifyEgress = func(p *netsim.Packet) *netsim.Port { return hubPorts[p.Flow.Dst] }
+	hubPorts := portsByDst{}
+	hub.Egress = hubPorts
 
 	out := manySiteRun{sites: make([]manySiteStats, sites)}
 	hub.Listen(7003, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
@@ -94,8 +100,8 @@ func runManySite(seed uint64, sites, uesPerSite, vecLen int, dur time.Duration) 
 		hubLink := nw.ConnectSymmetric(hubN, srvN, netsim.LinkConfig{Propagation: 5 * time.Millisecond})
 		hubPorts[srvN.Addr()] = hubLink.A
 		srv := netsim.NewHost(srvN)
-		srvPorts := map[pkt.Addr]*netsim.Port{hubN.Addr(): hubLink.B}
-		srv.ClassifyEgress = func(p *netsim.Packet) *netsim.Port { return srvPorts[p.Flow.Dst] }
+		srvPorts := portsByDst{hubN.Addr(): hubLink.B}
+		srv.Egress = srvPorts
 
 		st := &out.sites[i]
 		// Seed the checksum with the site index so identical per-site

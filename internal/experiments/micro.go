@@ -363,7 +363,7 @@ func fig10a() Experiment {
 				tb.Run(5 * time.Second)
 				b.Frontend.Stop()
 				tb.Run(time.Second)
-				pg := netsim.NewPinger(b.UE.Host, tb.CIServer.Node.Addr(), 64, 7500)
+				pg := netsim.NewPinger(&b.UE.Host, tb.CIServer.Node.Addr(), 64, 7500)
 				for i := 0; i < probes; i++ {
 					pg.SendOne()
 					tb.Run(30 * time.Millisecond)
@@ -435,7 +435,7 @@ func measureIsolation(opts Options, seed uint64, bgBps float64) (conv, mec, acac
 
 	// AR-like load on the default bearer (it is what competes with the
 	// background in the conventional/MEC cases).
-	ar := netsim.NewCBRSource(b.UE.Host, tb.CentralMEC.Node.Addr(), 7300, 1250)
+	ar := netsim.NewCBRSource(&b.UE.Host, tb.CentralMEC.Node.Addr(), 7300, 1250)
 	ar.Start(12e6)
 	bg := netsim.NewCBRSource(tb.BGSource, tb.BGSink.Node.Addr(), 9000, 1250)
 	bg.Start(bgBps)
@@ -444,9 +444,9 @@ func measureIsolation(opts Options, seed uint64, bgBps float64) (conv, mec, acac
 	if opts.Full {
 		dur = 25 * time.Second
 	}
-	pgConv := netsim.NewPinger(b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 200, 7601)
-	pgMEC := netsim.NewPinger(b.UE.Host, tb.CentralMEC.Node.Addr(), 200, 7602)
-	pgEdge := netsim.NewPinger(b.UE.Host, tb.CIServer.Node.Addr(), 200, 7603)
+	pgConv := netsim.NewPinger(&b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 200, 7601)
+	pgMEC := netsim.NewPinger(&b.UE.Host, tb.CentralMEC.Node.Addr(), 200, 7602)
+	pgEdge := netsim.NewPinger(&b.UE.Host, tb.CIServer.Node.Addr(), 200, 7603)
 	tb.Run(dur / 3)
 	pgConv.Start(250 * time.Millisecond)
 	pgMEC.Start(250 * time.Millisecond)

@@ -87,7 +87,7 @@ func fig3c() Experiment {
 					panic(err)
 				}
 				host := tb.CloudHosts[region]
-				pg := netsim.NewPinger(b.UE.Host, host.Node.Addr(), 64, uint16(7100))
+				pg := netsim.NewPinger(&b.UE.Host, host.Node.Addr(), 64, uint16(7100))
 				for i := 0; i < probes; i++ {
 					pg.SendOne()
 					tb.Run(50 * time.Millisecond)
@@ -139,7 +139,7 @@ func fig3d() Experiment {
 				}
 				host := tb.CloudHosts[region]
 				sink := netsim.NewGreedyReceiver(host, 7200)
-				g := netsim.NewGreedyFlow(b.UE.Host, host.Node.Addr(), 7200, 47000, 1400)
+				g := netsim.NewGreedyFlow(&b.UE.Host, host.Node.Addr(), 7200, 47000, 1400)
 				g.Start()
 				tb.Run(dur)
 				g.Stop()
@@ -253,7 +253,7 @@ func measureSharedCoreLatency(opts Options, seed uint64, coreDelay time.Duration
 	// AR-like stream on the default bearer (≈12 Mbps of frames, the
 	// paper's HD upload regime): with 90 Mbps of background the shared
 	// 100 Mbps core saturates.
-	ar := netsim.NewCBRSource(b.UE.Host, dst, 7300, 1250)
+	ar := netsim.NewCBRSource(&b.UE.Host, dst, 7300, 1250)
 	ar.Start(12e6)
 	bg := netsim.NewCBRSource(tb.BGSource, tb.BGSink.Node.Addr(), 9000, 1250)
 	bg.Start(bgBps)
@@ -262,7 +262,7 @@ func measureSharedCoreLatency(opts Options, seed uint64, coreDelay time.Duration
 	if opts.Full {
 		dur = 25 * time.Second
 	}
-	pg := netsim.NewPinger(b.UE.Host, dst, 200, 7301)
+	pg := netsim.NewPinger(&b.UE.Host, dst, 200, 7301)
 	// Warm up, then probe during the final two-thirds.
 	tb.Run(dur / 3)
 	pg.Start(200 * time.Millisecond)
@@ -349,7 +349,7 @@ func measureCycle(seed uint64) (msgs, bytes map[epc.Protocol]uint64, delta *tele
 	regBefore := tb.Eng.Metrics().Snapshot()
 	tb.Run(8 * time.Second) // idle release fires
 	// Uplink data promotes the session.
-	pg := netsim.NewPinger(b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 64, 7400)
+	pg := netsim.NewPinger(&b.UE.Host, tb.CloudHosts["california"].Node.Addr(), 64, 7400)
 	pg.SendOne()
 	tb.Run(3 * time.Second)
 

@@ -210,7 +210,7 @@ func runControlLossTrial(seed uint64, loss float64) Metered {
 		var berr error
 		tb.EPC.PCRF.RequestDedicatedBearer(core.RetailPolicyID,
 			tb.UEs[0].UE.Addr(), tb.CIServer.Node.Addr(),
-			tb.Sites[0].SGWPlane(), tb.Sites[0].PGWPlane(), func(_ uint8, err error) { done, berr = true, err })
+			tb.Sites[0].SGWPlane(), tb.Sites[0].PGWPlane(), func(_ any, _ uint8, err error) { done, berr = true, err }, nil)
 		tb.Run(5 * time.Second)
 		switch {
 		case !done:

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"acacia/internal/core"
@@ -92,34 +94,12 @@ func DefaultScaleConfig(full bool) ScaleConfig {
 }
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
+	// A field at or below zero takes the quick shape's value.
 	d := DefaultScaleConfig(false)
-	if c.Sites <= 0 {
-		c.Sites = d.Sites
-	}
-	if c.ENBsPerSite <= 0 {
-		c.ENBsPerSite = d.ENBsPerSite
-	}
-	if c.UEs <= 0 {
-		c.UEs = d.UEs
-	}
-	if c.Ramp <= 0 {
-		c.Ramp = d.Ramp
-	}
-	if c.Hold <= 0 {
-		c.Hold = d.Hold
-	}
-	if c.CohortWindow <= 0 {
-		c.CohortWindow = d.CohortWindow
-	}
-	if c.FramePeriod <= 0 {
-		c.FramePeriod = d.FramePeriod
-	}
-	if c.FrameService <= 0 {
-		c.FrameService = d.FrameService
-	}
-	if c.Arrival == "" {
-		c.Arrival = d.Arrival
-	}
+	c.Sites, c.ENBsPerSite, c.UEs = cmp.Or(max(c.Sites, 0), d.Sites), cmp.Or(max(c.ENBsPerSite, 0), d.ENBsPerSite), cmp.Or(max(c.UEs, 0), d.UEs)
+	c.Ramp, c.Hold, c.CohortWindow = cmp.Or(max(c.Ramp, 0), d.Ramp), cmp.Or(max(c.Hold, 0), d.Hold), cmp.Or(max(c.CohortWindow, 0), d.CohortWindow)
+	c.FramePeriod, c.FrameService = cmp.Or(max(c.FramePeriod, 0), d.FramePeriod), cmp.Or(max(c.FrameService, 0), d.FrameService)
+	c.Arrival = cmp.Or(c.Arrival, d.Arrival)
 	if c.FlashSite < 0 || c.FlashSite >= c.Sites {
 		c.FlashSite = c.Sites / 2
 	}
@@ -324,27 +304,6 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	}
 	background := cfg.UEs - flash
 
-	ues := make([]*epc.UE, cfg.UEs)
-	homeENB := make([]*epc.ENB, cfg.UEs)
-	arrivalAt := make([]sim.Time, cfg.UEs)
-	ueIndex := make(map[*epc.UE]int, cfg.UEs)
-	for k := 0; k < cfg.UEs; k++ {
-		imsi := fmt.Sprintf("001017%09d", k+1)
-		ueN := nw.AddNode(fmt.Sprintf("ue-%d", k+1), scaleUEAddr(k))
-		ue := epc.NewUE(ueN, imsi)
-		site := homeSite(k)
-		if k >= background {
-			site = cfg.FlashSite
-		}
-		enb := m.ENBs[site*cfg.ENBsPerSite+k%cfg.ENBsPerSite]
-		radio := netsim.LinkConfig{Propagation: radioDelay}
-		enb.ConnectUE(ue, radio, radio)
-		ec.HSS.Provision(epc.Subscriber{IMSI: imsi})
-		ues[k] = ue
-		homeENB[k] = enb
-		ueIndex[ue] = k
-	}
-
 	// Arrival schedule: background UEs invert the profile CDF at fixed
 	// quantiles across the ramp; the flash crowd lands in a narrow window
 	// around 60% of the ramp. The k+1 ns term keeps arrivals distinct.
@@ -365,85 +324,46 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 		return t.Truncate(time.Microsecond) + time.Duration(k+1)*time.Nanosecond
 	}
 
-	bucket := func(pop uint64) int {
-		b := int(pop) * scaleBuckets / cfg.UEs
-		if b >= scaleBuckets {
-			b = scaleBuckets - 1
+	// The population: slab-carved records, names built at one string each.
+	w := &scaleWorld{eng: eng, cfg: cfg, out: out, mrs: mrs}
+	var recs sim.Pool[scaleUE]
+	byUE := make(map[*epc.UE]*scaleUE, cfg.UEs)
+	var name [24]byte
+	for k := 0; k < cfg.UEs; k++ {
+		// "001017" then k+1 in nine digits: 7e9+k+1 prints as 7 and those.
+		imsi := string(strconv.AppendInt(append(name[:0], "00101"...), 7_000_000_000+int64(k+1), 10))
+		ueN := nw.AddNode(string(strconv.AppendInt(append(name[:0], "ue-"...), int64(k+1), 10)), scaleUEAddr(k))
+		site := homeSite(k)
+		if k >= background {
+			site = cfg.FlashSite
 		}
-		return b
-	}
-
-	// Frame loop: started once the UE is bound to a CI server. UE k's sends
-	// land on whole milliseconds plus its unique k+1 ns phase; with a
-	// whole-millisecond period no two UEs ever send at the same instant.
-	// Frame records come from one pool for the whole metro.
-	var frames sim.Pool[scaleFrame]
-	startFrames := func(k int, ue *epc.UE, ciAddr pkt.Addr) {
-		ue.Host.Listen(scaleRespPort, netsim.AppFunc(func(h *netsim.Host, p *netsim.Packet) {
-			fr := p.Payload.(*scaleFrame)
-			rtt := eng.Now().Sub(fr.sentAt)
-			out.framesDone++
-			out.frameMs[bucket(fr.pop)].Add(float64(rtt) / 1e6)
-			frames.Put(fr)
-			h.Node.Network().Release(p)
-		}))
-		now := eng.Now()
-		ms := sim.Time(time.Millisecond)
-		first := (now/ms+1)*ms + sim.Time(k+1)
-		eng.Schedule(first.Sub(now), func() {
-			send := func() {
-				fr := frames.Take()
-				*fr = scaleFrame{sentAt: eng.Now(), pop: out.attached}
-				out.framesSent++
-				ue.Host.Send(ciAddr, scaleRespPort, scaleFramePort, pkt.ProtoUDP, scaleFrameReq, fr)
-			}
-			send()
-			sim.NewTicker(eng, cfg.FramePeriod, send)
-		})
-	}
-
-	// MEC connectivity with the device manager's capped backoff
-	// (core.RetryDelay): ErrNoCapacity is retriable, anything else terminal.
-	var requestCI func(k int, ue *epc.UE, attempt int)
-	requestCI = func(k int, ue *epc.UE, attempt int) {
-		mrs.RequestConnectivity(scaleService, ue.Addr(), homeENB[k].Name(), func(ci pkt.Addr, err error) {
-			if err != nil {
-				if errors.Is(err, core.ErrNoCapacity) {
-					out.retries++
-					eng.Schedule(core.RetryDelay(attempt), func() { requestCI(k, ue, attempt+1) })
-				}
-				return
-			}
-			out.bound++
-			startFrames(k, ue, ci)
-		})
+		u := recs.Take()
+		*u = scaleUE{scaleWorld: w, ue: ec.NewUE(ueN, imsi), enb: m.ENBs[site*cfg.ENBsPerSite+k%cfg.ENBsPerSite], k: k}
+		radio := netsim.LinkConfig{Propagation: radioDelay}
+		u.enb.ConnectUE(u.ue, radio, radio)
+		ec.HSS.Provision(epc.Subscriber{IMSI: imsi})
+		byUE[u.ue] = u
+		eng.ScheduleArg(arrival(k), scaleArrive, u)
 	}
 
 	// Cohort attach: arrivals accumulate between cohort windows; each flush
 	// cuts the pending list into batched attach transactions.
-	var pending []*epc.UE
-	flush := func() {
-		for len(pending) > 0 {
-			n := min(len(pending), scaleMaxBatch)
-			cohort := append([]*epc.UE(nil), pending[:n]...)
-			pending = pending[n:]
-			ec.AttachBatch(cohort, "core-sgw", "core-pgw", func(u *epc.UE, err error) {
-				if err != nil {
-					return
-				}
-				k := ueIndex[u]
-				lat := eng.Now().Sub(arrivalAt[k])
-				out.attached++
-				out.attachMs[bucket(out.attached)].Add(float64(lat) / 1e6)
-				requestCI(k, u, 0)
-			})
+	attached := func(ue *epc.UE, err error) {
+		if err != nil {
+			return
 		}
+		u := byUE[ue]
+		out.attached++
+		out.attachMs[w.bucket(out.attached)].Add(float64(eng.Now().Sub(u.arrived)) / 1e6)
+		scaleRequest(u)
 	}
-	for k := 0; k < cfg.UEs; k++ {
-		eng.Schedule(arrival(k), func() {
-			arrivalAt[k] = eng.Now()
-			pending = append(pending, ues[k])
-		})
+	flush := func() {
+		for len(w.pending) > 0 {
+			n := min(len(w.pending), scaleMaxBatch)
+			cohort := append([]*epc.UE(nil), w.pending[:n]...)
+			w.pending = w.pending[n:]
+			ec.AttachBatch(cohort, "core-sgw", "core-pgw", attached)
+		}
 	}
 	eng.Schedule(cfg.CohortWindow, func() {
 		flush()
@@ -457,6 +377,90 @@ func runScale(seed uint64, cfg ScaleConfig) *scaleRun {
 	}
 	out.rejections = mrs.Rejections
 	return out
+}
+
+// scaleWorld is what every UE's callbacks share.
+type scaleWorld struct {
+	eng     *sim.Engine
+	cfg     ScaleConfig
+	out     *scaleRun
+	mrs     *core.MRS
+	frames  sim.Pool[scaleFrame] // one frame pool for the whole metro
+	pending []*epc.UE            // arrived, waiting for the next cohort
+}
+
+// bucket is the latency-curve bucket of an attached population.
+func (w *scaleWorld) bucket(pop uint64) int {
+	return min(int(pop)*scaleBuckets/w.cfg.UEs, scaleBuckets-1)
+}
+
+// scaleUE is one UE of the metro: the argument of its arrival, MRS answer,
+// retry and frame timer, and the App on its response port, so a UE binds
+// no closure.
+type scaleUE struct {
+	*scaleWorld
+	ue      *epc.UE
+	enb     *epc.ENB // home cell
+	k       int
+	attempt int // MEC requests refused for capacity so far
+	arrived sim.Time
+	ci      pkt.Addr
+	ticking bool
+	ticker  sim.Ticker
+}
+
+func scaleArrive(v any) {
+	u := v.(*scaleUE)
+	u.arrived = u.eng.Now()
+	u.pending = append(u.pending, u.ue)
+}
+
+// scaleRequest asks for MEC connectivity. scaleBound retries ErrNoCapacity
+// on core.RetryDelay's capped backoff, gives up on other errors, or starts
+// the frame loop: UE k sends on whole milliseconds plus its own k+1 ns, so
+// with a whole-millisecond period no two UEs ever send at the same instant.
+func scaleRequest(v any) {
+	u := v.(*scaleUE)
+	u.mrs.RequestConnectivityArg(scaleService, u.ue.Addr(), u.enb.Name(), scaleBound, u)
+}
+
+func scaleBound(v any, ci pkt.Addr, err error) {
+	u := v.(*scaleUE)
+	if err != nil {
+		if errors.Is(err, core.ErrNoCapacity) {
+			u.out.retries++
+			u.eng.ScheduleArg(core.RetryDelay(u.attempt), scaleRequest, u)
+			u.attempt++
+		}
+		return
+	}
+	u.out.bound++
+	u.ci = ci
+	u.ue.Listen(scaleRespPort, u)
+	now, ms := u.eng.Now(), sim.Time(time.Millisecond)
+	u.eng.ScheduleArg(((now/ms+1)*ms + sim.Time(u.k+1)).Sub(now), scaleSend, u)
+}
+
+// scaleSend sends one frame; the first send starts the UE's frame ticker.
+func scaleSend(v any) {
+	u := v.(*scaleUE)
+	fr := u.frames.Take()
+	*fr = scaleFrame{sentAt: u.eng.Now(), pop: u.out.attached}
+	u.out.framesSent++
+	u.ue.Send(u.ci, scaleRespPort, scaleFramePort, pkt.ProtoUDP, scaleFrameReq, fr)
+	if !u.ticking {
+		u.ticking = true
+		u.ticker.Start(u.eng, u.cfg.FramePeriod, scaleSend, u)
+	}
+}
+
+// Deliver is the response port's App: a frame's round trip ends.
+func (u *scaleUE) Deliver(h *netsim.Host, p *netsim.Packet) {
+	fr := p.Payload.(*scaleFrame)
+	u.out.framesDone++
+	u.out.frameMs[u.bucket(fr.pop)].Add(float64(u.eng.Now().Sub(fr.sentAt)) / 1e6)
+	u.frames.Put(fr)
+	h.Node.Network().Release(p)
 }
 
 // assembleScale renders one run as a Result: the UEs-vs-latency curve, the

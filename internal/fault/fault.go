@@ -38,15 +38,12 @@ const (
 	SiteCrash
 )
 
+var kindNames = [...]string{LinkDown: "link-down", LinkLoss: "link-loss", SiteCrash: "site-crash"}
+
 // String names the kind for timeline details.
 func (k Kind) String() string {
-	switch k {
-	case LinkDown:
-		return "link-down"
-	case LinkLoss:
-		return "link-loss"
-	case SiteCrash:
-		return "site-crash"
+	if uint(k) < uint(len(kindNames)) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind-%d", int(k))
 }

@@ -108,11 +108,11 @@ func (g *GreedyFlow) sendSeg(seq int) {
 		old.timer.Cancel()
 		g.rtos.Put(old)
 	} else {
-		g.sentAt[seq] = g.host.Engine().Now()
+		g.sentAt[seq] = g.host.Node.Engine().Now()
 	}
 	r := g.rtos.Take()
 	r.seq = seq
-	r.timer = g.host.Engine().ScheduleArg(g.rto, g.timeoutF, r)
+	r.timer = g.host.Node.Engine().ScheduleArg(g.rto, g.timeoutF, r)
 	g.inFlight[seq] = r
 }
 
@@ -147,7 +147,7 @@ func (g *GreedyFlow) onAck(seq int) {
 	g.rtos.Put(r)
 	delete(g.inFlight, seq)
 	if t0, ok := g.sentAt[seq]; ok {
-		g.updateRTO(g.host.Engine().Now().Sub(t0))
+		g.updateRTO(g.host.Node.Engine().Now().Sub(t0))
 		delete(g.sentAt, seq)
 	}
 	g.AckedSegments++
@@ -187,7 +187,7 @@ func (g *GreedyFlow) timeout(v any) {
 // port: it acknowledges every segment and exposes goodput via the returned
 // sink (which counts segment bytes).
 func NewGreedyReceiver(h *Host, port uint16) *Sink {
-	s := &Sink{eng: h.Engine()}
+	s := &Sink{eng: h.Node.Engine()}
 	h.Listen(port, AppFunc(func(hh *Host, p *Packet) {
 		if _, ok := p.Payload.(*greedySeg); !ok {
 			hh.Node.Network().Release(p)

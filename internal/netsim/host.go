@@ -22,26 +22,48 @@ func (f AppFunc) Deliver(h *Host, p *Packet) { f(h, p) }
 // Host is an endpoint: it originates traffic and delivers received packets
 // to registered applications by destination port. A single-homed host sends
 // everything out its only link; multi-homed hosts (like the UE, which has
-// one radio link but multiple bearers) install a ClassifyEgress function.
+// one radio link but multiple bearers) install an Egress classifier.
 type Host struct {
 	Node *Node
-	apps map[uint16]App
-	// ClassifyEgress, when set, picks the egress port and may mutate the
-	// packet (e.g. set Priority from the matching bearer's QCI). When nil,
-	// port 0 is used. This is where the UE modem's UL-TFT classification
-	// plugs in.
-	ClassifyEgress func(p *Packet) *Port
+	// apps demuxes by destination port; app0 backs it, so one app is free.
+	apps []hostApp
+	app0 [1]hostApp
+	// Egress, when set, picks the egress port and may mutate the packet
+	// (e.g. set Priority from the matching bearer's QCI). When nil, port 0
+	// is used. This is where the UE modem's UL-TFT classification plugs in.
+	Egress Classifier
+}
+
+type hostApp struct {
+	port uint16
+	app  App
+}
+
+// Classifier picks a multi-homed host's egress port for p, or nil to drop it.
+type Classifier interface {
+	ClassifyEgress(p *Packet) *Port
 }
 
 // NewHost wraps node with host behaviour and installs its handler.
-func NewHost(node *Node) *Host {
-	h := &Host{Node: node, apps: make(map[uint16]App)}
-	node.SetHandler(h.handle)
+func NewHost(node *Node) *Host { return new(Host).Init(node) }
+
+// Init makes h, a zero Host (often embedded), node's host and handler.
+func (h *Host) Init(node *Node) *Host {
+	h.Node, h.apps = node, h.app0[:0]
+	node.SetHandler(h)
 	return h
 }
 
-// Listen registers app for packets whose destination port is port.
-func (h *Host) Listen(port uint16, app App) { h.apps[port] = app }
+// Listen registers app for packets to port, replacing any app there before.
+func (h *Host) Listen(port uint16, app App) {
+	for i := range h.apps {
+		if h.apps[i].port == port {
+			h.apps[i].app = app
+			return
+		}
+	}
+	h.apps = append(h.apps, hostApp{port, app})
+}
 
 // Send originates a packet from this host to dst with the given ports,
 // protocol, wire size and payload. The packet comes from the network's pool
@@ -60,24 +82,28 @@ func (h *Host) Send(dst pkt.Addr, srcPort, dstPort uint16, proto uint8, size int
 	h.Node.Inject(p)
 }
 
+// Handle is the node handler: a packet for this host goes to its port's app.
+//
 //acacia:hotpath
-func (h *Host) handle(ingress *Port, p *Packet) {
+func (h *Host) Handle(ingress *Port, p *Packet) {
 	if ingress == nil || p.Flow.Dst != h.Node.Addr() {
 		// Locally originated, or transit traffic we must forward.
 		h.egress(p)
 		return
 	}
-	if app, ok := h.apps[p.Flow.DstPort]; ok {
-		app.Deliver(h, p)
-		return
+	for i := range h.apps {
+		if h.apps[i].port == p.Flow.DstPort {
+			h.apps[i].app.Deliver(h, p)
+			return
+		}
 	}
 	h.Node.Network().Release(p)
 }
 
 func (h *Host) egress(p *Packet) {
 	var port *Port
-	if h.ClassifyEgress != nil {
-		port = h.ClassifyEgress(p)
+	if h.Egress != nil {
+		port = h.Egress.ClassifyEgress(p)
 	} else if len(h.Node.Ports()) > 0 {
 		port = h.Node.Port(0)
 	}
@@ -87,9 +113,6 @@ func (h *Host) egress(p *Packet) {
 	}
 	port.Send(p)
 }
-
-// Engine returns the simulation engine.
-func (h *Host) Engine() *sim.Engine { return h.Node.Engine() }
 
 // --- Ping ---
 
@@ -154,7 +177,7 @@ func NewPinger(h *Host, dst pkt.Addr, size int, srcPort uint16) *Pinger {
 			return
 		}
 		delete(pg.inFlight, seq)
-		rtt := h.Engine().Now().Sub(sentAt)
+		rtt := h.Node.Engine().Now().Sub(sentAt)
 		pg.RTTs.Add(float64(rtt) / float64(time.Millisecond))
 	}))
 	return pg
@@ -163,7 +186,7 @@ func NewPinger(h *Host, dst pkt.Addr, size int, srcPort uint16) *Pinger {
 // Start begins probing every interval.
 func (pg *Pinger) Start(interval time.Duration) {
 	pg.SendOne()
-	pg.ticker = sim.NewTicker(pg.host.Engine(), interval, pg.SendOne)
+	pg.ticker = sim.NewTicker(pg.host.Node.Engine(), interval, pg.SendOne)
 }
 
 // SendOne sends a single probe immediately.
@@ -172,9 +195,9 @@ func (pg *Pinger) Start(interval time.Duration) {
 func (pg *Pinger) SendOne() {
 	pg.seq++
 	pg.Sent++
-	pg.inFlight[pg.seq] = pg.host.Engine().Now()
+	pg.inFlight[pg.seq] = pg.host.Node.Engine().Now()
 	req := pg.reqs.Take()
-	req.seq, req.sentAt = pg.seq, pg.host.Engine().Now()
+	req.seq, req.sentAt = pg.seq, pg.host.Node.Engine().Now()
 	pg.host.Send(pg.dst, pg.srcPort, PingPort, pkt.ProtoICMP, pg.size, req)
 }
 
@@ -212,7 +235,7 @@ func (c *CBRSource) Start(bitsPerSecond float64) {
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
-	c.ticker = sim.NewTicker(c.host.Engine(), interval, func() {
+	c.ticker = sim.NewTicker(c.host.Node.Engine(), interval, func() {
 		c.host.Send(c.dst, 30000, c.dstPort, pkt.ProtoUDP, c.size, nil)
 	})
 }
@@ -237,7 +260,7 @@ type Sink struct {
 
 // NewSink registers a sink app on h at port and returns it.
 func NewSink(h *Host, port uint16) *Sink {
-	s := &Sink{eng: h.Engine()}
+	s := &Sink{eng: h.Node.Engine()}
 	h.Listen(port, s)
 	return s
 }

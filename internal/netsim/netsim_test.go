@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"math"
 	"strconv"
 	"testing"
@@ -30,6 +31,42 @@ func TestPointToPointDelivery(t *testing.T) {
 	eng.Run()
 	if gotAt != sim.Time(5*time.Millisecond) {
 		t.Errorf("delivered at %v, want 5ms", gotAt)
+	}
+}
+
+// TestHostPortDemux holds Host's port demux to the map it replaced: each
+// port's packets reach the app registered there last (a re-Listen
+// replaces the app, also once a third port has moved apps off its inline
+// slot), and a packet for a port with no app goes back to the pool.
+func TestHostPortDemux(t *testing.T) {
+	eng, ha, hb, _ := twoHosts(t, LinkConfig{Propagation: time.Millisecond})
+	got := map[string]int{}
+	app := func(name string) App {
+		return AppFunc(func(h *Host, p *Packet) {
+			got[name+":"+strconv.Itoa(int(p.Flow.DstPort))]++
+			h.Node.Network().Release(p)
+		})
+	}
+	send := func(ports ...uint16) {
+		for _, port := range ports {
+			ha.Send(hb.Node.Addr(), 1234, port, pkt.ProtoUDP, 100, nil)
+		}
+		eng.Run()
+	}
+	hb.Listen(80, app("first"))
+	send(80, 9)
+	hb.Listen(80, app("second"))
+	hb.Listen(81, app("other"))
+	send(80, 81, 9)
+	hb.Listen(82, app("third"))
+	hb.Listen(81, app("fourth"))
+	send(80, 81, 82, 9)
+	want := map[string]int{"first:80": 1, "second:80": 2, "other:81": 1, "fourth:81": 1, "third:82": 1}
+	if !maps.Equal(got, want) {
+		t.Errorf("deliveries %v, want %v", got, want)
+	}
+	if n := hb.Node.Network().PacketsOut(); n != 0 {
+		t.Errorf("%d packets still out: the unregistered port's were not released", n)
 	}
 }
 
@@ -233,11 +270,11 @@ func TestRouterUsesTunnelDst(t *testing.T) {
 	var arrived bool
 	NewHost(gwA)
 	hb := NewHost(gwB)
-	hb.Node.SetHandler(func(ingress *Port, p *Packet) {
+	hb.Node.SetHandler(handlerFunc(func(ingress *Port, p *Packet) {
 		if p.Tunneled() {
 			arrived = true
 		}
-	})
+	}))
 	// Inner dst is an address the router has no route for; the tunnel dst
 	// must carry it to gwB anyway.
 	p := &Packet{Flow: pkt.FiveTuple{Src: pkt.AddrFrom(172, 16, 0, 1), Dst: pkt.AddrFrom(172, 16, 0, 2), DstPort: 9}, Size: 100}
@@ -376,8 +413,8 @@ func TestHopLimitStopsLoops(t *testing.T) {
 	nw.ConnectSymmetric(a, b, LinkConfig{})
 	// Both nodes blindly forward everything back, forming a loop.
 	forwards := 0
-	a.SetHandler(func(ingress *Port, p *Packet) { forwards++; a.Port(0).Send(p) })
-	b.SetHandler(func(ingress *Port, p *Packet) { forwards++; b.Port(0).Send(p) })
+	a.SetHandler(handlerFunc(func(ingress *Port, p *Packet) { forwards++; a.Port(0).Send(p) }))
+	b.SetHandler(handlerFunc(func(ingress *Port, p *Packet) { forwards++; b.Port(0).Send(p) }))
 	a.Inject(&Packet{Flow: pkt.FiveTuple{Dst: pkt.AddrFrom(9, 9, 9, 9)}, Size: 10})
 	eng.Run() // must terminate
 	if forwards != MaxHops+1 {
@@ -579,3 +616,8 @@ func TestConnectNamesNothing(t *testing.T) {
 		t.Errorf("a repeated snapshot of 1000 links allocates %.0f times, want <= 3 (the snapshot, its metric slice, the sorted named-metric list)", n)
 	}
 }
+
+// handlerFunc adapts a function to the Handler interface.
+type handlerFunc func(ingress *Port, p *Packet)
+
+func (f handlerFunc) Handle(ingress *Port, p *Packet) { f(ingress, p) }

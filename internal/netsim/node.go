@@ -8,18 +8,23 @@ import (
 )
 
 // Handler processes a packet arriving at a node. ingress is nil for packets
-// the node originates locally (injected via Node.Inject).
-type Handler func(ingress *Port, p *Packet)
+// the node originates locally (injected via Node.Inject). The owning
+// layer's record implements it, so installing one binds no method value.
+type Handler interface {
+	Handle(ingress *Port, p *Packet)
+}
 
 // Node is a network element: a host, gateway, switch or base station. Its
 // behaviour lives in the Handler installed by the owning layer (epc, sdn,
 // core). The node itself provides ports and addressing; per-packet
 // processing cost belongs to the handler (sdn.Switch serves its own CPU).
+// ports starts on port0, so a node with one link (a UE) allocates no slice.
 type Node struct {
 	net     *Network
 	name    string
 	addr    pkt.Addr
 	ports   []*Port
+	port0   [1]*Port
 	handler Handler
 }
 
@@ -78,7 +83,7 @@ func (n *Node) handle(ingress *Port, p *Packet) {
 	if n.handler == nil {
 		noHandler(n.name)
 	}
-	n.handler(ingress, p)
+	n.handler.Handle(ingress, p)
 }
 
 //go:noinline
@@ -92,8 +97,10 @@ type Network struct {
 	nodes  map[string]*Node
 	byAddr map[pkt.Addr]*Node
 	links  []*Link
-	// pkts is the packet pool (see pool.go).
-	pkts sim.Pool[Packet]
+	// pkts is the packet pool (see pool.go); nodes and links are slab-carved.
+	pkts      sim.Pool[Packet]
+	nodeSlabs sim.Pool[Node]
+	linkSlabs sim.Pool[Link]
 }
 
 // New creates an empty network on eng.
@@ -115,7 +122,9 @@ func (nw *Network) AddNode(name string, addr pkt.Addr) *Node {
 			panic(fmt.Sprintf("netsim: address %v already assigned to %s", addr, other.name))
 		}
 	}
-	n := &Node{net: nw, name: name, addr: addr}
+	n := nw.nodeSlabs.Take()
+	n.net, n.name, n.addr = nw, name, addr
+	n.ports = n.port0[:0]
 	nw.nodes[name] = n
 	if !addr.IsZero() {
 		nw.byAddr[addr] = n
@@ -130,7 +139,8 @@ func (nw *Network) AddNode(name string, addr pkt.Addr) *Node {
 // (the creation index disambiguates parallel links between the same node
 // pair); the names are built only if a snapshot is taken.
 func (nw *Network) Connect(a, b *Node, ab, ba LinkConfig) *Link {
-	l := &Link{idx: len(nw.links)}
+	l := nw.linkSlabs.Take()
+	l.idx = len(nw.links)
 	l.A, l.B = &l.pa, &l.pb
 	l.pa = Port{Node: a, ID: len(a.ports), link: l, out: &l.ab}
 	l.pb = Port{Node: b, ID: len(b.ports), link: l, out: &l.ba}

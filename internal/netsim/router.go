@@ -47,7 +47,7 @@ type Router struct {
 // NewRouter wraps node with routing behaviour and installs its handler.
 func NewRouter(node *Node) *Router {
 	r := &Router{Node: node}
-	node.SetHandler(r.forward)
+	node.SetHandler(r)
 	return r
 }
 
@@ -80,8 +80,10 @@ func (r *Router) Lookup(dst pkt.Addr) *Port {
 	return nil
 }
 
+// Handle is the node handler: forward p on its longest-prefix route.
+//
 //acacia:hotpath
-func (r *Router) forward(ingress *Port, p *Packet) {
+func (r *Router) Handle(ingress *Port, p *Packet) {
 	dst := p.Flow.Dst
 	if p.Tunneled() {
 		dst = p.TunnelDst

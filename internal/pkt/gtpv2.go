@@ -29,36 +29,21 @@ const (
 	GTPv2ReleaseAccessBearersResponse GTPv2MsgType = 171
 )
 
+var gtpv2Names = [256]string{ // by any uint8, so no bounds check
+	GTPv2CreateSessionRequest: "CreateSessionRequest", GTPv2CreateSessionResponse: "CreateSessionResponse",
+	GTPv2ModifyBearerRequest: "ModifyBearerRequest", GTPv2ModifyBearerResponse: "ModifyBearerResponse",
+	GTPv2DeleteSessionRequest: "DeleteSessionRequest", GTPv2DeleteSessionResponse: "DeleteSessionResponse",
+	GTPv2CreateBearerRequest: "CreateBearerRequest", GTPv2CreateBearerResponse: "CreateBearerResponse",
+	GTPv2DeleteBearerRequest: "DeleteBearerRequest", GTPv2DeleteBearerResponse: "DeleteBearerResponse",
+	GTPv2ReleaseAccessBearersRequest: "ReleaseAccessBearersRequest", GTPv2ReleaseAccessBearersResponse: "ReleaseAccessBearersResponse",
+}
+
 // String names the message type.
 func (t GTPv2MsgType) String() string {
-	switch t {
-	case GTPv2CreateSessionRequest:
-		return "CreateSessionRequest"
-	case GTPv2CreateSessionResponse:
-		return "CreateSessionResponse"
-	case GTPv2ModifyBearerRequest:
-		return "ModifyBearerRequest"
-	case GTPv2ModifyBearerResponse:
-		return "ModifyBearerResponse"
-	case GTPv2DeleteSessionRequest:
-		return "DeleteSessionRequest"
-	case GTPv2DeleteSessionResponse:
-		return "DeleteSessionResponse"
-	case GTPv2CreateBearerRequest:
-		return "CreateBearerRequest"
-	case GTPv2CreateBearerResponse:
-		return "CreateBearerResponse"
-	case GTPv2DeleteBearerRequest:
-		return "DeleteBearerRequest"
-	case GTPv2DeleteBearerResponse:
-		return "DeleteBearerResponse"
-	case GTPv2ReleaseAccessBearersRequest:
-		return "ReleaseAccessBearersRequest"
-	case GTPv2ReleaseAccessBearersResponse:
-		return "ReleaseAccessBearersResponse"
-	default:
-		return fmt.Sprintf("GTPv2MsgType(%d)", uint8(t))
+	if s := gtpv2Names[t]; s != "" {
+		return s
 	}
+	return unknownName("GTPv2MsgType", uint8(t))
 }
 
 // GTPv2 IE type codes (TS 29.274 §8.1 subset).

@@ -21,20 +21,14 @@ const (
 	OFFlowMod    OFMsgType = 14
 )
 
+var ofMsgTypeNames = [...]string{OFHello: "Hello", OFPacketIn: "PacketIn", OFPortStatus: "PortStatus", OFFlowMod: "FlowMod"}
+
 // String names the message type.
 func (t OFMsgType) String() string {
-	switch t {
-	case OFHello:
-		return "Hello"
-	case OFPacketIn:
-		return "PacketIn"
-	case OFPortStatus:
-		return "PortStatus"
-	case OFFlowMod:
-		return "FlowMod"
-	default:
-		return fmt.Sprintf("OFMsgType(%d)", uint8(t))
+	if uint(t) < uint(len(ofMsgTypeNames)) && ofMsgTypeNames[t] != "" {
+		return ofMsgTypeNames[t]
 	}
+	return fmt.Sprintf("OFMsgType(%d)", uint8(t))
 }
 
 // FlowMod commands.

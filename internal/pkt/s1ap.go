@@ -67,15 +67,15 @@ func (p S1APProcedure) String() string {
 	if s, ok := s1apNames[p]; ok {
 		return s
 	}
-	return unknownS1AP(p)
+	return unknownName("S1APProcedure", uint8(p))
 }
 
-// unknownS1AP formats the out-of-range fallback. Noinline keeps its boxing
-// out of the escape profiles of hotpath callers of String.
+// unknownName formats an out-of-range value's name. Noinline keeps its
+// boxing out of the escape profiles of hotpath callers of String.
 //
 //go:noinline
-func unknownS1AP(p S1APProcedure) string {
-	return fmt.Sprintf("S1APProcedure(%d)", uint8(p))
+func unknownName(typ string, v uint8) string {
+	return fmt.Sprintf("%s(%d)", typ, v)
 }
 
 // ERABItem is one E-RAB (bearer) entry in a setup/release list: the bearer

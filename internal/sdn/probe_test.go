@@ -16,12 +16,12 @@ import (
 func chargedCost(t *testing.T, eng *sim.Engine, sw *Switch, during func()) time.Duration {
 	t.Helper()
 	cpuDone := sw.cpuDoneF
-	defer func() { sw.node.SetHandler(sw.receive); sw.cpuDoneF = cpuDone }()
-	sw.node.SetHandler(func(in *netsim.Port, p *netsim.Packet) {
-		if sw.receive(in, p); sw.busy {
+	defer func() { sw.node.SetHandler(sw); sw.cpuDoneF = cpuDone }()
+	sw.node.SetHandler(handlerFunc(func(in *netsim.Port, p *netsim.Packet) {
+		if sw.Handle(in, p); sw.busy {
 			eng.Stop()
 		}
-	})
+	}))
 	var done sim.Time
 	sw.cpuDoneF = func() { done = eng.Now(); eng.Stop(); cpuDone() }
 	eng.Run()
@@ -129,7 +129,7 @@ func TestGTPPortMarks(t *testing.T) {
 		i := i
 		n := nw.AddNode(string(rune('a'+i)), pkt.AddrFrom(10, 0, 1, byte(i)))
 		nw.ConnectSymmetric(swN, n, netsim.LinkConfig{})
-		n.SetHandler(func(_ *netsim.Port, p *netsim.Packet) { tunneled[i] = p.Tunneled() })
+		n.SetHandler(handlerFunc(func(_ *netsim.Port, p *netsim.Packet) { tunneled[i] = p.Tunneled() }))
 	}
 	sw.MarkGTPPort(1)
 	for port := range tunneled {
@@ -145,3 +145,8 @@ func TestGTPPortMarks(t *testing.T) {
 		t.Errorf("tunneled by port = %v, want %v", tunneled, want)
 	}
 }
+
+// handlerFunc adapts a function to the netsim.Handler interface.
+type handlerFunc func(ingress *netsim.Port, p *netsim.Packet)
+
+func (f handlerFunc) Handle(ingress *netsim.Port, p *netsim.Packet) { f(ingress, p) }

@@ -264,10 +264,10 @@ func TestSwitchCPUServesSlowPathFIFO(t *testing.T) {
 	sw.installEntry(FlowEntry{Priority: 1, Actions: []pkt.Action{{Type: pkt.ActionOutput, Port: 0}}})
 	var at []sim.Time
 	var sizes []int
-	out.SetHandler(func(_ *netsim.Port, p *netsim.Packet) {
+	out.SetHandler(handlerFunc(func(_ *netsim.Port, p *netsim.Packet) {
 		at = append(at, eng.Now())
 		sizes = append(sizes, p.Size)
-	})
+	}))
 	for i := 1; i <= k; i++ {
 		swN.Inject(&netsim.Packet{Flow: pkt.FiveTuple{Dst: out.Addr()}, Size: i})
 	}

@@ -290,7 +290,7 @@ func NewSwitch(dpid uint64, node *netsim.Node, costs PathCosts) *Switch {
 	scope.Counter("flows-expired")
 	scope.Counter("meter-drops")
 	sw.occupancy = scope.Gauge("megaflow/occupancy")
-	node.SetHandler(sw.receive)
+	node.SetHandler(sw)
 	return sw
 }
 
@@ -324,12 +324,12 @@ func (sw *Switch) MarkGTPPort(portID int) {
 	sw.gtpPort[portID] = true
 }
 
-// receive is the netsim handler: queue the packet for the (serialized)
+// Handle is the netsim handler: queue the packet for the (serialized)
 // switch CPU. OpenFlow control frames bypass the data-plane CPU queue and
 // go straight to the control endpoint.
 //
 //acacia:hotpath
-func (sw *Switch) receive(ingress *netsim.Port, p *netsim.Packet) {
+func (sw *Switch) Handle(ingress *netsim.Port, p *netsim.Packet) {
 	if sw.ctlEP != nil {
 		if f := ctl.FrameOf(p); f != nil {
 			sw.ctlEP.Receive(p, f)

@@ -47,8 +47,8 @@ func (t Time) String() string { return time.Duration(t).String() }
 // slot instead.
 type event struct {
 	fn func()
-	// afn/arg are the pre-bound form ScheduleArg uses: a method value
-	// captured once at construction plus a per-call argument, so scheduling
+	// afn/arg are the form ScheduleArg uses: a package-level function (or a
+	// method value bound once) plus a per-call argument, so scheduling
 	// allocates no closure. When afn is non-nil it takes precedence over fn.
 	afn func(any)
 	arg any
@@ -311,10 +311,10 @@ func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 }
 
 // ScheduleArg runs fn(arg) after delay d of virtual time, like Schedule. fn
-// is typically a method value bound once at construction time and arg the
-// per-call datum (a packet, a transaction), so the per-call cost is zero
-// allocations: no event (pooled), no closure (pre-bound fn), and no boxing
-// when arg is pointer-shaped.
+// is typically a package-level function and arg the record it acts on (a
+// link direction, a transaction, a ticker), so the per-call cost is zero
+// allocations: no event (pooled), no closure, and no boxing when arg is
+// pointer-shaped.
 //
 //acacia:hotpath
 func (e *Engine) ScheduleArg(d time.Duration, fn func(any), arg any) Timer {
@@ -421,40 +421,49 @@ func (e *Engine) limitExceeded() {
 }
 
 // Ticker repeatedly invokes a handler at a fixed virtual-time period until
-// stopped. It is the simulation analog of time.Ticker.
+// stopped, the simulation analog of time.Ticker. A record embeds one and
+// starts it with a package-level fn and itself as arg: nothing allocates.
 type Ticker struct {
 	eng    *Engine
 	period time.Duration
-	fn     func()
-	// tickF is tick bound once at construction, so re-arming through
-	// Schedule allocates nothing; timer is the pending tick.
-	tickF func()
-	timer Timer
-	done  bool
+	fn     func(any)
+	arg    any
+	timer  Timer // the pending tick
+	done   bool
 }
 
 // NewTicker schedules fn every period, with the first firing after one full
 // period. Period must be positive.
 func NewTicker(eng *Engine, period time.Duration, fn func()) *Ticker {
+	t := new(Ticker)
+	t.Start(eng, period, callFunc, fn)
+	return t
+}
+
+// callFunc runs NewTicker's fn, which boxes free: a func value is a pointer.
+func callFunc(f any) { f.(func())() }
+
+// Start arms a zero t to run fn(arg) every period (> 0), one period on.
+func (t *Ticker) Start(eng *Engine, period time.Duration, fn func(any), arg any) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{eng: eng, period: period, fn: fn}
-	t.tickF = t.tick
+	t.eng, t.period, t.fn, t.arg = eng, period, fn, arg
 	t.arm()
-	return t
 }
 
 //acacia:hotpath
 func (t *Ticker) arm() {
-	t.timer = t.eng.Schedule(t.period, t.tickF)
+	t.timer = t.eng.ScheduleArg(t.period, tickerTick, t)
 }
 
-func (t *Ticker) tick() {
+// tickerTick is every ticker's callback, package-level like the links'.
+func tickerTick(v any) {
+	t := v.(*Ticker)
 	if t.done {
 		return
 	}
-	t.fn()
+	t.fn(t.arg)
 	if !t.done {
 		t.arm()
 	}

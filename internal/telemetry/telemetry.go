@@ -72,18 +72,14 @@ const (
 	KindHistogram
 )
 
+var kindNames = [...]string{KindCounter: "counter", KindGauge: "gauge", KindHistogram: "histogram"}
+
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if uint(k) < uint(len(kindNames)) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 // Counter is a monotonically increasing uint64. The zero value is usable

@@ -7,6 +7,7 @@
 package trace
 
 import (
+	"cmp"
 	"time"
 
 	"acacia/internal/d2d"
@@ -38,12 +39,7 @@ type WalkConfig struct {
 // returns every received discovery message. The subscriber subscribes
 // service-wide, so all landmarks are heard (subject to the channel).
 func Walk(floor *geo.Floor, cfg WalkConfig) []Sample {
-	if cfg.Speed == 0 {
-		cfg.Speed = 1.0
-	}
-	if cfg.Period == 0 {
-		cfg.Period = 5 * time.Second
-	}
+	cfg.Speed, cfg.Period = cmp.Or(cfg.Speed, 1.0), cmp.Or(cfg.Period, 5*time.Second)
 	eng := sim.NewEngine(cfg.Seed)
 	env := d2d.NewEnv(eng)
 

@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -24,15 +25,7 @@ type IndexConfig struct {
 }
 
 func (c IndexConfig) withDefaults() IndexConfig {
-	if c.Bits == 0 {
-		c.Bits = 16
-	}
-	if c.Bits > 32 {
-		c.Bits = 32
-	}
-	if c.Tables == 0 {
-		c.Tables = 8
-	}
+	c.Bits, c.Tables = min(cmp.Or(c.Bits, 16), 32), cmp.Or(c.Tables, 8)
 	return c
 }
 

@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -39,21 +40,8 @@ const (
 )
 
 func (c MatcherConfig) withDefaults() MatcherConfig {
-	if c.RatioThreshold == 0 {
-		c.RatioThreshold = 0.75
-	}
-	if c.MinInliers == 0 {
-		c.MinInliers = 8
-	}
-	if c.RANSACIters == 0 {
-		c.RANSACIters = 64
-	}
-	if c.RANSACTol == 0 {
-		c.RANSACTol = 0.02
-	}
-	if c.Stages == 0 {
-		c.Stages = StageAll
-	}
+	c.RatioThreshold, c.MinInliers, c.RANSACIters = cmp.Or(c.RatioThreshold, 0.75), cmp.Or(c.MinInliers, 8), cmp.Or(c.RANSACIters, 64)
+	c.RANSACTol, c.Stages = cmp.Or(c.RANSACTol, 0.02), cmp.Or(c.Stages, StageAll)
 	return c
 }
 
