@@ -73,7 +73,9 @@ live-cover:
 # Byte-identity against a base revision: unpack BASE with git archive,
 # build the commands and examples of both trees, and cmp what a change must
 # keep printing (stdout and stderr): the paper sweep with its metrics at -parallel 1 and 4 and
-# at -seed 7, the scale scenario at each arrival profile and at its full
+# at -seed 7, Fig. 8 and the fast-path ablation at full length (the switch
+# CPU backlog of about 1.2 M segments, which the quick sweep never
+# reaches), the scale scenario at each arrival profile and at its full
 # shape (10,000 UEs on 12 sites x 2 eNBs, flash arrivals), the bearer trace
 # in both forms, the five examples and the mobility example's site crash
 # (-faults); then the JSON timeline the paper sweep writes, at the default
@@ -86,7 +88,7 @@ identity:
 	(cd $$tmp/src && $(GO) build -o $$tmp/base/ ./cmd/acacia-sim ./cmd/acacia-bearers ./examples/...); \
 	$(GO) build -o $$tmp/head/ ./cmd/acacia-sim ./cmd/acacia-bearers ./examples/...; \
 	fail=0; \
-	for c in "acacia-sim -all -metrics -parallel 1" "acacia-sim -all -metrics -parallel 4" "acacia-sim -all -seed 7" \
+	for c in "acacia-sim -all -metrics -parallel 1" "acacia-sim -all -metrics -parallel 4" "acacia-sim -all -seed 7" "acacia-sim -fig 8,ablation-fastpath -full" \
 		"acacia-sim -scale -scale-arrival uniform" "acacia-sim -scale -scale-arrival diurnal" "acacia-sim -scale -scale-arrival flash" "acacia-sim -scale -full" \
 		"acacia-bearers" "acacia-bearers -csv" quickstart retail localization offload mobility "mobility -faults"; do \
 		$$tmp/base/$$c >$$tmp/want 2>$$tmp/want.err; $$tmp/head/$$c >$$tmp/got 2>$$tmp/got.err; \
@@ -129,7 +131,7 @@ loc:
 # The ceiling loc-check holds `make loc` to. Growth past it fails CI, so
 # raising it is a reviewed one-line diff, as ALLOC_BUDGET.json is for
 # allocations.
-LOC_CEILING = 21768
+LOC_CEILING = 21799
 
 loc-check:
 	@n=$$($(LOC)); if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -78,14 +78,13 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Rule:    p.rule.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
+	report(p.diags, p.rule, p.Fset.Position(pos), format, args...)
+}
+
+// report appends rule's finding at position to diags.
+func report(diags *[]Diagnostic, rule *Rule, at token.Position, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	*diags = append(*diags, Diagnostic{File: at.Filename, Line: at.Line, Col: at.Column, Rule: rule.Name, Message: msg})
 }
 
 // BasePath is the pass's import path with any external-test "_test"

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -71,13 +70,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 // gate uses it directly: compiler diagnostics arrive as file:line:col text,
 // not token.Pos values.
 func (p *ProgramPass) ReportAt(position token.Position, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		File:    position.Filename,
-		Line:    position.Line,
-		Col:     position.Column,
-		Rule:    p.rule.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
+	report(p.diags, p.rule, position, format, args...)
 }
 
 // NewProgram assembles the program view over the loaded packages.

@@ -326,3 +326,35 @@ func TestOverlappingActivationsTakeDistinctEBIs(t *testing.T) {
 		t.Errorf("edge PGW-U gained %d flows, want 4", n)
 	}
 }
+
+// TestNilDoneActivationReleasesItsEBI runs ten activate/terminate cycles
+// whose callers pass no done callback. Each activation must give back its
+// EBI reservation when it ends, as one with a callback does: afterwards
+// nothing is reserved and an eleventh activation still finds a free EBI
+// (a session has ten dedicated EBIs).
+func TestNilDoneActivationReleasesItsEBI(t *testing.T) {
+	tb := buildTestbed(t, time.Hour)
+	tb.attach(t)
+	server := tb.ciHost.Node.Addr()
+	sess := tb.core.Session(tb.ue.IMSI)
+	for i := 0; i < 10; i++ {
+		tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), server, "edge-sgw", "edge-pgw", nil, nil)
+		tb.eng.RunFor(2 * time.Second)
+		if sess.Bearers[EBIDedicated] == nil {
+			t.Fatalf("cycle %d: the activation installed no bearer", i)
+		}
+		tb.core.PCRF.RequestBearerTermination(tb.ue.Addr(), server, nil, nil)
+		tb.eng.RunFor(2 * time.Second)
+	}
+	if sess.pending != 0 {
+		t.Fatalf("pending = %016b after ten cycles, want 0", sess.pending)
+	}
+	var ebi uint8
+	var err error
+	tb.core.PCRF.RequestDedicatedBearer("retail-ar", tb.ue.Addr(), server, "edge-sgw", "edge-pgw",
+		func(_ any, e uint8, er error) { ebi, err = e, er }, nil)
+	tb.eng.RunFor(2 * time.Second)
+	if err != nil || ebi != EBIDedicated {
+		t.Fatalf("eleventh activation: EBI %d, err %v; want EBI %d", ebi, err, EBIDedicated)
+	}
+}

@@ -321,16 +321,17 @@ func (id *idle) replay() {
 }
 
 // dedicated is the pooled record of a dedicated bearer procedure on sess:
-// the network-initiated activation of b (the Create Bearer chain) or its
-// deactivation (the Delete Bearer chain). denied is the MME's refusal,
-// answered down the chain to the PGW-C. nas is the activation's NAS
-// request: the modem decodes it after the asynchronous S1AP delivery, so
-// it cannot live in Core.nasBuf.
+// the network-initiated activation of b (the Create Bearer chain; activation
+// is set, whether or not a done callback was given) or its deactivation (the
+// Delete Bearer chain). denied is the MME's refusal, answered down the chain
+// to the PGW-C. nas is the activation's NAS request: the modem decodes it
+// after the asynchronous S1AP delivery, so it cannot live in Core.nasBuf.
 type dedicated struct {
 	proc
 	*Core
 	sess        *Session
 	b           *Bearer
+	activation  bool
 	activated   func(any, uint8, error)
 	deactivated func(any, error)
 	arg         any // the activated or deactivated callback's
@@ -383,10 +384,10 @@ func (d *dedicated) unwind() {
 // back its EBI reservation: on success the bearer holds the slot itself.
 func (d *dedicated) ended(err error) {
 	ebi, activated, deactivated, arg := d.b.EBI, d.activated, d.deactivated, d.arg
-	if activated != nil {
+	if d.activation {
 		d.sess.pending &^= 1 << ebi
 	}
-	d.sess, d.b, d.activated, d.deactivated, d.arg, d.denied = nil, nil, nil, nil, nil, nil
+	d.sess, d.b, d.activated, d.deactivated, d.arg, d.denied, d.activation = nil, nil, nil, nil, nil, nil, false
 	d.deds.Put(d)
 	switch {
 	case activated != nil && err != nil:
@@ -435,7 +436,7 @@ func (p *PGWC) activateDedicatedBearer(sess *Session, rule PolicyRule, ciServer 
 		S5UL:     p.teids.alloc(),
 	}
 	d := c.takeDedicated(sess, b)
-	d.activated, d.arg, d.stage = done, arg, 1
+	d.activation, d.activated, d.arg, d.stage = true, done, arg, 1
 	req := &pkt.GTPv2Msg{
 		Type: pkt.GTPv2CreateBearerRequest,
 		TEID: 1,

@@ -286,9 +286,7 @@ func measureQCIUnderLoad(opts Options, seed uint64, qci pkt.QCI) (median, p95 fl
 		RadioJitter: 1,
 	})
 	b := tb.UEs[0]
-	if err := tb.Attach(b); err != nil {
-		panic(err)
-	}
+	must(tb.Attach(b))
 	// Dedicated bearer toward the CI server at the requested QCI.
 	tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: "qci-probe", QCI: qci, Precedence: 7})
 	done := false

@@ -304,15 +304,13 @@ func fig13() Experiment {
 				})
 				b := tb.UEs[0]
 				tb.MoveUE(b, retailSpot)
-				if err := tb.Attach(b); err != nil {
-					panic(err)
-				}
+				must(tb.Attach(b))
 				if c.cloud {
 					// CLOUD baseline: conventional EPC, AR server in the
 					// cloud, default bearer, Naive search.
 					b.Frontend.Start(tb.CloudHosts["california"].Node.Addr())
-				} else if err := tb.StartRetailApp(b, "electronics"); err != nil {
-					panic(err)
+				} else {
+					must(tb.StartRetailApp(b, "electronics"))
 				}
 				tb.Run(dur)
 				st := &b.Frontend.Stats

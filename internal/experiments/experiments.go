@@ -136,6 +136,14 @@ func grid[A, B any](as []A, bs []B, key func(A, B) string, run func(seed uint64,
 	return trials
 }
 
+// must panics on a set-up error: trial configurations are fixed, so one is
+// a bug.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // subSeed derives a deterministic seed from base and labels without
 // consuming any RNG state, so two trials asking for the same labeled stream
 // (a shared calibration campaign, a per-frame generator) get identical

@@ -354,12 +354,8 @@ func fig10a() Experiment {
 				tb.EPC.PCRF.AddRule(epc.PolicyRule{ServiceID: core.RetailPolicyID, QCI: qci, Precedence: 10})
 				b := tb.UEs[0]
 				tb.MoveUE(b, retailSpot)
-				if err := tb.Attach(b); err != nil {
-					panic(err)
-				}
-				if err := tb.StartRetailApp(b, "electronics"); err != nil {
-					panic(err)
-				}
+				must(tb.Attach(b))
+				must(tb.StartRetailApp(b, "electronics"))
 				tb.Run(5 * time.Second)
 				b.Frontend.Stop()
 				tb.Run(time.Second)
@@ -423,12 +419,8 @@ func measureIsolation(opts Options, seed uint64, bgBps float64) (conv, mec, acac
 	})
 	b := tb.UEs[0]
 	tb.MoveUE(b, retailSpot)
-	if err := tb.Attach(b); err != nil {
-		panic(err)
-	}
-	if err := tb.StartRetailApp(b, "electronics"); err != nil {
-		panic(err)
-	}
+	must(tb.Attach(b))
+	must(tb.StartRetailApp(b, "electronics"))
 	tb.Run(4 * time.Second)
 	b.Frontend.Stop()
 	tb.Run(500 * time.Millisecond)

@@ -83,9 +83,7 @@ func fig3c() Experiment {
 					RadioJitter: 3 * time.Millisecond, // commercial-network scheduling spread
 				})
 				b := tb.UEs[0]
-				if err := tb.Attach(b); err != nil {
-					panic(err)
-				}
+				must(tb.Attach(b))
 				host := tb.CloudHosts[region]
 				pg := netsim.NewPinger(&b.UE.Host, host.Node.Addr(), 64, uint16(7100))
 				for i := 0; i < probes; i++ {
@@ -134,9 +132,7 @@ func fig3d() Experiment {
 					RadioULBps:  sig.bps,
 				})
 				b := tb.UEs[0]
-				if err := tb.Attach(b); err != nil {
-					panic(err)
-				}
+				must(tb.Attach(b))
 				host := tb.CloudHosts[region]
 				sink := netsim.NewGreedyReceiver(host, 7200)
 				g := netsim.NewGreedyFlow(&b.UE.Host, host.Node.Addr(), 7200, 47000, 1400)
@@ -246,9 +242,7 @@ func measureSharedCoreLatency(opts Options, seed uint64, coreDelay time.Duration
 		CoreDelay:   time.Millisecond + coreDelay,
 	})
 	b := tb.UEs[0]
-	if err := tb.Attach(b); err != nil {
-		panic(err)
-	}
+	must(tb.Attach(b))
 	dst := tb.CentralMEC.Node.Addr()
 	// AR-like stream on the default bearer (≈12 Mbps of frames, the
 	// paper's HD upload regime): with 90 Mbps of background the shared
@@ -332,12 +326,8 @@ func measureCycle(seed uint64) (msgs, bytes map[epc.Protocol]uint64, delta *tele
 	})
 	b := tb.UEs[0]
 	tb.MoveUE(b, retailSpot)
-	if err := tb.Attach(b); err != nil {
-		panic(err)
-	}
-	if err := tb.StartRetailApp(b, "electronics"); err != nil {
-		panic(err)
-	}
+	must(tb.Attach(b))
+	must(tb.StartRetailApp(b, "electronics"))
 	tb.Run(2500 * time.Millisecond)
 	// Quiesce the UE so the session can idle out while keeping both
 	// bearers: stop the frame pipeline and walk out of LTE-direct range so

@@ -514,9 +514,7 @@ func assembleScale(id string, cfg ScaleConfig, seq *scaleRun) *Result {
 // acacia-sim -scale entry point. The shape must pass Validate; a caller that
 // takes it from outside the program checks that first.
 func RunScaleScenario(seed uint64, cfg ScaleConfig) *Result {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+	must(cfg.Validate())
 	cfg = cfg.withDefaults()
 	return assembleScale("scale", cfg, runScale(seed, cfg))
 }

@@ -54,6 +54,9 @@ func (q *FIFO[T]) At(i int) *T {
 	return &b.items[i]
 }
 
+// Last returns the newest entry, in place. The queue must not be empty.
+func (q *FIFO[T]) Last() *T { return &q.tail.items[q.w-1] }
+
 // Push appends v at the tail.
 //
 //acacia:hotpath

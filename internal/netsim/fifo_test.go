@@ -73,6 +73,9 @@ func (m *fifoModel) check() {
 			m.t.Fatalf("At(%d) is %v, want %d", i, got, *v)
 		}
 	}
+	if n := len(m.want); n != 0 && *q.Last() != m.want[n-1] {
+		m.t.Fatalf("Last is %v, want %d", *q.Last(), *m.want[n-1])
+	}
 	// Walk the waiting run from the head and hold every other slot to nil.
 	i := 0
 	for b := q.head; b != nil; b = b.next {

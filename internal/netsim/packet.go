@@ -58,6 +58,20 @@ type Packet struct {
 	QueueWait time.Duration
 }
 
+// Foldable reports whether q is p but for QueueWait, both pooled and
+// without payload: a queue may then hold q as its wait alone, release it,
+// and serve it later as p's ClonePacket with that wait.
+//
+//acacia:hotpath
+func Foldable(p, q *Packet) bool {
+	if !p.pooled || p.Payload != nil || q.Payload != nil {
+		return false
+	}
+	a, b := *p, *q
+	a.QueueWait = b.QueueWait
+	return a == b
+}
+
 // MaxHops aborts forwarding loops: no testbed path is longer than this.
 const MaxHops = 64
 

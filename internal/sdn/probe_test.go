@@ -11,19 +11,18 @@ import (
 )
 
 // chargedCost runs eng until sw's CPU takes a packet into service, calls
-// during (if non-nil) at that instant, and then runs on until the service period ends. It
-// returns the CPU time the packet was charged: service start to cpuDone.
+// during (if non-nil) at that instant, and then runs on until the service
+// period ends. It returns the CPU time the packet was charged, service
+// start to cpuDone, which must be one of ACACIAGWCosts' two path costs:
+// the packet is still in service 1 ns before it and done at it.
 func chargedCost(t *testing.T, eng *sim.Engine, sw *Switch, during func()) time.Duration {
 	t.Helper()
-	cpuDone := sw.cpuDoneF
-	defer func() { sw.node.SetHandler(sw); sw.cpuDoneF = cpuDone }()
+	defer sw.node.SetHandler(sw)
 	sw.node.SetHandler(handlerFunc(func(in *netsim.Port, p *netsim.Packet) {
 		if sw.Handle(in, p); sw.busy {
 			eng.Stop()
 		}
 	}))
-	var done sim.Time
-	sw.cpuDoneF = func() { done = eng.Now(); eng.Stop(); cpuDone() }
 	eng.Run()
 	if !sw.busy {
 		t.Fatal("engine drained before the switch served a packet")
@@ -32,8 +31,17 @@ func chargedCost(t *testing.T, eng *sim.Engine, sw *Switch, during func()) time.
 	if during != nil {
 		during()
 	}
-	eng.Run()
-	return done.Sub(start)
+	for _, cost := range []time.Duration{ACACIAGWCosts.FastPath, ACACIAGWCosts.SlowPath} {
+		if eng.RunUntil(start.Add(cost - 1)); sw.cpuCur.p == nil {
+			t.Fatalf("service ended before %v, off both path costs", cost)
+		}
+		if eng.RunUntil(start.Add(cost)); sw.cpuCur.p == nil {
+			eng.Run()
+			return cost
+		}
+	}
+	t.Fatal("service outlasted the slow path")
+	return 0
 }
 
 // TestSingleProbeMatchesTwoProbes pins the one-probe-per-packet rule to the

@@ -228,21 +228,24 @@ type Switch struct {
 	ctlEP   *ctl.Endpoint
 	pathMon *PathMonitor
 
-	// Single-server CPU for per-packet processing costs. cpuCur stages the
-	// packet being served; cpuDoneF is the method value bound once in
-	// NewSwitch so per-packet service scheduling allocates no closure.
-	// cpuQueue holds the waiting packets (serveNext pops them).
-	// cpuKey/cpuSlot/cpuGen stage classifyCost's one megaflow probe for
-	// process: the key, the slot found (0 = miss) and the cache generation
-	// it was read under (§3h). Here, not in pendingPacket: cpuQueue is
-	// unbounded and Fig 8 overloads it.
+	// Single-server CPU for per-packet processing costs. cpuQueue holds
+	// the waiting packets (serveNext pops them) and cpuCur stages the one
+	// being served. cpuQueue is unbounded and Fig 8 overloads it, so a run
+	// of header-identical packets (Handle folds them, DESIGN.md §3f) waits
+	// as one entry with a nil packet: its cpuRuns record holds the template
+	// and the run's length, cpuWaits each member's QueueWait, and cpuRun is
+	// the run being served. cpuKey/cpuSlot/cpuGen stage classifyCost's one
+	// megaflow probe for process: the key, the slot found (0 = miss) and
+	// the cache generation it was read under (§3h).
 	busy     bool
 	cpuQueue netsim.FIFO[pendingPacket]
+	cpuRuns  netsim.FIFO[cpuRun]
+	cpuWaits netsim.FIFO[time.Duration]
+	cpuRun   cpuRun
 	cpuCur   pendingPacket
 	cpuKey   cacheKey
 	cpuSlot  int32
 	cpuGen   uint32
-	cpuDoneF func()
 
 	// Activity counters, registered under sdn/<node>/ in the engine's
 	// telemetry registry. Stats() assembles the SwitchStats compat view.
@@ -262,7 +265,14 @@ type Switch struct {
 
 type pendingPacket struct {
 	ingress *netsim.Port
-	p       *netsim.Packet
+	p       *netsim.Packet // nil: the next run in cpuRuns
+}
+
+// cpuRun is n header-identical packets from one ingress: each is served as
+// a clone of t, the last as t itself, with its own wait from cpuWaits.
+type cpuRun struct {
+	t *netsim.Packet
+	n int
 }
 
 // NewSwitch wraps node as a GW-U with the given path costs.
@@ -275,7 +285,6 @@ func NewSwitch(dpid uint64, node *netsim.Node, costs PathCosts) *Switch {
 		index: make(map[idxKey]int32),
 		costs: costs,
 	}
-	sw.cpuDoneF = sw.cpuDone
 	sw.growCookieHeads()
 	scope := node.Engine().Metrics().Scope("sdn").Scope(node.Name())
 	sw.fastHits = scope.Counter("fastpath/hits")
@@ -336,32 +345,78 @@ func (sw *Switch) Handle(ingress *netsim.Port, p *netsim.Packet) {
 			return
 		}
 	}
+	if sw.cpuQueue.Len() != 0 && sw.fold(ingress, p) {
+		return
+	}
 	sw.cpuQueue.Push(pendingPacket{ingress, p})
 	if !sw.busy {
 		sw.serveNext()
 	}
 }
 
+// fold adds p to the run at the queue's tail, starting one from a lone tail
+// packet, when p could be served as a clone of the run's template from the
+// same ingress. A folded packet keeps only its QueueWait and goes back to
+// the pool.
+//
+//acacia:hotpath
+func (sw *Switch) fold(ingress *netsim.Port, p *netsim.Packet) bool {
+	tail := sw.cpuQueue.Last()
+	t := tail.p
+	if t == nil {
+		t = sw.cpuRuns.Last().t
+	}
+	if tail.ingress != ingress || !netsim.Foldable(t, p) {
+		return false
+	}
+	if tail.p != nil {
+		sw.cpuRuns.Push(cpuRun{t, 1})
+		sw.cpuWaits.Push(t.QueueWait)
+		tail.p = nil
+	}
+	sw.cpuRuns.Last().n++
+	sw.cpuWaits.Push(p.QueueWait)
+	sw.node.Network().Release(p)
+	return true
+}
+
 // serveNext starts serving the next waiting packet, or idles the CPU.
 //
 //acacia:hotpath
 func (sw *Switch) serveNext() {
-	if sw.cpuQueue.Len() == 0 {
-		sw.busy = false
-		return
+	if sw.cpuRun.n == 0 {
+		if sw.cpuQueue.Len() == 0 {
+			sw.busy = false
+			return
+		}
+		if sw.cpuCur = sw.cpuQueue.Pop(); sw.cpuCur.p == nil {
+			sw.cpuRun = sw.cpuRuns.Pop()
+		}
+	}
+	if r := &sw.cpuRun; r.n != 0 {
+		p := r.t
+		if r.n--; r.n != 0 {
+			p = sw.node.Network().ClonePacket(p)
+		} else {
+			r.t = nil
+		}
+		p.QueueWait = sw.cpuWaits.Pop()
+		sw.cpuCur.p = p
 	}
 	sw.busy = true
-	sw.cpuCur = sw.cpuQueue.Pop()
 	cost := sw.classifyCost(sw.cpuCur)
-	sw.eng.Schedule(cost, sw.cpuDoneF)
+	sw.eng.ScheduleArg(cost, cpuDone, sw)
 }
 
-// cpuDone finishes one CPU service period: process the staged packet, then
-// serve the next.
-func (sw *Switch) cpuDone() {
-	item := sw.cpuCur
-	sw.cpuCur = pendingPacket{}
-	sw.process(item.ingress, item.p)
+// cpuDone finishes one CPU service period of switch v: process the staged
+// packet, then serve the next. The staged ingress stays for the rest of
+// its run. A package-level function, so scheduling it binds no method
+// value.
+func cpuDone(v any) {
+	sw := v.(*Switch)
+	p := sw.cpuCur.p
+	sw.cpuCur.p = nil
+	sw.process(sw.cpuCur.ingress, p)
 	sw.serveNext()
 }
 

@@ -229,70 +229,52 @@ func FormatFloat(f float64) string {
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString("# ")
-		b.WriteString(t.Title)
-		b.WriteByte('\n')
-	}
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows() {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], len(c))
 			}
 		}
 	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(widths) && i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
+	return t.render("  ", func(b *strings.Builder, i int, c string, last bool) {
+		b.WriteString(c)
+		if i < len(widths) && !last {
+			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
 		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
+	})
 }
 
 // CSV renders the table as comma-separated values (header + rows), with
 // cells containing commas or quotes escaped per RFC 4180. The title is
 // emitted as a comment line.
 func (t *Table) CSV() string {
+	return t.render(",", func(b *strings.Builder, _ int, c string, _ bool) {
+		if strings.ContainsAny(c, ",\"\n") {
+			c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
+		}
+		b.WriteString(c)
+	})
+}
+
+// rows lists the header row, then the data rows.
+func (t *Table) rows() [][]string { return append([][]string{t.Header}, t.Rows...) }
+
+// render writes the title as a "# " comment line, then every row, its
+// cells separated by sep and each written by cell.
+func (t *Table) render(sep string, cell func(b *strings.Builder, i int, c string, last bool)) string {
 	var b strings.Builder
 	if t.Title != "" {
-		b.WriteString("# ")
-		b.WriteString(t.Title)
-		b.WriteByte('\n')
+		b.WriteString("# " + t.Title + "\n")
 	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
+	for _, row := range t.rows() {
+		for i, c := range row {
 			if i > 0 {
-				b.WriteByte(',')
+				b.WriteString(sep)
 			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
+			cell(&b, i, c, i == len(row)-1)
 		}
 		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
 	}
 	return b.String()
 }
